@@ -167,6 +167,14 @@ PROF=$(mktemp /tmp/h2-profile-sketched.XXXXXX.txt)
 grep -q "build.sketch" "$PROF"
 rm -f "$PROF"
 
+echo "== h2bench gate (the benchmark builds against the public API and its in-run checks pass) =="
+# The benchmark is a package of its own outside the workspace: a public-API
+# deletion that breaks it must fail here, not in the measurement pipeline.
+BENCH=$(mktemp /tmp/h2-bench-check.XXXXXX.txt)
+bash benchmark/check.sh > "$BENCH"
+grep -q "H2BENCH_CHECK_OK" "$BENCH"
+rm -f "$BENCH"
+
 echo "== cargo doc -D warnings =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 

@@ -105,29 +105,11 @@ fn bench_basis_method(c: &mut Criterion) {
     group.finish();
 }
 
-/// OTF application strategy: fused (ours, allocation-free) vs scratch
-/// (the paper's literal per-block buffer).
-fn bench_otf_strategy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation-otf-strategy");
-    group.sample_size(10);
-    let pts = gen::uniform_cube(N, 3, 1);
-    let b = h2_core::error_est::probe_vector(N, 2);
-    let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg_with(128, 0.7));
-    group.bench_function("fused", |bench| {
-        bench.iter(|| h2.matvec(&b));
-    });
-    group.bench_function("scratch", |bench| {
-        bench.iter(|| h2.matvec_otf_scratch(&b));
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_leaf_size,
     bench_eta,
     bench_sampling_strategy,
-    bench_basis_method,
-    bench_otf_strategy
+    bench_basis_method
 );
 criterion_main!(benches);

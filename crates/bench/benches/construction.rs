@@ -1,9 +1,7 @@
-//! Criterion microbench: H² construction across {method} x {memory mode},
-//! plus the H-matrix baseline.
+//! Criterion microbench: H² construction across {method} x {memory mode}.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use h2_core::{BasisMethod, H2Config, H2Matrix, MemoryMode};
-use h2_hmatrix::{HConfig, HMatrix};
 use h2_kernels::Coulomb;
 use h2_points::gen;
 use std::sync::Arc;
@@ -44,18 +42,6 @@ fn bench_construction(c: &mut Criterion) {
             bench.iter(|| H2Matrix::build(&pts, Arc::new(Coulomb), &cfg));
         });
     }
-    group.bench_with_input(BenchmarkId::new("hmatrix-baseline", n), &n, |bench, _| {
-        bench.iter(|| {
-            HMatrix::build(
-                &pts,
-                Arc::new(Coulomb),
-                &HConfig {
-                    tol: 1e-6,
-                    ..HConfig::default()
-                },
-            )
-        });
-    });
     group.finish();
 }
 

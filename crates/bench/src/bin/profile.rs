@@ -295,7 +295,6 @@ fn main() {
         "matvec.downward",
         "matvec.leaf",
         "matvec.scatter",
-        "matmat",
         "serve.sweep",
     ];
     if dist_matvec_ms > 0.0 {

@@ -29,9 +29,9 @@ use h2_core::diagnostics::counters;
 use h2_core::{AnyH2, BasisMethod, H2Config, H2Matrix, H2MatrixS, MemoryMode, MixedH2};
 use h2_kernels::Coulomb;
 use h2_points::gen;
-use h2_serve::hist::bucket_width;
 use h2_serve::metrics::percentile;
 use h2_serve::{MatvecService, MetricsServer};
+use h2_telemetry::hist::bucket_width;
 use serde::Serialize;
 use std::io::{Read as _, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

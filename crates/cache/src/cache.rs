@@ -1,4 +1,5 @@
-//! The sharded, budgeted block cache behind the [`crate::Cached`] provider.
+//! The sharded, budgeted block cache: the middle tier of the sweeps' block
+//! fetch.
 //!
 //! Design constraints, in order:
 //!

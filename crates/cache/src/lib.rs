@@ -6,18 +6,16 @@
 //! (nothing stored, every block regenerated per sweep, ~an order of
 //! magnitude less memory). Between the two binary endpoints this crate
 //! offers a *continuum*: a byte budget decides how many blocks stay
-//! resident, and the sweeps fetch blocks through a [`BlockProvider`] that
-//! hides which tier served them.
+//! resident, and the sweeps fetch every block through one three-tier
+//! lookup (`h2_core::sweep`):
 //!
-//! Three providers cover the spectrum:
-//!
-//! - [`Resident`] — today's materialized stores ([`CouplingStore`] /
+//! - resident — the materialized stores ([`CouplingStore`] /
 //!   [`NearfieldStore`]), blocks borrowed straight out of the slab;
-//! - [`Cached`] — a sharded LRU ([`BlockCache`]) over the same
-//!   `(kind, i, j)` keys with a strict byte budget, cost-aware admission
-//!   and warmup pinning in sweep-execution order;
-//! - [`Generate`] — today's on-the-fly path: no storage at all, the caller
-//!   falls back to its fused kernel application.
+//! - cached — a sharded LRU ([`BlockCache`]) over the same `(kind, i, j)`
+//!   keys with a strict byte budget, cost-aware admission and warmup
+//!   pinning in sweep-execution order;
+//! - generated — no storage at all: the block is regenerated into a
+//!   scratch buffer and discarded.
 //!
 //! The cache tier generates blocks with the *same* routines normal mode
 //! materializes with and applies them with the same accumulation kernels,
@@ -26,12 +24,10 @@
 
 pub mod budget;
 pub mod cache;
-pub mod provider;
 pub mod slabs;
 pub mod stores;
 
 pub use budget::{split_budget, CacheBudget};
 pub use cache::{BlockCache, BlockKind, CacheStats};
-pub use provider::{BlockProvider, Cached, Fetched, Generate, Resident};
 pub use slabs::{BlockSlabs, SlabBlock};
 pub use stores::{BlockIndex, CouplingStore, NearfieldStore};

@@ -9,11 +9,10 @@
 //! Only the `i <= j` half is stored for symmetric kernels
 //! (`B_{j,i} = B_{i,j}ᵀ`), exactly as the paper notes.
 //!
-//! (The stores live in `h2-cache` rather than `h2-core` because the
-//! [`crate::provider::Resident`] tier wraps them directly; `h2-core`
-//! re-exports them, so downstream call sites are unchanged.)
+//! (The stores live in `h2-cache` beside the budgeted [`crate::BlockCache`],
+//! which shares their `(i, j)`-canonical key convention; `h2-core`
+//! re-exports them.)
 
-use crate::provider::Resident;
 use h2_linalg::{MatrixS, Scalar};
 use h2_points::NodeId;
 use std::collections::HashMap;
@@ -76,9 +75,9 @@ impl BlockIndex {
 
 /// Dense blocks for farfield (coupling) pairs. `None` blocks = on-the-fly.
 ///
-/// Generic over the storage scalar `S`; the `apply` routine additionally
-/// accepts an independent accumulator scalar `A`, so an `f32` store can feed
-/// an `f64` sweep (mixed-precision mode) without copies.
+/// Generic over the storage scalar `S`; the sweeps apply the borrowed
+/// blocks to vectors of an independent accumulator scalar `A`, so an `f32`
+/// store feeds an `f64` sweep (mixed-precision mode) without copies.
 #[derive(Clone, Debug)]
 pub struct CouplingStore<S: Scalar = f64> {
     index: BlockIndex,
@@ -108,31 +107,8 @@ impl<S: Scalar> CouplingStore<S> {
         self.blocks.is_some()
     }
 
-    /// The [`Resident`] provider tier over this store (`None` on-the-fly).
-    pub fn provider(&self) -> Option<Resident<'_, S>> {
-        Some(Resident::new(&self.index, self.blocks.as_deref()?))
-    }
-
-    /// Applies `y += B_{i,j} x` from storage. Returns `false` when the store
-    /// is on-the-fly (caller must regenerate the block instead).
-    pub fn apply<A: Scalar>(&self, i: NodeId, j: NodeId, x: &[A], y: &mut [A]) -> bool {
-        let Some(blocks) = &self.blocks else {
-            return false;
-        };
-        let Some((slot, transposed)) = self.index.slot(i, j) else {
-            panic!("coupling block ({i}, {j}) not in index");
-        };
-        let b = &blocks[slot];
-        if transposed {
-            b.matvec_t_acc(x, y);
-        } else {
-            b.matvec_acc(x, y);
-        }
-        true
-    }
-
-    /// Direct access to a stored block (test/diagnostic); `transposed`
-    /// reports whether it is `B_{j,i}` that is stored.
+    /// The stored block of the *ordered* pair `(i, j)`; `transposed` reports
+    /// whether it is `B_{j,i}` that is stored.
     pub fn block(&self, i: NodeId, j: NodeId) -> Option<(&MatrixS<S>, bool)> {
         let blocks = self.blocks.as_ref()?;
         let (slot, t) = self.index.slot(i, j)?;
@@ -188,20 +164,6 @@ impl<S: Scalar> CouplingStore<S> {
     pub fn index_bytes(&self) -> usize {
         self.index.bytes()
     }
-
-    /// Size in bytes of the largest stored/storable block, given block shape
-    /// lookups (used for the paper's per-thread scratch accounting).
-    pub fn max_block_bytes(&self) -> usize {
-        self.blocks
-            .as_ref()
-            .map(|bs| {
-                bs.iter()
-                    .map(|b| b.nrows() * b.ncols() * S::BYTES)
-                    .max()
-                    .unwrap_or(0)
-            })
-            .unwrap_or(0)
-    }
 }
 
 /// Dense blocks for nearfield leaf pairs. Same storage policy as
@@ -235,28 +197,6 @@ impl<S: Scalar> NearfieldStore<S> {
         self.blocks.is_some()
     }
 
-    /// The [`Resident`] provider tier over this store (`None` on-the-fly).
-    pub fn provider(&self) -> Option<Resident<'_, S>> {
-        Some(Resident::new(&self.index, self.blocks.as_deref()?))
-    }
-
-    /// Applies `y += K(X_i, X_j) x` from storage; `false` when on-the-fly.
-    pub fn apply<A: Scalar>(&self, i: NodeId, j: NodeId, x: &[A], y: &mut [A]) -> bool {
-        let Some(blocks) = &self.blocks else {
-            return false;
-        };
-        let Some((slot, transposed)) = self.index.slot(i, j) else {
-            panic!("nearfield block ({i}, {j}) not in index");
-        };
-        let b = &blocks[slot];
-        if transposed {
-            b.matvec_t_acc(x, y);
-        } else {
-            b.matvec_acc(x, y);
-        }
-        true
-    }
-
     /// The materialized blocks in pair-list order (`None` when on-the-fly).
     pub fn blocks(&self) -> Option<&[MatrixS<S>]> {
         self.blocks.as_deref()
@@ -280,8 +220,8 @@ impl<S: Scalar> NearfieldStore<S> {
         blocks[slot] = block;
     }
 
-    /// Direct access to a stored block (test/diagnostic); `transposed`
-    /// reports whether it is `B_{j,i}` that is stored.
+    /// The stored block of the *ordered* pair `(i, j)`; `transposed` reports
+    /// whether it is `B_{j,i}` that is stored.
     pub fn block(&self, i: NodeId, j: NodeId) -> Option<(&MatrixS<S>, bool)> {
         let blocks = self.blocks.as_ref()?;
         let (slot, t) = self.index.slot(i, j)?;
@@ -333,48 +273,22 @@ mod tests {
     }
 
     #[test]
-    fn coupling_apply_forward_and_transposed() {
+    fn stores_serve_blocks_in_either_orientation_or_nothing_on_the_fly() {
         let b = mat(3, 2, 1.0);
         let store = CouplingStore::normal(&[(0, 1)], vec![b.clone()]);
-        // Forward: y += B x.
-        let x = vec![1.0, 2.0];
-        let mut y = vec![0.0; 3];
-        assert!(store.apply(0, 1, &x, &mut y));
-        assert_eq!(y, b.matvec(&x));
-        // Transposed: y += B^T x.
-        let xt = vec![1.0, 0.0, -1.0];
-        let mut yt = vec![0.0; 2];
-        assert!(store.apply(1, 0, &xt, &mut yt));
-        assert_eq!(yt, b.matvec_t(&xt));
-    }
+        assert_eq!(store.block(0, 1), Some((&b, false)));
+        assert_eq!(store.block(1, 0), Some((&b, true)));
+        assert_eq!(store.block(0, 2), None);
+        assert_eq!(store.blocks().unwrap(), &[b]);
 
-    #[test]
-    fn on_the_fly_returns_false() {
-        let store: CouplingStore = CouplingStore::on_the_fly(&[(0, 1)]);
-        assert!(!store.is_materialized());
-        assert!(store.provider().is_none());
-        let mut y = vec![0.0; 3];
-        assert!(!store.apply(0, 1, &[1.0], &mut y));
-        assert_eq!(y, vec![0.0; 3]); // untouched
-        assert_eq!(store.blocks_bytes(), 0);
-    }
+        let near = NearfieldStore::normal(&[(3, 3)], vec![mat(2, 2, 0.5)]);
+        assert_eq!(near.block(3, 3), Some((&mat(2, 2, 0.5), false)));
+        assert!(near.blocks_bytes() > 0);
 
-    #[test]
-    fn nearfield_mirrors_coupling_behaviour() {
-        let b = mat(2, 2, 0.5);
-        let store = NearfieldStore::normal(&[(3, 3)], vec![b.clone()]);
-        let mut y = vec![0.0; 2];
-        assert!(store.apply(3, 3, &[1.0, 1.0], &mut y));
-        assert_eq!(y, b.matvec(&[1.0, 1.0]));
-        assert!(store.blocks_bytes() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not in index")]
-    fn missing_pair_panics_when_materialized() {
-        let store = CouplingStore::normal(&[(0, 1)], vec![mat(1, 1, 1.0)]);
-        let mut y = vec![0.0];
-        store.apply(0, 2, &[1.0], &mut y);
+        let otf: CouplingStore = CouplingStore::on_the_fly(&[(0, 1)]);
+        assert!(!otf.is_materialized());
+        assert!(otf.block(0, 1).is_none() && otf.blocks().is_none());
+        assert_eq!(otf.blocks_bytes(), 0);
     }
 
     #[test]
@@ -409,9 +323,7 @@ mod tests {
         // The untouched slot is unchanged.
         assert_eq!(store.block(0, 2).unwrap().0.shape(), (2, 2));
         // Transposed lookups see the replacement too.
-        let mut y = vec![0.0; 5];
-        assert!(store.apply(1, 0, &[1.0, 0.0, 0.0, 0.0], &mut y));
-        assert_eq!(y, mat(4, 5, 2.0).matvec_t(&[1.0, 0.0, 0.0, 0.0]));
+        assert_eq!(store.block(1, 0), Some((&mat(4, 5, 2.0), true)));
     }
 
     #[test]
@@ -419,25 +331,5 @@ mod tests {
     fn replace_block_rejects_transposed_orientation() {
         let mut store = NearfieldStore::normal(&[(0, 1)], vec![mat(2, 2, 1.0)]);
         store.replace_block(1, 0, mat(2, 2, 3.0));
-    }
-
-    #[test]
-    fn f32_store_applies_with_f64_accumulator() {
-        // Mixed-precision path: blocks held in f32, sweep vectors in f64.
-        let b64 = mat(3, 2, 1.0);
-        let b32: MatrixS<f32> = b64.convert();
-        let store = CouplingStore::normal(&[(0, 1)], vec![b32.clone()]);
-        let x = vec![1.0f64, -2.0];
-        let mut y = vec![0.0f64; 3];
-        assert!(store.apply(0, 1, &x, &mut y));
-        assert_eq!(y, b32.matvec::<f64>(&x));
-        // Entries survive the f32 round-trip exactly here (small integers).
-        assert_eq!(y, b64.matvec(&x));
-    }
-
-    #[test]
-    fn max_block_bytes() {
-        let store = CouplingStore::normal(&[(0, 1), (0, 2)], vec![mat(2, 2, 1.0), mat(5, 4, 1.0)]);
-        assert_eq!(store.max_block_bytes(), 5 * 4 * 8);
     }
 }

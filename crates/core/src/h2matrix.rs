@@ -4,9 +4,9 @@
 use crate::builders::BuildStats;
 use crate::config::MemoryMode;
 use crate::memory::MemoryReport;
-use crate::proxy::{apply_coupling_s, ProxyPoints};
+use crate::proxy::ProxyPoints;
 use crate::stores::{CouplingStore, NearfieldStore};
-use h2_cache::provider::{BlockProvider, Cached, Generate};
+use crate::sweep::SweepPlan;
 use h2_cache::{BlockCache, BlockKind, CacheBudget, CacheStats};
 use h2_kernels::Kernel;
 use h2_linalg::{Matrix, MatrixS, Scalar};
@@ -186,30 +186,20 @@ impl<S: Scalar> H2MatrixS<S> {
     /// materialized in `S` — normal mode's block footprint, and the
     /// denominator a [`CacheBudget::Ratio`] resolves against.
     pub fn full_block_bytes(&self) -> usize {
-        let coupling: usize = self
-            .lists
-            .interaction_pairs
-            .iter()
-            .map(|&(i, j)| self.ranks[i] * self.ranks[j])
-            .sum();
-        let nearfield: usize = self
-            .lists
-            .nearfield_pairs
-            .iter()
-            .map(|&(i, j)| self.tree.node(i).len() * self.tree.node(j).len())
-            .sum();
-        (coupling + nearfield) * S::BYTES
+        let plan = SweepPlan::whole(self);
+        let bytes = plan.block_schedule(self).map(|(_, _, _, bytes)| bytes);
+        bytes.sum()
     }
 
     /// Installs (or, for a budget resolving to 0 bytes, removes) the
     /// budgeted block cache over an on-the-fly operator, then warms it up:
-    /// blocks are pinned in sweep-execution order (the sorted pair lists
-    /// are exactly the order the sweeps first touch them) until the budget
-    /// is full, generated in parallel. No-op in normal mode, where every
+    /// blocks are pinned in sweep-execution order
+    /// ([`SweepPlan::block_schedule`]) until the budget is full, generated
+    /// in parallel. No-op in normal mode, where every
     /// block is already resident.
     ///
-    /// Budget 0 leaves the pure fused on-the-fly sweeps (bitwise identical
-    /// to `MemoryMode::OnTheFly` today); any active budget routes every
+    /// Budget 0 leaves the pure on-the-fly sweeps (bitwise identical to
+    /// `MemoryMode::OnTheFly`); any active budget routes every
     /// non-resident block application through a materialized `S`-scalar
     /// block applied with the normal-mode routines, and is therefore
     /// bitwise identical to `MemoryMode::Normal` — budgets trade time for
@@ -224,26 +214,8 @@ impl<S: Scalar> H2MatrixS<S> {
             return;
         }
         let cache = BlockCache::new(bytes);
-        let items = self
-            .lists
-            .interaction_pairs
-            .iter()
-            .map(|&(i, j)| {
-                (
-                    BlockKind::Coupling,
-                    i,
-                    j,
-                    self.ranks[i] * self.ranks[j] * S::BYTES,
-                )
-            })
-            .chain(self.lists.nearfield_pairs.iter().map(|&(i, j)| {
-                (
-                    BlockKind::Nearfield,
-                    i,
-                    j,
-                    self.tree.node(i).len() * self.tree.node(j).len() * S::BYTES,
-                )
-            }));
+        let plan = SweepPlan::whole(self);
+        let items = plan.block_schedule(self);
         let chosen = cache.plan_pins(items);
         self.warm_pins(&cache, &chosen);
         self.cache = Some(Arc::new(cache));
@@ -294,111 +266,56 @@ impl<S: Scalar> H2MatrixS<S> {
         }
     }
 
-    /// Applies one coupling block `y += B_{i,j} x` through the tiered
-    /// provider stack: the materialized store, then `cache` (callers pass
-    /// the installed cache, or their own — `h2-dist` passes per-rank
-    /// caches), then the fused on-the-fly path (`scratch` selects the
-    /// paper's literal scratch-buffer variant of it).
+    /// Applies one coupling block `y += B_{i,j} x` (any orientation of a
+    /// listed pair) through the sweeps' three-tier fetch: the materialized
+    /// store, then `cache` (callers pass the installed cache or their own),
+    /// then generation into a scratch block. `_scratch` is ignored: it
+    /// used to select between two on-the-fly variants and is kept so
+    /// existing callers compile.
     pub fn apply_coupling_with<A: Scalar>(
         &self,
         cache: Option<&BlockCache<S>>,
-        scratch: bool,
+        _scratch: bool,
         i: NodeId,
         j: NodeId,
         x: &[A],
         y: &mut [A],
     ) {
-        let generate = |a: NodeId, b: NodeId| self.generate_block(BlockKind::Coupling, a, b);
-        let resident = self.coupling.provider();
-        let cached = cache.map(|c| Cached::with_epochs(c, BlockKind::Coupling, &self.node_epochs));
-        let fallback = Generate;
-        let fetched = match (&resident, &cached) {
-            (Some(p), _) => p.fetch(i, j, &generate),
-            (None, Some(p)) => p.fetch(i, j, &generate),
-            (None, None) => BlockProvider::<S>::fetch(&fallback, i, j, &generate),
-        };
-        if fetched.apply_acc(x, y) {
-            return;
-        }
-        // On-the-fly: fused kernel application (or the scratch ablation).
-        if scratch {
-            generate(i, j).matvec_acc(x, y);
-        } else {
-            apply_coupling_s(
-                self.kernel.as_ref(),
-                self.tree.points(),
-                &self.proxies[i],
-                &self.proxies[j],
-                x,
-                y,
-            );
-        }
+        self.apply_block_with(cache, BlockKind::Coupling, i, j, x, y);
     }
 
-    /// Applies one nearfield block `y += K(X_i, X_j) x` through the same
-    /// tiered provider stack as [`Self::apply_coupling_with`].
+    /// Applies one nearfield block `y += K(X_i, X_j) x`; see
+    /// [`Self::apply_coupling_with`].
     pub fn apply_nearfield_with<A: Scalar>(
         &self,
         cache: Option<&BlockCache<S>>,
-        scratch: bool,
+        _scratch: bool,
         i: NodeId,
         j: NodeId,
         x: &[A],
         y: &mut [A],
     ) {
-        let tree = &self.tree;
-        let pts = tree.points();
-        let generate = |a: NodeId, b: NodeId| self.generate_block(BlockKind::Nearfield, a, b);
-        let resident = self.nearfield.provider();
-        let cached = cache.map(|c| Cached::with_epochs(c, BlockKind::Nearfield, &self.node_epochs));
-        let fallback = Generate;
-        let fetched = match (&resident, &cached) {
-            (Some(p), _) => p.fetch(i, j, &generate),
-            (None, Some(p)) => p.fetch(i, j, &generate),
-            (None, None) => BlockProvider::<S>::fetch(&fallback, i, j, &generate),
-        };
-        if fetched.apply_acc(x, y) {
-            return;
-        }
-        crate::diagnostics::record_nearfield_block(tree.node(i).len(), tree.node(j).len());
-        if scratch {
-            let block = h2_kernels::kernel_matrix_s::<S>(
-                self.kernel.as_ref(),
-                pts,
-                tree.node_indices(i),
-                tree.node_indices(j),
-            );
-            block.matvec_acc(x, y);
-        } else {
-            h2_kernels::apply_block_s(
-                self.kernel.as_ref(),
-                pts,
-                tree.node_indices(i),
-                tree.node_indices(j),
-                x,
-                y,
-            );
-        }
+        self.apply_block_with(cache, BlockKind::Nearfield, i, j, x, y);
     }
 
-    /// `y = Â b` — the five-sweep H² matvec of the paper's Algorithm 2,
-    /// parallel over nodes within every sweep. In on-the-fly mode the
-    /// coupling/nearfield applications are *fused* (each kernel entry is
-    /// consumed as it is produced, no block buffer at all).
+    /// `y = Â b` — the five-sweep H² matvec of the paper's Algorithm 2: the
+    /// `k = 1` call of the sweep engine ([`crate::sweep`]).
     ///
     /// Generic over the accumulator scalar `A`: with `A = S` this is the
     /// plain same-precision product; an `f32` operator applied to `f64`
     /// vectors is the mixed-precision mode (see [`Self::matvec_f64`]).
     pub fn matvec<A: Scalar>(&self, b: &[A]) -> Vec<A> {
         let mut y = vec![A::ZERO; self.n()];
-        self.matvec_impl(b, false, &mut y);
+        self.matvec_into(b, &mut y);
         y
     }
 
     /// `y = Â b` writing into a caller-provided buffer — the serving hot
     /// path, which reuses one output allocation across requests.
     pub fn matvec_into<A: Scalar>(&self, b: &[A], y: &mut [A]) {
-        self.matvec_impl(b, false, y);
+        assert_eq!(b.len(), self.n(), "matvec: vector length");
+        assert_eq!(y.len(), self.n(), "matvec: output length");
+        self.apply_panel(1, b, y);
     }
 
     /// Mixed-precision entry point: applies the operator to `f64` vectors
@@ -415,398 +332,20 @@ impl<S: Scalar> H2MatrixS<S> {
         self.matmat::<f64>(b)
     }
 
-    /// `y = Â b` with the paper's literal on-the-fly strategy: each block is
-    /// materialized into a per-task scratch buffer ("each thread stores only
-    /// one `B_{i,j}` matrix at a time", §V) and applied as a dense matvec,
-    /// then discarded. Numerically identical to [`Self::matvec`]; exists so
-    /// the fused-vs-scratch design choice can be benchmarked (ablation
-    /// benches). In normal mode both paths read the stored blocks and
-    /// behave the same.
-    pub fn matvec_otf_scratch<A: Scalar>(&self, b: &[A]) -> Vec<A> {
-        let mut y = vec![A::ZERO; self.n()];
-        self.matvec_impl(b, true, &mut y);
-        y
-    }
-
-    fn matvec_impl<A: Scalar>(&self, b: &[A], scratch: bool, y: &mut [A]) {
-        assert_eq!(b.len(), self.n(), "matvec: vector length");
-        assert_eq!(y.len(), self.n(), "matvec: output length");
-        let _mv = h2_telemetry::span("matvec");
-        let tree = &self.tree;
-        let perm = tree.perm();
-        let n_nodes = tree.node_count();
-        let cache = self.cache.as_deref();
-
-        // Gather b into tree (contiguous-per-node) order.
-        let sp = h2_telemetry::span("matvec.gather");
-        let bp: Vec<A> = perm.iter().map(|&p| b[p]).collect();
-        drop(sp);
-
-        // ---- Sweeps 1 + 2: upward — q_i = U_i^T b_i at leaves, then
-        // q_p = sum_c R_c^T q_c, level-parallel bottom-to-top.
-        let sp = h2_telemetry::span("matvec.upward");
-        let mut q: Vec<Vec<A>> = vec![Vec::new(); n_nodes];
-        for level in tree.levels().iter().rev() {
-            let computed: Vec<(NodeId, Vec<A>)> = level
-                .par_iter()
-                .map(|&i| {
-                    let nd = tree.node(i);
-                    let qi = if nd.is_leaf() {
-                        self.bases[i].matvec_t(&bp[nd.start..nd.end])
-                    } else {
-                        let mut acc = vec![A::ZERO; self.ranks[i]];
-                        for &c in &nd.children {
-                            self.transfers[c].matvec_t_acc(&q[c], &mut acc);
-                        }
-                        acc
-                    };
-                    (i, qi)
-                })
-                .collect();
-            for (i, qi) in computed {
-                q[i] = qi;
-            }
-        }
-        drop(sp);
-
-        // ---- Sweep 3: horizontal — g_i = sum_{j in IL(i)} B_{i,j} q_j.
-        // Parallel over nodes: each node writes only its own g_i. In
-        // on-the-fly mode the blocks are regenerated (fused) right here —
-        // the paper's lines 9/15 of Algorithm 2.
-        let sp = h2_telemetry::span("matvec.horizontal");
-        let mut g: Vec<Vec<A>> = (0..n_nodes)
-            .into_par_iter()
-            .map(|i| {
-                let mut gi = vec![A::ZERO; self.ranks[i]];
-                for &j in &self.lists.interaction[i] {
-                    self.apply_coupling_with(cache, scratch, i, j, &q[j], &mut gi);
-                }
-                gi
-            })
-            .collect();
-        drop(sp);
-
-        // ---- Sweep 4: downward — g_c += R_c g_p, level-parallel
-        // top-to-bottom (children pull from their parent, already final).
-        let sp = h2_telemetry::span("matvec.downward");
-        for level in tree.levels().iter().skip(1) {
-            let adds: Vec<(NodeId, Vec<A>)> = level
-                .par_iter()
-                .map(|&i| {
-                    let p = tree.node(i).parent.expect("non-root has a parent");
-                    let mut gi = vec![A::ZERO; self.ranks[i]];
-                    self.transfers[i].matvec_acc(&g[p], &mut gi);
-                    (i, gi)
-                })
-                .collect();
-            for (i, add) in adds {
-                for (a, b) in g[i].iter_mut().zip(&add) {
-                    *a += *b;
-                }
-            }
-        }
-        drop(sp);
-
-        // ---- Sweep 5: leaf horizontal — y_i = U_i g_i + nearfield.
-        let sp = h2_telemetry::span("matvec.leaf");
-        let leaf_out: Vec<(usize, Vec<A>)> = tree
-            .leaves()
-            .par_iter()
-            .map(|&i| {
-                let nd = tree.node(i);
-                let mut yi = vec![A::ZERO; nd.len()];
-                self.bases[i].matvec_acc(&g[i], &mut yi);
-                for &j in &self.lists.nearfield[i] {
-                    let nj = tree.node(j);
-                    let bj = &bp[nj.start..nj.end];
-                    self.apply_nearfield_with(cache, scratch, i, j, bj, &mut yi);
-                }
-                (nd.start, yi)
-            })
-            .collect();
-        drop(sp);
-
-        // Scatter back to original order (every position is covered by
-        // exactly one leaf, so any previous content of `y` is overwritten).
-        let sp = h2_telemetry::span("matvec.scatter");
-        for (start, yi) in leaf_out {
-            for (off, v) in yi.into_iter().enumerate() {
-                y[perm[start + off]] = v;
-            }
-        }
-        drop(sp);
-    }
-
     /// `Y = Â B` for a block of right-hand sides (block-Krylov methods,
-    /// multi-charge FMM-style workloads, batched serving) — the five sweeps
-    /// of Algorithm 2 run once on `n x k` *panels* instead of k times on
-    /// vectors.
+    /// multi-charge FMM-style workloads, batched serving) — the same sweep
+    /// engine run once on `n x k` *panels*.
     ///
-    /// The horizontal sweeps walk the unique block *pairs*, so in
-    /// on-the-fly mode every coupling/nearfield block is generated exactly
-    /// once per call — independent of `k` — and applied to all columns in
-    /// both directions before being discarded. That amortization is the
-    /// point of batching: per column, the kernel-evaluation cost drops by
-    /// `k` compared to column-wise matvecs.
-    ///
+    /// Every block is fetched once per call — independent of `k` — and
+    /// applied to all columns in both directions, so on-the-fly kernel
+    /// evaluations per column drop by `k` against column-wise products.
     /// Every column of the result is bit-identical to
-    /// `self.matvec(b.col(j))`: per column the panel sweeps perform the
-    /// same floating-point operations in the same order (block pairs are
-    /// applied in lexicographic order, which reproduces the sorted
-    /// interaction/nearfield list order of the vector path).
+    /// `self.matvec(b.col(j))`.
     pub fn matmat<A: Scalar>(&self, b: &MatrixS<A>) -> MatrixS<A> {
         assert_eq!(b.nrows(), self.n(), "matmat: row count");
-        let _mm = h2_telemetry::span_labeled("matmat", format!("k={}", b.ncols()));
-        let k = b.ncols();
-        let n = self.n();
-        let tree = &self.tree;
-        let pts = tree.points();
-        let perm = tree.perm();
-        let n_nodes = tree.node_count();
-
-        // Gather B into tree (contiguous-per-node) order.
-        let sp = h2_telemetry::span("matmat.gather");
-        let mut bp = MatrixS::<A>::zeros(n, k);
-        for c in 0..k {
-            let src = b.col(c);
-            let dst = bp.col_mut(c);
-            for (r, &p) in perm.iter().enumerate() {
-                dst[r] = src[p];
-            }
-        }
-        drop(sp);
-
-        // ---- Sweeps 1 + 2: upward panels Q_i = U_i^T B_i, then
-        // Q_p = sum_c R_c^T Q_c, level-parallel bottom-to-top.
-        let sp = h2_telemetry::span("matmat.upward");
-        let mut q: Vec<MatrixS<A>> = vec![MatrixS::zeros(0, 0); n_nodes];
-        for level in tree.levels().iter().rev() {
-            let computed: Vec<(NodeId, MatrixS<A>)> = level
-                .par_iter()
-                .map(|&i| {
-                    let nd = tree.node(i);
-                    let mut qi = MatrixS::<A>::zeros(self.ranks[i], k);
-                    if nd.is_leaf() {
-                        for c in 0..k {
-                            let bc = &bp.col(c)[nd.start..nd.end];
-                            self.bases[i].matvec_t_acc(bc, qi.col_mut(c));
-                        }
-                    } else {
-                        for &ch in &nd.children {
-                            for c in 0..k {
-                                self.transfers[ch].matvec_t_acc(q[ch].col(c), qi.col_mut(c));
-                            }
-                        }
-                    }
-                    (i, qi)
-                })
-                .collect();
-            for (i, qi) in computed {
-                q[i] = qi;
-            }
-        }
-        drop(sp);
-
-        // ---- Sweep 3: horizontal over unique admissible pairs. Pairs are
-        // sorted lexicographically and both lists are sorted ascending, so
-        // accumulating pair-by-pair hits every G_i in the same neighbor
-        // order as the vector path. Sequential: both endpoints of a pair
-        // are updated while its block is live (generated once per call).
-        let sp = h2_telemetry::span("matmat.horizontal");
-        let mut g: Vec<MatrixS<A>> = (0..n_nodes)
-            .map(|i| MatrixS::zeros(self.ranks[i], k))
-            .collect();
-        let materialized = self.coupling.is_materialized();
-        let cache = self.cache.as_deref();
-        for &(i, j) in &self.lists.interaction_pairs {
-            if materialized {
-                let (gi, gj) = g.split_at_mut(j);
-                let (gi, gj) = (&mut gi[i], &mut gj[0]);
-                for c in 0..k {
-                    self.coupling.apply(i, j, q[j].col(c), gi.col_mut(c));
-                    self.coupling.apply(j, i, q[i].col(c), gj.col_mut(c));
-                }
-            } else if let Some(cache) = cache {
-                // Cached tier: the `S`-scalar block applied with the
-                // normal-mode routines — per column bit-identical to the
-                // cached vector path (interaction pairs have `i < j`, so
-                // the pair is already canonical).
-                let block = cache.get_or_generate_at(
-                    BlockKind::Coupling,
-                    i,
-                    j,
-                    self.pair_epoch(i, j),
-                    || {
-                        crate::proxy::coupling_block_s::<S>(
-                            self.kernel.as_ref(),
-                            pts,
-                            &self.proxies[i],
-                            &self.proxies[j],
-                        )
-                    },
-                );
-                let (gi, gj) = g.split_at_mut(j);
-                let (gi, gj) = (&mut gi[i], &mut gj[0]);
-                for c in 0..k {
-                    block.matvec_acc(q[j].col(c), gi.col_mut(c));
-                    block.matvec_t_acc(q[i].col(c), gj.col_mut(c));
-                }
-            } else {
-                // The block is always materialized in f64 (one kernel eval
-                // per entry, no storage rounding) and applied with an f64
-                // row accumulator, which reproduces the fused vector path
-                // bit for bit for every accumulator scalar `A`.
-                let block = crate::proxy::coupling_block(
-                    self.kernel.as_ref(),
-                    pts,
-                    &self.proxies[i],
-                    &self.proxies[j],
-                );
-                let (gi, gj) = g.split_at_mut(j);
-                let (gi, gj) = (&mut gi[i], &mut gj[0]);
-                for c in 0..k {
-                    dot_apply(&block, q[j].col(c), gi.col_mut(c));
-                    dot_apply_t(&block, q[i].col(c), gj.col_mut(c));
-                }
-            }
-        }
-        drop(sp);
-
-        // ---- Sweep 4: downward — G_c += R_c G_p, level-parallel
-        // top-to-bottom.
-        let sp = h2_telemetry::span("matmat.downward");
-        for level in tree.levels().iter().skip(1) {
-            let adds: Vec<(NodeId, MatrixS<A>)> = level
-                .par_iter()
-                .map(|&i| {
-                    let p = tree.node(i).parent.expect("non-root has a parent");
-                    let mut gi = MatrixS::<A>::zeros(self.ranks[i], k);
-                    for c in 0..k {
-                        self.transfers[i].matvec_acc(g[p].col(c), gi.col_mut(c));
-                    }
-                    (i, gi)
-                })
-                .collect();
-            for (i, add) in adds {
-                for (a, b) in g[i].as_mut_slice().iter_mut().zip(add.as_slice()) {
-                    *a += *b;
-                }
-            }
-        }
-        drop(sp);
-
-        // ---- Sweep 5: leaf panels Y_i = U_i G_i, then the nearfield over
-        // unique pairs (same once-per-call block amortization and the same
-        // per-leaf neighbor order as the vector path: the basis term first,
-        // then neighbors ascending).
-        let sp = h2_telemetry::span("matmat.leaf");
-        let mut yt = MatrixS::<A>::zeros(n, k);
-        let leaf_terms: Vec<(NodeId, MatrixS<A>)> = tree
-            .leaves()
-            .par_iter()
-            .map(|&i| {
-                let nd = tree.node(i);
-                let mut yi = MatrixS::<A>::zeros(nd.len(), k);
-                for c in 0..k {
-                    self.bases[i].matvec_acc(g[i].col(c), yi.col_mut(c));
-                }
-                (i, yi)
-            })
-            .collect();
-        for (i, yi) in leaf_terms {
-            let nd = tree.node(i);
-            for c in 0..k {
-                yt.col_mut(c)[nd.start..nd.end].copy_from_slice(yi.col(c));
-            }
-        }
-        let nf_materialized = self.nearfield.is_materialized();
-        for &(i, j) in &self.lists.nearfield_pairs {
-            let (ni, nj) = (tree.node(i), tree.node(j));
-            if nf_materialized {
-                for c in 0..k {
-                    let bi: Vec<A> = bp.col(c)[ni.start..ni.end].to_vec();
-                    let bj: Vec<A> = bp.col(c)[nj.start..nj.end].to_vec();
-                    let col = yt.col_mut(c);
-                    self.nearfield.apply(i, j, &bj, &mut col[ni.start..ni.end]);
-                    if i != j {
-                        self.nearfield.apply(j, i, &bi, &mut col[nj.start..nj.end]);
-                    }
-                }
-            } else if let Some(cache) = cache {
-                // Cached tier, mirroring the materialized branch (nearfield
-                // pairs have `i <= j` — already canonical).
-                let block = cache.get_or_generate_at(
-                    BlockKind::Nearfield,
-                    i,
-                    j,
-                    self.pair_epoch(i, j),
-                    || {
-                        crate::diagnostics::record_nearfield_block(ni.len(), nj.len());
-                        h2_kernels::kernel_matrix_s::<S>(
-                            self.kernel.as_ref(),
-                            pts,
-                            tree.node_indices(i),
-                            tree.node_indices(j),
-                        )
-                    },
-                );
-                for c in 0..k {
-                    let bi: Vec<A> = bp.col(c)[ni.start..ni.end].to_vec();
-                    let bj: Vec<A> = bp.col(c)[nj.start..nj.end].to_vec();
-                    let col = yt.col_mut(c);
-                    block.matvec_acc(&bj, &mut col[ni.start..ni.end]);
-                    if i != j {
-                        block.matvec_t_acc(&bi, &mut col[nj.start..nj.end]);
-                    }
-                }
-            } else {
-                crate::diagnostics::record_nearfield_block(ni.len(), nj.len());
-                let block = h2_kernels::kernel_matrix(
-                    self.kernel.as_ref(),
-                    pts,
-                    tree.node_indices(i),
-                    tree.node_indices(j),
-                );
-                for c in 0..k {
-                    let bi: Vec<A> = bp.col(c)[ni.start..ni.end].to_vec();
-                    let bj: Vec<A> = bp.col(c)[nj.start..nj.end].to_vec();
-                    let col = yt.col_mut(c);
-                    dot_apply(&block, &bj, &mut col[ni.start..ni.end]);
-                    if i != j {
-                        dot_apply_t(&block, &bi, &mut col[nj.start..nj.end]);
-                    }
-                }
-            }
-        }
-        drop(sp);
-
-        // Scatter back to the original point order.
-        let sp = h2_telemetry::span("matmat.scatter");
-        let mut out = MatrixS::<A>::zeros(n, k);
-        for c in 0..k {
-            let src = yt.col(c);
-            let dst = out.col_mut(c);
-            for (r, &p) in perm.iter().enumerate() {
-                dst[p] = src[r];
-            }
-        }
-        drop(sp);
-        out
-    }
-
-    /// The pre-panel `matmat`: one full five-sweep matvec per column.
-    /// Kept as the reference implementation the fused [`Self::matmat`] is
-    /// tested bit-for-bit against (and as the baseline of the batch
-    /// amortization experiments).
-    #[doc(hidden)]
-    pub fn matmat_columnwise<A: Scalar>(&self, b: &MatrixS<A>) -> MatrixS<A> {
-        assert_eq!(b.nrows(), self.n(), "matmat: row count");
-        let mut out = MatrixS::<A>::zeros(self.n(), b.ncols());
-        for j in 0..b.ncols() {
-            let y = self.matvec(b.col(j));
-            out.col_mut(j).copy_from_slice(&y);
-        }
-        out
+        let mut y = MatrixS::<A>::zeros(self.n(), b.ncols());
+        self.apply_panel(b.ncols(), b.as_slice(), y.as_mut_slice());
+        y
     }
 
     /// The paper's error metric (§IV): given an input `b` and the H² result
@@ -910,20 +449,9 @@ impl<S: Scalar> H2MatrixS<S> {
         let proxies = self.proxies.iter().map(|p| p.bytes()).sum();
         // Largest block the OTF matvec would regenerate: coupling r_i x r_j
         // or nearfield |X_i| x |X_j|.
-        let max_coupling = self
-            .lists
-            .interaction_pairs
-            .iter()
-            .map(|&(i, j)| self.ranks[i] * self.ranks[j])
-            .max()
-            .unwrap_or(0);
-        let max_near = self
-            .lists
-            .nearfield_pairs
-            .iter()
-            .map(|&(i, j)| self.tree.node(i).len() * self.tree.node(j).len())
-            .max()
-            .unwrap_or(0);
+        let plan = SweepPlan::whole(self);
+        let blocks = plan.block_schedule(self).map(|(_, _, _, bytes)| bytes);
+        let max_otf_block = blocks.max().unwrap_or(0);
         let mapped_generators: usize = self
             .bases
             .iter()
@@ -940,45 +468,12 @@ impl<S: Scalar> H2MatrixS<S> {
             block_indices: self.coupling.index_bytes() + self.nearfield.index_bytes(),
             tree: self.tree.bytes(),
             lists: self.lists.bytes(),
-            max_otf_block: max_coupling.max(max_near) * S::BYTES,
+            max_otf_block,
             mapped_bytes: mapped_generators
                 + self.coupling.mapped_bytes()
                 + self.nearfield.mapped_bytes(),
             epoch: self.epoch,
         }
-    }
-}
-
-/// `y[r] += sum_c block[r, c] x[c]` with a single local accumulator per
-/// row, columns ascending — the exact arithmetic of the fused
-/// `Kernel::apply_block` path, so a once-per-batch materialized block
-/// reproduces the vector path bit-for-bit.
-fn dot_apply<A: Scalar>(block: &Matrix, x: &[A], y: &mut [A]) {
-    debug_assert_eq!(x.len(), block.ncols());
-    debug_assert_eq!(y.len(), block.nrows());
-    for (r, yr) in y.iter_mut().enumerate() {
-        let mut s = 0.0;
-        for (c, &xc) in x.iter().enumerate() {
-            s += block[(r, c)] * xc.to_f64();
-        }
-        *yr += A::from_f64(s);
-    }
-}
-
-/// `y[c] += sum_r block[r, c] x[r]` — the transposed application with the
-/// same single-accumulator structure. Because every kernel here is radial
-/// (`K(x, y) = phi(dist2(x, y))`, bitwise symmetric), this reproduces the
-/// vector path's fused application of the mirrored block exactly.
-fn dot_apply_t<A: Scalar>(block: &Matrix, x: &[A], y: &mut [A]) {
-    debug_assert_eq!(x.len(), block.nrows());
-    debug_assert_eq!(y.len(), block.ncols());
-    for (c, yc) in y.iter_mut().enumerate() {
-        let mut s = 0.0;
-        let col = block.col(c);
-        for (r, &xr) in x.iter().enumerate() {
-            s += col[r] * xr.to_f64();
-        }
-        *yc += A::from_f64(s);
     }
 }
 
@@ -1017,6 +512,16 @@ mod tests {
             ..H2Config::default()
         };
         H2Matrix::build(&pts, kernel, &cfg)
+    }
+
+    /// One full vector product per column: what every panel column must
+    /// equal bit for bit.
+    fn columnwise(h2: &H2Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(h2.n(), b.ncols());
+        for j in 0..b.ncols() {
+            out.col_mut(j).copy_from_slice(&h2.matvec(b.col(j)));
+        }
+        out
     }
 
     #[test]
@@ -1174,71 +679,9 @@ mod tests {
     }
 
     #[test]
-    fn scratch_otf_matches_fused() {
-        let pts = gen::uniform_cube(600, 3, 12);
-        let cfg = H2Config {
-            basis: BasisMethod::data_driven_for_tol(1e-6, 3),
-            mode: MemoryMode::OnTheFly,
-            leaf_size: 40,
-            eta: 0.7,
-            ..H2Config::default()
-        };
-        let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
-        let b = random_vec(600, 13);
-        let y1 = h2.matvec(&b);
-        let y2 = h2.matvec_otf_scratch(&b);
-        // Same blocks, same order of products per entry — identical results.
-        for (a, c) in y1.iter().zip(&y2) {
-            assert!((a - c).abs() < 1e-12 * (1.0 + a.abs()));
-        }
-    }
-
-    #[test]
-    fn matmat_matches_columnwise_matvec() {
-        let pts = gen::uniform_cube(300, 2, 14);
-        let cfg = H2Config {
-            basis: BasisMethod::data_driven_for_tol(1e-6, 2),
-            mode: MemoryMode::Normal,
-            leaf_size: 40,
-            eta: 0.7,
-            ..H2Config::default()
-        };
-        let h2 = H2Matrix::build(&pts, Arc::new(Exponential), &cfg);
-        let b = Matrix::from_fn(300, 3, |i, j| ((i + 7 * j) % 5) as f64 - 2.0);
-        let y = h2.matmat(&b);
-        for j in 0..3 {
-            let yj = h2.matvec(b.col(j));
-            assert_eq!(y.col(j), &yj[..]);
-        }
-    }
-
-    #[test]
-    fn fused_matmat_bitwise_equals_columnwise_both_modes() {
-        let pts = gen::uniform_cube(500, 3, 21);
-        for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
-            let cfg = H2Config {
-                basis: BasisMethod::data_driven_for_tol(1e-6, 3),
-                mode,
-                leaf_size: 40,
-                eta: 0.7,
-                ..H2Config::default()
-            };
-            let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
-            let b = Matrix::from_fn(500, 5, |i, j| ((i * 13 + 7 * j) % 9) as f64 * 0.25 - 1.0);
-            let fused = h2.matmat(&b);
-            let columnwise = h2.matmat_columnwise(&b);
-            assert_eq!(
-                fused.as_slice(),
-                columnwise.as_slice(),
-                "fused panel matmat must be bit-identical to columnwise ({})",
-                mode.name()
-            );
-        }
-    }
-
-    #[test]
-    fn fused_matmat_bitwise_equals_columnwise_interpolation_otf() {
-        // Coords proxies exercise the eval_cross/apply_cross block paths.
+    fn panel_columns_equal_vector_products_interpolation_otf() {
+        // Coords proxies exercise the eval_cross block path (the other
+        // tiers, precisions and builders are covered in tests/sweep.rs).
         let pts = gen::uniform_cube(400, 2, 22);
         let cfg = H2Config {
             basis: BasisMethod::Interpolation { order: 5 },
@@ -1249,10 +692,7 @@ mod tests {
         };
         let h2 = H2Matrix::build(&pts, Arc::new(Exponential), &cfg);
         let b = Matrix::from_fn(400, 4, |i, j| ((i + 3 * j) % 7) as f64 - 3.0);
-        assert_eq!(
-            h2.matmat(&b).as_slice(),
-            h2.matmat_columnwise(&b).as_slice()
-        );
+        assert_eq!(h2.matmat(&b).as_slice(), columnwise(&h2, &b).as_slice());
     }
 
     #[test]
@@ -1304,17 +744,12 @@ mod tests {
         assert_eq!(n1, nf_pairs, "one nearfield block per nearfield pair");
         assert_eq!((c16, n16, e16), (c1, n1, e1), "counts independent of k");
 
-        // The columnwise path regenerates blocks per column *and* per
-        // direction — the amortization factor the batched sweep removes.
+        // Column-wise products regenerate every block per column — the
+        // amortization factor the panel sweep removes.
         let scope = counters::scope();
         let b = Matrix::from_fn(900, 16, |i, j| ((i + j) % 5) as f64 - 2.0);
-        let _ = h2.matmat_columnwise(&b);
-        assert!(
-            scope.count("kernel_evals") >= 16 * e16,
-            "columnwise evals {} vs fused {}",
-            scope.count("kernel_evals"),
-            e16
-        );
+        let _ = columnwise(&h2, &b);
+        assert_eq!(scope.count("kernel_evals"), 16 * e16);
     }
 
     #[test]

@@ -79,6 +79,7 @@ pub mod parts;
 pub mod precision;
 pub mod proxy;
 pub mod stores;
+pub mod sweep;
 pub mod update;
 
 pub use builders::BuildStats;
@@ -91,4 +92,5 @@ pub use memory::MemoryReport;
 pub use operator::{ApplyError, H2Operator};
 pub use parts::H2Parts;
 pub use precision::{AnyH2, MixedH2};
+pub use sweep::{PairStep, Sweep, SweepPlan};
 pub use update::{UpdateError, UpdatePolicy, UpdateReport};

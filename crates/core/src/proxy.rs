@@ -12,7 +12,7 @@
 //!   smaller than the `order^dim × order^dim` coupling blocks).
 
 use h2_kernels::Kernel;
-use h2_linalg::{Matrix, MatrixS, Scalar};
+use h2_linalg::{MatrixS, Scalar};
 use h2_points::PointSet;
 
 /// Proxy points of one node.
@@ -55,19 +55,9 @@ impl ProxyPoints {
     }
 }
 
-/// Materializes the coupling block `B = K(proxy_a, proxy_b)` in `f64`.
-pub fn coupling_block(
-    kernel: &dyn Kernel,
-    pts: &PointSet,
-    a: &ProxyPoints,
-    b: &ProxyPoints,
-) -> Matrix {
-    coupling_block_s::<f64>(kernel, pts, a, b)
-}
-
-/// Materializes the coupling block in storage scalar `S`. The kernel is
-/// always evaluated in `f64` and the entries rounded once on store, so the
-/// `f64` instantiation is bit-identical to [`coupling_block`].
+/// Materializes the coupling block `B = K(proxy_a, proxy_b)` in storage
+/// scalar `S`. The kernel is always evaluated in `f64` and the entries
+/// rounded once on store.
 pub fn coupling_block_s<S: Scalar>(
     kernel: &dyn Kernel,
     pts: &PointSet,
@@ -87,44 +77,23 @@ pub fn coupling_block_s<S: Scalar>(
     }
 }
 
-/// Applies the coupling block without materializing it:
-/// `y += K(proxy_a, proxy_b) x` — the on-the-fly hot path.
-pub fn apply_coupling(
+/// Fills `out` (column-major, `a.len() x b.len()`) with the `f64` coupling
+/// block — the on-the-fly sweep's generation step, into its reusable
+/// scratch buffer.
+pub fn coupling_block_into(
     kernel: &dyn Kernel,
     pts: &PointSet,
     a: &ProxyPoints,
     b: &ProxyPoints,
-    x: &[f64],
-    y: &mut [f64],
-) {
-    apply_coupling_s::<f64>(kernel, pts, a, b, x, y)
-}
-
-/// On-the-fly apply with vectors in accumulator scalar `A`. Kernel entries
-/// are evaluated in `f64` and each output row is accumulated in `f64` before
-/// a single rounding into `A`, so `A = f64` reproduces [`apply_coupling`]
-/// bit for bit while `A = f32` loses nothing to accumulation order.
-pub fn apply_coupling_s<A: Scalar>(
-    kernel: &dyn Kernel,
-    pts: &PointSet,
-    a: &ProxyPoints,
-    b: &ProxyPoints,
-    x: &[A],
-    y: &mut [A],
+    out: &mut [f64],
 ) {
     crate::diagnostics::record_coupling_block(a.len(), b.len());
     match (a, b) {
         (ProxyPoints::Indices(ra), ProxyPoints::Indices(cb)) => {
-            h2_kernels::apply_block_s(kernel, pts, ra, cb, x, y);
+            kernel.eval_block_into(pts, ra, cb, out);
         }
-        (ProxyPoints::Coords(xa), ProxyPoints::Coords(xb)) => {
-            h2_kernels::apply_cross_s(kernel, xa, xb, x, y);
-        }
-        _ => {
-            let xa = a.to_points(pts);
-            let xb = b.to_points(pts);
-            h2_kernels::apply_cross_s(kernel, &xa, &xb, x, y);
-        }
+        (ProxyPoints::Coords(xa), ProxyPoints::Coords(xb)) => kernel.eval_cross_into(xa, xb, out),
+        _ => kernel.eval_cross_into(&a.to_points(pts), &b.to_points(pts), out),
     }
 }
 
@@ -134,61 +103,42 @@ mod tests {
     use h2_kernels::{Coulomb, Exponential};
     use h2_points::gen;
 
-    #[test]
-    fn indices_block_matches_apply() {
-        let pts = gen::uniform_cube(40, 3, 1);
-        let a = ProxyPoints::Indices((0..8).collect());
-        let b = ProxyPoints::Indices((20..35).collect());
-        let k = Coulomb;
-        let block = coupling_block(&k, &pts, &a, &b);
-        assert_eq!(block.shape(), (8, 15));
-        let x: Vec<f64> = (0..15).map(|i| i as f64 * 0.3 - 2.0).collect();
-        let mut y1 = vec![0.5; 8];
-        apply_coupling(&k, &pts, &a, &b, &x, &mut y1);
-        let mut y2 = vec![0.5; 8];
-        block.matvec_acc(&x, &mut y2);
-        for (u, v) in y1.iter().zip(&y2) {
-            assert!((u - v).abs() < 1e-12);
-        }
+    /// The scratch fill and the materializing builder agree entry for entry.
+    fn assert_into_matches(k: &dyn Kernel, pts: &PointSet, a: &ProxyPoints, b: &ProxyPoints) {
+        let block: MatrixS<f64> = coupling_block_s(k, pts, a, b);
+        assert_eq!(block.shape(), (a.len(), b.len()));
+        let mut out = vec![f64::NAN; a.len() * b.len()];
+        coupling_block_into(k, pts, a, b, &mut out);
+        assert_eq!(out, block.as_slice());
     }
 
     #[test]
-    fn coords_block_matches_apply() {
+    fn block_into_matches_block_for_every_proxy_mix() {
+        let pts = gen::uniform_cube(40, 3, 1);
+        let idx_a = ProxyPoints::Indices((0..8).collect());
+        let idx_b = ProxyPoints::Indices((20..35).collect());
+        let grid_a = ProxyPoints::Coords(gen::uniform_cube(6, 3, 3));
+        let grid_b = ProxyPoints::Coords(gen::uniform_cube(9, 3, 4));
+        assert_into_matches(&Coulomb, &pts, &idx_a, &idx_b);
+        assert_into_matches(&Exponential, &pts, &grid_a, &grid_b);
+        assert_into_matches(&Coulomb, &pts, &idx_a, &grid_b);
+    }
+
+    #[test]
+    fn coords_block_evaluates_the_grid_points() {
         let pts = gen::uniform_cube(5, 2, 2); // global set, unused by Coords
         let ga = gen::uniform_cube(6, 2, 3);
         let gb = gen::uniform_cube(9, 2, 4);
-        let a = ProxyPoints::Coords(ga.clone());
-        let b = ProxyPoints::Coords(gb.clone());
-        let k = Exponential;
-        let block = coupling_block(&k, &pts, &a, &b);
-        assert_eq!(block.shape(), (6, 9));
+        let block: MatrixS<f64> = coupling_block_s(
+            &Exponential,
+            &pts,
+            &ProxyPoints::Coords(ga.clone()),
+            &ProxyPoints::Coords(gb.clone()),
+        );
         assert_eq!(
             block[(2, 3)],
-            h2_kernels::Kernel::eval(&k, ga.point(2), gb.point(3))
+            h2_kernels::Kernel::eval(&Exponential, ga.point(2), gb.point(3))
         );
-        let x = vec![1.0; 9];
-        let mut y1 = vec![0.0; 6];
-        apply_coupling(&k, &pts, &a, &b, &x, &mut y1);
-        let y2 = block.matvec(&x);
-        for (u, v) in y1.iter().zip(&y2) {
-            assert!((u - v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn mixed_proxies_fall_back() {
-        let pts = gen::uniform_cube(20, 2, 5);
-        let a = ProxyPoints::Indices(vec![1, 3, 5]);
-        let b = ProxyPoints::Coords(gen::uniform_cube(4, 2, 6));
-        let k = Coulomb;
-        let block = coupling_block(&k, &pts, &a, &b);
-        assert_eq!(block.shape(), (3, 4));
-        let mut y = vec![0.0; 3];
-        apply_coupling(&k, &pts, &a, &b, &[1.0; 4], &mut y);
-        let y2 = block.matvec(&[1.0; 4]);
-        for (u, v) in y.iter().zip(&y2) {
-            assert!((u - v).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -196,27 +146,12 @@ mod tests {
         let pts = gen::uniform_cube(30, 3, 9);
         let a = ProxyPoints::Indices((0..7).collect());
         let b = ProxyPoints::Indices((10..22).collect());
-        let k = Coulomb;
-        let b64 = coupling_block(&k, &pts, &a, &b);
-        let b32: MatrixS<f32> = coupling_block_s(&k, &pts, &a, &b);
+        let b64: MatrixS<f64> = coupling_block_s(&Coulomb, &pts, &a, &b);
+        let b32: MatrixS<f32> = coupling_block_s(&Coulomb, &pts, &a, &b);
         for i in 0..7 {
             for j in 0..12 {
                 assert_eq!(b32[(i, j)], b64[(i, j)] as f32);
             }
-        }
-        // apply_coupling_s with f64 vectors matches the plain f64 apply
-        // bitwise, and f32 vectors stay within single-precision error.
-        let x: Vec<f64> = (0..12).map(|i| (i as f64).sin()).collect();
-        let mut y_ref = vec![0.0f64; 7];
-        apply_coupling(&k, &pts, &a, &b, &x, &mut y_ref);
-        let mut y_gen = vec![0.0f64; 7];
-        apply_coupling_s(&k, &pts, &a, &b, &x, &mut y_gen);
-        assert_eq!(y_ref, y_gen);
-        let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-        let mut y32 = vec![0.0f32; 7];
-        apply_coupling_s(&k, &pts, &a, &b, &x32, &mut y32);
-        for (lo, hi) in y32.iter().zip(&y_ref) {
-            assert!((*lo as f64 - hi).abs() <= 1e-5 * hi.abs().max(1.0));
         }
     }
 

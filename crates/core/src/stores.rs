@@ -1,7 +1,6 @@
 //! Re-export shim: the coupling/nearfield block stores moved to the
-//! `h2-cache` crate, where the [`h2_cache::Resident`] provider tier wraps
-//! them directly (and where the budgeted [`h2_cache::BlockCache`] shares
-//! their `(i, j)`-canonical key convention). Existing
+//! `h2-cache` crate, where the budgeted [`h2_cache::BlockCache`] shares
+//! their `(i, j)`-canonical key convention. Existing
 //! `h2_core::stores::{BlockIndex, CouplingStore, NearfieldStore}` paths
 //! keep working through this module.
 

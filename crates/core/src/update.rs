@@ -841,16 +841,4 @@ mod tests {
         one.push(&[0.5, 0.5]);
         assert_eq!(grid.insert_points(&one), Err(UpdateError::CoordProxies));
     }
-
-    #[test]
-    fn update_survives_parts_round_trip() {
-        let mut h2 = build(500, MemoryMode::Normal, 17);
-        let mut pts = PointSet::new(3, vec![]);
-        pts.push(&[0.33, 0.44, 0.55]);
-        h2.insert_points(&pts).unwrap();
-        let back = H2Matrix::from_parts(h2.to_parts(), Arc::new(Coulomb)).unwrap();
-        assert_eq!(back.epoch(), 1);
-        let b = random_vec(h2.n(), 18);
-        assert_eq!(h2.matvec(&b), back.matvec(&b));
-    }
 }

@@ -25,13 +25,16 @@
 //!
 //! The whole protocol is generic over the storage scalar `S` of the wrapped
 //! operator and, independently, over the accumulator scalar `A` of one
-//! matvec ([`ShardedH2::matvec`]): panels travel as `Vec<A>` and every
-//! per-node computation runs the same `MatrixS<S> × A`-vector primitives as
-//! the serial sweep. Because operand order is also preserved (sorted
-//! interaction/nearfield lists, child-order accumulation), the result is
-//! **bit-identical** to [`H2MatrixS::matvec`] with the same `A`, for every
-//! precision and both memory modes — the consistency suite asserts exact
-//! equality, well inside the documented `≤ 1e-12` contract. In particular
+//! matvec ([`ShardedH2::matvec`]): panels travel as `Vec<A>`, and every rank
+//! runs the phases of the one sweep engine ([`h2_core::sweep`]) on the plan
+//! of the nodes it owns, over the same flat workspace the serial product
+//! uses — received panels are written straight into their slots. A rank's
+//! pair schedule is the serial schedule filtered to its owned endpoints,
+//! so every target sees its contributions in the serial order and the
+//! result is **bit-identical** to [`H2MatrixS::matvec`] with the same `A`,
+//! for every precision and both memory modes — the consistency suite
+//! asserts exact equality, well inside the documented `≤ 1e-12` contract.
+//! In particular
 //! `ShardedH2::<f32>::matvec::<f64>` is the distributed mixed-precision
 //! mode, bit-identical to [`H2MatrixS::matvec_f64`].
 //!
@@ -50,10 +53,11 @@ use crate::transport::{
     ChannelEndpoint, Message, Panel, Rank, Tag, TrafficStats, Transport, TransportError,
 };
 use h2_core::proxy::ProxyPoints;
-use h2_core::{BlockCache, BlockKind, CacheBudget, CacheStats, H2MatrixS, H2Operator};
+use h2_core::{BlockCache, CacheBudget, CacheStats, H2MatrixS, H2Operator, Sweep, SweepPlan};
 use h2_linalg::Scalar;
 use h2_points::NodeId;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Per-shard wall-clock breakdown of one distributed matvec, seconds.
@@ -254,7 +258,7 @@ impl<S: Scalar> ShardedH2<S> {
     /// (a block applied at two ranks counts at both, as it would occupy
     /// memory on both machines), and each rank receives a share
     /// proportional to its own footprint, warmed in that rank's
-    /// sweep-execution order. Budget `Off`/0 removes the caches; normal
+    /// sweep-execution order ([`SweepPlan::block_schedule`]). Budget `Off`/0 removes the caches; normal
     /// mode is a no-op, exactly like [`H2MatrixS::set_cache_budget`].
     pub fn set_cache_budget(&mut self, budget: CacheBudget) {
         self.caches = None;
@@ -262,52 +266,20 @@ impl<S: Scalar> ShardedH2<S> {
         if h2.coupling_store().is_materialized() || budget.is_off() {
             return;
         }
-        let tree = h2.tree();
-        let lists = h2.lists();
-        let coupling_bytes = |i: NodeId, j: NodeId| h2.rank(i) * h2.rank(j) * S::BYTES;
-        let near_bytes = |i: NodeId, j: NodeId| tree.node(i).len() * tree.node(j).len() * S::BYTES;
-
-        // Per-rank warmup item lists, each in its rank's sweep order:
-        // horizontal (levels, then the sorted interaction list) before the
-        // leaf nearfield sweep; the coordinator only sees top coupling.
-        let mut rank_items: Vec<Vec<(BlockKind, NodeId, NodeId, usize)>> = Vec::new();
-        for s in 0..self.plan.shards {
-            let mut items = Vec::new();
-            for level in &self.plan.shard_levels[s] {
-                for &i in level {
-                    for &j in &lists.interaction[i] {
-                        items.push((BlockKind::Coupling, i, j, coupling_bytes(i, j)));
-                    }
-                }
-            }
-            for &i in &self.plan.shard_leaves[s] {
-                for &j in &lists.nearfield[i] {
-                    items.push((BlockKind::Nearfield, i, j, near_bytes(i, j)));
-                }
-            }
-            rank_items.push(items);
-        }
-        let mut top = Vec::new();
-        for level in &self.plan.top_levels {
-            for &i in level {
-                for &j in &lists.interaction[i] {
-                    top.push((BlockKind::Coupling, i, j, coupling_bytes(i, j)));
-                }
-            }
-        }
-        rank_items.push(top);
-
-        // A rank's footprint counts each canonical pair it touches once.
+        // Per-rank warm-up lists, each in the order that rank's sweeps
+        // first touch its blocks; the coordinator only sees top coupling.
+        let rank_items: Vec<Vec<_>> = (0..self.plan.shards)
+            .map(|s| (&self.plan.shard_levels[s], &self.plan.shard_leaves[s][..]))
+            .chain([(&self.plan.top_levels, &[][..])])
+            .map(|(levels, leaves)| {
+                SweepPlan::new(&**h2, levels, leaves)
+                    .block_schedule(h2)
+                    .collect()
+            })
+            .collect();
         let rank_bytes: Vec<usize> = rank_items
             .iter()
-            .map(|items| {
-                let mut seen = BTreeSet::new();
-                items
-                    .iter()
-                    .filter(|&&(k, i, j, _)| seen.insert((k, i.min(j), i.max(j))))
-                    .map(|&(_, _, _, b)| b)
-                    .sum()
-            })
+            .map(|items| items.iter().map(|&(_, _, _, b)| b).sum())
             .collect();
         let total_bytes: usize = rank_bytes.iter().sum();
         let total_budget = budget.resolve(total_bytes);
@@ -493,34 +465,73 @@ impl<S: Scalar> H2Operator<S> for ShardedH2<S> {
     }
 }
 
-/// Packs the panels for `nodes` (already sorted) from a coefficient table.
-fn pack<A: Scalar>(nodes: &[NodeId], table: &[Vec<A>]) -> Message<A> {
-    Message::new(
-        nodes
-            .iter()
-            .map(|&i| Panel {
-                node: i,
-                data: table[i].clone(),
-            })
-            .collect(),
-    )
+/// Sends the workspace slots of `nodes` (sorted) as one message.
+fn send_panels<A: Scalar, T: Transport<A>>(
+    ep: &mut T,
+    to: Rank,
+    tag: Tag,
+    nodes: &[NodeId],
+    buf: &[A],
+    slot: impl Fn(NodeId) -> Range<usize>,
+) -> Result<(), TransportError> {
+    let panels = nodes
+        .iter()
+        .map(|&node| Panel {
+            node,
+            data: buf[slot(node)].to_vec(),
+        })
+        .collect();
+    ep.send(to, tag, Message::new(panels))
 }
 
-/// Unpacks a message whose panels follow `expect` into a coefficient table.
-fn unpack<A: Scalar>(msg: Message<A>, expect: &[NodeId], table: &mut [Vec<A>]) {
-    debug_assert_eq!(msg.panels.len(), expect.len());
-    for (p, &i) in msg.panels.into_iter().zip(expect) {
-        debug_assert_eq!(p.node, i);
-        table[i] = p.data;
+/// Receives one message and copies its panels into their workspace slots.
+/// The plan fixes what must arrive — exactly `nodes`, in order, each as
+/// long as its slot — and anything else is a protocol violation, never a
+/// silently shortened product or an index panic.
+fn recv_panels<A: Scalar, T: Transport<A>>(
+    ep: &mut T,
+    from: Rank,
+    tag: Tag,
+    nodes: &[NodeId],
+    buf: &mut [A],
+    slot: impl Fn(NodeId) -> Range<usize>,
+) -> Result<(), TransportError> {
+    let msg = ep.recv(from, tag)?;
+    if msg.panels.len() != nodes.len() {
+        return Err(TransportError::Protocol {
+            detail: format!(
+                "{tag:?} from rank {from}: {} panels, plan expects {}",
+                msg.panels.len(),
+                nodes.len()
+            ),
+        });
     }
+    for (panel, &node) in msg.panels.iter().zip(nodes) {
+        let slot = slot(node);
+        if panel.node != node || panel.data.len() != slot.len() {
+            return Err(TransportError::Protocol {
+                detail: format!(
+                    "{tag:?} from rank {from}: panel for node {} of length {}, \
+                     plan expects node {node} of length {}",
+                    panel.node,
+                    panel.data.len(),
+                    slot.len()
+                ),
+            });
+        }
+        buf[slot].copy_from_slice(&panel.data);
+    }
+    Ok(())
 }
 
 /// One shard rank's side of the five-sweep protocol, runnable over any
 /// [`Transport`] — the channel mesh (threads) or a socket endpoint
-/// (`h2-net` worker processes). Returns the phase breakdown; the result
-/// travels to the coordinator as a `Result` message. A transport failure
-/// (lost peer, timeout, protocol violation) aborts the sweep with a typed
-/// error instead of hanging.
+/// (`h2-net` worker processes): the engine's phases on the shard's plan,
+/// with the halo/top exchange between the upward and horizontal sweeps.
+/// Returns the phase breakdown; the result travels to the coordinator as a
+/// `Result` message. A transport failure (lost peer, timeout, a panel that
+/// does not match the plan) aborts the sweep with a typed error instead of
+/// hanging.
 pub fn run_shard<S: Scalar, A: Scalar, T: Transport<A>>(
     h2: &H2MatrixS<S>,
     plan: &TreePartition,
@@ -529,175 +540,88 @@ pub fn run_shard<S: Scalar, A: Scalar, T: Transport<A>>(
     ep: &mut T,
 ) -> Result<PhaseTimes, TransportError> {
     let tree = h2.tree();
-    let lists = h2.lists();
     let coord = plan.coordinator();
     let (lo, hi) = plan.shard_ranges[s];
+    let sweep_plan = SweepPlan::new(h2, &plan.shard_levels[s], &plan.shard_leaves[s]);
+    let mut sweep = Sweep::<S, A>::new(h2, &sweep_plan, cache, 1);
+    let q_slot = |i: NodeId| sweep_plan.q_range(i, 1);
+    let b_slot = |l: NodeId| tree.node(l).start..tree.node(l).end;
     let mut phases = PhaseTimes::default();
     // One span guard per phase: `finish()` returns the same measurement the
     // trace records, so PhaseTimes is a view over the telemetry spans.
     let rank_label = || format!("rank={s}");
     let _shard = h2_telemetry::span_labeled("dist.shard", rank_label());
 
-    // Input slice (permuted order, positions lo..hi).
+    // Input slice (tree order, positions lo..hi).
     let sp = h2_telemetry::span_labeled("dist.input", rank_label());
-    let scatter = ep.recv(coord, Tag::Scatter)?;
-    debug_assert_eq!(scatter.panels.len(), 1);
-    let bp = scatter
-        .panels
-        .into_iter()
-        .next()
-        .expect("scatter panel")
-        .data;
-    debug_assert_eq!(bp.len(), hi - lo);
+    recv_panels(ep, coord, Tag::Scatter, &[s], &mut sweep.b, |_| lo..hi)?;
     phases.input = sp.finish();
 
-    // Upward sweep over the shard's subtrees, deepest level first.
     let sp = h2_telemetry::span_labeled("dist.upward", rank_label());
-    let mut q: Vec<Vec<A>> = vec![Vec::new(); tree.node_count()];
-    for level in plan.shard_levels[s].iter().rev() {
-        for &i in level {
-            let nd = tree.node(i);
-            q[i] = if nd.is_leaf() {
-                h2.leaf_basis(i).matvec_t(&bp[nd.start - lo..nd.end - lo])
-            } else {
-                let mut acc = vec![A::ZERO; h2.rank(i)];
-                for &c in &nd.children {
-                    h2.transfer(c).matvec_t_acc(&q[c], &mut acc);
-                }
-                acc
-            };
-        }
-    }
+    sweep.upward();
     phases.upward = sp.finish();
 
     // Exchange: send halos and top inputs, then block on what we need.
     let sp = h2_telemetry::span_labeled("dist.exchange", rank_label());
-    for to in 0..plan.shards {
-        if to == s {
-            continue;
-        }
+    for to in (0..plan.shards).filter(|&to| to != s) {
         if !plan.halo_q[s][to].is_empty() {
-            ep.send(to, Tag::HaloQ, pack(&plan.halo_q[s][to], &q))?;
+            send_panels(ep, to, Tag::HaloQ, &plan.halo_q[s][to], &sweep.q, q_slot)?;
         }
         if !plan.halo_b[s][to].is_empty() {
-            let panels = plan.halo_b[s][to]
-                .iter()
-                .map(|&l| {
-                    let nd = tree.node(l);
-                    Panel {
-                        node: l,
-                        data: bp[nd.start - lo..nd.end - lo].to_vec(),
-                    }
-                })
-                .collect();
-            ep.send(to, Tag::HaloB, Message::new(panels))?;
+            send_panels(ep, to, Tag::HaloB, &plan.halo_b[s][to], &sweep.b, b_slot)?;
         }
     }
     if !plan.up_nodes[s].is_empty() {
-        ep.send(coord, Tag::GatherUp, pack(&plan.up_nodes[s], &q))?;
+        send_panels(
+            ep,
+            coord,
+            Tag::GatherUp,
+            &plan.up_nodes[s],
+            &sweep.q,
+            q_slot,
+        )?;
     }
-    let mut foreign_b: HashMap<NodeId, Vec<A>> = HashMap::new();
-    for from in 0..plan.shards {
-        if from == s {
-            continue;
-        }
+    for from in (0..plan.shards).filter(|&from| from != s) {
         if !plan.halo_q[from][s].is_empty() {
-            let msg = ep.recv(from, Tag::HaloQ)?;
-            unpack(msg, &plan.halo_q[from][s], &mut q);
+            let nodes = &plan.halo_q[from][s];
+            recv_panels(ep, from, Tag::HaloQ, nodes, &mut sweep.q, q_slot)?;
         }
         if !plan.halo_b[from][s].is_empty() {
-            let msg = ep.recv(from, Tag::HaloB)?;
-            for (p, &l) in msg.panels.into_iter().zip(&plan.halo_b[from][s]) {
-                debug_assert_eq!(p.node, l);
-                foreign_b.insert(l, p.data);
-            }
+            let leaves = &plan.halo_b[from][s];
+            recv_panels(ep, from, Tag::HaloB, leaves, &mut sweep.b, b_slot)?;
         }
     }
     if !plan.need_top_q[s].is_empty() {
-        let msg = ep.recv(coord, Tag::TopQ)?;
-        unpack(msg, &plan.need_top_q[s], &mut q);
+        let nodes = &plan.need_top_q[s];
+        recv_panels(ep, coord, Tag::TopQ, nodes, &mut sweep.q, q_slot)?;
     }
-    let mut top_g: HashMap<NodeId, Vec<A>> = HashMap::new();
     if !plan.top_g_parents[s].is_empty() {
-        let msg = ep.recv(coord, Tag::TopG)?;
-        for (p, &i) in msg.panels.into_iter().zip(&plan.top_g_parents[s]) {
-            debug_assert_eq!(p.node, i);
-            top_g.insert(i, p.data);
-        }
+        let nodes = &plan.top_g_parents[s];
+        recv_panels(ep, coord, Tag::TopG, nodes, &mut sweep.g, q_slot)?;
     }
     phases.exchange = sp.finish();
 
-    // Horizontal sweep over owned nodes; the sorted interaction list mixes
-    // local, halo, and top sources in exactly the serial order.
     let sp = h2_telemetry::span_labeled("dist.horizontal", rank_label());
-    let mut g: Vec<Vec<A>> = vec![Vec::new(); tree.node_count()];
-    for level in &plan.shard_levels[s] {
-        for &i in level {
-            let mut gi = vec![A::ZERO; h2.rank(i)];
-            for &j in &lists.interaction[i] {
-                h2.apply_coupling_with(cache, false, i, j, &q[j], &mut gi);
-            }
-            g[i] = gi;
-        }
-    }
+    sweep.horizontal();
     phases.horizontal = sp.finish();
 
-    // Downward sweep, shallowest first; cut roots pull from the broadcast
-    // top coefficients, deeper nodes from their local parent.
+    // Cut roots pull from the broadcast top coefficients.
     let sp = h2_telemetry::span_labeled("dist.downward", rank_label());
-    for level in plan.shard_levels[s].iter().skip(1) {
-        for &i in level {
-            let p = tree.node(i).parent.expect("non-root has a parent");
-            let add = {
-                let gp = match plan.owner(p) {
-                    Owner::Shard(o) => {
-                        debug_assert_eq!(o, s);
-                        &g[p]
-                    }
-                    Owner::Top => &top_g[&p],
-                };
-                let mut a = vec![A::ZERO; h2.rank(i)];
-                h2.transfer(i).matvec_acc(gp, &mut a);
-                a
-            };
-            for (x, v) in g[i].iter_mut().zip(&add) {
-                *x += *v;
-            }
-        }
-    }
+    sweep.downward();
     phases.downward = sp.finish();
 
-    // Leaf sweep: basis term then nearfield neighbors ascending, foreign
-    // slices from the halo.
     let sp = h2_telemetry::span_labeled("dist.leaf", rank_label());
-    let mut yt = vec![A::ZERO; hi - lo];
-    for &i in &plan.shard_leaves[s] {
-        let nd = tree.node(i);
-        let mut yi = vec![A::ZERO; nd.len()];
-        h2.leaf_basis(i).matvec_acc(&g[i], &mut yi);
-        for &j in &lists.nearfield[i] {
-            let nj = tree.node(j);
-            let bj: &[A] = match plan.owner(j) {
-                Owner::Shard(o) if o == s => &bp[nj.start - lo..nj.end - lo],
-                _ => &foreign_b[&j],
-            };
-            h2.apply_nearfield_with(cache, false, i, j, bj, &mut yi);
-        }
-        yt[nd.start - lo..nd.end - lo].copy_from_slice(&yi);
-    }
-    ep.send(
-        coord,
-        Tag::Result,
-        Message::new(vec![Panel { node: s, data: yt }]),
-    )?;
+    sweep.leaf();
+    send_panels(ep, coord, Tag::Result, &[s], &sweep.y, |_| lo..hi)?;
     phases.leaf = sp.finish();
     Ok(phases)
 }
 
-/// The coordinator's side of the five-sweep protocol: scatter, top-tree
-/// sweeps, broadcast, collect. Like [`run_shard`] it is transport-generic
-/// and fallible — over sockets a lost worker surfaces here as a typed
-/// [`TransportError`] within the endpoint's configured deadline.
+/// The coordinator's side of the five-sweep protocol: scatter, the engine's
+/// upward/horizontal/downward phases on the top tree, broadcast, collect.
+/// Like [`run_shard`] it is transport-generic and fallible — over sockets a
+/// lost worker surfaces here as a typed [`TransportError`] within the
+/// endpoint's configured deadline.
 pub fn run_coordinator<S: Scalar, A: Scalar, T: Transport<A>>(
     h2: &H2MatrixS<S>,
     plan: &TreePartition,
@@ -705,98 +629,56 @@ pub fn run_coordinator<S: Scalar, A: Scalar, T: Transport<A>>(
     ep: &mut T,
     b: &[A],
 ) -> Result<(Vec<A>, CoordTimes), TransportError> {
-    let tree = h2.tree();
-    let lists = h2.lists();
-    let perm = tree.perm();
-    let n = h2.n();
+    // Every leaf is shard-owned: the top plan has no leaf sweep.
+    let sweep_plan = SweepPlan::new(h2, &plan.top_levels, &[]);
+    let mut sweep = Sweep::<S, A>::new(h2, &sweep_plan, cache, 1);
+    let q_slot = |i: NodeId| sweep_plan.q_range(i, 1);
     let mut times = CoordTimes::default();
     let _coord = h2_telemetry::span("dist.coord");
 
     // Permute the input into tree order and scatter contiguous slices.
     let sp = h2_telemetry::span("dist.coord.scatter");
-    let bp: Vec<A> = perm.iter().map(|&p| b[p]).collect();
+    sweep.gather(b);
     for (s, &(lo, hi)) in plan.shard_ranges.iter().enumerate() {
-        let msg = Message::new(vec![Panel {
-            node: s,
-            data: bp[lo..hi].to_vec(),
-        }]);
-        ep.send(s, Tag::Scatter, msg)?;
+        send_panels(ep, s, Tag::Scatter, &[s], &sweep.b, |_| lo..hi)?;
     }
     times.scatter = sp.finish();
 
     // Gather the top tree's inputs.
     let sp = h2_telemetry::span("dist.coord.gather");
-    let mut q: Vec<Vec<A>> = vec![Vec::new(); tree.node_count()];
     for s in 0..plan.shards {
         if !plan.up_nodes[s].is_empty() {
-            let msg = ep.recv(s, Tag::GatherUp)?;
-            unpack(msg, &plan.up_nodes[s], &mut q);
+            let nodes = &plan.up_nodes[s];
+            recv_panels(ep, s, Tag::GatherUp, nodes, &mut sweep.q, q_slot)?;
         }
     }
     times.gather = sp.finish();
 
-    // Top-tree sweeps (every top node is internal: leaves are shard-owned).
     let sp = h2_telemetry::span("dist.coord.top");
-    for level in plan.top_levels.iter().rev() {
-        for &i in level {
-            let mut acc = vec![A::ZERO; h2.rank(i)];
-            for &c in &tree.node(i).children {
-                h2.transfer(c).matvec_t_acc(&q[c], &mut acc);
-            }
-            q[i] = acc;
-        }
-    }
-    let mut g: Vec<Vec<A>> = vec![Vec::new(); tree.node_count()];
-    for level in &plan.top_levels {
-        for &i in level {
-            let mut gi = vec![A::ZERO; h2.rank(i)];
-            for &j in &lists.interaction[i] {
-                h2.apply_coupling_with(cache, false, i, j, &q[j], &mut gi);
-            }
-            g[i] = gi;
-        }
-    }
-    for level in plan.top_levels.iter().skip(1) {
-        for &i in level {
-            let p = tree.node(i).parent.expect("non-root top node has a parent");
-            let add = {
-                let mut a = vec![A::ZERO; h2.rank(i)];
-                h2.transfer(i).matvec_acc(&g[p], &mut a);
-                a
-            };
-            for (x, v) in g[i].iter_mut().zip(&add) {
-                *x += *v;
-            }
-        }
-    }
+    sweep.upward();
+    sweep.horizontal();
+    sweep.downward();
     times.top = sp.finish();
 
     // Broadcast the panels each shard's remaining sweeps reference.
     let sp = h2_telemetry::span("dist.coord.broadcast");
     for s in 0..plan.shards {
         if !plan.need_top_q[s].is_empty() {
-            ep.send(s, Tag::TopQ, pack(&plan.need_top_q[s], &q))?;
+            send_panels(ep, s, Tag::TopQ, &plan.need_top_q[s], &sweep.q, q_slot)?;
         }
         if !plan.top_g_parents[s].is_empty() {
-            ep.send(s, Tag::TopG, pack(&plan.top_g_parents[s], &g))?;
+            send_panels(ep, s, Tag::TopG, &plan.top_g_parents[s], &sweep.g, q_slot)?;
         }
     }
     times.broadcast = sp.finish();
 
     // Collect output slices and un-permute.
     let sp = h2_telemetry::span("dist.coord.collect");
-    let mut yt = vec![A::ZERO; n];
     for (s, &(lo, hi)) in plan.shard_ranges.iter().enumerate() {
-        let msg = ep.recv(s, Tag::Result)?;
-        debug_assert_eq!(msg.panels.len(), 1);
-        let panel = msg.panels.into_iter().next().expect("result panel");
-        debug_assert_eq!(panel.node, s);
-        yt[lo..hi].copy_from_slice(&panel.data);
+        recv_panels(ep, s, Tag::Result, &[s], &mut sweep.y, |_| lo..hi)?;
     }
-    let mut y = vec![A::ZERO; n];
-    for (pos, &p) in perm.iter().enumerate() {
-        y[p] = yt[pos];
-    }
+    let mut y = vec![A::ZERO; h2.n()];
+    sweep.scatter(&mut y);
     times.collect = sp.finish();
     Ok((y, times))
 }
@@ -1047,5 +929,191 @@ mod tests {
         let sh = ShardedH2::new(h2.clone(), 2).unwrap();
         assert_eq!(H2Operator::dims(&sh), (400, 400));
         assert_eq!(H2Operator::matvec(&sh, &rhs(400)), h2.matvec(&rhs(400)));
+    }
+
+    /// Per target node, the ordered `(nearfield?, source, transposed)`
+    /// contributions a plan's schedule applies.
+    fn contributions(plan: &SweepPlan<'_>, n_nodes: usize) -> Vec<Vec<(bool, NodeId, bool)>> {
+        let mut per_target = vec![Vec::new(); n_nodes];
+        let coupling = plan.coupling().map(|st| (false, st));
+        for (near, st) in coupling.chain(plan.nearfield().map(|st| (true, st))) {
+            if st.fwd {
+                per_target[st.i].push((near, st.j, false));
+            }
+            if st.rev {
+                per_target[st.j].push((near, st.i, true));
+            }
+        }
+        per_target
+    }
+
+    #[test]
+    fn every_ranks_schedule_keeps_the_serial_contribution_order() {
+        // What makes sharded ≡ serial bitwise: a rank's filtered schedule
+        // feeds each node it owns exactly the serial sequence of sources,
+        // and feeds nothing to nodes it does not own.
+        let h2 = build(900, MemoryMode::OnTheFly);
+        let sh = ShardedH2::new(h2.clone(), 7).unwrap();
+        let part = sh.plan();
+        let n_nodes = h2.tree().node_count();
+        let serial = contributions(&SweepPlan::whole(&h2), n_nodes);
+        let mut owners = vec![0usize; n_nodes];
+        for rank in 0..=part.shards {
+            let (levels, leaves) = match rank {
+                r if r < part.shards => (&part.shard_levels[r], &part.shard_leaves[r][..]),
+                _ => (&part.top_levels, &[][..]),
+            };
+            let mine = contributions(&SweepPlan::new(&h2, levels, leaves), n_nodes);
+            let owned: BTreeSet<NodeId> = levels.iter().flatten().copied().collect();
+            for i in 0..n_nodes {
+                if owned.contains(&i) {
+                    owners[i] += 1;
+                    assert_eq!(mine[i], serial[i], "rank {rank}, node {i}");
+                } else {
+                    assert!(mine[i].is_empty(), "rank {rank} writes foreign node {i}");
+                }
+            }
+        }
+        assert!(owners.iter().all(|&c| c == 1), "every node has one owner");
+    }
+
+    type Inbox = Vec<(Rank, Tag, Message<f64>)>;
+
+    /// A channel endpoint that also logs every message it receives.
+    struct Recording {
+        ep: ChannelEndpoint<f64>,
+        log: Inbox,
+    }
+
+    impl Transport<f64> for Recording {
+        fn rank(&self) -> Rank {
+            self.ep.rank()
+        }
+        fn ranks(&self) -> usize {
+            self.ep.ranks()
+        }
+        fn send(&mut self, to: Rank, tag: Tag, msg: Message<f64>) -> Result<(), TransportError> {
+            self.ep.send(to, tag, msg)
+        }
+        fn recv(&mut self, from: Rank, tag: Tag) -> Result<Message<f64>, TransportError> {
+            let msg = self.ep.recv(from, tag)?;
+            self.log.push((from, tag, msg.clone()));
+            Ok(msg)
+        }
+        fn stats(&self) -> TrafficStats {
+            self.ep.stats()
+        }
+    }
+
+    /// Replays a recorded inbox to one rank and swallows what it sends, so
+    /// that rank runs alone and its failure cannot strand a peer.
+    struct Replay {
+        rank: Rank,
+        ranks: usize,
+        inbox: Inbox,
+    }
+
+    impl Transport<f64> for Replay {
+        fn rank(&self) -> Rank {
+            self.rank
+        }
+        fn ranks(&self) -> usize {
+            self.ranks
+        }
+        fn send(&mut self, _: Rank, _: Tag, _: Message<f64>) -> Result<(), TransportError> {
+            Ok(())
+        }
+        fn recv(&mut self, from: Rank, tag: Tag) -> Result<Message<f64>, TransportError> {
+            let at = self
+                .inbox
+                .iter()
+                .position(|(f, t, _)| (*f, *t) == (from, tag))
+                .ok_or(TransportError::Disconnected {
+                    peer: from,
+                    detail: format!("no recorded {tag:?}"),
+                })?;
+            Ok(self.inbox.remove(at).2)
+        }
+        fn stats(&self) -> TrafficStats {
+            TrafficStats::default()
+        }
+    }
+
+    #[test]
+    fn panels_that_do_not_match_the_plan_are_protocol_errors() {
+        // Regression: these were debug_asserts, so a release build applied
+        // a short halo panel to fewer columns (or panicked on an index).
+        // A cut deep enough that the top tree has coupling blocks of its
+        // own, so all seven message kinds travel.
+        let h2 = build(600, MemoryMode::Normal);
+        let sh = ShardedH2::with_level(h2.clone(), 2, 5).unwrap();
+        let (h2, part, b) = (&*h2, sh.plan(), rhs(600));
+        let coord = part.coordinator();
+
+        // One honest product over the channel mesh, recording every inbox.
+        let mut eps: Vec<Recording> = ChannelEndpoint::mesh(coord + 1)
+            .into_iter()
+            .map(|ep| Recording {
+                ep,
+                log: Vec::new(),
+            })
+            .collect();
+        let mut coord_ep = eps.pop().unwrap();
+        std::thread::scope(|scope| {
+            let shards: Vec<_> = eps
+                .iter_mut()
+                .enumerate()
+                .map(|(s, ep)| scope.spawn(move || run_shard::<f64, f64, _>(h2, part, s, None, ep)))
+                .collect();
+            run_coordinator(h2, part, None, &mut coord_ep, &b).unwrap();
+            for shard in shards {
+                shard.join().unwrap().unwrap();
+            }
+        });
+        eps.push(coord_ep);
+
+        let run = |rank: Rank, inbox: Inbox| -> Result<Option<Vec<f64>>, TransportError> {
+            let mut ep = Replay {
+                rank,
+                ranks: coord + 1,
+                inbox,
+            };
+            if rank == coord {
+                run_coordinator(h2, part, None, &mut ep, &b).map(|(y, _)| Some(y))
+            } else {
+                run_shard::<f64, f64, _>(h2, part, rank, None, &mut ep).map(|_| None)
+            }
+        };
+        let mut tags = BTreeSet::new();
+        for (rank, rec) in eps.iter().enumerate() {
+            // The honest inbox replays to the honest result.
+            let y = run(rank, rec.log.clone()).unwrap();
+            assert!(y.is_none_or(|y| y == h2.matvec(&b)));
+            for (at, (_, tag, _)) in rec.log.iter().enumerate() {
+                tags.insert(format!("{tag:?}"));
+                // One element short (one too many for an empty, rank-0
+                // panel), a wrong node id, an extra panel.
+                let tampered: [fn(&mut Message<f64>); 3] = [
+                    |m| {
+                        if m.panels[0].data.pop().is_none() {
+                            m.panels[0].data.push(0.0);
+                        }
+                    },
+                    |m| m.panels[0].node += 1,
+                    |m| m.panels.push(m.panels[0].clone()),
+                ];
+                for tamper in tampered {
+                    let mut inbox = rec.log.clone();
+                    tamper(&mut inbox[at].2);
+                    let err = run(rank, inbox).expect_err("tampered panel accepted");
+                    assert!(
+                        matches!(err, TransportError::Protocol { .. }),
+                        "rank {rank}, {tag:?}: {err}"
+                    );
+                }
+            }
+        }
+        // Every message kind of the protocol was exercised.
+        assert_eq!(tags.len(), 7, "{tags:?}");
     }
 }

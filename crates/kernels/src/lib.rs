@@ -85,8 +85,9 @@ pub trait Kernel: Send + Sync {
     }
 
     /// Fused block application: `y[i] += Σ_j K(pts[rows[i]], pts[cols[j]]) x[j]`
-    /// without materializing the block — the allocation-free path of the
-    /// on-the-fly matvec.
+    /// without materializing the block. One accumulator per row, columns
+    /// ascending: the arithmetic the on-the-fly sweep's generated blocks
+    /// are applied with, and the reference it is tested against.
     fn apply_block(
         &self,
         pts: &PointSet,
@@ -104,23 +105,6 @@ pub trait Kernel: Send + Sync {
                 s += self.eval(p, pts.point(cj)) * x[jj];
             }
             y[ii] += s;
-        }
-    }
-
-    /// Fused cross application between two point sets:
-    /// `y[i] += Σ_j K(xs[i], ys[j]) x[j]` (on-the-fly coupling for
-    /// interpolation-based proxies, whose grid points are not dataset
-    /// points).
-    fn apply_cross(&self, xs: &PointSet, ys: &PointSet, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), ys.len());
-        debug_assert_eq!(y.len(), xs.len());
-        for (i, yi) in y.iter_mut().enumerate() {
-            let p = xs.point(i);
-            let mut s = 0.0;
-            for (j, &xj) in x.iter().enumerate() {
-                s += self.eval(p, ys.point(j)) * xj;
-            }
-            *yi += s;
         }
     }
 }
@@ -222,32 +206,6 @@ pub fn apply_block_s<A: Scalar>(
             s += kernel.eval(p, pts.point(cj)) * x[jj].to_f64();
         }
         y[ii] += A::from_f64(s);
-    }
-}
-
-/// Generic fused cross application `y[i] += Σ_j K(xs[i], ys[j]) x[j]`; same
-/// precision contract as [`apply_block_s`].
-pub fn apply_cross_s<A: Scalar>(
-    kernel: &dyn Kernel,
-    xs: &PointSet,
-    ys: &PointSet,
-    x: &[A],
-    y: &mut [A],
-) {
-    if let Some(xf) = A::as_f64s(x) {
-        let yf = A::as_f64s_mut(y).expect("as_f64s and as_f64s_mut agree per type");
-        kernel.apply_cross(xs, ys, xf, yf);
-        return;
-    }
-    debug_assert_eq!(x.len(), ys.len());
-    debug_assert_eq!(y.len(), xs.len());
-    for (i, yi) in y.iter_mut().enumerate() {
-        let p = xs.point(i);
-        let mut s = 0.0;
-        for (j, &xj) in x.iter().enumerate() {
-            s += kernel.eval(p, ys.point(j)) * xj.to_f64();
-        }
-        *yi += A::from_f64(s);
     }
 }
 
@@ -417,18 +375,14 @@ mod tests {
     }
 
     #[test]
-    fn apply_cross_s_matches_materialized() {
+    fn cross_matrix_rounds_entries_to_storage_scalar() {
         let xs = h2_points::gen::uniform_cube(6, 2, 3);
         let ys = h2_points::gen::uniform_cube(4, 2, 4);
         let k = Matern32 { ell: 0.5 };
-        let x: Vec<f64> = (0..4).map(|i| i as f64 - 1.5).collect();
-        let mut y_trait = vec![0.0; 6];
-        k.apply_cross(&xs, &ys, &x, &mut y_trait);
-        let mut y_gen = vec![0.0; 6];
-        apply_cross_s(&k, &xs, &ys, &x, &mut y_gen);
-        assert_eq!(y_trait, y_gen);
+        let m64 = kernel_cross_matrix(&k, &xs, &ys);
         let m32 = kernel_cross_matrix_s::<f32>(&k, &xs, &ys);
         assert_eq!(m32.shape(), (6, 4));
+        assert_eq!(m32[(2, 3)], m64[(2, 3)] as f32);
     }
 
     #[test]

@@ -8,43 +8,12 @@
 //!   tag (u8) | payload length (u64) | payload | FNV-1a 64 checksum of payload
 //! ```
 //!
-//! Sections, in order: **fingerprint** (memory mode, scalar-type code,
-//! eta, dimension, kernel name + probe values), **tree** (points,
-//! permutation, node arena), **generators** (ranks, bases, transfers,
-//! proxies), then — normal mode only — **coupling** and **nearfield** dense
-//! block sequences, and an empty **end** marker. On-the-fly files simply
-//! omit the two dense-block sections, which is what makes them ~10×
-//! smaller: they carry only the tree and the skeleton/grid generators,
-//! mirroring the paper's memory-mode split.
-//!
-//! Format version 2 made the codec precision-generic: the fingerprint
-//! carries the storage scalar's code (`Scalar::CODE`, 4 for `f32` / 8 for
-//! `f64`) and every generator/block entry is written at the operator's own
-//! width, so `f32` files are roughly half the size. The scalar byte sits
-//! inside the checksummed fingerprint section, and [`decode`] rejects a
-//! width the caller did not ask for with the typed
-//! [`LoadError::PrecisionMismatch`] — the codec never converts silently.
-//!
-//! Format version 3 (this build) adds a **provenance byte** right after the
-//! scalar byte: which construction pipeline produced the operator
-//! ([`h2_core::BuilderProvenance`] — anchor-net, sketched, interpolation,
-//! proxy-surface). Provenance is pure metadata: unknown codes are surfaced
-//! as `unknown(code)` and never rejected, so files written by newer builds
-//! with new builders still load. Peek at it without a full decode via
-//! [`stored_builder`]. Version-1/2 blobs are refused with
-//! [`LoadError::UnsupportedVersion`].
-//!
-//! Dynamic-operator builds additionally append the operator's **update
-//! epoch** (a `u64`, see `h2_core::update`) after the probe values, still
-//! inside the checksummed fingerprint section. The field is optional on
-//! read: v3 files written before epochs existed simply end after the
-//! probes and load with epoch 0, so the extension is fully backward and
-//! forward compatible within version 3.
-//!
-//! Format version 4 (this build's canonical writer) restructures the file
-//! for **zero-copy `mmap` loading**. The fingerprint and tree sections are
-//! byte-identical to v3, but matrix payloads move out of the sections into
-//! a trailing **slab region**:
+//! Header sections, in order: **fingerprint** (memory mode, scalar-type
+//! code, builder-provenance code, eta, dimension, kernel name + probe
+//! values, update epoch), **tree** (points, permutation, node arena),
+//! **generators-meta** (ranks and proxies), **directory** and an empty
+//! **end** marker; matrix payloads live behind them in a **slab region**
+//! laid out for zero-copy `mmap` loading:
 //!
 //! ```text
 //! magic | version=4
@@ -56,15 +25,33 @@
 //!              every family and every matrix start 64-byte aligned
 //! ```
 //!
+//! On-the-fly files simply omit the two dense-block families, which is what
+//! makes them ~10× smaller: they carry only the tree and the skeleton/grid
+//! generators, mirroring the paper's memory-mode split.
+//!
+//! The codec is precision-generic: the fingerprint carries the storage
+//! scalar's code (`Scalar::CODE`, 4 for `f32` / 8 for `f64`) and every
+//! matrix entry is written at the operator's own width, so `f32` files are
+//! roughly half the size. [`decode`] rejects a width the caller did not ask
+//! for with the typed [`LoadError::PrecisionMismatch`] — the codec never
+//! converts silently. The **provenance byte** next to it records which
+//! construction pipeline produced the operator
+//! ([`h2_core::BuilderProvenance`]); it is pure metadata: unknown codes are
+//! surfaced as `unknown(code)` and never rejected, so files written by
+//! newer builds with new builders still load. Peek at it without a full
+//! decode via [`stored_builder`].
+//!
 //! Because every matrix payload sits at a 64-byte-aligned file offset and
-//! `mmap` maps files page-aligned, a mapped v4 file can be read *in place*:
+//! `mmap` maps files page-aligned, a mapped file can be read *in place*:
 //! [`load_mmap`] wraps the mapping in [`h2_cache::BlockSlabs`] views and
 //! hands the same `MatrixS` values to the same sweeps, so the mmap path is
-//! bitwise-identical to the owned decode by construction. The owned
-//! [`decode`] still reads both v3 and v4; [`encode`] writes v4 and
-//! [`encode_v3`] keeps the legacy writer for cross-version tests. Slab
-//! checksums are verified on the owned path only — verifying them on the
-//! mmap path would fault in every page and defeat lazy loading.
+//! bitwise-identical to the owned decode by construction. Slab checksums
+//! are verified on the owned path only — verifying them on the mmap path
+//! would fault in every page and defeat lazy loading.
+//!
+//! This is the only format: version 4. Blobs of the earlier
+//! payload-in-section versions 1–3 are refused with
+//! [`LoadError::UnsupportedVersion`].
 //!
 //! Block lists are *not* stored: they are a deterministic function of the
 //! tree and `eta`, recomputed at load (`H2Matrix::from_parts`), which also
@@ -88,30 +75,22 @@ use std::sync::Arc;
 
 /// File magic: identifies h2-serve operator files.
 pub const MAGIC: [u8; 8] = *b"H2SERVE\0";
-/// Codec format version this build writes. Version 2 added the
-/// scalar-type byte to the fingerprint and precision-generic payloads;
-/// version 3 added the builder-provenance byte next to the scalar byte;
-/// version 4 moved matrix payloads into an aligned, `mmap`able slab region
-/// behind a checksummed directory.
+/// The one codec format version this build writes and reads: matrix
+/// payloads in an aligned, `mmap`able slab region behind a checksummed
+/// directory.
 pub const FORMAT_VERSION: u32 = 4;
-/// The previous, payload-in-section format. Still fully readable; written
-/// only by [`encode_v3`].
-pub const LEGACY_FORMAT_VERSION: u32 = 3;
-/// Alignment (bytes) of the v4 slab region, each family slab, and each
+/// Alignment (bytes) of the slab region, each family slab, and each
 /// matrix payload within its slab. 64 covers every scalar width this crate
 /// serves plus cache-line alignment for the apply kernels.
 pub const SLAB_ALIGN: usize = 64;
 
 const TAG_FINGERPRINT: u8 = 1;
 const TAG_TREE: u8 = 2;
-const TAG_GENERATORS: u8 = 3;
-const TAG_COUPLING: u8 = 4;
-const TAG_NEARFIELD: u8 = 5;
 const TAG_END: u8 = 6;
 const TAG_GENERATORS_META: u8 = 7;
 const TAG_DIRECTORY: u8 = 8;
 
-/// Matrix families in the v4 directory, in slab order.
+/// Matrix families in the directory, in slab order.
 const FAMILY_BASES: u8 = 0;
 const FAMILY_TRANSFERS: u8 = 1;
 const FAMILY_COUPLING: u8 = 2;
@@ -138,9 +117,6 @@ fn section_name(tag: u8) -> &'static str {
     match tag {
         TAG_FINGERPRINT => "fingerprint",
         TAG_TREE => "tree",
-        TAG_GENERATORS => "generators",
-        TAG_COUPLING => "coupling",
-        TAG_NEARFIELD => "nearfield",
         TAG_END => "end",
         TAG_GENERATORS_META => "generators-meta",
         TAG_DIRECTORY => "directory",
@@ -217,16 +193,8 @@ impl Enc {
     fn f64s(&mut self, vs: &[f64]) {
         self.w.f64s(vs);
     }
-    fn scalars<S: Scalar>(&mut self, vs: &[S]) {
-        self.w.scalars(vs);
-    }
     fn str(&mut self, s: &str) {
         self.w.str(s);
-    }
-    fn matrix<S: Scalar>(&mut self, m: &MatrixS<S>) {
-        self.usize(m.nrows());
-        self.usize(m.ncols());
-        self.scalars(m.as_slice());
     }
     fn pointset(&mut self, p: &PointSet) {
         self.u32(p.dim() as u32);
@@ -251,8 +219,6 @@ fn encode_fingerprint<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<u8> {
     e.str(h2.kernel().name());
     e.u8(PROBE_COUNT as u8);
     e.f64s(&probe_values(h2.kernel(), h2.dim()));
-    // Update epoch: appended last so pre-epoch v3 readers (which stop at
-    // the probes) and pre-epoch v3 files (which omit it) both keep working.
     e.u64(h2.epoch());
     e.into_bytes()
 }
@@ -279,46 +245,6 @@ fn encode_tree(tree: &ClusterTree) -> Vec<u8> {
     e.into_bytes()
 }
 
-fn encode_generators<S: Scalar>(parts: &H2Parts<S>) -> Vec<u8> {
-    let mut e = Enc::new();
-    let n_nodes = parts.ranks.len();
-    e.usize(n_nodes);
-    for &r in &parts.ranks {
-        e.usize(r);
-    }
-    for m in &parts.bases {
-        e.matrix(m);
-    }
-    for m in &parts.transfers {
-        e.matrix(m);
-    }
-    for p in &parts.proxies {
-        match p {
-            ProxyPoints::Indices(idx) => {
-                e.u8(0);
-                e.usize(idx.len());
-                for &i in idx {
-                    e.usize(i);
-                }
-            }
-            ProxyPoints::Coords(pts) => {
-                e.u8(1);
-                e.pointset(pts);
-            }
-        }
-    }
-    e.into_bytes()
-}
-
-fn encode_blocks<S: Scalar>(blocks: &[MatrixS<S>]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.usize(blocks.len());
-    for m in blocks {
-        e.matrix(m);
-    }
-    e.into_bytes()
-}
-
 fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     out.push(tag);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -326,9 +252,8 @@ fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
 }
 
-/// Ranks and proxies without the matrix payloads: the v4 counterpart of
-/// the v3 generators section (matrices live in the slab region, their
-/// shapes in the directory).
+/// Ranks and proxies; the matrices live in the slab region, their shapes
+/// in the directory.
 fn encode_generators_meta<S: Scalar>(parts: &H2Parts<S>) -> Vec<u8> {
     let mut e = Enc::new();
     let n_nodes = parts.ranks.len();
@@ -354,7 +279,7 @@ fn encode_generators_meta<S: Scalar>(parts: &H2Parts<S>) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// One matrix family in the v4 directory: where its slab sits (relative to
+/// One matrix family in the directory: where its slab sits (relative to
 /// the aligned slab-region base), its checksum, and each matrix's shape and
 /// offset within the slab.
 struct DirFamily {
@@ -399,8 +324,8 @@ fn encode_directory(families: &[DirFamily]) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Serializes a built operator into the current (v4, `mmap`able) binary
-/// format, at the operator's own storage precision.
+/// Serializes a built operator into the `mmap`able binary format, at the
+/// operator's own storage precision.
 pub fn encode<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<u8> {
     let parts = h2.to_parts();
 
@@ -461,27 +386,6 @@ pub fn encode<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<u8> {
     push_section(&mut out, TAG_END, &[]);
     out.resize(align_up(out.len(), SLAB_ALIGN), 0);
     out.extend_from_slice(&slab);
-    out
-}
-
-/// Serializes a built operator in the legacy v3 (payload-in-section)
-/// format. Kept so cross-version compatibility is tested against real v3
-/// bytes rather than hand-crafted ones; new files should use [`encode`].
-pub fn encode_v3<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<u8> {
-    let parts = h2.to_parts();
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&LEGACY_FORMAT_VERSION.to_le_bytes());
-    push_section(&mut out, TAG_FINGERPRINT, &encode_fingerprint(h2));
-    push_section(&mut out, TAG_TREE, &encode_tree(&parts.tree));
-    push_section(&mut out, TAG_GENERATORS, &encode_generators(&parts));
-    if let Some(cb) = &parts.coupling_blocks {
-        push_section(&mut out, TAG_COUPLING, &encode_blocks(cb));
-    }
-    if let Some(nb) = &parts.nearfield_blocks {
-        push_section(&mut out, TAG_NEARFIELD, &encode_blocks(nb));
-    }
-    push_section(&mut out, TAG_END, &[]);
     out
 }
 
@@ -570,29 +474,9 @@ impl<'a> Dec<'a> {
         self.wrap(r)
     }
 
-    fn scalars<S: Scalar>(&mut self, n: usize) -> Result<Vec<S>, LoadError> {
-        let r = self.r.scalars(n);
-        self.wrap(r)
-    }
-
     fn str(&mut self) -> Result<String, LoadError> {
         let r = self.r.str();
         self.wrap(r)
-    }
-
-    fn matrix<S: Scalar>(&mut self) -> Result<MatrixS<S>, LoadError> {
-        let nrows = self.usize()?;
-        let ncols = self.usize()?;
-        let cnt = nrows
-            .checked_mul(ncols)
-            .ok_or_else(|| self.corrupt("matrix shape overflows"))?;
-        if cnt
-            .checked_mul(S::BYTES)
-            .is_none_or(|b| b > self.remaining())
-        {
-            return Err(self.corrupt(format!("matrix {nrows}x{ncols} larger than payload")));
-        }
-        Ok(MatrixS::from_col_major(nrows, ncols, self.scalars(cnt)?))
     }
 
     fn pointset(&mut self) -> Result<PointSet, LoadError> {
@@ -657,66 +541,6 @@ fn decode_tree(payload: &[u8]) -> Result<ClusterTree, LoadError> {
     ClusterTree::from_parts(points, perm, nodes).map_err(LoadError::Inconsistent)
 }
 
-struct Generators<S: Scalar> {
-    ranks: Vec<usize>,
-    bases: Vec<MatrixS<S>>,
-    transfers: Vec<MatrixS<S>>,
-    proxies: Vec<ProxyPoints>,
-}
-
-fn decode_generators<S: Scalar>(payload: &[u8]) -> Result<Generators<S>, LoadError> {
-    let mut d = Dec::new(payload, "generators");
-    let n_nodes = d.count(8)?;
-    let mut ranks = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        ranks.push(d.usize()?);
-    }
-    let mut bases = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        bases.push(d.matrix()?);
-    }
-    let mut transfers = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        transfers.push(d.matrix()?);
-    }
-    let mut proxies = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        proxies.push(match d.u8()? {
-            0 => {
-                let cnt = d.count(8)?;
-                let mut idx = Vec::with_capacity(cnt);
-                for _ in 0..cnt {
-                    idx.push(d.usize()?);
-                }
-                ProxyPoints::Indices(idx)
-            }
-            1 => ProxyPoints::Coords(d.pointset()?),
-            k => return Err(d.corrupt(format!("unknown proxy kind {k}"))),
-        });
-    }
-    d.finish()?;
-    Ok(Generators {
-        ranks,
-        bases,
-        transfers,
-        proxies,
-    })
-}
-
-fn decode_blocks<S: Scalar>(
-    payload: &[u8],
-    section: &'static str,
-) -> Result<Vec<MatrixS<S>>, LoadError> {
-    let mut d = Dec::new(payload, section);
-    let cnt = d.count(16)?;
-    let mut blocks = Vec::with_capacity(cnt);
-    for _ in 0..cnt {
-        blocks.push(d.matrix()?);
-    }
-    d.finish()?;
-    Ok(blocks)
-}
-
 struct Fingerprint {
     mode: MemoryMode,
     scalar_code: u8,
@@ -750,9 +574,7 @@ fn decode_fingerprint(payload: &[u8]) -> Result<Fingerprint, LoadError> {
     for _ in 0..probe_count {
         probes.push(d.f64()?.to_bits());
     }
-    // Optional trailing update epoch: absent in files written before
-    // dynamic operators existed, which read as epoch 0.
-    let epoch = if d.remaining() > 0 { d.u64()? } else { 0 };
+    let epoch = d.u64()?;
     d.finish()?;
     Ok(Fingerprint {
         mode,
@@ -766,24 +588,22 @@ fn decode_fingerprint(payload: &[u8]) -> Result<Fingerprint, LoadError> {
     })
 }
 
-/// The parsed section header of an operator file: its format version, the
-/// checksum-verified sections, and — for v4 — where the header ends (the
-/// slab region starts at the next [`SLAB_ALIGN`] boundary after it).
+/// The parsed section header of an operator file: the checksum-verified
+/// sections and where the header ends (the slab region starts at the next
+/// [`SLAB_ALIGN`] boundary after it).
 struct Header<'a> {
-    version: u32,
     sections: Vec<(u8, &'a [u8])>,
     header_end: usize,
 }
 
 /// Splits `magic | version | sections` and verifies every section
-/// checksum. Trailing bytes after the end marker are the v4 slab region;
-/// v3 files must end exactly at the marker.
+/// checksum. Trailing bytes after the end marker are the slab region.
 fn split_sections(bytes: &[u8]) -> Result<Header<'_>, LoadError> {
     if bytes.len() < MAGIC.len() + 4 || bytes[..MAGIC.len()] != MAGIC {
         return Err(LoadError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != FORMAT_VERSION && version != LEGACY_FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(LoadError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -809,13 +629,8 @@ fn split_sections(bytes: &[u8]) -> Result<Header<'_>, LoadError> {
         let done = tag == TAG_END;
         sections.push((tag, payload));
         if done {
-            d.section = "header";
-            if version == LEGACY_FORMAT_VERSION {
-                d.finish()?;
-            }
             let header_end = bytes.len() - d.remaining();
             return Ok(Header {
-                version,
                 sections,
                 header_end,
             });
@@ -857,13 +672,6 @@ pub fn stored_scalar(bytes: &[u8]) -> Result<&'static str, LoadError> {
     Ok(scalar_name(fp.scalar_code).expect("decode_fingerprint validated the code"))
 }
 
-/// Reads the codec format version of an encoded operator (3 or 4),
-/// verifying the magic first. How loaders decide whether a file supports
-/// zero-copy `mmap` serving (v4) or needs the owned decode (v3).
-pub fn stored_version(bytes: &[u8]) -> Result<u32, LoadError> {
-    Ok(split_sections(bytes)?.version)
-}
-
 /// Reads the builder provenance recorded in an encoded operator without
 /// decoding the payload — how serving surfaces report what pipeline
 /// constructed each stored operator. Unknown provenance codes are returned
@@ -875,8 +683,7 @@ pub fn stored_builder(bytes: &[u8]) -> Result<BuilderProvenance, LoadError> {
 }
 
 /// Reads the update epoch recorded in an encoded operator without decoding
-/// the payload. Files written before dynamic operators existed carry no
-/// epoch field and report 0 — never an error.
+/// the payload.
 pub fn stored_epoch(bytes: &[u8]) -> Result<u64, LoadError> {
     let hdr = split_sections(bytes)?;
     let fp = decode_fingerprint(require(&hdr.sections, TAG_FINGERPRINT)?)?;
@@ -950,51 +757,7 @@ fn assemble<S: Scalar>(
     H2MatrixS::from_parts(parts, kernel).map_err(LoadError::Inconsistent)
 }
 
-fn decode_v3<S: Scalar>(
-    hdr: &Header<'_>,
-    kernel: Arc<dyn Kernel>,
-) -> Result<H2MatrixS<S>, LoadError> {
-    let sections = &hdr.sections;
-    let fp = decode_fingerprint(require(sections, TAG_FINGERPRINT)?)?;
-    check_fingerprint::<S>(&fp, kernel.as_ref())?;
-    let tree = decode_tree(require(sections, TAG_TREE)?)?;
-    let gens = decode_generators::<S>(require(sections, TAG_GENERATORS)?)?;
-
-    let coupling = section(sections, TAG_COUPLING)?;
-    let nearfield = section(sections, TAG_NEARFIELD)?;
-    let (coupling_blocks, nearfield_blocks) = match fp.mode {
-        MemoryMode::Normal => (
-            Some(decode_blocks(require(sections, TAG_COUPLING)?, "coupling")?),
-            Some(decode_blocks(
-                require(sections, TAG_NEARFIELD)?,
-                "nearfield",
-            )?),
-        ),
-        MemoryMode::OnTheFly => {
-            if coupling.is_some() || nearfield.is_some() {
-                return Err(LoadError::Inconsistent(
-                    "on-the-fly file carries dense block sections".into(),
-                ));
-            }
-            (None, None)
-        }
-    };
-    assemble(
-        fp,
-        tree,
-        gens.ranks,
-        gens.proxies,
-        gens.bases,
-        gens.transfers,
-        coupling_blocks,
-        nearfield_blocks,
-        kernel,
-    )
-}
-
-// ------------------------------------------------------------- v4 decoding
-
-/// Ranks and proxies from the v4 generators-meta section.
+/// Ranks and proxies from the generators-meta section.
 fn decode_generators_meta(payload: &[u8]) -> Result<(Vec<usize>, Vec<ProxyPoints>), LoadError> {
     let mut d = Dec::new(payload, "generators-meta");
     let n_nodes = d.count(8)?;
@@ -1064,8 +827,8 @@ fn corrupt_directory(reason: impl Into<String>) -> LoadError {
     }
 }
 
-/// The fully parsed, not yet materialized body of a v4 file.
-struct V4Body {
+/// The fully parsed, not yet materialized body of a file.
+struct Body {
     fp: Fingerprint,
     tree: ClusterTree,
     ranks: Vec<usize>,
@@ -1075,15 +838,15 @@ struct V4Body {
     slab_base: usize,
 }
 
-/// Parses and cross-validates a v4 header: fingerprint (against `kernel`
+/// Parses and cross-validates a header: fingerprint (against `kernel`
 /// and `S`), tree, generators-meta, and a directory whose families match
 /// the stored memory mode and fit inside the file. Materializing the
 /// matrices — owned copies or mmap views — is the caller's half.
-fn parse_v4<S: Scalar>(
+fn parse<S: Scalar>(
     bytes: &[u8],
     hdr: &Header<'_>,
     kernel: &dyn Kernel,
-) -> Result<V4Body, LoadError> {
+) -> Result<Body, LoadError> {
     let sections = &hdr.sections;
     let fp = decode_fingerprint(require(sections, TAG_FINGERPRINT)?)?;
     check_fingerprint::<S>(&fp, kernel)?;
@@ -1126,7 +889,7 @@ fn parse_v4<S: Scalar>(
             )));
         }
     }
-    Ok(V4Body {
+    Ok(Body {
         fp,
         tree,
         ranks,
@@ -1196,12 +959,14 @@ fn mapped_family<S: Scalar>(
     Ok(slabs.views())
 }
 
-fn decode_v4<S: Scalar>(
-    bytes: &[u8],
-    hdr: &Header<'_>,
-    kernel: Arc<dyn Kernel>,
-) -> Result<H2MatrixS<S>, LoadError> {
-    let body = parse_v4::<S>(bytes, hdr, kernel.as_ref())?;
+/// Decodes an operator from bytes, verifying structure, checksums, the
+/// kernel fingerprint against `kernel`, and the stored scalar type against
+/// the requested `S` (a width mismatch is the typed
+/// [`LoadError::PrecisionMismatch`], never a silent conversion). Always
+/// produces an operator with owned (heap) storage.
+pub fn decode<S: Scalar>(bytes: &[u8], kernel: Arc<dyn Kernel>) -> Result<H2MatrixS<S>, LoadError> {
+    let hdr = split_sections(bytes)?;
+    let body = parse::<S>(bytes, &hdr, kernel.as_ref())?;
     let slab_region = &bytes[body.slab_base..];
     let mut fams = body.families.iter();
     let bases = owned_family::<S>(slab_region, fams.next().expect("validated"))?;
@@ -1227,28 +992,12 @@ fn decode_v4<S: Scalar>(
     )
 }
 
-/// Decodes an operator from bytes, verifying structure, checksums, the
-/// kernel fingerprint against `kernel`, and the stored scalar type against
-/// the requested `S` (a width mismatch is the typed
-/// [`LoadError::PrecisionMismatch`], never a silent conversion). Reads both
-/// the current v4 format and legacy v3 files; always produces an operator
-/// with owned (heap) storage.
-pub fn decode<S: Scalar>(bytes: &[u8], kernel: Arc<dyn Kernel>) -> Result<H2MatrixS<S>, LoadError> {
-    let hdr = split_sections(bytes)?;
-    if hdr.version == LEGACY_FORMAT_VERSION {
-        decode_v3(&hdr, kernel)
-    } else {
-        decode_v4(bytes, &hdr, kernel)
-    }
-}
-
 /// Decodes an operator whose bytes live in a [`SlabMem`] — when the memory
-/// is an actual file mapping and the file is v4, matrix payloads become
-/// zero-copy views over the mapped pages instead of heap copies, so the
-/// operator's resident footprint is just its tree, lists, and directory.
+/// is an actual file mapping, matrix payloads become zero-copy views over
+/// the mapped pages instead of heap copies, so the operator's resident
+/// footprint is just its tree, lists, and directory.
 ///
-/// Falls back to the owned [`decode`] for legacy v3 bytes (whose payloads
-/// are unaligned and section-framed) and on big-endian hosts (which cannot
+/// Falls back to the owned [`decode`] on big-endian hosts (which cannot
 /// reinterpret little-endian slabs in place). Either way the returned
 /// operator is *bitwise identical* in behaviour: the mmap path hands the
 /// same bytes to the same apply kernels through [`BlockSlabs`] views.
@@ -1257,11 +1006,11 @@ pub fn decode_mapped<S: Scalar>(
     kernel: Arc<dyn Kernel>,
 ) -> Result<H2MatrixS<S>, LoadError> {
     let bytes = mem.as_bytes();
-    let hdr = split_sections(bytes)?;
-    if hdr.version == LEGACY_FORMAT_VERSION || cfg!(target_endian = "big") {
+    if cfg!(target_endian = "big") {
         return decode(bytes, kernel);
     }
-    let body = parse_v4::<S>(bytes, &hdr, kernel.as_ref())?;
+    let hdr = split_sections(bytes)?;
+    let body = parse::<S>(bytes, &hdr, kernel.as_ref())?;
     let mut fams = body.families.iter();
     let bases = mapped_family::<S>(mem, body.slab_base, fams.next().expect("validated"))?;
     let transfers = mapped_family::<S>(mem, body.slab_base, fams.next().expect("validated"))?;
@@ -1295,7 +1044,7 @@ pub fn load<S: Scalar>(
     decode(&bytes, kernel)
 }
 
-/// Loads an operator from `path` by `mmap`ing it: v4 matrix payloads are
+/// Loads an operator from `path` by `mmap`ing it: matrix payloads are
 /// served straight from the page cache (see [`decode_mapped`]), so a cold
 /// load touches only the header pages and resident memory stays near zero
 /// until blocks are actually applied.
@@ -1450,10 +1199,11 @@ mod tests {
 
     #[test]
     fn older_version_blobs_are_refused() {
-        // v1 had no scalar byte, v2 no provenance byte: readers must stop
-        // at the version check rather than misparse either payload.
+        // v1 had no scalar byte, v2 no provenance byte, v3 kept matrices
+        // inside the sections: readers must stop at the version check
+        // rather than misparse any of them.
         let h2 = build(MemoryMode::OnTheFly);
-        for old in [1u32, 2u32] {
+        for old in [1u32, 2u32, 3u32] {
             let mut bytes = encode(&h2);
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             let err = decode::<f64>(&bytes, Arc::new(Coulomb))
@@ -1475,6 +1225,14 @@ mod tests {
             ));
             assert!(matches!(
                 stored_builder(&bytes),
+                Err(LoadError::UnsupportedVersion { .. })
+            ));
+            assert!(matches!(
+                stored_epoch(&bytes),
+                Err(LoadError::UnsupportedVersion { .. })
+            ));
+            assert!(matches!(
+                decode_mapped::<f64>(&SlabMem::from_bytes(&bytes), Arc::new(Coulomb)),
                 Err(LoadError::UnsupportedVersion { .. })
             ));
         }
@@ -1560,31 +1318,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_epoch_v3_files_read_as_epoch_zero() {
-        // Simulate a v3 file written before the epoch field existed: strip
-        // the trailing 8 epoch bytes from the fingerprint payload, shrink
-        // the section length, and re-checksum. It must load with epoch 0.
-        let h2 = build(MemoryMode::OnTheFly);
-        let bytes = encode_v3(&h2);
-        assert_eq!(bytes[12], TAG_FINGERPRINT);
-        let len = u64::from_le_bytes(bytes[13..21].try_into().unwrap()) as usize;
-        let payload_start = 21;
-        let mut old = Vec::new();
-        old.extend_from_slice(&bytes[..13]);
-        old.extend_from_slice(&((len - 8) as u64).to_le_bytes());
-        let payload = &bytes[payload_start..payload_start + len - 8];
-        old.extend_from_slice(payload);
-        old.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        old.extend_from_slice(&bytes[payload_start + len + 8..]);
-        assert_eq!(stored_epoch(&old).unwrap(), 0);
-        assert_eq!(stored_scalar(&old).unwrap(), "f64");
-        let back: H2Matrix = decode(&old, Arc::new(Coulomb)).expect("pre-epoch file must load");
-        assert_eq!(back.epoch(), 0);
-        let b: Vec<f64> = (0..h2.n()).map(|i| (0.29 * i as f64).cos()).collect();
-        assert_eq!(h2.matvec(&b), back.matvec(&b));
-    }
-
-    #[test]
     fn kernel_mismatch_by_name_and_by_parameters() {
         let pts = gen::uniform_cube(300, 3, 5);
         let cfg = H2Config {
@@ -1618,33 +1351,10 @@ mod tests {
     }
 
     #[test]
-    fn v3_and_v4_files_decode_to_the_same_operator() {
-        for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
-            let h2 = build(mode);
-            let v4 = encode(&h2);
-            let v3 = encode_v3(&h2);
-            assert_eq!(stored_version(&v4).unwrap(), FORMAT_VERSION);
-            assert_eq!(stored_version(&v3).unwrap(), LEGACY_FORMAT_VERSION);
-            assert_eq!(stored_scalar(&v3).unwrap(), stored_scalar(&v4).unwrap());
-            assert_eq!(stored_epoch(&v3).unwrap(), stored_epoch(&v4).unwrap());
-            let from4: H2Matrix = decode(&v4, Arc::new(Coulomb)).expect("v4 decode");
-            let from3: H2Matrix = decode(&v3, Arc::new(Coulomb)).expect("v3 decode");
-            let b: Vec<f64> = (0..h2.n()).map(|i| (0.31 * i as f64).sin()).collect();
-            let want = h2.matvec(&b);
-            assert_eq!(from4.matvec(&b), want, "mode {mode:?}");
-            assert_eq!(from3.matvec(&b), want, "mode {mode:?}");
-            // And a v4 re-encode of the v3 decode is byte-identical to the
-            // original v4 encode: the slab layout is deterministic.
-            assert_eq!(encode(&from3), v4, "mode {mode:?}");
-        }
-    }
-
-    #[test]
-    fn v4_slabs_are_aligned() {
+    fn slabs_are_aligned() {
         let h2 = build(MemoryMode::Normal);
         let bytes = encode(&h2);
         let hdr = split_sections(&bytes).unwrap();
-        assert_eq!(hdr.version, FORMAT_VERSION);
         let families = decode_directory(require(&hdr.sections, TAG_DIRECTORY).unwrap()).unwrap();
         assert_eq!(families.len(), 4);
         let slab_base = align_up(hdr.header_end, SLAB_ALIGN);
@@ -1696,23 +1406,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mmap_load_matches_for_f32_operators() {
-        let h2 = build32(MemoryMode::Normal);
-        let path = temp_path("mmap-f32");
-        save(&h2, &path).expect("save");
-        let owned: H2MatrixS<f32> = load(&path, Arc::new(Coulomb)).expect("owned load");
-        let mapped: H2MatrixS<f32> = load_mmap(&path, Arc::new(Coulomb)).expect("mmap load");
-        let b: Vec<f32> = (0..h2.n()).map(|i| (0.29 * i as f32).cos()).collect();
-        let want: Vec<u32> = owned.matvec(&b).iter().map(|v| v.to_bits()).collect();
-        let got: Vec<u32> = mapped.matvec(&b).iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want);
-        assert!(mapped.memory_report().mapped_bytes > 0);
+    /// The engine's k-invariance on the mapped tier: column `c` of an
+    /// 8-column product over an mmap-loaded operator is the vector product
+    /// of column `c`, bit for bit — and both are the in-memory operator's.
+    fn assert_mapped_k_invariant<S: Scalar, A: Scalar>(h2: &H2MatrixS<S>, tag: &str) {
+        let path = temp_path(tag);
+        save(h2, &path).expect("save");
+        let mapped: H2MatrixS<S> = load_mmap(&path, Arc::new(Coulomb)).expect("mmap load");
+        assert!(mapped.memory_report().mapped_bytes > 0, "{tag}");
+        let b = MatrixS::<A>::from_fn(h2.n(), 8, |i, j| {
+            A::from_f64(((i * 31 + j * 17) % 101) as f64 / 50.0 - 1.0)
+        });
+        let y = mapped.matmat(&b);
+        assert_eq!(y.as_slice(), h2.matmat(&b).as_slice(), "{tag}");
+        for c in 0..8 {
+            assert_eq!(y.col(c), &mapped.matvec(b.col(c))[..], "{tag}: column {c}");
+        }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn corrupt_v4_slabs_fail_closed() {
+    fn mmap_loaded_panel_columns_equal_vector_products() {
+        use h2_core::BuilderStrategy;
+        let pts = gen::uniform_cube(600, 3, 17);
+        for (bname, builder) in [
+            ("anchor", BuilderStrategy::AnchorNet),
+            ("sketched", BuilderStrategy::sketched_for_tol(1e-5, 3)),
+        ] {
+            let cfg = H2Config {
+                basis: BasisMethod::data_driven_for_tol(1e-5, 3),
+                mode: MemoryMode::Normal,
+                builder,
+                leaf_size: 48,
+                ..H2Config::default()
+            };
+            let h64 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
+            let h32 = H2MatrixS::<f32>::build(&pts, Arc::new(Coulomb), &cfg);
+            assert_mapped_k_invariant::<f64, f64>(&h64, &format!("mmap-k-{bname}-f64"));
+            assert_mapped_k_invariant::<f32, f32>(&h32, &format!("mmap-k-{bname}-f32"));
+            assert_mapped_k_invariant::<f32, f64>(&h32, &format!("mmap-k-{bname}-mixed"));
+        }
+    }
+
+    #[test]
+    fn corrupt_slabs_fail_closed() {
         let h2 = build(MemoryMode::Normal);
         let bytes = encode(&h2);
 

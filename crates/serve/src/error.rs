@@ -79,12 +79,12 @@ pub enum LoadError {
     /// file at all.
     BadMagic,
     /// The file was written by an incompatible codec version. This build
-    /// reads the current version and the previous one (v4 and v3); older
-    /// or future versions are refused here.
+    /// reads exactly the version it writes (v4); older or future versions
+    /// are refused here.
     UnsupportedVersion {
         /// Version found in the file header.
         found: u32,
-        /// The newest version this build can read (and the one it writes).
+        /// The version this build reads and writes.
         supported: u32,
     },
     /// The kernel supplied at load time does not match the one the operator

@@ -60,15 +60,13 @@
 
 pub mod codec;
 pub mod error;
-pub mod hist;
 pub mod http;
 pub mod metrics;
 pub mod registry;
 pub mod service;
 
-pub use codec::{decode, decode_mapped, encode, encode_v3, load, load_mmap, save};
+pub use codec::{decode, decode_mapped, encode, load, load_mmap, save};
 pub use error::{LoadError, SubmitError};
-pub use hist::LogLinearHistogram;
 pub use http::MetricsServer;
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
 pub use registry::{OperatorRegistry, RegistryEntryBytes};

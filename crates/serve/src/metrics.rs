@@ -12,15 +12,15 @@
 //!
 //! Memory is **O(1) in the request count**: latencies land in bounded
 //! log-linear [`LogLinearHistogram`]s (~8 KiB each, quantile error under one
-//! [`bucket_width`](crate::hist::bucket_width) ≈ 6.25%) instead of
+//! [`bucket_width`](h2_telemetry::hist::bucket_width) ≈ 6.25%) instead of
 //! per-sample vectors, so a service can absorb an unbounded request stream.
 //! [`ServiceMetrics::snapshot_since_last`] yields per-interval views for a
 //! scraper polling a long-lived service, and
 //! [`ServiceMetrics::keep_exact_samples`] opts into per-sample retention for
 //! benchmarks that validate the histograms against exact percentiles.
 
-use crate::hist::LogLinearHistogram;
 use h2_core::CacheStats;
+use h2_telemetry::hist::LogLinearHistogram;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -415,7 +415,7 @@ impl std::fmt::Display for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::bucket_width;
+    use h2_telemetry::hist::bucket_width;
 
     /// Inclusive upper bound of the histogram bucket holding `v` — the
     /// value a histogram quantile reports for a sample of `v`.

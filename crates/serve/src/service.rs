@@ -28,11 +28,11 @@
 //! series by [`MatvecService::tenant_prometheus_text`].
 
 use crate::error::SubmitError;
-use crate::hist::LogLinearHistogram;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::registry::escape_label;
 use h2_core::{H2Matrix, H2Operator};
 use h2_linalg::{MatrixS, Scalar};
+use h2_telemetry::hist::LogLinearHistogram;
 use h2_tenant::{AdmitError, BatchScheduler, QueueMode, TenantTable};
 use std::fmt::Write as _;
 use std::sync::mpsc;

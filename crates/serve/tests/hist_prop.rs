@@ -2,8 +2,8 @@
 //! width of the exact sorted-sample quantiles, for arbitrary sample sets
 //! spanning the exact region, several octaves, and repeated values.
 
-use h2_serve::hist::{bucket_width, LogLinearHistogram};
 use h2_serve::metrics::percentile;
+use h2_telemetry::hist::{bucket_width, LogLinearHistogram};
 use proptest::prelude::*;
 
 /// Deterministic sample stream: an LCG whose modulus octave varies with the

@@ -57,54 +57,24 @@ proptest! {
             "flip at byte {} must be detected", pos);
     }
 
-    /// Cross-version property: a v3 (legacy) encoding and a v4 (canonical)
-    /// encoding of the same operator decode to bitwise-identical operators,
-    /// and re-encoding the v3-decoded operator reproduces the v4 bytes —
-    /// migration through this build is deterministic and lossless.
+    /// The header peeks (`stored_scalar`/`stored_builder`/`stored_epoch`)
+    /// never panic on hostile bytes: any single bit flip anywhere in the
+    /// file yields either a typed error or a well-formed answer.
     #[test]
-    fn v3_v4_cross_version_round_trip((n, seed) in (150usize..320, 0u64..1000)) {
-        for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
-            let h2 = build(n, 2, seed, 1e-4, mode);
-            let v3 = codec::encode_v3(&h2);
-            let v4 = codec::encode(&h2);
-            prop_assert_eq!(codec::stored_version(&v3).unwrap(), 3);
-            prop_assert_eq!(codec::stored_version(&v4).unwrap(), 4);
-            let from3 = codec::decode::<f64>(&v3, Arc::new(Coulomb)).expect("v3 decodes");
-            let from4 = codec::decode::<f64>(&v4, Arc::new(Coulomb)).expect("v4 decodes");
-            let b = probe(n, seed);
-            let want = h2.matvec(&b);
-            prop_assert_eq!(&from3.matvec(&b), &want);
-            prop_assert_eq!(&from4.matvec(&b), &want);
-            // Peeks agree across versions.
-            prop_assert_eq!(codec::stored_scalar(&v3).unwrap(),
-                codec::stored_scalar(&v4).unwrap());
-            prop_assert_eq!(codec::stored_epoch(&v3).unwrap(),
-                codec::stored_epoch(&v4).unwrap());
-            // Deterministic migration: v3 → decode → encode == direct v4.
-            prop_assert_eq!(codec::encode(&from3), v4);
-        }
-    }
-
-    /// The header peeks (`stored_scalar`/`stored_builder`/`stored_epoch`/
-    /// `stored_version`) never panic on hostile bytes: any single bit flip
-    /// anywhere in the file yields either a typed error or a well-formed
-    /// answer — both versions, all peeks.
-    #[test]
-    fn peeks_survive_bit_flips((pos_seed, bit, legacy) in (0u64..10_000, 0u8..8, 0u8..2)) {
+    fn peeks_survive_bit_flips((pos_seed, bit) in (0u64..10_000, 0u8..8)) {
         let h2 = build(180, 2, 11, 1e-4, MemoryMode::OnTheFly);
-        let mut bytes = if legacy == 1 { codec::encode_v3(&h2) } else { codec::encode(&h2) };
+        let mut bytes = codec::encode(&h2);
         let pos = (pos_seed as usize) % bytes.len();
         bytes[pos] ^= 1 << bit;
         // Typed errors are fine; panics are the bug this test hunts.
         let _ = codec::stored_scalar(&bytes);
         let _ = codec::stored_builder(&bytes);
         let _ = codec::stored_epoch(&bytes);
-        let _ = codec::stored_version(&bytes);
     }
 }
 
 /// The header peeks return typed errors (never panic) on truncated and
-/// zero-length inputs, at every truncation point of both format versions.
+/// zero-length inputs, at every truncation point.
 #[test]
 fn peeks_return_typed_errors_on_truncated_and_empty_input() {
     for bytes in [vec![], vec![0x48]] {
@@ -114,42 +84,39 @@ fn peeks_return_typed_errors_on_truncated_and_empty_input() {
         ));
         assert!(codec::stored_builder(&bytes).is_err());
         assert!(codec::stored_epoch(&bytes).is_err());
-        assert!(codec::stored_version(&bytes).is_err());
     }
     let h2 = build(200, 2, 13, 1e-4, MemoryMode::OnTheFly);
-    for bytes in [codec::encode_v3(&h2), codec::encode(&h2)] {
-        let step = (bytes.len() / 97).max(1);
-        for cut in (0..bytes.len()).step_by(step) {
-            let prefix = &bytes[..cut];
-            // Each peek must return (not panic). A v4 prefix that only cuts
-            // the slab region legitimately still answers header peeks (they
-            // never touch the slab); everything else is a typed LoadError
-            // with a printable message. A successful answer must be sane.
-            match codec::stored_scalar(prefix) {
-                Ok(s) => assert!(s == "f64" || s == "f32"),
-                Err(e) => {
-                    let _ = e.to_string();
-                }
+    let bytes = codec::encode(&h2);
+    let step = (bytes.len() / 97).max(1);
+    for cut in (0..bytes.len()).step_by(step) {
+        let prefix = &bytes[..cut];
+        // Each peek must return (not panic). A prefix that only cuts
+        // the slab region legitimately still answers header peeks (they
+        // never touch the slab); everything else is a typed LoadError
+        // with a printable message. A successful answer must be sane.
+        match codec::stored_scalar(prefix) {
+            Ok(s) => assert!(s == "f64" || s == "f32"),
+            Err(e) => {
+                let _ = e.to_string();
             }
-            match codec::stored_epoch(prefix) {
-                Ok(e) => assert_eq!(e, 0),
-                Err(e) => {
-                    let _ = e.to_string();
-                }
-            }
-            let _ = codec::stored_builder(prefix);
-            let _ = codec::stored_version(prefix);
-            // The full decode, by contrast, must reject every proper prefix.
-            assert!(
-                codec::decode::<f64>(prefix, Arc::new(Coulomb)).is_err(),
-                "decoding a {cut}-byte prefix must fail"
-            );
         }
-        // The full file answers every peek.
-        assert_eq!(codec::stored_scalar(&bytes).unwrap(), "f64");
-        assert_eq!(codec::stored_epoch(&bytes).unwrap(), 0);
-        assert!(codec::stored_builder(&bytes).is_ok());
+        match codec::stored_epoch(prefix) {
+            Ok(e) => assert_eq!(e, 0),
+            Err(e) => {
+                let _ = e.to_string();
+            }
+        }
+        let _ = codec::stored_builder(prefix);
+        // The full decode, by contrast, must reject every proper prefix.
+        assert!(
+            codec::decode::<f64>(prefix, Arc::new(Coulomb)).is_err(),
+            "decoding a {cut}-byte prefix must fail"
+        );
     }
+    // The full file answers every peek.
+    assert_eq!(codec::stored_scalar(&bytes).unwrap(), "f64");
+    assert_eq!(codec::stored_epoch(&bytes).unwrap(), 0);
+    assert!(codec::stored_builder(&bytes).is_ok());
 }
 
 /// Every truncation point yields a typed error, never a panic.

@@ -21,7 +21,6 @@
 //!   splitmix64 RNG, Gaussian/SRHT test matrices, adaptive-rank sketching;
 //! - [`h2`] — the H² matrix itself: builders, matvec (Algorithm 2), memory
 //!   accounting;
-//! - [`hmatrix`] — a non-nested H-matrix baseline;
 //! - [`solvers`] — CG / GMRES over matrix-free [`h2::H2Operator`]s;
 //! - [`dist`] — sharded H² execution: partitioned cluster trees, a
 //!   message-passing transport abstraction, and a distributed matvec
@@ -48,7 +47,6 @@
 
 pub use h2_core as h2;
 pub use h2_dist as dist;
-pub use h2_hmatrix as hmatrix;
 pub use h2_kernels as kernels;
 pub use h2_linalg as linalg;
 pub use h2_points as points;

@@ -219,30 +219,30 @@ fn high_dimensional_data_driven_works() {
 }
 
 #[test]
-fn h2_and_hmatrix_agree() {
-    let n = 1500;
+fn vector_panel_and_sharded_products_agree_bitwise() {
+    // One sweep engine behind three entry points: the vector product, any
+    // column of the panel product, and the sharded product are the same
+    // bits, in both memory modes.
+    let n = 900;
     let pts = h2mv::points::gen::uniform_cube(n, 3, 13);
-    let b = probe(n, 14);
-    let h2 = {
+    for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
         let cfg = H2Config {
-            basis: BasisMethod::data_driven_for_tol(1e-8, 3),
-            mode: MemoryMode::Normal,
+            basis: BasisMethod::data_driven_for_tol(1e-6, 3),
+            mode,
+            leaf_size: 48,
             ..H2Config::default()
         };
-        H2Matrix::build(&pts, Arc::new(Coulomb), &cfg)
-    };
-    let hm = h2mv::hmatrix::HMatrix::build(
-        &pts,
-        Arc::new(Coulomb),
-        &h2mv::hmatrix::HConfig {
-            tol: 1e-8,
-            ..Default::default()
-        },
-    );
-    let y1 = h2.matvec(&b);
-    let y2 = hm.matvec(&b);
-    // Both approximate the same exact product.
-    assert!(h2mv::linalg::vec_ops::rel_err(&y1, &y2) < 1e-5);
+        let h2 = Arc::new(H2Matrix::build(&pts, Arc::new(Coulomb), &cfg));
+        let cols: Vec<Vec<f64>> = (0..3).map(|c| probe(n, 14 + c)).collect();
+        let panel = h2mv::linalg::Matrix::from_fn(n, 3, |i, j| cols[j][i]);
+        let y = h2.matmat(&panel);
+        let sharded = ShardedH2::new(h2.clone(), 3).unwrap();
+        for c in 0..3 {
+            let yc = h2.matvec(panel.col(c));
+            assert_eq!(y.col(c), &yc[..], "{}: column {c}", mode.name());
+            assert_eq!(sharded.matvec(panel.col(c)), yc, "{}: sharded", mode.name());
+        }
+    }
 }
 
 #[test]
