@@ -22,6 +22,11 @@ timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored
 echo "== cargo test (diagnostics) =="
 cargo test -q --offline -p h2-core --features diagnostics
 
+echo "== thread-count invariance gate (widths 1/2/3/8 bitwise equal; ranks stay at width 1) =="
+cargo test -q --offline -p h2-core --test sweep
+cargo test -q --offline -p h2-dist -p h2-net -- width_one schedule_keeps
+cargo test -q --offline --test end_to_end thread_pool
+
 echo "== precision gate (f32 / mixed vs f64) =="
 cargo test -q --offline -p h2-core --test precision
 cargo test -q --offline -p h2-dist -p h2-serve -- f32 mixed precision
@@ -46,6 +51,12 @@ NET=$(mktemp /tmp/h2-net-scaling.XXXXXX.txt)
 timeout 300 ./target/release/net_scaling --check > "$NET"
 grep -q "NET_SCALING_CHECK_OK" "$NET"
 rm -f "$NET"
+
+echo "== thread scaling smoke (bitwise across widths; 2 threads <= 0.75x of 1 on a 2-core host) =="
+FIG7=$(mktemp /tmp/h2-fig7.XXXXXX.txt)
+timeout 300 ./target/release/fig7_threads --sizes 8000 --threads 1,2 --check > "$FIG7"
+grep -q "FIG7_THREADS_CHECK_OK" "$FIG7"
+rm -f "$FIG7"
 
 echo "== cache sweep smoke (bitwise endpoints + telemetry counters) =="
 SWEEP=$(mktemp /tmp/h2-cache-sweep.XXXXXX.txt)

@@ -6,35 +6,63 @@
 //! memory grows slightly with p (each thread regenerates one `B_{i,j}` at a
 //! time → concurrent footprint `p · size(B)`).
 //!
-//! ⚠ Hardware note: this reproduction VM exposes a single core, so rayon
-//! pools with p > 1 cannot show wall-clock speedup here — the code path
-//! (per-level parallel sweeps, per-thread block regeneration) is still
-//! exercised and the concurrent-memory column is computed exactly as the
-//! paper describes. On a multi-core box the speedup columns become
-//! meaningful without any change.
+//! What runs on `p` threads here is the matvec: the sweep engine sizes
+//! itself from the installed pool (`h2_core::sweep`, results bitwise
+//! identical at every `p`). Construction still runs on the calling thread
+//! (the builders' `par_iter` sites sit on the sequential `rayon` stand-in),
+//! so `T_const` is flat by design. Every row carries the host's
+//! `available_parallelism`: widths beyond it time-share the cores.
+//!
+//! `--check` asserts the results are bitwise identical across the thread
+//! counts and, on a host with at least two cores, that `T_mv` at 2 threads
+//! is at most 0.75 × `T_mv` at 1 thread for every method (skipped with a
+//! message on a single core), then prints `FIG7_THREADS_CHECK_OK`.
 
-use h2_bench::{metrics, table, Args, Table, PAPER_TOL};
-use h2_core::{BasisMethod, H2Config, MemoryMode};
+use h2_bench::{table, Args, Table, PAPER_TOL};
+use h2_core::{BasisMethod, H2Config, H2Matrix, MemoryMode};
 use h2_kernels::Coulomb;
 use h2_points::gen;
+use serde::Serialize;
 use std::sync::Arc;
+use std::time::Instant;
+
+/// One (method, thread count) measurement.
+#[derive(Clone, Debug, Serialize)]
+struct ThreadPoint {
+    method: String,
+    threads: usize,
+    /// Cores the host offers this process.
+    available_parallelism: usize,
+    n: usize,
+    /// Construction, ms (runs on the calling thread at every `threads`).
+    t_const_ms: f64,
+    /// Median matvec over the timed repetitions, ms.
+    t_mv_ms: f64,
+    /// Stored generator memory, KiB.
+    mem_kib: f64,
+    /// `threads` × the largest block one thread regenerates, KiB.
+    concurrent_otf_kib: f64,
+    rel_err: f64,
+}
+
+/// Timed matvecs per row (after one warm-up); the row reports their median.
+const REPS: usize = 3;
 
 fn main() {
-    let args = Args::parse();
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let check = raw.iter().any(|a| a == "--check");
+    let args = Args::parse_from(raw.into_iter().filter(|a| a != "--check"));
     let tol = args.tol_or(PAPER_TOL);
     let n = if args.full { 1_000_000 } else { 40_000 };
     let n = args.sizes.as_ref().map_or(n, |s| s[0]);
     let threads = args.threads.clone().unwrap_or_else(|| vec![1, 2, 4, 8]);
+    let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
     let pts = gen::uniform_cube(n, 3, args.seed);
+    let b = h2_core::error_est::probe_vector(n, args.seed ^ 0x5EED);
 
-    println!("Fig. 7: thread scaling, n={n}, cube, on-the-fly, tol={tol:.0e}");
-    println!(
-        "host parallelism: {}\n",
-        std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(1)
-    );
-    let mut rows = Vec::new();
+    println!("Fig. 7: thread scaling, n={n}, cube, on-the-fly, tol={tol:.0e}, {REPS} reps");
+    println!("host parallelism: {cores}\n");
+    let mut rows: Vec<ThreadPoint> = Vec::new();
     let mut t = Table::new(&[
         "method",
         "threads",
@@ -47,6 +75,7 @@ fn main() {
         ("data-driven", BasisMethod::data_driven_for_tol(tol, 3)),
         ("interpolation", BasisMethod::interpolation_for_tol(tol, 3)),
     ] {
+        let mut reference: Option<Vec<f64>> = None;
         for &p in &threads {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(p)
@@ -57,28 +86,78 @@ fn main() {
                 mode: MemoryMode::OnTheFly,
                 ..H2Config::default()
             };
-            let m = pool.install(|| {
-                metrics::run_config(
-                    &format!("{mname}/p{p}"),
-                    &pts,
-                    Arc::new(Coulomb),
-                    &cfg,
-                    args.seed,
-                )
+            let (h2, t_const_ms, y, t_mv_ms) = pool.install(|| {
+                let t = Instant::now();
+                let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
+                let t_const_ms = t.elapsed().as_secs_f64() * 1e3;
+                let y = h2.matvec(&b); // warm-up, and the result to compare
+                let mut times: Vec<f64> = (0..REPS)
+                    .map(|_| {
+                        let t = Instant::now();
+                        let _ = h2.matvec(&b);
+                        t.elapsed().as_secs_f64() * 1e3
+                    })
+                    .collect();
+                times.sort_by(|a, c| a.total_cmp(c));
+                (h2, t_const_ms, y, times[times.len() / 2])
             });
+            let same = reference.get_or_insert_with(|| y.clone()) == &y;
+            assert!(same, "{mname}: {p} threads changed the result");
+            let mem = h2.memory_report();
+            let rel_err =
+                h2.estimate_rel_error(&b, &y, h2_core::error_est::PAPER_ERROR_ROWS, args.seed);
             // Paper Fig. 7c: concurrent OTF footprint = p x largest block.
-            let concurrent = p as f64 * m.max_otf_block_kib;
+            let concurrent_otf_kib = p as f64 * mem.max_otf_block as f64 / 1024.0;
+            let row = ThreadPoint {
+                method: mname.to_string(),
+                threads: p,
+                available_parallelism: cores,
+                n,
+                t_const_ms,
+                t_mv_ms,
+                mem_kib: mem.generators() as f64 / 1024.0,
+                concurrent_otf_kib,
+                rel_err,
+            };
             t.row(vec![
                 mname.to_string(),
                 p.to_string(),
-                table::ms(m.t_const_ms),
-                table::ms(m.t_mv_ms),
-                table::kib(m.mem_kib),
-                table::kib(concurrent),
+                table::ms(row.t_const_ms),
+                table::ms(row.t_mv_ms),
+                table::kib(row.mem_kib),
+                table::kib(row.concurrent_otf_kib),
             ]);
-            rows.push(m);
+            rows.push(row);
         }
     }
     t.print();
-    metrics::maybe_write_json(&args.json, &rows);
+
+    if check {
+        let t_mv = |method: &str, p: usize| {
+            let row = rows.iter().find(|r| r.method == method && r.threads == p);
+            row.map(|r| r.t_mv_ms)
+        };
+        for method in ["data-driven", "interpolation"] {
+            match (t_mv(method, 1), t_mv(method, 2)) {
+                (Some(one), Some(two)) if cores >= 2 => {
+                    println!("{method}: T_mv(2) / T_mv(1) = {:.2}", two / one);
+                    assert!(
+                        two <= 0.75 * one,
+                        "{method}: 2 threads took {two:.1} ms against {one:.1} ms on 1"
+                    );
+                }
+                (Some(_), Some(_)) => {
+                    println!("{method}: speed-up check skipped, the host has {cores} core")
+                }
+                _ => panic!("--check needs --threads to include 1 and 2"),
+            }
+        }
+        println!("FIG7_THREADS_CHECK_OK");
+    }
+
+    if let Some(p) = &args.json {
+        let body = serde_json::to_string_pretty(&rows).expect("serialize thread points");
+        std::fs::write(p, body).unwrap_or_else(|e| panic!("write {p}: {e}"));
+        eprintln!("wrote {} rows to {p}", rows.len());
+    }
 }

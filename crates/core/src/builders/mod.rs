@@ -16,6 +16,7 @@ use crate::config::{BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, M
 use crate::h2matrix::H2MatrixS;
 use crate::proxy::{coupling_block_s, ProxyPoints};
 use crate::stores::{CouplingStore, NearfieldStore};
+use h2_cache::BlockKind;
 use h2_kernels::Kernel;
 use h2_linalg::id::row_id_consume;
 use h2_linalg::qr::Truncation;
@@ -261,14 +262,17 @@ pub fn build<S: Scalar>(
                 .interaction_pairs
                 .par_iter()
                 .map(|&(i, j)| {
-                    coupling_block_s::<S>(kernel.as_ref(), pts, &gens.proxies[i], &gens.proxies[j])
+                    let (pi, pj) = (&gens.proxies[i], &gens.proxies[j]);
+                    crate::diagnostics::record_block(BlockKind::Coupling, pi.len(), pj.len());
+                    coupling_block_s::<S>(kernel.as_ref(), pts, pi, pj)
                 })
                 .collect();
             let nearfield_blocks: Vec<MatrixS<S>> = lists
                 .nearfield_pairs
                 .par_iter()
                 .map(|&(i, j)| {
-                    crate::diagnostics::record_nearfield_block(
+                    crate::diagnostics::record_block(
+                        BlockKind::Nearfield,
                         tree.node(i).len(),
                         tree.node(j).len(),
                     );

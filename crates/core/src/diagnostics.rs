@@ -12,6 +12,7 @@
 //! one relaxed atomic add per generated block.
 
 use crate::h2matrix::H2Matrix;
+use h2_cache::BlockKind;
 
 /// Process-wide counters of block generation work, recorded wherever a
 /// coupling or nearfield block is (re)generated: on-the-fly matvec/matmat
@@ -21,8 +22,10 @@ use crate::h2matrix::H2Matrix;
 ///
 /// For test assertions, prefer [`counters::scope`]: process-wide totals are
 /// shared by every test in a binary, while a scope reads only the calling
-/// thread's contribution (exact under this workspace's inline `rayon`
-/// stand-in, immune to parallel test interleaving).
+/// thread's contribution, immune to parallel test interleaving. A sweep's
+/// helper threads tally their blocks in plain integers that the calling
+/// thread records after the join, so a scope around a product sees exactly
+/// that product's work at any thread count.
 pub mod counters {
     /// Scoped view of this thread's counter increments — re-exported
     /// [`h2_telemetry::LocalScope`]; query with the registry names
@@ -52,18 +55,46 @@ pub mod counters {
     }
 }
 
-/// Records one coupling-block generation of the given shape.
-#[inline]
-pub(crate) fn record_coupling_block(rows: usize, cols: usize) {
-    h2_telemetry::counter_add!("coupling_blocks", 1);
-    h2_telemetry::counter_add!("kernel_evals", (rows * cols) as u64);
+/// Block generations counted in plain integers, to be recorded into the
+/// [`counters`] by whichever thread should own the counts.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct BlockTally {
+    coupling_blocks: u64,
+    nearfield_blocks: u64,
+    kernel_evals: u64,
 }
 
-/// Records one nearfield-block generation of the given shape.
+impl BlockTally {
+    /// Counts one generated block of the given family and shape.
+    pub(crate) fn add(&mut self, kind: BlockKind, rows: usize, cols: usize) {
+        match kind {
+            BlockKind::Coupling => self.coupling_blocks += 1,
+            BlockKind::Nearfield => self.nearfield_blocks += 1,
+        }
+        self.kernel_evals += (rows * cols) as u64;
+    }
+
+    /// Adds another tally's counts.
+    pub(crate) fn merge(&mut self, other: BlockTally) {
+        self.coupling_blocks += other.coupling_blocks;
+        self.nearfield_blocks += other.nearfield_blocks;
+        self.kernel_evals += other.kernel_evals;
+    }
+
+    /// Records the counts on the calling thread.
+    pub(crate) fn record(self) {
+        h2_telemetry::counter_add!("coupling_blocks", self.coupling_blocks);
+        h2_telemetry::counter_add!("nearfield_blocks", self.nearfield_blocks);
+        h2_telemetry::counter_add!("kernel_evals", self.kernel_evals);
+    }
+}
+
+/// Records one block generation of the given family and shape.
 #[inline]
-pub(crate) fn record_nearfield_block(rows: usize, cols: usize) {
-    h2_telemetry::counter_add!("nearfield_blocks", 1);
-    h2_telemetry::counter_add!("kernel_evals", (rows * cols) as u64);
+pub(crate) fn record_block(kind: BlockKind, rows: usize, cols: usize) {
+    let mut tally = BlockTally::default();
+    tally.add(kind, rows, cols);
+    tally.record();
 }
 
 /// Rank statistics for one tree level.

@@ -223,9 +223,18 @@ impl<S: Scalar> H2MatrixS<S> {
 
     /// Materializes one coupling or nearfield block exactly as the normal
     /// builder does (same kernel evaluations, same `S` rounding) — the
-    /// generation primitive of every cache tier. `(i, j)` must be a listed
-    /// pair; coupling blocks want the canonical `i <= j` orientation.
+    /// generation primitive of every cache tier, counted in the
+    /// [`crate::diagnostics::counters`]. `(i, j)` must be a listed pair;
+    /// coupling blocks want the canonical `i <= j` orientation.
     pub fn generate_block(&self, kind: BlockKind, i: NodeId, j: NodeId) -> MatrixS<S> {
+        let (rows, cols) = self.block_shape(kind, i, j);
+        crate::diagnostics::record_block(kind, rows, cols);
+        self.materialize_block(kind, i, j)
+    }
+
+    /// [`Self::generate_block`] without the counting: the sweeps tally
+    /// their generations per thread and record them after the join.
+    pub(crate) fn materialize_block(&self, kind: BlockKind, i: NodeId, j: NodeId) -> MatrixS<S> {
         let pts = self.tree.points();
         match kind {
             BlockKind::Coupling => crate::proxy::coupling_block_s::<S>(
@@ -234,18 +243,12 @@ impl<S: Scalar> H2MatrixS<S> {
                 &self.proxies[i],
                 &self.proxies[j],
             ),
-            BlockKind::Nearfield => {
-                crate::diagnostics::record_nearfield_block(
-                    self.tree.node(i).len(),
-                    self.tree.node(j).len(),
-                );
-                h2_kernels::kernel_matrix_s::<S>(
-                    self.kernel.as_ref(),
-                    pts,
-                    self.tree.node_indices(i),
-                    self.tree.node_indices(j),
-                )
-            }
+            BlockKind::Nearfield => h2_kernels::kernel_matrix_s::<S>(
+                self.kernel.as_ref(),
+                pts,
+                self.tree.node_indices(i),
+                self.tree.node_indices(j),
+            ),
         }
     }
 

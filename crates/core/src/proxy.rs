@@ -64,7 +64,6 @@ pub fn coupling_block_s<S: Scalar>(
     a: &ProxyPoints,
     b: &ProxyPoints,
 ) -> MatrixS<S> {
-    crate::diagnostics::record_coupling_block(a.len(), b.len());
     match (a, b) {
         (ProxyPoints::Indices(ra), ProxyPoints::Indices(cb)) => {
             h2_kernels::kernel_matrix_s::<S>(kernel, pts, ra, cb)
@@ -87,7 +86,6 @@ pub fn coupling_block_into(
     b: &ProxyPoints,
     out: &mut [f64],
 ) {
-    crate::diagnostics::record_coupling_block(a.len(), b.len());
     match (a, b) {
         (ProxyPoints::Indices(ra), ProxyPoints::Indices(cb)) => {
             kernel.eval_block_into(pts, ra, cb, out);

@@ -1,5 +1,6 @@
 //! The five-sweep engine: the paper's Algorithm 2 (gather → upward →
-//! horizontal → downward → leaf + nearfield → scatter), written once.
+//! horizontal → downward → leaf + nearfield → scatter), written once and
+//! run on every core.
 //!
 //! [`H2MatrixS::matvec`] is the `k = 1` call and [`H2MatrixS::matmat`] the
 //! any-`k` call of one function that runs the phases of a [`Sweep`] over the
@@ -7,19 +8,52 @@
 //! the same four phase methods on the plan of the nodes they own, with
 //! their sends and receives between the phases.
 //!
+//! ## Groups, cells and rounds
+//!
+//! The tree is cut once ([`ClusterTree::cut_at_level`]) at the shallowest
+//! level at least [`GROUPS`] nodes wide; every cut root with its subtree is
+//! a **group**, and the few nodes above the cut form one more, the **top**
+//! group. The cut depends on the tree only. The workspace is laid out
+//! group-major, so everything a group's nodes own — their `q`/`g` panels,
+//! their leaves' `y` rows — is one contiguous slice per buffer.
+//!
+//! A block pair `(i, j)` belongs to the **cell** of its two groups. A cell
+//! writes only into its own two groups, so cells that share no group can run
+//! at the same time. Each horizontal sweep is therefore a sequence of
+//! **rounds** ([`PairOrder`]): first the diagonal cells (both nodes in one
+//! group), then the off-diagonal cells packed greedily, heaviest first, into
+//! rounds in which no group appears twice. Threads take the cells of a round
+//! heaviest first and meet at a barrier before the next round; the tree
+//! sweeps run one task per group, the top group on its own before (downward)
+//! or after (upward) the others.
+//!
 //! ## The order invariant
 //!
 //! Both horizontal sweeps walk the *unique* block pairs `(i ≤ j)` in the
-//! lexicographic order of the sorted pair lists and apply each block in
-//! both directions (`out_i += B x_j`, `out_j += Bᵀ x_i`) while it is live.
-//! A target `t` therefore receives its contributions in ascending
-//! neighbour order — every `(a, t)` with `a < t`, then `(t, t)`, then every
-//! `(t, b)` — for any number of columns and for any subset of owned nodes:
-//! a rank's schedule is the same list filtered to the pairs with an owned
-//! endpoint, with only the owned directions flagged. That is what makes a
-//! panel column bitwise equal to the vector product and a sharded sweep
-//! bitwise equal to the serial one. A block is touched once per sweep:
-//! streamed from memory once, probed in the cache once, or generated once.
+//! total order "cell by cell in round order, ascending list position inside
+//! a cell" and apply each block in both directions (`out_i += B x_j`,
+//! `out_j += Bᵀ x_i`) while it is live. A target therefore receives the
+//! contributions of its diagonal cell in ascending neighbour order, then
+//! those of its off-diagonal cells round by round. The order is a function
+//! of the operator (tree, lists, ranks) only — never of the thread count,
+//! of the shard count, or of timing — and a rank's schedule is the same
+//! order filtered to the pairs with an owned endpoint, with only the owned
+//! directions flagged. That is what makes the result bitwise identical at
+//! any width, a panel column bitwise equal to the vector product, and a
+//! sharded sweep bitwise equal to the serial one. A block is touched once
+//! per sweep: streamed from memory once, probed in the cache once, or
+//! generated once — by whichever thread took its cell.
+//!
+//! ## Who owns a thread
+//!
+//! A product runs on [`Sweep`]'s `width` threads: the caller plus
+//! `width − 1` helpers scoped to that one product (no pool, no state
+//! between products). [`H2MatrixS::matvec`]/[`H2MatrixS::matmat`] pass
+//! `rayon::current_num_threads()` — the machine's parallelism, or the width
+//! of the pool the caller is `install`ed in; a distributed rank is itself
+//! the unit of parallelism and passes 1. Phase spans and counters are
+//! recorded by the calling thread only (helpers tally in plain integers),
+//! so telemetry scopes see exactly the product's work at any width.
 //!
 //! ## Two arithmetic classes
 //!
@@ -31,14 +65,23 @@
 //! ([`h2_kernels::Kernel::apply_block`]), so on-the-fly results do not
 //! depend on whether a block was ever materialized.
 
+use crate::diagnostics::BlockTally;
 use crate::h2matrix::H2MatrixS;
 use crate::proxy::coupling_block_into;
 use h2_cache::{BlockCache, BlockKind};
 use h2_linalg::{MatrixS, Scalar};
 use h2_points::admissibility::BlockLists;
-use h2_points::NodeId;
+use h2_points::{ClusterTree, NodeId};
+use std::cmp::Reverse;
 use std::ops::Range;
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
+
+/// The sweeps group their work by the cut roots of the shallowest tree level
+/// with at least this many of them (a tree that never gets this wide is one
+/// group and runs on the calling thread).
+pub const GROUPS: usize = 8;
 
 /// One step of a pair schedule: the canonical pair `(i ≤ j)` and which of
 /// its two directions the executing rank applies.
@@ -56,19 +99,145 @@ pub struct PairStep {
     pub rev: bool,
 }
 
+/// All pairs of one family between two groups (`groups.0 ≤ groups.1`; a
+/// diagonal cell has both equal).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Cell {
+    /// The two groups the cell reads from and writes into.
+    pub groups: (usize, usize),
+    /// Bytes of the cell's blocks were they materialized — its weight.
+    pub bytes: usize,
+    /// The cell's stretch of [`PairOrder::slots`].
+    pairs: Range<usize>,
+}
+
+/// The execution order of one pair family: every listed pair exactly once,
+/// cell by cell, the cells packed into conflict-free rounds.
+#[derive(Clone, Debug)]
+pub struct PairOrder {
+    /// List positions of the pairs, cell by cell, ascending inside a cell.
+    slots: Vec<usize>,
+    /// The cells in execution order.
+    cells: Vec<Cell>,
+    /// Round `r` is `cells[rounds[r]..rounds[r + 1]]`; round 0 holds the
+    /// diagonal cells.
+    rounds: Vec<usize>,
+}
+
+impl PairOrder {
+    /// Orders `pairs` by the cell of their nodes' `group`s (`n_groups`
+    /// including the top group); `bytes` weighs a pair's block.
+    fn new(
+        pairs: &[(NodeId, NodeId)],
+        group: &[usize],
+        n_groups: usize,
+        bytes: impl Fn(NodeId, NodeId) -> usize,
+    ) -> Self {
+        let cell_of = |&(i, j): &(NodeId, NodeId)| {
+            let (c, d) = (group[i].min(group[j]), group[i].max(group[j]));
+            c * n_groups + d
+        };
+        let mut count = vec![0usize; n_groups * n_groups];
+        let mut weight = vec![0usize; n_groups * n_groups];
+        for pair in pairs {
+            let cell = cell_of(pair);
+            count[cell] += 1;
+            weight[cell] += bytes(pair.0, pair.1);
+        }
+        // Diagonal cells first, in group order.
+        let mut order: Vec<usize> = (0..n_groups)
+            .map(|c| c * n_groups + c)
+            .filter(|&cell| count[cell] > 0)
+            .collect();
+        let mut rounds = vec![0, order.len()];
+        // Off-diagonal cells heaviest first; each pass over what is left
+        // fills one round with cells whose groups are still free.
+        let mut left: Vec<usize> = (0..n_groups * n_groups)
+            .filter(|&cell| cell / n_groups < cell % n_groups && count[cell] > 0)
+            .collect();
+        left.sort_by_key(|&cell| (Reverse(weight[cell]), cell));
+        let mut busy = vec![false; n_groups];
+        while !left.is_empty() {
+            busy.fill(false);
+            left.retain(|&cell| {
+                let (c, d) = (cell / n_groups, cell % n_groups);
+                if busy[c] || busy[d] {
+                    return true;
+                }
+                (busy[c], busy[d]) = (true, true);
+                order.push(cell);
+                false
+            });
+            rounds.push(order.len());
+        }
+        // Counting sort of the list positions by cell.
+        let mut next = vec![0usize; n_groups * n_groups];
+        let mut at = 0;
+        let cells = order
+            .iter()
+            .map(|&cell| {
+                next[cell] = at;
+                at += count[cell];
+                Cell {
+                    groups: (cell / n_groups, cell % n_groups),
+                    bytes: weight[cell],
+                    pairs: next[cell]..at,
+                }
+            })
+            .collect();
+        let mut slots = vec![0usize; pairs.len()];
+        for (slot, pair) in pairs.iter().enumerate() {
+            let cell = cell_of(pair);
+            slots[next[cell]] = slot;
+            next[cell] += 1;
+        }
+        PairOrder {
+            slots,
+            cells,
+            rounds,
+        }
+    }
+
+    /// The rounds in execution order, each a set of cells no two of which
+    /// share a group (heaviest first); the first round holds the diagonal
+    /// cells and may be empty.
+    pub fn rounds(&self) -> impl Iterator<Item = &[Cell]> + '_ {
+        self.rounds.windows(2).map(|w| &self.cells[w[0]..w[1]])
+    }
+
+    /// List positions of a cell's pairs, ascending.
+    pub fn slots(&self, cell: &Cell) -> &[usize] {
+        &self.slots[cell.pairs.clone()]
+    }
+}
+
 /// What one rank executes: the nodes it owns, by level and as leaves, the
-/// pair schedule that follows from them, and the flat panel layout.
+/// grouping of the tree, the pair schedule that follows from both, and the
+/// flat group-major panel layout.
 ///
 /// Derived per apply from the operator's tree, lists and ranks in
-/// O(nodes); the pair schedule is a filter over the sorted lists and is
-/// never materialized.
+/// O(nodes + pairs); nothing of it is stored in the operator.
 pub struct SweepPlan<'a> {
+    tree: &'a ClusterTree,
     levels: &'a [Vec<NodeId>],
     leaves: &'a [NodeId],
     lists: &'a BlockLists,
-    /// Prefix sums of the ranks: node `i`'s coefficient rows.
-    row_off: Vec<usize>,
+    ranks: &'a [usize],
     owned: Vec<bool>,
+    /// Group of every node: the index of its cut root, or `top` above the
+    /// cut.
+    group: Vec<usize>,
+    /// Index of the top group (= number of cut roots).
+    top: usize,
+    /// Node `i`'s first coefficient row in `q` / `g`.
+    q_off: Vec<usize>,
+    /// Group `c`'s coefficient rows are `q_base[c]..q_base[c + 1]`.
+    q_base: Vec<usize>,
+    /// Group `c`'s tree positions are `y_base[c]..y_base[c + 1]` (none for
+    /// the top group: every leaf is inside a cut subtree).
+    y_base: Vec<usize>,
+    coupling: PairOrder,
+    nearfield: PairOrder,
 }
 
 impl<'a> SweepPlan<'a> {
@@ -79,23 +248,76 @@ impl<'a> SweepPlan<'a> {
         levels: &'a [Vec<NodeId>],
         leaves: &'a [NodeId],
     ) -> Self {
-        let mut row_off = Vec::with_capacity(h2.ranks.len() + 1);
-        let mut total = 0;
-        row_off.push(0);
-        for &r in &h2.ranks {
-            total += r;
-            row_off.push(total);
+        let (tree, ranks) = (&h2.tree, &h2.ranks[..]);
+        let roots = tree.cut_at_level(tree.level_with_cut(GROUPS).unwrap_or(0));
+        let top = roots.len();
+        let mut group = vec![top; ranks.len()];
+        let mut stack = Vec::new();
+        for (c, &root) in roots.iter().enumerate() {
+            stack.push(root);
+            while let Some(i) = stack.pop() {
+                group[i] = c;
+                stack.extend_from_slice(&tree.node(i).children);
+            }
         }
-        let mut owned = vec![false; h2.ranks.len()];
+        // Group-major panel layout: groups in order, node ids ascending
+        // inside a group.
+        let mut q_base = vec![0; top + 2];
+        for (i, &r) in ranks.iter().enumerate() {
+            q_base[group[i] + 1] += r;
+        }
+        for c in 0..=top {
+            q_base[c + 1] += q_base[c];
+        }
+        let mut next = q_base.clone();
+        let q_off = (0..ranks.len())
+            .map(|i| {
+                let at = next[group[i]];
+                next[group[i]] += ranks[i];
+                at
+            })
+            .collect();
+        let n = tree.points().len();
+        let y_base = roots
+            .iter()
+            .map(|&r| tree.node(r).start)
+            .chain([n, n])
+            .collect();
+        let mut owned = vec![false; ranks.len()];
         for &i in levels.iter().flatten() {
             owned[i] = true;
         }
+        let bytes = |kind| {
+            move |i, j| {
+                let (rows, cols) = h2.block_shape(kind, i, j);
+                rows * cols * S::BYTES
+            }
+        };
+        let lists = &h2.lists;
         SweepPlan {
+            tree,
             levels,
             leaves,
-            lists: &h2.lists,
-            row_off,
+            lists,
+            ranks,
             owned,
+            top,
+            q_off,
+            q_base,
+            y_base,
+            coupling: PairOrder::new(
+                &lists.interaction_pairs,
+                &group,
+                top + 1,
+                bytes(BlockKind::Coupling),
+            ),
+            nearfield: PairOrder::new(
+                &lists.nearfield_pairs,
+                &group,
+                top + 1,
+                bytes(BlockKind::Nearfield),
+            ),
+            group,
         }
     }
 
@@ -104,33 +326,80 @@ impl<'a> SweepPlan<'a> {
         Self::new(h2, h2.tree.levels(), h2.tree.leaves())
     }
 
+    /// The group of node `i`: the index of its cut root in tree-position
+    /// order, or the number of cut roots for a node above the cut.
+    pub fn group(&self, i: NodeId) -> usize {
+        self.group[i]
+    }
+
     /// Where node `i`'s `rank_i × k` column-major panel sits in the `q` and
     /// `g` workspaces.
     pub fn q_range(&self, i: NodeId, k: usize) -> Range<usize> {
-        self.row_off[i] * k..self.row_off[i + 1] * k
+        self.q_off[i] * k..(self.q_off[i] + self.ranks[i]) * k
     }
 
-    fn steps(&self, pairs: &'a [(NodeId, NodeId)]) -> impl Iterator<Item = PairStep> + '_ {
-        pairs.iter().enumerate().filter_map(move |(slot, &(i, j))| {
-            let (fwd, rev) = (self.owned[i], self.owned[j] && i != j);
-            (fwd || rev).then_some(PairStep {
-                slot,
-                i,
-                j,
-                fwd,
-                rev,
-            })
+    /// [`Self::q_range`] relative to the start of the node's group.
+    fn q_local(&self, i: NodeId, k: usize) -> Range<usize> {
+        let base = self.q_base[self.group[i]];
+        (self.q_off[i] - base) * k..(self.q_off[i] - base + self.ranks[i]) * k
+    }
+
+    /// Where leaf `l`'s `len × k` column-major rows sit in `b` / `y`.
+    fn y_range(&self, l: NodeId, k: usize) -> Range<usize> {
+        let nd = self.tree.node(l);
+        nd.start * k..nd.end * k
+    }
+
+    /// [`Self::y_range`] relative to the start of the leaf's group.
+    fn y_local(&self, l: NodeId, k: usize) -> Range<usize> {
+        let (nd, base) = (self.tree.node(l), self.y_base[self.group[l]]);
+        (nd.start - base) * k..(nd.end - base) * k
+    }
+
+    /// The sorted pair list and the execution order of one family.
+    fn family(&self, kind: BlockKind) -> (&'a [(NodeId, NodeId)], &PairOrder) {
+        match kind {
+            BlockKind::Coupling => (&self.lists.interaction_pairs, &self.coupling),
+            BlockKind::Nearfield => (&self.lists.nearfield_pairs, &self.nearfield),
+        }
+    }
+
+    /// The execution order of one pair family (all listed pairs, whatever
+    /// this rank owns).
+    pub fn order(&self, kind: BlockKind) -> &PairOrder {
+        self.family(kind).1
+    }
+
+    /// The pair at list position `slot`, if this rank applies either of its
+    /// directions.
+    fn step(&self, pairs: &[(NodeId, NodeId)], slot: usize) -> Option<PairStep> {
+        let (i, j) = pairs[slot];
+        let (fwd, rev) = (self.owned[i], self.owned[j] && i != j);
+        (fwd || rev).then_some(PairStep {
+            slot,
+            i,
+            j,
+            fwd,
+            rev,
         })
     }
 
-    /// The coupling schedule of the horizontal sweep.
-    pub fn coupling(&self) -> impl Iterator<Item = PairStep> + '_ {
-        self.steps(&self.lists.interaction_pairs)
+    fn steps(&self, kind: BlockKind) -> impl Iterator<Item = PairStep> + '_ {
+        let (pairs, order) = self.family(kind);
+        order
+            .slots
+            .iter()
+            .filter_map(move |&slot| self.step(pairs, slot))
     }
 
-    /// The nearfield schedule of the leaf sweep.
+    /// The coupling schedule of the horizontal sweep, in execution order.
+    pub fn coupling(&self) -> impl Iterator<Item = PairStep> + '_ {
+        self.steps(BlockKind::Coupling)
+    }
+
+    /// The nearfield schedule of the leaf sweep, in execution order.
     pub fn nearfield(&self) -> impl Iterator<Item = PairStep> + '_ {
-        self.steps(&self.lists.nearfield_pairs)
+        self.steps(BlockKind::Nearfield)
     }
 
     /// Every block this rank touches, in the order its sweeps first touch
@@ -151,6 +420,112 @@ impl<'a> SweepPlan<'a> {
                     .map(move |st| bytes(BlockKind::Nearfield, st.i, st.j)),
             )
     }
+
+    /// The barrier-separated steps of `phases`, in execution order.
+    fn schedule(&self, phases: &[Phase]) -> Schedule {
+        let groups = |task: fn(usize) -> Task| (0..self.top).map(task);
+        // The top group's own step: none without a cut (node 0, the root,
+        // is then inside the one group).
+        let top = |task: fn(usize) -> Task| {
+            let above = self.group[0] == self.top;
+            above.then(|| task(self.top)).into_iter()
+        };
+        let rounds = |schedule: &mut Schedule, phase, kind| {
+            let mut at = 0;
+            for round in self.order(kind).rounds() {
+                let cells = at..at + round.len();
+                at = cells.end;
+                schedule.step(phase, cells.map(|cell| Task::Cell(kind, cell)));
+            }
+        };
+        let mut schedule = Schedule::default();
+        for &phase in phases {
+            match phase {
+                Phase::Upward => {
+                    schedule.step(phase, groups(Task::Up));
+                    schedule.step(phase, top(Task::Up));
+                }
+                Phase::Horizontal => rounds(&mut schedule, phase, BlockKind::Coupling),
+                Phase::Downward => {
+                    schedule.step(phase, top(Task::Down));
+                    schedule.step(phase, groups(Task::Down));
+                }
+                Phase::Leaf => {
+                    schedule.step(phase, groups(Task::Basis));
+                    rounds(&mut schedule, phase, BlockKind::Nearfield);
+                }
+            }
+        }
+        schedule
+    }
+}
+
+/// The four phases between gather and scatter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    Upward,
+    Horizontal,
+    Downward,
+    Leaf,
+}
+
+impl Phase {
+    const ALL: [Phase; 4] = [
+        Phase::Upward,
+        Phase::Horizontal,
+        Phase::Downward,
+        Phase::Leaf,
+    ];
+
+    fn span_name(self) -> &'static str {
+        match self {
+            Phase::Upward => "matvec.upward",
+            Phase::Horizontal => "matvec.horizontal",
+            Phase::Downward => "matvec.downward",
+            Phase::Leaf => "matvec.leaf",
+        }
+    }
+}
+
+/// One unit of work a thread takes; the tasks of one [`Step`] write into
+/// different groups.
+#[derive(Clone, Copy, Debug)]
+enum Task {
+    /// `q` of the owned nodes of one group, deepest level first.
+    Up(usize),
+    /// `g_i += R_i g_p` at the owned nodes whose *parent* is in one group,
+    /// shallowest level first (so the top group also feeds the cut roots).
+    Down(usize),
+    /// `y_i = U_i g_i` at the owned leaves of one group.
+    Basis(usize),
+    /// One cell of a family's [`PairOrder`].
+    Cell(BlockKind, usize),
+}
+
+/// Tasks that may run at the same time, followed by a barrier.
+struct Step {
+    phase: Phase,
+    /// The step's stretch of [`Schedule::tasks`].
+    tasks: Range<usize>,
+}
+
+/// What one [`Sweep::run`] executes: steps in order, each a run of tasks.
+#[derive(Default)]
+struct Schedule {
+    tasks: Vec<Task>,
+    steps: Vec<Step>,
+}
+
+impl Schedule {
+    /// Appends `tasks` as one step, unless there are none.
+    fn step(&mut self, phase: Phase, tasks: impl Iterator<Item = Task>) {
+        let at = self.tasks.len();
+        self.tasks.extend(tasks);
+        let tasks = at..self.tasks.len();
+        if !tasks.is_empty() {
+            self.steps.push(Step { phase, tasks });
+        }
+    }
 }
 
 /// A block as one of the three tiers serves it.
@@ -165,7 +540,8 @@ enum Fetched<'a, S: Scalar> {
 }
 
 /// The single three-tier fetch: resident-or-mapped, then cached, then
-/// generated into `scratch`. `(i, j)` is a listed canonical pair.
+/// generated into `scratch`. `(i, j)` is a listed canonical pair; a
+/// generation is counted in `tally`.
 fn fetch<'a, S: Scalar>(
     h2: &'a H2MatrixS<S>,
     cache: Option<&BlockCache<S>>,
@@ -173,12 +549,17 @@ fn fetch<'a, S: Scalar>(
     (i, j): (NodeId, NodeId),
     resident: Option<&'a MatrixS<S>>,
     scratch: &mut Vec<f64>,
+    tally: &mut BlockTally,
 ) -> Fetched<'a, S> {
     if let Some(block) = resident {
         return Fetched::Resident(block);
     }
+    let (rows, cols) = h2.block_shape(kind, i, j);
     if let Some(cache) = cache {
-        let generate = || h2.generate_block(kind, i, j);
+        let generate = || {
+            tally.add(kind, rows, cols);
+            h2.materialize_block(kind, i, j)
+        };
         return Fetched::Cached(cache.get_or_generate_at(
             kind,
             i,
@@ -187,7 +568,7 @@ fn fetch<'a, S: Scalar>(
             generate,
         ));
     }
-    let (rows, cols) = h2.block_shape(kind, i, j);
+    tally.add(kind, rows, cols);
     scratch.clear();
     scratch.resize(rows * cols, 0.0);
     let pts = h2.tree.points();
@@ -199,15 +580,12 @@ fn fetch<'a, S: Scalar>(
             &h2.proxies[j],
             scratch,
         ),
-        BlockKind::Nearfield => {
-            crate::diagnostics::record_nearfield_block(rows, cols);
-            h2.kernel.eval_block_into(
-                pts,
-                h2.tree.node_indices(i),
-                h2.tree.node_indices(j),
-                scratch,
-            );
-        }
+        BlockKind::Nearfield => h2.kernel.eval_block_into(
+            pts,
+            h2.tree.node_indices(i),
+            h2.tree.node_indices(j),
+            scratch,
+        ),
     }
     Fetched::Scratch(rows)
 }
@@ -325,17 +703,92 @@ fn col(base: usize, rows: usize, c: usize) -> Range<usize> {
     base + c * rows..base + (c + 1) * rows
 }
 
+/// Cuts `buf` (rows of `k` columns each) into one slice per group at the
+/// row bounds `base`, each behind the lock its tasks take.
+fn by_group<'s, A>(buf: &'s mut [A], base: &[usize], k: usize) -> Vec<Mutex<&'s mut [A]>> {
+    let mut rest = buf;
+    let cut = |w: &[usize]| {
+        let (group, tail) = std::mem::take(&mut rest).split_at_mut((w[1] - w[0]) * k);
+        rest = tail;
+        Mutex::new(group)
+    };
+    base.windows(2).map(cut).collect()
+}
+
+/// A group's slice. Steps keep two tasks out of one group, so the lock is
+/// never contended; it fails only after a task panicked holding it.
+fn lock<'g, 's, A>(group: &'g Mutex<&'s mut [A]>) -> MutexGuard<'g, &'s mut [A]> {
+    group
+        .lock()
+        .expect("a sweep task panicked inside this group")
+}
+
+/// The slices of a cell's two groups (one on the diagonal).
+fn lock2<'g, 's, A>(
+    buf: &'g [Mutex<&'s mut [A]>],
+    c: usize,
+    d: usize,
+) -> (
+    MutexGuard<'g, &'s mut [A]>,
+    Option<MutexGuard<'g, &'s mut [A]>>,
+) {
+    (lock(&buf[c]), (c != d).then(|| lock(&buf[d])))
+}
+
+/// The output slice of a cell's second group when `second` (and the cell
+/// has one), else of its first.
+fn side<'o, A>(first: &'o mut [A], other: &'o mut Option<&mut [A]>, second: bool) -> &'o mut [A] {
+    match other {
+        Some(other) if second => other,
+        _ => first,
+    }
+}
+
+/// What each thread of a product has to itself.
+struct Local<A> {
+    /// One column of `R_i g_p` (downward sweep).
+    add: Vec<A>,
+    /// Row accumulators of the generated tier.
+    acc: Vec<f64>,
+    /// The one generated block alive at a time.
+    scratch: Vec<f64>,
+    /// Blocks this thread generated, for the caller to record.
+    tally: BlockTally,
+}
+
+/// Capacities of a [`Local`]: the largest rank, and the most rows and
+/// entries of a generated block.
+#[derive(Clone, Copy)]
+struct LocalSize {
+    rank: usize,
+    rows: usize,
+    entries: usize,
+}
+
+impl<A: Scalar> Local<A> {
+    fn new(size: LocalSize) -> Self {
+        Local {
+            add: vec![A::ZERO; size.rank],
+            acc: Vec::with_capacity(size.rows),
+            scratch: Vec::with_capacity(size.entries),
+            tally: BlockTally::default(),
+        }
+    }
+}
+
 /// One product in flight: the flat workspace of `k` right-hand sides and
-/// the four phases that fill it. Every buffer holds per-node column-major
-/// panels: node `i`'s coefficients at [`SweepPlan::q_range`] in `q` / `g`,
-/// leaf `l`'s rows at `start·k..end·k` in `b` / `y` (tree order). Buffers
-/// are public so a distributed rank can send panels out of them and
-/// receive panels into them between phases.
+/// the four phases that fill it, run on `width` threads. Every buffer holds
+/// per-node column-major panels, group-major: node `i`'s coefficients at
+/// [`SweepPlan::q_range`] in `q` / `g`, leaf `l`'s rows at `start·k..end·k`
+/// in `b` / `y` (tree order, in which the groups are contiguous). Buffers
+/// are public so a distributed rank can send panels out of them and receive
+/// panels into them between phases.
 pub struct Sweep<'a, S: Scalar, A: Scalar> {
     h2: &'a H2MatrixS<S>,
     plan: &'a SweepPlan<'a>,
     cache: Option<&'a BlockCache<S>>,
     k: usize,
+    width: usize,
     /// Right-hand sides, gathered into tree order.
     pub b: Vec<A>,
     /// Results in tree order.
@@ -344,49 +797,53 @@ pub struct Sweep<'a, S: Scalar, A: Scalar> {
     pub q: Vec<A>,
     /// Downward coefficients `g_i`.
     pub g: Vec<A>,
-    /// One column of `R_i g_p` (downward sweep).
-    add: Vec<A>,
-    /// Row accumulators of the generated tier.
-    acc: Vec<f64>,
-    /// The one generated block alive at a time.
-    scratch: Vec<f64>,
+    /// One per thread that has run so far; the calling thread's first.
+    /// Helpers borrow theirs, so they allocate nothing of their own.
+    locals: Vec<Local<A>>,
+    local_size: LocalSize,
 }
 
 impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
-    /// A zeroed workspace for `k` right-hand sides. `cache` is the tier
-    /// between the stores and the kernel this rank fetches through.
+    /// A zeroed workspace for `k` right-hand sides whose phases run on up
+    /// to `width` threads (the caller and `width − 1` helpers). `cache` is
+    /// the tier between the stores and the kernel this rank fetches through.
     pub fn new(
         h2: &'a H2MatrixS<S>,
         plan: &'a SweepPlan<'a>,
         cache: Option<&'a BlockCache<S>>,
         k: usize,
+        width: usize,
     ) -> Self {
         let n = h2.n();
-        let coeffs = plan.row_off[h2.ranks.len()] * k;
-        let max_rank = h2.ranks.iter().copied().max().unwrap_or(0);
+        let coeffs = plan.q_base[plan.top + 1] * k;
         // Only the generated tier needs scratch; sized once for the largest
         // block of the schedule so the sweeps never reallocate.
         let generates = cache.is_none() && !h2.coupling.is_materialized();
         let shapes = plan
             .block_schedule(h2)
             .map(|(kind, i, j, _)| h2.block_shape(kind, i, j));
-        let (max_entries, max_rows) = if generates {
+        let (entries, rows) = if generates {
             shapes.fold((0, 0), |(e, r), (m, n)| (e.max(m * n), r.max(m)))
         } else {
             (0, 0)
+        };
+        let local_size = LocalSize {
+            rank: h2.ranks.iter().copied().max().unwrap_or(0),
+            rows,
+            entries,
         };
         Sweep {
             h2,
             plan,
             cache,
             k,
+            width,
             b: vec![A::ZERO; n * k],
             y: vec![A::ZERO; n * k],
             q: vec![A::ZERO; coeffs],
             g: vec![A::ZERO; coeffs],
-            add: vec![A::ZERO; max_rank],
-            acc: Vec::with_capacity(max_rows),
-            scratch: Vec::with_capacity(max_entries),
+            locals: vec![Local::new(local_size)],
+            local_size,
         }
     }
 
@@ -426,78 +883,203 @@ impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
     /// above, deepest level first. Children of an owned node that are not
     /// owned must already hold their received `q`.
     pub fn upward(&mut self) {
-        let (h2, plan, k) = (self.h2, self.plan, self.k);
-        for level in plan.levels.iter().rev() {
-            for &i in level {
-                let nd = h2.tree.node(i);
-                let (ri, qi) = (h2.ranks[i], plan.q_range(i, k));
-                if nd.is_leaf() {
-                    for c in 0..k {
-                        let bi = &self.b[col(nd.start * k, nd.len(), c)];
-                        h2.bases[i].matvec_t_acc(bi, &mut self.q[col(qi.start, ri, c)]);
-                    }
-                    continue;
-                }
-                for &ch in &nd.children {
-                    let transfer = &h2.transfers[ch];
-                    if transfer.is_empty() {
-                        continue;
-                    }
-                    let rc = h2.ranks[ch];
-                    let (qc, qi) = split_panels(&mut self.q, plan.q_range(ch, k), qi.clone());
-                    for c in 0..k {
-                        transfer.matvec_t_acc(&qc[col(0, rc, c)], &mut qi[col(0, ri, c)]);
-                    }
-                }
-            }
-        }
+        self.run(&[Phase::Upward], |_| ());
     }
 
     /// Sweep 3: `g_i += B_{i,j} q_j` and `g_j += B_{i,j}ᵀ q_i` over the
     /// coupling schedule. Sources that are not owned must already hold
     /// their received `q`.
     pub fn horizontal(&mut self) {
-        let (h2, plan, k) = (self.h2, self.plan, self.k);
-        let resident = h2.coupling.blocks();
-        for st in plan.coupling() {
-            let block = fetch(
-                h2,
-                self.cache,
-                BlockKind::Coupling,
-                (st.i, st.j),
-                resident.map(|b| &b[st.slot]),
-                &mut self.scratch,
-            );
-            let (ri, rj) = (h2.ranks[st.i], h2.ranks[st.j]);
-            let (oi, oj) = (plan.q_range(st.i, k).start, plan.q_range(st.j, k).start);
-            for c in 0..k {
-                let (ci, cj) = (col(oi, ri, c), col(oj, rj, c));
-                if st.fwd {
-                    let (x, y) = (&self.q[cj.clone()], &mut self.g[ci.clone()]);
-                    block.apply(&self.scratch, &mut self.acc, false, x, y);
-                }
-                if st.rev {
-                    let (x, y) = (&self.q[ci], &mut self.g[cj]);
-                    block.apply(&self.scratch, &mut self.acc, true, x, y);
-                }
-            }
-        }
+        self.run(&[Phase::Horizontal], |_| ());
     }
 
     /// Sweep 4: `g_i += R_i g_p` over the owned nodes, shallowest level
     /// first. A parent that is not owned must already hold its received
     /// `g`.
     pub fn downward(&mut self) {
+        self.run(&[Phase::Downward], |_| ());
+    }
+
+    /// Sweep 5: `y_i = U_i g_i` at the owned leaves, then `y_i += N_{i,j}
+    /// b_j` and `y_j += N_{i,j}ᵀ b_i` over the nearfield schedule. Leaves
+    /// that are not owned must already hold their received `b`.
+    pub fn leaf(&mut self) {
+        self.run(&[Phase::Leaf], |_| ());
+    }
+
+    /// Runs `phases` on the sweep's threads. The calling thread works
+    /// alongside its helpers and calls `on_phase` as it enters each phase
+    /// (every thread is between the same two barriers then); the blocks
+    /// all threads generated are recorded by the calling thread at the end.
+    fn run(&mut self, phases: &[Phase], on_phase: impl FnMut(Phase)) {
+        let schedule = self.plan.schedule(phases);
+        let widest = schedule.steps.iter().map(|step| step.tasks.len()).max();
+        // No more threads than tasks that can ever run at the same time.
+        let width = self.width.min(widest.unwrap_or(1)).max(1);
+        let (plan, k) = (self.plan, self.k);
+        let job = Job {
+            h2: self.h2,
+            plan,
+            cache: self.cache,
+            k,
+            b: &self.b,
+            y: by_group(&mut self.y, &plan.y_base, k),
+            q: by_group(&mut self.q, &plan.q_base, k),
+            g: by_group(&mut self.g, &plan.q_base, k),
+            phases,
+            schedule: &schedule,
+            claimed: schedule.steps.iter().map(|_| AtomicUsize::new(0)).collect(),
+            barrier: Barrier::new(width),
+        };
+        while self.locals.len() < width {
+            self.locals.push(Local::new(self.local_size));
+        }
+        let (mine, helpers) = self.locals[..width]
+            .split_first_mut()
+            .expect("width is at least 1");
+        let job = &job;
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = helpers
+                .iter_mut()
+                .map(|local| scope.spawn(move || job.work(local, |_| ())))
+                .collect();
+            job.work(mine, on_phase);
+            for helper in helpers {
+                // Keep the helper's own panic message.
+                helper.join().unwrap_or_else(|panic| resume_unwind(panic));
+            }
+        });
+        let mut generated = BlockTally::default();
+        for local in &mut self.locals {
+            generated.merge(std::mem::take(&mut local.tally));
+        }
+        generated.record();
+        h2_telemetry::counter_add!("sweep.helper_threads", width - 1);
+    }
+}
+
+/// The view of one [`Sweep::run`] every thread shares: the operator, the
+/// plan, and the workspace cut into per-group slices.
+struct Job<'s, S: Scalar, A: Scalar> {
+    h2: &'s H2MatrixS<S>,
+    plan: &'s SweepPlan<'s>,
+    cache: Option<&'s BlockCache<S>>,
+    k: usize,
+    /// Read-only in every phase.
+    b: &'s [A],
+    y: Vec<Mutex<&'s mut [A]>>,
+    q: Vec<Mutex<&'s mut [A]>>,
+    g: Vec<Mutex<&'s mut [A]>>,
+    phases: &'s [Phase],
+    schedule: &'s Schedule,
+    /// Per step, how many of its tasks have been taken.
+    claimed: Vec<AtomicUsize>,
+    barrier: Barrier,
+}
+
+impl<S: Scalar, A: Scalar> Job<'_, S, A> {
+    /// One thread's share of the job: take tasks of the current step until
+    /// none is left, meet the others at the barrier, go on to the next step.
+    fn work(&self, local: &mut Local<A>, mut on_phase: impl FnMut(Phase)) {
+        let mut steps = self.schedule.steps.iter().zip(&self.claimed).peekable();
+        let mut panic = None;
+        for &phase in self.phases {
+            // Entered even when it has no step: a phase with nothing to do.
+            on_phase(phase);
+            while let Some((step, claimed)) = steps.next_if(|(step, _)| step.phase == phase) {
+                let tasks = &self.schedule.tasks[step.tasks.clone()];
+                // Relaxed: the counter only hands out task indices; what the
+                // tasks write is published by the group locks and the barrier.
+                while let Some(&task) = tasks.get(claimed.fetch_add(1, Ordering::Relaxed)) {
+                    // A thread that stopped coming to the barriers would hang
+                    // the others, so a panic is carried to the end instead.
+                    if panic.is_none() {
+                        let done = catch_unwind(AssertUnwindSafe(|| self.execute(task, local)));
+                        panic = done.err();
+                    }
+                }
+                self.barrier.wait();
+            }
+        }
+        if let Some(panic) = panic {
+            resume_unwind(panic);
+        }
+    }
+
+    fn execute(&self, task: Task, local: &mut Local<A>) {
+        match task {
+            Task::Up(group) => self.up(group),
+            Task::Down(group) => self.down(group, &mut local.add),
+            Task::Basis(group) => self.basis(group),
+            Task::Cell(kind, cell) => self.cell(kind, &self.plan.order(kind).cells[cell], local),
+        }
+    }
+
+    /// Runs `f(src's panel, dst's panel)` on one of the coefficient
+    /// buffers; the two nodes are parent and child, in either role.
+    fn with_panels(
+        &self,
+        buf: &[Mutex<&mut [A]>],
+        src: NodeId,
+        dst: NodeId,
+        f: impl FnOnce(&[A], &mut [A]),
+    ) {
+        let (plan, k) = (self.plan, self.k);
+        let (gs, gd) = (plan.group[src], plan.group[dst]);
+        if gs == gd {
+            let mut group = lock(&buf[gs]);
+            let (s, d) = split_panels(&mut group, plan.q_local(src, k), plan.q_local(dst, k));
+            f(s, d);
+        } else {
+            // A cut root and its parent above the cut; the top group's
+            // task is alone in its step.
+            let (s, mut d) = (lock(&buf[gs]), lock(&buf[gd]));
+            f(&s[plan.q_local(src, k)], &mut d[plan.q_local(dst, k)]);
+        }
+    }
+
+    fn up(&self, group: usize) {
         let (h2, plan, k) = (self.h2, self.plan, self.k);
-        for level in plan.levels {
-            for &i in level {
-                let Some(p) = h2.tree.node(i).parent else {
+        let in_group = |&&i: &&NodeId| plan.group[i] == group;
+        for &i in plan.levels.iter().rev().flatten().filter(in_group) {
+            let nd = h2.tree.node(i);
+            let ri = h2.ranks[i];
+            if nd.is_leaf() {
+                let mut q = lock(&self.q[group]);
+                let (bi, qi) = (&self.b[plan.y_range(i, k)], &mut q[plan.q_local(i, k)]);
+                for c in 0..k {
+                    h2.bases[i].matvec_t_acc(&bi[col(0, nd.len(), c)], &mut qi[col(0, ri, c)]);
+                }
+                continue;
+            }
+            for &ch in &nd.children {
+                let transfer = &h2.transfers[ch];
+                if transfer.is_empty() {
                     continue;
-                };
-                let (ri, rp) = (h2.ranks[i], h2.ranks[p]);
-                let transfer = &h2.transfers[i];
-                let (gp, gi) = split_panels(&mut self.g, plan.q_range(p, k), plan.q_range(i, k));
-                let add = &mut self.add[..ri];
+                }
+                let rc = h2.ranks[ch];
+                self.with_panels(&self.q, ch, i, |qc, qi| {
+                    for c in 0..k {
+                        transfer.matvec_t_acc(&qc[col(0, rc, c)], &mut qi[col(0, ri, c)]);
+                    }
+                });
+            }
+        }
+    }
+
+    fn down(&self, group: usize, add: &mut [A]) {
+        let (h2, plan, k) = (self.h2, self.plan, self.k);
+        for &i in plan.levels.iter().flatten() {
+            let Some(p) = h2.tree.node(i).parent else {
+                continue;
+            };
+            if plan.group[p] != group {
+                continue;
+            }
+            let (ri, rp) = (h2.ranks[i], h2.ranks[p]);
+            let transfer = &h2.transfers[i];
+            let add = &mut add[..ri];
+            self.with_panels(&self.g, p, i, |gp, gi| {
                 for c in 0..k {
                     // Into a zeroed column first: `R_i g_p` is summed on
                     // its own before it meets the horizontal sum.
@@ -509,45 +1091,98 @@ impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
                         *a += v;
                     }
                 }
+            });
+        }
+    }
+
+    fn basis(&self, group: usize) {
+        let (h2, plan, k) = (self.h2, self.plan, self.k);
+        let (g, mut y) = (lock(&self.g[group]), lock(&self.y[group]));
+        for &i in plan.leaves.iter().filter(|&&i| plan.group[i] == group) {
+            let (ri, len) = (h2.ranks[i], h2.tree.node(i).len());
+            let (gi, yi) = (&g[plan.q_local(i, k)], &mut y[plan.y_local(i, k)]);
+            for c in 0..k {
+                h2.bases[i].matvec_acc(&gi[col(0, ri, c)], &mut yi[col(0, len, c)]);
             }
         }
     }
 
-    /// Sweep 5: `y_i = U_i g_i` at the owned leaves, then `y_i += N_{i,j}
-    /// b_j` and `y_j += N_{i,j}ᵀ b_i` over the nearfield schedule. Leaves
-    /// that are not owned must already hold their received `b`.
-    pub fn leaf(&mut self) {
-        let (h2, plan, k) = (self.h2, self.plan, self.k);
-        let tree = &h2.tree;
-        for &i in plan.leaves {
-            let nd = tree.node(i);
-            let (ri, gi) = (h2.ranks[i], plan.q_range(i, k).start);
-            for c in 0..k {
-                let yi = &mut self.y[col(nd.start * k, nd.len(), c)];
-                h2.bases[i].matvec_acc(&self.g[col(gi, ri, c)], yi);
+    /// Applies the owned directions of every pair of one cell, in list
+    /// order, holding the cell's two groups.
+    fn cell(&self, kind: BlockKind, cell: &Cell, local: &mut Local<A>) {
+        let (plan, k) = (self.plan, self.k);
+        let (c, d) = cell.groups;
+        match kind {
+            BlockKind::Coupling => {
+                let ((qc, qd), (mut gc, mut gd)) = (lock2(&self.q, c, d), lock2(&self.g, c, d));
+                let q_of = |i: NodeId| match &qd {
+                    Some(qd) if plan.group[i] != c => &qd[plan.q_local(i, k)],
+                    _ => &qc[plan.q_local(i, k)],
+                };
+                let out = (&mut **gc, gd.as_mut().map(|g| &mut ***g));
+                self.pairs(kind, cell, local, q_of, out, |i| plan.q_local(i, k));
+            }
+            BlockKind::Nearfield => {
+                let (mut yc, mut yd) = lock2(&self.y, c, d);
+                let b_of = |i: NodeId| &self.b[plan.y_range(i, k)];
+                let out = (&mut **yc, yd.as_mut().map(|y| &mut ***y));
+                self.pairs(kind, cell, local, b_of, out, |i| plan.y_local(i, k));
             }
         }
-        let resident = h2.nearfield.blocks();
-        for st in plan.nearfield() {
+    }
+
+    /// The pair loop of [`Self::cell`]: `input(i)` is node `i`'s input
+    /// panel, `out` the output slices of the cell's first and (off the
+    /// diagonal) second group, `out_at(i)` node `i`'s panel in its slice.
+    fn pairs<'x>(
+        &self,
+        kind: BlockKind,
+        cell: &Cell,
+        local: &mut Local<A>,
+        input: impl Fn(NodeId) -> &'x [A],
+        (out_c, mut out_d): (&mut [A], Option<&mut [A]>),
+        out_at: impl Fn(NodeId) -> Range<usize>,
+    ) where
+        A: 'x,
+    {
+        let (h2, plan, k) = (self.h2, self.plan, self.k);
+        let (pairs, order) = plan.family(kind);
+        let resident = match kind {
+            BlockKind::Coupling => h2.coupling.blocks(),
+            BlockKind::Nearfield => h2.nearfield.blocks(),
+        };
+        let Local {
+            acc,
+            scratch,
+            tally,
+            ..
+        } = local;
+        // Node `i`'s output panel: in the cell's second group or its first.
+        let second = |i: NodeId| plan.group[i] != cell.groups.0;
+        let steps = order.slots(cell).iter();
+        for st in steps.filter_map(|&slot| plan.step(pairs, slot)) {
+            let at = (st.i, st.j);
             let block = fetch(
                 h2,
                 self.cache,
-                BlockKind::Nearfield,
-                (st.i, st.j),
+                kind,
+                at,
                 resident.map(|b| &b[st.slot]),
-                &mut self.scratch,
+                scratch,
+                tally,
             );
-            let (ni, nj) = (tree.node(st.i), tree.node(st.j));
+            let (rows, cols) = h2.block_shape(kind, st.i, st.j);
+            let (xi, xj) = (input(st.i), input(st.j));
             for c in 0..k {
-                let ci = col(ni.start * k, ni.len(), c);
-                let cj = col(nj.start * k, nj.len(), c);
                 if st.fwd {
-                    let (x, y) = (&self.b[cj.clone()], &mut self.y[ci.clone()]);
-                    block.apply(&self.scratch, &mut self.acc, false, x, y);
+                    let out = &mut side(out_c, &mut out_d, second(st.i))[out_at(st.i)];
+                    let (x, y) = (&xj[col(0, cols, c)], &mut out[col(0, rows, c)]);
+                    block.apply(scratch, acc, false, x, y);
                 }
                 if st.rev {
-                    let (x, y) = (&self.b[ci], &mut self.y[cj]);
-                    block.apply(&self.scratch, &mut self.acc, true, x, y);
+                    let out = &mut side(out_c, &mut out_d, second(st.j))[out_at(st.j)];
+                    let (x, y) = (&xi[col(0, rows, c)], &mut out[col(0, cols, c)]);
+                    block.apply(scratch, acc, true, x, y);
                 }
             }
         }
@@ -581,35 +1216,42 @@ impl<S: Scalar> H2MatrixS<S> {
             BlockKind::Nearfield => self.nearfield.block(lo, hi),
         };
         let (mut scratch, mut acc) = (Vec::new(), Vec::new());
+        let mut tally = BlockTally::default();
         let resident = resident.map(|(block, _)| block);
-        let block = fetch(self, cache, kind, (lo, hi), resident, &mut scratch);
+        let block = fetch(
+            self,
+            cache,
+            kind,
+            (lo, hi),
+            resident,
+            &mut scratch,
+            &mut tally,
+        );
+        tally.record();
         block.apply(&scratch, &mut acc, i > j, x, y);
     }
 
     /// `Y = Â B` for `k` right-hand sides: `b` and `y` are `n × k`
-    /// column-major in the original point order; `y` is overwritten.
+    /// column-major in the original point order; `y` is overwritten. Runs
+    /// as wide as `rayon::current_num_threads()` says.
     pub(crate) fn apply_panel<A: Scalar>(&self, k: usize, b: &[A], y: &mut [A]) {
         let _mv = h2_telemetry::span_labeled("matvec", format!("k={k}"));
         if k == 0 {
             return;
         }
         let plan = SweepPlan::whole(self);
-        let mut sweep = Sweep::new(self, &plan, self.cache.as_deref(), k);
+        let width = rayon::current_num_threads();
+        let mut sweep = Sweep::new(self, &plan, self.cache.as_deref(), k, width);
         let sp = h2_telemetry::span("matvec.gather");
         sweep.gather(b);
         drop(sp);
-        let sp = h2_telemetry::span("matvec.upward");
-        sweep.upward();
-        drop(sp);
-        let sp = h2_telemetry::span("matvec.horizontal");
-        sweep.horizontal();
-        drop(sp);
-        let sp = h2_telemetry::span("matvec.downward");
-        sweep.downward();
-        drop(sp);
-        let sp = h2_telemetry::span("matvec.leaf");
-        sweep.leaf();
-        drop(sp);
+        let mut phase_span = None;
+        sweep.run(&Phase::ALL, |phase| {
+            // Close the last phase's span before the next one opens.
+            drop(phase_span.take());
+            phase_span = Some(h2_telemetry::span(phase.span_name()));
+        });
+        drop(phase_span);
         let _sp = h2_telemetry::span("matvec.scatter");
         sweep.scatter(y);
     }

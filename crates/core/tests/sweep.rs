@@ -1,15 +1,18 @@
-//! The sweep engine's own contract: one code path for every `k`, so a
-//! panel column is the vector product bit for bit in every memory tier,
-//! precision and builder — including on an operator that has been updated
-//! in place.
+//! The sweep engine's own contract: one code path for every `k` and every
+//! thread count, so a panel column is the vector product bit for bit and a
+//! product is the same bits at any width — in every memory tier, precision
+//! and builder, including on an operator that has been updated in place.
 
+use h2_core::diagnostics::counters;
 use h2_core::{
-    BasisMethod, BuilderStrategy, CacheBudget, H2Config, H2MatrixS, MemoryMode, SweepPlan,
+    BasisMethod, BlockKind, BuilderStrategy, CacheBudget, H2Config, H2MatrixS, MemoryMode,
+    SweepPlan,
 };
 use h2_kernels::Coulomb;
 use h2_linalg::{MatrixS, Scalar};
 use h2_points::{gen, PointSet};
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Barrier};
 
 const N: usize = 700;
 const TOL: f64 = 1e-6;
@@ -32,6 +35,24 @@ fn panel<A: Scalar>(n: usize, k: usize) -> MatrixS<A> {
     })
 }
 
+/// Runs `f` with the sweeps sized to `width` threads — the one sizing
+/// mechanism there is.
+fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(width);
+    pool.build().expect("stand-in pool").install(f)
+}
+
+/// The product at `width`, and how many helper threads its sweep spawned.
+fn product_at<S: Scalar, A: Scalar>(
+    h2: &H2MatrixS<S>,
+    b: &MatrixS<A>,
+    width: usize,
+) -> (MatrixS<A>, u64) {
+    let scope = counters::scope();
+    let y = at_width(width, || h2.matmat(b));
+    (y, scope.count("sweep.helper_threads"))
+}
+
 /// Column `c` of the 8-column product equals the vector product of column
 /// `c`, and the empty panel maps to the empty panel.
 fn assert_k_invariant<S: Scalar, A: Scalar>(h2: &H2MatrixS<S>, what: &str) {
@@ -44,13 +65,44 @@ fn assert_k_invariant<S: Scalar, A: Scalar>(h2: &H2MatrixS<S>, what: &str) {
     assert_eq!(empty.shape(), (h2.n(), 0), "{what}: k = 0");
 }
 
+/// Products at widths 2, 3 and 8 equal the width-1 product bit for bit, for
+/// one and for eight columns, and every one of them really ran that wide.
+fn assert_width_invariant<S: Scalar, A: Scalar>(h2: &H2MatrixS<S>, what: &str) {
+    for k in [1, 8] {
+        let b = panel::<A>(h2.n(), k);
+        let (serial, helpers) = product_at(h2, &b, 1);
+        assert_eq!(helpers, 0, "{what}: width 1 spawns nothing");
+        for width in [2, 3, 8] {
+            let (y, helpers) = product_at(h2, &b, width);
+            assert_eq!(helpers, width as u64 - 1, "{what}: helpers at {width}");
+            assert_eq!(
+                y.as_slice(),
+                serial.as_slice(),
+                "{what}: k = {k}, width {width}"
+            );
+        }
+    }
+}
+
+/// Saves the operator and serves it back in place off the page cache.
+fn mmap_loaded<S: Scalar>(h2: &H2MatrixS<S>, tag: &str) -> H2MatrixS<S> {
+    let name = format!("h2-core-sweep-{}-{tag}.h2op", std::process::id());
+    let path = std::env::temp_dir().join(name);
+    h2_serve::save(h2, &path).expect("write operator file");
+    let loaded = h2_serve::load_mmap::<S>(&path, Arc::new(Coulomb)).expect("mmap operator file");
+    std::fs::remove_file(&path).ok();
+    assert!(loaded.memory_report().mapped_bytes > 0, "{tag}: not mapped");
+    loaded
+}
+
 #[test]
-fn panel_columns_equal_vector_products_in_every_tier_precision_and_builder() {
+fn products_are_bitwise_identical_for_every_k_and_width_in_every_tier_precision_and_builder() {
     let pts = gen::uniform_cube(N, 3, 19);
     let tiers = [
         ("normal", MemoryMode::Normal, CacheBudget::Off),
         ("otf", MemoryMode::OnTheFly, CacheBudget::Off),
         ("cached", MemoryMode::OnTheFly, CacheBudget::Ratio(0.5)),
+        ("mmap", MemoryMode::Normal, CacheBudget::Off),
     ];
     let builders = [
         ("anchor", BuilderStrategy::AnchorNet),
@@ -60,18 +112,25 @@ fn panel_columns_equal_vector_products_in_every_tier_precision_and_builder() {
         for (bname, builder) in &builders {
             let c = cfg(mode, budget, builder.clone());
             let what = format!("{tier}/{bname}");
-            let h64 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &c);
-            let h32 = H2MatrixS::<f32>::build(&pts, Arc::new(Coulomb), &c);
+            let mut h64 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &c);
+            let mut h32 = H2MatrixS::<f32>::build(&pts, Arc::new(Coulomb), &c);
             assert_eq!(h64.cache().is_some(), tier == "cached", "{what}");
+            if tier == "mmap" {
+                h64 = mmap_loaded(&h64, &format!("{bname}-f64"));
+                h32 = mmap_loaded(&h32, &format!("{bname}-f32"));
+            }
             assert_k_invariant::<f64, f64>(&h64, &format!("{what}/f64"));
             assert_k_invariant::<f32, f32>(&h32, &format!("{what}/f32"));
             assert_k_invariant::<f32, f64>(&h32, &format!("{what}/mixed"));
+            assert_width_invariant::<f64, f64>(&h64, &format!("{what}/f64"));
+            assert_width_invariant::<f32, f32>(&h32, &format!("{what}/f32"));
+            assert_width_invariant::<f32, f64>(&h32, &format!("{what}/mixed"));
         }
     }
 }
 
 #[test]
-fn whole_tree_schedule_is_both_directions_of_every_listed_pair_in_order() {
+fn schedule_is_every_listed_pair_once_in_conflict_free_rounds() {
     let pts = gen::uniform_cube(N, 3, 23);
     let c = cfg(
         MemoryMode::OnTheFly,
@@ -80,35 +139,203 @@ fn whole_tree_schedule_is_both_directions_of_every_listed_pair_in_order() {
     );
     let h2 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &c);
     let plan = SweepPlan::whole(&h2);
-    let coupling: Vec<_> = plan.coupling().collect();
-    assert_eq!(coupling.len(), h2.lists().interaction_pairs.len());
-    for (slot, (st, &(i, j))) in coupling
-        .iter()
-        .zip(&h2.lists().interaction_pairs)
-        .enumerate()
-    {
-        assert_eq!(
-            (st.slot, st.i, st.j, st.fwd, st.rev),
-            (slot, i, j, true, true)
+    let families = [
+        (BlockKind::Coupling, &h2.lists().interaction_pairs),
+        (BlockKind::Nearfield, &h2.lists().nearfield_pairs),
+    ];
+    for (kind, listed) in families {
+        let steps: Vec<_> = match kind {
+            BlockKind::Coupling => plan.coupling().collect(),
+            BlockKind::Nearfield => plan.nearfield().collect(),
+        };
+        // Every listed pair exactly once, both directions (a diagonal
+        // nearfield block is applied once, not mirrored onto itself).
+        let slots: BTreeSet<usize> = steps.iter().map(|st| st.slot).collect();
+        assert_eq!(steps.len(), listed.len(), "{kind:?}");
+        assert_eq!(slots.len(), listed.len(), "{kind:?}: a pair repeats");
+        for st in &steps {
+            assert_eq!((st.i, st.j), listed[st.slot]);
+            assert_eq!((st.fwd, st.rev), (true, st.i != st.j));
+        }
+
+        // The order is the cells of the rounds, list order inside a cell.
+        let order = plan.order(kind);
+        let mut walked = Vec::new();
+        let mut groups_seen = BTreeSet::new();
+        for (r, round) in order.rounds().enumerate() {
+            let mut busy = BTreeSet::new();
+            for cell in round {
+                let (c, d) = cell.groups;
+                assert_eq!(c == d, r == 0, "{kind:?}: round 0 is the diagonal");
+                assert!(busy.insert(c), "{kind:?}: group {c} twice in round {r}");
+                assert!(c == d || busy.insert(d), "{kind:?}: group {d} twice");
+                assert!(
+                    groups_seen.insert((c, d)),
+                    "{kind:?}: cell ({c}, {d}) twice"
+                );
+                let cell_slots = order.slots(cell);
+                assert!(!cell_slots.is_empty(), "{kind:?}: empty cell");
+                assert!(cell_slots.windows(2).all(|w| w[0] < w[1]), "list order");
+                let mut bytes = 0;
+                for &slot in cell_slots {
+                    let (i, j) = listed[slot];
+                    let (gi, gj) = (plan.group(i), plan.group(j));
+                    assert_eq!((gi.min(gj), gi.max(gj)), (c, d), "pair outside its cell");
+                    let (rows, cols) = match kind {
+                        BlockKind::Coupling => (h2.rank(i), h2.rank(j)),
+                        BlockKind::Nearfield => (h2.tree().node(i).len(), h2.tree().node(j).len()),
+                    };
+                    bytes += rows * cols * 8;
+                }
+                assert_eq!(cell.bytes, bytes, "{kind:?}: cell weight");
+                walked.extend_from_slice(cell_slots);
+            }
+            // Threads take a round's cells heaviest first.
+            assert!(r == 0 || round.windows(2).all(|w| w[0].bytes >= w[1].bytes));
+        }
+        let stepped: Vec<usize> = steps.iter().map(|st| st.slot).collect();
+        assert_eq!(walked, stepped, "{kind:?}: schedule is the round walk");
+    }
+    // Eight cut roots and the nodes above them.
+    let groups: BTreeSet<usize> = (0..h2.tree().node_count()).map(|i| plan.group(i)).collect();
+    assert_eq!(groups.len(), h2_core::sweep::GROUPS + 1);
+    for &l in h2.tree().leaves() {
+        assert!(
+            plan.group(l) < h2_core::sweep::GROUPS,
+            "leaf {l} above the cut"
         );
     }
-    // A diagonal nearfield block is applied once, not mirrored onto itself.
-    for (st, &(i, j)) in plan.nearfield().zip(&h2.lists().nearfield_pairs) {
-        assert_eq!((st.i, st.j, st.fwd, st.rev), (i, j, true, i != j));
-    }
+
     // The warm-up order is the schedule: coupling, then nearfield.
     let blocks: Vec<_> = plan
         .block_schedule(&h2)
-        .map(|(_, i, j, _)| (i, j))
+        .map(|(kind, i, j, _)| (kind, i, j))
         .collect();
-    let listed: Vec<_> = h2
-        .lists()
-        .interaction_pairs
-        .iter()
-        .chain(&h2.lists().nearfield_pairs)
-        .copied()
+    let scheduled: Vec<_> = plan
+        .coupling()
+        .map(|st| (BlockKind::Coupling, st.i, st.j))
+        .chain(
+            plan.nearfield()
+                .map(|st| (BlockKind::Nearfield, st.i, st.j)),
+        )
         .collect();
-    assert_eq!(blocks, listed);
+    assert_eq!(blocks, scheduled);
+}
+
+#[test]
+fn counters_see_each_block_generated_once_at_any_width() {
+    let pts = gen::uniform_cube(N, 3, 31);
+    let c = cfg(
+        MemoryMode::OnTheFly,
+        CacheBudget::Off,
+        BuilderStrategy::AnchorNet,
+    );
+    let h2 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &c);
+    let b = panel::<f64>(N, 3);
+    let counts_at = |width: usize| {
+        let scope = counters::scope();
+        let _ = at_width(width, || h2.matmat(&b));
+        (
+            scope.count("coupling_blocks"),
+            scope.count("nearfield_blocks"),
+            scope.count("kernel_evals"),
+        )
+    };
+    let serial = counts_at(1);
+    let pairs = |list: &[(usize, usize)]| list.len() as u64;
+    assert_eq!(serial.0, pairs(&h2.lists().interaction_pairs));
+    assert_eq!(serial.1, pairs(&h2.lists().nearfield_pairs));
+    assert!(serial.2 > 0);
+    // Helper threads tally in plain integers and the caller records the
+    // sums, so a scope on the calling thread misses nothing.
+    assert_eq!(counts_at(2), serial);
+    assert_eq!(counts_at(4), serial);
+}
+
+#[test]
+fn two_callers_share_a_half_budget_cache_at_width_two() {
+    let pts = gen::uniform_cube(N, 3, 37);
+    let c = cfg(
+        MemoryMode::OnTheFly,
+        CacheBudget::Ratio(0.5),
+        BuilderStrategy::AnchorNet,
+    );
+    let h2 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &c);
+    let cache = h2.cache().expect("half-budget cache installed");
+    let b = panel::<f64>(N, 2);
+    let serial = at_width(1, || h2.matmat(&b));
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for caller in 0..2 {
+            let (h2, b, serial, start) = (&h2, &b, &serial, &start);
+            scope.spawn(move || {
+                // Both callers enter their first product together.
+                start.wait();
+                for round in 0..4 {
+                    let (y, helpers) = product_at(h2, b, 2);
+                    assert_eq!(helpers, 1, "caller {caller}");
+                    assert_eq!(
+                        y.as_slice(),
+                        serial.as_slice(),
+                        "caller {caller}, round {round}"
+                    );
+                    assert!(cache.resident_bytes() <= cache.budget_bytes());
+                }
+            });
+        }
+    });
+    let stats = cache.stats();
+    assert!(stats.resident_bytes <= stats.budget_bytes);
+    assert!(stats.misses > 0, "half a budget must miss");
+}
+
+#[test]
+fn degenerate_trees_run_at_width_four() {
+    // (n, leaf size): a root-only tree, a tree shallower than the cut (four
+    // leaves), and the default leaf size at n = 1000: eight leaf groups
+    // with no admissible pair, so every rank is 0 and every panel empty.
+    for (n, leaf_size, wide) in [(40, 48, false), (150, 48, false), (1000, 128, true)] {
+        for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
+            let pts = gen::uniform_cube(n, 3, 41);
+            let c = H2Config {
+                leaf_size,
+                ..cfg(mode, CacheBudget::Off, BuilderStrategy::AnchorNet)
+            };
+            let h2 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &c);
+            let what = format!("n = {n}, {}", mode.name());
+            assert_eq!(h2.tree().level_with_cut(8).is_some(), wide, "{what}");
+            if wide {
+                assert!(h2.ranks().iter().all(|&r| r == 0), "{what}: ranks");
+            }
+            let b = panel::<f64>(n, 3);
+            let (serial, _) = product_at(&h2, &b, 1);
+            let trace = h2_telemetry::next_trace_id();
+            let traced = h2_telemetry::trace_scope(trace);
+            let (y, helpers) = product_at(&h2, &b, 4);
+            drop(traced);
+            // Every phase reports, the ones with nothing to do included.
+            let snap = h2_telemetry::snapshot();
+            for phase in [
+                "gather",
+                "upward",
+                "horizontal",
+                "downward",
+                "leaf",
+                "scatter",
+            ] {
+                let name = format!("matvec.{phase}");
+                let mine = |s: &&h2_telemetry::SpanRecord| s.trace == trace && s.name == name;
+                assert_eq!(snap.spans.iter().filter(mine).count(), 1, "{what}: {name}");
+            }
+            // One group runs on the calling thread.
+            assert_eq!(helpers, if wide { 3 } else { 0 }, "{what}");
+            assert_eq!(y.as_slice(), serial.as_slice(), "{what}");
+            // All nearfield: the product is the dense one.
+            let dense = h2_kernels::dense_matvec(&Coulomb, &pts, b.col(0));
+            let err = h2_linalg::vec_ops::rel_err(y.col(0), &dense);
+            assert!(err < 1e-12, "{what}: {err}");
+        }
+    }
 }
 
 #[test]
@@ -127,8 +354,9 @@ fn updated_operator_equals_its_from_parts_rebuild_bitwise() {
         extra.push(&[0.48, 0.49, 0.51]);
         h2.insert_points(&extra).unwrap();
         h2.remove_points(&[13, 400]).unwrap();
-        // Ranks, node extents and lists all moved: the layout the sweep
-        // derives from them must be the one a fresh load derives.
+        // Ranks, node extents and lists all moved: the layout and the
+        // order the sweep derives from them must be the ones a fresh load
+        // derives.
         let mut back = H2MatrixS::<f64>::from_parts(h2.to_parts(), Arc::new(Coulomb)).unwrap();
         back.set_cache_budget(budget);
         assert_eq!(back.epoch(), 2);
@@ -139,6 +367,8 @@ fn updated_operator_equals_its_from_parts_rebuild_bitwise() {
             "{}/{budget}",
             mode.name()
         );
-        assert_k_invariant::<f64, f64>(&h2, &format!("updated {}/{budget}", mode.name()));
+        let what = format!("updated {}/{budget}", mode.name());
+        assert_k_invariant::<f64, f64>(&h2, &what);
+        assert_width_invariant::<f64, f64>(&h2, &what);
     }
 }

@@ -1,8 +1,10 @@
 //! Shard partitioning of a cluster tree: the cut, the ownership map, and
 //! the halos.
 //!
-//! The tree is cut at a **distribution level** `ℓ_d`: every node at level
-//! `ℓ_d`, plus every leaf that bottoms out above it, becomes a **cut root**.
+//! The tree is cut at a **distribution level** `ℓ_d`
+//! ([`ClusterTree::cut_at_level`], the same cut the sweep engine groups its
+//! threads' work by): every node at level `ℓ_d`, plus every leaf that
+//! bottoms out above it, becomes a **cut root**.
 //! Cut roots tile the tree-position range `0..n` contiguously (children tile
 //! their parent's range in order), so assigning contiguous *runs* of cut
 //! roots to shards gives every shard one contiguous slice of the permuted
@@ -132,15 +134,13 @@ impl TreePartition {
         if shards == 0 {
             return Err(DistError::ZeroShards);
         }
-        for level in 0..=tree.depth() {
-            if cut_at_level(tree, level).len() >= shards {
-                return Self::with_level(tree, lists, shards, level);
-            }
+        match tree.level_with_cut(shards) {
+            Some(level) => Self::with_level(tree, lists, shards, level),
+            None => Err(DistError::TooManyShards {
+                shards,
+                leaves: tree.leaves().len(),
+            }),
         }
-        Err(DistError::TooManyShards {
-            shards,
-            leaves: tree.leaves().len(),
-        })
     }
 
     /// Partitions at an explicit distribution level.
@@ -153,7 +153,7 @@ impl TreePartition {
         if shards == 0 {
             return Err(DistError::ZeroShards);
         }
-        let cut_nodes = cut_at_level(tree, level);
+        let cut_nodes = tree.cut_at_level(level);
         if cut_nodes.len() < shards {
             return Err(DistError::LevelTooShallow {
                 level,
@@ -312,20 +312,6 @@ impl TreePartition {
     }
 }
 
-/// The cut at `level`: every node at that level plus every leaf above it,
-/// in tree-position order. These tile `0..n` contiguously.
-fn cut_at_level(tree: &ClusterTree, level: usize) -> Vec<NodeId> {
-    let mut cut: Vec<NodeId> = tree
-        .nodes()
-        .iter()
-        .enumerate()
-        .filter(|(_, nd)| nd.level == level || (nd.is_leaf() && nd.level < level))
-        .map(|(i, _)| i)
-        .collect();
-    cut.sort_by_key(|&i| tree.node(i).start);
-    cut
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,20 +323,6 @@ mod tests {
         let tree = ClusterTree::build(&pts, TreeParams::with_leaf_size(leaf));
         let lists = build_block_lists(&tree, 0.7);
         (tree, lists)
-    }
-
-    #[test]
-    fn cut_tiles_the_point_range() {
-        let (tree, _) = setup(700, 32, 1);
-        for level in 0..=tree.depth() {
-            let cut = cut_at_level(&tree, level);
-            let mut pos = 0;
-            for &c in &cut {
-                assert_eq!(tree.node(c).start, pos, "gap before cut node {c}");
-                pos = tree.node(c).end;
-            }
-            assert_eq!(pos, 700, "cut does not cover the range");
-        }
     }
 
     #[test]

@@ -543,7 +543,8 @@ pub fn run_shard<S: Scalar, A: Scalar, T: Transport<A>>(
     let coord = plan.coordinator();
     let (lo, hi) = plan.shard_ranges[s];
     let sweep_plan = SweepPlan::new(h2, &plan.shard_levels[s], &plan.shard_leaves[s]);
-    let mut sweep = Sweep::<S, A>::new(h2, &sweep_plan, cache, 1);
+    // A rank is the unit of parallelism: its phases run at width 1.
+    let mut sweep = Sweep::<S, A>::new(h2, &sweep_plan, cache, 1, 1);
     let q_slot = |i: NodeId| sweep_plan.q_range(i, 1);
     let b_slot = |l: NodeId| tree.node(l).start..tree.node(l).end;
     let mut phases = PhaseTimes::default();
@@ -631,7 +632,7 @@ pub fn run_coordinator<S: Scalar, A: Scalar, T: Transport<A>>(
 ) -> Result<(Vec<A>, CoordTimes), TransportError> {
     // Every leaf is shard-owned: the top plan has no leaf sweep.
     let sweep_plan = SweepPlan::new(h2, &plan.top_levels, &[]);
-    let mut sweep = Sweep::<S, A>::new(h2, &sweep_plan, cache, 1);
+    let mut sweep = Sweep::<S, A>::new(h2, &sweep_plan, cache, 1, 1);
     let q_slot = |i: NodeId| sweep_plan.q_range(i, 1);
     let mut times = CoordTimes::default();
     let _coord = h2_telemetry::span("dist.coord");
@@ -949,32 +950,38 @@ mod tests {
 
     #[test]
     fn every_ranks_schedule_keeps_the_serial_contribution_order() {
-        // What makes sharded ≡ serial bitwise: a rank's filtered schedule
-        // feeds each node it owns exactly the serial sequence of sources,
-        // and feeds nothing to nodes it does not own.
+        // What makes sharded ≡ serial bitwise: a rank's schedule is the
+        // serial round order filtered to its owned endpoints, so it feeds
+        // each node it owns exactly the serial sequence of sources, and
+        // feeds nothing to nodes it does not own — whatever the shard
+        // count, and whether the partition cuts above, at or below the
+        // sweep's own grouping level.
         let h2 = build(900, MemoryMode::OnTheFly);
-        let sh = ShardedH2::new(h2.clone(), 7).unwrap();
-        let part = sh.plan();
         let n_nodes = h2.tree().node_count();
         let serial = contributions(&SweepPlan::whole(&h2), n_nodes);
-        let mut owners = vec![0usize; n_nodes];
-        for rank in 0..=part.shards {
-            let (levels, leaves) = match rank {
-                r if r < part.shards => (&part.shard_levels[r], &part.shard_leaves[r][..]),
-                _ => (&part.top_levels, &[][..]),
-            };
-            let mine = contributions(&SweepPlan::new(&h2, levels, leaves), n_nodes);
-            let owned: BTreeSet<NodeId> = levels.iter().flatten().copied().collect();
-            for i in 0..n_nodes {
-                if owned.contains(&i) {
-                    owners[i] += 1;
-                    assert_eq!(mine[i], serial[i], "rank {rank}, node {i}");
-                } else {
-                    assert!(mine[i].is_empty(), "rank {rank} writes foreign node {i}");
+        assert!(serial.iter().any(|c| c.len() > 1), "nothing to order");
+        for shards in [1, 2, 4, 7] {
+            let sh = ShardedH2::new(h2.clone(), shards).unwrap();
+            let part = sh.plan();
+            let mut owners = vec![0usize; n_nodes];
+            for rank in 0..=part.shards {
+                let (levels, leaves) = match rank {
+                    r if r < part.shards => (&part.shard_levels[r], &part.shard_leaves[r][..]),
+                    _ => (&part.top_levels, &[][..]),
+                };
+                let mine = contributions(&SweepPlan::new(&h2, levels, leaves), n_nodes);
+                let owned: BTreeSet<NodeId> = levels.iter().flatten().copied().collect();
+                for i in 0..n_nodes {
+                    if owned.contains(&i) {
+                        owners[i] += 1;
+                        assert_eq!(mine[i], serial[i], "{shards} shards, rank {rank}, node {i}");
+                    } else {
+                        assert!(mine[i].is_empty(), "rank {rank} writes foreign node {i}");
+                    }
                 }
             }
+            assert!(owners.iter().all(|&c| c == 1), "every node has one owner");
         }
-        assert!(owners.iter().all(|&c| c == 1), "every node has one owner");
     }
 
     type Inbox = Vec<(Rank, Tag, Message<f64>)>;

@@ -8,7 +8,7 @@
 //! divisible by any tested shard count.
 
 use h2_core::{BasisMethod, H2Config, H2Matrix, H2Operator, MemoryMode};
-use h2_dist::ShardedH2;
+use h2_dist::{run_coordinator, run_shard, ChannelEndpoint, ShardedH2};
 use h2_kernels::{Coulomb, Exponential, Kernel};
 use h2_points::gen;
 use h2_serve::MatvecService;
@@ -70,6 +70,50 @@ fn sharded_equals_serial_across_kernels_modes_and_shard_counts() {
             }
         }
     }
+}
+
+#[test]
+fn ranks_stay_at_width_one_under_a_wide_pool() {
+    // A rank is the unit of parallelism: inside a 4-wide pool the serial
+    // product runs on four threads, every shard and the coordinator on one
+    // each, and the bits are the same. Each rank is driven here on a thread
+    // that counts its own sweep helpers.
+    let helpers = || h2_telemetry::local_scope();
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(4);
+    pool.build().unwrap().install(|| {
+        let h2 = build(Arc::new(Coulomb), MemoryMode::OnTheFly);
+        let b = rhs(13);
+        let wide = helpers();
+        let serial = h2.matvec(&b);
+        assert_eq!(wide.count("sweep.helper_threads"), 3, "serial width");
+        for shards in SHARDS {
+            let sh = ShardedH2::new(h2.clone(), shards).unwrap();
+            assert_eq!(sh.matvec(&b), serial, "{shards} shards");
+            let part = sh.plan();
+            let mut eps = ChannelEndpoint::<f64>::mesh(shards + 1);
+            let mut coord_ep = eps.pop().unwrap();
+            let (y, spawned) = std::thread::scope(|scope| {
+                let ranks: Vec<_> = eps
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(s, ep)| {
+                        let h2 = &*h2;
+                        scope.spawn(move || {
+                            let mine = helpers();
+                            run_shard::<f64, f64, _>(h2, part, s, None, ep).unwrap();
+                            mine.count("sweep.helper_threads")
+                        })
+                    })
+                    .collect();
+                let mine = helpers();
+                let (y, _) = run_coordinator(&h2, part, None, &mut coord_ep, &b).unwrap();
+                let ranks = ranks.into_iter().map(|r| r.join().unwrap());
+                (y, mine.count("sweep.helper_threads") + ranks.sum::<u64>())
+            });
+            assert_eq!(y, serial, "{shards} shards, ranks by hand");
+            assert_eq!(spawned, 0, "{shards} shards: a rank ran wide");
+        }
+    });
 }
 
 #[test]

@@ -80,6 +80,39 @@ fn tcp_matvec_is_bit_identical_to_serial_and_channel_mesh() {
 }
 
 #[test]
+fn tcp_ranks_stay_at_width_one_under_a_wide_pool() {
+    // The same contract as the channel mesh: inside a 4-wide pool the
+    // serial product takes four threads, each TCP rank exactly one, and
+    // the bits agree. Every rank counts the sweep helpers of its own thread.
+    let helpers = || h2_telemetry::local_scope();
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(4);
+    pool.build().unwrap().install(|| {
+        let (h2, b) = (build(600, MemoryMode::OnTheFly), rhs(600));
+        let wide = helpers();
+        let serial = h2.matvec(&b);
+        assert_eq!(wide.count("sweep.helper_threads"), 3, "serial width");
+        let shards = 2;
+        let bound = BoundCoordinator::bind(h2.clone(), shards, NetConfig::default()).unwrap();
+        let workers: Vec<_> = (0..shards)
+            .map(|rank| {
+                let (h2, addr) = (h2.clone(), bound.addr());
+                std::thread::spawn(move || {
+                    let mine = helpers();
+                    run_worker(&h2, rank, shards, &addr, NetConfig::default()).unwrap();
+                    mine.count("sweep.helper_threads")
+                })
+            })
+            .collect();
+        let coord = bound.accept().unwrap();
+        let mine = helpers();
+        assert_eq!(coord.try_matvec(&b).unwrap(), serial);
+        coord.shutdown().unwrap();
+        let spawned: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        assert_eq!(mine.count("sweep.helper_threads") + spawned, 0);
+    });
+}
+
+#[test]
 fn tcp_traffic_reconciles_with_the_channel_mesh_accounting() {
     let h2 = build(700, MemoryMode::Normal);
     let b = rhs(700);

@@ -319,6 +319,27 @@ impl ClusterTree {
         self.points.select(self.node_indices(id))
     }
 
+    /// The cut at `level`: every node at that level plus every leaf above
+    /// it, in tree-position order. Cut roots tile `0..n` contiguously, so
+    /// every leaf sits in exactly one cut subtree; everything strictly
+    /// above the cut is the *top* part.
+    pub fn cut_at_level(&self, level: usize) -> Vec<NodeId> {
+        let mut cut: Vec<NodeId> = (0..self.nodes.len())
+            .filter(|&i| {
+                let nd = &self.nodes[i];
+                nd.level == level || (nd.is_leaf() && nd.level < level)
+            })
+            .collect();
+        cut.sort_by_key(|&i| self.nodes[i].start);
+        cut
+    }
+
+    /// The shallowest level whose cut is at least `width` nodes wide
+    /// (`None` when even the leaves are fewer).
+    pub fn level_with_cut(&self, width: usize) -> Option<usize> {
+        (0..=self.depth()).find(|&level| self.cut_at_level(level).len() >= width)
+    }
+
     // ---- Incremental mutation (dynamic operators) ----------------------
     //
     // The update path of `h2-core` edits the tree in place: a new point is
@@ -785,6 +806,23 @@ mod tests {
         assert_eq!(tree.perm(), &perm0[..]);
         assert_eq!(tree.points().len(), 400);
         check_mutated(&tree);
+    }
+
+    #[test]
+    fn cut_tiles_the_point_range_at_every_level() {
+        let pts = gen::uniform_cube(700, 3, 1);
+        let tree = ClusterTree::build(&pts, TreeParams::with_leaf_size(32));
+        for level in 0..=tree.depth() {
+            let mut pos = 0;
+            for &c in &tree.cut_at_level(level) {
+                assert_eq!(tree.node(c).start, pos, "gap before cut node {c}");
+                pos = tree.node(c).end;
+            }
+            assert_eq!(pos, 700, "cut does not cover the range");
+        }
+        assert_eq!(tree.level_with_cut(1), Some(0));
+        assert_eq!(tree.level_with_cut(8), Some(3));
+        assert_eq!(tree.level_with_cut(tree.leaves().len() + 1), None);
     }
 
     #[test]

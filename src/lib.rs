@@ -70,8 +70,11 @@ pub mod prelude {
     pub use h2_solvers::{cg, gmres, CgOptions, FnOperator, GmresOptions, LinearOperator};
 }
 
-/// Builds a rayon thread pool with `threads` workers for scoped parallel
-/// experiments (the thread-scaling study of the paper's Fig. 7).
+/// A pool of `threads` threads: every product applied inside
+/// `thread_pool(n).install(|| ..)` runs its sweeps `n` wide (the caller plus
+/// `n − 1` helpers), with results bitwise identical at any `n`. This is the
+/// one sizing mechanism; outside a pool a product is as wide as
+/// `std::thread::available_parallelism()`.
 pub fn thread_pool(threads: usize) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)

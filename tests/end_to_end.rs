@@ -263,7 +263,8 @@ fn repeated_matvecs_are_deterministic() {
 
 #[test]
 fn thread_pool_results_identical_across_pool_sizes() {
-    // Fig. 7's precondition: the parallel schedule must not change results.
+    // Fig. 7's precondition: the parallel schedule must not change one bit
+    // of the result — and the schedule must really have run that wide.
     let n = 1000;
     let pts = h2mv::points::gen::uniform_cube(n, 3, 17);
     let b = probe(n, 18);
@@ -276,11 +277,17 @@ fn thread_pool_results_identical_across_pool_sizes() {
                 ..H2Config::default()
             };
             let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
-            h2.matvec(&b)
+            // Eight leaf groups: every width up to 8 finds work.
+            assert_eq!(h2.tree().level_with_cut(8), Some(3));
+            let spawned = h2mv::h2::diagnostics::counters::scope();
+            let y = h2.matvec(&b);
+            let helpers = spawned.count("sweep.helper_threads");
+            assert_eq!(helpers as usize + 1, threads, "the sweep's width");
+            y
         })
     };
     let y1 = run(1);
-    let y2 = run(4);
-    let err = h2mv::linalg::vec_ops::rel_err(&y1, &y2);
-    assert!(err < 1e-12, "thread count changed the answer: {err}");
+    for threads in [2, 3, 8] {
+        assert_eq!(run(threads), y1, "{threads} threads changed the answer");
+    }
 }
