@@ -19,9 +19,6 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== cargo test (diagnostics) =="
-cargo test -q --offline -p h2-core --features diagnostics
-
 echo "== thread-count invariance gate (widths 1/2/3/8 bitwise equal; ranks stay at width 1) =="
 cargo test -q --offline -p h2-core --test sweep
 cargo test -q --offline -p h2-dist -p h2-net -- width_one schedule_keeps
@@ -128,49 +125,12 @@ echo "== live observability gate (scrape + cluster trace + flight recorder) =="
 # A real 2-shard deployment with the whole observability plane on: scrape
 # GET /metrics and /healthz while traffic flows, then validate the merged
 # cluster trace and the per-worker flight-recorder dumps it leaves behind.
-OBS=$(mktemp -d /tmp/h2-obs.XXXXXX)
-./target/release/h2serve save --n 800 --dim 2 --leaf 64 --out "$OBS/op.h2" > /dev/null
-OBSPORT=$(python3 -c "import socket; s=socket.socket(); s.bind(('127.0.0.1',0)); print(s.getsockname()[1]); s.close()")
-timeout 120 ./target/release/h2serve serve --file "$OBS/op.h2" --shards 2 \
-  --requests 8 --batches 4 --metrics-addr "127.0.0.1:$OBSPORT" \
-  --trace "$OBS/trace.json" --flight-dir "$OBS/flight" --duration-s 4 \
-  > "$OBS/serve.log" 2>&1 &
-OBSPID=$!
-sleep 2
-python3 - "$OBSPORT" <<'EOF' || { kill "$OBSPID" 2>/dev/null; cat "$OBS/serve.log"; exit 1; }
-import sys, urllib.request
-port = sys.argv[1]
-assert urllib.request.urlopen(f'http://127.0.0.1:{port}/healthz', timeout=10).read() == b'ok\n'
-m = urllib.request.urlopen(f'http://127.0.0.1:{port}/metrics', timeout=10).read().decode()
-lines = [l for l in m.splitlines() if l and not l.startswith('#')]
-assert lines, 'empty exposition'
-for l in lines:
-    name, _, value = l.rpartition(' ')
-    float(value)  # every sample line must end in a number
-    assert name, f'malformed line: {l!r}'
-net = [l for l in lines if l.startswith('h2_net_bytes_')]
-assert net and any(float(l.split()[-1]) > 0 for l in net), f'no net bytes flowing: {net}'
-assert any(l.startswith('h2_serve_latency_us_bucket{') for l in lines), 'no native histogram series'
-EOF
-wait "$OBSPID"
-grep -q "all workers drained cleanly" "$OBS/serve.log"
-python3 - "$OBS/trace.json" <<'EOF'
-import json, sys
-evs = json.load(open(sys.argv[1]))['traceEvents']
-pids = {e['pid'] for e in evs if e.get('ph') == 'X'}
-assert len(pids) >= 3, f'expected spans from >= 3 processes, got {pids}'
-names = {e['args']['name'] for e in evs if e.get('ph') == 'M'}
-assert {'rank0', 'rank1', 'coordinator'} <= names, names
-EOF
-test -f "$OBS/flight/h2-flight-rank0.json"
-test -f "$OBS/flight/h2-flight-rank1.json"
-rm -rf "$OBS"
+# The test binds port 0 and reads the address h2serve prints; the timeout
+# turns a hung deployment into a loud failure.
+timeout 300 cargo test -q --offline -p h2-serve --test observability -- --ignored --test-threads=1
 
 echo "== profile smoke (trace must parse; f32 footprint gate) =="
-TRACE=$(mktemp /tmp/h2-profile-trace.XXXXXX.json)
-./target/release/profile --sizes 1500 --trace "$TRACE" > /dev/null
-python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['traceEvents'], 'empty trace'" "$TRACE"
-rm -f "$TRACE"
+timeout 300 cargo test -q --offline --release -p h2-bench --test profile_trace -- --ignored
 # Sketched-builder pass: anchor-only phases must render as absent rows,
 # not fail the required-span contract.
 PROF=$(mktemp /tmp/h2-profile-sketched.XXXXXX.txt)

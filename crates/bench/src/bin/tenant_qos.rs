@@ -5,11 +5,13 @@
 //! *scheduling* of who gets into the batch decides whose p99 survives a
 //! noisy neighbor. This harness drives `h2_serve::MatvecService` with one
 //! hog tenant (a deep backlog every round) and several light tenants (one
-//! request per round) through both queue modes:
+//! request per round) two ways:
 //!
-//! - **FIFO** — the pre-tenant behavior: arrival order. The hog's backlog
-//!   sits in front of every light request, so light latency grows with the
-//!   hog's queue depth.
+//! - **FIFO** — the pre-tenant behavior: the same traffic submitted to the
+//!   tenant-less service (`MatvecService::new`, one queue), which is global
+//!   arrival order. The hog's backlog sits in front of every light request,
+//!   so light latency grows with the hog's queue depth. The light requests
+//!   arrive last in every round, so the shared queue's p99 *is* theirs.
 //! - **WDRR** — the weighted-deficit-round-robin scheduler from
 //!   `h2-tenant`: every backlogged tenant gets its weight's share of each
 //!   batch, so a light request rides in the *first* sweep regardless of
@@ -77,21 +79,27 @@ fn probe(n: usize, seed: u64) -> Vec<f64> {
 /// Runs `rounds` rounds of the skewed workload through `svc`: the hog
 /// floods `HOG_BACKLOG` requests, then each light tenant submits one, then
 /// the whole queue drains. Arrival order favors the hog on purpose — FIFO
-/// must feel the backlog.
-fn run_skewed(svc: &MatvecService<H2Matrix>, rounds: usize, seed: u64) {
+/// must feel the backlog. With `tenants` off, every request goes to the
+/// service's one default queue instead of its tenant's.
+fn run_skewed(svc: &MatvecService<H2Matrix>, rounds: usize, seed: u64, tenants: bool) {
     let n = svc.operator().n();
+    let submit = |tenant: &str, b: Vec<f64>| {
+        let ticket = if tenants {
+            svc.submit_for(tenant, b)
+        } else {
+            svc.submit(b)
+        };
+        ticket.expect("admitted")
+    };
     for round in 0..rounds {
         let mut tickets = Vec::new();
         for r in 0..HOG_BACKLOG {
             let s = seed ^ ((round * HOG_BACKLOG + r) as u64) << 8;
-            tickets.push(svc.submit_for("hog", probe(n, s)).expect("hog admitted"));
+            tickets.push(submit("hog", probe(n, s)));
         }
         for l in 0..LIGHTS {
             let s = seed ^ 0xBEEF ^ ((round * LIGHTS + l) as u64) << 8;
-            tickets.push(
-                svc.submit_for(&format!("light{l}"), probe(n, s))
-                    .expect("light admitted"),
-            );
+            tickets.push(submit(&format!("light{l}"), probe(n, s)));
         }
         svc.drain();
         for t in tickets {
@@ -159,14 +167,15 @@ fn main() {
 
     let mut rows: Vec<QosRow> = Vec::new();
     let mut light_p99 = [0u64; 2];
-    for (i, (mode, name)) in [(QueueMode::Fifo, "fifo"), (QueueMode::Wdrr, "wdrr")]
-        .into_iter()
-        .enumerate()
-    {
-        let svc = MatvecService::with_tenants(op.clone(), BATCH, tenants.clone(), mode);
-        run_skewed(&svc, rounds, args.seed);
+    for (i, (name, fair)) in [("fifo", false), ("wdrr", true)].into_iter().enumerate() {
+        let svc = if fair {
+            MatvecService::with_tenants(op.clone(), BATCH, tenants.clone(), QueueMode::Wdrr)
+        } else {
+            MatvecService::new(op.clone(), BATCH)
+        };
+        run_skewed(&svc, rounds, args.seed, fair);
         let mut t = Table::new(&["tenant", "served", "p50 us", "p99 us", "vs isolated"]);
-        for (_, id, _) in tenants.iter() {
+        for (_, id, _) in svc.tenant_table().iter() {
             let p99 = svc.tenant_latency_quantile_us(id.as_str(), 0.99);
             rows.push(QosRow {
                 mode: name.to_string(),
@@ -184,7 +193,11 @@ fn main() {
                 format!("{:.2}x", p99 as f64 / isolated_p99 as f64),
             ]);
         }
-        light_p99[i] = worst_light_p99(&svc);
+        light_p99[i] = if fair {
+            worst_light_p99(&svc)
+        } else {
+            svc.metrics().p99_latency_us
+        };
         println!("mode = {name}  (isolated light p99 = {isolated_p99} us)");
         println!("{}", t.render());
     }

@@ -15,7 +15,7 @@ pub mod sketched;
 use crate::config::{BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, MemoryMode};
 use crate::h2matrix::H2MatrixS;
 use crate::proxy::{coupling_block_s, ProxyPoints};
-use crate::stores::{CouplingStore, NearfieldStore};
+use h2_cache::stores::{CouplingStore, NearfieldStore};
 use h2_cache::BlockKind;
 use h2_kernels::Kernel;
 use h2_linalg::id::row_id_consume;

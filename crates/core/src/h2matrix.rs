@@ -5,8 +5,8 @@ use crate::builders::BuildStats;
 use crate::config::MemoryMode;
 use crate::memory::MemoryReport;
 use crate::proxy::ProxyPoints;
-use crate::stores::{CouplingStore, NearfieldStore};
 use crate::sweep::SweepPlan;
+use h2_cache::stores::{CouplingStore, NearfieldStore};
 use h2_cache::{BlockCache, BlockKind, CacheBudget, CacheStats};
 use h2_kernels::Kernel;
 use h2_linalg::{Matrix, MatrixS, Scalar};
@@ -713,7 +713,6 @@ mod tests {
         assert_eq!(y, h2.matvec(&b));
     }
 
-    #[cfg(feature = "diagnostics")]
     #[test]
     fn otf_matmat_generates_each_block_once_regardless_of_k() {
         use crate::diagnostics::counters;

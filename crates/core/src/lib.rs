@@ -78,7 +78,6 @@ pub mod operator;
 pub mod parts;
 pub mod precision;
 pub mod proxy;
-pub mod stores;
 pub mod sweep;
 pub mod update;
 

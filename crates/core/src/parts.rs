@@ -17,7 +17,7 @@ use crate::config::{BuilderProvenance, MemoryMode};
 use crate::h2matrix::H2Matrix;
 use crate::h2matrix::H2MatrixS;
 use crate::proxy::ProxyPoints;
-use crate::stores::{CouplingStore, NearfieldStore};
+use h2_cache::stores::{CouplingStore, NearfieldStore};
 use h2_kernels::Kernel;
 use h2_linalg::{MatrixS, Scalar};
 use h2_points::admissibility::build_block_lists;

@@ -32,7 +32,7 @@
 use crate::config::{BasisMethod, BuilderStrategy, H2Config};
 use crate::h2matrix::H2MatrixS;
 use crate::proxy::ProxyPoints;
-use crate::stores::{CouplingStore, NearfieldStore};
+use h2_cache::stores::{CouplingStore, NearfieldStore};
 use h2_cache::{BlockKind, CacheBudget};
 use h2_linalg::id::row_id_consume;
 use h2_linalg::qr::Truncation;

@@ -54,9 +54,10 @@
 //! verified workload so a scraper has something to watch.
 //!
 //! `metrics` runs one serving workload (batch cap = first `--batches`
-//! entry) and prints a Prometheus text exposition to stdout: the service's
-//! latency/throughput series followed by the process-wide telemetry
-//! registry (kernel-eval and block-generation counters, span aggregates).
+//! entry) and prints to stdout the same Prometheus text body `serve` serves
+//! at `/metrics`: the service's latency/throughput series, the registry
+//! gauges of the served operator, then the process-wide telemetry
+//! (kernel-eval and block-generation counters, span aggregates).
 //!
 //! Build flags: `--n N --dim D --tol T --mode normal|otf --kernel NAME
 //! --builder anchor|sketched --method dd|interp|proxy --leaf L --eta E
@@ -96,6 +97,7 @@ use h2_points::gen;
 use h2_serve::{
     codec, LoadError, MatvecService, MetricsServer, OperatorRegistry, QueueMode, TenantTable,
 };
+use h2_telemetry::Exposition;
 use std::process::exit;
 use std::sync::Arc;
 use std::time::Instant;
@@ -499,34 +501,59 @@ fn cmd_serve_bench(o: &Opts) {
     }
 }
 
-/// Registers `op` in a registry of its storage width and returns the
-/// per-entry resident-byte gauges, so `metrics` reports the bytes each
-/// registry entry holds (operator footprint and cached-tier share).
-fn registry_text(op: &Arc<AnyH2>, name: &str) -> String {
-    match op.as_ref() {
-        AnyH2::F64(h) => {
-            let reg: OperatorRegistry<f64> = OperatorRegistry::new();
-            reg.insert(name, h.clone());
-            reg.prometheus_text()
-        }
-        AnyH2::F32(h) => {
-            let reg: OperatorRegistry<f32> = OperatorRegistry::new();
-            reg.insert(name, h.clone());
-            reg.prometheus_text()
-        }
-        AnyH2::Mixed(m) => {
-            let reg: OperatorRegistry<f32> = OperatorRegistry::new();
-            reg.insert(name, m.inner().clone());
-            reg.prometheus_text()
-        }
+/// The one `/metrics` body, every source read at call time: the service's
+/// own series (block-cache counters included when a `--cache-budget` is
+/// active), the per-tenant series under `--tenants`, the registry's
+/// per-operator gauges when the command hosts a registry, then the
+/// process-wide telemetry (kernel-eval, block-generation, cache and net
+/// counters, span aggregates).
+fn metrics_body<O: H2Operator<S>, S: Scalar, R: Scalar>(
+    svc: &MatvecService<O, S>,
+    tenants: bool,
+    registry: Option<&OperatorRegistry<R>>,
+) -> String {
+    let mut out = Exposition::new();
+    svc.metrics().expose(&mut out);
+    if tenants {
+        svc.expose_tenants(&mut out);
     }
+    if let Some(reg) = registry {
+        reg.expose(&mut out);
+    }
+    h2_telemetry::snapshot().expose(&mut out);
+    out.finish()
 }
 
-/// Runs one serving workload and prints a Prometheus text exposition:
-/// the service's own series (including the block-cache counters when a
-/// `--cache-budget` is active), the registry's per-operator resident-byte
-/// gauges, then the process-wide telemetry registry (kernel-eval,
-/// block-generation and cache counters, span aggregates).
+/// Serves [`metrics_body`] at `--metrics-addr` (when given) until the
+/// returned server is stopped or dropped, so an operator can watch the
+/// deployment while traffic flows.
+fn start_scrape<O: H2Operator<S> + Send + Sync + 'static, S: Scalar, R: Scalar>(
+    o: &Opts,
+    svc: &Arc<MatvecService<O, S>>,
+    tenants: bool,
+    registry: Option<Arc<OperatorRegistry<R>>>,
+) -> Option<MetricsServer> {
+    let addr = o.metrics_addr.as_ref()?;
+    let svc = svc.clone();
+    let render = move || metrics_body(&svc, tenants, registry.as_deref());
+    let srv = MetricsServer::start(addr, render).unwrap_or_else(|e| {
+        eprintln!("serve failed: cannot bind metrics endpoint {addr}: {e}");
+        exit(1);
+    });
+    println!("metrics: http://{}/metrics (and /healthz)", srv.addr());
+    Some(srv)
+}
+
+/// A registry holding just `op` under `name`, so `metrics` reports the
+/// bytes a registry entry of this operator holds.
+fn registry_of<S: Scalar>(name: &str, op: &Arc<H2MatrixS<S>>) -> OperatorRegistry<S> {
+    let reg = OperatorRegistry::new();
+    reg.insert(name, op.clone());
+    reg
+}
+
+/// Runs one serving workload and prints the [`metrics_body`] of the
+/// service plus a one-entry registry of the served operator.
 fn cmd_metrics(o: &Opts) {
     let op = load_or_build(o);
     let name = match &o.file {
@@ -539,9 +566,12 @@ fn cmd_metrics(o: &Opts) {
     let k = o.batches[0].max(1);
     let svc = MatvecService::new(op.clone(), k);
     run_workload(&svc, o.requests, o.seed);
-    print!("{}", svc.metrics().prometheus_text());
-    print!("{}", registry_text(&op, &name));
-    print!("{}", h2_telemetry::snapshot().prometheus_text());
+    let body = match op.as_ref() {
+        AnyH2::F64(h) => metrics_body(&svc, false, Some(&registry_of(&name, h))),
+        AnyH2::F32(h) => metrics_body(&svc, false, Some(&registry_of(&name, h))),
+        AnyH2::Mixed(m) => metrics_body(&svc, false, Some(&registry_of(&name, m.inner()))),
+    };
+    print!("{body}");
 }
 
 /// The `update` workload at one storage width: registry-mediated
@@ -620,7 +650,9 @@ fn update_workload<S: Scalar>(
         final_op.epoch(),
         reg.update_count("live").expect("registered")
     );
-    for line in reg.prometheus_text().lines() {
+    let mut gauges = Exposition::new();
+    reg.expose(&mut gauges);
+    for line in gauges.finish().lines() {
         if line.contains("_epoch{") || line.contains("_updates{") {
             println!("{line}");
         }
@@ -799,23 +831,7 @@ fn serve_distributed<S: Scalar>(h2: Arc<H2MatrixS<S>>, o: &Opts, file: &str) {
     let k = o.batches[0].max(1);
     let svc: Arc<MatvecService<ShardCoordinator<S>, S>> =
         Arc::new(MatvecService::new(op.clone(), k));
-    // The scrape endpoint runs for the whole workload so an operator can
-    // watch the deployment live: service latency histograms plus the
-    // process-wide telemetry counters (net bytes/frames, cache, spans).
-    let mut scrape = o.metrics_addr.as_ref().map(|addr| {
-        let svc = svc.clone();
-        let srv = MetricsServer::start(addr, move || {
-            let mut body = svc.metrics().prometheus_text();
-            body.push_str(&h2_telemetry::snapshot().prometheus_text());
-            body
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("serve failed: cannot bind metrics endpoint {addr}: {e}");
-            exit(1);
-        });
-        println!("metrics: http://{}/metrics (and /healthz)", srv.addr());
-        srv
-    });
+    let mut scrape = start_scrape(o, &svc, false, None::<Arc<OperatorRegistry<S>>>);
     let mk = |s: usize| -> Vec<S> {
         h2_core::error_est::probe_vector(n, o.seed ^ (s as u64) << 8)
             .into_iter()
@@ -927,7 +943,7 @@ fn serve_tenants<S: Scalar>(o: &Opts, file: &str, bytes: &[u8], table: TenantTab
     let cache_total = o.cache_budget.resolve(owned.full_block_bytes());
     let budgets = split_budget(cache_total, &table.cache_shares());
 
-    let reg: OperatorRegistry<S> = OperatorRegistry::new();
+    let reg: Arc<OperatorRegistry<S>> = Arc::new(OperatorRegistry::new());
     let t = Instant::now();
     for (i, id, _) in table.iter() {
         let budget = match budgets[i] {
@@ -1020,23 +1036,7 @@ fn serve_tenants<S: Scalar>(o: &Opts, file: &str, bytes: &[u8], table: TenantTab
     if cache_total > 0 {
         svc.set_tenant_cache_budgets(budgets);
     }
-    let mut scrape = o.metrics_addr.as_ref().map(|addr| {
-        let svc = svc.clone();
-        let reg_text = reg.prometheus_text();
-        let srv = MetricsServer::start(addr, move || {
-            let mut body = svc.metrics().prometheus_text();
-            body.push_str(&svc.tenant_prometheus_text());
-            body.push_str(&reg_text);
-            body.push_str(&h2_telemetry::snapshot().prometheus_text());
-            body
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("serve failed: cannot bind metrics endpoint {addr}: {e}");
-            exit(1);
-        });
-        println!("metrics: http://{}/metrics (and /healthz)", srv.addr());
-        srv
-    });
+    let mut scrape = start_scrape(o, &svc, true, Some(reg.clone()));
     let n = owned.n();
     for round in 0..o.requests {
         let tickets: Vec<_> = table
@@ -1077,7 +1077,9 @@ fn serve_tenants<S: Scalar>(o: &Opts, file: &str, bytes: &[u8], table: TenantTab
             svc.tenant_latency_quantile_us(id.as_str(), 0.99)
         );
     }
-    for line in svc.tenant_prometheus_text().lines() {
+    let mut series = Exposition::new();
+    svc.expose_tenants(&mut series);
+    for line in series.finish().lines() {
         if line.starts_with("h2_tenant_cache_budget_bytes")
             || line.starts_with("h2_tenant_requests_total")
         {

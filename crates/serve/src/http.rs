@@ -3,8 +3,9 @@
 //!
 //! The server exists so an operator can point Prometheus (or `curl`) at a
 //! running `h2serve serve` deployment while traffic flows. It is
-//! deliberately not a web framework: requests are read with a deadline,
-//! only the request line is parsed, every response closes the connection,
+//! deliberately not a web framework: a request head is read under one
+//! overall deadline (a peer cannot extend it by dribbling bytes), only the
+//! request line is parsed, every response closes the connection,
 //! and the accept loop polls a non-blocking listener so
 //! [`MetricsServer::stop`] (or drop) terminates promptly. The metrics body
 //! is produced by a caller-supplied closure at scrape time, so one server
@@ -16,9 +17,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How long one scrape may take to send its request and drain the response.
+/// How long one scrape may take to send its whole request head, and again
+/// to drain the response.
 const CLIENT_IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// Accept-loop poll interval; bounds the shutdown latency.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
@@ -88,7 +90,6 @@ impl Drop for MetricsServer {
 /// Serves one connection: read the request head, answer, close.
 fn serve_one(mut stream: TcpStream, render: &impl Fn() -> String) {
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(CLIENT_IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(CLIENT_IO_TIMEOUT));
     let path = match read_request_path(&mut stream) {
         Request::Get(path) => path,
@@ -123,16 +124,26 @@ enum Request {
     Get(String),
     /// Well-formed request line with any other method → 405.
     OtherMethod,
-    /// Malformed, oversized, or unreadable → 400.
+    /// Malformed, oversized, unreadable, or not complete within
+    /// [`CLIENT_IO_TIMEOUT`] → 400.
     Bad,
 }
 
 /// Reads up to the end of the request head and classifies the request line
-/// (the only part this server uses).
+/// (the only part this server uses). The whole head shares one
+/// [`CLIENT_IO_TIMEOUT`] deadline: each `read` may only wait for what is
+/// left of it, so a peer sending a byte now and then cannot hold the
+/// single server thread — and with it `/healthz` — beyond the deadline.
 fn read_request_path(stream: &mut TcpStream) -> Request {
+    let deadline = Instant::now() + CLIENT_IO_TIMEOUT;
     let mut buf = Vec::new();
     let mut chunk = [0u8; 512];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        // A zero timeout is an error to `set_read_timeout`, not "poll".
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return Request::Bad;
+        }
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(k) => {
@@ -218,6 +229,40 @@ mod tests {
                 s.read_to_string(&mut out).is_err() || out.is_empty()
             },
             "server still answering after stop"
+        );
+    }
+
+    #[test]
+    fn a_dribbling_peer_cannot_hold_the_server_past_the_deadline() {
+        let srv = MetricsServer::start("127.0.0.1:0", String::new).unwrap();
+        let addr = srv.addr();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (connected, is_connected) = std::sync::mpsc::channel();
+        // One byte every 100 ms, never a blank line: each `read` succeeds
+        // well inside any per-read timeout, the head never completes.
+        let dribbler = std::thread::spawn({
+            let stop = stop.clone();
+            move || {
+                let mut s = TcpStream::connect(addr).unwrap();
+                s.write_all(b"G").unwrap();
+                connected.send(()).unwrap();
+                while !stop.load(Ordering::Relaxed) && s.write_all(b"x").is_ok() {
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            }
+        });
+        // Queue behind the dribbler: the server accepts in connection order.
+        is_connected.recv().unwrap();
+        let t = Instant::now();
+        let (head, body) = get(addr, "/healthz");
+        let waited = t.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        dribbler.join().unwrap();
+        assert!(head.starts_with("HTTP/1.0 200 OK"), "{head}");
+        assert_eq!(body, "ok\n");
+        assert!(
+            waited <= 2 * CLIENT_IO_TIMEOUT,
+            "/healthz waited {waited:?} behind a dribbling peer"
         );
     }
 

@@ -21,6 +21,7 @@
 
 use h2_core::CacheStats;
 use h2_telemetry::hist::LogLinearHistogram;
+use h2_telemetry::Exposition;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -168,12 +169,6 @@ impl ServiceMetrics {
                 .as_ref()
                 .map_or(0, |v| v.capacity() * std::mem::size_of::<u64>())
     }
-
-    /// The current snapshot in the Prometheus text exposition format (see
-    /// [`MetricsSnapshot::prometheus_text`]).
-    pub fn prometheus_text(&self) -> String {
-        self.snapshot().prometheus_text()
-    }
 }
 
 /// `cur − last` on the batch histogram, dropping emptied sizes.
@@ -289,88 +284,62 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Serializes the snapshot in the Prometheus text exposition format:
-    /// request/sweep/busy totals as counters, latency percentiles as
-    /// `quantile`-labeled gauges (kept for dashboards pinned to them), the
-    /// same distributions as **native Prometheus histograms**
-    /// (`*_bucket{le=…}` / `*_sum` / `*_count`, occupied buckets only),
-    /// and the batch histogram as one `batch`-labeled counter series per
-    /// observed size.
-    pub fn prometheus_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "# TYPE h2_serve_requests_total counter");
-        let _ = writeln!(out, "h2_serve_requests_total {}", self.requests);
-        let _ = writeln!(out, "# TYPE h2_serve_sweeps_total counter");
-        let _ = writeln!(out, "h2_serve_sweeps_total {}", self.sweeps);
-        let _ = writeln!(out, "# TYPE h2_serve_busy_seconds_total counter");
-        let _ = writeln!(out, "h2_serve_busy_seconds_total {:.6}", self.busy_ms / 1e3);
-        for (name, p50, p99) in [
-            ("latency", self.p50_latency_us, self.p99_latency_us),
-            ("queue", self.p50_queue_us, self.p99_queue_us),
-            ("compute", self.p50_compute_us, self.p99_compute_us),
-        ] {
-            let _ = writeln!(out, "# TYPE h2_serve_{name}_microseconds gauge");
-            let _ = writeln!(
-                out,
-                "h2_serve_{name}_microseconds{{quantile=\"0.5\"}} {p50}"
-            );
-            let _ = writeln!(
-                out,
-                "h2_serve_{name}_microseconds{{quantile=\"0.99\"}} {p99}"
-            );
-        }
-        for (name, hist) in [
-            ("latency", &self.latency_hist),
-            ("queue", &self.queue_hist),
-            ("compute", &self.compute_hist),
-        ] {
-            let _ = writeln!(out, "# TYPE h2_serve_{name}_us histogram");
-            for (le, cum) in hist.cumulative_buckets() {
-                let _ = writeln!(out, "h2_serve_{name}_us_bucket{{le=\"{le}\"}} {cum}");
-            }
-            let _ = writeln!(
-                out,
-                "h2_serve_{name}_us_bucket{{le=\"+Inf\"}} {}",
-                hist.count()
-            );
-            let _ = writeln!(out, "h2_serve_{name}_us_sum {}", hist.sum());
-            let _ = writeln!(out, "h2_serve_{name}_us_count {}", hist.count());
-        }
-        let _ = writeln!(out, "# TYPE h2_serve_batch_sweeps_total counter");
+    /// Describes the snapshot to `out`: request/sweep/busy totals as
+    /// counters, latency percentiles as `quantile`-labeled gauges (kept for
+    /// dashboards pinned to them), the same distributions as native
+    /// histograms, one `batch`-labeled counter sample per observed batch
+    /// size, and the cache series when [`Self::cache`] is attached.
+    pub fn expose(&self, out: &mut Exposition) {
+        let (busy_s, rps) = (self.busy_ms / 1e3, self.throughput_rps);
+        out.counter("h2_serve_requests_total")
+            .sample(&[], self.requests);
+        out.counter("h2_serve_sweeps_total")
+            .sample(&[], self.sweeps);
+        out.counter("h2_serve_busy_seconds_total")
+            .sample(&[], format_args!("{busy_s:.6}"));
+        out.gauge("h2_serve_latency_microseconds")
+            .quantiles(&[], [self.p50_latency_us, self.p99_latency_us]);
+        out.gauge("h2_serve_queue_microseconds")
+            .quantiles(&[], [self.p50_queue_us, self.p99_queue_us]);
+        out.gauge("h2_serve_compute_microseconds")
+            .quantiles(&[], [self.p50_compute_us, self.p99_compute_us]);
+        out.histogram("h2_serve_latency_us", &self.latency_hist);
+        out.histogram("h2_serve_queue_us", &self.queue_hist);
+        out.histogram("h2_serve_compute_us", &self.compute_hist);
+        let mut batches = out.counter("h2_serve_batch_sweeps_total");
         for &(batch, count) in &self.batch_hist {
-            let _ = writeln!(
-                out,
-                "h2_serve_batch_sweeps_total{{batch=\"{batch}\"}} {count}"
-            );
+            batches.sample(&[("batch", &batch.to_string())], count);
         }
-        let _ = writeln!(out, "# TYPE h2_serve_throughput_rps gauge");
-        let _ = writeln!(out, "h2_serve_throughput_rps {:.3}", self.throughput_rps);
-        if let Some(c) = &self.cache {
-            for (name, value) in [
-                ("hits_total", c.hits),
-                ("misses_total", c.misses),
-                ("evictions_total", c.evictions),
-                ("evicted_bytes_total", c.evicted_bytes),
-                ("rejected_total", c.rejected),
-                ("stale_purged_total", c.stale_purged),
-            ] {
-                let _ = writeln!(out, "# TYPE h2_serve_cache_{name} counter");
-                let _ = writeln!(out, "h2_serve_cache_{name} {value}");
-            }
-            for (name, value) in [
-                ("resident_bytes", c.resident_bytes),
-                ("pinned_bytes", c.pinned_bytes),
-                ("budget_bytes", c.budget_bytes),
-                ("entries", c.entries),
-            ] {
-                let _ = writeln!(out, "# TYPE h2_serve_cache_{name} gauge");
-                let _ = writeln!(out, "h2_serve_cache_{name} {value}");
-            }
-            let _ = writeln!(out, "# TYPE h2_serve_cache_hit_rate gauge");
-            let _ = writeln!(out, "h2_serve_cache_hit_rate {:.4}", c.hit_rate());
+        out.gauge("h2_serve_throughput_rps")
+            .sample(&[], format_args!("{rps:.3}"));
+        let Some(c) = &self.cache else { return };
+        for (name, total) in [
+            ("h2_serve_cache_hits_total", c.hits),
+            ("h2_serve_cache_misses_total", c.misses),
+            ("h2_serve_cache_evictions_total", c.evictions),
+            ("h2_serve_cache_evicted_bytes_total", c.evicted_bytes),
+            ("h2_serve_cache_rejected_total", c.rejected),
+            ("h2_serve_cache_stale_purged_total", c.stale_purged),
+        ] {
+            out.counter(name).sample(&[], total);
         }
-        out
+        for (name, level) in [
+            ("h2_serve_cache_resident_bytes", c.resident_bytes),
+            ("h2_serve_cache_pinned_bytes", c.pinned_bytes),
+            ("h2_serve_cache_budget_bytes", c.budget_bytes),
+            ("h2_serve_cache_entries", c.entries),
+        ] {
+            out.gauge(name).sample(&[], level);
+        }
+        out.gauge("h2_serve_cache_hit_rate")
+            .sample(&[], format_args!("{:.4}", c.hit_rate()));
+    }
+
+    /// [`Self::expose`] as a standalone Prometheus text body.
+    pub fn prometheus_text(&self) -> String {
+        let mut out = Exposition::new();
+        self.expose(&mut out);
+        out.finish()
     }
 }
 
@@ -619,51 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_text_exposes_all_series() {
-        let m = ServiceMetrics::new();
-        m.record_sweep(
-            2,
-            Duration::from_millis(2),
-            &[Duration::from_micros(100), Duration::from_micros(300)],
-        );
-        let text = m.prometheus_text();
-        assert!(text.contains("# TYPE h2_serve_requests_total counter\n"));
-        assert!(text.contains("h2_serve_requests_total 2\n"));
-        assert!(text.contains("h2_serve_sweeps_total 1\n"));
-        assert!(text.contains("h2_serve_busy_seconds_total 0.002000\n"));
-        // Nearest-rank p50 over two samples rounds up to the larger one.
-        assert!(text.contains(&format!(
-            "h2_serve_latency_microseconds{{quantile=\"0.5\"}} {}\n",
-            ub(2300)
-        )));
-        assert!(text.contains(&format!(
-            "h2_serve_queue_microseconds{{quantile=\"0.99\"}} {}\n",
-            ub(300)
-        )));
-        assert!(text.contains(&format!(
-            "h2_serve_compute_microseconds{{quantile=\"0.5\"}} {}\n",
-            ub(2000)
-        )));
-        assert!(text.contains("h2_serve_batch_sweeps_total{batch=\"2\"} 1\n"));
-        assert!(text.contains("# TYPE h2_serve_throughput_rps gauge\n"));
-        // Native histogram exposition: cumulative buckets, +Inf, sum/count.
-        assert!(text.contains("# TYPE h2_serve_latency_us histogram\n"));
-        assert!(text.contains(&format!(
-            "h2_serve_queue_us_bucket{{le=\"{}\"}} 1\n",
-            ub(100)
-        )));
-        assert!(text.contains(&format!(
-            "h2_serve_queue_us_bucket{{le=\"{}\"}} 2\n",
-            ub(300)
-        )));
-        assert!(text.contains("h2_serve_queue_us_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("h2_serve_queue_us_sum 400\n"));
-        assert!(text.contains("h2_serve_queue_us_count 2\n"));
-        assert!(text.contains("h2_serve_latency_us_count 2\n"));
-        assert!(text.contains("h2_serve_compute_us_bucket{le=\"+Inf\"} 2\n"));
-    }
-
-    #[test]
     fn cache_series_appear_only_when_stats_attached() {
         let m = ServiceMetrics::new();
         m.record_sweep(1, Duration::from_millis(1), &[Duration::from_micros(5)]);
@@ -673,25 +597,11 @@ mod tests {
         s.cache = Some(CacheStats {
             hits: 90,
             misses: 10,
-            insertions: 12,
-            evictions: 2,
-            evicted_bytes: 4096,
-            rejected: 1,
-            stale_purged: 3,
-            entries: 10,
             resident_bytes: 2048,
-            pinned_bytes: 1024,
             budget_bytes: 8192,
+            ..CacheStats::default()
         });
-        let text = s.prometheus_text();
-        assert!(text.contains("# TYPE h2_serve_cache_hits_total counter\n"));
-        assert!(text.contains("h2_serve_cache_hits_total 90\n"));
-        assert!(text.contains("h2_serve_cache_misses_total 10\n"));
-        assert!(text.contains("h2_serve_cache_evicted_bytes_total 4096\n"));
-        assert!(text.contains("h2_serve_cache_stale_purged_total 3\n"));
-        assert!(text.contains("h2_serve_cache_resident_bytes 2048\n"));
-        assert!(text.contains("h2_serve_cache_budget_bytes 8192\n"));
-        assert!(text.contains("h2_serve_cache_hit_rate 0.9000\n"));
+        assert!(s.prometheus_text().contains("h2_serve_cache_hit_rate"));
         assert!(
             s.to_string().contains("cache 90% hit (2/8 KiB resident)"),
             "display line: {s}"

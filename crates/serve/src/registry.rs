@@ -30,6 +30,7 @@ use crate::error::LoadError;
 use h2_core::{CacheBudget, H2MatrixS};
 use h2_kernels::Kernel;
 use h2_linalg::Scalar;
+use h2_telemetry::Exposition;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -264,90 +265,35 @@ impl<S: Scalar> OperatorRegistry<S> {
         v
     }
 
-    /// Per-entry resident bytes in the Prometheus text exposition format
-    /// (one `operator`-labeled gauge sample per entry and series). The
-    /// builder-provenance series is an info-style gauge: constant 1, with
-    /// the provenance in the `builder` label. Registry names are
-    /// caller-chosen strings, so label values are escaped per the
-    /// exposition format (`escape_label`) — a hostile name cannot break
-    /// out of its label or forge extra samples.
-    pub fn prometheus_text(&self) -> String {
-        use std::fmt::Write as _;
-        let entries = self.resident_bytes();
-        let mut out = String::new();
-        let _ = writeln!(out, "# TYPE h2_registry_operator_resident_bytes gauge");
-        for e in &entries {
-            let _ = writeln!(
-                out,
-                "h2_registry_operator_resident_bytes{{operator=\"{}\"}} {}",
-                escape_label(&e.name),
-                e.total_bytes
+    /// Describes [`Self::resident_bytes`] to `out`, read at call time: one
+    /// `operator`-labeled gauge sample per entry and family (the families
+    /// are declared even for an empty registry). The builder-provenance
+    /// family is info-style: constant 1, with the provenance in the
+    /// `builder` and `code` labels. Registry names are caller-chosen
+    /// strings; the writer escapes them, so a hostile name cannot break out
+    /// of its label or forge extra samples.
+    pub fn expose(&self, out: &mut Exposition) {
+        let rows = self.resident_bytes();
+        let names: Vec<&str> = rows.iter().map(|e| e.name.as_str()).collect();
+        out.gauge("h2_registry_operator_resident_bytes")
+            .per("operator", &names, |i| rows[i].total_bytes);
+        out.gauge("h2_registry_operator_cached_bytes")
+            .per("operator", &names, |i| rows[i].cached_bytes);
+        out.gauge("h2_registry_operator_mapped_bytes")
+            .per("operator", &names, |i| rows[i].mapped_bytes);
+        let mut family = out.gauge("h2_registry_operator_builder");
+        for e in &rows {
+            let (builder, code) = (e.builder.name(), e.builder.code().to_string());
+            family.sample(
+                &[("operator", &e.name), ("builder", builder), ("code", &code)],
+                1,
             );
         }
-        let _ = writeln!(out, "# TYPE h2_registry_operator_cached_bytes gauge");
-        for e in &entries {
-            let _ = writeln!(
-                out,
-                "h2_registry_operator_cached_bytes{{operator=\"{}\"}} {}",
-                escape_label(&e.name),
-                e.cached_bytes
-            );
-        }
-        let _ = writeln!(out, "# TYPE h2_registry_operator_mapped_bytes gauge");
-        for e in &entries {
-            let _ = writeln!(
-                out,
-                "h2_registry_operator_mapped_bytes{{operator=\"{}\"}} {}",
-                escape_label(&e.name),
-                e.mapped_bytes
-            );
-        }
-        let _ = writeln!(out, "# TYPE h2_registry_operator_builder gauge");
-        for e in &entries {
-            let _ = writeln!(
-                out,
-                "h2_registry_operator_builder{{operator=\"{}\",builder=\"{}\",code=\"{}\"}} 1",
-                escape_label(&e.name),
-                escape_label(e.builder.name()),
-                e.builder.code()
-            );
-        }
-        let _ = writeln!(out, "# TYPE h2_registry_operator_epoch gauge");
-        for e in &entries {
-            let _ = writeln!(
-                out,
-                "h2_registry_operator_epoch{{operator=\"{}\"}} {}",
-                escape_label(&e.name),
-                e.epoch
-            );
-        }
-        let _ = writeln!(out, "# TYPE h2_registry_operator_updates gauge");
-        for e in &entries {
-            let _ = writeln!(
-                out,
-                "h2_registry_operator_updates{{operator=\"{}\"}} {}",
-                escape_label(&e.name),
-                e.updates
-            );
-        }
-        out
+        out.gauge("h2_registry_operator_epoch")
+            .per("operator", &names, |i| rows[i].epoch);
+        out.gauge("h2_registry_operator_updates")
+            .per("operator", &names, |i| rows[i].updates);
     }
-}
-
-/// Escapes a Prometheus label value: backslash, double quote, and newline
-/// are the three characters the text exposition format requires escaping
-/// inside `label="…"`. Shared with the per-tenant series in `service`.
-pub(crate) fn escape_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
 }
 
 /// One row of [`OperatorRegistry::resident_bytes`].
@@ -432,14 +378,11 @@ mod tests {
         assert_eq!(before.epoch(), 0);
         assert_eq!(before.matvec(&b), y_before);
         assert_eq!(after.n(), before.n() + 2);
-        // Epoch and update-count gauges appear per entry.
+        // Epoch and update count surface per entry (and from there in the
+        // gauges; see tests/observability.rs).
         let rows = reg.resident_bytes();
         assert_eq!(rows[0].epoch, 1);
         assert_eq!(rows[0].updates, 1);
-        let text = reg.prometheus_text();
-        assert!(text.contains("# TYPE h2_registry_operator_epoch gauge\n"));
-        assert!(text.contains("h2_registry_operator_epoch{operator=\"live\"} 1\n"));
-        assert!(text.contains("h2_registry_operator_updates{operator=\"live\"} 1\n"));
     }
 
     #[test]
@@ -513,47 +456,7 @@ mod tests {
         assert_eq!(rows[1].name, "beta");
         assert_eq!(rows[0].total_bytes, a.memory_report().total());
         assert_eq!(rows[0].cached_bytes, 0, "no budget, no cached tier");
-        let text = reg.prometheus_text();
-        assert!(text.contains("# TYPE h2_registry_operator_resident_bytes gauge\n"));
-        assert!(text.contains(&format!(
-            "h2_registry_operator_resident_bytes{{operator=\"alpha\"}} {}\n",
-            rows[0].total_bytes
-        )));
-        assert!(text.contains("h2_registry_operator_cached_bytes{operator=\"beta\"} 0\n"));
         assert_eq!(rows[0].builder, h2_core::BuilderProvenance::AnchorNet);
-        assert!(text.contains(
-            "h2_registry_operator_builder{operator=\"alpha\",builder=\"anchor-net\",code=\"0\"} 1\n"
-        ));
-    }
-
-    #[test]
-    fn hostile_operator_names_are_escaped_in_labels() {
-        let reg: OperatorRegistry = OperatorRegistry::new();
-        let op = tiny();
-        // A name abusing every character the exposition format escapes: a
-        // quote to break out of the label, a newline to forge a sample
-        // line, and a backslash to defuse a naive quote-escaper.
-        reg.insert("evil\"} 1\nforged_metric 42\\", op);
-        let text = reg.prometheus_text();
-        // Golden: the whole hostile name stays inside one quoted label.
-        assert!(
-            text.contains(
-                "h2_registry_operator_cached_bytes{operator=\"evil\\\"} 1\\nforged_metric 42\\\\\"} 0\n"
-            ),
-            "escaped label not found in:\n{text}"
-        );
-        assert!(
-            !text.contains("\nforged_metric"),
-            "a raw newline in a name forged a sample line:\n{text}"
-        );
-        // Every line is still well-formed: a comment or `name{...} value`.
-        for line in text.lines() {
-            assert!(
-                line.starts_with("# ") || line.starts_with("h2_registry_"),
-                "malformed exposition line: {line}"
-            );
-        }
-        assert_eq!(escape_label("plain-name_0"), "plain-name_0");
     }
 
     #[test]
@@ -572,9 +475,10 @@ mod tests {
         reg.insert("rand", op);
         let rows = reg.resident_bytes();
         assert_eq!(rows[0].builder, h2_core::BuilderProvenance::Sketched);
-        assert!(reg.prometheus_text().contains(
-            "h2_registry_operator_builder{operator=\"rand\",builder=\"sketched\",code=\"1\"} 1\n"
-        ));
+        assert_eq!(
+            (rows[0].builder.name(), rows[0].builder.code()),
+            ("sketched", 1)
+        );
     }
 
     #[test]
@@ -642,13 +546,6 @@ mod tests {
             m.total_bytes,
             o.total_bytes
         );
-        let text = reg.prometheus_text();
-        assert!(text.contains("# TYPE h2_registry_operator_mapped_bytes gauge\n"));
-        assert!(text.contains(&format!(
-            "h2_registry_operator_mapped_bytes{{operator=\"mapped\"}} {}\n",
-            m.mapped_bytes
-        )));
-        assert!(text.contains("h2_registry_operator_mapped_bytes{operator=\"owned\"} 0\n"));
     }
 
     #[test]

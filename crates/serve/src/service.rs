@@ -22,19 +22,18 @@
 //! queue cap with typed [`SubmitError::AdmissionRejected`] rejections), and
 //! drains pick requests by weighted deficit round robin so one flooding
 //! tenant cannot set everyone else's tail latency. [`MatvecService::new`]
-//! remains the single-tenant FIFO service (one implicit `default` tenant),
-//! so non-tenant-aware callers see exactly the legacy behavior. Per-tenant
+//! is the same scheduler over one implicit `default` tenant, which drains
+//! in arrival order, so non-tenant-aware callers see a plain FIFO. Per-tenant
 //! latency/queue-wait histograms are exported as `h2_tenant_*` Prometheus
-//! series by [`MatvecService::tenant_prometheus_text`].
+//! series by [`MatvecService::expose_tenants`].
 
 use crate::error::SubmitError;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::registry::escape_label;
 use h2_core::{H2Matrix, H2Operator};
 use h2_linalg::{MatrixS, Scalar};
 use h2_telemetry::hist::LogLinearHistogram;
+use h2_telemetry::Exposition;
 use h2_tenant::{AdmitError, BatchScheduler, QueueMode, TenantTable};
-use std::fmt::Write as _;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -114,21 +113,21 @@ pub struct MatvecService<O: H2Operator<S> = H2Matrix, S: Scalar = f64> {
 }
 
 impl<S: Scalar, O: H2Operator<S>> MatvecService<O, S> {
-    /// A single-tenant FIFO service over `op` that fuses up to `max_batch`
-    /// requests per sweep — the legacy behavior, expressed as one implicit
-    /// `default` tenant with open admission and an unbounded queue.
+    /// A single-tenant service over `op` that fuses up to `max_batch`
+    /// requests per sweep in arrival order: one implicit `default` tenant
+    /// with open admission and an unbounded queue.
     pub fn new(op: Arc<O>, max_batch: usize) -> Self {
         Self::with_tenants(
             op,
             max_batch,
             TenantTable::single_default(),
-            QueueMode::Fifo,
+            QueueMode::Wdrr,
         )
     }
 
     /// A multi-tenant service: requests are queued per tenant under
-    /// `table`'s policies and drained according to `mode` (weighted deficit
-    /// round robin for QoS, FIFO as the measurable baseline).
+    /// `table`'s policies and drained by weighted deficit round robin
+    /// (`mode` has one value; see [`QueueMode`]).
     pub fn with_tenants(op: Arc<O>, max_batch: usize, table: TenantTable, mode: QueueMode) -> Self {
         assert!(max_batch >= 1, "batch size must be at least 1");
         assert!(!table.is_empty(), "tenant table must not be empty");
@@ -166,7 +165,7 @@ impl<S: Scalar, O: H2Operator<S>> MatvecService<O, S> {
 
     /// Records the per-tenant slices of a partitioned cache budget (from
     /// [`h2_cache::split_budget`] over [`TenantTable::cache_shares`]) so
-    /// they appear in [`Self::tenant_prometheus_text`]. Index order must
+    /// they appear in [`Self::expose_tenants`]. Index order must
     /// match the tenant table; extra entries are ignored.
     pub fn set_tenant_cache_budgets(&self, budgets: Vec<usize>) {
         *self.cache_budgets.lock().unwrap() = Some(budgets);
@@ -443,14 +442,12 @@ impl<S: Scalar, O: H2Operator<S>> MatvecService<O, S> {
         }
     }
 
-    /// Per-tenant Prometheus series (`h2_tenant_*`), label-escaped:
-    /// requests served, admission rejections by reason, live queue depth,
-    /// scheduling weight, latency and queue-wait quantiles, and — when the
-    /// host registered a partitioned cache budget
+    /// Describes the per-tenant series (`h2_tenant_*`) to `out`: requests
+    /// served, admission rejections by reason, live queue depth, scheduling
+    /// weight, latency and queue-wait quantiles, and — when the host
+    /// registered a partitioned cache budget
     /// ([`Self::set_tenant_cache_budgets`]) — each tenant's byte slice.
-    /// Append to [`MetricsSnapshot::prometheus_text`] for a full exposition.
-    pub fn tenant_prometheus_text(&self) -> String {
-        let mut out = String::new();
+    pub fn expose_tenants(&self, out: &mut Exposition) {
         let depths: Vec<usize> = {
             let sched = self.sched.lock().unwrap();
             (0..self.table.len())
@@ -458,81 +455,36 @@ impl<S: Scalar, O: H2Operator<S>> MatvecService<O, S> {
                 .collect()
         };
         let stats = self.tenant_stats.lock().unwrap();
-        let names: Vec<String> = self
-            .table
-            .iter()
-            .map(|(_, id, _)| escape_label(id.as_str()))
-            .collect();
-
-        out.push_str("# TYPE h2_tenant_requests_total counter\n");
-        for (i, name) in names.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "h2_tenant_requests_total{{tenant=\"{name}\"}} {}",
-                stats[i].served
+        let names: Vec<&str> = self.table.iter().map(|(_, id, _)| id.as_str()).collect();
+        let tenants = || names.iter().zip(stats.iter());
+        out.counter("h2_tenant_requests_total")
+            .per("tenant", &names, |i| stats[i].served);
+        let mut rejected = out.counter("h2_tenant_rejected_total");
+        for (name, s) in tenants() {
+            rejected.sample(
+                &[("tenant", name), ("reason", "queue_full")],
+                s.rejected_full,
             );
+            rejected.sample(&[("tenant", name), ("reason", "closed")], s.rejected_closed);
         }
-        out.push_str("# TYPE h2_tenant_rejected_total counter\n");
-        for (i, name) in names.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "h2_tenant_rejected_total{{tenant=\"{name}\",reason=\"queue_full\"}} {}",
-                stats[i].rejected_full
-            );
-            let _ = writeln!(
-                out,
-                "h2_tenant_rejected_total{{tenant=\"{name}\",reason=\"closed\"}} {}",
-                stats[i].rejected_closed
-            );
+        out.gauge("h2_tenant_queue_depth")
+            .per("tenant", &names, |i| depths[i]);
+        out.gauge("h2_tenant_weight")
+            .per("tenant", &names, |i| self.table.policy(i).weight);
+        let p50_p99 = |h: &LogLinearHistogram| [h.quantile(0.5), h.quantile(0.99)];
+        let mut latency = out.gauge("h2_tenant_latency_microseconds");
+        for (name, s) in tenants() {
+            latency.quantiles(&[("tenant", name)], p50_p99(&s.latency_us));
         }
-        out.push_str("# TYPE h2_tenant_queue_depth gauge\n");
-        for (i, name) in names.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "h2_tenant_queue_depth{{tenant=\"{name}\"}} {}",
-                depths[i]
-            );
-        }
-        out.push_str("# TYPE h2_tenant_weight gauge\n");
-        for (i, name) in names.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "h2_tenant_weight{{tenant=\"{name}\"}} {}",
-                self.table.policy(i).weight
-            );
-        }
-        for (metric, pick) in [
-            (
-                "h2_tenant_latency_microseconds",
-                (|s: &TenantStats| &s.latency_us) as fn(&TenantStats) -> &LogLinearHistogram,
-            ),
-            ("h2_tenant_queue_wait_microseconds", |s: &TenantStats| {
-                &s.queue_us
-            }),
-        ] {
-            let _ = writeln!(out, "# TYPE {metric} gauge");
-            for (i, name) in names.iter().enumerate() {
-                let h = pick(&stats[i]);
-                for (q, qs) in [(0.5, "0.5"), (0.99, "0.99")] {
-                    let _ = writeln!(
-                        out,
-                        "{metric}{{tenant=\"{name}\",quantile=\"{qs}\"}} {}",
-                        h.quantile(q)
-                    );
-                }
-            }
+        let mut queue_wait = out.gauge("h2_tenant_queue_wait_microseconds");
+        for (name, s) in tenants() {
+            queue_wait.quantiles(&[("tenant", name)], p50_p99(&s.queue_us));
         }
         if let Some(budgets) = self.cache_budgets.lock().unwrap().as_ref() {
-            out.push_str("# TYPE h2_tenant_cache_budget_bytes gauge\n");
-            for (i, name) in names.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "h2_tenant_cache_budget_bytes{{tenant=\"{name}\"}} {}",
-                    budgets.get(i).copied().unwrap_or(0)
-                );
-            }
+            let slice = |i| budgets.get(i).copied().unwrap_or(0);
+            out.gauge("h2_tenant_cache_budget_bytes")
+                .per("tenant", &names, slice);
         }
-        out
     }
 }
 
@@ -915,56 +867,37 @@ mod tests {
     }
 
     #[test]
-    fn tenant_prometheus_series_are_exported_and_escaped() {
+    fn tenant_series_follow_served_traffic_and_reset() {
+        // Label escaping, rejections, weights and budgets are pinned by the
+        // whole-body golden (tests/observability.rs); this covers what needs a
+        // real drain: served counts and latency quantiles reach the series.
         let op = op(MemoryMode::OnTheFly);
         let n = op.n();
-        let table = TenantTable::new([
-            ("a\"quote", TenantPolicy::default()),
-            (
-                "plain",
-                TenantPolicy {
-                    weight: 2.0,
-                    max_queue: 1,
-                    ..TenantPolicy::default()
-                },
-            ),
-        ])
-        .unwrap();
-        let svc = MatvecService::with_tenants(op, 4, table, QueueMode::Wdrr);
-        svc.submit_for("plain", rhs(n, 0)).unwrap();
-        assert!(svc.submit_for("plain", rhs(n, 1)).is_err()); // cap 1
+        let svc = MatvecService::with_tenants(op, 4, two_tenant_table(8), QueueMode::Wdrr);
+        svc.submit_for("light", rhs(n, 0)).unwrap();
         svc.drain();
-        svc.set_tenant_cache_budgets(vec![300, 700]);
-        let text = svc.tenant_prometheus_text();
+        let exposed = || {
+            let mut out = Exposition::new();
+            svc.expose_tenants(&mut out);
+            out.finish()
+        };
+        let p99 = svc.tenant_latency_quantile_us("light", 0.99);
+        assert!(p99 > 0);
+        let text = exposed();
         assert!(
-            text.contains("h2_tenant_requests_total{tenant=\"a\\\"quote\"} 0"),
+            text.contains("h2_tenant_requests_total{tenant=\"light\"} 1\n"),
             "{text}"
         );
         assert!(
-            text.contains("h2_tenant_requests_total{tenant=\"plain\"} 1"),
+            text.contains(&format!(
+                "h2_tenant_latency_microseconds{{tenant=\"light\",quantile=\"0.99\"}} {p99}\n"
+            )),
             "{text}"
         );
-        assert!(
-            text.contains("h2_tenant_rejected_total{tenant=\"plain\",reason=\"queue_full\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("h2_tenant_weight{tenant=\"plain\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("h2_tenant_latency_microseconds{tenant=\"plain\",quantile=\"0.99\"}"),
-            "{text}"
-        );
-        assert!(
-            text.contains("h2_tenant_cache_budget_bytes{tenant=\"plain\"} 700"),
-            "{text}"
-        );
-        assert!(svc.tenant_latency_quantile_us("plain", 0.99) > 0);
         // reset_metrics clears the per-tenant accounting too.
         svc.reset_metrics();
-        assert_eq!(svc.tenant_served("plain"), 0);
-        assert_eq!(svc.tenant_latency_quantile_us("plain", 0.99), 0);
+        assert_eq!(svc.tenant_served("light"), 0);
+        assert!(exposed().contains("h2_tenant_requests_total{tenant=\"light\"} 0\n"));
     }
 
     #[test]
@@ -979,7 +912,7 @@ mod tests {
             },
         )])
         .unwrap();
-        let svc = MatvecService::with_tenants(op, 4, table, QueueMode::Fifo);
+        let svc = MatvecService::with_tenants(op, 4, table, QueueMode::Wdrr);
         svc.submit(rhs(n, 0)).unwrap();
         // 1 queued + 3 more would exceed the cap of 3: all-or-nothing reject.
         let err = svc

@@ -1,4 +1,5 @@
-//! Exporters: chrome://tracing JSON and Prometheus text exposition.
+//! Exporters: chrome://tracing JSON, and the snapshot as a source of the
+//! Prometheus exposition writer ([`crate::expo`]).
 //!
 //! Both operate on a [`TelemetrySnapshot`], so any tool that can take a
 //! snapshot (benches, the serving CLI, tests) gets both formats for free.
@@ -9,7 +10,7 @@
 
 #[cfg(test)]
 use crate::SpanRecord;
-use crate::TelemetrySnapshot;
+use crate::{Exposition, TelemetrySnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -94,69 +95,41 @@ impl TelemetrySnapshot {
         out
     }
 
-    /// Serializes the snapshot in the Prometheus text exposition format:
-    /// one `counter` series per registered counter (`h2_<name>`), plus
-    /// per-`(name, label)` span aggregates as `h2_span_seconds_total` /
-    /// `h2_span_count_total`.
-    pub fn prometheus_text(&self) -> String {
-        let mut out = String::new();
+    /// Describes the snapshot to `out`: one `counter` family per registered
+    /// counter (`h2_<name>`), plus per-`(name, label)` span aggregates as
+    /// `h2_span_seconds_total` / `h2_span_count_total`.
+    pub fn expose(&self, out: &mut Exposition) {
         for (name, value) in &self.counters {
-            let metric = metric_name(name);
-            let _ = writeln!(out, "# TYPE {metric} counter");
-            let _ = writeln!(out, "{metric} {value}");
+            out.counter(name).sample(&[], value);
         }
         let totals = self.span_totals();
-        if !totals.is_empty() {
-            out.push_str("# TYPE h2_span_seconds_total counter\n");
+        if totals.is_empty() {
+            return;
+        }
+        for (family, seconds) in [
+            ("h2_span_seconds_total", true),
+            ("h2_span_count_total", false),
+        ] {
+            let mut family = out.counter(family);
             for ((name, label), t) in &totals {
-                let _ = writeln!(
-                    out,
-                    "h2_span_seconds_total{{{}}} {:.9}",
-                    series_labels(name, label),
-                    t.seconds()
-                );
-            }
-            out.push_str("# TYPE h2_span_count_total counter\n");
-            for ((name, label), t) in &totals {
-                let _ = writeln!(
-                    out,
-                    "h2_span_count_total{{{}}} {}",
-                    series_labels(name, label),
-                    t.count
-                );
+                // `label` is part of the series only when the span had one.
+                let labels = [("span", name.as_str()), ("label", label.as_str())];
+                let labels = &labels[..if label.is_empty() { 1 } else { 2 }];
+                if seconds {
+                    family.sample(labels, format_args!("{:.9}", t.seconds()));
+                } else {
+                    family.sample(labels, t.count);
+                }
             }
         }
-        out
     }
-}
 
-fn series_labels(name: &str, label: &str) -> String {
-    if label.is_empty() {
-        format!("span=\"{}\"", prom_escape(name))
-    } else {
-        format!(
-            "span=\"{}\",label=\"{}\"",
-            prom_escape(name),
-            prom_escape(label)
-        )
+    /// [`Self::expose`] as a standalone Prometheus text body.
+    pub fn prometheus_text(&self) -> String {
+        let mut out = Exposition::new();
+        self.expose(&mut out);
+        out.finish()
     }
-}
-
-/// `h2_` + the counter name with every non-`[a-zA-Z0-9_]` byte mapped to
-/// `_` (so `dist.bytes_sent` becomes `h2_dist_bytes_sent`).
-fn metric_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 3);
-    if !name.starts_with("h2_") {
-        out.push_str("h2_");
-    }
-    for c in name.chars() {
-        out.push(if c.is_ascii_alphanumeric() || c == '_' {
-            c
-        } else {
-            '_'
-        });
-    }
-    out
 }
 
 pub(crate) fn json_escape(s: &str) -> String {
@@ -177,37 +150,14 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-/// Prometheus label-value escaping: backslash, double quote, newline.
-fn prom_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn metric_names_are_sanitized() {
-        assert_eq!(metric_name("kernel_evals"), "h2_kernel_evals");
-        assert_eq!(metric_name("dist.bytes_sent"), "h2_dist_bytes_sent");
-        assert_eq!(metric_name("h2_already"), "h2_already");
-        assert_eq!(metric_name("weird name!"), "h2_weird_name_");
-    }
-
-    #[test]
     fn escapes() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(prom_escape("x\"y\\z\n"), "x\\\"y\\\\z\\n");
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! `dist.bytes_sent`) and **spans** (RAII guards recording nested,
 //! thread-aware wall time with phase names), plus exporters that turn a
 //! [`TelemetrySnapshot`] into a chrome://tracing JSON trace
-//! ([`TelemetrySnapshot::chrome_trace_json`]) or a Prometheus text
-//! exposition ([`TelemetrySnapshot::prometheus_text`]).
+//! ([`TelemetrySnapshot::chrome_trace_json`]) or describe it to the one
+//! Prometheus text-exposition writer ([`expo::Exposition`], through
+//! [`TelemetrySnapshot::expose`]) that every metrics source in the stack
+//! shares.
 //!
 //! The design goal is *cheap enough to leave on in release builds*:
 //!
@@ -51,11 +53,13 @@
 //! ```
 
 mod cluster;
+pub mod expo;
 mod export;
 mod flight;
 pub mod hist;
 
 pub use cluster::{cluster_trace_json, ProcessSpans, RemoteSpan};
+pub use expo::Exposition;
 pub use export::SpanTotal;
 pub use flight::{
     flight_dump_json, flight_dump_to, flight_enable, flight_enabled, flight_event, flight_reset,

@@ -169,48 +169,6 @@ fn chrome_trace_golden() {
     );
 }
 
-/// Golden test: the Prometheus text exposition for a hand-built snapshot.
-#[test]
-fn prometheus_text_golden() {
-    let mut counters = BTreeMap::new();
-    counters.insert("kernel_evals".to_string(), 42u64);
-    counters.insert("dist.bytes_sent".to_string(), 7u64);
-    let snap = TelemetrySnapshot {
-        counters,
-        spans: vec![
-            SpanRecord {
-                name: "matvec.upward",
-                label: None,
-                tid: 1,
-                start_ns: 0,
-                dur_ns: 1_500_000_000,
-                depth: 1,
-                trace: 0,
-            },
-            SpanRecord {
-                name: "matvec.upward",
-                label: None,
-                tid: 1,
-                start_ns: 0,
-                dur_ns: 500_000_000,
-                depth: 1,
-                trace: 0,
-            },
-        ],
-    };
-    assert_eq!(
-        snap.prometheus_text(),
-        "# TYPE h2_dist_bytes_sent counter\n\
-         h2_dist_bytes_sent 7\n\
-         # TYPE h2_kernel_evals counter\n\
-         h2_kernel_evals 42\n\
-         # TYPE h2_span_seconds_total counter\n\
-         h2_span_seconds_total{span=\"matvec.upward\"} 2.000000000\n\
-         # TYPE h2_span_count_total counter\n\
-         h2_span_count_total{span=\"matvec.upward\"} 2\n"
-    );
-}
-
 #[test]
 #[cfg_attr(feature = "disabled", ignore = "recording is compiled out")]
 fn trace_scopes_tag_spans_and_restore_on_drop() {

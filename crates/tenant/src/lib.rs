@@ -17,8 +17,8 @@
 //!   round robin** ([`QueueMode::Wdrr`]): backlogged tenants are served in
 //!   proportion to their weights, idle capacity is redistributed, and a
 //!   persistent cursor plus deficit accounting keep partial batches fair
-//!   (see the invariants in [`sched`]). [`QueueMode::Fifo`] preserves the
-//!   legacy global-arrival-order drain as a measurable baseline;
+//!   (see the invariants in [`sched`]); a single-tenant table drains in
+//!   arrival order;
 //! - admission control — a full or closed tenant's submission is refused
 //!   with a typed [`AdmitError`] before it can displace anyone else's work;
 //! - cache partitioning — [`TenantTable::cache_shares`] feeds
