@@ -113,12 +113,22 @@ cache_share = 2.0
 max_queue = 64
 
 [gamma]
+cache_share = 0.0
 TOML
 timeout 120 ./target/release/h2serve serve --file "$TEN/op.h2" --tenants "$TEN/tenants.toml" \
   --mmap --requests 4 --batches 4 --cache-budget 0.25 > "$TEN/serve.log"
 grep -q "TENANT_SERVE_MMAP_OK" "$TEN/serve.log"
 grep -q "bitwise: all 3 hosted operators identical" "$TEN/serve.log"
 grep -q 'h2_tenant_cache_budget_bytes{tenant="alpha"}' "$TEN/serve.log"
+# Second pass, on-the-fly file: here the budget is live (a normal-mode file
+# ignores it), so alpha and beta host a budgeted tier in normal-mode
+# arithmetic and gamma a pure on-the-fly one; each must match the owned
+# decode of its own class.
+./target/release/h2serve save --n 2000 --dim 3 --leaf 64 --mode otf --out "$TEN/otf.h2" > /dev/null
+timeout 120 ./target/release/h2serve serve --file "$TEN/otf.h2" --tenants "$TEN/tenants.toml" \
+  --requests 4 --batches 4 --cache-budget 0.25 > "$TEN/serve-otf.log"
+grep -q "bitwise: all 3 hosted operators identical" "$TEN/serve-otf.log"
+grep -q 'h2_tenant_cache_budget_bytes{tenant="gamma"} 0' "$TEN/serve-otf.log"
 rm -rf "$TEN"
 
 echo "== live observability gate (scrape + cluster trace + flight recorder) =="

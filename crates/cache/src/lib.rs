@@ -9,8 +9,8 @@
 //! resident, and the sweeps fetch every block through one three-tier
 //! lookup (`h2_core::sweep`):
 //!
-//! - resident — the materialized stores ([`CouplingStore`] /
-//!   [`NearfieldStore`]), blocks borrowed straight out of the slab;
+//! - resident — the materialized [`BlockStore`]s (coupling and
+//!   nearfield), blocks borrowed straight out of the slab;
 //! - cached — a sharded LRU ([`BlockCache`]) over the same `(kind, i, j)`
 //!   keys with a strict byte budget, cost-aware admission and warmup
 //!   pinning in sweep-execution order;
@@ -30,4 +30,4 @@ pub mod stores;
 pub use budget::{split_budget, CacheBudget};
 pub use cache::{BlockCache, BlockKind, CacheStats};
 pub use slabs::{BlockSlabs, SlabBlock};
-pub use stores::{BlockIndex, CouplingStore, NearfieldStore};
+pub use stores::{BlockIndex, BlockStore, CouplingStore, NearfieldStore};

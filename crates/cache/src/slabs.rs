@@ -7,9 +7,9 @@
 //! slab — into `Vec<MatrixS<S>>` *views*: matrices whose buffers borrow the
 //! mapped pages instead of owning heap copies (see
 //! [`MatrixS::from_slab`]). Those views slot into the existing
-//! [`crate::CouplingStore`] / [`crate::NearfieldStore`] and the H² sweeps
-//! unchanged, which is what makes the mmap path bitwise-identical to the
-//! owned decode: it is literally the same apply code over the same bytes.
+//! [`crate::BlockStore`]s and the H² sweeps unchanged, which is what
+//! makes the mmap path bitwise-identical to the owned decode: it is
+//! literally the same apply code over the same bytes.
 //!
 //! Construction is fully checked (bounds, element alignment, little-endian
 //! host) and returns a typed [`SlabError`] — never panics — so a hostile

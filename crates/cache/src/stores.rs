@@ -4,8 +4,9 @@
 //! integers and a sequence of dense matrices" behind a matrix-free
 //! interface that works identically in normal and on-the-fly modes. This
 //! module is that structure: [`BlockIndex`] is the sparse integer map from
-//! a node pair to a slot, and [`CouplingStore`] / [`NearfieldStore`] hold
-//! the dense blocks in normal mode or nothing at all in on-the-fly mode.
+//! a node pair to a slot, and one [`BlockStore`] per pair list (aliased
+//! [`CouplingStore`] / [`NearfieldStore`]) holds the dense blocks in normal
+//! mode or nothing at all in on-the-fly mode.
 //! Only the `i <= j` half is stored for symmetric kernels
 //! (`B_{j,i} = B_{i,j}ᵀ`), exactly as the paper notes.
 //!
@@ -73,21 +74,28 @@ impl BlockIndex {
     }
 }
 
-/// Dense blocks for farfield (coupling) pairs. `None` blocks = on-the-fly.
+/// Dense blocks of one pair list — coupling (farfield) pairs or nearfield
+/// leaf pairs; [`crate::BlockKind`] tells the two apart wherever both are
+/// in play. `None` blocks = on-the-fly.
 ///
 /// Generic over the storage scalar `S`; the sweeps apply the borrowed
 /// blocks to vectors of an independent accumulator scalar `A`, so an `f32`
 /// store feeds an `f64` sweep (mixed-precision mode) without copies.
 #[derive(Clone, Debug)]
-pub struct CouplingStore<S: Scalar = f64> {
+pub struct BlockStore<S: Scalar = f64> {
     index: BlockIndex,
     blocks: Option<Vec<MatrixS<S>>>,
 }
 
-impl<S: Scalar> CouplingStore<S> {
+/// The [`BlockStore`] over an operator's interaction pairs.
+pub type CouplingStore<S = f64> = BlockStore<S>;
+/// The [`BlockStore`] over an operator's nearfield pairs.
+pub type NearfieldStore<S = f64> = BlockStore<S>;
+
+impl<S: Scalar> BlockStore<S> {
     /// On-the-fly store: index only, no dense blocks.
     pub fn on_the_fly(pairs: &[(NodeId, NodeId)]) -> Self {
-        CouplingStore {
+        BlockStore {
             index: BlockIndex::new(pairs),
             blocks: None,
         }
@@ -96,7 +104,7 @@ impl<S: Scalar> CouplingStore<S> {
     /// Normal store: dense blocks aligned with `pairs`.
     pub fn normal(pairs: &[(NodeId, NodeId)], blocks: Vec<MatrixS<S>>) -> Self {
         assert_eq!(pairs.len(), blocks.len());
-        CouplingStore {
+        BlockStore {
             index: BlockIndex::new(pairs),
             blocks: Some(blocks),
         }
@@ -121,28 +129,44 @@ impl<S: Scalar> CouplingStore<S> {
         self.blocks.as_deref()
     }
 
-    /// Replaces the stored block of the canonical pair `(i <= j)` in place —
-    /// the incremental update path rewrites exactly the blocks whose row or
-    /// column side was re-factored. Panics on an on-the-fly store, an
-    /// unknown pair, or a non-canonical orientation.
-    pub fn replace_block(&mut self, i: NodeId, j: NodeId, block: MatrixS<S>) {
-        let blocks = self
+    /// Moves a materialized store onto the pair list `pairs` (`i <= j` each)
+    /// — the incremental update path, whose lists change when a leaf splits
+    /// or a grown box flips admissibility. `fresh` holds the regenerated
+    /// blocks, keyed by pair, as a subsequence of `pairs` in order; every
+    /// other pair keeps the block it had (moved, not copied) and must have
+    /// had one. Panics on an on-the-fly store.
+    pub fn relist(
+        &mut self,
+        pairs: &[(NodeId, NodeId)],
+        fresh: impl IntoIterator<Item = ((NodeId, NodeId), MatrixS<S>)>,
+    ) {
+        let old = self
             .blocks
             .as_mut()
-            .expect("replace_block requires a materialized store");
-        let (slot, transposed) = self
-            .index
-            .slot(i, j)
-            .unwrap_or_else(|| panic!("coupling block ({i}, {j}) not in index"));
+            .expect("relist requires a materialized store");
+        let old_index = std::mem::replace(&mut self.index, BlockIndex::new(pairs));
+        let mut fresh = fresh.into_iter().peekable();
+        let blocks = pairs
+            .iter()
+            .map(|&(i, j)| match fresh.next_if(|(pair, _)| *pair == (i, j)) {
+                Some((_, block)) => block,
+                None => {
+                    let (slot, _) = old_index
+                        .slot(i, j)
+                        .unwrap_or_else(|| panic!("block ({i}, {j}) neither kept nor fresh"));
+                    std::mem::replace(&mut old[slot], MatrixS::zeros(0, 0))
+                }
+            })
+            .collect();
+        *old = blocks;
         assert!(
-            !transposed,
-            "replace_block takes the canonical pair (i <= j)"
+            fresh.next().is_none(),
+            "fresh blocks must follow the pair-list order"
         );
-        blocks[slot] = block;
     }
 
     /// Total *heap* bytes of dense blocks. Slab-backed (mmap) blocks report
-    /// 0 here; see [`CouplingStore::mapped_bytes`].
+    /// 0 here; see [`BlockStore::mapped_bytes`].
     pub fn blocks_bytes(&self) -> usize {
         self.blocks
             .as_ref()
@@ -152,92 +176,6 @@ impl<S: Scalar> CouplingStore<S> {
 
     /// Total bytes of slab-backed (mmap) blocks — the pages the OS page
     /// cache owns on behalf of this store. 0 for owned or on-the-fly
-    /// stores.
-    pub fn mapped_bytes(&self) -> usize {
-        self.blocks
-            .as_ref()
-            .map(|bs| bs.iter().map(|b| b.mapped_bytes()).sum())
-            .unwrap_or(0)
-    }
-
-    /// Bytes of the sparse index.
-    pub fn index_bytes(&self) -> usize {
-        self.index.bytes()
-    }
-}
-
-/// Dense blocks for nearfield leaf pairs. Same storage policy as
-/// [`CouplingStore`].
-#[derive(Clone, Debug)]
-pub struct NearfieldStore<S: Scalar = f64> {
-    index: BlockIndex,
-    blocks: Option<Vec<MatrixS<S>>>,
-}
-
-impl<S: Scalar> NearfieldStore<S> {
-    /// On-the-fly store.
-    pub fn on_the_fly(pairs: &[(NodeId, NodeId)]) -> Self {
-        NearfieldStore {
-            index: BlockIndex::new(pairs),
-            blocks: None,
-        }
-    }
-
-    /// Normal store with materialized blocks aligned with `pairs`.
-    pub fn normal(pairs: &[(NodeId, NodeId)], blocks: Vec<MatrixS<S>>) -> Self {
-        assert_eq!(pairs.len(), blocks.len());
-        NearfieldStore {
-            index: BlockIndex::new(pairs),
-            blocks: Some(blocks),
-        }
-    }
-
-    /// True when blocks are materialized.
-    pub fn is_materialized(&self) -> bool {
-        self.blocks.is_some()
-    }
-
-    /// The materialized blocks in pair-list order (`None` when on-the-fly).
-    pub fn blocks(&self) -> Option<&[MatrixS<S>]> {
-        self.blocks.as_deref()
-    }
-
-    /// Replaces the stored block of the canonical pair `(i <= j)` in place
-    /// (see [`CouplingStore::replace_block`]).
-    pub fn replace_block(&mut self, i: NodeId, j: NodeId, block: MatrixS<S>) {
-        let blocks = self
-            .blocks
-            .as_mut()
-            .expect("replace_block requires a materialized store");
-        let (slot, transposed) = self
-            .index
-            .slot(i, j)
-            .unwrap_or_else(|| panic!("nearfield block ({i}, {j}) not in index"));
-        assert!(
-            !transposed,
-            "replace_block takes the canonical pair (i <= j)"
-        );
-        blocks[slot] = block;
-    }
-
-    /// The stored block of the *ordered* pair `(i, j)`; `transposed` reports
-    /// whether it is `B_{j,i}` that is stored.
-    pub fn block(&self, i: NodeId, j: NodeId) -> Option<(&MatrixS<S>, bool)> {
-        let blocks = self.blocks.as_ref()?;
-        let (slot, t) = self.index.slot(i, j)?;
-        Some((&blocks[slot], t))
-    }
-
-    /// Total *heap* bytes of dense blocks (slab-backed blocks report 0; see
-    /// [`NearfieldStore::mapped_bytes`]).
-    pub fn blocks_bytes(&self) -> usize {
-        self.blocks
-            .as_ref()
-            .map(|bs| bs.iter().map(|b| b.bytes()).sum())
-            .unwrap_or(0)
-    }
-
-    /// Total bytes of slab-backed (mmap) blocks; 0 for owned or on-the-fly
     /// stores.
     pub fn mapped_bytes(&self) -> usize {
         self.blocks
@@ -313,23 +251,34 @@ mod tests {
     }
 
     #[test]
-    fn replace_block_swaps_one_slot() {
+    fn relist_keeps_clean_blocks_and_places_fresh_ones() {
         let mut store =
             CouplingStore::normal(&[(0, 1), (0, 2)], vec![mat(3, 2, 1.0), mat(2, 2, 1.0)]);
-        store.replace_block(0, 1, mat(4, 5, 2.0));
-        let (b, t) = store.block(0, 1).unwrap();
-        assert!(!t);
-        assert_eq!(b.shape(), (4, 5));
-        // The untouched slot is unchanged.
-        assert_eq!(store.block(0, 2).unwrap().0.shape(), (2, 2));
-        // Transposed lookups see the replacement too.
+        // Same list, one block regenerated: the other slot is untouched and
+        // transposed lookups see the replacement too.
+        store.relist(&[(0, 1), (0, 2)], [((0, 1), mat(4, 5, 2.0))]);
         assert_eq!(store.block(1, 0), Some((&mat(4, 5, 2.0), true)));
+        assert_eq!(store.block(0, 2), Some((&mat(2, 2, 1.0), false)));
+        // New list: (0, 1) vanishes, (0, 2) is kept, (1, 3) and (2, 2) are new.
+        store.relist(
+            &[(0, 2), (1, 3), (2, 2)],
+            [((1, 3), mat(1, 1, 3.0)), ((2, 2), mat(2, 2, 4.0))],
+        );
+        assert_eq!(store.block(0, 1), None);
+        assert_eq!(
+            store.blocks().unwrap(),
+            &[mat(2, 2, 1.0), mat(1, 1, 3.0), mat(2, 2, 4.0)]
+        );
+        assert_eq!(
+            store.index_bytes(),
+            BlockIndex::new(&[(0, 2), (1, 3), (2, 2)]).bytes()
+        );
     }
 
     #[test]
-    #[should_panic(expected = "canonical pair")]
-    fn replace_block_rejects_transposed_orientation() {
+    #[should_panic(expected = "neither kept nor fresh")]
+    fn relist_rejects_a_pair_without_a_block() {
         let mut store = NearfieldStore::normal(&[(0, 1)], vec![mat(2, 2, 1.0)]);
-        store.replace_block(1, 0, mat(2, 2, 3.0));
+        store.relist(&[(0, 1), (1, 1)], []);
     }
 }

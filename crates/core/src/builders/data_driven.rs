@@ -7,31 +7,43 @@
 //! Coupling blocks are then plain kernel submatrices `K(S_i, S_j)`, which
 //! is what enables the on-the-fly memory mode.
 
-use super::{nested_skeleton_generators, ColumnSet, Generators};
+use super::{nested_skeleton_pass, row_id_against, ColumnSet};
+use crate::h2matrix::H2MatrixS;
 use h2_kernels::Kernel;
-use h2_points::admissibility::BlockLists;
-use h2_points::ClusterTree;
+use h2_linalg::id::RowId;
+use h2_linalg::Scalar;
+use h2_points::{ClusterTree, NodeId};
 use h2_sampling::{hierarchical_sample, SampleParams};
 
-/// Builds the data-driven generators: hierarchical farfield sampling
-/// followed by nested row IDs at `id_tol`.
-pub(crate) fn generators(
-    tree: &ClusterTree,
-    lists: &BlockLists,
-    kernel: &dyn Kernel,
+/// The data-driven factor rule: row-ID `K(rows, Y_i*)` at `id_tol`. `Y_i*`
+/// is empty exactly when neither the node nor any ancestor has an
+/// interaction list — those nodes carry rank 0.
+pub(crate) fn factor<'a>(
+    kernel: &'a dyn Kernel,
+    y_star: &'a [Vec<usize>],
+    id_tol: f64,
+) -> impl Fn(&ClusterTree, NodeId, &[usize]) -> RowId + Sync + 'a {
+    move |tree, i, rows| {
+        let cols = ColumnSet::Indices(&y_star[i]);
+        row_id_against(kernel, tree.points(), rows, cols, id_tol)
+    }
+}
+
+/// Factors every node: hierarchical farfield sampling followed by nested
+/// row IDs at `id_tol`. Returns the sampling time in milliseconds and the
+/// surrogate table `X*` the sweep produced.
+pub(crate) fn factor_all<S: Scalar>(
+    h2: &mut H2MatrixS<S>,
     params: &SampleParams,
     id_tol: f64,
-) -> Generators {
+) -> (f64, Vec<Vec<usize>>) {
     // One measurement feeds both the trace and BuildStats::sampling_ms.
     let sp = h2_telemetry::span("build.sampling");
-    let samples = hierarchical_sample(tree, lists, params);
+    let samples = hierarchical_sample(&h2.tree, &h2.lists, params);
     let sampling_ms = sp.finish() * 1e3;
 
-    let mut gens = nested_skeleton_generators(tree, kernel, id_tol, |i| {
-        // Y_i* is empty exactly when neither the node nor any ancestor has
-        // an interaction list — those nodes carry rank 0.
-        ColumnSet::Indices(samples.y_star[i].clone())
-    });
-    gens.sampling_ms = sampling_ms;
-    gens
+    let (kernel, levels) = (h2.kernel.clone(), h2.tree.levels().to_vec());
+    let rule = factor(kernel.as_ref(), &samples.y_star, id_tol);
+    nested_skeleton_pass(h2, &levels, "build.id", rule);
+    (sampling_ms, samples.x_star)
 }

@@ -58,6 +58,5 @@ pub(crate) fn generators(tree: &ClusterTree, order: usize) -> Generators {
         transfers,
         proxies,
         ranks,
-        sampling_ms: 0.0,
     }
 }

@@ -1,11 +1,14 @@
-//! Construction pipelines: tree → block lists → per-node generators →
-//! (optionally) materialized blocks.
+//! Construction: tree → block lists → per-node generators → (optionally)
+//! materialized blocks.
 //!
 //! [`build`] is the single entry point used by [`crate::H2Matrix::build`].
-//! The basis method only decides how the per-node `Generators` are
-//! produced; everything else (tree, admissibility, block materialization)
-//! is shared, which is what makes the normal/on-the-fly comparison and the
-//! method ablations apples-to-apples.
+//! The three nested-skeleton methods (data-driven, proxy-surface, sketched)
+//! share one bottom-up pass, `nested_skeleton_pass`, and differ only in
+//! the per-node *factor rule* each submodule hands it; the incremental
+//! update engine ([`crate::update`]) runs the same pass over the nodes it
+//! touched. Everything else (tree, admissibility, block generation) is
+//! shared with the interpolation baseline too, which is what makes the
+//! normal/on-the-fly comparison and the method ablations apples-to-apples.
 
 pub mod data_driven;
 pub mod interpolation;
@@ -13,12 +16,11 @@ pub mod proxy_surface;
 pub mod sketched;
 
 use crate::config::{BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, MemoryMode};
-use crate::h2matrix::H2MatrixS;
-use crate::proxy::{coupling_block_s, ProxyPoints};
-use h2_cache::stores::{CouplingStore, NearfieldStore};
-use h2_cache::BlockKind;
+use crate::h2matrix::{listed_blocks, H2MatrixS};
+use crate::proxy::ProxyPoints;
+use h2_cache::BlockStore;
 use h2_kernels::Kernel;
-use h2_linalg::id::row_id_consume;
+use h2_linalg::id::{row_id_consume, RowId};
 use h2_linalg::qr::Truncation;
 use h2_linalg::{Matrix, MatrixS, Scalar};
 use h2_points::admissibility::build_block_lists;
@@ -59,64 +61,85 @@ fn ms_since(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-/// The per-node generators a basis method must produce: exactly the fields
-/// of [`H2MatrixS`] that depend on the method, always factored in `f64`
-/// (conversion to the storage scalar happens once, in [`build`]).
+/// Per-node generators in `f64`, as [`interpolation::generators`] returns
+/// them; [`build`] rounds them to the storage scalar when it installs them.
+/// (The nested-skeleton methods install node by node instead, through
+/// [`nested_skeleton_pass`].)
 pub(crate) struct Generators {
     /// Leaf bases `U_i` (empty for internal nodes).
     pub bases: Vec<Matrix>,
     /// Transfer matrices `R_c` (`rank_c x rank_parent`; empty for the root).
     pub transfers: Vec<Matrix>,
-    /// Per-node proxy points: skeleton indices or grid coordinates.
+    /// Per-node proxy points (grid coordinates).
     pub proxies: Vec<ProxyPoints>,
     /// Per-node ranks.
     pub ranks: Vec<usize>,
-    /// Time spent in farfield sampling, if the method samples.
-    pub sampling_ms: f64,
 }
 
 /// The column set a node's row ID compresses against: either indices into
 /// the global point set (data-driven farfield samples) or free-standing
 /// coordinates (proxy surfaces). An empty set means rank zero.
-pub(crate) enum ColumnSet {
-    Indices(Vec<usize>),
+pub(crate) enum ColumnSet<'a> {
+    Indices(&'a [usize]),
     Coords(PointSet),
 }
 
-impl ColumnSet {
-    fn is_empty(&self) -> bool {
-        match self {
-            ColumnSet::Indices(v) => v.is_empty(),
-            ColumnSet::Coords(p) => p.is_empty(),
+/// The deterministic factor rule (data-driven construction, proxy surfaces
+/// and incremental updates): a row ID of `K(rows, cols)` at `id_tol`.
+pub(crate) fn row_id_against(
+    kernel: &dyn Kernel,
+    pts: &PointSet,
+    rows: &[usize],
+    cols: ColumnSet,
+    id_tol: f64,
+) -> RowId {
+    let a = match cols {
+        // No farfield to compress against: rank 0.
+        ColumnSet::Indices([]) => Matrix::zeros(rows.len(), 0),
+        ColumnSet::Coords(targets) if targets.is_empty() => Matrix::zeros(rows.len(), 0),
+        ColumnSet::Indices(idx) => h2_kernels::kernel_matrix(kernel, pts, rows, idx),
+        ColumnSet::Coords(targets) => {
+            h2_kernels::kernel_cross_matrix(kernel, &pts.select(rows), &targets)
         }
-    }
+    };
+    row_id_consume(a, Truncation::tol(id_tol))
 }
 
-/// Shared bottom-up nested-skeleton construction (the common core of the
-/// data-driven and proxy-surface methods).
+/// The one bottom-up nested-skeleton pass: every construction method whose
+/// skeletons are data points, and every incremental update, is a call of
+/// this function with its own node set and factor rule.
 ///
-/// Per node `i`, the candidate rows are the node's own points (leaf) or the
-/// concatenated skeletons of its children (internal — the nesting step).
-/// A row ID of `K(rows, cols_for(i))` at `id_tol` picks the skeleton and
-/// the interpolation operator `P`; `P` becomes the leaf basis `U_i`, or is
-/// split row-wise over the children into their transfers `R_c`.
-pub(crate) fn nested_skeleton_generators(
-    tree: &ClusterTree,
-    kernel: &dyn Kernel,
-    id_tol: f64,
-    cols_for: impl Fn(NodeId) -> ColumnSet + Sync,
-) -> Generators {
-    let n_nodes = tree.node_count();
-    let pts = tree.points();
-    let mut bases = vec![Matrix::zeros(0, 0); n_nodes];
-    let mut transfers = vec![Matrix::zeros(0, 0); n_nodes];
-    let mut skeletons: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
-    let mut ranks = vec![0usize; n_nodes];
-
-    // Children live exactly one level below their parent, so a reverse
-    // level sweep sees every child's skeleton before its parent needs it.
-    for (lvl, level) in tree.levels().iter().enumerate().rev() {
-        let sp = h2_telemetry::span_labeled("build.id", format!("level={lvl}"));
+/// Per node `i` of `levels` (node ids grouped by tree level, deepest level
+/// first), the candidate rows are the node's own points (leaf) or the
+/// concatenated skeletons of its children in child order (internal — the
+/// nesting step). `factor(tree, i, rows)` picks skeleton positions into
+/// `rows` and the interpolation operator `P` in `f64`; the pass maps the
+/// skeleton to global point indices and installs it with the rank, and `P`
+/// — rounded to the storage scalar exactly once, here — becomes the leaf
+/// basis `U_i` or is split row-wise over the children into their transfers
+/// `R_c`.
+///
+/// Children live exactly one level below their parent, so a reverse level
+/// sweep sees every child's skeleton before its parent needs it; a subset
+/// therefore has to hold, with every node, the ancestors whose rows it
+/// changes (a root-to-leaf path does). Nodes within a level are independent,
+/// so their order inside `levels[l]` does not matter.
+///
+/// The factor phase of each level runs under the caller's `span` name and
+/// the installation under `build.transfers`, both labelled `level=N`.
+pub(crate) fn nested_skeleton_pass<S: Scalar>(
+    h2: &mut H2MatrixS<S>,
+    levels: &[Vec<NodeId>],
+    span: &'static str,
+    factor: impl Fn(&ClusterTree, NodeId, &[usize]) -> RowId + Sync,
+) {
+    let tree = &h2.tree;
+    for (lvl, level) in levels.iter().enumerate().rev() {
+        if level.is_empty() {
+            continue;
+        }
+        let sp = h2_telemetry::span_labeled(span, format!("level={lvl}"));
+        let proxies = &h2.proxies;
         let computed: Vec<(NodeId, Vec<usize>, Matrix)> = level
             .par_iter()
             .map(|&i| {
@@ -126,24 +149,15 @@ pub(crate) fn nested_skeleton_generators(
                 } else {
                     nd.children
                         .iter()
-                        .flat_map(|&c| skeletons[c].iter().copied())
+                        .flat_map(|&c| match &proxies[c] {
+                            ProxyPoints::Indices(skel) => skel.iter().copied(),
+                            ProxyPoints::Coords(_) => {
+                                unreachable!("nested skeletons are data points")
+                            }
+                        })
                         .collect()
                 };
-                let cols = cols_for(i);
-                let a = if cols.is_empty() {
-                    // No farfield to compress against: rank 0.
-                    Matrix::zeros(rows.len(), 0)
-                } else {
-                    match cols {
-                        ColumnSet::Indices(idx) => {
-                            h2_kernels::kernel_matrix(kernel, pts, &rows, &idx)
-                        }
-                        ColumnSet::Coords(targets) => {
-                            h2_kernels::kernel_cross_matrix(kernel, &pts.select(&rows), &targets)
-                        }
-                    }
-                };
-                let rid = row_id_consume(a, Truncation::tol(id_tol));
+                let rid = factor(tree, i, &rows);
                 let skel: Vec<usize> = rid.skel.iter().map(|&k| rows[k]).collect();
                 (i, skel, rid.p)
             })
@@ -152,30 +166,23 @@ pub(crate) fn nested_skeleton_generators(
         let sp = h2_telemetry::span_labeled("build.transfers", format!("level={lvl}"));
         for (i, skel, p) in computed {
             let nd = tree.node(i);
-            ranks[i] = skel.len();
+            h2.ranks[i] = skel.len();
+            h2.proxies[i] = ProxyPoints::Indices(skel);
             if nd.is_leaf() {
-                bases[i] = p;
+                h2.bases[i] = p.convert::<S>();
             } else {
+                // A leaf split turns a leaf internal: it keeps no basis.
+                h2.bases[i] = MatrixS::zeros(0, 0);
                 // Row block `off..off+rank_c` of P is child c's transfer.
                 let mut off = 0;
                 for &c in &nd.children {
-                    let rc = ranks[c];
-                    transfers[c] = p.block(off..off + rc, 0..p.ncols());
+                    let rc = h2.ranks[c];
+                    h2.transfers[c] = p.block(off..off + rc, 0..p.ncols()).convert::<S>();
                     off += rc;
                 }
             }
-            skeletons[i] = skel;
         }
         drop(sp);
-    }
-
-    let proxies = skeletons.into_iter().map(ProxyPoints::Indices).collect();
-    Generators {
-        bases,
-        transfers,
-        proxies,
-        ranks,
-        sampling_ms: 0.0,
     }
 }
 
@@ -185,15 +192,27 @@ pub(crate) fn nested_skeleton_generators(
 ///
 /// The whole factorization pipeline (sampling, kernel matrices, row IDs)
 /// runs in `f64` regardless of `S`; generators and blocks are rounded to the
-/// storage scalar exactly once at assembly. This keeps skeleton selection —
-/// and therefore the operator's structure — identical across precisions,
-/// so `f32` and `f64` operators built from the same inputs differ only by
-/// entrywise rounding.
+/// storage scalar exactly once, when they are installed. This keeps skeleton
+/// selection — and therefore the operator's structure — identical across
+/// precisions, so `f32` and `f64` operators built from the same inputs differ
+/// only by entrywise rounding.
 pub fn build<S: Scalar>(
     points: &PointSet,
     kernel: Arc<dyn Kernel>,
     cfg: &H2Config,
 ) -> H2MatrixS<S> {
+    build_with_x_star(points, kernel, cfg).0
+}
+
+/// [`build`], also handing back the bottom-up surrogate table `X*` when the
+/// data-driven method computed one: a from-scratch escalation of the update
+/// engine seeds its maintained table from it. The operator itself keeps no
+/// samples.
+pub(crate) fn build_with_x_star<S: Scalar>(
+    points: &PointSet,
+    kernel: Arc<dyn Kernel>,
+    cfg: &H2Config,
+) -> (H2MatrixS<S>, Option<Vec<Vec<usize>>>) {
     assert!(
         kernel.is_symmetric(),
         "H2 construction requires a symmetric kernel"
@@ -213,14 +232,39 @@ pub fn build<S: Scalar>(
     let lists_ms = ms_since(t);
     drop(sp);
 
+    // The operator with every node still to be factored and no block
+    // generated: construction from here on is the update that touches every
+    // node and every pair.
+    let n_nodes = tree.node_count();
+    let mut h2 = H2MatrixS {
+        tree,
+        lists,
+        kernel,
+        mode: cfg.mode,
+        bases: vec![MatrixS::zeros(0, 0); n_nodes],
+        transfers: vec![MatrixS::zeros(0, 0); n_nodes],
+        proxies: vec![ProxyPoints::Indices(Vec::new()); n_nodes],
+        ranks: vec![0; n_nodes],
+        coupling: BlockStore::on_the_fly(&[]),
+        nearfield: BlockStore::on_the_fly(&[]),
+        cache: None,
+        provenance: BuilderProvenance::default(),
+        stats: BuildStats::default(),
+        epoch: 0,
+        node_epochs: vec![0; n_nodes],
+        update: None,
+    };
+
     let sp = h2_telemetry::span("build.basis");
     let t = Instant::now();
-    // The builder strategy picks the pipeline; `Sketched` supersedes
+    let mut sketch = h2_sketch::SketchStats::default();
+    let mut x_star = None;
+    // The builder strategy picks the factor rule; `Sketched` supersedes
     // `cfg.basis` entirely (see `BuilderStrategy` docs).
-    let (gens, provenance, sketch_stats) = match &cfg.builder {
+    let (provenance, sampling_ms) = match &cfg.builder {
         BuilderStrategy::Sketched(params) => {
-            let (g, stats) = sketched::generators(&tree, &lists, kernel.as_ref(), params, cfg.seed);
-            (g, BuilderProvenance::Sketched, Some(stats))
+            sketch = sketched::factor_all(&mut h2, params, cfg.seed);
+            (BuilderProvenance::Sketched, sketch.sampling_ms)
         }
         BuilderStrategy::AnchorNet => match &cfg.basis {
             BasisMethod::DataDriven { samples, id_tol } => {
@@ -228,76 +272,52 @@ pub fn build<S: Scalar>(
                 // default seed 0 preserves historical anchor-net draws.
                 let mut samples = *samples;
                 samples.seed ^= cfg.seed;
-                (
-                    data_driven::generators(&tree, &lists, kernel.as_ref(), &samples, *id_tol),
-                    BuilderProvenance::AnchorNet,
-                    None,
-                )
+                let (sampling_ms, x) = data_driven::factor_all(&mut h2, &samples, *id_tol);
+                x_star = Some(x);
+                (BuilderProvenance::AnchorNet, sampling_ms)
             }
-            BasisMethod::Interpolation { order } => (
-                interpolation::generators(&tree, *order),
-                BuilderProvenance::Interpolation,
-                None,
-            ),
-            BasisMethod::ProxySurface(params) => (
-                proxy_surface::generators(&tree, &lists, kernel.as_ref(), params),
-                BuilderProvenance::ProxySurface,
-                None,
-            ),
+            BasisMethod::Interpolation { order } => {
+                let g = interpolation::generators(&h2.tree, *order);
+                h2.bases = g.bases.into_iter().map(|m| m.convert::<S>()).collect();
+                h2.transfers = g.transfers.into_iter().map(|m| m.convert::<S>()).collect();
+                h2.proxies = g.proxies;
+                h2.ranks = g.ranks;
+                (BuilderProvenance::Interpolation, 0.0)
+            }
+            BasisMethod::ProxySurface(params) => {
+                proxy_surface::factor_all(&mut h2, params);
+                (BuilderProvenance::ProxySurface, 0.0)
+            }
         },
     };
-    let basis_ms = ms_since(t) - gens.sampling_ms;
+    h2.provenance = provenance;
+    let basis_ms = ms_since(t) - sampling_ms;
     drop(sp);
 
     let sp = h2_telemetry::span("build.blocks");
     let t = Instant::now();
+    let (ip, np) = (&h2.lists.interaction_pairs, &h2.lists.nearfield_pairs);
     let (coupling, nearfield) = match cfg.mode {
-        MemoryMode::OnTheFly => (
-            CouplingStore::on_the_fly(&lists.interaction_pairs),
-            NearfieldStore::on_the_fly(&lists.nearfield_pairs),
-        ),
+        MemoryMode::OnTheFly => (BlockStore::on_the_fly(ip), BlockStore::on_the_fly(np)),
         MemoryMode::Normal => {
-            let pts = tree.points();
-            let coupling_blocks: Vec<MatrixS<S>> = lists
-                .interaction_pairs
-                .par_iter()
-                .map(|&(i, j)| {
-                    let (pi, pj) = (&gens.proxies[i], &gens.proxies[j]);
-                    crate::diagnostics::record_block(BlockKind::Coupling, pi.len(), pj.len());
-                    coupling_block_s::<S>(kernel.as_ref(), pts, pi, pj)
-                })
-                .collect();
-            let nearfield_blocks: Vec<MatrixS<S>> = lists
-                .nearfield_pairs
-                .par_iter()
-                .map(|&(i, j)| {
-                    crate::diagnostics::record_block(
-                        BlockKind::Nearfield,
-                        tree.node(i).len(),
-                        tree.node(j).len(),
-                    );
-                    h2_kernels::kernel_matrix_s::<S>(
-                        kernel.as_ref(),
-                        pts,
-                        tree.node_indices(i),
-                        tree.node_indices(j),
-                    )
-                })
-                .collect();
+            let all: Vec<_> = listed_blocks(&h2.lists).collect();
+            let mut coupling_blocks = h2.generate_blocks(&all);
+            let nearfield_blocks = coupling_blocks.split_off(ip.len());
             (
-                CouplingStore::normal(&lists.interaction_pairs, coupling_blocks),
-                NearfieldStore::normal(&lists.nearfield_pairs, nearfield_blocks),
+                BlockStore::normal(ip, coupling_blocks),
+                BlockStore::normal(np, nearfield_blocks),
             )
         }
     };
+    h2.coupling = coupling;
+    h2.nearfield = nearfield;
     let blocks_ms = ms_since(t);
     drop(sp);
 
-    let sketch = sketch_stats.unwrap_or_default();
-    let stats = BuildStats {
+    h2.stats = BuildStats {
         tree_ms,
         lists_ms,
-        sampling_ms: gens.sampling_ms,
+        sampling_ms,
         basis_ms,
         blocks_ms,
         total_ms: ms_since(t_total),
@@ -305,29 +325,6 @@ pub fn build<S: Scalar>(
         sketch_probes: sketch.probes,
         sketch_retries: sketch.retries,
         sketch_max_rounds: sketch.max_rounds,
-    };
-    let n_nodes = tree.node_count();
-    let mut h2 = H2MatrixS {
-        tree,
-        lists,
-        kernel,
-        mode: cfg.mode,
-        bases: gens.bases.into_iter().map(|m| m.convert::<S>()).collect(),
-        transfers: gens
-            .transfers
-            .into_iter()
-            .map(|m| m.convert::<S>())
-            .collect(),
-        proxies: gens.proxies,
-        ranks: gens.ranks,
-        coupling,
-        nearfield,
-        cache: None,
-        provenance,
-        stats,
-        epoch: 0,
-        node_epochs: vec![0; n_nodes],
-        update: None,
     };
     // The budgeted block-cache tier over on-the-fly operators: install and
     // warm it up (pins in sweep-execution order) as part of construction,
@@ -341,5 +338,5 @@ pub fn build<S: Scalar>(
         h2.stats.blocks_ms += warm_ms;
         h2.stats.total_ms += warm_ms;
     }
-    h2
+    (h2, x_star)
 }

@@ -13,10 +13,10 @@
 //! Skeletons are real data-point indices, so both memory modes work the
 //! same way as in the data-driven method.
 
-use super::{nested_skeleton_generators, ColumnSet, Generators};
-use h2_kernels::Kernel;
-use h2_points::admissibility::BlockLists;
-use h2_points::{BoundingBox, ClusterTree, PointSet};
+use super::{nested_skeleton_pass, row_id_against, ColumnSet};
+use crate::h2matrix::H2MatrixS;
+use h2_linalg::Scalar;
+use h2_points::{BoundingBox, PointSet};
 
 /// Parameters of the proxy-surface construction.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -100,31 +100,30 @@ fn proxy_shell(bbox: &BoundingBox, params: &ProxySurfaceParams, seed: u64) -> Po
     shell
 }
 
-/// Builds the proxy-surface generators: nested row IDs against synthetic
-/// shells, restricted to nodes that actually face farfield (the root chain
-/// without interaction lists carries rank 0, as in the data-driven method).
-pub(crate) fn generators(
-    tree: &ClusterTree,
-    lists: &BlockLists,
-    kernel: &dyn Kernel,
-    params: &ProxySurfaceParams,
-) -> Generators {
+/// Factors every node with the proxy-surface rule: nested row IDs against
+/// synthetic shells, restricted to nodes that actually face farfield (the
+/// root chain without interaction lists carries rank 0, as in the
+/// data-driven method).
+pub(crate) fn factor_all<S: Scalar>(h2: &mut H2MatrixS<S>, params: &ProxySurfaceParams) {
     // active[i]: the node or an ancestor has an interaction list — the same
     // nodes for which the data-driven Y_i* is non-empty.
+    let tree = &h2.tree;
     let mut active = vec![false; tree.node_count()];
     for level in tree.levels() {
         for &i in level {
-            let own = !lists.interaction[i].is_empty();
+            let own = !h2.lists.interaction[i].is_empty();
             let inherited = tree.node(i).parent.is_some_and(|p| active[p]);
             active[i] = own || inherited;
         }
     }
 
-    nested_skeleton_generators(tree, kernel, params.id_tol, |i| {
-        if active[i] {
+    let (kernel, levels) = (h2.kernel.clone(), tree.levels().to_vec());
+    nested_skeleton_pass(h2, &levels, "build.id", |tree, i, rows| {
+        let cols = if active[i] {
             ColumnSet::Coords(proxy_shell(&tree.node(i).bbox, params, i as u64))
         } else {
-            ColumnSet::Indices(Vec::new())
-        }
-    })
+            ColumnSet::Indices(&[])
+        };
+        row_id_against(kernel.as_ref(), tree.points(), rows, cols, params.id_tol)
+    });
 }

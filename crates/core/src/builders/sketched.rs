@@ -1,38 +1,49 @@
-//! Adapter from `h2-sketch`'s randomized generator sweep into the core
-//! builder pipeline.
+//! The sketched factor rule: `h2_sketch::sketch_node` per node of the shared
+//! nested-skeleton pass.
 //!
-//! The sketched path replaces the anchor-net sampling + nested-row-ID
-//! combination wholesale (it runs its own reverse level sweep with the
-//! adaptive-rank loop), but its output — leaf bases, transfers, data-point
-//! skeletons, ranks — is exactly the `Generators` shape, so everything
-//! downstream (block materialization, both memory modes, the cache tier,
-//! persistence) is shared with the deterministic builders.
+//! The sketched method replaces only *what a node's rows are compressed
+//! against* — a randomized sketch of uniformly drawn farfield columns inside
+//! the adaptive-rank loop, instead of the anchor-net sample `Y_i*` — so
+//! nesting, installation and everything downstream (block generation, both
+//! memory modes, the cache tier, persistence, incremental updates) are the
+//! code the deterministic methods run.
 
-use super::Generators;
-use crate::proxy::ProxyPoints;
-use h2_kernels::Kernel;
-use h2_points::admissibility::BlockLists;
-use h2_points::ClusterTree;
-use h2_sketch::{sketched_generators, SketchParams, SketchStats};
+use super::nested_skeleton_pass;
+use crate::h2matrix::H2MatrixS;
+use h2_linalg::Scalar;
+use h2_sampling::FarfieldRanges;
+use h2_sketch::{sketch_node, SketchParams, SketchStats};
+use std::sync::Mutex;
 
-/// Builds randomized sketched generators (see [`h2_sketch`]).
-pub(crate) fn generators(
-    tree: &ClusterTree,
-    lists: &BlockLists,
-    kernel: &dyn Kernel,
+/// Factors every node with randomized sketches (see [`h2_sketch`]) and
+/// returns the build's sketch counters.
+pub(crate) fn factor_all<S: Scalar>(
+    h2: &mut H2MatrixS<S>,
     params: &SketchParams,
     seed: u64,
-) -> (Generators, SketchStats) {
-    let g = sketched_generators(tree, lists, kernel, params, seed);
-    let sampling_ms = g.stats.sampling_ms;
-    (
-        Generators {
-            bases: g.bases,
-            transfers: g.transfers,
-            proxies: g.skeletons.into_iter().map(ProxyPoints::Indices).collect(),
-            ranks: g.ranks,
-            sampling_ms,
-        },
-        g.stats,
-    )
+) -> SketchStats {
+    // Farfield range precomputation is the sketched path's analogue of the
+    // anchor-net sampling sweep — measured under the same span name so the
+    // profile bench's phase table lines up across builders.
+    let sp = h2_telemetry::span("build.sampling");
+    let far = FarfieldRanges::build(&h2.tree, &h2.lists);
+    let sampling_ms = sp.finish() * 1e3;
+
+    // Sums and a maximum: the fold is independent of the order nodes finish.
+    let stats = Mutex::new(SketchStats {
+        sampling_ms,
+        ..SketchStats::default()
+    });
+    let (kernel, levels) = (h2.kernel.clone(), h2.tree.levels().to_vec());
+    nested_skeleton_pass(h2, &levels, "build.sketch", |tree, i, rows| {
+        let node = sketch_node(i, rows, tree.points(), &far, kernel.as_ref(), params, seed);
+        stats
+            .lock()
+            .expect("no sketch panicked while folding its counters")
+            .record(&node);
+        node.rid
+    });
+    stats
+        .into_inner()
+        .expect("no sketch panicked while folding its counters")
 }

@@ -6,8 +6,7 @@ use crate::config::MemoryMode;
 use crate::memory::MemoryReport;
 use crate::proxy::ProxyPoints;
 use crate::sweep::SweepPlan;
-use h2_cache::stores::{CouplingStore, NearfieldStore};
-use h2_cache::{BlockCache, BlockKind, CacheBudget, CacheStats};
+use h2_cache::{BlockCache, BlockKind, CacheBudget, CacheStats, CouplingStore, NearfieldStore};
 use h2_kernels::Kernel;
 use h2_linalg::{Matrix, MatrixS, Scalar};
 use h2_points::admissibility::BlockLists;
@@ -65,6 +64,17 @@ pub struct H2MatrixS<S: Scalar = f64> {
 
 /// The double-precision H² matrix most call sites use.
 pub type H2Matrix = H2MatrixS<f64>;
+
+/// Every listed block as a `(kind, i, j)` key: the interaction pairs, then
+/// the nearfield pairs, each in list order.
+pub(crate) fn listed_blocks(
+    lists: &BlockLists,
+) -> impl Iterator<Item = (BlockKind, NodeId, NodeId)> + '_ {
+    let coupling = lists.interaction_pairs.iter();
+    let nearfield = lists.nearfield_pairs.iter();
+    (coupling.map(|&(i, j)| (BlockKind::Coupling, i, j)))
+        .chain(nearfield.map(|&(i, j)| (BlockKind::Nearfield, i, j)))
+}
 
 impl<S: Scalar> H2MatrixS<S> {
     /// Builds an H² matrix for the kernel over the points with the given
@@ -252,15 +262,21 @@ impl<S: Scalar> H2MatrixS<S> {
         }
     }
 
-    /// Generates `chosen` blocks in parallel and pins them into `cache` —
-    /// the warmup step shared by the serial tier and `h2-dist`'s per-rank
-    /// tiers (each passes its own plan, in its own sweep order).
-    pub fn warm_pins(&self, cache: &BlockCache<S>, chosen: &[(BlockKind, NodeId, NodeId)]) {
-        let blocks: Vec<(BlockKind, NodeId, NodeId, MatrixS<S>)> = chosen
+    /// [`Self::generate_block`] for every listed `(kind, i, j)`, in parallel,
+    /// results in list order — the one block-generation loop behind
+    /// construction, incremental updates and cache warmup.
+    pub(crate) fn generate_blocks(&self, items: &[(BlockKind, NodeId, NodeId)]) -> Vec<MatrixS<S>> {
+        items
             .par_iter()
-            .map(|&(kind, i, j)| (kind, i, j, self.generate_block(kind, i, j)))
-            .collect();
-        for (kind, i, j, b) in blocks {
+            .map(|&(kind, i, j)| self.generate_block(kind, i, j))
+            .collect()
+    }
+
+    /// Generates `chosen` blocks and pins them into `cache` — the warmup
+    /// step shared by the serial tier and `h2-dist`'s per-rank tiers (each
+    /// passes its own plan, in its own sweep order).
+    pub fn warm_pins(&self, cache: &BlockCache<S>, chosen: &[(BlockKind, NodeId, NodeId)]) {
+        for (&(kind, i, j), b) in chosen.iter().zip(self.generate_blocks(chosen)) {
             // Planned against the budget, so every pin fits. Pins carry the
             // pair's current epoch so they stay valid across updates that
             // do not touch either endpoint.

@@ -17,7 +17,7 @@ use crate::config::{BuilderProvenance, MemoryMode};
 use crate::h2matrix::H2Matrix;
 use crate::h2matrix::H2MatrixS;
 use crate::proxy::ProxyPoints;
-use h2_cache::stores::{CouplingStore, NearfieldStore};
+use h2_cache::BlockStore;
 use h2_kernels::Kernel;
 use h2_linalg::{MatrixS, Scalar};
 use h2_points::admissibility::build_block_lists;
@@ -151,8 +151,8 @@ impl<S: Scalar> H2MatrixS<S> {
                     return Err("on-the-fly parts carry materialized blocks".into());
                 }
                 (
-                    CouplingStore::on_the_fly(&lists.interaction_pairs),
-                    NearfieldStore::on_the_fly(&lists.nearfield_pairs),
+                    BlockStore::on_the_fly(&lists.interaction_pairs),
+                    BlockStore::on_the_fly(&lists.nearfield_pairs),
                 )
             }
             MemoryMode::Normal => {
@@ -184,8 +184,8 @@ impl<S: Scalar> H2MatrixS<S> {
                     }
                 }
                 (
-                    CouplingStore::normal(&lists.interaction_pairs, cb),
-                    NearfieldStore::normal(&lists.nearfield_pairs, nb),
+                    BlockStore::normal(&lists.interaction_pairs, cb),
+                    BlockStore::normal(&lists.nearfield_pairs, nb),
                 )
             }
         };

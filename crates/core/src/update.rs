@@ -9,9 +9,13 @@
 //! skeletons. A point therefore appears in the factorization inputs of
 //! exactly the nodes on its leaf's root-to-leaf **path** — inserting or
 //! removing it leaves every off-path row ID's inputs bit-identical. The
-//! update engine re-samples (`h2_sampling::update`) and re-factors only
-//! that path, then regenerates the coupling/nearfield blocks with a
-//! re-factored endpoint. Off-path nodes keep their bases; the drift this
+//! update engine therefore runs construction's own three steps — the
+//! Algorithm-1 sweep ([`h2_sampling::sample_levels`]), the nested-skeleton
+//! pass (`builders::nested_skeleton_pass`, data-driven rule) and block
+//! generation — over that path and the pairs with an endpoint on it,
+//! instead of over every node and pair. (Refactoring *every* node of a
+//! fresh operator reproduces it bit for bit; a unit test below pins that.)
+//! Off-path nodes keep their bases; the drift this
 //! induces in *their* farfield surrogates is the staleness the
 //! [`UpdatePolicy`] bounds, escalating to a local leaf split (overflow) or
 //! a full from-scratch rebuild (underflow, accumulated churn).
@@ -29,18 +33,15 @@
 //!
 //! [`apply_update`]: crate::H2MatrixS::insert_points
 
+use crate::builders::{build_with_x_star, data_driven, nested_skeleton_pass};
 use crate::config::{BasisMethod, BuilderStrategy, H2Config};
-use crate::h2matrix::H2MatrixS;
+use crate::h2matrix::{listed_blocks, H2MatrixS};
 use crate::proxy::ProxyPoints;
-use h2_cache::stores::{CouplingStore, NearfieldStore};
-use h2_cache::{BlockKind, CacheBudget};
-use h2_linalg::id::row_id_consume;
-use h2_linalg::qr::Truncation;
-use h2_linalg::{Matrix, MatrixS, Scalar};
+use h2_cache::{BlockKind, BlockStore, CacheBudget};
+use h2_linalg::{MatrixS, Scalar};
 use h2_points::admissibility::build_block_lists;
 use h2_points::{NodeId, PointSet};
-use h2_sampling::update::{downward_path, refresh_upward_path, upward_samples};
-use h2_sampling::SampleParams;
+use h2_sampling::{refresh_x_star, sample_levels, AnchorNet, SampleParams};
 use std::collections::{HashMap, HashSet};
 
 /// Staleness and escalation policy of the incremental update engine.
@@ -55,7 +56,10 @@ pub struct UpdatePolicy {
     pub max_leaf_points: Option<usize>,
     /// Accumulated inserts + removes (since construction or the last
     /// rebuild) beyond this fraction of `n` escalate the next update to a
-    /// full from-scratch rebuild — the backstop on off-path drift.
+    /// full from-scratch rebuild — the backstop on off-path drift. The
+    /// rebuild factors with the update engine's own rule (anchor-net
+    /// sampling at [`Self::tol`]) whatever built the operator: a sketched
+    /// operator comes out of it with `provenance()` = `anchor-net`.
     pub rebuild_churn: f64,
 }
 
@@ -144,7 +148,7 @@ pub(crate) struct UpdateState {
     pub(crate) leaf_size: usize,
     /// Maintained `X_i*` table, kept equal to a from-scratch upward sweep
     /// over the current tree (path refreshes are exact — see
-    /// `h2_sampling::update`).
+    /// [`h2_sampling::refresh_x_star`]).
     pub(crate) x_star: Vec<Vec<usize>>,
     /// Inserts + removes since construction or the last rebuild.
     pub(crate) churn: usize,
@@ -298,13 +302,21 @@ impl<S: Scalar> H2MatrixS<S> {
             .max()
             .unwrap_or(1);
         let max_leaf = policy.max_leaf_points.unwrap_or(2 * leaf_size).max(2);
+        let mut x_star = vec![Vec::new(); self.tree.node_count()];
+        refresh_x_star(
+            &self.tree,
+            &params,
+            &AnchorNet,
+            self.tree.levels(),
+            &mut x_star,
+        );
         UpdateState {
             policy,
             params,
             id_tol,
             max_leaf,
             leaf_size,
-            x_star: upward_samples(&self.tree, &params),
+            x_star,
             churn: 0,
         }
     }
@@ -350,11 +362,12 @@ impl<S: Scalar> H2MatrixS<S> {
         }
     }
 
-    /// The core path re-factorization: refresh `X*` bottom-up along the
-    /// (root-closed) touched set, recompute `Y*` top-down, redo each path
-    /// node's row ID bottom-up (mirroring `nested_skeleton_generators`
-    /// exactly, in `f64`), regenerate the blocks with a dirty endpoint,
-    /// bump the epoch and purge stale cache entries.
+    /// The core path re-factorization — construction restricted to the
+    /// (root-closed) touched set: one Algorithm-1 sweep refreshes `X*` in
+    /// place and recomputes `Y*` along it, one nested-skeleton pass redoes
+    /// its row IDs with the data-driven rule, and the blocks with a dirty
+    /// endpoint are regenerated; then the epoch is bumped and stale cache
+    /// entries are purged.
     fn refactor_paths(
         &mut self,
         touched: HashSet<NodeId>,
@@ -364,181 +377,102 @@ impl<S: Scalar> H2MatrixS<S> {
     ) -> UpdateReport {
         let mut state = self.update.take().expect("state initialized");
         state.churn += inserted + removed;
-        let path: Vec<NodeId> = touched.iter().copied().collect();
+        // Within a level the order is the set's iteration order; the sweep
+        // and the pass do not depend on it.
+        let mut levels: Vec<Vec<NodeId>> = vec![Vec::new(); self.tree.depth() + 1];
+        for &i in &touched {
+            levels[self.tree.node(i).level].push(i);
+        }
 
         let sp = h2_telemetry::span("update.resample");
-        refresh_upward_path(&self.tree, &state.params, &mut state.x_star, &path);
         let new_lists = build_block_lists(&self.tree, self.lists.eta);
-        let ys = downward_path(&self.tree, &new_lists, &state.params, &state.x_star, &path);
-        let ymap: HashMap<NodeId, Vec<usize>> = ys.into_iter().collect();
+        let y_star = sample_levels(
+            &self.tree,
+            &new_lists,
+            &state.params,
+            &AnchorNet,
+            &levels,
+            &mut state.x_star,
+        );
         drop(sp);
 
-        // Bottom-up row IDs along the path, exactly as construction does:
-        // factor in f64, convert to the storage scalar once.
         let sp = h2_telemetry::span("update.refactor");
-        let mut order = path.clone();
-        order.sort_unstable_by_key(|&i| std::cmp::Reverse(self.tree.node(i).level));
-        for &i in &order {
-            let nd = self.tree.node(i);
-            let rows: Vec<usize> = if nd.is_leaf() {
-                self.tree.node_indices(i).to_vec()
-            } else {
-                nd.children
-                    .iter()
-                    .flat_map(|&c| match &self.proxies[c] {
-                        ProxyPoints::Indices(v) => v.iter().copied(),
-                        ProxyPoints::Coords(_) => unreachable!("checked updatable"),
-                    })
-                    .collect()
-            };
-            let cols = &ymap[&i];
-            let a = if cols.is_empty() {
-                Matrix::zeros(rows.len(), 0)
-            } else {
-                h2_kernels::kernel_matrix(self.kernel.as_ref(), self.tree.points(), &rows, cols)
-            };
-            let rid = row_id_consume(a, Truncation::tol(state.id_tol));
-            let skel: Vec<usize> = rid.skel.iter().map(|&k| rows[k]).collect();
-            self.ranks[i] = skel.len();
-            self.proxies[i] = ProxyPoints::Indices(skel);
-            if nd.is_leaf() {
-                self.bases[i] = rid.p.convert::<S>();
-            } else {
-                // A split turned this node internal: clear any leaf basis.
-                self.bases[i] = MatrixS::zeros(0, 0);
-                let mut off = 0;
-                for &c in &nd.children {
-                    let rc = self.ranks[c];
-                    self.transfers[c] = rid.p.block(off..off + rc, 0..rid.p.ncols()).convert::<S>();
-                    off += rc;
-                }
-            }
-        }
+        let kernel = self.kernel.clone();
+        let rule = data_driven::factor(kernel.as_ref(), &y_star, state.id_tol);
+        nested_skeleton_pass(self, &levels, "build.id", rule);
         drop(sp);
 
-        // Regenerate blocks with a dirty endpoint. Fast path: unchanged
-        // pair lists swap blocks in place; a split (or an admissibility
-        // change from a grown box) rebuilds the stores, reusing every
-        // clean block.
+        // Regenerate the blocks with a dirty endpoint, plus — when a split
+        // or an admissibility change from a grown box re-listed the pairs —
+        // the blocks of pairs the materialized stores never held. Every
+        // other block is kept as it is.
         let sp = h2_telemetry::span("update.blocks");
         let dirty = |i: NodeId, j: NodeId| touched.contains(&i) || touched.contains(&j);
-        let mut refactored_blocks = 0usize;
-        let same_lists = splits == 0
-            && new_lists.interaction_pairs == self.lists.interaction_pairs
-            && new_lists.nearfield_pairs == self.lists.nearfield_pairs;
-        if self.coupling.is_materialized() {
-            if same_lists {
-                for idx in 0..self.lists.interaction_pairs.len() {
-                    let (i, j) = self.lists.interaction_pairs[idx];
-                    if dirty(i, j) {
-                        let b = self.generate_block(BlockKind::Coupling, i, j);
-                        self.coupling.replace_block(i, j, b);
-                        refactored_blocks += 1;
-                    }
-                }
-                for idx in 0..self.lists.nearfield_pairs.len() {
-                    let (i, j) = self.lists.nearfield_pairs[idx];
-                    if dirty(i, j) {
-                        let b = self.generate_block(BlockKind::Nearfield, i, j);
-                        self.nearfield.replace_block(i, j, b);
-                        refactored_blocks += 1;
-                    }
-                }
-            } else {
-                let mut cb: Vec<MatrixS<S>> = Vec::with_capacity(new_lists.interaction_pairs.len());
-                for &(i, j) in &new_lists.interaction_pairs {
-                    if !dirty(i, j) {
-                        if let Some((b, transposed)) = self.coupling.block(i, j) {
-                            debug_assert!(!transposed, "canonical lookup");
-                            cb.push(b.clone());
-                            continue;
-                        }
-                    }
-                    refactored_blocks += 1;
-                    cb.push(self.generate_block(BlockKind::Coupling, i, j));
-                }
-                let mut nb: Vec<MatrixS<S>> = Vec::with_capacity(new_lists.nearfield_pairs.len());
-                for &(i, j) in &new_lists.nearfield_pairs {
-                    if !dirty(i, j) {
-                        if let Some((b, transposed)) = self.nearfield.block(i, j) {
-                            debug_assert!(!transposed, "canonical lookup");
-                            nb.push(b.clone());
-                            continue;
-                        }
-                    }
-                    refactored_blocks += 1;
-                    nb.push(self.generate_block(BlockKind::Nearfield, i, j));
-                }
-                self.coupling = CouplingStore::normal(&new_lists.interaction_pairs, cb);
-                self.nearfield = NearfieldStore::normal(&new_lists.nearfield_pairs, nb);
-            }
-        } else {
-            if !same_lists {
-                self.coupling = CouplingStore::on_the_fly(&new_lists.interaction_pairs);
-                self.nearfield = NearfieldStore::on_the_fly(&new_lists.nearfield_pairs);
-            }
-            // Nothing materialized to regenerate: count invalidated pairs.
-            refactored_blocks += new_lists
-                .interaction_pairs
-                .iter()
-                .chain(&new_lists.nearfield_pairs)
-                .filter(|&&(i, j)| dirty(i, j))
-                .count();
+        let materialized = self.coupling.is_materialized();
+        let relisted = new_lists.interaction_pairs != self.lists.interaction_pairs
+            || new_lists.nearfield_pairs != self.lists.nearfield_pairs;
+        let new_pair = |kind, i, j| match kind {
+            BlockKind::Coupling => self.coupling.block(i, j).is_none(),
+            BlockKind::Nearfield => self.nearfield.block(i, j).is_none(),
+        };
+        let stale: Vec<(BlockKind, NodeId, NodeId)> = listed_blocks(&new_lists)
+            .filter(|&(kind, i, j)| {
+                dirty(i, j) || (materialized && relisted && new_pair(kind, i, j))
+            })
+            .collect();
+        if materialized {
+            let n_coupling = stale.partition_point(|t| t.0 == BlockKind::Coupling);
+            let mut blocks = self.generate_blocks(&stale);
+            let nearfield_blocks = blocks.split_off(n_coupling);
+            let pair = |&(_, i, j): &(BlockKind, NodeId, NodeId)| (i, j);
+            let (coupling, nearfield) = stale.split_at(n_coupling);
+            self.coupling.relist(
+                &new_lists.interaction_pairs,
+                coupling.iter().map(pair).zip(blocks),
+            );
+            self.nearfield.relist(
+                &new_lists.nearfield_pairs,
+                nearfield.iter().map(pair).zip(nearfield_blocks),
+            );
+        } else if relisted {
+            // Nothing to regenerate: only the pair index follows the lists.
+            self.coupling = BlockStore::on_the_fly(&new_lists.interaction_pairs);
+            self.nearfield = BlockStore::on_the_fly(&new_lists.nearfield_pairs);
         }
         drop(sp);
 
         // Epoch bump: stale cache keys become unreachable by construction;
         // the purge pass reclaims their bytes eagerly.
         self.epoch += 1;
-        for &i in &path {
+        for &i in &touched {
             self.node_epochs[i] = self.epoch;
         }
-        if let Some(cache) = self.cache.clone() {
-            let new_pairs: HashSet<(BlockKind, NodeId, NodeId)> = new_lists
-                .interaction_pairs
-                .iter()
-                .map(|&(i, j)| (BlockKind::Coupling, i, j))
-                .chain(
-                    new_lists
-                        .nearfield_pairs
-                        .iter()
-                        .map(|&(i, j)| (BlockKind::Nearfield, i, j)),
-                )
-                .collect();
-            // Pairs that vanished from the lists will never be fetched
-            // again: drop every epoch they ever cached.
-            for &(kind, i, j) in self
-                .lists
-                .interaction_pairs
-                .iter()
-                .map(|&(i, j)| (BlockKind::Coupling, i, j))
-                .chain(
-                    self.lists
-                        .nearfield_pairs
-                        .iter()
-                        .map(|&(i, j)| (BlockKind::Nearfield, i, j)),
-                )
-                .collect::<Vec<_>>()
-                .iter()
-                .filter(|t| !new_pairs.contains(t))
-            {
-                cache.purge_below(kind, i, j, u64::MAX);
-            }
-            for &(kind, i, j) in &new_pairs {
-                if dirty(i, j) {
-                    cache.purge_below(kind, i, j, self.pair_epoch(i, j));
+        if let Some(cache) = &self.cache {
+            if relisted {
+                // Pairs that vanished from the lists will never be fetched
+                // again: drop every epoch they ever cached.
+                let listed: HashSet<_> = listed_blocks(&new_lists).collect();
+                for (kind, i, j) in listed_blocks(&self.lists).filter(|t| !listed.contains(t)) {
+                    cache.purge_below(kind, i, j, u64::MAX);
                 }
+            }
+            // A cache only sits over on-the-fly stores, where the stale
+            // pairs are exactly the dirty ones.
+            for &(kind, i, j) in &stale {
+                cache.purge_below(kind, i, j, self.pair_epoch(i, j));
             }
         }
         self.lists = new_lists;
 
-        h2_telemetry::counter_add!("update.path_nodes", path.len() as u64);
-        h2_telemetry::counter_add!("update.refactored_blocks", refactored_blocks as u64);
+        h2_telemetry::counter_add!("update.path_nodes", touched.len() as u64);
+        h2_telemetry::counter_add!("update.refactored_blocks", stale.len() as u64);
         let report = UpdateReport {
             inserted,
             removed,
-            path_nodes: path.len(),
-            refactored_blocks,
+            path_nodes: touched.len(),
+            // Blocks regenerated (normal mode) or pairs invalidated
+            // (on-the-fly and cached tiers, which have nothing to regenerate).
+            refactored_blocks: stale.len(),
             splits,
             rebuilds: 0,
             epoch: self.epoch,
@@ -550,6 +484,10 @@ impl<S: Scalar> H2MatrixS<S> {
     /// Full from-scratch escalation: rebuild over `points` with the update
     /// tolerance, carry the epoch forward (every node stamped with the new
     /// epoch), and reinstall the cache tier under the old byte budget.
+    ///
+    /// The rebuild is a data-driven (anchor-net) construction — the one rule
+    /// the update engine factors with — so an operator that was built
+    /// sketched reports `provenance()` = `anchor-net` from here on.
     fn rebuild_from_points(
         &mut self,
         points: PointSet,
@@ -573,14 +511,15 @@ impl<S: Scalar> H2MatrixS<S> {
         };
         let budget = self.cache.as_ref().map(|c| c.stats().budget_bytes);
         let epoch = self.epoch + 1;
-        *self = crate::builders::build::<S>(&points, self.kernel.clone(), &cfg);
+        let (rebuilt, x_star) = build_with_x_star::<S>(&points, self.kernel.clone(), &cfg);
+        *self = rebuilt;
         self.epoch = epoch;
         self.node_epochs = vec![epoch; self.tree.node_count()];
         if let Some(bytes) = budget {
             self.set_cache_budget(CacheBudget::Bytes(bytes as u64));
         }
         self.update = Some(UpdateState {
-            x_star: upward_samples(&self.tree, &state.params),
+            x_star: x_star.expect("a data-driven build samples"),
             churn: 0,
             ..state
         });
@@ -604,6 +543,7 @@ mod tests {
     use crate::config::{BasisMethod, H2Config, MemoryMode};
     use crate::h2matrix::H2Matrix;
     use h2_kernels::{dense_matvec, Coulomb};
+    use h2_linalg::Matrix;
     use h2_points::gen;
     use std::sync::Arc;
 
@@ -638,6 +578,50 @@ mod tests {
         let z = dense_matvec(&Coulomb, h2.tree().points(), &b);
         let err = h2_linalg::vec_ops::rel_err(&y, &z);
         assert!(err < tol, "relative error {err} after update");
+    }
+
+    #[test]
+    fn refactoring_every_node_reproduces_the_fresh_build() {
+        // A build is the update that touches every node: same sweep, same
+        // pass, same block generation. With the update tolerance equal to
+        // the build tolerance (and the default seed 0), re-factoring all
+        // nodes must leave the operator bit for bit as it was built.
+        for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
+            let fresh = build(900, mode, 5);
+            let mut h2 = fresh.clone();
+            h2.set_update_policy(UpdatePolicy {
+                tol: 1e-6,
+                ..UpdatePolicy::default()
+            })
+            .unwrap();
+            let every_node: HashSet<NodeId> = (0..h2.tree().node_count()).collect();
+            let r = h2.refactor_paths(every_node, 0, 0, 0);
+            assert_eq!(r.path_nodes, h2.tree().node_count());
+            let listed = h2.lists().interaction_pairs.len() + h2.lists().nearfield_pairs.len();
+            assert_eq!(r.refactored_blocks, listed, "{mode:?}");
+
+            let (a, b) = (fresh.to_parts(), h2.to_parts());
+            assert_eq!(a.ranks, b.ranks, "{mode:?}");
+            let skeletons = |p: &[ProxyPoints]| -> Vec<Vec<usize>> {
+                p.iter()
+                    .map(|p| match p {
+                        ProxyPoints::Indices(v) => v.clone(),
+                        ProxyPoints::Coords(_) => panic!("data-driven proxies are skeletons"),
+                    })
+                    .collect()
+            };
+            assert_eq!(skeletons(&a.proxies), skeletons(&b.proxies), "{mode:?}");
+            let same = |x: &[Matrix], y: &[Matrix]| {
+                x.len() == y.len()
+                    && x.iter()
+                        .zip(y)
+                        .all(|(m, n)| m.shape() == n.shape() && m.as_slice() == n.as_slice())
+            };
+            assert!(same(&a.bases, &b.bases), "{mode:?}: bases");
+            assert!(same(&a.transfers, &b.transfers), "{mode:?}: transfers");
+            let x = random_vec(900, 21);
+            assert_eq!(fresh.matvec(&x), h2.matvec(&x), "{mode:?}: matvec");
+        }
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Churn equivalence gate: after any insert/delete sequence, the updated
 //! operator must agree with a from-scratch rebuild on the same final point
-//! set to the factorization tolerance — across kernels, storage precisions
-//! (f64, f32, and mixed f32-storage/f64-accumulation applies), both memory
-//! modes, and every cache-budget tier. The budgeted runs additionally
-//! assert cache hygiene: zero stale-epoch entries resident after the churn
-//! (every surviving key carries the pair epoch the update path would use
-//! to regenerate it) and no stale hits during post-update applies.
+//! set to the factorization tolerance — across kernels, both builders
+//! (anchor-net and sketched), storage precisions (f64, f32, and mixed
+//! f32-storage/f64-accumulation applies), both memory modes, and every
+//! cache-budget tier. The budgeted runs additionally assert cache hygiene:
+//! zero stale-epoch entries resident after the churn (every surviving key
+//! carries the pair epoch the update path would use to regenerate it) and
+//! no stale hits during post-update applies.
 
-use h2_core::{BasisMethod, CacheBudget, H2Config, H2MatrixS, MemoryMode};
+use h2_core::{
+    BasisMethod, BuilderProvenance, BuilderStrategy, CacheBudget, H2Config, H2MatrixS, MemoryMode,
+    UpdatePolicy,
+};
 use h2_kernels::{Coulomb, Exponential, Gaussian, Kernel};
 use h2_linalg::Scalar;
 use h2_points::gen;
@@ -19,9 +23,10 @@ const TOL: f64 = 1e-5;
 /// re-factorizations, and the f32 lanes add storage rounding on top.
 const ENVELOPE: f64 = 100.0 * TOL;
 
-fn cfg(mode: MemoryMode, budget: CacheBudget) -> H2Config {
+fn cfg(builder: &BuilderStrategy, mode: MemoryMode, budget: CacheBudget) -> H2Config {
     H2Config {
         basis: BasisMethod::data_driven_for_tol(TOL, 3),
+        builder: builder.clone(),
         mode,
         leaf_size: 48,
         eta: 0.7,
@@ -36,13 +41,9 @@ fn rel_err_f64(a: &[f64], b: &[f64]) -> f64 {
 
 /// Runs the shared churn sequence on a fresh build and returns the updated
 /// operator: two rounds of +4/-4 points spread across the id space.
-fn churned<S: Scalar>(
-    kernel: Arc<dyn Kernel>,
-    mode: MemoryMode,
-    budget: CacheBudget,
-) -> H2MatrixS<S> {
+fn churned<S: Scalar>(kernel: Arc<dyn Kernel>, cfg: &H2Config) -> H2MatrixS<S> {
     let pts = gen::uniform_cube(N, 3, 23);
-    let mut h2 = H2MatrixS::<S>::build(&pts, kernel, &cfg(mode, budget));
+    let mut h2 = H2MatrixS::<S>::build(&pts, kernel, cfg);
     for round in 0..2usize {
         let arriving = gen::uniform_cube(4, 3, 100 + round as u64);
         h2.insert_points(&arriving).expect("insert");
@@ -52,16 +53,16 @@ fn churned<S: Scalar>(
     h2
 }
 
-/// The equivalence + hygiene assertions for one (kernel, mode, budget)
-/// cell at storage scalar `S`, applied at accumulator width `A` via `apply`.
+/// The equivalence + hygiene assertions for one (kernel, builder, mode,
+/// budget) cell at storage scalar `S`, applied at accumulator width `A` via
+/// `apply`.
 fn assert_cell<S: Scalar>(
     kernel: Arc<dyn Kernel>,
-    mode: MemoryMode,
-    budget: CacheBudget,
+    cfg: &H2Config,
     label: &str,
     apply: impl Fn(&H2MatrixS<S>, usize) -> Vec<f64>,
 ) {
-    let h2 = churned::<S>(kernel.clone(), mode, budget);
+    let h2 = churned::<S>(kernel.clone(), cfg);
     assert_eq!(h2.epoch(), 4, "{label}: two insert + two remove batches");
     assert_eq!(h2.n(), N, "{label}: churn preserves the point count");
 
@@ -88,7 +89,7 @@ fn assert_cell<S: Scalar>(
     }
 
     // Equivalence: rebuild from scratch on the exact final point set.
-    let fresh = H2MatrixS::<S>::build(h2.tree().points(), kernel, &cfg(mode, budget));
+    let fresh = H2MatrixS::<S>::build(h2.tree().points(), kernel, cfg);
     let err = rel_err_f64(&y, &apply(&fresh, 7));
     assert!(
         err < ENVELOPE,
@@ -96,8 +97,11 @@ fn assert_cell<S: Scalar>(
     );
 }
 
-/// Every (mode, budget) cell for one kernel: budgets only exist on the
-/// on-the-fly side (normal mode materializes everything up front).
+/// Every (builder, mode, budget) cell for one kernel: budgets only exist on
+/// the on-the-fly side (normal mode materializes everything up front). The
+/// path re-factorizations use the anchor-net rule whatever built the
+/// operator, so a sketched operator's cells also check that the two rules
+/// mix inside one operator.
 fn sweep_kernel(kernel: Arc<dyn Kernel>) {
     let cells = [
         (MemoryMode::Normal, CacheBudget::Off, "normal"),
@@ -105,21 +109,27 @@ fn sweep_kernel(kernel: Arc<dyn Kernel>) {
         (MemoryMode::OnTheFly, CacheBudget::Ratio(0.3), "otf/30%"),
         (MemoryMode::OnTheFly, CacheBudget::Unbounded, "otf/full"),
     ];
-    for (mode, budget, cell) in cells {
-        let name = kernel.name().to_string();
+    let builders = [
+        BuilderStrategy::AnchorNet,
+        BuilderStrategy::sketched_for_tol(TOL, 3),
+    ];
+    for (builder, (mode, budget, cell)) in builders
+        .iter()
+        .flat_map(|b| cells.iter().map(move |&c| (b, c)))
+    {
+        let name = format!("{}/{}", kernel.name(), builder.name());
+        let cfg = &cfg(builder, mode, budget);
         // f64 storage, f64 accumulation.
         assert_cell::<f64>(
             kernel.clone(),
-            mode,
-            budget,
+            cfg,
             &format!("{name}/{cell}/f64"),
             |h2, seed| h2.matvec(&h2_core::error_est::probe_vector(h2.n(), seed as u64)),
         );
         // f32 storage, f32 accumulation.
         assert_cell::<f32>(
             kernel.clone(),
-            mode,
-            budget,
+            cfg,
             &format!("{name}/{cell}/f32"),
             |h2, seed| {
                 let b: Vec<f32> = h2_core::error_est::probe_vector(h2.n(), seed as u64)
@@ -132,8 +142,7 @@ fn sweep_kernel(kernel: Arc<dyn Kernel>) {
         // Mixed: f32 storage, f64 accumulation.
         assert_cell::<f32>(
             kernel.clone(),
-            mode,
-            budget,
+            cfg,
             &format!("{name}/{cell}/mixed"),
             |h2, seed| h2.matvec_f64(&h2_core::error_est::probe_vector(h2.n(), seed as u64)),
         );
@@ -153,4 +162,35 @@ fn churn_matches_fresh_rebuild_exponential() {
 #[test]
 fn churn_matches_fresh_rebuild_gaussian() {
     sweep_kernel(Arc::new(Gaussian::paper()));
+}
+
+#[test]
+fn rebuild_escalation_factors_a_sketched_operator_with_the_anchor_net_rule() {
+    // What a `rebuild_churn` escalation does today: it rebuilds with the
+    // update engine's own rule (anchor-net sampling at the policy
+    // tolerance), not with the strategy that built the operator — so a
+    // sketched operator changes provenance, and stays accurate.
+    let builder = BuilderStrategy::sketched_for_tol(TOL, 3);
+    let cfg = cfg(&builder, MemoryMode::OnTheFly, CacheBudget::Off);
+    let pts = gen::uniform_cube(N, 3, 23);
+    let mut h2 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &cfg);
+    assert_eq!(h2.provenance(), BuilderProvenance::Sketched);
+    h2.set_update_policy(UpdatePolicy {
+        tol: TOL,
+        rebuild_churn: 0.001,
+        ..UpdatePolicy::default()
+    })
+    .expect("sketched skeletons are data points");
+    let report = h2
+        .insert_points(&gen::uniform_cube(4, 3, 100))
+        .expect("insert");
+    assert_eq!(report.rebuilds, 1);
+    assert_eq!(h2.provenance(), BuilderProvenance::AnchorNet);
+    let b = h2_core::error_est::probe_vector(h2.n(), 7);
+    let dense = h2_kernels::dense_matvec(&Coulomb, h2.tree().points(), &b);
+    let err = rel_err_f64(&h2.matvec(&b), &dense);
+    assert!(
+        err < ENVELOPE,
+        "rebuilt operator off the dense product ({err:.2e})"
+    );
 }

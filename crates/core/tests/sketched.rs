@@ -9,7 +9,9 @@
 //! - `f32` sketched operators share the `f64` structure exactly (factorize
 //!   in f64, round once) in every precision mode;
 //! - builds are bit-reproducible per seed — the regression gate for the
-//!   counter-based RNG streams.
+//!   counter-based RNG streams;
+//! - the shared nested-skeleton pass nests sketched skeletons and shapes
+//!   bases and transfers exactly as it does for the deterministic rules.
 
 use h2_core::{BuilderStrategy, H2Config, H2Matrix, H2MatrixS, MemoryMode};
 use h2_kernels::{dense_matvec, Coulomb, Exponential, Gaussian, Kernel};
@@ -35,6 +37,13 @@ fn true_error(h2: &H2Matrix, seed: u64) -> f64 {
     let y = h2.matvec(&b);
     let z = dense_matvec(h2.kernel(), h2.tree().points(), &b);
     h2_linalg::vec_ops::rel_err(&y, &z)
+}
+
+fn skeleton<S: h2_linalg::Scalar>(h: &H2MatrixS<S>, i: usize) -> &[usize] {
+    match h.proxy(i) {
+        h2_core::proxy::ProxyPoints::Indices(v) => v,
+        other => panic!("sketched proxies are skeletons, got {other:?}"),
+    }
 }
 
 #[test]
@@ -133,6 +142,10 @@ fn adaptive_rank_recovers_from_an_undersized_start() {
         s.sketch_retries,
         s.sketch_max_rounds
     );
+    // Every node's counters reach the build totals, and the ranks grew
+    // past the initial guess somewhere.
+    assert!(s.sketch_samples > 0 && s.sketch_probes > 0 && s.sampling_ms >= 0.0);
+    assert!(h2.ranks().iter().any(|&r| r > 4));
     let err = true_error(&h2, 23);
     assert!(err <= tol, "adaptive loop stopped early: rel err {err:.2e}");
 }
@@ -147,16 +160,10 @@ fn sketched_f32_shares_f64_structure_in_all_precision_modes() {
         // Same sketch draws, same f64 factorization, rounded once: the
         // structure is identical, not merely similar.
         assert_eq!(h64.ranks(), h32.ranks(), "{}", mode.name());
-        fn skel<S: h2_linalg::Scalar>(h: &H2MatrixS<S>, i: usize) -> Vec<usize> {
-            match h.proxy(i) {
-                h2_core::proxy::ProxyPoints::Indices(v) => v.clone(),
-                other => panic!("sketched proxies are skeletons, got {other:?}"),
-            }
-        }
         for i in 0..h64.tree().node_count() {
             assert_eq!(
-                skel(&h64, i),
-                skel(&h32, i),
+                skeleton(&h64, i),
+                skeleton(&h32, i),
                 "node {i} skeleton ({})",
                 mode.name()
             );
@@ -184,6 +191,13 @@ fn sketched_builds_are_bit_reproducible_per_seed() {
             "{}: same seed must rebuild the identical operator",
             mode.name()
         );
+        // Identical down to every generator entry, not just the product.
+        assert_eq!(a.ranks(), c.ranks());
+        for i in 0..a.tree().node_count() {
+            assert_eq!(skeleton(&a, i), skeleton(&c, i), "node {i}");
+            assert_eq!(a.leaf_basis(i).as_slice(), c.leaf_basis(i).as_slice());
+            assert_eq!(a.transfer(i).as_slice(), c.transfer(i).as_slice());
+        }
         let d = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg(1e-6, mode, 43));
         assert_ne!(
             a.matvec(&b),
@@ -205,4 +219,39 @@ fn sketched_builds_are_bit_reproducible_per_seed() {
     assert_eq!(normal.ranks(), otf.ranks());
     let err = h2_linalg::vec_ops::rel_err(&otf.matvec(&b), &normal.matvec(&b));
     assert!(err <= 1e-12, "modes diverge beyond rounding: {err:.2e}");
+}
+
+#[test]
+fn sketched_skeletons_nest_and_root_is_rank_zero() {
+    let pts = gen::uniform_cube(600, 3, 42);
+    let h2 = H2Matrix::build(
+        &pts,
+        Arc::new(h2_kernels::CoulombCubed),
+        &cfg(1e-6, MemoryMode::OnTheFly, 7),
+    );
+    let tree = h2.tree();
+    assert_eq!(h2.rank(tree.root()), 0);
+    for id in 0..tree.node_count() {
+        let nd = tree.node(id);
+        assert_eq!(h2.rank(id), skeleton(&h2, id).len());
+        let own: std::collections::HashSet<usize> = if nd.is_leaf() {
+            tree.node_indices(id).iter().copied().collect()
+        } else {
+            let children = nd.children.iter();
+            children.flat_map(|&c| skeleton(&h2, c)).copied().collect()
+        };
+        // Nesting: every skeleton point comes from the candidate rows.
+        assert!(
+            skeleton(&h2, id).iter().all(|p| own.contains(p)),
+            "node {id}"
+        );
+        // Shapes: leaf bases are m x rank; transfers rank_c x rank_parent.
+        if nd.is_leaf() {
+            assert_eq!(h2.leaf_basis(id).shape(), (nd.len(), h2.rank(id)));
+        } else {
+            for &c in &nd.children {
+                assert_eq!(h2.transfer(c).shape(), (h2.rank(c), h2.rank(id)));
+            }
+        }
+    }
 }

@@ -5,9 +5,8 @@
 //! The hierarchical-matrix code in this workspace needs a small but solid set
 //! of dense kernels: matrix products, Householder QR, *column-pivoted*
 //! (rank-revealing) QR, the interpolative decomposition built on top of it,
-//! LU with partial pivoting, Cholesky, and a one-sided Jacobi SVD used for
-//! validation and pseudo-inverses. No BLAS/LAPACK bindings are available in
-//! this environment, so everything here is written from scratch in safe Rust,
+//! LU with partial pivoting and Cholesky. No BLAS/LAPACK bindings are available
+//! in this environment, so everything here is written from scratch in safe Rust,
 //! blocked for cache friendliness and parallelised with rayon where the
 //! problem sizes warrant it.
 //!
@@ -16,9 +15,9 @@
 //! `f64`, which is what most call sites use. Vectors are plain `&[S]` /
 //! `Vec<S>` slices. The apply routines additionally accept a separate
 //! *accumulator* scalar, which is how the workspace's mixed-precision mode
-//! (`f32` storage, `f64` accumulation) is built. QR/ID are generic; LU,
-//! Cholesky and the Jacobi SVD remain `f64`-only (they back solvers and
-//! validation, not the precision-selectable operator path).
+//! (`f32` storage, `f64` accumulation) is built. QR/ID are generic; LU and
+//! Cholesky remain `f64`-only (they back solvers and validation, not the
+//! precision-selectable operator path).
 //!
 //! ## Quick example
 //!
@@ -40,7 +39,6 @@ pub mod qr;
 pub mod scalar;
 pub mod sketch;
 pub mod slab;
-pub mod svd;
 pub mod vec_ops;
 
 pub use id::{ColumnId, RowId};

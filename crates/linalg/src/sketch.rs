@@ -1,6 +1,5 @@
-//! Randomized sketching primitives: a counter-based RNG, Gaussian and SRHT
-//! test-matrix generators, and the truncated randomized range finder / SVD
-//! built on them.
+//! Randomized sketching primitives: a counter-based RNG and Gaussian and
+//! SRHT test-matrix generators.
 //!
 //! These are the substrate of the **sketched H² construction** (`h2-sketch`):
 //! instead of compressing a node's farfield block `A` directly, the builder
@@ -25,7 +24,6 @@
 //! storage scalar once, at assembly.
 
 use crate::matrix::Matrix;
-use crate::qr::Qr;
 
 /// Golden-ratio increment of splitmix64.
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -188,80 +186,9 @@ pub fn test_matrix(kind: SketchKind, m: usize, k: usize, rng: &mut CounterRng) -
     }
 }
 
-/// Randomized range finder: an orthonormal `m x min(rank + oversample, ...)`
-/// basis `Q` with `A ≈ Q Qᵀ A`, from one sketch `Y = A Ω`.
-pub fn randomized_range(
-    a: &Matrix,
-    rank: usize,
-    oversample: usize,
-    kind: SketchKind,
-    rng: &mut CounterRng,
-) -> Matrix {
-    let (m, n) = a.shape();
-    let k = (rank + oversample).min(n).min(m);
-    if k == 0 {
-        return Matrix::zeros(m, 0);
-    }
-    let omega = test_matrix(kind, n, k, rng);
-    let y = a.matmul(&omega);
-    Qr::new(y).q()
-}
-
-/// A truncated SVD `A ≈ U diag(s) Vᵀ` from a randomized sketch.
-#[derive(Clone, Debug)]
-pub struct RandSvd {
-    /// Left singular vectors (`m x r`).
-    pub u: Matrix,
-    /// Singular values, non-increasing.
-    pub s: Vec<f64>,
-    /// Right singular vectors (`n x r`).
-    pub v: Matrix,
-}
-
-/// Truncated randomized SVD: sketch `Y = A Ω` with `rank + oversample`
-/// columns, orthonormalize, and diagonalize the small projected matrix
-/// `Qᵀ A` with the deterministic Jacobi SVD. Keeps at most `rank` triples.
-///
-/// This is the Hatrix exemplar's `AY` + truncated-SVD step as a reusable
-/// primitive; the H² builder itself uses the cheaper row-ID variant (it
-/// needs skeleton *indices*, not orthogonal factors), but validation and
-/// the ablation bench compare against this.
-pub fn randomized_svd(
-    a: &Matrix,
-    rank: usize,
-    oversample: usize,
-    kind: SketchKind,
-    rng: &mut CounterRng,
-) -> crate::Result<RandSvd> {
-    let q = randomized_range(a, rank, oversample, kind, rng);
-    if q.ncols() == 0 {
-        return Ok(RandSvd {
-            u: Matrix::zeros(a.nrows(), 0),
-            s: Vec::new(),
-            v: Matrix::zeros(a.ncols(), 0),
-        });
-    }
-    let b = q.t_matmul(a); // k x n
-    let svd = crate::svd::svd(&b)?;
-    let r = rank.min(svd.s.len());
-    let u_small = svd.u.block(0..b.nrows(), 0..r);
-    Ok(RandSvd {
-        u: q.matmul(&u_small),
-        s: svd.s[..r].to_vec(),
-        v: svd.v.block(0..a.ncols(), 0..r),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn low_rank(m: usize, n: usize, r: usize, seed: u64) -> Matrix {
-        let mut rng = CounterRng::new(seed);
-        let u = Matrix::from_fn(m, r, |_, _| rng.normal());
-        let v = Matrix::from_fn(r, n, |_, _| rng.normal());
-        u.matmul(&v)
-    }
 
     #[test]
     fn counter_rng_is_positional_and_streamed() {
@@ -360,72 +287,8 @@ mod tests {
     }
 
     #[test]
-    fn randomized_range_captures_low_rank() {
-        let a = low_rank(60, 45, 5, 2);
-        for kind in [SketchKind::Gaussian, SketchKind::Srht] {
-            let mut rng = CounterRng::new(7);
-            let q = randomized_range(&a, 5, 5, kind, &mut rng);
-            assert_eq!(q.nrows(), 60);
-            // ‖A - QQᵀA‖ should vanish for exact rank-5 input.
-            let proj = q.matmul(&q.t_matmul(&a));
-            let err = proj.sub(&a).fro_norm() / a.fro_norm();
-            assert!(err < 1e-10, "{kind:?}: range residual {err}");
-        }
-    }
-
-    #[test]
-    fn randomized_svd_matches_low_rank() {
-        let a = low_rank(50, 40, 4, 13);
-        let mut rng = CounterRng::new(21);
-        let r = randomized_svd(&a, 4, 6, SketchKind::Gaussian, &mut rng).unwrap();
-        assert_eq!(r.u.shape(), (50, 4));
-        assert_eq!(r.v.shape(), (40, 4));
-        // Reconstruct U diag(s) Vᵀ.
-        let mut us = r.u.clone();
-        for j in 0..4 {
-            for v in us.col_mut(j) {
-                *v *= r.s[j];
-            }
-        }
-        let rec = us.matmul_t(&r.v);
-        let err = rec.sub(&a).fro_norm() / a.fro_norm();
-        assert!(err < 1e-9, "rsvd residual {err}");
-        for w in r.s.windows(2) {
-            assert!(w[0] >= w[1], "singular values must be sorted");
-        }
-    }
-
-    #[test]
-    fn randomized_svd_truncates_noisy_spectrum() {
-        // Low-rank + tiny noise: the truncated factorization keeps `rank`
-        // triples and its error is at the noise floor.
-        let mut rng = CounterRng::new(33);
-        let mut a = low_rank(40, 40, 3, 17);
-        for j in 0..40 {
-            for v in a.col_mut(j) {
-                *v += 1e-9 * rng.normal();
-            }
-        }
-        let r = randomized_svd(&a, 3, 8, SketchKind::Srht, &mut rng).unwrap();
-        assert_eq!(r.s.len(), 3);
-        let mut us = r.u.clone();
-        for j in 0..3 {
-            for v in us.col_mut(j) {
-                *v *= r.s[j];
-            }
-        }
-        let err = us.matmul_t(&r.v).sub(&a).fro_norm() / a.fro_norm();
-        assert!(err < 1e-6, "noisy residual {err}");
-    }
-
-    #[test]
     fn empty_shapes_are_handled() {
-        let a = Matrix::zeros(6, 0);
         let mut rng = CounterRng::new(1);
-        let q = randomized_range(&a, 3, 2, SketchKind::Gaussian, &mut rng);
-        assert_eq!(q.shape(), (6, 0));
-        let r = randomized_svd(&a, 3, 2, SketchKind::Gaussian, &mut rng).unwrap();
-        assert!(r.s.is_empty());
         assert_eq!(
             test_matrix(SketchKind::Srht, 0, 0, &mut rng).shape(),
             (0, 0)

@@ -19,6 +19,7 @@
 use crate::strategies::Sampler;
 use h2_points::admissibility::BlockLists;
 use h2_points::tree::ClusterTree;
+use h2_points::NodeId;
 use rayon::prelude::*;
 
 /// Sampling budgets for Algorithm 1.
@@ -103,59 +104,102 @@ pub fn hierarchical_sample(
     hierarchical_sample_with(tree, lists, params, &crate::strategies::AnchorNet)
 }
 
-/// Runs Algorithm 1 with an arbitrary sampling strategy (ablations).
+/// Runs Algorithm 1 with an arbitrary sampling strategy (ablations): the
+/// [`sample_levels`] sweep over every node of the tree.
 pub fn hierarchical_sample_with(
     tree: &ClusterTree,
     lists: &BlockLists,
     params: &SampleParams,
     sampler: &dyn Sampler,
 ) -> HierarchicalSamples {
-    let n_nodes = tree.node_count();
+    let mut x_star: Vec<Vec<usize>> = vec![Vec::new(); tree.node_count()];
+    let y_star = sample_levels(tree, lists, params, sampler, tree.levels(), &mut x_star);
+    HierarchicalSamples { x_star, y_star }
+}
 
-    // ---- Bottom-to-top sweep: X_i* ------------------------------------
-    // Levels processed deepest-first; nodes within a level are independent
-    // (each pulls from its children, already computed).
-    let sp = h2_telemetry::span("sampling.upward");
-    let mut x_star: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
-    for (lvl, level) in tree.levels().iter().enumerate().rev() {
+/// The bottom-to-top half of the sweep: recomputes `X_i*` in place for
+/// every node of `levels` (node ids grouped by tree level, `levels[l]` at
+/// level `l`), deepest level first so a parent sees its refreshed children.
+/// Nodes within a level are independent — each pulls only from its
+/// children — so their order inside `levels[l]` does not matter.
+///
+/// `x_star` is sized to `tree.node_count()`; entries outside `levels` are
+/// read (as children) but never written. Per-node seeds and budgets are
+/// pure functions of `(params, depth, level, node)`, so refreshing a subset
+/// leaves exactly what a sweep over the whole tree would.
+pub fn refresh_x_star(
+    tree: &ClusterTree,
+    params: &SampleParams,
+    sampler: &dyn Sampler,
+    levels: &[Vec<NodeId>],
+    x_star: &mut [Vec<usize>],
+) {
+    assert_eq!(x_star.len(), tree.node_count());
+    let _sp = h2_telemetry::span("sampling.upward");
+    for (lvl, level) in levels.iter().enumerate().rev() {
         let results: Vec<(usize, Vec<usize>)> = level
             .par_iter()
-            .map(|&i| (i, sample_x(tree, params, sampler, &x_star, lvl, i)))
+            .map(|&i| (i, sample_x(tree, params, sampler, x_star, lvl, i)))
             .collect();
         for (i, s) in results {
             x_star[i] = s;
         }
     }
-    drop(sp);
+}
 
-    // ---- Top-to-bottom sweep: Y_i* -------------------------------------
-    let sp = h2_telemetry::span("sampling.downward");
+/// The one Algorithm-1 sweep, over any **root-closed** node set (with every
+/// node, its parent): [`refresh_x_star`] bottom-to-top, then `Y_i*`
+/// top-to-bottom so each node inherits its parent's freshly computed `Y*`.
+/// A full construction passes `tree.levels()`; an incremental update passes
+/// the root-to-leaf paths it touched (`lists` then being the lists of the
+/// mutated tree).
+///
+/// Returns `Y*` as a dense per-node table: entries outside `levels` stay
+/// empty. `Y*` is construction scratch — no operator stores it.
+pub fn sample_levels(
+    tree: &ClusterTree,
+    lists: &BlockLists,
+    params: &SampleParams,
+    sampler: &dyn Sampler,
+    levels: &[Vec<NodeId>],
+    x_star: &mut [Vec<usize>],
+) -> Vec<Vec<usize>> {
+    refresh_x_star(tree, params, sampler, levels, x_star);
+
+    let _sp = h2_telemetry::span("sampling.downward");
+    let n_nodes = tree.node_count();
     let mut y_star: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
-    for (lvl, level) in tree.levels().iter().enumerate() {
+    let mut done = vec![false; n_nodes];
+    for (lvl, level) in levels.iter().enumerate() {
         let results: Vec<(usize, Vec<usize>)> = level
             .par_iter()
             .map(|&i| {
-                let parent_y = tree.node(i).parent.map(|p| &y_star[p][..]).unwrap_or(&[]);
+                let parent_y = match tree.node(i).parent {
+                    None => &[][..],
+                    Some(p) => {
+                        assert!(done[p], "node set is not root-closed: {p} missing");
+                        &y_star[p][..]
+                    }
+                };
                 (
                     i,
-                    sample_y(tree, lists, params, sampler, &x_star, parent_y, lvl, i),
+                    sample_y(tree, lists, params, sampler, x_star, parent_y, lvl, i),
                 )
             })
             .collect();
         for (i, s) in results {
             y_star[i] = s;
+            done[i] = true;
         }
     }
-    drop(sp);
-
-    HierarchicalSamples { x_star, y_star }
+    y_star
 }
 
 /// Budget for a node at tree level `lvl` (leaves = `depth`): the base
-/// budget times `growth^height`, capped. Shared by the full sweeps above
-/// and the path-local refresh in [`crate::update`], so an incrementally
-/// refreshed node samples with the exact budget a full sweep would use.
-pub(crate) fn level_scale(params: &SampleParams, depth: usize, lvl: usize, budget: usize) -> usize {
+/// budget times `growth^height`, capped. A pure function of the level, so
+/// an incrementally refreshed node samples with the exact budget a sweep
+/// over the whole tree would use.
+fn level_scale(params: &SampleParams, depth: usize, lvl: usize, budget: usize) -> usize {
     let h = depth.saturating_sub(lvl) as f64;
     let mult = params.level_growth.powf(h).min(params.level_cap).max(1.0);
     (budget as f64 * mult).round() as usize
@@ -165,7 +209,7 @@ pub(crate) fn level_scale(params: &SampleParams, depth: usize, lvl: usize, budge
 /// points (leaf) or its children's surrogates (internal). Seeding and
 /// budgets are pure functions of `(params, depth, lvl, i)`, so recomputing
 /// one node reproduces what the full sweep would have produced.
-pub(crate) fn sample_x(
+fn sample_x(
     tree: &ClusterTree,
     params: &SampleParams,
     sampler: &dyn Sampler,
@@ -190,7 +234,7 @@ pub(crate) fn sample_x(
 /// interaction-list surrogates plus its parent's farfield surrogate (the
 /// parent's `Y*` covers everything farther away).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sample_y(
+fn sample_y(
     tree: &ClusterTree,
     lists: &BlockLists,
     params: &SampleParams,
@@ -227,9 +271,10 @@ pub(crate) fn sample_y(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategies::AnchorNet;
     use h2_points::admissibility::build_block_lists;
+    use h2_points::gen;
     use h2_points::tree::{ClusterTree, TreeParams};
-    use h2_points::{gen, NodeId};
 
     fn setup(n: usize, dim: usize, seed: u64) -> (ClusterTree, BlockLists) {
         let pts = gen::uniform_cube(n, dim, seed);
@@ -368,5 +413,86 @@ mod tests {
         let s = hierarchical_sample(&tree, &lists, &SampleParams::default());
         assert_eq!(s.x_star.len(), 1);
         assert!(s.y_star[0].is_empty());
+    }
+
+    /// The root-to-leaf path of `leaf`, grouped by level — the node set an
+    /// incremental update hands the sweep.
+    fn path_levels(tree: &ClusterTree, leaf: NodeId) -> Vec<Vec<NodeId>> {
+        let mut levels = vec![Vec::new(); tree.depth() + 1];
+        let mut cur = Some(leaf);
+        while let Some(c) = cur {
+            levels[tree.node(c).level].push(c);
+            cur = tree.node(c).parent;
+        }
+        levels
+    }
+
+    #[test]
+    fn upward_half_alone_matches_the_full_sweep() {
+        let (tree, lists) = setup(700, 3, 1);
+        let p = SampleParams::default();
+        let full = hierarchical_sample(&tree, &lists, &p);
+        let mut x = vec![Vec::new(); tree.node_count()];
+        refresh_x_star(&tree, &p, &AnchorNet, tree.levels(), &mut x);
+        assert_eq!(x, full.x_star);
+    }
+
+    #[test]
+    fn path_sweep_reproduces_full_sweep_on_static_tree() {
+        // On an unmutated tree, sweeping a path must be a no-op: the
+        // per-node rule is deterministic in (tree, params, children).
+        let (tree, lists) = setup(600, 3, 2);
+        let p = SampleParams::default();
+        let full = hierarchical_sample(&tree, &lists, &p);
+        let mut x = full.x_star.clone();
+        let levels = path_levels(&tree, *tree.leaves().last().unwrap());
+        let y = sample_levels(&tree, &lists, &p, &AnchorNet, &levels, &mut x);
+        assert_eq!(x, full.x_star);
+        // Same for the downward half: path-local Y* equals the sweep's,
+        // and nothing off the path is written.
+        let on_path: Vec<NodeId> = levels.concat();
+        for (i, y) in y.iter().enumerate() {
+            if on_path.contains(&i) {
+                assert_eq!(*y, full.y_star[i], "node {i}");
+            } else {
+                assert!(y.is_empty(), "off-path node {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn path_sweep_tracks_an_inserted_point() {
+        let (mut tree, _) = setup(500, 3, 3);
+        let p = SampleParams::default();
+        let mut x = vec![Vec::new(); tree.node_count()];
+        refresh_x_star(&tree, &p, &AnchorNet, tree.levels(), &mut x);
+        let (leaf, _g) = tree.insert_point(&[0.41, 0.43, 0.47]);
+        let levels = path_levels(&tree, leaf);
+        refresh_x_star(&tree, &p, &AnchorNet, &levels, &mut x);
+        // The refreshed table equals a from-scratch upward sweep over the
+        // mutated tree: off-path nodes were already correct (their subtrees
+        // are untouched), and path nodes were recomputed with full-sweep
+        // budgets and seeds.
+        let mut fresh = vec![Vec::new(); tree.node_count()];
+        refresh_x_star(&tree, &p, &AnchorNet, tree.levels(), &mut fresh);
+        assert_eq!(x, fresh);
+        // Sanity: samples on the path stay inside their subtrees.
+        for &i in levels.iter().flatten() {
+            let sub = subtree_points(&tree, i);
+            assert!(x[i].iter().all(|s| sub.contains(s)), "node {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "root-closed")]
+    fn sweep_requires_root_closure() {
+        let (tree, lists) = setup(400, 3, 4);
+        let p = SampleParams::default();
+        let mut x = hierarchical_sample(&tree, &lists, &p).x_star;
+        let leaf = *tree.leaves().first().unwrap();
+        assert_ne!(leaf, tree.root(), "setup must build more than one node");
+        let mut levels = vec![Vec::new(); tree.depth() + 1];
+        levels[tree.node(leaf).level].push(leaf);
+        sample_levels(&tree, &lists, &p, &AnchorNet, &levels, &mut x);
     }
 }

@@ -13,7 +13,9 @@
 //!   farthest-point and k-means++ implementations (the latter three serve as
 //!   ablation baselines).
 //! - [`hierarchical`]: Algorithm 1 — the bottom-to-top `X_i*` sweep and the
-//!   top-to-bottom `Y_i*` sweep over a cluster tree, level-parallel.
+//!   top-to-bottom `Y_i*` sweep over a cluster tree, level-parallel, over
+//!   every node (construction) or a root-closed subset (incremental
+//!   updates).
 //!
 //! ```
 //! use h2_points::{gen, tree::{ClusterTree, TreeParams}, admissibility::build_block_lists};
@@ -30,10 +32,10 @@ pub mod farfield;
 pub mod halton;
 pub mod hierarchical;
 pub mod strategies;
-pub mod update;
 
 pub use farfield::FarfieldRanges;
 pub use hierarchical::{
-    hierarchical_sample, hierarchical_sample_with, HierarchicalSamples, SampleParams,
+    hierarchical_sample, hierarchical_sample_with, refresh_x_star, sample_levels,
+    HierarchicalSamples, SampleParams,
 };
 pub use strategies::{AnchorNet, FarthestPoint, KMeansPP, Sampler, UniformRandom};

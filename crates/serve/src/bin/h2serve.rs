@@ -932,28 +932,29 @@ fn serve_tenants<S: Scalar>(o: &Opts, file: &str, bytes: &[u8], table: TenantTab
     let kernel = make_kernel(&o.kernel);
     // The owned decode is the bitwise reference every hosted operator is
     // checked against, and the footprint baseline for the resident gauge.
-    let owned = match codec::decode::<S>(bytes, kernel.clone()) {
+    let mut owned = match codec::decode::<S>(bytes, kernel.clone()) {
         Ok(h2) => h2,
         Err(e) => {
             eprintln!("load failed: {e}");
             exit(1);
         }
     };
+    let n = owned.n();
     let owned_total = owned.memory_report().total();
     let cache_total = o.cache_budget.resolve(owned.full_block_bytes());
     let budgets = split_budget(cache_total, &table.cache_shares());
+    let budget_of = |tenant: usize| match budgets[tenant] {
+        0 => CacheBudget::Off,
+        b => CacheBudget::Bytes(b as u64),
+    };
 
     let reg: Arc<OperatorRegistry<S>> = Arc::new(OperatorRegistry::new());
     let t = Instant::now();
     for (i, id, _) in table.iter() {
-        let budget = match budgets[i] {
-            0 => CacheBudget::Off,
-            b => CacheBudget::Bytes(b as u64),
-        };
         let loaded = if o.mmap {
-            reg.load_file_mmap_with_budget(id.as_str(), file, kernel.clone(), budget)
+            reg.load_file_mmap_with_budget(id.as_str(), file, kernel.clone(), budget_of(i))
         } else {
-            reg.load_file_with_budget(id.as_str(), file, kernel.clone(), budget)
+            reg.load_file_with_budget(id.as_str(), file, kernel.clone(), budget_of(i))
         };
         if let Err(e) = loaded {
             eprintln!("tenant '{id}': load failed: {e}");
@@ -974,28 +975,33 @@ fn serve_tenants<S: Scalar>(o: &Opts, file: &str, bytes: &[u8], table: TenantTab
         owned_total as f64 / 1024.0
     );
 
-    // Every hosted operator must apply bit-identically to the owned decode.
-    let probe: Vec<S> = h2_core::error_est::probe_vector(owned.n(), o.seed)
+    // Every hosted operator must apply bit-identically to the owned decode
+    // *in its own arithmetic class*: over an on-the-fly file a budgeted tier
+    // applies normal-mode arithmetic by design (`set_cache_budget`), which
+    // is not the unbudgeted tier's. So there are at most two references —
+    // the owned decode without a budget and with a tenant's budget installed.
+    let probe: Vec<S> = h2_core::error_est::probe_vector(n, o.seed)
         .into_iter()
         .map(S::from_f64)
         .collect();
-    let want: Vec<u64> = owned
-        .matvec(&probe)
-        .iter()
-        .map(|v| v.to_f64().to_bits())
-        .collect();
-    for (_, id, _) in table.iter() {
+    let bits = |op: &H2MatrixS<S>| -> Vec<u64> {
+        let y = op.matvec(&probe);
+        y.iter().map(|v| v.to_f64().to_bits()).collect()
+    };
+    let mut want: [Option<Vec<u64>>; 2] = [None, None];
+    for (i, id, _) in table.iter() {
+        let class = usize::from(budgets[i] > 0);
+        let want = want[class].get_or_insert_with(|| {
+            owned.set_cache_budget(budget_of(i));
+            bits(&owned)
+        });
         let op = reg.get(id.as_str()).expect("just registered");
-        let got: Vec<u64> = op
-            .matvec(&probe)
-            .iter()
-            .map(|v| v.to_f64().to_bits())
-            .collect();
-        if got != want {
+        if bits(&op) != *want {
             eprintln!("tenant '{id}': hosted operator differs from the owned decode");
             exit(1);
         }
     }
+    drop(owned);
     println!(
         "bitwise: all {} hosted operators identical to the owned decode",
         table.len()
@@ -1037,7 +1043,6 @@ fn serve_tenants<S: Scalar>(o: &Opts, file: &str, bytes: &[u8], table: TenantTab
         svc.set_tenant_cache_budgets(budgets);
     }
     let mut scrape = start_scrape(o, &svc, true, Some(reg.clone()));
-    let n = owned.n();
     for round in 0..o.requests {
         let tickets: Vec<_> = table
             .iter()

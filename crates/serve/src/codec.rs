@@ -162,52 +162,17 @@ fn probe_values(kernel: &dyn Kernel, dim: usize) -> [f64; PROBE_COUNT] {
 
 // ---------------------------------------------------------------- encoding
 
-/// Section payload writer: the shared little-endian primitives
-/// ([`h2_dist::wire::WireWriter`], the same codec the socket frames use)
-/// plus this codec's composite shapes (matrices, point sets).
-struct Enc {
-    w: WireWriter,
-}
+// Section payloads are written with the shared little-endian primitives of
+// [`h2_dist::wire::WireWriter`] — the same codec the socket frames use.
 
-impl Enc {
-    fn new() -> Self {
-        Enc {
-            w: WireWriter::new(),
-        }
-    }
-    fn u8(&mut self, v: u8) {
-        self.w.u8(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.w.u32(v);
-    }
-    fn u64(&mut self, v: u64) {
-        self.w.u64(v);
-    }
-    fn usize(&mut self, v: usize) {
-        self.w.usize(v);
-    }
-    fn f64(&mut self, v: f64) {
-        self.w.f64(v);
-    }
-    fn f64s(&mut self, vs: &[f64]) {
-        self.w.f64s(vs);
-    }
-    fn str(&mut self, s: &str) {
-        self.w.str(s);
-    }
-    fn pointset(&mut self, p: &PointSet) {
-        self.u32(p.dim() as u32);
-        self.usize(p.len());
-        self.f64s(p.coords());
-    }
-    fn into_bytes(self) -> Vec<u8> {
-        self.w.into_bytes()
-    }
+fn write_pointset(e: &mut WireWriter, p: &PointSet) {
+    e.u32(p.dim() as u32);
+    e.usize(p.len());
+    e.f64s(p.coords());
 }
 
 fn encode_fingerprint<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut e = WireWriter::new();
     e.u8(match h2.mode() {
         MemoryMode::Normal => 0,
         MemoryMode::OnTheFly => 1,
@@ -224,8 +189,8 @@ fn encode_fingerprint<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<u8> {
 }
 
 fn encode_tree(tree: &ClusterTree) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.pointset(tree.points());
+    let mut e = WireWriter::new();
+    write_pointset(&mut e, tree.points());
     for &p in tree.perm() {
         e.usize(p);
     }
@@ -255,7 +220,7 @@ fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 /// Ranks and proxies; the matrices live in the slab region, their shapes
 /// in the directory.
 fn encode_generators_meta<S: Scalar>(parts: &H2Parts<S>) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut e = WireWriter::new();
     let n_nodes = parts.ranks.len();
     e.usize(n_nodes);
     for &r in &parts.ranks {
@@ -272,7 +237,7 @@ fn encode_generators_meta<S: Scalar>(parts: &H2Parts<S>) -> Vec<u8> {
             }
             ProxyPoints::Coords(pts) => {
                 e.u8(1);
-                e.pointset(pts);
+                write_pointset(&mut e, pts);
             }
         }
     }
@@ -307,7 +272,7 @@ fn layout_family<S: Scalar>(mats: &[MatrixS<S>]) -> (Vec<SlabBlock>, usize) {
 }
 
 fn encode_directory(families: &[DirFamily]) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut e = WireWriter::new();
     e.u8(families.len() as u8);
     for f in families {
         e.u8(f.kind);

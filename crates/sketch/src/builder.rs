@@ -1,20 +1,18 @@
-//! The adaptive-rank sketched generator sweep.
+//! The per-node sketch-and-validate rule.
 //!
-//! Mirrors the shape of `h2-core`'s nested-skeleton sweep — reverse level
-//! order, rayon-parallel within each level, children's skeletons nested into
-//! their parent's candidate rows — but replaces the anchor-net column set
-//! with a randomized sketch per node and wraps the row ID in the adaptive
-//! rank-doubling loop of Boukaram et al.
+//! `h2-core`'s nested-skeleton pass hands [`sketch_node`] a node's candidate
+//! rows (own points at leaves, children's skeletons above); this module
+//! replaces the anchor-net column set with a randomized sketch and wraps the
+//! row ID in the adaptive rank-doubling loop of Boukaram et al.
 
 use crate::SketchParams;
 use h2_kernels::{kernel_matrix, Kernel};
+use h2_linalg::id::RowId;
 use h2_linalg::qr::Truncation;
 use h2_linalg::sketch::test_matrix;
 use h2_linalg::{CounterRng, Matrix};
-use h2_points::admissibility::BlockLists;
-use h2_points::tree::{ClusterTree, NodeId};
+use h2_points::{NodeId, PointSet};
 use h2_sampling::FarfieldRanges;
-use rayon::prelude::*;
 
 /// Aggregate counters of one sketched build.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -32,21 +30,14 @@ pub struct SketchStats {
     pub sampling_ms: f64,
 }
 
-/// Per-node generators produced by the sketched sweep, in the exact shape
-/// `h2-core` assembles into an `H2MatrixS`: everything factored in `f64`,
-/// skeletons as indices of actual data points.
-#[derive(Clone, Debug)]
-pub struct SketchedGenerators {
-    /// Leaf bases `U_i` (empty matrices for internal nodes).
-    pub bases: Vec<Matrix>,
-    /// Transfer matrices `R_c` (empty for the root).
-    pub transfers: Vec<Matrix>,
-    /// Per-node skeleton point indices (into the global point set).
-    pub skeletons: Vec<Vec<usize>>,
-    /// Per-node ranks.
-    pub ranks: Vec<usize>,
-    /// Aggregate build counters.
-    pub stats: SketchStats,
+impl SketchStats {
+    /// Folds one node's outcome into the build totals.
+    pub fn record(&mut self, node: &NodeSketch) {
+        self.samples += node.samples;
+        self.probes += node.probes;
+        self.retries += node.rounds.saturating_sub(1);
+        self.max_rounds = self.max_rounds.max(node.rounds);
+    }
 }
 
 /// RNG purposes within one `(node, round)` cell.
@@ -61,41 +52,45 @@ fn stream(seed: u64, node: NodeId, round: usize, purpose: u64) -> CounterRng {
     CounterRng::stream(seed, ((node as u64) << 8) | ((round as u64) << 2) | purpose)
 }
 
-/// Outcome of one node's adaptive loop, shipped back to the sequential
-/// assembly pass.
-struct NodeResult {
-    id: NodeId,
-    skel_local: Vec<usize>,
-    p: Matrix,
-    rounds: usize,
-    samples: usize,
-    probes: usize,
+/// Outcome of one node's adaptive loop.
+#[derive(Clone, Debug)]
+pub struct NodeSketch {
+    /// Skeleton positions *into the candidate rows* plus the interpolation
+    /// operator `P` with `K(rows, ·) ≈ P · K(rows[skel], ·)`.
+    pub rid: RowId,
+    /// Adaptive rounds run (0 for a node with no farfield, 1 = no doubling).
+    pub rounds: usize,
+    /// Farfield columns evaluated for sketches.
+    pub samples: usize,
+    /// Probe columns evaluated for validation.
+    pub probes: usize,
 }
 
 /// Runs the adaptive sketch-and-validate loop for one node.
 ///
-/// `rows` are global point indices (own points at leaves, children's
-/// skeletons above). Returns skeleton positions *into `rows`* plus the
-/// interpolation operator `P` with `K(rows, ·) ≈ P · K(rows[skel], ·)`.
-fn sketch_node(
+/// `rows` are global indices into `pts` (own points at leaves, children's
+/// skeletons above). For a fixed `seed` the result is bit-identical across
+/// runs and thread counts: every random draw comes from a counter stream
+/// keyed by `(seed, node, round, purpose)`, never from shared mutable state.
+pub fn sketch_node(
     id: NodeId,
     rows: &[usize],
-    tree: &ClusterTree,
+    pts: &PointSet,
     far: &FarfieldRanges,
     kernel: &dyn Kernel,
     params: &SketchParams,
     seed: u64,
-) -> NodeResult {
-    let pts = tree.points();
+) -> NodeSketch {
     let m = rows.len();
     let total_far = far.total(id);
     if total_far == 0 || m == 0 {
         // Nothing admissible to compress against: rank 0, like the
         // anchor-net path when Y* is empty.
-        return NodeResult {
-            id,
-            skel_local: Vec::new(),
-            p: Matrix::zeros(m, 0),
+        return NodeSketch {
+            rid: RowId {
+                skel: Vec::new(),
+                p: Matrix::zeros(m, 0),
+            },
             rounds: 0,
             samples: 0,
             probes: 0,
@@ -158,10 +153,8 @@ fn sketch_node(
         // farfield at full width.
         let saturated = d >= m || d >= params.max_rank || width == total_far;
         if resid <= params.resid_tol || saturated {
-            return NodeResult {
-                id,
-                skel_local: rid.skel,
-                p: rid.p,
+            return NodeSketch {
+                rid,
                 rounds: round + 1,
                 samples,
                 probes,
@@ -173,226 +166,157 @@ fn sketch_node(
     }
 }
 
-/// Builds sketched generators for every node of `tree`.
-///
-/// Reverse level sweep; within a level, nodes run rayon-parallel. For a
-/// fixed `seed` the result is bit-identical across runs and thread counts:
-/// every random draw comes from a counter stream keyed by
-/// `(seed, node, round, purpose)`, never from shared mutable state.
-pub fn sketched_generators(
-    tree: &ClusterTree,
-    lists: &BlockLists,
-    kernel: &dyn Kernel,
-    params: &SketchParams,
-    seed: u64,
-) -> SketchedGenerators {
-    // Farfield range precomputation is the sketched path's analogue of the
-    // anchor-net sampling sweep — measured under the same span name so the
-    // profile bench's phase table lines up across builders.
-    let sp = h2_telemetry::span("build.sampling");
-    let far = FarfieldRanges::build(tree, lists);
-    let sampling_ms = sp.finish() * 1e3;
-
-    let n_nodes = tree.node_count();
-    let mut bases = vec![Matrix::zeros(0, 0); n_nodes];
-    let mut transfers = vec![Matrix::zeros(0, 0); n_nodes];
-    let mut skeletons: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
-    let mut ranks = vec![0usize; n_nodes];
-    let mut stats = SketchStats {
-        sampling_ms,
-        ..SketchStats::default()
-    };
-
-    for (lvl, level) in tree.levels().iter().enumerate().rev() {
-        let sp = h2_telemetry::span_labeled("build.sketch", format!("level={lvl}"));
-        let computed: Vec<NodeResult> = level
-            .par_iter()
-            .map(|&i| {
-                let nd = tree.node(i);
-                let rows: Vec<usize> = if nd.is_leaf() {
-                    tree.node_indices(i).to_vec()
-                } else {
-                    nd.children
-                        .iter()
-                        .flat_map(|&c| skeletons[c].iter().copied())
-                        .collect()
-                };
-                sketch_node(i, &rows, tree, &far, kernel, params, seed)
-            })
-            .collect();
-        drop(sp);
-
-        let sp = h2_telemetry::span_labeled("build.transfers", format!("level={lvl}"));
-        for r in computed {
-            let nd = tree.node(r.id);
-            let rows: Vec<usize> = if nd.is_leaf() {
-                tree.node_indices(r.id).to_vec()
-            } else {
-                nd.children
-                    .iter()
-                    .flat_map(|&c| skeletons[c].iter().copied())
-                    .collect()
-            };
-            let skel: Vec<usize> = r.skel_local.iter().map(|&k| rows[k]).collect();
-            ranks[r.id] = skel.len();
-            if nd.is_leaf() {
-                bases[r.id] = r.p;
-            } else {
-                let mut off = 0;
-                for &c in &nd.children {
-                    let rc = ranks[c];
-                    transfers[c] = r.p.block(off..off + rc, 0..r.p.ncols());
-                    off += rc;
-                }
-            }
-            skeletons[r.id] = skel;
-            stats.samples += r.samples;
-            stats.probes += r.probes;
-            stats.retries += r.rounds.saturating_sub(1);
-            stats.max_rounds = stats.max_rounds.max(r.rounds);
-        }
-        drop(sp);
-    }
-
-    SketchedGenerators {
-        bases,
-        transfers,
-        skeletons,
-        ranks,
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SketchParams;
     use h2_kernels::kernel_by_name;
     use h2_points::admissibility::build_block_lists;
     use h2_points::gen;
-    use h2_points::tree::TreeParams;
+    use h2_points::tree::{ClusterTree, TreeParams};
 
-    fn setup(n: usize, dim: usize) -> (ClusterTree, BlockLists) {
+    fn setup(n: usize, dim: usize) -> (ClusterTree, FarfieldRanges) {
         let pts = gen::uniform_cube(n, dim, 42);
         let tree = ClusterTree::build(&pts, TreeParams::with_leaf_size(48));
-        let lists = build_block_lists(&tree, 0.7);
-        (tree, lists)
+        let far = FarfieldRanges::build(&tree, &build_block_lists(&tree, 0.7));
+        (tree, far)
+    }
+
+    /// Relative residual of `P · K(rows[skel], V) ≈ K(rows, V)` on probe
+    /// columns `V` drawn from a stream the loop never used.
+    fn probe_residual(
+        tree: &ClusterTree,
+        far: &FarfieldRanges,
+        kernel: &dyn Kernel,
+        id: NodeId,
+        rows: &[usize],
+        rid: &RowId,
+    ) -> f64 {
+        let probe = far.sample(id, 24, &mut CounterRng::new(999 + id as u64));
+        let bv = kernel_matrix(kernel, tree.points(), rows, &probe);
+        let approx = rid.p.matmul(&bv.select_rows(&rid.skel));
+        approx.sub(&bv).fro_norm() / bv.fro_norm().max(1e-300)
     }
 
     #[test]
     fn same_seed_is_bit_identical() {
-        let (tree, lists) = setup(700, 2);
+        let (tree, far) = setup(700, 2);
         let kernel = kernel_by_name("exp").unwrap();
         let params = SketchParams::for_tolerance(1e-6, 2);
-        let a = sketched_generators(&tree, &lists, kernel.as_ref(), &params, 11);
-        let b = sketched_generators(&tree, &lists, kernel.as_ref(), &params, 11);
-        assert_eq!(a.skeletons, b.skeletons);
-        assert_eq!(a.ranks, b.ranks);
-        for (x, y) in a.bases.iter().zip(&b.bases) {
-            assert_eq!(x.as_slice(), y.as_slice());
+        let run = |id: NodeId, seed: u64| {
+            let rows = tree.node_indices(id);
+            sketch_node(
+                id,
+                rows,
+                tree.points(),
+                &far,
+                kernel.as_ref(),
+                &params,
+                seed,
+            )
+            .rid
+        };
+        let mut reseeded_differs = false;
+        for &leaf in tree.leaves() {
+            let (a, b) = (run(leaf, 11), run(leaf, 11));
+            assert_eq!(a.skel, b.skel, "leaf {leaf}");
+            assert_eq!(a.p.as_slice(), b.p.as_slice(), "leaf {leaf}");
+            // A different seed picks (at least somewhere) a different skeleton.
+            reseeded_differs |= run(leaf, 12).skel != a.skel;
         }
-        for (x, y) in a.transfers.iter().zip(&b.transfers) {
-            assert_eq!(x.as_slice(), y.as_slice());
-        }
-        // A different seed picks (at least somewhere) different skeletons.
-        let c = sketched_generators(&tree, &lists, kernel.as_ref(), &params, 12);
-        assert_ne!(a.skeletons, c.skeletons);
-    }
-
-    #[test]
-    fn skeletons_nest_and_root_is_rank_zero() {
-        let (tree, lists) = setup(600, 3);
-        let kernel = kernel_by_name("coulomb3").unwrap();
-        let params = SketchParams::for_tolerance(1e-6, 3);
-        let g = sketched_generators(&tree, &lists, kernel.as_ref(), &params, 7);
-        assert_eq!(g.ranks[tree.root()], 0);
-        for id in 0..tree.node_count() {
-            let nd = tree.node(id);
-            assert_eq!(g.ranks[id], g.skeletons[id].len());
-            let own: std::collections::HashSet<usize> = if nd.is_leaf() {
-                tree.node_indices(id).iter().copied().collect()
-            } else {
-                nd.children
-                    .iter()
-                    .flat_map(|&c| g.skeletons[c].iter().copied())
-                    .collect()
-            };
-            // Nesting: every skeleton point comes from the candidate rows.
-            assert!(g.skeletons[id].iter().all(|p| own.contains(p)), "node {id}");
-            // Shapes: leaf bases are m x rank; transfers rank_c x rank_parent.
-            if nd.is_leaf() {
-                assert_eq!(g.bases[id].shape(), (nd.len(), g.ranks[id]));
-            } else {
-                for &c in &nd.children {
-                    assert_eq!(g.transfers[c].nrows(), g.ranks[c]);
-                    assert_eq!(g.transfers[c].ncols(), g.ranks[id]);
-                }
-            }
-        }
+        assert!(reseeded_differs);
     }
 
     #[test]
     fn interpolation_validates_on_fresh_probes() {
-        let (tree, lists) = setup(500, 2);
+        let (tree, far) = setup(500, 2);
         let kernel = kernel_by_name("gaussian").unwrap();
         let tol = 1e-6;
         let params = SketchParams::for_tolerance(tol, 2);
-        let g = sketched_generators(&tree, &lists, kernel.as_ref(), &params, 3);
-        let far = FarfieldRanges::build(&tree, &lists);
-        let pts = tree.points();
-        let mut rng = CounterRng::new(999);
-        for id in 0..tree.node_count() {
-            if far.total(id) == 0 || g.ranks[id] == 0 {
-                continue;
+        let sketch = |id: NodeId, rows: &[usize]| {
+            let s = sketch_node(id, rows, tree.points(), &far, kernel.as_ref(), &params, 3);
+            // Shape contract: P is |rows| x rank, skeleton positions index rows.
+            assert_eq!(s.rid.p.shape(), (rows.len(), s.rid.skel.len()), "node {id}");
+            assert!(s.rid.skel.iter().all(|&k| k < rows.len()), "node {id}");
+            if far.total(id) > 0 && !s.rid.skel.is_empty() {
+                let err = probe_residual(&tree, &far, kernel.as_ref(), id, rows, &s.rid);
+                assert!(err < 50.0 * tol, "node {id}: probe residual {err:.3e}");
             }
-            let nd = tree.node(id);
-            let rows: Vec<usize> = if nd.is_leaf() {
-                tree.node_indices(id).to_vec()
-            } else {
-                nd.children
-                    .iter()
-                    .flat_map(|&c| g.skeletons[c].iter().copied())
-                    .collect()
-            };
-            let probe = far.sample(id, 24, &mut rng);
-            let bv = kernel_matrix(kernel.as_ref(), pts, &rows, &probe);
-            let p = if nd.is_leaf() {
-                g.bases[id].clone()
-            } else {
-                // Reassemble P from the children's transfer blocks.
-                let blocks: Vec<&Matrix> = nd.children.iter().map(|&c| &g.transfers[c]).collect();
-                Matrix::vstack(&blocks)
-            };
-            let bs = kernel_matrix(kernel.as_ref(), pts, &g.skeletons[id], &probe);
-            let err = p.matmul(&bs).sub(&bv).fro_norm() / bv.fro_norm().max(1e-300);
-            assert!(err < 50.0 * tol, "node {id}: probe residual {err:.3e}");
+            s.rid.skel.iter().map(|&k| rows[k]).collect::<Vec<usize>>()
+        };
+        // Leaves against their own points, then one nesting step: a parent
+        // of two leaves against its children's skeletons.
+        let parent = tree
+            .nodes()
+            .iter()
+            .position(|nd| !nd.is_leaf() && nd.children.iter().all(|&c| tree.node(c).is_leaf()))
+            .expect("a tree of 500 points has a parent of leaves");
+        let mut nested = Vec::new();
+        for &c in &tree.node(parent).children {
+            nested.extend(sketch(c, tree.node_indices(c)));
         }
+        sketch(parent, &nested);
+        // The root faces no farfield: rank 0, no rounds.
+        let root = sketch_node(
+            tree.root(),
+            &nested,
+            tree.points(),
+            &far,
+            kernel.as_ref(),
+            &params,
+            3,
+        );
+        assert_eq!((root.rid.skel.len(), root.rounds), (0, 0));
     }
 
     #[test]
     fn adaptive_loop_converges_from_tiny_r0() {
         // Deliberately undersized r0 forces doubling; the loop must still
         // land on an accurate basis and record the retries.
-        let (tree, lists) = setup(400, 2);
+        let (tree, far) = setup(400, 2);
         let kernel = kernel_by_name("exp").unwrap();
         let mut params = SketchParams::for_tolerance(1e-5, 2);
         params.r0 = 2;
-        let g = sketched_generators(&tree, &lists, kernel.as_ref(), &params, 5);
-        assert!(g.stats.retries > 0, "r0=2 must trigger doubling");
-        assert!(g.stats.max_rounds > 1);
-        // And the ranks must have grown past the initial guess somewhere.
-        assert!(g.ranks.iter().any(|&r| r > 2));
+        let mut stats = SketchStats::default();
+        let mut grew = false;
+        for &leaf in tree.leaves() {
+            let rows = tree.node_indices(leaf);
+            let s = sketch_node(leaf, rows, tree.points(), &far, kernel.as_ref(), &params, 5);
+            let err = probe_residual(&tree, &far, kernel.as_ref(), leaf, rows, &s.rid);
+            assert!(err < 50.0 * 1e-5, "leaf {leaf}: probe residual {err:.3e}");
+            // The ranks must have grown past the initial guess somewhere.
+            grew |= s.rid.skel.len() > 2;
+            stats.record(&s);
+        }
+        assert!(stats.retries > 0, "r0=2 must trigger doubling");
+        assert!(stats.max_rounds > 1);
+        assert!(grew);
     }
 
     #[test]
     fn stats_account_for_samples_and_probes() {
-        let (tree, lists) = setup(300, 2);
+        let (tree, far) = setup(300, 2);
         let kernel = kernel_by_name("imq").unwrap();
         let params = SketchParams::for_tolerance(1e-4, 2);
-        let g = sketched_generators(&tree, &lists, kernel.as_ref(), &params, 1);
-        assert!(g.stats.samples > 0);
-        assert!(g.stats.probes > 0);
-        assert!(g.stats.sampling_ms >= 0.0);
-        assert!(g.stats.max_rounds >= 1);
+        let mut stats = SketchStats::default();
+        let (mut samples, mut probes, mut rounds) = (0, 0, Vec::new());
+        for &leaf in tree.leaves() {
+            let rows = tree.node_indices(leaf);
+            let s = sketch_node(leaf, rows, tree.points(), &far, kernel.as_ref(), &params, 1);
+            // Every round validates against `params.probes` fresh columns
+            // (fewer only when the whole farfield is smaller).
+            assert!(s.probes <= s.rounds * params.probes, "leaf {leaf}");
+            assert!(s.samples >= s.rounds, "leaf {leaf}");
+            samples += s.samples;
+            probes += s.probes;
+            rounds.push(s.rounds);
+            stats.record(&s);
+        }
+        assert!(stats.samples > 0 && stats.probes > 0);
+        assert_eq!((stats.samples, stats.probes), (samples, probes));
+        assert_eq!(stats.max_rounds, rounds.iter().copied().max().unwrap());
+        assert_eq!(
+            stats.retries,
+            rounds.iter().map(|r| r.saturating_sub(1)).sum::<usize>()
+        );
     }
 }

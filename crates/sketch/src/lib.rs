@@ -25,13 +25,14 @@
 //! `(seed, node, round, purpose)`, so a build is **bit-reproducible** for a
 //! fixed seed regardless of thread count or scheduling.
 //!
-//! The output ([`SketchedGenerators`]) is adapter-shaped for
-//! `h2-core`'s builder pipeline; `h2-core` selects this path through its
-//! `BuilderStrategy::Sketched` configuration.
+//! This crate is the **per-node rule** only ([`sketch_node`]): the bottom-up
+//! nesting of skeletons and the installation of bases and transfers belong to
+//! `h2-core`'s one nested-skeleton pass, which calls it for every node when
+//! the configuration says `BuilderStrategy::Sketched`.
 
 pub mod builder;
 
-pub use builder::{sketched_generators, SketchStats, SketchedGenerators};
+pub use builder::{sketch_node, NodeSketch, SketchStats};
 pub use h2_linalg::{CounterRng, SketchKind};
 
 /// Tuning knobs of the sketched builder.

@@ -1,7 +1,11 @@
-#!/bin/bash
-set -x
-R=/root/repo/results
-B=/root/repo/target/release
+#!/usr/bin/env bash
+# Runs every bench binary at its default size into results/. Build first:
+# `cargo build --release --offline --workspace`.
+set -euxo pipefail
+cd "$(dirname "$0")"
+R=results
+B=target/release
+mkdir -p "$R"
 $B/fig2_rank_map  --json $R/fig2.json  > $R/fig2.txt  2>&1
 $B/fig3_sampling  --json $R/fig3.json  > $R/fig3.txt  2>&1
 $B/fig4_distributions --json $R/fig4.json > $R/fig4.txt 2>&1
