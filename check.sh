@@ -24,6 +24,23 @@ cargo test -q --offline -p h2-core --test sweep
 cargo test -q --offline -p h2-dist -p h2-net -- width_one schedule_keeps
 cargo test -q --offline --test end_to_end thread_pool
 
+echo "== builder width invariance gate (operator bytes and build counters equal at widths 1/2/3/8; panics cross barriers) =="
+cargo test -q --offline -p h2-core --test sweep builder_width
+cargo test -q --offline -p h2-linalg exec
+cargo test -q --offline -p h2-sampling root_closure
+cargo test -q --offline -p h2-core --lib panicking_factor_rule
+
+echo "== one threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates) =="
+# Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
+non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
+if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
+[ ! -e vendor/rayon ] || { echo "vendor/rayon is back"; exit 1; }
+if grep -n "rayon" Cargo.toml crates/*/Cargo.toml Cargo.lock; then echo "a manifest names rayon"; exit 1; fi
+SCOPES=$(non_test $(find crates/linalg/src crates/sampling/src crates/sketch/src crates/core/src -name '*.rs') \
+  | grep -c "std::thread::scope(" || true)
+[ "$SCOPES" = 1 ] || { echo "expected one std::thread::scope site, found $SCOPES"; exit 1; }
+non_test crates/linalg/src/exec.rs | grep -q "std::thread::scope("
+
 echo "== precision gate (f32 / mixed vs f64) =="
 cargo test -q --offline -p h2-core --test precision
 cargo test -q --offline -p h2-dist -p h2-serve -- f32 mixed precision
@@ -49,7 +66,7 @@ timeout 300 ./target/release/net_scaling --check > "$NET"
 grep -q "NET_SCALING_CHECK_OK" "$NET"
 rm -f "$NET"
 
-echo "== thread scaling smoke (bitwise across widths; 2 threads <= 0.75x of 1 on a 2-core host) =="
+echo "== thread scaling smoke (bitwise across widths; T_mv and T_const at 2 threads <= 0.75x of 1 on a 2-core host) =="
 FIG7=$(mktemp /tmp/h2-fig7.XXXXXX.txt)
 timeout 300 ./target/release/fig7_threads --sizes 8000 --threads 1,2 --check > "$FIG7"
 grep -q "FIG7_THREADS_CHECK_OK" "$FIG7"

@@ -6,21 +6,23 @@
 //! memory grows slightly with p (each thread regenerates one `B_{i,j}` at a
 //! time → concurrent footprint `p · size(B)`).
 //!
-//! What runs on `p` threads here is the matvec: the sweep engine sizes
-//! itself from the installed pool (`h2_core::sweep`, results bitwise
-//! identical at every `p`). Construction still runs on the calling thread
-//! (the builders' `par_iter` sites sit on the sequential `rayon` stand-in),
-//! so `T_const` is flat by design. Every row carries the host's
-//! `available_parallelism`: widths beyond it time-share the cores.
+//! Both construction and the matvec run on `p` threads here: every
+//! level-parallel loop of a build and the sweep engine are steps of the one
+//! scoped executor (`h2_linalg::exec`), which sizes itself from the
+//! installed width; operators and results are bitwise identical at every
+//! `p`. Every row carries the host's `available_parallelism`: widths beyond
+//! it time-share the cores.
 //!
 //! `--check` asserts the results are bitwise identical across the thread
-//! counts and, on a host with at least two cores, that `T_mv` at 2 threads
-//! is at most 0.75 × `T_mv` at 1 thread for every method (skipped with a
-//! message on a single core), then prints `FIG7_THREADS_CHECK_OK`.
+//! counts and, on a host with at least two cores, that `T_mv` and `T_const`
+//! at 2 threads are each at most 0.75 × their value at 1 thread for every
+//! method (skipped with a message on a single core), then prints
+//! `FIG7_THREADS_CHECK_OK`.
 
 use h2_bench::{table, Args, Table, PAPER_TOL};
 use h2_core::{BasisMethod, H2Config, H2Matrix, MemoryMode};
 use h2_kernels::Coulomb;
+use h2_linalg::exec::Width;
 use h2_points::gen;
 use serde::Serialize;
 use std::sync::Arc;
@@ -34,7 +36,7 @@ struct ThreadPoint {
     /// Cores the host offers this process.
     available_parallelism: usize,
     n: usize,
-    /// Construction, ms (runs on the calling thread at every `threads`).
+    /// Median construction over the timed repetitions, ms.
     t_const_ms: f64,
     /// Median matvec over the timed repetitions, ms.
     t_mv_ms: f64,
@@ -45,8 +47,22 @@ struct ThreadPoint {
     rel_err: f64,
 }
 
-/// Timed matvecs per row (after one warm-up); the row reports their median.
+/// Timed builds, and timed matvecs after one warm-up, per row; the row
+/// reports the median of each.
 const REPS: usize = 3;
+
+/// Median wall time of [`REPS`] runs of `f`, ms.
+fn median_ms(mut f: impl FnMut()) -> f64 {
+    let mut times: Vec<f64> = (0..REPS)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(|a, c| a.total_cmp(c));
+    times[times.len() / 2]
+}
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -77,29 +93,21 @@ fn main() {
     ] {
         let mut reference: Option<Vec<f64>> = None;
         for &p in &threads {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(p)
-                .build()
-                .expect("pool");
             let cfg = H2Config {
                 basis: basis.clone(),
                 mode: MemoryMode::OnTheFly,
                 ..H2Config::default()
             };
-            let (h2, t_const_ms, y, t_mv_ms) = pool.install(|| {
-                let t = Instant::now();
-                let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
-                let t_const_ms = t.elapsed().as_secs_f64() * 1e3;
+            let (h2, t_const_ms, y, t_mv_ms) = Width::new(p).install(|| {
+                let mut built = None;
+                let t_const_ms = median_ms(|| {
+                    built = None; // one operator alive at a time
+                    built = Some(H2Matrix::build(&pts, Arc::new(Coulomb), &cfg));
+                });
+                let h2 = built.expect("REPS is positive");
                 let y = h2.matvec(&b); // warm-up, and the result to compare
-                let mut times: Vec<f64> = (0..REPS)
-                    .map(|_| {
-                        let t = Instant::now();
-                        let _ = h2.matvec(&b);
-                        t.elapsed().as_secs_f64() * 1e3
-                    })
-                    .collect();
-                times.sort_by(|a, c| a.total_cmp(c));
-                (h2, t_const_ms, y, times[times.len() / 2])
+                let t_mv_ms = median_ms(|| drop(h2.matvec(&b)));
+                (h2, t_const_ms, y, t_mv_ms)
             });
             let same = reference.get_or_insert_with(|| y.clone()) == &y;
             assert!(same, "{mname}: {p} threads changed the result");
@@ -133,18 +141,20 @@ fn main() {
     t.print();
 
     if check {
-        let t_mv = |method: &str, p: usize| {
+        let at = |method: &str, p: usize| {
             let row = rows.iter().find(|r| r.method == method && r.threads == p);
-            row.map(|r| r.t_mv_ms)
+            row.map(|r| [("T_mv", r.t_mv_ms), ("T_const", r.t_const_ms)])
         };
         for method in ["data-driven", "interpolation"] {
-            match (t_mv(method, 1), t_mv(method, 2)) {
+            match (at(method, 1), at(method, 2)) {
                 (Some(one), Some(two)) if cores >= 2 => {
-                    println!("{method}: T_mv(2) / T_mv(1) = {:.2}", two / one);
-                    assert!(
-                        two <= 0.75 * one,
-                        "{method}: 2 threads took {two:.1} ms against {one:.1} ms on 1"
-                    );
+                    for ((what, one), (_, two)) in one.into_iter().zip(two) {
+                        println!("{method}: {what}(2) / {what}(1) = {:.2}", two / one);
+                        assert!(
+                            two <= 0.75 * one,
+                            "{method}: {what} took {two:.1} ms on 2 threads against {one:.1} ms on 1"
+                        );
+                    }
                 }
                 (Some(_), Some(_)) => {
                     println!("{method}: speed-up check skipped, the host has {cores} core")

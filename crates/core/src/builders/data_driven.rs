@@ -22,10 +22,13 @@ pub(crate) fn factor<'a>(
     kernel: &'a dyn Kernel,
     y_star: &'a [Vec<usize>],
     id_tol: f64,
-) -> impl Fn(&ClusterTree, NodeId, &[usize]) -> RowId + Sync + 'a {
+) -> impl Fn(&ClusterTree, NodeId, &[usize]) -> (RowId, ()) + Sync + 'a {
     move |tree, i, rows| {
         let cols = ColumnSet::Indices(&y_star[i]);
-        row_id_against(kernel, tree.points(), rows, cols, id_tol)
+        (
+            row_id_against(kernel, tree.points(), rows, cols, id_tol),
+            (),
+        )
     }
 }
 
@@ -44,6 +47,6 @@ pub(crate) fn factor_all<S: Scalar>(
 
     let (kernel, levels) = (h2.kernel.clone(), h2.tree.levels().to_vec());
     let rule = factor(kernel.as_ref(), &samples.y_star, id_tol);
-    nested_skeleton_pass(h2, &levels, "build.id", rule);
+    nested_skeleton_pass(h2, &levels, "build.id", rule, drop);
     (sampling_ms, samples.x_star)
 }

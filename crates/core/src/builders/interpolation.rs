@@ -8,55 +8,43 @@
 //! grids. Ranks are uniform — the grid ignores both kernel and data, which
 //! is exactly the overhead the data-driven method removes.
 
-use super::Generators;
 use crate::cheb::ChebGrid;
+use crate::h2matrix::H2MatrixS;
 use crate::proxy::ProxyPoints;
-use h2_linalg::Matrix;
-use h2_points::{ClusterTree, NodeId};
-use rayon::prelude::*;
+use h2_linalg::{exec, Matrix, Scalar};
+use h2_points::NodeId;
 
-/// Builds the uniform-rank Chebyshev generators at the given order.
-pub(crate) fn generators(tree: &ClusterTree, order: usize) -> Generators {
+/// Installs the uniform-rank Chebyshev generators at the given order in
+/// every node: evaluated in `f64` and rounded to the storage scalar exactly
+/// once, by the task that evaluated them.
+pub(crate) fn factor_all<S: Scalar>(h2: &mut H2MatrixS<S>, order: usize) {
     assert!(order >= 2, "interpolation order must be at least 2");
-    let n_nodes = tree.node_count();
+    let tree = &h2.tree;
     let grids: Vec<ChebGrid> = tree
         .nodes()
         .iter()
         .map(|nd| ChebGrid::new(&nd.bbox, order))
         .collect();
 
-    let computed: Vec<(NodeId, Matrix, Matrix)> = (0..n_nodes)
-        .into_par_iter()
-        .map(|i| {
-            let nd = tree.node(i);
-            let basis = if nd.is_leaf() {
-                grids[i].lagrange_eval_matrix(&tree.node_points(i))
-            } else {
-                Matrix::zeros(0, 0)
-            };
-            let transfer = match nd.parent {
-                Some(p) => grids[p].lagrange_eval_matrix(&grids[i].points()),
-                None => Matrix::zeros(0, 0),
-            };
-            (i, basis, transfer)
-        })
-        .collect();
-
-    let mut bases = vec![Matrix::zeros(0, 0); n_nodes];
-    let mut transfers = vec![Matrix::zeros(0, 0); n_nodes];
-    for (i, basis, transfer) in computed {
-        bases[i] = basis;
-        transfers[i] = transfer;
-    }
-    let ranks: Vec<usize> = grids.iter().map(|g| g.len()).collect();
-    let proxies: Vec<ProxyPoints> = grids
+    // Every node is independent of every other: one step of the executor.
+    let ids: Vec<NodeId> = (0..tree.node_count()).collect();
+    let generators = exec::map(&ids, |&i| {
+        let nd = tree.node(i);
+        let basis = if nd.is_leaf() {
+            grids[i].lagrange_eval_matrix(&tree.node_points(i))
+        } else {
+            Matrix::zeros(0, 0)
+        };
+        let transfer = match nd.parent {
+            Some(p) => grids[p].lagrange_eval_matrix(&grids[i].points()),
+            None => Matrix::zeros(0, 0),
+        };
+        (basis.convert::<S>(), transfer.convert::<S>())
+    });
+    (h2.bases, h2.transfers) = generators.into_iter().unzip();
+    h2.ranks = grids.iter().map(|g| g.len()).collect();
+    h2.proxies = grids
         .iter()
         .map(|g| ProxyPoints::Coords(g.points()))
         .collect();
-    Generators {
-        bases,
-        transfers,
-        proxies,
-        ranks,
-    }
 }

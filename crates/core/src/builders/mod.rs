@@ -22,10 +22,9 @@ use h2_cache::BlockStore;
 use h2_kernels::Kernel;
 use h2_linalg::id::{row_id_consume, RowId};
 use h2_linalg::qr::Truncation;
-use h2_linalg::{Matrix, MatrixS, Scalar};
+use h2_linalg::{exec, Matrix, MatrixS, Scalar};
 use h2_points::admissibility::build_block_lists;
 use h2_points::{ClusterTree, NodeId, PointSet};
-use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,21 +58,6 @@ pub struct BuildStats {
 
 fn ms_since(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
-}
-
-/// Per-node generators in `f64`, as [`interpolation::generators`] returns
-/// them; [`build`] rounds them to the storage scalar when it installs them.
-/// (The nested-skeleton methods install node by node instead, through
-/// [`nested_skeleton_pass`].)
-pub(crate) struct Generators {
-    /// Leaf bases `U_i` (empty for internal nodes).
-    pub bases: Vec<Matrix>,
-    /// Transfer matrices `R_c` (`rank_c x rank_parent`; empty for the root).
-    pub transfers: Vec<Matrix>,
-    /// Per-node proxy points (grid coordinates).
-    pub proxies: Vec<ProxyPoints>,
-    /// Per-node ranks.
-    pub ranks: Vec<usize>,
 }
 
 /// The column set a node's row ID compresses against: either indices into
@@ -113,7 +97,8 @@ pub(crate) fn row_id_against(
 /// first), the candidate rows are the node's own points (leaf) or the
 /// concatenated skeletons of its children in child order (internal — the
 /// nesting step). `factor(tree, i, rows)` picks skeleton positions into
-/// `rows` and the interpolation operator `P` in `f64`; the pass maps the
+/// `rows` and the interpolation operator `P` in `f64`, plus a note for the
+/// caller (the sketched rule's counts; `()` otherwise); the pass maps the
 /// skeleton to global point indices and installs it with the rank, and `P`
 /// — rounded to the storage scalar exactly once, here — becomes the leaf
 /// basis `U_i` or is split row-wise over the children into their transfers
@@ -122,16 +107,21 @@ pub(crate) fn row_id_against(
 /// Children live exactly one level below their parent, so a reverse level
 /// sweep sees every child's skeleton before its parent needs it; a subset
 /// therefore has to hold, with every node, the ancestors whose rows it
-/// changes (a root-to-leaf path does). Nodes within a level are independent,
-/// so their order inside `levels[l]` does not matter.
+/// changes (a root-to-leaf path does). Nodes within a level are independent:
+/// a level is one step of the executor ([`h2_linalg::exec`]), `factor` a pure
+/// function of the operator below the level and the node, so the operator
+/// is the same at any width and the order inside `levels[l]` does not
+/// matter. Everything a level computed is installed, and `note` called, by
+/// the calling thread in level order after the step.
 ///
 /// The factor phase of each level runs under the caller's `span` name and
 /// the installation under `build.transfers`, both labelled `level=N`.
-pub(crate) fn nested_skeleton_pass<S: Scalar>(
+pub(crate) fn nested_skeleton_pass<S: Scalar, N: Send>(
     h2: &mut H2MatrixS<S>,
     levels: &[Vec<NodeId>],
     span: &'static str,
-    factor: impl Fn(&ClusterTree, NodeId, &[usize]) -> RowId + Sync,
+    factor: impl Fn(&ClusterTree, NodeId, &[usize]) -> (RowId, N) + Sync,
+    mut note: impl FnMut(N),
 ) {
     let tree = &h2.tree;
     for (lvl, level) in levels.iter().enumerate().rev() {
@@ -140,31 +130,29 @@ pub(crate) fn nested_skeleton_pass<S: Scalar>(
         }
         let sp = h2_telemetry::span_labeled(span, format!("level={lvl}"));
         let proxies = &h2.proxies;
-        let computed: Vec<(NodeId, Vec<usize>, Matrix)> = level
-            .par_iter()
-            .map(|&i| {
-                let nd = tree.node(i);
-                let rows: Vec<usize> = if nd.is_leaf() {
-                    tree.node_indices(i).to_vec()
-                } else {
-                    nd.children
-                        .iter()
-                        .flat_map(|&c| match &proxies[c] {
-                            ProxyPoints::Indices(skel) => skel.iter().copied(),
-                            ProxyPoints::Coords(_) => {
-                                unreachable!("nested skeletons are data points")
-                            }
-                        })
-                        .collect()
-                };
-                let rid = factor(tree, i, &rows);
-                let skel: Vec<usize> = rid.skel.iter().map(|&k| rows[k]).collect();
-                (i, skel, rid.p)
-            })
-            .collect();
+        let computed = exec::map(level, |&i| {
+            let nd = tree.node(i);
+            let rows: Vec<usize> = if nd.is_leaf() {
+                tree.node_indices(i).to_vec()
+            } else {
+                nd.children
+                    .iter()
+                    .flat_map(|&c| match &proxies[c] {
+                        ProxyPoints::Indices(skel) => skel.iter().copied(),
+                        ProxyPoints::Coords(_) => {
+                            unreachable!("nested skeletons are data points")
+                        }
+                    })
+                    .collect()
+            };
+            let (rid, note) = factor(tree, i, &rows);
+            let skel: Vec<usize> = rid.skel.iter().map(|&k| rows[k]).collect();
+            (skel, rid.p, note)
+        });
         drop(sp);
         let sp = h2_telemetry::span_labeled("build.transfers", format!("level={lvl}"));
-        for (i, skel, p) in computed {
+        for (&i, (skel, p, node_note)) in level.iter().zip(computed) {
+            note(node_note);
             let nd = tree.node(i);
             h2.ranks[i] = skel.len();
             h2.proxies[i] = ProxyPoints::Indices(skel);
@@ -277,11 +265,7 @@ pub(crate) fn build_with_x_star<S: Scalar>(
                 (BuilderProvenance::AnchorNet, sampling_ms)
             }
             BasisMethod::Interpolation { order } => {
-                let g = interpolation::generators(&h2.tree, *order);
-                h2.bases = g.bases.into_iter().map(|m| m.convert::<S>()).collect();
-                h2.transfers = g.transfers.into_iter().map(|m| m.convert::<S>()).collect();
-                h2.proxies = g.proxies;
-                h2.ranks = g.ranks;
+                interpolation::factor_all(&mut h2, *order);
                 (BuilderProvenance::Interpolation, 0.0)
             }
             BasisMethod::ProxySurface(params) => {
@@ -339,4 +323,57 @@ pub(crate) fn build_with_x_star<S: Scalar>(
         h2.stats.total_ms += warm_ms;
     }
     (h2, x_star)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use h2_kernels::Coulomb;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Barrier;
+
+    #[test]
+    fn a_panicking_factor_rule_surfaces_and_the_thread_builds_on() {
+        let pts = h2_points::gen::uniform_cube(600, 3, 7);
+        let cfg = H2Config {
+            basis: BasisMethod::data_driven_for_tol(1e-6, 3),
+            leaf_size: 48,
+            ..H2Config::default()
+        };
+        let kernel: Arc<dyn Kernel> = Arc::new(Coulomb);
+        let b: Vec<f64> = (0..600).map(|i| (i as f64 * 0.37).sin()).collect();
+        let (width, outside) = (exec::Width::new(2), exec::width());
+        let mut h2: H2MatrixS<f64> = width.install(|| build(&pts, kernel.clone(), &cfg));
+        let y = h2.matvec(&b);
+
+        // Re-factor every node with a rule that fails on one node of the
+        // (wide) leaf level — while another thread is inside the same step,
+        // which the two first nodes of the level make sure of.
+        let levels = h2.tree.levels().to_vec();
+        let leaves = levels.last().expect("a tree has levels");
+        assert!(leaves.len() >= 2, "setup: a wide leaf level");
+        let (meet, victim) = (Barrier::new(2), leaves[1]);
+        let rule = |_: &ClusterTree, i: NodeId, rows: &[usize]| {
+            if leaves[..2].contains(&i) {
+                meet.wait();
+            }
+            assert!(i != victim, "the rule failed on node {i}");
+            let none = RowId {
+                skel: Vec::new(),
+                p: Matrix::zeros(rows.len(), 0),
+            };
+            (none, ())
+        };
+        let pass = || nested_skeleton_pass(&mut h2, &levels, "build.id", rule, drop);
+        let panic = catch_unwind(AssertUnwindSafe(|| width.install(pass)))
+            .expect_err("the rule's panic reaches the caller");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(*message, format!("the rule failed on node {victim}"));
+
+        // The call came back (no thread left at a barrier), the width is
+        // the caller's again, and the same thread builds the same operator.
+        assert_eq!(exec::width(), outside);
+        let again: H2MatrixS<f64> = width.install(|| build(&pts, kernel, &cfg));
+        assert_eq!(again.matvec(&b), y);
+    }
 }

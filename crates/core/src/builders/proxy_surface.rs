@@ -16,7 +16,7 @@
 use super::{nested_skeleton_pass, row_id_against, ColumnSet};
 use crate::h2matrix::H2MatrixS;
 use h2_linalg::Scalar;
-use h2_points::{BoundingBox, PointSet};
+use h2_points::{BoundingBox, ClusterTree, NodeId, PointSet};
 
 /// Parameters of the proxy-surface construction.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -118,12 +118,14 @@ pub(crate) fn factor_all<S: Scalar>(h2: &mut H2MatrixS<S>, params: &ProxySurface
     }
 
     let (kernel, levels) = (h2.kernel.clone(), tree.levels().to_vec());
-    nested_skeleton_pass(h2, &levels, "build.id", |tree, i, rows| {
+    let rule = |tree: &ClusterTree, i: NodeId, rows: &[usize]| {
         let cols = if active[i] {
             ColumnSet::Coords(proxy_shell(&tree.node(i).bbox, params, i as u64))
         } else {
             ColumnSet::Indices(&[])
         };
-        row_id_against(kernel.as_ref(), tree.points(), rows, cols, params.id_tol)
-    });
+        let rid = row_id_against(kernel.as_ref(), tree.points(), rows, cols, params.id_tol);
+        (rid, ())
+    };
+    nested_skeleton_pass(h2, &levels, "build.id", rule, drop);
 }

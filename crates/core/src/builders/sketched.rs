@@ -11,9 +11,9 @@
 use super::nested_skeleton_pass;
 use crate::h2matrix::H2MatrixS;
 use h2_linalg::Scalar;
+use h2_points::{ClusterTree, NodeId};
 use h2_sampling::FarfieldRanges;
 use h2_sketch::{sketch_node, SketchParams, SketchStats};
-use std::sync::Mutex;
 
 /// Factors every node with randomized sketches (see [`h2_sketch`]) and
 /// returns the build's sketch counters.
@@ -29,21 +29,19 @@ pub(crate) fn factor_all<S: Scalar>(
     let far = FarfieldRanges::build(&h2.tree, &h2.lists);
     let sampling_ms = sp.finish() * 1e3;
 
-    // Sums and a maximum: the fold is independent of the order nodes finish.
-    let stats = Mutex::new(SketchStats {
+    // Every node's counts come back with its factor and are folded here, on
+    // the thread that owns the build, so they are exact at any width.
+    let mut stats = SketchStats {
         sampling_ms,
         ..SketchStats::default()
-    });
+    };
     let (kernel, levels) = (h2.kernel.clone(), h2.tree.levels().to_vec());
-    nested_skeleton_pass(h2, &levels, "build.sketch", |tree, i, rows| {
+    let rule = |tree: &ClusterTree, i: NodeId, rows: &[usize]| {
         let node = sketch_node(i, rows, tree.points(), &far, kernel.as_ref(), params, seed);
-        stats
-            .lock()
-            .expect("no sketch panicked while folding its counters")
-            .record(&node);
-        node.rid
+        (node.rid, node.counts)
+    };
+    nested_skeleton_pass(h2, &levels, "build.sketch", rule, |counts| {
+        stats.record(counts)
     });
     stats
-        .into_inner()
-        .expect("no sketch panicked while folding its counters")
 }

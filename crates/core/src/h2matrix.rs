@@ -3,15 +3,15 @@
 
 use crate::builders::BuildStats;
 use crate::config::MemoryMode;
+use crate::diagnostics::BlockTally;
 use crate::memory::MemoryReport;
 use crate::proxy::ProxyPoints;
 use crate::sweep::SweepPlan;
 use h2_cache::{BlockCache, BlockKind, CacheBudget, CacheStats, CouplingStore, NearfieldStore};
 use h2_kernels::Kernel;
-use h2_linalg::{Matrix, MatrixS, Scalar};
+use h2_linalg::{exec, Matrix, MatrixS, Scalar};
 use h2_points::admissibility::BlockLists;
 use h2_points::{ClusterTree, NodeId, PointSet};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// An H² approximation of the kernel matrix `A = [K(x_i, x_j)]`, generic
@@ -262,14 +262,19 @@ impl<S: Scalar> H2MatrixS<S> {
         }
     }
 
-    /// [`Self::generate_block`] for every listed `(kind, i, j)`, in parallel,
-    /// results in list order — the one block-generation loop behind
-    /// construction, incremental updates and cache warmup.
+    /// [`Self::generate_block`] for every listed `(kind, i, j)` as one step
+    /// of the executor ([`h2_linalg::exec`]), results in list order — the
+    /// one block-generation loop behind construction, incremental updates
+    /// and cache warmup. The calling thread counts the blocks, from their
+    /// shapes, so the [`crate::diagnostics::counters`] are exact at any width.
     pub(crate) fn generate_blocks(&self, items: &[(BlockKind, NodeId, NodeId)]) -> Vec<MatrixS<S>> {
-        items
-            .par_iter()
-            .map(|&(kind, i, j)| self.generate_block(kind, i, j))
-            .collect()
+        let mut tally = BlockTally::default();
+        for &(kind, i, j) in items {
+            let (rows, cols) = self.block_shape(kind, i, j);
+            tally.add(kind, rows, cols);
+        }
+        tally.record();
+        exec::map(items, |&(kind, i, j)| self.materialize_block(kind, i, j))
     }
 
     /// Generates `chosen` blocks and pins them into `cache` — the warmup

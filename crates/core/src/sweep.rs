@@ -46,14 +46,15 @@
 //!
 //! ## Who owns a thread
 //!
-//! A product runs on [`Sweep`]'s `width` threads: the caller plus
-//! `width − 1` helpers scoped to that one product (no pool, no state
+//! A product is one step list of the workspace's scoped executor
+//! ([`h2_linalg::exec`], which construction runs on too): the caller plus
+//! up to `width − 1` helpers scoped to that one product (no pool, no state
 //! between products). [`H2MatrixS::matvec`]/[`H2MatrixS::matmat`] pass
-//! `rayon::current_num_threads()` — the machine's parallelism, or the width
-//! of the pool the caller is `install`ed in; a distributed rank is itself
-//! the unit of parallelism and passes 1. Phase spans and counters are
-//! recorded by the calling thread only (helpers tally in plain integers),
-//! so telemetry scopes see exactly the product's work at any width.
+//! [`exec::width`] — the machine's parallelism, or the width installed
+//! around the caller; a distributed rank is itself the unit of parallelism
+//! and passes 1. Phase spans and counters are recorded by the calling thread
+//! only (helpers tally in plain integers), so telemetry scopes see exactly
+//! the product's work at any width.
 //!
 //! ## Two arithmetic classes
 //!
@@ -69,14 +70,12 @@ use crate::diagnostics::BlockTally;
 use crate::h2matrix::H2MatrixS;
 use crate::proxy::coupling_block_into;
 use h2_cache::{BlockCache, BlockKind};
-use h2_linalg::{MatrixS, Scalar};
+use h2_linalg::{exec, MatrixS, Scalar};
 use h2_points::admissibility::BlockLists;
 use h2_points::{ClusterTree, NodeId};
 use std::cmp::Reverse;
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The sweeps group their work by the cut roots of the shallowest tree level
 /// with at least this many of them (a tree that never gets this wide is one
@@ -439,8 +438,8 @@ impl<'a> SweepPlan<'a> {
             }
         };
         let mut schedule = Schedule::default();
-        for &phase in phases {
-            match phase {
+        for (phase, kind) in phases.iter().enumerate() {
+            match kind {
                 Phase::Upward => {
                     schedule.step(phase, groups(Task::Up));
                     schedule.step(phase, top(Task::Up));
@@ -461,7 +460,7 @@ impl<'a> SweepPlan<'a> {
 }
 
 /// The four phases between gather and scatter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 enum Phase {
     Upward,
     Horizontal,
@@ -504,7 +503,8 @@ enum Task {
 
 /// Tasks that may run at the same time, followed by a barrier.
 struct Step {
-    phase: Phase,
+    /// Position of the step's phase in the list the schedule was made for.
+    phase: usize,
     /// The step's stretch of [`Schedule::tasks`].
     tasks: Range<usize>,
 }
@@ -518,7 +518,7 @@ struct Schedule {
 
 impl Schedule {
     /// Appends `tasks` as one step, unless there are none.
-    fn step(&mut self, phase: Phase, tasks: impl Iterator<Item = Task>) {
+    fn step(&mut self, phase: usize, tasks: impl Iterator<Item = Task>) {
         let at = self.tasks.len();
         self.tasks.extend(tasks);
         let tasks = at..self.tasks.len();
@@ -907,15 +907,15 @@ impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
         self.run(&[Phase::Leaf], |_| ());
     }
 
-    /// Runs `phases` on the sweep's threads. The calling thread works
-    /// alongside its helpers and calls `on_phase` as it enters each phase
-    /// (every thread is between the same two barriers then); the blocks
-    /// all threads generated are recorded by the calling thread at the end.
-    fn run(&mut self, phases: &[Phase], on_phase: impl FnMut(Phase)) {
+    /// Runs `phases` as one list of executor steps ([`h2_linalg::exec`]) on
+    /// the sweep's threads. The calling thread works alongside its helpers
+    /// and calls `on_phase` as it enters each phase (every thread is between
+    /// the same two barriers then); the blocks all threads generated are
+    /// recorded by the calling thread at the end.
+    fn run(&mut self, phases: &[Phase], mut on_phase: impl FnMut(Phase)) {
         let schedule = self.plan.schedule(phases);
-        let widest = schedule.steps.iter().map(|step| step.tasks.len()).max();
-        // No more threads than tasks that can ever run at the same time.
-        let width = self.width.min(widest.unwrap_or(1)).max(1);
+        let steps: Vec<usize> = schedule.steps.iter().map(|s| s.tasks.len()).collect();
+        let width = exec::threads_for(self.width, &steps);
         let (plan, k) = (self.plan, self.k);
         let job = Job {
             h2: self.h2,
@@ -926,29 +926,26 @@ impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
             y: by_group(&mut self.y, &plan.y_base, k),
             q: by_group(&mut self.q, &plan.q_base, k),
             g: by_group(&mut self.g, &plan.q_base, k),
-            phases,
-            schedule: &schedule,
-            claimed: schedule.steps.iter().map(|_| AtomicUsize::new(0)).collect(),
-            barrier: Barrier::new(width),
         };
         while self.locals.len() < width {
             self.locals.push(Local::new(self.local_size));
         }
-        let (mine, helpers) = self.locals[..width]
-            .split_first_mut()
-            .expect("width is at least 1");
-        let job = &job;
-        std::thread::scope(|scope| {
-            let helpers: Vec<_> = helpers
-                .iter_mut()
-                .map(|local| scope.spawn(move || job.work(local, |_| ())))
-                .collect();
-            job.work(mine, on_phase);
-            for helper in helpers {
-                // Keep the helper's own panic message.
-                helper.join().unwrap_or_else(|panic| resume_unwind(panic));
+        // Enters the phases before position `until` not entered yet; one
+        // with no step is entered all the same: nothing to do in it.
+        let mut entered = 0;
+        let mut enter = |until: usize| {
+            while entered < until {
+                on_phase(phases[entered]);
+                entered += 1;
             }
-        });
+        };
+        exec::run(
+            &mut self.locals[..width],
+            &steps,
+            |local, s, t| job.execute(schedule.tasks[schedule.steps[s].tasks.start + t], local),
+            |s| enter(schedule.steps[s].phase + 1),
+        );
+        enter(phases.len());
         let mut generated = BlockTally::default();
         for local in &mut self.locals {
             generated.merge(std::mem::take(&mut local.tally));
@@ -970,42 +967,9 @@ struct Job<'s, S: Scalar, A: Scalar> {
     y: Vec<Mutex<&'s mut [A]>>,
     q: Vec<Mutex<&'s mut [A]>>,
     g: Vec<Mutex<&'s mut [A]>>,
-    phases: &'s [Phase],
-    schedule: &'s Schedule,
-    /// Per step, how many of its tasks have been taken.
-    claimed: Vec<AtomicUsize>,
-    barrier: Barrier,
 }
 
 impl<S: Scalar, A: Scalar> Job<'_, S, A> {
-    /// One thread's share of the job: take tasks of the current step until
-    /// none is left, meet the others at the barrier, go on to the next step.
-    fn work(&self, local: &mut Local<A>, mut on_phase: impl FnMut(Phase)) {
-        let mut steps = self.schedule.steps.iter().zip(&self.claimed).peekable();
-        let mut panic = None;
-        for &phase in self.phases {
-            // Entered even when it has no step: a phase with nothing to do.
-            on_phase(phase);
-            while let Some((step, claimed)) = steps.next_if(|(step, _)| step.phase == phase) {
-                let tasks = &self.schedule.tasks[step.tasks.clone()];
-                // Relaxed: the counter only hands out task indices; what the
-                // tasks write is published by the group locks and the barrier.
-                while let Some(&task) = tasks.get(claimed.fetch_add(1, Ordering::Relaxed)) {
-                    // A thread that stopped coming to the barriers would hang
-                    // the others, so a panic is carried to the end instead.
-                    if panic.is_none() {
-                        let done = catch_unwind(AssertUnwindSafe(|| self.execute(task, local)));
-                        panic = done.err();
-                    }
-                }
-                self.barrier.wait();
-            }
-        }
-        if let Some(panic) = panic {
-            resume_unwind(panic);
-        }
-    }
-
     fn execute(&self, task: Task, local: &mut Local<A>) {
         match task {
             Task::Up(group) => self.up(group),
@@ -1233,14 +1197,14 @@ impl<S: Scalar> H2MatrixS<S> {
 
     /// `Y = Â B` for `k` right-hand sides: `b` and `y` are `n × k`
     /// column-major in the original point order; `y` is overwritten. Runs
-    /// as wide as `rayon::current_num_threads()` says.
+    /// as wide as [`exec::width`] says.
     pub(crate) fn apply_panel<A: Scalar>(&self, k: usize, b: &[A], y: &mut [A]) {
         let _mv = h2_telemetry::span_labeled("matvec", format!("k={k}"));
         if k == 0 {
             return;
         }
         let plan = SweepPlan::whole(self);
-        let width = rayon::current_num_threads();
+        let width = exec::width();
         let mut sweep = Sweep::new(self, &plan, self.cache.as_deref(), k, width);
         let sp = h2_telemetry::span("matvec.gather");
         sweep.gather(b);

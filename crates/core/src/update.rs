@@ -399,7 +399,7 @@ impl<S: Scalar> H2MatrixS<S> {
         let sp = h2_telemetry::span("update.refactor");
         let kernel = self.kernel.clone();
         let rule = data_driven::factor(kernel.as_ref(), &y_star, state.id_tol);
-        nested_skeleton_pass(self, &levels, "build.id", rule);
+        nested_skeleton_pass(self, &levels, "build.id", rule, drop);
         drop(sp);
 
         // Regenerate the blocks with a dirty endpoint, plus — when a split

@@ -2,6 +2,9 @@
 //! thread count, so a panel column is the vector product bit for bit and a
 //! product is the same bits at any width — in every memory tier, precision
 //! and builder, including on an operator that has been updated in place.
+//! Construction runs on the same executor, so the *builder's* width is a
+//! dimension too: an operator is the same bytes, and its telemetry the same
+//! counts, whatever width it was built and updated at.
 
 use h2_core::diagnostics::counters;
 use h2_core::{
@@ -38,8 +41,7 @@ fn panel<A: Scalar>(n: usize, k: usize) -> MatrixS<A> {
 /// Runs `f` with the sweeps sized to `width` threads — the one sizing
 /// mechanism there is.
 fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(width);
-    pool.build().expect("stand-in pool").install(f)
+    h2_linalg::exec::Width::new(width).install(f)
 }
 
 /// The product at `width`, and how many helper threads its sweep spawned.
@@ -250,6 +252,129 @@ fn counters_see_each_block_generated_once_at_any_width() {
     // sums, so a scope on the calling thread misses nothing.
     assert_eq!(counts_at(2), serial);
     assert_eq!(counts_at(4), serial);
+}
+
+/// The operator file of `c` built `width` wide and, `churned`, updated
+/// (an insert and a remove) at that width too, with the build's statistics.
+fn built_at<S: Scalar>(
+    pts: &PointSet,
+    c: &H2Config,
+    width: usize,
+    churned: bool,
+) -> (Vec<u8>, [usize; 4]) {
+    at_width(width, || {
+        let mut h2 = H2MatrixS::<S>::build(pts, Arc::new(Coulomb), c);
+        let s = h2.stats();
+        let sketch = [
+            s.sketch_samples,
+            s.sketch_probes,
+            s.sketch_retries,
+            s.sketch_max_rounds,
+        ];
+        if churned {
+            let mut extra = PointSet::new(3, vec![]);
+            extra.push(&[0.31, 0.52, 0.18]);
+            extra.push(&[0.77, 0.21, 0.64]);
+            h2.insert_points(&extra).unwrap();
+            h2.remove_points(&[13, 400]).unwrap();
+        }
+        (h2_serve::codec::encode(&h2), sketch)
+    })
+}
+
+#[test]
+fn operators_are_byte_identical_at_every_builder_width() {
+    let pts = gen::uniform_cube(N, 3, 41);
+    let anchor = BuilderStrategy::AnchorNet;
+    let builders = [
+        (
+            "data-driven",
+            BasisMethod::data_driven_for_tol(TOL, 3),
+            anchor.clone(),
+        ),
+        (
+            "proxy-surface",
+            BasisMethod::proxy_surface_for_tol(TOL, 3),
+            anchor.clone(),
+        ),
+        (
+            "interpolation",
+            BasisMethod::interpolation_for_tol(1e-3, 3),
+            anchor,
+        ),
+        (
+            "sketched",
+            BasisMethod::data_driven_for_tol(TOL, 3),
+            BuilderStrategy::sketched_for_tol(TOL, 3),
+        ),
+    ];
+    let tiers = [
+        (MemoryMode::Normal, CacheBudget::Off),
+        (MemoryMode::OnTheFly, CacheBudget::Off),
+        (MemoryMode::OnTheFly, CacheBudget::Ratio(0.5)),
+    ];
+    for (bname, basis, builder) in &builders {
+        for (mode, budget) in tiers {
+            let c = H2Config {
+                basis: basis.clone(),
+                ..cfg(mode, budget, builder.clone())
+            };
+            // Grid proxies are not data points: such an operator has no
+            // update path.
+            for churned in [false, *bname != "interpolation"] {
+                let what = format!("{bname}/{}/{budget}/churned={churned}", mode.name());
+                let serial64 = built_at::<f64>(&pts, &c, 1, churned);
+                let serial32 = built_at::<f32>(&pts, &c, 1, churned);
+                assert_eq!(
+                    serial64.1[0] > 0,
+                    *bname == "sketched",
+                    "{what}: sketch stats"
+                );
+                for width in [2, 3, 8] {
+                    let wide64 = built_at::<f64>(&pts, &c, width, churned);
+                    let wide32 = built_at::<f32>(&pts, &c, width, churned);
+                    assert!(wide64 == serial64, "{what}: f64 built at width {width}");
+                    assert!(wide32 == serial32, "{what}: f32 built at width {width}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn build_counters_are_exact_at_any_builder_width() {
+    let pts = gen::uniform_cube(N, 3, 43);
+    for (bname, builder) in [
+        ("anchor", BuilderStrategy::AnchorNet),
+        ("sketched", BuilderStrategy::sketched_for_tol(TOL, 3)),
+    ] {
+        let c = cfg(MemoryMode::Normal, CacheBudget::Off, builder);
+        let counts_at = |width: usize| {
+            let scope = counters::scope();
+            let h2 = at_width(width, || {
+                H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &c)
+            });
+            let s = h2.stats();
+            // What the scope saw on this thread is what the build reports.
+            let sketch = [s.sketch_samples, s.sketch_probes, s.sketch_retries];
+            let scoped = ["sketch.samples", "sketch.probes", "sketch.retries"];
+            assert_eq!(
+                scoped.map(|name| scope.count(name) as usize),
+                sketch,
+                "{bname}"
+            );
+            let pairs = |list: &[(usize, usize)]| list.len() as u64;
+            let blocks = ["coupling_blocks", "nearfield_blocks", "kernel_evals"];
+            let blocks = blocks.map(|name| scope.count(name));
+            assert_eq!(blocks[0], pairs(&h2.lists().interaction_pairs), "{bname}");
+            assert_eq!(blocks[1], pairs(&h2.lists().nearfield_pairs), "{bname}");
+            assert!(blocks[2] > 0, "{bname}");
+            (blocks, sketch, s.sketch_max_rounds)
+        };
+        let serial = counts_at(1);
+        assert_eq!(counts_at(2), serial, "{bname}: width 2");
+        assert_eq!(counts_at(4), serial, "{bname}: width 4");
+    }
 }
 
 #[test]

@@ -79,8 +79,7 @@ fn ranks_stay_at_width_one_under_a_wide_pool() {
     // each, and the bits are the same. Each rank is driven here on a thread
     // that counts its own sweep helpers.
     let helpers = || h2_telemetry::local_scope();
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(4);
-    pool.build().unwrap().install(|| {
+    h2_linalg::exec::Width::new(4).install(|| {
         let h2 = build(Arc::new(Coulomb), MemoryMode::OnTheFly);
         let b = rhs(13);
         let wide = helpers();

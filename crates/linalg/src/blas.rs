@@ -1,8 +1,10 @@
 //! BLAS-style building blocks: dot products, axpy, and blocked gemm variants.
 //!
 //! The gemm kernels use a simple cache-blocked rank-1-update-free formulation
-//! (jik loop order over column panels) that LLVM auto-vectorizes well, and
-//! switch to rayon column-panel parallelism above a flop threshold.
+//! (jik loop order over column panels) that LLVM auto-vectorizes well; above
+//! a flop threshold the columns of the result are one step of the scoped
+//! executor ([`crate::exec`]), as wide as the caller's width — which is 1
+//! inside an executor task, where a product of any size runs inline.
 //!
 //! `dot` and `axpy` take *two* scalar parameters — `S` for the stored data
 //! and `A` for the vector being accumulated into. Stored values are promoted
@@ -11,12 +13,22 @@
 //! instantiations compile to exactly the old same-type code (promotion is
 //! the identity).
 
+use crate::exec;
 use crate::matrix::MatrixS;
 use crate::scalar::Scalar;
-use rayon::prelude::*;
 
-/// Flop count above which gemm parallelizes over column panels.
+/// Flop count above which gemm parallelizes over the columns of the result.
 const PAR_FLOP_THRESHOLD: usize = 1 << 22;
+
+/// Threads a product of `flops` flops may use: the caller's width above the
+/// threshold, one below it.
+fn gemm_width(flops: usize) -> usize {
+    if flops >= PAR_FLOP_THRESHOLD {
+        exec::width()
+    } else {
+        1
+    }
+}
 
 /// `sum_i x_i * y_i`, accumulated in `A` (entries of `x` promoted `S -> A`).
 /// Unrolled by 4 to expose ILP; slices must match length.
@@ -98,7 +110,7 @@ fn gemm_col<S: Scalar>(a: &MatrixS<S>, b_col: &[S], c_col: &mut [S]) {
     }
 }
 
-/// Dense `A * B` (blocked over columns of B; rayon for large products).
+/// Dense `A * B`, one task per column of the result.
 pub fn gemm<S: Scalar>(a: &MatrixS<S>, b: &MatrixS<S>) -> MatrixS<S> {
     assert_eq!(
         a.ncols(),
@@ -109,17 +121,10 @@ pub fn gemm<S: Scalar>(a: &MatrixS<S>, b: &MatrixS<S>) -> MatrixS<S> {
     );
     let (m, n) = (a.nrows(), b.ncols());
     let mut c = MatrixS::zeros(m, n);
-    let flops = 2 * m * n * a.ncols();
-    if flops >= PAR_FLOP_THRESHOLD && n > 1 {
-        let cols: Vec<&mut [S]> = c.as_mut_slice().chunks_mut(m).collect();
-        cols.into_par_iter().enumerate().for_each(|(j, c_col)| {
-            gemm_col(a, b.col(j), c_col);
-        });
-    } else {
-        for j in 0..n {
-            gemm_col(a, b.col(j), c.col_mut(j));
-        }
-    }
+    let width = gemm_width(2 * m * n * a.ncols());
+    exec::for_each_chunk(width, c.as_mut_slice(), m, |j, c_col| {
+        gemm_col(a, b.col(j), c_col)
+    });
     c
 }
 
@@ -135,23 +140,13 @@ pub fn gemm_tn<S: Scalar>(a: &MatrixS<S>, b: &MatrixS<S>) -> MatrixS<S> {
     );
     let (m, n) = (a.ncols(), b.ncols());
     let mut c = MatrixS::zeros(m, n);
-    let flops = 2 * m * n * a.nrows();
-    let fill = |j: usize, c_col: &mut [S]| {
+    let width = gemm_width(2 * m * n * a.nrows());
+    exec::for_each_chunk(width, c.as_mut_slice(), m, |j, c_col| {
         let bj = b.col(j);
         for (i, ci) in c_col.iter_mut().enumerate() {
             *ci = dot(a.col(i), bj);
         }
-    };
-    if flops >= PAR_FLOP_THRESHOLD && n > 1 {
-        let cols: Vec<&mut [S]> = c.as_mut_slice().chunks_mut(m).collect();
-        cols.into_par_iter()
-            .enumerate()
-            .for_each(|(j, col)| fill(j, col));
-    } else {
-        for j in 0..n {
-            fill(j, c.col_mut(j));
-        }
-    }
+    });
     c
 }
 
@@ -168,7 +163,8 @@ pub fn gemm_nt<S: Scalar>(a: &MatrixS<S>, b: &MatrixS<S>) -> MatrixS<S> {
     let mut c = MatrixS::zeros(m, n);
     // C = sum_k a_col_k * (b_col_k)^T: rank-1 updates, organised per C column.
     // Column j of C accumulates a_col_k * B[j, k] over k.
-    let fill = |j: usize, c_col: &mut [S]| {
+    let width = gemm_width(2 * m * n * a.ncols());
+    exec::for_each_chunk(width, c.as_mut_slice(), m, |j, c_col| {
         c_col.fill(S::ZERO);
         for k in 0..a.ncols() {
             let bjk = b[(j, k)];
@@ -176,18 +172,7 @@ pub fn gemm_nt<S: Scalar>(a: &MatrixS<S>, b: &MatrixS<S>) -> MatrixS<S> {
                 axpy(bjk, a.col(k), c_col);
             }
         }
-    };
-    let flops = 2 * m * n * a.ncols();
-    if flops >= PAR_FLOP_THRESHOLD && n > 1 {
-        let cols: Vec<&mut [S]> = c.as_mut_slice().chunks_mut(m).collect();
-        cols.into_par_iter()
-            .enumerate()
-            .for_each(|(j, col)| fill(j, col));
-    } else {
-        for j in 0..n {
-            fill(j, c.col_mut(j));
-        }
-    }
+    });
     c
 }
 
@@ -288,6 +273,25 @@ mod tests {
         let c = gemm(&a, &b);
         let n = naive_gemm(&a, &b);
         assert!(c.sub(&n).max_abs() < 1e-9);
+
+        // One task per column: the same bits at any width, for all three
+        // variants, whether the columns ran on helpers or inline.
+        const { assert!(2 * 200 * 150 * 180 >= PAR_FLOP_THRESHOLD) };
+        let (at, bt) = (a.transpose(), b.transpose());
+        let all = || (gemm(&a, &b), gemm_tn(&at, &b), gemm_nt(&a, &bt));
+        let one = exec::Width::new(1).install(all);
+        assert_eq!(one.0, c);
+        for w in [2, 3] {
+            exec::Width::new(w).install(|| {
+                assert_eq!(gemm_width(PAR_FLOP_THRESHOLD), w);
+                assert_eq!(gemm_width(PAR_FLOP_THRESHOLD - 1), 1);
+                assert_eq!(all(), one, "width {w}");
+                // Inside a task of a wide step the product runs inline.
+                for inside in exec::map(&[(); 2], |()| (gemm_width(usize::MAX), all())) {
+                    assert_eq!(inside, (1, one.clone()), "in a task at width {w}");
+                }
+            });
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! (rank-revealing) QR, the interpolative decomposition built on top of it,
 //! LU with partial pivoting and Cholesky. No BLAS/LAPACK bindings are available
 //! in this environment, so everything here is written from scratch in safe Rust,
-//! blocked for cache friendliness and parallelised with rayon where the
-//! problem sizes warrant it.
+//! blocked for cache friendliness and run on the workspace's one scoped
+//! executor ([`exec`]) where the problem sizes warrant it.
 //!
 //! The central type is [`MatrixS`], a dense column-major matrix generic over
 //! the sealed [`Scalar`] trait (`f32` or `f64`); the [`Matrix`] alias pins
@@ -32,6 +32,7 @@
 
 pub mod blas;
 pub mod chol;
+pub mod exec;
 pub mod id;
 pub mod lu;
 pub mod matrix;
@@ -56,9 +57,6 @@ pub enum LinalgError {
     /// The matrix was singular (or not positive definite for Cholesky) at the
     /// given pivot index.
     Singular(usize),
-    /// An iterative routine (Jacobi SVD) failed to converge within its sweep
-    /// budget.
-    NoConvergence { iterations: usize, residual: f64 },
 }
 
 impl std::fmt::Display for LinalgError {
@@ -66,13 +64,6 @@ impl std::fmt::Display for LinalgError {
         match self {
             LinalgError::DimensionMismatch(what) => write!(f, "dimension mismatch: {what}"),
             LinalgError::Singular(k) => write!(f, "singular pivot at index {k}"),
-            LinalgError::NoConvergence {
-                iterations,
-                residual,
-            } => write!(
-                f,
-                "no convergence after {iterations} iterations (residual {residual:.3e})"
-            ),
         }
     }
 }

@@ -17,7 +17,8 @@
 //! via [`CounterRng::stream`] are statistically independent, so parallel
 //! workers (one stream per tree node × adaptive round) draw reproducible
 //! randomness in any execution order — the property that makes sketched
-//! builds bit-reproducible run-to-run under rayon.
+//! builds bit-reproducible run-to-run and at any executor width
+//! ([`crate::exec`]).
 //!
 //! All routines are `f64`: like the rest of the construction pipeline, the
 //! factorization runs in double precision and results are rounded to the

@@ -85,8 +85,7 @@ fn tcp_ranks_stay_at_width_one_under_a_wide_pool() {
     // serial product takes four threads, each TCP rank exactly one, and
     // the bits agree. Every rank counts the sweep helpers of its own thread.
     let helpers = || h2_telemetry::local_scope();
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(4);
-    pool.build().unwrap().install(|| {
+    h2_linalg::exec::Width::new(4).install(|| {
         let (h2, b) = (build(600, MemoryMode::OnTheFly), rhs(600));
         let wide = helpers();
         let serial = h2.matvec(&b);

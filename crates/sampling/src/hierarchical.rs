@@ -17,10 +17,10 @@
 //! many kernels on the same data (paper §VI-A).
 
 use crate::strategies::Sampler;
+use h2_linalg::exec;
 use h2_points::admissibility::BlockLists;
 use h2_points::tree::ClusterTree;
 use h2_points::NodeId;
-use rayon::prelude::*;
 
 /// Sampling budgets for Algorithm 1.
 #[derive(Clone, Copy, Debug)]
@@ -121,7 +121,9 @@ pub fn hierarchical_sample_with(
 /// every node of `levels` (node ids grouped by tree level, `levels[l]` at
 /// level `l`), deepest level first so a parent sees its refreshed children.
 /// Nodes within a level are independent — each pulls only from its
-/// children — so their order inside `levels[l]` does not matter.
+/// children — so a level is one step of the executor ([`h2_linalg::exec`]),
+/// its results installed in level order by the calling thread, and the
+/// nodes' order inside `levels[l]` does not matter.
 ///
 /// `x_star` is sized to `tree.node_count()`; entries outside `levels` are
 /// read (as children) but never written. Per-node seeds and budgets are
@@ -137,11 +139,8 @@ pub fn refresh_x_star(
     assert_eq!(x_star.len(), tree.node_count());
     let _sp = h2_telemetry::span("sampling.upward");
     for (lvl, level) in levels.iter().enumerate().rev() {
-        let results: Vec<(usize, Vec<usize>)> = level
-            .par_iter()
-            .map(|&i| (i, sample_x(tree, params, sampler, x_star, lvl, i)))
-            .collect();
-        for (i, s) in results {
+        let fresh = exec::map(level, |&i| sample_x(tree, params, sampler, x_star, lvl, i));
+        for (&i, s) in level.iter().zip(fresh) {
             x_star[i] = s;
         }
     }
@@ -171,23 +170,17 @@ pub fn sample_levels(
     let mut y_star: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
     let mut done = vec![false; n_nodes];
     for (lvl, level) in levels.iter().enumerate() {
-        let results: Vec<(usize, Vec<usize>)> = level
-            .par_iter()
-            .map(|&i| {
-                let parent_y = match tree.node(i).parent {
-                    None => &[][..],
-                    Some(p) => {
-                        assert!(done[p], "node set is not root-closed: {p} missing");
-                        &y_star[p][..]
-                    }
-                };
-                (
-                    i,
-                    sample_y(tree, lists, params, sampler, x_star, parent_y, lvl, i),
-                )
-            })
-            .collect();
-        for (i, s) in results {
+        let fresh = exec::map(level, |&i| {
+            let parent_y = match tree.node(i).parent {
+                None => &[][..],
+                Some(p) => {
+                    assert!(done[p], "node set is not root-closed: {p} missing");
+                    &y_star[p][..]
+                }
+            };
+            sample_y(tree, lists, params, sampler, x_star, parent_y, lvl, i)
+        });
+        for (&i, s) in level.iter().zip(fresh) {
             y_star[i] = s;
             done[i] = true;
         }
@@ -483,16 +476,58 @@ mod tests {
         }
     }
 
+    /// [`AnchorNet`], except that the `Y*` draws of two chosen nodes (told by
+    /// their seeds, which no `X*` draw of so small a tree shares) wait for
+    /// each other: they return only if two threads sample them at once.
+    struct Together {
+        y_seeds: [u64; 2],
+        meet: std::sync::Barrier,
+    }
+
+    impl Sampler for Together {
+        fn sample(
+            &self,
+            pts: &h2_points::PointSet,
+            cand: &[usize],
+            m: usize,
+            seed: u64,
+        ) -> Vec<usize> {
+            if self.y_seeds.contains(&seed) {
+                self.meet.wait();
+            }
+            AnchorNet.sample(pts, cand, m, seed)
+        }
+
+        fn name(&self) -> &'static str {
+            "together"
+        }
+    }
+
     #[test]
     #[should_panic(expected = "root-closed")]
     fn sweep_requires_root_closure() {
         let (tree, lists) = setup(400, 3, 4);
         let p = SampleParams::default();
         let mut x = hierarchical_sample(&tree, &lists, &p).x_star;
-        let leaf = *tree.leaves().first().unwrap();
-        assert_ne!(leaf, tree.root(), "setup must build more than one node");
-        let mut levels = vec![Vec::new(); tree.depth() + 1];
-        levels[tree.node(leaf).level].push(leaf);
-        sample_levels(&tree, &lists, &p, &AnchorNet, &levels, &mut x);
+        // The top three levels without one child of the root: its children
+        // lack their parent. The other child's children come first and are
+        // sampled by two threads at once, so the step that panics is wide
+        // and the panic crosses a barrier other threads wait at.
+        let children = |i: NodeId| tree.node(i).children.clone();
+        let (kept, dropped) = (children(tree.root())[0], children(tree.root())[1]);
+        let good = children(kept);
+        let orphans = [good.clone(), children(dropped)].concat();
+        assert_eq!(
+            (good.len(), orphans.len()),
+            (2, 4),
+            "setup: three full levels"
+        );
+        let levels = vec![vec![tree.root()], vec![kept], orphans];
+        let sampler = Together {
+            y_seeds: [good[0], good[1]].map(|i| p.seed ^ (i as u64).rotate_left(17)),
+            meet: std::sync::Barrier::new(2),
+        };
+        h2_linalg::exec::Width::new(2)
+            .install(|| sample_levels(&tree, &lists, &p, &sampler, &levels, &mut x));
     }
 }

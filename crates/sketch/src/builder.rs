@@ -31,12 +31,20 @@ pub struct SketchStats {
 }
 
 impl SketchStats {
-    /// Folds one node's outcome into the build totals.
-    pub fn record(&mut self, node: &NodeSketch) {
+    /// Folds one node's counts into the build totals and into the
+    /// `sketch.samples` / `sketch.probes` / `sketch.retries` counters. The
+    /// thread that owns the build calls this — [`sketch_node`] itself may
+    /// run on an executor helper and touches no counter — so a telemetry
+    /// scope around a build reads exact totals at any width.
+    pub fn record(&mut self, node: NodeCounts) {
+        let retries = node.rounds.saturating_sub(1);
         self.samples += node.samples;
         self.probes += node.probes;
-        self.retries += node.rounds.saturating_sub(1);
+        self.retries += retries;
         self.max_rounds = self.max_rounds.max(node.rounds);
+        h2_telemetry::counter_add!("sketch.samples", node.samples);
+        h2_telemetry::counter_add!("sketch.probes", node.probes);
+        h2_telemetry::counter_add!("sketch.retries", retries);
     }
 }
 
@@ -58,6 +66,13 @@ pub struct NodeSketch {
     /// Skeleton positions *into the candidate rows* plus the interpolation
     /// operator `P` with `K(rows, ·) ≈ P · K(rows[skel], ·)`.
     pub rid: RowId,
+    /// What the loop cost, for [`SketchStats::record`].
+    pub counts: NodeCounts,
+}
+
+/// The work one node's adaptive loop did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NodeCounts {
     /// Adaptive rounds run (0 for a node with no farfield, 1 = no doubling).
     pub rounds: usize,
     /// Farfield columns evaluated for sketches.
@@ -91,9 +106,7 @@ pub fn sketch_node(
                 skel: Vec::new(),
                 p: Matrix::zeros(m, 0),
             },
-            rounds: 0,
-            samples: 0,
-            probes: 0,
+            counts: NodeCounts::default(),
         };
     }
 
@@ -116,7 +129,6 @@ pub fn sketch_node(
         let cols = far.sample(id, want, &mut crng);
         let b = kernel_matrix(kernel, pts, rows, &cols);
         samples += cols.len();
-        h2_telemetry::counter_add!("sketch.samples", cols.len());
 
         // Mix down to `width` columns unless the farfield sample is already
         // that thin (then the sketch is the block itself).
@@ -139,7 +151,6 @@ pub fn sketch_node(
         let probe_cols = far.sample(id, params.probes, &mut prng);
         let bv = kernel_matrix(kernel, pts, rows, &probe_cols);
         probes += probe_cols.len();
-        h2_telemetry::counter_add!("sketch.probes", probe_cols.len());
         let denom = bv.fro_norm();
         let resid = if denom == 0.0 {
             0.0
@@ -153,14 +164,13 @@ pub fn sketch_node(
         // farfield at full width.
         let saturated = d >= m || d >= params.max_rank || width == total_far;
         if resid <= params.resid_tol || saturated {
-            return NodeSketch {
-                rid,
+            let counts = NodeCounts {
                 rounds: round + 1,
                 samples,
                 probes,
             };
+            return NodeSketch { rid, counts };
         }
-        h2_telemetry::counter_add!("sketch.retries", 1);
         d = (d * 2).min(params.max_rank);
         round += 1;
     }
@@ -265,7 +275,7 @@ mod tests {
             &params,
             3,
         );
-        assert_eq!((root.rid.skel.len(), root.rounds), (0, 0));
+        assert_eq!((root.rid.skel.len(), root.counts.rounds), (0, 0));
     }
 
     #[test]
@@ -285,7 +295,7 @@ mod tests {
             assert!(err < 50.0 * 1e-5, "leaf {leaf}: probe residual {err:.3e}");
             // The ranks must have grown past the initial guess somewhere.
             grew |= s.rid.skel.len() > 2;
-            stats.record(&s);
+            stats.record(s.counts);
         }
         assert!(stats.retries > 0, "r0=2 must trigger doubling");
         assert!(stats.max_rounds > 1);
@@ -304,12 +314,13 @@ mod tests {
             let s = sketch_node(leaf, rows, tree.points(), &far, kernel.as_ref(), &params, 1);
             // Every round validates against `params.probes` fresh columns
             // (fewer only when the whole farfield is smaller).
-            assert!(s.probes <= s.rounds * params.probes, "leaf {leaf}");
-            assert!(s.samples >= s.rounds, "leaf {leaf}");
-            samples += s.samples;
-            probes += s.probes;
-            rounds.push(s.rounds);
-            stats.record(&s);
+            let c = s.counts;
+            assert!(c.probes <= c.rounds * params.probes, "leaf {leaf}");
+            assert!(c.samples >= c.rounds, "leaf {leaf}");
+            samples += c.samples;
+            probes += c.probes;
+            rounds.push(c.rounds);
+            stats.record(s.counts);
         }
         assert!(stats.samples > 0 && stats.probes > 0);
         assert_eq!((stats.samples, stats.probes), (samples, probes));

@@ -32,7 +32,7 @@
 
 pub mod builder;
 
-pub use builder::{sketch_node, NodeSketch, SketchStats};
+pub use builder::{sketch_node, NodeCounts, NodeSketch, SketchStats};
 pub use h2_linalg::{CounterRng, SketchKind};
 
 /// Tuning knobs of the sketched builder.

@@ -34,12 +34,11 @@
 //! [`LocalScope`] instead reads *this thread's* contribution: every
 //! increment is mirrored into a thread-local table while at least one scope
 //! is active, and [`LocalScope::count`] returns the delta since the scope
-//! opened. Work executed on the calling thread (including `rayon`-style
-//! parallel iterators when the pool runs inline) is captured exactly,
+//! opened. Work executed on the calling thread is captured exactly,
 //! regardless of what other tests do concurrently. Code that fans work out
 //! to helper threads keeps a scope exact by tallying on the helpers and
 //! adding the sums from the thread that started them, as the H² sweep
-//! engine does for its block counters.
+//! engine and the builders do for their block counters.
 //!
 //! ```
 //! let scope = h2_telemetry::local_scope();

@@ -70,16 +70,14 @@ pub mod prelude {
     pub use h2_solvers::{cg, gmres, CgOptions, FnOperator, GmresOptions, LinearOperator};
 }
 
-/// A pool of `threads` threads: every product applied inside
-/// `thread_pool(n).install(|| ..)` runs its sweeps `n` wide (the caller plus
-/// `n − 1` helpers), with results bitwise identical at any `n`. This is the
-/// one sizing mechanism; outside a pool a product is as wide as
+/// A width of `threads` threads (0 = the machine's): every build, update
+/// and product run inside `thread_pool(n).install(|| ..)` is `n` wide (the
+/// caller plus up to `n − 1` helpers scoped to each call — the guard owns no
+/// thread), with results bitwise identical at any `n`. This is the one
+/// sizing mechanism; outside it work is as wide as
 /// `std::thread::available_parallelism()`.
-pub fn thread_pool(threads: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("failed to build rayon pool")
+pub fn thread_pool(threads: usize) -> linalg::exec::Width {
+    linalg::exec::Width::new(threads)
 }
 
 #[cfg(test)]

@@ -263,8 +263,9 @@ fn repeated_matvecs_are_deterministic() {
 
 #[test]
 fn thread_pool_results_identical_across_pool_sizes() {
-    // Fig. 7's precondition: the parallel schedule must not change one bit
-    // of the result — and the schedule must really have run that wide.
+    // Fig. 7's precondition: neither the parallel construction nor the
+    // parallel schedule may change one bit — the operator is built inside
+    // the pool too — and the schedule must really have run that wide.
     let n = 1000;
     let pts = h2mv::points::gen::uniform_cube(n, 3, 17);
     let b = probe(n, 18);
@@ -283,7 +284,7 @@ fn thread_pool_results_identical_across_pool_sizes() {
             let y = h2.matvec(&b);
             let helpers = spawned.count("sweep.helper_threads");
             assert_eq!(helpers as usize + 1, threads, "the sweep's width");
-            y
+            (h2.ranks().to_vec(), y)
         })
     };
     let y1 = run(1);
