@@ -30,7 +30,7 @@ cargo test -q --offline -p h2-linalg exec
 cargo test -q --offline -p h2-sampling root_closure
 cargo test -q --offline -p h2-core --lib panicking_factor_rule
 
-echo "== one threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -40,6 +40,8 @@ SCOPES=$(non_test $(find crates/linalg/src crates/sampling/src crates/sketch/src
   | grep -c "std::thread::scope(" || true)
 [ "$SCOPES" = 1 ] || { echo "expected one std::thread::scope site, found $SCOPES"; exit 1; }
 non_test crates/linalg/src/exec.rs | grep -q "std::thread::scope("
+if grep -rnwE "last_use|make_room|try_reserve|with_shards|freq" crates/cache/src; then echo "the dynamic cache is back"; exit 1; fi
+if grep -nE "counter_add!|span\(" crates/cache/src/cache.rs; then echo "the cache records telemetry on helper threads"; exit 1; fi
 
 echo "== precision gate (f32 / mixed vs f64) =="
 cargo test -q --offline -p h2-core --test precision
@@ -49,6 +51,10 @@ echo "== cache property gate (budget endpoints, invariant, concurrency) =="
 cargo test -q --offline -p h2-cache
 cargo test -q --offline -p h2-core --test cache
 cargo test -q --offline -p h2-dist -p h2-serve -- cache
+
+echo "== cache residency gate (resident set = f(operator, budget): equal to a re-budgeted clone after updates and at product widths 1/2/3/8; readers beside a re-plan) =="
+cargo test -q --offline -p h2-core --test sweep residency_is_a_function_of_operator_and_budget
+cargo test -q --offline -p h2-cache concurrent_readers_and_a_replanner
 
 echo "== dynamic operator gate (churn ≡ fresh rebuild across kernels/precisions/modes/budgets) =="
 cargo test -q --offline -p h2-core --test churn
@@ -72,16 +78,16 @@ timeout 300 ./target/release/fig7_threads --sizes 8000 --threads 1,2 --check > "
 grep -q "FIG7_THREADS_CHECK_OK" "$FIG7"
 rm -f "$FIG7"
 
-echo "== cache sweep smoke (bitwise endpoints + telemetry counters) =="
+echo "== cache sweep smoke (bitwise endpoints, churned = re-planned, telemetry counters) =="
 SWEEP=$(mktemp /tmp/h2-cache-sweep.XXXXXX.txt)
 ./target/release/cache_sweep --check > "$SWEEP"
 grep -q "CACHE_SWEEP_CHECK_OK" "$SWEEP"
-for series in h2_cache_hit h2_cache_miss h2_cache_evict_bytes; do
+for series in h2_cache_hit h2_cache_miss; do
   grep -q "^# TYPE $series counter" "$SWEEP" || { echo "missing telemetry series $series"; exit 1; }
 done
 rm -f "$SWEEP"
 
-echo "== update churn smoke (O(log n) path locality, cache hygiene, rebuild equivalence) =="
+echo "== update churn smoke (O(log n) path locality, cache hygiene and re-planned residency, rebuild equivalence) =="
 CHURN=$(mktemp /tmp/h2-update-churn.XXXXXX.txt)
 timeout 300 ./target/release/update_churn --check > "$CHURN"
 grep -q "UPDATE_CHURN_CHECK_OK" "$CHURN"

@@ -10,11 +10,17 @@
 //! also bitwise identical to normal mode (misses regenerate the same stored
 //! block and apply it with the same routine).
 //!
+//! Two more rows take the 50% operator through churn (rounds of insert 2 +
+//! remove 2 + one product) and measure it again, beside the same operator
+//! freshly budgeted: every update re-plans the cached tier, so the two rows
+//! hold the same blocks and hit and miss alike.
+//!
 //! `--check` runs a small deterministic smoke: the bitwise endpoint
-//! identities, the byte-budget invariant at every point, and per-matvec
-//! miss counts strictly between the endpoints for intermediate budgets —
-//! then prints `CACHE_SWEEP_CHECK_OK`. The process-wide telemetry registry
-//! (including the `h2_cache_*` counters) is printed at the end either way.
+//! identities, the byte-budget invariant at every point, per-matvec miss
+//! counts strictly between the endpoints for intermediate budgets, and the
+//! churned row equal to the re-planned one — then prints
+//! `CACHE_SWEEP_CHECK_OK`. The process-wide telemetry registry (including
+//! the `h2_cache_*` counters) is printed at the end either way.
 
 use h2_bench::{table, Args, Table};
 use h2_core::{BasisMethod, CacheBudget, H2Config, H2Matrix, MemoryMode};
@@ -27,21 +33,49 @@ use std::time::Instant;
 /// One measured budget point.
 #[derive(Clone, Debug, Serialize)]
 struct BudgetPoint {
-    /// Budget spelling (`off`, a ratio, or `full`).
+    /// Budget spelling (`off`, a ratio, or `full`; `churned` and
+    /// `re-planned` mark the two after-churn rows).
     label: String,
     /// Resolved byte budget (0 = no cache installed).
     budget_bytes: usize,
-    /// Bytes resident after warmup + one steady-state matvec.
+    /// Bytes resident.
     resident_bytes: usize,
-    /// Cache misses (block regenerations) during one steady-state matvec.
+    /// Cache hits during one matvec.
+    hits_per_mv: u64,
+    /// Cache misses (block regenerations) during one matvec.
     misses_per_mv: u64,
-    /// Cache hit rate over the measured matvecs (0 without a cache).
+    /// Cache hit rate of one matvec (0 without a cache).
     hit_rate: f64,
     /// Median matvec time over the measured repetitions, ms.
     t_mv_ms: f64,
     /// Bitwise identical to the matching endpoint (OTF for budget 0,
-    /// normal mode otherwise).
+    /// normal mode otherwise; the two after-churn rows to each other).
     bitwise: bool,
+}
+
+/// Measures `h2` as it stands: one product compared with `reference`, the
+/// cache traffic of a second, then the timed repetitions.
+fn measure(label: &str, h2: &H2Matrix, b: &[f64], reps: usize, reference: &[f64]) -> BudgetPoint {
+    let y = h2.matvec(b);
+    let before = h2.cache_stats().unwrap_or_default();
+    assert_eq!(y, h2.matvec(b), "matvec must be deterministic at {label}");
+    let after = h2.cache_stats().unwrap_or_default();
+    let t_mv_ms = median_mv_ms(h2, b, reps);
+    assert!(
+        after.resident_bytes <= after.budget_bytes,
+        "budget invariant violated at {label}"
+    );
+    let (hits_per_mv, misses_per_mv) = (after.hits - before.hits, after.misses - before.misses);
+    BudgetPoint {
+        label: label.into(),
+        budget_bytes: after.budget_bytes,
+        resident_bytes: after.resident_bytes,
+        hits_per_mv,
+        misses_per_mv,
+        hit_rate: hits_per_mv as f64 / (hits_per_mv + misses_per_mv).max(1) as f64,
+        t_mv_ms,
+        bitwise: y == reference,
+    }
 }
 
 /// Median of the timed repetitions, ms.
@@ -106,59 +140,66 @@ fn main() {
         .collect();
 
     let mut rows: Vec<BudgetPoint> = Vec::new();
+    for (label, budget) in &budgets {
+        // One operator, re-budgeted in place: the basis/skeleton work is
+        // shared, only the cached tier changes between points.
+        otf.set_cache_budget(*budget);
+        let reference = if budget.is_off() { &y_otf } else { &y_normal };
+        rows.push(measure(label, &otf, &b, reps, reference));
+    }
+
+    // The 50% operator after churn, beside itself freshly budgeted.
+    let churn_rounds = if check { 3 } else { 20 };
+    let mut churned = otf.clone();
+    churned.set_cache_budget(CacheBudget::Ratio(0.5));
+    for round in 0..churn_rounds {
+        let arriving = gen::uniform_cube(2, 3, args.seed + 1 + round as u64);
+        let departing: Vec<usize> = (0..2).map(|k| (round * 131 + k * 977) % n).collect();
+        let ins = churned.insert_points(&arriving).expect("insert");
+        let rem = churned.remove_points(&departing).expect("remove");
+        assert_eq!(ins.rebuilds + rem.rebuilds, 0, "round {round} rebuilt");
+        let _ = churned.matvec(&b);
+    }
+    let budget_bytes = churned.cache_stats().expect("budgeted").budget_bytes;
+    let mut replanned = churned.clone();
+    replanned.set_cache_budget(CacheBudget::Bytes(budget_bytes as u64));
+    let y_replanned = replanned.matvec(&b);
+    rows.push(measure("50% churned", &churned, &b, reps, &y_replanned));
+    rows.push(measure(
+        "50% re-planned",
+        &replanned,
+        &b,
+        reps,
+        &y_replanned,
+    ));
+
     let mut t = Table::new(&[
         "budget",
         "budget KiB",
         "resident KiB",
+        "hit/mv",
         "miss/mv",
         "hit rate",
         "T_mv",
         "bitwise",
     ]);
-    for (label, budget) in &budgets {
-        // One operator, re-budgeted in place: the basis/skeleton work is
-        // shared, only the cached tier changes between points.
-        otf.set_cache_budget(*budget);
-        let y = otf.matvec(&b); // steady state: fills the LRU tier
-        let before = otf.cache_stats();
-        let y2 = otf.matvec(&b);
-        assert_eq!(y, y2, "matvec must be deterministic at budget {label}");
-        let after = otf.cache_stats();
-        let misses_per_mv = match (&before, &after) {
-            (Some(s0), Some(s1)) => s1.misses - s0.misses,
-            _ => 0,
-        };
-        let t_mv_ms = median_mv_ms(&otf, &b, reps);
-        let stats = otf.cache_stats().unwrap_or_default();
-        assert!(
-            stats.resident_bytes <= stats.budget_bytes || stats.budget_bytes == 0,
-            "budget invariant violated at {label}"
-        );
-        let reference = if budget.is_off() { &y_otf } else { &y_normal };
-        let bitwise = &y == reference;
-        rows.push(BudgetPoint {
-            label: label.clone(),
-            budget_bytes: stats.budget_bytes,
-            resident_bytes: stats.resident_bytes,
-            misses_per_mv,
-            hit_rate: stats.hit_rate(),
-            t_mv_ms,
-            bitwise,
-        });
+    for r in &rows {
         t.row(vec![
-            label.clone(),
-            format!("{:.1}", stats.budget_bytes as f64 / 1024.0),
-            format!("{:.1}", stats.resident_bytes as f64 / 1024.0),
-            format!("{misses_per_mv}"),
-            format!("{:.2}", stats.hit_rate()),
-            table::ms(t_mv_ms),
-            if bitwise { "yes".into() } else { "NO".into() },
+            r.label.clone(),
+            format!("{:.1}", r.budget_bytes as f64 / 1024.0),
+            format!("{:.1}", r.resident_bytes as f64 / 1024.0),
+            format!("{}", r.hits_per_mv),
+            format!("{}", r.misses_per_mv),
+            format!("{:.2}", r.hit_rate),
+            table::ms(r.t_mv_ms),
+            if r.bitwise { "yes".into() } else { "NO".into() },
         ]);
     }
     t.print();
 
-    let zero = rows.first().expect("budget sweep is non-empty");
-    let full = rows.last().expect("budget sweep is non-empty");
+    let (after_churn, sweep) = (&rows[budgets.len()..], &rows[..budgets.len()]);
+    let zero = sweep.first().expect("budget sweep is non-empty");
+    let full = sweep.last().expect("budget sweep is non-empty");
     println!(
         "\nendpoints: off {} -> on-the-fly bitwise; full {} -> normal bitwise",
         if zero.bitwise { "matches" } else { "DIVERGES" },
@@ -170,10 +211,10 @@ fn main() {
         assert_eq!(zero.budget_bytes, 0, "budget 0 must install no cache");
         assert_eq!(
             full.resident_bytes, full_bytes,
-            "unbounded budget must pin the full footprint"
+            "unbounded budget must hold the full footprint"
         );
         assert_eq!(full.misses_per_mv, 0, "fully resident sweeps never miss");
-        let intermediates = &rows[1..rows.len() - 1];
+        let intermediates = &sweep[1..sweep.len() - 1];
         assert!(intermediates.len() >= 3, "need >= 3 intermediate budgets");
         for r in intermediates {
             assert!(
@@ -186,9 +227,8 @@ fn main() {
             );
             assert!(r.resident_bytes <= r.budget_bytes, "{}: invariant", r.label);
         }
-        // More budget regenerates less. Adjacent points can jitter by a few
-        // blocks (LRU admission races inside the parallel sweep), so the
-        // gate compares the smallest and largest intermediate budgets.
+        // More budget regenerates less (first fit walks one schedule, so a
+        // larger budget holds at least as long a prefix of it).
         let (first, last) = (&intermediates[0], &intermediates[intermediates.len() - 1]);
         assert!(
             last.misses_per_mv < first.misses_per_mv,
@@ -198,6 +238,12 @@ fn main() {
             last.label,
             last.misses_per_mv
         );
+        // Churn costs the cached tier nothing: same blocks, same traffic.
+        let traffic = |r: &BudgetPoint| (r.resident_bytes, r.hits_per_mv, r.misses_per_mv);
+        assert_eq!(traffic(&after_churn[0]), traffic(&after_churn[1]));
+        assert!(after_churn[0].hits_per_mv > 0, "churned operator must hit");
+        let keys = |h2: &H2Matrix| h2.cache().expect("budgeted operator").keys();
+        assert_eq!(keys(&churned), keys(&replanned));
         println!("CACHE_SWEEP_CHECK_OK");
     }
 

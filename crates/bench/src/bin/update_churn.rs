@@ -16,8 +16,9 @@
 //! O(log n) bound (per-round path nodes ≤ batch × 2 × (depth + 1)), a
 //! touched-node fraction well under the tree size, accuracy within the
 //! tolerance envelope after every round, agreement with a from-scratch
-//! rebuild on the final point set, and zero stale cache residency on a
-//! budgeted operator — then prints `UPDATE_CHURN_CHECK_OK`.
+//! rebuild on the final point set, and on a budgeted operator zero stale
+//! cache residency and the resident set and misses per product of the same
+//! operator freshly budgeted — then prints `UPDATE_CHURN_CHECK_OK`.
 
 use h2_bench::{table, Args, Table};
 use h2_core::{BasisMethod, CacheBudget, H2Config, H2Matrix, MemoryMode};
@@ -203,6 +204,20 @@ fn main() {
             stats.resident_bytes <= stats.budget_bytes,
             "cache over budget after churn"
         );
+        // Every update re-planned the cached tier: it holds the blocks, and
+        // a product misses as often, as on the same operator freshly
+        // budgeted.
+        let mut replanned = h2.clone();
+        replanned.set_cache_budget(CacheBudget::Bytes(stats.budget_bytes as u64));
+        let probe = h2_core::error_est::probe_vector(h2.n(), args.seed);
+        let misses_per_mv = |h2: &H2Matrix| {
+            let before = h2.cache_stats().expect("budgeted").misses;
+            let _ = h2.matvec(&probe);
+            h2.cache_stats().expect("budgeted").misses - before
+        };
+        assert_eq!(misses_per_mv(&h2), misses_per_mv(&replanned));
+        let keys = |h2: &H2Matrix| h2.cache().expect("budgeted").keys();
+        assert_eq!(keys(&h2), keys(&replanned));
         // Equivalence: a from-scratch rebuild on the updated point set is
         // the ground truth the updated operator must track.
         let fresh = H2Matrix::build(h2.tree().points(), kernel, &cfg);

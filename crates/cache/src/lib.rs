@@ -11,9 +11,10 @@
 //!
 //! - resident — the materialized [`BlockStore`]s (coupling and
 //!   nearfield), blocks borrowed straight out of the slab;
-//! - cached — a sharded LRU ([`BlockCache`]) over the same `(kind, i, j)`
-//!   keys with a strict byte budget, cost-aware admission and warmup
-//!   pinning in sweep-execution order;
+//! - cached — a [`BlockCache`] over the same `(kind, i, j)` keys: the
+//!   blocks that fit a strict byte budget first-fit in sweep-execution
+//!   order, chosen when the budget is set and again by every operator
+//!   update, read-only in between;
 //! - generated — no storage at all: the block is regenerated into a
 //!   scratch buffer and discarded.
 //!

@@ -55,13 +55,16 @@ pub mod counters {
     }
 }
 
-/// Block generations counted in plain integers, to be recorded into the
-/// [`counters`] by whichever thread should own the counts.
+/// Block generations and cached-tier requests counted in plain integers, to
+/// be recorded into the [`counters`] (and the telemetry counters
+/// `cache.hit` / `cache.miss`) by whichever thread should own the counts.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct BlockTally {
     coupling_blocks: u64,
     nearfield_blocks: u64,
     kernel_evals: u64,
+    cache_hits: u64,
+    cache_misses: u64,
 }
 
 impl BlockTally {
@@ -74,11 +77,24 @@ impl BlockTally {
         self.kernel_evals += (rows * cols) as u64;
     }
 
+    /// Counts one request to the cached tier: a hit, or a miss that
+    /// generated the block.
+    pub(crate) fn add_cached(&mut self, hit: bool, kind: BlockKind, rows: usize, cols: usize) {
+        if hit {
+            self.cache_hits += 1;
+        } else {
+            self.cache_misses += 1;
+            self.add(kind, rows, cols);
+        }
+    }
+
     /// Adds another tally's counts.
     pub(crate) fn merge(&mut self, other: BlockTally) {
         self.coupling_blocks += other.coupling_blocks;
         self.nearfield_blocks += other.nearfield_blocks;
         self.kernel_evals += other.kernel_evals;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
     }
 
     /// Records the counts on the calling thread.
@@ -86,6 +102,8 @@ impl BlockTally {
         h2_telemetry::counter_add!("coupling_blocks", self.coupling_blocks);
         h2_telemetry::counter_add!("nearfield_blocks", self.nearfield_blocks);
         h2_telemetry::counter_add!("kernel_evals", self.kernel_evals);
+        h2_telemetry::counter_add!("cache.hit", self.cache_hits);
+        h2_telemetry::counter_add!("cache.miss", self.cache_misses);
     }
 }
 

@@ -202,11 +202,10 @@ impl<S: Scalar> H2MatrixS<S> {
     }
 
     /// Installs (or, for a budget resolving to 0 bytes, removes) the
-    /// budgeted block cache over an on-the-fly operator, then warms it up:
-    /// blocks are pinned in sweep-execution order
-    /// ([`SweepPlan::block_schedule`]) until the budget is full, generated
-    /// in parallel. No-op in normal mode, where every
-    /// block is already resident.
+    /// budgeted block cache over an on-the-fly operator: the blocks that
+    /// fit the budget first-fit in sweep-execution order
+    /// ([`Self::plan_cache`]), generated in parallel. No-op in normal mode,
+    /// where every block is already resident.
     ///
     /// Budget 0 leaves the pure on-the-fly sweeps (bitwise identical to
     /// `MemoryMode::OnTheFly`); any active budget routes every
@@ -220,15 +219,25 @@ impl<S: Scalar> H2MatrixS<S> {
             return;
         }
         let bytes = budget.resolve(self.full_block_bytes());
-        if bytes == 0 {
-            return;
+        if bytes > 0 {
+            let empty = BlockCache::new(bytes);
+            self.cache = Some(Arc::new(self.plan_cache(&SweepPlan::whole(self), &empty)));
         }
-        let cache = BlockCache::new(bytes);
-        let plan = SweepPlan::whole(self);
-        let items = plan.block_schedule(self);
-        let chosen = cache.plan_pins(items);
-        self.warm_pins(&cache, &chosen);
-        self.cache = Some(Arc::new(cache));
+    }
+
+    /// The cached tier of the rank that executes `plan`, under the budget
+    /// of `prev`: the blocks of [`SweepPlan::block_schedule`] that fit it
+    /// first-fit, each under its pair's current epoch. Residency is a
+    /// function of the operator and the budget only; `prev` (an empty cache,
+    /// or the one an update replaces) contributes its counters and the
+    /// blocks that are still current, the rest are generated as one step
+    /// of the executor, counted on the calling thread.
+    pub fn plan_cache(&self, plan: &SweepPlan<'_>, prev: &BlockCache<S>) -> BlockCache<S> {
+        prev.replan(
+            plan.block_schedule(self),
+            |i, j| self.pair_epoch(i, j),
+            |fresh| self.generate_blocks(fresh),
+        )
     }
 
     /// Materializes one coupling or nearfield block exactly as the normal
@@ -265,7 +274,7 @@ impl<S: Scalar> H2MatrixS<S> {
     /// [`Self::generate_block`] for every listed `(kind, i, j)` as one step
     /// of the executor ([`h2_linalg::exec`]), results in list order — the
     /// one block-generation loop behind construction, incremental updates
-    /// and cache warmup. The calling thread counts the blocks, from their
+    /// and the cached tier. The calling thread counts the blocks, from their
     /// shapes, so the [`crate::diagnostics::counters`] are exact at any width.
     pub(crate) fn generate_blocks(&self, items: &[(BlockKind, NodeId, NodeId)]) -> Vec<MatrixS<S>> {
         let mut tally = BlockTally::default();
@@ -275,19 +284,6 @@ impl<S: Scalar> H2MatrixS<S> {
         }
         tally.record();
         exec::map(items, |&(kind, i, j)| self.materialize_block(kind, i, j))
-    }
-
-    /// Generates `chosen` blocks and pins them into `cache` — the warmup
-    /// step shared by the serial tier and `h2-dist`'s per-rank tiers (each
-    /// passes its own plan, in its own sweep order).
-    pub fn warm_pins(&self, cache: &BlockCache<S>, chosen: &[(BlockKind, NodeId, NodeId)]) {
-        for (&(kind, i, j), b) in chosen.iter().zip(self.generate_blocks(chosen)) {
-            // Planned against the budget, so every pin fits. Pins carry the
-            // pair's current epoch so they stay valid across updates that
-            // do not touch either endpoint.
-            let pinned = cache.pin_at(kind, i, j, self.pair_epoch(i, j), b);
-            debug_assert!(pinned, "planned pin ({i}, {j}) did not fit");
-        }
     }
 
     /// Applies one coupling block `y += B_{i,j} x` (any orientation of a

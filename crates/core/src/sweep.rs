@@ -532,7 +532,8 @@ impl Schedule {
 enum Fetched<'a, S: Scalar> {
     /// Borrowed from a materialized (owned or mapped) store.
     Resident(&'a MatrixS<S>),
-    /// Shared out of the budgeted cache (generated on a miss).
+    /// Shared out of the budgeted cache, or on a miss generated in `S` and
+    /// dropped after use.
     Cached(Arc<MatrixS<S>>),
     /// Generated in `f64` into the scratch buffer, column-major with
     /// this many rows.
@@ -541,7 +542,7 @@ enum Fetched<'a, S: Scalar> {
 
 /// The single three-tier fetch: resident-or-mapped, then cached, then
 /// generated into `scratch`. `(i, j)` is a listed canonical pair; a
-/// generation is counted in `tally`.
+/// generation, and a hit or miss of the cached tier, is counted in `tally`.
 fn fetch<'a, S: Scalar>(
     h2: &'a H2MatrixS<S>,
     cache: Option<&BlockCache<S>>,
@@ -556,17 +557,13 @@ fn fetch<'a, S: Scalar>(
     }
     let (rows, cols) = h2.block_shape(kind, i, j);
     if let Some(cache) = cache {
-        let generate = || {
-            tally.add(kind, rows, cols);
+        let mut hit = true;
+        let block = cache.get_or_generate_at(kind, i, j, h2.pair_epoch(i, j), || {
+            hit = false;
             h2.materialize_block(kind, i, j)
-        };
-        return Fetched::Cached(cache.get_or_generate_at(
-            kind,
-            i,
-            j,
-            h2.pair_epoch(i, j),
-            generate,
-        ));
+        });
+        tally.add_cached(hit, kind, rows, cols);
+        return Fetched::Cached(block);
     }
     tally.add(kind, rows, cols);
     scratch.clear();
@@ -752,7 +749,8 @@ struct Local<A> {
     acc: Vec<f64>,
     /// The one generated block alive at a time.
     scratch: Vec<f64>,
-    /// Blocks this thread generated, for the caller to record.
+    /// Blocks this thread generated and its cached-tier hits and misses,
+    /// for the caller to record.
     tally: BlockTally,
 }
 

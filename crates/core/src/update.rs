@@ -1,6 +1,6 @@
 //! Incremental operator updates: point insert/delete with path-local
-//! re-sampling and re-factorization, epoch-versioned cache invalidation,
-//! and escalation to leaf splits or full rebuilds.
+//! re-sampling and re-factorization, a re-planned cached tier, and
+//! escalation to leaf splits or full rebuilds.
 //!
 //! ## Why a root-to-leaf path suffices
 //!
@@ -24,25 +24,26 @@
 //!
 //! Every applied batch bumps the operator [`epoch`](crate::H2MatrixS::epoch)
 //! and stamps the re-factored nodes' entries in the per-node epoch table.
-//! The budgeted block cache keys every entry by `(kind, i, j, epoch)` with
-//! the pair epoch `max(node_epochs[i], node_epochs[j])`, so a block cached
-//! before an update can never satisfy a post-update fetch — stale blocks
-//! are unreachable by construction, and [`apply_update`]'s eager
-//! `purge_below` pass reclaims their bytes immediately rather than waiting
-//! for LRU pressure.
-//!
-//! [`apply_update`]: crate::H2MatrixS::insert_points
+//! The budgeted block cache holds every entry under the pair epoch
+//! `max(node_epochs[i], node_epochs[j])` it was generated at and serves it
+//! to a request at that epoch only, so a block cached before an update can
+//! never satisfy a post-update fetch. The epoch is the fault detector, not
+//! the invalidation mechanism: an update re-runs the residency plan on the
+//! updated operator ([`H2MatrixS::plan_cache`]) and installs a new cache
+//! that shares the entries still current and regenerates the rest.
 
 use crate::builders::{build_with_x_star, data_driven, nested_skeleton_pass};
 use crate::config::{BasisMethod, BuilderStrategy, H2Config};
 use crate::h2matrix::{listed_blocks, H2MatrixS};
 use crate::proxy::ProxyPoints;
+use crate::sweep::SweepPlan;
 use h2_cache::{BlockKind, BlockStore, CacheBudget};
 use h2_linalg::{MatrixS, Scalar};
 use h2_points::admissibility::build_block_lists;
 use h2_points::{NodeId, PointSet};
 use h2_sampling::{refresh_x_star, sample_levels, AnchorNet, SampleParams};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Staleness and escalation policy of the incremental update engine.
 #[derive(Clone, Debug)]
@@ -366,8 +367,8 @@ impl<S: Scalar> H2MatrixS<S> {
     /// (root-closed) touched set: one Algorithm-1 sweep refreshes `X*` in
     /// place and recomputes `Y*` along it, one nested-skeleton pass redoes
     /// its row IDs with the data-driven rule, and the blocks with a dirty
-    /// endpoint are regenerated; then the epoch is bumped and stale cache
-    /// entries are purged.
+    /// endpoint are regenerated; then the epoch is bumped and the cached
+    /// tier re-planned.
     fn refactor_paths(
         &mut self,
         touched: HashSet<NodeId>,
@@ -439,30 +440,18 @@ impl<S: Scalar> H2MatrixS<S> {
             self.coupling = BlockStore::on_the_fly(&new_lists.interaction_pairs);
             self.nearfield = BlockStore::on_the_fly(&new_lists.nearfield_pairs);
         }
-        drop(sp);
-
-        // Epoch bump: stale cache keys become unreachable by construction;
-        // the purge pass reclaims their bytes eagerly.
         self.epoch += 1;
         for &i in &touched {
             self.node_epochs[i] = self.epoch;
         }
-        if let Some(cache) = &self.cache {
-            if relisted {
-                // Pairs that vanished from the lists will never be fetched
-                // again: drop every epoch they ever cached.
-                let listed: HashSet<_> = listed_blocks(&new_lists).collect();
-                for (kind, i, j) in listed_blocks(&self.lists).filter(|t| !listed.contains(t)) {
-                    cache.purge_below(kind, i, j, u64::MAX);
-                }
-            }
-            // A cache only sits over on-the-fly stores, where the stale
-            // pairs are exactly the dirty ones.
-            for &(kind, i, j) in &stale {
-                cache.purge_below(kind, i, j, self.pair_epoch(i, j));
-            }
-        }
         self.lists = new_lists;
+        // Residency is a function of (operator, budget): re-run the plan on
+        // the updated operator and install the result as a new cache, so
+        // whoever shares the old one keeps the table they started with.
+        if let Some(old) = self.cache.take() {
+            self.cache = Some(Arc::new(self.plan_cache(&SweepPlan::whole(self), &old)));
+        }
+        drop(sp);
 
         h2_telemetry::counter_add!("update.path_nodes", touched.len() as u64);
         h2_telemetry::counter_add!("update.refactored_blocks", stale.len() as u64);
@@ -471,7 +460,7 @@ impl<S: Scalar> H2MatrixS<S> {
             removed,
             path_nodes: touched.len(),
             // Blocks regenerated (normal mode) or pairs invalidated
-            // (on-the-fly and cached tiers, which have nothing to regenerate).
+            // (on-the-fly; the cached tier regenerates the planned ones).
             refactored_blocks: stale.len(),
             splits,
             rebuilds: 0,

@@ -73,7 +73,7 @@ fn endpoints_bitwise<S: Scalar>(kernel: Arc<dyn Kernel>) {
     assert_eq!(
         cache.resident_bytes(),
         full.full_block_bytes(),
-        "warmup must pin every block under an unbounded budget"
+        "an unbounded budget holds every block"
     );
     assert_eq!(full.matvec(&b), y_normal, "budget ∞ != normal (bitwise)");
 
@@ -219,8 +219,8 @@ fn concurrent_matvecs_share_one_cache_within_budget() {
         kernel.clone(),
         &cfg(MemoryMode::Normal, CacheBudget::Off),
     );
-    // A deliberately tight budget (20%) so eviction and regeneration race
-    // against concurrent readers.
+    // A deliberately tight budget (20%): most requests miss and regenerate
+    // beside concurrent readers of the resident fifth.
     let h2 = Arc::new(H2Matrix::build(
         &pts,
         kernel,
@@ -269,7 +269,7 @@ fn concurrent_matvecs_share_one_cache_within_budget() {
     let stats = cache.stats();
     assert!(max_seen <= stats.budget_bytes, "budget invariant violated");
     assert!(stats.resident_bytes <= stats.budget_bytes);
-    assert!(stats.hits > 0, "warmed pins must serve hits");
+    assert!(stats.hits > 0, "the resident blocks must serve hits");
 }
 
 #[test]
@@ -305,7 +305,10 @@ fn telemetry_counters_track_cache_traffic() {
     // The global counter is shared across parallel tests, so only the
     // monotone delta is meaningful here; per-cache counts are asserted
     // through `CacheStats`.
-    assert!(after > before, "pinned blocks must register telemetry hits");
+    assert!(
+        after > before,
+        "resident blocks must register telemetry hits"
+    );
     let stats = h2.cache_stats().unwrap();
     assert!(stats.hits > 0);
     assert!(stats.resident_bytes <= stats.budget_bytes);

@@ -4,9 +4,10 @@
 //! (anchor-net and sketched), storage precisions (f64, f32, and mixed
 //! f32-storage/f64-accumulation applies), both memory modes, and every
 //! cache-budget tier. The budgeted runs additionally assert cache hygiene:
-//! zero stale-epoch entries resident after the churn (every surviving key
-//! carries the pair epoch the update path would use to regenerate it) and
-//! no stale hits during post-update applies.
+//! zero stale-epoch entries resident after the churn (every resident key
+//! carries its pair's current epoch), no stale hits during post-update
+//! applies, and the hits and misses per product of the same operator
+//! freshly budgeted.
 
 use h2_core::{
     BasisMethod, BuilderProvenance, BuilderStrategy, CacheBudget, H2Config, H2MatrixS, MemoryMode,
@@ -86,6 +87,17 @@ fn assert_cell<S: Scalar>(
         // A second identical apply is deterministic: stale entries would
         // surface here as a changed result.
         assert_eq!(y, apply(&h2, 7), "{label}: apply not deterministic");
+        // The churn cost the cached tier nothing: a product hits and misses
+        // as it does on the same operator freshly budgeted.
+        let traffic = |h2: &H2MatrixS<S>| {
+            let before = h2.cache_stats().expect("budgeted");
+            apply(h2, 7);
+            let after = h2.cache_stats().expect("budgeted");
+            (after.hits - before.hits, after.misses - before.misses)
+        };
+        let mut replanned = h2.clone();
+        replanned.set_cache_budget(CacheBudget::Bytes(stats.budget_bytes as u64));
+        assert_eq!(traffic(&h2), traffic(&replanned), "{label}: hits, misses");
     }
 
     // Equivalence: rebuild from scratch on the exact final point set.

@@ -9,7 +9,7 @@
 use h2_core::diagnostics::counters;
 use h2_core::{
     BasisMethod, BlockKind, BuilderStrategy, CacheBudget, H2Config, H2MatrixS, MemoryMode,
-    SweepPlan,
+    SweepPlan, UpdatePolicy,
 };
 use h2_kernels::Coulomb;
 use h2_linalg::{MatrixS, Scalar};
@@ -227,31 +227,128 @@ fn schedule_is_every_listed_pair_once_in_conflict_free_rounds() {
 #[test]
 fn counters_see_each_block_generated_once_at_any_width() {
     let pts = gen::uniform_cube(N, 3, 31);
-    let c = cfg(
-        MemoryMode::OnTheFly,
-        CacheBudget::Off,
-        BuilderStrategy::AnchorNet,
-    );
-    let h2 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &c);
-    let b = panel::<f64>(N, 3);
-    let counts_at = |width: usize| {
-        let scope = counters::scope();
+    for budget in [CacheBudget::Off, CacheBudget::Ratio(0.5)] {
+        let c = cfg(MemoryMode::OnTheFly, budget, BuilderStrategy::AnchorNet);
+        let h2 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &c);
+        let b = panel::<f64>(N, 3);
+        let counts_at = |width: usize| {
+            let scope = counters::scope();
+            let _ = at_width(width, || h2.matmat(&b));
+            [
+                "coupling_blocks",
+                "nearfield_blocks",
+                "kernel_evals",
+                "cache.hit",
+                "cache.miss",
+            ]
+            .map(|name| scope.count(name))
+        };
+        let serial = counts_at(1);
+        let [coupling, nearfield, evals, hits, misses] = serial;
+        let pairs = |list: &[(usize, usize)]| list.len() as u64;
+        let lists = h2.lists();
+        let listed = pairs(&lists.interaction_pairs) + pairs(&lists.nearfield_pairs);
+        assert!(evals > 0, "{budget}");
+        if budget.is_off() {
+            assert_eq!(coupling, pairs(&lists.interaction_pairs));
+            assert_eq!(nearfield, pairs(&lists.nearfield_pairs));
+            assert_eq!((hits, misses), (0, 0));
+        } else {
+            // Every listed pair is one request to the cached tier and every
+            // miss one generation.
+            assert_eq!(hits + misses, listed);
+            assert_eq!(misses, coupling + nearfield);
+            assert!(hits > 0 && misses > 0, "half a budget hits and misses");
+        }
+        // Helper threads tally in plain integers and the caller records the
+        // sums, so a scope on the calling thread misses nothing.
+        assert_eq!(counts_at(2), serial, "{budget}: width 2");
+        assert_eq!(counts_at(4), serial, "{budget}: width 4");
+    }
+}
+
+/// The keys of the cached tier of `h2`.
+fn resident_keys<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<(BlockKind, usize, usize, u64)> {
+    let cache = h2.cache().expect("budgeted operator");
+    assert!(cache.resident_bytes() <= cache.budget_bytes());
+    cache.keys()
+}
+
+/// Residency is a function of (operator, budget): whatever updates the
+/// operator has been through and however wide its products ran, the cached
+/// tier is the one a fresh `set_cache_budget` at the same bytes installs.
+fn assert_residency_is_the_plans<S: Scalar>(h2: &H2MatrixS<S>, what: &str) {
+    let budget = h2.cache().expect("budgeted operator").budget_bytes();
+    let mut replanned = h2.clone();
+    replanned.set_cache_budget(CacheBudget::Bytes(budget as u64));
+    let keys = resident_keys(&replanned);
+    assert!(!keys.is_empty(), "{what}: nothing resident");
+    // A clone's `Vec`s are trimmed, so only the block bytes of the two
+    // reports compare; the operator's own report must not move at all.
+    let report = h2.memory_report();
+    let cached = replanned.memory_report().cached_blocks;
+    assert_eq!(report.cached_blocks, cached, "{what}");
+    let b = panel::<S>(h2.n(), 2);
+    for width in [1, 2, 3, 8] {
         let _ = at_width(width, || h2.matmat(&b));
-        (
-            scope.count("coupling_blocks"),
-            scope.count("nearfield_blocks"),
-            scope.count("kernel_evals"),
-        )
-    };
-    let serial = counts_at(1);
-    let pairs = |list: &[(usize, usize)]| list.len() as u64;
-    assert_eq!(serial.0, pairs(&h2.lists().interaction_pairs));
-    assert_eq!(serial.1, pairs(&h2.lists().nearfield_pairs));
-    assert!(serial.2 > 0);
-    // Helper threads tally in plain integers and the caller records the
-    // sums, so a scope on the calling thread misses nothing.
-    assert_eq!(counts_at(2), serial);
-    assert_eq!(counts_at(4), serial);
+        assert_eq!(h2.memory_report(), report, "{what}: after width {width}");
+        assert!(
+            resident_keys(h2) == keys,
+            "{what}: keys after width {width}"
+        );
+    }
+}
+
+fn residency_survives_churn<S: Scalar>(ratio: f64) {
+    let pts = gen::uniform_cube(N, 3, 47);
+    let budget = CacheBudget::Ratio(ratio);
+    let c = cfg(MemoryMode::OnTheFly, budget, BuilderStrategy::AnchorNet);
+    let mut h2 = H2MatrixS::<S>::build(&pts, Arc::new(Coulomb), &c);
+    let what = |stage: &str| format!("{}/{budget}/{stage}", S::NAME);
+    assert_residency_is_the_plans(&h2, &what("fresh"));
+
+    let mut extra = PointSet::new(3, vec![]);
+    extra.push(&[0.31, 0.52, 0.18]);
+    extra.push(&[0.77, 0.21, 0.64]);
+    h2.insert_points(&extra).unwrap();
+    h2.remove_points(&[13, 400]).unwrap();
+    assert_residency_is_the_plans(&h2, &what("insert + remove"));
+
+    // Hammer one spot under a leaf bound every leaf but the smallest is
+    // over: a leaf splits in place.
+    let leaves = h2.tree().leaves().iter();
+    let smallest = leaves.map(|&l| h2.tree().node(l).len()).min().unwrap();
+    h2.set_update_policy(UpdatePolicy {
+        tol: TOL,
+        max_leaf_points: Some(smallest),
+        rebuild_churn: 0.03,
+    })
+    .unwrap();
+    let mut splits = 0;
+    for k in 0..6 {
+        let e = 1e-4 * k as f64;
+        let mut p = PointSet::new(3, vec![]);
+        p.push(&[0.5 + e, 0.5 - e, 0.5 + 2.0 * e]);
+        let r = h2.insert_points(&p).unwrap();
+        assert_eq!(r.rebuilds, 0);
+        splits += r.splits;
+    }
+    assert!(splits > 0, "{}: no leaf split", what("split"));
+    assert_residency_is_the_plans(&h2, &what("split"));
+
+    // 6 edits since the policy was set; 20 more pass 3% of n and escalate
+    // to a rebuild.
+    let r = h2.insert_points(&gen::uniform_cube(20, 3, 53)).unwrap();
+    assert_eq!(r.rebuilds, 1, "{}", what("rebuild"));
+    assert_residency_is_the_plans(&h2, &what("rebuild"));
+}
+
+#[test]
+fn residency_is_a_function_of_operator_and_budget_at_every_product_width() {
+    for ratio in [0.25, 0.5] {
+        residency_survives_churn::<f64>(ratio);
+        residency_survives_churn::<f32>(ratio);
+    }
 }
 
 /// The operator file of `c` built `width` wide and, `churned`, updated

@@ -257,44 +257,36 @@ impl<S: Scalar> ShardedH2<S> {
     /// budget resolves against the *aggregate* per-rank block footprint
     /// (a block applied at two ranks counts at both, as it would occupy
     /// memory on both machines), and each rank receives a share
-    /// proportional to its own footprint, warmed in that rank's
-    /// sweep-execution order ([`SweepPlan::block_schedule`]). Budget `Off`/0 removes the caches; normal
-    /// mode is a no-op, exactly like [`H2MatrixS::set_cache_budget`].
+    /// proportional to its own footprint, filled first-fit in that rank's
+    /// sweep-execution order ([`H2MatrixS::plan_cache`]). Budget `Off`/0
+    /// removes the caches; normal mode is a no-op, exactly like
+    /// [`H2MatrixS::set_cache_budget`].
     pub fn set_cache_budget(&mut self, budget: CacheBudget) {
         self.caches = None;
-        let h2 = &self.h2;
+        let h2 = &*self.h2;
         if h2.coupling_store().is_materialized() || budget.is_off() {
             return;
         }
-        // Per-rank warm-up lists, each in the order that rank's sweeps
-        // first touch its blocks; the coordinator only sees top coupling.
-        let rank_items: Vec<Vec<_>> = (0..self.plan.shards)
+        // One plan per rank; the coordinator only sees top coupling.
+        let plans: Vec<SweepPlan<'_>> = (0..self.plan.shards)
             .map(|s| (&self.plan.shard_levels[s], &self.plan.shard_leaves[s][..]))
             .chain([(&self.plan.top_levels, &[][..])])
-            .map(|(levels, leaves)| {
-                SweepPlan::new(&**h2, levels, leaves)
-                    .block_schedule(h2)
-                    .collect()
-            })
+            .map(|(levels, leaves)| SweepPlan::new(h2, levels, leaves))
             .collect();
-        let rank_bytes: Vec<usize> = rank_items
-            .iter()
-            .map(|items| items.iter().map(|&(_, _, _, b)| b).sum())
-            .collect();
+        let footprint =
+            |plan: &SweepPlan<'_>| -> usize { plan.block_schedule(h2).map(|(_, _, _, b)| b).sum() };
+        let rank_bytes: Vec<usize> = plans.iter().map(footprint).collect();
         let total_bytes: usize = rank_bytes.iter().sum();
         let total_budget = budget.resolve(total_bytes);
         if total_budget == 0 || total_bytes == 0 {
             return;
         }
-        let caches = rank_items
+        let caches = plans
             .iter()
             .zip(&rank_bytes)
-            .map(|(items, &bytes)| {
+            .map(|(plan, &bytes)| {
                 let share = ((total_budget as u128 * bytes as u128) / total_bytes as u128) as usize;
-                let cache = BlockCache::new(share);
-                let chosen = cache.plan_pins(items.iter().copied());
-                h2.warm_pins(&cache, &chosen);
-                Arc::new(cache)
+                Arc::new(h2.plan_cache(plan, &BlockCache::new(share)))
             })
             .collect();
         self.caches = Some(caches);

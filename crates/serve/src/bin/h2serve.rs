@@ -335,11 +335,10 @@ fn report_any(op: &AnyH2) {
     println!("precision: {}", op.precision().name());
     if let Some(c) = op.cache_stats() {
         println!(
-            "cache: budget {:.1} KiB, resident {:.1} KiB ({} blocks, {:.1} KiB pinned)",
+            "cache: budget {:.1} KiB, resident {:.1} KiB ({} blocks)",
             c.budget_bytes as f64 / 1024.0,
             c.resident_bytes as f64 / 1024.0,
-            c.entries,
-            c.pinned_bytes as f64 / 1024.0
+            c.entries
         );
     }
 }

@@ -316,16 +316,12 @@ impl MetricsSnapshot {
         for (name, total) in [
             ("h2_serve_cache_hits_total", c.hits),
             ("h2_serve_cache_misses_total", c.misses),
-            ("h2_serve_cache_evictions_total", c.evictions),
-            ("h2_serve_cache_evicted_bytes_total", c.evicted_bytes),
-            ("h2_serve_cache_rejected_total", c.rejected),
             ("h2_serve_cache_stale_purged_total", c.stale_purged),
         ] {
             out.counter(name).sample(&[], total);
         }
         for (name, level) in [
             ("h2_serve_cache_resident_bytes", c.resident_bytes),
-            ("h2_serve_cache_pinned_bytes", c.pinned_bytes),
             ("h2_serve_cache_budget_bytes", c.budget_bytes),
             ("h2_serve_cache_entries", c.entries),
         ] {

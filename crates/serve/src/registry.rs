@@ -324,20 +324,50 @@ pub struct RegistryEntryBytes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2_core::{BasisMethod, H2Config, H2Matrix, MemoryMode};
+    use h2_core::{BasisMethod, BlockKind, CacheBudget, H2Config, H2Matrix, MemoryMode};
     use h2_kernels::Coulomb;
     use h2_points::gen;
 
-    fn tiny() -> Arc<H2Matrix> {
+    fn tiny_with(cache_budget: CacheBudget) -> Arc<H2Matrix> {
         let pts = gen::uniform_cube(200, 2, 1);
         let cfg = H2Config {
             basis: BasisMethod::data_driven_for_tol(1e-4, 2),
             mode: MemoryMode::OnTheFly,
             leaf_size: 32,
             eta: 0.7,
+            cache_budget,
             ..H2Config::default()
         };
         Arc::new(H2Matrix::build(&pts, Arc::new(Coulomb), &cfg))
+    }
+
+    fn tiny() -> Arc<H2Matrix> {
+        tiny_with(CacheBudget::Off)
+    }
+
+    /// What a holder of an operator can see of its cached tier.
+    #[derive(Debug, PartialEq)]
+    struct Residency {
+        keys: Vec<(BlockKind, usize, usize, u64)>,
+        resident_bytes: usize,
+        hits_per_product: u64,
+    }
+
+    fn residency(op: &H2Matrix) -> Residency {
+        let cache = op.cache().expect("budgeted operator");
+        let hits = cache.stats().hits;
+        let _ = op.matvec(&vec![1.0; op.n()]);
+        Residency {
+            keys: cache.keys(),
+            resident_bytes: cache.resident_bytes(),
+            hits_per_product: cache.stats().hits - hits,
+        }
+    }
+
+    /// Four points in four corners of the square: their paths dirty most
+    /// leaves, so most resident pairs have a dirty endpoint.
+    fn four_corners() -> h2_points::PointSet {
+        h2_points::PointSet::new(2, vec![0.21, 0.23, 0.81, 0.17, 0.27, 0.79, 0.83, 0.77])
     }
 
     #[test]
@@ -383,6 +413,22 @@ mod tests {
         let rows = reg.resident_bytes();
         assert_eq!(rows[0].epoch, 1);
         assert_eq!(rows[0].updates, 1);
+
+        // The same with a cached tier: the old handle keeps the table it
+        // started with, whatever the update and the new epoch's products do.
+        reg.insert("cached", tiny_with(CacheBudget::Ratio(0.5)));
+        let before = reg.get("cached").unwrap();
+        let fresh = residency(&before);
+        assert!(fresh.hits_per_product > 0, "half a budget must hit");
+        let (after, _) = reg
+            .update_with("cached", |op| op.insert_points(&four_corners()))
+            .unwrap()
+            .unwrap();
+        let updated = residency(&after);
+        let epochs = |r: &Residency| r.keys.iter().map(|key| key.3).max();
+        assert_eq!(epochs(&updated), Some(1), "re-planned at epoch 1");
+        assert_eq!(residency(&before), fresh, "old handle after the update");
+        assert_eq!(epochs(&fresh), Some(0));
     }
 
     #[test]
@@ -413,6 +459,20 @@ mod tests {
         assert!(reg.swap("ghost", tiny()).is_none());
         assert!(reg.update_count("ghost").is_none());
         assert_eq!(reg.len(), 1);
+
+        // A closure that fails after it has updated its private clone: the
+        // registered operator's cached tier is what it was.
+        reg.insert("cached", tiny_with(CacheBudget::Ratio(0.5)));
+        let live = reg.get("cached").unwrap();
+        let fresh = residency(&live);
+        assert!(fresh.hits_per_product > 0, "half a budget must hit");
+        let aborted = reg.update_with("cached", |op| {
+            op.insert_points(&four_corners()).expect("insert succeeds");
+            Err::<(), _>("changed my mind")
+        });
+        assert_eq!(aborted.unwrap().err(), Some("changed my mind"));
+        assert!(Arc::ptr_eq(&reg.get("cached").unwrap(), &live));
+        assert_eq!(residency(&live), fresh, "live operator after the abort");
     }
 
     #[test]

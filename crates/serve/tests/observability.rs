@@ -177,14 +177,10 @@ fn whole_metrics_body_matches_the_golden_fixture() {
     service.cache = Some(CacheStats {
         hits: 90,
         misses: 10,
-        insertions: 12,
-        evictions: 2,
-        evicted_bytes: 4096,
-        rejected: 1,
+        evicted_bytes: 0,
         stale_purged: 3,
         entries: 10,
         resident_bytes: 2048,
-        pinned_bytes: 1024,
         budget_bytes: 8192,
     });
 
