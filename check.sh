@@ -12,6 +12,27 @@ echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo test =="
+# One run asserts each invariant once. The tests that carry each gate:
+# - thread-count invariance (widths 1/2/3/8 bitwise equal; ranks stay at
+#   width 1): h2-core tests/sweep.rs; `width_one` / `schedule_keeps` in
+#   h2-dist and h2-net; `thread_pool*` in tests/end_to_end.rs.
+# - builder width invariance (operator bytes and build counters equal at
+#   widths 1/2/3/8; panics cross barriers): `builder_width*` in h2-core
+#   tests/sweep.rs; h2-linalg `exec`; h2-sampling `root_closure`; h2-core
+#   `panicking_factor_rule`.
+# - precision (f32 / mixed vs f64): h2-core tests/precision.rs; the `f32` /
+#   `mixed` / `precision` tests of h2-dist and h2-serve.
+# - cache properties (budget endpoints, invariant, concurrency): all of
+#   h2-cache; h2-core tests/cache.rs; the `cache` tests of h2-dist and
+#   h2-serve.
+# - cache residency (resident set = f(operator, budget), equal to a
+#   re-budgeted clone after updates and at product widths 1/2/3/8; readers
+#   beside a re-plan): `residency_is_a_function_of_operator_and_budget` in
+#   h2-core tests/sweep.rs; h2-cache `concurrent_readers_and_a_replanner`.
+# - dynamic operator (churn ≡ fresh rebuild across kernels / precisions /
+#   modes / budgets): h2-core tests/churn.rs and its `update` unit tests.
+# - mmap zero copy (mapped ≡ owned decode, bitwise): the `mmap` tests of
+#   h2-serve.
 cargo test -q --workspace --offline
 
 echo "== multi-process serving gate (real worker processes, hard timeout) =="
@@ -19,46 +40,22 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== thread-count invariance gate (widths 1/2/3/8 bitwise equal; ranks stay at width 1) =="
-cargo test -q --offline -p h2-core --test sweep
-cargo test -q --offline -p h2-dist -p h2-net -- width_one schedule_keeps
-cargo test -q --offline --test end_to_end thread_pool
-
-echo "== builder width invariance gate (operator bytes and build counters equal at widths 1/2/3/8; panics cross barriers) =="
-cargo test -q --offline -p h2-core --test sweep builder_width
-cargo test -q --offline -p h2-linalg exec
-cargo test -q --offline -p h2-sampling root_closure
-cargo test -q --offline -p h2-core --lib panicking_factor_rule
-
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
 [ ! -e vendor/rayon ] || { echo "vendor/rayon is back"; exit 1; }
 if grep -n "rayon" Cargo.toml crates/*/Cargo.toml Cargo.lock; then echo "a manifest names rayon"; exit 1; fi
-SCOPES=$(non_test $(find crates/linalg/src crates/sampling/src crates/sketch/src crates/core/src -name '*.rs') \
+SCOPES=$(non_test $(find crates/linalg/src crates/sampling/src crates/core/src -name '*.rs') \
   | grep -c "std::thread::scope(" || true)
 [ "$SCOPES" = 1 ] || { echo "expected one std::thread::scope site, found $SCOPES"; exit 1; }
 non_test crates/linalg/src/exec.rs | grep -q "std::thread::scope("
 if grep -rnwE "last_use|make_room|try_reserve|with_shards|freq" crates/cache/src; then echo "the dynamic cache is back"; exit 1; fi
 if grep -nE "counter_add!|span\(" crates/cache/src/cache.rs; then echo "the cache records telemetry on helper threads"; exit 1; fi
-
-echo "== precision gate (f32 / mixed vs f64) =="
-cargo test -q --offline -p h2-core --test precision
-cargo test -q --offline -p h2-dist -p h2-serve -- f32 mixed precision
-
-echo "== cache property gate (budget endpoints, invariant, concurrency) =="
-cargo test -q --offline -p h2-cache
-cargo test -q --offline -p h2-core --test cache
-cargo test -q --offline -p h2-dist -p h2-serve -- cache
-
-echo "== cache residency gate (resident set = f(operator, budget): equal to a re-budgeted clone after updates and at product widths 1/2/3/8; readers beside a re-plan) =="
-cargo test -q --offline -p h2-core --test sweep residency_is_a_function_of_operator_and_budget
-cargo test -q --offline -p h2-cache concurrent_readers_and_a_replanner
-
-echo "== dynamic operator gate (churn ≡ fresh rebuild across kernels/precisions/modes/budgets) =="
-cargo test -q --offline -p h2-core --test churn
-cargo test -q --offline -p h2-core update
+MANIFESTS="Cargo.toml Cargo.lock crates/*/Cargo.toml vendor/*/Cargo.toml"
+if grep -nE 'criterion|h2-sketch|\[\[bench\]\]|serde([^_]|_derive|$)' $MANIFESTS; then
+  echo "a manifest names criterion, a [[bench]], h2-sketch, or a serde other than serde_json"; exit 1
+fi
 
 echo "== telemetry-disabled feature build =="
 cargo check -q --offline -p h2-core -p h2-dist -p h2-serve --features h2-telemetry/disabled
@@ -72,7 +69,7 @@ timeout 300 ./target/release/net_scaling --check > "$NET"
 grep -q "NET_SCALING_CHECK_OK" "$NET"
 rm -f "$NET"
 
-echo "== thread scaling smoke (bitwise across widths; T_mv and T_const at 2 threads <= 0.75x of 1 on a 2-core host) =="
+echo "== thread scaling smoke (bitwise across widths; the 2-thread ratios are printed, not gated) =="
 FIG7=$(mktemp /tmp/h2-fig7.XXXXXX.txt)
 timeout 300 ./target/release/fig7_threads --sizes 8000 --threads 1,2 --check > "$FIG7"
 grep -q "FIG7_THREADS_CHECK_OK" "$FIG7"
@@ -114,9 +111,6 @@ ST=$(mktemp /tmp/h2-serve-throughput.XXXXXX.txt)
 timeout 300 ./target/release/serve_throughput --sizes 2500 > "$ST"
 grep -q "SERVE_THROUGHPUT_CHECK_OK" "$ST"
 rm -f "$ST"
-
-echo "== mmap zero-copy gate (bitwise equivalence of mapped vs owned decode) =="
-cargo test -q --offline -p h2-serve mmap
 
 echo "== tenant QoS smoke (light-tenant p99 bound under a hog; FIFO must violate it) =="
 QOS=$(mktemp /tmp/h2-tenant-qos.XXXXXX.txt)

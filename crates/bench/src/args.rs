@@ -5,6 +5,10 @@
 pub struct Args {
     /// Run at paper scale (`--full`); default is laptop scale.
     pub full: bool,
+    /// Run the binary's acceptance smoke (`--check`): a small deterministic
+    /// instance with assertions, ending in its `*_CHECK_OK` line. Binaries
+    /// without one ignore it.
+    pub check: bool,
     /// Optional JSON output path (`--json PATH`).
     pub json: Option<String>,
     /// Optional n-sweep override (`--sizes 1000,2000`).
@@ -27,6 +31,7 @@ impl Default for Args {
     fn default() -> Self {
         Args {
             full: false,
+            check: false,
             json: None,
             sizes: None,
             tol: None,
@@ -51,6 +56,7 @@ impl Args {
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--full" => args.full = true,
+                "--check" => args.check = true,
                 "--json" => {
                     args.json = Some(it.next().unwrap_or_else(|| usage("--json needs a path")))
                 }
@@ -115,7 +121,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: <bin> [--full] [--json PATH] [--trace PATH] [--sizes a,b,c] [--threads a,b] \
+        "usage: <bin> [--full] [--check] [--json PATH] [--trace PATH] [--sizes a,b,c] [--threads a,b] \
          [--tol X] [--seed S] [--builder anchor|sketched]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
@@ -132,7 +138,7 @@ mod tests {
     #[test]
     fn defaults() {
         let a = parse(&[]);
-        assert!(!a.full);
+        assert!(!a.full && !a.check);
         assert_eq!(a.seed, 1);
         assert!(a.sizes.is_none());
     }
@@ -141,6 +147,7 @@ mod tests {
     fn flags_parse() {
         let a = parse(&[
             "--full",
+            "--check",
             "--json",
             "/tmp/x.json",
             "--sizes",
@@ -154,7 +161,7 @@ mod tests {
             "--builder",
             "sketched",
         ]);
-        assert!(a.full);
+        assert!(a.full && a.check);
         assert_eq!(a.builder, "sketched");
         assert_eq!(a.json.as_deref(), Some("/tmp/x.json"));
         assert_eq!(a.sizes, Some(vec![100, 200]));

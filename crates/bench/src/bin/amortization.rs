@@ -82,5 +82,5 @@ fn main() {
         rows.push(otf);
     }
     t.print();
-    metrics::maybe_write_json(&args.json, &rows);
+    metrics::write_json(&args.json, rows);
 }

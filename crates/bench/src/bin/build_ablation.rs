@@ -1,7 +1,7 @@
 //! **Build ablation** — anchor-net vs randomized sketched construction.
 //!
 //! Builds the same on-the-fly operator with both construction pipelines
-//! (the deterministic anchor-net sampler from the paper and the `h2-sketch`
+//! (the deterministic anchor-net sampler from the paper and the
 //! randomized sketched builder with adaptive rank) and compares, per
 //! kernel: build wall time with its phase breakdown, achieved ranks (max
 //! and mean leaf), stored generator memory, and the measured matvec
@@ -17,39 +17,40 @@
 //! must stay within 1.25x of the anchor-net ranks, and both builders must
 //! meet the configured tolerance — then prints `BUILD_ABLATION_CHECK_OK`.
 
-use h2_bench::{table, Args, Table};
+use h2_bench::{json_record, table, write_json, Args, Table};
 use h2_core::{BasisMethod, BuilderStrategy, H2Config, H2Matrix, MemoryMode};
 use h2_kernels::kernel_by_name;
 use h2_points::gen;
-use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One (kernel, builder) measurement.
-#[derive(Clone, Debug, Serialize)]
-struct AblationRow {
-    kernel: String,
-    builder: String,
-    n: usize,
-    /// Build wall time, ms, with the instrumented phase split.
-    build_ms: f64,
-    sampling_ms: f64,
-    basis_ms: f64,
-    /// One on-the-fly matvec, ms.
-    t_mv_ms: f64,
-    /// Achieved ranks.
-    max_rank: usize,
-    mean_leaf_rank: f64,
-    rank_sum: usize,
-    /// Stored generator memory, KiB.
-    mem_kib: f64,
-    /// Measured relative error over sampled exact kernel rows.
-    rel_err: f64,
-    /// Sketched-builder work counters (0 for anchor-net).
-    sketch_samples: usize,
-    sketch_probes: usize,
-    sketch_retries: usize,
-    sketch_max_rounds: usize,
+json_record! {
+    /// One (kernel, builder) measurement.
+    #[derive(Clone, Debug)]
+    struct AblationRow {
+        kernel: String,
+        builder: String,
+        n: usize,
+        /// Build wall time, ms, with the instrumented phase split.
+        build_ms: f64,
+        sampling_ms: f64,
+        basis_ms: f64,
+        /// One on-the-fly matvec, ms.
+        t_mv_ms: f64,
+        /// Achieved ranks.
+        max_rank: usize,
+        mean_leaf_rank: f64,
+        rank_sum: usize,
+        /// Stored generator memory, KiB.
+        mem_kib: f64,
+        /// Measured relative error over sampled exact kernel rows.
+        rel_err: f64,
+        /// Sketched-builder work counters (0 for anchor-net).
+        sketch_samples: usize,
+        sketch_probes: usize,
+        sketch_retries: usize,
+        sketch_max_rounds: usize,
+    }
 }
 
 fn measure(
@@ -98,9 +99,8 @@ fn measure(
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let check = raw.iter().any(|a| a == "--check");
-    let args = Args::parse_from(raw.into_iter().filter(|a| a != "--check"));
+    let args = Args::parse();
+    let check = args.check;
 
     let n = if check {
         8_000
@@ -224,10 +224,6 @@ fn main() {
         println!("\nBUILD_ABLATION_CHECK_OK");
     }
 
-    if let Some(p) = &args.json {
-        let body = serde_json::to_string_pretty(&rows).expect("serialize ablation rows");
-        std::fs::write(p, body).unwrap_or_else(|e| panic!("write {p}: {e}"));
-        eprintln!("wrote {} rows to {p}", rows.len());
-    }
+    write_json(&args.json, rows);
     print!("{}", h2_telemetry::snapshot().prometheus_text());
 }

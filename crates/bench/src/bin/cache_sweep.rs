@@ -22,35 +22,35 @@
 //! `CACHE_SWEEP_CHECK_OK`. The process-wide telemetry registry (including
 //! the `h2_cache_*` counters) is printed at the end either way.
 
-use h2_bench::{table, Args, Table};
+use h2_bench::{json_record, median_ms, table, write_json, Args, Table};
 use h2_core::{BasisMethod, CacheBudget, H2Config, H2Matrix, MemoryMode};
 use h2_kernels::Coulomb;
 use h2_points::gen;
-use serde::Serialize;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// One measured budget point.
-#[derive(Clone, Debug, Serialize)]
-struct BudgetPoint {
-    /// Budget spelling (`off`, a ratio, or `full`; `churned` and
-    /// `re-planned` mark the two after-churn rows).
-    label: String,
-    /// Resolved byte budget (0 = no cache installed).
-    budget_bytes: usize,
-    /// Bytes resident.
-    resident_bytes: usize,
-    /// Cache hits during one matvec.
-    hits_per_mv: u64,
-    /// Cache misses (block regenerations) during one matvec.
-    misses_per_mv: u64,
-    /// Cache hit rate of one matvec (0 without a cache).
-    hit_rate: f64,
-    /// Median matvec time over the measured repetitions, ms.
-    t_mv_ms: f64,
-    /// Bitwise identical to the matching endpoint (OTF for budget 0,
-    /// normal mode otherwise; the two after-churn rows to each other).
-    bitwise: bool,
+json_record! {
+    /// One measured budget point.
+    #[derive(Clone, Debug)]
+    struct BudgetPoint {
+        /// Budget spelling (`off`, a ratio, or `full`; `churned` and
+        /// `re-planned` mark the two after-churn rows).
+        label: String,
+        /// Resolved byte budget (0 = no cache installed).
+        budget_bytes: usize,
+        /// Bytes resident.
+        resident_bytes: usize,
+        /// Cache hits during one matvec.
+        hits_per_mv: u64,
+        /// Cache misses (block regenerations) during one matvec.
+        misses_per_mv: u64,
+        /// Cache hit rate of one matvec (0 without a cache).
+        hit_rate: f64,
+        /// Median matvec time over the measured repetitions, ms.
+        t_mv_ms: f64,
+        /// Bitwise identical to the matching endpoint (OTF for budget 0,
+        /// normal mode otherwise; the two after-churn rows to each other).
+        bitwise: bool,
+    }
 }
 
 /// Measures `h2` as it stands: one product compared with `reference`, the
@@ -60,7 +60,7 @@ fn measure(label: &str, h2: &H2Matrix, b: &[f64], reps: usize, reference: &[f64]
     let before = h2.cache_stats().unwrap_or_default();
     assert_eq!(y, h2.matvec(b), "matvec must be deterministic at {label}");
     let after = h2.cache_stats().unwrap_or_default();
-    let t_mv_ms = median_mv_ms(h2, b, reps);
+    let t_mv_ms = median_ms(reps, || drop(h2.matvec(b)));
     assert!(
         after.resident_bytes <= after.budget_bytes,
         "budget invariant violated at {label}"
@@ -78,23 +78,9 @@ fn measure(label: &str, h2: &H2Matrix, b: &[f64], reps: usize, reference: &[f64]
     }
 }
 
-/// Median of the timed repetitions, ms.
-fn median_mv_ms(h2: &H2Matrix, b: &[f64], reps: usize) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            let _ = h2.matvec(b);
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, c| a.total_cmp(c));
-    times[times.len() / 2]
-}
-
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let check = raw.iter().any(|a| a == "--check");
-    let args = Args::parse_from(raw.into_iter().filter(|a| a != "--check"));
+    let args = Args::parse();
+    let check = args.check;
 
     let n = if check {
         1200
@@ -247,10 +233,6 @@ fn main() {
         println!("CACHE_SWEEP_CHECK_OK");
     }
 
-    if let Some(p) = &args.json {
-        let body = serde_json::to_string_pretty(&rows).expect("serialize budget points");
-        std::fs::write(p, body).unwrap_or_else(|e| panic!("write {p}: {e}"));
-        eprintln!("wrote {} rows to {p}", rows.len());
-    }
+    write_json(&args.json, rows);
     print!("{}", h2_telemetry::snapshot().prometheus_text());
 }

@@ -11,42 +11,43 @@
 //! across shards. Both memory modes run over the same point set so the
 //! rows are directly comparable.
 
-use h2_bench::{Args, Table};
+use h2_bench::{json_record, write_json, Args, Table};
 use h2_core::{BasisMethod, H2Config, H2Matrix, MemoryMode};
 use h2_dist::ShardedH2;
 use h2_kernels::Coulomb;
 use h2_linalg::vec_ops::rel_err;
 use h2_points::gen;
-use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One measured (mode, shard-count) cell.
-#[derive(Clone, Debug, Serialize)]
-struct DistRow {
-    mode: String,
-    shards: usize,
-    /// Distribution level the tree was cut at.
-    level: usize,
-    matvec_ms: f64,
-    /// Matvecs per second at this shard count.
-    throughput: f64,
-    /// Modeled one-time setup traffic (basis + block/generator shipping).
-    setup_bytes: u64,
-    /// Wire bytes exchanged per matvec (coefficient panels only).
-    matvec_bytes: u64,
-    /// Messages per matvec.
-    messages: u64,
-    /// Max-over-shards phase seconds (the critical path's shape).
-    upward_s: f64,
-    exchange_s: f64,
-    horizontal_s: f64,
-    downward_s: f64,
-    leaf_s: f64,
-    /// Coordinator top-tree seconds.
-    top_s: f64,
-    /// Relative deviation from the serial matvec (bit-exact → 0).
-    rel_err: f64,
+json_record! {
+    /// One measured (mode, shard-count) cell.
+    #[derive(Clone, Debug)]
+    struct DistRow {
+        mode: String,
+        shards: usize,
+        /// Distribution level the tree was cut at.
+        level: usize,
+        matvec_ms: f64,
+        /// Matvecs per second at this shard count.
+        throughput: f64,
+        /// Modeled one-time setup traffic (basis + block/generator shipping).
+        setup_bytes: u64,
+        /// Wire bytes exchanged per matvec (coefficient panels only).
+        matvec_bytes: u64,
+        /// Messages per matvec.
+        messages: u64,
+        /// Max-over-shards phase seconds (the critical path's shape).
+        upward_s: f64,
+        exchange_s: f64,
+        horizontal_s: f64,
+        downward_s: f64,
+        leaf_s: f64,
+        /// Coordinator top-tree seconds.
+        top_s: f64,
+        /// Relative deviation from the serial matvec (bit-exact → 0).
+        rel_err: f64,
+    }
 }
 
 fn main() {
@@ -140,9 +141,5 @@ fn main() {
         println!();
     }
 
-    if let Some(p) = &args.json {
-        let body = serde_json::to_string_pretty(&rows).expect("serialize dist rows");
-        std::fs::write(p, body).unwrap_or_else(|e| panic!("write {p}: {e}"));
-        eprintln!("wrote {} rows to {p}", rows.len());
-    }
+    write_json(&args.json, rows);
 }

@@ -11,7 +11,7 @@
 //! Expected shape (paper): data-driven ranks are *several times smaller*
 //! than the uniform `order³` interpolation rank at the same accuracy.
 
-use h2_bench::{Args, Table};
+use h2_bench::{json_record, write_json, Args, Table};
 use h2_core::{BasisMethod, H2Config, H2Matrix, MemoryMode};
 use h2_kernels::Coulomb;
 use h2_points::gen;
@@ -82,15 +82,16 @@ fn main() {
     println!("mean block rank: data-driven {dd_mean:.1}, interpolation {in_mean:.1}");
     println!("rank reduction factor: {:.1}x", in_mean / dd_mean.max(1e-9));
 
-    if let Some(json_path) = &args.json {
-        #[derive(serde::Serialize)]
-        struct PairRank {
-            i: usize,
-            j: usize,
-            level_i: usize,
-            level_j: usize,
-            dd_rank: usize,
-            interp_rank: usize,
+    if args.json.is_some() {
+        json_record! {
+            struct PairRank {
+                i: usize,
+                j: usize,
+                level_i: usize,
+                level_j: usize,
+                dd_rank: usize,
+                interp_rank: usize,
+            }
         }
         let rows: Vec<PairRank> = pairs
             .iter()
@@ -103,8 +104,6 @@ fn main() {
                 interp_rank: pair_rank(&interp, i, j),
             })
             .collect();
-        let body = serde_json::to_string_pretty(&rows).unwrap();
-        std::fs::write(json_path, body).unwrap();
-        eprintln!("wrote {} pair records", rows.len());
+        write_json(&args.json, rows);
     }
 }

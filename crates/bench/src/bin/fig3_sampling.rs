@@ -5,7 +5,7 @@
 //! corner node. This harness regenerates both point sets, prints summary
 //! counts, and (with `--json`) dumps the coordinates for replotting.
 
-use h2_bench::Args;
+use h2_bench::{json_record, write_json, Args};
 use h2_points::admissibility::build_block_lists;
 use h2_points::gen;
 use h2_points::tree::{ClusterTree, TreeParams};
@@ -58,13 +58,14 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     println!("    nearest farfield sample at distance {min_d:.3} from the node center");
 
-    if let Some(json_path) = &args.json {
-        #[derive(serde::Serialize)]
-        struct Dump {
-            points: Vec<Vec<f64>>,
-            leaf_samples: Vec<Vec<f64>>,
-            corner_node_points: Vec<Vec<f64>>,
-            corner_farfield_samples: Vec<Vec<f64>>,
+    if args.json.is_some() {
+        json_record! {
+            struct Dump {
+                points: Vec<Vec<f64>>,
+                leaf_samples: Vec<Vec<f64>>,
+                corner_node_points: Vec<Vec<f64>>,
+                corner_farfield_samples: Vec<Vec<f64>>,
+            }
         }
         let coords = |idx: &[usize]| -> Vec<Vec<f64>> {
             idx.iter().map(|&i| pts.point(i).to_vec()).collect()
@@ -81,7 +82,6 @@ fn main() {
             corner_node_points: coords(tree.node_indices(corner)),
             corner_farfield_samples: coords(y),
         };
-        std::fs::write(json_path, serde_json::to_string(&dump).unwrap()).unwrap();
-        eprintln!("wrote sample dump");
+        write_json(&args.json, dump);
     }
 }

@@ -98,5 +98,5 @@ fn main() {
         5, 4
     );
     println!("the paper likewise could not run interpolation at its largest high-D sizes.");
-    metrics::maybe_write_json(&args.json, &rows);
+    metrics::write_json(&args.json, rows);
 }

@@ -66,5 +66,5 @@ fn main() {
         }
     }
     t.print();
-    metrics::maybe_write_json(&args.json, &rows);
+    metrics::write_json(&args.json, rows);
 }

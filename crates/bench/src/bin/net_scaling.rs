@@ -20,45 +20,45 @@
 //! per-sweep byte/message agreement between the transports, then prints
 //! `NET_SCALING_CHECK_OK`.
 
-use h2_bench::{Args, Table};
+use h2_bench::{json_record, write_json, Args, Table};
 use h2_core::{BasisMethod, H2Config, H2Matrix, MemoryMode};
 use h2_dist::wire::HELLO_FRAME_BYTES;
 use h2_dist::ShardedH2;
 use h2_kernels::Coulomb;
 use h2_net::{run_worker, BoundCoordinator, NetConfig};
 use h2_points::gen;
-use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One measured (mode, shard-count) cell.
-#[derive(Clone, Debug, Serialize)]
-struct NetRow {
-    mode: String,
-    shards: usize,
-    level: usize,
-    matvec_ms: f64,
-    /// Matvecs per second over the socket transport.
-    throughput: f64,
-    /// Measured wire bytes per sweep across all TCP endpoints.
-    tcp_sweep_bytes: u64,
-    /// The channel mesh's modeled per-sweep bytes (handshake model
-    /// subtracted) — must equal `tcp_sweep_bytes`.
-    chan_sweep_bytes: u64,
-    /// Messages per sweep across all endpoints.
-    tcp_sweep_messages: u64,
-    /// One-time handshake bytes the deployment paid (all links, both
-    /// directions).
-    handshake_bytes: u64,
-    /// Modeled one-time setup traffic (PR-2 model: basis + block/generator
-    /// shipping), for scale against the per-sweep cost.
-    setup_bytes: u64,
+json_record! {
+    /// One measured (mode, shard-count) cell.
+    #[derive(Clone, Debug)]
+    struct NetRow {
+        mode: String,
+        shards: usize,
+        level: usize,
+        matvec_ms: f64,
+        /// Matvecs per second over the socket transport.
+        throughput: f64,
+        /// Measured wire bytes per sweep across all TCP endpoints.
+        tcp_sweep_bytes: u64,
+        /// The channel mesh's modeled per-sweep bytes (handshake model
+        /// subtracted) — must equal `tcp_sweep_bytes`.
+        chan_sweep_bytes: u64,
+        /// Messages per sweep across all endpoints.
+        tcp_sweep_messages: u64,
+        /// One-time handshake bytes the deployment paid (all links, both
+        /// directions).
+        handshake_bytes: u64,
+        /// Modeled one-time setup traffic (PR-2 model: basis + block/generator
+        /// shipping), for scale against the per-sweep cost.
+        setup_bytes: u64,
+    }
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let check = raw.iter().any(|a| a == "--check");
-    let args = Args::parse_from(raw.into_iter().filter(|a| a != "--check"));
+    let args = Args::parse();
+    let check = args.check;
 
     let n = if check {
         1_200
@@ -211,11 +211,7 @@ fn main() {
         println!();
     }
 
-    if let Some(p) = &args.json {
-        let body = serde_json::to_string_pretty(&rows).expect("serialize net rows");
-        std::fs::write(p, body).unwrap_or_else(|e| panic!("write {p}: {e}"));
-        eprintln!("wrote {} rows to {p}", rows.len());
-    }
+    write_json(&args.json, rows);
     if check {
         println!("NET_SCALING_CHECK_OK");
     }

@@ -24,7 +24,7 @@
 //! contract: the build-phase table lists all of them and renders `—` for
 //! the ones the chosen builder legitimately skipped.
 
-use h2_bench::{Args, Table};
+use h2_bench::{json_record, median_ms, write_json, Args, Table, Value};
 use h2_core::diagnostics::counters;
 use h2_core::{BasisMethod, BuilderStrategy, H2Config, H2Matrix, H2MatrixS, MemoryMode};
 use h2_dist::ShardedH2;
@@ -32,58 +32,55 @@ use h2_kernels::Coulomb;
 use h2_linalg::Matrix;
 use h2_points::gen;
 use h2_serve::MatvecService;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One precision mode of the stored-mode operator: apply time, resident
-/// bytes, and accuracy against the `f64` apply.
-#[derive(Clone, Debug, Serialize)]
-struct PrecisionRow {
-    precision: String,
-    stored_matvec_ms: f64,
-    operator_bytes: u64,
-    rel_err_vs_f64: f64,
+json_record! {
+    /// One precision mode of the stored-mode operator: apply time, resident
+    /// bytes, and accuracy against the `f64` apply.
+    #[derive(Clone, Debug)]
+    struct PrecisionRow {
+        precision: String,
+        stored_matvec_ms: f64,
+        operator_bytes: u64,
+        rel_err_vs_f64: f64,
+    }
 }
 
-/// Machine-readable run summary written to `--json`.
-#[derive(Clone, Debug, Serialize)]
-struct ProfileSummary {
-    n: usize,
-    tol: f64,
-    /// Construction wall (ms) and its per-phase breakdown from spans.
-    build_ms: f64,
-    build_phase_ms: BTreeMap<String, f64>,
-    /// Median single-vector apply times (ms).
-    stored_matvec_ms: f64,
-    otf_matvec_ms: f64,
-    /// Fused panel sweep (`matmat_k` columns, ms).
-    matmat_k: usize,
-    matmat_ms: f64,
-    /// Sharded run: shard count and wall (ms).
-    dist_shards: usize,
-    dist_matvec_ms: f64,
-    /// Work counters over the whole run.
-    kernel_evals: u64,
-    coupling_blocks: u64,
-    nearfield_blocks: u64,
-    dist_bytes_sent: u64,
-    /// Telemetry unit costs and the derived matvec overhead estimates.
-    span_unit_ns: f64,
-    counter_unit_ns: f64,
-    stored_overhead_pct: f64,
-    otf_overhead_pct: f64,
-    /// Spans in the exported trace.
-    trace_events: usize,
-    /// Per-precision apply time / footprint / accuracy (f64, f32, mixed).
-    precision: Vec<PrecisionRow>,
-}
-
-/// Median of a small sample (ms).
-fn median_ms(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
+json_record! {
+    /// Machine-readable run summary written to `--json`.
+    #[derive(Clone, Debug)]
+    struct ProfileSummary {
+        n: usize,
+        tol: f64,
+        /// Construction wall (ms) and its per-phase breakdown from spans.
+        build_ms: f64,
+        build_phase_ms: Value,
+        /// Median single-vector apply times (ms).
+        stored_matvec_ms: f64,
+        otf_matvec_ms: f64,
+        /// Fused panel sweep (`matmat_k` columns, ms).
+        matmat_k: usize,
+        matmat_ms: f64,
+        /// Sharded run: shard count and wall (ms).
+        dist_shards: usize,
+        dist_matvec_ms: f64,
+        /// Work counters over the whole run.
+        kernel_evals: u64,
+        coupling_blocks: u64,
+        nearfield_blocks: u64,
+        dist_bytes_sent: u64,
+        /// Telemetry unit costs and the derived matvec overhead estimates.
+        span_unit_ns: f64,
+        counter_unit_ns: f64,
+        stored_overhead_pct: f64,
+        otf_overhead_pct: f64,
+        /// Spans in the exported trace.
+        trace_events: usize,
+        /// Per-precision apply time / footprint / accuracy (f64, f32, mixed).
+        precision: Vec<PrecisionRow>,
+    }
 }
 
 /// Average cost of one `f()` call over `iters` iterations, nanoseconds.
@@ -141,17 +138,7 @@ fn main() {
 
     // Single-vector applies, both memory modes. Count the on-the-fly
     // block regenerations on this thread for the overhead model below.
-    let time_mv = |h2: &H2Matrix| {
-        median_ms(
-            (0..reps)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let _ = h2.matvec(&b);
-                    t0.elapsed().as_secs_f64() * 1e3
-                })
-                .collect(),
-        )
-    };
+    let time_mv = |h2: &H2Matrix| median_ms(reps, || drop(h2.matvec(&b)));
     let stored_matvec_ms = time_mv(&stored);
     let scope = counters::scope();
     let otf_matvec_ms = time_mv(&otf);
@@ -177,24 +164,8 @@ fn main() {
     };
     let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
     let y64 = stored.matvec(&b);
-    let f32_matvec_ms = median_ms(
-        (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                let _ = stored32.as_ref().matvec::<f32>(&b32);
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-            .collect(),
-    );
-    let mixed_matvec_ms = median_ms(
-        (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                let _ = stored32.matvec_f64(&b);
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-            .collect(),
-    );
+    let f32_matvec_ms = median_ms(reps, || drop(stored32.as_ref().matvec::<f32>(&b32)));
+    let mixed_matvec_ms = median_ms(reps, || drop(stored32.matvec_f64(&b)));
     let bytes64 = stored.memory_report().total() as u64;
     let bytes32 = stored32.memory_report().total() as u64;
     let footprint_ratio = bytes32 as f64 / bytes64 as f64;
@@ -406,8 +377,9 @@ fn main() {
         eprintln!("wrote {} trace events to {p}", events.len());
     }
 
-    if let Some(p) = &args.json {
-        let build_phase_ms = totals
+    if args.json.is_some() {
+        // Keyed by `name` or `name[label]`, in the keys' sorted order.
+        let build_phase_ms: BTreeMap<String, f64> = totals
             .iter()
             .filter(|((name, _), _)| name.starts_with("build."))
             .map(|((name, label), t)| {
@@ -423,7 +395,7 @@ fn main() {
             n,
             tol,
             build_ms,
-            build_phase_ms,
+            build_phase_ms: build_phase_ms.into_iter().collect(),
             stored_matvec_ms,
             otf_matvec_ms,
             matmat_k,
@@ -441,8 +413,6 @@ fn main() {
             trace_events: snap.spans.len(),
             precision: precision_rows,
         };
-        let body = serde_json::to_string_pretty(&summary).expect("serialize profile summary");
-        std::fs::write(p, body).unwrap_or_else(|e| panic!("write {p}: {e}"));
-        eprintln!("wrote summary to {p}");
+        write_json(&args.json, summary);
     }
 }

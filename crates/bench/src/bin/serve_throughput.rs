@@ -24,7 +24,7 @@
 //! endpoint and asserts the render cost stays under 1% of the serving
 //! wall-clock.
 
-use h2_bench::{Args, Table};
+use h2_bench::{json_record, write_json, Args, Table};
 use h2_core::diagnostics::counters;
 use h2_core::{AnyH2, BasisMethod, H2Config, H2Matrix, H2MatrixS, MemoryMode, MixedH2};
 use h2_kernels::Coulomb;
@@ -32,31 +32,32 @@ use h2_points::gen;
 use h2_serve::metrics::percentile;
 use h2_serve::{MatvecService, MetricsServer};
 use h2_telemetry::hist::bucket_width;
-use serde::Serialize;
 use std::io::{Read as _, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One measured (mode, precision, batch-size) cell.
-#[derive(Clone, Debug, Serialize)]
-struct ServeRow {
-    mode: String,
-    precision: String,
-    batch: usize,
-    requests: usize,
-    sweeps: u64,
-    p50_latency_us: u64,
-    p99_latency_us: u64,
-    p50_queue_us: u64,
-    p99_queue_us: u64,
-    p50_compute_us: u64,
-    p99_compute_us: u64,
-    busy_ms: f64,
-    throughput_rps: f64,
-    coupling_blocks: u64,
-    nearfield_blocks: u64,
-    kernel_evals: u64,
+json_record! {
+    /// One measured (mode, precision, batch-size) cell.
+    #[derive(Clone, Debug)]
+    struct ServeRow {
+        mode: String,
+        precision: String,
+        batch: usize,
+        requests: usize,
+        sweeps: u64,
+        p50_latency_us: u64,
+        p99_latency_us: u64,
+        p50_queue_us: u64,
+        p99_queue_us: u64,
+        p50_compute_us: u64,
+        p99_compute_us: u64,
+        busy_ms: f64,
+        throughput_rps: f64,
+        coupling_blocks: u64,
+        nearfield_blocks: u64,
+        kernel_evals: u64,
+    }
 }
 
 fn main() {
@@ -193,11 +194,7 @@ fn main() {
         args.seed,
     );
 
-    if let Some(p) = &args.json {
-        let body = serde_json::to_string_pretty(&rows).expect("serialize serve rows");
-        std::fs::write(p, body).unwrap_or_else(|e| panic!("write {p}: {e}"));
-        eprintln!("wrote {} rows to {p}", rows.len());
-    }
+    write_json(&args.json, rows);
     println!("SERVE_THROUGHPUT_CHECK_OK");
 }
 

@@ -93,5 +93,5 @@ fn main() {
             dn.t_const_ms / dotf.t_const_ms
         );
     }
-    metrics::maybe_write_json(&args.json, &rows);
+    metrics::write_json(&args.json, rows);
 }

@@ -24,12 +24,11 @@
 //! decorative. `--check` runs a small deterministic instance and gates
 //! both sides; `--json` dumps per-(mode, tenant) rows plus the summary.
 
-use h2_bench::{Args, Table};
+use h2_bench::{json_record, write_json, Args, Table};
 use h2_core::{BasisMethod, H2Config, H2Matrix, MemoryMode};
 use h2_kernels::Coulomb;
 use h2_points::gen;
 use h2_serve::{MatvecService, QueueMode, TenantTable};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Light tenants riding alongside the hog.
@@ -41,35 +40,40 @@ const BATCH: usize = 4;
 /// The acceptance bound: light p99 / isolated p99 under WDRR.
 const BOUND: f64 = 3.0;
 
-/// One measured (mode, tenant) cell.
-#[derive(Clone, Debug, Serialize)]
-struct QosRow {
-    mode: String,
-    tenant: String,
-    served: u64,
-    p50_us: u64,
-    p99_us: u64,
+json_record! {
+    /// One measured (mode, tenant) cell.
+    #[derive(Clone, Debug)]
+    struct QosRow {
+        mode: String,
+        tenant: String,
+        served: u64,
+        p50_us: u64,
+        p99_us: u64,
+    }
 }
 
-/// The headline summary the check gates on.
-#[derive(Clone, Debug, Serialize)]
-struct QosSummary {
-    n: usize,
-    rounds: usize,
-    hog_backlog: usize,
-    batch: usize,
-    isolated_p99_us: u64,
-    fifo_light_p99_us: u64,
-    wdrr_light_p99_us: u64,
-    fifo_ratio: f64,
-    wdrr_ratio: f64,
-    bound: f64,
+json_record! {
+    /// The headline summary the check gates on.
+    #[derive(Clone, Debug)]
+    struct QosSummary {
+        n: usize,
+        rounds: usize,
+        hog_backlog: usize,
+        batch: usize,
+        isolated_p99_us: u64,
+        fifo_light_p99_us: u64,
+        wdrr_light_p99_us: u64,
+        fifo_ratio: f64,
+        wdrr_ratio: f64,
+        bound: f64,
+    }
 }
 
-#[derive(Serialize)]
-struct QosReport {
-    summary: QosSummary,
-    rows: Vec<QosRow>,
+json_record! {
+    struct QosReport {
+        summary: QosSummary,
+        rows: Vec<QosRow>,
+    }
 }
 
 fn probe(n: usize, seed: u64) -> Vec<f64> {
@@ -118,9 +122,8 @@ fn worst_light_p99(svc: &MatvecService<H2Matrix>) -> u64 {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let check = raw.iter().any(|a| a == "--check");
-    let args = Args::parse_from(raw.into_iter().filter(|a| a != "--check"));
+    let args = Args::parse();
+    let check = args.check;
 
     let n = if check {
         1500
@@ -238,10 +241,5 @@ fn main() {
         println!("TENANT_QOS_CHECK_OK");
     }
 
-    if let Some(p) = &args.json {
-        let body =
-            serde_json::to_string_pretty(&QosReport { summary, rows }).expect("serialize rows");
-        std::fs::write(p, body).unwrap_or_else(|e| panic!("write {p}: {e}"));
-        eprintln!("wrote {p}");
-    }
+    write_json(&args.json, QosReport { summary, rows });
 }

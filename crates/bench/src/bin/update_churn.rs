@@ -20,38 +20,38 @@
 //! cache residency and the resident set and misses per product of the same
 //! operator freshly budgeted — then prints `UPDATE_CHURN_CHECK_OK`.
 
-use h2_bench::{table, Args, Table};
+use h2_bench::{json_record, table, write_json, Args, Table};
 use h2_core::{BasisMethod, CacheBudget, H2Config, H2Matrix, MemoryMode};
 use h2_kernels::Coulomb;
 use h2_points::gen;
-use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One measured churn round.
-#[derive(Clone, Debug, Serialize)]
-struct ChurnRound {
-    round: usize,
-    inserted: usize,
-    removed: usize,
-    /// Wall time of the insert + remove batch, ms.
-    t_update_ms: f64,
-    /// Root-to-leaf path nodes re-factored (insert + remove side).
-    path_nodes: usize,
-    /// Coupling/nearfield blocks regenerated or re-indexed.
-    refactored_blocks: usize,
-    /// Local-escalation full rebuilds triggered (0 on the fast path).
-    rebuilds: usize,
-    /// Operator epoch after the round.
-    epoch: u64,
-    /// Sampled relative error vs exact kernel rows after the round.
-    rel_err: f64,
+json_record! {
+    /// One measured churn round.
+    #[derive(Clone, Debug)]
+    struct ChurnRound {
+        round: usize,
+        inserted: usize,
+        removed: usize,
+        /// Wall time of the insert + remove batch, ms.
+        t_update_ms: f64,
+        /// Root-to-leaf path nodes re-factored (insert + remove side).
+        path_nodes: usize,
+        /// Coupling/nearfield blocks regenerated or re-indexed.
+        refactored_blocks: usize,
+        /// Local-escalation full rebuilds triggered (0 on the fast path).
+        rebuilds: usize,
+        /// Operator epoch after the round.
+        epoch: u64,
+        /// Sampled relative error vs exact kernel rows after the round.
+        rel_err: f64,
+    }
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let check = raw.iter().any(|a| a == "--check");
-    let args = Args::parse_from(raw.into_iter().filter(|a| a != "--check"));
+    let args = Args::parse();
+    let check = args.check;
 
     let n = if check {
         2000
@@ -230,10 +230,6 @@ fn main() {
         println!("UPDATE_CHURN_CHECK_OK");
     }
 
-    if let Some(p) = &args.json {
-        let body = serde_json::to_string_pretty(&rows).expect("serialize churn rounds");
-        std::fs::write(p, body).unwrap_or_else(|e| panic!("write {p}: {e}"));
-        eprintln!("wrote {} rows to {p}", rows.len());
-    }
+    write_json(&args.json, rows);
     print!("{}", h2_telemetry::snapshot().prometheus_text());
 }

@@ -3,38 +3,40 @@
 use h2_core::{H2Config, H2Matrix};
 use h2_kernels::Kernel;
 use h2_points::PointSet;
-use serde::Serialize;
+use serde_json::Value;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The measurements the paper reports per configuration (§IV).
-#[derive(Clone, Debug, Serialize)]
-pub struct RunMetrics {
-    /// Configuration label (e.g. "data-driven/on-the-fly").
-    pub label: String,
-    /// Number of points.
-    pub n: usize,
-    /// Spatial dimension.
-    pub dim: usize,
-    /// Construction time, ms (tree + lists + sampling + generators + blocks).
-    pub t_const_ms: f64,
-    /// One matvec, ms.
-    pub t_mv_ms: f64,
-    /// Stored generator memory, KiB (the paper's Table I metric).
-    pub mem_kib: f64,
-    /// Total stored memory incl. tree/lists, KiB.
-    pub mem_total_kib: f64,
-    /// Measured relative error over 12 sampled rows.
-    pub rel_err: f64,
-    /// Largest node rank.
-    pub max_rank: usize,
-    /// Mean leaf rank (rank-reduction diagnostic, Fig. 2).
-    pub mean_leaf_rank: f64,
-    /// Sampling time within construction, ms (data-driven only).
-    pub sampling_ms: f64,
-    /// Largest single block the on-the-fly matvec regenerates, KiB
-    /// (concurrent OTF footprint is threads x this, paper Fig. 7c).
-    pub max_otf_block_kib: f64,
+crate::json_record! {
+    /// The measurements the paper reports per configuration (§IV).
+    #[derive(Clone, Debug)]
+    pub struct RunMetrics {
+        /// Configuration label (e.g. "data-driven/on-the-fly").
+        pub label: String,
+        /// Number of points.
+        pub n: usize,
+        /// Spatial dimension.
+        pub dim: usize,
+        /// Construction time, ms (tree + lists + sampling + generators + blocks).
+        pub t_const_ms: f64,
+        /// One matvec, ms.
+        pub t_mv_ms: f64,
+        /// Stored generator memory, KiB (the paper's Table I metric).
+        pub mem_kib: f64,
+        /// Total stored memory incl. tree/lists, KiB.
+        pub mem_total_kib: f64,
+        /// Measured relative error over 12 sampled rows.
+        pub rel_err: f64,
+        /// Largest node rank.
+        pub max_rank: usize,
+        /// Mean leaf rank (rank-reduction diagnostic, Fig. 2).
+        pub mean_leaf_rank: f64,
+        /// Sampling time within construction, ms (data-driven only).
+        pub sampling_ms: f64,
+        /// Largest single block the on-the-fly matvec regenerates, KiB
+        /// (concurrent OTF footprint is threads x this, paper Fig. 7c).
+        pub max_otf_block_kib: f64,
+    }
 }
 
 /// Builds one H² matrix, times one matvec, measures error and memory.
@@ -79,12 +81,14 @@ pub fn run_config(
     }
 }
 
-/// Serializes rows to a JSON file when `--json` was given.
-pub fn maybe_write_json(path: &Option<String>, rows: &[RunMetrics]) {
+/// Writes `doc` (a `Vec` of [`json_record!`](crate::json_record) rows, or
+/// one record) to the `--json` path when one was given. This is the only
+/// place the harness produces JSON.
+pub fn write_json(path: &Option<String>, doc: impl Into<Value>) {
     if let Some(p) = path {
-        let body = serde_json::to_string_pretty(rows).expect("serialize metrics");
+        let body = serde_json::to_string_pretty(&doc.into()).expect("a Value always renders");
         std::fs::write(p, body).unwrap_or_else(|e| panic!("write {p}: {e}"));
-        eprintln!("wrote {} rows to {p}", rows.len());
+        eprintln!("wrote {p}");
     }
 }
 
@@ -124,12 +128,53 @@ mod tests {
             eta: 0.7,
             ..H2Config::default()
         };
-        let m = run_config("json-test", &pts, Arc::new(Coulomb), &cfg, 3);
+        let mut m = run_config("json \"test\"\n\u{1}", &pts, Arc::new(Coulomb), &cfg, 3);
+        m.sampling_ms = f64::NAN;
+        m.max_otf_block_kib = f64::INFINITY;
         let path = std::env::temp_dir().join("h2bench_test.json");
-        maybe_write_json(&Some(path.to_string_lossy().into_owned()), &[m]);
+        write_json(&Some(path.to_string_lossy().into_owned()), vec![m.clone()]);
         let body = std::fs::read_to_string(&path).unwrap();
-        let parsed: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(parsed[0]["label"], "json-test");
         std::fs::remove_file(path).ok();
+
+        // Integers print as integers, non-finite floats as null.
+        assert!(body.contains("\"n\": 200,"), "{body}");
+        assert!(body.contains(&format!("\"max_rank\": {},", m.max_rank)));
+        assert!(body.contains("\"sampling_ms\": null,"));
+        assert!(body.contains("\"max_otf_block_kib\": null\n"));
+        let byte_counts = Value::from(vec![1u64 << 40, 324 << 20]);
+        assert_eq!(
+            serde_json::to_string(&byte_counts).unwrap(),
+            "[1099511627776,339738624]"
+        );
+
+        let parsed = serde_json::from_str(&body).unwrap();
+        let Value::Object(fields) = &parsed[0] else {
+            panic!("a record is written as an object")
+        };
+        // Every field under its own name, in declaration order.
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "label",
+                "n",
+                "dim",
+                "t_const_ms",
+                "t_mv_ms",
+                "mem_kib",
+                "mem_total_kib",
+                "rel_err",
+                "max_rank",
+                "mean_leaf_rank",
+                "sampling_ms",
+                "max_otf_block_kib"
+            ]
+        );
+        // Quotes and control characters survive; numbers parse back equal.
+        assert_eq!(parsed[0]["label"], m.label.as_str());
+        assert_eq!(parsed[0]["n"].as_u64(), Some(200));
+        assert_eq!(parsed[0]["max_rank"].as_u64(), Some(m.max_rank as u64));
+        assert_eq!(parsed[0]["rel_err"].as_f64(), Some(m.rel_err));
+        assert_eq!(parsed[0]["t_mv_ms"].as_f64(), Some(m.t_mv_ms));
     }
 }

@@ -245,7 +245,7 @@ pub(crate) fn build_with_x_star<S: Scalar>(
 
     let sp = h2_telemetry::span("build.basis");
     let t = Instant::now();
-    let mut sketch = h2_sketch::SketchStats::default();
+    let mut sketch = sketched::SketchStats::default();
     let mut x_star = None;
     // The builder strategy picks the factor rule; `Sketched` supersedes
     // `cfg.basis` entirely (see `BuilderStrategy` docs).

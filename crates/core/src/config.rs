@@ -1,5 +1,6 @@
 //! Configuration for H² construction.
 
+use crate::builders::sketched::SketchParams;
 use h2_cache::CacheBudget;
 use h2_points::tree::TreeParams;
 use h2_sampling::SampleParams;
@@ -170,15 +171,15 @@ pub enum BuilderStrategy {
     #[default]
     AnchorNet,
     /// Randomized sketched construction with the adaptive-rank loop
-    /// (`h2-sketch`): farfield columns × Gaussian/SRHT test matrices,
+    /// ([`crate::builders::sketched`]): farfield columns × Gaussian/SRHT test matrices,
     /// row-ID of the sketch, rank doubling on probe-residual failure.
-    Sketched(h2_sketch::SketchParams),
+    Sketched(SketchParams),
 }
 
 impl BuilderStrategy {
     /// Sketched strategy sized for a target relative accuracy.
     pub fn sketched_for_tol(tol: f64, dim: usize) -> Self {
-        BuilderStrategy::Sketched(h2_sketch::SketchParams::for_tolerance(tol, dim))
+        BuilderStrategy::Sketched(SketchParams::for_tolerance(tol, dim))
     }
 
     /// Harness CLI name.
@@ -200,7 +201,7 @@ pub enum BuilderProvenance {
     /// Anchor-net data-driven sampling (the paper's pipeline).
     #[default]
     AnchorNet,
-    /// Randomized sketched construction (`h2-sketch`).
+    /// Randomized sketched construction.
     Sketched,
     /// Chebyshev tensor-grid interpolation.
     Interpolation,

@@ -1,5 +1,5 @@
 //! Property suite for the randomized sketched construction path
-//! (`BuilderStrategy::Sketched`, backed by the `h2-sketch` crate):
+//! (`BuilderStrategy::Sketched`, the rule of `h2_core::builders::sketched`):
 //!
 //! - sketched operators track the dense kernel matrix within the
 //!   configured tolerance across kernels × memory modes, and agree with
@@ -13,10 +13,10 @@
 //! - the shared nested-skeleton pass nests sketched skeletons and shapes
 //!   bases and transfers exactly as it does for the deterministic rules.
 
+use h2_core::builders::sketched::SketchParams;
 use h2_core::{BuilderStrategy, H2Config, H2Matrix, H2MatrixS, MemoryMode};
 use h2_kernels::{dense_matvec, Coulomb, Exponential, Gaussian, Kernel};
 use h2_points::gen;
-use h2_sketch::SketchParams;
 use std::sync::Arc;
 
 const N: usize = 900;

@@ -1,8 +1,8 @@
 //! Randomized sketching primitives: a counter-based RNG and Gaussian and
 //! SRHT test-matrix generators.
 //!
-//! These are the substrate of the **sketched H² construction** (`h2-sketch`):
-//! instead of compressing a node's farfield block `A` directly, the builder
+//! These are the substrate of the **sketched H² construction**
+//! (`h2_core::builders::sketched`): instead of compressing a node's farfield block `A` directly, the builder
 //! forms the much thinner sketch `Y = A Ω` against a random *test matrix*
 //! `Ω` and factorizes `Y` — the classic randomized-range argument
 //! (Halko–Martinsson–Tropp) says the row space of `Y` captures the dominant

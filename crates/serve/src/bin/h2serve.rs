@@ -64,10 +64,10 @@
 //! --seed S --precision f64|f32|mixed --cache-budget off|BYTES|RATIO|full`.
 //!
 //! `--builder sketched` switches construction to the randomized sketched
-//! pipeline (`h2-sketch`): farfield sampling + mixing + adaptive-rank row
-//! ID, seeded by `--seed` for bit-reproducible builds. `--method` only
-//! applies to the default anchor-net builder. The chosen builder is
-//! persisted in the file header as a provenance byte and surfaced by
+//! pipeline (`h2_core::builders::sketched`): farfield sampling + mixing +
+//! adaptive-rank row ID, seeded by `--seed` for bit-reproducible builds.
+//! `--method` only applies to the default anchor-net builder. The chosen
+//! builder is persisted in the file header as a provenance byte and surfaced by
 //! `load`, `metrics`, and the registry — unknown provenance codes are
 //! reported, never rejected.
 //!

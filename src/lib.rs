@@ -46,16 +46,17 @@
 //! ```
 
 pub use h2_core as h2;
+pub use h2_core::builders::sketched as sketch;
 pub use h2_dist as dist;
 pub use h2_kernels as kernels;
 pub use h2_linalg as linalg;
 pub use h2_points as points;
 pub use h2_sampling as sampling;
-pub use h2_sketch as sketch;
 pub use h2_solvers as solvers;
 
 /// The names most programs need.
 pub mod prelude {
+    pub use h2_core::builders::sketched::{SketchKind, SketchParams};
     pub use h2_core::{
         AnyH2, BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, H2Matrix, H2MatrixS,
         H2Operator, MemoryMode, MixedH2, Precision, UpdateError, UpdatePolicy, UpdateReport,
@@ -66,7 +67,6 @@ pub mod prelude {
     };
     pub use h2_points::{gen::Distribution3d, PointSet};
     pub use h2_sampling::SampleParams;
-    pub use h2_sketch::{SketchKind, SketchParams};
     pub use h2_solvers::{cg, gmres, CgOptions, FnOperator, GmresOptions, LinearOperator};
 }
 
