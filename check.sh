@@ -40,7 +40,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! and one unsafe under crates/kernels/src, none in sweep.rs, no arch intrinsics) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -56,6 +56,12 @@ MANIFESTS="Cargo.toml Cargo.lock crates/*/Cargo.toml vendor/*/Cargo.toml"
 if grep -nE 'criterion|h2-sketch|\[\[bench\]\]|serde([^_]|_derive|$)' $MANIFESTS; then
   echo "a manifest names criterion, a [[bench]], h2-sketch, or a serde other than serde_json"; exit 1
 fi
+for word in "is_x86_feature_detected!" "unsafe"; do
+  SITES=$(non_test crates/kernels/src/*.rs | grep -cw -- "$word" || true)
+  [ "$SITES" = 1 ] || { echo "expected one '$word' under crates/kernels/src, found $SITES"; exit 1; }
+  if non_test crates/core/src/sweep.rs | grep -nw -- "$word"; then echo "'$word' in sweep.rs"; exit 1; fi
+done
+if grep -rnE "(std|core)::arch::" crates/*/src; then echo "an arch intrinsic path under crates/*/src"; exit 1; fi
 
 echo "== telemetry-disabled feature build =="
 cargo check -q --offline -p h2-core -p h2-dist -p h2-serve --features h2-telemetry/disabled

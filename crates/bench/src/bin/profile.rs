@@ -28,11 +28,12 @@ use h2_bench::{json_record, median_ms, write_json, Args, Table, Value};
 use h2_core::diagnostics::counters;
 use h2_core::{BasisMethod, BuilderStrategy, H2Config, H2Matrix, H2MatrixS, MemoryMode};
 use h2_dist::ShardedH2;
-use h2_kernels::Coulomb;
+use h2_kernels::{paper_kernels, Coulomb};
 use h2_linalg::Matrix;
 use h2_points::gen;
 use h2_serve::MatvecService;
 use std::collections::BTreeMap;
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -45,6 +46,20 @@ json_record! {
         stored_matvec_ms: f64,
         operator_bytes: u64,
         rel_err_vs_f64: f64,
+    }
+}
+
+json_record! {
+    /// One paper kernel's blocked evaluation against its scalar reference,
+    /// over the operator's nearfield pairs on one thread.
+    #[derive(Clone, Debug)]
+    struct KernelEvalRow {
+        kernel: String,
+        /// `Kernel::apply_block`: the scalar `phi(dist2)` loop.
+        scalar_ns_per_entry: f64,
+        /// `Kernel::eval_block_into`: the tiled, vectorised evaluation.
+        block_ns_per_entry: f64,
+        scalar_over_block: f64,
     }
 }
 
@@ -80,6 +95,8 @@ json_record! {
         trace_events: usize,
         /// Per-precision apply time / footprint / accuracy (f64, f32, mixed).
         precision: Vec<PrecisionRow>,
+        /// Blocked kernel evaluation against the scalar reference.
+        kernel_eval: Vec<KernelEvalRow>,
     }
 }
 
@@ -360,6 +377,64 @@ fn main() {
          ({otf_matvec_ms:.2} ms/mv, {otf_blocks_per_mv} blocks regenerated)\n"
     );
 
+    // The kernel layer against its reference, on the real block shapes and
+    // index sets: every nearfield pair of the operator, one thread. The
+    // scalar side is `apply_block` with unit weights (the `phi(dist2)` loop
+    // plus one multiply-add per entry). Information only.
+    let (tree, pairs) = (otf.tree(), &otf.lists().nearfield_pairs);
+    let block_of = |&(i, j): &(usize, usize)| (tree.node_indices(i), tree.node_indices(j));
+    let entries: usize = pairs
+        .iter()
+        .map(block_of)
+        .map(|(rows, cols)| rows.len() * cols.len())
+        .sum();
+    let ns_per_entry = |ms: f64| ms * 1e6 / entries as f64;
+    let ones = vec![1.0; n];
+    let (mut block, mut y) = (Vec::new(), vec![0.0; n]);
+    let mut kernel_table = Table::new(&["kernel", "scalar ns/entry", "block ns/entry", "ratio"]);
+    let mut kernel_rows = Vec::new();
+    for (name, k) in paper_kernels() {
+        let scalar = ns_per_entry(median_ms(reps, || {
+            for (rows, cols) in pairs.iter().map(block_of) {
+                k.apply_block(
+                    tree.points(),
+                    rows,
+                    cols,
+                    &ones[..cols.len()],
+                    &mut y[..rows.len()],
+                );
+            }
+            black_box(&mut y);
+        }));
+        let blocked = ns_per_entry(median_ms(reps, || {
+            for (rows, cols) in pairs.iter().map(block_of) {
+                block.clear();
+                block.resize(rows.len() * cols.len(), 0.0);
+                k.eval_block_into(tree.points(), rows, cols, &mut block);
+                black_box(&mut block);
+            }
+        }));
+        let ratio = scalar / blocked;
+        kernel_table.row(vec![
+            name.into(),
+            format!("{scalar:.2}"),
+            format!("{blocked:.2}"),
+            format!("{ratio:.2}"),
+        ]);
+        kernel_rows.push(KernelEvalRow {
+            kernel: name.into(),
+            scalar_ns_per_entry: scalar,
+            block_ns_per_entry: blocked,
+            scalar_over_block: ratio,
+        });
+    }
+    println!(
+        "kernel evaluation over {} nearfield pairs ({entries} entries):",
+        pairs.len()
+    );
+    kernel_table.print();
+    println!();
+
     // Prometheus exposition: service latency series, then the registry.
     print!("{}", svc.metrics().prometheus_text());
     print!("{}", snap.prometheus_text());
@@ -412,6 +487,7 @@ fn main() {
             otf_overhead_pct,
             trace_events: snap.spans.len(),
             precision: precision_rows,
+            kernel_eval: kernel_rows,
         };
         write_json(&args.json, summary);
     }

@@ -39,6 +39,25 @@ impl<K: Kernel> Kernel for Scaled<K> {
     }
 }
 
+/// Fills `out` with `a`'s block, then folds `b`'s block (one temporary of
+/// the block's size) into it entrywise: both operands keep their own blocked
+/// evaluation, and every entry is `op(a.eval(..), b.eval(..))`.
+fn combine_blocks(
+    (a, b): (&dyn Kernel, &dyn Kernel),
+    pts: &PointSet,
+    rows: &[usize],
+    cols: &[usize],
+    out: &mut [f64],
+    op: impl Fn(f64, f64) -> f64,
+) {
+    a.eval_block_into(pts, rows, cols, out);
+    let mut tmp = vec![0.0; out.len()];
+    b.eval_block_into(pts, rows, cols, &mut tmp);
+    for (o, &t) in out.iter_mut().zip(&tmp) {
+        *o = op(*o, t);
+    }
+}
+
 /// `K₁ + K₂`.
 pub struct Sum<A: Kernel, B: Kernel> {
     /// First summand.
@@ -59,6 +78,10 @@ impl<A: Kernel, B: Kernel> Kernel for Sum<A, B> {
 
     fn name(&self) -> &'static str {
         "sum"
+    }
+
+    fn eval_block_into(&self, pts: &PointSet, rows: &[usize], cols: &[usize], out: &mut [f64]) {
+        combine_blocks((&self.a, &self.b), pts, rows, cols, out, |a, b| a + b);
     }
 }
 
@@ -82,6 +105,10 @@ impl<A: Kernel, B: Kernel> Kernel for Product<A, B> {
 
     fn name(&self) -> &'static str {
         "product"
+    }
+
+    fn eval_block_into(&self, pts: &PointSet, rows: &[usize], cols: &[usize], out: &mut [f64]) {
+        combine_blocks((&self.a, &self.b), pts, rows, cols, out, |a, b| a * b);
     }
 }
 
@@ -136,5 +163,19 @@ mod tests {
         assert!((s.eval(&x, &y) - es).abs() < 1e-15);
         assert!((p.eval(&x, &y) - ep).abs() < 1e-15);
         assert!(s.is_symmetric() && p.is_symmetric());
+
+        // The block overrides carry the bits of the entrywise definition.
+        let pts = h2_points::gen::uniform_cube(12, 2, 4);
+        let (rows, cols) = ([0usize, 3, 5, 3], [1usize, 7, 3]);
+        for k in [&s as &dyn Kernel, &p] {
+            let mut out = vec![0.0; rows.len() * cols.len()];
+            k.eval_block_into(&pts, &rows, &cols, &mut out);
+            for (jj, &c) in cols.iter().enumerate() {
+                for (ii, &r) in rows.iter().enumerate() {
+                    let want = k.eval(pts.point(r), pts.point(c));
+                    assert_eq!(out[jj * rows.len() + ii].to_bits(), want.to_bits());
+                }
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! # h2-kernels
 //!
-//! Kernel functions with blocked, auto-vectorizable evaluation.
+//! Kernel functions with blocked evaluation.
 //!
 //! The paper's experiments use the Coulomb kernel `1/‖x−y‖₂`, the cubed
 //! Coulomb kernel `1/‖x−y‖₂³`, the exponential kernel `exp(−‖x−y‖₂)` and the
@@ -9,6 +9,14 @@
 //! with a blanket [`Kernel`] implementation that provides blocked submatrix
 //! evaluation and fused block-matvec application — the primitives both the
 //! construction and the on-the-fly matvec are built on.
+//!
+//! [`Kernel::eval_block_into`] and [`Kernel::eval_cross_into`] of a radial
+//! kernel work a row tile at a time over dimension-major coordinates and
+//! vectorise over the rows of the tile, per column point ([`radial`]). Each
+//! entry is still `phi(0.0 + (x_0 − y_0)² + … + (x_{dim−1} − y_{dim−1})²)`
+//! in that order, so a block has the bits of entrywise [`Kernel::eval`];
+//! [`Kernel::apply_block`] stays a scalar loop, the reference the tests
+//! compare the blocked paths against.
 //!
 //! Singular kernels (Coulomb, cubed Coulomb, thin-plate) define
 //! `K(x, x) = 0`, the skip-self-interaction convention of fast summation
@@ -37,8 +45,8 @@ use h2_points::PointSet;
 
 /// A (possibly unsymmetric) kernel function over point pairs.
 ///
-/// Implementors only need [`Kernel::eval`]; the provided blocked methods are
-/// overridden by the [`RadialKernel`] blanket impl with tighter loops.
+/// Implementors only need [`Kernel::eval`]; the [`RadialKernel`] blanket impl
+/// overrides the two block evaluations with the tiled, vectorised one.
 pub trait Kernel: Send + Sync {
     /// Evaluates `K(x, y)` for two coordinate slices of equal dimension.
     fn eval(&self, x: &[f64], y: &[f64]) -> f64;

@@ -1,10 +1,20 @@
 //! Radial kernels: functions of the squared distance `r² = ‖x − y‖₂²`.
 //!
 //! Implementing [`RadialKernel`] (a single `phi(r²)` method) gives a
-//! [`Kernel`] implementation whose blocked evaluation computes
-//! squared distances in a tight, auto-vectorizable loop and applies `phi`
-//! once per entry — the hot path of both the H² construction (coupling /
-//! nearfield blocks) and the on-the-fly matvec.
+//! [`Kernel`] implementation whose blocked evaluation — the hot path of the
+//! H² construction (sample matrices, coupling and nearfield blocks) and of
+//! the on-the-fly product — works a row tile at a time. [`PointSet`] is
+//! point-major, so the coordinates of up to `TILE / dim` row points are
+//! first gathered dimension-major into a stack buffer; then, for each column
+//! point, `dim` passes over contiguous slices accumulate `(x_d − y_d)²` and
+//! one pass applies `phi`. What vectorises is the rows of a tile, per column
+//! point.
+//!
+//! **Order invariant.** Every entry is `phi(0.0 + (x_0 − y_0)² + … +
+//! (x_{dim−1} − y_{dim−1})²)`, summed in ascending `d`: the IEEE operations
+//! of `phi(dist2(x, y))` in the same order (no `fma`, no reassociation), so
+//! a block has the bits of entrywise [`Kernel::eval`]. `apply_block` stays
+//! the scalar loop and is the reference the tests compare against.
 
 use crate::Kernel;
 use h2_points::pointset::dist2;
@@ -18,6 +28,93 @@ pub trait RadialKernel: Send + Sync {
 
     /// Kernel name for harness output.
     fn name(&self) -> &'static str;
+}
+
+/// `f64` slots of the coordinate tile: 8 KiB of stack per evaluating thread.
+const TILE: usize = 1024;
+
+/// One side of a block: the points `idx` of a point-major coordinate
+/// buffer, or every point in order.
+#[derive(Clone, Copy)]
+struct Side<'a> {
+    coords: &'a [f64],
+    idx: Option<&'a [usize]>,
+}
+
+impl<'a> Side<'a> {
+    #[inline(always)]
+    fn len(&self, dim: usize) -> usize {
+        self.idx.map_or(self.coords.len() / dim, <[usize]>::len)
+    }
+
+    #[inline(always)]
+    fn point(&self, i: usize, dim: usize) -> &'a [f64] {
+        let p = self.idx.map_or(i, |idx| idx[i]);
+        &self.coords[p * dim..(p + 1) * dim]
+    }
+}
+
+/// Fills the column-major `out` with `phi(‖x_i − y_j‖²)`, a row tile at a
+/// time (module docs). `#[inline(always)]` so that [`eval_tiled_avx2`]
+/// compiles this same body a second time with wider vectors.
+#[inline(always)]
+fn eval_tiled_baseline<K: RadialKernel>(k: &K, dim: usize, x: Side, y: Side, out: &mut [f64]) {
+    let (m, n) = (x.len(dim), y.len(dim));
+    assert_eq!(out.len(), m * n);
+    if dim > TILE {
+        // Not even one row fits the tile: the scalar reference.
+        for j in 0..n {
+            for i in 0..m {
+                out[j * m + i] = k.phi(dist2(x.point(i, dim), y.point(j, dim)));
+            }
+        }
+        return;
+    }
+    let mut tile = [0.0; TILE];
+    let cap = TILE / dim;
+    for r0 in (0..m).step_by(cap) {
+        let t = cap.min(m - r0);
+        for i in 0..t {
+            for (d, &c) in x.point(r0 + i, dim).iter().enumerate() {
+                tile[d * t + i] = c;
+            }
+        }
+        for j in 0..n {
+            let col = &mut out[j * m + r0..j * m + r0 + t];
+            col.fill(0.0);
+            for (xd, &yd) in tile.chunks_exact(t).zip(y.point(j, dim)) {
+                for (s, &xv) in col.iter_mut().zip(xd) {
+                    let diff = xv - yd;
+                    *s += diff * diff;
+                }
+            }
+            for s in col.iter_mut() {
+                *s = k.phi(*s);
+            }
+        }
+    }
+}
+
+/// [`eval_tiled_baseline`] compiled with 256-bit vectors. AVX2 only: with no
+/// `fma` the compiler cannot contract `s + diff * diff`, and packed `sqrt`
+/// and `div` round as their scalar forms do, so the bits are the baseline's.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn eval_tiled_avx2<K: RadialKernel>(k: &K, dim: usize, x: Side, y: Side, out: &mut [f64]) {
+    eval_tiled_baseline(k, dim, x, y, out)
+}
+
+/// The one runtime dispatch of the crate: the widest compile of the tiled
+/// evaluation this host can run.
+fn eval_tiled<K: RadialKernel>(k: &K, dim: usize, x: Side, y: Side, out: &mut [f64]) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `eval_tiled_avx2` is a safe function whose only
+        // requirement of its caller is that the CPU supports AVX2, which
+        // the runtime check on the line above has just established.
+        return unsafe { eval_tiled_avx2(k, dim, x, y, out) };
+    }
+    eval_tiled_baseline(k, dim, x, y, out)
 }
 
 impl<K: RadialKernel> Kernel for K {
@@ -35,18 +132,17 @@ impl<K: RadialKernel> Kernel for K {
     }
 
     fn eval_block_into(&self, pts: &PointSet, rows: &[usize], cols: &[usize], out: &mut [f64]) {
-        assert_eq!(out.len(), rows.len() * cols.len());
-        let m = rows.len();
-        let dim = pts.dim();
-        let coords = pts.coords();
-        for (jj, &cj) in cols.iter().enumerate() {
-            let y = &coords[cj * dim..(cj + 1) * dim];
-            let col = &mut out[jj * m..(jj + 1) * m];
-            for (ii, &ri) in rows.iter().enumerate() {
-                let x = &coords[ri * dim..(ri + 1) * dim];
-                col[ii] = self.phi(dist2(x, y));
-            }
-        }
+        let side = |idx| Side {
+            coords: pts.coords(),
+            idx: Some(idx),
+        };
+        eval_tiled(self, pts.dim(), side(rows), side(cols), out);
+    }
+
+    fn eval_cross_into(&self, xs: &PointSet, ys: &PointSet, out: &mut [f64]) {
+        assert_eq!(xs.dim(), ys.dim());
+        let all = |coords| Side { coords, idx: None };
+        eval_tiled(self, xs.dim(), all(xs.coords()), all(ys.coords()), out);
     }
 
     fn apply_block(
@@ -270,5 +366,63 @@ mod tests {
         assert_eq!(out[1], 1.0);
         assert!((out[2] - (-3.0f64).exp()).abs() < 1e-15);
         assert!((out[3] - (-2.0f64).exp()).abs() < 1e-15);
+    }
+
+    #[test]
+    fn dispatched_compile_has_the_baseline_bits() {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        let avx2 = is_x86_feature_detected!("avx2");
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        let avx2 = false;
+        if !avx2 {
+            eprintln!("no AVX2 on this host: comparing the baseline compile with itself");
+        }
+        let pts = h2_points::gen::uniform_cube(50, 3, 9);
+        // Two tiles and a remainder; rows and columns share points.
+        let rows: Vec<usize> = (0..2 * (TILE / 3) + 5).map(|i| (i * 7) % 50).collect();
+        let cols: Vec<usize> = (0..9).map(|j| (j * 11) % 50).collect();
+        let side = |idx| Side {
+            coords: pts.coords(),
+            idx: Some(idx),
+        };
+        fn both<K: RadialKernel>(k: &K, x: Side, y: Side, len: usize) {
+            let (mut base, mut fast) = (vec![0.0; len], vec![0.0; len]);
+            eval_tiled_baseline(k, 3, x, y, &mut base);
+            eval_tiled(k, 3, x, y, &mut fast);
+            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&base), bits(&fast), "{}", k.name());
+        }
+        let len = rows.len() * cols.len();
+        both(&Coulomb, side(&rows), side(&cols), len);
+        both(&CoulombCubed, side(&rows), side(&cols), len);
+        both(&Exponential, side(&rows), side(&cols), len);
+        both(&Gaussian::paper(), side(&rows), side(&cols), len);
+        both(&Matern32 { ell: 0.7 }, side(&rows), side(&cols), len);
+        both(
+            &InverseMultiquadric { c: 1.0 },
+            side(&rows),
+            side(&cols),
+            len,
+        );
+        both(&ThinPlateSpline, side(&rows), side(&cols), len);
+    }
+
+    #[test]
+    fn a_point_wider_than_the_tile_takes_the_scalar_fallback() {
+        let dim = TILE + 1;
+        let pts = PointSet::from_fn(2, dim, |i, d| ((i + 1) * (d % 7)) as f64 * 0.125);
+        let k = Gaussian { h: 50.0 };
+        let mut block = vec![0.0; 4];
+        k.eval_block_into(&pts, &[0, 1], &[1, 0], &mut block);
+        let mut cross = vec![0.0; 4];
+        k.eval_cross_into(&pts, &pts, &mut cross);
+        for i in 0..2 {
+            for j in 0..2 {
+                let want = k.eval(pts.point(i), pts.point(j));
+                assert!(want > 0.0 && want <= 1.0);
+                assert_eq!(block[(1 - j) * 2 + i].to_bits(), want.to_bits());
+                assert_eq!(cross[j * 2 + i].to_bits(), want.to_bits());
+            }
+        }
     }
 }

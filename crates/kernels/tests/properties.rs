@@ -1,11 +1,11 @@
 //! Property-based tests for the kernel substrate.
 
 use h2_kernels::{
-    dense_matvec, kernel_matrix, Coulomb, CoulombCubed, Exponential, Gaussian, InverseMultiquadric,
-    Kernel, Matern32,
+    dense_matvec, kernel_cross_matrix, kernel_matrix, Coulomb, CoulombCubed, Exponential, Gaussian,
+    InverseMultiquadric, Kernel, Matern32, ThinPlateSpline,
 };
 use h2_linalg::chol::Cholesky;
-use h2_points::gen;
+use h2_points::{gen, PointSet};
 use proptest::prelude::*;
 
 fn kernels() -> Vec<Box<dyn Kernel>> {
@@ -16,7 +16,41 @@ fn kernels() -> Vec<Box<dyn Kernel>> {
         Box::new(Gaussian::paper()),
         Box::new(Matern32 { ell: 0.7 }),
         Box::new(InverseMultiquadric { c: 1.0 }),
+        Box::new(ThinPlateSpline),
     ]
+}
+
+/// `radial.rs`'s private tile size in `f64` slots: a tile holds `TILE / dim`
+/// rows.
+const TILE: usize = 1024;
+
+/// Both blocked entry points against the scalar reference, on bits.
+fn assert_block_bits(
+    k: &dyn Kernel,
+    pts: &PointSet,
+    rows: &[usize],
+    cols: &[usize],
+) -> Result<(), TestCaseError> {
+    let block = kernel_matrix(k, pts, rows, cols);
+    let cross = kernel_cross_matrix(k, &pts.select(rows), &pts.select(cols));
+    for (jj, &c) in cols.iter().enumerate() {
+        for (ii, &r) in rows.iter().enumerate() {
+            let want = k.eval(pts.point(r), pts.point(c)).to_bits();
+            for (entry, got) in [("block", block[(ii, jj)]), ("cross", cross[(ii, jj)])] {
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want,
+                    "eval_{}_into, {} dim {} at ({}, {})",
+                    entry,
+                    k.name(),
+                    pts.dim(),
+                    ii,
+                    jj
+                );
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -43,6 +77,22 @@ proptest! {
             for (ii, &r) in rows.iter().enumerate() {
                 for (jj, &c) in cols.iter().enumerate() {
                     prop_assert_eq!(m[(ii, jj)], k.eval(pts.point(r), pts.point(c)));
+                }
+            }
+        }
+        // The tile's edges, over this case's coordinates. Rows and columns
+        // repeat points and share them, so `r² = 0` and the singular kernels'
+        // `K(x, x) = 0` land inside a vector lane.
+        for dim in [1, 2, 3, 5, 8] {
+            let pts = gen::uniform_cube(40, dim, seed);
+            let cap = TILE / dim;
+            for m in [0, 1, cap - 1, cap, cap + 1, 2 * cap + 3] {
+                let rows: Vec<usize> = (0..m).map(|i| (i * 7) % 40).collect();
+                for n in [0, 1, 7] {
+                    let cols: Vec<usize> = (0..n).map(|j| (j % 4) * 10).collect();
+                    for k in kernels() {
+                        assert_block_bits(k.as_ref(), &pts, &rows, &cols)?;
+                    }
                 }
             }
         }
