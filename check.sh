@@ -40,7 +40,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! and one unsafe under crates/kernels/src, none in sweep.rs, no arch intrinsics) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! and one unsafe under crates/kernels/src, none in sweep.rs, no arch intrinsics), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), build configuration (no [features] table), RNG dependent (h2-points alone) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -62,9 +62,13 @@ for word in "is_x86_feature_detected!" "unsafe"; do
   if non_test crates/core/src/sweep.rs | grep -nw -- "$word"; then echo "'$word' in sweep.rs"; exit 1; fi
 done
 if grep -rnE "(std|core)::arch::" crates/*/src; then echo "an arch intrinsic path under crates/*/src"; exit 1; fi
-
-echo "== telemetry-disabled feature build =="
-cargo check -q --offline -p h2-core -p h2-dist -p h2-serve --features h2-telemetry/disabled
+if grep -rniE "trait Sampler|dyn Sampler|SketchKind|srht" crates/*/src; then echo "the sampler extension point or the second sketch ensemble is back"; exit 1; fi
+if grep -n "\[features\]" crates/*/Cargo.toml; then echo "a crate has a [features] table"; exit 1; fi
+RAND_DEPENDENTS=$(grep -lE "^rand(_chacha)?(\.workspace)? *=" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml | tr '\n' ' ')
+[ "$RAND_DEPENDENTS" = "Cargo.toml crates/points/Cargo.toml vendor/rand_chacha/Cargo.toml " ] \
+  || { echo "rand / rand_chacha are named by: $RAND_DEPENDENTS"; exit 1; }
+RAND_USERS=$(grep -rlE "use rand(_chacha)?\b" crates/*/src crates/*/tests src tests examples | tr '\n' ' ')
+[ "$RAND_USERS" = "crates/points/src/gen.rs " ] || { echo "rand is imported by: $RAND_USERS"; exit 1; }
 
 echo "== cargo build --release =="
 cargo build --release --workspace --offline

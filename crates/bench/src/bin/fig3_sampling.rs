@@ -21,7 +21,6 @@ fn main() {
     let params = SampleParams {
         node_samples: 12,
         far_samples: 40,
-        ..SampleParams::default()
     };
     let samples = hierarchical_sample(&tree, &lists, &params);
 

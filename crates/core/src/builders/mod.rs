@@ -256,11 +256,7 @@ pub(crate) fn build_with_x_star<S: Scalar>(
         }
         BuilderStrategy::AnchorNet => match &cfg.basis {
             BasisMethod::DataDriven { samples, id_tol } => {
-                // Fold the config seed into the sampling seed; XOR with the
-                // default seed 0 preserves historical anchor-net draws.
-                let mut samples = *samples;
-                samples.seed ^= cfg.seed;
-                let (sampling_ms, x) = data_driven::factor_all(&mut h2, &samples, *id_tol);
+                let (sampling_ms, x) = data_driven::factor_all(&mut h2, samples, *id_tol);
                 x_star = Some(x);
                 (BuilderProvenance::AnchorNet, sampling_ms)
             }

@@ -7,7 +7,7 @@
 //! sweep), the sketched rule follows the randomized recipe of *Adaptive
 //! Sketching Based Construction of H2 Matrices on GPUs* (Boukaram et al.) and
 //! the Hatrix exemplar: draw a handful of **uniform farfield columns**, mix
-//! them with a Gaussian or SRHT test matrix, and row-ID the thin sketch
+//! them with a Gaussian test matrix, and row-ID the thin sketch
 //!
 //! ```text
 //! Y_i = K(X_i, C_i) · Ω_i          (m_i × (d + p),  |C_i| = c·(d + p))
@@ -33,31 +33,31 @@ use crate::h2matrix::H2MatrixS;
 use h2_kernels::{kernel_matrix, Kernel};
 use h2_linalg::id::RowId;
 use h2_linalg::qr::Truncation;
-use h2_linalg::sketch::test_matrix;
+use h2_linalg::sketch::gaussian_test_matrix;
 use h2_linalg::{Matrix, Scalar};
 use h2_points::{ClusterTree, NodeId, PointSet};
 use h2_sampling::FarfieldRanges;
 
-pub use h2_linalg::{CounterRng, SketchKind};
+pub use h2_linalg::CounterRng;
 
-/// Tuning knobs of the sketched builder.
+/// Extra sketch columns beyond the target rank (`p` in HMT notation).
+const OVERSAMPLE: usize = 10;
+/// Farfield columns drawn per sketch column: `|C_i| = SAMPLE_FACTOR ·
+/// (d + OVERSAMPLE)`. Larger values make the uniform column sample a
+/// better stand-in for the full farfield at linear extra cost.
+const SAMPLE_FACTOR: usize = 2;
+/// Fresh probe columns used to validate each node's skeleton.
+const PROBES: usize = 16;
+
+/// The parameters of the sketched builder that depend on the target
+/// accuracy and the dimension.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SketchParams {
     /// Initial target rank `r₀` of the adaptive loop (also the ID rank cap
     /// of the first round).
     pub r0: usize,
-    /// Extra sketch columns beyond the target rank (`p` in HMT notation).
-    pub oversample: usize,
-    /// Farfield columns drawn per sketch column: `|C_i| = sample_factor ·
-    /// (d + oversample)`. Larger values make the uniform column sample a
-    /// better stand-in for the full farfield at linear extra cost.
-    pub sample_factor: usize,
-    /// Fresh probe columns used to validate each node's skeleton.
-    pub probes: usize,
     /// Hard cap on the adaptive rank doubling.
     pub max_rank: usize,
-    /// Test-matrix ensemble.
-    pub kind: SketchKind,
     /// Relative tolerance of the per-node row ID (mirrors the anchor-net
     /// builder's `id_tol`).
     pub id_tol: f64,
@@ -80,11 +80,7 @@ impl SketchParams {
         let r0 = (base as usize).clamp(24, 600);
         SketchParams {
             r0,
-            oversample: 10,
-            sample_factor: 2,
-            probes: 16,
             max_rank: (8 * r0).min(4096),
-            kind: SketchKind::Gaussian,
             id_tol: tol * 0.1,
             resid_tol: tol,
         }
@@ -206,8 +202,8 @@ pub fn sketch_node(
         } else {
             None
         };
-        let width = (d + params.oversample).min(total_far);
-        let want = (params.sample_factor * width).min(total_far);
+        let width = (d + OVERSAMPLE).min(total_far);
+        let want = (SAMPLE_FACTOR * width).min(total_far);
         let mut crng = stream(seed, id, round, PURPOSE_COLS);
         let cols = far.sample(id, want, &mut crng);
         let b = kernel_matrix(kernel, pts, rows, &cols);
@@ -217,7 +213,7 @@ pub fn sketch_node(
         // that thin (then the sketch is the block itself).
         let y = if cols.len() > width {
             let mut mrng = stream(seed, id, round, PURPOSE_MIX);
-            b.matmul(&test_matrix(params.kind, cols.len(), width, &mut mrng))
+            b.matmul(&gaussian_test_matrix(cols.len(), width, &mut mrng))
         } else {
             b
         };
@@ -231,7 +227,7 @@ pub fn sketch_node(
 
         // Validate against fresh probe columns the sketch never saw.
         let mut prng = stream(seed, id, round, PURPOSE_PROBE);
-        let probe_cols = far.sample(id, params.probes, &mut prng);
+        let probe_cols = far.sample(id, PROBES, &mut prng);
         let bv = kernel_matrix(kernel, pts, rows, &probe_cols);
         probes += probe_cols.len();
         let denom = bv.fro_norm();
@@ -305,7 +301,6 @@ mod tests {
         assert!(tight.r0 > loose.r0);
         assert!(tight.id_tol < loose.id_tol);
         assert!(loose.r0 >= 24 && tight.r0 <= 600);
-        assert_eq!(loose.kind, SketchKind::Gaussian);
     }
 
     #[test]
@@ -443,10 +438,10 @@ mod tests {
         for &leaf in tree.leaves() {
             let rows = tree.node_indices(leaf);
             let s = sketch_node(leaf, rows, tree.points(), &far, kernel.as_ref(), &params, 1);
-            // Every round validates against `params.probes` fresh columns
+            // Every round validates against `PROBES` fresh columns
             // (fewer only when the whole farfield is smaller).
             let c = s.counts;
-            assert!(c.probes <= c.rounds * params.probes, "leaf {leaf}");
+            assert!(c.probes <= c.rounds * PROBES, "leaf {leaf}");
             assert!(c.samples >= c.rounds, "leaf {leaf}");
             samples += c.samples;
             probes += c.probes;

@@ -171,7 +171,7 @@ pub enum BuilderStrategy {
     #[default]
     AnchorNet,
     /// Randomized sketched construction with the adaptive-rank loop
-    /// ([`crate::builders::sketched`]): farfield columns × Gaussian/SRHT test matrices,
+    /// ([`crate::builders::sketched`]): farfield columns × Gaussian test matrices,
     /// row-ID of the sketch, rank doubling on probe-residual failure.
     Sketched(SketchParams),
 }
@@ -255,11 +255,10 @@ pub struct H2Config {
     /// Construction pipeline; [`BuilderStrategy::Sketched`] takes precedence
     /// over `basis` (see [`BuilderStrategy`]).
     pub builder: BuilderStrategy,
-    /// Seed of every random choice construction makes: the sketched
-    /// builder's counter-RNG streams are keyed by it (bit-reproducible
-    /// builds for a fixed seed), and it is XOR-folded into the anchor-net
-    /// sampling seed (`0` — the default — leaves the anchor-net pipeline's
-    /// historical sampling unchanged).
+    /// Key of the sketched builder's counter-RNG streams (bit-reproducible
+    /// builds for a fixed seed) and of nothing else: anchor-net sampling,
+    /// interpolation and proxy surfaces are deterministic and never read
+    /// it.
     pub seed: u64,
     /// Memory mode for coupling/nearfield blocks.
     pub mode: MemoryMode,

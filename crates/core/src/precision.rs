@@ -150,7 +150,9 @@ impl H2Operator<f64> for AnyH2 {
     fn matvec_into(&self, b: &[f64], y: &mut [f64]) {
         match self {
             AnyH2::F64(h) => h.matvec_into(b, y),
-            other => y.copy_from_slice(&other.matvec(b)),
+            // Rounds through `f32` vectors, so it has to convert.
+            AnyH2::F32(_) => y.copy_from_slice(&self.matvec(b)),
+            AnyH2::Mixed(m) => m.matvec_into(b, y),
         }
     }
 
@@ -194,11 +196,18 @@ mod tests {
         let b: Vec<f64> = (0..400).map(|i| (i as f64 * 0.13).sin()).collect();
         let f64_op = AnyH2::build(&pts, Arc::new(Coulomb), &cfg(Precision::F64));
         let y64 = f64_op.matvec(&b);
+        let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let mut into = vec![f64::NAN; 400];
+        f64_op.matvec_into(&b, &mut into);
+        assert_eq!(bits(&into), bits(&y64), "f64: matvec_into");
         for p in [Precision::F32, Precision::MixedF32] {
             let op = AnyH2::build(&pts, Arc::new(Coulomb), &cfg(p));
             assert_eq!(op.precision(), p);
             assert_eq!(op.n(), 400);
             let y = op.matvec(&b);
+            into.fill(f64::NAN);
+            op.matvec_into(&b, &mut into);
+            assert_eq!(bits(&into), bits(&y), "{}: matvec_into", p.name());
             let err = h2_linalg::vec_ops::rel_err(&y, &y64);
             assert!(err < 1e-5, "{} vs f64: {err}", p.name());
             // The low-precision operators really do store half the bytes.

@@ -41,7 +41,7 @@ use h2_cache::{BlockKind, BlockStore, CacheBudget};
 use h2_linalg::{MatrixS, Scalar};
 use h2_points::admissibility::build_block_lists;
 use h2_points::{NodeId, PointSet};
-use h2_sampling::{refresh_x_star, sample_levels, AnchorNet, SampleParams};
+use h2_sampling::{refresh_x_star, sample_levels, SampleParams};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -304,13 +304,7 @@ impl<S: Scalar> H2MatrixS<S> {
             .unwrap_or(1);
         let max_leaf = policy.max_leaf_points.unwrap_or(2 * leaf_size).max(2);
         let mut x_star = vec![Vec::new(); self.tree.node_count()];
-        refresh_x_star(
-            &self.tree,
-            &params,
-            &AnchorNet,
-            self.tree.levels(),
-            &mut x_star,
-        );
+        refresh_x_star(&self.tree, &params, self.tree.levels(), &mut x_star);
         UpdateState {
             policy,
             params,
@@ -391,7 +385,6 @@ impl<S: Scalar> H2MatrixS<S> {
             &self.tree,
             &new_lists,
             &state.params,
-            &AnchorNet,
             &levels,
             &mut state.x_star,
         );

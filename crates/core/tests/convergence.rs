@@ -83,7 +83,6 @@ fn id_tolerance_is_the_error_lever() {
                 samples: SampleParams {
                     node_samples: 160,
                     far_samples: 480,
-                    ..SampleParams::default()
                 },
                 id_tol,
             },

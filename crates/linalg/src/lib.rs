@@ -46,7 +46,7 @@ pub use id::{ColumnId, RowId};
 pub use matrix::{Matrix, MatrixS};
 pub use qr::{PivotedQr, Qr};
 pub use scalar::Scalar;
-pub use sketch::{CounterRng, SketchKind};
+pub use sketch::CounterRng;
 pub use slab::{SlabError, SlabMem, SlabSlice};
 
 /// Errors produced by factorizations and solves in this crate.

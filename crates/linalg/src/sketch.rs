@@ -1,5 +1,5 @@
-//! Randomized sketching primitives: a counter-based RNG and Gaussian and
-//! SRHT test-matrix generators.
+//! Randomized sketching primitives: a counter-based RNG and the Gaussian
+//! test-matrix generator.
 //!
 //! These are the substrate of the **sketched H² construction**
 //! (`h2_core::builders::sketched`): instead of compressing a node's farfield block `A` directly, the builder
@@ -98,48 +98,6 @@ impl CounterRng {
         let u2 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
-
-    /// A random sign in `{-1.0, +1.0}`.
-    #[inline]
-    pub fn sign(&mut self) -> f64 {
-        if self.next_u64() & 1 == 0 {
-            1.0
-        } else {
-            -1.0
-        }
-    }
-}
-
-/// Which test-matrix ensemble a sketch draws from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SketchKind {
-    /// I.i.d. `N(0, 1/k)` entries — the reference ensemble with the
-    /// sharpest theory and fully dense mixing.
-    #[default]
-    Gaussian,
-    /// Subsampled randomized Hadamard transform: `Ω = √(p/k) · D H_p S / √p`
-    /// rows truncated to `m` — structured mixing with ±1 arithmetic,
-    /// the ensemble batched/accelerator backends prefer.
-    Srht,
-}
-
-impl SketchKind {
-    /// Harness CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SketchKind::Gaussian => "gaussian",
-            SketchKind::Srht => "srht",
-        }
-    }
-
-    /// Parses the harness CLI name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "gaussian" | "gauss" => Some(SketchKind::Gaussian),
-            "srht" | "hadamard" => Some(SketchKind::Srht),
-            _ => None,
-        }
-    }
 }
 
 /// An `m x k` Gaussian test matrix with `N(0, 1/k)` entries (so `‖Ωx‖ ≈ ‖x‖`
@@ -153,38 +111,6 @@ pub fn gaussian_test_matrix(m: usize, k: usize, rng: &mut CounterRng) -> Matrix 
         }
     }
     out
-}
-
-/// An `m x k` SRHT test matrix: random signs, a Walsh–Hadamard mix over the
-/// next power of two `p ≥ m`, and `k` uniformly chosen Hadamard columns,
-/// scaled so `E[ΩᵀΩ] = I`. Entries are evaluated directly as
-/// `±(-1)^popcount(i & c_j)` — with sketch widths this small, the closed
-/// form beats a fast transform and keeps the draw purely positional.
-pub fn srht_test_matrix(m: usize, k: usize, rng: &mut CounterRng) -> Matrix {
-    let p = m.max(1).next_power_of_two();
-    let scale = if k > 0 {
-        (p as f64 / k as f64).sqrt() / (p as f64).sqrt()
-    } else {
-        1.0
-    };
-    let signs: Vec<f64> = (0..m).map(|_| rng.sign()).collect();
-    let cols: Vec<usize> = (0..k).map(|_| rng.pick(p)).collect();
-    Matrix::from_fn(m, k, |i, j| {
-        let h = if (i & cols[j]).count_ones().is_multiple_of(2) {
-            1.0
-        } else {
-            -1.0
-        };
-        signs[i] * h * scale
-    })
-}
-
-/// Draws a test matrix of the requested ensemble.
-pub fn test_matrix(kind: SketchKind, m: usize, k: usize, rng: &mut CounterRng) -> Matrix {
-    match kind {
-        SketchKind::Gaussian => gaussian_test_matrix(m, k, rng),
-        SketchKind::Srht => srht_test_matrix(m, k, rng),
-    }
 }
 
 #[cfg(test)]
@@ -259,49 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn srht_entries_are_signed_and_scaled() {
-        let mut rng = CounterRng::new(11);
-        let m = 24;
-        let k = 6;
-        let omega = srht_test_matrix(m, k, &mut rng);
-        let p = m.next_power_of_two() as f64;
-        let mag = (p / k as f64).sqrt() / p.sqrt();
-        for j in 0..k {
-            for i in 0..m {
-                assert!((omega[(i, j)].abs() - mag).abs() < 1e-14);
-            }
-        }
-        // The ensemble approximately preserves squared norms on average.
-        let x: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut rng = CounterRng::new(1);
-        let trials = 200;
-        let mut acc = 0.0;
-        for t in 0..trials {
-            let mut r = CounterRng::stream(rng.next_u64(), t as u64);
-            let o = srht_test_matrix(m, k, &mut r);
-            let y = o.matvec_t(&x);
-            acc += y.iter().map(|v| v * v).sum::<f64>();
-        }
-        let x2: f64 = x.iter().map(|v| v * v).sum();
-        let ratio = acc / trials as f64 / x2;
-        assert!((ratio - 1.0).abs() < 0.25, "norm ratio {ratio}");
-    }
-
-    #[test]
     fn empty_shapes_are_handled() {
         let mut rng = CounterRng::new(1);
-        assert_eq!(
-            test_matrix(SketchKind::Srht, 0, 0, &mut rng).shape(),
-            (0, 0)
-        );
-    }
-
-    #[test]
-    fn sketch_kind_parse_round_trip() {
-        for k in [SketchKind::Gaussian, SketchKind::Srht] {
-            assert_eq!(SketchKind::parse(k.name()), Some(k));
-        }
-        assert_eq!(SketchKind::parse("hadamard"), Some(SketchKind::Srht));
-        assert_eq!(SketchKind::parse("x"), None);
+        assert_eq!(gaussian_test_matrix(0, 0, &mut rng).shape(), (0, 0));
     }
 }

@@ -1,10 +1,13 @@
-//! Tunable timeouts and addresses of the socket transport.
+//! Deployment settings of the socket transport: deadlines, the listen
+//! address, tracing and the flight-recorder directory.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Knobs of the socket transport. The defaults suit a LAN/loopback
+/// Settings of the socket transport. The defaults suit a LAN/loopback
 /// deployment; tests shrink the timeouts so failure paths resolve fast.
+/// Not settings: `TCP_NODELAY` is always on, and connection retries back
+/// off from 10 ms, doubling to at most 500 ms.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Total budget for establishing one TCP connection, including the
@@ -16,16 +19,8 @@ pub struct NetConfig {
     /// specific message, a full flush). A peer silent for longer than
     /// this mid-protocol is reported as timed out.
     pub io_timeout: Duration,
-    /// First retry backoff after a failed connection attempt; doubles per
-    /// attempt up to [`Self::backoff_max`].
-    pub backoff_base: Duration,
-    /// Cap on the per-attempt backoff.
-    pub backoff_max: Duration,
     /// Address listeners bind to; port 0 picks an ephemeral port.
     pub listen_addr: String,
-    /// Sets `TCP_NODELAY` on every connection (on by default — the sweep
-    /// protocol is latency-bound on small panel frames).
-    pub nodelay: bool,
     /// Distributed tracing: when true, the coordinator assigns each sweep
     /// a trace id, distributes it to the workers, and collects their span
     /// buffers after every sweep for a merged cluster trace. Off by
@@ -47,10 +42,7 @@ impl Default for NetConfig {
             connect_timeout: Duration::from_secs(10),
             handshake_timeout: Duration::from_secs(5),
             io_timeout: Duration::from_secs(30),
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(500),
             listen_addr: "127.0.0.1:0".into(),
-            nodelay: true,
             trace: false,
             flight_dir: None,
         }

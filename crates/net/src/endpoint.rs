@@ -44,6 +44,11 @@ const MAX_PAYLOAD: u32 = 1 << 30;
 /// How long the pump sleeps when no peer had bytes ready.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
+/// Backoff after a failed connection attempt: starts at the base and
+/// doubles per attempt up to the cap.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+const BACKOFF_MAX: Duration = Duration::from_millis(500);
+
 /// A received `Data` frame, decoded lazily at `recv` so the endpoint
 /// itself stays non-generic over the coefficient scalar.
 struct RawData {
@@ -177,7 +182,8 @@ impl NetEndpoint {
                 detail: format!("rank {peer} connected twice"),
             });
         }
-        stream.set_nodelay(self.cfg.nodelay).ok();
+        // The sweep protocol is latency-bound on small panel frames.
+        stream.set_nodelay(true).ok();
         stream
             .set_nonblocking(true)
             .map_err(|e| NetError::Handshake {
@@ -802,7 +808,7 @@ pub fn connect_handshake(
     })?;
     let deadline = Instant::now() + cfg.connect_timeout;
     let mut attempts = 0u32;
-    let mut backoff = cfg.backoff_base;
+    let mut backoff = BACKOFF_BASE;
     let mut stream = loop {
         attempts += 1;
         let remaining = deadline.saturating_duration_since(Instant::now());
@@ -825,7 +831,7 @@ pub fn connect_handshake(
                 }
                 h2_telemetry::counter_add!("net.reconnects", 1);
                 std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(cfg.backoff_max);
+                backoff = (backoff * 2).min(BACKOFF_MAX);
             }
         }
     };

@@ -340,8 +340,6 @@ fn connect_retries_with_backoff_then_reports_attempts() {
     };
     let cfg = NetConfig {
         connect_timeout: Duration::from_millis(300),
-        backoff_base: Duration::from_millis(10),
-        backoff_max: Duration::from_millis(50),
         ..NetConfig::default()
     };
     let my = Hello {

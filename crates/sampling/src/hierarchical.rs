@@ -16,7 +16,7 @@
 //! the kernel — the property that lets one sampling pass be amortized over
 //! many kernels on the same data (paper §VI-A).
 
-use crate::strategies::Sampler;
+use crate::strategies::anchor_net;
 use h2_linalg::exec;
 use h2_points::admissibility::BlockLists;
 use h2_points::tree::ClusterTree;
@@ -29,17 +29,6 @@ pub struct SampleParams {
     pub node_samples: usize,
     /// Budget for each *leaf-level* farfield surrogate `Y_i*`.
     pub far_samples: usize,
-    /// Per-level budget growth above the leaves: a node `h` levels above the
-    /// leaf level gets `budget · growth^h` (capped by [`Self::level_cap`]).
-    /// Upper-level nodes summarize exponentially larger regions with few
-    /// nodes in total, so spending more there restores accuracy at
-    /// negligible cost (tree-depth error compounding otherwise degrades the
-    /// achieved tolerance as n grows).
-    pub level_growth: f64,
-    /// Cap on the per-level multiplier.
-    pub level_cap: f64,
-    /// Base RNG seed (only used by randomized strategies).
-    pub seed: u64,
 }
 
 impl Default for SampleParams {
@@ -47,9 +36,6 @@ impl Default for SampleParams {
         SampleParams {
             node_samples: 48,
             far_samples: 96,
-            level_growth: 1.25,
-            level_cap: 2.5,
-            seed: 0,
         }
     }
 }
@@ -69,7 +55,6 @@ impl SampleParams {
         SampleParams {
             node_samples: base.clamp(24, 600),
             far_samples: (4 * base).clamp(64, 1600),
-            ..SampleParams::default()
         }
     }
 }
@@ -95,25 +80,15 @@ impl HierarchicalSamples {
     }
 }
 
-/// Runs Algorithm 1 with the anchor-net strategy (the paper's choice).
+/// Runs Algorithm 1: the [`sample_levels`] sweep over every node of the
+/// tree.
 pub fn hierarchical_sample(
     tree: &ClusterTree,
     lists: &BlockLists,
     params: &SampleParams,
 ) -> HierarchicalSamples {
-    hierarchical_sample_with(tree, lists, params, &crate::strategies::AnchorNet)
-}
-
-/// Runs Algorithm 1 with an arbitrary sampling strategy (ablations): the
-/// [`sample_levels`] sweep over every node of the tree.
-pub fn hierarchical_sample_with(
-    tree: &ClusterTree,
-    lists: &BlockLists,
-    params: &SampleParams,
-    sampler: &dyn Sampler,
-) -> HierarchicalSamples {
     let mut x_star: Vec<Vec<usize>> = vec![Vec::new(); tree.node_count()];
-    let y_star = sample_levels(tree, lists, params, sampler, tree.levels(), &mut x_star);
+    let y_star = sample_levels(tree, lists, params, tree.levels(), &mut x_star);
     HierarchicalSamples { x_star, y_star }
 }
 
@@ -126,20 +101,19 @@ pub fn hierarchical_sample_with(
 /// nodes' order inside `levels[l]` does not matter.
 ///
 /// `x_star` is sized to `tree.node_count()`; entries outside `levels` are
-/// read (as children) but never written. Per-node seeds and budgets are
-/// pure functions of `(params, depth, level, node)`, so refreshing a subset
-/// leaves exactly what a sweep over the whole tree would.
+/// read (as children) but never written. Per-node budgets are pure
+/// functions of `(params, depth, level)`, so refreshing a subset leaves
+/// exactly what a sweep over the whole tree would.
 pub fn refresh_x_star(
     tree: &ClusterTree,
     params: &SampleParams,
-    sampler: &dyn Sampler,
     levels: &[Vec<NodeId>],
     x_star: &mut [Vec<usize>],
 ) {
     assert_eq!(x_star.len(), tree.node_count());
     let _sp = h2_telemetry::span("sampling.upward");
     for (lvl, level) in levels.iter().enumerate().rev() {
-        let fresh = exec::map(level, |&i| sample_x(tree, params, sampler, x_star, lvl, i));
+        let fresh = exec::map(level, |&i| sample_x(tree, params, x_star, lvl, i));
         for (&i, s) in level.iter().zip(fresh) {
             x_star[i] = s;
         }
@@ -159,11 +133,10 @@ pub fn sample_levels(
     tree: &ClusterTree,
     lists: &BlockLists,
     params: &SampleParams,
-    sampler: &dyn Sampler,
     levels: &[Vec<NodeId>],
     x_star: &mut [Vec<usize>],
 ) -> Vec<Vec<usize>> {
-    refresh_x_star(tree, params, sampler, levels, x_star);
+    refresh_x_star(tree, params, levels, x_star);
 
     let _sp = h2_telemetry::span("sampling.downward");
     let n_nodes = tree.node_count();
@@ -178,7 +151,7 @@ pub fn sample_levels(
                     &y_star[p][..]
                 }
             };
-            sample_y(tree, lists, params, sampler, x_star, parent_y, lvl, i)
+            sample_y(tree, lists, params, x_star, parent_y, lvl, i)
         });
         for (&i, s) in level.iter().zip(fresh) {
             y_star[i] = s;
@@ -188,29 +161,39 @@ pub fn sample_levels(
     y_star
 }
 
+/// Per-level budget growth above the leaves: a node `h` levels above the
+/// leaf level gets `budget · LEVEL_GROWTH^h` (capped by [`LEVEL_CAP`]).
+/// Upper-level nodes summarize exponentially larger regions with few nodes
+/// in total, so spending more there restores accuracy at negligible cost
+/// (tree-depth error compounding otherwise degrades the achieved tolerance
+/// as n grows).
+const LEVEL_GROWTH: f64 = 1.25;
+/// Cap on the per-level multiplier: no node's budget exceeds
+/// `round(base · LEVEL_CAP)`.
+const LEVEL_CAP: f64 = 2.5;
+
 /// Budget for a node at tree level `lvl` (leaves = `depth`): the base
-/// budget times `growth^height`, capped. A pure function of the level, so
-/// an incrementally refreshed node samples with the exact budget a sweep
-/// over the whole tree would use.
-fn level_scale(params: &SampleParams, depth: usize, lvl: usize, budget: usize) -> usize {
+/// budget times `LEVEL_GROWTH^height`, capped. A pure function of the
+/// level, so an incrementally refreshed node samples with the exact budget
+/// a sweep over the whole tree would use.
+fn level_scale(depth: usize, lvl: usize, budget: usize) -> usize {
     let h = depth.saturating_sub(lvl) as f64;
-    let mult = params.level_growth.powf(h).min(params.level_cap).max(1.0);
+    let mult = LEVEL_GROWTH.powf(h).clamp(1.0, LEVEL_CAP);
     (budget as f64 * mult).round() as usize
 }
 
 /// One node of the bottom-to-top sweep: sample `X_i*` from the node's own
-/// points (leaf) or its children's surrogates (internal). Seeding and
-/// budgets are pure functions of `(params, depth, lvl, i)`, so recomputing
-/// one node reproduces what the full sweep would have produced.
+/// points (leaf) or its children's surrogates (internal). The budget is a
+/// pure function of `(params, depth, lvl)`, so recomputing one node
+/// reproduces what the full sweep would have produced.
 fn sample_x(
     tree: &ClusterTree,
     params: &SampleParams,
-    sampler: &dyn Sampler,
     x_star: &[Vec<usize>],
     lvl: usize,
     i: usize,
 ) -> Vec<usize> {
-    let budget = level_scale(params, tree.depth(), lvl, params.node_samples);
+    let budget = level_scale(tree.depth(), lvl, params.node_samples);
     let nd = tree.node(i);
     let cand: Vec<usize> = if nd.is_leaf() {
         tree.node_indices(i).to_vec()
@@ -220,24 +203,22 @@ fn sample_x(
             .flat_map(|&c| x_star[c].iter().copied())
             .collect()
     };
-    sampler.sample(tree.points(), &cand, budget, params.seed ^ i as u64)
+    anchor_net(tree.points(), &cand, budget)
 }
 
 /// One node of the top-to-bottom sweep: sample `Y_i*` from the node's
 /// interaction-list surrogates plus its parent's farfield surrogate (the
 /// parent's `Y*` covers everything farther away).
-#[allow(clippy::too_many_arguments)]
 fn sample_y(
     tree: &ClusterTree,
     lists: &BlockLists,
     params: &SampleParams,
-    sampler: &dyn Sampler,
     x_star: &[Vec<usize>],
     parent_y: &[usize],
     lvl: usize,
     i: usize,
 ) -> Vec<usize> {
-    let budget = level_scale(params, tree.depth(), lvl, params.far_samples);
+    let budget = level_scale(tree.depth(), lvl, params.far_samples);
     let mut cand: Vec<usize> = lists.interaction[i]
         .iter()
         .flat_map(|&j| x_star[j].iter().copied())
@@ -253,18 +234,12 @@ fn sample_y(
         let offset = (i * 7) % stride; // decorrelate across nodes
         cand = cand.into_iter().skip(offset).step_by(stride).collect();
     }
-    sampler.sample(
-        tree.points(),
-        &cand,
-        budget,
-        params.seed ^ (i as u64).rotate_left(17),
-    )
+    anchor_net(tree.points(), &cand, budget)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::AnchorNet;
     use h2_points::admissibility::build_block_lists;
     use h2_points::gen;
     use h2_points::tree::{ClusterTree, TreeParams};
@@ -309,9 +284,9 @@ mod tests {
                 assert!(sub.contains(&p), "node {i}: sample {p} outside subtree");
             }
             assert!(!s.x_star[i].is_empty());
-            // Budget at any level is capped at level_cap x the base budget.
+            // Budget at any level is capped at LEVEL_CAP x the base budget.
             let p = SampleParams::default();
-            let cap = (p.node_samples as f64 * p.level_cap).round() as usize;
+            let cap = (p.node_samples as f64 * LEVEL_CAP).round() as usize;
             assert!(s.x_star[i].len() <= cap);
         }
     }
@@ -351,14 +326,12 @@ mod tests {
         let p = SampleParams {
             node_samples: 10,
             far_samples: 25,
-            level_growth: 1.0, // flat budgets so the caps below are exact
-            level_cap: 1.0,
-            seed: 0,
         };
         let s = hierarchical_sample(&tree, &lists, &p);
+        let cap = |base: usize| (base as f64 * LEVEL_CAP).round() as usize;
         for i in 0..tree.node_count() {
-            assert!(s.x_star[i].len() <= 10);
-            assert!(s.y_star[i].len() <= 25);
+            assert!(s.x_star[i].len() <= cap(10));
+            assert!(s.y_star[i].len() <= cap(25));
         }
     }
 
@@ -370,22 +343,6 @@ mod tests {
         let b = hierarchical_sample(&tree, &lists, &p);
         assert_eq!(a.x_star, b.x_star);
         assert_eq!(a.y_star, b.y_star);
-    }
-
-    #[test]
-    fn works_with_all_strategies() {
-        use crate::strategies::*;
-        let (tree, lists) = setup(300, 2, 6);
-        let p = SampleParams::default();
-        for s in [
-            Box::new(AnchorNet) as Box<dyn Sampler>,
-            Box::new(UniformRandom),
-            Box::new(FarthestPoint),
-            Box::new(KMeansPP),
-        ] {
-            let out = hierarchical_sample_with(&tree, &lists, &p, s.as_ref());
-            assert_eq!(out.x_star.len(), tree.node_count());
-        }
     }
 
     #[test]
@@ -426,7 +383,7 @@ mod tests {
         let p = SampleParams::default();
         let full = hierarchical_sample(&tree, &lists, &p);
         let mut x = vec![Vec::new(); tree.node_count()];
-        refresh_x_star(&tree, &p, &AnchorNet, tree.levels(), &mut x);
+        refresh_x_star(&tree, &p, tree.levels(), &mut x);
         assert_eq!(x, full.x_star);
     }
 
@@ -439,7 +396,7 @@ mod tests {
         let full = hierarchical_sample(&tree, &lists, &p);
         let mut x = full.x_star.clone();
         let levels = path_levels(&tree, *tree.leaves().last().unwrap());
-        let y = sample_levels(&tree, &lists, &p, &AnchorNet, &levels, &mut x);
+        let y = sample_levels(&tree, &lists, &p, &levels, &mut x);
         assert_eq!(x, full.x_star);
         // Same for the downward half: path-local Y* equals the sweep's,
         // and nothing off the path is written.
@@ -458,48 +415,21 @@ mod tests {
         let (mut tree, _) = setup(500, 3, 3);
         let p = SampleParams::default();
         let mut x = vec![Vec::new(); tree.node_count()];
-        refresh_x_star(&tree, &p, &AnchorNet, tree.levels(), &mut x);
+        refresh_x_star(&tree, &p, tree.levels(), &mut x);
         let (leaf, _g) = tree.insert_point(&[0.41, 0.43, 0.47]);
         let levels = path_levels(&tree, leaf);
-        refresh_x_star(&tree, &p, &AnchorNet, &levels, &mut x);
+        refresh_x_star(&tree, &p, &levels, &mut x);
         // The refreshed table equals a from-scratch upward sweep over the
         // mutated tree: off-path nodes were already correct (their subtrees
         // are untouched), and path nodes were recomputed with full-sweep
         // budgets and seeds.
         let mut fresh = vec![Vec::new(); tree.node_count()];
-        refresh_x_star(&tree, &p, &AnchorNet, tree.levels(), &mut fresh);
+        refresh_x_star(&tree, &p, tree.levels(), &mut fresh);
         assert_eq!(x, fresh);
         // Sanity: samples on the path stay inside their subtrees.
         for &i in levels.iter().flatten() {
             let sub = subtree_points(&tree, i);
             assert!(x[i].iter().all(|s| sub.contains(s)), "node {i}");
-        }
-    }
-
-    /// [`AnchorNet`], except that the `Y*` draws of two chosen nodes (told by
-    /// their seeds, which no `X*` draw of so small a tree shares) wait for
-    /// each other: they return only if two threads sample them at once.
-    struct Together {
-        y_seeds: [u64; 2],
-        meet: std::sync::Barrier,
-    }
-
-    impl Sampler for Together {
-        fn sample(
-            &self,
-            pts: &h2_points::PointSet,
-            cand: &[usize],
-            m: usize,
-            seed: u64,
-        ) -> Vec<usize> {
-            if self.y_seeds.contains(&seed) {
-                self.meet.wait();
-            }
-            AnchorNet.sample(pts, cand, m, seed)
-        }
-
-        fn name(&self) -> &'static str {
-            "together"
         }
     }
 
@@ -510,9 +440,9 @@ mod tests {
         let p = SampleParams::default();
         let mut x = hierarchical_sample(&tree, &lists, &p).x_star;
         // The top three levels without one child of the root: its children
-        // lack their parent. The other child's children come first and are
-        // sampled by two threads at once, so the step that panics is wide
-        // and the panic crosses a barrier other threads wait at.
+        // lack their parent. The other child's children come first, so the
+        // step that panics is wide, holds tasks that succeed, and ends at a
+        // barrier the panic has to cross.
         let children = |i: NodeId| tree.node(i).children.clone();
         let (kept, dropped) = (children(tree.root())[0], children(tree.root())[1]);
         let good = children(kept);
@@ -523,11 +453,7 @@ mod tests {
             "setup: three full levels"
         );
         let levels = vec![vec![tree.root()], vec![kept], orphans];
-        let sampler = Together {
-            y_seeds: [good[0], good[1]].map(|i| p.seed ^ (i as u64).rotate_left(17)),
-            meet: std::sync::Barrier::new(2),
-        };
         h2_linalg::exec::Width::new(2)
-            .install(|| sample_levels(&tree, &lists, &p, &sampler, &levels, &mut x));
+            .install(|| sample_levels(&tree, &lists, &p, &levels, &mut x));
     }
 }

@@ -9,9 +9,7 @@
 //! **hierarchical sweep** (Algorithm 1) so the total cost stays O(n).
 //!
 //! - [`halton`]: low-discrepancy sequences used to place anchors.
-//! - [`strategies`]: the [`Sampler`] trait with anchor-net, uniform-random,
-//!   farthest-point and k-means++ implementations (the latter three serve as
-//!   ablation baselines).
+//! - [`strategies`]: [`anchor_net`], the one sampling rule.
 //! - [`hierarchical`]: Algorithm 1 — the bottom-to-top `X_i*` sweep and the
 //!   top-to-bottom `Y_i*` sweep over a cluster tree, level-parallel, over
 //!   every node (construction) or a root-closed subset (incremental
@@ -35,7 +33,6 @@ pub mod strategies;
 
 pub use farfield::FarfieldRanges;
 pub use hierarchical::{
-    hierarchical_sample, hierarchical_sample_with, refresh_x_star, sample_levels,
-    HierarchicalSamples, SampleParams,
+    hierarchical_sample, refresh_x_star, sample_levels, HierarchicalSamples, SampleParams,
 };
-pub use strategies::{AnchorNet, FarthestPoint, KMeansPP, Sampler, UniformRandom};
+pub use strategies::anchor_net;

@@ -1,212 +1,54 @@
-//! Sampling strategies: anchor nets and ablation baselines.
-//!
-//! All strategies implement [`Sampler`]: given a candidate index list into a
-//! global point set and a budget `m`, return at most `m` *distinct* indices
-//! drawn from the candidates. [`AnchorNet`] is the strategy the paper adopts
-//! (ref \[25\]); [`UniformRandom`], [`FarthestPoint`] and [`KMeansPP`] are the
-//! classical Nyström alternatives used in our ablation benches.
+//! Anchor-net sampling (paper ref \[25\]), the one sampling rule of the
+//! construction. Deterministic: no seed, no RNG.
 
 use crate::halton::halton_in_box;
 use h2_points::pointset::dist2;
 use h2_points::{BoundingBox, PointSet};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
-/// A point-sampling strategy over a candidate subset of a point set.
-pub trait Sampler: Send + Sync {
-    /// Returns at most `m` distinct indices from `cand` (indices into `pts`).
-    /// Returns all of `cand` when `cand.len() <= m`. Deterministic in
-    /// `seed` (strategies that are intrinsically deterministic ignore it).
-    fn sample(&self, pts: &PointSet, cand: &[usize], m: usize, seed: u64) -> Vec<usize>;
-
-    /// Strategy name for harness output.
-    fn name(&self) -> &'static str;
-}
 
 /// Anchor-net sampling (the paper's choice): place `m` low-discrepancy
 /// anchors in the candidates' bounding box and select, for each anchor, the
 /// nearest candidate point ("finding the points nearest to a set of lattice
 /// points", §III-D), de-duplicated. Dimension-independent cost, no kernel
 /// evaluations.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AnchorNet;
-
-impl Sampler for AnchorNet {
-    fn sample(&self, pts: &PointSet, cand: &[usize], m: usize, _seed: u64) -> Vec<usize> {
-        if cand.len() <= m {
-            return cand.to_vec();
-        }
-        let bb = BoundingBox::of_points(pts, cand);
-        // Oversample anchors modestly: duplicates collapse, so extra anchors
-        // recover budget lost to collisions without changing the asymptotics.
-        let n_anchor = m + m / 2 + 1;
-        let anchors = halton_in_box(n_anchor, bb.lo(), bb.hi());
-        let dim = pts.dim();
-        let mut taken = vec![false; cand.len()];
-        let mut out = Vec::with_capacity(m);
-        for a in anchors.chunks_exact(dim) {
-            // Nearest *untaken* candidate to this anchor: scanning untaken
-            // only keeps the result a set without a separate dedup pass.
-            let mut best = usize::MAX;
-            let mut best_d = f64::INFINITY;
-            for (k, &c) in cand.iter().enumerate() {
-                if taken[k] {
-                    continue;
-                }
-                let d = dist2(a, pts.point(c));
-                if d < best_d {
-                    best_d = d;
-                    best = k;
-                }
+///
+/// Returns at most `m` distinct indices from `cand` (indices into `pts`),
+/// and all of `cand` when `cand.len() <= m`.
+pub fn anchor_net(pts: &PointSet, cand: &[usize], m: usize) -> Vec<usize> {
+    if cand.len() <= m {
+        return cand.to_vec();
+    }
+    let bb = BoundingBox::of_points(pts, cand);
+    // Oversample anchors modestly: duplicates collapse, so extra anchors
+    // recover budget lost to collisions without changing the asymptotics.
+    let n_anchor = m + m / 2 + 1;
+    let anchors = halton_in_box(n_anchor, bb.lo(), bb.hi());
+    let dim = pts.dim();
+    let mut taken = vec![false; cand.len()];
+    let mut out = Vec::with_capacity(m);
+    for a in anchors.chunks_exact(dim) {
+        // Nearest *untaken* candidate to this anchor: scanning untaken
+        // only keeps the result a set without a separate dedup pass.
+        let mut best = usize::MAX;
+        let mut best_d = f64::INFINITY;
+        for (k, &c) in cand.iter().enumerate() {
+            if taken[k] {
+                continue;
             }
-            if best != usize::MAX {
-                taken[best] = true;
-                out.push(cand[best]);
-                if out.len() == m {
-                    break;
-                }
+            let d = dist2(a, pts.point(c));
+            if d < best_d {
+                best_d = d;
+                best = k;
             }
         }
-        out
-    }
-
-    fn name(&self) -> &'static str {
-        "anchor-net"
-    }
-}
-
-/// Uniform random sampling without replacement (the original Nyström
-/// baseline).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UniformRandom;
-
-impl Sampler for UniformRandom {
-    fn sample(&self, _pts: &PointSet, cand: &[usize], m: usize, seed: u64) -> Vec<usize> {
-        if cand.len() <= m {
-            return cand.to_vec();
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        // Partial Fisher-Yates.
-        let mut pool = cand.to_vec();
-        for k in 0..m {
-            let j = rng.gen_range(k..pool.len());
-            pool.swap(k, j);
-        }
-        pool.truncate(m);
-        pool
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
-    }
-}
-
-/// Farthest-point (greedy 2-approximation of k-center) sampling.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FarthestPoint;
-
-impl Sampler for FarthestPoint {
-    fn sample(&self, pts: &PointSet, cand: &[usize], m: usize, _seed: u64) -> Vec<usize> {
-        if cand.len() <= m {
-            return cand.to_vec();
-        }
-        // Start from the candidate nearest the centroid for determinism.
-        let dim = pts.dim();
-        let mut centroid = vec![0.0; dim];
-        for &c in cand {
-            for (k, x) in pts.point(c).iter().enumerate() {
-                centroid[k] += x;
-            }
-        }
-        for x in &mut centroid {
-            *x /= cand.len() as f64;
-        }
-        let first = cand
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                dist2(pts.point(*a.1), &centroid).total_cmp(&dist2(pts.point(*b.1), &centroid))
-            })
-            .map(|(k, _)| k)
-            .unwrap();
-        let mut out = vec![cand[first]];
-        let mut mind: Vec<f64> = cand
-            .iter()
-            .map(|&c| dist2(pts.point(c), pts.point(cand[first])))
-            .collect();
-        while out.len() < m {
-            let (far, &d) = mind
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .unwrap();
-            if d == 0.0 {
-                break; // all remaining candidates coincide with selected ones
-            }
-            let chosen = cand[far];
-            out.push(chosen);
-            for (k, &c) in cand.iter().enumerate() {
-                let d = dist2(pts.point(c), pts.point(chosen));
-                if d < mind[k] {
-                    mind[k] = d;
-                }
-            }
-        }
-        out
-    }
-
-    fn name(&self) -> &'static str {
-        "farthest-point"
-    }
-}
-
-/// k-means++ seeding as a sampler: distance-squared-weighted random
-/// selection.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct KMeansPP;
-
-impl Sampler for KMeansPP {
-    fn sample(&self, pts: &PointSet, cand: &[usize], m: usize, seed: u64) -> Vec<usize> {
-        if cand.len() <= m {
-            return cand.to_vec();
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let first = rng.gen_range(0..cand.len());
-        let mut out = vec![cand[first]];
-        let mut mind: Vec<f64> = cand
-            .iter()
-            .map(|&c| dist2(pts.point(c), pts.point(cand[first])))
-            .collect();
-        while out.len() < m {
-            let total: f64 = mind.iter().sum();
-            if total == 0.0 {
+        if best != usize::MAX {
+            taken[best] = true;
+            out.push(cand[best]);
+            if out.len() == m {
                 break;
             }
-            let mut t = rng.gen::<f64>() * total;
-            let mut pick = mind.len() - 1;
-            for (k, &d) in mind.iter().enumerate() {
-                if t < d {
-                    pick = k;
-                    break;
-                }
-                t -= d;
-            }
-            let chosen = cand[pick];
-            out.push(chosen);
-            for (k, &c) in cand.iter().enumerate() {
-                let d = dist2(pts.point(c), pts.point(chosen));
-                if d < mind[k] {
-                    mind[k] = d;
-                }
-            }
         }
-        out
     }
-
-    fn name(&self) -> &'static str {
-        "kmeans++"
-    }
+    out
 }
 
 #[cfg(test)]
@@ -220,46 +62,22 @@ mod tests {
         s.windows(2).all(|w| w[0] != w[1])
     }
 
-    fn strategies() -> Vec<Box<dyn Sampler>> {
-        vec![
-            Box::new(AnchorNet),
-            Box::new(UniformRandom),
-            Box::new(FarthestPoint),
-            Box::new(KMeansPP),
-        ]
-    }
-
     #[test]
     fn respects_budget_and_distinctness() {
         let pts = gen::uniform_cube(200, 3, 1);
         let cand: Vec<usize> = (0..200).collect();
-        for s in strategies() {
-            let out = s.sample(&pts, &cand, 20, 7);
-            assert!(out.len() <= 20, "{} overshot", s.name());
-            assert!(!out.is_empty(), "{} returned nothing", s.name());
-            assert!(all_distinct(&out), "{} duplicated", s.name());
-            assert!(out.iter().all(|i| cand.contains(i)));
-        }
+        let out = anchor_net(&pts, &cand, 20);
+        assert!(out.len() <= 20, "overshot");
+        assert!(!out.is_empty(), "returned nothing");
+        assert!(all_distinct(&out), "duplicated");
+        assert!(out.iter().all(|i| cand.contains(i)));
     }
 
     #[test]
     fn small_candidate_sets_pass_through() {
         let pts = gen::uniform_cube(10, 2, 2);
         let cand = vec![3, 5, 7];
-        for s in strategies() {
-            assert_eq!(s.sample(&pts, &cand, 5, 1), cand, "{}", s.name());
-        }
-    }
-
-    #[test]
-    fn deterministic_in_seed() {
-        let pts = gen::uniform_cube(150, 2, 3);
-        let cand: Vec<usize> = (0..150).collect();
-        for s in strategies() {
-            let a = s.sample(&pts, &cand, 15, 42);
-            let b = s.sample(&pts, &cand, 15, 42);
-            assert_eq!(a, b, "{} not deterministic", s.name());
-        }
+        assert_eq!(anchor_net(&pts, &cand, 5), cand);
     }
 
     #[test]
@@ -275,33 +93,18 @@ mod tests {
         }
         let pts = PointSet::new(2, coords);
         let cand: Vec<usize> = (0..100).collect();
-        let out = AnchorNet.sample(&pts, &cand, 10, 0);
+        let out = anchor_net(&pts, &cand, 10);
         let left = out.iter().filter(|&&i| i < 50).count();
         let right = out.len() - left;
         assert!(left > 0 && right > 0, "anchor net ignored a blob");
     }
 
     #[test]
-    fn farthest_point_maximizes_spread() {
-        let pts = gen::uniform_cube(100, 1, 5);
-        let cand: Vec<usize> = (0..100).collect();
-        // First pick is centroid-nearest; the next two greedy picks must
-        // reach out to both ends of the interval.
-        let out = FarthestPoint.sample(&pts, &cand, 3, 0);
-        let xs: Vec<f64> = out.iter().map(|&i| pts.point(i)[0]).collect();
-        let spread = xs.iter().cloned().fold(f64::MIN, f64::max)
-            - xs.iter().cloned().fold(f64::MAX, f64::min);
-        assert!(spread > 0.8, "spread only {spread}");
-    }
-
-    #[test]
     fn duplicate_points_terminate() {
         let pts = PointSet::from_fn(40, 2, |_, _| 0.5);
         let cand: Vec<usize> = (0..40).collect();
-        for s in strategies() {
-            let out = s.sample(&pts, &cand, 10, 3);
-            assert!(!out.is_empty(), "{}", s.name());
-            assert!(all_distinct(&out), "{}", s.name());
-        }
+        let out = anchor_net(&pts, &cand, 10);
+        assert!(!out.is_empty());
+        assert!(all_distinct(&out));
     }
 }

@@ -6,20 +6,76 @@ use h2_points::{gen, PointSet};
 use h2_sampling::*;
 use proptest::prelude::*;
 
-fn strategies() -> Vec<Box<dyn Sampler>> {
-    vec![
-        Box::new(AnchorNet),
-        Box::new(UniformRandom),
-        Box::new(FarthestPoint),
-        Box::new(KMeansPP),
-    ]
+/// Farthest-point (greedy 2-approximation of k-center) sampling: the
+/// reference `anchor_net_k_center_quality` compares anchor nets against.
+fn farthest_point(pts: &PointSet, cand: &[usize], m: usize) -> Vec<usize> {
+    use h2_points::pointset::dist2;
+    if cand.len() <= m {
+        return cand.to_vec();
+    }
+    // Start from the candidate nearest the centroid for determinism.
+    let dim = pts.dim();
+    let mut centroid = vec![0.0; dim];
+    for &c in cand {
+        for (k, x) in pts.point(c).iter().enumerate() {
+            centroid[k] += x;
+        }
+    }
+    for x in &mut centroid {
+        *x /= cand.len() as f64;
+    }
+    let first = cand
+        .iter()
+        .enumerate()
+        .min_by(|a, b| {
+            dist2(pts.point(*a.1), &centroid).total_cmp(&dist2(pts.point(*b.1), &centroid))
+        })
+        .map(|(k, _)| k)
+        .unwrap();
+    let mut out = vec![cand[first]];
+    let mut mind: Vec<f64> = cand
+        .iter()
+        .map(|&c| dist2(pts.point(c), pts.point(cand[first])))
+        .collect();
+    while out.len() < m {
+        let (far, &d) = mind
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .unwrap();
+        if d == 0.0 {
+            break; // all remaining candidates coincide with selected ones
+        }
+        let chosen = cand[far];
+        out.push(chosen);
+        for (k, &c) in cand.iter().enumerate() {
+            let d = dist2(pts.point(c), pts.point(chosen));
+            if d < mind[k] {
+                mind[k] = d;
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn farthest_point_maximizes_spread() {
+    let pts = gen::uniform_cube(100, 1, 5);
+    let cand: Vec<usize> = (0..100).collect();
+    // First pick is centroid-nearest; the next two greedy picks must
+    // reach out to both ends of the interval.
+    let out = farthest_point(&pts, &cand, 3);
+    let xs: Vec<f64> = out.iter().map(|&i| pts.point(i)[0]).collect();
+    let spread =
+        xs.iter().cloned().fold(f64::MIN, f64::max) - xs.iter().cloned().fold(f64::MAX, f64::min);
+    assert!(spread > 0.8, "spread only {spread}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     #[test]
-    fn every_strategy_respects_contract(
+    fn anchor_net_respects_contract(
         n in 20usize..200,
         dim in 1usize..5,
         m in 1usize..30,
@@ -27,16 +83,14 @@ proptest! {
     ) {
         let pts = gen::uniform_cube(n, dim, seed);
         let cand: Vec<usize> = (0..n).collect();
-        for s in strategies() {
-            let out = s.sample(&pts, &cand, m, seed);
-            prop_assert!(out.len() <= m.min(n));
-            prop_assert!(!out.is_empty());
-            let mut d = out.clone();
-            d.sort_unstable();
-            d.dedup();
-            prop_assert_eq!(d.len(), out.len(), "{} duplicated", s.name());
-            prop_assert!(out.iter().all(|&i| i < n), "{} out of range", s.name());
-        }
+        let out = anchor_net(&pts, &cand, m);
+        prop_assert!(out.len() <= m.min(n));
+        prop_assert!(!out.is_empty());
+        let mut d = out.clone();
+        d.sort_unstable();
+        d.dedup();
+        prop_assert_eq!(d.len(), out.len(), "duplicated");
+        prop_assert!(out.iter().all(|&i| i < n), "out of range");
     }
 
     #[test]
@@ -57,8 +111,8 @@ proptest! {
                 .fold(0.0_f64, f64::max)
                 .sqrt()
         };
-        let anchor = covering(&AnchorNet.sample(&pts, &cand, m, seed));
-        let fps = covering(&FarthestPoint.sample(&pts, &cand, m, seed));
+        let anchor = covering(&anchor_net(&pts, &cand, m));
+        let fps = covering(&farthest_point(&pts, &cand, m));
         prop_assert!(anchor <= 4.0 * fps + 1e-9, "anchor {anchor} vs fps {fps}");
     }
 
@@ -73,15 +127,13 @@ proptest! {
         let params = SampleParams {
             node_samples: 8,
             far_samples: 16,
-            level_growth: 1.5,
-            level_cap: 3.0,
-            seed,
         };
         let s = hierarchical_sample(&tree, &lists, &params);
-        // No node may exceed the capped budget.
+        // No node at any level may exceed the capped budget,
+        // round(base · 2.5).
         for i in 0..tree.node_count() {
-            prop_assert!(s.x_star[i].len() <= 24);
-            prop_assert!(s.y_star[i].len() <= 48);
+            prop_assert!(s.x_star[i].len() <= 20);
+            prop_assert!(s.y_star[i].len() <= 40);
         }
     }
 
@@ -113,22 +165,22 @@ proptest! {
         }
         prop_assert!(hit.iter().all(|&h| h));
     }
+}
 
-    #[test]
-    fn clustered_data_sampled_from_every_cluster(seed in 0u64..200) {
-        // Two distant blobs of equal size: anchor-net with m >= 4 must pick
-        // from both (random sampling occasionally would not).
-        let mut coords = Vec::new();
-        for i in 0..60 {
-            coords.extend_from_slice(&[(i % 10) as f64 * 0.01, (i / 10) as f64 * 0.01]);
-        }
-        for i in 0..60 {
-            coords.extend_from_slice(&[100.0 + (i % 10) as f64 * 0.01, (i / 10) as f64 * 0.01]);
-        }
-        let pts = PointSet::new(2, coords);
-        let cand: Vec<usize> = (0..120).collect();
-        let out = AnchorNet.sample(&pts, &cand, 8, seed);
-        let left = out.iter().filter(|&&i| i < 60).count();
-        prop_assert!(left > 0 && left < out.len());
+#[test]
+fn clustered_data_sampled_from_every_cluster() {
+    // Two distant blobs of equal size: anchor-net with m >= 4 must pick
+    // from both (random sampling occasionally would not).
+    let mut coords = Vec::new();
+    for i in 0..60 {
+        coords.extend_from_slice(&[(i % 10) as f64 * 0.01, (i / 10) as f64 * 0.01]);
     }
+    for i in 0..60 {
+        coords.extend_from_slice(&[100.0 + (i % 10) as f64 * 0.01, (i / 10) as f64 * 0.01]);
+    }
+    let pts = PointSet::new(2, coords);
+    let cand: Vec<usize> = (0..120).collect();
+    let out = anchor_net(&pts, &cand, 8);
+    let left = out.iter().filter(|&&i| i < 60).count();
+    assert!(left > 0 && left < out.len());
 }

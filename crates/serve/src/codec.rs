@@ -219,15 +219,15 @@ fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 
 /// Ranks and proxies; the matrices live in the slab region, their shapes
 /// in the directory.
-fn encode_generators_meta<S: Scalar>(parts: &H2Parts<S>) -> Vec<u8> {
+fn encode_generators_meta<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<u8> {
     let mut e = WireWriter::new();
-    let n_nodes = parts.ranks.len();
+    let n_nodes = h2.ranks().len();
     e.usize(n_nodes);
-    for &r in &parts.ranks {
+    for &r in h2.ranks() {
         e.usize(r);
     }
-    for p in &parts.proxies {
-        match p {
+    for i in 0..n_nodes {
+        match h2.proxy(i) {
             ProxyPoints::Indices(idx) => {
                 e.u8(0);
                 e.usize(idx.len());
@@ -257,7 +257,7 @@ struct DirFamily {
 
 /// Lays one family out: 64-aligned matrix offsets relative to the family
 /// slab base, returning the entries and the (aligned) slab length.
-fn layout_family<S: Scalar>(mats: &[MatrixS<S>]) -> (Vec<SlabBlock>, usize) {
+fn layout_family<S: Scalar>(mats: &[&MatrixS<S>]) -> (Vec<SlabBlock>, usize) {
     let mut entries = Vec::with_capacity(mats.len());
     let mut cursor = 0usize;
     for m in mats {
@@ -290,48 +290,36 @@ fn encode_directory(families: &[DirFamily]) -> Vec<u8> {
 }
 
 /// Serializes a built operator into the `mmap`able binary format, at the
-/// operator's own storage precision.
+/// operator's own storage precision. Reads the operator in place: the only
+/// buffer of the file's size is the one returned.
 pub fn encode<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<u8> {
-    let parts = h2.to_parts();
-
-    // Pass 1: lay the families out and compute slab offsets/checksums.
-    let mut family_mats: Vec<(u8, &[MatrixS<S>])> = vec![
-        (FAMILY_BASES, parts.bases.as_slice()),
-        (FAMILY_TRANSFERS, parts.transfers.as_slice()),
+    // Pass 1: lay the families out and compute slab offsets.
+    let nodes = 0..h2.tree().node_count();
+    let mut family_mats: Vec<(u8, Vec<&MatrixS<S>>)> = vec![
+        (
+            FAMILY_BASES,
+            nodes.clone().map(|i| h2.leaf_basis(i)).collect(),
+        ),
+        (FAMILY_TRANSFERS, nodes.map(|i| h2.transfer(i)).collect()),
     ];
-    if let Some(cb) = &parts.coupling_blocks {
-        family_mats.push((FAMILY_COUPLING, cb.as_slice()));
+    if let Some(cb) = h2.coupling_store().blocks() {
+        family_mats.push((FAMILY_COUPLING, cb.iter().collect()));
     }
-    if let Some(nb) = &parts.nearfield_blocks {
-        family_mats.push((FAMILY_NEARFIELD, nb.as_slice()));
+    if let Some(nb) = h2.nearfield_store().blocks() {
+        family_mats.push((FAMILY_NEARFIELD, nb.iter().collect()));
     }
     let mut families = Vec::with_capacity(family_mats.len());
     let mut cursor = 0usize;
-    for &(kind, mats) in &family_mats {
+    for (kind, mats) in &family_mats {
         let (entries, slab_len) = layout_family(mats);
         families.push(DirFamily {
-            kind,
+            kind: *kind,
             slab_off: cursor,
             slab_len,
             checksum: 0, // filled in after the slab region is serialized
             entries,
         });
         cursor = align_up(cursor + slab_len, SLAB_ALIGN);
-    }
-
-    // Serialize the slab region (zeros between matrices are the alignment
-    // padding — deterministic, so the family checksums cover them too).
-    let mut slab = vec![0u8; cursor];
-    for (f, &(_, mats)) in families.iter_mut().zip(&family_mats) {
-        for (b, m) in f.entries.iter().zip(mats) {
-            let mut payload = Vec::with_capacity(m.nrows() * m.ncols() * S::BYTES);
-            for &v in m.as_slice() {
-                v.write_le(&mut payload);
-            }
-            let at = f.slab_off + b.offset;
-            slab[at..at + payload.len()].copy_from_slice(&payload);
-        }
-        f.checksum = fnv1a64(&slab[f.slab_off..f.slab_off + f.slab_len]);
     }
 
     // Pass 2: header sections, padded so the slab region lands 64-aligned.
@@ -341,16 +329,34 @@ pub fn encode<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<u8> {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     push_section(&mut out, TAG_FINGERPRINT, &encode_fingerprint(h2));
-    push_section(&mut out, TAG_TREE, &encode_tree(&parts.tree));
-    push_section(
-        &mut out,
-        TAG_GENERATORS_META,
-        &encode_generators_meta(&parts),
-    );
+    push_section(&mut out, TAG_TREE, &encode_tree(h2.tree()));
+    push_section(&mut out, TAG_GENERATORS_META, &encode_generators_meta(h2));
+    let dir_at = out.len();
     push_section(&mut out, TAG_DIRECTORY, &encode_directory(&families));
     push_section(&mut out, TAG_END, &[]);
     out.resize(align_up(out.len(), SLAB_ALIGN), 0);
-    out.extend_from_slice(&slab);
+
+    // The slab region, each payload written once at its aligned offset
+    // (zeros between matrices are the alignment padding — deterministic,
+    // so the family checksums cover them too).
+    let base = out.len();
+    out.reserve_exact(cursor);
+    for (f, (_, mats)) in families.iter_mut().zip(&family_mats) {
+        for (b, m) in f.entries.iter().zip(mats) {
+            out.resize(base + f.slab_off + b.offset, 0);
+            for &v in m.as_slice() {
+                v.write_le(&mut out);
+            }
+        }
+        out.resize(base + f.slab_off + f.slab_len, 0);
+        f.checksum = fnv1a64(&out[base + f.slab_off..][..f.slab_len]);
+    }
+
+    // The directory sits ahead of the slabs it checksums: rewrite it in
+    // place, the same length, now that the checksums are known.
+    let mut directory = Vec::new();
+    push_section(&mut directory, TAG_DIRECTORY, &encode_directory(&families));
+    out[dir_at..dir_at + directory.len()].copy_from_slice(&directory);
     out
 }
 
@@ -1346,6 +1352,11 @@ mod tests {
             let want: Vec<u64> = owned.matvec(&b).iter().map(|v| v.to_bits()).collect();
             let got: Vec<u64> = mapped.matvec(&b).iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "mode {mode:?}");
+            // Re-saving a loaded operator reproduces the file, also when
+            // its matrices are views into the mapping.
+            let file = std::fs::read(&path).expect("read back");
+            assert!(encode(&owned) == file, "mode {mode:?}: owned re-encode");
+            assert!(encode(&mapped) == file, "mode {mode:?}: mapped re-encode");
 
             let ro = owned.memory_report();
             let rm = mapped.memory_report();

@@ -7,8 +7,7 @@
 //! is written when the family is opened — exactly once, also for a family
 //! that ends up with no samples — and label values are escaped here and only
 //! here, straight into the output string. This is a writer, not a registry:
-//! whoever wants a body calls the `expose` methods it has, in its order. It
-//! is formatting only and behaves the same under the `disabled` feature.
+//! whoever wants a body calls the `expose` methods it has, in its order.
 
 use crate::hist::LogLinearHistogram;
 use std::fmt::{Display, Write as _};

@@ -22,10 +22,10 @@
 //!   records are dropped and counted in the `telemetry.spans_dropped`
 //!   counter rather than growing without bound in a long-running server.
 //!
-//! Compiling with the `disabled` feature stubs out every recording path.
-//! [`Span::finish`] still returns measured wall time, so code that derives
+//! Recording is always compiled in; no feature or flag turns it off.
+//! [`Span::finish`] returns the recorded wall time, so code that derives
 //! its own statistics from span durations (e.g. `h2-dist`'s per-phase
-//! times) keeps working with telemetry compiled out.
+//! times) reads the number the trace holds.
 //!
 //! ## Scoped counting (test isolation)
 //!
@@ -184,9 +184,6 @@ impl Counter {
     /// Adds `delta` to the counter.
     #[inline]
     pub fn add(&self, delta: u64) {
-        if cfg!(feature = "disabled") {
-            return;
-        }
         self.cell.fetch_add(delta, Ordering::Relaxed);
         local_record(self.name, delta);
     }
@@ -399,15 +396,11 @@ pub fn span_labeled(name: &'static str, label: impl Into<String>) -> Span {
 }
 
 fn span_inner(name: &'static str, label: Option<String>) -> Span {
-    let (depth, trace) = if cfg!(feature = "disabled") {
-        (0, 0)
-    } else {
-        THREAD.with(|t| {
-            let d = t.depth.get() + 1;
-            t.depth.set(d);
-            (d, t.trace.get())
-        })
-    };
+    let (depth, trace) = THREAD.with(|t| {
+        let d = t.depth.get() + 1;
+        t.depth.set(d);
+        (d, t.trace.get())
+    });
     Span {
         name,
         label,
@@ -439,9 +432,6 @@ impl Span {
             return dur_ns;
         }
         self.armed = false;
-        if cfg!(feature = "disabled") {
-            return dur_ns;
-        }
         THREAD.with(|t| {
             t.buf.borrow_mut().push(SpanRecord {
                 name: self.name,

@@ -12,7 +12,6 @@ use h2_telemetry::{
 };
 
 #[test]
-#[cfg_attr(feature = "disabled", ignore = "recording is compiled out")]
 fn overflow_is_counted_taken_spans_drain_and_the_flight_ring_is_bounded() {
     // --- Overflow: spans past the cap are dropped and counted. ---
     reset();

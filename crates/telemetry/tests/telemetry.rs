@@ -13,7 +13,6 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 #[test]
-#[cfg_attr(feature = "disabled", ignore = "recording is compiled out")]
 fn nested_spans_are_contained_in_their_parent() {
     {
         let _outer = span("nest_test.outer");
@@ -46,7 +45,6 @@ fn nested_spans_are_contained_in_their_parent() {
 }
 
 #[test]
-#[cfg_attr(feature = "disabled", ignore = "recording is compiled out")]
 fn multi_thread_counter_aggregation_is_exact() {
     let threads = 8;
     let per_thread = 10_000u64;
@@ -70,7 +68,6 @@ fn multi_thread_counter_aggregation_is_exact() {
 }
 
 #[test]
-#[cfg_attr(feature = "disabled", ignore = "recording is compiled out")]
 fn local_scope_isolates_from_other_threads() {
     // A rival thread hammers the same counter the whole time; the scope
     // must still see exactly this thread's contribution.
@@ -96,7 +93,6 @@ fn local_scope_isolates_from_other_threads() {
 }
 
 #[test]
-#[cfg_attr(feature = "disabled", ignore = "recording is compiled out")]
 fn nested_scopes_count_independently() {
     let outer = local_scope();
     counter_add!("nested_scope.k", 2);
@@ -110,7 +106,6 @@ fn nested_scopes_count_independently() {
 }
 
 #[test]
-#[cfg_attr(feature = "disabled", ignore = "recording is compiled out")]
 fn span_finish_reports_duration_and_records() {
     let sp = span_labeled("finish_test.phase", "rank=3");
     std::thread::sleep(Duration::from_millis(2));
@@ -170,7 +165,6 @@ fn chrome_trace_golden() {
 }
 
 #[test]
-#[cfg_attr(feature = "disabled", ignore = "recording is compiled out")]
 fn trace_scopes_tag_spans_and_restore_on_drop() {
     assert_eq!(current_trace(), 0, "threads start untraced");
     let outer_id = next_trace_id();
@@ -237,7 +231,6 @@ fn chrome_trace_surfaces_trace_ids_and_dropped_spans() {
 }
 
 #[test]
-#[cfg_attr(feature = "disabled", ignore = "recording is compiled out")]
 fn snapshot_sees_counters_and_sorted_spans() {
     counter_add!("snap_test.a", 1);
     {

@@ -56,7 +56,7 @@ pub use h2_solvers as solvers;
 
 /// The names most programs need.
 pub mod prelude {
-    pub use h2_core::builders::sketched::{SketchKind, SketchParams};
+    pub use h2_core::builders::sketched::SketchParams;
     pub use h2_core::{
         AnyH2, BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, H2Matrix, H2MatrixS,
         H2Operator, MemoryMode, MixedH2, Precision, UpdateError, UpdatePolicy, UpdateReport,

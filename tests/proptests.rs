@@ -115,10 +115,9 @@ proptest! {
     /// Anchor-net sampling returns distinct in-range indices within budget.
     #[test]
     fn anchor_net_contract(n in 50usize..300, m in 1usize..40, seed in 0u64..500) {
-        use h2mv::sampling::{AnchorNet, Sampler};
         let pts = h2mv::points::gen::uniform_cube(n, 3, seed);
         let cand: Vec<usize> = (0..n).collect();
-        let out = AnchorNet.sample(&pts, &cand, m, seed);
+        let out = h2mv::sampling::anchor_net(&pts, &cand, m);
         prop_assert!(out.len() <= m.max(cand.len().min(m)));
         let mut sorted = out.clone();
         sorted.sort_unstable();
