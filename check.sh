@@ -40,7 +40,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! and one unsafe under crates/kernels/src, none in sweep.rs, no arch intrinsics), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), build configuration (no [features] table), RNG dependent (h2-points alone) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, two unsafe AVX2 dispatches, none in sweep.rs, no arch intrinsics), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), build configuration (no [features] table), RNG dependent (h2-points alone) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -56,11 +56,18 @@ MANIFESTS="Cargo.toml Cargo.lock crates/*/Cargo.toml vendor/*/Cargo.toml"
 if grep -nE 'criterion|h2-sketch|\[\[bench\]\]|serde([^_]|_derive|$)' $MANIFESTS; then
   echo "a manifest names criterion, a [[bench]], h2-sketch, or a serde other than serde_json"; exit 1
 fi
-for word in "is_x86_feature_detected!" "unsafe"; do
-  SITES=$(non_test crates/kernels/src/*.rs | grep -cw -- "$word" || true)
-  [ "$SITES" = 1 ] || { echo "expected one '$word' under crates/kernels/src, found $SITES"; exit 1; }
-  if non_test crates/core/src/sweep.rs | grep -nw -- "$word"; then echo "'$word' in sweep.rs"; exit 1; fi
-done
+# One CPU-feature check in the workspace (h2_linalg::simd::avx2), and two
+# unsafe calls behind it: the radial kernels' and the panel kernels' AVX2
+# compiles. The mmap slab (crates/linalg/src/slab.rs) is the only other
+# unsafe code; comment lines do not count.
+FEATURE=$(grep -rnw -- "is_x86_feature_detected!" crates/*/src crates/*/tests src tests examples || true)
+[ "$(grep -c . <<< "$FEATURE")" = 1 ] && grep -q "^crates/linalg/src/simd.rs:" <<< "$FEATURE" \
+  || { echo "expected one is_x86_feature_detected!, in crates/linalg/src/simd.rs: $FEATURE"; exit 1; }
+SRC=$(find crates/*/src src -name '*.rs' ! -path crates/linalg/src/slab.rs)
+UNSAFE=$(non_test $SRC | grep -vE "^[^:]*:[[:space:]]*//" | grep -w "unsafe" || true)
+[ "$(grep -c . <<< "$UNSAFE")" = 2 ] && [ "$(grep -cE "unsafe \{ [a-z_]+_avx2\(" <<< "$UNSAFE")" = 2 ] \
+  || { echo "expected two unsafe AVX2 dispatches outside the slab: $UNSAFE"; exit 1; }
+if non_test crates/core/src/sweep.rs | grep -nwE "unsafe|is_x86_feature_detected!"; then echo "SIMD dispatch in sweep.rs"; exit 1; fi
 if grep -rnE "(std|core)::arch::" crates/*/src; then echo "an arch intrinsic path under crates/*/src"; exit 1; fi
 if grep -rniE "trait Sampler|dyn Sampler|SketchKind|srht" crates/*/src; then echo "the sampler extension point or the second sketch ensemble is back"; exit 1; fi
 if grep -n "\[features\]" crates/*/Cargo.toml; then echo "a crate has a [features] table"; exit 1; fi

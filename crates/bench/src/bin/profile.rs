@@ -29,7 +29,7 @@ use h2_core::diagnostics::counters;
 use h2_core::{BasisMethod, BuilderStrategy, H2Config, H2Matrix, H2MatrixS, MemoryMode};
 use h2_dist::ShardedH2;
 use h2_kernels::{paper_kernels, Coulomb};
-use h2_linalg::Matrix;
+use h2_linalg::{Matrix, MatrixS, Scalar};
 use h2_points::gen;
 use h2_serve::MatvecService;
 use std::collections::BTreeMap;
@@ -60,6 +60,24 @@ json_record! {
         /// `Kernel::eval_block_into`: the tiled, vectorised evaluation.
         block_ns_per_entry: f64,
         scalar_over_block: f64,
+    }
+}
+
+json_record! {
+    /// The panel kernels against `k` one-column applies, per storage /
+    /// accumulator scalar pair, over the stored operator's coupling and
+    /// nearfield blocks on one thread; every time is ns per entry·column.
+    #[derive(Clone, Debug)]
+    struct PanelApplyRow {
+        /// `S/A`, e.g. `f32/f64`.
+        scalars: String,
+        k: usize,
+        /// `k × matvec_acc` and `matmat_acc` (`Y += B X`).
+        matvec_ns: f64,
+        matmat_ns: f64,
+        /// `k × matvec_t_acc` and `matmat_t_acc` (`Y += Bᵀ X`).
+        matvec_t_ns: f64,
+        matmat_t_ns: f64,
     }
 }
 
@@ -97,7 +115,71 @@ json_record! {
         precision: Vec<PrecisionRow>,
         /// Blocked kernel evaluation against the scalar reference.
         kernel_eval: Vec<KernelEvalRow>,
+        /// Panel applies against `k` one-column applies.
+        panel_apply: Vec<PanelApplyRow>,
     }
+}
+
+/// One [`PanelApplyRow`]: `k`-column panels applied to every block of
+/// `blocks`, as `k` one-column applies and as one panel apply, each
+/// direction timed on its own.
+fn panel_apply_row<S: Scalar, A: Scalar>(
+    blocks: &[&MatrixS<S>],
+    k: usize,
+    reps: usize,
+) -> PanelApplyRow {
+    let ns = |apply: fn(&MatrixS<S>, usize, &[A], &mut [A])| panel_ns(blocks, k, reps, apply);
+    PanelApplyRow {
+        scalars: format!("{}/{}", S::NAME, A::NAME),
+        k,
+        matvec_ns: ns(|b, k, x, y| {
+            let (m, n) = b.shape();
+            for c in 0..k {
+                b.matvec_acc(&x[c * n..(c + 1) * n], &mut y[c * m..(c + 1) * m]);
+            }
+        }),
+        matmat_ns: ns(|b, k, x, y| b.matmat_acc(k, &x[..b.ncols() * k], &mut y[..b.nrows() * k])),
+        matvec_t_ns: ns(|b, k, x, y| {
+            let (m, n) = b.shape();
+            for c in 0..k {
+                b.matvec_t_acc(&x[c * m..(c + 1) * m], &mut y[c * n..(c + 1) * n]);
+            }
+        }),
+        matmat_t_ns: ns(|b, k, x, y| {
+            b.matmat_t_acc(k, &x[..b.nrows() * k], &mut y[..b.ncols() * k])
+        }),
+    }
+}
+
+/// ns per entry·column of `apply(block, k, x, y)` over every block, median
+/// of `reps`; `x` has no zero entry, so no term is skipped.
+fn panel_ns<S: Scalar, A: Scalar>(
+    blocks: &[&MatrixS<S>],
+    k: usize,
+    reps: usize,
+    apply: fn(&MatrixS<S>, usize, &[A], &mut [A]),
+) -> f64 {
+    let len = blocks.iter().map(|b| b.nrows().max(b.ncols())).max();
+    let len = len.unwrap_or(0) * k;
+    let x: Vec<A> = (0..len)
+        .map(|e| A::from_f64((e % 7) as f64 * 0.25 + 0.5))
+        .collect();
+    let mut y = vec![A::ZERO; len];
+    let entries: usize = blocks.iter().map(|b| b.nrows() * b.ncols()).sum();
+    let ms = median_ms(reps, || {
+        for b in blocks {
+            apply(b, k, &x, &mut y);
+        }
+        black_box(&mut y);
+    });
+    ms * 1e6 / (entries * k).max(1) as f64
+}
+
+/// The coupling and nearfield blocks of a stored operator.
+fn stored_blocks<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<&MatrixS<S>> {
+    let coupling = h2.coupling_store().blocks().unwrap_or_default();
+    let nearfield = h2.nearfield_store().blocks().unwrap_or_default();
+    coupling.iter().chain(nearfield).collect()
 }
 
 /// Average cost of one `f()` call over `iters` iterations, nanoseconds.
@@ -435,6 +517,40 @@ fn main() {
     kernel_table.print();
     println!();
 
+    // The panel kernels against the one-column applies they replace, on
+    // the stored operators' real block shapes, one thread. Information only.
+    let (blocks64, blocks32) = (stored_blocks(&stored), stored_blocks(&stored32));
+    let mut panel_rows = Vec::new();
+    for k in [1, 4, 8] {
+        panel_rows.push(panel_apply_row::<f64, f64>(&blocks64, k, reps));
+        panel_rows.push(panel_apply_row::<f32, f64>(&blocks32, k, reps));
+        panel_rows.push(panel_apply_row::<f32, f32>(&blocks32, k, reps));
+    }
+    let mut panel_table = Table::new(&[
+        "S/A",
+        "k",
+        "k × matvec",
+        "matmat",
+        "k × matvec_t",
+        "matmat_t",
+    ]);
+    for r in &panel_rows {
+        panel_table.row(vec![
+            r.scalars.clone(),
+            r.k.to_string(),
+            format!("{:.3}", r.matvec_ns),
+            format!("{:.3}", r.matmat_ns),
+            format!("{:.3}", r.matvec_t_ns),
+            format!("{:.3}", r.matmat_t_ns),
+        ]);
+    }
+    println!(
+        "panel apply over {} stored blocks, ns per entry·column:",
+        blocks64.len()
+    );
+    panel_table.print();
+    println!();
+
     // Prometheus exposition: service latency series, then the registry.
     print!("{}", svc.metrics().prometheus_text());
     print!("{}", snap.prometheus_text());
@@ -488,6 +604,7 @@ fn main() {
             trace_events: snap.spans.len(),
             precision: precision_rows,
             kernel_eval: kernel_rows,
+            panel_apply: panel_rows,
         };
         write_json(&args.json, summary);
     }

@@ -254,20 +254,47 @@ impl<S: Scalar> H2MatrixS<S> {
     /// [`Self::generate_block`] without the counting: the sweeps tally
     /// their generations per thread and record them after the join.
     pub(crate) fn materialize_block(&self, kind: BlockKind, i: NodeId, j: NodeId) -> MatrixS<S> {
-        let pts = self.tree.points();
+        let (rows, cols) = self.block_shape(kind, i, j);
+        let mut block = MatrixS::zeros(rows, cols);
+        self.materialize_into(kind, (i, j), block.as_mut_slice(), &mut Vec::new());
+        block
+    }
+
+    /// The entries of the materialized block `(i, j)` into the zeroed
+    /// column-major `out`: evaluated in `f64` — into `wide` first when `S`
+    /// is narrower — and rounded once to `S`. What the builders store, the
+    /// cached tier holds and a miss of it applies.
+    pub(crate) fn materialize_into(
+        &self,
+        kind: BlockKind,
+        (i, j): (NodeId, NodeId),
+        out: &mut [S],
+        wide: &mut Vec<f64>,
+    ) {
+        if let Some(out) = S::as_f64s_mut(out) {
+            return self.evaluate_into(kind, (i, j), out);
+        }
+        wide.clear();
+        wide.resize(out.len(), 0.0);
+        self.evaluate_into(kind, (i, j), wide);
+        for (o, &v) in out.iter_mut().zip(wide.iter()) {
+            *o = S::from_f64(v);
+        }
+    }
+
+    /// The kernel entries of the listed block `(i, j)`, in `f64`, into the
+    /// zeroed column-major `out`.
+    pub(crate) fn evaluate_into(&self, kind: BlockKind, (i, j): (NodeId, NodeId), out: &mut [f64]) {
+        let (kernel, pts) = (self.kernel.as_ref(), self.tree.points());
         match kind {
-            BlockKind::Coupling => crate::proxy::coupling_block_s::<S>(
-                self.kernel.as_ref(),
-                pts,
-                &self.proxies[i],
-                &self.proxies[j],
-            ),
-            BlockKind::Nearfield => h2_kernels::kernel_matrix_s::<S>(
-                self.kernel.as_ref(),
-                pts,
-                self.tree.node_indices(i),
-                self.tree.node_indices(j),
-            ),
+            BlockKind::Coupling => {
+                let (a, b) = (&self.proxies[i], &self.proxies[j]);
+                crate::proxy::coupling_block_into(kernel, pts, a, b, out);
+            }
+            BlockKind::Nearfield => {
+                let (rows, cols) = (self.tree.node_indices(i), self.tree.node_indices(j));
+                kernel.eval_block_into(pts, rows, cols, out);
+            }
         }
     }
 
@@ -711,8 +738,16 @@ mod tests {
             ..H2Config::default()
         };
         let h2 = H2Matrix::build(&pts, Arc::new(Exponential), &cfg);
-        let b = Matrix::from_fn(400, 4, |i, j| ((i + 3 * j) % 7) as f64 - 3.0);
-        assert_eq!(h2.matmat(&b).as_slice(), columnwise(&h2, &b).as_slice());
+        // Below, at and past the 4-column tile of the panel kernels, with
+        // exact zeros and an all-zero column 1.
+        for k in [2, 3, 5, 8] {
+            let b = Matrix::from_fn(400, k, |i, j| match j {
+                1 => 0.0,
+                _ => ((i + 3 * j) % 7) as f64 - 3.0,
+            });
+            let (panel, columns) = (h2.matmat(&b), columnwise(&h2, &b));
+            assert_eq!(panel.as_slice(), columns.as_slice(), "k = {k}");
+        }
     }
 
     #[test]

@@ -58,19 +58,22 @@
 //!
 //! ## Two arithmetic classes
 //!
-//! Blocks that exist in the storage scalar `S` (resident, mapped, cached)
-//! are applied with `matvec_acc` / `matvec_t_acc`. With no storage tier
-//! the block is generated in `f64` into a reusable scratch buffer and
-//! applied with one local `f64` accumulator per output entry, summed in
-//! ascending source order — the arithmetic of the fused kernel application
-//! ([`h2_kernels::Kernel::apply_block`]), so on-the-fly results do not
-//! depend on whether a block was ever materialized.
+//! Blocks that exist in the storage scalar `S` — resident, mapped, cached,
+//! or missed by the cached tier and generated into a per-thread scratch
+//! rounded to `S` — are applied with the panel kernels of
+//! [`h2_linalg::panel`], as are the bases and transfers: a `k`-column panel
+//! is one register-blocked pass per block and direction, and its column `c`
+//! has the bits of the vector product. With no storage tier the block is
+//! generated in `f64` into a reusable scratch buffer and applied one panel
+//! column at a time, with one local `f64` accumulator per output entry
+//! summed in ascending source order — the arithmetic of the fused kernel
+//! application ([`h2_kernels::Kernel::apply_block`]), so on-the-fly results
+//! do not depend on whether a block was ever materialized.
 
 use crate::diagnostics::BlockTally;
 use crate::h2matrix::H2MatrixS;
-use crate::proxy::coupling_block_into;
 use h2_cache::{BlockCache, BlockKind};
-use h2_linalg::{exec, MatrixS, Scalar};
+use h2_linalg::{exec, panel, MatrixS, Scalar};
 use h2_points::admissibility::BlockLists;
 use h2_points::{ClusterTree, NodeId};
 use std::cmp::Reverse;
@@ -532,12 +535,34 @@ impl Schedule {
 enum Fetched<'a, S: Scalar> {
     /// Borrowed from a materialized (owned or mapped) store.
     Resident(&'a MatrixS<S>),
-    /// Shared out of the budgeted cache, or on a miss generated in `S` and
-    /// dropped after use.
+    /// Shared out of the budgeted cache.
     Cached(Arc<MatrixS<S>>),
-    /// Generated in `f64` into the scratch buffer, column-major with
-    /// this many rows.
-    Scratch(usize),
+    /// Missed by the cached tier: materialized into [`Scratch::stored`].
+    Missed,
+    /// Generated in `f64` into [`Scratch::block`] (no cached tier).
+    Generated,
+}
+
+/// The buffers a thread generates blocks into, sized once per product for
+/// the largest block it can generate.
+#[derive(Default)]
+struct Scratch<S> {
+    /// A generated block's `f64` entries, column-major (for an `f32`
+    /// operator, also a missed block before it is rounded).
+    block: Vec<f64>,
+    /// A block missed by the cached tier, rounded to `S` as the cache's
+    /// own blocks are ([`H2MatrixS::materialize_into`]).
+    stored: Vec<S>,
+    /// Row accumulators of the generated tier.
+    acc: Vec<f64>,
+}
+
+/// Clears `buf` and refills it with `len` zeros (within its capacity once
+/// sized).
+fn zeroed<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    buf.clear();
+    buf.resize(len, T::default());
+    buf
 }
 
 /// The single three-tier fetch: resident-or-mapped, then cached, then
@@ -549,64 +574,68 @@ fn fetch<'a, S: Scalar>(
     kind: BlockKind,
     (i, j): (NodeId, NodeId),
     resident: Option<&'a MatrixS<S>>,
-    scratch: &mut Vec<f64>,
+    scratch: &mut Scratch<S>,
     tally: &mut BlockTally,
 ) -> Fetched<'a, S> {
     if let Some(block) = resident {
         return Fetched::Resident(block);
     }
     let (rows, cols) = h2.block_shape(kind, i, j);
-    if let Some(cache) = cache {
-        let mut hit = true;
-        let block = cache.get_or_generate_at(kind, i, j, h2.pair_epoch(i, j), || {
-            hit = false;
-            h2.materialize_block(kind, i, j)
-        });
-        tally.add_cached(hit, kind, rows, cols);
+    let Some(cache) = cache else {
+        tally.add(kind, rows, cols);
+        h2.evaluate_into(kind, (i, j), zeroed(&mut scratch.block, rows * cols));
+        return Fetched::Generated;
+    };
+    let block = cache.get_at(kind, i, j, h2.pair_epoch(i, j));
+    tally.add_cached(block.is_some(), kind, rows, cols);
+    if let Some(block) = block {
         return Fetched::Cached(block);
     }
-    tally.add(kind, rows, cols);
-    scratch.clear();
-    scratch.resize(rows * cols, 0.0);
-    let pts = h2.tree.points();
-    match kind {
-        BlockKind::Coupling => coupling_block_into(
-            h2.kernel.as_ref(),
-            pts,
-            &h2.proxies[i],
-            &h2.proxies[j],
-            scratch,
-        ),
-        BlockKind::Nearfield => h2.kernel.eval_block_into(
-            pts,
-            h2.tree.node_indices(i),
-            h2.tree.node_indices(j),
-            scratch,
-        ),
-    }
-    Fetched::Scratch(rows)
+    let stored = zeroed(&mut scratch.stored, rows * cols);
+    h2.materialize_into(kind, (i, j), stored, &mut scratch.block);
+    Fetched::Missed
 }
 
 impl<S: Scalar> Fetched<'_, S> {
-    /// `y += B x`, or `y += Bᵀ x` when `transposed`.
+    /// `Y += B X`, or `Y += Bᵀ X` when `transposed`, for `k`-column
+    /// panels; `(rows, cols)` is the shape of `B`.
     fn apply<A: Scalar>(
         &self,
-        scratch: &[f64],
-        acc: &mut Vec<f64>,
+        scratch: &mut Scratch<S>,
         transposed: bool,
+        (rows, cols): (usize, usize),
+        k: usize,
         x: &[A],
         y: &mut [A],
     ) {
         let block = match self {
-            Fetched::Resident(b) => *b,
-            Fetched::Cached(b) => b.as_ref(),
-            Fetched::Scratch(rows) if transposed => return dot_apply_t(scratch, *rows, x, y),
-            Fetched::Scratch(rows) => return dot_apply(scratch, *rows, acc, x, y),
+            Fetched::Resident(b) => b.as_slice(),
+            Fetched::Cached(b) => b.as_slice(),
+            Fetched::Missed => &scratch.stored,
+            Fetched::Generated => {
+                // One column at a time, in the fused kernel application's
+                // order (module docs).
+                let Scratch { block, acc, .. } = scratch;
+                for c in 0..k {
+                    if transposed {
+                        dot_apply_t(block, rows, &x[col(0, rows, c)], &mut y[col(0, cols, c)]);
+                    } else {
+                        dot_apply(
+                            block,
+                            rows,
+                            acc,
+                            &x[col(0, cols, c)],
+                            &mut y[col(0, rows, c)],
+                        );
+                    }
+                }
+                return;
+            }
         };
         if transposed {
-            block.matvec_t_acc(x, y);
+            panel::matmat_t_acc(block, rows, cols, k, x, y);
         } else {
-            block.matvec_acc(x, y);
+            panel::matmat_acc(block, rows, cols, k, x, y);
         }
     }
 }
@@ -742,33 +771,35 @@ fn side<'o, A>(first: &'o mut [A], other: &'o mut Option<&mut [A]>, second: bool
 }
 
 /// What each thread of a product has to itself.
-struct Local<A> {
-    /// One column of `R_i g_p` (downward sweep).
+struct Local<S, A> {
+    /// The `rank × k` panel `R_i g_p` (downward sweep).
     add: Vec<A>,
-    /// Row accumulators of the generated tier.
-    acc: Vec<f64>,
     /// The one generated block alive at a time.
-    scratch: Vec<f64>,
+    scratch: Scratch<S>,
     /// Blocks this thread generated and its cached-tier hits and misses,
     /// for the caller to record.
     tally: BlockTally,
 }
 
-/// Capacities of a [`Local`]: the largest rank, and the most rows and
-/// entries of a generated block.
+/// Capacities of a [`Local`]: the largest `rank × k` panel, and the most
+/// rows and entries of a block it may generate in `f64` and in `S`.
 #[derive(Clone, Copy)]
 struct LocalSize {
-    rank: usize,
+    panel: usize,
     rows: usize,
     entries: usize,
+    stored: usize,
 }
 
-impl<A: Scalar> Local<A> {
+impl<S: Scalar, A: Scalar> Local<S, A> {
     fn new(size: LocalSize) -> Self {
         Local {
-            add: vec![A::ZERO; size.rank],
-            acc: Vec::with_capacity(size.rows),
-            scratch: Vec::with_capacity(size.entries),
+            add: vec![A::ZERO; size.panel],
+            scratch: Scratch {
+                block: Vec::with_capacity(size.entries),
+                stored: Vec::with_capacity(size.stored),
+                acc: Vec::with_capacity(size.rows),
+            },
             tally: BlockTally::default(),
         }
     }
@@ -797,7 +828,7 @@ pub struct Sweep<'a, S: Scalar, A: Scalar> {
     pub g: Vec<A>,
     /// One per thread that has run so far; the calling thread's first.
     /// Helpers borrow theirs, so they allocate nothing of their own.
-    locals: Vec<Local<A>>,
+    locals: Vec<Local<S, A>>,
     local_size: LocalSize,
 }
 
@@ -814,9 +845,12 @@ impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
     ) -> Self {
         let n = h2.n();
         let coeffs = plan.q_base[plan.top + 1] * k;
-        // Only the generated tier needs scratch; sized once for the largest
-        // block of the schedule so the sweeps never reallocate.
-        let generates = cache.is_none() && !h2.coupling.is_materialized();
+        // Scratch only where blocks are generated, sized once for the
+        // largest block of the schedule so the sweeps never reallocate: the
+        // generated tier evaluates and accumulates in `f64`; a miss of the
+        // cached tier is stored as `S`, and evaluated in `f64` first only
+        // when it has to be rounded.
+        let generates = !h2.coupling.is_materialized();
         let shapes = plan
             .block_schedule(h2)
             .map(|(kind, i, j, _)| h2.block_shape(kind, i, j));
@@ -825,10 +859,12 @@ impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
         } else {
             (0, 0)
         };
+        let (cached, rounds) = (cache.is_some(), S::as_f64s(&[]).is_none());
         let local_size = LocalSize {
-            rank: h2.ranks.iter().copied().max().unwrap_or(0),
-            rows,
-            entries,
+            panel: h2.ranks.iter().copied().max().unwrap_or(0) * k,
+            rows: if cached { 0 } else { rows },
+            entries: if cached && !rounds { 0 } else { entries },
+            stored: if cached { entries } else { 0 },
         };
         Sweep {
             h2,
@@ -968,7 +1004,7 @@ struct Job<'s, S: Scalar, A: Scalar> {
 }
 
 impl<S: Scalar, A: Scalar> Job<'_, S, A> {
-    fn execute(&self, task: Task, local: &mut Local<A>) {
+    fn execute(&self, task: Task, local: &mut Local<S, A>) {
         match task {
             Task::Up(group) => self.up(group),
             Task::Down(group) => self.down(group, &mut local.add),
@@ -1005,26 +1041,17 @@ impl<S: Scalar, A: Scalar> Job<'_, S, A> {
         let in_group = |&&i: &&NodeId| plan.group[i] == group;
         for &i in plan.levels.iter().rev().flatten().filter(in_group) {
             let nd = h2.tree.node(i);
-            let ri = h2.ranks[i];
             if nd.is_leaf() {
                 let mut q = lock(&self.q[group]);
                 let (bi, qi) = (&self.b[plan.y_range(i, k)], &mut q[plan.q_local(i, k)]);
-                for c in 0..k {
-                    h2.bases[i].matvec_t_acc(&bi[col(0, nd.len(), c)], &mut qi[col(0, ri, c)]);
-                }
+                h2.bases[i].matmat_t_acc(k, bi, qi);
                 continue;
             }
             for &ch in &nd.children {
                 let transfer = &h2.transfers[ch];
-                if transfer.is_empty() {
-                    continue;
+                if !transfer.is_empty() {
+                    self.with_panels(&self.q, ch, i, |qc, qi| transfer.matmat_t_acc(k, qc, qi));
                 }
-                let rc = h2.ranks[ch];
-                self.with_panels(&self.q, ch, i, |qc, qi| {
-                    for c in 0..k {
-                        transfer.matvec_t_acc(&qc[col(0, rc, c)], &mut qi[col(0, ri, c)]);
-                    }
-                });
             }
         }
     }
@@ -1038,20 +1065,17 @@ impl<S: Scalar, A: Scalar> Job<'_, S, A> {
             if plan.group[p] != group {
                 continue;
             }
-            let (ri, rp) = (h2.ranks[i], h2.ranks[p]);
             let transfer = &h2.transfers[i];
-            let add = &mut add[..ri];
+            let add = &mut add[..h2.ranks[i] * k];
             self.with_panels(&self.g, p, i, |gp, gi| {
-                for c in 0..k {
-                    // Into a zeroed column first: `R_i g_p` is summed on
-                    // its own before it meets the horizontal sum.
-                    add.fill(A::ZERO);
-                    if !transfer.is_empty() {
-                        transfer.matvec_acc(&gp[col(0, rp, c)], add);
-                    }
-                    for (a, &v) in gi[col(0, ri, c)].iter_mut().zip(add.iter()) {
-                        *a += v;
-                    }
+                // Into a zeroed panel first: `R_i g_p` is summed on its own
+                // before it meets the horizontal sum.
+                add.fill(A::ZERO);
+                if !transfer.is_empty() {
+                    transfer.matmat_acc(k, gp, add);
+                }
+                for (a, &v) in gi.iter_mut().zip(add.iter()) {
+                    *a += v;
                 }
             });
         }
@@ -1061,17 +1085,14 @@ impl<S: Scalar, A: Scalar> Job<'_, S, A> {
         let (h2, plan, k) = (self.h2, self.plan, self.k);
         let (g, mut y) = (lock(&self.g[group]), lock(&self.y[group]));
         for &i in plan.leaves.iter().filter(|&&i| plan.group[i] == group) {
-            let (ri, len) = (h2.ranks[i], h2.tree.node(i).len());
             let (gi, yi) = (&g[plan.q_local(i, k)], &mut y[plan.y_local(i, k)]);
-            for c in 0..k {
-                h2.bases[i].matvec_acc(&gi[col(0, ri, c)], &mut yi[col(0, len, c)]);
-            }
+            h2.bases[i].matmat_acc(k, gi, yi);
         }
     }
 
     /// Applies the owned directions of every pair of one cell, in list
     /// order, holding the cell's two groups.
-    fn cell(&self, kind: BlockKind, cell: &Cell, local: &mut Local<A>) {
+    fn cell(&self, kind: BlockKind, cell: &Cell, local: &mut Local<S, A>) {
         let (plan, k) = (self.plan, self.k);
         let (c, d) = cell.groups;
         match kind {
@@ -1100,7 +1121,7 @@ impl<S: Scalar, A: Scalar> Job<'_, S, A> {
         &self,
         kind: BlockKind,
         cell: &Cell,
-        local: &mut Local<A>,
+        local: &mut Local<S, A>,
         input: impl Fn(NodeId) -> &'x [A],
         (out_c, mut out_d): (&mut [A], Option<&mut [A]>),
         out_at: impl Fn(NodeId) -> Range<usize>,
@@ -1113,12 +1134,7 @@ impl<S: Scalar, A: Scalar> Job<'_, S, A> {
             BlockKind::Coupling => h2.coupling.blocks(),
             BlockKind::Nearfield => h2.nearfield.blocks(),
         };
-        let Local {
-            acc,
-            scratch,
-            tally,
-            ..
-        } = local;
+        let Local { scratch, tally, .. } = local;
         // Node `i`'s output panel: in the cell's second group or its first.
         let second = |i: NodeId| plan.group[i] != cell.groups.0;
         let steps = order.slots(cell).iter();
@@ -1133,19 +1149,16 @@ impl<S: Scalar, A: Scalar> Job<'_, S, A> {
                 scratch,
                 tally,
             );
-            let (rows, cols) = h2.block_shape(kind, st.i, st.j);
-            let (xi, xj) = (input(st.i), input(st.j));
-            for c in 0..k {
-                if st.fwd {
-                    let out = &mut side(out_c, &mut out_d, second(st.i))[out_at(st.i)];
-                    let (x, y) = (&xj[col(0, cols, c)], &mut out[col(0, rows, c)]);
-                    block.apply(scratch, acc, false, x, y);
-                }
-                if st.rev {
-                    let out = &mut side(out_c, &mut out_d, second(st.j))[out_at(st.j)];
-                    let (x, y) = (&xi[col(0, rows, c)], &mut out[col(0, cols, c)]);
-                    block.apply(scratch, acc, true, x, y);
-                }
+            let shape = h2.block_shape(kind, st.i, st.j);
+            // The two directions write different nodes' panels, so
+            // applying them one after the other moves no entry's order.
+            if st.fwd {
+                let out = &mut side(out_c, &mut out_d, second(st.i))[out_at(st.i)];
+                block.apply(scratch, false, shape, k, input(st.j), out);
+            }
+            if st.rev {
+                let out = &mut side(out_c, &mut out_d, second(st.j))[out_at(st.j)];
+                block.apply(scratch, true, shape, k, input(st.i), out);
             }
         }
     }
@@ -1177,7 +1190,7 @@ impl<S: Scalar> H2MatrixS<S> {
             BlockKind::Coupling => self.coupling.block(lo, hi),
             BlockKind::Nearfield => self.nearfield.block(lo, hi),
         };
-        let (mut scratch, mut acc) = (Vec::new(), Vec::new());
+        let mut scratch = Scratch::default();
         let mut tally = BlockTally::default();
         let resident = resident.map(|(block, _)| block);
         let block = fetch(
@@ -1190,7 +1203,8 @@ impl<S: Scalar> H2MatrixS<S> {
             &mut tally,
         );
         tally.record();
-        block.apply(&scratch, &mut acc, i > j, x, y);
+        let shape = self.block_shape(kind, lo, hi);
+        block.apply(&mut scratch, i > j, shape, 1, x, y);
     }
 
     /// `Y = Â B` for `k` right-hand sides: `b` and `y` are `n × k`

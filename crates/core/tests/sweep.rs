@@ -55,13 +55,23 @@ fn product_at<S: Scalar, A: Scalar>(
     (y, scope.count("sweep.helper_threads"))
 }
 
-/// Column `c` of the 8-column product equals the vector product of column
-/// `c`, and the empty panel maps to the empty panel.
+/// Column `c` of a `k`-column product equals the vector product of column
+/// `c` — at `k` = 2, 3, 5 and 8, so below, at and past the panel kernels'
+/// 4-column tile, over a panel with exact zeros and an all-zero column 1 —
+/// and the empty panel maps to the empty panel.
 fn assert_k_invariant<S: Scalar, A: Scalar>(h2: &H2MatrixS<S>, what: &str) {
-    let b = panel::<A>(h2.n(), 8);
-    let y = h2.matmat(&b);
-    for c in 0..8 {
-        assert_eq!(y.col(c), &h2.matvec(b.col(c))[..], "{what}: column {c}");
+    for k in [2, 3, 5, 8] {
+        let mut b = panel::<A>(h2.n(), k);
+        for (e, v) in b.as_mut_slice().iter_mut().enumerate() {
+            if e % 7 == 0 || e / h2.n() == 1 {
+                *v = A::ZERO;
+            }
+        }
+        let y = h2.matmat(&b);
+        let what = format!("{what}, k = {k}");
+        for c in 0..k {
+            assert_eq!(y.col(c), &h2.matvec(b.col(c))[..], "{what}: column {c}");
+        }
     }
     let empty = h2.matmat(&panel::<A>(h2.n(), 0));
     assert_eq!(empty.shape(), (h2.n(), 0), "{what}: k = 0");

@@ -108,10 +108,10 @@ fn eval_tiled_avx2<K: RadialKernel>(k: &K, dim: usize, x: Side, y: Side, out: &m
 /// evaluation this host can run.
 fn eval_tiled<K: RadialKernel>(k: &K, dim: usize, x: Side, y: Side, out: &mut [f64]) {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if is_x86_feature_detected!("avx2") {
+    if h2_linalg::simd::avx2() {
         // SAFETY: `eval_tiled_avx2` is a safe function whose only
         // requirement of its caller is that the CPU supports AVX2, which
-        // the runtime check on the line above has just established.
+        // `simd::avx2` on the line above has just established.
         return unsafe { eval_tiled_avx2(k, dim, x, y, out) };
     }
     eval_tiled_baseline(k, dim, x, y, out)
@@ -370,11 +370,7 @@ mod tests {
 
     #[test]
     fn dispatched_compile_has_the_baseline_bits() {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        let avx2 = is_x86_feature_detected!("avx2");
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        let avx2 = false;
-        if !avx2 {
+        if !h2_linalg::simd::avx2() {
             eprintln!("no AVX2 on this host: comparing the baseline compile with itself");
         }
         let pts = h2_points::gen::uniform_cube(50, 3, 9);

@@ -36,8 +36,10 @@ pub mod exec;
 pub mod id;
 pub mod lu;
 pub mod matrix;
+pub mod panel;
 pub mod qr;
 pub mod scalar;
+pub mod simd;
 pub mod sketch;
 pub mod slab;
 pub mod vec_ops;

@@ -13,6 +13,7 @@
 //! `f32` storage, `f64` accumulation.
 
 use crate::blas;
+use crate::panel;
 use crate::scalar::Scalar;
 use crate::slab::SlabSlice;
 
@@ -408,12 +409,15 @@ impl<S: Scalar> MatrixS<S> {
     /// `y += self * x` (accumulating, no allocation).
     pub fn matvec_acc<A: Scalar>(&self, x: &[A], y: &mut [A]) {
         debug_assert_eq!(x.len(), self.ncols);
-        debug_assert_eq!(y.len(), self.nrows);
-        for (j, &xj) in x.iter().enumerate() {
-            if xj != A::ZERO {
-                blas::axpy(xj, self.col(j), y);
-            }
-        }
+        panel::gemv_acc(self.as_slice(), self.nrows, x, y);
+    }
+
+    /// `Y += self * X` for column-major panels of `k` columns (`x` is
+    /// `ncols × k`, `y` is `nrows × k`) in one register-blocked pass over
+    /// the matrix; column `c` has the bits of `matvec_acc(x_c, y_c)`
+    /// ([`panel::matmat_acc`]).
+    pub fn matmat_acc<A: Scalar>(&self, k: usize, x: &[A], y: &mut [A]) {
+        panel::matmat_acc(self.as_slice(), self.nrows, self.ncols, k, x, y);
     }
 
     /// `y = self^T * x` (allocating).
@@ -433,11 +437,15 @@ impl<S: Scalar> MatrixS<S> {
 
     /// `y += self^T * x` (accumulating, no allocation).
     pub fn matvec_t_acc<A: Scalar>(&self, x: &[A], y: &mut [A]) {
-        debug_assert_eq!(x.len(), self.nrows);
         debug_assert_eq!(y.len(), self.ncols);
-        for (j, yj) in y.iter_mut().enumerate() {
-            *yj += blas::dot(self.col(j), x);
-        }
+        panel::gemv_t_acc(self.as_slice(), self.nrows, x, y);
+    }
+
+    /// `Y += self^T * X` for column-major panels of `k` columns (`x` is
+    /// `nrows × k`, `y` is `ncols × k`); column `c` has the bits of
+    /// `matvec_t_acc(x_c, y_c)` ([`panel::matmat_t_acc`]).
+    pub fn matmat_t_acc<A: Scalar>(&self, k: usize, x: &[A], y: &mut [A]) {
+        panel::matmat_t_acc(self.as_slice(), self.nrows, self.ncols, k, x, y);
     }
 
     /// `self * other` (see [`blas::gemm`] for the blocked kernel).
