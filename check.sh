@@ -40,7 +40,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, two unsafe AVX2 dispatches, none in sweep.rs, no arch intrinsics), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), build configuration (no [features] table), RNG dependent (h2-points alone) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, two unsafe AVX2 dispatches, none in sweep.rs, no arch intrinsics), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG dependent (h2-points alone) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -70,6 +70,7 @@ UNSAFE=$(non_test $SRC | grep -vE "^[^:]*:[[:space:]]*//" | grep -w "unsafe" || 
 if non_test crates/core/src/sweep.rs | grep -nwE "unsafe|is_x86_feature_detected!"; then echo "SIMD dispatch in sweep.rs"; exit 1; fi
 if grep -rnE "(std|core)::arch::" crates/*/src; then echo "an arch intrinsic path under crates/*/src"; exit 1; fi
 if grep -rniE "trait Sampler|dyn Sampler|SketchKind|srht" crates/*/src; then echo "the sampler extension point or the second sketch ensemble is back"; exit 1; fi
+if grep -rnE "dot_apply|Fetched::Generated|kernel_matrix_s|coupling_block_s" crates/*/src; then echo "the second arithmetic class is back"; exit 1; fi
 if grep -n "\[features\]" crates/*/Cargo.toml; then echo "a crate has a [features] table"; exit 1; fi
 RAND_DEPENDENTS=$(grep -lE "^rand(_chacha)?(\.workspace)? *=" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml | tr '\n' ' ')
 [ "$RAND_DEPENDENTS" = "Cargo.toml crates/points/Cargo.toml vendor/rand_chacha/Cargo.toml " ] \
@@ -92,7 +93,7 @@ timeout 300 ./target/release/fig7_threads --sizes 8000 --threads 1,2 --check > "
 grep -q "FIG7_THREADS_CHECK_OK" "$FIG7"
 rm -f "$FIG7"
 
-echo "== cache sweep smoke (bitwise endpoints, churned = re-planned, telemetry counters) =="
+echo "== cache sweep smoke (every budget bitwise equal to normal mode, churned = re-planned, telemetry counters) =="
 SWEEP=$(mktemp /tmp/h2-cache-sweep.XXXXXX.txt)
 ./target/release/cache_sweep --check > "$SWEEP"
 grep -q "CACHE_SWEEP_CHECK_OK" "$SWEEP"
@@ -155,9 +156,8 @@ grep -q "TENANT_SERVE_MMAP_OK" "$TEN/serve.log"
 grep -q "bitwise: all 3 hosted operators identical" "$TEN/serve.log"
 grep -q 'h2_tenant_cache_budget_bytes{tenant="alpha"}' "$TEN/serve.log"
 # Second pass, on-the-fly file: here the budget is live (a normal-mode file
-# ignores it), so alpha and beta host a budgeted tier in normal-mode
-# arithmetic and gamma a pure on-the-fly one; each must match the owned
-# decode of its own class.
+# ignores it), so alpha and beta host a budgeted tier and gamma none; all
+# three must match the one owned-decode reference bit for bit.
 ./target/release/h2serve save --n 2000 --dim 3 --leaf 64 --mode otf --out "$TEN/otf.h2" > /dev/null
 timeout 120 ./target/release/h2serve serve --file "$TEN/otf.h2" --tenants "$TEN/tenants.toml" \
   --requests 4 --batches 4 --cache-budget 0.25 > "$TEN/serve-otf.log"

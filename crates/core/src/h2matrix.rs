@@ -207,12 +207,12 @@ impl<S: Scalar> H2MatrixS<S> {
     /// ([`Self::plan_cache`]), generated in parallel. No-op in normal mode,
     /// where every block is already resident.
     ///
-    /// Budget 0 leaves the pure on-the-fly sweeps (bitwise identical to
-    /// `MemoryMode::OnTheFly`); any active budget routes every
-    /// non-resident block application through a materialized `S`-scalar
-    /// block applied with the normal-mode routines, and is therefore
-    /// bitwise identical to `MemoryMode::Normal` — budgets trade time for
-    /// memory, never accuracy.
+    /// Every block the sweeps apply is the `S`-scalar block the normal
+    /// builder stores, held or materialized on demand, applied with the
+    /// same routines ([`crate::sweep`]). So every budget, 0 included, is
+    /// bitwise identical to `MemoryMode::Normal` and to
+    /// `MemoryMode::OnTheFly` — budgets trade time for memory, never
+    /// accuracy.
     pub fn set_cache_budget(&mut self, budget: CacheBudget) {
         self.cache = None;
         if self.coupling.is_materialized() {
@@ -260,10 +260,11 @@ impl<S: Scalar> H2MatrixS<S> {
         block
     }
 
-    /// The entries of the materialized block `(i, j)` into the zeroed
-    /// column-major `out`: evaluated in `f64` — into `wide` first when `S`
-    /// is narrower — and rounded once to `S`. What the builders store, the
-    /// cached tier holds and a miss of it applies.
+    /// The entries of the listed block `(i, j)` into the zeroed
+    /// column-major `out`: the kernel evaluated in `f64` — into `wide`
+    /// first when `S` is narrower — and rounded once to `S`. What the
+    /// builders store, the cached tier holds and the sweeps apply when a
+    /// block is not held.
     pub(crate) fn materialize_into(
         &self,
         kind: BlockKind,
@@ -271,22 +272,8 @@ impl<S: Scalar> H2MatrixS<S> {
         out: &mut [S],
         wide: &mut Vec<f64>,
     ) {
-        if let Some(out) = S::as_f64s_mut(out) {
-            return self.evaluate_into(kind, (i, j), out);
-        }
-        wide.clear();
-        wide.resize(out.len(), 0.0);
-        self.evaluate_into(kind, (i, j), wide);
-        for (o, &v) in out.iter_mut().zip(wide.iter()) {
-            *o = S::from_f64(v);
-        }
-    }
-
-    /// The kernel entries of the listed block `(i, j)`, in `f64`, into the
-    /// zeroed column-major `out`.
-    pub(crate) fn evaluate_into(&self, kind: BlockKind, (i, j): (NodeId, NodeId), out: &mut [f64]) {
         let (kernel, pts) = (self.kernel.as_ref(), self.tree.points());
-        match kind {
+        let evaluate = |out: &mut [f64]| match kind {
             BlockKind::Coupling => {
                 let (a, b) = (&self.proxies[i], &self.proxies[j]);
                 crate::proxy::coupling_block_into(kernel, pts, a, b, out);
@@ -295,6 +282,15 @@ impl<S: Scalar> H2MatrixS<S> {
                 let (rows, cols) = (self.tree.node_indices(i), self.tree.node_indices(j));
                 kernel.eval_block_into(pts, rows, cols, out);
             }
+        };
+        if let Some(out) = S::as_f64s_mut(out) {
+            return evaluate(out);
+        }
+        wide.clear();
+        wide.resize(out.len(), 0.0);
+        evaluate(wide);
+        for (o, &v) in out.iter_mut().zip(wide.iter()) {
+            *o = S::from_f64(v);
         }
     }
 
@@ -446,19 +442,13 @@ impl<S: Scalar> H2MatrixS<S> {
     pub fn to_dense(&self) -> MatrixS<S> {
         let n = self.n();
         let tree = &self.tree;
-        let pts = tree.points();
         let perm = tree.perm();
         // Assemble in tree order first.
         let mut at = MatrixS::<S>::zeros(n, n);
         // Nearfield blocks: exact kernel entries.
         for &(i, j) in &self.lists.nearfield_pairs {
             let (ni, nj) = (tree.node(i), tree.node(j));
-            let block = h2_kernels::kernel_matrix_s::<S>(
-                self.kernel.as_ref(),
-                pts,
-                tree.node_indices(i),
-                tree.node_indices(j),
-            );
+            let block = self.materialize_block(BlockKind::Nearfield, i, j);
             at.set_block(ni.start, nj.start, &block);
             if i != j {
                 at.set_block(nj.start, ni.start, &block.transpose());
@@ -469,12 +459,7 @@ impl<S: Scalar> H2MatrixS<S> {
             let (ni, nj) = (tree.node(i), tree.node(j));
             let ui = self.expanded_basis(i);
             let uj = self.expanded_basis(j);
-            let b = crate::proxy::coupling_block_s::<S>(
-                self.kernel.as_ref(),
-                pts,
-                &self.proxies[i],
-                &self.proxies[j],
-            );
+            let b = self.materialize_block(BlockKind::Coupling, i, j);
             let block = ui.matmul(&b).matmul_t(&uj);
             at.set_block(ni.start, nj.start, &block);
             at.set_block(nj.start, ni.start, &block.transpose());
@@ -619,11 +604,8 @@ mod tests {
         let normal = mk(MemoryMode::Normal);
         let otf = mk(MemoryMode::OnTheFly);
         let b = random_vec(700, 7);
-        let y1 = normal.matvec(&b);
-        let y2 = otf.matvec(&b);
-        // Same generators, same blocks — answers agree to rounding order.
-        let err = h2_linalg::vec_ops::rel_err(&y1, &y2);
-        assert!(err < 1e-13, "normal vs OTF differ: {err}");
+        // Same generators, same blocks, same arithmetic.
+        assert_eq!(normal.matvec(&b), otf.matvec(&b));
     }
 
     #[test]
@@ -641,8 +623,37 @@ mod tests {
         };
         let y1 = mk(MemoryMode::Normal).matvec(&random_vec(500, 8));
         let y2 = mk(MemoryMode::OnTheFly).matvec(&random_vec(500, 8));
-        let err = h2_linalg::vec_ops::rel_err(&y1, &y2);
-        assert!(err < 1e-13, "normal vs OTF differ: {err}");
+        assert_eq!(y1, y2);
+    }
+
+    #[test]
+    fn f32_blocks_are_the_f64_siblings_blocks_rounded() {
+        // Skeleton indices and Chebyshev grids: both coupling proxy kinds.
+        let pts = gen::uniform_cube(500, 2, 12);
+        for basis in [
+            BasisMethod::data_driven_for_tol(1e-6, 2),
+            BasisMethod::Interpolation { order: 5 },
+        ] {
+            let cfg = H2Config {
+                basis,
+                mode: MemoryMode::OnTheFly,
+                leaf_size: 40,
+                eta: 0.7,
+                ..H2Config::default()
+            };
+            let h64 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &cfg);
+            let h32 = H2MatrixS::<f32>::build(&pts, Arc::new(Coulomb), &cfg);
+            assert!(!h64.lists().interaction_pairs.is_empty());
+            for (kind, i, j) in listed_blocks(h64.lists()) {
+                let (b64, b32) = (
+                    h64.materialize_block(kind, i, j),
+                    h32.materialize_block(kind, i, j),
+                );
+                assert_eq!(b32.shape(), b64.shape(), "{kind:?} ({i}, {j})");
+                let rounded: Vec<f32> = b64.as_slice().iter().map(|&v| v as f32).collect();
+                assert_eq!(b32.as_slice(), rounded, "{kind:?} ({i}, {j})");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //!   smaller than the `order^dim × order^dim` coupling blocks).
 
 use h2_kernels::Kernel;
-use h2_linalg::{MatrixS, Scalar};
 use h2_points::PointSet;
 
 /// Proxy points of one node.
@@ -55,30 +54,9 @@ impl ProxyPoints {
     }
 }
 
-/// Materializes the coupling block `B = K(proxy_a, proxy_b)` in storage
-/// scalar `S`. The kernel is always evaluated in `f64` and the entries
-/// rounded once on store.
-pub fn coupling_block_s<S: Scalar>(
-    kernel: &dyn Kernel,
-    pts: &PointSet,
-    a: &ProxyPoints,
-    b: &ProxyPoints,
-) -> MatrixS<S> {
-    match (a, b) {
-        (ProxyPoints::Indices(ra), ProxyPoints::Indices(cb)) => {
-            h2_kernels::kernel_matrix_s::<S>(kernel, pts, ra, cb)
-        }
-        _ => {
-            let xa = a.to_points(pts);
-            let xb = b.to_points(pts);
-            h2_kernels::kernel_cross_matrix_s::<S>(kernel, &xa, &xb)
-        }
-    }
-}
-
 /// Fills `out` (column-major, `a.len() x b.len()`) with the `f64` coupling
-/// block — the on-the-fly sweep's generation step, into its reusable
-/// scratch buffer.
+/// block `B = K(proxy_a, proxy_b)` — the evaluation step of every
+/// materialized coupling block.
 pub fn coupling_block_into(
     kernel: &dyn Kernel,
     pts: &PointSet,
@@ -101,17 +79,22 @@ mod tests {
     use h2_kernels::{Coulomb, Exponential};
     use h2_points::gen;
 
-    /// The scratch fill and the materializing builder agree entry for entry.
+    /// The block is entrywise [`Kernel::eval`] over the two proxies'
+    /// coordinates, column-major.
     fn assert_into_matches(k: &dyn Kernel, pts: &PointSet, a: &ProxyPoints, b: &ProxyPoints) {
-        let block: MatrixS<f64> = coupling_block_s(k, pts, a, b);
-        assert_eq!(block.shape(), (a.len(), b.len()));
+        let (xa, xb) = (a.to_points(pts), b.to_points(pts));
         let mut out = vec![f64::NAN; a.len() * b.len()];
         coupling_block_into(k, pts, a, b, &mut out);
-        assert_eq!(out, block.as_slice());
+        for (c, col) in out.chunks_exact(a.len()).enumerate() {
+            for (r, &v) in col.iter().enumerate() {
+                assert_eq!(v.to_bits(), k.eval(xa.point(r), xb.point(c)).to_bits());
+            }
+        }
     }
 
     #[test]
     fn block_into_matches_block_for_every_proxy_mix() {
+        // Grid proxies do not read the global set.
         let pts = gen::uniform_cube(40, 3, 1);
         let idx_a = ProxyPoints::Indices((0..8).collect());
         let idx_b = ProxyPoints::Indices((20..35).collect());
@@ -120,37 +103,6 @@ mod tests {
         assert_into_matches(&Coulomb, &pts, &idx_a, &idx_b);
         assert_into_matches(&Exponential, &pts, &grid_a, &grid_b);
         assert_into_matches(&Coulomb, &pts, &idx_a, &grid_b);
-    }
-
-    #[test]
-    fn coords_block_evaluates_the_grid_points() {
-        let pts = gen::uniform_cube(5, 2, 2); // global set, unused by Coords
-        let ga = gen::uniform_cube(6, 2, 3);
-        let gb = gen::uniform_cube(9, 2, 4);
-        let block: MatrixS<f64> = coupling_block_s(
-            &Exponential,
-            &pts,
-            &ProxyPoints::Coords(ga.clone()),
-            &ProxyPoints::Coords(gb.clone()),
-        );
-        assert_eq!(
-            block[(2, 3)],
-            h2_kernels::Kernel::eval(&Exponential, ga.point(2), gb.point(3))
-        );
-    }
-
-    #[test]
-    fn f32_block_is_rounded_f64_block() {
-        let pts = gen::uniform_cube(30, 3, 9);
-        let a = ProxyPoints::Indices((0..7).collect());
-        let b = ProxyPoints::Indices((10..22).collect());
-        let b64: MatrixS<f64> = coupling_block_s(&Coulomb, &pts, &a, &b);
-        let b32: MatrixS<f32> = coupling_block_s(&Coulomb, &pts, &a, &b);
-        for i in 0..7 {
-            for j in 0..12 {
-                assert_eq!(b32[(i, j)], b64[(i, j)] as f32);
-            }
-        }
     }
 
     #[test]

@@ -56,19 +56,18 @@
 //! only (helpers tally in plain integers), so telemetry scopes see exactly
 //! the product's work at any width.
 //!
-//! ## Two arithmetic classes
+//! ## One arithmetic class
 //!
-//! Blocks that exist in the storage scalar `S` — resident, mapped, cached,
-//! or missed by the cached tier and generated into a per-thread scratch
-//! rounded to `S` — are applied with the panel kernels of
-//! [`h2_linalg::panel`], as are the bases and transfers: a `k`-column panel
-//! is one register-blocked pass per block and direction, and its column `c`
-//! has the bits of the vector product. With no storage tier the block is
-//! generated in `f64` into a reusable scratch buffer and applied one panel
-//! column at a time, with one local `f64` accumulator per output entry
-//! summed in ascending source order — the arithmetic of the fused kernel
-//! application ([`h2_kernels::Kernel::apply_block`]), so on-the-fly results
-//! do not depend on whether a block was ever materialized.
+//! A block is either held — resident, mapped, or in the cached tier — or
+//! not. One that is not held (no cached tier, or a miss of it) is
+//! materialized into a per-thread scratch by
+//! `H2MatrixS::materialize_into`: evaluated in `f64` and rounded once to
+//! the storage scalar `S`, exactly as the builders store it. Every block is
+//! then applied with the panel kernels of [`h2_linalg::panel`], as are the
+//! bases and transfers: a `k`-column panel is one register-blocked pass per
+//! block and direction, and its column `c` has the bits of the vector
+//! product. So a product does not depend on where its blocks came from:
+//! on-the-fly ≡ cached at any budget ≡ stored ≡ mapped, bit for bit.
 
 use crate::diagnostics::BlockTally;
 use crate::h2matrix::H2MatrixS;
@@ -531,30 +530,24 @@ impl Schedule {
     }
 }
 
-/// A block as one of the three tiers serves it.
+/// A block as one of the three tiers serves it, column-major in `S`.
 enum Fetched<'a, S: Scalar> {
-    /// Borrowed from a materialized (owned or mapped) store.
-    Resident(&'a MatrixS<S>),
+    /// Borrowed from a materialized (owned or mapped) store, or, not held
+    /// by any tier, from [`Scratch::stored`].
+    Borrowed(&'a [S]),
     /// Shared out of the budgeted cache.
     Cached(Arc<MatrixS<S>>),
-    /// Missed by the cached tier: materialized into [`Scratch::stored`].
-    Missed,
-    /// Generated in `f64` into [`Scratch::block`] (no cached tier).
-    Generated,
 }
 
-/// The buffers a thread generates blocks into, sized once per product for
-/// the largest block it can generate.
+/// The buffers a thread materializes blocks into, sized once per product
+/// for the largest block it can generate.
 #[derive(Default)]
 struct Scratch<S> {
-    /// A generated block's `f64` entries, column-major (for an `f32`
-    /// operator, also a missed block before it is rounded).
+    /// A block's `f64` entries before they are rounded to a narrower `S`.
     block: Vec<f64>,
-    /// A block missed by the cached tier, rounded to `S` as the cache's
-    /// own blocks are ([`H2MatrixS::materialize_into`]).
+    /// A block not held, column-major in `S` as the builders store it
+    /// ([`H2MatrixS::materialize_into`]).
     stored: Vec<S>,
-    /// Row accumulators of the generated tier.
-    acc: Vec<f64>,
 }
 
 /// Clears `buf` and refills it with `len` zeros (within its capacity once
@@ -566,34 +559,33 @@ fn zeroed<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
 }
 
 /// The single three-tier fetch: resident-or-mapped, then cached, then
-/// generated into `scratch`. `(i, j)` is a listed canonical pair; a
+/// materialized into `scratch`. `(i, j)` is a listed canonical pair; a
 /// generation, and a hit or miss of the cached tier, is counted in `tally`.
 fn fetch<'a, S: Scalar>(
-    h2: &'a H2MatrixS<S>,
+    h2: &H2MatrixS<S>,
     cache: Option<&BlockCache<S>>,
     kind: BlockKind,
     (i, j): (NodeId, NodeId),
     resident: Option<&'a MatrixS<S>>,
-    scratch: &mut Scratch<S>,
+    scratch: &'a mut Scratch<S>,
     tally: &mut BlockTally,
 ) -> Fetched<'a, S> {
     if let Some(block) = resident {
-        return Fetched::Resident(block);
+        return Fetched::Borrowed(block.as_slice());
     }
     let (rows, cols) = h2.block_shape(kind, i, j);
-    let Some(cache) = cache else {
+    if let Some(cache) = cache {
+        let block = cache.get_at(kind, i, j, h2.pair_epoch(i, j));
+        tally.add_cached(block.is_some(), kind, rows, cols);
+        if let Some(block) = block {
+            return Fetched::Cached(block);
+        }
+    } else {
         tally.add(kind, rows, cols);
-        h2.evaluate_into(kind, (i, j), zeroed(&mut scratch.block, rows * cols));
-        return Fetched::Generated;
-    };
-    let block = cache.get_at(kind, i, j, h2.pair_epoch(i, j));
-    tally.add_cached(block.is_some(), kind, rows, cols);
-    if let Some(block) = block {
-        return Fetched::Cached(block);
     }
     let stored = zeroed(&mut scratch.stored, rows * cols);
     h2.materialize_into(kind, (i, j), stored, &mut scratch.block);
-    Fetched::Missed
+    Fetched::Borrowed(stored)
 }
 
 impl<S: Scalar> Fetched<'_, S> {
@@ -601,7 +593,6 @@ impl<S: Scalar> Fetched<'_, S> {
     /// panels; `(rows, cols)` is the shape of `B`.
     fn apply<A: Scalar>(
         &self,
-        scratch: &mut Scratch<S>,
         transposed: bool,
         (rows, cols): (usize, usize),
         k: usize,
@@ -609,105 +600,14 @@ impl<S: Scalar> Fetched<'_, S> {
         y: &mut [A],
     ) {
         let block = match self {
-            Fetched::Resident(b) => b.as_slice(),
+            Fetched::Borrowed(b) => b,
             Fetched::Cached(b) => b.as_slice(),
-            Fetched::Missed => &scratch.stored,
-            Fetched::Generated => {
-                // One column at a time, in the fused kernel application's
-                // order (module docs).
-                let Scratch { block, acc, .. } = scratch;
-                for c in 0..k {
-                    if transposed {
-                        dot_apply_t(block, rows, &x[col(0, rows, c)], &mut y[col(0, cols, c)]);
-                    } else {
-                        dot_apply(
-                            block,
-                            rows,
-                            acc,
-                            &x[col(0, cols, c)],
-                            &mut y[col(0, rows, c)],
-                        );
-                    }
-                }
-                return;
-            }
         };
         if transposed {
             panel::matmat_t_acc(block, rows, cols, k, x, y);
         } else {
             panel::matmat_acc(block, rows, cols, k, x, y);
         }
-    }
-}
-
-/// `y[r] += Σ_c block[r, c]·x[c]` for a column-major `f64` block with
-/// `rows` rows: one accumulator per row, columns ascending. The columns
-/// are swept into the zeroed `acc` vector (four per pass), so the loop
-/// vectorizes over rows while every row's sum keeps its order.
-fn dot_apply<A: Scalar>(block: &[f64], rows: usize, acc: &mut Vec<f64>, x: &[A], y: &mut [A]) {
-    debug_assert_eq!(block.len(), rows * x.len());
-    debug_assert_eq!(y.len(), rows);
-    if rows == 0 {
-        return;
-    }
-    acc.clear();
-    acc.resize(rows, 0.0);
-    let mut groups = block.chunks_exact(4 * rows);
-    let mut xs = x.chunks_exact(4);
-    for (group, x4) in (&mut groups).zip(&mut xs) {
-        let [x0, x1, x2, x3] = [0, 1, 2, 3].map(|c| x4[c].to_f64());
-        let (c01, c23) = group.split_at(2 * rows);
-        let ((c0, c1), (c2, c3)) = (c01.split_at(rows), c23.split_at(rows));
-        for ((((s, &a), &b), &c), &d) in acc.iter_mut().zip(c0).zip(c1).zip(c2).zip(c3) {
-            *s = (((*s + a * x0) + b * x1) + c * x2) + d * x3;
-        }
-    }
-    for (col, xc) in groups.remainder().chunks_exact(rows).zip(xs.remainder()) {
-        let xc = xc.to_f64();
-        for (s, &b) in acc.iter_mut().zip(col) {
-            *s += b * xc;
-        }
-    }
-    for (yr, &s) in y.iter_mut().zip(acc.iter()) {
-        *yr += A::from_f64(s);
-    }
-}
-
-/// `y[c] += Σ_r block[r, c]·x[r]`: one accumulator per column, rows
-/// ascending, eight columns in flight so the eight serial sums overlap.
-/// Every kernel here is radial (`K(x, y) = φ(‖x − y‖²)`, bitwise
-/// symmetric), so this is exactly the forward application of the mirrored
-/// block.
-fn dot_apply_t<A: Scalar>(block: &[f64], rows: usize, x: &[A], y: &mut [A]) {
-    debug_assert_eq!(block.len(), rows * y.len());
-    debug_assert_eq!(x.len(), rows);
-    if rows == 0 {
-        // No source rows: every sum is the empty sum.
-        y.iter_mut().for_each(|yc| *yc += A::from_f64(0.0));
-        return;
-    }
-    const W: usize = 8;
-    let mut groups = block.chunks_exact(W * rows);
-    let mut ys = y.chunks_exact_mut(W);
-    for (cols, ys) in (&mut groups).zip(&mut ys) {
-        let mut sums = [0.0f64; W];
-        for (r, xr) in x.iter().enumerate() {
-            let xr = xr.to_f64();
-            for (w, s) in sums.iter_mut().enumerate() {
-                *s += cols[w * rows + r] * xr;
-            }
-        }
-        for (yc, &s) in ys.iter_mut().zip(&sums) {
-            *yc += A::from_f64(s);
-        }
-    }
-    let tail = groups.remainder().chunks_exact(rows);
-    for (col, yc) in tail.zip(ys.into_remainder()) {
-        let mut s = 0.0;
-        for (&b, xr) in col.iter().zip(x) {
-            s += b * xr.to_f64();
-        }
-        *yc += A::from_f64(s);
     }
 }
 
@@ -774,7 +674,7 @@ fn side<'o, A>(first: &'o mut [A], other: &'o mut Option<&mut [A]>, second: bool
 struct Local<S, A> {
     /// The `rank × k` panel `R_i g_p` (downward sweep).
     add: Vec<A>,
-    /// The one generated block alive at a time.
+    /// The one materialized block alive at a time.
     scratch: Scratch<S>,
     /// Blocks this thread generated and its cached-tier hits and misses,
     /// for the caller to record.
@@ -782,12 +682,11 @@ struct Local<S, A> {
 }
 
 /// Capacities of a [`Local`]: the largest `rank × k` panel, and the most
-/// rows and entries of a block it may generate in `f64` and in `S`.
+/// entries of a block it may materialize in `f64` and in `S`.
 #[derive(Clone, Copy)]
 struct LocalSize {
     panel: usize,
-    rows: usize,
-    entries: usize,
+    block: usize,
     stored: usize,
 }
 
@@ -796,9 +695,8 @@ impl<S: Scalar, A: Scalar> Local<S, A> {
         Local {
             add: vec![A::ZERO; size.panel],
             scratch: Scratch {
-                block: Vec::with_capacity(size.entries),
+                block: Vec::with_capacity(size.block),
                 stored: Vec::with_capacity(size.stored),
-                acc: Vec::with_capacity(size.rows),
             },
             tally: BlockTally::default(),
         }
@@ -846,25 +744,20 @@ impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
         let n = h2.n();
         let coeffs = plan.q_base[plan.top + 1] * k;
         // Scratch only where blocks are generated, sized once for the
-        // largest block of the schedule so the sweeps never reallocate: the
-        // generated tier evaluates and accumulates in `f64`; a miss of the
-        // cached tier is stored as `S`, and evaluated in `f64` first only
-        // when it has to be rounded.
-        let generates = !h2.coupling.is_materialized();
-        let shapes = plan
-            .block_schedule(h2)
-            .map(|(kind, i, j, _)| h2.block_shape(kind, i, j));
-        let (entries, rows) = if generates {
-            shapes.fold((0, 0), |(e, r), (m, n)| (e.max(m * n), r.max(m)))
+        // largest block of the schedule so the sweeps never reallocate: a
+        // block is stored as `S`, and evaluated in `f64` first only when it
+        // has to be rounded.
+        let stored = if h2.coupling.is_materialized() {
+            0
         } else {
-            (0, 0)
+            let bytes = plan.block_schedule(h2).map(|(_, _, _, bytes)| bytes);
+            bytes.max().unwrap_or(0) / S::BYTES
         };
-        let (cached, rounds) = (cache.is_some(), S::as_f64s(&[]).is_none());
+        let rounds = S::as_f64s(&[]).is_none();
         let local_size = LocalSize {
             panel: h2.ranks.iter().copied().max().unwrap_or(0) * k,
-            rows: if cached { 0 } else { rows },
-            entries: if cached && !rounds { 0 } else { entries },
-            stored: if cached { entries } else { 0 },
+            block: if rounds { stored } else { 0 },
+            stored,
         };
         Sweep {
             h2,
@@ -1154,11 +1047,11 @@ impl<S: Scalar, A: Scalar> Job<'_, S, A> {
             // applying them one after the other moves no entry's order.
             if st.fwd {
                 let out = &mut side(out_c, &mut out_d, second(st.i))[out_at(st.i)];
-                block.apply(scratch, false, shape, k, input(st.j), out);
+                block.apply(false, shape, k, input(st.j), out);
             }
             if st.rev {
                 let out = &mut side(out_c, &mut out_d, second(st.j))[out_at(st.j)];
-                block.apply(scratch, true, shape, k, input(st.i), out);
+                block.apply(true, shape, k, input(st.i), out);
             }
         }
     }
@@ -1204,7 +1097,7 @@ impl<S: Scalar> H2MatrixS<S> {
         );
         tally.record();
         let shape = self.block_shape(kind, lo, hi);
-        block.apply(&mut scratch, i > j, shape, 1, x, y);
+        block.apply(i > j, shape, 1, x, y);
     }
 
     /// `Y = Â B` for `k` right-hand sides: `b` and `y` are `n × k`
@@ -1236,45 +1129,6 @@ impl<S: Scalar> H2MatrixS<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2_kernels::{apply_block_s, kernel_matrix, Exponential};
-    use h2_points::gen;
-
-    /// The generated tier's applies must reproduce the fused kernel
-    /// application bit for bit, in both directions, for every shape the
-    /// column/row grouping can meet (multiples of the group width, tails,
-    /// empty sides) and for both accumulator scalars.
-    fn assert_matches_fused<A: Scalar>() {
-        let pts = gen::uniform_cube(64, 3, 3);
-        for (m, n) in [(0, 5), (5, 0), (1, 1), (3, 4), (7, 9), (16, 8), (19, 23)] {
-            let rows: Vec<usize> = (0..m).collect();
-            let cols: Vec<usize> = (30..30 + n).collect();
-            let block = kernel_matrix(&Exponential, &pts, &rows, &cols);
-            let x: Vec<A> = (0..n)
-                .map(|c| A::from_f64((c as f64 * 0.7).sin()))
-                .collect();
-            let xt: Vec<A> = (0..m)
-                .map(|r| A::from_f64((r as f64 * 1.3).cos()))
-                .collect();
-
-            let mut fused = vec![A::from_f64(0.25); m];
-            apply_block_s(&Exponential, &pts, &rows, &cols, &x, &mut fused);
-            let mut ours = vec![A::from_f64(0.25); m];
-            dot_apply(block.as_slice(), m, &mut Vec::new(), &x, &mut ours);
-            assert_eq!(ours, fused, "forward {m}x{n}");
-
-            let mut fused_t = vec![A::from_f64(-0.5); n];
-            apply_block_s(&Exponential, &pts, &cols, &rows, &xt, &mut fused_t);
-            let mut ours_t = vec![A::from_f64(-0.5); n];
-            dot_apply_t(block.as_slice(), m, &xt, &mut ours_t);
-            assert_eq!(ours_t, fused_t, "transposed {m}x{n}");
-        }
-    }
-
-    #[test]
-    fn generated_tier_arithmetic_equals_the_fused_kernel_application() {
-        assert_matches_fused::<f64>();
-        assert_matches_fused::<f32>();
-    }
 
     #[test]
     fn split_panels_handles_either_order_and_empty_panels() {

@@ -1,9 +1,9 @@
 //! Property tests of the budgeted block-cache tier (see `h2-cache`):
 //!
-//! - budget `Off` is bitwise identical to the pure on-the-fly path,
-//! - budget `Unbounded` (and any non-zero ratio) is bitwise identical to
-//!   normal mode, across kernels and storage precisions, for both the
-//!   vector and the panel sweeps,
+//! - every budget — `Off`, 0 bytes, a ratio, `Unbounded` — is bitwise
+//!   identical to normal mode and to the pure on-the-fly path, across
+//!   kernels and storage precisions, for both the vector and the panel
+//!   sweeps,
 //! - the byte-budget invariant holds while parallel matvecs hammer one
 //!   shared cache, and intermediate budgets keep full accuracy.
 
@@ -50,17 +50,20 @@ fn endpoints_bitwise<S: Scalar>(kernel: Arc<dyn Kernel>) {
     );
     assert!(otf.cache().is_none(), "budget Off must not install a cache");
 
+    // A block not held is materialized as normal mode stores it and
+    // applied with the same routines.
     let y_otf = otf.matvec(&b);
     let y_normal = normal.matvec(&b);
+    assert_eq!(y_otf, y_normal, "on-the-fly != normal (bitwise)");
 
-    // Budget 0 spelled explicitly also leaves the fused path untouched.
+    // Budget 0 spelled explicitly installs no cache.
     let zero = H2MatrixS::<S>::build(
         &pts,
         kernel.clone(),
         &cfg(MemoryMode::OnTheFly, CacheBudget::Bytes(0)),
     );
     assert!(zero.cache().is_none());
-    assert_eq!(zero.matvec(&b), y_otf, "budget 0 != on-the-fly (bitwise)");
+    assert_eq!(zero.matvec(&b), y_normal, "budget 0 != normal (bitwise)");
 
     // Unbounded budget: everything resident, applied with the normal-mode
     // routines → bitwise identical to normal mode.
@@ -94,21 +97,14 @@ fn endpoints_bitwise<S: Scalar>(kernel: Arc<dyn Kernel>) {
     let panel = MatrixS::<S>::from_fn(N, 3, |i, j| {
         S::from_f64(((i * 7 + j * 13) % 5) as f64 - 2.0)
     });
-    assert_eq!(
-        zero.matmat(&panel).as_slice(),
-        otf.matmat(&panel).as_slice(),
-        "matmat budget 0 != on-the-fly"
-    );
-    assert_eq!(
-        full.matmat(&panel).as_slice(),
-        normal.matmat(&panel).as_slice(),
-        "matmat budget ∞ != normal"
-    );
-    assert_eq!(
-        half.matmat(&panel).as_slice(),
-        normal.matmat(&panel).as_slice(),
-        "matmat budget 50% != normal"
-    );
+    let y_normal = normal.matmat(&panel);
+    for (what, h2) in [("off", &otf), ("0", &zero), ("∞", &full), ("50%", &half)] {
+        assert_eq!(
+            h2.matmat(&panel).as_slice(),
+            y_normal.as_slice(),
+            "matmat budget {what} != normal"
+        );
+    }
 }
 
 #[test]
@@ -128,9 +124,9 @@ fn endpoints_bitwise_f32_coulomb() {
 
 #[test]
 fn endpoints_bitwise_mixed_precision() {
-    // Mixed mode: f32 storage, f64 accumulation. The cached tier stores
-    // f32 blocks and applies them with the f64 accumulator — exactly what
-    // normal mode does — so the endpoint identities hold here too.
+    // Mixed mode: f32 storage, f64 accumulation. Every tier applies f32
+    // blocks with the f64 accumulator — exactly what normal mode does — so
+    // the endpoint identities hold here too.
     let pts = gen::uniform_cube(N, 3, 19);
     let b = rhs::<f64>(N);
     let kernel: Arc<dyn Kernel> = Arc::new(Coulomb);
@@ -155,8 +151,10 @@ fn endpoints_bitwise_mixed_precision() {
         kernel,
         &cfg(MemoryMode::OnTheFly, CacheBudget::Bytes(0)),
     );
-    assert_eq!(zero.matvec_f64(&b), otf.matvec_f64(&b));
-    assert_eq!(full.matvec_f64(&b), normal.matvec_f64(&b));
+    let y_normal = normal.matvec_f64(&b);
+    for (what, h2) in [("off", &otf), ("0", &zero), ("∞", &full)] {
+        assert_eq!(h2.matvec_f64(&b), y_normal, "budget {what} != normal");
+    }
 }
 
 #[test]

@@ -207,9 +207,8 @@ fn sketched_builds_are_bit_reproducible_per_seed() {
         );
     }
     // The two memory modes share the construction path (the sketch draws
-    // do not depend on the mode), so their operators are the same matrix:
-    // ranks match and the matvecs agree to rounding (the fused on-the-fly
-    // sweep sums in a different order, so bitwise equality is not expected).
+    // do not depend on the mode), so their operators are the same matrix,
+    // and the sweeps apply it with the same arithmetic in either mode.
     let normal = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg(1e-6, MemoryMode::Normal, 42));
     let otf = H2Matrix::build(
         &pts,
@@ -217,8 +216,7 @@ fn sketched_builds_are_bit_reproducible_per_seed() {
         &cfg(1e-6, MemoryMode::OnTheFly, 42),
     );
     assert_eq!(normal.ranks(), otf.ranks());
-    let err = h2_linalg::vec_ops::rel_err(&otf.matvec(&b), &normal.matvec(&b));
-    assert!(err <= 1e-12, "modes diverge beyond rounding: {err:.2e}");
+    assert_eq!(otf.matvec(&b), normal.matvec(&b));
 }
 
 #[test]

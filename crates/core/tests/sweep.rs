@@ -1,7 +1,8 @@
 //! The sweep engine's own contract: one code path for every `k` and every
 //! thread count, so a panel column is the vector product bit for bit and a
 //! product is the same bits at any width — in every memory tier, precision
-//! and builder, including on an operator that has been updated in place.
+//! and builder, including on an operator that has been updated in place —
+//! and one arithmetic class, so a product is the same bits in every tier.
 //! Construction runs on the same executor, so the *builder's* width is a
 //! dimension too: an operator is the same bytes, and its telemetry the same
 //! counts, whatever width it was built and updated at.
@@ -11,7 +12,7 @@ use h2_core::{
     BasisMethod, BlockKind, BuilderStrategy, CacheBudget, H2Config, H2MatrixS, MemoryMode,
     SweepPlan, UpdatePolicy,
 };
-use h2_kernels::Coulomb;
+use h2_kernels::{Coulomb, Exponential, Kernel};
 use h2_linalg::{MatrixS, Scalar};
 use h2_points::{gen, PointSet};
 use std::collections::BTreeSet;
@@ -79,7 +80,9 @@ fn assert_k_invariant<S: Scalar, A: Scalar>(h2: &H2MatrixS<S>, what: &str) {
 
 /// Products at widths 2, 3 and 8 equal the width-1 product bit for bit, for
 /// one and for eight columns, and every one of them really ran that wide.
-fn assert_width_invariant<S: Scalar, A: Scalar>(h2: &H2MatrixS<S>, what: &str) {
+/// Returns the width-1 products, `k = 1` first.
+fn assert_width_invariant<S: Scalar, A: Scalar>(h2: &H2MatrixS<S>, what: &str) -> Vec<MatrixS<A>> {
+    let mut products = Vec::new();
     for k in [1, 8] {
         let b = panel::<A>(h2.n(), k);
         let (serial, helpers) = product_at(h2, &b, 1);
@@ -93,50 +96,93 @@ fn assert_width_invariant<S: Scalar, A: Scalar>(h2: &H2MatrixS<S>, what: &str) {
                 "{what}: k = {k}, width {width}"
             );
         }
+        products.push(serial);
     }
+    products
 }
 
 /// Saves the operator and serves it back in place off the page cache.
-fn mmap_loaded<S: Scalar>(h2: &H2MatrixS<S>, tag: &str) -> H2MatrixS<S> {
+fn mmap_loaded<S: Scalar>(h2: &H2MatrixS<S>, kernel: Arc<dyn Kernel>, tag: &str) -> H2MatrixS<S> {
     let name = format!("h2-core-sweep-{}-{tag}.h2op", std::process::id());
     let path = std::env::temp_dir().join(name);
     h2_serve::save(h2, &path).expect("write operator file");
-    let loaded = h2_serve::load_mmap::<S>(&path, Arc::new(Coulomb)).expect("mmap operator file");
+    let loaded = h2_serve::load_mmap::<S>(&path, kernel).expect("mmap operator file");
     std::fs::remove_file(&path).ok();
     assert!(loaded.memory_report().mapped_bytes > 0, "{tag}: not mapped");
     loaded
 }
 
+/// The width-1 products at `k` = 1 and 8 of one operator per `(S, A)`:
+/// `f64`, `f32` and mixed.
+type Products = (Vec<MatrixS<f64>>, Vec<MatrixS<f32>>, Vec<MatrixS<f64>>);
+
+/// Within one tier, every `k` and every width give the same bits; across
+/// tiers, normal ≡ mmap ≡ cached ≡ on-the-fly for each `(S, A)`: a block not
+/// held is materialized as the builder stores it and applied as a held one.
 #[test]
 fn products_are_bitwise_identical_for_every_k_and_width_in_every_tier_precision_and_builder() {
     let pts = gen::uniform_cube(N, 3, 19);
     let tiers = [
         ("normal", MemoryMode::Normal, CacheBudget::Off),
-        ("otf", MemoryMode::OnTheFly, CacheBudget::Off),
-        ("cached", MemoryMode::OnTheFly, CacheBudget::Ratio(0.5)),
         ("mmap", MemoryMode::Normal, CacheBudget::Off),
+        ("cached", MemoryMode::OnTheFly, CacheBudget::Ratio(0.5)),
+        ("otf", MemoryMode::OnTheFly, CacheBudget::Off),
     ];
+    let (data_driven, anchor) = (
+        BasisMethod::data_driven_for_tol(TOL, 3),
+        BuilderStrategy::AnchorNet,
+    );
     let builders = [
-        ("anchor", BuilderStrategy::AnchorNet),
-        ("sketched", BuilderStrategy::sketched_for_tol(TOL, 3)),
+        ("data-driven", data_driven.clone(), anchor.clone()),
+        (
+            "proxy-surface",
+            BasisMethod::proxy_surface_for_tol(TOL, 3),
+            anchor.clone(),
+        ),
+        (
+            "interpolation",
+            BasisMethod::interpolation_for_tol(1e-3, 3),
+            anchor,
+        ),
+        (
+            "sketched",
+            data_driven,
+            BuilderStrategy::sketched_for_tol(TOL, 3),
+        ),
     ];
-    for (tier, mode, budget) in tiers {
-        for (bname, builder) in &builders {
-            let c = cfg(mode, budget, builder.clone());
-            let what = format!("{tier}/{bname}");
-            let mut h64 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &c);
-            let mut h32 = H2MatrixS::<f32>::build(&pts, Arc::new(Coulomb), &c);
-            assert_eq!(h64.cache().is_some(), tier == "cached", "{what}");
-            if tier == "mmap" {
-                h64 = mmap_loaded(&h64, &format!("{bname}-f64"));
-                h32 = mmap_loaded(&h32, &format!("{bname}-f32"));
+    let kernels: [(&str, Arc<dyn Kernel>); 2] = [
+        ("coulomb", Arc::new(Coulomb)),
+        ("exponential", Arc::new(Exponential)),
+    ];
+    for (kname, kernel) in &kernels {
+        for (bname, basis, builder) in &builders {
+            let mut normal: Option<Products> = None;
+            for (tier, mode, budget) in tiers {
+                let c = H2Config {
+                    basis: basis.clone(),
+                    ..cfg(mode, budget, builder.clone())
+                };
+                let what = format!("{kname}/{bname}/{tier}");
+                let mut h64 = H2MatrixS::<f64>::build(&pts, kernel.clone(), &c);
+                let mut h32 = H2MatrixS::<f32>::build(&pts, kernel.clone(), &c);
+                assert_eq!(h64.cache().is_some(), tier == "cached", "{what}");
+                if tier == "mmap" {
+                    h64 = mmap_loaded(&h64, kernel.clone(), &format!("{kname}-{bname}-f64"));
+                    h32 = mmap_loaded(&h32, kernel.clone(), &format!("{kname}-{bname}-f32"));
+                }
+                assert_k_invariant::<f64, f64>(&h64, &format!("{what}/f64"));
+                assert_k_invariant::<f32, f32>(&h32, &format!("{what}/f32"));
+                assert_k_invariant::<f32, f64>(&h32, &format!("{what}/mixed"));
+                let products = (
+                    assert_width_invariant::<f64, f64>(&h64, &format!("{what}/f64")),
+                    assert_width_invariant::<f32, f32>(&h32, &format!("{what}/f32")),
+                    assert_width_invariant::<f32, f64>(&h32, &format!("{what}/mixed")),
+                );
+                let want = normal.get_or_insert_with(|| products.clone());
+                assert!(products.0 == want.0, "{what}/f64: not the normal product");
+                assert!(products.1 == want.1, "{what}/f32: not the normal product");
+                assert!(products.2 == want.2, "{what}/mixed: not the normal product");
             }
-            assert_k_invariant::<f64, f64>(&h64, &format!("{what}/f64"));
-            assert_k_invariant::<f32, f32>(&h32, &format!("{what}/f32"));
-            assert_k_invariant::<f32, f64>(&h32, &format!("{what}/mixed"));
-            assert_width_invariant::<f64, f64>(&h64, &format!("{what}/f64"));
-            assert_width_invariant::<f32, f32>(&h32, &format!("{what}/f32"));
-            assert_width_invariant::<f32, f64>(&h32, &format!("{what}/mixed"));
         }
     }
 }

@@ -7,16 +7,16 @@
 //! Gaussian `exp(−‖x−y‖₂²/0.1)` (Fig. 9); all are radial, so the crate is
 //! organised around [`RadialKernel`] (a function of the squared distance)
 //! with a blanket [`Kernel`] implementation that provides blocked submatrix
-//! evaluation and fused block-matvec application — the primitives both the
-//! construction and the on-the-fly matvec are built on.
+//! evaluation — the primitive construction, the cached tier and the
+//! on-the-fly matvec all materialize their blocks with.
 //!
 //! [`Kernel::eval_block_into`] and [`Kernel::eval_cross_into`] of a radial
 //! kernel work a row tile at a time over dimension-major coordinates and
 //! vectorise over the rows of the tile, per column point ([`radial`]). Each
 //! entry is still `phi(0.0 + (x_0 − y_0)² + … + (x_{dim−1} − y_{dim−1})²)`
-//! in that order, so a block has the bits of entrywise [`Kernel::eval`];
-//! [`Kernel::apply_block`] stays a scalar loop, the reference the tests
-//! compare the blocked paths against.
+//! in that order, so a block has the bits of entrywise [`Kernel::eval`].
+//! [`Kernel::apply_block`] is the trait's scalar loop, a timing reference
+//! only: no product runs it.
 //!
 //! Singular kernels (Coulomb, cubed Coulomb, thin-plate) define
 //! `K(x, x) = 0`, the skip-self-interaction convention of fast summation
@@ -40,7 +40,7 @@ pub use radial::{
     ThinPlateSpline,
 };
 
-use h2_linalg::{Matrix, MatrixS, Scalar};
+use h2_linalg::{Matrix, Scalar};
 use h2_points::PointSet;
 
 /// A (possibly unsymmetric) kernel function over point pairs.
@@ -93,9 +93,10 @@ pub trait Kernel: Send + Sync {
     }
 
     /// Fused block application: `y[i] += Σ_j K(pts[rows[i]], pts[cols[j]]) x[j]`
-    /// without materializing the block. One accumulator per row, columns
-    /// ascending: the arithmetic the on-the-fly sweep's generated blocks
-    /// are applied with, and the reference it is tested against.
+    /// without materializing the block, one accumulator per row, columns
+    /// ascending. No product runs it (the sweeps apply materialized blocks);
+    /// it is the scalar reference `benchmark/` and `profile`'s `kernel_eval`
+    /// row time the blocked paths against.
     fn apply_block(
         &self,
         pts: &PointSet,
@@ -136,62 +137,10 @@ pub fn kernel_cross_matrix(kernel: &dyn Kernel, xs: &PointSet, ys: &PointSet) ->
     out
 }
 
-// ---------------------------------------------------------------------------
-// Precision-generic companions.
-//
-// `Kernel` stays an object-safe f64 trait: kernel arithmetic is always done
-// in f64 (it is cheap relative to the memory traffic the precision knob
-// targets, and keeping one evaluation path means f32 operators differ from
-// f64 only by storage rounding). The `_s` functions below add the generic
-// surface the precision-generic stack builds on — evaluating in f64 and
-// converting once at the boundary. `f64` instantiations are routed through
-// the `Scalar::as_f64s` identity view back into the virtual-dispatch methods
-// above, so the pre-existing f64 path is bit-for-bit unchanged.
-// ---------------------------------------------------------------------------
-
-/// Materializes `K(pts[rows], pts[cols])` with entries stored as `S`.
-pub fn kernel_matrix_s<S: Scalar>(
-    kernel: &dyn Kernel,
-    pts: &PointSet,
-    rows: &[usize],
-    cols: &[usize],
-) -> MatrixS<S> {
-    let mut out = MatrixS::<S>::zeros(rows.len(), cols.len());
-    if let Some(buf) = S::as_f64s_mut(out.as_mut_slice()) {
-        kernel.eval_block_into(pts, rows, cols, buf);
-    } else {
-        let mut tmp = vec![0.0; rows.len() * cols.len()];
-        kernel.eval_block_into(pts, rows, cols, &mut tmp);
-        for (o, &v) in out.as_mut_slice().iter_mut().zip(&tmp) {
-            *o = S::from_f64(v);
-        }
-    }
-    out
-}
-
-/// Materializes `K(xs, ys)` between two point sets, stored as `S`.
-pub fn kernel_cross_matrix_s<S: Scalar>(
-    kernel: &dyn Kernel,
-    xs: &PointSet,
-    ys: &PointSet,
-) -> MatrixS<S> {
-    let mut out = MatrixS::<S>::zeros(xs.len(), ys.len());
-    if let Some(buf) = S::as_f64s_mut(out.as_mut_slice()) {
-        kernel.eval_cross_into(xs, ys, buf);
-    } else {
-        let mut tmp = vec![0.0; xs.len() * ys.len()];
-        kernel.eval_cross_into(xs, ys, &mut tmp);
-        for (o, &v) in out.as_mut_slice().iter_mut().zip(&tmp) {
-            *o = S::from_f64(v);
-        }
-    }
-    out
-}
-
 /// Generic fused block application `y[i] += Σ_j K(..) x[j]` for `A`-typed
-/// vectors. `A = f64` delegates to [`Kernel::apply_block`] (bit-identical to
-/// the pre-generic path); `f32` vectors are promoted and accumulated per row
-/// in f64, rounded once on store.
+/// vectors. `A = f64` delegates to [`Kernel::apply_block`]; `f32` vectors
+/// are promoted and accumulated per row in f64, rounded once on store. Like
+/// [`Kernel::apply_block`], a scalar reference no product runs.
 pub fn apply_block_s<A: Scalar>(
     kernel: &dyn Kernel,
     pts: &PointSet,
@@ -345,22 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_matrix_s_matches_per_precision() {
-        let pts = h2_points::gen::uniform_cube(20, 3, 5);
-        let k = Coulomb;
-        let rows: Vec<usize> = (0..8).collect();
-        let cols: Vec<usize> = (10..20).collect();
-        let ref64 = kernel_matrix(&k, &pts, &rows, &cols);
-        // f64 instantiation is the identity route: exactly the old result.
-        assert_eq!(kernel_matrix_s::<f64>(&k, &pts, &rows, &cols), ref64);
-        // f32 instantiation is the f64 evaluation rounded entrywise.
-        let m32 = kernel_matrix_s::<f32>(&k, &pts, &rows, &cols);
-        for (a, &b) in m32.as_slice().iter().zip(ref64.as_slice()) {
-            assert_eq!(*a, b as f32);
-        }
-    }
-
-    #[test]
     fn apply_block_s_delegates_and_promotes() {
         let pts = h2_points::gen::uniform_cube(30, 3, 1);
         let k = Exponential;
@@ -380,17 +313,6 @@ mod tests {
         for (a, b) in y32.iter().zip(&y_trait) {
             assert!((*a as f64 - b).abs() < 1e-5, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn cross_matrix_rounds_entries_to_storage_scalar() {
-        let xs = h2_points::gen::uniform_cube(6, 2, 3);
-        let ys = h2_points::gen::uniform_cube(4, 2, 4);
-        let k = Matern32 { ell: 0.5 };
-        let m64 = kernel_cross_matrix(&k, &xs, &ys);
-        let m32 = kernel_cross_matrix_s::<f32>(&k, &xs, &ys);
-        assert_eq!(m32.shape(), (6, 4));
-        assert_eq!(m32[(2, 3)], m64[(2, 3)] as f32);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! **Order invariant.** Every entry is `phi(0.0 + (x_0 − y_0)² + … +
 //! (x_{dim−1} − y_{dim−1})²)`, summed in ascending `d`: the IEEE operations
 //! of `phi(dist2(x, y))` in the same order (no `fma`, no reassociation), so
-//! a block has the bits of entrywise [`Kernel::eval`]. `apply_block` stays
-//! the scalar loop and is the reference the tests compare against.
+//! a block has the bits of entrywise [`Kernel::eval`].
 
 use crate::Kernel;
 use h2_points::pointset::dist2;
@@ -143,29 +142,6 @@ impl<K: RadialKernel> Kernel for K {
         assert_eq!(xs.dim(), ys.dim());
         let all = |coords| Side { coords, idx: None };
         eval_tiled(self, xs.dim(), all(xs.coords()), all(ys.coords()), out);
-    }
-
-    fn apply_block(
-        &self,
-        pts: &PointSet,
-        rows: &[usize],
-        cols: &[usize],
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        debug_assert_eq!(x.len(), cols.len());
-        debug_assert_eq!(y.len(), rows.len());
-        let dim = pts.dim();
-        let coords = pts.coords();
-        for (ii, &ri) in rows.iter().enumerate() {
-            let p = &coords[ri * dim..(ri + 1) * dim];
-            let mut s = 0.0;
-            for (jj, &cj) in cols.iter().enumerate() {
-                let q = &coords[cj * dim..(cj + 1) * dim];
-                s += self.phi(dist2(p, q)) * x[jj];
-            }
-            y[ii] += s;
-        }
     }
 }
 

@@ -931,7 +931,7 @@ fn serve_tenants<S: Scalar>(o: &Opts, file: &str, bytes: &[u8], table: TenantTab
     let kernel = make_kernel(&o.kernel);
     // The owned decode is the bitwise reference every hosted operator is
     // checked against, and the footprint baseline for the resident gauge.
-    let mut owned = match codec::decode::<S>(bytes, kernel.clone()) {
+    let owned = match codec::decode::<S>(bytes, kernel.clone()) {
         Ok(h2) => h2,
         Err(e) => {
             eprintln!("load failed: {e}");
@@ -974,11 +974,9 @@ fn serve_tenants<S: Scalar>(o: &Opts, file: &str, bytes: &[u8], table: TenantTab
         owned_total as f64 / 1024.0
     );
 
-    // Every hosted operator must apply bit-identically to the owned decode
-    // *in its own arithmetic class*: over an on-the-fly file a budgeted tier
-    // applies normal-mode arithmetic by design (`set_cache_budget`), which
-    // is not the unbudgeted tier's. So there are at most two references —
-    // the owned decode without a budget and with a tenant's budget installed.
+    // Every hosted operator must apply bit-identically to the owned decode:
+    // mapping and a cache budget move where a block comes from, never the
+    // product (`set_cache_budget`).
     let probe: Vec<S> = h2_core::error_est::probe_vector(n, o.seed)
         .into_iter()
         .map(S::from_f64)
@@ -987,15 +985,10 @@ fn serve_tenants<S: Scalar>(o: &Opts, file: &str, bytes: &[u8], table: TenantTab
         let y = op.matvec(&probe);
         y.iter().map(|v| v.to_f64().to_bits()).collect()
     };
-    let mut want: [Option<Vec<u64>>; 2] = [None, None];
-    for (i, id, _) in table.iter() {
-        let class = usize::from(budgets[i] > 0);
-        let want = want[class].get_or_insert_with(|| {
-            owned.set_cache_budget(budget_of(i));
-            bits(&owned)
-        });
+    let want = bits(&owned);
+    for (_, id, _) in table.iter() {
         let op = reg.get(id.as_str()).expect("just registered");
-        if bits(&op) != *want {
+        if bits(&op) != want {
             eprintln!("tenant '{id}': hosted operator differs from the owned decode");
             exit(1);
         }

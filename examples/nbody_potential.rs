@@ -57,7 +57,7 @@ fn main() {
         results.push((mode.name().to_string(), potential));
     }
 
-    // Both modes must agree to rounding.
+    // Both modes apply the same blocks with the same arithmetic.
     let diff = h2mv::linalg::vec_ops::rel_err(&results[0].1, &results[1].1);
     println!("\nnormal vs on-the-fly agreement: {diff:.2e}");
 
