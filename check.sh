@@ -40,7 +40,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, two unsafe AVX2 dispatches, none in sweep.rs, no arch intrinsics), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG dependent (h2-points alone) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, two unsafe AVX2 dispatches, none in sweep.rs, no arch intrinsics), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG dependent (h2-points alone), dependency edge (every [dependencies] entry named by its crate's src/ or tests/), bench binary and result (each named by run_harness.sh or check.sh) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -77,9 +77,30 @@ RAND_DEPENDENTS=$(grep -lE "^rand(_chacha)?(\.workspace)? *=" Cargo.toml crates/
   || { echo "rand / rand_chacha are named by: $RAND_DEPENDENTS"; exit 1; }
 RAND_USERS=$(grep -rlE "use rand(_chacha)?\b" crates/*/src crates/*/tests src tests examples | tr '\n' ' ')
 [ "$RAND_USERS" = "crates/points/src/gen.rs " ] || { echo "rand is imported by: $RAND_USERS"; exit 1; }
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+  dir=$(dirname "$manifest")
+  deps=$(awk '/^\[/ { on = ($0 == "[dependencies]") } on && /^[a-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest")
+  for dep in $deps; do
+    grep -rqw "${dep//-/_}" "$dir/src" $(find "$dir" -maxdepth 1 -name tests) \
+      || { echo "$manifest depends on $dep, which nothing under $dir/src or $dir/tests names"; exit 1; }
+  done
+done
+# A bench binary exists only if a script runs it; a result only if a script writes it.
+for bin in crates/bench/src/bin/*.rs; do
+  grep -qE "/$(basename "$bin" .rs)( |$)" run_harness.sh check.sh || { echo "nothing runs $bin"; exit 1; }
+done
+for result in results/*; do
+  grep -qF "/$(basename "$result")" run_harness.sh check.sh || { echo "nothing writes $result"; exit 1; }
+done
 
 echo "== cargo build --release =="
 cargo build --release --workspace --offline
+
+echo "== paper pipeline smoke (a miniature of every figure and table meets its shape check) =="
+SMOKE=$(mktemp /tmp/h2-smoke.XXXXXX.txt)
+timeout 120 ./target/release/smoke > "$SMOKE"
+grep -q "checks, 0 failed" "$SMOKE"
+rm -f "$SMOKE"
 
 echo "== net scaling smoke (TCP vs channel-mesh accounting, bit-identity) =="
 NET=$(mktemp /tmp/h2-net-scaling.XXXXXX.txt)
@@ -92,21 +113,6 @@ FIG7=$(mktemp /tmp/h2-fig7.XXXXXX.txt)
 timeout 300 ./target/release/fig7_threads --sizes 8000 --threads 1,2 --check > "$FIG7"
 grep -q "FIG7_THREADS_CHECK_OK" "$FIG7"
 rm -f "$FIG7"
-
-echo "== cache sweep smoke (every budget bitwise equal to normal mode, churned = re-planned, telemetry counters) =="
-SWEEP=$(mktemp /tmp/h2-cache-sweep.XXXXXX.txt)
-./target/release/cache_sweep --check > "$SWEEP"
-grep -q "CACHE_SWEEP_CHECK_OK" "$SWEEP"
-for series in h2_cache_hit h2_cache_miss; do
-  grep -q "^# TYPE $series counter" "$SWEEP" || { echo "missing telemetry series $series"; exit 1; }
-done
-rm -f "$SWEEP"
-
-echo "== update churn smoke (O(log n) path locality, cache hygiene and re-planned residency, rebuild equivalence) =="
-CHURN=$(mktemp /tmp/h2-update-churn.XXXXXX.txt)
-timeout 300 ./target/release/update_churn --check > "$CHURN"
-grep -q "UPDATE_CHURN_CHECK_OK" "$CHURN"
-rm -f "$CHURN"
 
 echo "== dynamic serving smoke (h2serve update: versioned registry hot-swap end to end) =="
 DYN=$(mktemp -d /tmp/h2-dyn.XXXXXX)
@@ -123,18 +129,6 @@ ABL=$(mktemp /tmp/h2-build-ablation.XXXXXX.txt)
 timeout 300 ./target/release/build_ablation --check > "$ABL"
 grep -q "BUILD_ABLATION_CHECK_OK" "$ABL"
 rm -f "$ABL"
-
-echo "== serve throughput smoke (histogram-vs-exact quantiles, scrape overhead < 1%) =="
-ST=$(mktemp /tmp/h2-serve-throughput.XXXXXX.txt)
-timeout 300 ./target/release/serve_throughput --sizes 2500 > "$ST"
-grep -q "SERVE_THROUGHPUT_CHECK_OK" "$ST"
-rm -f "$ST"
-
-echo "== tenant QoS smoke (light-tenant p99 bound under a hog; FIFO must violate it) =="
-QOS=$(mktemp /tmp/h2-tenant-qos.XXXXXX.txt)
-timeout 300 ./target/release/tenant_qos --check > "$QOS"
-grep -q "TENANT_QOS_CHECK_OK" "$QOS"
-rm -f "$QOS"
 
 echo "== multi-tenant mmap serving smoke (h2serve serve --tenants --mmap end to end) =="
 TEN=$(mktemp -d /tmp/h2-tenant.XXXXXX)
@@ -181,6 +175,9 @@ PROF=$(mktemp /tmp/h2-profile-sketched.XXXXXX.txt)
 ./target/release/profile --sizes 1500 --builder sketched > "$PROF"
 grep -q "build.sketch" "$PROF"
 rm -f "$PROF"
+
+echo "== scrape overhead (live GET /metrics render cost < 1% of the serving wall) =="
+timeout 300 cargo test -q --offline --release -p h2-bench --test scrape_overhead -- --ignored
 
 echo "== h2bench gate (the benchmark builds against the public API and its in-run checks pass) =="
 # The benchmark is a package of its own outside the workspace: a public-API

@@ -204,7 +204,7 @@ impl<S: Scalar> H2MatrixS<S> {
     /// Installs (or, for a budget resolving to 0 bytes, removes) the
     /// budgeted block cache over an on-the-fly operator: the blocks that
     /// fit the budget first-fit in sweep-execution order
-    /// ([`Self::plan_cache`]), generated in parallel. No-op in normal mode,
+    /// (`plan_cache`), generated in parallel. No-op in normal mode,
     /// where every block is already resident.
     ///
     /// Every block the sweeps apply is the `S`-scalar block the normal
@@ -221,20 +221,20 @@ impl<S: Scalar> H2MatrixS<S> {
         let bytes = budget.resolve(self.full_block_bytes());
         if bytes > 0 {
             let empty = BlockCache::new(bytes);
-            self.cache = Some(Arc::new(self.plan_cache(&SweepPlan::whole(self), &empty)));
+            self.cache = Some(Arc::new(self.plan_cache(&empty)));
         }
     }
 
-    /// The cached tier of the rank that executes `plan`, under the budget
-    /// of `prev`: the blocks of [`SweepPlan::block_schedule`] that fit it
-    /// first-fit, each under its pair's current epoch. Residency is a
-    /// function of the operator and the budget only; `prev` (an empty cache,
-    /// or the one an update replaces) contributes its counters and the
-    /// blocks that are still current, the rest are generated as one step
-    /// of the executor, counted on the calling thread.
-    pub fn plan_cache(&self, plan: &SweepPlan<'_>, prev: &BlockCache<S>) -> BlockCache<S> {
+    /// The cached tier under the budget of `prev`: the blocks of the whole
+    /// product's [`SweepPlan::block_schedule`] that fit it first-fit, each
+    /// under its pair's current epoch. Residency is a function of the
+    /// operator and the budget only; `prev` (an empty cache, or the one an
+    /// update replaces) contributes its counters and the blocks that are
+    /// still current, the rest are generated as one step of the executor,
+    /// counted on the calling thread.
+    pub(crate) fn plan_cache(&self, prev: &BlockCache<S>) -> BlockCache<S> {
         prev.replan(
-            plan.block_schedule(self),
+            SweepPlan::whole(self).block_schedule(self),
             |i, j| self.pair_epoch(i, j),
             |fresh| self.generate_blocks(fresh),
         )

@@ -29,14 +29,13 @@
 //! to a request at that epoch only, so a block cached before an update can
 //! never satisfy a post-update fetch. The epoch is the fault detector, not
 //! the invalidation mechanism: an update re-runs the residency plan on the
-//! updated operator ([`H2MatrixS::plan_cache`]) and installs a new cache
+//! updated operator (`H2MatrixS::plan_cache`) and installs a new cache
 //! that shares the entries still current and regenerates the rest.
 
 use crate::builders::{build_with_x_star, data_driven, nested_skeleton_pass};
 use crate::config::{BasisMethod, BuilderStrategy, H2Config};
 use crate::h2matrix::{listed_blocks, H2MatrixS};
 use crate::proxy::ProxyPoints;
-use crate::sweep::SweepPlan;
 use h2_cache::{BlockKind, BlockStore, CacheBudget};
 use h2_linalg::{MatrixS, Scalar};
 use h2_points::admissibility::build_block_lists;
@@ -442,7 +441,7 @@ impl<S: Scalar> H2MatrixS<S> {
         // the updated operator and install the result as a new cache, so
         // whoever shares the old one keeps the table they started with.
         if let Some(old) = self.cache.take() {
-            self.cache = Some(Arc::new(self.plan_cache(&SweepPlan::whole(self), &old)));
+            self.cache = Some(Arc::new(self.plan_cache(&old)));
         }
         drop(sp);
 
@@ -636,6 +635,13 @@ mod tests {
         assert_eq!((r.inserted, r.removed, r.rebuilds), (0, 3, 0));
         assert_eq!(h2.n(), 897);
         assert_eq!(h2.epoch(), 1);
+        // ~O(log n) locality: three paths touch at most 3(d+1) nodes.
+        let depth = h2.tree().depth();
+        assert!(
+            r.path_nodes <= 3 * (depth + 1),
+            "path_nodes {} vs depth {depth}",
+            r.path_nodes
+        );
         check_accuracy(&h2, 1e-4);
         // Every stored skeleton index must still be in range.
         for i in 0..h2.tree().node_count() {

@@ -3,7 +3,7 @@
 //! - every budget — `Off`, 0 bytes, a ratio, `Unbounded` — is bitwise
 //!   identical to normal mode and to the pure on-the-fly path, across
 //!   kernels and storage precisions, for both the vector and the panel
-//!   sweeps,
+//!   sweeps, and misses per product fall strictly as the budget grows,
 //! - the byte-budget invariant holds while parallel matvecs hammer one
 //!   shared cache, and intermediate budgets keep full accuracy.
 
@@ -78,27 +78,54 @@ fn endpoints_bitwise<S: Scalar>(kernel: Arc<dyn Kernel>) {
         full.full_block_bytes(),
         "an unbounded budget holds every block"
     );
-    assert_eq!(full.matvec(&b), y_normal, "budget ∞ != normal (bitwise)");
 
     // Any partial budget is still bitwise ≡ normal: misses regenerate the
     // same S-scalar block the normal builder materializes and apply it
-    // with the same routines.
-    let half = H2MatrixS::<S>::build(
-        &pts,
-        kernel.clone(),
-        &cfg(MemoryMode::OnTheFly, CacheBudget::Ratio(0.5)),
+    // with the same routines. A partial budget both hits and misses, and
+    // misses per product fall strictly as the budget grows.
+    let partial = |ratio: f64| {
+        H2MatrixS::<S>::build(
+            &pts,
+            kernel.clone(),
+            &cfg(MemoryMode::OnTheFly, CacheBudget::Ratio(ratio)),
+        )
+    };
+    let (quarter, half) = (partial(0.25), partial(0.5));
+    let mut misses = Vec::new();
+    for (what, h2) in [("25%", &quarter), ("50%", &half), ("∞", &full)] {
+        let cache = h2.cache().expect("a nonzero budget installs a cache");
+        assert!(cache.resident_bytes() <= cache.budget_bytes());
+        let before = h2.cache_stats().unwrap();
+        assert_eq!(h2.matvec(&b), y_normal, "budget {what} != normal (bitwise)");
+        let after = h2.cache_stats().unwrap();
+        let (hits, missed) = (after.hits - before.hits, after.misses - before.misses);
+        if what != "∞" {
+            assert!(cache.budget_bytes() < full.full_block_bytes());
+            assert!(
+                hits > 0 && missed > 0,
+                "{what}: {hits} hits, {missed} misses"
+            );
+        }
+        misses.push(missed);
+    }
+    assert!(
+        misses.windows(2).all(|w| w[0] > w[1]),
+        "misses per product must fall as the budget grows: {misses:?}"
     );
-    let cache = half.cache().expect("ratio budget installs a cache");
-    assert!(cache.budget_bytes() < full.full_block_bytes());
-    assert!(cache.resident_bytes() <= cache.budget_bytes());
-    assert_eq!(half.matvec(&b), y_normal, "budget 50% != normal (bitwise)");
 
     // Same endpoint identities for the panel product, column by column.
     let panel = MatrixS::<S>::from_fn(N, 3, |i, j| {
         S::from_f64(((i * 7 + j * 13) % 5) as f64 - 2.0)
     });
     let y_normal = normal.matmat(&panel);
-    for (what, h2) in [("off", &otf), ("0", &zero), ("∞", &full), ("50%", &half)] {
+    let tiers = [
+        ("off", &otf),
+        ("0", &zero),
+        ("∞", &full),
+        ("25%", &quarter),
+        ("50%", &half),
+    ];
+    for (what, h2) in tiers {
         assert_eq!(
             h2.matmat(&panel).as_slice(),
             y_normal.as_slice(),

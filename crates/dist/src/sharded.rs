@@ -53,7 +53,7 @@ use crate::transport::{
     ChannelEndpoint, Message, Panel, Rank, Tag, TrafficStats, Transport, TransportError,
 };
 use h2_core::proxy::ProxyPoints;
-use h2_core::{BlockCache, CacheBudget, CacheStats, H2MatrixS, H2Operator, Sweep, SweepPlan};
+use h2_core::{BlockCache, CacheStats, H2MatrixS, H2Operator, Sweep, SweepPlan};
 use h2_linalg::Scalar;
 use h2_points::NodeId;
 use std::collections::BTreeSet;
@@ -165,14 +165,11 @@ impl DistStats {
     }
 }
 
-/// A shard-partitioned H² operator executing over message passing.
+/// A shard-partitioned H² operator executing over message passing. Every
+/// rank applies blocks through the wrapped operator's cache, if it has one.
 pub struct ShardedH2<S: Scalar = f64> {
     h2: Arc<H2MatrixS<S>>,
     plan: TreePartition,
-    /// Per-rank block caches (`shards` shard caches plus the coordinator's)
-    /// installed by [`Self::set_cache_budget`]. Without them, ranks fall
-    /// back to the wrapped operator's own cache, if any.
-    caches: Option<Vec<Arc<BlockCache<S>>>>,
     last: Mutex<Option<DistStats>>,
 }
 
@@ -184,7 +181,6 @@ impl<S: Scalar> ShardedH2<S> {
         Ok(ShardedH2 {
             h2,
             plan,
-            caches: None,
             last: Mutex::new(None),
         })
     }
@@ -199,7 +195,6 @@ impl<S: Scalar> ShardedH2<S> {
         Ok(ShardedH2 {
             h2,
             plan,
-            caches: None,
             last: Mutex::new(None),
         })
     }
@@ -234,64 +229,6 @@ impl<S: Scalar> ShardedH2<S> {
         self.last.lock().unwrap().clone()
     }
 
-    /// The per-rank block caches, if installed (`shards` entries plus the
-    /// coordinator's, in rank order).
-    pub fn rank_caches(&self) -> Option<&[Arc<BlockCache<S>>]> {
-        self.caches.as_deref()
-    }
-
-    /// Merged counter snapshot across the per-rank caches (or the wrapped
-    /// operator's own cache when none are installed).
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        match &self.caches {
-            Some(v) => Some(
-                v.iter()
-                    .map(|c| c.stats())
-                    .fold(CacheStats::default(), CacheStats::merged),
-            ),
-            None => self.h2.cache_stats(),
-        }
-    }
-
-    /// Installs per-rank block caches over an on-the-fly operator: the
-    /// budget resolves against the *aggregate* per-rank block footprint
-    /// (a block applied at two ranks counts at both, as it would occupy
-    /// memory on both machines), and each rank receives a share
-    /// proportional to its own footprint, filled first-fit in that rank's
-    /// sweep-execution order ([`H2MatrixS::plan_cache`]). Budget `Off`/0
-    /// removes the caches; normal mode is a no-op, exactly like
-    /// [`H2MatrixS::set_cache_budget`].
-    pub fn set_cache_budget(&mut self, budget: CacheBudget) {
-        self.caches = None;
-        let h2 = &*self.h2;
-        if h2.coupling_store().is_materialized() || budget.is_off() {
-            return;
-        }
-        // One plan per rank; the coordinator only sees top coupling.
-        let plans: Vec<SweepPlan<'_>> = (0..self.plan.shards)
-            .map(|s| (&self.plan.shard_levels[s], &self.plan.shard_leaves[s][..]))
-            .chain([(&self.plan.top_levels, &[][..])])
-            .map(|(levels, leaves)| SweepPlan::new(h2, levels, leaves))
-            .collect();
-        let footprint =
-            |plan: &SweepPlan<'_>| -> usize { plan.block_schedule(h2).map(|(_, _, _, b)| b).sum() };
-        let rank_bytes: Vec<usize> = plans.iter().map(footprint).collect();
-        let total_bytes: usize = rank_bytes.iter().sum();
-        let total_budget = budget.resolve(total_bytes);
-        if total_budget == 0 || total_bytes == 0 {
-            return;
-        }
-        let caches = plans
-            .iter()
-            .zip(&rank_bytes)
-            .map(|(plan, &bytes)| {
-                let share = ((total_budget as u128 * bytes as u128) / total_bytes as u128) as usize;
-                Arc::new(h2.plan_cache(plan, &BlockCache::new(share)))
-            })
-            .collect();
-        self.caches = Some(caches);
-    }
-
     /// `y = Â b` over the in-process channel transport; stores the run's
     /// [`DistStats`] for [`Self::last_stats`].
     ///
@@ -318,21 +255,12 @@ impl<S: Scalar> ShardedH2<S> {
         let mut endpoints = ChannelEndpoint::<A>::mesh(plan.shards + 1);
         let mut coord_ep = endpoints.pop().expect("mesh has the coordinator endpoint");
         let sp = h2_telemetry::span("dist.matvec");
-        // Each rank applies blocks through its own cache tier; without
-        // per-rank caches every rank shares the wrapped operator's (so a
-        // budgeted serial operator stays bitwise consistent when sharded).
-        let rank_cache = |r: usize| -> Option<&BlockCache<S>> {
-            match &self.caches {
-                Some(v) => Some(&v[r]),
-                None => self.h2.cache().map(|c| &**c),
-            }
-        };
+        let cache = h2.cache().map(|c| &**c);
         let (y, coordinator, shards) = std::thread::scope(|scope| {
             let handles: Vec<_> = endpoints
                 .into_iter()
                 .enumerate()
                 .map(|(s, mut ep)| {
-                    let cache = rank_cache(s);
                     scope.spawn(move || {
                         let phases = run_shard(h2, plan, s, cache, &mut ep)
                             .expect("in-process shard protocol failed");
@@ -344,9 +272,8 @@ impl<S: Scalar> ShardedH2<S> {
                     })
                 })
                 .collect();
-            let (y, coordinator) =
-                run_coordinator(h2, plan, rank_cache(plan.shards), &mut coord_ep, b)
-                    .expect("in-process coordinator protocol failed");
+            let (y, coordinator) = run_coordinator(h2, plan, cache, &mut coord_ep, b)
+                .expect("in-process coordinator protocol failed");
             let shards: Vec<ShardStats> = handles
                 .into_iter()
                 .map(|h| h.join().expect("shard thread panicked"))
@@ -453,7 +380,7 @@ impl<S: Scalar> H2Operator<S> for ShardedH2<S> {
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
-        ShardedH2::cache_stats(self)
+        self.h2.cache_stats()
     }
 }
 
@@ -859,40 +786,6 @@ mod tests {
             snap.counter("dist.bytes_sent") >= stats.total_bytes(),
             "transport counters feed the registry"
         );
-    }
-
-    #[test]
-    fn per_rank_caches_stay_bitwise_consistent_within_budget() {
-        use h2_core::CacheBudget;
-        // The budgeted tier must not perturb the distributed product: any
-        // per-rank budget routes misses through the same materialized
-        // blocks normal mode stores, so results are bitwise identical to
-        // the *stored* serial product — while each rank's resident bytes
-        // respect its share of the budget.
-        let otf = build(600, MemoryMode::OnTheFly);
-        let stored_serial = build(600, MemoryMode::Normal).matvec(&rhs(600));
-        for budget in [CacheBudget::Ratio(0.3), CacheBudget::Unbounded] {
-            let mut sh = ShardedH2::new(otf.clone(), 3).unwrap();
-            assert!(sh.cache_stats().is_none());
-            sh.set_cache_budget(budget);
-            let caches = sh.rank_caches().expect("per-rank caches installed");
-            assert_eq!(caches.len(), 4, "3 shards + coordinator");
-            for _ in 0..2 {
-                assert_eq!(sh.matvec(&rhs(600)), stored_serial, "{budget}");
-            }
-            for c in caches {
-                assert!(c.resident_bytes() <= c.budget_bytes(), "{budget}");
-            }
-            let stats = sh.cache_stats().unwrap();
-            assert!(stats.hits > 0, "warmed pins must serve hits");
-            assert!(stats.resident_bytes <= stats.budget_bytes);
-            // Off removes the tier again → pure on-the-fly, bitwise equal
-            // to the unbudgeted sharded product.
-            sh.set_cache_budget(CacheBudget::Off);
-            assert!(sh.rank_caches().is_none());
-            let plain = ShardedH2::new(otf.clone(), 3).unwrap();
-            assert_eq!(sh.matvec(&rhs(600)), plain.matvec(&rhs(600)));
-        }
     }
 
     #[test]

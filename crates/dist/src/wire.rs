@@ -497,7 +497,9 @@ pub fn decode_message<A: Scalar>(
         )));
     }
     let mut r = WireReader::new(payload);
-    let mut out = Vec::with_capacity(panels as usize);
+    // `panels` comes from an untrusted header: reserve no more panels than
+    // the payload can hold (each is at least a node id and a length).
+    let mut out = Vec::with_capacity((panels as usize).min(payload.len() / 16));
     for _ in 0..panels {
         let node = r.usize()?;
         let len = r.count(A::BYTES)?;
@@ -854,6 +856,9 @@ mod tests {
         assert_eq!(decode_message::<f32>(4, 1, &payload).unwrap(), msg32);
         // Scalar-code mismatch is a typed error, not a misdecode.
         assert!(decode_message::<f64>(4, 1, &payload).is_err());
+        // A header claiming u32::MAX panels over an empty payload is an
+        // error, not a 137 GB reservation.
+        assert!(decode_message::<f64>(8, u32::MAX, &[]).is_err());
     }
 
     #[test]

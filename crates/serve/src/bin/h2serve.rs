@@ -1,11 +1,10 @@
 //! Operator serving CLI: build H² operators, persist them, load/verify the
-//! files, and benchmark the batched matvec service.
+//! files, and serve them through the batched matvec service.
 //!
 //! ```text
 //! h2serve build        [build flags]              construct and report stats
 //! h2serve save         [build flags] --out FILE   construct and persist
 //! h2serve load         --file FILE [--kernel K]   load, validate, time a matvec
-//! h2serve serve-bench  (--file FILE | build flags) [--requests R] [--batches 1,4,16]
 //! h2serve metrics      (--file FILE | build flags) [--requests R] [--batches K]
 //! h2serve serve        --file FILE --shards N [--requests R] [--batches K]
 //!                      [--metrics-addr ADDR] [--trace FILE] [--flight-dir DIR]
@@ -53,11 +52,11 @@
 //! flight recorder, and `--duration-s S` sustains traffic past the
 //! verified workload so a scraper has something to watch.
 //!
-//! `metrics` runs one serving workload (batch cap = first `--batches`
-//! entry) and prints to stdout the same Prometheus text body `serve` serves
-//! at `/metrics`: the service's latency/throughput series, the registry
-//! gauges of the served operator, then the process-wide telemetry
-//! (kernel-eval and block-generation counters, span aggregates).
+//! `metrics` runs one serving workload (batch cap `--batches`) and prints
+//! to stdout the same Prometheus text body `serve` serves at `/metrics`:
+//! the service's latency/throughput series, the registry gauges of the
+//! served operator, then the process-wide telemetry (kernel-eval and
+//! block-generation counters, span aggregates).
 //!
 //! Build flags: `--n N --dim D --tol T --mode normal|otf --kernel NAME
 //! --builder anchor|sketched --method dd|interp|proxy --leaf L --eta E
@@ -80,7 +79,7 @@
 //! `--precision` selects the storage/accumulation mode: `f64` (default),
 //! `f32` (single-precision storage and sweeps), or `mixed` (`f32` storage,
 //! `f64` accumulation). `save` writes the storage scalar into the file
-//! header; `load` and `serve-bench --file` dispatch on the stored scalar
+//! header; `load` and `metrics --file` dispatch on the stored scalar
 //! (an `f32` file is served in the mode `--precision` requests, never
 //! silently widened into an `f64` operator).
 
@@ -116,7 +115,7 @@ struct Opts {
     out: Option<String>,
     file: Option<String>,
     requests: usize,
-    batches: Vec<usize>,
+    batch: usize,
     precision: Precision,
     cache_budget: CacheBudget,
     shards: usize,
@@ -149,7 +148,7 @@ impl Default for Opts {
             out: None,
             file: None,
             requests: 64,
-            batches: vec![1, 2, 4, 8, 16],
+            batch: 1,
             precision: Precision::F64,
             cache_budget: CacheBudget::Off,
             shards: 0,
@@ -173,11 +172,11 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: h2serve <build|save|load|serve-bench|metrics|serve|shard-worker|update> \
+        "usage: h2serve <build|save|load|metrics|serve|shard-worker|update> \
          [--n N] [--dim D] [--tol T] [--mode normal|otf] [--kernel NAME] \
          [--builder anchor|sketched] [--method dd|interp|proxy] \
          [--leaf L] [--eta E] [--seed S] \
-         [--out FILE] [--file FILE] [--requests R] [--batches a,b,c] \
+         [--out FILE] [--file FILE] [--requests R] [--batches K] \
          [--precision f64|f32|mixed] [--cache-budget off|BYTES|RATIO|full] \
          [--shards N] [--rank R] [--connect ADDR] [--io-timeout-ms MS] \
          [--metrics-addr ADDR] [--trace FILE] [--flight-dir DIR] [--duration-s S] \
@@ -216,12 +215,7 @@ fn parse_opts(args: &[String]) -> Opts {
                 o.cache_budget =
                     CacheBudget::parse(&val()).unwrap_or_else(|| usage("bad --cache-budget"))
             }
-            "--batches" => {
-                o.batches = val()
-                    .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| usage("bad --batches")))
-                    .collect()
-            }
+            "--batches" => o.batch = val().parse().unwrap_or_else(|_| usage("bad --batches")),
             "--shards" => o.shards = val().parse().unwrap_or_else(|_| usage("bad --shards")),
             "--rank" => o.rank = val().parse().unwrap_or_else(|_| usage("bad --rank")),
             "--connect" => o.connect = Some(val()),
@@ -252,8 +246,8 @@ fn parse_opts(args: &[String]) -> Opts {
     if o.leaf == 0 {
         usage("--leaf must be at least 1");
     }
-    if o.batches.contains(&0) || o.batches.is_empty() {
-        usage("--batches entries must be at least 1");
+    if o.batch == 0 {
+        usage("--batches must be at least 1");
     }
     o
 }
@@ -482,24 +476,6 @@ fn run_workload(svc: &MatvecService<AnyH2>, requests: usize, seed: u64) -> h2_se
     rep
 }
 
-fn cmd_serve_bench(o: &Opts) {
-    let op = load_or_build(o);
-    report_any(&op);
-    println!(
-        "{:>6} {:>8} {:>12} {:>12} {:>12} {:>12}",
-        "batch", "sweeps", "p50 us", "p99 us", "busy ms", "req/s"
-    );
-    for &k in &o.batches {
-        let svc = MatvecService::new(op.clone(), k.max(1));
-        let rep = run_workload(&svc, o.requests, o.seed);
-        let m = svc.metrics();
-        println!(
-            "{:>6} {:>8} {:>12} {:>12} {:>12.2} {:>12.0}",
-            k, rep.sweeps, m.p50_latency_us, m.p99_latency_us, m.busy_ms, m.throughput_rps
-        );
-    }
-}
-
 /// The one `/metrics` body, every source read at call time: the service's
 /// own series (block-cache counters included when a `--cache-budget` is
 /// active), the per-tenant series under `--tenants`, the registry's
@@ -562,7 +538,7 @@ fn cmd_metrics(o: &Opts) {
             .unwrap_or_else(|| f.clone()),
         None => format!("{}-n{}", o.kernel, o.n),
     };
-    let k = o.batches[0].max(1);
+    let k = o.batch;
     let svc = MatvecService::new(op.clone(), k);
     run_workload(&svc, o.requests, o.seed);
     let body = match op.as_ref() {
@@ -827,7 +803,7 @@ fn serve_distributed<S: Scalar>(h2: Arc<H2MatrixS<S>>, o: &Opts, file: &str) {
     }
     let n = coord.n();
     let op = Arc::new(coord);
-    let k = o.batches[0].max(1);
+    let k = o.batch;
     let svc: Arc<MatvecService<ShardCoordinator<S>, S>> =
         Arc::new(MatvecService::new(op.clone(), k));
     let mut scrape = start_scrape(o, &svc, false, None::<Arc<OperatorRegistry<S>>>);
@@ -1024,7 +1000,7 @@ fn serve_tenants<S: Scalar>(o: &Opts, file: &str, bytes: &[u8], table: TenantTab
     // One WDRR service arbitrates all tenants; every tenant hosts the same
     // file here, so a single fused sweep serves each drained batch.
     let op = reg.get(table.id(0).as_str()).expect("registered");
-    let k = o.batches[0].max(1);
+    let k = o.batch;
     let svc = Arc::new(MatvecService::with_tenants(
         op,
         k,
@@ -1173,7 +1149,6 @@ fn main() {
         "build" => cmd_build(&o),
         "save" => cmd_save(&o),
         "load" => cmd_load(&o),
-        "serve-bench" => cmd_serve_bench(&o),
         "metrics" => cmd_metrics(&o),
         "serve" => cmd_serve(&o),
         "shard-worker" => cmd_shard_worker(&o),

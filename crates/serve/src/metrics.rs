@@ -8,16 +8,14 @@
 //! delay (requests waiting for a drain) or from the sweep itself — the
 //! knob to turn differs. Recording is mutex-protected (the service already
 //! serializes on its queue lock, so contention is negligible) and
-//! snapshotting is cheap enough to call between benchmark phases.
+//! snapshotting is cheap enough to call on every scrape.
 //!
 //! Memory is **O(1) in the request count**: latencies land in bounded
 //! log-linear [`LogLinearHistogram`]s (~8 KiB each, quantile error under one
 //! [`bucket_width`](h2_telemetry::hist::bucket_width) ≈ 6.25%) instead of
 //! per-sample vectors, so a service can absorb an unbounded request stream.
-//! [`ServiceMetrics::snapshot_since_last`] yields per-interval views for a
-//! scraper polling a long-lived service, and
-//! [`ServiceMetrics::keep_exact_samples`] opts into per-sample retention for
-//! benchmarks that validate the histograms against exact percentiles.
+//! Everything is cumulative: a scraper gets windows from the exported
+//! `_bucket` series, as Prometheus computes them.
 
 use h2_core::CacheStats;
 use h2_telemetry::hist::LogLinearHistogram;
@@ -26,7 +24,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// The cumulative counters a windowed snapshot subtracts.
+/// Everything recorded since construction.
 #[derive(Default)]
 struct Cumulative {
     queue: LogLinearHistogram,
@@ -38,20 +36,10 @@ struct Cumulative {
     busy: Duration,
 }
 
-#[derive(Default)]
-struct Inner {
-    cur: Cumulative,
-    /// State of `cur` at the last [`ServiceMetrics::snapshot_since_last`].
-    last: Cumulative,
-    /// Opt-in per-sample retention for exactness checks; `None` (the
-    /// default) keeps memory independent of the request count.
-    exact_latency_us: Option<Vec<u64>>,
-}
-
 /// Accumulates service-side measurements.
 #[derive(Default)]
 pub struct ServiceMetrics {
-    inner: Mutex<Inner>,
+    inner: Mutex<Cumulative>,
 }
 
 impl ServiceMetrics {
@@ -71,114 +59,34 @@ impl ServiceMetrics {
     /// per-request samples always stay consistent with the request total.
     pub fn record_sweep(&self, batch: usize, busy: Duration, queue_waits: &[Duration]) {
         let mut g = self.inner.lock().unwrap();
-        g.cur.sweeps += 1;
-        g.cur.requests += batch as u64;
-        g.cur.busy += busy;
-        *g.cur.batch_hist.entry(batch).or_insert(0) += 1;
+        g.sweeps += 1;
+        g.requests += batch as u64;
+        g.busy += busy;
+        *g.batch_hist.entry(batch).or_insert(0) += 1;
         let busy_us = busy.as_micros() as u64;
-        g.cur.compute.record_n(busy_us, batch as u64);
+        g.compute.record_n(busy_us, batch as u64);
         for k in 0..batch {
             let w_us = queue_waits.get(k).map_or(0, |w| w.as_micros() as u64);
-            g.cur.queue.record(w_us);
-            g.cur.latency.record(w_us + busy_us);
-            if let Some(exact) = &mut g.exact_latency_us {
-                exact.push(w_us + busy_us);
-            }
+            g.queue.record(w_us);
+            g.latency.record(w_us + busy_us);
         }
     }
 
-    /// Snapshot of everything recorded since construction (or the last
-    /// [`Self::reset`]).
+    /// Snapshot of everything recorded since construction.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot::from_cumulative(&self.inner.lock().unwrap().cur)
-    }
-
-    /// Snapshot of the **window** since the previous `snapshot_since_last`
-    /// call (or since construction/reset for the first call), then advances
-    /// the watermark. A scraper polling a long-lived service gets
-    /// per-interval percentiles this way instead of ever-flattening
-    /// lifetime aggregates; interleaved [`Self::snapshot`] calls are
-    /// unaffected and keep reporting cumulative totals.
-    pub fn snapshot_since_last(&self) -> MetricsSnapshot {
-        let mut g = self.inner.lock().unwrap();
-        let snap = MetricsSnapshot::from_parts(
-            &g.cur.queue.diff(&g.last.queue),
-            &g.cur.compute.diff(&g.last.compute),
-            &g.cur.latency.diff(&g.last.latency),
-            diff_batches(&g.cur.batch_hist, &g.last.batch_hist),
-            g.cur.requests - g.last.requests,
-            g.cur.sweeps - g.last.sweeps,
-            g.cur.busy - g.last.busy,
-        );
-        g.last = Cumulative {
-            queue: g.cur.queue.clone(),
-            compute: g.cur.compute.clone(),
-            latency: g.cur.latency.clone(),
-            batch_hist: g.cur.batch_hist.clone(),
-            requests: g.cur.requests,
-            sweeps: g.cur.sweeps,
-            busy: g.cur.busy,
-        };
-        snap
-    }
-
-    /// Clears all recorded measurements, the window watermark, and any
-    /// retained exact samples (the retention mode itself stays on).
-    pub fn reset(&self) {
-        let mut g = self.inner.lock().unwrap();
-        let keep_exact = g.exact_latency_us.is_some();
-        *g = Inner::default();
-        if keep_exact {
-            g.exact_latency_us = Some(Vec::new());
-        }
-    }
-
-    /// Opts into (or out of) retaining every end-to-end latency sample.
-    /// Off by default — turning it on makes memory grow with the request
-    /// count again, so it is strictly a benchmark/validation mode for
-    /// comparing histogram quantiles against [`percentile`] ground truth.
-    pub fn keep_exact_samples(&self, on: bool) {
-        let mut g = self.inner.lock().unwrap();
-        g.exact_latency_us = on.then(Vec::new);
-    }
-
-    /// The retained end-to-end latency samples, sorted ascending — `None`
-    /// unless [`Self::keep_exact_samples`] is on.
-    pub fn exact_latencies_us(&self) -> Option<Vec<u64>> {
-        let g = self.inner.lock().unwrap();
-        g.exact_latency_us.clone().map(|mut v| {
-            v.sort_unstable();
-            v
-        })
+        MetricsSnapshot::from_cumulative(&self.inner.lock().unwrap())
     }
 
     /// Bytes held by the metric state. Constant in the number of recorded
-    /// requests (three fixed-size histograms plus one entry per *distinct*
-    /// batch size) unless exact-sample retention is on.
+    /// requests: three fixed-size histograms plus one entry per *distinct*
+    /// batch size.
     pub fn footprint_bytes(&self) -> usize {
         let g = self.inner.lock().unwrap();
-        let cum = |c: &Cumulative| {
-            c.queue.footprint_bytes()
-                + c.compute.footprint_bytes()
-                + c.latency.footprint_bytes()
-                + c.batch_hist.len() * std::mem::size_of::<(usize, u64)>()
-        };
-        cum(&g.cur)
-            + cum(&g.last)
-            + g.exact_latency_us
-                .as_ref()
-                .map_or(0, |v| v.capacity() * std::mem::size_of::<u64>())
+        g.queue.footprint_bytes()
+            + g.compute.footprint_bytes()
+            + g.latency.footprint_bytes()
+            + g.batch_hist.len() * std::mem::size_of::<(usize, u64)>()
     }
-}
-
-/// `cur − last` on the batch histogram, dropping emptied sizes.
-fn diff_batches(cur: &BTreeMap<usize, u64>, last: &BTreeMap<usize, u64>) -> Vec<(usize, u64)> {
-    cur.iter()
-        .filter_map(|(&k, &v)| {
-            let d = v - last.get(&k).copied().unwrap_or(0);
-            (d > 0).then_some((k, d))
-        })
-        .collect()
 }
 
 /// Nearest-rank percentile over a sorted sample; 0 for an empty sample.
@@ -235,51 +143,32 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     fn from_cumulative(c: &Cumulative) -> Self {
-        Self::from_parts(
-            &c.queue,
-            &c.compute,
-            &c.latency,
-            c.batch_hist.iter().map(|(&k, &v)| (k, v)).collect(),
-            c.requests,
-            c.sweeps,
-            c.busy,
-        )
-    }
-
-    fn from_parts(
-        queue: &LogLinearHistogram,
-        compute: &LogLinearHistogram,
-        latency: &LogLinearHistogram,
-        batch_hist: Vec<(usize, u64)>,
-        requests: u64,
-        sweeps: u64,
-        busy: Duration,
-    ) -> Self {
-        let busy_s = busy.as_secs_f64();
+        let (requests, sweeps) = (c.requests, c.sweeps);
+        let busy_s = c.busy.as_secs_f64();
         MetricsSnapshot {
             requests,
             sweeps,
-            p50_latency_us: latency.quantile(0.50),
-            p99_latency_us: latency.quantile(0.99),
-            p50_queue_us: queue.quantile(0.50),
-            p99_queue_us: queue.quantile(0.99),
-            p50_compute_us: compute.quantile(0.50),
-            p99_compute_us: compute.quantile(0.99),
+            p50_latency_us: c.latency.quantile(0.50),
+            p99_latency_us: c.latency.quantile(0.99),
+            p50_queue_us: c.queue.quantile(0.50),
+            p99_queue_us: c.queue.quantile(0.99),
+            p50_compute_us: c.compute.quantile(0.50),
+            p99_compute_us: c.compute.quantile(0.99),
             mean_batch: if sweeps == 0 {
                 0.0
             } else {
                 requests as f64 / sweeps as f64
             },
-            batch_hist,
+            batch_hist: c.batch_hist.iter().map(|(&k, &v)| (k, v)).collect(),
             busy_ms: busy_s * 1e3,
             throughput_rps: if busy_s > 0.0 {
                 requests as f64 / busy_s
             } else {
                 0.0
             },
-            latency_hist: latency.clone(),
-            queue_hist: queue.clone(),
-            compute_hist: compute.clone(),
+            latency_hist: c.latency.clone(),
+            queue_hist: c.queue.clone(),
+            compute_hist: c.compute.clone(),
             cache: None,
         }
     }
@@ -452,45 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears() {
-        let m = ServiceMetrics::new();
-        m.record_sweep(2, Duration::from_millis(1), &[Duration::from_micros(5); 2]);
-        m.reset();
-        assert_eq!(m.snapshot().requests, 0);
-    }
-
-    #[test]
-    fn snapshot_since_last_windows_the_stream() {
-        let m = ServiceMetrics::new();
-        m.record_sweep(1, Duration::from_micros(100), &[Duration::from_micros(5)]);
-        m.record_sweep(1, Duration::from_micros(100), &[Duration::from_micros(5)]);
-        let w1 = m.snapshot_since_last();
-        assert_eq!(w1.requests, 2);
-        assert_eq!(w1.p50_latency_us, ub(105));
-        // A much slower second interval: the window sees only it, while the
-        // cumulative snapshot keeps mixing both.
-        m.record_sweep(
-            1,
-            Duration::from_micros(90_000),
-            &[Duration::from_micros(5)],
-        );
-        let w2 = m.snapshot_since_last();
-        assert_eq!(w2.requests, 1);
-        assert_eq!(w2.sweeps, 1);
-        assert_eq!(w2.p50_latency_us, ub(90_005));
-        assert_eq!(w2.batch_hist, vec![(1, 1)]);
-        assert!((w2.busy_ms - 90.0).abs() < 1e-6);
-        let cum = m.snapshot();
-        assert_eq!(cum.requests, 3);
-        assert_eq!(cum.p50_latency_us, ub(105));
-        // An empty interval is all zeros, not leftovers.
-        let w3 = m.snapshot_since_last();
-        assert_eq!(w3.requests, 0);
-        assert_eq!(w3.p50_latency_us, 0);
-        assert!(w3.batch_hist.is_empty());
-    }
-
-    #[test]
     fn memory_is_constant_in_the_request_count() {
         let m = ServiceMetrics::new();
         m.record_sweep(
@@ -510,34 +360,26 @@ mod tests {
             small,
             "per-request state must not grow with traffic"
         );
-        // The opt-in exact mode is the one allowed to grow.
-        m.keep_exact_samples(true);
-        m.record_sweep(
-            4,
-            Duration::from_micros(100),
-            &[Duration::from_micros(7); 4],
-        );
-        assert!(m.footprint_bytes() > small);
-        assert_eq!(m.exact_latencies_us().unwrap().len(), 4);
     }
 
     #[test]
     fn exact_samples_validate_histogram_quantiles() {
         let m = ServiceMetrics::new();
-        m.keep_exact_samples(true);
+        let mut exact = Vec::new();
         let mut x = 42u64;
         for _ in 0..500 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
+            let (busy_us, wait_us) = (x % 50_000, (x >> 32) % 5_000);
             m.record_sweep(
                 1,
-                Duration::from_micros(x % 50_000),
-                &[Duration::from_micros((x >> 32) % 5_000)],
+                Duration::from_micros(busy_us),
+                &[Duration::from_micros(wait_us)],
             );
+            exact.push(busy_us + wait_us);
         }
-        let exact = m.exact_latencies_us().unwrap();
-        assert_eq!(exact.len(), 500);
+        exact.sort_unstable();
         let s = m.snapshot();
         for (q, got) in [(0.5, s.p50_latency_us), (0.99, s.p99_latency_us)] {
             let e = percentile(&exact, q);
@@ -546,8 +388,6 @@ mod tests {
                 "q={q}: hist {got} vs exact {e}"
             );
         }
-        m.keep_exact_samples(false);
-        assert!(m.exact_latencies_us().is_none());
     }
 
     #[test]

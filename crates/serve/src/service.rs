@@ -394,37 +394,10 @@ impl<S: Scalar, O: H2Operator<S>> MatvecService<O, S> {
         snap
     }
 
-    /// Windowed snapshot: only what was recorded since the previous
-    /// `metrics_since_last` call (see
-    /// [`ServiceMetrics::snapshot_since_last`]). Cache stats ride along as
-    /// in [`Self::metrics`]; they stay cumulative (the cache has no
-    /// windowed view).
-    pub fn metrics_since_last(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot_since_last();
-        snap.cache = self.op.cache_stats();
-        snap
-    }
-
-    /// The raw metric accumulator, for benchmark-only modes such as
-    /// [`ServiceMetrics::keep_exact_samples`].
-    pub fn service_metrics(&self) -> &ServiceMetrics {
-        &self.metrics
-    }
-
-    /// Clears the accumulated metrics, including the per-tenant histograms
-    /// (queued requests are unaffected).
-    pub fn reset_metrics(&self) {
-        self.metrics.reset();
-        let mut stats = self.tenant_stats.lock().unwrap();
-        for s in stats.iter_mut() {
-            *s = TenantStats::default();
-        }
-    }
-
     /// A tenant's end-to-end latency quantile in microseconds (0 when the
     /// tenant is unknown or has served nothing). Backed by the per-tenant
     /// log-linear histogram, so the value is exact to within one bucket
-    /// width — what the `tenant_qos` bench gates p99 on.
+    /// width.
     pub fn tenant_latency_quantile_us(&self, tenant: &str, q: f64) -> u64 {
         match self.table.index_of(tenant) {
             Some(idx) => self.tenant_stats.lock().unwrap()[idx]
@@ -687,16 +660,14 @@ mod tests {
     }
 
     #[test]
-    fn sweeps_are_trace_tagged_and_windowed_metrics_advance() {
+    fn sweeps_are_trace_tagged() {
         let svc = MatvecService::new(op(MemoryMode::OnTheFly), 4);
         let t = svc.submit(rhs(500, 3)).unwrap();
         svc.drain();
         t.wait().unwrap();
-        let w = svc.metrics_since_last();
-        assert_eq!((w.requests, w.sweeps), (1, 1));
-        assert!(w.p50_latency_us > 0);
-        let w2 = svc.metrics_since_last();
-        assert_eq!(w2.requests, 0, "window advanced past the first sweep");
+        let m = svc.metrics();
+        assert_eq!((m.requests, m.sweeps), (1, 1));
+        assert!(m.p50_latency_us > 0);
         // Every fused batch ran under its own trace scope: the sweep span
         // carries a nonzero trace id.
         assert!(
@@ -843,31 +814,37 @@ mod tests {
 
     #[test]
     fn wdrr_drains_light_tenant_ahead_of_a_hog_backlog() {
-        // With batch size 1, the first 2 sweeps under WDRR must include the
-        // light tenant despite the hog having submitted 8 requests first.
+        // The hog submits 24 requests before the light tenant's one, yet the
+        // light request is served within `sweeps` sweeps: with batch size 1
+        // and weights 1:4, the hog (cursor start) then light by weight; with
+        // batch 4 and equal weights, light rides in the first sweep.
         let op = op(MemoryMode::OnTheFly);
         let n = op.n();
-        let table = TenantTable::parse("[hog]\nweight = 1.0\n\n[light]\nweight = 4.0\n").unwrap();
-        let svc = MatvecService::with_tenants(op.clone(), 1, table, QueueMode::Wdrr);
-        for s in 0..8 {
-            svc.submit_for("hog", rhs(n, s)).unwrap();
+        for (light_weight, batch, sweeps) in [(4.0, 1, 2), (1.0, 4, 1)] {
+            let table = TenantTable::parse(&format!(
+                "[hog]\nweight = 1.0\n\n[light]\nweight = {light_weight:.1}\n"
+            ))
+            .unwrap();
+            let svc = MatvecService::with_tenants(op.clone(), batch, table, QueueMode::Wdrr);
+            for s in 0..24 {
+                svc.submit_for("hog", rhs(n, s)).unwrap();
+            }
+            let t = svc.submit_for("light", rhs(n, 100)).unwrap();
+            for _ in 0..sweeps {
+                let batch = svc.sched.lock().unwrap().next_batch(batch);
+                svc.sweep(&batch);
+            }
+            assert_eq!(
+                t.try_take()
+                    .unwrap_or_else(|| panic!("light request not served within {sweeps} sweeps"))
+                    .unwrap(),
+                op.matvec(&rhs(n, 100))
+            );
         }
-        let t = svc.submit_for("light", rhs(n, 100)).unwrap();
-        // Two singleton sweeps: hog (cursor start), then light by weight.
-        for _ in 0..2 {
-            let batch = svc.sched.lock().unwrap().next_batch(1);
-            svc.sweep(&batch);
-        }
-        assert_eq!(
-            t.try_take()
-                .expect("light request served within 2 sweeps")
-                .unwrap(),
-            op.matvec(&rhs(n, 100))
-        );
     }
 
     #[test]
-    fn tenant_series_follow_served_traffic_and_reset() {
+    fn tenant_series_follow_served_traffic() {
         // Label escaping, rejections, weights and budgets are pinned by the
         // whole-body golden (tests/observability.rs); this covers what needs a
         // real drain: served counts and latency quantiles reach the series.
@@ -876,14 +853,11 @@ mod tests {
         let svc = MatvecService::with_tenants(op, 4, two_tenant_table(8), QueueMode::Wdrr);
         svc.submit_for("light", rhs(n, 0)).unwrap();
         svc.drain();
-        let exposed = || {
-            let mut out = Exposition::new();
-            svc.expose_tenants(&mut out);
-            out.finish()
-        };
         let p99 = svc.tenant_latency_quantile_us("light", 0.99);
         assert!(p99 > 0);
-        let text = exposed();
+        let mut out = Exposition::new();
+        svc.expose_tenants(&mut out);
+        let text = out.finish();
         assert!(
             text.contains("h2_tenant_requests_total{tenant=\"light\"} 1\n"),
             "{text}"
@@ -894,10 +868,6 @@ mod tests {
             )),
             "{text}"
         );
-        // reset_metrics clears the per-tenant accounting too.
-        svc.reset_metrics();
-        assert_eq!(svc.tenant_served("light"), 0);
-        assert!(exposed().contains("h2_tenant_requests_total{tenant=\"light\"} 0\n"));
     }
 
     #[test]

@@ -130,7 +130,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_trace_shifts_by_offset_and_tags_pids() {
+    fn cluster_trace_shifts_by_offset_and_tags_pids() {
         let procs = vec![
             ProcessSpans {
                 pid: 2,

@@ -12,9 +12,8 @@
 //! Quantiles are *nearest-rank over buckets*: the reported value is the
 //! inclusive upper bound of the bucket holding the nearest-rank sample, so
 //! it differs from the exact sorted-sample quantile by at most one bucket
-//! width ([`bucket_width`]). Histograms subtract ([`LogLinearHistogram::diff`])
-//! for windowed views and add ([`LogLinearHistogram::merge`]) for
-//! cross-shard aggregation — both exact on counts.
+//! width ([`bucket_width`]). Histograms add ([`LogLinearHistogram::merge`])
+//! for cross-shard aggregation, exactly on counts.
 
 /// log2 of the sub-buckets per octave.
 pub const SUB_BITS: u32 = 4;
@@ -174,22 +173,6 @@ impl LogLinearHistogram {
         self.sum = self.sum.saturating_add(other.sum);
     }
 
-    /// The observations in `self` but not in `earlier` — the windowed view
-    /// between two cumulative snapshots. `earlier` must be a past state of
-    /// this histogram (counts subtract saturating, so a mismatched pair
-    /// degrades to zeros instead of wrapping).
-    pub fn diff(&self, earlier: &Self) -> Self {
-        let mut counts = Box::new([0u64; BUCKETS]);
-        for (i, slot) in counts.iter_mut().enumerate() {
-            *slot = self.counts[i].saturating_sub(earlier.counts[i]);
-        }
-        LogLinearHistogram {
-            counts,
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-        }
-    }
-
     /// Occupied buckets as `(inclusive upper bound, cumulative count)`,
     /// ascending — exactly the samples a Prometheus `_bucket` series needs
     /// (the final `+Inf` bucket is the caller's, with [`Self::count`]).
@@ -289,7 +272,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_diff_are_count_exact() {
+    fn merge_is_count_exact() {
         let mut a = LogLinearHistogram::new();
         let mut b = LogLinearHistogram::new();
         for v in [5u64, 500, 50_000] {
@@ -300,10 +283,7 @@ mod tests {
         m.merge(&b);
         assert_eq!(m.count(), a.count() + b.count());
         assert_eq!(m.sum(), a.sum() + b.sum());
-        let d = m.diff(&a);
-        assert_eq!(d.count(), b.count());
-        assert_eq!(d.sum(), b.sum());
-        assert_eq!(d.quantile(1.0), b.quantile(1.0));
+        assert_eq!(m.quantile(1.0), b.quantile(1.0));
     }
 
     #[test]

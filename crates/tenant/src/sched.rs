@@ -22,9 +22,9 @@
 //!   tenants cannot hoard credit and burst past the weights later.
 //!
 //! Under sustained backlog, tenant `i`'s service share converges to
-//! `weight_i / Σ weights` — the weighted-fairness property the `tenant_qos`
-//! bench gates. An idle tenant's capacity is redistributed to the backlogged
-//! ones in proportion to *their* weights (work-conserving).
+//! `weight_i / Σ weights` (`wdrr_shares_track_weights_under_backlog`). An
+//! idle tenant's capacity is redistributed to the backlogged ones in
+//! proportion to *their* weights (work-conserving).
 
 use crate::policy::{Admission, TenantTable};
 use std::collections::VecDeque;

@@ -15,12 +15,9 @@ $B/table1             --json $R/table1.json > $R/table1.txt 2>&1
 $B/fig7_threads       --json $R/fig7.json > $R/fig7.txt 2>&1
 $B/fig8_accuracy      --json $R/fig8.json > $R/fig8.txt 2>&1
 $B/fig9_kernels       --json $R/fig9.json > $R/fig9.txt 2>&1
-$B/serve_throughput   --json $R/serve.json > $R/serve.txt 2>&1
-$B/cache_sweep        --json $R/cache_sweep.json > $R/cache_sweep.txt 2>&1
-$B/update_churn       --json $R/update_churn.json > $R/update_churn.txt 2>&1
+$B/amortization       --json $R/amortization.json > $R/amortization.txt 2>&1
 $B/dist_scaling       --json $R/dist.json > $R/dist.txt 2>&1
 $B/net_scaling        --json $R/net.json > $R/net.txt 2>&1
 $B/profile            --json $R/profile.json --trace $R/profile.trace.json > $R/profile.txt 2>&1
 $B/build_ablation     --json $R/build_ablation.json > $R/build_ablation.txt 2>&1
-$B/tenant_qos --check --json $R/tenant_qos.json > $R/tenant_qos.txt 2>&1
 echo ALL_DONE
