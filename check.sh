@@ -40,7 +40,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, two unsafe AVX2 dispatches, none in sweep.rs, no arch intrinsics), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG dependent (h2-points alone), dependency edge (every [dependencies] entry named by its crate's src/ or tests/), bench binary and result (each named by run_harness.sh or check.sh) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, two unsafe AVX2 dispatches, none in sweep.rs, one in panel.rs, no arch intrinsics), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG dependent (h2-points alone), dependency edge (every [dependencies] entry named by its crate's src/ or tests/), bench binary and result (each named by run_harness.sh or check.sh) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -68,6 +68,11 @@ UNSAFE=$(non_test $SRC | grep -vE "^[^:]*:[[:space:]]*//" | grep -w "unsafe" || 
 [ "$(grep -c . <<< "$UNSAFE")" = 2 ] && [ "$(grep -cE "unsafe \{ [a-z_]+_avx2\(" <<< "$UNSAFE")" = 2 ] \
   || { echo "expected two unsafe AVX2 dispatches outside the slab: $UNSAFE"; exit 1; }
 if non_test crates/core/src/sweep.rs | grep -nwE "unsafe|is_x86_feature_detected!"; then echo "SIMD dispatch in sweep.rs"; exit 1; fi
+PANEL_DISPATCH=$(non_test crates/linalg/src/panel.rs | grep -c "_avx2(" || true)
+[ "$PANEL_DISPATCH" -le 1 ] || { echo "expected at most one _avx2( dispatch in panel.rs, found $PANEL_DISPATCH"; exit 1; }
+if non_test crates/core/src/sweep.rs | grep -nwE "gemv_acc|gemv_t_acc|matvec_acc|matvec_t_acc"; then
+  echo "sweep.rs applies a block through a one-column kernel"; exit 1
+fi
 if grep -rnE "(std|core)::arch::" crates/*/src; then echo "an arch intrinsic path under crates/*/src"; exit 1; fi
 if grep -rniE "trait Sampler|dyn Sampler|SketchKind|srht" crates/*/src; then echo "the sampler extension point or the second sketch ensemble is back"; exit 1; fi
 if grep -rnE "dot_apply|Fetched::Generated|kernel_matrix_s|coupling_block_s" crates/*/src; then echo "the second arithmetic class is back"; exit 1; fi
@@ -167,7 +172,7 @@ echo "== live observability gate (scrape + cluster trace + flight recorder) =="
 # turns a hung deployment into a loud failure.
 timeout 300 cargo test -q --offline -p h2-serve --test observability -- --ignored --test-threads=1
 
-echo "== profile smoke (trace must parse; f32 footprint gate) =="
+echo "== profile smoke (trace must parse; f32 footprint gate; f64 k=1 bi_ns <= 0.9x the two one-column applies) =="
 timeout 300 cargo test -q --offline --release -p h2-bench --test profile_trace -- --ignored
 # Sketched-builder pass: anchor-only phases must render as absent rows,
 # not fail the required-span contract.

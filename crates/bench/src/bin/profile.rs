@@ -29,7 +29,7 @@ use h2_core::diagnostics::counters;
 use h2_core::{BasisMethod, BuilderStrategy, H2Config, H2Matrix, H2MatrixS, MemoryMode};
 use h2_dist::ShardedH2;
 use h2_kernels::{paper_kernels, Coulomb};
-use h2_linalg::{Matrix, MatrixS, Scalar};
+use h2_linalg::{panel, Matrix, MatrixS, Scalar};
 use h2_points::gen;
 use h2_serve::MatvecService;
 use std::collections::BTreeMap;
@@ -78,6 +78,8 @@ json_record! {
         /// `k × matvec_t_acc` and `matmat_t_acc` (`Y += Bᵀ X`).
         matvec_t_ns: f64,
         matmat_t_ns: f64,
+        /// `matmat_bi_acc`: both products in one walk over each block.
+        bi_ns: f64,
     }
 }
 
@@ -117,12 +119,16 @@ json_record! {
         kernel_eval: Vec<KernelEvalRow>,
         /// Panel applies against `k` one-column applies.
         panel_apply: Vec<PanelApplyRow>,
+        /// Share of the `f64` operator's stored block bytes in blocks with
+        /// fewer than 8 and fewer than 32 rows.
+        bytes_frac_rows_lt8: f64,
+        bytes_frac_rows_lt32: f64,
     }
 }
 
 /// One [`PanelApplyRow`]: `k`-column panels applied to every block of
 /// `blocks`, as `k` one-column applies and as one panel apply, each
-/// direction timed on its own.
+/// direction timed on its own, then both directions in one call.
 fn panel_apply_row<S: Scalar, A: Scalar>(
     blocks: &[&MatrixS<S>],
     k: usize,
@@ -148,11 +154,18 @@ fn panel_apply_row<S: Scalar, A: Scalar>(
         matmat_t_ns: ns(|b, k, x, y| {
             b.matmat_t_acc(k, &x[..b.nrows() * k], &mut y[..b.ncols() * k])
         }),
+        bi_ns: ns(|b, k, x, y| {
+            let (m, n) = b.shape();
+            let (yf, yt) = y.split_at_mut(m * k);
+            let (xf, xt) = (&x[..n * k], &x[..m * k]);
+            panel::matmat_bi_acc(b.as_slice(), m, n, k, xf, yf, xt, &mut yt[..n * k]);
+        }),
     }
 }
 
 /// ns per entry·column of `apply(block, k, x, y)` over every block, median
-/// of `reps`; `x` has no zero entry, so no term is skipped.
+/// of `reps`; `x` has no zero entry, so no term is skipped, and `y` holds
+/// a forward and a transposed output panel side by side.
 fn panel_ns<S: Scalar, A: Scalar>(
     blocks: &[&MatrixS<S>],
     k: usize,
@@ -164,7 +177,7 @@ fn panel_ns<S: Scalar, A: Scalar>(
     let x: Vec<A> = (0..len)
         .map(|e| A::from_f64((e % 7) as f64 * 0.25 + 0.5))
         .collect();
-    let mut y = vec![A::ZERO; len];
+    let mut y = vec![A::ZERO; 2 * len];
     let entries: usize = blocks.iter().map(|b| b.nrows() * b.ncols()).sum();
     let ms = median_ms(reps, || {
         for b in blocks {
@@ -180,6 +193,13 @@ fn stored_blocks<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<&MatrixS<S>> {
     let coupling = h2.coupling_store().blocks().unwrap_or_default();
     let nearfield = h2.nearfield_store().blocks().unwrap_or_default();
     coupling.iter().chain(nearfield).collect()
+}
+
+/// Share of the bytes of `blocks` in blocks with fewer than `rows` rows.
+fn bytes_frac_under<S: Scalar>(blocks: &[&MatrixS<S>], rows: usize) -> f64 {
+    let bytes = |b: &&MatrixS<S>| b.nrows() * b.ncols();
+    let small: usize = blocks.iter().filter(|b| b.nrows() < rows).map(bytes).sum();
+    small as f64 / blocks.iter().map(bytes).sum::<usize>().max(1) as f64
 }
 
 /// Average cost of one `f()` call over `iters` iterations, nanoseconds.
@@ -533,6 +553,8 @@ fn main() {
         "matmat",
         "k × matvec_t",
         "matmat_t",
+        "k × (matvec + matvec_t)",
+        "matmat_bi",
     ]);
     for r in &panel_rows {
         panel_table.row(vec![
@@ -542,6 +564,8 @@ fn main() {
             format!("{:.3}", r.matmat_ns),
             format!("{:.3}", r.matvec_t_ns),
             format!("{:.3}", r.matmat_t_ns),
+            format!("{:.3}", r.matvec_ns + r.matvec_t_ns),
+            format!("{:.3}", r.bi_ns),
         ]);
     }
     println!(
@@ -549,6 +573,15 @@ fn main() {
         blocks64.len()
     );
     panel_table.print();
+    let (lt8, lt32) = (
+        bytes_frac_under(&blocks64, 8),
+        bytes_frac_under(&blocks64, 32),
+    );
+    println!(
+        "stored block bytes in blocks under 8 rows: {:.1} %, under 32 rows: {:.1} %",
+        lt8 * 100.0,
+        lt32 * 100.0
+    );
     println!();
 
     // Prometheus exposition: service latency series, then the registry.
@@ -605,6 +638,8 @@ fn main() {
             precision: precision_rows,
             kernel_eval: kernel_rows,
             panel_apply: panel_rows,
+            bytes_frac_rows_lt8: lt8,
+            bytes_frac_rows_lt32: lt32,
         };
         write_json(&args.json, summary);
     }

@@ -32,12 +32,16 @@
 //! Both horizontal sweeps walk the *unique* block pairs `(i ≤ j)` in the
 //! total order "cell by cell in round order, ascending list position inside
 //! a cell" and apply each block in both directions (`out_i += B x_j`,
-//! `out_j += Bᵀ x_i`) while it is live. A target therefore receives the
-//! contributions of its diagonal cell in ascending neighbour order, then
-//! those of its off-diagonal cells round by round. The order is a function
-//! of the operator (tree, lists, ranks) only — never of the thread count,
-//! of the shard count, or of timing — and a rank's schedule is the same
-//! order filtered to the pairs with an owned endpoint, with only the owned
+//! `out_j += Bᵀ x_i`) in one call while it is live:
+//! [`panel::matmat_bi_acc`] reads `B` once for both, and every entry of
+//! either output keeps the sum order of its one-direction apply. A rank
+//! that owns one endpoint of a pair calls that direction's kernel alone,
+//! with the same bits. A target therefore receives the contributions of its
+//! diagonal cell in ascending neighbour order, then those of its
+//! off-diagonal cells round by round. The order is a function of the
+//! operator (tree, lists, ranks) only — never of the thread count, of the
+//! shard count, or of timing — and a rank's schedule is the same order
+//! filtered to the pairs with an owned endpoint, with only the owned
 //! directions flagged. That is what makes the result bitwise identical at
 //! any width, a panel column bitwise equal to the vector product, and a
 //! sharded sweep bitwise equal to the serial one. A block is touched once
@@ -65,9 +69,9 @@
 //! the storage scalar `S`, exactly as the builders store it. Every block is
 //! then applied with the panel kernels of [`h2_linalg::panel`], as are the
 //! bases and transfers: a `k`-column panel is one register-blocked pass per
-//! block and direction, and its column `c` has the bits of the vector
-//! product. So a product does not depend on where its blocks came from:
-//! on-the-fly ≡ cached at any budget ≡ stored ≡ mapped, bit for bit.
+//! block, and its column `c` has the bits of the vector product. So a
+//! product does not depend on where its blocks came from: on-the-fly ≡
+//! cached at any budget ≡ stored ≡ mapped, bit for bit.
 
 use crate::diagnostics::BlockTally;
 use crate::h2matrix::H2MatrixS;
@@ -589,38 +593,25 @@ fn fetch<'a, S: Scalar>(
 }
 
 impl<S: Scalar> Fetched<'_, S> {
-    /// `Y += B X`, or `Y += Bᵀ X` when `transposed`, for `k`-column
-    /// panels; `(rows, cols)` is the shape of `B`.
-    fn apply<A: Scalar>(
-        &self,
-        transposed: bool,
-        (rows, cols): (usize, usize),
-        k: usize,
-        x: &[A],
-        y: &mut [A],
-    ) {
-        let block = match self {
+    /// The block's entries, column-major.
+    fn as_slice(&self) -> &[S] {
+        match self {
             Fetched::Borrowed(b) => b,
             Fetched::Cached(b) => b.as_slice(),
-        };
-        if transposed {
-            panel::matmat_t_acc(block, rows, cols, k, x, y);
-        } else {
-            panel::matmat_acc(block, rows, cols, k, x, y);
         }
     }
 }
 
-/// `buf[src]` read-only beside `buf[dst]` mutable; the ranges are panels
-/// of two different nodes and never overlap.
-fn split_panels<A>(buf: &mut [A], src: Range<usize>, dst: Range<usize>) -> (&[A], &mut [A]) {
-    if src.end <= dst.start {
-        let (lo, hi) = buf.split_at_mut(dst.start);
-        (&lo[src], &mut hi[..dst.end - dst.start])
+/// The panels `buf[a]` and `buf[b]` of two different nodes, both mutable;
+/// the ranges never overlap.
+fn split_panels<A>(buf: &mut [A], a: Range<usize>, b: Range<usize>) -> (&mut [A], &mut [A]) {
+    if a.end <= b.start {
+        let (lo, hi) = buf.split_at_mut(b.start);
+        (&mut lo[a], &mut hi[..b.end - b.start])
     } else {
-        assert!(dst.end <= src.start, "node panels overlap");
-        let (lo, hi) = buf.split_at_mut(src.start);
-        (&hi[..src.end - src.start], &mut lo[dst])
+        assert!(b.end <= a.start, "node panels overlap");
+        let (lo, hi) = buf.split_at_mut(a.start);
+        (&mut hi[..a.end - a.start], &mut lo[b])
     }
 }
 
@@ -667,6 +658,27 @@ fn side<'o, A>(first: &'o mut [A], other: &'o mut Option<&mut [A]>, second: bool
     match other {
         Some(other) if second => other,
         _ => first,
+    }
+}
+
+/// The output panels of two different nodes of a cell, each `(second,
+/// range)`: in the cell's second group when `second`, else in its first.
+fn sides<'o, A>(
+    first: &'o mut [A],
+    other: &'o mut Option<&mut [A]>,
+    (si, ri): (bool, Range<usize>),
+    (sj, rj): (bool, Range<usize>),
+) -> (&'o mut [A], &'o mut [A]) {
+    if si == sj {
+        return split_panels(side(first, other, si), ri, rj);
+    }
+    let other = other
+        .as_deref_mut()
+        .expect("only a cell with two groups has a second");
+    if si {
+        (&mut other[ri], &mut first[rj])
+    } else {
+        (&mut first[ri], &mut other[rj])
     }
 }
 
@@ -1042,16 +1054,25 @@ impl<S: Scalar, A: Scalar> Job<'_, S, A> {
                 scratch,
                 tally,
             );
-            let shape = h2.block_shape(kind, st.i, st.j);
-            // The two directions write different nodes' panels, so
-            // applying them one after the other moves no entry's order.
-            if st.fwd {
-                let out = &mut side(out_c, &mut out_d, second(st.i))[out_at(st.i)];
-                block.apply(false, shape, k, input(st.j), out);
-            }
-            if st.rev {
-                let out = &mut side(out_c, &mut out_d, second(st.j))[out_at(st.j)];
-                block.apply(true, shape, k, input(st.i), out);
+            let (b, (rows, cols)) = (block.as_slice(), h2.block_shape(kind, st.i, st.j));
+            let (oi, oj) = ((second(st.i), out_at(st.i)), (second(st.j), out_at(st.j)));
+            // One call per step. With both directions owned, one walk over
+            // `B` serves both: they write different nodes' panels, and
+            // every entry keeps the sum order of its one-direction apply.
+            match (st.fwd, st.rev) {
+                (true, true) => {
+                    let (yi, yj) = sides(out_c, &mut out_d, oi, oj);
+                    let (xj, xi) = (input(st.j), input(st.i));
+                    panel::matmat_bi_acc(b, rows, cols, k, xj, yi, xi, yj);
+                }
+                (true, false) => {
+                    let yi = &mut side(out_c, &mut out_d, oi.0)[oi.1];
+                    panel::matmat_acc(b, rows, cols, k, input(st.j), yi);
+                }
+                (false, _) => {
+                    let yj = &mut side(out_c, &mut out_d, oj.0)[oj.1];
+                    panel::matmat_t_acc(b, rows, cols, k, input(st.i), yj);
+                }
             }
         }
     }
@@ -1096,8 +1117,12 @@ impl<S: Scalar> H2MatrixS<S> {
             &mut tally,
         );
         tally.record();
-        let shape = self.block_shape(kind, lo, hi);
-        block.apply(i > j, shape, 1, x, y);
+        let (b, (rows, cols)) = (block.as_slice(), self.block_shape(kind, lo, hi));
+        if i > j {
+            panel::matmat_t_acc(b, rows, cols, 1, x, y);
+        } else {
+            panel::matmat_acc(b, rows, cols, 1, x, y);
+        }
     }
 
     /// `Y = Â B` for `k` right-hand sides: `b` and `y` are `n × k`
@@ -1134,9 +1159,9 @@ mod tests {
     fn split_panels_handles_either_order_and_empty_panels() {
         let mut buf: Vec<u32> = (0..10).collect();
         let (src, dst) = split_panels(&mut buf, 1..3, 6..9);
-        assert_eq!((src, &*dst), (&[1, 2][..], &[6, 7, 8][..]));
+        assert_eq!((&*src, &*dst), (&[1, 2][..], &[6, 7, 8][..]));
         let (src, dst) = split_panels(&mut buf, 6..9, 1..3);
-        assert_eq!((src, &*dst), (&[6, 7, 8][..], &[1, 2][..]));
+        assert_eq!((&*src, &*dst), (&[6, 7, 8][..], &[1, 2][..]));
         // A rank-0 node's empty panel sits on a boundary of its neighbour.
         let (src, dst) = split_panels(&mut buf, 3..3, 3..5);
         assert_eq!((src.len(), dst.len()), (0, 2));

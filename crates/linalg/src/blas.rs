@@ -31,8 +31,9 @@ fn gemm_width(flops: usize) -> usize {
 }
 
 /// `sum_i x_i * y_i`, accumulated in `A` (entries of `x` promoted `S -> A`).
-/// Unrolled by 4 to expose ILP; slices must match length.
-#[inline]
+/// Unrolled by 4 to expose ILP; slices must match length. Always inlined,
+/// so that the panel kernels' AVX2 compile (`crate::panel`) compiles it too.
+#[inline(always)]
 pub fn dot<S: Scalar, A: Scalar>(x: &[S], y: &[A]) -> A {
     debug_assert_eq!(x.len(), y.len());
     let n = x.len();
@@ -53,7 +54,8 @@ pub fn dot<S: Scalar, A: Scalar>(x: &[S], y: &[A]) -> A {
 }
 
 /// `y += alpha * x`, accumulated in `A` (entries of `x` promoted `S -> A`).
-#[inline]
+/// Always inlined, as [`dot`] is.
+#[inline(always)]
 pub fn axpy<S: Scalar, A: Scalar>(alpha: A, x: &[S], y: &mut [A]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, xi) in y.iter_mut().zip(x) {

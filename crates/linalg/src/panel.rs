@@ -1,6 +1,6 @@
-//! `k`-column panel applies of a column-major block, `Y += B·X` and
-//! `Y += Bᵀ·X`: one register-blocked pass over `B` where `k` matrix–vector
-//! products would stream it `k` times.
+//! `k`-column panel applies of a column-major block, `Y += B·X`,
+//! `Y += Bᵀ·X`, and both at once: one register-blocked pass over `B` where
+//! `k` matrix–vector products would stream it `k` times.
 //!
 //! **Column contract.** Column `c` of either product has the bits of the
 //! one-column apply of column `c` — [`gemv_acc`] / [`gemv_t_acc`], the
@@ -22,8 +22,18 @@
 //!   each 4-row load of `B`.
 //!
 //! There is one tile width, four panel columns; the `k mod 4` leftover
-//! columns take the one-column path, so `k = 1` is exactly the
-//! matrix–vector product. The tiles have a second compile with AVX2,
+//! columns, which are all of `k = 1`, take the one-column path.
+//!
+//! **Both directions** ([`matmat_bi_acc`]: `Yf += B·Xf` and `Yt += Bᵀ·Xt`).
+//! A leftover column walks each block column `j` once: `yt[j] +=
+//! blas::dot(B[:, j], xt)`, then, unless `xf[j]` is zero, `yf += xf[j] ·
+//! B[:, j]`. Every output entry keeps the sum order of its one-direction
+//! apply, so the fused product has the bits of [`matmat_acc`] followed by
+//! [`matmat_t_acc`], and a block streamed from memory is read once for both.
+//! The tiled columns run the forward tiles, then the transposed tiles: at
+//! four columns and more a pass is bound by arithmetic, not by reading `B`.
+//!
+//! Every product, one-column path included, has a second compile with AVX2,
 //! selected at run time ([`crate::simd`]).
 
 use crate::blas;
@@ -38,7 +48,7 @@ const ROWS: usize = 8;
 /// `y += B x` for the column-major block `b` with `rows` rows and
 /// `x.len()` columns: block columns ascending, a term with `x[j] == 0`
 /// skipped.
-#[inline]
+#[inline(always)]
 pub fn gemv_acc<S: Scalar, A: Scalar>(b: &[S], rows: usize, x: &[A], y: &mut [A]) {
     debug_assert_eq!(b.len(), rows * x.len());
     debug_assert_eq!(y.len(), rows);
@@ -51,12 +61,35 @@ pub fn gemv_acc<S: Scalar, A: Scalar>(b: &[S], rows: usize, x: &[A], y: &mut [A]
 
 /// `y += Bᵀ x` for the column-major block `b` with `rows` rows and
 /// `y.len()` columns: `y[j] += blas::dot(B[:, j], x)`.
-#[inline]
+#[inline(always)]
 pub fn gemv_t_acc<S: Scalar, A: Scalar>(b: &[S], rows: usize, x: &[A], y: &mut [A]) {
     debug_assert_eq!(b.len(), rows * y.len());
     debug_assert_eq!(x.len(), rows);
     for (j, yj) in y.iter_mut().enumerate() {
         *yj += blas::dot(&b[j * rows..(j + 1) * rows], x);
+    }
+}
+
+/// [`gemv_acc`] on `(xf, yf)` and [`gemv_t_acc`] on `(xt, yt)` in one walk
+/// over the block columns: column `j` is read for its dot and, unless
+/// `xf[j]` is zero, its axpy.
+#[inline(always)]
+fn gemv_bi_acc<S: Scalar, A: Scalar>(
+    b: &[S],
+    rows: usize,
+    xf: &[A],
+    yf: &mut [A],
+    xt: &[A],
+    yt: &mut [A],
+) {
+    debug_assert_eq!(b.len(), rows * xf.len());
+    debug_assert_eq!((xt.len(), yf.len(), yt.len()), (rows, rows, xf.len()));
+    for (j, (&xj, yj)) in xf.iter().zip(yt.iter_mut()).enumerate() {
+        let bj = &b[j * rows..(j + 1) * rows];
+        *yj += blas::dot(bj, xt);
+        if xj != A::ZERO {
+            blas::axpy(xj, bj, yf);
+        }
     }
 }
 
@@ -71,16 +104,7 @@ pub fn matmat_acc<S: Scalar, A: Scalar>(
     x: &[A],
     y: &mut [A],
 ) {
-    assert_eq!(b.len(), rows * cols, "matmat_acc: block length");
-    assert_eq!(x.len(), cols * k, "matmat_acc: x length");
-    assert_eq!(y.len(), rows * k, "matmat_acc: y length");
-    let tiled = k - k % COLS;
-    if tiled > 0 {
-        tiles(Product::Forward, b, rows, cols, tiled, x, y);
-    }
-    for c in tiled..k {
-        gemv_acc(b, rows, column(x, cols, c), column_mut(y, rows, c));
-    }
+    apply(Product::Forward, b, (rows, cols, k), x, y, &[], &mut []);
 }
 
 /// `Y += Bᵀ X` for the column-major `rows × cols` block `b` and the
@@ -94,15 +118,117 @@ pub fn matmat_t_acc<S: Scalar, A: Scalar>(
     x: &[A],
     y: &mut [A],
 ) {
-    assert_eq!(b.len(), rows * cols, "matmat_t_acc: block length");
-    assert_eq!(x.len(), rows * k, "matmat_t_acc: x length");
-    assert_eq!(y.len(), cols * k, "matmat_t_acc: y length");
+    apply(Product::Transposed, b, (rows, cols, k), &[], &mut [], x, y);
+}
+
+/// `Yf += B Xf` and `Yt += Bᵀ Xt` for the column-major `rows × cols` block
+/// `b`, with the panels of [`matmat_acc`] (`xf`, `yf`) and of
+/// [`matmat_t_acc`] (`xt`, `yt`), in one walk over `b` (module docs). Has
+/// the bits of those two calls, one after the other.
+#[allow(clippy::too_many_arguments)]
+pub fn matmat_bi_acc<S: Scalar, A: Scalar>(
+    b: &[S],
+    rows: usize,
+    cols: usize,
+    k: usize,
+    xf: &[A],
+    yf: &mut [A],
+    xt: &[A],
+    yt: &mut [A],
+) {
+    apply(Product::Both, b, (rows, cols, k), xf, yf, xt, yt);
+}
+
+/// Which directions a pass applies.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Product {
+    /// `Yf += B Xf`.
+    Forward,
+    /// `Yt += Bᵀ Xt`.
+    Transposed,
+    /// Both.
+    Both,
+}
+
+/// Checks the shapes of the `rows × cols` block `b` and of the `k`-column
+/// panels of the directions `product` applies (the others are empty), then
+/// runs the widest compile of [`apply_baseline`] this host has.
+///
+/// The panels are plain slice arguments, not an `Option` per direction: only
+/// a reference argument carries LLVM's no-alias guarantee into the AVX2
+/// compile, and without it the transposed tile ran 4× slower.
+fn apply<S: Scalar, A: Scalar>(
+    product: Product,
+    b: &[S],
+    (rows, cols, k): (usize, usize, usize),
+    xf: &[A],
+    yf: &mut [A],
+    xt: &[A],
+    yt: &mut [A],
+) {
+    assert_eq!(b.len(), rows * cols, "panel: block length");
+    let (fwd, rev) = (product != Product::Transposed, product != Product::Forward);
+    let want = |on: bool, x: usize, y: usize| if on { (x * k, y * k) } else { (0, 0) };
+    let (f, t) = ((xf.len(), yf.len()), (xt.len(), yt.len()));
+    assert_eq!(f, want(fwd, cols, rows), "panel: B X lengths");
+    assert_eq!(t, want(rev, rows, cols), "panel: Bᵀ X lengths");
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if crate::simd::avx2() {
+        // SAFETY: `apply_avx2` is a safe function whose only requirement of
+        // its caller is that the CPU supports AVX2, which `simd::avx2` on
+        // the line above has just established.
+        return unsafe { apply_avx2(product, b, (rows, cols, k), xf, yf, xt, yt) };
+    }
+    apply_baseline(product, b, (rows, cols, k), xf, yf, xt, yt)
+}
+
+/// [`apply_baseline`] compiled with 256-bit vectors; AVX2 without `fma`,
+/// so nothing is contracted and the bits are the baseline's.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn apply_avx2<S: Scalar, A: Scalar>(
+    product: Product,
+    b: &[S],
+    shape: (usize, usize, usize),
+    xf: &[A],
+    yf: &mut [A],
+    xt: &[A],
+    yt: &mut [A],
+) {
+    apply_baseline(product, b, shape, xf, yf, xt, yt)
+}
+
+/// The products of [`apply`]: the tiles over the first `k - k mod 4`
+/// columns, forward then transposed, and the one-column path over the
+/// rest. `#[inline(always)]`, with everything under it, so that
+/// [`apply_avx2`] compiles this same body a second time.
+#[inline(always)]
+fn apply_baseline<S: Scalar, A: Scalar>(
+    product: Product,
+    b: &[S],
+    (rows, cols, k): (usize, usize, usize),
+    xf: &[A],
+    yf: &mut [A],
+    xt: &[A],
+    yt: &mut [A],
+) {
     let tiled = k - k % COLS;
-    if tiled > 0 {
-        tiles(Product::Transposed, b, rows, cols, tiled, x, y);
+    if tiled > 0 && product != Product::Transposed {
+        forward(b, rows, cols, tiled, xf, yf);
+    }
+    if tiled > 0 && product != Product::Forward {
+        transposed(b, rows, cols, tiled, xt, yt);
     }
     for c in tiled..k {
-        gemv_t_acc(b, rows, column(x, rows, c), column_mut(y, cols, c));
+        let (xf_c, xt_c) = (|| column(xf, cols, c), || column(xt, rows, c));
+        match product {
+            Product::Forward => gemv_acc(b, rows, xf_c(), column_mut(yf, rows, c)),
+            Product::Transposed => gemv_t_acc(b, rows, xt_c(), column_mut(yt, cols, c)),
+            Product::Both => {
+                let (yf_c, yt_c) = (column_mut(yf, rows, c), column_mut(yt, cols, c));
+                gemv_bi_acc(b, rows, xf_c(), yf_c, xt_c(), yt_c)
+            }
+        }
     }
 }
 
@@ -116,73 +242,12 @@ fn column_mut<T>(panel: &mut [T], len: usize, c: usize) -> &mut [T] {
     &mut panel[c * len..(c + 1) * len]
 }
 
-/// Which product a tiled pass forms.
-#[derive(Clone, Copy)]
-enum Product {
-    Forward,
-    Transposed,
-}
-
-/// The widest compile of the tiles this host runs; `k` is a multiple of
-/// [`COLS`], the panels are the first `k` columns.
-fn tiles<S: Scalar, A: Scalar>(
-    product: Product,
-    b: &[S],
-    rows: usize,
-    cols: usize,
-    k: usize,
-    x: &[A],
-    y: &mut [A],
-) {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if crate::simd::avx2() {
-        // SAFETY: `tiles_avx2` is a safe function whose only requirement of
-        // its caller is that the CPU supports AVX2, which `simd::avx2` on
-        // the line above has just established.
-        return unsafe { tiles_avx2(product, b, rows, cols, k, x, y) };
-    }
-    tiles_baseline(product, b, rows, cols, k, x, y)
-}
-
-/// [`tiles_baseline`] compiled with 256-bit vectors; AVX2 without `fma`,
-/// so nothing is contracted and the bits are the baseline's.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-fn tiles_avx2<S: Scalar, A: Scalar>(
-    product: Product,
-    b: &[S],
-    rows: usize,
-    cols: usize,
-    k: usize,
-    x: &[A],
-    y: &mut [A],
-) {
-    tiles_baseline(product, b, rows, cols, k, x, y)
-}
-
-/// `#[inline(always)]`, with everything under it, so that [`tiles_avx2`]
-/// compiles this same body a second time.
-#[inline(always)]
-fn tiles_baseline<S: Scalar, A: Scalar>(
-    product: Product,
-    b: &[S],
-    rows: usize,
-    cols: usize,
-    k: usize,
-    x: &[A],
-    y: &mut [A],
-) {
-    match product {
-        Product::Forward => forward(b, rows, cols, k, x, y),
-        Product::Transposed => transposed(b, rows, cols, k, x, y),
-    }
-}
-
-/// `Y += B X` an 8 × 4 tile of `Y` at a time (module docs). The row tiles
-/// start at 0, 8, 16, … and, when 8 does not divide `rows`, one more covers
-/// the last 8 rows; it stores only the rows no other tile has: the others
-/// are final already, and what it adds to them is dropped. A block of fewer
-/// than 8 rows runs per column.
+/// `Y += B X` an 8 × 4 tile of `Y` at a time (module docs) over the first
+/// `k` panel columns, a multiple of [`COLS`]. The row tiles start at 0, 8,
+/// 16, … and, when 8 does not divide `rows`, one more covers the last 8
+/// rows; it stores only the rows no other tile has: the others are final
+/// already, and what it adds to them is dropped. A block of fewer than 8
+/// rows runs per column.
 #[inline(always)]
 fn forward<S: Scalar, A: Scalar>(
     b: &[S],
@@ -254,7 +319,8 @@ fn forward_tile<S: Scalar, A: Scalar>(
 }
 
 /// `Y += Bᵀ X` two block columns × four panel columns at a time (module
-/// docs); an odd last block column runs [`blas::dot`] per panel column.
+/// docs) over the first `k` panel columns, a multiple of [`COLS`]; an odd
+/// last block column runs [`blas::dot`] per panel column.
 #[inline(always)]
 fn transposed<S: Scalar, A: Scalar>(
     b: &[S],
@@ -369,13 +435,15 @@ mod tests {
         v.iter().map(|&e| e.to_f64().to_bits()).collect()
     }
 
+    /// A case's description in a failure message.
+    fn what<S: Scalar, A: Scalar>(rows: usize, cols: usize, k: usize, special: bool) -> String {
+        let (s, a) = (S::NAME, A::NAME);
+        format!("{s}/{a} {rows}x{cols} k={k} special={special}")
+    }
+
     /// Panel ≡ `k` one-column applies, both directions, bit for bit.
     fn assert_columns<S: Scalar, A: Scalar>(rows: usize, cols: usize, k: usize, special: bool) {
-        let what = format!(
-            "{}/{} {rows}x{cols} k={k} special={special}",
-            S::NAME,
-            A::NAME
-        );
+        let what = what::<S, A>(rows, cols, k, special);
         let b = block::<S>(rows, cols, special);
 
         let x = panel::<A>(cols, k, 3);
@@ -409,7 +477,23 @@ mod tests {
         assert_eq!(bits(&panel_t), bits(&column_t), "transposed {what}");
     }
 
-    fn every_shape<S: Scalar, A: Scalar>() {
+    /// [`matmat_bi_acc`] ≡ [`matmat_acc`] then [`matmat_t_acc`], bit for bit.
+    fn assert_both<S: Scalar, A: Scalar>(rows: usize, cols: usize, k: usize, special: bool) {
+        let what = what::<S, A>(rows, cols, k, special);
+        let b = block::<S>(rows, cols, special);
+        let (xf, xt) = (panel::<A>(cols, k, 3), panel::<A>(rows, k, 7));
+        let (mut yf, mut yt) = (panel::<A>(rows, k, 5), panel::<A>(cols, k, 9));
+        let (mut want_f, mut want_t) = (yf.clone(), yt.clone());
+        matmat_bi_acc(&b, rows, cols, k, &xf, &mut yf, &xt, &mut yt);
+        matmat_acc(&b, rows, cols, k, &xf, &mut want_f);
+        matmat_t_acc(&b, rows, cols, k, &xt, &mut want_t);
+        assert_eq!(bits(&yf), bits(&want_f), "forward {what}");
+        assert_eq!(bits(&yt), bits(&want_t), "transposed {what}");
+    }
+
+    /// Runs `check(rows, cols, k, special)` over 0-row and 0-column blocks,
+    /// blocks under 4 and 8 rows, and 125 × 125, at `k = 1..=9`.
+    fn every_shape(check: fn(usize, usize, usize, bool)) {
         let mut shapes = vec![(0, 5), (0, 6), (5, 0), (6, 0), (1, 1)];
         for m in [3, 7, 8, 9, 17, 125] {
             shapes.extend([(m, 6), (m, 7), (m, 125)]);
@@ -417,7 +501,7 @@ mod tests {
         for (rows, cols) in shapes {
             for k in 1..=9 {
                 for special in [false, true] {
-                    assert_columns::<S, A>(rows, cols, k, special);
+                    check(rows, cols, k, special);
                 }
             }
         }
@@ -425,9 +509,16 @@ mod tests {
 
     #[test]
     fn panel_columns_equal_one_column_applies_bitwise() {
-        every_shape::<f64, f64>();
-        every_shape::<f32, f64>();
-        every_shape::<f32, f32>();
+        every_shape(assert_columns::<f64, f64>);
+        every_shape(assert_columns::<f32, f64>);
+        every_shape(assert_columns::<f32, f32>);
+    }
+
+    #[test]
+    fn both_directions_at_once_equal_the_two_products_bitwise() {
+        every_shape(assert_both::<f64, f64>);
+        every_shape(assert_both::<f32, f64>);
+        every_shape(assert_both::<f32, f32>);
     }
 
     #[test]
@@ -446,21 +537,34 @@ mod tests {
         assert_eq!(bits(&yt), bits(&want_t));
     }
 
-    /// The dispatched compile has the baseline compile's bits.
+    /// The dispatched compile has the baseline compile's bits: forward,
+    /// transposed and both at once, tiled (`k = 8`), one-column (`k = 1`)
+    /// and mixed (`k = 5`).
     fn assert_dispatch<S: Scalar, A: Scalar>() {
-        for (rows, cols) in [(17, 9), (125, 124), (8, 3)] {
+        use Product::*;
+        for (rows, cols) in [(17, 9), (125, 124), (8, 3), (3, 5)] {
             for special in [false, true] {
                 let b = block::<S>(rows, cols, special);
-                for (product, xlen, ylen) in [
-                    (Product::Forward, cols, rows),
-                    (Product::Transposed, rows, cols),
-                ] {
-                    let x = panel::<A>(xlen, 8, 1);
-                    let mut base = panel::<A>(ylen, 8, 2);
-                    let mut fast = base.clone();
-                    tiles_baseline(product, &b, rows, cols, 8, &x, &mut base);
-                    tiles(product, &b, rows, cols, 8, &x, &mut fast);
-                    assert_eq!(bits(&base), bits(&fast), "{rows}x{cols}");
+                for (k, product) in [1, 5, 8]
+                    .into_iter()
+                    .flat_map(|k| [Forward, Transposed, Both].map(|p| (k, p)))
+                {
+                    // The panels of a direction `product` does not apply
+                    // are empty.
+                    let on = |dir: bool, len: usize, seed: usize| match dir {
+                        true => panel::<A>(len, k, seed),
+                        false => Vec::new(),
+                    };
+                    let (fwd, rev) = (product != Transposed, product != Forward);
+                    let (xf, xt) = (on(fwd, cols, 1), on(rev, rows, 3));
+                    let (mut yf, mut yt) = (on(fwd, rows, 2), on(rev, cols, 4));
+                    let (mut base_f, mut base_t) = (yf.clone(), yt.clone());
+                    let shape = (rows, cols, k);
+                    apply_baseline(product, &b, shape, &xf, &mut base_f, &xt, &mut base_t);
+                    apply(product, &b, shape, &xf, &mut yf, &xt, &mut yt);
+                    let what = format!("{rows}x{cols} k={k} {product:?}");
+                    assert_eq!(bits(&base_f), bits(&yf), "{what}");
+                    assert_eq!(bits(&base_t), bits(&yt), "{what}");
                 }
             }
         }

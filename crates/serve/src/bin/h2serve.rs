@@ -243,6 +243,15 @@ fn parse_opts(args: &[String]) -> Opts {
     if o.n == 0 {
         usage("--n must be at least 1");
     }
+    if o.dim == 0 {
+        usage("--dim must be at least 1");
+    }
+    if !(o.tol > 0.0 && o.tol.is_finite()) {
+        usage("--tol must be a positive number");
+    }
+    if !(o.eta > 0.0 && o.eta.is_finite()) {
+        usage("--eta must be a positive number");
+    }
     if o.leaf == 0 {
         usage("--leaf must be at least 1");
     }

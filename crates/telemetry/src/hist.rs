@@ -12,8 +12,7 @@
 //! Quantiles are *nearest-rank over buckets*: the reported value is the
 //! inclusive upper bound of the bucket holding the nearest-rank sample, so
 //! it differs from the exact sorted-sample quantile by at most one bucket
-//! width ([`bucket_width`]). Histograms add ([`LogLinearHistogram::merge`])
-//! for cross-shard aggregation, exactly on counts.
+//! width ([`bucket_width`]).
 
 /// log2 of the sub-buckets per octave.
 pub const SUB_BITS: u32 = 4;
@@ -164,15 +163,6 @@ impl LogLinearHistogram {
         bucket_upper(self.last_occupied().unwrap_or(0))
     }
 
-    /// Adds `other`'s observations into `self` (cross-shard aggregation).
-    pub fn merge(&mut self, other: &Self) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
     /// Occupied buckets as `(inclusive upper bound, cumulative count)`,
     /// ascending — exactly the samples a Prometheus `_bucket` series needs
     /// (the final `+Inf` bucket is the caller's, with [`Self::count`]).
@@ -269,21 +259,6 @@ mod tests {
                 "q={q}: hist {got} vs exact {e}"
             );
         }
-    }
-
-    #[test]
-    fn merge_is_count_exact() {
-        let mut a = LogLinearHistogram::new();
-        let mut b = LogLinearHistogram::new();
-        for v in [5u64, 500, 50_000] {
-            a.record(v);
-            b.record_n(v * 2, 3);
-        }
-        let mut m = a.clone();
-        m.merge(&b);
-        assert_eq!(m.count(), a.count() + b.count());
-        assert_eq!(m.sum(), a.sum() + b.sum());
-        assert_eq!(m.quantile(1.0), b.quantile(1.0));
     }
 
     #[test]
