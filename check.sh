@@ -40,7 +40,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, two unsafe AVX2 dispatches, none in sweep.rs, one in panel.rs, no arch intrinsics), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG dependent (h2-points alone), dependency edge (every [dependencies] entry named by its crate's src/ or tests/), bench binary and result (each named by run_harness.sh or check.sh) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, two unsafe AVX2 dispatches, none in sweep.rs, one in panel.rs, no arch intrinsics), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG dependent (h2-points alone), dependency edge (every [dependencies] entry named by its crate's src/ or tests/), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic), bench binary and result (each named by run_harness.sh or check.sh) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -90,6 +90,18 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
       || { echo "$manifest depends on $dep, which nothing under $dir/src or $dir/tests names"; exit 1; }
   done
 done
+# h2serve has one file loader, one error exit and no panic site: one read of
+# the stored scalar, `exit(` only in `usage` and `main`, no expect/unwrap/assert.
+H2SERVE=crates/serve/src/bin/h2serve.rs
+H2SERVE_CODE=$(grep -nv "^[[:space:]]*//" "$H2SERVE")
+[ "$(grep -c "codec::stored_scalar" <<< "$H2SERVE_CODE")" = 1 ] \
+  || { echo "h2serve.rs must read codec::stored_scalar in exactly one loader"; exit 1; }
+EXITS=$(awk '/^fn / { f = $2; sub(/[(<].*/, "", f) } /^[[:space:]]*\/\// { next }
+  /exit\(/ && f != "usage" && f != "main" { print FNR ": " $0 }' "$H2SERVE")
+[ -z "$EXITS" ] || { echo "h2serve.rs exits outside usage and main: $EXITS"; exit 1; }
+if grep -E '\.expect\(|\.unwrap\(\)|(assert|assert_eq|assert_ne|panic)!' <<< "$H2SERVE_CODE"; then
+  echo "h2serve.rs has a panic site"; exit 1
+fi
 # A bench binary exists only if a script runs it; a result only if a script writes it.
 for bin in crates/bench/src/bin/*.rs; do
   grep -qE "/$(basename "$bin" .rs)( |$)" run_harness.sh check.sh || { echo "nothing runs $bin"; exit 1; }

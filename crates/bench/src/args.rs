@@ -49,44 +49,39 @@ impl Args {
         Self::parse_from(std::env::args().skip(1))
     }
 
-    /// Parses an explicit iterator (testable).
+    /// Parses an explicit iterator, exiting with a usage message on error.
     pub fn parse_from(it: impl Iterator<Item = String>) -> Args {
+        Self::try_parse_from(it).unwrap_or_else(|e| usage(&e))
+    }
+
+    /// [`Self::parse_from`] without the exit: `Err` holds the usage error.
+    /// A size or thread count of 0 and a `--tol` that is not a positive
+    /// number are usage errors, so no binary starts work it cannot finish.
+    fn try_parse_from(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         let mut args = Args::default();
-        let mut it = it.peekable();
         while let Some(a) = it.next() {
+            let mut val = |what: &str| it.next().ok_or_else(|| format!("{a} needs {what}"));
             match a.as_str() {
                 "--full" => args.full = true,
                 "--check" => args.check = true,
-                "--json" => {
-                    args.json = Some(it.next().unwrap_or_else(|| usage("--json needs a path")))
-                }
-                "--sizes" => {
-                    let v = it.next().unwrap_or_else(|| usage("--sizes needs a list"));
-                    args.sizes = Some(parse_list(&v));
-                }
-                "--threads" => {
-                    let v = it.next().unwrap_or_else(|| usage("--threads needs a list"));
-                    args.threads = Some(parse_list(&v));
-                }
+                "--json" => args.json = Some(val("a path")?),
+                "--sizes" => args.sizes = Some(parse_list(&a, &val("a list")?)?),
+                "--threads" => args.threads = Some(parse_list(&a, &val("a list")?)?),
                 "--tol" => {
-                    let v = it.next().unwrap_or_else(|| usage("--tol needs a value"));
-                    args.tol = Some(v.parse().unwrap_or_else(|_| usage("bad --tol")));
+                    let tol: f64 = val("a value")?.parse().map_err(|_| "bad --tol")?;
+                    if !(tol > 0.0 && tol.is_finite()) {
+                        return Err("--tol must be a positive number".into());
+                    }
+                    args.tol = Some(tol);
                 }
-                "--seed" => {
-                    let v = it.next().unwrap_or_else(|| usage("--seed needs a value"));
-                    args.seed = v.parse().unwrap_or_else(|_| usage("bad --seed"));
-                }
-                "--trace" => {
-                    args.trace = Some(it.next().unwrap_or_else(|| usage("--trace needs a path")))
-                }
-                "--builder" => {
-                    args.builder = it.next().unwrap_or_else(|| usage("--builder needs a name"))
-                }
+                "--seed" => args.seed = val("a value")?.parse().map_err(|_| "bad --seed")?,
+                "--trace" => args.trace = Some(val("a path")?),
+                "--builder" => args.builder = val("a name")?,
                 "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown flag {other}")),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        args
+        Ok(args)
     }
 
     /// The sweep to run: override > full/paper > laptop default.
@@ -106,12 +101,13 @@ impl Args {
     }
 }
 
-fn parse_list(s: &str) -> Vec<usize> {
+/// The comma-separated entries of `flag`, each a positive integer.
+fn parse_list(flag: &str, s: &str) -> Result<Vec<usize>, String> {
     s.split(',')
-        .map(|t| {
-            t.trim()
-                .parse()
-                .unwrap_or_else(|_| usage(&format!("bad list item {t}")))
+        .map(|t| match t.trim().parse() {
+            Ok(0) => Err(format!("{flag} entries must be at least 1")),
+            Ok(v) => Ok(v),
+            Err(_) => Err(format!("bad list item {t}")),
         })
         .collect()
 }
@@ -168,6 +164,36 @@ mod tests {
         assert_eq!(a.tol, Some(1e-6));
         assert_eq!(a.seed, 9);
         assert_eq!(a.threads, Some(vec![1, 2, 4]));
+    }
+
+    #[test]
+    fn zero_sizes_or_threads_and_bad_tol_are_usage_errors() {
+        let try_parse = |v: &[&str]| Args::try_parse_from(v.iter().map(|s| s.to_string()));
+        let cases = [
+            (&["--sizes", "0"][..], "--sizes entries must be at least 1"),
+            (&["--sizes", "1000,0"], "--sizes entries must be at least 1"),
+            (&["--threads", "0"], "--threads entries must be at least 1"),
+            (
+                &["--threads", "1,0,2"],
+                "--threads entries must be at least 1",
+            ),
+            (&["--tol", "0"], "--tol must be a positive number"),
+            (&["--tol", "-1e-6"], "--tol must be a positive number"),
+            (&["--tol", "nan"], "--tol must be a positive number"),
+            (&["--tol", "inf"], "--tol must be a positive number"),
+            (&["--tol", "x"], "bad --tol"),
+            (&["--sizes", "1,x"], "bad list item x"),
+            (&["--sizes"], "--sizes needs a list"),
+            (&["--bogus"], "unknown flag --bogus"),
+        ];
+        for (argv, want) in cases {
+            assert_eq!(try_parse(argv).unwrap_err(), want, "{argv:?}");
+        }
+        let ok = try_parse(&["--sizes", "1", "--threads", "1", "--tol", "1e-300"]).unwrap();
+        assert_eq!(
+            (ok.sizes, ok.threads, ok.tol),
+            (Some(vec![1]), Some(vec![1]), Some(1e-300))
+        );
     }
 
     #[test]

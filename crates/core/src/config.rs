@@ -79,14 +79,6 @@ impl Precision {
             _ => None,
         }
     }
-
-    /// Bytes per stored scalar in this mode.
-    pub fn storage_bytes(self) -> usize {
-        match self {
-            Precision::F64 => 8,
-            Precision::F32 | Precision::MixedF32 => 4,
-        }
-    }
 }
 
 /// How farfield bases are constructed.
@@ -370,8 +362,5 @@ mod tests {
         assert_eq!(Precision::parse("double"), Some(Precision::F64));
         assert_eq!(Precision::parse("mixed"), Some(Precision::MixedF32));
         assert_eq!(Precision::parse("f16"), None);
-        assert_eq!(Precision::F32.storage_bytes(), 4);
-        assert_eq!(Precision::MixedF32.storage_bytes(), 4);
-        assert_eq!(Precision::F64.storage_bytes(), 8);
     }
 }

@@ -56,11 +56,6 @@ impl MemoryReport {
             + self.lists
     }
 
-    /// Total in KiB (the unit of the paper's Table I).
-    pub fn total_kib(&self) -> f64 {
-        self.total() as f64 / 1024.0
-    }
-
     /// Total in MiB.
     pub fn total_mib(&self) -> f64 {
         self.total() as f64 / (1024.0 * 1024.0)
@@ -124,7 +119,6 @@ mod tests {
         };
         assert_eq!(r.total(), 45, "mapped/transient bytes are not resident");
         assert_eq!(r.generators(), 30);
-        assert!((r.total_kib() - 45.0 / 1024.0).abs() < 1e-12);
     }
 
     #[test]

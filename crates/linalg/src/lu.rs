@@ -112,19 +112,6 @@ impl Lu {
     pub fn inverse(&self) -> Matrix {
         self.solve_mat(&Matrix::identity(self.fact.nrows()))
     }
-
-    /// Determinant (product of U diagonal with pivot sign).
-    pub fn det(&self) -> f64 {
-        let n = self.fact.nrows();
-        let mut d = 1.0;
-        for k in 0..n {
-            d *= self.fact[(k, k)];
-            if self.piv[k] != k {
-                d = -d;
-            }
-        }
-        d
-    }
 }
 
 /// Convenience: solve a dense square system once.
@@ -188,17 +175,6 @@ mod tests {
     fn non_square_rejected() {
         let a = Matrix::zeros(3, 4);
         assert!(matches!(Lu::new(a), Err(LinalgError::DimensionMismatch(_))));
-    }
-
-    #[test]
-    fn det_of_permutation() {
-        // A permutation matrix has determinant +-1.
-        let mut p = Matrix::zeros(3, 3);
-        p[(0, 1)] = 1.0;
-        p[(1, 0)] = 1.0;
-        p[(2, 2)] = 1.0;
-        let lu = Lu::new(p).unwrap();
-        assert!((lu.det() + 1.0).abs() < 1e-14);
     }
 
     #[test]

@@ -62,14 +62,6 @@ pub fn gather<S: Scalar>(x: &[S], idx: &[usize]) -> Vec<S> {
     idx.iter().map(|&i| x[i]).collect()
 }
 
-/// Scatter-adds `vals[k]` into `x[idx[k]]`.
-pub fn scatter_add<S: Scalar>(x: &mut [S], idx: &[usize], vals: &[S]) {
-    assert_eq!(idx.len(), vals.len());
-    for (&i, &v) in idx.iter().zip(vals) {
-        x[i] += v;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,12 +100,9 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter() {
+    fn gather_works() {
         let x = [10.0, 20.0, 30.0];
         assert_eq!(gather(&x, &[2, 0]), vec![30.0, 10.0]);
-        let mut y = [0.0; 3];
-        scatter_add(&mut y, &[1, 1, 2], &[5.0, 5.0, 7.0]);
-        assert_eq!(y, [0.0, 10.0, 7.0]);
     }
 
     #[test]

@@ -157,12 +157,6 @@ impl NetEndpoint {
         &self.cfg
     }
 
-    /// This endpoint's rank (inherent, so non-generic call sites need no
-    /// `Transport::<A>` turbofish).
-    pub fn my_rank(&self) -> Rank {
-        self.rank
-    }
-
     /// Traffic counters so far (same numbers as [`Transport::stats`]).
     pub fn traffic(&self) -> TrafficStats {
         self.stats

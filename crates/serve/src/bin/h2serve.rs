@@ -13,75 +13,29 @@
 //!                      [--batches K] [--cache-budget B] [--metrics-addr ADDR]
 //! h2serve shard-worker --file FILE --rank R --shards N --connect ADDR
 //! h2serve update       --file FILE [--updates U] [--points P] [--out FILE]
+//!
+//! build flags: --n N --dim D --tol T --mode normal|otf --kernel NAME
+//!   --builder anchor|sketched --method dd|interp|proxy --leaf L --eta E
+//!   --seed S --precision f64|f32|mixed --cache-budget off|BYTES|RATIO|full
 //! ```
 //!
-//! `update` exercises the dynamic-operator path end to end: it loads the
-//! file into a versioned registry slot, then alternates serving matvecs
-//! with `update_with` batches (insert `--points` fresh points, remove as
-//! many old ones) for `--updates` rounds. Each round verifies the swap
-//! protocol — a handle taken before the update still applies bit-identically
-//! on the epoch it started on, while post-swap submissions see the bumped
-//! epoch — and samples the updated operator's relative error against exact
-//! kernel rows. `--out` persists the final operator, epoch included.
+//! - `build`: construct an operator, print its stats, time one matvec and
+//!   sample its relative error against exact kernel rows.
+//! - `save`: the same, then persist it; the header records the storage
+//!   scalar and the builder.
+//! - `load`: decode a file in the `--precision` mode (an `f32` file serves
+//!   as mixed unless `--precision f32`; an `f64` file only as `f64`).
+//! - `metrics`: serve `--requests` probes and print the `/metrics` body.
+//! - `serve --shards N`: spawn `N` `shard-worker` processes, serve probes
+//!   checked bit-for-bit against the local operator, drain the workers.
+//! - `serve --tenants FILE`: host one operator per tenant (`--mmap`:
+//!   zero-copy), check each against the owned decode, serve through WDRR.
+//! - `shard-worker`: the child half of `serve --shards`, one shard rank.
+//! - `update`: alternate matvecs with insert/remove rounds on a versioned
+//!   registry slot, checking the swap protocol each round.
 //!
-//! `serve` stands up a multi-process deployment: it binds a coordinator,
-//! spawns `N` `shard-worker` child processes of this same binary (each
-//! loads the operator file and serves one shard of the distributed
-//! five-sweep matvec over TCP), runs a serving workload through the
-//! batched `MatvecService`, checks the distributed results bit-for-bit
-//! against the local operator, and drains the workers. `shard-worker` is
-//! the child half; it can also be started by hand on other machines
-//! against a coordinator that admits external workers.
-//!
-//! `serve --tenants` is the multi-tenant hosting mode instead: it parses a
-//! tenant policy file (`[name]` sections with `weight` / `max_queue` /
-//! `cache_share` / `admission` keys), registers one operator per tenant —
-//! `--mmap` loads each through the zero-copy v4 path, so N tenants cost
-//! page-cache sharing rather than N owned decodes — verifies every hosted
-//! operator applies bit-identically to the owned decode, partitions
-//! `--cache-budget` across tenants by their `cache_share`, and serves a
-//! round-robin workload through one weighted-deficit-round-robin
-//! `MatvecService`, reporting per-tenant latency quantiles and the
-//! `h2_tenant_*` / registry gauge series.
-//!
-//! `serve` carries the observability plane: `--metrics-addr ADDR` serves
-//! live `GET /metrics` + `GET /healthz` while traffic flows,
-//! `--trace FILE` merges coordinator and worker spans into one
-//! chrome://tracing JSON (one pid per rank, worker clocks offset-corrected
-//! from the handshake), `--flight-dir DIR` arms the per-process crash
-//! flight recorder, and `--duration-s S` sustains traffic past the
-//! verified workload so a scraper has something to watch.
-//!
-//! `metrics` runs one serving workload (batch cap `--batches`) and prints
-//! to stdout the same Prometheus text body `serve` serves at `/metrics`:
-//! the service's latency/throughput series, the registry gauges of the
-//! served operator, then the process-wide telemetry (kernel-eval and
-//! block-generation counters, span aggregates).
-//!
-//! Build flags: `--n N --dim D --tol T --mode normal|otf --kernel NAME
-//! --builder anchor|sketched --method dd|interp|proxy --leaf L --eta E
-//! --seed S --precision f64|f32|mixed --cache-budget off|BYTES|RATIO|full`.
-//!
-//! `--builder sketched` switches construction to the randomized sketched
-//! pipeline (`h2_core::builders::sketched`): farfield sampling + mixing +
-//! adaptive-rank row ID, seeded by `--seed` for bit-reproducible builds.
-//! `--method` only applies to the default anchor-net builder. The chosen
-//! builder is persisted in the file header as a provenance byte and surfaced by
-//! `load`, `metrics`, and the registry — unknown provenance codes are
-//! reported, never rejected.
-//!
-//! `--cache-budget` installs the budgeted block-cache tier (see `h2-cache`)
-//! on on-the-fly operators — both built ones and loaded files (the codec
-//! never persists a cache; it is reinstalled at load time). Budgets accept
-//! `off`, absolute bytes (`64m`), a fraction of the full block footprint
-//! (`0.25` / `25%`), or `full`.
-//!
-//! `--precision` selects the storage/accumulation mode: `f64` (default),
-//! `f32` (single-precision storage and sweeps), or `mixed` (`f32` storage,
-//! `f64` accumulation). `save` writes the storage scalar into the file
-//! header; `load` and `metrics --file` dispatch on the stored scalar
-//! (an `f32` file is served in the mode `--precision` requests, never
-//! silently widened into an `f64` operator).
+//! Exit status 2 is a usage error; 1 is a runtime error, printed as
+//! `h2serve <cmd>: <error>`.
 
 use h2_cache::split_budget;
 use h2_core::H2Operator;
@@ -94,12 +48,14 @@ use h2_linalg::Scalar;
 use h2_net::{run_worker, BoundCoordinator, NetConfig, NetError, ShardCoordinator};
 use h2_points::gen;
 use h2_serve::{
-    codec, LoadError, MatvecService, MetricsServer, OperatorRegistry, QueueMode, TenantTable,
+    codec, DrainReport, LoadError, MatvecService, MetricsServer, OperatorRegistry, QueueMode,
+    TenantTable,
 };
 use h2_telemetry::Exposition;
 use std::process::exit;
+use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 struct Opts {
     n: usize,
@@ -185,6 +141,13 @@ fn usage(msg: &str) -> ! {
     exit(if msg.is_empty() { 0 } else { 2 });
 }
 
+/// `value` parsed as `flag`'s type, or a usage error naming the flag.
+fn num<T: FromStr>(flag: &str, value: String) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage(&format!("bad {flag}")))
+}
+
 fn parse_opts(args: &[String]) -> Opts {
     let mut o = Opts::default();
     let mut it = args.iter();
@@ -195,19 +158,19 @@ fn parse_opts(args: &[String]) -> Opts {
                 .clone()
         };
         match a.as_str() {
-            "--n" => o.n = val().parse().unwrap_or_else(|_| usage("bad --n")),
-            "--dim" => o.dim = val().parse().unwrap_or_else(|_| usage("bad --dim")),
-            "--tol" => o.tol = val().parse().unwrap_or_else(|_| usage("bad --tol")),
+            "--n" => o.n = num(a, val()),
+            "--dim" => o.dim = num(a, val()),
+            "--tol" => o.tol = num(a, val()),
             "--mode" => o.mode = MemoryMode::parse(&val()).unwrap_or_else(|| usage("bad --mode")),
             "--kernel" => o.kernel = val(),
             "--builder" => o.builder = val(),
             "--method" => o.method = val(),
-            "--leaf" => o.leaf = val().parse().unwrap_or_else(|_| usage("bad --leaf")),
-            "--eta" => o.eta = val().parse().unwrap_or_else(|_| usage("bad --eta")),
-            "--seed" => o.seed = val().parse().unwrap_or_else(|_| usage("bad --seed")),
+            "--leaf" => o.leaf = num(a, val()),
+            "--eta" => o.eta = num(a, val()),
+            "--seed" => o.seed = num(a, val()),
             "--out" => o.out = Some(val()),
             "--file" => o.file = Some(val()),
-            "--requests" => o.requests = val().parse().unwrap_or_else(|_| usage("bad --requests")),
+            "--requests" => o.requests = num(a, val()),
             "--precision" => {
                 o.precision = Precision::parse(&val()).unwrap_or_else(|| usage("bad --precision"))
             }
@@ -215,50 +178,44 @@ fn parse_opts(args: &[String]) -> Opts {
                 o.cache_budget =
                     CacheBudget::parse(&val()).unwrap_or_else(|| usage("bad --cache-budget"))
             }
-            "--batches" => o.batch = val().parse().unwrap_or_else(|_| usage("bad --batches")),
-            "--shards" => o.shards = val().parse().unwrap_or_else(|_| usage("bad --shards")),
-            "--rank" => o.rank = val().parse().unwrap_or_else(|_| usage("bad --rank")),
+            "--batches" => o.batch = num(a, val()),
+            "--shards" => o.shards = num(a, val()),
+            "--rank" => o.rank = num(a, val()),
             "--connect" => o.connect = Some(val()),
-            "--io-timeout-ms" => {
-                o.io_timeout_ms = Some(
-                    val()
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --io-timeout-ms")),
-                )
-            }
+            "--io-timeout-ms" => o.io_timeout_ms = Some(num(a, val())),
             "--metrics-addr" => o.metrics_addr = Some(val()),
             "--trace" => o.trace_out = Some(val()),
             "--flight-dir" => o.flight_dir = Some(val()),
-            "--duration-s" => {
-                o.duration_s = val().parse().unwrap_or_else(|_| usage("bad --duration-s"))
-            }
-            "--updates" => o.updates = val().parse().unwrap_or_else(|_| usage("bad --updates")),
-            "--points" => o.points = val().parse().unwrap_or_else(|_| usage("bad --points")),
+            "--duration-s" => o.duration_s = num(a, val()),
+            "--updates" => o.updates = num(a, val()),
+            "--points" => o.points = num(a, val()),
             "--tenants" => o.tenants = Some(val()),
             "--mmap" => o.mmap = true,
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown flag {other}")),
         }
     }
-    if o.n == 0 {
-        usage("--n must be at least 1");
-    }
-    if o.dim == 0 {
-        usage("--dim must be at least 1");
-    }
-    if !(o.tol > 0.0 && o.tol.is_finite()) {
-        usage("--tol must be a positive number");
-    }
-    if !(o.eta > 0.0 && o.eta.is_finite()) {
-        usage("--eta must be a positive number");
-    }
-    if o.leaf == 0 {
-        usage("--leaf must be at least 1");
-    }
-    if o.batch == 0 {
-        usage("--batches must be at least 1");
+    let positive = |x: f64| x > 0.0 && x.is_finite();
+    for (ok, msg) in [
+        (o.n > 0, "--n must be at least 1"),
+        (o.dim > 0, "--dim must be at least 1"),
+        (positive(o.tol), "--tol must be a positive number"),
+        (positive(o.eta), "--eta must be a positive number"),
+        (o.leaf > 0, "--leaf must be at least 1"),
+        (o.batch > 0, "--batches must be at least 1"),
+    ] {
+        if !ok {
+            usage(msg);
+        }
     }
     o
+}
+
+/// `--file`, or a usage error: `cmd` needs an operator file.
+fn file_of<'a>(o: &'a Opts, cmd: &str) -> &'a str {
+    o.file
+        .as_deref()
+        .unwrap_or_else(|| usage(&format!("{cmd} needs --file FILE")))
 }
 
 fn make_kernel(name: &str) -> Arc<dyn Kernel> {
@@ -291,12 +248,17 @@ fn config_for(o: &Opts) -> H2Config {
     }
 }
 
-fn build_operator(o: &Opts) -> (Arc<dyn Kernel>, AnyH2) {
-    let kernel = make_kernel(&o.kernel);
-    let cfg = config_for(o);
+fn build_operator(o: &Opts) -> AnyH2 {
     let pts = gen::uniform_cube(o.n, o.dim, o.seed);
-    let h2 = AnyH2::build(&pts, kernel.clone(), &cfg);
-    (kernel, h2)
+    AnyH2::build(&pts, make_kernel(&o.kernel), &config_for(o))
+}
+
+/// The probe vector of `seed` in the scalar `S`.
+fn probe<S: Scalar>(n: usize, seed: u64) -> Vec<S> {
+    h2_core::error_est::probe_vector(n, seed)
+        .into_iter()
+        .map(S::from_f64)
+        .collect()
 }
 
 fn report<S: Scalar>(h2: &H2MatrixS<S>) {
@@ -365,124 +327,112 @@ fn check_and_time(op: &AnyH2, seed: u64) {
     println!("matvec: {mv_ms:.2} ms, sampled relative error {err:.2e}");
 }
 
-fn cmd_build(o: &Opts) {
-    let (_, h2) = build_operator(o);
+fn cmd_build(o: &Opts) -> Result<(), String> {
+    let h2 = build_operator(o);
     report_any(&h2);
     check_and_time(&h2, o.seed);
+    Ok(())
 }
 
-fn cmd_save(o: &Opts) {
+fn cmd_save(o: &Opts) -> Result<(), String> {
     let Some(out) = &o.out else {
         usage("save needs --out FILE");
     };
-    let (_, h2) = build_operator(o);
+    let h2 = build_operator(o);
     report_any(&h2);
     let t = Instant::now();
     // The file records the storage scalar; mixed mode stores f32 and is
     // re-selected with `--precision mixed` at load time.
-    let saved = match &h2 {
+    let bytes = match &h2 {
         AnyH2::F64(h) => codec::save(h.as_ref(), out),
         AnyH2::F32(h) => codec::save(h.as_ref(), out),
         AnyH2::Mixed(m) => codec::save(m.inner().as_ref(), out),
-    };
-    match saved {
-        Ok(bytes) => println!(
-            "saved {out}: {:.1} KiB in {:.1} ms",
-            bytes as f64 / 1024.0,
-            t.elapsed().as_secs_f64() * 1e3
-        ),
-        Err(e) => {
-            eprintln!("save failed: {e}");
-            exit(1);
-        }
     }
+    .map_err(|e| format!("cannot write {out}: {e}"))?;
+    println!(
+        "saved {out}: {:.1} KiB in {:.1} ms",
+        bytes as f64 / 1024.0,
+        t.elapsed().as_secs_f64() * 1e3
+    );
+    Ok(())
 }
 
-/// Loads `file` into the precision mode `o.precision` requests, dispatching
-/// on the scalar recorded in the header. An `f32` file loads as a pure-`f32`
-/// operator under `--precision f32` and as mixed (`f64` accumulation)
-/// otherwise; requesting `--precision f32`/`mixed` for an `f64` file is a
-/// precision mismatch, not a silent conversion.
-fn load_any(
-    file: &str,
-    kernel: Arc<dyn Kernel>,
-    precision: Precision,
-    budget: CacheBudget,
-) -> Result<AnyH2, LoadError> {
-    let bytes = std::fs::read(file)?;
-    // Files never persist a cache; the budget tier is reinstalled here,
-    // before the operator is frozen behind its Arc.
-    match codec::stored_scalar(&bytes)? {
-        "f64" if precision == Precision::F64 => {
-            let mut h2 = codec::decode::<f64>(&bytes, kernel)?;
-            h2.set_cache_budget(budget);
-            Ok(AnyH2::F64(Arc::new(h2)))
-        }
-        "f32" => {
-            let mut h2 = codec::decode::<f32>(&bytes, kernel)?;
-            h2.set_cache_budget(budget);
-            let h2 = Arc::new(h2);
-            Ok(match precision {
-                Precision::F32 => AnyH2::F32(h2),
-                _ => AnyH2::Mixed(MixedH2::new(h2)),
-            })
-        }
-        stored => Err(LoadError::PrecisionMismatch {
-            stored: if stored == "f64" { "f64" } else { "f32" },
-            requested: precision.name(),
-        }),
-    }
+/// An operator file decoded at the storage scalar its header records.
+enum Stored {
+    F64(H2MatrixS<f64>),
+    F32(H2MatrixS<f32>),
 }
 
-fn cmd_load(o: &Opts) {
-    let Some(file) = &o.file else {
-        usage("load needs --file FILE");
-    };
+/// The one file loader: reads `file`, decodes it with the `--kernel`
+/// kernel at its own storage scalar, and installs `budget` (files never
+/// persist a cache; the tier is reinstalled at load time).
+fn load(o: &Opts, file: &str, budget: CacheBudget) -> Result<Stored, String> {
     let kernel = make_kernel(&o.kernel);
-    let t = Instant::now();
-    match load_any(file, kernel, o.precision, o.cache_budget) {
-        Ok(h2) => {
-            println!("loaded {file} in {:.1} ms", t.elapsed().as_secs_f64() * 1e3);
-            report_any(&h2);
-            check_and_time(&h2, o.seed);
-        }
-        Err(e) => {
-            eprintln!("load failed: {e}");
-            exit(1);
-        }
+    let fail = |e: LoadError| format!("cannot load {file}: {e}");
+    let bytes = std::fs::read(file).map_err(|e| fail(e.into()))?;
+    let mut stored = match codec::stored_scalar(&bytes).map_err(fail)? {
+        "f32" => Stored::F32(codec::decode(&bytes, kernel).map_err(fail)?),
+        _ => Stored::F64(codec::decode(&bytes, kernel).map_err(fail)?),
+    };
+    match &mut stored {
+        Stored::F64(h2) => h2.set_cache_budget(budget),
+        Stored::F32(h2) => h2.set_cache_budget(budget),
     }
+    Ok(stored)
 }
 
-/// Loads the operator from `--file` or builds one from the build flags.
-fn load_or_build(o: &Opts) -> Arc<AnyH2> {
-    Arc::new(match &o.file {
-        Some(file) => match load_any(file, make_kernel(&o.kernel), o.precision, o.cache_budget) {
-            Ok(h2) => h2,
-            Err(e) => {
-                eprintln!("load failed: {e}");
-                exit(1);
-            }
-        },
-        None => build_operator(o).1,
+/// Loads `file` into the precision mode `--precision` requests: an `f32`
+/// file is a pure-`f32` operator under `--precision f32` and mixed (`f64`
+/// accumulation) otherwise; an `f64` file under `--precision f32`/`mixed`
+/// is a precision mismatch, not a silent conversion.
+fn load_any(o: &Opts, file: &str) -> Result<AnyH2, String> {
+    Ok(match (load(o, file, o.cache_budget)?, o.precision) {
+        (Stored::F64(h2), Precision::F64) => AnyH2::F64(Arc::new(h2)),
+        (Stored::F32(h2), Precision::F32) => AnyH2::F32(Arc::new(h2)),
+        (Stored::F32(h2), _) => AnyH2::Mixed(MixedH2::new(Arc::new(h2))),
+        (Stored::F64(_), requested) => {
+            let e = LoadError::PrecisionMismatch {
+                stored: "f64",
+                requested: requested.name(),
+            };
+            return Err(format!("cannot load {file}: {e}"));
+        }
     })
 }
 
-/// Submits `requests` probe vectors to `svc` and drains them all.
-fn run_workload(svc: &MatvecService<AnyH2>, requests: usize, seed: u64) -> h2_serve::DrainReport {
-    let tickets: Vec<_> = (0..requests)
-        .map(|s| {
-            let b = h2_core::error_est::probe_vector(svc.operator().n(), seed ^ (s as u64) << 8);
-            svc.submit(b).expect("length checked at build")
+fn cmd_load(o: &Opts) -> Result<(), String> {
+    let file = file_of(o, "load");
+    let t = Instant::now();
+    let h2 = load_any(o, file)?;
+    println!("loaded {file} in {:.1} ms", t.elapsed().as_secs_f64() * 1e3);
+    report_any(&h2);
+    check_and_time(&h2, o.seed);
+    Ok(())
+}
+
+/// The one serving loop: submits every `(tenant, b)` request (`None` is
+/// the default tenant), drains the service in fused sweeps, then waits for
+/// each result; `check(i, y)` says whether request `i`'s result is right.
+fn serve_round<'a, O: H2Operator<S>, S: Scalar>(
+    svc: &MatvecService<O, S>,
+    requests: impl Iterator<Item = (Option<&'a str>, Vec<S>)>,
+    check: impl Fn(usize, Vec<S>) -> bool,
+) -> Result<DrainReport, String> {
+    let tickets = requests
+        .map(|(tenant, b)| match tenant {
+            Some(id) => svc.submit_for(id, b),
+            None => svc.submit(b),
         })
-        .collect();
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("submit failed: {e}"))?;
     let rep = svc.drain();
-    for t in tickets {
-        if let Err(e) = t.wait() {
-            eprintln!("request failed: {e}");
-            exit(1);
+    for (i, t) in tickets.into_iter().enumerate() {
+        let y = t.wait().map_err(|e| format!("request {i} failed: {e}"))?;
+        if !check(i, y) {
+            return Err(format!("request {i}: result differs from the local apply"));
         }
     }
-    rep
+    Ok(rep)
 }
 
 /// The one `/metrics` body, every source read at call time: the service's
@@ -509,23 +459,23 @@ fn metrics_body<O: H2Operator<S>, S: Scalar, R: Scalar>(
 }
 
 /// Serves [`metrics_body`] at `--metrics-addr` (when given) until the
-/// returned server is stopped or dropped, so an operator can watch the
-/// deployment while traffic flows.
+/// returned server is dropped, so an operator can watch the deployment
+/// while traffic flows.
 fn start_scrape<O: H2Operator<S> + Send + Sync + 'static, S: Scalar, R: Scalar>(
     o: &Opts,
     svc: &Arc<MatvecService<O, S>>,
     tenants: bool,
     registry: Option<Arc<OperatorRegistry<R>>>,
-) -> Option<MetricsServer> {
-    let addr = o.metrics_addr.as_ref()?;
+) -> Result<Option<MetricsServer>, String> {
+    let Some(addr) = &o.metrics_addr else {
+        return Ok(None);
+    };
     let svc = svc.clone();
     let render = move || metrics_body(&svc, tenants, registry.as_deref());
-    let srv = MetricsServer::start(addr, render).unwrap_or_else(|e| {
-        eprintln!("serve failed: cannot bind metrics endpoint {addr}: {e}");
-        exit(1);
-    });
+    let srv = MetricsServer::start(addr, render)
+        .map_err(|e| format!("cannot bind metrics endpoint {addr}: {e}"))?;
     println!("metrics: http://{}/metrics (and /healthz)", srv.addr());
-    Some(srv)
+    Ok(Some(srv))
 }
 
 /// A registry holding just `op` under `name`, so `metrics` reports the
@@ -538,40 +488,38 @@ fn registry_of<S: Scalar>(name: &str, op: &Arc<H2MatrixS<S>>) -> OperatorRegistr
 
 /// Runs one serving workload and prints the [`metrics_body`] of the
 /// service plus a one-entry registry of the served operator.
-fn cmd_metrics(o: &Opts) {
-    let op = load_or_build(o);
-    let name = match &o.file {
-        Some(f) => std::path::Path::new(f)
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| f.clone()),
-        None => format!("{}-n{}", o.kernel, o.n),
+fn cmd_metrics(o: &Opts) -> Result<(), String> {
+    let (op, name) = match &o.file {
+        Some(f) => (
+            load_any(o, f)?,
+            std::path::Path::new(f)
+                .file_stem()
+                .map_or_else(|| f.clone(), |s| s.to_string_lossy().into_owned()),
+        ),
+        None => (build_operator(o), format!("{}-n{}", o.kernel, o.n)),
     };
-    let k = o.batch;
-    let svc = MatvecService::new(op.clone(), k);
-    run_workload(&svc, o.requests, o.seed);
+    let op = Arc::new(op);
+    let svc = MatvecService::new(op.clone(), o.batch);
+    let requests = (0..o.requests).map(|s| (None, probe(op.n(), o.seed ^ (s as u64) << 8)));
+    serve_round(&svc, requests, |_, _| true)?;
     let body = match op.as_ref() {
         AnyH2::F64(h) => metrics_body(&svc, false, Some(&registry_of(&name, h))),
         AnyH2::F32(h) => metrics_body(&svc, false, Some(&registry_of(&name, h))),
         AnyH2::Mixed(m) => metrics_body(&svc, false, Some(&registry_of(&name, m.inner()))),
     };
     print!("{body}");
+    Ok(())
 }
 
 /// The `update` workload at one storage width: registry-mediated
 /// clone-apply-swap updates interleaved with matvecs, verifying the swap
 /// protocol every round.
-fn update_workload<S: Scalar>(
-    bytes: &[u8],
-    kernel: Arc<dyn Kernel>,
-    o: &Opts,
-) -> Result<(), String> {
-    let mut h2 = codec::decode::<S>(bytes, kernel).map_err(|e| e.to_string())?;
-    h2.set_cache_budget(o.cache_budget);
+fn update_workload<S: Scalar>(h2: H2MatrixS<S>, o: &Opts) -> Result<(), String> {
     let dim = h2.dim();
     let reg: OperatorRegistry<S> = OperatorRegistry::new();
     reg.insert("live", Arc::new(h2));
-    let first = reg.get("live").expect("just inserted");
+    let live = || reg.get("live").ok_or("'live' is not registered");
+    let first = live()?;
     println!(
         "registered 'live': n={} dim={dim} scalar={} epoch={}",
         first.n(),
@@ -581,11 +529,8 @@ fn update_workload<S: Scalar>(
     for round in 0..o.updates {
         // A handle taken before the swap: the in-flight side of the
         // protocol. It must finish on the epoch it started on.
-        let inflight = reg.get("live").expect("registered");
-        let b: Vec<S> = h2_core::error_est::probe_vector(inflight.n(), o.seed ^ (round as u64))
-            .into_iter()
-            .map(S::from_f64)
-            .collect();
+        let inflight = live()?;
+        let b = probe::<S>(inflight.n(), o.seed ^ (round as u64));
         let y_inflight = inflight.matvec(&b);
         let fresh_pts = gen::uniform_cube(o.points, dim, o.seed + 1 + round as u64);
         let departing: Vec<usize> = (0..o.points.min(inflight.n() - 1)).collect();
@@ -596,21 +541,18 @@ fn update_workload<S: Scalar>(
                 let rem = op.remove_points(&departing)?;
                 Ok::<_, h2_core::UpdateError>((ins, rem))
             })
-            .expect("registered")
+            .ok_or("'live' is not registered")?
             .map_err(|e| e.to_string())?;
         let ms = t.elapsed().as_secs_f64() * 1e3;
         // Post-swap submissions see the new operator; the in-flight handle
         // is bit-identical to its pre-swap result.
-        assert!(Arc::ptr_eq(&reg.get("live").expect("registered"), &swapped));
-        assert_eq!(
-            inflight.matvec(&b),
-            y_inflight,
-            "in-flight handle changed under a swap"
-        );
-        let b2: Vec<S> = h2_core::error_est::probe_vector(swapped.n(), o.seed ^ 0xD1CE)
-            .into_iter()
-            .map(S::from_f64)
-            .collect();
+        if !Arc::ptr_eq(&live()?, &swapped) {
+            return Err("post-swap lookup missed the new operator".into());
+        }
+        if inflight.matvec(&b) != y_inflight {
+            return Err("in-flight handle changed under a swap".into());
+        }
+        let b2 = probe::<S>(swapped.n(), o.seed ^ 0xD1CE);
         let y2 = swapped.matvec(&b2);
         let err = swapped.estimate_rel_error(&b2, &y2, 12, o.seed);
         println!(
@@ -627,12 +569,12 @@ fn update_workload<S: Scalar>(
             err
         );
     }
-    let final_op = reg.get("live").expect("registered");
+    let final_op = live()?;
     println!(
         "final: n={} epoch={} registry updates={}",
         final_op.n(),
         final_op.epoch(),
-        reg.update_count("live").expect("registered")
+        reg.update_count("live").ok_or("'live' is not registered")?
     );
     let mut gauges = Exposition::new();
     reg.expose(&mut gauges);
@@ -643,7 +585,7 @@ fn update_workload<S: Scalar>(
     }
     if let Some(out) = &o.out {
         let bytes = codec::encode(final_op.as_ref());
-        std::fs::write(out, &bytes).map_err(|e| e.to_string())?;
+        std::fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
         println!(
             "saved {out}: {:.1} KiB at epoch {} (stored epoch {})",
             bytes.len() as f64 / 1024.0,
@@ -657,26 +599,10 @@ fn update_workload<S: Scalar>(
 /// `update`: load an operator file into a versioned registry slot and run
 /// interleaved serve/update rounds against it, at the file's own storage
 /// precision.
-fn cmd_update(o: &Opts) {
-    let Some(file) = &o.file else {
-        usage("update needs --file FILE (persist one first with `h2serve save`)");
-    };
-    let kernel = make_kernel(&o.kernel);
-    let bytes = match std::fs::read(file) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("could not read {file}: {e}");
-            exit(1);
-        }
-    };
-    let result = match codec::stored_scalar(&bytes) {
-        Ok("f32") => update_workload::<f32>(&bytes, kernel, o),
-        Ok(_) => update_workload::<f64>(&bytes, kernel, o),
-        Err(e) => Err(e.to_string()),
-    };
-    if let Err(e) = result {
-        eprintln!("update failed: {e}");
-        exit(1);
+fn cmd_update(o: &Opts) -> Result<(), String> {
+    match load(o, file_of(o, "update"), o.cache_budget)? {
+        Stored::F64(h2) => update_workload(h2, o),
+        Stored::F32(h2) => update_workload(h2, o),
     }
 }
 
@@ -691,7 +617,7 @@ fn cmd_update(o: &Opts) {
 fn net_config(o: &Opts) -> NetConfig {
     let mut cfg = NetConfig::default();
     if let Some(ms) = o.io_timeout_ms {
-        cfg.io_timeout = std::time::Duration::from_millis(ms.max(1));
+        cfg.io_timeout = Duration::from_millis(ms.max(1));
     }
     cfg.trace = o.trace_out.is_some();
     cfg.flight_dir = o.flight_dir.as_ref().map(std::path::PathBuf::from);
@@ -701,59 +627,33 @@ fn net_config(o: &Opts) -> NetConfig {
 /// `shard-worker`: load the operator file and serve one shard rank until
 /// the coordinator drains us. Exits non-zero on any typed failure, which
 /// the coordinator's shutdown reports per rank.
-fn cmd_shard_worker(o: &Opts) {
-    let Some(file) = &o.file else {
-        usage("shard-worker needs --file FILE");
-    };
+fn cmd_shard_worker(o: &Opts) -> Result<(), String> {
+    let file = file_of(o, "shard-worker");
     let Some(connect) = &o.connect else {
         usage("shard-worker needs --connect ADDR");
     };
     if o.shards == 0 {
         usage("shard-worker needs --shards N (N >= 1)");
     }
-    let kernel = make_kernel(&o.kernel);
-    let cfg = net_config(o);
-    let bytes = match std::fs::read(file) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("rank {}: could not read {file}: {e}", o.rank);
-            exit(1);
-        }
-    };
+    let (rank, cfg) = (o.rank, net_config(o));
+    let in_rank = |e: String| format!("rank {rank}: {e}");
     // Serve at the file's own storage precision; the handshake's scalar
     // byte rejects a coordinator running a different width.
-    let report = match codec::stored_scalar(&bytes) {
-        Ok("f32") => codec::decode::<f32>(&bytes, kernel)
-            .map_err(|e| e.to_string())
-            .and_then(|mut h2| {
-                h2.set_cache_budget(o.cache_budget);
-                run_worker(&h2, o.rank, o.shards, connect, cfg).map_err(|e| e.to_string())
-            }),
-        Ok(_) => codec::decode::<f64>(&bytes, kernel)
-            .map_err(|e| e.to_string())
-            .and_then(|mut h2| {
-                h2.set_cache_budget(o.cache_budget);
-                run_worker(&h2, o.rank, o.shards, connect, cfg).map_err(|e| e.to_string())
-            }),
-        Err(e) => Err(e.to_string()),
-    };
-    match report {
-        Ok(r) => {
-            println!(
-                "rank {} drained: {} sweeps, sent {} B / {} msgs, recv {} B / {} msgs",
-                r.rank,
-                r.sweeps,
-                r.traffic.sent_bytes,
-                r.traffic.sent_messages,
-                r.traffic.recv_bytes,
-                r.traffic.recv_messages
-            );
-        }
-        Err(e) => {
-            eprintln!("rank {}: {e}", o.rank);
-            exit(1);
-        }
+    let r = match load(o, file, o.cache_budget).map_err(in_rank)? {
+        Stored::F64(h2) => run_worker(&h2, rank, o.shards, connect, cfg),
+        Stored::F32(h2) => run_worker(&h2, rank, o.shards, connect, cfg),
     }
+    .map_err(|e| in_rank(e.to_string()))?;
+    println!(
+        "rank {} drained: {} sweeps, sent {} B / {} msgs, recv {} B / {} msgs",
+        r.rank,
+        r.sweeps,
+        r.traffic.sent_bytes,
+        r.traffic.sent_messages,
+        r.traffic.recv_bytes,
+        r.traffic.recv_messages
+    );
+    Ok(())
 }
 
 /// Spawns `shards` `shard-worker` children of this binary and returns the
@@ -786,18 +686,12 @@ fn spawn_deployment<S: Scalar>(
     })
 }
 
-/// The serving workload of `serve`, generic over the storage scalar:
-/// batched requests through `MatvecService` over the distributed operator,
-/// each result checked bit-for-bit against the local serial apply.
-fn serve_distributed<S: Scalar>(h2: Arc<H2MatrixS<S>>, o: &Opts, file: &str) {
-    let fail = |e: NetError| -> ! {
-        eprintln!("serve failed: {e}");
-        exit(1);
-    };
-    let coord = match spawn_deployment(h2.clone(), o, file) {
-        Ok(c) => c,
-        Err(e) => fail(e),
-    };
+/// `serve --shards`, generic over the storage scalar: batched requests
+/// through `MatvecService` over the distributed operator, each result
+/// checked bit-for-bit against the local serial apply of `h2`.
+fn serve_distributed<S: Scalar>(h2: H2MatrixS<S>, o: &Opts, file: &str) -> Result<(), String> {
+    let h2 = Arc::new(h2);
+    let coord = spawn_deployment(h2.clone(), o, file).map_err(|e| e.to_string())?;
     println!(
         "deployment up: {} workers serving n={} (plan level {})",
         coord.shards(),
@@ -805,42 +699,20 @@ fn serve_distributed<S: Scalar>(h2: Arc<H2MatrixS<S>>, o: &Opts, file: &str) {
         coord.plan().level
     );
     for (r, h) in coord.health().into_iter().enumerate() {
-        match h {
-            Ok(rtt) => println!("rank {r}: alive, ping {:.1} us", rtt.as_secs_f64() * 1e6),
-            Err(e) => fail(e),
-        }
+        let rtt = h.map_err(|e| e.to_string())?;
+        println!("rank {r}: alive, ping {:.1} us", rtt.as_secs_f64() * 1e6);
     }
     let n = coord.n();
     let op = Arc::new(coord);
     let k = o.batch;
     let svc: Arc<MatvecService<ShardCoordinator<S>, S>> =
         Arc::new(MatvecService::new(op.clone(), k));
-    let mut scrape = start_scrape(o, &svc, false, None::<Arc<OperatorRegistry<S>>>);
-    let mk = |s: usize| -> Vec<S> {
-        h2_core::error_est::probe_vector(n, o.seed ^ (s as u64) << 8)
-            .into_iter()
-            .map(S::from_f64)
-            .collect()
-    };
+    let scrape = start_scrape(o, &svc, false, None::<Arc<OperatorRegistry<S>>>)?;
+    let mk = |s: usize| (None, probe::<S>(n, o.seed ^ (s as u64) << 8));
     let t0 = Instant::now();
-    let tickets: Vec<_> = (0..o.requests)
-        .map(|s| svc.submit(mk(s)).expect("length checked at build"))
-        .collect();
-    let rep = svc.drain();
-    for (s, t) in tickets.into_iter().enumerate() {
-        match t.wait() {
-            Ok(y) => {
-                if y != H2Operator::matvec(h2.as_ref(), &mk(s)) {
-                    eprintln!("request {s}: distributed result differs from the local apply");
-                    exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("request {s} failed: {e}");
-                exit(1);
-            }
-        }
-    }
+    let rep = serve_round(&svc, (0..o.requests).map(mk), |s, y| {
+        y == H2Operator::matvec(h2.as_ref(), &mk(s).1)
+    })?;
     let wall = t0.elapsed().as_secs_f64();
     let m = svc.metrics();
     let traffic = op.traffic();
@@ -860,19 +732,10 @@ fn serve_distributed<S: Scalar>(h2: Arc<H2MatrixS<S>>, o: &Opts, file: &str) {
     // scraper has something live to watch; results were already verified
     // bit-for-bit above, so these only check for transport errors.
     if o.duration_s > 0 {
-        let deadline = Instant::now() + std::time::Duration::from_secs(o.duration_s);
+        let deadline = Instant::now() + Duration::from_secs(o.duration_s);
         let mut extra = 0usize;
         while Instant::now() < deadline {
-            let tickets: Vec<_> = (0..k)
-                .map(|s| svc.submit(mk(extra + s)).expect("length checked at build"))
-                .collect();
-            svc.drain();
-            for t in tickets {
-                if let Err(e) = t.wait() {
-                    eprintln!("sustained request failed: {e}");
-                    exit(1);
-                }
-            }
+            serve_round(&svc, (extra..extra + k).map(mk), |_, _| true)?;
             extra += k;
         }
         println!(
@@ -880,71 +743,62 @@ fn serve_distributed<S: Scalar>(h2: Arc<H2MatrixS<S>>, o: &Opts, file: &str) {
             o.duration_s, extra
         );
     }
-    if let Some(srv) = scrape.as_mut() {
-        srv.stop();
-    }
+    drop(scrape);
     if let Some(path) = &o.trace_out {
         let json = op.cluster_trace_json();
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("trace: wrote {} ({} bytes)", path, json.len()),
-            Err(e) => {
-                eprintln!("serve failed: cannot write trace {path}: {e}");
-                exit(1);
-            }
-        }
+        std::fs::write(path, &json).map_err(|e| format!("cannot write trace {path}: {e}"))?;
+        println!("trace: wrote {} ({} bytes)", path, json.len());
     }
-    drop(scrape);
     drop(svc);
-    let coord = Arc::try_unwrap(op).unwrap_or_else(|_| {
-        eprintln!("serve failed: coordinator still shared at shutdown");
-        exit(1);
-    });
-    match coord.shutdown() {
-        Ok(()) => println!("all workers drained cleanly"),
-        Err(e) => fail(e),
-    }
+    let coord = Arc::try_unwrap(op).map_err(|_| "coordinator still shared at shutdown")?;
+    coord.shutdown().map_err(|e| e.to_string())?;
+    println!("all workers drained cleanly");
+    Ok(())
 }
 
 // --------------------------------------------------- multi-tenant hosting
 
-/// The `serve --tenants` workload at one storage width: host one operator
-/// per tenant in a registry (zero-copy under `--mmap`), verify bitwise
-/// identity against the owned decode, partition the cache budget by
-/// `cache_share`, then serve a round-robin workload through a WDRR
-/// `MatvecService` and report per-tenant quantiles and gauges.
-fn serve_tenants<S: Scalar>(o: &Opts, file: &str, bytes: &[u8], table: TenantTable) {
+/// `serve --tenants`, at one storage width: parse the tenant policy file,
+/// host one operator per tenant in a registry (zero-copy under `--mmap`),
+/// verify bitwise identity against the `owned` decode, partition the cache
+/// budget by `cache_share`, then serve a round-robin workload through a
+/// WDRR `MatvecService` and report per-tenant quantiles and gauges.
+fn serve_tenants<S: Scalar>(
+    owned: H2MatrixS<S>,
+    o: &Opts,
+    file: &str,
+    tenants: &str,
+) -> Result<(), String> {
+    let text =
+        std::fs::read_to_string(tenants).map_err(|e| format!("cannot read {tenants}: {e}"))?;
+    let table =
+        TenantTable::parse(&text).map_err(|e| format!("bad tenant policy file {tenants}: {e}"))?;
     let kernel = make_kernel(&o.kernel);
     // The owned decode is the bitwise reference every hosted operator is
     // checked against, and the footprint baseline for the resident gauge.
-    let owned = match codec::decode::<S>(bytes, kernel.clone()) {
-        Ok(h2) => h2,
-        Err(e) => {
-            eprintln!("load failed: {e}");
-            exit(1);
-        }
-    };
     let n = owned.n();
     let owned_total = owned.memory_report().total();
     let cache_total = o.cache_budget.resolve(owned.full_block_bytes());
     let budgets = split_budget(cache_total, &table.cache_shares());
-    let budget_of = |tenant: usize| match budgets[tenant] {
-        0 => CacheBudget::Off,
-        b => CacheBudget::Bytes(b as u64),
-    };
 
     let reg: Arc<OperatorRegistry<S>> = Arc::new(OperatorRegistry::new());
     let t = Instant::now();
-    for (i, id, _) in table.iter() {
-        let loaded = if o.mmap {
-            reg.load_file_mmap_with_budget(id.as_str(), file, kernel.clone(), budget_of(i))
-        } else {
-            reg.load_file_with_budget(id.as_str(), file, kernel.clone(), budget_of(i))
-        };
-        if let Err(e) = loaded {
-            eprintln!("tenant '{id}': load failed: {e}");
-            exit(1);
-        }
-    }
+    let hosted = table
+        .iter()
+        .map(|(i, id, _)| {
+            let budget = match budgets[i] {
+                0 => CacheBudget::Off,
+                b => CacheBudget::Bytes(b as u64),
+            };
+            let (id, kernel) = (id.as_str(), kernel.clone());
+            if o.mmap {
+                reg.load_file_mmap_with_budget(id, file, kernel, budget)
+            } else {
+                reg.load_file_with_budget(id, file, kernel, budget)
+            }
+            .map_err(|e| format!("tenant '{id}': load failed: {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let load_ms = t.elapsed().as_secs_f64() * 1e3;
     let rows = reg.resident_bytes();
     let resident: usize = rows.iter().map(|r| r.total_bytes).sum();
@@ -962,20 +816,15 @@ fn serve_tenants<S: Scalar>(o: &Opts, file: &str, bytes: &[u8], table: TenantTab
     // Every hosted operator must apply bit-identically to the owned decode:
     // mapping and a cache budget move where a block comes from, never the
     // product (`set_cache_budget`).
-    let probe: Vec<S> = h2_core::error_est::probe_vector(n, o.seed)
-        .into_iter()
-        .map(S::from_f64)
-        .collect();
+    let x = probe::<S>(n, o.seed);
     let bits = |op: &H2MatrixS<S>| -> Vec<u64> {
-        let y = op.matvec(&probe);
+        let y = op.matvec(&x);
         y.iter().map(|v| v.to_f64().to_bits()).collect()
     };
     let want = bits(&owned);
-    for (_, id, _) in table.iter() {
-        let op = reg.get(id.as_str()).expect("just registered");
-        if bits(&op) != want {
-            eprintln!("tenant '{id}': hosted operator differs from the owned decode");
-            exit(1);
+    for ((_, id, _), op) in table.iter().zip(&hosted) {
+        if bits(op.as_ref()) != want {
+            return Err(format!("tenant '{id}': differs from the owned decode"));
         }
     }
     drop(owned);
@@ -987,64 +836,37 @@ fn serve_tenants<S: Scalar>(o: &Opts, file: &str, bytes: &[u8], table: TenantTab
         // Resident fraction per entry: resident / (resident + mapped) is
         // exactly resident/owned, since mapping moves payload bytes from
         // the heap to the pages without changing the logical total.
-        let worst = rows
+        let worst_pct = rows
             .iter()
             .map(|r| r.total_bytes as f64 / (r.total_bytes + r.mapped_bytes) as f64)
-            .fold(0.0f64, f64::max);
-        println!(
-            "mmap residency: worst resident fraction {:.2}%",
-            worst * 100.0
-        );
-        if worst <= 0.05 {
-            println!("TENANT_SERVE_MMAP_OK");
-        } else {
-            eprintln!(
-                "mmap residency gate failed: resident fraction {:.2}% > 5%",
-                worst * 100.0
-            );
-            exit(1);
+            .fold(0.0f64, f64::max)
+            * 100.0;
+        println!("mmap residency: worst resident fraction {worst_pct:.2}%");
+        if worst_pct > 5.0 {
+            return Err(format!("mmap residency gate failed: {worst_pct:.2}% > 5%"));
         }
+        println!("TENANT_SERVE_MMAP_OK");
     }
 
     // One WDRR service arbitrates all tenants; every tenant hosts the same
     // file here, so a single fused sweep serves each drained batch.
-    let op = reg.get(table.id(0).as_str()).expect("registered");
-    let k = o.batch;
+    let op = hosted.into_iter().next().ok_or("no tenant to host")?;
     let svc = Arc::new(MatvecService::with_tenants(
         op,
-        k,
+        o.batch,
         table.clone(),
         QueueMode::Wdrr,
     ));
     if cache_total > 0 {
         svc.set_tenant_cache_budgets(budgets);
     }
-    let mut scrape = start_scrape(o, &svc, true, Some(reg.clone()));
+    let _scrape = start_scrape(o, &svc, true, Some(reg.clone()))?;
     for round in 0..o.requests {
-        let tickets: Vec<_> = table
+        let b = probe::<S>(n, o.seed ^ (round as u64) << 8);
+        let requests = table
             .iter()
-            .map(|(_, id, _)| {
-                let b: Vec<S> = h2_core::error_est::probe_vector(n, o.seed ^ (round as u64) << 8)
-                    .into_iter()
-                    .map(S::from_f64)
-                    .collect();
-                (id.clone(), svc.submit_for(id.as_str(), b))
-            })
-            .collect();
-        svc.drain();
-        for (id, t) in tickets {
-            let ticket = match t {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("tenant '{id}': submit failed: {e}");
-                    exit(1);
-                }
-            };
-            if let Err(e) = ticket.wait() {
-                eprintln!("tenant '{id}': request failed: {e}");
-                exit(1);
-            }
-        }
+            .map(|(_, id, _)| (Some(id.as_str()), b.clone()));
+        serve_round(&svc, requests, |_, _| true)?;
     }
     println!(
         "{:>16} {:>8} {:>12} {:>12}",
@@ -1068,83 +890,23 @@ fn serve_tenants<S: Scalar>(o: &Opts, file: &str, bytes: &[u8], table: TenantTab
             println!("{line}");
         }
     }
-    if let Some(srv) = scrape.as_mut() {
-        srv.stop();
-    }
+    Ok(())
 }
 
-/// `serve --tenants`: parse the tenant policy file and host one operator
-/// per tenant at the file's own storage precision.
-fn cmd_serve_tenants(o: &Opts, tenants: &str) {
-    let Some(file) = &o.file else {
-        usage("serve --tenants needs --file FILE (persist one first with `h2serve save`)");
-    };
-    let text = match std::fs::read_to_string(tenants) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("could not read {tenants}: {e}");
-            exit(1);
-        }
-    };
-    let table = match TenantTable::parse(&text) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bad tenant policy file {tenants}: {e}");
-            exit(1);
-        }
-    };
-    let bytes = match std::fs::read(file) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("could not read {file}: {e}");
-            exit(1);
-        }
-    };
-    match codec::stored_scalar(&bytes) {
-        Ok("f32") => serve_tenants::<f32>(o, file, &bytes, table),
-        Ok(_) => serve_tenants::<f64>(o, file, &bytes, table),
-        Err(e) => {
-            eprintln!("load failed: {e}");
-            exit(1);
-        }
-    }
-}
-
-/// `serve`: bind a coordinator, spawn `--shards` worker processes from the
-/// operator file, serve a verified workload, and drain the deployment.
-/// With `--tenants FILE`, run the single-process multi-tenant hosting mode
-/// instead (see [`cmd_serve_tenants`]).
-fn cmd_serve(o: &Opts) {
-    if let Some(tenants) = &o.tenants {
-        return cmd_serve_tenants(o, tenants);
-    }
-    let Some(file) = &o.file else {
-        usage("serve needs --file FILE (persist one first with `h2serve save`)");
-    };
-    if o.shards == 0 {
+/// `serve`: with `--tenants FILE`, the single-process multi-tenant hosting
+/// mode ([`serve_tenants`]); otherwise a `--shards` multi-process
+/// deployment ([`serve_distributed`]). Both run at the file's own storage
+/// precision from one owned decode, which is their bitwise reference.
+fn cmd_serve(o: &Opts) -> Result<(), String> {
+    let file = file_of(o, "serve");
+    if o.tenants.is_none() && o.shards == 0 {
         usage("serve needs --shards N (N >= 1), or --tenants FILE for multi-tenant hosting");
     }
-    let kernel = make_kernel(&o.kernel);
-    let bytes = match std::fs::read(file) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("could not read {file}: {e}");
-            exit(1);
-        }
-    };
-    // The deployment runs at the file's storage precision end to end; the
-    // workers load the same file, so the scalar always agrees.
-    let result =
-        match codec::stored_scalar(&bytes) {
-            Ok("f32") => codec::decode::<f32>(&bytes, kernel)
-                .map(|h2| serve_distributed(Arc::new(h2), o, file)),
-            Ok(_) => codec::decode::<f64>(&bytes, kernel)
-                .map(|h2| serve_distributed(Arc::new(h2), o, file)),
-            Err(e) => Err(e),
-        };
-    if let Err(e) = result {
-        eprintln!("load failed: {e}");
-        exit(1);
+    match (load(o, file, CacheBudget::Off)?, &o.tenants) {
+        (Stored::F64(h2), Some(tenants)) => serve_tenants(h2, o, file, tenants),
+        (Stored::F32(h2), Some(tenants)) => serve_tenants(h2, o, file, tenants),
+        (Stored::F64(h2), None) => serve_distributed(h2, o, file),
+        (Stored::F32(h2), None) => serve_distributed(h2, o, file),
     }
 }
 
@@ -1154,15 +916,19 @@ fn main() {
         usage("missing subcommand");
     };
     let o = parse_opts(&args[1..]);
-    match cmd.as_str() {
-        "build" => cmd_build(&o),
-        "save" => cmd_save(&o),
-        "load" => cmd_load(&o),
-        "metrics" => cmd_metrics(&o),
-        "serve" => cmd_serve(&o),
-        "shard-worker" => cmd_shard_worker(&o),
-        "update" => cmd_update(&o),
+    let run: fn(&Opts) -> Result<(), String> = match cmd.as_str() {
+        "build" => cmd_build,
+        "save" => cmd_save,
+        "load" => cmd_load,
+        "metrics" => cmd_metrics,
+        "serve" => cmd_serve,
+        "shard-worker" => cmd_shard_worker,
+        "update" => cmd_update,
         "--help" | "-h" => usage(""),
         c => usage(&format!("unknown subcommand '{c}'")),
+    };
+    if let Err(e) = run(&o) {
+        eprintln!("h2serve {cmd}: {e}");
+        exit(1);
     }
 }

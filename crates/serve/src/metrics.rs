@@ -76,17 +76,6 @@ impl ServiceMetrics {
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot::from_cumulative(&self.inner.lock().unwrap())
     }
-
-    /// Bytes held by the metric state. Constant in the number of recorded
-    /// requests: three fixed-size histograms plus one entry per *distinct*
-    /// batch size.
-    pub fn footprint_bytes(&self) -> usize {
-        let g = self.inner.lock().unwrap();
-        g.queue.footprint_bytes()
-            + g.compute.footprint_bytes()
-            + g.latency.footprint_bytes()
-            + g.batch_hist.len() * std::mem::size_of::<(usize, u64)>()
-    }
 }
 
 /// Nearest-rank percentile over a sorted sample; 0 for an empty sample.
@@ -340,6 +329,16 @@ mod tests {
         assert!(s.latency_hist.is_empty());
     }
 
+    /// Bytes held by the metric state: three fixed-size histograms plus one
+    /// entry per *distinct* batch size.
+    fn footprint_bytes(m: &ServiceMetrics) -> usize {
+        let g = m.inner.lock().unwrap();
+        g.queue.footprint_bytes()
+            + g.compute.footprint_bytes()
+            + g.latency.footprint_bytes()
+            + g.batch_hist.len() * std::mem::size_of::<(usize, u64)>()
+    }
+
     #[test]
     fn memory_is_constant_in_the_request_count() {
         let m = ServiceMetrics::new();
@@ -348,7 +347,7 @@ mod tests {
             Duration::from_micros(100),
             &[Duration::from_micros(7); 4],
         );
-        let small = m.footprint_bytes();
+        let small = footprint_bytes(&m);
         // 100_000+ requests over wildly varying latencies: same footprint.
         for k in 0..25_000u64 {
             let waits = [Duration::from_micros(k % 10_000); 4];
@@ -356,7 +355,7 @@ mod tests {
         }
         assert_eq!(m.snapshot().requests, 100_004);
         assert_eq!(
-            m.footprint_bytes(),
+            footprint_bytes(&m),
             small,
             "per-request state must not grow with traffic"
         );

@@ -65,11 +65,6 @@ impl<S: Scalar> Ticket<S> {
             })
         })
     }
-
-    /// Returns the outcome if it is already available.
-    pub fn try_take(&self) -> Option<Result<Vec<S>, SubmitError>> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// Summary of one [`MatvecService::drain`] call.
@@ -156,11 +151,6 @@ impl<S: Scalar, O: H2Operator<S>> MatvecService<O, S> {
     /// The batch-size cap.
     pub fn max_batch(&self) -> usize {
         self.max_batch
-    }
-
-    /// The tenant policy table the service schedules under.
-    pub fn tenant_table(&self) -> &TenantTable {
-        &self.table
     }
 
     /// Records the per-tenant slices of a partitioned cache budget (from
@@ -290,14 +280,6 @@ impl<S: Scalar, O: H2Operator<S>> MatvecService<O, S> {
     /// Requests currently queued across all tenants.
     pub fn pending(&self) -> usize {
         self.sched.lock().unwrap().len()
-    }
-
-    /// Requests currently queued for one tenant (0 for unknown names).
-    pub fn pending_for(&self, tenant: &str) -> usize {
-        match self.table.index_of(tenant) {
-            Some(idx) => self.sched.lock().unwrap().queue_depth(idx),
-            None => 0,
-        }
     }
 
     /// Serves every queued request in fused sweeps of at most
@@ -801,7 +783,6 @@ mod tests {
                 reason: h2_tenant::AdmitError::QueueFull { depth: 3, max: 3 },
             }
         );
-        assert_eq!(svc.pending_for("hog"), 3);
         let t_light = svc.submit_for("light", rhs(n, 5)).unwrap();
         assert_eq!(svc.pending(), 4);
         svc.drain();
@@ -835,7 +816,8 @@ mod tests {
                 svc.sweep(&batch);
             }
             assert_eq!(
-                t.try_take()
+                t.rx.try_recv()
+                    .ok()
                     .unwrap_or_else(|| panic!("light request not served within {sweeps} sweeps"))
                     .unwrap(),
                 op.matvec(&rhs(n, 100))

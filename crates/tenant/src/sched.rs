@@ -192,23 +192,6 @@ impl<T> BatchScheduler<T> {
         }
         out
     }
-
-    /// Empties every queue, returning the items as `(tenant index, item)`
-    /// pairs in tenant-index order. For shutdown paths that must resolve
-    /// every pending request.
-    pub fn drain_all(&mut self) -> Vec<(usize, T)> {
-        let mut out = Vec::with_capacity(self.total);
-        for (i, q) in self.queues.iter_mut().enumerate() {
-            while let Some(item) = q.pop_front() {
-                out.push((i, item));
-            }
-        }
-        for d in &mut self.deficits {
-            *d = 0.0;
-        }
-        self.total = 0;
-        out
-    }
 }
 
 #[cfg(test)]
@@ -371,19 +354,8 @@ mod tests {
         assert_eq!(s.queue_depth(0), 2);
         assert_eq!(s.queue_depth(1), 0);
         // Rejected items never surface in a drain.
-        let drained: Vec<i32> = s.drain_all().into_iter().map(|(_, v)| v).collect();
+        let drained: Vec<i32> = s.next_batch(8).into_iter().map(|(_, v)| v).collect();
         assert_eq!(drained, vec![1, 2]);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn drain_all_returns_everything_in_tenant_order() {
-        let mut s = BatchScheduler::new(table(&[1.0, 1.0]), QueueMode::Wdrr);
-        s.push(1, 10).unwrap();
-        s.push(0, 20).unwrap();
-        s.push(1, 11).unwrap();
-        assert_eq!(s.drain_all(), vec![(0, 20), (1, 10), (1, 11)]);
-        assert!(s.is_empty());
-        assert!(s.next_batch(8).is_empty());
     }
 }
