@@ -31,10 +31,8 @@
 //! assert_eq!(k.eval(pts.point(0), pts.point(1)), 0.5);
 //! ```
 
-pub mod composite;
 pub mod radial;
 
-pub use composite::{Product, Scaled, Sum};
 pub use radial::{
     Coulomb, CoulombCubed, Exponential, Gaussian, InverseMultiquadric, Matern32, RadialKernel,
     ThinPlateSpline,

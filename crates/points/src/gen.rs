@@ -4,32 +4,106 @@
 //! of a cube/hypercube (`cube` in the paper, any dimension here), random
 //! points on the surface of a sphere (`sphere`), and a highly non-uniform 3D
 //! surface point cloud standing in for the paper's scanned dinosaur
-//! (`dino`, see DESIGN.md §5). Extra generators (Gaussian mixtures, grids,
-//! annuli) support tests and ablations. All generators are deterministic in
-//! their seed.
+//! (`dino`, see DESIGN.md §5). Every generator is a function of its seed
+//! through one private `ChaCha8` stream, so a point set, and every operator
+//! built on it, keeps its bits as long as that stream and the draws do.
 
 use crate::pointset::PointSet;
-use rand::distributions::Distribution;
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
-fn rng(seed: u64) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(seed)
+/// The ChaCha stream cipher with 8 rounds (RFC 8439 quarter-round), keyed
+/// from a `u64` by splitmix64 and read one 32-bit word at a time.
+struct ChaCha8 {
+    /// Cipher input: constants, 256-bit key, 64-bit block counter, zero nonce.
+    state: [u32; 16],
+    /// The current output block; `word` is its next unread word.
+    block: [u32; 16],
+    word: usize,
+}
+
+impl ChaCha8 {
+    fn new(mut seed: u64) -> Self {
+        let mut state = [0u32; 16];
+        // "expand 32-byte k"
+        state[..4].copy_from_slice(&[0x6170_7865, 0x3320_646E, 0x7962_2D32, 0x6B20_6574]);
+        for key in state[4..12].chunks_exact_mut(2) {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            key.copy_from_slice(&[z as u32, (z >> 32) as u32]);
+        }
+        ChaCha8 {
+            state,
+            block: [0; 16],
+            word: 16,
+        }
+    }
+
+    fn next_u32(&mut self) -> u32 {
+        if self.word == 16 {
+            let mut x = self.state;
+            // 8 rounds: four double rounds of column and diagonal quarter-rounds.
+            for _ in 0..4 {
+                for [a, b, c, d] in [
+                    [0, 4, 8, 12],
+                    [1, 5, 9, 13],
+                    [2, 6, 10, 14],
+                    [3, 7, 11, 15],
+                    [0, 5, 10, 15],
+                    [1, 6, 11, 12],
+                    [2, 7, 8, 13],
+                    [3, 4, 9, 14],
+                ] {
+                    x[a] = x[a].wrapping_add(x[b]);
+                    x[d] = (x[d] ^ x[a]).rotate_left(16);
+                    x[c] = x[c].wrapping_add(x[d]);
+                    x[b] = (x[b] ^ x[c]).rotate_left(12);
+                    x[a] = x[a].wrapping_add(x[b]);
+                    x[d] = (x[d] ^ x[a]).rotate_left(8);
+                    x[c] = x[c].wrapping_add(x[d]);
+                    x[b] = (x[b] ^ x[c]).rotate_left(7);
+                }
+            }
+            for (out, (&w, &s)) in self.block.iter_mut().zip(x.iter().zip(&self.state)) {
+                *out = w.wrapping_add(s);
+            }
+            let counter =
+                (u64::from(self.state[13]) << 32 | u64::from(self.state[12])).wrapping_add(1);
+            self.state[12..14].copy_from_slice(&[counter as u32, (counter >> 32) as u32]);
+            self.word = 0;
+        }
+        self.word += 1;
+        self.block[self.word - 1]
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let lo = u64::from(self.next_u32());
+        (u64::from(self.next_u32()) << 32) | lo
+    }
+
+    /// Uniform in `[0, 1)`: the top 53 bits of a `u64`.
+    fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Uniform over `0..n` by a modulo (exact for a power-of-two `n`).
+    fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
 }
 
 /// `n` points uniformly random in the unit hypercube `[0, 1]^dim`.
 pub fn uniform_cube(n: usize, dim: usize, seed: u64) -> PointSet {
-    let mut r = rng(seed);
-    PointSet::from_fn(n, dim, |_, _| r.gen::<f64>())
+    let mut r = ChaCha8::new(seed);
+    PointSet::from_fn(n, dim, |_, _| r.unit())
 }
 
 /// `n` points uniformly random on the surface of the unit sphere in `dim`
 /// dimensions (Gaussian direction method).
 pub fn sphere_surface(n: usize, dim: usize, seed: u64) -> PointSet {
     assert!(dim >= 2, "sphere surface needs dim >= 2");
-    let mut r = rng(seed);
-    let normal = rand::distributions::Uniform::new(0.0f64, 1.0);
+    let mut r = ChaCha8::new(seed);
     let mut coords = Vec::with_capacity(n * dim);
     let mut buf = vec![0.0f64; dim];
     for _ in 0..n {
@@ -38,8 +112,8 @@ pub fn sphere_surface(n: usize, dim: usize, seed: u64) -> PointSet {
             let mut norm2 = 0.0;
             let mut k = 0;
             while k < dim {
-                let u1: f64 = normal.sample(&mut r).max(1e-300);
-                let u2: f64 = normal.sample(&mut r);
+                let u1 = r.unit().max(1e-300);
+                let u2 = r.unit();
                 let mag = (-2.0 * u1.ln()).sqrt();
                 buf[k] = mag * (std::f64::consts::TAU * u2).cos();
                 norm2 += buf[k] * buf[k];
@@ -69,16 +143,16 @@ pub fn sphere_surface(n: usize, dim: usize, seed: u64) -> PointSet {
 /// the body, sparse on extremities, with large empty regions in the bounding
 /// box.
 pub fn dino(n: usize, seed: u64) -> PointSet {
-    let mut r = rng(seed);
+    let mut r = ChaCha8::new(seed);
     let mut coords = Vec::with_capacity(n * 3);
     // Part selection weights: body 45%, neck 12%, head 8%, tail 15%, legs 20%.
     for _ in 0..n {
-        let t: f64 = r.gen();
+        let t = r.unit();
         let p = if t < 0.45 {
             ellipsoid_surface(&mut r, [0.0, 0.0, 0.9], [1.4, 0.7, 0.65])
         } else if t < 0.57 {
             // Neck: tube along a quarter-circle arc rising from the body front.
-            let s: f64 = r.gen();
+            let s = r.unit();
             let ang = s * 1.2; // radians along the arc
             let cx = 1.2 + 0.9 * ang.sin();
             let cz = 1.2 + 0.9 * (1.0 - ang.cos());
@@ -87,22 +161,21 @@ pub fn dino(n: usize, seed: u64) -> PointSet {
             ellipsoid_surface(&mut r, [2.25, 0.0, 2.25], [0.38, 0.22, 0.2])
         } else if t < 0.80 {
             // Tail: tube along a droop curve behind the body.
-            let s: f64 = r.gen();
+            let s = r.unit();
             let cx = -1.3 - 1.6 * s;
             let cz = 0.9 - 0.55 * s + 0.25 * (3.0 * s).sin() * s;
             tube_ring(&mut r, [cx, 0.0, cz], (0.28 * (1.0 - s)).max(0.02))
         } else {
             // Legs: four vertical tapered cylinders.
-            let leg = r.gen_range(0..4usize);
-            let (lx, ly) = match leg {
+            let (lx, ly) = match r.below(4) {
                 0 => (0.8, 0.45),
                 1 => (0.8, -0.45),
                 2 => (-0.8, 0.45),
                 _ => (-0.8, -0.45),
             };
-            let s: f64 = r.gen(); // height fraction, 0 = foot
+            let s = r.unit(); // height fraction, 0 = foot
             let radius = 0.13 + 0.08 * s;
-            let theta: f64 = r.gen::<f64>() * std::f64::consts::TAU;
+            let theta = r.unit() * std::f64::consts::TAU;
             [
                 lx + radius * theta.cos(),
                 ly + radius * theta.sin(),
@@ -116,10 +189,10 @@ pub fn dino(n: usize, seed: u64) -> PointSet {
 
 /// Uniform-ish sample on an axis-aligned ellipsoid surface (rejection-free
 /// direction sampling; slight pole bias is irrelevant for our purposes).
-fn ellipsoid_surface(r: &mut ChaCha8Rng, c: [f64; 3], radii: [f64; 3]) -> [f64; 3] {
-    // Random direction via trig method.
-    let z: f64 = r.gen_range(-1.0..1.0);
-    let theta: f64 = r.gen::<f64>() * std::f64::consts::TAU;
+fn ellipsoid_surface(r: &mut ChaCha8, c: [f64; 3], radii: [f64; 3]) -> [f64; 3] {
+    // Random direction via trig method: z uniform in [-1, 1).
+    let z = -1.0 + r.unit() * 2.0;
+    let theta = r.unit() * std::f64::consts::TAU;
     let rho = (1.0 - z * z).sqrt();
     let dir = [rho * theta.cos(), rho * theta.sin(), z];
     [
@@ -131,57 +204,13 @@ fn ellipsoid_surface(r: &mut ChaCha8Rng, c: [f64; 3], radii: [f64; 3]) -> [f64; 
 
 /// A point on a circular ring of the given radius around `c` in the y/z-ish
 /// normal plane (used to shell out tube-like body parts).
-fn tube_ring(r: &mut ChaCha8Rng, c: [f64; 3], radius: f64) -> [f64; 3] {
-    let theta: f64 = r.gen::<f64>() * std::f64::consts::TAU;
+fn tube_ring(r: &mut ChaCha8, c: [f64; 3], radius: f64) -> [f64; 3] {
+    let theta = r.unit() * std::f64::consts::TAU;
     [
         c[0],
         c[1] + radius * theta.cos(),
         c[2] + radius * theta.sin(),
     ]
-}
-
-/// `n` points from a mixture of `k` spherical Gaussian clusters with the
-/// given standard deviation, centers uniform in the unit cube.
-pub fn gaussian_mixture(n: usize, dim: usize, k: usize, sigma: f64, seed: u64) -> PointSet {
-    assert!(k > 0);
-    let mut r = rng(seed);
-    let centers = uniform_cube(k, dim, seed ^ 0xC0FFEE);
-    PointSet::from_fn(n, dim, |i, kdim| {
-        let c = centers.point(i % k)[kdim];
-        // Box-Muller normal.
-        let u1: f64 = r.gen::<f64>().max(1e-300);
-        let u2: f64 = r.gen();
-        c + sigma * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    })
-}
-
-/// Regular grid with `m` points per axis in `[0,1]^dim` (`m^dim` points).
-pub fn grid(m: usize, dim: usize) -> PointSet {
-    let n = m.pow(dim as u32);
-    PointSet::from_fn(n, dim, |i, k| {
-        let idx = (i / m.pow(k as u32)) % m;
-        if m == 1 {
-            0.5
-        } else {
-            idx as f64 / (m - 1) as f64
-        }
-    })
-}
-
-/// `n` points uniform in a 2D annulus with the given radii.
-pub fn annulus(n: usize, r_in: f64, r_out: f64, seed: u64) -> PointSet {
-    assert!(0.0 <= r_in && r_in < r_out);
-    let mut r = rng(seed);
-    let mut coords = Vec::with_capacity(n * 2);
-    for _ in 0..n {
-        // Area-uniform radius.
-        let u: f64 = r.gen();
-        let rad = (r_in * r_in + u * (r_out * r_out - r_in * r_in)).sqrt();
-        let theta: f64 = r.gen::<f64>() * std::f64::consts::TAU;
-        coords.push(rad * theta.cos());
-        coords.push(rad * theta.sin());
-    }
-    PointSet::new(2, coords)
 }
 
 /// The paper's named distributions, for harness CLI parsing.
@@ -274,31 +303,40 @@ mod tests {
     }
 
     #[test]
-    fn grid_counts_and_corners() {
-        let g = grid(3, 2);
-        assert_eq!(g.len(), 9);
-        assert!(g.iter().any(|p| p == [0.0, 0.0]));
-        assert!(g.iter().any(|p| p == [1.0, 1.0]));
-        assert!(g.iter().any(|p| p == [0.5, 0.5]));
-        let g1 = grid(1, 3);
-        assert_eq!(g1.len(), 1);
-        assert_eq!(g1.point(0), &[0.5, 0.5, 0.5]);
-    }
-
-    #[test]
-    fn annulus_radii_respected() {
-        let a = annulus(300, 0.5, 1.0, 11);
-        for p in a.iter() {
-            let r = (p[0] * p[0] + p[1] * p[1]).sqrt();
-            assert!((0.5 - 1e-12..=1.0 + 1e-12).contains(&r));
-        }
-    }
-
-    #[test]
-    fn mixture_clusters() {
-        let m = gaussian_mixture(400, 2, 4, 0.01, 9);
-        assert_eq!(m.len(), 400);
-        assert_eq!(m.dim(), 2);
+    fn generated_point_sets_keep_their_bits() {
+        // FNV-1a over every coordinate's bits at seeds 0, 1, 42 and u64::MAX:
+        // a stream or a draw that moves by one bit changes the hash.
+        let hash = |gen: &dyn Fn(u64) -> PointSet| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for seed in [0, 1, 42, u64::MAX] {
+                for x in gen(seed).coords() {
+                    h = (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            h
+        };
+        let n = 1000;
+        let got = [
+            hash(&|s| uniform_cube(n, 1, s)),
+            hash(&|s| uniform_cube(n, 2, s)),
+            hash(&|s| uniform_cube(n, 3, s)),
+            hash(&|s| uniform_cube(n, 5, s)),
+            hash(&|s| sphere_surface(n, 2, s)),
+            hash(&|s| sphere_surface(n, 3, s)),
+            hash(&|s| sphere_surface(n, 5, s)),
+            hash(&|s| dino(n, s)),
+        ];
+        let want = [
+            0x8d04_6525_2bf3_ab5b,
+            0xdee9_a9bc_a3c0_c422,
+            0x8b19_8fef_17e4_a6eb,
+            0xc7f6_6776_8078_cf17,
+            0x786c_53c0_3daf_9d33,
+            0x51d1_3c96_05b4_4f26,
+            0x6588_8b21_712f_8d4f,
+            0x91c0_eec6_82bb_f93c,
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

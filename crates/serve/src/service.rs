@@ -322,18 +322,16 @@ impl<S: Scalar, O: H2Operator<S>> MatvecService<O, S> {
             .iter()
             .map(|(_, p)| t0.saturating_duration_since(p.enqueued))
             .collect();
-        let results: Result<Vec<Vec<S>>, _> = if batch.len() == 1 {
-            // Singleton fast path: no panel gather/scatter.
-            self.op.try_matvec(&batch[0].1.rhs).map(|y| vec![y])
-        } else {
-            let mut panel = MatrixS::<S>::zeros(n, batch.len());
-            for (c, (_, p)) in batch.iter().enumerate() {
-                panel.col_mut(c).copy_from_slice(&p.rhs);
-            }
-            self.op
-                .try_matmat(&panel)
-                .map(|out| (0..batch.len()).map(|c| out.col(c).to_vec()).collect())
-        };
+        // A batch of one is a one-column panel: every backend gives it the
+        // vector product's bits.
+        let mut panel = MatrixS::<S>::zeros(n, batch.len());
+        for (c, (_, p)) in batch.iter().enumerate() {
+            panel.col_mut(c).copy_from_slice(&p.rhs);
+        }
+        let results: Result<Vec<Vec<S>>, _> = self
+            .op
+            .try_matmat(&panel)
+            .map(|out| (0..batch.len()).map(|c| out.col(c).to_vec()).collect());
         let busy = t0.elapsed();
         drop(sp);
         self.metrics.record_sweep(batch.len(), busy, &waits);

@@ -10,15 +10,15 @@
 //! This facade re-exports the workspace crates under one roof:
 //!
 //! - [`linalg`] — matrices, QR/pivoted QR, interpolative decomposition, LU,
-//!   Cholesky, Jacobi SVD;
-//! - [`points`] — point sets, generators (cube/sphere/dino/…), cluster
-//!   trees, admissibility lists;
+//!   Cholesky;
+//! - [`points`] — point sets, generators (cube/sphere/dino), cluster trees,
+//!   admissibility lists;
 //! - [`kernels`] — Coulomb, cubed Coulomb, exponential, Gaussian, Matérn, …
 //!   with blocked evaluation;
-//! - [`sampling`] — anchor nets, Nyström baselines, hierarchical sampling
-//!   (the paper's Algorithm 1), farfield range sampling;
+//! - [`sampling`] — anchor nets, hierarchical sampling (the paper's
+//!   Algorithm 1), farfield range sampling;
 //! - [`sketch`] — the randomized sketched construction path: counter-based
-//!   splitmix64 RNG, Gaussian/SRHT test matrices, adaptive-rank sketching;
+//!   splitmix64 RNG, Gaussian test matrices, adaptive-rank sketching;
 //! - [`h2`] — the H² matrix itself: builders, matvec (Algorithm 2), memory
 //!   accounting;
 //! - [`solvers`] — CG / GMRES over matrix-free [`h2::H2Operator`]s;

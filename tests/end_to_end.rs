@@ -159,16 +159,17 @@ fn proxy_surface_method_reaches_tolerance() {
 
 #[test]
 fn composite_kernel_end_to_end() {
-    use h2mv::kernels::{Scaled, Sum};
+    // A caller's own kernel, `0.5·exp(−r) + Gaussian`, through the trait's
+    // entrywise defaults: the data-driven sampling never looks at the kernel.
+    struct ScaledExpPlusGaussian;
+    impl Kernel for ScaledExpPlusGaussian {
+        fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
+            0.5 * Exponential.eval(x, y) + Gaussian { h: 0.3 }.eval(x, y)
+        }
+    }
     let n = 800;
     let pts = h2mv::points::gen::uniform_cube(n, 3, 23);
-    let kernel = Sum {
-        a: Scaled {
-            inner: Exponential,
-            alpha: 0.5,
-        },
-        b: Gaussian { h: 0.3 },
-    };
+    let kernel = ScaledExpPlusGaussian;
     let cfg = H2Config {
         basis: BasisMethod::data_driven_for_tol(1e-6, 3),
         mode: MemoryMode::OnTheFly,
