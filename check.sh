@@ -40,7 +40,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, two unsafe AVX2 dispatches, none in sweep.rs, one in panel.rs, no arch intrinsics), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), point RNG (vendor/ holds proptest and serde_json alone, no manifest names rand, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] entry named by its crate's src/ or tests/), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic), bench binary and result (each named by run_harness.sh or check.sh) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, two unsafe AVX2 dispatches, none in sweep.rs, one in panel.rs, no arch intrinsics), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic), bench binary and result (each named by run_harness.sh or check.sh) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -77,16 +77,20 @@ if grep -rnE "(std|core)::arch::" crates/*/src; then echo "an arch intrinsic pat
 if grep -rniE "trait Sampler|dyn Sampler|SketchKind|srht" crates/*/src; then echo "the sampler extension point or the second sketch ensemble is back"; exit 1; fi
 if grep -rnE "dot_apply|Fetched::Generated|kernel_matrix_s|coupling_block_s" crates/*/src; then echo "the second arithmetic class is back"; exit 1; fi
 if grep -n "\[features\]" crates/*/Cargo.toml; then echo "a crate has a [features] table"; exit 1; fi
-# Two vendored stand-ins, and the point generators own their ChaCha8 stream.
-# (benchmark/Cargo.lock is the benchmark's own and is not checked here.)
+# One vendored stand-in; h2-points' gen.rs owns the one RNG (a ChaCha8 stream)
+# and the property tests' case loop. (benchmark/Cargo.lock is the
+# benchmark's own and is not checked here.)
 VENDORED=$(ls vendor | tr '\n' ' ')
-[ "$VENDORED" = "proptest serde_json " ] || { echo "vendor/ must hold proptest and serde_json alone: $VENDORED"; exit 1; }
-if grep -nwE "rand|rand_chacha" $MANIFESTS; then echo "a manifest or Cargo.lock names rand"; exit 1; fi
+[ "$VENDORED" = "serde_json " ] || { echo "vendor/ must be exactly serde_json: $VENDORED"; exit 1; }
+if grep -nwE "rand|rand_chacha|proptest" $MANIFESTS; then echo "a manifest or Cargo.lock names rand or proptest"; exit 1; fi
+if grep -rnE "proptest!|prop_assert|ProptestConfig" crates src tests examples; then
+  echo "a proptest macro is back; property tests run on h2_points::gen::cases"; exit 1
+fi
 CHACHA=$(grep -rl "ChaCha" crates/*/src src | tr '\n' ' ')
 [ "$CHACHA" = "crates/points/src/gen.rs " ] || { echo "ChaCha outside crates/points/src/gen.rs: $CHACHA"; exit 1; }
 for manifest in Cargo.toml crates/*/Cargo.toml; do
   dir=$(dirname "$manifest")
-  deps=$(awk '/^\[/ { on = ($0 == "[dependencies]") } on && /^[a-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest")
+  deps=$(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]") } on && /^[a-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest")
   for dep in $deps; do
     grep -rqw "${dep//-/_}" "$dir/src" $(find "$dir" -maxdepth 1 -name tests) \
       || { echo "$manifest depends on $dep, which nothing under $dir/src or $dir/tests names"; exit 1; }

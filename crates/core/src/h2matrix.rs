@@ -513,20 +513,9 @@ impl<S: Scalar> H2MatrixS<S> {
 mod tests {
     use super::*;
     use crate::config::{BasisMethod, H2Config};
+    use crate::error_est::probe_vector;
     use h2_kernels::{dense_matvec, Coulomb, Exponential, Gaussian};
     use h2_points::gen;
-
-    fn random_vec(n: usize, seed: u64) -> Vec<f64> {
-        let mut state = seed | 1;
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-            })
-            .collect()
-    }
 
     fn build(
         n: usize,
@@ -565,7 +554,7 @@ mod tests {
             MemoryMode::Normal,
             Arc::new(Coulomb),
         );
-        let b = random_vec(800, 5);
+        let b = probe_vector(800, 5);
         let y = h2.matvec(&b);
         let z = dense_matvec(&Coulomb, h2.tree().points(), &b);
         let err = h2_linalg::vec_ops::rel_err(&y, &z);
@@ -581,7 +570,7 @@ mod tests {
             MemoryMode::Normal,
             Arc::new(Coulomb),
         );
-        let b = random_vec(600, 6);
+        let b = probe_vector(600, 6);
         let y = h2.matvec(&b);
         let z = dense_matvec(&Coulomb, h2.tree().points(), &b);
         let err = h2_linalg::vec_ops::rel_err(&y, &z);
@@ -603,7 +592,7 @@ mod tests {
         };
         let normal = mk(MemoryMode::Normal);
         let otf = mk(MemoryMode::OnTheFly);
-        let b = random_vec(700, 7);
+        let b = probe_vector(700, 7);
         // Same generators, same blocks, same arithmetic.
         assert_eq!(normal.matvec(&b), otf.matvec(&b));
     }
@@ -621,8 +610,8 @@ mod tests {
             };
             H2Matrix::build(&pts, Arc::new(Exponential), &cfg)
         };
-        let y1 = mk(MemoryMode::Normal).matvec(&random_vec(500, 8));
-        let y2 = mk(MemoryMode::OnTheFly).matvec(&random_vec(500, 8));
+        let y1 = mk(MemoryMode::Normal).matvec(&probe_vector(500, 8));
+        let y2 = mk(MemoryMode::OnTheFly).matvec(&probe_vector(500, 8));
         assert_eq!(y1, y2);
     }
 
@@ -708,7 +697,7 @@ mod tests {
             ..H2Config::default()
         };
         let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
-        let b = random_vec(400, 9);
+        let b = probe_vector(400, 9);
         let y = h2.matvec(&b);
         let est = h2.estimate_rel_error(&b, &y, 50, 123);
         let z = dense_matvec(&Coulomb, &pts, &b);
@@ -770,7 +759,7 @@ mod tests {
             MemoryMode::OnTheFly,
             Arc::new(Coulomb),
         );
-        let b = random_vec(400, 31);
+        let b = probe_vector(400, 31);
         let mut y = vec![f64::NAN; 400]; // must be fully overwritten
         h2.matvec_into(&b, &mut y);
         assert_eq!(y, h2.matvec(&b));
@@ -826,7 +815,7 @@ mod tests {
             MemoryMode::OnTheFly,
             Arc::new(Coulomb),
         );
-        let b = random_vec(700, 15);
+        let b = probe_vector(700, 15);
         let y = h2.matvec(&b);
         let z = dense_matvec(&Coulomb, h2.tree().points(), &b);
         let err = h2_linalg::vec_ops::rel_err(&y, &z);
@@ -842,8 +831,8 @@ mod tests {
             MemoryMode::OnTheFly,
             Arc::new(Exponential),
         );
-        let a = random_vec(300, 10);
-        let b = random_vec(300, 11);
+        let a = probe_vector(300, 10);
+        let b = probe_vector(300, 11);
         let ab: Vec<f64> = a.iter().zip(&b).map(|(x, y)| 2.0 * x - 3.0 * y).collect();
         let ya = h2.matvec(&a);
         let yb = h2.matvec(&b);

@@ -522,6 +522,7 @@ impl<S: Scalar> H2MatrixS<S> {
 mod tests {
     use super::*;
     use crate::config::{BasisMethod, H2Config, MemoryMode};
+    use crate::error_est::probe_vector;
     use crate::h2matrix::H2Matrix;
     use h2_kernels::{dense_matvec, Coulomb};
     use h2_linalg::Matrix;
@@ -540,21 +541,9 @@ mod tests {
         H2Matrix::build(&pts, Arc::new(Coulomb), &cfg)
     }
 
-    fn random_vec(n: usize, seed: u64) -> Vec<f64> {
-        let mut state = seed | 1;
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-            })
-            .collect()
-    }
-
     fn check_accuracy(h2: &H2Matrix, tol: f64) {
         let n = h2.n();
-        let b = random_vec(n, 77);
+        let b = probe_vector(n, 77);
         let y = h2.matvec(&b);
         let z = dense_matvec(&Coulomb, h2.tree().points(), &b);
         let err = h2_linalg::vec_ops::rel_err(&y, &z);
@@ -600,7 +589,7 @@ mod tests {
             };
             assert!(same(&a.bases, &b.bases), "{mode:?}: bases");
             assert!(same(&a.transfers, &b.transfers), "{mode:?}: transfers");
-            let x = random_vec(900, 21);
+            let x = probe_vector(900, 21);
             assert_eq!(fresh.matvec(&x), h2.matvec(&x), "{mode:?}: matvec");
         }
     }
@@ -687,7 +676,7 @@ mod tests {
             };
             H2Matrix::build(h2.tree().points(), Arc::new(Coulomb), &cfg)
         };
-        let b = random_vec(h2.n(), 9);
+        let b = probe_vector(h2.n(), 9);
         let yu = h2.matvec(&b);
         let yf = fresh.matvec(&b);
         let z = dense_matvec(&Coulomb, h2.tree().points(), &b);
@@ -763,12 +752,12 @@ mod tests {
             ..H2Config::default()
         };
         let mut h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
-        let b = random_vec(800, 13);
+        let b = probe_vector(800, 13);
         let _ = h2.matvec(&b); // populate
         let mut ins = PointSet::new(3, vec![]);
         ins.push(&[0.42, 0.17, 0.88]);
         h2.insert_points(&ins).unwrap();
-        let b2 = random_vec(801, 14);
+        let b2 = probe_vector(801, 14);
         let _ = h2.matvec(&b2);
         // Zero stale-epoch residency: every resident key's epoch equals
         // its pair's current epoch.

@@ -8,6 +8,7 @@
 //! and the mixed mode (`f32` storage, `f64` accumulation) must not be worse
 //! than pure `f32`.
 
+use h2_core::error_est::probe_vector;
 use h2_core::{BasisMethod, H2Config, H2MatrixS, MemoryMode};
 use h2_kernels::{Coulomb, Exponential, Gaussian, Kernel};
 use h2_linalg::{vec_ops, Matrix, MatrixS};
@@ -26,22 +27,10 @@ fn cfg(mode: MemoryMode) -> H2Config {
     }
 }
 
-fn rhs(n: usize, seed: u64) -> Vec<f64> {
-    let mut state = seed | 1;
-    (0..n)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-        })
-        .collect()
-}
-
 #[test]
 fn f32_matvec_tracks_f64_across_kernels_and_modes() {
     let pts = gen::uniform_cube(N, 3, 17);
-    let b64 = rhs(N, 3);
+    let b64 = probe_vector(N, 3);
     let b32: Vec<f32> = b64.iter().map(|&v| v as f32).collect();
     let kernels: Vec<(&str, Arc<dyn Kernel>)> = vec![
         ("coulomb", Arc::new(Coulomb)),
@@ -92,7 +81,7 @@ fn f32_matmat_tracks_f64_and_stays_bitwise_columnwise() {
 #[test]
 fn mixed_precision_end_to_end_beats_or_matches_f32() {
     let pts = gen::uniform_cube(N, 3, 29);
-    let b = rhs(N, 7);
+    let b = probe_vector(N, 7);
     let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
     for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
         let c = cfg(mode);
@@ -132,7 +121,7 @@ fn f32_storage_halves_scalar_payload() {
 #[test]
 fn f32_estimate_rel_error_reports_single_precision_floor() {
     let pts = gen::uniform_cube(N, 3, 37);
-    let b = rhs(N, 11);
+    let b = probe_vector(N, 11);
     let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
     let h32 = H2MatrixS::<f32>::build(&pts, Arc::new(Coulomb), &cfg(MemoryMode::OnTheFly));
     let y32 = h32.matvec(&b32);

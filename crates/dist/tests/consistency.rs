@@ -7,6 +7,7 @@
 //! tolerance contract holds with margin. `n = 603` is deliberately not
 //! divisible by any tested shard count.
 
+use h2_core::error_est::probe_vector;
 use h2_core::{BasisMethod, H2Config, H2Matrix, H2Operator, MemoryMode};
 use h2_dist::{run_coordinator, run_shard, ChannelEndpoint, ShardedH2};
 use h2_kernels::{Coulomb, Exponential, Kernel};
@@ -30,18 +31,6 @@ fn build(kernel: Arc<dyn Kernel>, mode: MemoryMode) -> Arc<H2Matrix> {
     Arc::new(H2Matrix::build(&pts, kernel, &cfg))
 }
 
-fn rhs(seed: u64) -> Vec<f64> {
-    let mut state = seed | 1;
-    (0..N)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-        })
-        .collect()
-}
-
 #[test]
 fn sharded_equals_serial_across_kernels_modes_and_shard_counts() {
     let kernels: [(&str, Arc<dyn Kernel>); 2] = [
@@ -51,7 +40,7 @@ fn sharded_equals_serial_across_kernels_modes_and_shard_counts() {
     for (kname, kernel) in kernels {
         for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
             let h2 = build(kernel.clone(), mode);
-            let b = rhs(7);
+            let b = probe_vector(N, 7);
             let serial = h2.matvec(&b);
             for shards in SHARDS {
                 let sh = ShardedH2::new(h2.clone(), shards)
@@ -81,7 +70,7 @@ fn ranks_stay_at_width_one_under_a_wide_pool() {
     let helpers = || h2_telemetry::local_scope();
     h2_linalg::exec::Width::new(4).install(|| {
         let h2 = build(Arc::new(Coulomb), MemoryMode::OnTheFly);
-        let b = rhs(13);
+        let b = probe_vector(N, 13);
         let wide = helpers();
         let serial = h2.matvec(&b);
         assert_eq!(wide.count("sweep.helper_threads"), 3, "serial width");
@@ -118,7 +107,7 @@ fn ranks_stay_at_width_one_under_a_wide_pool() {
 #[test]
 fn sharded_equals_serial_at_deeper_explicit_levels() {
     let h2 = build(Arc::new(Coulomb), MemoryMode::OnTheFly);
-    let b = rhs(11);
+    let b = probe_vector(N, 11);
     let serial = h2.matvec(&b);
     let depth = h2.tree().depth();
     for level in 1..=depth {
@@ -135,7 +124,7 @@ fn per_matvec_traffic_is_mode_independent() {
     // Only coefficient panels move at matvec time, so stored and
     // on-the-fly runs exchange exactly the same bytes; the modes differ in
     // the modeled one-time setup traffic instead.
-    let b = rhs(13);
+    let b = probe_vector(N, 13);
     let mut per_mode = Vec::new();
     for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
         let sh = ShardedH2::new(build(Arc::new(Coulomb), mode), 4).unwrap();
@@ -162,7 +151,7 @@ fn cg_solves_through_a_sharded_operator() {
     let h2 = build(Arc::new(Exponential), MemoryMode::OnTheFly);
     let sh = ShardedH2::new(h2.clone(), 3).unwrap();
     let op = ShiftedOperator::new(&sh, 2.0);
-    let b = rhs(19);
+    let b = probe_vector(N, 19);
     let sol = cg(&op, &b, &CgOptions::default()).unwrap();
     assert!(sol.rel_residual < 1e-8, "residual {}", sol.rel_residual);
     // Identical system through the serial operator → identical iterates.
@@ -177,13 +166,15 @@ fn matvec_service_serves_a_sharded_operator() {
     let h2 = build(Arc::new(Coulomb), MemoryMode::Normal);
     let sh = Arc::new(ShardedH2::new(h2.clone(), 2).unwrap());
     let svc = MatvecService::new(sh, 4);
-    let tickets: Vec<_> = (0..6).map(|s| svc.submit(rhs(100 + s)).unwrap()).collect();
+    let tickets: Vec<_> = (0..6)
+        .map(|s| svc.submit(probe_vector(N, 100 + s)).unwrap())
+        .collect();
     let report = svc.drain();
     assert_eq!(report.requests, 6);
     for (s, t) in tickets.into_iter().enumerate() {
         assert_eq!(
             t.wait().unwrap(),
-            h2.matvec(&rhs(100 + s as u64)),
+            h2.matvec(&probe_vector(N, 100 + s as u64)),
             "request {s}"
         );
     }
@@ -196,7 +187,7 @@ fn matvec_service_serves_a_sharded_operator() {
 fn matvec_into_and_matmat_defaults_work() {
     let h2 = build(Arc::new(Coulomb), MemoryMode::OnTheFly);
     let sh = ShardedH2::new(h2, 2).unwrap();
-    let b = rhs(23);
+    let b = probe_vector(N, 23);
     let mut y = vec![f64::NAN; N];
     sh.matvec_into(&b, &mut y);
     assert_eq!(y, ShardedH2::matvec(&sh, &b));

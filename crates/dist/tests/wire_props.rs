@@ -7,7 +7,9 @@ use h2_dist::wire::{
 };
 use h2_dist::{Message, Panel};
 use h2_linalg::Scalar;
-use proptest::prelude::*;
+use h2_points::gen::cases;
+
+const CASES: u64 = 48;
 
 /// Builds a deterministic message from seeds: `npanels` panels whose
 /// lengths cycle through {0, 1, …} so empty panels appear routinely.
@@ -28,51 +30,50 @@ fn msg_from_seeds<A: Scalar>(npanels: usize, len_seed: usize, val_seed: u64) -> 
 
 /// Frame → header decode → payload decode must reproduce the message and
 /// match the byte model, for one scalar type.
-fn roundtrip_one<A: Scalar>(tag: h2_dist::Tag, msg: &Message<A>) -> Result<(), TestCaseError> {
+fn roundtrip_one<A: Scalar>(tag: h2_dist::Tag, msg: &Message<A>) {
     let frame = data_frame(2, 5, tag, msg);
-    prop_assert_eq!(frame.len() as u64, msg.bytes(), "frame size model");
-    let h = FrameHeader::decode(&frame[..FRAME_HEADER_BYTES])
-        .map_err(|e| TestCaseError::fail(e.to_string()))?;
-    prop_assert_eq!(h.kind, FrameKind::Data);
-    prop_assert_eq!(wire::tag_from_code(h.tag), Some(tag));
-    prop_assert_eq!((h.src, h.dst), (2, 5));
-    prop_assert_eq!(h.scalar, A::CODE);
-    prop_assert_eq!(h.panels as usize, msg.panels.len());
-    prop_assert_eq!(h.payload_len as usize, frame.len() - FRAME_HEADER_BYTES);
+    assert_eq!(frame.len() as u64, msg.bytes(), "frame size model");
+    let h = FrameHeader::decode(&frame[..FRAME_HEADER_BYTES]).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(h.kind, FrameKind::Data);
+    assert_eq!(wire::tag_from_code(h.tag), Some(tag));
+    assert_eq!((h.src, h.dst), (2, 5));
+    assert_eq!(h.scalar, A::CODE);
+    assert_eq!(h.panels as usize, msg.panels.len());
+    assert_eq!(h.payload_len as usize, frame.len() - FRAME_HEADER_BYTES);
     let back = decode_message::<A>(h.scalar, h.panels, &frame[FRAME_HEADER_BYTES..])
-        .map_err(|e| TestCaseError::fail(e.to_string()))?;
-    prop_assert_eq!(&back, msg);
-    Ok(())
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(&back, msg);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Random (tag, panel count, lengths, values) round-trip bit-exactly
+/// for both scalar codes through the same frame bytes layout.
+#[test]
+fn every_tag_and_scalar_round_trips() {
+    cases(CASES, |r| {
+        let tag = ALL_TAGS[r.below(7)];
+        let npanels = r.below(5);
+        let len_seed = r.below(9);
+        let val_seed = r.below(1_000) as u64;
+        roundtrip_one::<f64>(tag, &msg_from_seeds(npanels, len_seed, val_seed));
+        roundtrip_one::<f32>(tag, &msg_from_seeds(npanels, len_seed, val_seed));
+    });
+}
 
-    /// Random (tag, panel count, lengths, values) round-trip bit-exactly
-    /// for both scalar codes through the same frame bytes layout.
-    #[test]
-    fn every_tag_and_scalar_round_trips(
-        (tag_idx, npanels, len_seed, val_seed) in (0usize..7, 0usize..5, 0usize..9, 0u64..1_000)
-    ) {
-        let tag = ALL_TAGS[tag_idx];
-        roundtrip_one::<f64>(tag, &msg_from_seeds(npanels, len_seed, val_seed))?;
-        roundtrip_one::<f32>(tag, &msg_from_seeds(npanels, len_seed, val_seed))?;
-    }
-
-    /// A truncated payload is a typed decode error, never a panic, at any
-    /// cut point.
-    #[test]
-    fn truncated_payloads_error_cleanly(
-        (cut_seed, val_seed) in (0usize..10_000, 0u64..1_000)
-    ) {
+/// A truncated payload is a typed decode error, never a panic, at any
+/// cut point.
+#[test]
+fn truncated_payloads_error_cleanly() {
+    cases(CASES, |r| {
+        let cut_seed = r.below(10_000);
+        let val_seed = r.below(1_000) as u64;
         let msg: Message<f64> = msg_from_seeds(4, 5, val_seed);
         let frame = data_frame(0, 1, h2_dist::Tag::HaloQ, &msg);
         let payload = &frame[FRAME_HEADER_BYTES..];
         if !payload.is_empty() {
             let cut = cut_seed % payload.len();
-            prop_assert!(decode_message::<f64>(8, 4, &payload[..cut]).is_err());
+            assert!(decode_message::<f64>(8, 4, &payload[..cut]).is_err());
         }
-    }
+    });
 }
 
 /// Exhaustive floor under the property test: every `Tag` × scalar code
@@ -97,7 +98,7 @@ fn all_tags_scalars_and_empty_shapes_round_trip() {
                 },
             ]),
         ] {
-            roundtrip_one::<f64>(tag, &msg).unwrap();
+            roundtrip_one::<f64>(tag, &msg);
         }
         for msg in [
             Message::<f32>::default(),
@@ -110,7 +111,7 @@ fn all_tags_scalars_and_empty_shapes_round_trip() {
                 data: vec![0.25f32; 5],
             }]),
         ] {
-            roundtrip_one::<f32>(tag, &msg).unwrap();
+            roundtrip_one::<f32>(tag, &msg);
         }
     }
 }

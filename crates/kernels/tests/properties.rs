@@ -5,8 +5,10 @@ use h2_kernels::{
     InverseMultiquadric, Kernel, Matern32, ThinPlateSpline,
 };
 use h2_linalg::chol::Cholesky;
-use h2_points::{gen, PointSet};
-use proptest::prelude::*;
+use h2_points::gen::{self, cases};
+use h2_points::PointSet;
+
+const CASES: u64 = 20;
 
 fn kernels() -> Vec<Box<dyn Kernel>> {
     vec![
@@ -25,19 +27,14 @@ fn kernels() -> Vec<Box<dyn Kernel>> {
 const TILE: usize = 1024;
 
 /// Both blocked entry points against the scalar reference, on bits.
-fn assert_block_bits(
-    k: &dyn Kernel,
-    pts: &PointSet,
-    rows: &[usize],
-    cols: &[usize],
-) -> Result<(), TestCaseError> {
+fn assert_block_bits(k: &dyn Kernel, pts: &PointSet, rows: &[usize], cols: &[usize]) {
     let block = kernel_matrix(k, pts, rows, cols);
     let cross = kernel_cross_matrix(k, &pts.select(rows), &pts.select(cols));
     for (jj, &c) in cols.iter().enumerate() {
         for (ii, &r) in rows.iter().enumerate() {
             let want = k.eval(pts.point(r), pts.point(c)).to_bits();
             for (entry, got) in [("block", block[(ii, jj)]), ("cross", cross[(ii, jj)])] {
-                prop_assert_eq!(
+                assert_eq!(
                     got.to_bits(),
                     want,
                     "eval_{}_into, {} dim {} at ({}, {})",
@@ -50,25 +47,30 @@ fn assert_block_bits(
             }
         }
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
-
-    #[test]
-    fn kernel_matrices_are_symmetric(n in 2usize..30, dim in 1usize..5, seed in 0u64..500) {
+#[test]
+fn kernel_matrices_are_symmetric() {
+    cases(CASES, |r| {
+        let n = 2 + r.below(28);
+        let dim = 1 + r.below(4);
+        let seed = r.below(500) as u64;
         let pts = gen::uniform_cube(n, dim, seed);
         let idx: Vec<usize> = (0..n).collect();
         for k in kernels() {
             let m = kernel_matrix(k.as_ref(), &pts, &idx, &idx);
             let diff = m.sub(&m.transpose()).max_abs();
-            prop_assert!(diff == 0.0, "{} not symmetric", Kernel::name(k.as_ref()));
+            assert!(diff == 0.0, "{} not symmetric", Kernel::name(k.as_ref()));
         }
-    }
+    });
+}
 
-    #[test]
-    fn blocked_eval_matches_pointwise(n in 4usize..25, dim in 1usize..4, seed in 0u64..500) {
+#[test]
+fn blocked_eval_matches_pointwise() {
+    cases(CASES, |r| {
+        let n = 4 + r.below(21);
+        let dim = 1 + r.below(3);
+        let seed = r.below(500) as u64;
         let pts = gen::uniform_cube(n, dim, seed);
         let rows: Vec<usize> = (0..n / 2).collect();
         let cols: Vec<usize> = (n / 2..n).collect();
@@ -76,7 +78,7 @@ proptest! {
             let m = kernel_matrix(k.as_ref(), &pts, &rows, &cols);
             for (ii, &r) in rows.iter().enumerate() {
                 for (jj, &c) in cols.iter().enumerate() {
-                    prop_assert_eq!(m[(ii, jj)], k.eval(pts.point(r), pts.point(c)));
+                    assert_eq!(m[(ii, jj)], k.eval(pts.point(r), pts.point(c)));
                 }
             }
         }
@@ -91,15 +93,19 @@ proptest! {
                 for n in [0, 1, 7] {
                     let cols: Vec<usize> = (0..n).map(|j| (j % 4) * 10).collect();
                     for k in kernels() {
-                        assert_block_bits(k.as_ref(), &pts, &rows, &cols)?;
+                        assert_block_bits(k.as_ref(), &pts, &rows, &cols);
                     }
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn apply_block_is_fused_matvec(n in 6usize..25, seed in 0u64..500) {
+#[test]
+fn apply_block_is_fused_matvec() {
+    cases(CASES, |r| {
+        let n = 6 + r.below(19);
+        let seed = r.below(500) as u64;
         let pts = gen::uniform_cube(n, 3, seed);
         let rows: Vec<usize> = (0..n / 2).collect();
         let cols: Vec<usize> = (n / 2..n).collect();
@@ -111,13 +117,17 @@ proptest! {
             let mut y2 = vec![0.25; rows.len()];
             block.matvec_acc(&x, &mut y2);
             for (a, b) in y1.iter().zip(&y2) {
-                prop_assert!((a - b).abs() < 1e-11 * (1.0 + b.abs()));
+                assert!((a - b).abs() < 1e-11 * (1.0 + b.abs()));
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn gaussian_gram_is_positive_definite(n in 3usize..25, seed in 0u64..500) {
+#[test]
+fn gaussian_gram_is_positive_definite() {
+    cases(CASES, |r| {
+        let n = 3 + r.below(22);
+        let seed = r.below(500) as u64;
         // exp(-r^2/h) is strictly PD for distinct points; with a tiny jitter
         // Cholesky must succeed.
         let pts = gen::uniform_cube(n, 3, seed);
@@ -126,17 +136,15 @@ proptest! {
         for i in 0..n {
             m[(i, i)] += 1e-10;
         }
-        prop_assert!(Cholesky::new(m).is_ok());
-    }
+        assert!(Cholesky::new(m).is_ok());
+    });
+}
 
-    #[test]
-    fn radial_kernels_decay(seed in 0u64..500) {
+#[test]
+fn radial_kernels_decay() {
+    cases(CASES, |r| {
         // Monotone decay in distance for the decaying kernels.
-        let mut s = seed | 1;
-        let mut rnd = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0
-        };
+        let mut rnd = || r.unit() * 2.0;
         let r1 = rnd() + 0.01;
         let r2 = r1 + rnd() + 0.01;
         for k in [
@@ -147,19 +155,27 @@ proptest! {
         ] {
             let v1 = k.eval(&[0.0], &[r1]);
             let v2 = k.eval(&[0.0], &[r2]);
-            prop_assert!(v1 >= v2, "{}: K({r1})={v1} < K({r2})={v2}", Kernel::name(k.as_ref()));
+            assert!(
+                v1 >= v2,
+                "{}: K({r1})={v1} < K({r2})={v2}",
+                Kernel::name(k.as_ref())
+            );
         }
-    }
+    });
+}
 
-    #[test]
-    fn dense_matvec_of_ones_is_row_sums(n in 3usize..20, seed in 0u64..300) {
+#[test]
+fn dense_matvec_of_ones_is_row_sums() {
+    cases(CASES, |r| {
+        let n = 3 + r.below(17);
+        let seed = r.below(300) as u64;
         let pts = gen::uniform_cube(n, 2, seed);
         let idx: Vec<usize> = (0..n).collect();
         let m = kernel_matrix(&Exponential, &pts, &idx, &idx);
         let y = dense_matvec(&Exponential, &pts, &vec![1.0; n]);
         for i in 0..n {
             let row_sum: f64 = (0..n).map(|j| m[(i, j)]).sum();
-            prop_assert!((y[i] - row_sum).abs() < 1e-10 * (1.0 + row_sum.abs()));
+            assert!((y[i] - row_sum).abs() < 1e-10 * (1.0 + row_sum.abs()));
         }
-    }
+    });
 }

@@ -5,14 +5,15 @@
 //! points on the surface of a sphere (`sphere`), and a highly non-uniform 3D
 //! surface point cloud standing in for the paper's scanned dinosaur
 //! (`dino`, see DESIGN.md §5). Every generator is a function of its seed
-//! through one private `ChaCha8` stream, so a point set, and every operator
-//! built on it, keeps its bits as long as that stream and the draws do.
+//! through one [`Rng`] stream, so a point set, and every operator built on
+//! it, keeps its bits as long as that stream and the draws do.
 
 use crate::pointset::PointSet;
 
-/// The ChaCha stream cipher with 8 rounds (RFC 8439 quarter-round), keyed
-/// from a `u64` by splitmix64 and read one 32-bit word at a time.
-struct ChaCha8 {
+/// The workspace's one general RNG: the ChaCha stream cipher with 8 rounds
+/// (ChaCha8, RFC 8439 quarter-round), keyed from a `u64` by splitmix64 and
+/// read one 32-bit word at a time.
+pub struct Rng {
     /// Cipher input: constants, 256-bit key, 64-bit block counter, zero nonce.
     state: [u32; 16],
     /// The current output block; `word` is its next unread word.
@@ -20,8 +21,9 @@ struct ChaCha8 {
     word: usize,
 }
 
-impl ChaCha8 {
-    fn new(mut seed: u64) -> Self {
+impl Rng {
+    /// The stream keyed by `seed`.
+    pub fn new(mut seed: u64) -> Self {
         let mut state = [0u32; 16];
         // "expand 32-byte k"
         state[..4].copy_from_slice(&[0x6170_7865, 0x3320_646E, 0x7962_2D32, 0x6B20_6574]);
@@ -33,7 +35,7 @@ impl ChaCha8 {
             z ^= z >> 31;
             key.copy_from_slice(&[z as u32, (z >> 32) as u32]);
         }
-        ChaCha8 {
+        Rng {
             state,
             block: [0; 16],
             word: 16,
@@ -77,25 +79,44 @@ impl ChaCha8 {
         self.block[self.word - 1]
     }
 
-    fn next_u64(&mut self) -> u64 {
+    /// Two words, the first one low.
+    pub fn next_u64(&mut self) -> u64 {
         let lo = u64::from(self.next_u32());
         (u64::from(self.next_u32()) << 32) | lo
     }
 
     /// Uniform in `[0, 1)`: the top 53 bits of a `u64`.
-    fn unit(&mut self) -> f64 {
+    pub fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform over `0..n` by a modulo (exact for a power-of-two `n`).
-    fn below(&mut self, n: usize) -> usize {
+    pub fn below(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
+    }
+}
+
+/// The property tests' case loop: runs `body` on `count` cases, case `c` on
+/// the stream `Rng::new(c)`, so a rerun replays every case. A failing case
+/// panics again with its index and `count` in front of its own message.
+#[doc(hidden)]
+pub fn cases(count: u64, mut body: impl FnMut(&mut Rng)) {
+    for c in 0..count {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut Rng::new(c))));
+        if let Err(payload) = run {
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("a panic without a message");
+            panic!("case {c} of {count} failed: {msg}");
+        }
     }
 }
 
 /// `n` points uniformly random in the unit hypercube `[0, 1]^dim`.
 pub fn uniform_cube(n: usize, dim: usize, seed: u64) -> PointSet {
-    let mut r = ChaCha8::new(seed);
+    let mut r = Rng::new(seed);
     PointSet::from_fn(n, dim, |_, _| r.unit())
 }
 
@@ -103,7 +124,7 @@ pub fn uniform_cube(n: usize, dim: usize, seed: u64) -> PointSet {
 /// dimensions (Gaussian direction method).
 pub fn sphere_surface(n: usize, dim: usize, seed: u64) -> PointSet {
     assert!(dim >= 2, "sphere surface needs dim >= 2");
-    let mut r = ChaCha8::new(seed);
+    let mut r = Rng::new(seed);
     let mut coords = Vec::with_capacity(n * dim);
     let mut buf = vec![0.0f64; dim];
     for _ in 0..n {
@@ -143,7 +164,7 @@ pub fn sphere_surface(n: usize, dim: usize, seed: u64) -> PointSet {
 /// the body, sparse on extremities, with large empty regions in the bounding
 /// box.
 pub fn dino(n: usize, seed: u64) -> PointSet {
-    let mut r = ChaCha8::new(seed);
+    let mut r = Rng::new(seed);
     let mut coords = Vec::with_capacity(n * 3);
     // Part selection weights: body 45%, neck 12%, head 8%, tail 15%, legs 20%.
     for _ in 0..n {
@@ -189,7 +210,7 @@ pub fn dino(n: usize, seed: u64) -> PointSet {
 
 /// Uniform-ish sample on an axis-aligned ellipsoid surface (rejection-free
 /// direction sampling; slight pole bias is irrelevant for our purposes).
-fn ellipsoid_surface(r: &mut ChaCha8, c: [f64; 3], radii: [f64; 3]) -> [f64; 3] {
+fn ellipsoid_surface(r: &mut Rng, c: [f64; 3], radii: [f64; 3]) -> [f64; 3] {
     // Random direction via trig method: z uniform in [-1, 1).
     let z = -1.0 + r.unit() * 2.0;
     let theta = r.unit() * std::f64::consts::TAU;
@@ -204,7 +225,7 @@ fn ellipsoid_surface(r: &mut ChaCha8, c: [f64; 3], radii: [f64; 3]) -> [f64; 3] 
 
 /// A point on a circular ring of the given radius around `c` in the y/z-ish
 /// normal plane (used to shell out tube-like body parts).
-fn tube_ring(r: &mut ChaCha8, c: [f64; 3], radius: f64) -> [f64; 3] {
+fn tube_ring(r: &mut Rng, c: [f64; 3], radius: f64) -> [f64; 3] {
     let theta = r.unit() * std::f64::consts::TAU;
     [
         c[0],
@@ -337,6 +358,24 @@ mod tests {
             0x91c0_eec6_82bb_f93c,
         ];
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_failing_case_names_its_index_and_fails_again_on_a_rerun() {
+        let fourth = || {
+            let payload = std::panic::catch_unwind(|| {
+                let mut run = 0;
+                cases(8, |r| {
+                    run += 1;
+                    assert!(run < 4, "draw {}", r.below(1000));
+                })
+            })
+            .unwrap_err();
+            payload.downcast_ref::<String>().cloned().unwrap()
+        };
+        let msg = fourth();
+        assert!(msg.starts_with("case 3 of 8 failed: draw "), "{msg}");
+        assert_eq!(fourth(), msg, "case 3 draws the same on every run");
     }
 
     #[test]

@@ -1,46 +1,59 @@
 //! Property-based tests for the geometry substrate.
 
 use h2_points::admissibility::build_block_lists;
+use h2_points::gen::{self, cases};
 use h2_points::tree::{ClusterTree, TreeParams};
-use h2_points::{gen, BoundingBox};
-use proptest::prelude::*;
+use h2_points::BoundingBox;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+const CASES: u64 = 24;
 
-    #[test]
-    fn tree_nodes_nest(n in 50usize..600, dim in 1usize..5, seed in 0u64..1000, leaf in 8usize..64) {
+#[test]
+fn tree_nodes_nest() {
+    cases(CASES, |r| {
+        let n = 50 + r.below(550);
+        let dim = 1 + r.below(4);
+        let seed = r.below(1000) as u64;
+        let leaf = 8 + r.below(56);
         let pts = gen::uniform_cube(n, dim, seed);
         let tree = ClusterTree::build(&pts, TreeParams::with_leaf_size(leaf));
         for nd in tree.nodes() {
             for &c in &nd.children {
                 let ch = tree.node(c);
                 // Child ranges nest inside the parent's.
-                prop_assert!(ch.start >= nd.start && ch.end <= nd.end);
+                assert!(ch.start >= nd.start && ch.end <= nd.end);
                 // Child boxes nest inside the parent's box.
                 for k in 0..dim {
-                    prop_assert!(ch.bbox.lo()[k] >= nd.bbox.lo()[k] - 1e-12);
-                    prop_assert!(ch.bbox.hi()[k] <= nd.bbox.hi()[k] + 1e-12);
+                    assert!(ch.bbox.lo()[k] >= nd.bbox.lo()[k] - 1e-12);
+                    assert!(ch.bbox.hi()[k] <= nd.bbox.hi()[k] + 1e-12);
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn median_split_is_balanced(n in 100usize..800, seed in 0u64..1000) {
+#[test]
+fn median_split_is_balanced() {
+    cases(CASES, |r| {
+        let n = 100 + r.below(700);
+        let seed = r.below(1000) as u64;
         let pts = gen::uniform_cube(n, 3, seed);
         let tree = ClusterTree::build(&pts, TreeParams::with_leaf_size(16));
         for nd in tree.nodes() {
             if nd.children.len() == 2 {
                 let l = tree.node(nd.children[0]).len() as i64;
                 let r = tree.node(nd.children[1]).len() as i64;
-                prop_assert!((l - r).abs() <= 1, "unbalanced split {l} vs {r}");
+                assert!((l - r).abs() <= 1, "unbalanced split {l} vs {r}");
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn admissibility_partition_counts(n in 60usize..400, dim in 1usize..4, seed in 0u64..500) {
+#[test]
+fn admissibility_partition_counts() {
+    cases(CASES, |r| {
+        let n = 60 + r.below(340);
+        let dim = 1 + r.below(3);
+        let seed = r.below(500) as u64;
         // Sum over farfield expansions + nearfield equals n^2 exactly
         // (checked on counts — the partition property of the block lists).
         let pts = gen::uniform_cube(n, dim, seed);
@@ -57,11 +70,15 @@ proptest! {
             let b = tree.node(j).len() as u64;
             covered += if i == j { a * b } else { 2 * a * b };
         }
-        prop_assert_eq!(covered, (n as u64) * (n as u64));
-    }
+        assert_eq!(covered, (n as u64) * (n as u64));
+    });
+}
 
-    #[test]
-    fn eta_monotonicity(n in 100usize..400, seed in 0u64..300) {
+#[test]
+fn eta_monotonicity() {
+    cases(CASES, |r| {
+        let n = 100 + r.below(300);
+        let seed = r.below(300) as u64;
         // Stricter separation (smaller eta) can only push pairs down the
         // tree: total points covered by farfield shrinks or stays equal.
         let pts = gen::uniform_cube(n, 3, seed);
@@ -73,37 +90,49 @@ proptest! {
                 .map(|&(i, j)| 2 * (tree.node(i).len() as u64) * (tree.node(j).len() as u64))
                 .sum()
         };
-        prop_assert!(far_points(0.5) <= far_points(0.9));
-    }
+        assert!(far_points(0.5) <= far_points(0.9));
+    });
+}
 
-    #[test]
-    fn bbox_union_contains_both(dim in 1usize..5, seed in 0u64..500) {
+#[test]
+fn bbox_union_contains_both() {
+    cases(CASES, |r| {
+        let dim = 1 + r.below(4);
+        let seed = r.below(500) as u64;
         let a = gen::uniform_cube(20, dim, seed);
         let b = gen::uniform_cube(20, dim, seed ^ 7);
         let ba = BoundingBox::of_all(&a);
         let bb = BoundingBox::of_all(&b);
         let u = ba.union(&bb);
         for p in a.iter().chain(b.iter()) {
-            prop_assert!(u.contains(p));
+            assert!(u.contains(p));
         }
-        prop_assert!(u.diameter() + 1e-12 >= ba.diameter().max(bb.diameter()));
-    }
+        assert!(u.diameter() + 1e-12 >= ba.diameter().max(bb.diameter()));
+    });
+}
 
-    #[test]
-    fn generators_have_exact_counts(n in 1usize..300, dim in 1usize..5, seed in 0u64..100) {
-        prop_assert_eq!(gen::uniform_cube(n, dim, seed).len(), n);
+#[test]
+fn generators_have_exact_counts() {
+    cases(CASES, |r| {
+        let n = 1 + r.below(299);
+        let dim = 1 + r.below(4);
+        let seed = r.below(100) as u64;
+        assert_eq!(gen::uniform_cube(n, dim, seed).len(), n);
         if dim >= 2 {
-            prop_assert_eq!(gen::sphere_surface(n, dim, seed).len(), n);
+            assert_eq!(gen::sphere_surface(n, dim, seed).len(), n);
         }
-        prop_assert_eq!(gen::dino(n, seed).len(), n);
-    }
+        assert_eq!(gen::dino(n, seed).len(), n);
+    });
+}
 
-    #[test]
-    fn well_separated_is_symmetric_and_scale_free(seed in 0u64..500) {
+#[test]
+fn well_separated_is_symmetric_and_scale_free() {
+    cases(CASES, |r| {
+        let seed = r.below(500) as u64;
         let a = gen::uniform_cube(15, 3, seed);
         let b = gen::uniform_cube(15, 3, seed ^ 3);
         let ba = BoundingBox::of_all(&a);
         let bb = BoundingBox::of_all(&b);
-        prop_assert_eq!(ba.well_separated(&bb, 0.7), bb.well_separated(&ba, 0.7));
-    }
+        assert_eq!(ba.well_separated(&bb, 0.7), bb.well_separated(&ba, 0.7));
+    });
 }

@@ -1,10 +1,12 @@
 //! Property-based tests for the sampling substrate.
 
 use h2_points::admissibility::build_block_lists;
+use h2_points::gen::{self, cases};
 use h2_points::tree::{ClusterTree, TreeParams};
-use h2_points::{gen, PointSet};
+use h2_points::PointSet;
 use h2_sampling::*;
-use proptest::prelude::*;
+
+const CASES: u64 = 20;
 
 /// Farthest-point (greedy 2-approximation of k-center) sampling: the
 /// reference `anchor_net_k_center_quality` compares anchor nets against.
@@ -71,30 +73,31 @@ fn farthest_point_maximizes_spread() {
     assert!(spread > 0.8, "spread only {spread}");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
-
-    #[test]
-    fn anchor_net_respects_contract(
-        n in 20usize..200,
-        dim in 1usize..5,
-        m in 1usize..30,
-        seed in 0u64..500,
-    ) {
+#[test]
+fn anchor_net_respects_contract() {
+    cases(CASES, |r| {
+        let n = 20 + r.below(180);
+        let dim = 1 + r.below(4);
+        let m = 1 + r.below(29);
+        let seed = r.below(500) as u64;
         let pts = gen::uniform_cube(n, dim, seed);
         let cand: Vec<usize> = (0..n).collect();
         let out = anchor_net(&pts, &cand, m);
-        prop_assert!(out.len() <= m.min(n));
-        prop_assert!(!out.is_empty());
+        assert!(out.len() <= m.min(n));
+        assert!(!out.is_empty());
         let mut d = out.clone();
         d.sort_unstable();
         d.dedup();
-        prop_assert_eq!(d.len(), out.len(), "duplicated");
-        prop_assert!(out.iter().all(|&i| i < n), "out of range");
-    }
+        assert_eq!(d.len(), out.len(), "duplicated");
+        assert!(out.iter().all(|&i| i < n), "out of range");
+    });
+}
 
-    #[test]
-    fn anchor_net_k_center_quality(n in 80usize..300, seed in 0u64..300) {
+#[test]
+fn anchor_net_k_center_quality() {
+    cases(CASES, |r| {
+        let n = 80 + r.below(220);
+        let seed = r.below(300) as u64;
         // Anchor nets should cover the square comparably to farthest-point
         // (the greedy 2-approximation): every point within a modest factor
         // of the FPS covering radius.
@@ -113,14 +116,15 @@ proptest! {
         };
         let anchor = covering(&anchor_net(&pts, &cand, m));
         let fps = covering(&farthest_point(&pts, &cand, m));
-        prop_assert!(anchor <= 4.0 * fps + 1e-9, "anchor {anchor} vs fps {fps}");
-    }
+        assert!(anchor <= 4.0 * fps + 1e-9, "anchor {anchor} vs fps {fps}");
+    });
+}
 
-    #[test]
-    fn hierarchical_budgets_scale_with_levels(
-        n in 200usize..800,
-        seed in 0u64..300,
-    ) {
+#[test]
+fn hierarchical_budgets_scale_with_levels() {
+    cases(CASES, |r| {
+        let n = 200 + r.below(600);
+        let seed = r.below(300) as u64;
         let pts = gen::uniform_cube(n, 3, seed);
         let tree = ClusterTree::build(&pts, TreeParams::with_leaf_size(25));
         let lists = build_block_lists(&tree, 0.7);
@@ -132,13 +136,17 @@ proptest! {
         // No node at any level may exceed the capped budget,
         // round(base · 2.5).
         for i in 0..tree.node_count() {
-            prop_assert!(s.x_star[i].len() <= 20);
-            prop_assert!(s.y_star[i].len() <= 40);
+            assert!(s.x_star[i].len() <= 20);
+            assert!(s.y_star[i].len() <= 40);
         }
-    }
+    });
+}
 
-    #[test]
-    fn y_star_excludes_own_subtree(n in 150usize..500, seed in 0u64..300) {
+#[test]
+fn y_star_excludes_own_subtree() {
+    cases(CASES, |r| {
+        let n = 150 + r.below(350);
+        let seed = r.below(300) as u64;
         let pts = gen::uniform_cube(n, 2, seed);
         let tree = ClusterTree::build(&pts, TreeParams::with_leaf_size(20));
         let lists = build_block_lists(&tree, 0.7);
@@ -147,15 +155,17 @@ proptest! {
             let own: std::collections::HashSet<usize> =
                 tree.node_indices(i).iter().copied().collect();
             for &p in &s.y_star[i] {
-                prop_assert!(!own.contains(&p), "farfield sample inside node {i}");
+                assert!(!own.contains(&p), "farfield sample inside node {i}");
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn halton_low_discrepancy_in_boxes(k in 1usize..6, seed in 0u64..100) {
+#[test]
+fn halton_low_discrepancy_in_boxes() {
+    cases(CASES, |r| {
+        let k = 1 + r.below(5);
         // The first 2^k - 1 base-2 points cover all 2^(k-1) dyadic bins.
-        let _ = seed;
         let m = (1usize << k) - 1;
         let bins = 1usize << (k - 1);
         let mut hit = vec![false; bins];
@@ -163,8 +173,8 @@ proptest! {
             let x = halton::radical_inverse(i as u64 + 1, 2);
             hit[(x * bins as f64) as usize] = true;
         }
-        prop_assert!(hit.iter().all(|&h| h));
-    }
+        assert!(hit.iter().all(|&h| h));
+    });
 }
 
 #[test]

@@ -329,25 +329,18 @@ mod tests {
         assert!(s.latency_hist.is_empty());
     }
 
-    /// Bytes held by the metric state: three fixed-size histograms plus one
-    /// entry per *distinct* batch size.
-    fn footprint_bytes(m: &ServiceMetrics) -> usize {
-        let g = m.inner.lock().unwrap();
-        g.queue.footprint_bytes()
-            + g.compute.footprint_bytes()
-            + g.latency.footprint_bytes()
-            + g.batch_hist.len() * std::mem::size_of::<(usize, u64)>()
-    }
-
     #[test]
     fn memory_is_constant_in_the_request_count() {
+        // The three histograms are fixed-size by type (`Box<[u64; BUCKETS]>`);
+        // the only state that could grow is one entry per *distinct* batch size.
         let m = ServiceMetrics::new();
+        let batch_sizes = || m.inner.lock().unwrap().batch_hist.len();
         m.record_sweep(
             4,
             Duration::from_micros(100),
             &[Duration::from_micros(7); 4],
         );
-        let small = footprint_bytes(&m);
+        let small = batch_sizes();
         // 100_000+ requests over wildly varying latencies: same footprint.
         for k in 0..25_000u64 {
             let waits = [Duration::from_micros(k % 10_000); 4];
@@ -355,7 +348,7 @@ mod tests {
         }
         assert_eq!(m.snapshot().requests, 100_004);
         assert_eq!(
-            footprint_bytes(&m),
+            batch_sizes(),
             small,
             "per-request state must not grow with traffic"
         );

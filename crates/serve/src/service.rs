@@ -711,8 +711,9 @@ mod tests {
                 Err(ApplyError::new("shard 1 lost: connection closed by peer"))
             }
         }
-        // Both the singleton and the fused path deliver the error through
-        // every ticket of the failed sweep — no hang, no panic.
+        // A batch of one (a one-column `try_matmat`) and a batch of several
+        // both deliver the error through every ticket of the failed sweep —
+        // no hang, no panic.
         for k in [1usize, 4] {
             let svc = MatvecService::new(Arc::new(Broken), k);
             let tickets: Vec<Ticket> = (0..3).map(|_| svc.submit(vec![0.0; 4]).unwrap()).collect();

@@ -4,10 +4,11 @@
 
 use h2_core::{BasisMethod, H2Config, H2Matrix, MemoryMode};
 use h2_kernels::Coulomb;
-use h2_points::gen;
+use h2_points::gen::{self, cases};
 use h2_serve::{codec, LoadError};
-use proptest::prelude::*;
 use std::sync::Arc;
+
+const CASES: u64 = 6;
 
 fn build(n: usize, dim: usize, seed: u64, tol: f64, mode: MemoryMode) -> H2Matrix {
     let pts = gen::uniform_cube(n, dim, seed);
@@ -27,50 +28,62 @@ fn probe(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The loaded operator applies bit-identically to the in-memory one, in
-    /// both memory modes, across sizes/dimensions/datasets.
-    #[test]
-    fn save_load_matvec_is_bit_identical((n, dim, seed) in (150usize..400, 1usize..4, 0u64..1000)) {
+/// The loaded operator applies bit-identically to the in-memory one, in
+/// both memory modes, across sizes/dimensions/datasets.
+#[test]
+fn save_load_matvec_is_bit_identical() {
+    cases(CASES, |r| {
+        let n = 150 + r.below(250);
+        let dim = 1 + r.below(3);
+        let seed = r.below(1000) as u64;
         for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
             let h2 = build(n, dim, seed, 1e-4, mode);
             let loaded = codec::decode::<f64>(&codec::encode(&h2), Arc::new(Coulomb))
                 .expect("round trip must decode");
             let b = probe(n, seed);
-            prop_assert_eq!(h2.matvec(&b), loaded.matvec(&b));
-            prop_assert_eq!(loaded.mode(), mode);
+            assert_eq!(h2.matvec(&b), loaded.matvec(&b));
+            assert_eq!(loaded.mode(), mode);
         }
-    }
+    });
+}
 
-    /// Any single flipped byte is detected: the loader returns `Err` (and
-    /// in particular never panics) — magic, version, tags, lengths and
-    /// payloads are all covered by structure checks or section checksums.
-    #[test]
-    fn corrupted_files_return_err((pos_seed, bit) in (0u64..10_000, 0u8..8)) {
-        let h2 = build(220, 2, 3, 1e-4, MemoryMode::OnTheFly);
+/// Any single flipped byte is detected: the loader returns `Err` (and
+/// in particular never panics) — magic, version, tags, lengths and
+/// payloads are all covered by structure checks or section checksums.
+#[test]
+fn corrupted_files_return_err() {
+    let h2 = build(220, 2, 3, 1e-4, MemoryMode::OnTheFly);
+    cases(CASES, |r| {
+        let pos_seed = r.below(10_000);
+        let bit = r.below(8);
         let mut bytes = codec::encode(&h2);
-        let pos = (pos_seed as usize) % bytes.len();
+        let pos = pos_seed % bytes.len();
         bytes[pos] ^= 1 << bit;
-        prop_assert!(codec::decode::<f64>(&bytes, Arc::new(Coulomb)).is_err(),
-            "flip at byte {} must be detected", pos);
-    }
+        assert!(
+            codec::decode::<f64>(&bytes, Arc::new(Coulomb)).is_err(),
+            "flip at byte {} must be detected",
+            pos
+        );
+    });
+}
 
-    /// The header peeks (`stored_scalar`/`stored_builder`/`stored_epoch`)
-    /// never panic on hostile bytes: any single bit flip anywhere in the
-    /// file yields either a typed error or a well-formed answer.
-    #[test]
-    fn peeks_survive_bit_flips((pos_seed, bit) in (0u64..10_000, 0u8..8)) {
-        let h2 = build(180, 2, 11, 1e-4, MemoryMode::OnTheFly);
+/// The header peeks (`stored_scalar`/`stored_builder`/`stored_epoch`)
+/// never panic on hostile bytes: any single bit flip anywhere in the
+/// file yields either a typed error or a well-formed answer.
+#[test]
+fn peeks_survive_bit_flips() {
+    let h2 = build(180, 2, 11, 1e-4, MemoryMode::OnTheFly);
+    cases(CASES, |r| {
+        let pos_seed = r.below(10_000);
+        let bit = r.below(8);
         let mut bytes = codec::encode(&h2);
-        let pos = (pos_seed as usize) % bytes.len();
+        let pos = pos_seed % bytes.len();
         bytes[pos] ^= 1 << bit;
         // Typed errors are fine; panics are the bug this test hunts.
         let _ = codec::stored_scalar(&bytes);
         let _ = codec::stored_builder(&bytes);
         let _ = codec::stored_epoch(&bytes);
-    }
+    });
 }
 
 /// The header peeks return typed errors (never panic) on truncated and

@@ -179,11 +179,6 @@ impl LogLinearHistogram {
         }
         out
     }
-
-    /// Fixed memory footprint of the bucket array in bytes.
-    pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<[u64; BUCKETS]>() + std::mem::size_of::<Self>()
-    }
 }
 
 #[cfg(test)]
@@ -271,9 +266,5 @@ mod tests {
         assert_eq!(cum[0], (10, 4));
         assert_eq!(cum[1].1, 10);
         assert!(cum[1].0 >= 1000 && cum[1].0 - 1000 < bucket_width(1000));
-        assert_eq!(
-            h.footprint_bytes(),
-            LogLinearHistogram::new().footprint_bytes()
-        );
     }
 }

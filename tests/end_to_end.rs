@@ -2,20 +2,9 @@
 //! kernel x distribution path through the public API, validated against the
 //! exact dense product.
 
+use h2mv::h2::error_est::probe_vector;
 use h2mv::prelude::*;
 use std::sync::Arc;
-
-fn probe(n: usize, seed: u64) -> Vec<f64> {
-    let mut state = seed | 1;
-    (0..n)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-        })
-        .collect()
-}
 
 fn true_rel_err(h2: &H2Matrix, b: &[f64], y: &[f64]) -> f64 {
     let z = h2mv::kernels::dense_matvec(h2.kernel(), h2.tree().points(), b);
@@ -27,7 +16,7 @@ fn true_rel_err(h2: &H2Matrix, b: &[f64], y: &[f64]) -> f64 {
 fn all_four_paper_configs_reach_tolerance() {
     let n = 1200;
     let pts = h2mv::points::gen::uniform_cube(n, 3, 1);
-    let b = probe(n, 2);
+    let b = probe_vector(n, 2);
     for (basis, tol_factor) in [
         (BasisMethod::data_driven_for_tol(1e-6, 3), 50.0),
         (BasisMethod::interpolation_for_tol(1e-6, 3), 50.0),
@@ -62,7 +51,7 @@ fn every_paper_kernel_on_every_distribution() {
         Distribution3d::Dino,
     ] {
         let pts = dist.generate(n, 3);
-        let b = probe(n, 4);
+        let b = probe_vector(n, 4);
         for (kname, kernel) in h2mv::kernels::paper_kernels() {
             let kernel: Arc<dyn Kernel> = kernel.into();
             let cfg = H2Config {
@@ -84,7 +73,7 @@ fn every_paper_kernel_on_every_distribution() {
 fn normal_and_otf_agree_to_rounding() {
     let n = 1000;
     let pts = h2mv::points::gen::sphere_surface(n, 3, 5);
-    let b = probe(n, 6);
+    let b = probe_vector(n, 6);
     let mk = |mode| {
         let cfg = H2Config {
             basis: BasisMethod::data_driven_for_tol(1e-7, 3),
@@ -141,7 +130,7 @@ fn proxy_surface_method_reaches_tolerance() {
     // memory modes (its couplings are kernel submatrices like data-driven).
     let n = 1000;
     let pts = h2mv::points::gen::uniform_cube(n, 3, 21);
-    let b = probe(n, 22);
+    let b = probe_vector(n, 22);
     for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
         let cfg = H2Config {
             basis: BasisMethod::proxy_surface_for_tol(1e-6, 3),
@@ -176,7 +165,7 @@ fn composite_kernel_end_to_end() {
         ..H2Config::default()
     };
     let h2 = H2Matrix::build(&pts, Arc::new(kernel), &cfg);
-    let b = probe(n, 24);
+    let b = probe_vector(n, 24);
     let y = h2.matvec(&b);
     let err = true_rel_err(&h2, &b, &y);
     assert!(err < 1e-5, "composite kernel err {err}");
@@ -194,7 +183,7 @@ fn dino_distribution_is_handled() {
         ..H2Config::default()
     };
     let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
-    let b = probe(n, 10);
+    let b = probe_vector(n, 10);
     let y = h2.matvec(&b);
     assert!(true_rel_err(&h2, &b, &y) < 1e-5);
 }
@@ -212,7 +201,7 @@ fn high_dimensional_data_driven_works() {
             ..H2Config::default()
         };
         let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
-        let b = probe(n, 12);
+        let b = probe_vector(n, 12);
         let y = h2.matvec(&b);
         let err = true_rel_err(&h2, &b, &y);
         assert!(err < 1e-4, "d={d}: err {err}");
@@ -234,7 +223,7 @@ fn vector_panel_and_sharded_products_agree_bitwise() {
             ..H2Config::default()
         };
         let h2 = Arc::new(H2Matrix::build(&pts, Arc::new(Coulomb), &cfg));
-        let cols: Vec<Vec<f64>> = (0..3).map(|c| probe(n, 14 + c)).collect();
+        let cols: Vec<Vec<f64>> = (0..3).map(|c| probe_vector(n, 14 + c)).collect();
         let panel = h2mv::linalg::Matrix::from_fn(n, 3, |i, j| cols[j][i]);
         let y = h2.matmat(&panel);
         let sharded = ShardedH2::new(h2.clone(), 3).unwrap();
@@ -256,7 +245,7 @@ fn repeated_matvecs_are_deterministic() {
         ..H2Config::default()
     };
     let h2 = H2Matrix::build(&pts, Arc::new(Gaussian::paper()), &cfg);
-    let b = probe(n, 16);
+    let b = probe_vector(n, 16);
     let y1 = h2.matvec(&b);
     let y2 = h2.matvec(&b);
     assert_eq!(y1, y2, "matvec must be bit-reproducible");
@@ -269,7 +258,7 @@ fn thread_pool_results_identical_across_pool_sizes() {
     // the pool too — and the schedule must really have run that wide.
     let n = 1000;
     let pts = h2mv::points::gen::uniform_cube(n, 3, 17);
-    let b = probe(n, 18);
+    let b = probe_vector(n, 18);
     let run = |threads: usize| {
         let pool = h2mv::thread_pool(threads);
         pool.install(|| {
