@@ -40,7 +40,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, two unsafe AVX2 dispatches, none in sweep.rs, one in panel.rs, no arch intrinsics), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic), bench binary and result (each named by run_harness.sh or check.sh) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, four unsafe AVX2 dispatches: one each in panel.rs, radial.rs, qr.rs and strategies.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic), bench binary and result (each named by run_harness.sh or check.sh) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -56,17 +56,20 @@ MANIFESTS="Cargo.toml Cargo.lock crates/*/Cargo.toml vendor/*/Cargo.toml"
 if grep -nE 'criterion|h2-sketch|\[\[bench\]\]|serde([^_]|_derive|$)' $MANIFESTS; then
   echo "a manifest names criterion, a [[bench]], h2-sketch, or a serde other than serde_json"; exit 1
 fi
-# One CPU-feature check in the workspace (h2_linalg::simd::avx2), and two
-# unsafe calls behind it: the radial kernels' and the panel kernels' AVX2
-# compiles. The mmap slab (crates/linalg/src/slab.rs) is the only other
-# unsafe code; comment lines do not count.
+# One CPU-feature check in the workspace (h2_linalg::simd::avx2), and four
+# unsafe calls behind it: the AVX2 compiles of the panel kernels, the radial
+# kernels, the QR trailing update and the anchor-net scan, one per file. The
+# mmap slab (crates/linalg/src/slab.rs) is the only other unsafe code;
+# comment lines do not count.
 FEATURE=$(grep -rnw -- "is_x86_feature_detected!" crates/*/src crates/*/tests src tests examples || true)
 [ "$(grep -c . <<< "$FEATURE")" = 1 ] && grep -q "^crates/linalg/src/simd.rs:" <<< "$FEATURE" \
   || { echo "expected one is_x86_feature_detected!, in crates/linalg/src/simd.rs: $FEATURE"; exit 1; }
 SRC=$(find crates/*/src src -name '*.rs' ! -path crates/linalg/src/slab.rs)
 UNSAFE=$(non_test $SRC | grep -vE "^[^:]*:[[:space:]]*//" | grep -w "unsafe" || true)
-[ "$(grep -c . <<< "$UNSAFE")" = 2 ] && [ "$(grep -cE "unsafe \{ [a-z_]+_avx2\(" <<< "$UNSAFE")" = 2 ] \
-  || { echo "expected two unsafe AVX2 dispatches outside the slab: $UNSAFE"; exit 1; }
+DISPATCH_FILES=$(grep -E "unsafe \{ [a-z_]+_avx2\(" <<< "$UNSAFE" | cut -d: -f1 | sort | tr '\n' ' ')
+[ "$(grep -c . <<< "$UNSAFE")" = 4 ] && [ "$DISPATCH_FILES" = \
+  "crates/kernels/src/radial.rs crates/linalg/src/panel.rs crates/linalg/src/qr.rs crates/sampling/src/strategies.rs " ] \
+  || { echo "expected four unsafe AVX2 dispatches outside the slab, one per kernel file: $UNSAFE"; exit 1; }
 if non_test crates/core/src/sweep.rs | grep -nwE "unsafe|is_x86_feature_detected!"; then echo "SIMD dispatch in sweep.rs"; exit 1; fi
 PANEL_DISPATCH=$(non_test crates/linalg/src/panel.rs | grep -c "_avx2(" || true)
 [ "$PANEL_DISPATCH" -le 1 ] || { echo "expected at most one _avx2( dispatch in panel.rs, found $PANEL_DISPATCH"; exit 1; }
@@ -74,6 +77,14 @@ if non_test crates/core/src/sweep.rs | grep -nwE "gemv_acc|gemv_t_acc|matvec_acc
   echo "sweep.rs applies a block through a one-column kernel"; exit 1
 fi
 if grep -rnE "(std|core)::arch::" crates/*/src; then echo "an arch intrinsic path under crates/*/src"; exit 1; fi
+# The two construction kernels stay vectorised: the anchor-net scan runs on
+# its dimension-major pool, not point by point through dist2, and a
+# Householder reflector reaches columns only through the trailing update.
+if non_test crates/sampling/src/strategies.rs | grep -n "dist2("; then echo "the anchor-net scan calls dist2"; exit 1; fi
+REFLECT=$(awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
+  /^[[:space:]]*(pub )?fn / { f = $0; sub(/^[[:space:]]*(pub )?fn /, "", f); sub(/[(<].*/, "", f) }
+  /apply_reflector\(/ && !/fn apply_reflector/ && f != "reflect_baseline" { print FNR ": " $0 }' crates/linalg/src/qr.rs)
+[ -z "$REFLECT" ] || { echo "qr.rs applies a reflector outside the trailing update: $REFLECT"; exit 1; }
 if grep -rniE "trait Sampler|dyn Sampler|SketchKind|srht" crates/*/src; then echo "the sampler extension point or the second sketch ensemble is back"; exit 1; fi
 if grep -rnE "dot_apply|Fetched::Generated|kernel_matrix_s|coupling_block_s" crates/*/src; then echo "the second arithmetic class is back"; exit 1; fi
 if grep -n "\[features\]" crates/*/Cargo.toml; then echo "a crate has a [features] table"; exit 1; fi

@@ -190,9 +190,9 @@ mod tests {
         // Matrix with geometrically decaying singular values.
         let n = 24;
         let u = rand_matrix(n, n, 1);
-        let qu = crate::qr::Qr::new(u).q();
+        let qu = PivotedQr::new(u, Truncation::rank(n)).q();
         let v = rand_matrix(n, n, 2);
-        let qv = crate::qr::Qr::new(v).q();
+        let qv = PivotedQr::new(v, Truncation::rank(n)).q();
         let mut s = Matrix::zeros(n, n);
         for i in 0..n {
             s[(i, i)] = 10f64.powi(-(i as i32) / 2);

@@ -3,8 +3,8 @@
 //! Dense linear algebra substrate for the `h2mv` workspace.
 //!
 //! The hierarchical-matrix code in this workspace needs a small but solid set
-//! of dense kernels: matrix products, Householder QR, *column-pivoted*
-//! (rank-revealing) QR, the interpolative decomposition built on top of it,
+//! of dense kernels: matrix products, *column-pivoted* (rank-revealing)
+//! Householder QR, the interpolative decomposition built on top of it,
 //! LU with partial pivoting and Cholesky. No BLAS/LAPACK bindings are available
 //! in this environment, so everything here is written from scratch in safe Rust,
 //! blocked for cache friendliness and run on the workspace's one scoped
@@ -46,7 +46,7 @@ pub mod vec_ops;
 
 pub use id::{ColumnId, RowId};
 pub use matrix::{Matrix, MatrixS};
-pub use qr::{PivotedQr, Qr};
+pub use qr::PivotedQr;
 pub use scalar::Scalar;
 pub use sketch::CounterRng;
 pub use slab::{SlabError, SlabMem, SlabSlice};

@@ -1,14 +1,13 @@
-//! Householder QR and column-pivoted (rank-revealing) QR.
+//! Column-pivoted (rank-revealing) Householder QR.
 //!
-//! [`Qr`] is the plain factorization used for least squares and
-//! orthonormalization. [`PivotedQr`] is the workhorse of the interpolative
+//! [`PivotedQr`] is the workhorse of the interpolative
 //! decomposition in [`crate::id`]: Businger–Golub column pivoting with
 //! downdated column norms (and periodic recomputation for numerical safety),
 //! truncated either at a fixed rank or at a relative tolerance on the
 //! R-diagonal — exactly the rank-revealing behaviour the data-driven H²
 //! construction relies on to pick skeleton points.
 //!
-//! Both factorizations are generic over [`Scalar`]. Tolerance-truncated
+//! The factorization is generic over [`Scalar`]. Tolerance-truncated
 //! pivoted QR clamps the requested tolerance to [`Scalar::SAFE_REL_TOL`]
 //! (a few machine epsilons): below that the downdated column norms are
 //! roundoff, and the pivot loop would chase noise instead of rank.
@@ -17,22 +16,9 @@ use crate::blas;
 use crate::matrix::MatrixS;
 use crate::scalar::Scalar;
 
-/// Compact Householder QR of an `m x n` matrix (`m >= n` not required).
-///
-/// Stores the factored matrix in LAPACK-style compact form: R in the upper
-/// triangle, Householder vectors below the diagonal, plus the scalar `tau`
-/// coefficients.
-#[derive(Clone, Debug)]
-pub struct Qr<S: Scalar = f64> {
-    /// Compact factorization (R above diagonal, reflectors below).
-    fact: MatrixS<S>,
-    /// Householder coefficients, one per reflector.
-    tau: Vec<S>,
-}
-
 /// Applies the Householder reflector stored in `v` (implicit leading 1) to a
 /// column slice: `x -= tau * v (v . x)` where `v = [1, fact[k+1..m, k]]`.
-#[inline]
+#[inline(always)]
 fn apply_reflector<S: Scalar>(v_tail: &[S], tau: S, x: &mut [S]) {
     // x[0] pairs with the implicit 1 at the head of v.
     let w = x[0] + blas::dot(v_tail, &x[1..]);
@@ -41,118 +27,89 @@ fn apply_reflector<S: Scalar>(v_tail: &[S], tau: S, x: &mut [S]) {
     blas::axpy(-t, v_tail, &mut x[1..]);
 }
 
-impl<S: Scalar> Qr<S> {
-    /// Factorizes `a` (consumed).
-    pub fn new(mut a: MatrixS<S>) -> Self {
-        let (m, n) = a.shape();
-        let k = m.min(n);
-        let mut tau = vec![S::ZERO; k];
-        for (j, tau_j) in tau.iter_mut().enumerate() {
-            // Build the reflector from column j, rows j..m.
-            let (t, beta) = {
-                let col = &mut a.col_mut(j)[j..];
-                make_reflector(col)
-            };
-            *tau_j = t;
-            // Apply to trailing columns. The tail is copied once per step to
-            // sidestep the simultaneous-borrow of two columns.
-            if t != S::ZERO {
-                let v_tail: Vec<S> = a.col(j)[j + 1..].to_vec();
-                for jj in (j + 1)..n {
-                    let col = &mut a.col_mut(jj)[j..];
-                    apply_reflector(&v_tail, t, col);
-                }
-            }
-            a.col_mut(j)[j] = beta;
+/// The one trailing update: applies the reflector `[1, v_tail]` with
+/// coefficient `tau` to rows `row0..` of every column of the column-major
+/// `cols` (`ld` rows each, `ld - row0 = v_tail.len() + 1`). Each column gets
+/// exactly [`apply_reflector`]'s bits; the widest compile this host has
+/// runs it.
+fn reflect<S: Scalar>(v_tail: &[S], tau: S, cols: &mut [S], ld: usize, row0: usize) {
+    assert_eq!(ld - row0, v_tail.len() + 1, "reflect: column length");
+    assert_eq!(cols.len() % ld, 0, "reflect: whole columns");
+    if tau == S::ZERO {
+        return;
+    }
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if crate::simd::avx2() {
+        // SAFETY: `reflect_avx2` is a safe function whose only requirement
+        // of its caller is that the CPU supports AVX2, which `simd::avx2`
+        // on the line above has just established.
+        return unsafe { reflect_avx2(v_tail, tau, cols, ld, row0) };
+    }
+    reflect_baseline(v_tail, tau, cols, ld, row0)
+}
+
+/// [`reflect_baseline`] compiled with 256-bit vectors; AVX2 without `fma`,
+/// so nothing is contracted and the bits are the baseline's.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn reflect_avx2<S: Scalar>(v_tail: &[S], tau: S, cols: &mut [S], ld: usize, row0: usize) {
+    reflect_baseline(v_tail, tau, cols, ld, row0)
+}
+
+/// `s[l] += v[l] · y[l]` for the four lanes of one partial-sum vector.
+#[inline(always)]
+fn madd4<S: Scalar>(s: &mut [S; 4], v: &[S], y: &[S]) {
+    for l in 0..4 {
+        s[l] += v[l] * y[l];
+    }
+}
+
+/// `(s0 + s1) + (s2 + s3)`. Out of line, so that the compiler keeps each
+/// column's four partial sums in one vector instead of one vector per lane
+/// across the four columns, which costs a shuffle per load.
+#[inline(never)]
+fn combine<S: Scalar>(s: &[S; 4]) -> S {
+    (s[0] + s[1]) + (s[2] + s[3])
+}
+
+/// The body of [`reflect`]. Four columns share each pass over `v_tail` for
+/// their dots, each dot in [`blas::dot`]'s order: four strided partial sums
+/// (the lanes of one vector), `(s0 + s1) + (s2 + s3)`, then the tail in
+/// sequence. The fewer than four columns left over take [`apply_reflector`].
+#[inline(always)]
+fn reflect_baseline<S: Scalar>(v_tail: &[S], tau: S, cols: &mut [S], ld: usize, row0: usize) {
+    let mut quads = cols.chunks_exact_mut(4 * ld);
+    for quad in &mut quads {
+        let (c0, rest) = quad.split_at_mut(ld);
+        let (c1, rest) = rest.split_at_mut(ld);
+        let (c2, c3) = rest.split_at_mut(ld);
+        let mut x = [
+            &mut c0[row0..],
+            &mut c1[row0..],
+            &mut c2[row0..],
+            &mut c3[row0..],
+        ];
+        let [t0, t1, t2, t3] = x.each_ref().map(|xc| xc[1..].chunks_exact(4));
+        let [mut s0, mut s1, mut s2, mut s3] = [[S::ZERO; 4]; 4];
+        for ((((v, y0), y1), y2), y3) in v_tail.chunks_exact(4).zip(t0).zip(t1).zip(t2).zip(t3) {
+            madd4(&mut s0, v, y0);
+            madd4(&mut s1, v, y1);
+            madd4(&mut s2, v, y2);
+            madd4(&mut s3, v, y3);
         }
-        Qr { fact: a, tau }
-    }
-
-    /// Number of rows of the original matrix.
-    pub fn nrows(&self) -> usize {
-        self.fact.nrows()
-    }
-
-    /// Number of columns of the original matrix.
-    pub fn ncols(&self) -> usize {
-        self.fact.ncols()
-    }
-
-    /// The upper-triangular factor `R` (`min(m,n) x n`).
-    pub fn r(&self) -> MatrixS<S> {
-        let (m, n) = self.fact.shape();
-        let k = m.min(n);
-        MatrixS::from_fn(
-            k,
-            n,
-            |i, j| if i <= j { self.fact[(i, j)] } else { S::ZERO },
-        )
-    }
-
-    /// The thin orthonormal factor `Q` (`m x min(m,n)`).
-    pub fn q(&self) -> MatrixS<S> {
-        let (m, n) = self.fact.shape();
-        let k = m.min(n);
-        let mut q = MatrixS::zeros(m, k);
-        for i in 0..k {
-            q[(i, i)] = S::ONE;
-        }
-        // Apply reflectors in reverse to the identity.
-        for j in (0..k).rev() {
-            let t = self.tau[j];
-            if t == S::ZERO {
-                continue;
+        let body = v_tail.len() - v_tail.len() % 4;
+        for (xc, sc) in x.iter_mut().zip([s0, s1, s2, s3]) {
+            let mut d = combine(&sc);
+            for (&v, &y) in v_tail[body..].iter().zip(&xc[1 + body..]) {
+                d += v * y;
             }
-            let v_tail: Vec<S> = self.fact.col(j)[j + 1..].to_vec();
-            for jj in 0..k {
-                let col = &mut q.col_mut(jj)[j..];
-                apply_reflector(&v_tail, t, col);
-            }
-        }
-        q
-    }
-
-    /// Applies `Q^T` to a vector in place (length m); the leading
-    /// `min(m,n)` entries afterwards are the projection coefficients.
-    pub fn qt_mul_vec(&self, x: &mut [S]) {
-        let (m, n) = self.fact.shape();
-        assert_eq!(x.len(), m, "qt_mul_vec: length");
-        let k = m.min(n);
-        for j in 0..k {
-            let t = self.tau[j];
-            if t == S::ZERO {
-                continue;
-            }
-            let v_tail = &self.fact.col(j)[j + 1..];
-            apply_reflector(v_tail, t, &mut x[j..]);
+            let t = tau * (xc[0] + d);
+            xc[0] -= t;
+            blas::axpy(-t, v_tail, &mut xc[1..]);
         }
     }
-
-    /// Least-squares solve `min ||a x - b||` for full-column-rank `a`
-    /// (`m >= n`). Returns the coefficient vector of length n.
-    pub fn solve_ls(&self, b: &[S]) -> crate::Result<Vec<S>> {
-        let (m, n) = self.fact.shape();
-        if m < n {
-            return Err(crate::LinalgError::DimensionMismatch(
-                "solve_ls needs m >= n".into(),
-            ));
-        }
-        let mut work = b.to_vec();
-        self.qt_mul_vec(&mut work);
-        let mut x = work[..n].to_vec();
-        // Back substitution with R.
-        for i in (0..n).rev() {
-            let rii = self.fact[(i, i)];
-            if rii == S::ZERO {
-                return Err(crate::LinalgError::Singular(i));
-            }
-            let mut s = x[i];
-            for (j, &xj) in x.iter().enumerate().skip(i + 1) {
-                s -= self.fact[(i, j)] * xj;
-            }
-            x[i] = s / rii;
-        }
-        Ok(x)
+    for col in quads.into_remainder().chunks_exact_mut(ld) {
+        apply_reflector(v_tail, tau, &mut col[row0..]);
     }
 }
 
@@ -274,13 +231,8 @@ impl<S: Scalar> PivotedQr<S> {
                 make_reflector(col)
             };
             tau.push(t);
-            if t != S::ZERO {
-                let v_tail: Vec<S> = a.col(k)[k + 1..].to_vec();
-                for jj in (k + 1)..n {
-                    let col = &mut a.col_mut(jj)[k..];
-                    apply_reflector(&v_tail, t, col);
-                }
-            }
+            let (head, trailing) = a.as_mut_slice().split_at_mut((k + 1) * m);
+            reflect(&head[k * m + k + 1..], t, trailing, m, k);
             a.col_mut(k)[k] = beta;
             rank = k + 1;
             // Downdate column norms; recompute when cancellation bites
@@ -338,15 +290,13 @@ impl<S: Scalar> PivotedQr<S> {
             q[(i, i)] = S::ONE;
         }
         for j in (0..k).rev() {
-            let t = self.tau[j];
-            if t == S::ZERO {
-                continue;
-            }
-            let v_tail: Vec<S> = self.fact.col(j)[j + 1..].to_vec();
-            for jj in 0..k {
-                let col = &mut q.col_mut(jj)[j..];
-                apply_reflector(&v_tail, t, col);
-            }
+            reflect(
+                &self.fact.col(j)[j + 1..],
+                self.tau[j],
+                q.as_mut_slice(),
+                m,
+                j,
+            );
         }
         q
     }
@@ -397,49 +347,92 @@ mod tests {
         })
     }
 
-    #[test]
-    fn qr_reconstructs() {
-        let a = rand_matrix(8, 5, 42);
-        let qr = Qr::new(a.clone());
-        let rec = qr.q().matmul(&qr.r());
-        assert!(rec.sub(&a).max_abs() < 1e-12);
+    /// Columns of `ld` entries, `n` of them, with ±0, ±∞ and NaN in the
+    /// second column (rows `row0..`) when `special`.
+    fn columns<S: Scalar>(ld: usize, n: usize, row0: usize, special: bool) -> Vec<S> {
+        let mut c: Vec<S> = (0..ld * n)
+            .map(|e| match (e * 37 + 11) % 29 {
+                0 => S::ZERO,
+                1 => -S::ZERO,
+                v => S::from_f64(v as f64 / 13.0 - 1.1),
+            })
+            .collect();
+        if special && n > 1 {
+            let col = &mut c[ld + row0..2 * ld];
+            let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+            for (x, v) in col.iter_mut().zip(specials) {
+                *x = S::from_f64(v);
+            }
+        }
+        c
     }
 
-    #[test]
-    fn qr_q_is_orthonormal() {
-        let a = rand_matrix(10, 6, 7);
-        let q = Qr::new(a).q();
-        let qtq = q.t_matmul(&q);
-        assert!(qtq.sub(&Matrix::identity(6)).max_abs() < 1e-12);
+    fn bits<S: Scalar>(v: &[S]) -> Vec<u64> {
+        v.iter().map(|&e| e.to_f64().to_bits()).collect()
     }
 
-    #[test]
-    fn qr_wide_matrix() {
-        let a = rand_matrix(4, 9, 3);
-        let qr = Qr::new(a.clone());
-        let rec = qr.q().matmul(&qr.r());
-        assert!(rec.sub(&a).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn qr_least_squares() {
-        // Overdetermined consistent system.
-        let a = rand_matrix(12, 4, 11);
-        let x_true = vec![1.0, -2.0, 0.5, 3.0];
-        let b = a.matvec(&x_true);
-        let x = Qr::new(a).solve_ls(&b).unwrap();
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-10, "{xi} vs {ti}");
+    /// Runs `check(what, v_tail, tau, cols, ld, row0)` on reflector lengths
+    /// across the four-row blocking, column counts across the four-column
+    /// groups, at a row offset and with non-finite entries.
+    fn for_each_case<S: Scalar>(mut check: impl FnMut(&str, &[S], S, &[S], usize, usize)) {
+        for m in [1, 2, 3, 4, 5, 8, 9, 17, 300] {
+            for n in (0..=9).chain([13]) {
+                for (row0, special) in [(0, false), (2, false), (0, true), (3, true)] {
+                    let ld = row0 + m;
+                    let v: Vec<S> = columns(m - 1, 1, 0, false);
+                    let cols = columns::<S>(ld, n, row0, special);
+                    let what = format!("{} m={m} n={n} row0={row0} special={special}", S::NAME);
+                    check(&what, &v, S::from_f64(1.37), &cols, ld, row0);
+                }
+            }
         }
     }
 
+    /// The trailing update ≡ one [`apply_reflector`] per column.
+    fn assert_per_column<S: Scalar>() {
+        for_each_case::<S>(|what, v, tau, cols, ld, row0| {
+            let mut want = cols.to_vec();
+            for col in want.chunks_exact_mut(ld) {
+                apply_reflector(v, tau, &mut col[row0..]);
+            }
+            let mut got = cols.to_vec();
+            reflect_baseline(v, tau, &mut got, ld, row0);
+            assert_eq!(bits(&got), bits(&want), "{what}");
+        });
+    }
+
+    /// The dispatched compile ≡ the baseline compile.
+    fn assert_dispatch<S: Scalar>() {
+        for_each_case::<S>(|what, v, tau, cols, ld, row0| {
+            let (mut base, mut got) = (cols.to_vec(), cols.to_vec());
+            reflect_baseline(v, tau, &mut base, ld, row0);
+            reflect(v, tau, &mut got, ld, row0);
+            assert_eq!(bits(&got), bits(&base), "{what}");
+        });
+    }
+
     #[test]
-    fn qr_f32_reconstructs() {
+    fn trailing_update_has_the_per_column_bits() {
+        assert_per_column::<f64>();
+        assert_per_column::<f32>();
+    }
+
+    #[test]
+    fn dispatched_compile_has_the_baseline_bits() {
+        if !crate::simd::avx2() {
+            eprintln!("no AVX2 on this host: comparing the baseline compile with itself");
+        }
+        assert_dispatch::<f64>();
+        assert_dispatch::<f32>();
+    }
+
+    #[test]
+    fn pivoted_qr_f32_reconstructs() {
         let a32: MatrixS<f32> = rand_matrix(8, 5, 42).convert();
-        let qr = Qr::new(a32.clone());
-        let rec = qr.q().matmul(&qr.r());
-        assert!(rec.sub(&a32).max_abs() < 1e-5);
-        let qtq = qr.q().t_matmul(&qr.q());
+        let pqr = PivotedQr::new(a32.clone(), Truncation::rank(5));
+        let rec = pqr.q().matmul(&pqr.r());
+        assert!(rec.sub(&a32.select_cols(pqr.perm())).max_abs() < 1e-5);
+        let qtq = pqr.q().t_matmul(&pqr.q());
         assert!(qtq.sub(&MatrixS::<f32>::identity(5)).max_abs() < 1e-5);
     }
 

@@ -1,9 +1,11 @@
 //! The workspace's one CPU-feature check.
 //!
-//! Two hot loops have a second, 256-bit compile of the same safe body: the
-//! panel applies of [`crate::panel`] and the radial kernels' tiled block
-//! evaluation in `h2-kernels`. Each calls its `#[target_feature(enable =
-//! "avx2")]` compile only after [`avx2`] returned `true`. AVX2 only, never
+//! Four hot loops have a second, 256-bit compile of the same safe body: the
+//! panel applies of [`crate::panel`], the radial kernels' tiled block
+//! evaluation in `h2-kernels`, the pivoted QR's trailing update in
+//! [`crate::qr`] and the anchor-net scan in `h2-sampling`. Each calls its
+//! `#[target_feature(enable = "avx2")]` compile only after [`avx2`] returned
+//! `true`. AVX2 only, never
 //! `fma`: without it the compiler cannot contract a multiply and an add into
 //! one rounding, so both compiles have the same bits. There is no intrinsic,
 //! no other architecture's path, and no flag or env var that selects a

@@ -3,7 +3,7 @@
 use h2_linalg::chol::Cholesky;
 use h2_linalg::id::{column_id, column_id_rel_err, row_id, row_id_rel_err};
 use h2_linalg::lu::Lu;
-use h2_linalg::qr::{PivotedQr, Qr, Truncation};
+use h2_linalg::qr::{PivotedQr, Truncation};
 use h2_linalg::Matrix;
 use h2_points::gen::{cases, Rng};
 
@@ -24,13 +24,15 @@ fn qr_reconstruction() {
         let m = 2 + r.below(22);
         let n = 1 + r.below(23);
         let a = seeded_matrix(m, n, r);
-        let qr = Qr::new(a.clone());
+        // Full rank: A P = Q R with every column in R.
+        let qr = PivotedQr::new(a.clone(), Truncation::rank(usize::MAX));
+        let k = m.min(n);
+        assert_eq!(qr.rank(), k);
         let rec = qr.q().matmul(&qr.r());
-        assert!(rec.sub(&a).max_abs() < 1e-10);
+        assert!(rec.sub(&a.select_cols(qr.perm())).max_abs() < 1e-10);
         // Orthonormality of thin Q.
         let q = qr.q();
         let qtq = q.t_matmul(&q);
-        let k = m.min(n);
         assert!(qtq.sub(&Matrix::identity(k)).max_abs() < 1e-10);
     });
 }
@@ -137,4 +139,64 @@ fn transpose_matvec_adjoint() {
         let rhs: f64 = x.iter().zip(&aty).map(|(p, q)| p * q).sum();
         assert!((lhs - rhs).abs() < 1e-9 * (1.0 + lhs.abs()));
     });
+}
+
+/// FNV-1a, one 64-bit word at a time.
+fn fnv(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(0x0100_0000_01b3)
+}
+
+#[test]
+fn row_ids_keep_their_bits() {
+    // Row IDs of kernel blocks shaped like the construction's `K(X_i, Y_i*)`
+    // (node points against a far sample): FNV-1a over every skeleton index,
+    // every bit of `P` and the rank. A pivot or a rounding that moves
+    // changes the hash.
+    use h2_linalg::id::row_id_consume;
+    use h2_linalg::MatrixS;
+    let x = h2_points::gen::uniform_cube(128, 3, 1);
+    let y = h2_points::gen::uniform_cube(720, 3, 2);
+    let block = |rows: usize, cols: usize, gauss: bool| {
+        Matrix::from_fn(rows, cols, |i, j| {
+            let d2: f64 = (x.point(i).iter().zip(y.point(j)))
+                .map(|(a, b)| (a - b - 2.0) * (a - b - 2.0))
+                .sum();
+            if gauss {
+                (-d2 / 4.0).exp()
+            } else {
+                1.0 / d2.sqrt()
+            }
+        })
+    };
+    let truncations = [
+        Truncation::tol(1e-6),
+        Truncation::tol(1e-9),
+        Truncation {
+            rel_tol: 1e-9,
+            max_rank: 16,
+        },
+    ];
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for rows in [1, 3, 7, 64, 128] {
+        for cols in [0, 5, 288, 720] {
+            for gauss in [false, true] {
+                let a = block(rows, cols, gauss);
+                for trunc in truncations {
+                    let id = row_id_consume(a.clone(), trunc);
+                    h = fnv(h, id.skel.len() as u64);
+                    h = id.skel.iter().fold(h, |h, &s| fnv(h, s as u64));
+                    h = id.p.as_slice().iter().fold(h, |h, v| fnv(h, v.to_bits()));
+                }
+                let a32: MatrixS<f32> = a.convert();
+                let id = row_id_consume(a32, Truncation::tol(1e-5));
+                h = fnv(h, id.skel.len() as u64);
+                h = id.skel.iter().fold(h, |h, &s| fnv(h, s as u64));
+                h =
+                    id.p.as_slice()
+                        .iter()
+                        .fold(h, |h, v| fnv(h, v.to_bits() as u64));
+            }
+        }
+    }
+    assert_eq!(h, 0x88d8_03f6_34f9_e654, "row ID hash {h:#018x}");
 }

@@ -194,3 +194,41 @@ fn clustered_data_sampled_from_every_cluster() {
     let left = out.iter().filter(|&&i| i < 60).count();
     assert!(left > 0 && left < out.len());
 }
+
+#[test]
+fn sample_tables_keep_their_bits() {
+    // FNV-1a over every `X_i*` and `Y_i*` list (its length, then its
+    // indices) of Algorithm 1 on the paper's point sets at two tolerances:
+    // an anchor-net pick that moves changes the hash.
+    let fnv = |h: u64, word: usize| (h ^ word as u64).wrapping_mul(0x0100_0000_01b3);
+    let make = |name: &str, n: usize| match name {
+        "cube2" => gen::uniform_cube(n, 2, 7),
+        "cube3" => gen::uniform_cube(n, 3, 7),
+        "sphere3" => gen::sphere_surface(n, 3, 7),
+        _ => gen::dino(n, 7),
+    };
+    let mut got = Vec::new();
+    for name in ["cube2", "cube3", "sphere3", "dino"] {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for n in [3_000, 10_000] {
+            let pts = make(name, n);
+            let tree = ClusterTree::build(&pts, TreeParams::with_leaf_size(128));
+            let lists = build_block_lists(&tree, 0.7);
+            for tol in [1e-6, 1e-9] {
+                let params = SampleParams::for_tolerance(tol, pts.dim());
+                let s = hierarchical_sample(&tree, &lists, &params);
+                for list in s.x_star.iter().chain(&s.y_star) {
+                    h = list.iter().fold(fnv(h, list.len()), |h, &i| fnv(h, i));
+                }
+            }
+        }
+        got.push((name, h));
+    }
+    let want = [
+        ("cube2", 0x03aa_6c1b_00ec_61f7),
+        ("cube3", 0x856a_2420_bd10_cc37),
+        ("sphere3", 0x2daa_a8e9_c79e_d362),
+        ("dino", 0xd771_e13e_9297_5621),
+    ];
+    assert_eq!(got, want);
+}
