@@ -40,7 +40,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, four unsafe AVX2 dispatches: one each in panel.rs, radial.rs, qr.rs and strategies.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic), bench binary and result (each named by run_harness.sh or check.sh) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, four unsafe AVX2 dispatches: one each in panel.rs, radial.rs, qr.rs and strategies.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), workspace (12 crates, no h2-solvers, no proxy-surface builder, CG the one solver), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic), bench binary and result (each named by run_harness.sh or check.sh) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -53,8 +53,17 @@ non_test crates/linalg/src/exec.rs | grep -q "std::thread::scope("
 if grep -rnwE "last_use|make_room|try_reserve|with_shards|freq" crates/cache/src; then echo "the dynamic cache is back"; exit 1; fi
 if grep -nE "counter_add!|span\(" crates/cache/src/cache.rs; then echo "the cache records telemetry on helper threads"; exit 1; fi
 MANIFESTS="Cargo.toml Cargo.lock crates/*/Cargo.toml vendor/*/Cargo.toml"
-if grep -nE 'criterion|h2-sketch|\[\[bench\]\]|serde([^_]|_derive|$)' $MANIFESTS; then
-  echo "a manifest names criterion, a [[bench]], h2-sketch, or a serde other than serde_json"; exit 1
+if grep -nE 'criterion|h2-sketch|h2-solvers|\[\[bench\]\]|serde([^_]|_derive|$)' $MANIFESTS; then
+  echo "a manifest names criterion, a [[bench]], h2-sketch, h2-solvers, or a serde other than serde_json"; exit 1
+fi
+# The workspace keeps what the paper uses: 12 crates, two bases (data-driven
+# and interpolation) plus the sketched rule, and one solver, the facade's cg.
+CRATES=$(ls crates/*/Cargo.toml | wc -l)
+MEMBERS=$(grep -c '^    "crates/' Cargo.toml)
+[ "$CRATES" = 12 ] && [ "$MEMBERS" = 12 ] || { echo "expected 12 workspace crates: $CRATES dirs, $MEMBERS members"; exit 1; }
+if grep -rnE 'ProxySurface|proxy_surface|gmres|bicgstab|pcg\(|FnOperator|DenseOperator|LinearOperator' \
+  crates src tests examples README.md DESIGN.md PAPER.md; then
+  echo "the proxy-surface builder or a second solver is back"; exit 1
 fi
 # One CPU-feature check in the workspace (h2_linalg::simd::avx2), and four
 # unsafe calls behind it: the AVX2 compiles of the panel kernels, the radial
@@ -135,6 +144,13 @@ SMOKE=$(mktemp /tmp/h2-smoke.XXXXXX.txt)
 timeout 120 ./target/release/smoke > "$SMOKE"
 grep -q "checks, 0 failed" "$SMOKE"
 rm -f "$SMOKE"
+
+echo "== CG smoke (kernel_regression, the one production-shaped caller of h2mv::solvers::cg) =="
+cargo build --release --offline --example kernel_regression
+KRR=$(mktemp /tmp/h2-krr.XXXXXX.txt)
+timeout 120 ./target/release/examples/kernel_regression > "$KRR"
+grep -q "stop Converged" "$KRR"
+rm -f "$KRR"
 
 echo "== net scaling smoke (TCP vs channel-mesh accounting, bit-identity) =="
 NET=$(mktemp /tmp/h2-net-scaling.XXXXXX.txt)

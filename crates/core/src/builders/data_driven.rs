@@ -7,7 +7,7 @@
 //! Coupling blocks are then plain kernel submatrices `K(S_i, S_j)`, which
 //! is what enables the on-the-fly memory mode.
 
-use super::{nested_skeleton_pass, row_id_against, ColumnSet};
+use super::{nested_skeleton_pass, row_id_against};
 use crate::h2matrix::H2MatrixS;
 use h2_kernels::Kernel;
 use h2_linalg::id::RowId;
@@ -24,11 +24,8 @@ pub(crate) fn factor<'a>(
     id_tol: f64,
 ) -> impl Fn(&ClusterTree, NodeId, &[usize]) -> (RowId, ()) + Sync + 'a {
     move |tree, i, rows| {
-        let cols = ColumnSet::Indices(&y_star[i]);
-        (
-            row_id_against(kernel, tree.points(), rows, cols, id_tol),
-            (),
-        )
+        let rid = row_id_against(kernel, tree.points(), rows, &y_star[i], id_tol);
+        (rid, ())
     }
 }
 

@@ -2,17 +2,15 @@
 //! materialized blocks.
 //!
 //! [`build`] is the single entry point used by [`crate::H2Matrix::build`].
-//! The three nested-skeleton methods (data-driven, proxy-surface, sketched)
-//! share one bottom-up pass, `nested_skeleton_pass`, and differ only in
-//! the per-node *factor rule* each submodule hands it; the incremental
-//! update engine ([`crate::update`]) runs the same pass over the nodes it
-//! touched. Everything else (tree, admissibility, block generation) is
+//! The two nested-skeleton methods (data-driven, sketched) share one
+//! bottom-up pass, `nested_skeleton_pass`, and differ only in the per-node
+//! *factor rule* each submodule hands it; the incremental update engine
+//! ([`crate::update`]) runs the same pass over the nodes it touched. Everything else (tree, admissibility, block generation) is
 //! shared with the interpolation baseline too, which is what makes the
 //! normal/on-the-fly comparison and the method ablations apples-to-apples.
 
 pub mod data_driven;
 pub mod interpolation;
-pub mod proxy_surface;
 pub mod sketched;
 
 use crate::config::{BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, MemoryMode};
@@ -60,31 +58,21 @@ fn ms_since(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-/// The column set a node's row ID compresses against: either indices into
-/// the global point set (data-driven farfield samples) or free-standing
-/// coordinates (proxy surfaces). An empty set means rank zero.
-pub(crate) enum ColumnSet<'a> {
-    Indices(&'a [usize]),
-    Coords(PointSet),
-}
-
-/// The deterministic factor rule (data-driven construction, proxy surfaces
-/// and incremental updates): a row ID of `K(rows, cols)` at `id_tol`.
+/// The deterministic factor rule (data-driven construction and incremental
+/// updates): a row ID of `K(rows, cols)` at `id_tol`, where `cols` indexes
+/// the node's farfield samples in the global point set. No columns means
+/// no farfield to compress against: rank 0.
 pub(crate) fn row_id_against(
     kernel: &dyn Kernel,
     pts: &PointSet,
     rows: &[usize],
-    cols: ColumnSet,
+    cols: &[usize],
     id_tol: f64,
 ) -> RowId {
-    let a = match cols {
-        // No farfield to compress against: rank 0.
-        ColumnSet::Indices([]) => Matrix::zeros(rows.len(), 0),
-        ColumnSet::Coords(targets) if targets.is_empty() => Matrix::zeros(rows.len(), 0),
-        ColumnSet::Indices(idx) => h2_kernels::kernel_matrix(kernel, pts, rows, idx),
-        ColumnSet::Coords(targets) => {
-            h2_kernels::kernel_cross_matrix(kernel, &pts.select(rows), &targets)
-        }
+    let a = if cols.is_empty() {
+        Matrix::zeros(rows.len(), 0)
+    } else {
+        h2_kernels::kernel_matrix(kernel, pts, rows, cols)
     };
     row_id_consume(a, Truncation::tol(id_tol))
 }
@@ -263,10 +251,6 @@ pub(crate) fn build_with_x_star<S: Scalar>(
             BasisMethod::Interpolation { order } => {
                 interpolation::factor_all(&mut h2, *order);
                 (BuilderProvenance::Interpolation, 0.0)
-            }
-            BasisMethod::ProxySurface(params) => {
-                proxy_surface::factor_all(&mut h2, params);
-                (BuilderProvenance::ProxySurface, 0.0)
             }
         },
     };

@@ -99,12 +99,6 @@ pub enum BasisMethod {
         /// Points per axis of the tensor grid.
         order: usize,
     },
-    /// Ablation baseline: classical proxy-surface skeletonization — row IDs
-    /// against synthetic points on shells enclosing each node instead of the
-    /// paper's data-driven farfield samples. Shares the kernel-submatrix
-    /// coupling structure (so both memory modes work) but relies on
-    /// geometric shell heuristics that the data-driven method avoids.
-    ProxySurface(crate::builders::proxy_surface::ProxySurfaceParams),
 }
 
 impl BasisMethod {
@@ -131,19 +125,11 @@ impl BasisMethod {
         BasisMethod::Interpolation { order }
     }
 
-    /// Proxy-surface basis sized for a target relative accuracy.
-    pub fn proxy_surface_for_tol(tol: f64, dim: usize) -> Self {
-        BasisMethod::ProxySurface(
-            crate::builders::proxy_surface::ProxySurfaceParams::for_tolerance(tol, dim),
-        )
-    }
-
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
             BasisMethod::DataDriven { .. } => "data-driven",
             BasisMethod::Interpolation { .. } => "interpolation",
-            BasisMethod::ProxySurface(_) => "proxy-surface",
         }
     }
 }
@@ -197,8 +183,6 @@ pub enum BuilderProvenance {
     Sketched,
     /// Chebyshev tensor-grid interpolation.
     Interpolation,
-    /// Proxy-surface skeletonization.
-    ProxySurface,
     /// A provenance code this build does not know about.
     Unknown(u8),
 }
@@ -210,7 +194,6 @@ impl BuilderProvenance {
             BuilderProvenance::AnchorNet => 0,
             BuilderProvenance::Sketched => 1,
             BuilderProvenance::Interpolation => 2,
-            BuilderProvenance::ProxySurface => 3,
             BuilderProvenance::Unknown(c) => c,
         }
     }
@@ -221,7 +204,7 @@ impl BuilderProvenance {
             0 => BuilderProvenance::AnchorNet,
             1 => BuilderProvenance::Sketched,
             2 => BuilderProvenance::Interpolation,
-            3 => BuilderProvenance::ProxySurface,
+            // 3 was proxy-surface; never reuse it.
             other => BuilderProvenance::Unknown(other),
         }
     }
@@ -233,7 +216,6 @@ impl BuilderProvenance {
             BuilderProvenance::AnchorNet => "anchor-net",
             BuilderProvenance::Sketched => "sketched",
             BuilderProvenance::Interpolation => "interpolation",
-            BuilderProvenance::ProxySurface => "proxy-surface",
             BuilderProvenance::Unknown(_) => "unknown",
         }
     }
@@ -249,8 +231,7 @@ pub struct H2Config {
     pub builder: BuilderStrategy,
     /// Key of the sketched builder's counter-RNG streams (bit-reproducible
     /// builds for a fixed seed) and of nothing else: anchor-net sampling,
-    /// interpolation and proxy surfaces are deterministic and never read
-    /// it.
+    /// and interpolation are deterministic and never read it.
     pub seed: u64,
     /// Memory mode for coupling/nearfield blocks.
     pub mode: MemoryMode,
@@ -334,7 +315,6 @@ mod tests {
             BuilderProvenance::AnchorNet,
             BuilderProvenance::Sketched,
             BuilderProvenance::Interpolation,
-            BuilderProvenance::ProxySurface,
         ] {
             assert_eq!(BuilderProvenance::from_code(p.code()), p);
         }

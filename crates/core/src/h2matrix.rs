@@ -807,22 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn proxy_surface_matvec_matches_dense() {
-        let h2 = build(
-            700,
-            3,
-            BasisMethod::proxy_surface_for_tol(1e-6, 3),
-            MemoryMode::OnTheFly,
-            Arc::new(Coulomb),
-        );
-        let b = probe_vector(700, 15);
-        let y = h2.matvec(&b);
-        let z = dense_matvec(&Coulomb, h2.tree().points(), &b);
-        let err = h2_linalg::vec_ops::rel_err(&y, &z);
-        assert!(err < 1e-4, "proxy-surface error {err}");
-    }
-
-    #[test]
     fn matvec_linear() {
         let h2 = build(
             300,

@@ -1,12 +1,10 @@
 //! The [`H2Operator`] abstraction: anything that applies `y = A x`.
 //!
-//! Extracted here (rather than living in `h2-solvers`) so every execution
-//! backend of an H² operator — the shared-memory [`H2MatrixS`], the sharded
-//! distributed matvec in `h2-dist`, dense references, shifted/regularized
-//! wrappers — presents one interface that the Krylov solvers and the
-//! batched matvec service consume without caring which backend is running.
-//! Consumers that previously wrapped `H2Matrix` in a matvec closure can now
-//! pass the operator itself.
+//! Every execution backend of an H² operator — the shared-memory
+//! [`H2MatrixS`], the sharded distributed matvec in `h2-dist`, the facade's
+//! shifted/regularized wrapper — presents this one interface, which the
+//! facade's conjugate-gradient solver and the batched matvec service
+//! consume without caring which backend is running.
 //!
 //! The trait is generic over the vector scalar `S` with an `f64` default,
 //! so existing `dyn H2Operator` / `O: H2Operator` call sites keep meaning

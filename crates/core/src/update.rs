@@ -98,9 +98,9 @@ pub struct UpdateReport {
 /// [`H2MatrixS::remove_points`]. Errors are returned before any mutation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum UpdateError {
-    /// The operator's proxies are stored coordinates (interpolation grids
-    /// or proxy surfaces); path re-factorization requires data-point
-    /// skeletons (data-driven or sketched construction).
+    /// The operator's proxies are stored coordinates (interpolation
+    /// grids); path re-factorization requires data-point skeletons
+    /// (data-driven or sketched construction).
     CoordProxies,
     /// An inserted point's dimension does not match the operator's.
     DimMismatch {

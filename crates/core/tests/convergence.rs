@@ -66,12 +66,6 @@ fn interpolation_converges_with_tolerance() {
 }
 
 #[test]
-fn proxy_surface_converges_with_tolerance() {
-    let errors = ladder(|tol| BasisMethod::proxy_surface_for_tol(tol, 3));
-    assert_ladder(&errors, &[1e-2, 1e-4, 1e-6, 1e-8], 30.0, "proxy-surface");
-}
-
-#[test]
 fn id_tolerance_is_the_error_lever() {
     // With generous fixed sampling, the ID tolerance alone must control the
     // achieved error (isolates the two knobs of the data-driven method).

@@ -36,32 +36,10 @@ fn data_driven_ranks_below_interpolation() {
 }
 
 #[test]
-fn rank_ordering_data_driven_below_proxy_below_interpolation() {
-    // The hierarchy the paper's argument predicts: the data-driven basis
-    // compresses against the *actual* farfield and gets the smallest ranks;
-    // a geometric proxy shell must be ready for any farfield and pays more;
-    // a tensor grid ignores the kernel and the data entirely and pays most.
-    let tol = 1e-6;
-    let dd = build(BasisMethod::data_driven_for_tol(tol, 3), 2000, 2);
-    let ps = build(BasisMethod::proxy_surface_for_tol(tol, 3), 2000, 2);
-    let mean = |h2: &H2Matrix| h2.ranks().iter().sum::<usize>() as f64 / h2.ranks().len() as f64;
-    let (dd_mean, ps_mean) = (mean(&dd), mean(&ps));
-    let interp_rank = match BasisMethod::interpolation_for_tol(tol, 3) {
-        BasisMethod::Interpolation { order } => order.pow(3) as f64,
-        _ => unreachable!(),
-    };
-    assert!(
-        dd_mean < ps_mean && ps_mean < interp_rank,
-        "expected dd ({dd_mean:.1}) < proxy-surface ({ps_mean:.1}) < interpolation ({interp_rank})"
-    );
-}
-
-#[test]
 fn structure_report_consistent_across_methods() {
     for basis in [
         BasisMethod::data_driven_for_tol(1e-5, 3),
         BasisMethod::interpolation_for_tol(1e-5, 3),
-        BasisMethod::proxy_surface_for_tol(1e-5, 3),
     ] {
         let h2 = build(basis, 1500, 3);
         let r = structure_report(&h2);

@@ -135,11 +135,6 @@ fn products_are_bitwise_identical_for_every_k_and_width_in_every_tier_precision_
     let builders = [
         ("data-driven", data_driven.clone(), anchor.clone()),
         (
-            "proxy-surface",
-            BasisMethod::proxy_surface_for_tol(TOL, 3),
-            anchor.clone(),
-        ),
-        (
             "interpolation",
             BasisMethod::interpolation_for_tol(1e-3, 3),
             anchor,
@@ -443,11 +438,6 @@ fn operators_are_byte_identical_at_every_builder_width() {
         (
             "data-driven",
             BasisMethod::data_driven_for_tol(TOL, 3),
-            anchor.clone(),
-        ),
-        (
-            "proxy-surface",
-            BasisMethod::proxy_surface_for_tol(TOL, 3),
             anchor.clone(),
         ),
         (

@@ -13,7 +13,6 @@ use h2_dist::{run_coordinator, run_shard, ChannelEndpoint, ShardedH2};
 use h2_kernels::{Coulomb, Exponential, Kernel};
 use h2_points::gen;
 use h2_serve::MatvecService;
-use h2_solvers::{cg, CgOptions, ShiftedOperator};
 use std::sync::Arc;
 
 const N: usize = 603;
@@ -143,22 +142,6 @@ fn per_matvec_traffic_is_mode_independent() {
         setup_o < setup_n,
         "on-the-fly setup {setup_o} B must shrink below stored {setup_n} B"
     );
-}
-
-#[test]
-fn cg_solves_through_a_sharded_operator() {
-    // K + λI over the sharded operator: the solver only sees H2Operator.
-    let h2 = build(Arc::new(Exponential), MemoryMode::OnTheFly);
-    let sh = ShardedH2::new(h2.clone(), 3).unwrap();
-    let op = ShiftedOperator::new(&sh, 2.0);
-    let b = probe_vector(N, 19);
-    let sol = cg(&op, &b, &CgOptions::default()).unwrap();
-    assert!(sol.rel_residual < 1e-8, "residual {}", sol.rel_residual);
-    // Identical system through the serial operator → identical iterates.
-    let serial_op = ShiftedOperator::new(&*h2, 2.0);
-    let serial_sol = cg(&serial_op, &b, &CgOptions::default()).unwrap();
-    assert_eq!(sol.x, serial_sol.x);
-    assert_eq!(sol.iterations, serial_sol.iterations);
 }
 
 #[test]

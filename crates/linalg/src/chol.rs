@@ -1,7 +1,7 @@
 //! Cholesky factorization for symmetric positive-definite matrices.
 //!
-//! Used by the solvers crate (preconditioners) and in tests that need SPD
-//! references. `A = L L^T` with `L` lower triangular.
+//! Used in tests that need SPD references. `A = L L^T` with `L` lower
+//! triangular.
 
 use crate::matrix::Matrix;
 use crate::{LinalgError, Result};

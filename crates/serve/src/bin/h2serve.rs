@@ -15,7 +15,7 @@
 //! h2serve update       --file FILE [--updates U] [--points P] [--out FILE]
 //!
 //! build flags: --n N --dim D --tol T --mode normal|otf --kernel NAME
-//!   --builder anchor|sketched --method dd|interp|proxy --leaf L --eta E
+//!   --builder anchor|sketched --method dd|interp --leaf L --eta E
 //!   --seed S --precision f64|f32|mixed --cache-budget off|BYTES|RATIO|full
 //! ```
 //!
@@ -130,7 +130,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: h2serve <build|save|load|metrics|serve|shard-worker|update> \
          [--n N] [--dim D] [--tol T] [--mode normal|otf] [--kernel NAME] \
-         [--builder anchor|sketched] [--method dd|interp|proxy] \
+         [--builder anchor|sketched] [--method dd|interp] \
          [--leaf L] [--eta E] [--seed S] \
          [--out FILE] [--file FILE] [--requests R] [--batches K] \
          [--precision f64|f32|mixed] [--cache-budget off|BYTES|RATIO|full] \
@@ -228,7 +228,6 @@ fn config_for(o: &Opts) -> H2Config {
     let basis = match o.method.as_str() {
         "dd" | "data-driven" => BasisMethod::data_driven_for_tol(o.tol, o.dim),
         "interp" | "interpolation" => BasisMethod::interpolation_for_tol(o.tol, o.dim),
-        "proxy" | "proxy-surface" => BasisMethod::proxy_surface_for_tol(o.tol, o.dim),
         m => usage(&format!("unknown method '{m}'")),
     };
     let builder = match o.builder.as_str() {

@@ -1249,27 +1249,28 @@ mod tests {
 
     #[test]
     fn unknown_provenance_byte_is_surfaced_not_rejected() {
-        // Simulate a file from a future build with a new builder: flip the
-        // provenance byte (fingerprint payload offset 2: mode, scalar,
-        // provenance) and fix up the section checksum. The file must load,
-        // reporting the unknown code.
+        // Simulate a file with a provenance code this build does not know —
+        // the retired 3 or a future builder's 200: flip the provenance byte
+        // (fingerprint payload offset 2: mode, scalar, provenance) and fix
+        // up the section checksum. The file must load, reporting the
+        // unknown code.
         let h2 = build(MemoryMode::OnTheFly);
-        let mut bytes = encode(&h2);
-        // First section starts after magic (8) + version (4): tag (1) +
-        // len (8) + payload.
-        assert_eq!(bytes[12], TAG_FINGERPRINT);
-        let len = u64::from_le_bytes(bytes[13..21].try_into().unwrap()) as usize;
-        let payload_start = 21;
-        bytes[payload_start + 2] = 200; // provenance byte
-        let sum = fnv1a64(&bytes[payload_start..payload_start + len]);
-        bytes[payload_start + len..payload_start + len + 8].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            stored_builder(&bytes).unwrap(),
-            BuilderProvenance::Unknown(200)
-        );
-        let back: H2Matrix = decode(&bytes, Arc::new(Coulomb)).expect("unknown code must load");
-        assert_eq!(back.provenance(), BuilderProvenance::Unknown(200));
-        assert_eq!(back.provenance().name(), "unknown");
+        for code in [3, 200] {
+            let mut bytes = encode(&h2);
+            // First section starts after magic (8) + version (4): tag (1) +
+            // len (8) + payload.
+            assert_eq!(bytes[12], TAG_FINGERPRINT);
+            let len = u64::from_le_bytes(bytes[13..21].try_into().unwrap()) as usize;
+            let payload_start = 21;
+            bytes[payload_start + 2] = code; // provenance byte
+            let sum = fnv1a64(&bytes[payload_start..payload_start + len]);
+            bytes[payload_start + len..payload_start + len + 8].copy_from_slice(&sum.to_le_bytes());
+            let unknown = BuilderProvenance::Unknown(code);
+            assert_eq!(stored_builder(&bytes).unwrap(), unknown);
+            let back: H2Matrix = decode(&bytes, Arc::new(Coulomb)).expect("unknown code must load");
+            assert_eq!(back.provenance(), unknown);
+            assert_eq!(back.provenance().name(), "unknown");
+        }
     }
 
     #[test]

@@ -39,19 +39,25 @@ fn save_tiny(dir: &Path) -> String {
 #[test]
 fn bad_values_are_usage_errors_not_panics() {
     let cases = [
-        ("--dim", "0"),
-        ("--eta", "0"),
-        ("--eta", "-1"),
-        ("--eta", "nan"),
-        ("--tol", "0"),
-        ("--tol", "-1"),
-        ("--tol", "nan"),
+        ("--dim", "0", "--dim must be"),
+        ("--eta", "0", "--eta must be"),
+        ("--eta", "-1", "--eta must be"),
+        ("--eta", "nan", "--eta must be"),
+        ("--tol", "0", "--tol must be"),
+        ("--tol", "-1", "--tol must be"),
+        ("--tol", "nan", "--tol must be"),
+        ("--method", "proxy", "unknown method 'proxy'"),
+        ("--builder", "x", "unknown builder 'x'"),
+        ("--kernel", "x", "unknown kernel 'x'"),
+        ("--mode", "x", "bad --mode"),
+        ("--precision", "f16", "bad --precision"),
+        ("--cache-budget", "x", "bad --cache-budget"),
     ];
-    for (flag, value) in cases {
+    for (flag, value, error) in cases {
         let (code, stdout, stderr) = h2serve(&["build", "--n", "200", flag, value]);
         let what = format!("{flag} {value}: stdout {stdout:?}, stderr {stderr:?}");
         assert_eq!(code, Some(2), "{what}");
-        assert!(stderr.contains(&format!("error: {flag} must be")), "{what}");
+        assert!(stderr.contains(&format!("error: {error}")), "{what}");
         assert!(stderr.contains("usage: h2serve"), "{what}");
         assert!(!format!("{stdout}{stderr}").contains("panicked"), "{what}");
     }

@@ -1,7 +1,6 @@
-//! Head-to-head comparison of the three basis constructions on one problem:
-//! the paper's data-driven sampling, classical proxy-surface
-//! skeletonization, and tensor-grid interpolation — at matched target
-//! accuracy, in both memory modes.
+//! Head-to-head comparison of the paper's two basis constructions on one
+//! problem: data-driven sampling and tensor-grid interpolation — at matched
+//! target accuracy, in both memory modes.
 //!
 //! ```text
 //! cargo run --release --example compare_methods
@@ -24,7 +23,6 @@ fn main() {
     );
     for (name, basis) in [
         ("data-driven", BasisMethod::data_driven_for_tol(tol, 3)),
-        ("proxy-surface", BasisMethod::proxy_surface_for_tol(tol, 3)),
         ("interpolation", BasisMethod::interpolation_for_tol(tol, 3)),
     ] {
         for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
@@ -53,7 +51,7 @@ fn main() {
             );
         }
     }
-    println!("\nall three share the H² skeleton; they differ only in how the");
-    println!("farfield is summarized: sampled data (paper), synthetic shells,");
-    println!("or a tensor grid. The rank column is the story.");
+    println!("\nboth share the H² skeleton; they differ only in how the farfield");
+    println!("is summarized: sampled data (paper) or a tensor grid. The rank");
+    println!("column is the story.");
 }

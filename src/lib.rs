@@ -5,9 +5,11 @@
 //! 2020): H² hierarchical matrices built either by the paper's data-driven
 //! hierarchical sampling or by Chebyshev interpolation, with normal and
 //! on-the-fly memory modes, plus every substrate (dense linear algebra,
-//! cluster trees, kernels, sampling, solvers) implemented from scratch.
+//! cluster trees, kernels, sampling) implemented from scratch, and the
+//! conjugate-gradient solve the paper's normal mode is amortized over.
 //!
-//! This facade re-exports the workspace crates under one roof:
+//! This facade re-exports the workspace crates under one roof, next to its
+//! own solver module:
 //!
 //! - [`linalg`] — matrices, QR/pivoted QR, interpolative decomposition, LU,
 //!   Cholesky;
@@ -21,7 +23,7 @@
 //!   splitmix64 RNG, Gaussian test matrices, adaptive-rank sketching;
 //! - [`h2`] — the H² matrix itself: builders, matvec (Algorithm 2), memory
 //!   accounting;
-//! - [`solvers`] — CG / GMRES over matrix-free [`h2::H2Operator`]s;
+//! - [`solvers`] — conjugate gradients over any [`h2::H2Operator`];
 //! - [`dist`] — sharded H² execution: partitioned cluster trees, a
 //!   message-passing transport abstraction, and a distributed matvec
 //!   bit-identical to the serial one.
@@ -52,10 +54,12 @@ pub use h2_kernels as kernels;
 pub use h2_linalg as linalg;
 pub use h2_points as points;
 pub use h2_sampling as sampling;
-pub use h2_solvers as solvers;
+
+pub mod solvers;
 
 /// The names most programs need.
 pub mod prelude {
+    pub use crate::solvers::{cg, CgOptions};
     pub use h2_core::builders::sketched::SketchParams;
     pub use h2_core::{
         AnyH2, BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, H2Matrix, H2MatrixS,
@@ -67,7 +71,6 @@ pub mod prelude {
     };
     pub use h2_points::{gen::Distribution3d, PointSet};
     pub use h2_sampling::SampleParams;
-    pub use h2_solvers::{cg, gmres, CgOptions, FnOperator, GmresOptions, LinearOperator};
 }
 
 /// A width of `threads` threads (0 = the machine's): every build, update

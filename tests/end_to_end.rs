@@ -125,28 +125,6 @@ fn memory_ordering_matches_paper_table1() {
 }
 
 #[test]
-fn proxy_surface_method_reaches_tolerance() {
-    // The geometric ablation baseline must also pass end-to-end, in both
-    // memory modes (its couplings are kernel submatrices like data-driven).
-    let n = 1000;
-    let pts = h2mv::points::gen::uniform_cube(n, 3, 21);
-    let b = probe_vector(n, 22);
-    for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
-        let cfg = H2Config {
-            basis: BasisMethod::proxy_surface_for_tol(1e-6, 3),
-            mode,
-            leaf_size: 64,
-            eta: 0.7,
-            ..H2Config::default()
-        };
-        let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
-        let y = h2.matvec(&b);
-        let err = true_rel_err(&h2, &b, &y);
-        assert!(err < 1e-4, "proxy-surface {mode:?}: err {err}");
-    }
-}
-
-#[test]
 fn composite_kernel_end_to_end() {
     // A caller's own kernel, `0.5·exp(−r) + Gaussian`, through the trait's
     // entrywise defaults: the data-driven sampling never looks at the kernel.
