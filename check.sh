@@ -40,7 +40,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, four unsafe AVX2 dispatches: one each in panel.rs, radial.rs, qr.rs and strategies.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), workspace (12 crates, no h2-solvers, no proxy-surface builder, CG the one solver), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic), bench binary and result (each named by run_harness.sh or check.sh) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, four unsafe AVX2 dispatches: one each in panel.rs, radial.rs, qr.rs and strategies.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), workspace (12 crates, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic), bench binary and result (each named by run_harness.sh or check.sh) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -64,6 +64,14 @@ MEMBERS=$(grep -c '^    "crates/' Cargo.toml)
 if grep -rnE 'ProxySurface|proxy_surface|gmres|bicgstab|pcg\(|FnOperator|DenseOperator|LinearOperator' \
   crates src tests examples README.md DESIGN.md PAPER.md; then
   echo "the proxy-surface builder or a second solver is back"; exit 1
+fi
+# One precision dispatch: in the library the type parameters choose the
+# mode (H2MatrixS<f32> is H2Operator<f32> and, mixed, H2Operator<f64>);
+# h2serve maps (file scalar, --precision) to (S, A) in one place.
+[ ! -e crates/core/src/precision.rs ] || { echo "crates/core/src/precision.rs is back"; exit 1; }
+if grep -rnE 'AnyH2|MixedH2|h2_core::Precision|precision::' \
+  crates src tests examples README.md DESIGN.md PAPER.md; then
+  echo "the runtime precision layer (AnyH2, MixedH2, Precision) is back"; exit 1
 fi
 # One CPU-feature check in the workspace (h2_linalg::simd::avx2), and four
 # unsafe calls behind it: the AVX2 compiles of the panel kernels, the radial

@@ -6,7 +6,7 @@
 //! cargo test --release -p h2-bench --test scrape_overhead -- --ignored
 //! ```
 
-use h2_core::{AnyH2, BasisMethod, H2Config, H2Matrix, MemoryMode};
+use h2_core::{BasisMethod, H2Config, H2Matrix, MemoryMode};
 use h2_kernels::Coulomb;
 use h2_points::gen;
 use h2_serve::{MatvecService, MetricsServer};
@@ -27,8 +27,8 @@ fn scrape_render_cost_stays_under_one_percent_of_serving() {
         ..H2Config::default()
     };
     let pts = gen::uniform_cube(n, 3, seed);
-    let op = AnyH2::F64(Arc::new(H2Matrix::build(&pts, Arc::new(Coulomb), &cfg)));
-    scrape_overhead_study(Arc::new(op), 64, seed);
+    let op = Arc::new(H2Matrix::build(&pts, Arc::new(Coulomb), &cfg));
+    scrape_overhead_study(op, 64, seed);
 }
 
 /// Serves one workload while a scraper loops `GET /metrics` against the
@@ -36,7 +36,7 @@ fn scrape_render_cost_stays_under_one_percent_of_serving() {
 /// of the serving wall-clock. Render time is measured directly inside the
 /// render closure — the number is the cost the observability plane adds,
 /// independent of scheduler noise between runs.
-fn scrape_overhead_study(op: Arc<AnyH2>, requests: usize, seed: u64) {
+fn scrape_overhead_study(op: Arc<H2Matrix>, requests: usize, seed: u64) {
     let svc = Arc::new(MatvecService::new(op, 4));
     let render_ns = Arc::new(AtomicU64::new(0));
     let srv = {

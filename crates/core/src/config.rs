@@ -37,50 +37,6 @@ impl MemoryMode {
     }
 }
 
-/// Scalar precision of the stored operator and of sweep accumulation.
-///
-/// The construction pipeline (sampling + rank-revealing IDs) always runs in
-/// `f64`; this enum only selects what the assembled operator *stores* and how
-/// matvec sweeps *accumulate*:
-///
-/// - [`Precision::F64`]: `f64` storage, `f64` sweeps — the reference mode.
-/// - [`Precision::F32`]: `f32` storage, `f32` sweeps — half the resident
-///   operator bytes, single-precision accuracy (~1e-6 relative error floor).
-/// - [`Precision::MixedF32`]: `f32` storage, but every sweep partial is
-///   carried in `f64` — same footprint as `F32`, accuracy limited only by
-///   the one rounding of the stored entries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Double-precision storage and accumulation (default).
-    #[default]
-    F64,
-    /// Single-precision storage and accumulation.
-    F32,
-    /// Single-precision storage, double-precision accumulation.
-    MixedF32,
-}
-
-impl Precision {
-    /// Harness CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::F64 => "f64",
-            Precision::F32 => "f32",
-            Precision::MixedF32 => "mixed-f32",
-        }
-    }
-
-    /// Parses the harness CLI name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "f64" | "double" => Some(Precision::F64),
-            "f32" | "single" => Some(Precision::F32),
-            "mixed" | "mixed-f32" => Some(Precision::MixedF32),
-            _ => None,
-        }
-    }
-}
-
 /// How farfield bases are constructed.
 #[derive(Clone, Debug)]
 pub enum BasisMethod {
@@ -239,10 +195,6 @@ pub struct H2Config {
     pub leaf_size: usize,
     /// Well-separation parameter (the paper uses 0.7).
     pub eta: f64,
-    /// Storage/accumulation precision of the assembled operator. Only
-    /// consulted by runtime-dispatched entry points ([`crate::AnyH2`]);
-    /// the generic `H2MatrixS::<S>::build` path is typed by `S` directly.
-    pub precision: Precision,
     /// Byte budget of the tiered block cache installed over on-the-fly
     /// operators ([`CacheBudget::Off`] = pure on-the-fly; resolving to the
     /// full block footprint reproduces normal-mode residency). Ignored in
@@ -259,7 +211,6 @@ impl Default for H2Config {
             mode: MemoryMode::Normal,
             leaf_size: 128,
             eta: 0.7,
-            precision: Precision::F64,
             cache_budget: CacheBudget::Off,
         }
     }
@@ -305,7 +256,6 @@ mod tests {
         assert_eq!(c.basis.name(), "data-driven");
         assert_eq!(c.builder.name(), "anchor-net");
         assert_eq!(c.seed, 0);
-        assert_eq!(c.precision, Precision::F64);
         assert!(c.cache_budget.is_off());
     }
 
@@ -332,15 +282,5 @@ mod tests {
             "sketched"
         );
         assert_eq!(BuilderStrategy::default().name(), "anchor-net");
-    }
-
-    #[test]
-    fn precision_parse_round_trip() {
-        for p in [Precision::F64, Precision::F32, Precision::MixedF32] {
-            assert_eq!(Precision::parse(p.name()), Some(p));
-        }
-        assert_eq!(Precision::parse("double"), Some(Precision::F64));
-        assert_eq!(Precision::parse("mixed"), Some(Precision::MixedF32));
-        assert_eq!(Precision::parse("f16"), None);
     }
 }

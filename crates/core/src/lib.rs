@@ -52,19 +52,20 @@
 //! single-precision operator with half the resident bytes. The apply methods
 //! additionally accept an independent accumulator scalar, so
 //! `h2_f32.matvec_f64(&b)` runs the **mixed-precision** mode: `f32` storage
-//! traffic, `f64` sweep accumulation. [`Precision`] + [`AnyH2`] select the
-//! mode at runtime from an [`H2Config`]:
+//! traffic, `f64` sweep accumulation. The type parameters choose the mode;
+//! an `f32` operator is an `H2Operator<f32>` (pure `f32`) and an
+//! `H2Operator<f64>` (mixed):
 //!
 //! ```
-//! use h2_core::{AnyH2, H2Config, H2Operator, Precision};
+//! use h2_core::{H2Config, H2MatrixS, H2Operator};
 //! use h2_kernels::Coulomb;
 //! use h2_points::gen;
 //!
 //! let pts = gen::uniform_cube(500, 3, 7);
-//! let cfg = H2Config { precision: Precision::MixedF32, ..H2Config::default() };
-//! let op = AnyH2::build(&pts, std::sync::Arc::new(Coulomb), &cfg);
+//! let h2 = H2MatrixS::<f32>::build(&pts, std::sync::Arc::new(Coulomb), &H2Config::default());
+//! let op: &dyn H2Operator<f64> = &h2;
 //! let y = op.matvec(&vec![1.0; 500]);
-//! assert_eq!(y.len(), 500);
+//! assert_eq!(y, h2.matvec_f64(&vec![1.0; 500]));
 //! ```
 
 pub mod builders;
@@ -76,20 +77,16 @@ pub mod h2matrix;
 pub mod memory;
 pub mod operator;
 pub mod parts;
-pub mod precision;
 pub mod proxy;
 pub mod sweep;
 pub mod update;
 
 pub use builders::BuildStats;
-pub use config::{
-    BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, MemoryMode, Precision,
-};
+pub use config::{BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, MemoryMode};
 pub use h2_cache::{BlockCache, BlockKind, CacheBudget, CacheStats};
 pub use h2matrix::{H2Matrix, H2MatrixS};
 pub use memory::MemoryReport;
 pub use operator::{ApplyError, H2Operator};
 pub use parts::H2Parts;
-pub use precision::{AnyH2, MixedH2};
 pub use sweep::{PairStep, Sweep, SweepPlan};
 pub use update::{UpdateError, UpdatePolicy, UpdateReport};

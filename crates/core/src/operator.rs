@@ -8,9 +8,9 @@
 //!
 //! The trait is generic over the vector scalar `S` with an `f64` default,
 //! so existing `dyn H2Operator` / `O: H2Operator` call sites keep meaning
-//! double precision; `H2Operator<f32>` is the single-precision serving
-//! surface, and [`crate::precision::MixedH2`] adapts an `f32` operator to
-//! the `f64` interface with `f64` accumulation.
+//! double precision. An `H2MatrixS<S>` is an `H2Operator<S>`, and an
+//! `H2MatrixS<f32>` is also an `H2Operator<f64>`: the mixed-precision mode,
+//! `f32` storage with every sweep partial accumulated in `f64`.
 
 use crate::h2matrix::H2MatrixS;
 use h2_cache::CacheStats;
@@ -129,6 +129,34 @@ impl<S: Scalar> H2Operator<S> for H2MatrixS<S> {
 
     fn matmat(&self, b: &MatrixS<S>) -> MatrixS<S> {
         H2MatrixS::matmat(self, b)
+    }
+
+    fn cache_stats(&self) -> Option<CacheStats> {
+        H2MatrixS::cache_stats(self)
+    }
+
+    fn epoch(&self) -> u64 {
+        H2MatrixS::epoch(self)
+    }
+}
+
+/// The mixed-precision mode: `f64` vectors through `f32` storage, every
+/// sweep partial accumulated in `f64` (the same sweep at `A = f64`).
+impl H2Operator<f64> for H2MatrixS<f32> {
+    fn dims(&self) -> (usize, usize) {
+        (self.n(), self.n())
+    }
+
+    fn matvec(&self, b: &[f64]) -> Vec<f64> {
+        self.matvec_f64(b)
+    }
+
+    fn matvec_into(&self, b: &[f64], y: &mut [f64]) {
+        H2MatrixS::matvec_into::<f64>(self, b, y);
+    }
+
+    fn matmat(&self, b: &MatrixS<f64>) -> MatrixS<f64> {
+        self.matmat_f64(b)
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {

@@ -488,7 +488,6 @@ impl<S: Scalar> H2MatrixS<S> {
             leaf_size: state.leaf_size,
             eta: self.lists.eta,
             cache_budget: CacheBudget::Off,
-            ..H2Config::default()
         };
         let budget = self.cache.as_ref().map(|c| c.stats().budget_bytes);
         let epoch = self.epoch + 1;

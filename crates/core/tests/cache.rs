@@ -7,7 +7,7 @@
 //! - the byte-budget invariant holds while parallel matvecs hammer one
 //!   shared cache, and intermediate budgets keep full accuracy.
 
-use h2_core::{BasisMethod, CacheBudget, H2Config, H2Matrix, H2MatrixS, MemoryMode, Precision};
+use h2_core::{BasisMethod, CacheBudget, H2Config, H2Matrix, H2MatrixS, MemoryMode};
 use h2_kernels::{Coulomb, Exponential, Kernel};
 use h2_linalg::{Matrix, MatrixS, Scalar};
 use h2_points::gen;
@@ -186,23 +186,23 @@ fn endpoints_bitwise_mixed_precision() {
 
 #[test]
 fn precision_config_respects_budget() {
-    // The runtime-dispatched precision path builds through the same
-    // `build::<S>` entry point, so the budget arrives there too.
-    use h2_core::{AnyH2, H2Operator};
+    // An `f32` operator builds through the same `build::<S>` entry point,
+    // so the budget arrives there too, and the mixed-precision interface
+    // reports the cache it runs on.
+    use h2_core::H2Operator;
     let pts = gen::uniform_cube(400, 3, 23);
     let c = H2Config {
-        precision: Precision::MixedF32,
         mode: MemoryMode::OnTheFly,
         cache_budget: CacheBudget::Ratio(0.25),
         basis: BasisMethod::data_driven_for_tol(1e-5, 3),
         leaf_size: 40,
         ..H2Config::default()
     };
-    let op = AnyH2::build(&pts, Arc::new(Coulomb), &c);
-    let stats = op.cache_stats().expect("cache installed through AnyH2");
+    let op = H2MatrixS::<f32>::build(&pts, Arc::new(Coulomb), &c);
+    let stats = H2Operator::<f64>::cache_stats(&op).expect("cache installed at build");
     assert!(stats.budget_bytes > 0);
     assert!(stats.resident_bytes <= stats.budget_bytes);
-    let y = op.matvec(&vec![1.0; 400]);
+    let y = H2Operator::<f64>::matvec(&op, &vec![1.0; 400]);
     assert_eq!(y.len(), 400);
 }
 

@@ -9,7 +9,7 @@
 //! than pure `f32`.
 
 use h2_core::error_est::probe_vector;
-use h2_core::{BasisMethod, H2Config, H2MatrixS, MemoryMode};
+use h2_core::{BasisMethod, H2Config, H2MatrixS, H2Operator, MemoryMode};
 use h2_kernels::{Coulomb, Exponential, Gaussian, Kernel};
 use h2_linalg::{vec_ops, Matrix, MatrixS};
 use h2_points::gen;
@@ -100,6 +100,46 @@ fn mixed_precision_end_to_end_beats_or_matches_f32() {
             mode.name()
         );
     }
+}
+
+#[test]
+fn f32_operator_serves_the_f32_and_mixed_interfaces() {
+    // One `f32` operator is both `H2Operator<f32>` (pure) and
+    // `H2Operator<f64>` (mixed): the buffered apply has the bits of the
+    // allocating one, mixed stays within single precision of `f64`, the
+    // coupling blocks are half the bytes, and after an update both
+    // interfaces report the operator's epoch.
+    let pts = gen::uniform_cube(400, 3, 51);
+    let c = H2Config {
+        leaf_size: 40,
+        ..cfg(MemoryMode::Normal)
+    };
+    let h64 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &c);
+    let mut h32 = H2MatrixS::<f32>::build(&pts, Arc::new(Coulomb), &c);
+    let b: Vec<f64> = (0..400).map(|i| (i as f64 * 0.13).sin()).collect();
+    let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
+    let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+
+    let mixed = H2Operator::<f64>::matvec(&h32, &b);
+    let mut into = vec![f64::NAN; 400];
+    H2Operator::<f64>::matvec_into(&h32, &b, &mut into);
+    assert_eq!(bits(&into), bits(&mixed), "mixed: matvec_into");
+    assert_eq!(bits(&mixed), bits(&h32.matvec_f64(&b)), "mixed: trait");
+    let err = vec_ops::rel_err(&mixed, &h64.matvec(&b));
+    assert!(err < 1e-5, "mixed vs f64: {err}");
+
+    let pure = H2Operator::<f32>::matvec(&h32, &b32);
+    let mut into32 = vec![f32::NAN; 400];
+    H2Operator::<f32>::matvec_into(&h32, &b32, &mut into32);
+    assert_eq!(into32, pure, "f32: matvec_into");
+
+    let (m64, m32) = (h64.memory_report(), h32.memory_report());
+    assert_eq!(m32.coupling_blocks * 2, m64.coupling_blocks);
+
+    h32.insert_points(&gen::uniform_cube(5, 3, 52)).unwrap();
+    assert!(h32.epoch() > 0);
+    assert_eq!(H2Operator::<f64>::epoch(&h32), h32.epoch());
+    assert_eq!(H2Operator::<f32>::epoch(&h32), h32.epoch());
 }
 
 #[test]

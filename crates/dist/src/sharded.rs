@@ -241,12 +241,6 @@ impl<S: Scalar> ShardedH2<S> {
         y
     }
 
-    /// Same-precision convenience for `S = f64` call sites and, for
-    /// `S = f32`, the distributed mixed-precision entry point.
-    pub fn matvec_f64(&self, b: &[f64]) -> Vec<f64> {
-        self.matvec::<f64>(b)
-    }
-
     /// `y = Â b`, returning the run's measurements alongside the result.
     pub fn matvec_with_stats<A: Scalar>(&self, b: &[A]) -> (Vec<A>, DistStats) {
         assert_eq!(b.len(), self.h2.n(), "matvec: vector length");
@@ -668,7 +662,7 @@ mod tests {
         let b = rhs(600);
         let serial_mixed = h2_32.matvec_f64(&b);
         let sh = ShardedH2::new(h2_32.clone(), 3).unwrap();
-        let y = sh.matvec_f64(&b);
+        let y = sh.matvec::<f64>(&b);
         assert_eq!(y, serial_mixed);
         let err = vec_ops::rel_err(&y, &h2_64.matvec(&b));
         assert!(err <= 1e-5, "mixed sharded err {err}");

@@ -23,8 +23,7 @@
 //!   sample its relative error against exact kernel rows.
 //! - `save`: the same, then persist it; the header records the storage
 //!   scalar and the builder.
-//! - `load`: decode a file in the `--precision` mode (an `f32` file serves
-//!   as mixed unless `--precision f32`; an `f64` file only as `f64`).
+//! - `load`: decode a file, time a matvec and sample its relative error.
 //! - `metrics`: serve `--requests` probes and print the `/metrics` body.
 //! - `serve --shards N`: spawn `N` `shard-worker` processes, serve probes
 //!   checked bit-for-bit against the local operator, drain the workers.
@@ -34,15 +33,16 @@
 //! - `update`: alternate matvecs with insert/remove rounds on a versioned
 //!   registry slot, checking the swap protocol each round.
 //!
+//! Every file command runs in the `--precision` mode: an `f32` file serves
+//! as mixed unless `--precision f32`; an `f64` file only as `f64`.
+//! (`serve --shards` and `shard-worker` accumulate in the file's scalar.)
+//!
 //! Exit status 2 is a usage error; 1 is a runtime error, printed as
 //! `h2serve <cmd>: <error>`.
 
 use h2_cache::split_budget;
 use h2_core::H2Operator;
-use h2_core::{
-    AnyH2, BasisMethod, BuilderStrategy, CacheBudget, H2Config, H2MatrixS, MemoryMode, MixedH2,
-    Precision,
-};
+use h2_core::{BasisMethod, BuilderStrategy, CacheBudget, H2Config, H2MatrixS, MemoryMode};
 use h2_kernels::{kernel_by_name, Kernel};
 use h2_linalg::Scalar;
 use h2_net::{run_worker, BoundCoordinator, NetConfig, NetError, ShardCoordinator};
@@ -72,7 +72,8 @@ struct Opts {
     file: Option<String>,
     requests: usize,
     batch: usize,
-    precision: Precision,
+    /// `--precision`: `f64`, `f32` or `mixed-f32`.
+    precision: &'static str,
     cache_budget: CacheBudget,
     shards: usize,
     rank: usize,
@@ -105,7 +106,7 @@ impl Default for Opts {
             file: None,
             requests: 64,
             batch: 1,
-            precision: Precision::F64,
+            precision: "f64",
             cache_budget: CacheBudget::Off,
             shards: 0,
             rank: 0,
@@ -172,7 +173,12 @@ fn parse_opts(args: &[String]) -> Opts {
             "--file" => o.file = Some(val()),
             "--requests" => o.requests = num(a, val()),
             "--precision" => {
-                o.precision = Precision::parse(&val()).unwrap_or_else(|| usage("bad --precision"))
+                o.precision = match val().as_str() {
+                    "f64" | "double" => "f64",
+                    "f32" | "single" => "f32",
+                    "mixed" | "mixed-f32" => "mixed-f32",
+                    _ => usage("bad --precision"),
+                }
             }
             "--cache-budget" => {
                 o.cache_budget =
@@ -242,14 +248,8 @@ fn config_for(o: &Opts) -> H2Config {
         leaf_size: o.leaf,
         eta: o.eta,
         seed: o.seed,
-        precision: o.precision,
         cache_budget: o.cache_budget,
     }
-}
-
-fn build_operator(o: &Opts) -> AnyH2 {
-    let pts = gen::uniform_cube(o.n, o.dim, o.seed);
-    AnyH2::build(&pts, make_kernel(&o.kernel), &config_for(o))
 }
 
 /// The probe vector of `seed` in the scalar `S`.
@@ -260,7 +260,8 @@ fn probe<S: Scalar>(n: usize, seed: u64) -> Vec<S> {
         .collect()
 }
 
-fn report<S: Scalar>(h2: &H2MatrixS<S>) {
+/// Prints the operator's stats and the precision mode `(S, A)` it runs in.
+fn report<S: Scalar, A: Scalar>(h2: &H2MatrixS<S>) {
     let s = h2.stats();
     let mem = h2.memory_report();
     println!(
@@ -288,16 +289,12 @@ fn report<S: Scalar>(h2: &H2MatrixS<S>) {
         mem.total() as f64 / 1024.0,
         h2.ranks().iter().copied().max().unwrap_or(0)
     );
-}
-
-fn report_any(op: &AnyH2) {
-    match op {
-        AnyH2::F64(h) => report(h.as_ref()),
-        AnyH2::F32(h) => report(h.as_ref()),
-        AnyH2::Mixed(m) => report(m.inner().as_ref()),
-    }
-    println!("precision: {}", op.precision().name());
-    if let Some(c) = op.cache_stats() {
+    let precision = match (S::NAME, A::NAME) {
+        ("f32", "f64") => "mixed-f32",
+        (s, _) => s,
+    };
+    println!("precision: {precision}");
+    if let Some(c) = h2.cache_stats() {
         println!(
             "cache: budget {:.1} KiB, resident {:.1} KiB ({} blocks)",
             c.budget_bytes as f64 / 1024.0,
@@ -307,105 +304,133 @@ fn report_any(op: &AnyH2) {
     }
 }
 
-/// Times one `f64`-interface matvec and samples its relative error against
-/// exact kernel rows, whatever precision mode `op` runs in.
-fn check_and_time(op: &AnyH2, seed: u64) {
-    let b = h2_core::error_est::probe_vector(op.n(), seed ^ 0xC0FFEE);
+/// Times one matvec accumulated in `A` and samples its relative error
+/// against exact kernel rows.
+fn check_and_time<S: Scalar, A: Scalar>(h2: &H2MatrixS<S>, seed: u64) {
+    let b = probe::<A>(h2.n(), seed ^ 0xC0FFEE);
     let t = Instant::now();
-    let y = op.matvec(&b);
+    let y = h2.matvec(&b);
     let mv_ms = t.elapsed().as_secs_f64() * 1e3;
-    let err = match op {
-        AnyH2::F64(h) => h.estimate_rel_error(&b, &y, 12, seed),
-        AnyH2::F32(h) => {
-            let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-            let y32: Vec<f32> = y.iter().map(|&v| v as f32).collect();
-            h.estimate_rel_error(&b32, &y32, 12, seed) as f64
-        }
-        AnyH2::Mixed(m) => m.inner().estimate_rel_error(&b, &y, 12, seed),
-    };
+    let err = h2.estimate_rel_error(&b, &y, 12, seed);
     println!("matvec: {mv_ms:.2} ms, sampled relative error {err:.2e}");
 }
 
-fn cmd_build(o: &Opts) -> Result<(), String> {
-    let h2 = build_operator(o);
-    report_any(&h2);
-    check_and_time(&h2, o.seed);
-    Ok(())
+/// A subcommand, its flags checked, with the operator file it reads.
+#[derive(Clone, Copy)]
+enum Cmd<'a> {
+    Build,
+    Save(&'a str),
+    Load(&'a str, Instant),
+    Metrics(Option<&'a str>),
+    Serve(&'a str),
+    ShardWorker(&'a str, &'a str),
+    Update(&'a str),
 }
 
-fn cmd_save(o: &Opts) -> Result<(), String> {
-    let Some(out) = &o.out else {
-        usage("save needs --out FILE");
-    };
-    let h2 = build_operator(o);
-    report_any(&h2);
-    let t = Instant::now();
-    // The file records the storage scalar; mixed mode stores f32 and is
-    // re-selected with `--precision mixed` at load time.
-    let bytes = match &h2 {
-        AnyH2::F64(h) => codec::save(h.as_ref(), out),
-        AnyH2::F32(h) => codec::save(h.as_ref(), out),
-        AnyH2::Mixed(m) => codec::save(m.inner().as_ref(), out),
-    }
-    .map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
-        "saved {out}: {:.1} KiB in {:.1} ms",
-        bytes as f64 / 1024.0,
-        t.elapsed().as_secs_f64() * 1e3
-    );
-    Ok(())
-}
-
-/// An operator file decoded at the storage scalar its header records.
-enum Stored {
-    F64(H2MatrixS<f64>),
-    F32(H2MatrixS<f32>),
-}
-
-/// The one file loader: reads `file`, decodes it with the `--kernel`
-/// kernel at its own storage scalar, and installs `budget` (files never
-/// persist a cache; the tier is reinstalled at load time).
-fn load(o: &Opts, file: &str, budget: CacheBudget) -> Result<Stored, String> {
-    let kernel = make_kernel(&o.kernel);
-    let fail = |e: LoadError| format!("cannot load {file}: {e}");
-    let bytes = std::fs::read(file).map_err(|e| fail(e.into()))?;
-    let mut stored = match codec::stored_scalar(&bytes).map_err(fail)? {
-        "f32" => Stored::F32(codec::decode(&bytes, kernel).map_err(fail)?),
-        _ => Stored::F64(codec::decode(&bytes, kernel).map_err(fail)?),
-    };
-    match &mut stored {
-        Stored::F64(h2) => h2.set_cache_budget(budget),
-        Stored::F32(h2) => h2.set_cache_budget(budget),
-    }
-    Ok(stored)
-}
-
-/// Loads `file` into the precision mode `--precision` requests: an `f32`
-/// file is a pure-`f32` operator under `--precision f32` and mixed (`f64`
-/// accumulation) otherwise; an `f64` file under `--precision f32`/`mixed`
-/// is a precision mismatch, not a silent conversion.
-fn load_any(o: &Opts, file: &str) -> Result<AnyH2, String> {
-    Ok(match (load(o, file, o.cache_budget)?, o.precision) {
-        (Stored::F64(h2), Precision::F64) => AnyH2::F64(Arc::new(h2)),
-        (Stored::F32(h2), Precision::F32) => AnyH2::F32(Arc::new(h2)),
-        (Stored::F32(h2), _) => AnyH2::Mixed(MixedH2::new(Arc::new(h2))),
-        (Stored::F64(_), requested) => {
-            let e = LoadError::PrecisionMismatch {
-                stored: "f64",
-                requested: requested.name(),
-            };
-            return Err(format!("cannot load {file}: {e}"));
+impl<'a> Cmd<'a> {
+    fn file(self) -> Option<&'a str> {
+        match self {
+            Cmd::Build | Cmd::Save(_) => None,
+            Cmd::Metrics(file) => file,
+            Cmd::Load(file, _)
+            | Cmd::Serve(file)
+            | Cmd::ShardWorker(file, _)
+            | Cmd::Update(file) => Some(file),
         }
-    })
+    }
 }
 
-fn cmd_load(o: &Opts) -> Result<(), String> {
-    let file = file_of(o, "load");
-    let t = Instant::now();
-    let h2 = load_any(o, file)?;
-    println!("loaded {file} in {:.1} ms", t.elapsed().as_secs_f64() * 1e3);
-    report_any(&h2);
-    check_and_time(&h2, o.seed);
+/// The one precision rule: maps the operator's storage scalar and
+/// `--precision` to `(S, A)` and runs `cmd` there. A file is read at the
+/// scalar its header records; without one, `--precision f32`/`mixed` build
+/// in `f32`. An `f32` operator runs pure `f32` under `--precision f32` and
+/// mixed (`f64` accumulation) otherwise; an `f64` file under `f32`/`mixed`
+/// is a precision mismatch, not a silent conversion.
+fn dispatch(cmd: Cmd, o: &Opts) -> Result<(), String> {
+    let kernel = make_kernel(&o.kernel);
+    let file = cmd.file();
+    let fail = |e: LoadError| format!("cannot load {}: {e}", file.unwrap_or_default());
+    let bytes = file
+        .map(std::fs::read)
+        .transpose()
+        .map_err(|e| fail(e.into()))?;
+    let stored = match &bytes {
+        Some(bytes) => codec::stored_scalar(bytes).map_err(fail)?,
+        None if o.precision == "f64" => "f64",
+        None => "f32",
+    };
+    // `serve` decodes the bitwise reference its hosted copies are checked
+    // against; they, not the reference, get the cache budget.
+    let budget = match cmd {
+        Cmd::Serve(_) => CacheBudget::Off,
+        _ => o.cache_budget,
+    };
+    match (stored, o.precision) {
+        ("f64", "f64") => {
+            run::<f64, f64>(cmd, o, operator(o, kernel, bytes, budget).map_err(fail)?)
+        }
+        ("f32", "f32") => {
+            run::<f32, f32>(cmd, o, operator(o, kernel, bytes, budget).map_err(fail)?)
+        }
+        ("f32", _) => run::<f32, f64>(cmd, o, operator(o, kernel, bytes, budget).map_err(fail)?),
+        (stored, requested) => Err(fail(LoadError::PrecisionMismatch { stored, requested })),
+    }
+}
+
+/// The one builder/loader, at the storage scalar `S`: the file's `bytes`
+/// decoded with the `--kernel` kernel and `budget` installed (files never
+/// persist a cache), or without bytes, an operator built from the build
+/// flags.
+fn operator<S: Scalar>(
+    o: &Opts,
+    kernel: Arc<dyn Kernel>,
+    bytes: Option<Vec<u8>>,
+    budget: CacheBudget,
+) -> Result<H2MatrixS<S>, LoadError> {
+    let Some(bytes) = bytes else {
+        let pts = gen::uniform_cube(o.n, o.dim, o.seed);
+        return Ok(H2MatrixS::build(&pts, kernel, &config_for(o)));
+    };
+    let mut h2 = codec::decode(&bytes, kernel)?;
+    h2.set_cache_budget(budget);
+    Ok(h2)
+}
+
+/// `cmd` on an operator stored in `S` whose products accumulate in `A`.
+fn run<S: Scalar, A: Scalar>(cmd: Cmd, o: &Opts, h2: H2MatrixS<S>) -> Result<(), String>
+where
+    H2MatrixS<S>: H2Operator<A>,
+{
+    match cmd {
+        Cmd::Build => {
+            report::<S, A>(&h2);
+            check_and_time::<S, A>(&h2, o.seed);
+        }
+        Cmd::Save(out) => {
+            report::<S, A>(&h2);
+            let t = Instant::now();
+            // The file records the storage scalar; mixed mode stores f32 and
+            // is re-selected with `--precision mixed` at load time.
+            let bytes = codec::save(&h2, out).map_err(|e| format!("cannot write {out}: {e}"))?;
+            println!(
+                "saved {out}: {:.1} KiB in {:.1} ms",
+                bytes as f64 / 1024.0,
+                t.elapsed().as_secs_f64() * 1e3
+            );
+        }
+        Cmd::Load(file, t) => {
+            println!("loaded {file} in {:.1} ms", t.elapsed().as_secs_f64() * 1e3);
+            report::<S, A>(&h2);
+            check_and_time::<S, A>(&h2, o.seed);
+        }
+        Cmd::Metrics(file) => metrics::<S, A>(h2, o, file)?,
+        Cmd::Update(_) => update_workload::<S, A>(h2, o)?,
+        Cmd::Serve(file) => match &o.tenants {
+            Some(tenants) => serve_tenants::<S, A>(h2, o, file, tenants)?,
+            None => serve_distributed(h2, o, file)?,
+        },
+        Cmd::ShardWorker(_, connect) => shard_worker(&h2, o, connect)?,
+    }
     Ok(())
 }
 
@@ -487,33 +512,35 @@ fn registry_of<S: Scalar>(name: &str, op: &Arc<H2MatrixS<S>>) -> OperatorRegistr
 
 /// Runs one serving workload and prints the [`metrics_body`] of the
 /// service plus a one-entry registry of the served operator.
-fn cmd_metrics(o: &Opts) -> Result<(), String> {
-    let (op, name) = match &o.file {
-        Some(f) => (
-            load_any(o, f)?,
-            std::path::Path::new(f)
-                .file_stem()
-                .map_or_else(|| f.clone(), |s| s.to_string_lossy().into_owned()),
-        ),
-        None => (build_operator(o), format!("{}-n{}", o.kernel, o.n)),
+fn metrics<S: Scalar, A: Scalar>(
+    h2: H2MatrixS<S>,
+    o: &Opts,
+    file: Option<&str>,
+) -> Result<(), String>
+where
+    H2MatrixS<S>: H2Operator<A>,
+{
+    let name = match file {
+        Some(f) => std::path::Path::new(f)
+            .file_stem()
+            .map_or_else(|| f.to_string(), |s| s.to_string_lossy().into_owned()),
+        None => format!("{}-n{}", o.kernel, o.n),
     };
-    let op = Arc::new(op);
+    let op = Arc::new(h2);
     let svc = MatvecService::new(op.clone(), o.batch);
-    let requests = (0..o.requests).map(|s| (None, probe(op.n(), o.seed ^ (s as u64) << 8)));
+    let requests = (0..o.requests).map(|s| (None, probe::<A>(op.n(), o.seed ^ (s as u64) << 8)));
     serve_round(&svc, requests, |_, _| true)?;
-    let body = match op.as_ref() {
-        AnyH2::F64(h) => metrics_body(&svc, false, Some(&registry_of(&name, h))),
-        AnyH2::F32(h) => metrics_body(&svc, false, Some(&registry_of(&name, h))),
-        AnyH2::Mixed(m) => metrics_body(&svc, false, Some(&registry_of(&name, m.inner()))),
-    };
-    print!("{body}");
+    print!(
+        "{}",
+        metrics_body(&svc, false, Some(&registry_of(&name, &op)))
+    );
     Ok(())
 }
 
-/// The `update` workload at one storage width: registry-mediated
-/// clone-apply-swap updates interleaved with matvecs, verifying the swap
-/// protocol every round.
-fn update_workload<S: Scalar>(h2: H2MatrixS<S>, o: &Opts) -> Result<(), String> {
+/// `update`: the operator in a versioned registry slot, registry-mediated
+/// clone-apply-swap updates interleaved with matvecs accumulated in `A`,
+/// verifying the swap protocol every round.
+fn update_workload<S: Scalar, A: Scalar>(h2: H2MatrixS<S>, o: &Opts) -> Result<(), String> {
     let dim = h2.dim();
     let reg: OperatorRegistry<S> = OperatorRegistry::new();
     reg.insert("live", Arc::new(h2));
@@ -529,8 +556,8 @@ fn update_workload<S: Scalar>(h2: H2MatrixS<S>, o: &Opts) -> Result<(), String> 
         // A handle taken before the swap: the in-flight side of the
         // protocol. It must finish on the epoch it started on.
         let inflight = live()?;
-        let b = probe::<S>(inflight.n(), o.seed ^ (round as u64));
-        let y_inflight = inflight.matvec(&b);
+        let b = probe::<A>(inflight.n(), o.seed ^ (round as u64));
+        let y_inflight = inflight.as_ref().matvec(&b);
         let fresh_pts = gen::uniform_cube(o.points, dim, o.seed + 1 + round as u64);
         let departing: Vec<usize> = (0..o.points.min(inflight.n() - 1)).collect();
         let t = Instant::now();
@@ -548,11 +575,11 @@ fn update_workload<S: Scalar>(h2: H2MatrixS<S>, o: &Opts) -> Result<(), String> 
         if !Arc::ptr_eq(&live()?, &swapped) {
             return Err("post-swap lookup missed the new operator".into());
         }
-        if inflight.matvec(&b) != y_inflight {
+        if inflight.as_ref().matvec(&b) != y_inflight {
             return Err("in-flight handle changed under a swap".into());
         }
-        let b2 = probe::<S>(swapped.n(), o.seed ^ 0xD1CE);
-        let y2 = swapped.matvec(&b2);
+        let b2 = probe::<A>(swapped.n(), o.seed ^ 0xD1CE);
+        let y2 = swapped.as_ref().matvec(&b2);
         let err = swapped.estimate_rel_error(&b2, &y2, 12, o.seed);
         println!(
             "round {round}: +{} -{} points in {ms:.1} ms \
@@ -595,16 +622,6 @@ fn update_workload<S: Scalar>(h2: H2MatrixS<S>, o: &Opts) -> Result<(), String> 
     Ok(())
 }
 
-/// `update`: load an operator file into a versioned registry slot and run
-/// interleaved serve/update rounds against it, at the file's own storage
-/// precision.
-fn cmd_update(o: &Opts) -> Result<(), String> {
-    match load(o, file_of(o, "update"), o.cache_budget)? {
-        Stored::F64(h2) => update_workload(h2, o),
-        Stored::F32(h2) => update_workload(h2, o),
-    }
-}
-
 // ------------------------------------------------- multi-process serving
 
 /// Network configuration from the CLI flags: defaults, with `--io-timeout-ms`
@@ -623,26 +640,11 @@ fn net_config(o: &Opts) -> NetConfig {
     cfg
 }
 
-/// `shard-worker`: load the operator file and serve one shard rank until
-/// the coordinator drains us. Exits non-zero on any typed failure, which
-/// the coordinator's shutdown reports per rank.
-fn cmd_shard_worker(o: &Opts) -> Result<(), String> {
-    let file = file_of(o, "shard-worker");
-    let Some(connect) = &o.connect else {
-        usage("shard-worker needs --connect ADDR");
-    };
-    if o.shards == 0 {
-        usage("shard-worker needs --shards N (N >= 1)");
-    }
-    let (rank, cfg) = (o.rank, net_config(o));
-    let in_rank = |e: String| format!("rank {rank}: {e}");
-    // Serve at the file's own storage precision; the handshake's scalar
-    // byte rejects a coordinator running a different width.
-    let r = match load(o, file, o.cache_budget).map_err(in_rank)? {
-        Stored::F64(h2) => run_worker(&h2, rank, o.shards, connect, cfg),
-        Stored::F32(h2) => run_worker(&h2, rank, o.shards, connect, cfg),
-    }
-    .map_err(|e| in_rank(e.to_string()))?;
+/// `shard-worker`: serve one shard rank of `h2` until the coordinator
+/// drains us. The handshake's scalar byte rejects a coordinator running a
+/// different width; the coordinator's plan sets the accumulator.
+fn shard_worker<S: Scalar>(h2: &H2MatrixS<S>, o: &Opts, connect: &str) -> Result<(), String> {
+    let r = run_worker(h2, o.rank, o.shards, connect, net_config(o)).map_err(|e| e.to_string())?;
     println!(
         "rank {} drained: {} sweeps, sent {} B / {} msgs, recv {} B / {} msgs",
         r.rank,
@@ -757,17 +759,20 @@ fn serve_distributed<S: Scalar>(h2: H2MatrixS<S>, o: &Opts, file: &str) -> Resul
 
 // --------------------------------------------------- multi-tenant hosting
 
-/// `serve --tenants`, at one storage width: parse the tenant policy file,
+/// `serve --tenants`: parse the tenant policy file,
 /// host one operator per tenant in a registry (zero-copy under `--mmap`),
 /// verify bitwise identity against the `owned` decode, partition the cache
 /// budget by `cache_share`, then serve a round-robin workload through a
 /// WDRR `MatvecService` and report per-tenant quantiles and gauges.
-fn serve_tenants<S: Scalar>(
+fn serve_tenants<S: Scalar, A: Scalar>(
     owned: H2MatrixS<S>,
     o: &Opts,
     file: &str,
     tenants: &str,
-) -> Result<(), String> {
+) -> Result<(), String>
+where
+    H2MatrixS<S>: H2Operator<A>,
+{
     let text =
         std::fs::read_to_string(tenants).map_err(|e| format!("cannot read {tenants}: {e}"))?;
     let table =
@@ -815,7 +820,7 @@ fn serve_tenants<S: Scalar>(
     // Every hosted operator must apply bit-identically to the owned decode:
     // mapping and a cache budget move where a block comes from, never the
     // product (`set_cache_budget`).
-    let x = probe::<S>(n, o.seed);
+    let x = probe::<A>(n, o.seed);
     let bits = |op: &H2MatrixS<S>| -> Vec<u64> {
         let y = op.matvec(&x);
         y.iter().map(|v| v.to_f64().to_bits()).collect()
@@ -861,7 +866,7 @@ fn serve_tenants<S: Scalar>(
     }
     let _scrape = start_scrape(o, &svc, true, Some(reg.clone()))?;
     for round in 0..o.requests {
-        let b = probe::<S>(n, o.seed ^ (round as u64) << 8);
+        let b = probe::<A>(n, o.seed ^ (round as u64) << 8);
         let requests = table
             .iter()
             .map(|(_, id, _)| (Some(id.as_str()), b.clone()));
@@ -892,42 +897,49 @@ fn serve_tenants<S: Scalar>(
     Ok(())
 }
 
-/// `serve`: with `--tenants FILE`, the single-process multi-tenant hosting
-/// mode ([`serve_tenants`]); otherwise a `--shards` multi-process
-/// deployment ([`serve_distributed`]). Both run at the file's own storage
-/// precision from one owned decode, which is their bitwise reference.
-fn cmd_serve(o: &Opts) -> Result<(), String> {
-    let file = file_of(o, "serve");
-    if o.tenants.is_none() && o.shards == 0 {
-        usage("serve needs --shards N (N >= 1), or --tenants FILE for multi-tenant hosting");
-    }
-    match (load(o, file, CacheBudget::Off)?, &o.tenants) {
-        (Stored::F64(h2), Some(tenants)) => serve_tenants(h2, o, file, tenants),
-        (Stored::F32(h2), Some(tenants)) => serve_tenants(h2, o, file, tenants),
-        (Stored::F64(h2), None) => serve_distributed(h2, o, file),
-        (Stored::F32(h2), None) => serve_distributed(h2, o, file),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some(name) = args.first() else {
         usage("missing subcommand");
     };
     let o = parse_opts(&args[1..]);
-    let run: fn(&Opts) -> Result<(), String> = match cmd.as_str() {
-        "build" => cmd_build,
-        "save" => cmd_save,
-        "load" => cmd_load,
-        "metrics" => cmd_metrics,
-        "serve" => cmd_serve,
-        "shard-worker" => cmd_shard_worker,
-        "update" => cmd_update,
+    let cmd = match name.as_str() {
+        "build" => Cmd::Build,
+        "save" => Cmd::Save(
+            o.out
+                .as_deref()
+                .unwrap_or_else(|| usage("save needs --out FILE")),
+        ),
+        "load" => Cmd::Load(file_of(&o, "load"), Instant::now()),
+        "metrics" => Cmd::Metrics(o.file.as_deref()),
+        "serve" => {
+            let file = file_of(&o, "serve");
+            if o.tenants.is_none() && o.shards == 0 {
+                usage(
+                    "serve needs --shards N (N >= 1), or --tenants FILE for multi-tenant hosting",
+                );
+            }
+            Cmd::Serve(file)
+        }
+        "shard-worker" => {
+            let file = file_of(&o, "shard-worker");
+            let Some(connect) = &o.connect else {
+                usage("shard-worker needs --connect ADDR");
+            };
+            if o.shards == 0 {
+                usage("shard-worker needs --shards N (N >= 1)");
+            }
+            Cmd::ShardWorker(file, connect)
+        }
+        "update" => Cmd::Update(file_of(&o, "update")),
         "--help" | "-h" => usage(""),
         c => usage(&format!("unknown subcommand '{c}'")),
     };
-    if let Err(e) = run(&o) {
-        eprintln!("h2serve {cmd}: {e}");
+    if let Err(e) = dispatch(cmd, &o) {
+        match cmd {
+            Cmd::ShardWorker(..) => eprintln!("h2serve {name}: rank {}: {e}", o.rank),
+            _ => eprintln!("h2serve {name}: {e}"),
+        }
         exit(1);
     }
 }

@@ -42,7 +42,7 @@
 //! codec::save(&h2, &path).unwrap();
 //!
 //! // Later (any process): load, register, serve.
-//! let reg = OperatorRegistry::new();
+//! let reg: OperatorRegistry = OperatorRegistry::new();
 //! let op = reg.load_file("coulomb-cube", &path, Arc::new(Coulomb)).unwrap();
 //! std::fs::remove_file(&path).ok();
 //! let svc = MatvecService::new(op, 16);

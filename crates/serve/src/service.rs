@@ -10,8 +10,8 @@
 //!
 //! The service is generic over the request scalar `S` (default `f64`):
 //! `MatvecService<H2MatrixS<f32>, f32>` serves single-precision vectors
-//! natively, and wrapping the operator in [`h2_core::MixedH2`] serves `f64`
-//! requests over `f32` storage with `f64` accumulation.
+//! natively, and `MatvecService<H2MatrixS<f32>, f64>` serves `f64` requests
+//! over `f32` storage with `f64` accumulation (the mixed-precision mode).
 //!
 //! ## Multi-tenant QoS
 //!
@@ -444,7 +444,7 @@ impl<S: Scalar, O: H2Operator<S>> MatvecService<O, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2_core::{BasisMethod, H2Config, H2MatrixS, MemoryMode, MixedH2};
+    use h2_core::{BasisMethod, H2Config, H2MatrixS, MemoryMode};
     use h2_kernels::Coulomb;
     use h2_points::gen;
     use h2_tenant::TenantPolicy;
@@ -535,7 +535,7 @@ mod tests {
         };
         let h2_64 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
         let h2_32 = Arc::new(H2MatrixS::<f32>::build(&pts, Arc::new(Coulomb), &cfg));
-        let svc = MatvecService::new(Arc::new(MixedH2::new(h2_32.clone())), 3);
+        let svc: MatvecService<_, f64> = MatvecService::new(h2_32.clone(), 3);
         let b = rhs(h2_64.n(), 1);
         let got = svc.submit(b.clone()).unwrap();
         svc.drain();

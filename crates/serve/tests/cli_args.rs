@@ -1,7 +1,8 @@
 //! `h2serve`'s command-line contract: the subcommands run end to end on a
 //! tiny operator; an argument value it cannot build with, or a missing
 //! `--file`, is a usage error with exit code 2; an operator file it cannot
-//! read or decode is a runtime error with exit code 1, reported on stderr as
+//! read or decode, or an `f64` file under `--precision f32`/`mixed`, is a
+//! runtime error with exit code 1, reported on stderr as
 //! `h2serve <cmd>: <error>`. Never a panic.
 
 use std::path::{Path, PathBuf};
@@ -130,14 +131,28 @@ fn a_missing_or_truncated_file_is_a_runtime_error_not_a_panic() {
     let truncated = dir.join("truncated.h2").to_string_lossy().into_owned();
     std::fs::write(&truncated, &bytes[..bytes.len() / 2]).expect("truncated copy");
     let missing = dir.join("missing.h2").to_string_lossy().into_owned();
+    // An `f64` file under `--precision f32` or `mixed` (by any of their
+    // names) is a mismatch for every file command, never a conversion.
+    let mismatch =
+        "cannot load FILE: precision mismatch: file stores f64 scalars, loader requested";
+    let (f32, mixed) = (format!("{mismatch} f32"), format!("{mismatch} mixed-f32"));
+    let cases = [
+        (&missing, "double", "cannot load FILE: "),
+        (&truncated, "f64", "cannot load FILE: "),
+        (&file, "f32", &f32[..]),
+        (&file, "single", &f32),
+        (&file, "mixed", &mixed),
+        (&file, "mixed-f32", &mixed),
+    ];
     for (cmd, args) in file_commands(&dir) {
-        for bad in [&missing, &truncated] {
+        for (bad, precision, error) in cases {
             let mut args: Vec<&str> = args.iter().map(String::as_str).collect();
-            args.extend(["--file", bad]);
+            args.extend(["--file", bad, "--precision", precision]);
             let (code, stdout, stderr) = h2serve(&args);
             let what = format!("{args:?}: stdout {stdout:?}, stderr {stderr:?}");
             assert_eq!(code, Some(1), "{what}");
             assert!(stderr.starts_with(&format!("h2serve {cmd}: ")), "{what}");
+            assert!(stderr.contains(&error.replace("FILE", bad)), "{what}");
             assert!(!format!("{stdout}{stderr}").contains("panicked"), "{what}");
         }
     }

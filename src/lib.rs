@@ -62,8 +62,8 @@ pub mod prelude {
     pub use crate::solvers::{cg, CgOptions};
     pub use h2_core::builders::sketched::SketchParams;
     pub use h2_core::{
-        AnyH2, BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, H2Matrix, H2MatrixS,
-        H2Operator, MemoryMode, MixedH2, Precision, UpdateError, UpdatePolicy, UpdateReport,
+        BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, H2Matrix, H2MatrixS, H2Operator,
+        MemoryMode, UpdateError, UpdatePolicy, UpdateReport,
     };
     pub use h2_dist::ShardedH2;
     pub use h2_kernels::{
