@@ -12,6 +12,7 @@
 //! than the uniform `order³` interpolation rank at the same accuracy.
 
 use h2_bench::{json_record, write_json, Args, Table};
+use h2_core::diagnostics::structure_report;
 use h2_core::{BasisMethod, H2Config, H2Matrix, MemoryMode};
 use h2_kernels::Coulomb;
 use h2_points::gen;
@@ -47,15 +48,13 @@ fn main() {
         "dd rank (max)",
         "interp rank",
     ]);
-    for (lvl, nodes) in dd.tree().levels().iter().enumerate() {
-        let dd_ranks: Vec<usize> = nodes.iter().map(|&i| dd.rank(i)).collect();
-        let mean = dd_ranks.iter().sum::<usize>() as f64 / dd_ranks.len() as f64;
-        let max = dd_ranks.iter().copied().max().unwrap_or(0);
+    let levels = structure_report(&dd).levels;
+    for (l, nodes) in levels.iter().zip(dd.tree().levels()) {
         t.row(vec![
-            lvl.to_string(),
-            nodes.len().to_string(),
-            format!("{mean:.1}"),
-            max.to_string(),
+            l.level.to_string(),
+            l.nodes.to_string(),
+            format!("{:.1}", l.mean_rank),
+            l.max_rank.to_string(),
             interp.rank(nodes[0]).to_string(),
         ]);
     }

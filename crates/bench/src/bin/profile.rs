@@ -25,7 +25,6 @@
 //! the ones the chosen builder legitimately skipped.
 
 use h2_bench::{json_record, median_ms, write_json, Args, Table, Value};
-use h2_core::diagnostics::counters;
 use h2_core::{BasisMethod, BuilderStrategy, H2Config, H2Matrix, H2MatrixS, MemoryMode};
 use h2_dist::ShardedH2;
 use h2_kernels::{paper_kernels, Coulomb};
@@ -259,7 +258,7 @@ fn main() {
     // block regenerations on this thread for the overhead model below.
     let time_mv = |h2: &H2Matrix| median_ms(reps, || drop(h2.matvec(&b)));
     let stored_matvec_ms = time_mv(&stored);
-    let scope = counters::scope();
+    let scope = h2_telemetry::local_scope();
     let otf_matvec_ms = time_mv(&otf);
     let otf_blocks_per_mv =
         (scope.count("coupling_blocks") + scope.count("nearfield_blocks")) / reps as u64;

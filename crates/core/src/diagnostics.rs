@@ -2,62 +2,25 @@
 //! and compression summaries — the quantities the paper's Fig. 2 visualizes
 //! and its Discussion (§VI) reasons about.
 //!
-//! This module also exposes the process-wide [`counters`] of on-the-fly
-//! block generations and kernel evaluations, so tests and the serving
-//! benchmarks can assert batch amortization (each block generated exactly
-//! once per batched apply) rather than infer it from timings. Since the
-//! telemetry refactor the counters live in the [`h2_telemetry`] registry
-//! (names `coupling_blocks`, `nearfield_blocks`, `kernel_evals`) and this
-//! module is a thin compatibility wrapper; counting is always on and costs
-//! one relaxed atomic add per generated block.
+//! Block generation work is counted in the [`h2_telemetry`] registry under
+//! `coupling_blocks`, `nearfield_blocks` and `kernel_evals`, so tests and
+//! the serving benchmarks can assert batch amortization (each block
+//! generated exactly once per batched apply) rather than infer it from
+//! timings. Counting is always on and costs one relaxed atomic add per
+//! generated block. For test assertions, open an
+//! [`h2_telemetry::local_scope`]: it reads only the calling thread's
+//! contribution, immune to parallel test interleaving. A sweep's helper
+//! threads tally their blocks in plain integers that the calling thread
+//! records after the join, so a scope around a product sees exactly that
+//! product's work at any thread count.
 
 use crate::h2matrix::H2Matrix;
 use h2_cache::BlockKind;
 
-/// Process-wide counters of block generation work, recorded wherever a
-/// coupling or nearfield block is (re)generated: on-the-fly matvec/matmat
-/// applications and normal-mode construction. Thin wrappers over the
-/// `h2-telemetry` registry — totals are exact once the counted work has
-/// completed.
-///
-/// For test assertions, prefer [`counters::scope`]: process-wide totals are
-/// shared by every test in a binary, while a scope reads only the calling
-/// thread's contribution, immune to parallel test interleaving. A sweep's
-/// helper threads tally their blocks in plain integers that the calling
-/// thread records after the join, so a scope around a product sees exactly
-/// that product's work at any thread count.
-pub mod counters {
-    /// Scoped view of this thread's counter increments — re-exported
-    /// [`h2_telemetry::LocalScope`]; query with the registry names
-    /// `"coupling_blocks"`, `"nearfield_blocks"`, `"kernel_evals"`.
-    pub use h2_telemetry::LocalScope;
-
-    /// Opens a scope counting this thread's block generations from here on.
-    pub fn scope() -> LocalScope {
-        h2_telemetry::local_scope()
-    }
-
-    /// Coupling blocks generated process-wide since startup (or the last
-    /// [`h2_telemetry::reset`]).
-    pub fn coupling_blocks() -> u64 {
-        h2_telemetry::counter("coupling_blocks").get()
-    }
-
-    /// Nearfield blocks generated process-wide.
-    pub fn nearfield_blocks() -> u64 {
-        h2_telemetry::counter("nearfield_blocks").get()
-    }
-
-    /// Kernel evaluations implied by the generated blocks (their entry
-    /// counts), process-wide.
-    pub fn kernel_evals() -> u64 {
-        h2_telemetry::counter("kernel_evals").get()
-    }
-}
-
 /// Block generations and cached-tier requests counted in plain integers, to
-/// be recorded into the [`counters`] (and the telemetry counters
-/// `cache.hit` / `cache.miss`) by whichever thread should own the counts.
+/// be recorded into the telemetry counters (`coupling_blocks`,
+/// `nearfield_blocks`, `kernel_evals`, `cache.hit`, `cache.miss`) by
+/// whichever thread should own the counts.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct BlockTally {
     coupling_blocks: u64,

@@ -242,8 +242,8 @@ impl<S: Scalar> H2MatrixS<S> {
 
     /// Materializes one coupling or nearfield block exactly as the normal
     /// builder does (same kernel evaluations, same `S` rounding) — the
-    /// generation primitive of every cache tier, counted in the
-    /// [`crate::diagnostics::counters`]. `(i, j)` must be a listed pair;
+    /// generation primitive of every cache tier, counted in the telemetry
+    /// counters of [`crate::diagnostics`]. `(i, j)` must be a listed pair;
     /// coupling blocks want the canonical `i <= j` orientation.
     pub fn generate_block(&self, kind: BlockKind, i: NodeId, j: NodeId) -> MatrixS<S> {
         let (rows, cols) = self.block_shape(kind, i, j);
@@ -298,7 +298,7 @@ impl<S: Scalar> H2MatrixS<S> {
     /// of the executor ([`h2_linalg::exec`]), results in list order — the
     /// one block-generation loop behind construction, incremental updates
     /// and the cached tier. The calling thread counts the blocks, from their
-    /// shapes, so the [`crate::diagnostics::counters`] are exact at any width.
+    /// shapes, so the [`crate::diagnostics`] counters are exact at any width.
     pub(crate) fn generate_blocks(&self, items: &[(BlockKind, NodeId, NodeId)]) -> Vec<MatrixS<S>> {
         let mut tally = BlockTally::default();
         for &(kind, i, j) in items {
@@ -767,7 +767,6 @@ mod tests {
 
     #[test]
     fn otf_matmat_generates_each_block_once_regardless_of_k() {
-        use crate::diagnostics::counters;
         let pts = gen::uniform_cube(900, 3, 23);
         let cfg = H2Config {
             basis: BasisMethod::data_driven_for_tol(1e-6, 3),
@@ -783,7 +782,7 @@ mod tests {
         // Scoped (thread-local) deltas: exact per-call counts even while
         // other tests in this binary hammer the same process-wide counters.
         let counts_for = |k: usize| {
-            let scope = counters::scope();
+            let scope = h2_telemetry::local_scope();
             let b = Matrix::from_fn(900, k, |i, j| ((i + j) % 5) as f64 - 2.0);
             let _ = h2.matmat(&b);
             (
@@ -800,7 +799,7 @@ mod tests {
 
         // Column-wise products regenerate every block per column — the
         // amortization factor the panel sweep removes.
-        let scope = counters::scope();
+        let scope = h2_telemetry::local_scope();
         let b = Matrix::from_fn(900, 16, |i, j| ((i + j) % 5) as f64 - 2.0);
         let _ = columnwise(&h2, &b);
         assert_eq!(scope.count("kernel_evals"), 16 * e16);

@@ -13,8 +13,6 @@
 
 use crate::builders::BuildStats;
 use crate::config::{BuilderProvenance, MemoryMode};
-#[cfg(test)]
-use crate::h2matrix::H2Matrix;
 use crate::h2matrix::H2MatrixS;
 use crate::proxy::ProxyPoints;
 use h2_cache::BlockStore;
@@ -218,6 +216,7 @@ impl<S: Scalar> H2MatrixS<S> {
 mod tests {
     use super::*;
     use crate::config::{BasisMethod, H2Config};
+    use crate::h2matrix::H2Matrix;
     use h2_kernels::Coulomb;
     use h2_points::gen;
 

@@ -7,7 +7,6 @@
 //! dimension too: an operator is the same bytes, and its telemetry the same
 //! counts, whatever width it was built and updated at.
 
-use h2_core::diagnostics::counters;
 use h2_core::{
     BasisMethod, BlockKind, BuilderStrategy, CacheBudget, H2Config, H2MatrixS, MemoryMode,
     SweepPlan, UpdatePolicy,
@@ -51,7 +50,7 @@ fn product_at<S: Scalar, A: Scalar>(
     b: &MatrixS<A>,
     width: usize,
 ) -> (MatrixS<A>, u64) {
-    let scope = counters::scope();
+    let scope = h2_telemetry::local_scope();
     let y = at_width(width, || h2.matmat(b));
     (y, scope.count("sweep.helper_threads"))
 }
@@ -283,7 +282,7 @@ fn counters_see_each_block_generated_once_at_any_width() {
         let h2 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &c);
         let b = panel::<f64>(N, 3);
         let counts_at = |width: usize| {
-            let scope = counters::scope();
+            let scope = h2_telemetry::local_scope();
             let _ = at_width(width, || h2.matmat(&b));
             [
                 "coupling_blocks",
@@ -493,7 +492,7 @@ fn build_counters_are_exact_at_any_builder_width() {
     ] {
         let c = cfg(MemoryMode::Normal, CacheBudget::Off, builder);
         let counts_at = |width: usize| {
-            let scope = counters::scope();
+            let scope = h2_telemetry::local_scope();
             let h2 = at_width(width, || {
                 H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &c)
             });

@@ -689,8 +689,9 @@ pub enum TelemetryMsg {
         rank: u32,
         /// Estimated `coordinator_clock − worker_clock`, ns.
         offset_ns: i64,
-        /// The worker's spans since its last report.
-        spans: Vec<h2_telemetry::RemoteSpan>,
+        /// The worker's spans since its last report (names owned once
+        /// decoded).
+        spans: Vec<h2_telemetry::SpanRecord>,
     },
 }
 
@@ -753,8 +754,8 @@ impl TelemetryMsg {
                             )))
                         }
                     };
-                    spans.push(h2_telemetry::RemoteSpan {
-                        name,
+                    spans.push(h2_telemetry::SpanRecord {
+                        name: name.into(),
                         label,
                         tid: r.u64()?,
                         start_ns: r.u64()?,
@@ -929,8 +930,8 @@ mod tests {
             rank: 1,
             offset_ns: -42_000,
             spans: vec![
-                h2_telemetry::RemoteSpan {
-                    name: "net.roundtrip".to_string(),
+                h2_telemetry::SpanRecord {
+                    name: "net.roundtrip".into(),
                     label: Some("rank=1".to_string()),
                     tid: 3,
                     start_ns: 1_000,
@@ -938,8 +939,8 @@ mod tests {
                     depth: 1,
                     trace: 7,
                 },
-                h2_telemetry::RemoteSpan {
-                    name: "matvec.upward".to_string(),
+                h2_telemetry::SpanRecord {
+                    name: "matvec.upward".into(),
                     label: None,
                     tid: 3,
                     start_ns: 1_100,

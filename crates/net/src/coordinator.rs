@@ -13,13 +13,15 @@
 //!    `Hello`s, ships every worker the [`PlanSpec`], and yields a
 //!    [`ShardCoordinator`].
 //!
-//! The coordinator is an [`H2Operator`]: [`ShardCoordinator::try_matvec`]
+//! The coordinator is an [`H2Operator`] in the accumulator `A` that
+//! `accept`/`spawn` choose (the storage scalar by default; `f64` over an
+//! `f32` operator is mixed precision): [`ShardCoordinator::try_matvec`]
 //! runs the coordinator side of the five-sweep protocol over the socket
 //! endpoint, bit-identical to the in-process channel mesh and the serial
-//! sweep. A mid-sweep transport failure poisons the coordinator — the
-//! sweep state of the remaining workers is indeterminate — so every later
-//! call fails fast with the original error instead of feeding a corrupted
-//! mesh.
+//! sweep in the same `(S, A)`. A mid-sweep transport failure poisons the
+//! coordinator — the sweep state of the remaining workers is indeterminate
+//! — so every later call fails fast with the original error instead of
+//! feeding a corrupted mesh.
 
 use crate::config::NetConfig;
 use crate::endpoint::{accept_handshake, Expect, NetEndpoint};
@@ -28,7 +30,8 @@ use h2_core::{ApplyError, CacheStats, H2MatrixS, H2Operator};
 use h2_dist::wire::{FrameKind, Hello, PlanSpec, TelemetryMsg, PROTOCOL_VERSION};
 use h2_dist::{run_coordinator, TrafficStats, TransportError, TreePartition};
 use h2_linalg::{MatrixS, Scalar};
-use h2_telemetry::{ProcessSpans, RemoteSpan};
+use h2_telemetry::ProcessSpans;
+use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::process::Child;
@@ -90,13 +93,14 @@ impl<S: Scalar> BoundCoordinator<S> {
     }
 
     /// Launches one child process per shard rank via `launch(rank, addr)`
-    /// and admits them all. Children are killed if admission fails, and
-    /// remain owned by the coordinator for [`ShardCoordinator::shutdown`]
-    /// and fault injection ([`ShardCoordinator::kill_worker`]).
-    pub fn spawn(
+    /// and admits them all; products accumulate in `A`. Children are
+    /// killed if admission fails, and remain owned by the coordinator for
+    /// [`ShardCoordinator::shutdown`] and fault injection
+    /// ([`ShardCoordinator::kill_worker`]).
+    pub fn spawn<A: Scalar>(
         self,
         mut launch: impl FnMut(usize, &str) -> Result<Child, NetError>,
-    ) -> Result<ShardCoordinator<S>, NetError> {
+    ) -> Result<ShardCoordinator<S, A>, NetError> {
         let addr = self.addr();
         let mut children: Vec<Option<Child>> = Vec::with_capacity(self.plan.shards);
         for rank in 0..self.plan.shards {
@@ -112,23 +116,25 @@ impl<S: Scalar> BoundCoordinator<S> {
     }
 
     /// Admits `shards` externally started workers (threads, remote
-    /// processes) without owning any process handles.
-    pub fn accept(self) -> Result<ShardCoordinator<S>, NetError> {
+    /// processes) without owning any process handles; products accumulate
+    /// in `A`.
+    pub fn accept<A: Scalar>(self) -> Result<ShardCoordinator<S, A>, NetError> {
         let shards = self.plan.shards;
         self.admit((0..shards).map(|_| None).collect())
     }
 
-    fn admit(self, mut children: Vec<Option<Child>>) -> Result<ShardCoordinator<S>, NetError> {
-        match self.admit_inner(&mut children) {
-            Ok(c) => Ok(c),
-            Err(e) => {
-                kill_all(&mut children);
-                Err(e)
-            }
-        }
+    fn admit<A: Scalar>(
+        self,
+        mut children: Vec<Option<Child>>,
+    ) -> Result<ShardCoordinator<S, A>, NetError> {
+        self.admit_inner(&mut children)
+            .inspect_err(|_| kill_all(&mut children))
     }
 
-    fn admit_inner(&self, children: &mut [Option<Child>]) -> Result<ShardCoordinator<S>, NetError> {
+    fn admit_inner<A: Scalar>(
+        &self,
+        children: &mut [Option<Child>],
+    ) -> Result<ShardCoordinator<S, A>, NetError> {
         let shards = self.plan.shards;
         let ranks = shards + 1;
         let my = Hello {
@@ -178,7 +184,7 @@ impl<S: Scalar> BoundCoordinator<S> {
             shards: shards as u32,
             level: self.plan.level as u32,
             n: self.h2.n() as u64,
-            accum: S::CODE,
+            accum: A::CODE,
             trace: u8::from(self.cfg.trace),
             workers: workers
                 .into_iter()
@@ -206,9 +212,22 @@ impl<S: Scalar> BoundCoordinator<S> {
             ep: Mutex::new(ep),
             children: Mutex::new(children.iter_mut().map(|c| c.take()).collect()),
             poisoned: Mutex::new(None),
-            worker_trace: Mutex::new(vec![(0, Vec::new()); shards]),
-            own_trace: Mutex::new(Vec::new()),
+            trace: Mutex::new(
+                (0..=shards)
+                    .map(|r| ProcessSpans {
+                        pid: r as u32,
+                        name: if r < shards {
+                            format!("rank{r}")
+                        } else {
+                            "coordinator".into()
+                        },
+                        offset_ns: 0,
+                        spans: Vec::new(),
+                    })
+                    .collect(),
+            ),
             cfg: self.cfg.clone(),
+            accum: PhantomData,
         })
     }
 }
@@ -232,25 +251,26 @@ fn kill_all(children: &mut [Option<Child>]) {
 }
 
 /// A running distributed deployment: `shards` connected workers plus this
-/// coordinator, ready to serve matvecs.
-pub struct ShardCoordinator<S: Scalar> {
+/// coordinator, ready to serve matvecs of an operator stored in `S` that
+/// accumulate in `A`.
+pub struct ShardCoordinator<S: Scalar, A: Scalar = S> {
     h2: Arc<H2MatrixS<S>>,
     plan: TreePartition,
     ep: Mutex<NetEndpoint>,
     children: Mutex<Vec<Option<Child>>>,
     /// First mid-sweep failure; once set, every matvec fails fast with it.
     poisoned: Mutex<Option<NetError>>,
-    /// Per worker rank: latest clock-offset estimate
-    /// (`coordinator_clock − worker_clock`, ns) and the spans accumulated
-    /// from its reports. Only fed when `cfg.trace` is set.
-    worker_trace: Mutex<Vec<(i64, Vec<RemoteSpan>)>>,
-    /// The coordinator process's own spans, drained from the global
-    /// telemetry registry when the cluster trace is assembled.
-    own_trace: Mutex<Vec<RemoteSpan>>,
+    /// The cluster trace, one row per rank (index = pid): each worker's
+    /// latest clock-offset estimate (`coordinator_clock − worker_clock`,
+    /// ns) and the spans of its reports, then this process's own spans,
+    /// drained from the telemetry registry when the trace is read. Only
+    /// fed when `cfg.trace` is set.
+    trace: Mutex<Vec<ProcessSpans>>,
     cfg: NetConfig,
+    accum: PhantomData<fn() -> A>,
 }
 
-impl<S: Scalar> ShardCoordinator<S> {
+impl<S: Scalar, A: Scalar> ShardCoordinator<S, A> {
     /// Number of shard ranks.
     pub fn shards(&self) -> usize {
         self.plan.shards
@@ -276,7 +296,7 @@ impl<S: Scalar> ShardCoordinator<S> {
     /// `y = Â b` over the worker mesh; bit-identical to the serial and
     /// channel-mesh products. The whole round trip is measured as the
     /// `net.roundtrip` telemetry span.
-    pub fn try_matvec(&self, b: &[S]) -> Result<Vec<S>, NetError> {
+    pub fn try_matvec(&self, b: &[A]) -> Result<Vec<A>, NetError> {
         if let Some(e) = &*self.poisoned.lock().unwrap() {
             return Err(e.clone());
         }
@@ -307,25 +327,21 @@ impl<S: Scalar> ShardCoordinator<S> {
                 }
             }
             let _sp = h2_telemetry::span("net.roundtrip");
-            run_coordinator::<S, S, _>(&self.h2, &self.plan, cache, &mut *ep, b)
+            run_coordinator::<S, A, _>(&self.h2, &self.plan, cache, &mut *ep, b)
         })();
         match swept {
             Ok((y, _times)) => {
                 if trace.is_some() {
                     for r in 0..self.plan.shards {
                         match ep.recv_span_report(r) {
-                            Ok(report) if (report.rank as usize) < self.plan.shards => {
-                                let mut store = self.worker_trace.lock().unwrap();
-                                let slot = &mut store[report.rank as usize];
-                                slot.0 = report.offset_ns;
-                                slot.1.extend(report.spans);
+                            Ok((rank, offset_ns, spans)) if (rank as usize) < self.plan.shards => {
+                                let row = &mut self.trace.lock().unwrap()[rank as usize];
+                                row.offset_ns = offset_ns;
+                                row.spans.extend(spans);
                             }
-                            Ok(report) => {
+                            Ok((rank, ..)) => {
                                 return Err(self.poison(TransportError::Protocol {
-                                    detail: format!(
-                                        "span report from out-of-range rank {}",
-                                        report.rank
-                                    ),
+                                    detail: format!("span report from out-of-range rank {rank}"),
                                 }))
                             }
                             Err(e) => return Err(self.poison(e)),
@@ -387,28 +403,13 @@ impl<S: Scalar> ShardCoordinator<S> {
     /// time) plus this process's own (pid = `shards`, the reference
     /// clock). Only populated when the config enables tracing.
     pub fn cluster_spans(&self) -> Vec<ProcessSpans> {
+        let mut procs = self.trace.lock().unwrap();
         if self.cfg.trace {
-            let mut own = self.own_trace.lock().unwrap();
-            own.extend(h2_telemetry::take_spans().iter().map(RemoteSpan::from));
+            procs[self.plan.shards]
+                .spans
+                .extend(h2_telemetry::take_spans());
         }
-        let workers = self.worker_trace.lock().unwrap();
-        let mut procs: Vec<ProcessSpans> = workers
-            .iter()
-            .enumerate()
-            .map(|(r, (offset_ns, spans))| ProcessSpans {
-                pid: r as u32,
-                name: format!("rank{r}"),
-                offset_ns: *offset_ns,
-                spans: spans.clone(),
-            })
-            .collect();
-        procs.push(ProcessSpans {
-            pid: self.plan.shards as u32,
-            name: "coordinator".into(),
-            offset_ns: 0,
-            spans: self.own_trace.lock().unwrap().clone(),
-        });
-        procs
+        procs.clone()
     }
 
     /// [`cluster_spans`](Self::cluster_spans) rendered as one
@@ -512,7 +513,7 @@ impl<S: Scalar> ShardCoordinator<S> {
     }
 }
 
-impl<S: Scalar> Drop for ShardCoordinator<S> {
+impl<S: Scalar, A: Scalar> Drop for ShardCoordinator<S, A> {
     /// No spawned worker outlives its coordinator: anything not already
     /// drained or killed is killed here.
     fn drop(&mut self) {
@@ -520,7 +521,7 @@ impl<S: Scalar> Drop for ShardCoordinator<S> {
     }
 }
 
-impl<S: Scalar> H2Operator<S> for ShardCoordinator<S> {
+impl<S: Scalar, A: Scalar> H2Operator<A> for ShardCoordinator<S, A> {
     fn dims(&self) -> (usize, usize) {
         (self.h2.n(), self.h2.n())
     }
@@ -532,21 +533,21 @@ impl<S: Scalar> H2Operator<S> for ShardCoordinator<S> {
     /// [`H2Operator::try_matmat`] instead, which propagate the typed
     /// [`ApplyError`] — this panic is only reachable by callers that chose
     /// the infallible signature.
-    fn matvec(&self, b: &[S]) -> Vec<S> {
+    fn matvec(&self, b: &[A]) -> Vec<A> {
         match ShardCoordinator::try_matvec(self, b) {
             Ok(y) => y,
             Err(e) => panic!("distributed matvec failed: {e} (use try_matvec for a typed error)"),
         }
     }
 
-    fn matmat(&self, b: &MatrixS<S>) -> MatrixS<S> {
+    fn matmat(&self, b: &MatrixS<A>) -> MatrixS<A> {
         match H2Operator::try_matmat(self, b) {
             Ok(y) => y,
             Err(e) => panic!("distributed matmat failed: {e} (use try_matmat for a typed error)"),
         }
     }
 
-    fn try_matvec(&self, b: &[S]) -> Result<Vec<S>, ApplyError> {
+    fn try_matvec(&self, b: &[A]) -> Result<Vec<A>, ApplyError> {
         ShardCoordinator::try_matvec(self, b).map_err(|e| ApplyError::new(e.to_string()))
     }
 
@@ -555,7 +556,7 @@ impl<S: Scalar> H2Operator<S> for ShardCoordinator<S> {
     /// turning a lost worker into a panic inside a fused serving sweep;
     /// with it, the first failing column aborts the panel with the typed
     /// error and the service resolves every ticket in the batch.
-    fn try_matmat(&self, b: &MatrixS<S>) -> Result<MatrixS<S>, ApplyError> {
+    fn try_matmat(&self, b: &MatrixS<A>) -> Result<MatrixS<A>, ApplyError> {
         if b.nrows() != self.h2.n() {
             return Err(ApplyError::new(format!(
                 "matmat of {} rows against an operator of dimension {}",

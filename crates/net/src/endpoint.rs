@@ -31,7 +31,7 @@ use h2_dist::wire::{
 };
 use h2_dist::{Message, Rank, Tag, TrafficStats, Transport, TransportError};
 use h2_linalg::Scalar;
-use h2_telemetry::RemoteSpan;
+use h2_telemetry::SpanRecord;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -90,17 +90,6 @@ impl Peer {
     }
 }
 
-/// One worker's shipped span buffer, as decoded off the wire.
-#[derive(Clone, Debug)]
-pub struct SpanReport {
-    /// The reporting worker's rank.
-    pub rank: u32,
-    /// The worker's estimate of `coordinator_clock − worker_clock`, ns.
-    pub offset_ns: i64,
-    /// The worker's spans since its last report, on its own clock.
-    pub spans: Vec<RemoteSpan>,
-}
-
 /// What [`NetEndpoint::wait_event`] woke up for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
@@ -130,8 +119,9 @@ pub struct NetEndpoint {
     /// Latest trace context received ([`TelemetryMsg::TraceCtx`]); taken
     /// by the worker when a sweep opens.
     trace_ctx: Option<u64>,
-    /// Span reports received from each peer, in arrival order.
-    reports: HashMap<Rank, VecDeque<SpanReport>>,
+    /// Span reports received from each peer, in arrival order: the
+    /// `(rank, offset_ns, spans)` of each [`TelemetryMsg::SpanReport`].
+    reports: HashMap<Rank, VecDeque<(u32, i64, Vec<SpanRecord>)>>,
 }
 
 impl NetEndpoint {
@@ -261,8 +251,12 @@ impl NetEndpoint {
         self.trace_ctx.take()
     }
 
-    /// Waits for the next span report from `peer`.
-    pub fn recv_span_report(&mut self, peer: Rank) -> Result<SpanReport, TransportError> {
+    /// Waits for the next span report from `peer`: the `(rank, offset_ns,
+    /// spans)` its [`TelemetryMsg::SpanReport`] carried.
+    pub fn recv_span_report(
+        &mut self,
+        peer: Rank,
+    ) -> Result<(u32, i64, Vec<SpanRecord>), TransportError> {
         self.pump_until(peer, "span report", |ep| {
             ep.reports.get_mut(&peer).and_then(|q| q.pop_front())
         })
@@ -421,11 +415,11 @@ impl NetEndpoint {
                     rank,
                     offset_ns,
                     spans,
-                }) => self.reports.entry(peer).or_default().push_back(SpanReport {
-                    rank,
-                    offset_ns,
-                    spans,
-                }),
+                }) => self
+                    .reports
+                    .entry(peer)
+                    .or_default()
+                    .push_back((rank, offset_ns, spans)),
                 Err(e) => {
                     if let Some(p) = self.peers[peer].as_mut() {
                         p.die(format!("malformed telemetry payload: {e}"));

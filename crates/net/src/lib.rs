@@ -22,9 +22,10 @@
 //!   graceful drain.
 //! - [`BoundCoordinator`] / [`ShardCoordinator`] — bind, spawn or admit
 //!   workers, distribute the plan, and serve distributed matvecs as an
-//!   [`H2Operator`](h2_core::H2Operator) — bit-identical to the serial
-//!   and channel-mesh products, and pluggable into `h2-serve`'s
-//!   `MatvecService`.
+//!   [`H2Operator`](h2_core::H2Operator) in the accumulator the admission
+//!   chooses (mixed precision is `accept::<f64>()` over an `f32`
+//!   operator) — bit-identical to the serial and channel-mesh products in
+//!   the same precision, and pluggable into `h2-serve`'s `MatvecService`.
 //!
 //! Failures are typed ([`NetError`] wrapping
 //! [`TransportError`](h2_dist::TransportError)) and bounded: connects
@@ -39,11 +40,13 @@
 //! coordinator tags every sweep with a trace id, ships it in a
 //! `Telemetry` frame ahead of the scatter, and collects each worker's
 //! span buffer (plus its handshake-estimated clock offset) after the
-//! sweep — [`ShardCoordinator::cluster_trace_json`] merges everything
-//! into one chrome://tracing document with one pid per rank. Telemetry
-//! frames are deliberately excluded from the sweep
-//! [`TrafficStats`](h2_dist::TrafficStats)
-//! (counted on `net.trace_frames` / `net.trace_bytes` instead) so the
+//! sweep as a `TelemetryMsg::SpanReport` of
+//! [`SpanRecord`](h2_telemetry::SpanRecord)s —
+//! [`ShardCoordinator::cluster_trace_json`] merges everything into one
+//! chrome://tracing document with one pid per rank. Telemetry frames are
+//! deliberately excluded from the sweep
+//! [`TrafficStats`](h2_dist::TrafficStats) (counted on
+//! `net.trace_frames` / `net.trace_bytes` instead) so the
 //! modeled-vs-physical byte reconciliation stays exact. With
 //! [`NetConfig::flight_dir`] set, every rank keeps a bounded flight
 //! recorder and failure reports name the dump files.
@@ -56,8 +59,6 @@ mod worker;
 
 pub use config::NetConfig;
 pub use coordinator::{BoundCoordinator, ShardCoordinator};
-pub use endpoint::{
-    accept_handshake, connect_handshake, Dialed, Event, Expect, NetEndpoint, SpanReport,
-};
+pub use endpoint::{accept_handshake, connect_handshake, Dialed, Event, Expect, NetEndpoint};
 pub use error::NetError;
 pub use worker::{run_worker, WorkerReport};

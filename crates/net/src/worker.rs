@@ -28,7 +28,6 @@ use h2_core::H2MatrixS;
 use h2_dist::wire::{Hello, PlanSpec, TelemetryMsg, PROTOCOL_VERSION};
 use h2_dist::{run_shard, TrafficStats, TreePartition};
 use h2_linalg::Scalar;
-use h2_telemetry::RemoteSpan;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -245,16 +244,12 @@ pub fn run_worker<S: Scalar>(
         }
         sweeps += 1;
         if tracing {
-            let spans: Vec<RemoteSpan> = h2_telemetry::take_spans()
-                .iter()
-                .map(RemoteSpan::from)
-                .collect();
             ep.send_telemetry(
                 coord,
                 &TelemetryMsg::SpanReport {
                     rank: rank as u32,
                     offset_ns: clock_offset_ns,
-                    spans,
+                    spans: h2_telemetry::take_spans(),
                 },
             )?;
         }

@@ -5,10 +5,11 @@
 //! process so the tests can assert on both sides' reports and on exact
 //! traffic reconciliation against the in-process channel mesh.
 
-use h2_core::{BasisMethod, H2Config, H2Matrix, H2Operator, MemoryMode};
+use h2_core::{BasisMethod, H2Config, H2Matrix, H2MatrixS, H2Operator, MemoryMode};
 use h2_dist::wire::{Hello, PROTOCOL_VERSION};
 use h2_dist::ShardedH2;
 use h2_kernels::Coulomb;
+use h2_linalg::Scalar;
 use h2_net::{
     accept_handshake, connect_handshake, run_worker, BoundCoordinator, Expect, NetConfig,
     NetEndpoint, NetError, WorkerReport,
@@ -38,8 +39,8 @@ fn rhs(n: usize) -> Vec<f64> {
     (0..n).map(|i| (i as f64 * 0.37).sin()).collect()
 }
 
-fn launch_workers(
-    h2: &Arc<H2Matrix>,
+fn launch_workers<S: Scalar>(
+    h2: &Arc<H2MatrixS<S>>,
     shards: usize,
     addr: &str,
     cfg: &NetConfig,
@@ -178,6 +179,35 @@ fn tcp_traffic_reconciles_with_the_channel_mesh_accounting() {
     // Every worker received the same two control frames.
     assert!(recv_extra[0] >= 48, "plan + drain frames have headers");
     assert_eq!(recv_extra[0], recv_extra[1]);
+}
+
+#[test]
+fn an_f32_operator_accumulates_in_f64_over_tcp() {
+    // Mixed precision across the wire, as `h2serve serve --shards` runs an
+    // `f32` file: the workers store `f32`, the plan says `f64` panels.
+    let pts = gen::uniform_cube(600, 3, 17);
+    let cfg = cfg_h2(MemoryMode::Normal);
+    let h2 = Arc::new(H2MatrixS::<f32>::build(&pts, Arc::new(Coulomb), &cfg));
+    let b = rhs(600);
+    let shards = 2;
+    let bound = BoundCoordinator::bind(h2.clone(), shards, NetConfig::default()).unwrap();
+    let workers = launch_workers(&h2, shards, &bound.addr(), &NetConfig::default());
+    let coord = bound.accept::<f64>().unwrap();
+    let y = coord.try_matvec(&b).unwrap();
+    assert_eq!(y, (*h2).matvec::<f64>(&b), "vs the serial mixed product");
+    let sharded = ShardedH2::new(h2.clone(), shards).unwrap();
+    let (channel, chan) = sharded.matvec_with_stats::<f64>(&b);
+    assert_eq!(y, channel, "vs the channel mesh");
+
+    // The same sweep bytes as the channel mesh in the same (S, A).
+    let tcp = coord.traffic();
+    coord.shutdown().unwrap();
+    assert_eq!(tcp.recv_bytes, chan.coordinator_traffic.recv_bytes);
+    for w in workers {
+        let report = w.join().unwrap().unwrap();
+        let chan_shard = &chan.shards[report.rank].traffic;
+        assert_eq!(report.traffic.sent_bytes, chan_shard.sent_bytes);
+    }
 }
 
 #[test]

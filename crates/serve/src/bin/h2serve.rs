@@ -35,7 +35,6 @@
 //!
 //! Every file command runs in the `--precision` mode: an `f32` file serves
 //! as mixed unless `--precision f32`; an `f64` file only as `f64`.
-//! (`serve --shards` and `shard-worker` accumulate in the file's scalar.)
 //!
 //! Exit status 2 is a usage error; 1 is a runtime error, printed as
 //! `h2serve <cmd>: <error>`.
@@ -427,7 +426,7 @@ where
         Cmd::Update(_) => update_workload::<S, A>(h2, o)?,
         Cmd::Serve(file) => match &o.tenants {
             Some(tenants) => serve_tenants::<S, A>(h2, o, file, tenants)?,
-            None => serve_distributed(h2, o, file)?,
+            None => serve_distributed::<S, A>(h2, o, file)?,
         },
         Cmd::ShardWorker(_, connect) => shard_worker(&h2, o, connect)?,
     }
@@ -658,12 +657,12 @@ fn shard_worker<S: Scalar>(h2: &H2MatrixS<S>, o: &Opts, connect: &str) -> Result
 }
 
 /// Spawns `shards` `shard-worker` children of this binary and returns the
-/// running deployment.
-fn spawn_deployment<S: Scalar>(
+/// running deployment, accumulating in `A`.
+fn spawn_deployment<S: Scalar, A: Scalar>(
     h2: Arc<H2MatrixS<S>>,
     o: &Opts,
     file: &str,
-) -> Result<ShardCoordinator<S>, NetError> {
+) -> Result<ShardCoordinator<S, A>, NetError> {
     let exe = std::env::current_exe().map_err(|e| NetError::Spawn {
         detail: format!("cannot locate own binary: {e}"),
     })?;
@@ -687,12 +686,19 @@ fn spawn_deployment<S: Scalar>(
     })
 }
 
-/// `serve --shards`, generic over the storage scalar: batched requests
-/// through `MatvecService` over the distributed operator, each result
-/// checked bit-for-bit against the local serial apply of `h2`.
-fn serve_distributed<S: Scalar>(h2: H2MatrixS<S>, o: &Opts, file: &str) -> Result<(), String> {
+/// `serve --shards` in `(S, A)`: batched requests through `MatvecService`
+/// over the distributed operator, each result checked bit-for-bit against
+/// the local serial apply of `h2` in `A`.
+fn serve_distributed<S: Scalar, A: Scalar>(
+    h2: H2MatrixS<S>,
+    o: &Opts,
+    file: &str,
+) -> Result<(), String>
+where
+    H2MatrixS<S>: H2Operator<A>,
+{
     let h2 = Arc::new(h2);
-    let coord = spawn_deployment(h2.clone(), o, file).map_err(|e| e.to_string())?;
+    let coord = spawn_deployment::<S, A>(h2.clone(), o, file).map_err(|e| e.to_string())?;
     println!(
         "deployment up: {} workers serving n={} (plan level {})",
         coord.shards(),
@@ -706,13 +712,13 @@ fn serve_distributed<S: Scalar>(h2: H2MatrixS<S>, o: &Opts, file: &str) -> Resul
     let n = coord.n();
     let op = Arc::new(coord);
     let k = o.batch;
-    let svc: Arc<MatvecService<ShardCoordinator<S>, S>> =
+    let svc: Arc<MatvecService<ShardCoordinator<S, A>, A>> =
         Arc::new(MatvecService::new(op.clone(), k));
     let scrape = start_scrape(o, &svc, false, None::<Arc<OperatorRegistry<S>>>)?;
-    let mk = |s: usize| (None, probe::<S>(n, o.seed ^ (s as u64) << 8));
+    let mk = |s: usize| (None, probe::<A>(n, o.seed ^ (s as u64) << 8));
     let t0 = Instant::now();
     let rep = serve_round(&svc, (0..o.requests).map(mk), |s, y| {
-        y == H2Operator::matvec(h2.as_ref(), &mk(s).1)
+        y == H2Operator::<A>::matvec(h2.as_ref(), &mk(s).1)
     })?;
     let wall = t0.elapsed().as_secs_f64();
     let m = svc.metrics();

@@ -131,7 +131,7 @@ type SpanSpec<'a> = (&'static str, Option<&'a str>, u64);
 
 fn telemetry(counters: &[(&str, u64)], spans: &[SpanSpec]) -> TelemetrySnapshot {
     let span = |&(name, label, dur_ns): &SpanSpec| SpanRecord {
-        name,
+        name: name.into(),
         label: label.map(str::to_string),
         tid: 1,
         start_ns: 0,

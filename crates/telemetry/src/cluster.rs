@@ -2,57 +2,14 @@
 //! processes, re-timed onto the coordinator's clock, and serialized as one
 //! multi-process chrome://tracing / Perfetto JSON trace.
 //!
-//! [`SpanRecord`] borrows its name from the process's static strings, so it
-//! cannot cross a process boundary; [`RemoteSpan`] is the owned twin that
-//! the wire codec moves between ranks. Each contributing process becomes a
-//! [`ProcessSpans`] with its rank as the Perfetto `pid` and the clock
-//! offset estimated during the transport handshake; the merge adds the
-//! offset to every timestamp so spans from different machines nest
-//! correctly in one timeline.
+//! Each contributing process becomes a [`ProcessSpans`] with its rank as
+//! the Perfetto `pid` and the clock offset estimated during the transport
+//! handshake; the merge adds the offset to every timestamp so spans from
+//! different machines nest correctly in one timeline.
 
-use crate::export::json_escape;
+use crate::export::{json_escape, write_span_event};
 use crate::SpanRecord;
 use std::fmt::Write as _;
-
-/// An owned span record, safe to ship between processes.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RemoteSpan {
-    /// Phase name (dotted, e.g. `matvec.horizontal`).
-    pub name: String,
-    /// Optional instance label (e.g. `rank=2`).
-    pub label: Option<String>,
-    /// Recording thread's id inside its own process.
-    pub tid: u64,
-    /// Start, ns since the *recording process's* epoch.
-    pub start_ns: u64,
-    /// Duration, ns.
-    pub dur_ns: u64,
-    /// Nesting depth on its thread (outermost = 1).
-    pub depth: u32,
-    /// Trace id (0 = untraced).
-    pub trace: u64,
-}
-
-impl From<&SpanRecord> for RemoteSpan {
-    fn from(s: &SpanRecord) -> Self {
-        RemoteSpan {
-            name: s.name.to_string(),
-            label: s.label.clone(),
-            tid: s.tid,
-            start_ns: s.start_ns,
-            dur_ns: s.dur_ns,
-            depth: s.depth,
-            trace: s.trace,
-        }
-    }
-}
-
-impl RemoteSpan {
-    /// End timestamp on the recording process's clock.
-    pub fn end_ns(&self) -> u64 {
-        self.start_ns + self.dur_ns
-    }
-}
 
 /// One process's contribution to a merged cluster trace.
 #[derive(Clone, Debug)]
@@ -65,7 +22,7 @@ pub struct ProcessSpans {
     /// `start_ns` expresses the span on the reference (coordinator) clock.
     pub offset_ns: i64,
     /// The process's spans, on its own clock.
-    pub spans: Vec<RemoteSpan>,
+    pub spans: Vec<SpanRecord>,
 }
 
 /// Merges per-process span sets into one chrome://tracing JSON trace:
@@ -88,25 +45,9 @@ pub fn cluster_trace_json(procs: &[ProcessSpans]) -> String {
             json_escape(&p.name)
         );
         for s in &p.spans {
+            out.push(',');
             let ts_ns = (s.start_ns as i128 + p.offset_ns as i128).max(0) as u64;
-            let _ = write!(
-                out,
-                ",{{\"name\":\"{}\",\"cat\":\"h2\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-                 \"pid\":{},\"tid\":{}",
-                json_escape(&s.name),
-                ts_ns as f64 / 1e3,
-                s.dur_ns as f64 / 1e3,
-                p.pid,
-                s.tid
-            );
-            let mut args = Vec::new();
-            if let Some(l) = &s.label {
-                args.push(format!("\"label\":\"{}\"", json_escape(l)));
-            }
-            if s.trace != 0 {
-                args.push(format!("\"trace\":{}", s.trace));
-            }
-            let _ = write!(out, ",\"args\":{{{}}}}}", args.join(","));
+            write_span_event(&mut out, s, p.pid, ts_ns);
         }
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
@@ -117,9 +58,9 @@ pub fn cluster_trace_json(procs: &[ProcessSpans]) -> String {
 mod tests {
     use super::*;
 
-    fn span(name: &str, start_ns: u64, dur_ns: u64, trace: u64) -> RemoteSpan {
-        RemoteSpan {
-            name: name.to_string(),
+    fn span(name: &'static str, start_ns: u64, dur_ns: u64, trace: u64) -> SpanRecord {
+        SpanRecord {
+            name: name.into(),
             label: None,
             tid: 1,
             start_ns,
@@ -152,6 +93,53 @@ mod tests {
         // 2500ns − 500ns offset = 2000ns = 2.000µs on the reference clock.
         assert!(json.contains("\"ts\":2.000"), "{json}");
         assert!(json.contains("\"trace\":7"));
+    }
+
+    /// Golden test: the merged trace of two processes, byte for byte — a
+    /// reference row, and a worker row with a negative clock offset, one
+    /// labelled and traced span and one bare span.
+    #[test]
+    fn cluster_trace_golden() {
+        let procs = vec![
+            ProcessSpans {
+                pid: 2,
+                name: "coordinator".to_string(),
+                offset_ns: 0,
+                spans: vec![span("net.roundtrip", 1_000, 9_000, 7)],
+            },
+            ProcessSpans {
+                pid: 0,
+                name: "rank0".to_string(),
+                offset_ns: -500,
+                spans: vec![
+                    SpanRecord {
+                        label: Some("rank=0".to_string()),
+                        tid: 3,
+                        ..span("net.roundtrip", 2_500, 4_000, 7)
+                    },
+                    SpanRecord {
+                        tid: 3,
+                        depth: 2,
+                        ..span("matvec.upward", 2_600, 1_250, 0)
+                    },
+                ],
+            },
+        ];
+        assert_eq!(
+            cluster_trace_json(&procs),
+            "{\"traceEvents\":[\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
+             \"args\":{\"name\":\"coordinator\"}},\
+             {\"name\":\"net.roundtrip\",\"cat\":\"h2\",\"ph\":\"X\",\"ts\":1.000,\"dur\":9.000,\
+             \"pid\":2,\"tid\":1,\"args\":{\"trace\":7}},\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+             \"args\":{\"name\":\"rank0\"}},\
+             {\"name\":\"net.roundtrip\",\"cat\":\"h2\",\"ph\":\"X\",\"ts\":2.000,\"dur\":4.000,\
+             \"pid\":0,\"tid\":3,\"args\":{\"label\":\"rank=0\",\"trace\":7}},\
+             {\"name\":\"matvec.upward\",\"cat\":\"h2\",\"ph\":\"X\",\"ts\":2.100,\"dur\":1.250,\
+             \"pid\":0,\"tid\":3,\"args\":{}}\
+             ],\"displayTimeUnit\":\"ms\"}"
+        );
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! The JSON writer is hand-rolled (this crate has zero dependencies); the
 //! emitted trace uses `"ph": "X"` *complete* events, which Perfetto and
 //! `about:tracing` nest purely by `(tid, ts, dur)` containment — exactly
-//! the relationship the span guards guarantee.
+//! the relationship the span guards guarantee. [`write_span_event`] writes
+//! those events for this process's trace and for the merged cluster trace.
 
-#[cfg(test)]
-use crate::SpanRecord;
-use crate::{Exposition, TelemetrySnapshot};
+use crate::{Exposition, SpanRecord, TelemetrySnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -61,23 +60,7 @@ impl TelemetrySnapshot {
             if k > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"h2\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-                 \"pid\":1,\"tid\":{}",
-                json_escape(s.name),
-                s.start_ns as f64 / 1e3,
-                s.dur_ns as f64 / 1e3,
-                s.tid
-            );
-            let mut args = Vec::new();
-            if let Some(l) = &s.label {
-                args.push(format!("\"label\":\"{}\"", json_escape(l)));
-            }
-            if s.trace != 0 {
-                args.push(format!("\"trace\":{}", s.trace));
-            }
-            let _ = write!(out, ",\"args\":{{{}}}}}", args.join(","));
+            write_span_event(&mut out, s, 1, s.start_ns);
         }
         let dropped = self.counter("telemetry.spans_dropped");
         if dropped > 0 {
@@ -132,6 +115,29 @@ impl TelemetrySnapshot {
     }
 }
 
+/// Appends `s` as one `"ph":"X"` complete event of process `pid` starting
+/// at `ts_ns` (nanoseconds on the trace's clock; written in microseconds).
+/// The label and a nonzero trace id go into `args`.
+pub(crate) fn write_span_event(out: &mut String, s: &SpanRecord, pid: u32, ts_ns: u64) {
+    let _ = write!(
+        out,
+        "{{\"name\":\"{}\",\"cat\":\"h2\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
+         \"pid\":{pid},\"tid\":{}",
+        json_escape(&s.name),
+        ts_ns as f64 / 1e3,
+        s.dur_ns as f64 / 1e3,
+        s.tid
+    );
+    let mut args = Vec::new();
+    if let Some(l) = &s.label {
+        args.push(format!("\"label\":\"{}\"", json_escape(l)));
+    }
+    if s.trace != 0 {
+        args.push(format!("\"trace\":{}", s.trace));
+    }
+    let _ = write!(out, ",\"args\":{{{}}}}}", args.join(","));
+}
+
 pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -163,7 +169,7 @@ mod tests {
     #[test]
     fn span_totals_aggregate_by_name_and_label() {
         let mk = |name: &'static str, label: Option<&str>, dur: u64| SpanRecord {
-            name,
+            name: name.into(),
             label: label.map(str::to_string),
             tid: 1,
             start_ns: 0,

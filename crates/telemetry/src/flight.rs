@@ -1,5 +1,7 @@
 //! Crash flight recorder: a fixed-size ring of the most recent spans and
 //! point events, dumped to a postmortem JSON file when a process dies.
+//! Both are [`SpanRecord`]s: a point event is a record of depth 0 and
+//! duration 0 whose label is the event's detail.
 //!
 //! The ring is disabled by default (zero overhead); a process that wants a
 //! black box calls [`flight_enable`]. Once enabled, every span flushed to
@@ -12,6 +14,7 @@
 
 use crate::export::json_escape;
 use crate::{now_ns, SpanRecord};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io;
@@ -23,27 +26,8 @@ use std::sync::{Mutex, OnceLock};
 /// overwritten in the dump header.
 pub const FLIGHT_CAPACITY: usize = 4096;
 
-/// One ring entry: a finished span or a point event.
-#[derive(Clone, Debug)]
-pub struct FlightEntry {
-    /// `"span"` or `"event"`.
-    pub kind: &'static str,
-    /// Span phase name or event name.
-    pub name: String,
-    /// Span label / event detail (empty when absent).
-    pub detail: String,
-    /// Recording thread's telemetry id (see `SpanRecord::tid`).
-    pub tid: u64,
-    /// Start (spans) or occurrence (events), ns since the process epoch.
-    pub start_ns: u64,
-    /// Duration in ns (0 for events).
-    pub dur_ns: u64,
-    /// Trace id (0 = untraced).
-    pub trace: u64,
-}
-
 struct FlightRing {
-    entries: Mutex<VecDeque<FlightEntry>>,
+    entries: Mutex<VecDeque<SpanRecord>>,
     overwritten: AtomicU64,
 }
 
@@ -75,7 +59,7 @@ pub fn flight_reset() {
     r.overwritten.store(0, Ordering::Relaxed);
 }
 
-fn push(entry: FlightEntry) {
+fn push(entry: SpanRecord) {
     let r = ring();
     let mut entries = r.entries.lock().unwrap();
     if entries.len() == FLIGHT_CAPACITY {
@@ -91,15 +75,7 @@ pub(crate) fn record_spans(spans: &[SpanRecord]) {
         return;
     }
     for s in spans {
-        push(FlightEntry {
-            kind: "span",
-            name: s.name.to_string(),
-            detail: s.label.clone().unwrap_or_default(),
-            tid: s.tid,
-            start_ns: s.start_ns,
-            dur_ns: s.dur_ns,
-            trace: s.trace,
-        });
+        push(s.clone());
     }
 }
 
@@ -109,19 +85,21 @@ pub fn flight_event(name: &str, detail: impl Into<String>) {
     if !flight_enabled() {
         return;
     }
-    push(FlightEntry {
-        kind: "event",
-        name: name.to_string(),
-        detail: detail.into(),
+    push(SpanRecord {
+        name: Cow::Owned(name.to_string()),
+        label: Some(detail.into()),
         tid: crate::current_tid(),
         start_ns: now_ns(),
         dur_ns: 0,
+        depth: 0,
         trace: crate::current_trace(),
     });
 }
 
 /// Serializes the ring as a JSON object:
-/// `{"capacity":…,"overwritten":…,"entries":[…]}`.
+/// `{"capacity":…,"overwritten":…,"entries":[…]}`. An entry's `kind` is
+/// `"event"` for a depth-0 record and `"span"` otherwise; its `detail` is
+/// the label, empty when absent.
 pub fn flight_dump_json() -> String {
     crate::flush_thread();
     let r = ring();
@@ -139,9 +117,9 @@ pub fn flight_dump_json() -> String {
             out,
             "{{\"kind\":\"{}\",\"name\":\"{}\",\"detail\":\"{}\",\"tid\":{},\
              \"start_ns\":{},\"dur_ns\":{},\"trace\":{}}}",
-            e.kind,
+            if e.depth == 0 { "event" } else { "span" },
             json_escape(&e.name),
-            json_escape(&e.detail),
+            json_escape(e.label.as_deref().unwrap_or_default()),
             e.tid,
             e.start_ns,
             e.dur_ns,

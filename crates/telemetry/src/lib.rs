@@ -57,15 +57,16 @@ mod export;
 mod flight;
 pub mod hist;
 
-pub use cluster::{cluster_trace_json, ProcessSpans, RemoteSpan};
+pub use cluster::{cluster_trace_json, ProcessSpans};
 pub use expo::Exposition;
 pub use export::SpanTotal;
 pub use flight::{
     flight_dump_json, flight_dump_to, flight_enable, flight_enabled, flight_event, flight_reset,
-    install_flight_panic_hook, FlightEntry, FLIGHT_CAPACITY,
+    install_flight_panic_hook, FLIGHT_CAPACITY,
 };
 pub use hist::LogLinearHistogram;
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::marker::PhantomData;
@@ -344,20 +345,24 @@ impl Drop for LocalScope {
 // Spans
 // ---------------------------------------------------------------------------
 
-/// One finished span: a named, thread-attributed wall-time interval.
+/// One finished span: a named, thread-attributed wall-time interval. The
+/// one span type of the telemetry plane: the span store, the flight ring,
+/// worker span reports on the wire and merged cluster traces all hold it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
-    /// Phase name (dotted, e.g. `matvec.horizontal`).
-    pub name: &'static str,
-    /// Optional instance label (e.g. `rank=2`).
+    /// Phase name (dotted, e.g. `matvec.horizontal`): the recording site's
+    /// static string in process, owned once decoded off the wire.
+    pub name: Cow<'static, str>,
+    /// Optional instance label (e.g. `rank=2`); a flight event's detail.
     pub label: Option<String>,
     /// Small per-thread id (1-based, assignment order).
     pub tid: u64,
-    /// Start, nanoseconds since the process epoch.
+    /// Start, nanoseconds since the recording process's epoch.
     pub start_ns: u64,
     /// Duration, nanoseconds.
     pub dur_ns: u64,
-    /// Nesting depth on its thread (outermost = 1).
+    /// Nesting depth on its thread (outermost = 1; 0 marks a point event
+    /// of the flight recorder, see [`flight_event`]).
     pub depth: u32,
     /// Trace id the span belongs to (0 = untraced). See [`trace_scope`].
     pub trace: u64,
@@ -434,7 +439,7 @@ impl Span {
         self.armed = false;
         THREAD.with(|t| {
             t.buf.borrow_mut().push(SpanRecord {
-                name: self.name,
+                name: Cow::Borrowed(self.name),
                 label: self.label.take(),
                 tid: t.tid,
                 start_ns: self.start_ns,

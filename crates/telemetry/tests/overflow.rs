@@ -72,6 +72,30 @@ fn overflow_is_counted_taken_spans_drain_and_the_flight_ring_is_bounded() {
     assert!(dump.contains(&format!("\"trace\":{trace_id}")));
     assert!(dump.contains("\"kind\":\"event\""));
     assert!(dump.contains("\"detail\":\"sweep 3 done\""));
+    // Exact shape: one span entry and one event entry, keys in order.
+    let keys = [
+        "kind", "name", "detail", "tid", "start_ns", "dur_ns", "trace",
+    ];
+    let span_entry = entry(&dump, "{\"kind\":\"span\",\"name\":\"flight_test.sweep\"");
+    let event_entry = entry(&dump, "{\"kind\":\"event\",\"name\":\"flight_test.marker\"");
+    for fields in [&span_entry, &event_entry] {
+        let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, keys, "{fields:?}");
+        for (_, v) in &fields[3..6] {
+            v.parse::<u64>().unwrap();
+        }
+    }
+    assert_eq!(
+        span_entry[2].1, "\"\"",
+        "an unlabelled span dumps an empty detail"
+    );
+    assert_eq!(span_entry[6].1, trace_id.to_string());
+    assert_eq!(event_entry[2].1, "\"sweep 3 done\"");
+    assert_eq!(event_entry[5].1, "0", "an event has no duration");
+    assert_eq!(
+        event_entry[6].1, "0",
+        "the event was marked outside the trace scope"
+    );
 
     // Overfill the ring: capacity entries survive, the rest are counted.
     for k in 0..FLIGHT_CAPACITY + 10 {
@@ -101,4 +125,20 @@ fn overflow_is_counted_taken_spans_drain_and_the_flight_ring_is_bounded() {
     std::fs::remove_dir_all(&dir).unwrap();
 
     flight_reset();
+}
+
+/// The `(key, raw value)` pairs, in order, of the dump entry that starts
+/// with `head` (flat objects whose values hold no `,` or `}`).
+fn entry(dump: &str, head: &str) -> Vec<(String, String)> {
+    let start = dump
+        .find(head)
+        .unwrap_or_else(|| panic!("no {head} in {dump}"));
+    let end = start + dump[start..].find('}').unwrap();
+    dump[start + 1..end]
+        .split(',')
+        .map(|kv| {
+            let (k, v) = kv.split_once(':').unwrap();
+            (k.trim_matches('"').to_string(), v.to_string())
+        })
+        .collect()
 }

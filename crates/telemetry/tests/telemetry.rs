@@ -134,7 +134,7 @@ fn chrome_trace_golden() {
         counters: BTreeMap::new(),
         spans: vec![
             SpanRecord {
-                name: "build.tree",
+                name: "build.tree".into(),
                 label: None,
                 tid: 1,
                 start_ns: 1_500,
@@ -143,7 +143,7 @@ fn chrome_trace_golden() {
                 trace: 0,
             },
             SpanRecord {
-                name: "dist.upward",
+                name: "dist.upward".into(),
                 label: Some("rank=0".to_string()),
                 tid: 2,
                 start_ns: 4_000,
@@ -210,7 +210,7 @@ fn chrome_trace_surfaces_trace_ids_and_dropped_spans() {
     let snap = TelemetrySnapshot {
         counters,
         spans: vec![SpanRecord {
-            name: "serve.sweep",
+            name: "serve.sweep".into(),
             label: Some("k=4".to_string()),
             tid: 1,
             start_ns: 1_000,

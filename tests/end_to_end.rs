@@ -248,7 +248,7 @@ fn thread_pool_results_identical_across_pool_sizes() {
             let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
             // Eight leaf groups: every width up to 8 finds work.
             assert_eq!(h2.tree().level_with_cut(8), Some(3));
-            let spawned = h2mv::h2::diagnostics::counters::scope();
+            let spawned = h2_telemetry::local_scope();
             let y = h2.matvec(&b);
             let helpers = spawned.count("sweep.helper_threads");
             assert_eq!(helpers as usize + 1, threads, "the sweep's width");
