@@ -76,6 +76,16 @@ pub(crate) fn listed_blocks(
         .chain(nearfield.map(|&(i, j)| (BlockKind::Nearfield, i, j)))
 }
 
+/// The first `len` entries of `buf`, which grows (with default values) only
+/// when it is shorter: scratch for a block whose every entry is about to be
+/// written, not refilled per block.
+pub(crate) fn sized<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+    &mut buf[..len]
+}
+
 impl<S: Scalar> H2MatrixS<S> {
     /// Builds an H² matrix for the kernel over the points with the given
     /// configuration (see [`crate::config::H2Config`]). Requires a symmetric
@@ -260,11 +270,11 @@ impl<S: Scalar> H2MatrixS<S> {
         block
     }
 
-    /// The entries of the listed block `(i, j)` into the zeroed
-    /// column-major `out`: the kernel evaluated in `f64` — into `wide`
-    /// first when `S` is narrower — and rounded once to `S`. What the
-    /// builders store, the cached tier holds and the sweeps apply when a
-    /// block is not held.
+    /// The entries of the listed block `(i, j)` into the column-major `out`,
+    /// each written once: the kernel evaluated in `f64` — into `wide` first
+    /// when `S` is narrower — and rounded once to `S`. What the builders
+    /// store, the cached tier holds and the sweeps apply when a block is not
+    /// held.
     pub(crate) fn materialize_into(
         &self,
         kind: BlockKind,
@@ -286,8 +296,7 @@ impl<S: Scalar> H2MatrixS<S> {
         if let Some(out) = S::as_f64s_mut(out) {
             return evaluate(out);
         }
-        wide.clear();
-        wide.resize(out.len(), 0.0);
+        let wide = sized(wide, out.len());
         evaluate(wide);
         for (o, &v) in out.iter_mut().zip(wide.iter()) {
             *o = S::from_f64(v);

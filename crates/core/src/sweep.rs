@@ -74,7 +74,7 @@
 //! cached at any budget ≡ stored ≡ mapped, bit for bit.
 
 use crate::diagnostics::BlockTally;
-use crate::h2matrix::H2MatrixS;
+use crate::h2matrix::{sized, H2MatrixS};
 use h2_cache::{BlockCache, BlockKind};
 use h2_linalg::{exec, panel, MatrixS, Scalar};
 use h2_points::admissibility::BlockLists;
@@ -554,14 +554,6 @@ struct Scratch<S> {
     stored: Vec<S>,
 }
 
-/// Clears `buf` and refills it with `len` zeros (within its capacity once
-/// sized).
-fn zeroed<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
-    buf.clear();
-    buf.resize(len, T::default());
-    buf
-}
-
 /// The single three-tier fetch: resident-or-mapped, then cached, then
 /// materialized into `scratch`. `(i, j)` is a listed canonical pair; a
 /// generation, and a hit or miss of the cached tier, is counted in `tally`.
@@ -587,7 +579,7 @@ fn fetch<'a, S: Scalar>(
     } else {
         tally.add(kind, rows, cols);
     }
-    let stored = zeroed(&mut scratch.stored, rows * cols);
+    let stored = sized(&mut scratch.stored, rows * cols);
     h2.materialize_into(kind, (i, j), stored, &mut scratch.block);
     Fetched::Borrowed(stored)
 }

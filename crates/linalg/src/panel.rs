@@ -24,12 +24,22 @@
 //! There is one tile width, four panel columns; the `k mod 4` leftover
 //! columns, which are all of `k = 1`, take the one-column path.
 //!
+//! **The one-column path** walks four block columns per pass, with the same
+//! width, and the last `cols mod 4` one at a time:
+//!
+//! - **Forward.** Each `y[r]` receives the four columns' terms in ascending
+//!   `j` in one pass over `y`, the order of four [`blas::axpy`] calls. The
+//!   zero test is hoisted per group, as in the tiles: a group with a zero
+//!   `x[j]` runs its axpys one by one, skipping that term.
+//! - **Transposed.** Four [`blas::dot`]s, each in its own order, share each
+//!   4-row load of `x`: four vectors of four partial sums.
+//!
 //! **Both directions** ([`matmat_bi_acc`]: `Yf += B·Xf` and `Yt += Bᵀ·Xt`).
-//! A leftover column walks each block column `j` once: `yt[j] +=
-//! blas::dot(B[:, j], xt)`, then, unless `xf[j]` is zero, `yf += xf[j] ·
-//! B[:, j]`. Every output entry keeps the sum order of its one-direction
-//! apply, so the fused product has the bits of [`matmat_acc`] followed by
-//! [`matmat_t_acc`], and a block streamed from memory is read once for both.
+//! A leftover column walks each group of four block columns once: its four
+//! dots into `yt`, then its axpys into `yf`. Every output entry keeps the
+//! sum order of its one-direction apply, so the fused product has the bits
+//! of [`matmat_acc`] followed by [`matmat_t_acc`], and a block streamed from
+//! memory is read once for both.
 //! The tiled columns run the forward tiles, then the transposed tiles: at
 //! four columns and more a pass is bound by arithmetic, not by reading `B`.
 //!
@@ -40,39 +50,50 @@ use crate::blas;
 use crate::scalar::Scalar;
 use std::array;
 
-/// Panel columns per tile: the one tile width.
+/// Panel columns per tile, and block columns per pass of a one-column
+/// apply: the one width.
 const COLS: usize = 4;
 /// Output rows per forward tile.
 const ROWS: usize = 8;
 
 /// `y += B x` for the column-major block `b` with `rows` rows and
 /// `x.len()` columns: block columns ascending, a term with `x[j] == 0`
-/// skipped.
+/// skipped. Four block columns go by per pass (module docs).
 #[inline(always)]
 pub fn gemv_acc<S: Scalar, A: Scalar>(b: &[S], rows: usize, x: &[A], y: &mut [A]) {
     debug_assert_eq!(b.len(), rows * x.len());
     debug_assert_eq!(y.len(), rows);
-    for (j, &xj) in x.iter().enumerate() {
+    let walked = x.len() - x.len() % COLS;
+    for j0 in (0..walked).step_by(COLS) {
+        let xs = array::from_fn(|c| x[j0 + c]);
+        axpy_walk(xs, array::from_fn(|c| column(b, rows, j0 + c)), y);
+    }
+    for (j, &xj) in x.iter().enumerate().skip(walked) {
         if xj != A::ZERO {
-            blas::axpy(xj, &b[j * rows..(j + 1) * rows], y);
+            blas::axpy(xj, column(b, rows, j), y);
         }
     }
 }
 
 /// `y += Bᵀ x` for the column-major block `b` with `rows` rows and
-/// `y.len()` columns: `y[j] += blas::dot(B[:, j], x)`.
+/// `y.len()` columns: `y[j] += blas::dot(B[:, j], x)`. Four block columns
+/// go by per pass (module docs).
 #[inline(always)]
 pub fn gemv_t_acc<S: Scalar, A: Scalar>(b: &[S], rows: usize, x: &[A], y: &mut [A]) {
     debug_assert_eq!(b.len(), rows * y.len());
     debug_assert_eq!(x.len(), rows);
-    for (j, yj) in y.iter_mut().enumerate() {
-        *yj += blas::dot(&b[j * rows..(j + 1) * rows], x);
+    let walked = y.len() - y.len() % COLS;
+    for j0 in (0..walked).step_by(COLS) {
+        dot_walk(array::from_fn(|c| column(b, rows, j0 + c)), x, j0, y);
+    }
+    for (j, yj) in y.iter_mut().enumerate().skip(walked) {
+        *yj += blas::dot(column(b, rows, j), x);
     }
 }
 
 /// [`gemv_acc`] on `(xf, yf)` and [`gemv_t_acc`] on `(xt, yt)` in one walk
-/// over the block columns: column `j` is read for its dot and, unless
-/// `xf[j]` is zero, its axpy.
+/// over the block columns, four at a time: each group is read for its dots,
+/// then for its axpys.
 #[inline(always)]
 fn gemv_bi_acc<S: Scalar, A: Scalar>(
     b: &[S],
@@ -84,13 +105,65 @@ fn gemv_bi_acc<S: Scalar, A: Scalar>(
 ) {
     debug_assert_eq!(b.len(), rows * xf.len());
     debug_assert_eq!((xt.len(), yf.len(), yt.len()), (rows, rows, xf.len()));
-    for (j, (&xj, yj)) in xf.iter().zip(yt.iter_mut()).enumerate() {
-        let bj = &b[j * rows..(j + 1) * rows];
+    let walked = xf.len() - xf.len() % COLS;
+    for j0 in (0..walked).step_by(COLS) {
+        let bs = array::from_fn(|c| column(b, rows, j0 + c));
+        dot_walk(bs, xt, j0, yt);
+        axpy_walk(array::from_fn(|c| xf[j0 + c]), bs, yf);
+    }
+    for (j, (&xj, yj)) in xf.iter().zip(yt.iter_mut()).enumerate().skip(walked) {
+        let bj = column(b, rows, j);
         *yj += blas::dot(bj, xt);
         if xj != A::ZERO {
             blas::axpy(xj, bj, yf);
         }
     }
+}
+
+/// `y[r] += xs[0]·b0[r]`, then `+= xs[1]·b1[r]`, … for the four block
+/// columns `bs`: the terms of four [`blas::axpy`] calls in their order, in
+/// one pass over `y`. A term whose `xs[c]` is zero is skipped, the test
+/// hoisted out of the pass as in the tiles: a group with a zero runs its
+/// axpys one by one.
+#[inline(always)]
+fn axpy_walk<S: Scalar, A: Scalar>(xs: [A; COLS], bs: [&[S]; COLS], y: &mut [A]) {
+    if xs.contains(&A::ZERO) {
+        for (xc, bc) in xs.into_iter().zip(bs) {
+            if xc != A::ZERO {
+                blas::axpy(xc, bc, y);
+            }
+        }
+        return;
+    }
+    let [b0, b1, b2, b3] = bs.map(|bc| &bc[..y.len()]);
+    let [x0, x1, x2, x3] = xs;
+    for ((((yr, &v0), &v1), &v2), &v3) in y.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+        let mut s = *yr;
+        s += x0 * v0.promote::<A>();
+        s += x1 * v1.promote::<A>();
+        s += x2 * v2.promote::<A>();
+        s += x3 * v3.promote::<A>();
+        *yr = s;
+    }
+}
+
+/// `y[j0 + c] += blas::dot(bs[c], x)` for the four block columns `bs`: four
+/// chains of four partial sums that share each 4-row load of `x`.
+#[inline(always)]
+fn dot_walk<S: Scalar, A: Scalar>(bs: [&[S]; COLS], x: &[A], j0: usize, y: &mut [A]) {
+    let quads = x.len() / 4;
+    let xq = &x.as_chunks::<4>().0[..quads];
+    let bq: [&[[S; 4]]; COLS] = bs.map(|bc| &bc.as_chunks::<4>().0[..quads]);
+    let mut s = [[A::ZERO; 4]; COLS];
+    for (i, xv) in xq.iter().enumerate() {
+        // Plain loops, as in [`transposed`].
+        for (sc, q) in s.iter_mut().zip(&bq) {
+            for ((p, &bl), &xl) in sc.iter_mut().zip(&q[i]).zip(xv) {
+                *p += bl.promote::<A>() * xl;
+            }
+        }
+    }
+    finish_dots(&s, bs, [x; COLS], array::from_fn(|c| j0 + c), y);
 }
 
 /// `Y += B X` for the column-major `rows × cols` block `b` and the
@@ -358,7 +431,7 @@ fn transposed<S: Scalar, A: Scalar>(
             }
             for (jj, (sj, bj)) in s.iter().zip(&bs).enumerate() {
                 let ys = array::from_fn(|c| (c0 + c) * cols + j0 + jj);
-                finish_dots(sj, bj, &xs, ys, y);
+                finish_dots(sj, [*bj; COLS], xs, ys, y);
             }
         }
     }
@@ -370,9 +443,11 @@ fn transposed<S: Scalar, A: Scalar>(
     }
 }
 
-/// Completes four of [`transposed`]'s dot products of the block column
-/// `bj`, one per panel column of `xs`, from their partial sums `s`:
-/// `(s0 + s1) + (s2 + s3)`, the row tail, then `y[at[c]] += t`.
+/// Completes four dot products, of the block column `bs[c]` with the panel
+/// column `xs[c]`, from their partial sums `s[c]`: `(s0 + s1) + (s2 + s3)`,
+/// the row tail, then `y[at[c]] += t`. [`transposed`] passes one block
+/// column and four panel columns, the one-column applies four block columns
+/// and one panel column.
 ///
 /// Not inlined: where LLVM sees these sums next to the loop that makes them,
 /// it vectorises both across the four outputs instead of across the four
@@ -380,13 +455,13 @@ fn transposed<S: Scalar, A: Scalar>(
 #[inline(never)]
 fn finish_dots<S: Scalar, A: Scalar>(
     s: &[[A; 4]; COLS],
-    bj: &[S],
-    xs: &[&[A]; COLS],
+    bs: [&[S]; COLS],
+    xs: [&[A]; COLS],
     at: [usize; COLS],
     y: &mut [A],
 ) {
-    let tail = bj.len() - bj.len() % 4;
-    for ((&[s0, s1, s2, s3], xc), at) in s.iter().zip(xs).zip(at) {
+    for (((&[s0, s1, s2, s3], bj), xc), at) in s.iter().zip(bs).zip(xs).zip(at) {
+        let tail = bj.len() - bj.len() % 4;
         let mut t = (s0 + s1) + (s2 + s3);
         for (bv, &xv) in bj[tail..].iter().zip(&xc[tail..]) {
             t += bv.promote::<A>() * xv;

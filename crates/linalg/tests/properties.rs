@@ -200,3 +200,95 @@ fn row_ids_keep_their_bits() {
     }
     assert_eq!(h, 0x88d8_03f6_34f9_e654, "row ID hash {h:#018x}");
 }
+
+/// A value's bits for a hash, every NaN as one word: IEEE 754 leaves which
+/// payload an operation on two NaNs returns to the implementation.
+fn hash_bits(v: f64) -> u64 {
+    if v.is_nan() {
+        0x7ff8_0000_0000_0000
+    } else {
+        v.to_bits()
+    }
+}
+
+#[test]
+fn k1_applies_keep_their_bits() {
+    // The panel applies at k = 1 and at k = 5 (one tile and one leftover
+    // column) over blocks from empty to 109 × 109: FNV-1a over every output
+    // of `matmat_acc`, `matmat_t_acc` and `matmat_bi_acc`, in f64/f64,
+    // f32/f64 and f32/f32. Blocks, panels and starting outputs carry ±0;
+    // the `special` cases add ±∞ and NaN. Panel column 0 of the forward `x`
+    // has no zero in its first group of four block columns and exactly one
+    // in the second, so both forms of the hoisted zero test run.
+    use h2_linalg::panel::{matmat_acc, matmat_bi_acc, matmat_t_acc};
+    use h2_linalg::Scalar;
+
+    fn block<S: Scalar>(rows: usize, cols: usize, special: bool) -> Vec<S> {
+        (0..rows * cols)
+            .map(|e| {
+                let (i, j) = (e % rows, e / rows);
+                match ((i * 7 + j * 13 + 3) % 23, special && j == 1) {
+                    (_, true) if i % 7 == 3 => S::from_f64(f64::INFINITY),
+                    (_, true) if i % 7 == 5 => S::from_f64(f64::NEG_INFINITY),
+                    (_, true) if i % 11 == 8 => S::from_f64(f64::NAN),
+                    (0, _) => S::ZERO,
+                    (1, _) => -S::ZERO,
+                    (v, _) => S::from_f64(v as f64 / 9.0 - 1.3),
+                }
+            })
+            .collect()
+    }
+    fn panel<A: Scalar>(len: usize, k: usize, seed: usize, special: bool) -> Vec<A> {
+        (0..len * k)
+            .map(|e| {
+                let (i, c) = (e % len, e / len);
+                match ((i * 5 + c * 3 + seed) % 19, special && c + 1 == k) {
+                    _ if c == 0 && i == 6 => A::ZERO,
+                    _ if c == 0 && i < 8 => A::from_f64(0.25 + i as f64),
+                    (_, true) if i % 13 == 10 => A::from_f64(f64::INFINITY),
+                    (_, true) if i % 17 == 12 => A::from_f64(f64::NEG_INFINITY),
+                    (_, true) if i % 19 == 14 => A::from_f64(f64::NAN),
+                    (0, _) => A::ZERO,
+                    (1, _) => -A::ZERO,
+                    (v, _) => A::from_f64(v as f64 / 7.0 - 1.2),
+                }
+            })
+            .collect()
+    }
+    fn hash<S: Scalar, A: Scalar>(mut h: u64) -> u64 {
+        let mut out = |v: &[A]| {
+            for &e in v {
+                h = fnv(h, hash_bits(e.to_f64()));
+            }
+        };
+        for k in [1, 5] {
+            for rows in [0, 1, 3, 7, 8, 9, 109] {
+                for cols in [0, 1, 2, 3, 4, 5, 8, 9, 109] {
+                    for special in [false, true] {
+                        let b = block::<S>(rows, cols, special);
+                        let (xf, xt) =
+                            (panel::<A>(cols, k, 1, special), panel(rows, k, 2, special));
+                        let (yf0, yt0) =
+                            (panel::<A>(rows, k, 3, special), panel(cols, k, 4, special));
+                        let mut yf = yf0.clone();
+                        matmat_acc(&b, rows, cols, k, &xf, &mut yf);
+                        out(&yf);
+                        let mut yt = yt0.clone();
+                        matmat_t_acc(&b, rows, cols, k, &xt, &mut yt);
+                        out(&yt);
+                        let (mut yf, mut yt) = (yf0, yt0);
+                        matmat_bi_acc(&b, rows, cols, k, &xf, &mut yf, &xt, &mut yt);
+                        out(&yf);
+                        out(&yt);
+                    }
+                }
+            }
+        }
+        h
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    h = hash::<f64, f64>(h);
+    h = hash::<f32, f64>(h);
+    h = hash::<f32, f32>(h);
+    assert_eq!(h, 0x76c9_8b19_2c17_dd03, "k = 1 apply hash {h:#018x}");
+}
