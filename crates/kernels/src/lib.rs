@@ -15,6 +15,10 @@
 //! vectorise over the rows of the tile, per column point ([`radial`]). Each
 //! entry is still `phi(0.0 + (x_0 − y_0)² + … + (x_{dim−1} − y_{dim−1})²)`
 //! in that order, so a block has the bits of entrywise [`Kernel::eval`].
+//! The kernels' exponentials and reciprocal square roots come from two
+//! shared functions, [`radial::exp`] (within 1 ulp of `f64::exp`) and
+//! [`radial::rsqrt`] (within 2 ulp of `1.0 / r2.sqrt()`): plain `f64`
+//! arithmetic that vectorises with the tile, where a libm call did not.
 //! [`Kernel::apply_block`] is the trait's scalar loop, a timing reference
 //! only: no product runs it.
 //!

@@ -661,6 +661,13 @@ pub fn stored_epoch(bytes: &[u8]) -> Result<u64, LoadError> {
     Ok(fp.epoch)
 }
 
+/// Why a file whose kernel name matches fails its probe evaluations. The
+/// parameters may differ, or the file was saved by a build whose kernel
+/// evaluation had other bits (its stored blocks carry them too), and must
+/// be saved again.
+const PROBES_DIFFER: &str = "probe evaluations differ: different kernel parameters, \
+     or a file saved by a build whose kernel evaluation had other bits (re-save it)";
+
 /// Shared fingerprint validation: stored scalar width against the
 /// requested `S`, and the kernel (by name, then by probe evaluations).
 fn check_fingerprint<S: Scalar>(fp: &Fingerprint, kernel: &dyn Kernel) -> Result<(), LoadError> {
@@ -685,7 +692,7 @@ fn check_fingerprint<S: Scalar>(fp: &Fingerprint, kernel: &dyn Kernel) -> Result
         return Err(LoadError::KernelMismatch {
             stored: fp.kernel_name.clone(),
             given: kernel.name().to_string(),
-            reason: "probe evaluations differ (same name, different parameters?)",
+            reason: PROBES_DIFFER,
         });
     }
     Ok(())
@@ -1316,6 +1323,49 @@ mod tests {
         assert!(matches!(err, LoadError::KernelMismatch { .. }), "{err}");
         // The right kernel round-trips.
         assert!(decode::<f64>(&bytes, Arc::new(Matern32 { ell: 1.0 })).is_ok());
+    }
+
+    #[test]
+    fn one_flipped_probe_bit_is_a_kernel_mismatch_naming_both_causes() {
+        // A file whose probes were evaluated with other kernel bits: the
+        // same encode with the last bit of its first probe flipped, and the
+        // fingerprint checksum recomputed so only the probe disagrees.
+        let pts = gen::uniform_cube(300, 3, 5);
+        let cfg = H2Config {
+            basis: BasisMethod::data_driven_for_tol(1e-4, 3),
+            mode: MemoryMode::OnTheFly,
+            leaf_size: 48,
+            ..H2Config::default()
+        };
+        let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
+        let mut bytes = encode(&h2);
+        assert_eq!(bytes[12], TAG_FINGERPRINT);
+        let len = u64::from_le_bytes(bytes[13..21].try_into().unwrap()) as usize;
+        let payload = 21..21 + len;
+        let probe = probe_values(&Coulomb, 3)[0].to_le_bytes();
+        let at = (bytes[payload.clone()].windows(8))
+            .position(|w| w == probe)
+            .expect("the first probe is in the fingerprint");
+        bytes[21 + at] ^= 1;
+        let sum = fnv1a64(&bytes[payload.clone()]).to_le_bytes();
+        bytes[payload.end..payload.end + 8].copy_from_slice(&sum);
+        let err = decode::<f64>(&bytes, Arc::new(Coulomb))
+            .err()
+            .expect("a flipped probe must be refused");
+        assert!(
+            matches!(
+                err,
+                LoadError::KernelMismatch {
+                    reason: PROBES_DIFFER,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        let text = err.to_string();
+        assert!(text.contains("different kernel parameters"), "{text}");
+        assert!(text.contains("saved by a build"), "{text}");
+        assert!(text.contains("re-save"), "{text}");
     }
 
     fn temp_path(tag: &str) -> std::path::PathBuf {

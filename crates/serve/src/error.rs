@@ -88,8 +88,9 @@ pub enum LoadError {
         supported: u32,
     },
     /// The kernel supplied at load time does not match the one the operator
-    /// was built with (different name, or same name with different
-    /// parameters caught by the probe-value fingerprint).
+    /// was built with: a different name, or probe evaluations that differ —
+    /// the same name with different parameters, or a file saved by a build
+    /// whose kernel evaluation had other bits.
     KernelMismatch {
         /// Kernel name recorded in the file.
         stored: String,
