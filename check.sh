@@ -40,7 +40,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, four unsafe AVX2 dispatches: one each in panel.rs, radial.rs, qr.rs and strategies.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), workspace (12 crates, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic), bench binary and result (each named by run_harness.sh or check.sh) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (one is_x86_feature_detected! in the workspace, four unsafe AVX2 dispatches: one each in panel.rs, radial.rs, qr.rs and strategies.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), workspace (12 crates, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic), bench binary and result (each named by run_harness.sh or check.sh), paper driver (no per-figure binary, one run_config runner and the one H2Matrix::build under the paper driver) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -156,13 +156,21 @@ done
 for result in results/*; do
   grep -qF "/$(basename "$result")" run_harness.sh check.sh || { echo "nothing writes $result"; exit 1; }
 done
+# One driver for the paper's experiments: `paper <experiment>`, whose rows
+# all go through metrics::run_config.
+if ls crates/bench/src/bin | grep -E '^(table1|fig[2-9]_.*|amortization|smoke|build_ablation)\.rs$'; then
+  echo "a per-experiment bench binary is back; add a spec to paper.rs"; exit 1
+fi
+RUNNERS=$(non_test crates/bench/src/*.rs crates/bench/src/bin/paper.rs | grep -cE "fn run_config\(|H2Matrix::build\(" || true)
+[ "$RUNNERS" = 2 ] || { echo "expected one run_config and one H2Matrix::build in it, found $RUNNERS"; exit 1; }
+non_test crates/bench/src/metrics.rs | grep -q "H2Matrix::build("
 
 echo "== cargo build --release =="
 cargo build --release --workspace --offline
 
-echo "== paper pipeline smoke (a miniature of every figure and table meets its shape check) =="
+echo "== paper pipeline smoke (the miniatures of Table I and Figs. 2, 4, 5, 9 meet their shape checks, every operator with admissible pairs) =="
 SMOKE=$(mktemp /tmp/h2-smoke.XXXXXX.txt)
-timeout 120 ./target/release/smoke > "$SMOKE"
+timeout 120 ./target/release/paper all --check > "$SMOKE"
 grep -q "checks, 0 failed" "$SMOKE"
 rm -f "$SMOKE"
 
@@ -181,7 +189,7 @@ rm -f "$NET"
 
 echo "== thread scaling smoke (bitwise across widths; the 2-thread ratios are printed, not gated) =="
 FIG7=$(mktemp /tmp/h2-fig7.XXXXXX.txt)
-timeout 300 ./target/release/fig7_threads --sizes 8000 --threads 1,2 --check > "$FIG7"
+timeout 300 ./target/release/paper fig7 --sizes 8000 --threads 1,2 --check > "$FIG7"
 grep -q "FIG7_THREADS_CHECK_OK" "$FIG7"
 rm -f "$FIG7"
 
@@ -197,7 +205,7 @@ rm -rf "$DYN"
 
 echo "== build ablation smoke (sketched vs anchor-net: time, ranks, accuracy) =="
 ABL=$(mktemp /tmp/h2-build-ablation.XXXXXX.txt)
-timeout 300 ./target/release/build_ablation --check > "$ABL"
+timeout 300 ./target/release/paper build_ablation --check > "$ABL"
 grep -q "BUILD_ABLATION_CHECK_OK" "$ABL"
 rm -f "$ABL"
 

@@ -1,13 +1,13 @@
 //! Minimal dependency-free CLI parsing shared by all harness binaries.
 
 /// Parsed harness arguments.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Args {
     /// Run at paper scale (`--full`); default is laptop scale.
     pub full: bool,
     /// Run the binary's acceptance smoke (`--check`): a small deterministic
-    /// instance with assertions, ending in its `*_CHECK_OK` line. Binaries
-    /// without one ignore it.
+    /// instance with assertions. `paper` refuses it for an experiment
+    /// without one; the other binaries ignore it.
     pub check: bool,
     /// Optional JSON output path (`--json PATH`).
     pub json: Option<String>,
@@ -27,22 +27,6 @@ pub struct Args {
     pub builder: String,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            full: false,
-            check: false,
-            json: None,
-            sizes: None,
-            tol: None,
-            seed: 1,
-            threads: None,
-            trace: None,
-            builder: "anchor".into(),
-        }
-    }
-}
-
 impl Args {
     /// Parses `std::env::args()`, exiting with a usage message on error.
     pub fn parse() -> Args {
@@ -50,8 +34,16 @@ impl Args {
     }
 
     /// Parses an explicit iterator, exiting with a usage message on error.
+    /// The `--json` path is created here, so an unwritable one is a usage
+    /// error before any work rather than a panic after it.
     pub fn parse_from(it: impl Iterator<Item = String>) -> Args {
-        Self::try_parse_from(it).unwrap_or_else(|e| usage(&e))
+        let args = Self::try_parse_from(it).unwrap_or_else(|e| usage(&e));
+        if let Some(p) = &args.json {
+            if let Err(e) = std::fs::File::create(p) {
+                usage(&format!("cannot write --json {p}: {e}"));
+            }
+        }
+        args
     }
 
     /// [`Self::parse_from`] without the exit: `Err` holds the usage error.
@@ -59,6 +51,7 @@ impl Args {
     /// number are usage errors, so no binary starts work it cannot finish.
     fn try_parse_from(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         let mut args = Args::default();
+        (args.seed, args.builder) = (1, "anchor".into());
         while let Some(a) = it.next() {
             let mut val = |what: &str| it.next().ok_or_else(|| format!("{a} needs {what}"));
             match a.as_str() {
@@ -84,17 +77,6 @@ impl Args {
         Ok(args)
     }
 
-    /// The sweep to run: override > full/paper > laptop default.
-    pub fn sweep(&self, laptop: &[usize], paper: &[usize]) -> Vec<usize> {
-        if let Some(s) = &self.sizes {
-            s.clone()
-        } else if self.full {
-            paper.to_vec()
-        } else {
-            laptop.to_vec()
-        }
-    }
-
     /// The accuracy to target (default: the paper's ~1e-8).
     pub fn tol_or(&self, default: f64) -> f64 {
         self.tol.unwrap_or(default)
@@ -112,7 +94,8 @@ fn parse_list(flag: &str, s: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-fn usage(msg: &str) -> ! {
+/// Prints `msg` and the usage line, then exits: 2 on an error, 0 for `--help`.
+pub fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }
@@ -141,11 +124,13 @@ mod tests {
 
     #[test]
     fn flags_parse() {
+        let json = std::env::temp_dir().join("h2bench_args.json");
+        let json = json.to_string_lossy().into_owned();
         let a = parse(&[
             "--full",
             "--check",
             "--json",
-            "/tmp/x.json",
+            &json,
             "--sizes",
             "100,200",
             "--tol",
@@ -159,7 +144,8 @@ mod tests {
         ]);
         assert!(a.full && a.check);
         assert_eq!(a.builder, "sketched");
-        assert_eq!(a.json.as_deref(), Some("/tmp/x.json"));
+        assert_eq!(a.json.as_deref(), Some(json.as_str()));
+        std::fs::remove_file(&json).unwrap();
         assert_eq!(a.sizes, Some(vec![100, 200]));
         assert_eq!(a.tol, Some(1e-6));
         assert_eq!(a.seed, 9);
@@ -194,14 +180,5 @@ mod tests {
             (ok.sizes, ok.threads, ok.tol),
             (Some(vec![1]), Some(vec![1]), Some(1e-300))
         );
-    }
-
-    #[test]
-    fn sweep_selection() {
-        let laptop = [10usize, 20];
-        let paper = [100usize, 200];
-        assert_eq!(parse(&[]).sweep(&laptop, &paper), vec![10, 20]);
-        assert_eq!(parse(&["--full"]).sweep(&laptop, &paper), vec![100, 200]);
-        assert_eq!(parse(&["--sizes", "5"]).sweep(&laptop, &paper), vec![5]);
     }
 }

@@ -1,35 +1,26 @@
 //! # h2-bench
 //!
-//! Shared harness for the paper-reproduction binaries (one per table /
-//! figure — see DESIGN.md §4).
-//!
-//! Every binary accepts:
-//!
-//! - `--full`       paper-scale problem sizes (needs paper-scale hardware);
-//! - `--json PATH`  machine-readable dump of the measured series, written by
-//!   [`write_json`] from rows declared with [`json_record!`];
-//! - `--sizes a,b`  override the n sweep;
-//! - `--tol X`      override the target relative accuracy;
-//! - `--seed S`     override the dataset seed.
+//! Shared harness for the `paper <experiment>` driver (every table and
+//! figure, see DESIGN.md §4) and the `profile`, `dist_scaling` and
+//! `net_scaling` binaries. Every binary accepts `--full` (paper-scale
+//! sizes), `--json PATH` (rows declared with [`json_record!`], written by
+//! [`write_json`]), `--sizes a,b`, `--tol X` and `--seed S`.
 //!
 //! Measurements follow §IV of the paper: `T_const` (construction, ms),
 //! `T_mv` (one matvec, ms), memory (KiB of stored generators), and the
-//! relative error over 12 sampled rows.
+//! relative error over 12 sampled rows; [`run_config`] takes all of them.
 
 pub mod args;
 pub mod metrics;
 pub mod table;
 
 pub use args::Args;
-pub use metrics::{run_config, write_json, RunMetrics};
+pub use metrics::{run_config, write_json, Case, RunMetrics};
 pub use serde_json::Value;
 pub use table::Table;
 
 use h2_core::{BasisMethod, H2Config, MemoryMode};
 use std::time::Instant;
-
-/// The paper's default accuracy ("around 1e-8") used by Figs. 4–7 and 9.
-pub const PAPER_TOL: f64 = 1e-8;
 
 /// Declares a row struct that converts into a JSON object holding every
 /// field under its own name, in declaration order — the form [`write_json`]
@@ -71,23 +62,13 @@ pub fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 /// Builds the four paper configurations of Fig. 6 / Table I:
 /// {data-driven, interpolation} × {normal, on-the-fly}.
 pub fn paper_configs(tol: f64, dim: usize) -> Vec<(String, H2Config)> {
+    let interp = BasisMethod::interpolation_for_tol(tol, dim);
     let mut out = Vec::new();
-    for (bname, basis) in [
-        (
-            "interpolation",
-            BasisMethod::interpolation_for_tol(tol, dim),
-        ),
-        ("data-driven", BasisMethod::data_driven_for_tol(tol, dim)),
-    ] {
+    for basis in [interp, BasisMethod::data_driven_for_tol(tol, dim)] {
         for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
-            out.push((
-                format!("{bname}/{}", mode.name()),
-                H2Config {
-                    basis: basis.clone(),
-                    mode,
-                    ..H2Config::default()
-                },
-            ));
+            let mut cfg = H2Config::default();
+            (cfg.basis, cfg.mode) = (basis.clone(), mode);
+            out.push((format!("{}/{}", basis.name(), mode.name()), cfg));
         }
     }
     out

@@ -1,72 +1,133 @@
-//! One measured experiment = one [`RunMetrics`] row.
+//! One measured experiment = one [`Case`] run into one [`RunMetrics`] row.
 
+use crate::median_ms;
 use h2_core::{H2Config, H2Matrix};
-use h2_kernels::Kernel;
-use h2_points::PointSet;
+use h2_points::gen::{self, Distribution3d};
 use serde_json::Value;
-use std::sync::Arc;
-use std::time::Instant;
 
 crate::json_record! {
-    /// The measurements the paper reports per configuration (§IV).
+    /// The measurements the paper reports per configuration (§IV), and what
+    /// the build ablation and the thread sweep read off the operator.
     #[derive(Clone, Debug)]
     pub struct RunMetrics {
-        /// Configuration label (e.g. "data-driven/on-the-fly").
+        /// The case's label cells joined with `/` (e.g. "data-driven/normal").
         pub label: String,
-        /// Number of points.
         pub n: usize,
-        /// Spatial dimension.
         pub dim: usize,
-        /// Construction time, ms (tree + lists + sampling + generators + blocks).
+        /// Construction (tree, lists, sampling, generators, blocks), ms.
         pub t_const_ms: f64,
         /// One matvec, ms.
         pub t_mv_ms: f64,
-        /// Stored generator memory, KiB (the paper's Table I metric).
+        /// Stored generator memory (the paper's Table I metric), and the
+        /// total with tree and lists, KiB.
         pub mem_kib: f64,
-        /// Total stored memory incl. tree/lists, KiB.
         pub mem_total_kib: f64,
         /// Measured relative error over 12 sampled rows.
         pub rel_err: f64,
-        /// Largest node rank.
         pub max_rank: usize,
-        /// Mean leaf rank (rank-reduction diagnostic, Fig. 2).
         pub mean_leaf_rank: f64,
-        /// Sampling time within construction, ms (data-driven only).
+        /// Sampling time within construction (data-driven only), ms.
         pub sampling_ms: f64,
-        /// Largest single block the on-the-fly matvec regenerates, KiB
-        /// (concurrent OTF footprint is threads x this, paper Fig. 7c).
+        /// Largest block an on-the-fly matvec regenerates, KiB (the
+        /// concurrent footprint is width × this, Fig. 7c).
         pub max_otf_block_kib: f64,
+        /// Basis generation time within construction, ms.
+        pub basis_ms: f64,
+        /// Sum of all node ranks.
+        pub rank_sum: usize,
+        /// Admissible block pairs; 0 means the operator is dense.
+        pub admissible_pairs: usize,
+        /// Sketched-builder work counters (0 for anchor-net).
+        pub sketch_samples: usize,
+        pub sketch_probes: usize,
+        pub sketch_retries: usize,
+        pub sketch_max_rounds: usize,
+        /// Executor width of the build and the products, and the cores the
+        /// host offers this process.
+        pub width: usize,
+        pub nproc: usize,
+        /// FNV-1a of the probe product's bits, hex: equal at every width.
+        pub product_fnv: String,
     }
 }
 
-/// Builds one H² matrix, times one matvec, measures error and memory.
-pub fn run_config(
-    label: &str,
-    pts: &PointSet,
-    kernel: Arc<dyn Kernel>,
-    cfg: &H2Config,
-    seed: u64,
-) -> RunMetrics {
-    let t = Instant::now();
-    let h2 = H2Matrix::build(pts, kernel, cfg);
-    let t_const_ms = t.elapsed().as_secs_f64() * 1e3;
+/// One operator to build and measure.
+#[derive(Clone, Debug)]
+pub struct Case {
+    /// Row label cells, printed as the table's leading columns.
+    pub cells: Vec<String>,
+    /// `cube`, `sphere` or `dino` (`Distribution3d`); a cube if `dim != 3`.
+    pub dist: &'static str,
+    pub dim: usize,
+    pub n: usize,
+    /// A `h2_kernels::kernel_by_name` name.
+    pub kernel: &'static str,
+    pub cfg: H2Config,
+    /// Executor width of the builds and products; 0 is the machine's.
+    pub width: usize,
+    /// 1 times one build and one cold product; more time the median of
+    /// `reps` builds and, after one warm-up, of `reps` products.
+    pub reps: usize,
+    /// The probe vector's seed is the run seed XOR this.
+    pub salt: u64,
+}
 
-    let b = h2_core::error_est::probe_vector(h2.n(), seed ^ 0x5EED);
-    let t = Instant::now();
-    let y = h2.matvec(&b);
-    let t_mv_ms = t.elapsed().as_secs_f64() * 1e3;
+impl Case {
+    /// `n` cube points in 3-D under Coulomb, one cold run at full width.
+    pub fn new(cells: Vec<String>, n: usize, cfg: H2Config) -> Case {
+        let (dist, dim, kernel, width, reps, salt) = ("cube", 3, "coulomb", 0, 1, 0x5EED);
+        Case {
+            cells,
+            dist,
+            dim,
+            n,
+            kernel,
+            cfg,
+            width,
+            reps,
+            salt,
+        }
+    }
+}
+
+/// Builds one H² matrix, times it and its product, and measures error and
+/// memory: the harness's one runner, which every paper experiment uses.
+pub fn run_config(case: &Case, seed: u64) -> (RunMetrics, H2Matrix) {
+    let dist = Distribution3d::parse(case.dist).expect("cases name known distributions");
+    let pts = match case.dim {
+        3 => dist.generate(case.n, seed),
+        d => gen::uniform_cube(case.n, d, seed),
+    };
+    let kernel = h2_kernels::kernel_by_name(case.kernel).expect("cases name known kernels");
+    let kernel: std::sync::Arc<dyn h2_kernels::Kernel> = kernel.into();
+    let b = h2_core::error_est::probe_vector(case.n, seed ^ case.salt);
+    let width = h2_linalg::exec::Width::new(case.width);
+    let (h2, t_const_ms, y, t_mv_ms) = width.install(|| {
+        let mut built = None;
+        let t_const_ms = median_ms(case.reps, || {
+            built = None; // one operator alive at a time
+            built = Some(H2Matrix::build(&pts, kernel.clone(), &case.cfg));
+        });
+        let h2 = built.expect("reps is positive");
+        let mut y = if case.reps > 1 {
+            h2.matvec(&b)
+        } else {
+            Vec::new()
+        };
+        let t_mv_ms = median_ms(case.reps, || y = h2.matvec(&b));
+        (h2, t_const_ms, y, t_mv_ms)
+    });
 
     let rel_err = h2.estimate_rel_error(&b, &y, h2_core::error_est::PAPER_ERROR_ROWS, seed);
-    let mem = h2.memory_report();
-    let tree = h2.tree();
-    let leaf_ranks: Vec<usize> = tree.leaves().iter().map(|&l| h2.rank(l)).collect();
-    let mean_leaf_rank = if leaf_ranks.is_empty() {
-        0.0
-    } else {
-        leaf_ranks.iter().sum::<usize>() as f64 / leaf_ranks.len() as f64
-    };
-    RunMetrics {
-        label: label.to_string(),
+    let (mem, s, ranks) = (h2.memory_report(), h2.stats(), h2.ranks());
+    let leaves = h2.tree().leaves();
+    let leaf_rank_sum: usize = leaves.iter().map(|&l| h2.rank(l)).sum();
+    let bytes = y.iter().flat_map(|v| v.to_bits().to_le_bytes());
+    let fnv = bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
+    });
+    let metrics = RunMetrics {
+        label: case.cells.join("/"),
         n: h2.n(),
         dim: h2.dim(),
         t_const_ms,
@@ -74,16 +135,28 @@ pub fn run_config(
         mem_kib: mem.generators() as f64 / 1024.0,
         mem_total_kib: mem.total() as f64 / 1024.0,
         rel_err,
-        max_rank: h2.ranks().iter().copied().max().unwrap_or(0),
-        mean_leaf_rank,
-        sampling_ms: h2.stats().sampling_ms,
+        max_rank: ranks.iter().copied().max().unwrap_or(0),
+        mean_leaf_rank: leaf_rank_sum as f64 / leaves.len().max(1) as f64,
+        sampling_ms: s.sampling_ms,
         max_otf_block_kib: mem.max_otf_block as f64 / 1024.0,
-    }
+        basis_ms: s.basis_ms,
+        rank_sum: ranks.iter().sum(),
+        admissible_pairs: h2.lists().interaction_pairs.len(),
+        sketch_samples: s.sketch_samples,
+        sketch_probes: s.sketch_probes,
+        sketch_retries: s.sketch_retries,
+        sketch_max_rounds: s.sketch_max_rounds,
+        width: width.install(h2_linalg::exec::width),
+        nproc: std::thread::available_parallelism().map_or(1, |v| v.get()),
+        product_fnv: format!("{fnv:016x}"),
+    };
+    (metrics, h2)
 }
 
 /// Writes `doc` (a `Vec` of [`json_record!`](crate::json_record) rows, or
 /// one record) to the `--json` path when one was given. This is the only
-/// place the harness produces JSON.
+/// place the harness produces JSON; [`Args`](crate::Args) has already
+/// created the file, so a bad path fails before the work.
 pub fn write_json(path: &Option<String>, doc: impl Into<Value>) {
     if let Some(p) = path {
         let body = serde_json::to_string_pretty(&doc.into()).expect("a Value always renders");
@@ -96,12 +169,9 @@ pub fn write_json(path: &Option<String>, doc: impl Into<Value>) {
 mod tests {
     use super::*;
     use h2_core::{BasisMethod, H2Config, MemoryMode};
-    use h2_kernels::Coulomb;
-    use h2_points::gen;
 
     #[test]
     fn run_config_produces_sane_metrics() {
-        let pts = gen::uniform_cube(500, 3, 1);
         let cfg = H2Config {
             basis: BasisMethod::data_driven_for_tol(1e-5, 3),
             mode: MemoryMode::OnTheFly,
@@ -109,8 +179,9 @@ mod tests {
             eta: 0.7,
             ..H2Config::default()
         };
-        let m = run_config("test", &pts, Arc::new(Coulomb), &cfg, 7);
-        assert_eq!(m.n, 500);
+        let (m, _) = run_config(&Case::new(vec!["test".into()], 500, cfg), 7);
+        assert_eq!((m.n, m.width, m.label.as_str()), (500, m.nproc, "test"));
+        assert!(m.admissible_pairs > 0);
         assert!(m.t_const_ms > 0.0);
         assert!(m.t_mv_ms > 0.0);
         assert!(m.mem_kib > 0.0);
@@ -120,7 +191,6 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let pts = gen::uniform_cube(200, 2, 2);
         let cfg = H2Config {
             basis: BasisMethod::data_driven_for_tol(1e-4, 2),
             mode: MemoryMode::Normal,
@@ -128,7 +198,12 @@ mod tests {
             eta: 0.7,
             ..H2Config::default()
         };
-        let mut m = run_config("json \"test\"\n\u{1}", &pts, Arc::new(Coulomb), &cfg, 3);
+        let case = Case {
+            dim: 2,
+            ..Case::new(vec![], 200, cfg)
+        };
+        let (mut m, _) = run_config(&case, 3);
+        m.label = "json \"test\"\n\u{1}".into();
         m.sampling_ms = f64::NAN;
         m.max_otf_block_kib = f64::INFINITY;
         let path = std::env::temp_dir().join("h2bench_test.json");
@@ -140,7 +215,7 @@ mod tests {
         assert!(body.contains("\"n\": 200,"), "{body}");
         assert!(body.contains(&format!("\"max_rank\": {},", m.max_rank)));
         assert!(body.contains("\"sampling_ms\": null,"));
-        assert!(body.contains("\"max_otf_block_kib\": null\n"));
+        assert!(body.contains("\"max_otf_block_kib\": null,"));
         let byte_counts = Value::from(vec![1u64 << 40, 324 << 20]);
         assert_eq!(
             serde_json::to_string(&byte_counts).unwrap(),
@@ -167,7 +242,17 @@ mod tests {
                 "max_rank",
                 "mean_leaf_rank",
                 "sampling_ms",
-                "max_otf_block_kib"
+                "max_otf_block_kib",
+                "basis_ms",
+                "rank_sum",
+                "admissible_pairs",
+                "sketch_samples",
+                "sketch_probes",
+                "sketch_retries",
+                "sketch_max_rounds",
+                "width",
+                "nproc",
+                "product_fnv"
             ]
         );
         // Quotes and control characters survive; numbers parse back equal.

@@ -21,41 +21,32 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Renders the table.
+    /// Renders the table: numbers right-aligned, text left-aligned, two
+    /// spaces between columns, and a rule under the headers.
     pub fn render(&self) -> String {
-        let ncols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
-            for (c, cell) in row.iter().enumerate() {
-                widths[c] = widths[c].max(cell.len());
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.len());
             }
         }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            let mut line = String::new();
-            for c in 0..ncols {
-                if c > 0 {
-                    line.push_str("  ");
-                }
-                let cell = &cells[c];
-                // Right-align numbers, left-align text.
-                if cell.chars().next().is_some_and(|ch| ch.is_ascii_digit()) {
-                    line.push_str(&format!("{cell:>width$}", width = widths[c]));
-                } else {
-                    line.push_str(&format!("{cell:<width$}", width = widths[c]));
-                }
-            }
-            line
+        let line = |cells: &[String]| {
+            let number = |cell: &String| cell.starts_with(|c: char| c.is_ascii_digit());
+            let pad = |(cell, &w): (&String, &usize)| match number(cell) {
+                true => format!("{cell:>w$}"),
+                false => format!("{cell:<w$}"),
+            };
+            cells
+                .iter()
+                .zip(&widths)
+                .map(pad)
+                .collect::<Vec<_>>()
+                .join("  ")
+                + "\n"
         };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (ncols - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
+        let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1));
+        let rows: String = self.rows.iter().map(|row| line(row)).collect();
+        line(&self.headers) + &rule + "\n" + &rows
     }
 
     /// Prints to stdout.

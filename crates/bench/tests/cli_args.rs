@@ -1,26 +1,41 @@
-//! The paper-figure binaries reject an argument they cannot run with: a
-//! usage error and exit code 2 before any work, never a panic.
+//! `paper` rejects an argument it cannot run with: a usage error and exit
+//! code 2 before any work, never a panic.
 
 use std::process::Command;
 
+fn assert_usage_error(args: &[&str]) {
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .args(args)
+        .output()
+        .expect("run paper");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    let what = format!("paper {args:?}: stdout {stdout:?}, stderr {stderr:?}");
+    assert_eq!(out.status.code(), Some(2), "{what}");
+    assert!(stderr.contains("usage:"), "{what}");
+    assert!(!format!("{stdout}{stderr}").contains("panicked"), "{what}");
+    assert!(stdout.is_empty(), "no work before the usage error: {what}");
+}
+
 #[test]
 fn zero_sizes_threads_and_bad_tol_exit_2_without_a_panic() {
-    let cases = [
-        (env!("CARGO_BIN_EXE_table1"), ["--sizes", "0"]),
-        (env!("CARGO_BIN_EXE_fig8_accuracy"), ["--sizes", "0"]),
-        (env!("CARGO_BIN_EXE_fig7_threads"), ["--threads", "0"]),
-        (env!("CARGO_BIN_EXE_table1"), ["--tol", "nan"]),
-        (env!("CARGO_BIN_EXE_table1"), ["--tol", "-1"]),
-    ];
-    for (bin, args) in cases {
-        let out = Command::new(bin).args(args).output().expect("run binary");
-        let (stdout, stderr) = (
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr),
-        );
-        let what = format!("{bin} {args:?}: stdout {stdout:?}, stderr {stderr:?}");
-        assert_eq!(out.status.code(), Some(2), "{what}");
-        assert!(stderr.contains("usage: <bin>"), "{what}");
-        assert!(!format!("{stdout}{stderr}").contains("panicked"), "{what}");
+    for args in [
+        ["table1", "--sizes", "0"],
+        ["fig8", "--sizes", "0"],
+        ["fig7", "--threads", "0"],
+        ["table1", "--tol", "nan"],
+        ["table1", "--tol", "-1"],
+    ] {
+        assert_usage_error(&args);
     }
+}
+
+#[test]
+fn unknown_experiment_unwritable_json_and_unrunnable_flags_exit_2_before_work() {
+    assert_usage_error(&["fig10"]);
+    assert_usage_error(&["table1", "--json", "/nonexistent/dir/t.json"]);
+    assert_usage_error(&["fig7", "--check", "--threads", "1,4"]);
+    assert_usage_error(&["table1", "--sizes", "1000,2000"]);
 }
