@@ -1,7 +1,7 @@
 //! Minimal dependency-free CLI parsing shared by all harness binaries.
 
 /// Parsed harness arguments.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Args {
     /// Run at paper scale (`--full`); default is laptop scale.
     pub full: bool,
@@ -27,6 +27,22 @@ pub struct Args {
     pub builder: String,
 }
 
+impl Default for Args {
+    fn default() -> Self {
+        Args {
+            full: false,
+            check: false,
+            json: None,
+            sizes: None,
+            tol: None,
+            seed: 1,
+            threads: None,
+            trace: None,
+            builder: "anchor".into(),
+        }
+    }
+}
+
 impl Args {
     /// Parses `std::env::args()`, exiting with a usage message on error.
     pub fn parse() -> Args {
@@ -34,13 +50,21 @@ impl Args {
     }
 
     /// Parses an explicit iterator, exiting with a usage message on error.
-    /// The `--json` path is created here, so an unwritable one is a usage
-    /// error before any work rather than a panic after it.
+    /// The `--json` path is opened for writing here, so an unwritable one is
+    /// a usage error before any work rather than a panic after it. The probe
+    /// neither truncates an existing file nor leaves a new one behind.
     pub fn parse_from(it: impl Iterator<Item = String>) -> Args {
         let args = Self::try_parse_from(it).unwrap_or_else(|e| usage(&e));
         if let Some(p) = &args.json {
-            if let Err(e) = std::fs::File::create(p) {
+            let existed = std::path::Path::new(p).exists();
+            let open = std::fs::OpenOptions::new()
+                .append(true)
+                .create(true)
+                .open(p);
+            if let Err(e) = open {
                 usage(&format!("cannot write --json {p}: {e}"));
+            } else if !existed {
+                std::fs::remove_file(p).ok();
             }
         }
         args
@@ -51,7 +75,6 @@ impl Args {
     /// number are usage errors, so no binary starts work it cannot finish.
     fn try_parse_from(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         let mut args = Args::default();
-        (args.seed, args.builder) = (1, "anchor".into());
         while let Some(a) = it.next() {
             let mut val = |what: &str| it.next().ok_or_else(|| format!("{a} needs {what}"));
             match a.as_str() {
@@ -80,6 +103,23 @@ impl Args {
     /// The accuracy to target (default: the paper's ~1e-8).
     pub fn tol_or(&self, default: f64) -> f64 {
         self.tol.unwrap_or(default)
+    }
+
+    /// Which of an experiment's three scales is in force: 0 laptop, 1
+    /// `--full`, 2 the `--check` miniature (which wins over `--full`).
+    pub fn scale(&self) -> usize {
+        if self.check {
+            2
+        } else {
+            usize::from(self.full)
+        }
+    }
+
+    /// The n sweep: `--sizes` if given, else the entry of `sizes` (laptop,
+    /// `--full`, `--check`) for [`Self::scale`].
+    pub fn sweep(&self, sizes: [&[usize]; 3]) -> Vec<usize> {
+        let chosen = sizes[self.scale()];
+        self.sizes.clone().unwrap_or_else(|| chosen.to_vec())
     }
 }
 
@@ -118,8 +158,21 @@ mod tests {
     fn defaults() {
         let a = parse(&[]);
         assert!(!a.full && !a.check);
-        assert_eq!(a.seed, 1);
+        assert_eq!((a.seed, a.builder.as_str()), (1, "anchor"));
         assert!(a.sizes.is_none());
+        let d = Args::default();
+        assert_eq!((d.seed, d.builder.as_str()), (1, "anchor"));
+    }
+
+    #[test]
+    fn sweep_selection() {
+        let sizes: [&[usize]; 3] = [&[10, 20], &[100, 200], &[7]];
+        assert_eq!(parse(&[]).sweep(sizes), vec![10, 20]);
+        assert_eq!(parse(&["--full"]).sweep(sizes), vec![100, 200]);
+        assert_eq!(parse(&["--check"]).sweep(sizes), vec![7]);
+        assert_eq!(parse(&["--full", "--check"]).sweep(sizes), vec![7]);
+        assert_eq!(parse(&["--sizes", "5"]).sweep(sizes), vec![5]);
+        assert_eq!(parse(&["--check", "--sizes", "5"]).sweep(sizes), vec![5]);
     }
 
     #[test]
@@ -145,7 +198,10 @@ mod tests {
         assert!(a.full && a.check);
         assert_eq!(a.builder, "sketched");
         assert_eq!(a.json.as_deref(), Some(json.as_str()));
-        std::fs::remove_file(&json).unwrap();
+        assert!(
+            !std::path::Path::new(&json).exists(),
+            "the probe leaves no file"
+        );
         assert_eq!(a.sizes, Some(vec![100, 200]));
         assert_eq!(a.tol, Some(1e-6));
         assert_eq!(a.seed, 9);

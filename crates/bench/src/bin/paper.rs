@@ -17,7 +17,9 @@ use h2_bench::args::usage;
 use h2_bench::table::{self, Table};
 use h2_bench::{json_record, paper_configs, run_config, write_json, Args, Case, RunMetrics, Value};
 use h2_core::{BasisMethod, BuilderStrategy, H2Config, MemoryMode};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use h2_kernels::{Coulomb, Exponential, Gaussian, Kernel};
+use h2_points::gen::Distribution3d;
+use std::{cell::Cell, sync::Arc};
 
 struct Spec {
     name: &'static str,
@@ -118,8 +120,12 @@ static SPECS: &[Spec] = &[
     },
 ];
 
-/// The experiments `paper all --check` runs: the miniatures `check.sh` gates.
-const ALL: [&str; 5] = ["table1", "fig2", "fig4", "fig5", "fig9"];
+/// The experiments whose `--check` runs alone and ends in its own marker;
+/// `paper all --check` runs every other miniature.
+const MARKED: [(&str, &str); 2] = [
+    ("fig7", "FIG7_THREADS_CHECK_OK"),
+    ("build_ablation", "BUILD_ABLATION_CHECK_OK"),
+];
 
 /// A printed column: header and cell.
 type Col = (&'static str, fn(&RunMetrics) -> String);
@@ -133,9 +139,6 @@ const RANK: Col = ("max rank", |m| m.max_rank.to_string());
 /// The columns of the n sweeps.
 const SWEEP: [Col; 5] = [N, T_CONST, T_MV, MEM, ERR];
 
-/// Shape checks failed and passed in this process.
-static CHECKS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
-
 /// One experiment's run: its spec and the sizes and tolerance in force.
 struct Ctx<'a> {
     spec: &'a Spec,
@@ -144,6 +147,8 @@ struct Ctx<'a> {
     /// The first size: the one n of a single-size experiment.
     n: usize,
     tol: f64,
+    /// Shape checks failed and passed so far.
+    checks: &'a Cell<[usize; 2]>,
 }
 
 impl Ctx<'_> {
@@ -151,14 +156,26 @@ impl Ctx<'_> {
     /// (no table without `cols`); checks that every operator had admissible
     /// pairs.
     fn rows(&self, labels: &[&str], cols: &[Col], cases: Vec<Case>) -> Vec<RunMetrics> {
+        self.rows_with(labels, cols, cases, |_, _| ())
+    }
+
+    /// [`Self::rows`], handing `each` every row and its probe product.
+    fn rows_with(
+        &self,
+        labels: &[&str],
+        cols: &[Col],
+        cases: Vec<Case>,
+        mut each: impl FnMut(&RunMetrics, Vec<f64>),
+    ) -> Vec<RunMetrics> {
         let mut headers = labels.to_vec();
         headers.extend(cols.iter().map(|col| col.0));
         let (mut t, mut rows) = (Table::new(&headers), Vec::new());
         for case in cases {
-            let (m, _) = run_config(&case, self.args.seed);
+            let (m, _, y) = run_config(&case, self.args.seed);
             let mut cells = case.cells;
             cells.extend(cols.iter().map(|col| (col.1)(&m)));
             t.row(cells);
+            each(&m, y);
             rows.push(m);
         }
         if !cols.is_empty() {
@@ -173,7 +190,9 @@ impl Ctx<'_> {
         if self.args.check {
             let verdict = if pass { "PASS" } else { "FAIL" };
             println!("[{verdict}] {name:<40} {detail}");
-            CHECKS[usize::from(pass)].fetch_add(1, Relaxed);
+            let mut tally = self.checks.get();
+            tally[usize::from(pass)] += 1;
+            self.checks.set(tally);
         }
     }
 
@@ -187,11 +206,8 @@ impl Ctx<'_> {
     /// `group`'s data-driven row is within 10x the tolerance.
     fn under(&self, name: &str, rows: &[RunMetrics], group: &str) {
         let err = row(rows, &format!("{group}/data-driven")).rel_err;
-        self.check(
-            name,
-            err < self.tol * 10.0,
-            format!("{group} err {err:.1e}"),
-        );
+        let detail = format!("{group} err {err:.1e}");
+        self.check(name, err < self.tol * 10.0, detail);
     }
 }
 
@@ -221,20 +237,20 @@ fn cells(cells: &[&dyn std::fmt::Display]) -> Vec<String> {
     cells.iter().map(|c| c.to_string()).collect()
 }
 
-/// Both methods on the fly for every group, over the sizes `keep(group,
-/// method, n)` allows; `set(case, group, method)` applies the group.
-fn grid<G: Copy + std::fmt::Display>(
+/// Both methods on the fly for every `(label, group)`, over the sizes
+/// `keep(group, method, n)` allows; `set(case, group, method)` applies it.
+fn grid<G>(
     c: &Ctx,
-    groups: impl IntoIterator<Item = G>,
-    keep: impl Fn(G, usize, usize) -> bool,
-    set: impl Fn(&mut Case, G, usize),
+    groups: impl IntoIterator<Item = (String, G)>,
+    keep: impl Fn(&G, usize, usize) -> bool,
+    set: impl Fn(&mut Case, &G, usize),
 ) -> Vec<Case> {
     let mut out = Vec::new();
-    for group in groups {
+    for (label, group) in groups {
         for (i, (method, basis)) in methods(c.tol, 3).into_iter().enumerate() {
-            for &n in c.sizes.iter().filter(|&&n| keep(group, i, n)) {
-                let mut case = Case::new(cells(&[&group, &method]), n, otf(basis.clone()));
-                set(&mut case, group, i);
+            for &n in c.sizes.iter().filter(|&&n| keep(&group, i, n)) {
+                let mut case = Case::new(cells(&[&label, &method]), n, otf(basis.clone()));
+                set(&mut case, &group, i);
                 out.push(case);
             }
         }
@@ -291,7 +307,7 @@ fn errs(rows: &[RunMetrics], digits: usize) -> String {
 fn fig2(c: &Ctx) -> Value {
     let seed = c.args.seed;
     let run = |basis| run_config(&Case::new(vec![], c.n, otf(basis)), seed);
-    let [(dd_m, dd), (interp_m, interp)] = methods(c.tol, 3).map(|(_, basis)| run(basis));
+    let [(dd_m, dd, _), (interp_m, interp, _)] = methods(c.tol, 3).map(|(_, basis)| run(basis));
     let [err_dd, err_in] =
         [&dd, &interp].map(|h2| h2_core::error_est::measured_rel_error(h2, seed));
     println!("measured error: data-driven {err_dd:.2e}, interpolation {err_in:.2e}\n");
@@ -401,12 +417,17 @@ fn fig4(c: &Ctx) -> Value {
     // Interpolation at ~1e-8 has rank order^3 = 512: unless --sizes says
     // otherwise its sweep stops lower, as the paper's own runs did.
     let cap = if c.args.full { 80_000 } else { 20_000 };
-    let keep = |_, i, n| i == 0 || c.args.sizes.is_some() || n <= cap;
-    let set = |case: &mut Case, dist, _| case.dist = dist;
-    let cases = grid(c, ["cube", "sphere", "dino"], keep, set);
+    let keep = |_: &_, i, n| i == 0 || c.args.sizes.is_some() || n <= cap;
+    let set = |case: &mut Case, dist: &Distribution3d, _| case.dist = *dist;
+    let dists = [
+        Distribution3d::Cube,
+        Distribution3d::Sphere,
+        Distribution3d::Dino,
+    ];
+    let cases = grid(c, dists.map(|d| (d.name().into(), d)), keep, set);
     let rows = c.rows(&["dist", "method"], &SWEEP, cases);
-    for dist in ["cube", "sphere", "dino"] {
-        c.under("fig4: distribution under tolerance", &rows, dist);
+    for dist in dists {
+        c.under("fig4: distribution under tolerance", &rows, dist.name());
     }
     rows.into()
 }
@@ -428,15 +449,16 @@ fn fig5_order(tol: f64, dim: usize) -> usize {
 fn fig5(c: &Ctx) -> Value {
     // Beyond 3-D interpolation runs only the smallest size, and not at all
     // in a miniature (2 GiB in 5-D).
-    let keep = |dim, i, n| i == 0 || dim <= 3 || n <= c.sizes[0] && !c.args.check;
-    let set = |case: &mut Case, dim, i: usize| {
+    let keep = |&dim: &_, i, n| i == 0 || dim <= 3 || n <= c.sizes[0] && !c.args.check;
+    let set = |case: &mut Case, &dim: &usize, i: usize| {
         let [(_, dd), _] = methods(c.tol, dim);
         let order = fig5_order(c.tol, dim);
         let bases = [dd, BasisMethod::Interpolation { order }];
         (case.dim, case.cfg.basis) = (dim, bases[i].clone());
     };
     let cols = [N, ("rank", RANK.1), T_CONST, T_MV, MEM, ERR];
-    let rows = c.rows(&["dim", "method"], &cols, grid(c, 2..=5, keep, set));
+    let dims = (2..=5).map(|d| (d.to_string(), d));
+    let rows = c.rows(&["dim", "method"], &cols, grid(c, dims, keep, set));
     let (o4, o5) = (fig5_order(c.tol, 4), fig5_order(c.tol, 5));
     println!("\nnote: interpolation order capped to {o4} in 4D / {o5} in 5D (rank = order^d);");
     println!("the paper likewise could not run interpolation at its largest high-D sizes.");
@@ -475,11 +497,14 @@ fn fig7(c: &Ctx) -> Value {
     // Fig. 7c: each thread regenerates one block at a time.
     let concurrent = |m: &RunMetrics| table::kib(m.width as f64 * m.max_otf_block_kib);
     let cols = [T_CONST, T_MV, MEM, ("concurrent OTF(KiB)", concurrent)];
-    let rows = c.rows(&["method", "threads"], &cols, cases);
+    let mut first: Vec<(String, Vec<f64>)> = Vec::new();
+    let same = |m: &RunMetrics, y: Vec<f64>| match first.iter().find(|f| f.0 == lead(m)) {
+        Some((method, y0)) => assert!(*y0 == y, "{method}: the thread count changed the result"),
+        None => first.push((lead(m).into(), y)),
+    };
+    let rows = c.rows_with(&["method", "threads"], &cols, cases, same);
     for group in rows.chunks(widths.len()) {
         let method = lead(&group[0]);
-        let same = group.iter().all(|m| m.product_fnv == group[0].product_fnv);
-        assert!(same, "{method}: the thread count changed the result");
         if c.args.check {
             let one = row(&rows, &format!("{method}/1"));
             let two = row(&rows, &format!("{method}/2"));
@@ -505,11 +530,15 @@ fn fig8(c: &Ctx) -> Value {
 
 fn fig9(c: &Ctx) -> Value {
     let caps = [usize::MAX, if c.args.full { 80_000 } else { 10_000 }];
-    let kernels: Vec<&str> = h2_kernels::paper_kernels().iter().map(|k| k.0).collect();
-    let set = |case: &mut Case, kernel, _| case.kernel = kernel;
-    let cases = grid(c, kernels.iter().copied(), |_, i, n| n <= caps[i], set);
+    let kernels = h2_kernels::paper_kernels();
+    let names: Vec<&str> = kernels.iter().map(|k| k.0).collect();
+    let kernels = kernels
+        .into_iter()
+        .map(|(name, k)| (name.into(), Arc::from(k)));
+    let set = |case: &mut Case, kernel: &Arc<dyn Kernel>, _| case.kernel = kernel.clone();
+    let cases = grid(c, kernels, |_, i, n| n <= caps[i], set);
     let rows = c.rows(&["kernel", "method"], &SWEEP, cases);
-    for kernel in kernels {
+    for kernel in names {
         c.under("fig9: kernel under tolerance", &rows, kernel);
     }
     rows.into()
@@ -565,16 +594,16 @@ fn build_ablation(c: &Ctx) -> Value {
     // The sketched builder ignores `cfg.basis`.
     let mut sketched = anchor.clone();
     sketched.builder = BuilderStrategy::sketched_for_tol(c.tol, 3);
-    let kernels = if c.args.check {
-        &["coulomb"][..]
-    } else {
-        &["coulomb", "gaussian", "exp"]
-    };
+    let kernels: [(&str, Arc<dyn Kernel>); 3] = [
+        ("coulomb", Arc::new(Coulomb)),
+        ("gaussian", Arc::new(Gaussian::paper())),
+        ("exp", Arc::new(Exponential)),
+    ];
     let mut cases = Vec::new();
-    for &kernel in kernels {
+    for (kernel, k) in &kernels[..if c.args.check { 1 } else { 3 }] {
         for (name, cfg) in [("anchor-net", &anchor), ("sketched", &sketched)] {
-            let mut case = Case::new(cells(&[&kernel, &name]), c.n, cfg.clone());
-            (case.kernel, case.salt) = (kernel, 0xAB1A);
+            let mut case = Case::new(cells(&[kernel, &name]), c.n, cfg.clone());
+            (case.kernel, case.salt) = (k.clone(), 0xAB1A);
             cases.push(case);
         }
     }
@@ -641,7 +670,9 @@ fn main() {
         });
     }
     let args = Args::parse_from(argv);
-    let picked = |s: &&Spec| s.name == name || name == "all" && ALL.contains(&s.name);
+    let marked = |s: &Spec| MARKED.iter().any(|m| m.0 == s.name);
+    let in_all = |s: &Spec| !s.sizes[2].is_empty() && !marked(s);
+    let picked = |s: &&Spec| s.name == name || name == "all" && in_all(s);
     let specs: Vec<&Spec> = SPECS.iter().filter(picked).collect();
     if name == "all" && (!args.check || args.json.is_some()) {
         usage("paper all needs --check and takes no --json");
@@ -650,15 +681,10 @@ fn main() {
         usage(&e);
     }
     let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
+    let checks = Cell::new([0, 0]);
     for spec in specs {
-        let at = if args.check {
-            2
-        } else {
-            usize::from(args.full)
-        };
-        let sizes = args.sizes.clone().unwrap_or(spec.sizes[at].to_vec());
-        let tol = args.tol.unwrap_or(spec.tol[at]);
-        let (args, n) = (&args, sizes[0]);
+        let (sizes, tol) = (args.sweep(spec.sizes), args.tol_or(spec.tol[args.scale()]));
+        let (args, n, checks) = (&args, sizes[0], &checks);
         let title = spec.title.replace("{n}", &n.to_string());
         let title = title.replace("{tol}", &format!("{tol:.0e}"));
         println!("{}\n", title.replace("{cores}", &cores.to_string()));
@@ -668,22 +694,17 @@ fn main() {
             sizes,
             n,
             tol,
+            checks,
         });
         write_json(&args.json, json);
     }
     if args.check {
-        let [failed, passed] = CHECKS.each_ref().map(|n| n.load(Relaxed));
+        let [failed, passed] = checks.get();
         println!("\n{} checks, {failed} failed", failed + passed);
         if failed > 0 {
             std::process::exit(1);
         }
-        let markers = [
-            ("fig7", "FIG7_THREADS_CHECK_OK"),
-            ("build_ablation", "BUILD_ABLATION_CHECK_OK"),
-        ];
-        markers
-            .iter()
-            .filter(|m| m.0 == name)
-            .for_each(|m| println!("{}", m.1));
+        let marker = MARKED.iter().find(|m| m.0 == name);
+        marker.into_iter().for_each(|m| println!("{}", m.1));
     }
 }

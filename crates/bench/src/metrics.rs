@@ -2,8 +2,10 @@
 
 use crate::median_ms;
 use h2_core::{H2Config, H2Matrix};
+use h2_kernels::{Coulomb, Kernel};
 use h2_points::gen::{self, Distribution3d};
 use serde_json::Value;
+use std::sync::Arc;
 
 crate::json_record! {
     /// The measurements the paper reports per configuration (§IV), and what
@@ -46,22 +48,19 @@ crate::json_record! {
         /// host offers this process.
         pub width: usize,
         pub nproc: usize,
-        /// FNV-1a of the probe product's bits, hex: equal at every width.
-        pub product_fnv: String,
     }
 }
 
 /// One operator to build and measure.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Case {
     /// Row label cells, printed as the table's leading columns.
     pub cells: Vec<String>,
-    /// `cube`, `sphere` or `dino` (`Distribution3d`); a cube if `dim != 3`.
-    pub dist: &'static str,
+    /// The 3-D point distribution; a uniform cube if `dim != 3`.
+    pub dist: Distribution3d,
     pub dim: usize,
     pub n: usize,
-    /// A `h2_kernels::kernel_by_name` name.
-    pub kernel: &'static str,
+    pub kernel: Arc<dyn Kernel>,
     pub cfg: H2Config,
     /// Executor width of the builds and products; 0 is the machine's.
     pub width: usize,
@@ -75,7 +74,8 @@ pub struct Case {
 impl Case {
     /// `n` cube points in 3-D under Coulomb, one cold run at full width.
     pub fn new(cells: Vec<String>, n: usize, cfg: H2Config) -> Case {
-        let (dist, dim, kernel, width, reps, salt) = ("cube", 3, "coulomb", 0, 1, 0x5EED);
+        let (dist, dim, width, reps, salt) = (Distribution3d::Cube, 3, 0, 1, 0x5EED);
+        let kernel = Arc::new(Coulomb);
         Case {
             cells,
             dist,
@@ -92,21 +92,19 @@ impl Case {
 
 /// Builds one H² matrix, times it and its product, and measures error and
 /// memory: the harness's one runner, which every paper experiment uses.
-pub fn run_config(case: &Case, seed: u64) -> (RunMetrics, H2Matrix) {
-    let dist = Distribution3d::parse(case.dist).expect("cases name known distributions");
+/// Returns the row, the operator and its product with the probe vector.
+pub fn run_config(case: &Case, seed: u64) -> (RunMetrics, H2Matrix, Vec<f64>) {
     let pts = match case.dim {
-        3 => dist.generate(case.n, seed),
+        3 => case.dist.generate(case.n, seed),
         d => gen::uniform_cube(case.n, d, seed),
     };
-    let kernel = h2_kernels::kernel_by_name(case.kernel).expect("cases name known kernels");
-    let kernel: std::sync::Arc<dyn h2_kernels::Kernel> = kernel.into();
     let b = h2_core::error_est::probe_vector(case.n, seed ^ case.salt);
     let width = h2_linalg::exec::Width::new(case.width);
     let (h2, t_const_ms, y, t_mv_ms) = width.install(|| {
         let mut built = None;
         let t_const_ms = median_ms(case.reps, || {
             built = None; // one operator alive at a time
-            built = Some(H2Matrix::build(&pts, kernel.clone(), &case.cfg));
+            built = Some(H2Matrix::build(&pts, case.kernel.clone(), &case.cfg));
         });
         let h2 = built.expect("reps is positive");
         let mut y = if case.reps > 1 {
@@ -122,10 +120,6 @@ pub fn run_config(case: &Case, seed: u64) -> (RunMetrics, H2Matrix) {
     let (mem, s, ranks) = (h2.memory_report(), h2.stats(), h2.ranks());
     let leaves = h2.tree().leaves();
     let leaf_rank_sum: usize = leaves.iter().map(|&l| h2.rank(l)).sum();
-    let bytes = y.iter().flat_map(|v| v.to_bits().to_le_bytes());
-    let fnv = bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
-    });
     let metrics = RunMetrics {
         label: case.cells.join("/"),
         n: h2.n(),
@@ -148,15 +142,15 @@ pub fn run_config(case: &Case, seed: u64) -> (RunMetrics, H2Matrix) {
         sketch_max_rounds: s.sketch_max_rounds,
         width: width.install(h2_linalg::exec::width),
         nproc: std::thread::available_parallelism().map_or(1, |v| v.get()),
-        product_fnv: format!("{fnv:016x}"),
     };
-    (metrics, h2)
+    (metrics, h2, y)
 }
 
 /// Writes `doc` (a `Vec` of [`json_record!`](crate::json_record) rows, or
 /// one record) to the `--json` path when one was given. This is the only
 /// place the harness produces JSON; [`Args`](crate::Args) has already
-/// created the file, so a bad path fails before the work.
+/// checked that the path opens for writing, so a bad one fails before the
+/// work.
 pub fn write_json(path: &Option<String>, doc: impl Into<Value>) {
     if let Some(p) = path {
         let body = serde_json::to_string_pretty(&doc.into()).expect("a Value always renders");
@@ -179,7 +173,8 @@ mod tests {
             eta: 0.7,
             ..H2Config::default()
         };
-        let (m, _) = run_config(&Case::new(vec!["test".into()], 500, cfg), 7);
+        let (m, _, y) = run_config(&Case::new(vec!["test".into()], 500, cfg), 7);
+        assert_eq!(y.len(), 500);
         assert_eq!((m.n, m.width, m.label.as_str()), (500, m.nproc, "test"));
         assert!(m.admissible_pairs > 0);
         assert!(m.t_const_ms > 0.0);
@@ -202,7 +197,7 @@ mod tests {
             dim: 2,
             ..Case::new(vec![], 200, cfg)
         };
-        let (mut m, _) = run_config(&case, 3);
+        let (mut m, _, _) = run_config(&case, 3);
         m.label = "json \"test\"\n\u{1}".into();
         m.sampling_ms = f64::NAN;
         m.max_otf_block_kib = f64::INFINITY;
@@ -251,8 +246,7 @@ mod tests {
                 "sketch_retries",
                 "sketch_max_rounds",
                 "width",
-                "nproc",
-                "product_fnv"
+                "nproc"
             ]
         );
         // Quotes and control characters survive; numbers parse back equal.

@@ -14,7 +14,7 @@ fn assert_usage_error(args: &[&str]) {
     );
     let what = format!("paper {args:?}: stdout {stdout:?}, stderr {stderr:?}");
     assert_eq!(out.status.code(), Some(2), "{what}");
-    assert!(stderr.contains("usage:"), "{what}");
+    assert!(stderr.contains("usage: <bin>"), "{what}");
     assert!(!format!("{stdout}{stderr}").contains("panicked"), "{what}");
     assert!(stdout.is_empty(), "no work before the usage error: {what}");
 }
@@ -38,4 +38,21 @@ fn unknown_experiment_unwritable_json_and_unrunnable_flags_exit_2_before_work() 
     assert_usage_error(&["table1", "--json", "/nonexistent/dir/t.json"]);
     assert_usage_error(&["fig7", "--check", "--threads", "1,4"]);
     assert_usage_error(&["table1", "--sizes", "1000,2000"]);
+}
+
+#[test]
+fn a_usage_error_keeps_an_existing_json_file_and_creates_no_new_one() {
+    let dir = std::env::temp_dir();
+    let kept = dir.join(format!("paper_cli_kept_{}.json", std::process::id()));
+    let fresh = dir.join(format!("paper_cli_fresh_{}.json", std::process::id()));
+    std::fs::write(&kept, "[1]").unwrap();
+    for path in [&kept, &fresh] {
+        let path = path.to_str().unwrap();
+        assert_usage_error(&["table1", "--sizes", "1000,2000", "--json", path]);
+        assert_usage_error(&["all", "--check", "--json", path]);
+    }
+    let body = std::fs::read_to_string(&kept).unwrap();
+    std::fs::remove_file(&kept).unwrap();
+    assert_eq!(body, "[1]", "a usage error must not truncate --json");
+    assert!(!fresh.exists(), "a usage error must not create --json");
 }
