@@ -338,6 +338,7 @@ fn fig2(c: &Ctx) -> Value {
         struct PairRank {
             i: usize, j: usize, level_i: usize, level_j: usize,
             dd_rank: usize, interp_rank: usize, width: usize, nproc: usize,
+            simd: String, commit: String,
         }
     }
     let (level, width, nproc) = (|i: usize| dd.tree().node(i).level, dd_m.width, dd_m.nproc);
@@ -353,6 +354,8 @@ fn fig2(c: &Ctx) -> Value {
             interp_rank,
             width,
             nproc,
+            simd: dd_m.simd.clone(),
+            commit: dd_m.commit.clone(),
         }
     };
     let pairs: Vec<PairRank> = pairs.iter().map(pair).collect();
@@ -397,6 +400,7 @@ fn fig3(c: &Ctx) -> Value {
         struct Dump {
             points: Vec<Vec<f64>>, leaf_samples: Vec<Vec<f64>>, corner_node_points: Vec<Vec<f64>>,
             corner_farfield_samples: Vec<Vec<f64>>, width: usize, nproc: usize,
+            simd: String, commit: String,
         }
     }
     let coords =
@@ -409,6 +413,8 @@ fn fig3(c: &Ctx) -> Value {
         corner_farfield_samples: coords(&mut y.iter()),
         width: h2_linalg::exec::width(),
         nproc: std::thread::available_parallelism().map_or(1, |v| v.get()),
+        simd: h2_linalg::simd::widest().into(),
+        commit: h2_bench::commit(),
     };
     dump.into()
 }

@@ -88,6 +88,9 @@ json_record! {
     struct ProfileSummary {
         n: usize,
         tol: f64,
+        /// The radial tile's compile and the commit the run came from.
+        simd: String,
+        commit: String,
         /// Construction wall (ms) and its per-phase breakdown from spans.
         build_ms: f64,
         build_phase_ms: Value,
@@ -617,6 +620,8 @@ fn main() {
         let summary = ProfileSummary {
             n,
             tol,
+            simd: h2_linalg::simd::widest().into(),
+            commit: h2_bench::commit(),
             build_ms,
             build_phase_ms: build_phase_ms.into_iter().collect(),
             stored_matvec_ms,

@@ -15,12 +15,19 @@
 //! of `phi(dist2(x, y))` in the same order (no `fma`, no reassociation), so
 //! a block has the bits of entrywise [`Kernel::eval`].
 //!
+//! **Widest compile.** The body is compiled three times: baseline, AVX2 and
+//! AVX-512, and `eval_tiled` runs the widest one the host has
+//! (`h2_linalg::simd`). Each entry is computed in its own lane, so the lane
+//! count cannot change a bit, and rustc emits no contractable multiply-add,
+//! so no compile fuses one although `avx512f` implies `fma`; `check.sh`'s
+//! disassembly step is the proof.
+//!
 //! **Shared math.** Every `phi` that takes an exponential or divides by a
 //! square root takes it from [`exp`] and [`rsqrt`]: plain arithmetic on
 //! `f64` and its bits, with no libm call, no table and no `fma`, so the
-//! tile's AVX2 compile vectorises `phi` and keeps the scalar bits. [`exp`]
-//! is within 1 ulp of `f64::exp` and [`rsqrt`] within 2 ulp of
-//! `1.0 / r2.sqrt()` (`tests/math.rs`). The distance `√r2` inside the
+//! tile's AVX2 and AVX-512 compiles vectorise `phi` and keep the scalar
+//! bits. [`exp`] is within 1 ulp of `f64::exp` and [`rsqrt`] within 2 ulp
+//! of `1.0 / r2.sqrt()` (`tests/math.rs`). The distance `√r2` inside the
 //! exponential and Matérn kernels stays one correctly rounded `f64::sqrt`:
 //! as `r2 · rsqrt(r2)` it would be less accurate, and its chain of
 //! dependent operations, added to `exp`'s, ran the tile slower.
@@ -141,8 +148,8 @@ impl<'a> Side<'a> {
 }
 
 /// Fills the column-major `out` with `phi(‖x_i − y_j‖²)`, a row tile at a
-/// time (module docs). `#[inline(always)]` so that [`eval_tiled_avx2`]
-/// compiles this same body a second time with wider vectors.
+/// time (module docs). `#[inline(always)]` so that [`eval_tiled_avx2`] and
+/// [`eval_tiled_avx512`] compile this same body with wider vectors.
 #[inline(always)]
 fn eval_tiled_baseline<K: RadialKernel>(k: &K, dim: usize, x: Side, y: Side, out: &mut [f64]) {
     let (m, n) = (x.len(dim), y.len(dim));
@@ -189,12 +196,20 @@ fn eval_tiled_baseline<K: RadialKernel>(k: &K, dim: usize, x: Side, y: Side, out
     }
 }
 
-/// [`eval_tiled_baseline`] compiled with 256-bit vectors. AVX2 only: with no
-/// `fma` the compiler cannot contract `s + diff * diff`, and packed `sqrt`
-/// and `div` round as their scalar forms do, so the bits are the baseline's.
+/// [`eval_tiled_baseline`] compiled with 256-bit vectors. rustc emits no
+/// contractable `s + diff * diff`, and packed `sqrt` and `div` round as
+/// their scalar forms do, so the bits are the baseline's.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 fn eval_tiled_avx2<K: RadialKernel>(k: &K, dim: usize, x: Side, y: Side, out: &mut [f64]) {
+    eval_tiled_baseline(k, dim, x, y, out)
+}
+
+/// [`eval_tiled_baseline`] compiled with 512-bit vectors, with the bits of
+/// the other two for the same reasons.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f")]
+fn eval_tiled_avx512<K: RadialKernel>(k: &K, dim: usize, x: Side, y: Side, out: &mut [f64]) {
     eval_tiled_baseline(k, dim, x, y, out)
 }
 
@@ -202,10 +217,13 @@ fn eval_tiled_avx2<K: RadialKernel>(k: &K, dim: usize, x: Side, y: Side, out: &m
 /// evaluation this host can run.
 fn eval_tiled<K: RadialKernel>(k: &K, dim: usize, x: Side, y: Side, out: &mut [f64]) {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if h2_linalg::simd::avx2() {
-        // SAFETY: `eval_tiled_avx2` is a safe function whose only
-        // requirement of its caller is that the CPU supports AVX2, which
-        // `simd::avx2` on the line above has just established.
+    if h2_linalg::simd::avx512() {
+        // SAFETY: `eval_tiled_avx512` is a safe function whose only
+        // requirement of its caller is that the CPU supports AVX-512F,
+        // which `simd::avx512` on the line above has just established.
+        return unsafe { eval_tiled_avx512(k, dim, x, y, out) };
+    } else if h2_linalg::simd::avx2() {
+        // SAFETY: as above, for AVX2 and `simd::avx2`.
         return unsafe { eval_tiled_avx2(k, dim, x, y, out) };
     }
     eval_tiled_baseline(k, dim, x, y, out)
@@ -443,39 +461,95 @@ mod tests {
         assert!((out[3] - (-2.0f64).exp()).abs() < 1e-15);
     }
 
-    #[test]
-    fn dispatched_compile_has_the_baseline_bits() {
-        if !h2_linalg::simd::avx2() {
+    /// The bits of every compile this host runs, by name, on one block:
+    /// the baseline first, the dispatched one last.
+    fn each_compile<K: RadialKernel>(
+        k: &K,
+        dim: usize,
+        x: Side,
+        y: Side,
+    ) -> Vec<(&'static str, Vec<u64>)> {
+        let run = |f: &dyn Fn(&mut [f64])| {
+            let mut out = vec![0.0; x.len(dim) * y.len(dim)];
+            f(&mut out);
+            out.iter().map(|e| e.to_bits()).collect()
+        };
+        let mut runs = vec![("baseline", run(&|o| eval_tiled_baseline(k, dim, x, y, o)))];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            if h2_linalg::simd::avx2() {
+                // SAFETY: `simd::avx2` has just established that the CPU has AVX2.
+                let avx2 = run(&|o| unsafe { eval_tiled_avx2(k, dim, x, y, o) });
+                runs.push(("avx2", avx2));
+            }
+            if h2_linalg::simd::avx512() {
+                // SAFETY: `simd::avx512` has just established that the CPU has AVX-512F.
+                let avx512 = run(&|o| unsafe { eval_tiled_avx512(k, dim, x, y, o) });
+                runs.push(("avx512", avx512));
+            }
+        }
+        runs.push(("dispatched", run(&|o| eval_tiled(k, dim, x, y, o))));
+        runs
+    }
+
+    fn assert_same_bits<K: RadialKernel>(k: &K, dim: usize, x: Side, y: Side) {
+        let runs = each_compile(k, dim, x, y);
+        if runs.len() == 2 {
             eprintln!("no AVX2 on this host: comparing the baseline compile with itself");
         }
+        for (name, bits) in &runs[1..] {
+            assert!(*bits == runs[0].1, "{}: the {name} compile", k.name());
+        }
+    }
+
+    fn side<'a>(coords: &'a [f64], idx: Option<&'a [usize]>) -> Side<'a> {
+        Side { coords, idx }
+    }
+
+    #[test]
+    fn every_compile_has_the_baseline_bits() {
         let pts = h2_points::gen::uniform_cube(50, 3, 9);
         // Two tiles and a remainder; rows and columns share points.
         let rows: Vec<usize> = (0..2 * (TILE / 3) + 5).map(|i| (i * 7) % 50).collect();
         let cols: Vec<usize> = (0..9).map(|j| (j * 11) % 50).collect();
-        let side = |idx| Side {
-            coords: pts.coords(),
-            idx: Some(idx),
-        };
-        fn both<K: RadialKernel>(k: &K, x: Side, y: Side, len: usize) {
-            let (mut base, mut fast) = (vec![0.0; len], vec![0.0; len]);
-            eval_tiled_baseline(k, 3, x, y, &mut base);
-            eval_tiled(k, 3, x, y, &mut fast);
-            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&base), bits(&fast), "{}", k.name());
-        }
-        let len = rows.len() * cols.len();
-        both(&Coulomb, side(&rows), side(&cols), len);
-        both(&CoulombCubed, side(&rows), side(&cols), len);
-        both(&Exponential, side(&rows), side(&cols), len);
-        both(&Gaussian::paper(), side(&rows), side(&cols), len);
-        both(&Matern32 { ell: 0.7 }, side(&rows), side(&cols), len);
-        both(
-            &InverseMultiquadric { c: 1.0 },
-            side(&rows),
-            side(&cols),
-            len,
+        let (x, y) = (
+            side(pts.coords(), Some(&rows)),
+            side(pts.coords(), Some(&cols)),
         );
-        both(&ThinPlateSpline, side(&rows), side(&cols), len);
+        assert_same_bits(&Coulomb, 3, x, y);
+        assert_same_bits(&CoulombCubed, 3, x, y);
+        assert_same_bits(&Exponential, 3, x, y);
+        assert_same_bits(&Gaussian::paper(), 3, x, y);
+        assert_same_bits(&Matern32 { ell: 0.7 }, 3, x, y);
+        assert_same_bits(&InverseMultiquadric { c: 1.0 }, 3, x, y);
+        assert_same_bits(&ThinPlateSpline, 3, x, y);
+    }
+
+    #[test]
+    fn special_distances_keep_their_bits_in_every_compile() {
+        // 1-D coordinates whose pairs give `r²` = +0 (equal points, and
+        // `+0` against `−0`: a sum of squares is never `−0`), subnormal
+        // (`1e-160²`), +∞ (`1e200²`, and `∞` against a finite point) and
+        // NaN (`NaN`, and `∞ − ∞`), beside ordinary distances; the rows
+        // repeat them across the vector width.
+        let coords = [0.0, -0.0, 1e-160, 1e200, f64::INFINITY, f64::NAN, 0.5, 3.0];
+        let rows: Vec<usize> = (0..3 * coords.len() + 5).map(|i| i % 8).collect();
+        let (x, y) = (side(&coords, Some(&rows)), side(&coords, None));
+        assert_same_bits(&Coulomb, 1, x, y);
+        assert_same_bits(&Gaussian::paper(), 1, x, y);
+        // The baseline's entries are the scalar `phi(dist2)`.
+        let base = &each_compile(&Coulomb, 1, x, y)[0].1;
+        for (j, &b) in coords.iter().enumerate() {
+            for (i, &r) in rows.iter().enumerate() {
+                let want = Coulomb.phi(dist2(&[coords[r]], &[b]));
+                assert_eq!(
+                    base[j * rows.len() + i],
+                    want.to_bits(),
+                    "{} {b}",
+                    coords[r]
+                );
+            }
+        }
     }
 
     #[test]
