@@ -33,8 +33,11 @@
 //! total order "cell by cell in round order, ascending list position inside
 //! a cell" and apply each block in both directions (`out_i += B x_j`,
 //! `out_j += Bᵀ x_i`) in one call while it is live:
-//! [`panel::matmat_bi_acc`] reads `B` once for both, and every entry of
-//! either output keeps the sum order of its one-direction apply. A rank
+//! [`panel::matmat_bi_acc`] fetches `B` from memory once for both (at
+//! `k ≥ 4` its transposed tile fetches it, reading the block's two halves
+//! as two sequential streams, and the forward tile re-reads it from L2),
+//! and every entry of either output keeps the sum order of its
+//! one-direction apply. A rank
 //! that owns one endpoint of a pair calls that direction's kernel alone,
 //! with the same bits. A target therefore receives the contributions of its
 //! diagonal cell in ascending neighbour order, then those of its

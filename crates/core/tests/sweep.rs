@@ -56,11 +56,13 @@ fn product_at<S: Scalar, A: Scalar>(
 }
 
 /// Column `c` of a `k`-column product equals the vector product of column
-/// `c` — at `k` = 2, 3, 5 and 8, so below, at and past the panel kernels'
-/// 4-column tile, over a panel with exact zeros and an all-zero column 1 —
-/// and the empty panel maps to the empty panel.
+/// `c` — at `k` = 2, 3, 4, 5 and 8, so below, at and past the panel
+/// kernels' 4-column tile (`k = 4`, the serving batch, runs every column
+/// through the tiles and none on the one-column path), over a panel with
+/// exact zeros and an all-zero column 1 — and the empty panel maps to the
+/// empty panel.
 fn assert_k_invariant<S: Scalar, A: Scalar>(h2: &H2MatrixS<S>, what: &str) {
-    for k in [2, 3, 5, 8] {
+    for k in [2, 3, 4, 5, 8] {
         let mut b = panel::<A>(h2.n(), k);
         for (e, v) in b.as_mut_slice().iter_mut().enumerate() {
             if e % 7 == 0 || e / h2.n() == 1 {

@@ -9,9 +9,10 @@
 //! is the whole of an on-the-fly product, also has a 512-bit compile,
 //! called only after [`avx512`] returned `true`: the tile runs the widest
 //! compile the host has. The other three keep AVX2 only: the QR's four
-//! partial sums fix its vector at four lanes, a 512-bit panel compile
-//! measured no faster, and a 512-bit anchor-net scan moved h2bench's
-//! `build_s` by no more than its noise.
+//! partial sums fix its vector at four lanes, a 512-bit panel compile with
+//! a 16-row forward tile was slower (the in-cache forward tile went from
+//! 0.34 to 0.45 ns per entry), and a 512-bit anchor-net scan moved
+//! h2bench's `build_s` by no more than its noise.
 //!
 //! Every compile has the baseline's bits because rustc emits no
 //! contractable multiply-add: `avx512f` implies `fma`, yet `a * b + c`
