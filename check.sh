@@ -35,12 +35,15 @@ echo "== cargo test =="
 #   h2-serve.
 cargo test -q --workspace --offline
 
+echo "== cargo test --release (the configuration that ships; bit comparisons follow the NaN rule of scalar::bits) =="
+timeout 1200 cargo test -q --workspace --offline --release
+
 echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # Spawns h2serve shard-worker child processes over loopback TCP; the
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (is_x86_feature_detected! only in simd.rs, five unsafe dispatches: _avx2( in panel.rs, radial.rs, qr.rs and strategies.rs, _avx512( in radial.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc; panel.rs's apply_baseline calls transposed( before forward(), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), workspace (12 crates, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic), bench binary and result (each named by run_harness.sh or check.sh), paper driver (no per-figure binary, one run_config runner and the one H2Matrix::build under the paper driver) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (is_x86_feature_detected! only in simd.rs, five unsafe dispatches: _avx2( in panel.rs, radial.rs, qr.rs and strategies.rs, _avx512( in radial.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc; panel.rs's apply_baseline calls transposed( before forward(), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), workspace (12 crates, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic), bench binary and result (paper the one bench binary, each result named by run_harness.sh or check.sh), paper driver (one run_config runner and the one H2Matrix::build under crates/bench/src) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -160,20 +163,15 @@ EXITS=$(awk '/^fn / { f = $2; sub(/[(<].*/, "", f) } /^[[:space:]]*\/\// { next 
 if grep -E '\.expect\(|\.unwrap\(\)|(assert|assert_eq|assert_ne|panic)!' <<< "$H2SERVE_CODE"; then
   echo "h2serve.rs has a panic site"; exit 1
 fi
-# A bench binary exists only if a script runs it; a result only if a script writes it.
-for bin in crates/bench/src/bin/*.rs; do
-  grep -qE "/$(basename "$bin" .rs)( |$)" run_harness.sh check.sh || { echo "nothing runs $bin"; exit 1; }
-done
+# One bench driver, `paper <experiment>`, whose f64 operators are all built
+# by metrics::run_config; a result exists only if a script writes it.
+BINS=$(ls crates/bench/src/bin | tr '\n' ' ')
+[ "$BINS" = "paper.rs " ] || { echo "crates/bench/src/bin must hold only paper.rs (add a spec to paper.rs): $BINS"; exit 1; }
 for result in results/*; do
   grep -qF "/$(basename "$result")" run_harness.sh check.sh || { echo "nothing writes $result"; exit 1; }
 done
-# One driver for the paper's experiments: `paper <experiment>`, whose rows
-# all go through metrics::run_config.
-if ls crates/bench/src/bin | grep -E '^(table1|fig[2-9]_.*|amortization|smoke|build_ablation)\.rs$'; then
-  echo "a per-experiment bench binary is back; add a spec to paper.rs"; exit 1
-fi
-RUNNERS=$(non_test crates/bench/src/*.rs crates/bench/src/bin/paper.rs | grep -cE "fn run_config\(|H2Matrix::build\(" || true)
-[ "$RUNNERS" = 2 ] || { echo "expected one run_config and one H2Matrix::build in it, found $RUNNERS"; exit 1; }
+RUNNERS=$(non_test $(find crates/bench/src -name '*.rs') | grep -cE "fn run_config\(|H2Matrix::build\(" || true)
+[ "$RUNNERS" = 2 ] || { echo "expected one run_config and one H2Matrix::build in it under crates/bench/src, found $RUNNERS"; exit 1; }
 non_test crates/bench/src/metrics.rs | grep -q "H2Matrix::build("
 
 echo "== cargo build --release =="
@@ -207,11 +205,11 @@ timeout 120 ./target/release/examples/kernel_regression > "$KRR"
 grep -q "stop Converged" "$KRR"
 rm -f "$KRR"
 
-echo "== net scaling smoke (TCP vs channel-mesh accounting, bit-identity) =="
-NET=$(mktemp /tmp/h2-net-scaling.XXXXXX.txt)
-timeout 300 ./target/release/net_scaling --check > "$NET"
-grep -q "NET_SCALING_CHECK_OK" "$NET"
-rm -f "$NET"
+echo "== distributed smoke (serial ≡ channel mesh ≡ loopback TCP bitwise; per-sweep bytes and messages equal the mesh's model) =="
+DIST=$(mktemp /tmp/h2-dist.XXXXXX.txt)
+timeout 300 ./target/release/paper dist --check > "$DIST"
+grep -q "DIST_CHECK_OK" "$DIST"
+rm -f "$DIST"
 
 echo "== thread scaling smoke (bitwise across widths; the 2-thread ratios are printed, not gated) =="
 FIG7=$(mktemp /tmp/h2-fig7.XXXXXX.txt)
@@ -277,7 +275,7 @@ timeout 300 cargo test -q --offline --release -p h2-bench --test profile_trace -
 # Sketched-builder pass: anchor-only phases must render as absent rows,
 # not fail the required-span contract.
 PROF=$(mktemp /tmp/h2-profile-sketched.XXXXXX.txt)
-./target/release/profile --sizes 1500 --builder sketched > "$PROF"
+timeout 300 ./target/release/paper profile --sizes 1500 --builder sketched > "$PROF"
 grep -q "build.sketch" "$PROF"
 rm -f "$PROF"
 

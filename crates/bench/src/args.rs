@@ -1,13 +1,13 @@
-//! Minimal dependency-free CLI parsing shared by all harness binaries.
+//! Minimal dependency-free CLI parsing for the `paper` driver.
 
 /// Parsed harness arguments.
 #[derive(Clone, Debug)]
 pub struct Args {
     /// Run at paper scale (`--full`); default is laptop scale.
     pub full: bool,
-    /// Run the binary's acceptance smoke (`--check`): a small deterministic
-    /// instance with assertions. `paper` refuses it for an experiment
-    /// without one; the other binaries ignore it.
+    /// Run the experiment's acceptance smoke (`--check`): a small
+    /// deterministic instance with assertions. `paper` refuses it for an
+    /// experiment without one.
     pub check: bool,
     /// Optional JSON output path (`--json PATH`).
     pub json: Option<String>,
@@ -17,13 +17,13 @@ pub struct Args {
     pub tol: Option<f64>,
     /// Dataset seed (`--seed S`, default 1).
     pub seed: u64,
-    /// Thread counts for scaling studies (`--threads 1,2,4`).
+    /// Thread counts of the Fig. 7 scaling study (`--threads 1,2,4`).
     pub threads: Option<Vec<usize>>,
-    /// Optional chrome://tracing output path (`--trace PATH`), used by the
-    /// `profile` harness.
+    /// Optional chrome://tracing output path of `paper profile`
+    /// (`--trace PATH`).
     pub trace: Option<String>,
-    /// Construction pipeline (`--builder anchor|sketched`, default anchor),
-    /// used by the `profile` harness.
+    /// Construction pipeline of `paper profile` (`--builder
+    /// anchor|sketched`, default anchor).
     pub builder: String,
 }
 
@@ -50,19 +50,21 @@ impl Args {
     }
 
     /// Parses an explicit iterator, exiting with a usage message on error.
-    /// The `--json` path is opened for writing here, so an unwritable one is
-    /// a usage error before any work rather than a panic after it. The probe
-    /// neither truncates an existing file nor leaves a new one behind.
+    /// The `--json` and `--trace` paths are opened for writing here, so an
+    /// unwritable one is a usage error before any work rather than a panic
+    /// after it. The probe neither truncates an existing file nor leaves a
+    /// new one behind.
     pub fn parse_from(it: impl Iterator<Item = String>) -> Args {
         let args = Self::try_parse_from(it).unwrap_or_else(|e| usage(&e));
-        if let Some(p) = &args.json {
+        for (flag, path) in [("--json", &args.json), ("--trace", &args.trace)] {
+            let Some(p) = path else { continue };
             let existed = std::path::Path::new(p).exists();
             let open = std::fs::OpenOptions::new()
                 .append(true)
                 .create(true)
                 .open(p);
             if let Err(e) = open {
-                usage(&format!("cannot write --json {p}: {e}"));
+                usage(&format!("cannot write {flag} {p}: {e}"));
             } else if !existed {
                 std::fs::remove_file(p).ok();
             }
@@ -71,8 +73,9 @@ impl Args {
     }
 
     /// [`Self::parse_from`] without the exit: `Err` holds the usage error.
-    /// A size or thread count of 0 and a `--tol` that is not a positive
-    /// number are usage errors, so no binary starts work it cannot finish.
+    /// A size or thread count of 0, a `--tol` that is not a positive number
+    /// and an unknown `--builder` are usage errors, so no experiment starts
+    /// work it cannot finish.
     fn try_parse_from(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         let mut args = Args::default();
         while let Some(a) = it.next() {
@@ -92,7 +95,10 @@ impl Args {
                 }
                 "--seed" => args.seed = val("a value")?.parse().map_err(|_| "bad --seed")?,
                 "--trace" => args.trace = Some(val("a path")?),
-                "--builder" => args.builder = val("a name")?,
+                "--builder" => match val("a name")? {
+                    b if b == "anchor" || b == "sketched" => args.builder = b,
+                    b => return Err(format!("unknown --builder {b} (anchor|sketched)")),
+                },
                 "--help" | "-h" => usage(""),
                 other => return Err(format!("unknown flag {other}")),
             }
@@ -226,6 +232,7 @@ mod tests {
             (&["--tol", "x"], "bad --tol"),
             (&["--sizes", "1,x"], "bad list item x"),
             (&["--sizes"], "--sizes needs a list"),
+            (&["--builder", "x"], "unknown --builder x (anchor|sketched)"),
             (&["--bogus"], "unknown flag --bogus"),
         ];
         for (argv, want) in cases {

@@ -1,24 +1,31 @@
 //! **`paper <experiment>`**: the paper's evaluation (§V) from one table of
 //! experiment specs: `table1`, `fig2` … `fig9`, `amortization` (§VI-B's
-//! normal vs on-the-fly break-even) and `build_ablation` (anchor-net vs
-//! sketched construction). EXPERIMENTS.md has the paper's numbers and the
-//! expected shapes.
+//! normal vs on-the-fly break-even), `build_ablation` (anchor-net vs
+//! sketched construction), `profile` (§VI's phase breakdown with the
+//! telemetry on, [`h2_bench::profile`]) and `dist` (the sharded product
+//! over the channel mesh and loopback TCP). EXPERIMENTS.md has the paper's
+//! numbers and the expected shapes.
 //!
-//! Every row goes through the one runner, [`run_config`], and every table
-//! through [`Table`]. `--check` runs the experiment's miniature and its
-//! shape checks; every miniature operator must have admissible pairs, since
-//! a dense one passes any error check on round-off. `paper all --check`
-//! runs the miniatures of Table I and Figs. 2, 4, 5 and 9, and every check
-//! run ends in `N checks, 0 failed`; `fig7` and `build_ablation` then print
-//! `FIG7_THREADS_CHECK_OK` and `BUILD_ABLATION_CHECK_OK`. A flag the
-//! experiment cannot honour is a usage error (exit 2) before any work.
+//! Every f64 operator is built by the one runner, [`run_config`], and
+//! every table printed through [`Table`]. `--check` runs the experiment's
+//! miniature and its shape checks; every miniature operator must have
+//! admissible pairs, since a dense one passes any error check on
+//! round-off. `paper all --check` runs the miniatures of Table I and
+//! Figs. 2, 4, 5 and 9, and every check run ends in `N checks, 0 failed`;
+//! `fig7`, `build_ablation` and `dist` then print `FIG7_THREADS_CHECK_OK`,
+//! `BUILD_ABLATION_CHECK_OK` and `DIST_CHECK_OK`. A flag the experiment
+//! cannot honour is a usage error (exit 2) before any work.
 
 use h2_bench::args::usage;
 use h2_bench::table::{self, Table};
 use h2_bench::{json_record, paper_configs, run_config, write_json, Args, Case, RunMetrics, Value};
-use h2_core::{BasisMethod, BuilderStrategy, H2Config, MemoryMode};
+use h2_core::{BasisMethod, BuilderStrategy, H2Config, H2Matrix, MemoryMode};
+use h2_dist::{wire::HELLO_FRAME_BYTES, ShardedH2};
 use h2_kernels::{Coulomb, Exponential, Gaussian, Kernel};
+use h2_linalg::scalar::bits;
+use h2_net::{run_worker, BoundCoordinator, NetConfig};
 use h2_points::gen::Distribution3d;
+use std::time::Instant;
 use std::{cell::Cell, sync::Arc};
 
 struct Spec {
@@ -118,13 +125,29 @@ static SPECS: &[Spec] = &[
         title: "Build ablation: n={n}, cube, tol={tol}",
         run: build_ablation,
     },
+    Spec {
+        name: "profile",
+        sizes: [&[6_000], &[40_000], &[]],
+        tol: [1e-6; 3],
+        title: "Profile: n={n}, cube, Coulomb, tol={tol}",
+        run: profile,
+    },
+    Spec {
+        name: "dist",
+        sizes: [&[6_000], &[40_000], &[4_000]],
+        tol: [1e-6; 3],
+        title:
+            "Distributed products: n={n}, cube, Coulomb, tol={tol}, channel mesh and loopback TCP",
+        run: dist,
+    },
 ];
 
 /// The experiments whose `--check` runs alone and ends in its own marker;
 /// `paper all --check` runs every other miniature.
-const MARKED: [(&str, &str); 2] = [
+const MARKED: [(&str, &str); 3] = [
     ("fig7", "FIG7_THREADS_CHECK_OK"),
     ("build_ablation", "BUILD_ABLATION_CHECK_OK"),
+    ("dist", "DIST_CHECK_OK"),
 ];
 
 /// A printed column: header and cell.
@@ -156,26 +179,27 @@ impl Ctx<'_> {
     /// (no table without `cols`); checks that every operator had admissible
     /// pairs.
     fn rows(&self, labels: &[&str], cols: &[Col], cases: Vec<Case>) -> Vec<RunMetrics> {
-        self.rows_with(labels, cols, cases, |_, _| ())
+        self.rows_with(labels, cols, cases, |_, _, _| ())
     }
 
-    /// [`Self::rows`], handing `each` every row and its probe product.
+    /// [`Self::rows`], handing `each` every row, its operator and its probe
+    /// product.
     fn rows_with(
         &self,
         labels: &[&str],
         cols: &[Col],
         cases: Vec<Case>,
-        mut each: impl FnMut(&RunMetrics, Vec<f64>),
+        mut each: impl FnMut(&RunMetrics, H2Matrix, Vec<f64>),
     ) -> Vec<RunMetrics> {
         let mut headers = labels.to_vec();
         headers.extend(cols.iter().map(|col| col.0));
         let (mut t, mut rows) = (Table::new(&headers), Vec::new());
         for case in cases {
-            let (m, _, y) = run_config(&case, self.args.seed);
+            let (m, h2, y) = run_config(&case, self.args.seed);
             let mut cells = case.cells;
             cells.extend(cols.iter().map(|col| (col.1)(&m)));
             t.row(cells);
-            each(&m, y);
+            each(&m, h2, y);
             rows.push(m);
         }
         if !cols.is_empty() {
@@ -193,6 +217,16 @@ impl Ctx<'_> {
             let mut tally = self.checks.get();
             tally[usize::from(pass)] += 1;
             self.checks.set(tally);
+        }
+    }
+
+    /// [`Self::check`] that also holds outside `--check`: a failure ends
+    /// the run with exit code 1.
+    fn require(&self, name: &str, pass: bool, detail: String) {
+        self.check(name, pass, detail.clone());
+        if !pass {
+            eprintln!("FAIL: {name} {detail}");
+            std::process::exit(1);
         }
     }
 
@@ -504,7 +538,7 @@ fn fig7(c: &Ctx) -> Value {
     let concurrent = |m: &RunMetrics| table::kib(m.width as f64 * m.max_otf_block_kib);
     let cols = [T_CONST, T_MV, MEM, ("concurrent OTF(KiB)", concurrent)];
     let mut first: Vec<(String, Vec<f64>)> = Vec::new();
-    let same = |m: &RunMetrics, y: Vec<f64>| match first.iter().find(|f| f.0 == lead(m)) {
+    let same = |m: &RunMetrics, _, y: Vec<f64>| match first.iter().find(|f| f.0 == lead(m)) {
         Some((method, y0)) => assert!(*y0 == y, "{method}: the thread count changed the result"),
         None => first.push((lead(m).into(), y)),
     };
@@ -643,6 +677,212 @@ fn build_ablation(c: &Ctx) -> Value {
     rows.into()
 }
 
+/// §VI's phase breakdown; its gates fail the run in every mode.
+fn profile(c: &Ctx) -> Value {
+    let reps = if c.args.full { 5 } else { 3 };
+    let summary = h2_bench::profile::run(c.args, c.n, c.tol, reps);
+    summary.unwrap_or_else(|e| {
+        eprintln!("FAIL: {e}");
+        std::process::exit(1)
+    })
+}
+
+json_record! {
+    /// One (mode, shards) cell of `paper dist`.
+    struct DistRow {
+        mode: String,
+        shards: usize,
+        /// The tree level the shards are cut at.
+        level: usize,
+        /// One product over the channel mesh and over TCP, ms, and the
+        /// channel mesh's products per second.
+        matvec_ms: f64,
+        tcp_matvec_ms: f64,
+        throughput: f64,
+        /// Modeled one-time setup traffic: bases, and blocks or generators.
+        setup_bytes: u64,
+        /// The channel mesh's bytes and messages per product, its
+        /// handshake model included.
+        matvec_bytes: u64,
+        messages: u64,
+        /// Bytes and messages per sweep without the handshakes, measured
+        /// over TCP and modeled by the channel mesh: equal, asserted.
+        tcp_sweep_bytes: u64,
+        chan_sweep_bytes: u64,
+        tcp_sweep_messages: u64,
+        chan_sweep_messages: u64,
+        /// The deployment's one-time handshake bytes, every link both ways.
+        handshake_bytes: u64,
+        /// The channel mesh's max-over-shards phase seconds and the
+        /// coordinator's top-tree seconds.
+        upward_s: f64,
+        exchange_s: f64,
+        horizontal_s: f64,
+        downward_s: f64,
+        leaf_s: f64,
+        top_s: f64,
+        /// The operator's sampled relative error (§IV).
+        rel_err: f64,
+        simd: String,
+        commit: String,
+    }
+}
+
+/// The sharded product of both memory modes at 1, 2, 4 and 8 shards. Each
+/// cell runs the channel mesh of `h2-dist` and a loopback-TCP deployment
+/// of `h2-net` (worker threads, each a real socket endpoint speaking
+/// `h2serve shard-worker`'s protocol) on one operator. Both products equal
+/// the serial one bit for bit, and the sockets' bytes and messages per
+/// sweep equal the mesh's model once the handshakes are subtracted; each
+/// is checked in every run.
+fn dist(c: &Ctx) -> Value {
+    let (reps, salt) = ([3, 5, 1][c.args.scale()], 0xd15);
+    let b = h2_core::error_est::probe_vector(c.n, c.args.seed ^ salt);
+    let mut cases = Vec::new();
+    for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
+        let mut cfg = otf(BasisMethod::data_driven_for_tol(c.tol, 3));
+        cfg.mode = mode;
+        let mut case = Case::new(vec![mode.name().into()], c.n, cfg);
+        case.salt = salt;
+        cases.push(case);
+    }
+    let mut rows = Vec::new();
+    let headers = "shards,level,chan ms,tcp ms,mv/s,setup KB,wire KB/mv,msgs,sweep KB,sweep msgs,handshake B,exch ms,top ms";
+    let headers: Vec<&str> = headers.split(',').collect();
+    c.rows_with(&["mode"], &[], cases, |m, h2, serial| {
+        let (h2, mut t) = (Arc::new(h2), Table::new(&headers));
+        for shards in [1, 2, 4, 8] {
+            let Some(row) = dist_cell(c, m, &h2, &b, &serial, shards, reps) else {
+                continue;
+            };
+            let kb = |bytes: u64| format!("{:.1}", bytes as f64 / 1024.0);
+            let ms = |ms: f64| format!("{ms:.2}");
+            t.row(vec![
+                shards.to_string(),
+                row.level.to_string(),
+                ms(row.matvec_ms),
+                ms(row.tcp_matvec_ms),
+                format!("{:.0}", row.throughput),
+                kb(row.setup_bytes),
+                kb(row.matvec_bytes),
+                row.messages.to_string(),
+                kb(row.tcp_sweep_bytes),
+                row.tcp_sweep_messages.to_string(),
+                row.handshake_bytes.to_string(),
+                ms(row.exchange_s * 1e3),
+                ms(row.top_s * 1e3),
+            ]);
+            rows.push(row);
+        }
+        println!("mode = {}", m.label);
+        t.print();
+        println!();
+    });
+    rows.into()
+}
+
+/// One [`DistRow`], or none when `h2` cannot be cut into `shards`.
+fn dist_cell(
+    c: &Ctx,
+    m: &RunMetrics,
+    h2: &Arc<H2Matrix>,
+    b: &[f64],
+    serial: &[f64],
+    shards: usize,
+    reps: usize,
+) -> Option<DistRow> {
+    let what = format!("dist: {} x{shards}", m.label);
+    let mesh = ShardedH2::new(h2.clone(), shards)
+        .map_err(|e| eprintln!("skip {what}: {e}"))
+        .ok()?;
+    // A warm-up product, then `reps` timed ones; the stats are the last's.
+    let (y_chan, _) = mesh.matvec_with_stats(b);
+    let t0 = Instant::now();
+    let chan = (0..reps).map(|_| mesh.matvec_with_stats(b).1).last();
+    let matvec_ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
+    let chan = chan.expect("reps is positive");
+
+    // The deployment: a bound coordinator and worker threads over loopback.
+    let bound = BoundCoordinator::bind(h2.clone(), shards, NetConfig::default());
+    let bound = bound.expect("bind coordinator");
+    let worker = |rank| {
+        let (h2, addr) = (h2.clone(), bound.addr());
+        std::thread::spawn(move || run_worker(&h2, rank, shards, &addr, NetConfig::default()))
+    };
+    let workers: Vec<_> = (0..shards).map(worker).collect();
+    let coord = bound.accept().expect("admit workers");
+    // The warm-up sweep pays the plan and the handshakes; the traffic
+    // after it is sweep frames only.
+    let y_tcp = coord.try_matvec(b).expect("distributed matvec");
+    let before = coord.traffic();
+    let t0 = Instant::now();
+    (0..reps).for_each(|_| drop(coord.try_matvec(b).expect("timed sweep")));
+    let tcp_matvec_ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
+    let after = coord.traffic();
+    coord.shutdown().expect("clean drain");
+
+    // Per sweep: the coordinator's timed delta, plus each worker's lifetime
+    // totals less its one hello per link (the coordinator and the other
+    // `shards - 1` workers), over its `reps + 1` sweeps.
+    let (reps, sweeps, s) = (reps as u64, reps as u64 + 1, shards as u64);
+    let mut tcp_sweep_bytes = (after.sent_bytes - before.sent_bytes) / reps;
+    let mut tcp_sweep_messages = (after.sent_messages - before.sent_messages) / reps;
+    for w in workers {
+        let r = w.join().expect("worker thread").expect("worker drained");
+        assert_eq!(r.sweeps, sweeps, "{what}: rank {} sweep count", r.rank);
+        tcp_sweep_bytes += (r.traffic.sent_bytes - s * HELLO_FRAME_BYTES) / sweeps;
+        tcp_sweep_messages += (r.traffic.sent_messages - s) / sweeps;
+    }
+    // The channel mesh charges the same handshake model on every product
+    // (its endpoints are per call): one hello each way between every two
+    // of the `s + 1` ranks.
+    let handshakes = (s + 1) * s;
+    let handshake_bytes = handshakes * HELLO_FRAME_BYTES;
+    let chan_sweep_bytes = chan.total_bytes() - handshake_bytes;
+    let chan_sweep_messages = chan.total_messages() - handshakes;
+
+    let same = bits(&y_chan) == bits(serial) && bits(&y_tcp) == bits(serial);
+    c.require(
+        &format!("{what}: channel ≡ TCP ≡ serial"),
+        same,
+        String::new(),
+    );
+    let detail = format!("{tcp_sweep_bytes} B, {tcp_sweep_messages} msgs");
+    let parity = (tcp_sweep_bytes, tcp_sweep_messages) == (chan_sweep_bytes, chan_sweep_messages);
+    let model = format!(", model {chan_sweep_bytes} B, {chan_sweep_messages} msgs");
+    c.require(
+        &format!("{what}: sweep traffic = model"),
+        parity,
+        detail + &model,
+    );
+    let phases = chan.max_phases();
+    Some(DistRow {
+        mode: m.label.clone(),
+        shards,
+        level: mesh.level(),
+        matvec_ms,
+        tcp_matvec_ms,
+        throughput: 1e3 / matvec_ms,
+        setup_bytes: mesh.setup_bytes(),
+        matvec_bytes: chan.total_bytes(),
+        messages: chan.total_messages(),
+        tcp_sweep_bytes,
+        chan_sweep_bytes,
+        tcp_sweep_messages,
+        chan_sweep_messages,
+        handshake_bytes,
+        upward_s: phases.upward,
+        exchange_s: phases.exchange,
+        horizontal_s: phases.horizontal,
+        downward_s: phases.downward,
+        leaf_s: phases.leaf,
+        top_s: chan.coordinator.top,
+        rel_err: m.rel_err,
+        simd: m.simd.clone(),
+        commit: m.commit.clone(),
+    })
+}
+
 /// The usage error, if any, of running `spec` with these flags.
 fn validate(spec: &Spec, args: &Args) -> Result<(), String> {
     let name = spec.name;
@@ -655,7 +895,7 @@ fn validate(spec: &Spec, args: &Args) -> Result<(), String> {
         Err(format!("--threads is fig7's; {name} runs at full width"))
     } else if args.check && !(widths.contains(&1) && widths.contains(&2)) {
         Err("fig7 --check needs --threads to include 1 and 2".into())
-    } else if args.trace.is_some() || args.builder != "anchor" {
+    } else if (args.trace.is_some() || args.builder != "anchor") && name != "profile" {
         Err("--trace and --builder are profile's flags".into())
     } else {
         Ok(())

@@ -1,8 +1,8 @@
 //! # h2-bench
 //!
-//! Shared harness for the `paper <experiment>` driver (every table and
-//! figure, see DESIGN.md §4) and the `profile`, `dist_scaling` and
-//! `net_scaling` binaries. Every binary accepts `--full` (paper-scale
+//! Shared harness for the `paper <experiment>` driver: every table and
+//! figure (see DESIGN.md §4), §VI's phase breakdown ([`profile`]) and the
+//! distributed study. Every experiment accepts `--full` (paper-scale
 //! sizes), `--json PATH` (rows declared with [`json_record!`], written by
 //! [`write_json`]), `--sizes a,b`, `--tol X` and `--seed S`.
 //!
@@ -12,6 +12,7 @@
 
 pub mod args;
 pub mod metrics;
+pub mod profile;
 pub mod table;
 
 pub use args::Args;

@@ -1,5 +1,7 @@
 //! `paper` rejects an argument it cannot run with: a usage error and exit
-//! code 2 before any work, never a panic.
+//! code 2 before any work, never a panic. A flag an experiment cannot
+//! honour (`--threads` off `fig7`, `--trace` or `--builder` off `profile`)
+//! is one.
 
 use std::process::Command;
 
@@ -38,6 +40,23 @@ fn unknown_experiment_unwritable_json_and_unrunnable_flags_exit_2_before_work() 
     assert_usage_error(&["table1", "--json", "/nonexistent/dir/t.json"]);
     assert_usage_error(&["fig7", "--check", "--threads", "1,4"]);
     assert_usage_error(&["table1", "--sizes", "1000,2000"]);
+}
+
+#[test]
+fn a_flag_the_experiment_cannot_honour_exits_2_before_work() {
+    let trace = std::env::temp_dir().join(format!("paper_cli_trace_{}.json", std::process::id()));
+    let trace = trace.to_str().unwrap();
+    assert_usage_error(&["dist", "--trace", trace]);
+    assert_usage_error(&["dist", "--builder", "sketched"]);
+    assert_usage_error(&["profile", "--threads", "2"]);
+    assert_usage_error(&["dist", "--threads", "1,2"]);
+    assert_usage_error(&["profile", "--check"]);
+    assert_usage_error(&["profile", "--builder", "x"]);
+    assert_usage_error(&["profile", "--trace", "/nonexistent/dir/t.json"]);
+    assert!(
+        !std::path::Path::new(trace).exists(),
+        "no --trace file left behind"
+    );
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! `profile --trace FILE` leaves a chrome://tracing file that parses and
-//! holds events, and its `--json` summary shows the fused two-direction
+//! `paper profile --trace FILE` leaves a chrome://tracing file that parses
+//! and holds events, and its `--json` summary shows the fused two-direction
 //! apply paying: at `k = 1` on `f64`, `matmat_bi_acc` takes at most 0.9× the
 //! two one-column applies. `#[ignore]`d because it runs the bench binary;
 //! `check.sh` runs it against the release build:
@@ -11,20 +11,20 @@
 use std::process::{Command, Stdio};
 
 #[test]
-#[ignore = "runs the profile bench binary; run via check.sh"]
+#[ignore = "runs paper profile; run via check.sh"]
 fn profile_trace_parses_and_is_not_empty() {
     let tmp = |what: &str| {
         std::env::temp_dir().join(format!("h2-profile-{what}-{}.json", std::process::id()))
     };
     let (trace, summary) = (tmp("trace"), tmp("summary"));
-    let status = Command::new(env!("CARGO_BIN_EXE_profile"))
-        .args(["--sizes", "1500", "--trace"])
+    let status = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .args(["profile", "--sizes", "1500", "--trace"])
         .arg(&trace)
         .arg("--json")
         .arg(&summary)
         .stdout(Stdio::null())
         .status()
-        .expect("run profile");
+        .expect("run paper profile");
     assert!(status.success());
     let read = |path| {
         let text = std::fs::read_to_string(path).expect("profile output written");

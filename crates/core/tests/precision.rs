@@ -11,6 +11,7 @@
 use h2_core::error_est::probe_vector;
 use h2_core::{BasisMethod, H2Config, H2MatrixS, H2Operator, MemoryMode};
 use h2_kernels::{Coulomb, Exponential, Gaussian, Kernel};
+use h2_linalg::scalar::bits;
 use h2_linalg::{vec_ops, Matrix, MatrixS};
 use h2_points::gen;
 use std::sync::Arc;
@@ -118,7 +119,6 @@ fn f32_operator_serves_the_f32_and_mixed_interfaces() {
     let mut h32 = H2MatrixS::<f32>::build(&pts, Arc::new(Coulomb), &c);
     let b: Vec<f64> = (0..400).map(|i| (i as f64 * 0.13).sin()).collect();
     let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-    let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
 
     let mixed = H2Operator::<f64>::matvec(&h32, &b);
     let mut into = vec![f64::NAN; 400];

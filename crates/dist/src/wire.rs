@@ -675,7 +675,7 @@ impl PlanSpec {
 /// | 1    | [`SpanReport`](TelemetryMsg::SpanReport): worker → coordinator, the worker's span buffer |
 ///
 /// Telemetry frames deliberately bypass `TrafficStats` — the channel
-/// mesh's modeled accounting and `net_scaling --check`'s byte-for-byte
+/// mesh's modeled accounting and `paper dist --check`'s byte-for-byte
 /// parity gate only see sweep traffic. The sideband is counted separately
 /// under the `net.trace_bytes` / `net.trace_frames` telemetry counters.
 #[derive(Clone, Debug, PartialEq)]

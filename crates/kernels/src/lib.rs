@@ -97,8 +97,8 @@ pub trait Kernel: Send + Sync {
     /// Fused block application: `y[i] += Σ_j K(pts[rows[i]], pts[cols[j]]) x[j]`
     /// without materializing the block, one accumulator per row, columns
     /// ascending. No product runs it (the sweeps apply materialized blocks);
-    /// it is the scalar reference `benchmark/` and `profile`'s `kernel_eval`
-    /// row time the blocked paths against.
+    /// it is the scalar reference `benchmark/` and `paper profile`'s
+    /// `kernel_eval` row time the blocked paths against.
     fn apply_block(
         &self,
         pts: &PointSet,

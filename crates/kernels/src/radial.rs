@@ -404,6 +404,7 @@ impl RadialKernel for ThinPlateSpline {
 mod tests {
     use super::*;
     use crate::Kernel;
+    use h2_linalg::scalar::bits;
 
     #[test]
     fn coulomb_values() {
@@ -472,7 +473,7 @@ mod tests {
         let run = |f: &dyn Fn(&mut [f64])| {
             let mut out = vec![0.0; x.len(dim) * y.len(dim)];
             f(&mut out);
-            out.iter().map(|e| e.to_bits()).collect()
+            bits(&out)
         };
         let mut runs = vec![("baseline", run(&|o| eval_tiled_baseline(k, dim, x, y, o)))];
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -541,13 +542,9 @@ mod tests {
         let base = &each_compile(&Coulomb, 1, x, y)[0].1;
         for (j, &b) in coords.iter().enumerate() {
             for (i, &r) in rows.iter().enumerate() {
-                let want = Coulomb.phi(dist2(&[coords[r]], &[b]));
-                assert_eq!(
-                    base[j * rows.len() + i],
-                    want.to_bits(),
-                    "{} {b}",
-                    coords[r]
-                );
+                let want = bits(&[Coulomb.phi(dist2(&[coords[r]], &[b]))]);
+                let what = format!("{} {b}", coords[r]);
+                assert_eq!(base[j * rows.len() + i], want[0], "{what}");
             }
         }
     }

@@ -482,6 +482,7 @@ fn finish_dots<S: Scalar, A: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scalar::bits;
 
     /// A `rows × cols` block with exact zeros, negative zeros and, when
     /// `special`, a `+inf`, a `−inf` and a NaN.
@@ -513,10 +514,6 @@ mod tests {
                 v => A::from_f64(v as f64 / 7.0 - 1.2),
             })
             .collect()
-    }
-
-    fn bits<A: Scalar>(v: &[A]) -> Vec<u64> {
-        v.iter().map(|&e| e.to_f64().to_bits()).collect()
     }
 
     /// A case's description in a failure message.

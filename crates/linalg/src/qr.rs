@@ -335,6 +335,7 @@ impl<S: Scalar> PivotedQr<S> {
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
+    use crate::scalar::bits;
 
     fn rand_matrix(m: usize, n: usize, seed: u64) -> Matrix {
         // Simple deterministic LCG so this module doesn't need rand.
@@ -365,10 +366,6 @@ mod tests {
             }
         }
         c
-    }
-
-    fn bits<S: Scalar>(v: &[S]) -> Vec<u64> {
-        v.iter().map(|&e| e.to_f64().to_bits()).collect()
     }
 
     /// Runs `check(what, v_tail, tau, cols, ld, row0)` on reflector lengths

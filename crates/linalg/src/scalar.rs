@@ -251,6 +251,21 @@ impl Scalar for f32 {
     }
 }
 
+/// The key on which two outputs must agree to have "the same bits" (the
+/// order invariant, DESIGN.md §6.5): each entry's bits as an `f64`, with
+/// every NaN mapped to the one quiet NaN. Two keys are equal exactly when
+/// every non-NaN entry is bit-equal, `±0` keeping its sign, and the NaNs
+/// sit at the same entries. A NaN's sign and payload depend on the operand
+/// order of the instruction that produced it, which the order invariant
+/// does not fix.
+pub fn bits<S: Scalar>(v: &[S]) -> Vec<u64> {
+    let key = |e: &S| match e.to_f64() {
+        e if e.is_nan() => f64::NAN.to_bits(),
+        e => e.to_bits(),
+    };
+    v.iter().map(key).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,5 +309,16 @@ mod tests {
         assert_eq!(buf.len(), 12);
         assert_eq!(f64::read_le(&buf[..8]).to_bits(), 0.1_f64.to_bits());
         assert_eq!(f32::read_le(&buf[8..]), -3.5_f32);
+    }
+
+    #[test]
+    fn bits_canonicalise_nan_and_only_nan() {
+        let (nan, neg_nan) = (f64::NAN, -f64::NAN);
+        assert_ne!(nan.to_bits(), neg_nan.to_bits());
+        assert_eq!(bits(&[nan, 1.0]), bits(&[neg_nan, 1.0]));
+        assert_eq!(bits(&[f32::NAN]), bits(&[-f32::NAN]));
+        assert_ne!(bits(&[0.0]), bits(&[-0.0]), "a zero keeps its sign");
+        assert_ne!(bits(&[nan]), bits(&[f64::INFINITY]));
+        assert_ne!(bits(&[1.0]), bits(&[f64::from_bits(1.0f64.to_bits() + 1)]));
     }
 }

@@ -1039,6 +1039,7 @@ mod tests {
     use super::*;
     use h2_core::{BasisMethod, H2Config, H2Matrix};
     use h2_kernels::{Coulomb, Matern32};
+    use h2_linalg::scalar::bits;
     use h2_points::gen;
 
     fn build(mode: MemoryMode) -> H2Matrix {
@@ -1400,8 +1401,7 @@ mod tests {
             let owned: H2Matrix = load(&path, Arc::new(Coulomb)).expect("owned load");
             let mapped: H2Matrix = load_mmap(&path, Arc::new(Coulomb)).expect("mmap load");
             let b: Vec<f64> = (0..h2.n()).map(|i| (0.29 * i as f64).cos()).collect();
-            let want: Vec<u64> = owned.matvec(&b).iter().map(|v| v.to_bits()).collect();
-            let got: Vec<u64> = mapped.matvec(&b).iter().map(|v| v.to_bits()).collect();
+            let (want, got) = (bits(&owned.matvec(&b)), bits(&mapped.matvec(&b)));
             assert_eq!(got, want, "mode {mode:?}");
             // Re-saving a loaded operator reproduces the file, also when
             // its matrices are views into the mapping.

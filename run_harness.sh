@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Runs every paper experiment and bench binary at its default size into
-# results/. Build first: `cargo build --release --offline --workspace`.
+# Runs every paper experiment at its default size into results/.
+# Build first: `cargo build --release --offline --workspace`.
 set -euxo pipefail
 cd "$(dirname "$0")"
 R=results
@@ -16,8 +16,7 @@ $B/paper fig7         --json $R/fig7.json  > $R/fig7.txt  2>&1
 $B/paper fig8         --json $R/fig8.json  > $R/fig8.txt  2>&1
 $B/paper fig9         --json $R/fig9.json  > $R/fig9.txt  2>&1
 $B/paper amortization --json $R/amortization.json > $R/amortization.txt 2>&1
-$B/dist_scaling       --json $R/dist.json > $R/dist.txt 2>&1
-$B/net_scaling        --json $R/net.json > $R/net.txt 2>&1
-$B/profile            --json $R/profile.json --trace $R/profile.trace.json > $R/profile.txt 2>&1
+$B/paper dist         --json $R/dist.json > $R/dist.txt 2>&1
+$B/paper profile      --json $R/profile.json --trace $R/profile.trace.json > $R/profile.txt 2>&1
 $B/paper build_ablation --json $R/build_ablation.json > $R/build_ablation.txt 2>&1
 echo ALL_DONE
