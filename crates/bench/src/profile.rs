@@ -143,11 +143,12 @@ pub fn run(args: &Args, n: usize, tol: f64, reps: usize) -> Result<Value, String
         seed: args.seed,
         ..H2Config::default()
     };
+    let salt = 0xbeef;
     let case = |mode| Case {
-        salt: 0xbeef,
+        salt,
         ..Case::new(vec![], n, cfg(mode))
     };
-    let b = h2_core::error_est::probe_vector(n, args.seed ^ 0xbeef);
+    let b = h2_core::error_est::probe_vector(n, args.seed ^ salt);
     let (_, stored, y64) = run_config(&case(MemoryMode::Normal), args.seed);
     let (_, otf, _) = run_config(&case(MemoryMode::OnTheFly), args.seed);
     let (stored, otf) = (Arc::new(stored), Arc::new(otf));
