@@ -349,12 +349,8 @@ fn dispatch(cmd: Cmd, o: &Opts) -> Result<(), String> {
     let kernel = make_kernel(&o.kernel);
     let file = cmd.file();
     let fail = |e: LoadError| format!("cannot load {}: {e}", file.unwrap_or_default());
-    let bytes = file
-        .map(std::fs::read)
-        .transpose()
-        .map_err(|e| fail(e.into()))?;
-    let stored = match &bytes {
-        Some(bytes) => codec::stored_scalar(bytes).map_err(fail)?,
+    let stored = match file {
+        Some(file) => codec::stored_scalar_file(file).map_err(fail)?,
         None if o.precision == "f64" => "f64",
         None => "f32",
     };
@@ -365,32 +361,27 @@ fn dispatch(cmd: Cmd, o: &Opts) -> Result<(), String> {
         _ => o.cache_budget,
     };
     match (stored, o.precision) {
-        ("f64", "f64") => {
-            run::<f64, f64>(cmd, o, operator(o, kernel, bytes, budget).map_err(fail)?)
-        }
-        ("f32", "f32") => {
-            run::<f32, f32>(cmd, o, operator(o, kernel, bytes, budget).map_err(fail)?)
-        }
-        ("f32", _) => run::<f32, f64>(cmd, o, operator(o, kernel, bytes, budget).map_err(fail)?),
+        ("f64", "f64") => run::<f64, f64>(cmd, o, operator(o, kernel, file, budget).map_err(fail)?),
+        ("f32", "f32") => run::<f32, f32>(cmd, o, operator(o, kernel, file, budget).map_err(fail)?),
+        ("f32", _) => run::<f32, f64>(cmd, o, operator(o, kernel, file, budget).map_err(fail)?),
         (stored, requested) => Err(fail(LoadError::PrecisionMismatch { stored, requested })),
     }
 }
 
-/// The one builder/loader, at the storage scalar `S`: the file's `bytes`
-/// decoded with the `--kernel` kernel and `budget` installed (files never
-/// persist a cache), or without bytes, an operator built from the build
-/// flags.
+/// The one builder/loader, at the storage scalar `S`: the `file` loaded
+/// with the `--kernel` kernel and `budget` installed (files never persist
+/// a cache), or without a file, an operator built from the build flags.
 fn operator<S: Scalar>(
     o: &Opts,
     kernel: Arc<dyn Kernel>,
-    bytes: Option<Vec<u8>>,
+    file: Option<&str>,
     budget: CacheBudget,
 ) -> Result<H2MatrixS<S>, LoadError> {
-    let Some(bytes) = bytes else {
+    let Some(file) = file else {
         let pts = gen::uniform_cube(o.n, o.dim, o.seed);
         return Ok(H2MatrixS::build(&pts, kernel, &config_for(o)));
     };
-    let mut h2 = codec::decode(&bytes, kernel)?;
+    let mut h2 = codec::load(file, kernel)?;
     h2.set_cache_budget(budget);
     Ok(h2)
 }
@@ -609,13 +600,13 @@ fn update_workload<S: Scalar, A: Scalar>(h2: H2MatrixS<S>, o: &Opts) -> Result<(
         }
     }
     if let Some(out) = &o.out {
-        let bytes = codec::encode(final_op.as_ref());
-        std::fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
+        let bytes =
+            codec::save(final_op.as_ref(), out).map_err(|e| format!("cannot write {out}: {e}"))?;
         println!(
             "saved {out}: {:.1} KiB at epoch {} (stored epoch {})",
-            bytes.len() as f64 / 1024.0,
+            bytes as f64 / 1024.0,
             final_op.epoch(),
-            codec::stored_epoch(&bytes).map_err(|e| e.to_string())?
+            codec::stored_epoch_file(out).map_err(|e| format!("cannot read {out}: {e}"))?
         );
     }
     Ok(())

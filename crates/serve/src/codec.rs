@@ -49,6 +49,25 @@
 //! are verified on the owned path only — verifying them on the mmap path
 //! would fault in every page and defeat lazy loading.
 //!
+//! Saving and loading stream, so neither holds a copy of the file: an
+//! operator file costs the operator plus `O(CHUNK)` (64 KiB) of buffers to
+//! write or read. [`save`] writes the header with the directory's family
+//! checksums zeroed, streams every slab through a small buffer while
+//! folding its bytes (padding included) into the family's FNV-1a, then
+//! seeks back and rewrites the directory, which keeps its length. [`load`]
+//! reads the header section by section, checking every declared length
+//! against the bytes left before allocating, then reads each matrix
+//! straight into its owned storage and checks each family's checksum at
+//! the family's end. Only [`encode`] and [`decode`], whose interface is a
+//! buffer of the whole file, hold one.
+//!
+//! [`save`] never writes the destination in place: it writes a temporary
+//! sibling, syncs it and renames it over `path`. Whatever maps the old
+//! file (an operator from [`load_mmap`], a serving host) keeps reading the
+//! old pages, where truncating the file under the mapping would take them
+//! away (`SIGBUS`); a save that fails removes its temporary and leaves the
+//! old file as it was.
+//!
 //! This is the only format: version 4. Blobs of the earlier
 //! payload-in-section versions 1–3 are refused with
 //! [`LoadError::UnsupportedVersion`].
@@ -70,7 +89,11 @@ use h2_kernels::Kernel;
 use h2_linalg::{MatrixS, Scalar, SlabMem};
 use h2_points::tree::Node;
 use h2_points::{BoundingBox, ClusterTree, PointSet};
-use std::path::Path;
+use std::ffi::OsString;
+use std::fs::File;
+use std::io::{self, BufReader, BufWriter, Cursor, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// File magic: identifies h2-serve operator files.
@@ -133,14 +156,29 @@ fn scalar_name(code: u8) -> Option<&'static str> {
     }
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64 of no bytes: where every checksum's fold starts.
+const FNV_START: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues the FNV-1a 64 `h` over `bytes`, so a checksum can be folded
+/// over a slab that is never in memory at once.
+fn fnv1a64_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_fold(FNV_START, bytes)
+}
+
+/// Bytes of the slab region the writer and the reader hold at a time (a
+/// multiple of every scalar width).
+const CHUNK: usize = 64 * 1024;
+
+/// The zero bytes alignment padding is written from.
+const ZEROS: [u8; SLAB_ALIGN] = [0; SLAB_ALIGN];
 
 /// Deterministic kernel fingerprint: evaluations at fixed synthetic point
 /// pairs inside the unit cube. Stored bit-exact, so a kernel of the same
@@ -289,82 +327,211 @@ fn encode_directory(families: &[DirFamily]) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Serializes a built operator into the `mmap`able binary format, at the
-/// operator's own storage precision. Reads the operator in place: the only
-/// buffer of the file's size is the one returned.
-pub fn encode<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<u8> {
-    // Pass 1: lay the families out and compute slab offsets.
-    let nodes = 0..h2.tree().node_count();
-    let mut family_mats: Vec<(u8, Vec<&MatrixS<S>>)> = vec![
-        (
-            FAMILY_BASES,
-            nodes.clone().map(|i| h2.leaf_basis(i)).collect(),
-        ),
-        (FAMILY_TRANSFERS, nodes.map(|i| h2.transfer(i)).collect()),
-    ];
-    if let Some(cb) = h2.coupling_store().blocks() {
-        family_mats.push((FAMILY_COUPLING, cb.iter().collect()));
-    }
-    if let Some(nb) = h2.nearfield_store().blocks() {
-        family_mats.push((FAMILY_NEARFIELD, nb.iter().collect()));
-    }
-    let mut families = Vec::with_capacity(family_mats.len());
-    let mut cursor = 0usize;
-    for (kind, mats) in &family_mats {
-        let (entries, slab_len) = layout_family(mats);
-        families.push(DirFamily {
-            kind: *kind,
-            slab_off: cursor,
-            slab_len,
-            checksum: 0, // filled in after the slab region is serialized
-            entries,
-        });
-        cursor = align_up(cursor + slab_len, SLAB_ALIGN);
-    }
+/// One file of an operator, laid out: the header with the directory's
+/// family checksums still zero, where the directory sits in it, and each
+/// family's matrices in slab order.
+struct Plan<'a, S: Scalar> {
+    /// Magic to end marker, zero-padded to [`SLAB_ALIGN`].
+    head: Vec<u8>,
+    dir_at: usize,
+    families: Vec<DirFamily>,
+    mats: Vec<Vec<&'a MatrixS<S>>>,
+    slab_region_len: usize,
+}
 
-    // Pass 2: header sections, padded so the slab region lands 64-aligned.
-    // Directory offsets are relative to that aligned base, which is why the
-    // header's own length never perturbs them.
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    push_section(&mut out, TAG_FINGERPRINT, &encode_fingerprint(h2));
-    push_section(&mut out, TAG_TREE, &encode_tree(h2.tree()));
-    push_section(&mut out, TAG_GENERATORS_META, &encode_generators_meta(h2));
-    let dir_at = out.len();
-    push_section(&mut out, TAG_DIRECTORY, &encode_directory(&families));
-    push_section(&mut out, TAG_END, &[]);
-    out.resize(align_up(out.len(), SLAB_ALIGN), 0);
-
-    // The slab region, each payload written once at its aligned offset
-    // (zeros between matrices are the alignment padding — deterministic,
-    // so the family checksums cover them too).
-    let base = out.len();
-    out.reserve_exact(cursor);
-    for (f, (_, mats)) in families.iter_mut().zip(&family_mats) {
-        for (b, m) in f.entries.iter().zip(mats) {
-            out.resize(base + f.slab_off + b.offset, 0);
-            for &v in m.as_slice() {
-                v.write_le(&mut out);
-            }
+impl<'a, S: Scalar> Plan<'a, S> {
+    fn new(h2: &'a H2MatrixS<S>) -> Self {
+        // Lay the families out and compute slab offsets.
+        let nodes = 0..h2.tree().node_count();
+        let mut family_mats: Vec<(u8, Vec<&MatrixS<S>>)> = vec![
+            (
+                FAMILY_BASES,
+                nodes.clone().map(|i| h2.leaf_basis(i)).collect(),
+            ),
+            (FAMILY_TRANSFERS, nodes.map(|i| h2.transfer(i)).collect()),
+        ];
+        if let Some(cb) = h2.coupling_store().blocks() {
+            family_mats.push((FAMILY_COUPLING, cb.iter().collect()));
         }
-        out.resize(base + f.slab_off + f.slab_len, 0);
-        f.checksum = fnv1a64(&out[base + f.slab_off..][..f.slab_len]);
+        if let Some(nb) = h2.nearfield_store().blocks() {
+            family_mats.push((FAMILY_NEARFIELD, nb.iter().collect()));
+        }
+        let mut families = Vec::with_capacity(family_mats.len());
+        let mut mats = Vec::with_capacity(family_mats.len());
+        let mut cursor = 0usize;
+        for (kind, family) in family_mats {
+            let (entries, slab_len) = layout_family(&family);
+            families.push(DirFamily {
+                kind,
+                slab_off: cursor,
+                slab_len,
+                checksum: 0, // known once the slab is written
+                entries,
+            });
+            mats.push(family);
+            cursor = align_up(cursor + slab_len, SLAB_ALIGN);
+        }
+
+        // Header sections, padded so the slab region lands 64-aligned.
+        // Directory offsets are relative to that aligned base, which is why
+        // the header's own length never perturbs them.
+        let mut head = Vec::new();
+        head.extend_from_slice(&MAGIC);
+        head.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        push_section(&mut head, TAG_FINGERPRINT, &encode_fingerprint(h2));
+        push_section(&mut head, TAG_TREE, &encode_tree(h2.tree()));
+        push_section(&mut head, TAG_GENERATORS_META, &encode_generators_meta(h2));
+        let dir_at = head.len();
+        push_section(&mut head, TAG_DIRECTORY, &encode_directory(&families));
+        push_section(&mut head, TAG_END, &[]);
+        head.resize(align_up(head.len(), SLAB_ALIGN), 0);
+        Plan {
+            head,
+            dir_at,
+            families,
+            mats,
+            slab_region_len: cursor,
+        }
     }
 
-    // The directory sits ahead of the slabs it checksums: rewrite it in
-    // place, the same length, now that the checksums are known.
-    let mut directory = Vec::new();
-    push_section(&mut directory, TAG_DIRECTORY, &encode_directory(&families));
-    out[dir_at..dir_at + directory.len()].copy_from_slice(&directory);
-    out
+    /// The file's length in bytes.
+    fn len(&self) -> usize {
+        self.head.len() + self.slab_region_len
+    }
+
+    /// Writes the file into `w` from its current position and leaves `w`
+    /// at the file's end: the header, then every slab a [`CHUNK`] at a
+    /// time with its checksum folded on the way, then the directory again
+    /// over itself, now with the checksums (the same length, so nothing
+    /// behind it moves).
+    fn write<W: Write + Seek>(mut self, w: &mut W) -> io::Result<u64> {
+        let start = w.stream_position()?;
+        w.write_all(&self.head)?;
+        let mut out = SlabOut {
+            w: &mut *w,
+            at: 0,
+            sum: FNV_START,
+            buf: Vec::with_capacity(CHUNK),
+        };
+        for (f, mats) in self.families.iter_mut().zip(&self.mats) {
+            out.pad_to(f.slab_off)?;
+            out.sum = FNV_START;
+            for (b, m) in f.entries.iter().zip(mats) {
+                out.pad_to(f.slab_off + b.offset)?;
+                out.matrix(m)?;
+            }
+            // Zeros between matrices and up to the slab's aligned end are
+            // deterministic, so the family checksum covers them too.
+            out.pad_to(f.slab_off + f.slab_len)?;
+            f.checksum = out.sum;
+        }
+        let mut directory = Vec::new();
+        push_section(
+            &mut directory,
+            TAG_DIRECTORY,
+            &encode_directory(&self.families),
+        );
+        w.seek(SeekFrom::Start(start + self.dir_at as u64))?;
+        w.write_all(&directory)?;
+        let len = self.len() as u64;
+        w.seek(SeekFrom::Start(start + len))?;
+        Ok(len)
+    }
+}
+
+/// The slab-region side of [`Plan::write`]: its position in the region and
+/// the FNV-1a of the current family so far.
+struct SlabOut<'w, W> {
+    w: &'w mut W,
+    at: usize,
+    sum: u64,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> SlabOut<'_, W> {
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.sum = fnv1a64_fold(self.sum, bytes);
+        self.at += bytes.len();
+        self.w.write_all(bytes)
+    }
+
+    fn pad_to(&mut self, at: usize) -> io::Result<()> {
+        while self.at < at {
+            let n = (at - self.at).min(ZEROS.len());
+            self.put(&ZEROS[..n])?;
+        }
+        Ok(())
+    }
+
+    /// One matrix, little-endian column-major, a [`CHUNK`] at a time.
+    fn matrix<S: Scalar>(&mut self, m: &MatrixS<S>) -> io::Result<()> {
+        let mut buf = std::mem::take(&mut self.buf);
+        for part in m.as_slice().chunks(CHUNK / S::BYTES) {
+            buf.clear();
+            for &v in part {
+                v.write_le(&mut buf);
+            }
+            self.put(&buf)?;
+        }
+        self.buf = buf;
+        Ok(())
+    }
+}
+
+/// Serializes a built operator into the `mmap`able binary format, at the
+/// operator's own storage precision: the same bytes [`save`] writes to a
+/// file. Reads the operator in place; the returned buffer is the only one
+/// of the file's size.
+pub fn encode<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<u8> {
+    let plan = Plan::new(h2);
+    let mut out = Cursor::new(Vec::with_capacity(plan.len()));
+    plan.write(&mut out)
+        .expect("writing into a Vec cannot fail");
+    out.into_inner()
 }
 
 /// Saves an operator to `path`; returns the number of bytes written.
-pub fn save<S: Scalar>(h2: &H2MatrixS<S>, path: impl AsRef<Path>) -> std::io::Result<u64> {
-    let bytes = encode(h2);
-    std::fs::write(path, &bytes)?;
-    Ok(bytes.len() as u64)
+///
+/// The file is streamed through a small buffer into a temporary sibling of
+/// `path`, synced, and renamed over `path` (then the directory is synced),
+/// so saving holds no copy of the file in memory, and whatever maps the old
+/// file (an operator from [`load_mmap`], `h2` itself among them) keeps
+/// reading the old bytes. An error before the rename removes the temporary
+/// and leaves `path` as it was.
+pub fn save<S: Scalar>(h2: &H2MatrixS<S>, path: impl AsRef<Path>) -> io::Result<u64> {
+    let path = path.as_ref();
+    let tmp = temp_sibling(path)?;
+    let written = File::create(&tmp).and_then(|file| {
+        let mut w = BufWriter::new(file);
+        let len = Plan::new(h2).write(&mut w)?;
+        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        // The rename itself is durable once its directory is synced.
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        Ok(len)
+    });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
+/// A name next to `path`, in the same directory (so the rename is atomic),
+/// unique per process and call.
+fn temp_sibling(path: &Path) -> io::Result<PathBuf> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} names no file", path.display()),
+        )
+    })?;
+    let mut tmp = OsString::from(".");
+    tmp.push(name);
+    let k = NEXT.fetch_add(1, Ordering::Relaxed);
+    tmp.push(format!(".{}-{k}.tmp", std::process::id()));
+    Ok(path.with_file_name(tmp))
 }
 
 // ---------------------------------------------------------------- decoding
@@ -399,11 +566,6 @@ impl<'a> Dec<'a> {
 
     fn remaining(&self) -> usize {
         self.r.remaining()
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], LoadError> {
-        let r = self.r.take(n);
-        self.wrap(r)
     }
 
     fn u8(&mut self) -> Result<u8, LoadError> {
@@ -559,88 +721,202 @@ fn decode_fingerprint(payload: &[u8]) -> Result<Fingerprint, LoadError> {
     })
 }
 
-/// The parsed section header of an operator file: the checksum-verified
-/// sections and where the header ends (the slab region starts at the next
-/// [`SLAB_ALIGN`] boundary after it).
-struct Header<'a> {
-    sections: Vec<(u8, &'a [u8])>,
+/// The checksum-verified header sections of an operator file and where the
+/// header ends (the slab region starts at the next [`SLAB_ALIGN`] boundary
+/// after it).
+struct Header {
+    sections: Vec<(u8, Vec<u8>)>,
     header_end: usize,
 }
 
-/// Splits `magic | version | sections` and verifies every section
-/// checksum. Trailing bytes after the end marker are the slab region.
-fn split_sections(bytes: &[u8]) -> Result<Header<'_>, LoadError> {
-    if bytes.len() < MAGIC.len() + 4 || bytes[..MAGIC.len()] != MAGIC {
-        return Err(LoadError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(LoadError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    let mut d = Dec::new(&bytes[12..], "header");
-    let mut sections = Vec::new();
-    loop {
-        let tag = d.u8()?;
-        d.section = section_name(tag);
-        if d.section == "unknown" {
-            return Err(d.corrupt(format!("unknown section tag {tag}")));
-        }
-        let len = d.count(1)?;
-        let payload = d.take(len)?;
-        let stored = d.u64()?;
-        let actual = fnv1a64(payload);
-        if stored != actual {
-            return Err(d.corrupt(format!(
-                "checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
-            )));
-        }
-        let done = tag == TAG_END;
-        sections.push((tag, payload));
-        if done {
-            let header_end = bytes.len() - d.remaining();
-            return Ok(Header {
-                sections,
-                header_end,
-            });
-        }
+/// Reads an operator file front to back from any [`Read`] that holds
+/// `len` more bytes: an encoded buffer, a file or a mapping. Every length
+/// the file declares is checked against the bytes left before anything is
+/// allocated for it, and the slab region passes through one [`CHUNK`]-sized
+/// buffer, so reading never holds a copy of the file.
+struct Reader<R> {
+    r: R,
+    /// Bytes consumed.
+    at: usize,
+    /// Bytes left.
+    left: usize,
+    buf: Vec<u8>,
+}
+
+impl<'a> Reader<&'a [u8]> {
+    fn of(bytes: &'a [u8]) -> Self {
+        Reader::new(bytes, bytes.len())
     }
 }
 
-fn section<'a>(sections: &[(u8, &'a [u8])], tag: u8) -> Result<Option<&'a [u8]>, LoadError> {
+impl Reader<BufReader<File>> {
+    fn open(path: &Path) -> Result<Self, LoadError> {
+        let file = File::open(path)?;
+        // A file larger than the address space cannot be read; it claims
+        // more bytes than there are, and the first short read is an error.
+        let len = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
+        Ok(Reader::new(BufReader::new(file), len))
+    }
+}
+
+impl<R: Read> Reader<R> {
+    fn new(r: R, len: usize) -> Self {
+        Reader {
+            r,
+            at: 0,
+            left: len,
+            buf: Vec::new(),
+        }
+    }
+
+    /// The file's length.
+    fn len(&self) -> usize {
+        self.at + self.left
+    }
+
+    /// Fills `out` with the next bytes, if that many are left.
+    fn fill(&mut self, out: &mut [u8], section: &'static str) -> Result<(), LoadError> {
+        if out.len() > self.left {
+            return Err(LoadError::CorruptSection {
+                section,
+                reason: format!(
+                    "truncated: wanted {} bytes, {} remain",
+                    out.len(),
+                    self.left
+                ),
+            });
+        }
+        self.r.read_exact(out)?;
+        self.at += out.len();
+        self.left -= out.len();
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self, section: &'static str) -> Result<[u8; N], LoadError> {
+        let mut out = [0; N];
+        self.fill(&mut out, section)?;
+        Ok(out)
+    }
+
+    /// Passes the bytes up to file offset `to` to `f`, a [`CHUNK`] at a time.
+    fn stream_to(&mut self, to: usize, mut f: impl FnMut(&[u8])) -> Result<(), LoadError> {
+        let mut n = to.checked_sub(self.at).ok_or_else(|| {
+            corrupt_directory(format!("offset {to} lies behind the reader at {}", self.at))
+        })?;
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.resize(CHUNK.min(n).max(buf.len()), 0);
+        while n > 0 {
+            let k = n.min(buf.len());
+            self.fill(&mut buf[..k], "directory")?;
+            f(&buf[..k]);
+            n -= k;
+        }
+        self.buf = buf;
+        Ok(())
+    }
+
+    /// Magic, version, then every section up to and including the end
+    /// marker, each checked against its checksum.
+    fn header(&mut self) -> Result<Header, LoadError> {
+        if self.left < MAGIC.len() + 4 {
+            return Err(LoadError::BadMagic);
+        }
+        let [magic @ .., v0, v1, v2, v3] = self.array::<12>("header")?;
+        if magic != MAGIC {
+            return Err(LoadError::BadMagic);
+        }
+        let version = u32::from_le_bytes([v0, v1, v2, v3]);
+        if version != FORMAT_VERSION {
+            return Err(LoadError::UnsupportedVersion {
+                found: version,
+                supported: FORMAT_VERSION,
+            });
+        }
+        let mut sections = Vec::new();
+        loop {
+            let [tag] = self.array("header")?;
+            let section = section_name(tag);
+            let corrupt = |reason| LoadError::CorruptSection { section, reason };
+            if section == "unknown" {
+                return Err(corrupt(format!("unknown section tag {tag}")));
+            }
+            // The payload and its checksum must fit in what is left.
+            let len = u64::from_le_bytes(self.array(section)?);
+            let Some(len) = usize::try_from(len)
+                .ok()
+                .filter(|&n| n <= self.left.saturating_sub(8))
+            else {
+                return Err(corrupt(format!(
+                    "payload length {len} exceeds the {} bytes left",
+                    self.left
+                )));
+            };
+            let mut payload = vec![0; len];
+            self.fill(&mut payload, section)?;
+            let stored = u64::from_le_bytes(self.array(section)?);
+            let actual = fnv1a64(&payload);
+            if stored != actual {
+                return Err(corrupt(format!(
+                    "checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
+                )));
+            }
+            sections.push((tag, payload));
+            if tag == TAG_END {
+                return Ok(Header {
+                    sections,
+                    header_end: self.at,
+                });
+            }
+        }
+    }
+
+    /// The fingerprint, read from the header alone.
+    fn fingerprint(mut self) -> Result<Fingerprint, LoadError> {
+        let hdr = self.header()?;
+        decode_fingerprint(require(&hdr.sections, TAG_FINGERPRINT)?)
+    }
+}
+
+fn section(sections: &[(u8, Vec<u8>)], tag: u8) -> Result<Option<&[u8]>, LoadError> {
     let mut found = None;
-    for &(t, payload) in sections {
-        if t == tag {
+    for (t, payload) in sections {
+        if *t == tag {
             if found.is_some() {
                 return Err(LoadError::CorruptSection {
                     section: section_name(tag),
                     reason: "duplicated section".into(),
                 });
             }
-            found = Some(payload);
+            found = Some(&payload[..]);
         }
     }
     Ok(found)
 }
 
-fn require<'a>(sections: &[(u8, &'a [u8])], tag: u8) -> Result<&'a [u8], LoadError> {
+fn require(sections: &[(u8, Vec<u8>)], tag: u8) -> Result<&[u8], LoadError> {
     section(sections, tag)?.ok_or_else(|| LoadError::CorruptSection {
         section: section_name(tag),
         reason: "section missing".into(),
     })
 }
 
+fn scalar_of(fp: Fingerprint) -> &'static str {
+    scalar_name(fp.scalar_code).expect("decode_fingerprint validated the code")
+}
+
 /// Reads the storage scalar name ("f32" or "f64") recorded in an encoded
 /// operator without decoding the payload — what a loader dispatching on
-/// precision (e.g. the `h2serve` binary) inspects before choosing which
-/// `decode::<S>` to call. Verifies magic, version, and the fingerprint
-/// checksum on the way.
+/// precision inspects before choosing which `decode::<S>` to call.
+/// Verifies magic, version, and the header checksums on the way.
 pub fn stored_scalar(bytes: &[u8]) -> Result<&'static str, LoadError> {
-    let hdr = split_sections(bytes)?;
-    let fp = decode_fingerprint(require(&hdr.sections, TAG_FINGERPRINT)?)?;
-    Ok(scalar_name(fp.scalar_code).expect("decode_fingerprint validated the code"))
+    Reader::of(bytes).fingerprint().map(scalar_of)
+}
+
+/// [`stored_scalar`] of the operator file at `path`, reading its header
+/// only: what the `h2serve` file commands inspect before choosing which
+/// `load::<S>` to call.
+pub fn stored_scalar_file(path: impl AsRef<Path>) -> Result<&'static str, LoadError> {
+    Reader::open(path.as_ref())?.fingerprint().map(scalar_of)
 }
 
 /// Reads the builder provenance recorded in an encoded operator without
@@ -648,17 +924,18 @@ pub fn stored_scalar(bytes: &[u8]) -> Result<&'static str, LoadError> {
 /// constructed each stored operator. Unknown provenance codes are returned
 /// as [`BuilderProvenance::Unknown`], never an error.
 pub fn stored_builder(bytes: &[u8]) -> Result<BuilderProvenance, LoadError> {
-    let hdr = split_sections(bytes)?;
-    let fp = decode_fingerprint(require(&hdr.sections, TAG_FINGERPRINT)?)?;
-    Ok(fp.provenance)
+    Ok(Reader::of(bytes).fingerprint()?.provenance)
 }
 
 /// Reads the update epoch recorded in an encoded operator without decoding
 /// the payload.
 pub fn stored_epoch(bytes: &[u8]) -> Result<u64, LoadError> {
-    let hdr = split_sections(bytes)?;
-    let fp = decode_fingerprint(require(&hdr.sections, TAG_FINGERPRINT)?)?;
-    Ok(fp.epoch)
+    Ok(Reader::of(bytes).fingerprint()?.epoch)
+}
+
+/// [`stored_epoch`] of the operator file at `path`, reading its header only.
+pub fn stored_epoch_file(path: impl AsRef<Path>) -> Result<u64, LoadError> {
+    Ok(Reader::open(path.as_ref())?.fingerprint()?.epoch)
 }
 
 /// Why a file whose kernel name matches fails its probe evaluations. The
@@ -698,20 +975,22 @@ fn check_fingerprint<S: Scalar>(fp: &Fingerprint, kernel: &dyn Kernel) -> Result
     Ok(())
 }
 
-/// Final assembly shared by every decode path: pack the decoded pieces into
-/// [`H2Parts`] and revalidate through `from_parts`.
-#[allow(clippy::too_many_arguments)]
+/// Final assembly shared by every decode path: pack the parsed body and
+/// its matrix families (bases, transfers, then in normal mode coupling and
+/// nearfield, as `parse` checked) into [`H2Parts`] and revalidate through
+/// `from_parts`.
 fn assemble<S: Scalar>(
-    fp: Fingerprint,
-    tree: ClusterTree,
-    ranks: Vec<usize>,
-    proxies: Vec<ProxyPoints>,
-    bases: Vec<MatrixS<S>>,
-    transfers: Vec<MatrixS<S>>,
-    coupling_blocks: Option<Vec<MatrixS<S>>>,
-    nearfield_blocks: Option<Vec<MatrixS<S>>>,
+    body: Body,
+    families: Vec<Vec<MatrixS<S>>>,
     kernel: Arc<dyn Kernel>,
 ) -> Result<H2MatrixS<S>, LoadError> {
+    let Body {
+        fp,
+        tree,
+        ranks,
+        proxies,
+        ..
+    } = body;
     if tree.points().dim() != fp.dim {
         return Err(LoadError::Inconsistent(format!(
             "fingerprint dimension {} != point dimension {}",
@@ -719,6 +998,10 @@ fn assemble<S: Scalar>(
             tree.points().dim()
         )));
     }
+    let mut families = families.into_iter();
+    let (Some(bases), Some(transfers)) = (families.next(), families.next()) else {
+        return Err(corrupt_directory("bases or transfers missing"));
+    };
     let parts = H2Parts {
         tree,
         eta: fp.eta,
@@ -727,8 +1010,8 @@ fn assemble<S: Scalar>(
         transfers,
         proxies,
         ranks,
-        coupling_blocks,
-        nearfield_blocks,
+        coupling_blocks: families.next(),
+        nearfield_blocks: families.next(),
         provenance: fp.provenance,
         epoch: fp.epoch,
     };
@@ -818,13 +1101,10 @@ struct Body {
 
 /// Parses and cross-validates a header: fingerprint (against `kernel`
 /// and `S`), tree, generators-meta, and a directory whose families match
-/// the stored memory mode and fit inside the file. Materializing the
-/// matrices — owned copies or mmap views — is the caller's half.
-fn parse<S: Scalar>(
-    bytes: &[u8],
-    hdr: &Header<'_>,
-    kernel: &dyn Kernel,
-) -> Result<Body, LoadError> {
+/// the stored memory mode and lie inside the `file_len`-byte file in
+/// order, each with its matrices in order inside its slab. Materializing
+/// the matrices — owned copies or mmap views — is the caller's half.
+fn parse<S: Scalar>(hdr: Header, file_len: usize, kernel: &dyn Kernel) -> Result<Body, LoadError> {
     let sections = &hdr.sections;
     let fp = decode_fingerprint(require(sections, TAG_FINGERPRINT)?)?;
     check_fingerprint::<S>(&fp, kernel)?;
@@ -850,21 +1130,49 @@ fn parse<S: Scalar>(
     }
 
     let slab_base = align_up(hdr.header_end, SLAB_ALIGN);
-    let slab_region_len = bytes
-        .len()
+    let slab_region_len = file_len
         .checked_sub(slab_base)
         .ok_or_else(|| corrupt_directory("file truncated before the slab region"))?;
+    let mut family_end = 0;
     for f in &families {
+        let name = family_name(f.kind);
         let end = f
             .slab_off
             .checked_add(f.slab_len)
             .ok_or_else(|| corrupt_directory("family slab offset overflows"))?;
         if end > slab_region_len {
             return Err(corrupt_directory(format!(
-                "{} slab [{}, {end}) escapes the {slab_region_len}-byte slab region",
-                family_name(f.kind),
+                "{name} slab [{}, {end}) escapes the {slab_region_len}-byte slab region",
                 f.slab_off,
             )));
+        }
+        if f.slab_off < family_end {
+            return Err(corrupt_directory(format!(
+                "{name} slab overlaps the slab before it"
+            )));
+        }
+        family_end = end;
+        let mut matrix_end = 0;
+        for b in &f.entries {
+            let end = b
+                .nrows
+                .checked_mul(b.ncols)
+                .and_then(|cnt| cnt.checked_mul(S::BYTES))
+                .and_then(|bytes| b.offset.checked_add(bytes))
+                .filter(|&e| e <= f.slab_len)
+                .ok_or_else(|| {
+                    corrupt_directory(format!(
+                        "{name} matrix {}x{} at {} escapes its {}-byte slab",
+                        b.nrows, b.ncols, b.offset, f.slab_len
+                    ))
+                })?;
+            if b.offset < matrix_end {
+                return Err(corrupt_directory(format!(
+                    "{name} matrix at {} overlaps the matrix before it",
+                    b.offset
+                )));
+            }
+            matrix_end = end;
         }
     }
     Ok(Body {
@@ -877,48 +1185,53 @@ fn parse<S: Scalar>(
     })
 }
 
-/// Materializes one family as owned matrices, verifying the family slab
-/// checksum (the owned path reads every byte anyway, so verification is
-/// free — unlike the mmap path, where it would fault in every page).
-fn owned_family<S: Scalar>(
-    slab_region: &[u8],
+/// Reads one family on from the reader as owned matrices and verifies its
+/// slab checksum at the family's end (the owned path reads every byte
+/// anyway, so verification is free — unlike the mmap path, where it would
+/// fault in every page).
+fn owned_family<S: Scalar, R: Read>(
+    r: &mut Reader<R>,
+    slab_base: usize,
     f: &DirFamily,
 ) -> Result<Vec<MatrixS<S>>, LoadError> {
-    let name = family_name(f.kind);
-    let slab = &slab_region[f.slab_off..f.slab_off + f.slab_len];
-    let actual = fnv1a64(slab);
-    if actual != f.checksum {
+    // `parse` placed the family and its matrices inside the file.
+    let start = slab_base + f.slab_off;
+    r.stream_to(start, |_| {})?;
+    let mut sum = FNV_START;
+    let mut mats = Vec::with_capacity(f.entries.len());
+    for b in &f.entries {
+        r.stream_to(start + b.offset, |pad| sum = fnv1a64_fold(sum, pad))?;
+        let cnt = b.nrows * b.ncols;
+        let mut data = Vec::with_capacity(cnt);
+        r.stream_to(start + b.offset + cnt * S::BYTES, |chunk| {
+            sum = fnv1a64_fold(sum, chunk);
+            data.extend(chunk.chunks_exact(S::BYTES).map(S::read_le));
+        })?;
+        mats.push(MatrixS::from_col_major(b.nrows, b.ncols, data));
+    }
+    r.stream_to(start + f.slab_len, |pad| sum = fnv1a64_fold(sum, pad))?;
+    if sum != f.checksum {
         return Err(corrupt_directory(format!(
-            "{name} slab checksum mismatch (stored {:#018x}, computed {actual:#018x})",
+            "{} slab checksum mismatch (stored {:#018x}, computed {sum:#018x})",
+            family_name(f.kind),
             f.checksum
         )));
     }
-    let mut mats = Vec::with_capacity(f.entries.len());
-    for b in &f.entries {
-        let cnt = b
-            .nrows
-            .checked_mul(b.ncols)
-            .ok_or_else(|| corrupt_directory(format!("{name} matrix shape overflows")))?;
-        let bytes_needed = cnt
-            .checked_mul(S::BYTES)
-            .ok_or_else(|| corrupt_directory(format!("{name} matrix size overflows")))?;
-        let end = b
-            .offset
-            .checked_add(bytes_needed)
-            .filter(|&e| e <= f.slab_len)
-            .ok_or_else(|| {
-                corrupt_directory(format!(
-                    "{name} matrix {}x{} escapes its {}-byte slab",
-                    b.nrows, b.ncols, f.slab_len
-                ))
-            })?;
-        let data: Vec<S> = slab[b.offset..end]
-            .chunks_exact(S::BYTES)
-            .map(S::read_le)
-            .collect();
-        mats.push(MatrixS::from_col_major(b.nrows, b.ncols, data));
-    }
     Ok(mats)
+}
+
+/// The owned decode behind [`decode`] and [`load`]: the header, then every
+/// family read straight into its matrices.
+fn read_owned<S: Scalar, R: Read>(
+    mut r: Reader<R>,
+    kernel: Arc<dyn Kernel>,
+) -> Result<H2MatrixS<S>, LoadError> {
+    let hdr = r.header()?;
+    let body = parse::<S>(hdr, r.len(), kernel.as_ref())?;
+    let families = (body.families.iter())
+        .map(|f| owned_family(&mut r, body.slab_base, f))
+        .collect::<Result<_, _>>()?;
+    assemble(body, families, kernel)
 }
 
 /// Materializes one family as zero-copy views over the mapping. Bounds and
@@ -943,31 +1256,7 @@ fn mapped_family<S: Scalar>(
 /// [`LoadError::PrecisionMismatch`], never a silent conversion). Always
 /// produces an operator with owned (heap) storage.
 pub fn decode<S: Scalar>(bytes: &[u8], kernel: Arc<dyn Kernel>) -> Result<H2MatrixS<S>, LoadError> {
-    let hdr = split_sections(bytes)?;
-    let body = parse::<S>(bytes, &hdr, kernel.as_ref())?;
-    let slab_region = &bytes[body.slab_base..];
-    let mut fams = body.families.iter();
-    let bases = owned_family::<S>(slab_region, fams.next().expect("validated"))?;
-    let transfers = owned_family::<S>(slab_region, fams.next().expect("validated"))?;
-    let coupling_blocks = fams
-        .next()
-        .map(|f| owned_family::<S>(slab_region, f))
-        .transpose()?;
-    let nearfield_blocks = fams
-        .next()
-        .map(|f| owned_family::<S>(slab_region, f))
-        .transpose()?;
-    assemble(
-        body.fp,
-        body.tree,
-        body.ranks,
-        body.proxies,
-        bases,
-        transfers,
-        coupling_blocks,
-        nearfield_blocks,
-        kernel,
-    )
+    read_owned(Reader::of(bytes), kernel)
 }
 
 /// Decodes an operator whose bytes live in a [`SlabMem`] — when the memory
@@ -987,39 +1276,24 @@ pub fn decode_mapped<S: Scalar>(
     if cfg!(target_endian = "big") {
         return decode(bytes, kernel);
     }
-    let hdr = split_sections(bytes)?;
-    let body = parse::<S>(bytes, &hdr, kernel.as_ref())?;
-    let mut fams = body.families.iter();
-    let bases = mapped_family::<S>(mem, body.slab_base, fams.next().expect("validated"))?;
-    let transfers = mapped_family::<S>(mem, body.slab_base, fams.next().expect("validated"))?;
-    let coupling_blocks = fams
-        .next()
-        .map(|f| mapped_family::<S>(mem, body.slab_base, f))
-        .transpose()?;
-    let nearfield_blocks = fams
-        .next()
-        .map(|f| mapped_family::<S>(mem, body.slab_base, f))
-        .transpose()?;
-    assemble(
-        body.fp,
-        body.tree,
-        body.ranks,
-        body.proxies,
-        bases,
-        transfers,
-        coupling_blocks,
-        nearfield_blocks,
-        kernel,
-    )
+    let mut r = Reader::of(bytes);
+    let hdr = r.header()?;
+    let body = parse::<S>(hdr, bytes.len(), kernel.as_ref())?;
+    let families = (body.families.iter())
+        .map(|f| mapped_family(mem, body.slab_base, f))
+        .collect::<Result<_, _>>()?;
+    assemble(body, families, kernel)
 }
 
-/// Loads an operator from `path`, verifying it against `kernel`.
+/// Loads an operator from `path`, verifying it against `kernel`. The file
+/// is read front to back through a small buffer straight into the
+/// operator's matrices, so loading holds the operator and no copy of the
+/// file.
 pub fn load<S: Scalar>(
     path: impl AsRef<Path>,
     kernel: Arc<dyn Kernel>,
 ) -> Result<H2MatrixS<S>, LoadError> {
-    let bytes = std::fs::read(path)?;
-    decode(&bytes, kernel)
+    read_owned(Reader::open(path.as_ref())?, kernel)
 }
 
 /// Loads an operator from `path` by `mmap`ing it: matrix payloads are
@@ -1103,6 +1377,30 @@ mod tests {
             let b: Vec<f32> = (0..h2.n()).map(|i| (0.29 * i as f32).cos()).collect();
             assert_eq!(h2.matvec(&b), back.matvec(&b), "mode {mode:?}");
         }
+    }
+
+    /// The format's bytes, pinned: the FNV-1a 64 of what `encode` writes
+    /// for `f64` and `f32` operators in both memory modes. A writer change
+    /// that moves one byte of a file fails here.
+    #[test]
+    fn files_keep_their_bytes() {
+        let got = [
+            fnv1a64(&encode(&build(MemoryMode::Normal))),
+            fnv1a64(&encode(&build(MemoryMode::OnTheFly))),
+            fnv1a64(&encode(&build32(MemoryMode::Normal))),
+            fnv1a64(&encode(&build32(MemoryMode::OnTheFly))),
+        ];
+        let hex: Vec<String> = got.iter().map(|h| format!("{h:#018x}")).collect();
+        assert_eq!(
+            got,
+            [
+                0x5a18_2121_5de7_6ffc,
+                0x44dc_d335_a555_45a5,
+                0xc7e9_b82a_fc53_7aeb,
+                0xcd39_b2dc_c7a5_bc27,
+            ],
+            "f64 normal, f64 on-the-fly, f32 normal, f32 on-the-fly: {hex:?}"
+        );
     }
 
     #[test]
@@ -1377,7 +1675,7 @@ mod tests {
     fn slabs_are_aligned() {
         let h2 = build(MemoryMode::Normal);
         let bytes = encode(&h2);
-        let hdr = split_sections(&bytes).unwrap();
+        let hdr = Reader::of(&bytes).header().unwrap();
         let families = decode_directory(require(&hdr.sections, TAG_DIRECTORY).unwrap()).unwrap();
         assert_eq!(families.len(), 4);
         let slab_base = align_up(hdr.header_end, SLAB_ALIGN);
@@ -1403,11 +1701,17 @@ mod tests {
             let b: Vec<f64> = (0..h2.n()).map(|i| (0.29 * i as f64).cos()).collect();
             let (want, got) = (bits(&owned.matvec(&b)), bits(&mapped.matvec(&b)));
             assert_eq!(got, want, "mode {mode:?}");
-            // Re-saving a loaded operator reproduces the file, also when
-            // its matrices are views into the mapping.
+            // `save` streams the bytes `encode` returns, and re-saving a
+            // loaded operator reproduces the file, also when its matrices
+            // are views into the mapping.
             let file = std::fs::read(&path).expect("read back");
+            assert!(encode(&h2) == file, "mode {mode:?}: saved bytes");
             assert!(encode(&owned) == file, "mode {mode:?}: owned re-encode");
             assert!(encode(&mapped) == file, "mode {mode:?}: mapped re-encode");
+            let h32 = build32(mode);
+            save(&h32, &path).expect("save f32");
+            let file = std::fs::read(&path).expect("read back");
+            assert!(encode(&h32) == file, "mode {mode:?}: saved f32 bytes");
 
             let ro = owned.memory_report();
             let rm = mapped.memory_report();
@@ -1431,6 +1735,64 @@ mod tests {
             }
             std::fs::remove_file(&path).ok();
         }
+    }
+
+    fn build_n(n: usize, mode: MemoryMode) -> H2Matrix {
+        let pts = gen::uniform_cube(n, 3, 23);
+        let cfg = H2Config {
+            basis: BasisMethod::data_driven_for_tol(1e-5, 3),
+            mode,
+            leaf_size: 48,
+            ..H2Config::default()
+        };
+        H2Matrix::build(&pts, Arc::new(Coulomb), &cfg)
+    }
+
+    /// `save` replaces a file by renaming a finished temporary over it, so
+    /// an operator mapped from the old file keeps its bytes: writing the
+    /// file in place would truncate the pages under the mapping.
+    #[test]
+    fn save_replaces_a_mapped_file_and_keeps_its_pages() {
+        let path = temp_path("replace");
+        let a = build_n(900, MemoryMode::Normal);
+        save(&a, &path).expect("save A");
+        let mapped: H2Matrix = load_mmap(&path, Arc::new(Coulomb)).expect("mmap A");
+        let x: Vec<f64> = (0..a.n()).map(|i| (0.31 * i as f64).sin()).collect();
+        let want = bits(&a.matvec(&x));
+        assert_eq!(bits(&mapped.matvec(&x)), want);
+
+        // A smaller operator B over the mapped file: A keeps its bits.
+        let b = build_n(500, MemoryMode::Normal);
+        save(&b, &path).expect("save B");
+        assert_eq!(bits(&mapped.matvec(&x)), want, "A changed under the save");
+        let back: H2Matrix = load(&path, Arc::new(Coulomb)).expect("load B");
+        let y: Vec<f64> = (0..b.n()).map(|i| (0.31 * i as f64).sin()).collect();
+        assert_eq!(back.n(), b.n());
+        assert_eq!(bits(&back.matvec(&y)), bits(&b.matvec(&y)));
+
+        // An operator mapped from the file saved onto that same file: the
+        // writer reads the old pages while the new file is written.
+        let own: H2Matrix = load_mmap(&path, Arc::new(Coulomb)).expect("mmap B");
+        let before = std::fs::read(&path).expect("read B");
+        save(&own, &path).expect("re-save B onto itself");
+        assert!(std::fs::read(&path).expect("read again") == before);
+        assert_eq!(bits(&own.matvec(&y)), bits(&b.matvec(&y)));
+        std::fs::remove_file(&path).ok();
+        drop((mapped, own));
+
+        // No temporary is left behind when the save fails, whether the
+        // directory is missing or the rename fails.
+        let dir = temp_path("replace-dir");
+        let missing = dir.join("missing").join("op.bin");
+        assert!(save(&a, &missing).is_err());
+        std::fs::create_dir_all(dir.join("op.bin")).expect("a directory in the way");
+        assert!(save(&a, dir.join("op.bin")).is_err());
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(left, ["op.bin"], "a failed save left files behind");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The engine's k-invariance on the mapped tier: column `c` of an

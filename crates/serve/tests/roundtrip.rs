@@ -47,6 +47,23 @@ fn save_load_matvec_is_bit_identical() {
     });
 }
 
+/// A file of this test binary in the temporary directory.
+fn temp_file(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("h2serve-roundtrip-{}-{tag}.h2", std::process::id()))
+}
+
+/// `bytes` through both owned decode paths: from memory, and streamed from
+/// a file by `load`. Both must agree on whether the bytes load.
+fn decode_and_load(bytes: &[u8], tag: &str) -> Result<H2Matrix, LoadError> {
+    let path = temp_file(tag);
+    std::fs::write(&path, bytes).expect("write temporary file");
+    let loaded = codec::load::<f64>(&path, Arc::new(Coulomb));
+    std::fs::remove_file(&path).ok();
+    let decoded = codec::decode::<f64>(bytes, Arc::new(Coulomb));
+    assert_eq!(loaded.is_ok(), decoded.is_ok(), "decode and load disagree");
+    loaded
+}
+
 /// Any single flipped byte is detected: the loader returns `Err` (and
 /// in particular never panics) — magic, version, tags, lengths and
 /// payloads are all covered by structure checks or section checksums.
@@ -60,7 +77,7 @@ fn corrupted_files_return_err() {
         let pos = pos_seed % bytes.len();
         bytes[pos] ^= 1 << bit;
         assert!(
-            codec::decode::<f64>(&bytes, Arc::new(Coulomb)).is_err(),
+            decode_and_load(&bytes, "flipped").is_err(),
             "flip at byte {} must be detected",
             pos
         );
@@ -139,11 +156,82 @@ fn truncated_files_return_err() {
     let bytes = codec::encode(&h2);
     let step = (bytes.len() / 101).max(1);
     for cut in (0..bytes.len()).step_by(step) {
-        let err = codec::decode::<f64>(&bytes[..cut], Arc::new(Coulomb));
-        assert!(err.is_err(), "decoding a {cut}-byte prefix must fail");
+        let err = decode_and_load(&bytes[..cut], "truncated");
+        assert!(err.is_err(), "loading a {cut}-byte prefix must fail");
     }
     // The untruncated file still loads.
-    assert!(codec::decode::<f64>(&bytes, Arc::new(Coulomb)).is_ok());
+    assert!(decode_and_load(&bytes, "whole").is_ok());
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Rewrites the directory section of an encoded operator with `edit` and
+/// recomputes its checksum, so only the edited value is wrong. The
+/// directory (tag 8) starts with the family count, then per family: kind
+/// (1 byte), slab offset, slab length, checksum, entry count (8 bytes
+/// each), then per entry rows, columns and offset (8 bytes each).
+fn with_directory(bytes: &[u8], edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let mut at = 12; // magic + version
+    loop {
+        let len = u64::from_le_bytes(out[at + 1..at + 9].try_into().unwrap()) as usize;
+        let payload = at + 9..at + 9 + len;
+        if out[at] == 8 {
+            edit(&mut out[payload.clone()]);
+            let sum = fnv1a64(&out[payload.clone()]).to_le_bytes();
+            out[payload.end..payload.end + 8].copy_from_slice(&sum);
+            return out;
+        }
+        at = payload.end + 8;
+    }
+}
+
+/// A directory whose lengths point far past the end of the file, with a
+/// valid checksum: a typed error before anything of that size is
+/// allocated, from memory and from a file alike.
+#[test]
+fn a_directory_claiming_bytes_past_the_file_is_refused() {
+    let h2 = build(300, 3, 9, 1e-4, MemoryMode::Normal);
+    let bytes = codec::encode(&h2);
+    // Directory offsets of the first family's slab length and of its first
+    // entry's rows, columns and offset; each edit sets its fields to 2^50.
+    let slab_len = 2 + 8;
+    let entry = 2 + 4 * 8;
+    let edits: [(&str, &[usize]); 3] = [
+        ("slab length", &[slab_len]),
+        ("shape", &[entry, entry + 8]),
+        ("offset", &[entry + 16]),
+    ];
+    for (what, fields) in edits {
+        let hostile = with_directory(&bytes, |d| {
+            for &at in fields {
+                d[at..at + 8].copy_from_slice(&(1u64 << 50).to_le_bytes());
+            }
+        });
+        assert_ne!(hostile, bytes, "{what}");
+        match decode_and_load(&hostile, "hostile") {
+            Err(LoadError::CorruptSection {
+                section: "directory",
+                reason,
+            }) => assert!(reason.contains("escapes"), "{what}: {reason}"),
+            other => panic!(
+                "{what}: expected a corrupt directory, got {:?}",
+                other.map(|_| ())
+            ),
+        }
+        let mem = h2_linalg::SlabMem::from_bytes(&hostile);
+        assert!(
+            codec::decode_mapped::<f64>(&mem, Arc::new(Coulomb)).is_err(),
+            "{what}"
+        );
+    }
 }
 
 /// Acceptance criterion: at n = 5000 the on-the-fly file (tree + skeleton
