@@ -15,20 +15,20 @@ echo "== cargo test =="
 # One run asserts each invariant once. The tests that carry each gate:
 # - thread-count invariance (widths 1/2/3/8 bitwise equal; ranks stay at
 #   width 1): h2-core tests/sweep.rs; `width_one` / `schedule_keeps` in
-#   h2-dist and h2-net; `thread_pool*` in tests/end_to_end.rs.
+#   h2-dist (both transports); `thread_pool*` in tests/end_to_end.rs.
 # - builder width invariance (operator bytes and build counters equal at
 #   widths 1/2/3/8; panics cross barriers): `builder_width*` in h2-core
 #   tests/sweep.rs; h2-linalg `exec`; h2-sampling `root_closure`; h2-core
 #   `panicking_factor_rule`.
 # - precision (f32 / mixed vs f64): h2-core tests/precision.rs; the `f32` /
 #   `mixed` / `precision` tests of h2-dist and h2-serve.
-# - cache properties (budget endpoints, invariant, concurrency): all of
-#   h2-cache; h2-core tests/cache.rs; the `cache` tests of h2-dist and
+# - cache properties (budget endpoints, invariant, concurrency): h2-core's
+#   `cache` module and tests/cache.rs; the `cache` tests of h2-dist and
 #   h2-serve.
 # - cache residency (resident set = f(operator, budget), equal to a
 #   re-budgeted clone after updates and at product widths 1/2/3/8; readers
 #   beside a re-plan): `residency_is_a_function_of_operator_and_budget` in
-#   h2-core tests/sweep.rs; h2-cache `concurrent_readers_and_a_replanner`.
+#   h2-core tests/sweep.rs; h2-core `concurrent_readers_and_a_replanner`.
 # - dynamic operator (churn ≡ fresh rebuild across kernels / precisions /
 #   modes / budgets): h2-core tests/churn.rs and its `update` unit tests.
 # - mmap zero copy (mapped ≡ owned decode, bitwise): the `mmap` tests of
@@ -43,7 +43,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (is_x86_feature_detected! only in simd.rs, five unsafe dispatches: _avx2( in panel.rs, radial.rs, qr.rs and strategies.rs, _avx512( in radial.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc; panel.rs's apply_baseline calls transposed( before forward(), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), workspace (12 crates, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic, no codec::encode/decode or fs::read of a whole file), bench binary and result (paper the one bench binary, each result named by run_harness.sh or check.sh), paper driver (one run_config runner and the one H2Matrix::build under crates/bench/src) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/core/src/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (is_x86_feature_detected! only in simd.rs, five unsafe dispatches: _avx2( in panel.rs, radial.rs, qr.rs and strategies.rs, _avx512( in radial.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc; panel.rs's apply_baseline calls transposed( before forward(), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), workspace (12 members of which 9 hold code, the h2bench-only names in compat modules, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic, no codec::encode/decode or fs::read of a whole file), bench binary and result (paper the one bench binary, each result named by run_harness.sh or check.sh), paper driver (one run_config runner and the one H2Matrix::build under crates/bench/src) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -52,18 +52,38 @@ if grep -n "rayon" Cargo.toml crates/*/Cargo.toml Cargo.lock; then echo "a manif
 SCOPES=$(non_test $(find crates/linalg/src crates/sampling/src crates/core/src -name '*.rs') \
   | grep -c "std::thread::scope(" || true)
 [ "$SCOPES" = 1 ] || { echo "expected one std::thread::scope site, found $SCOPES"; exit 1; }
-non_test crates/linalg/src/exec.rs | grep -q "std::thread::scope("
-if grep -rnwE "last_use|make_room|try_reserve|with_shards|freq" crates/cache/src; then echo "the dynamic cache is back"; exit 1; fi
-if grep -nE "counter_add!|span\(" crates/cache/src/cache.rs; then echo "the cache records telemetry on helper threads"; exit 1; fi
+# (grep without -q reads to the end: an early exit would SIGPIPE awk under pipefail)
+non_test crates/linalg/src/exec.rs | grep "std::thread::scope(" > /dev/null
+if grep -rnwE "last_use|make_room|try_reserve|with_shards|freq" crates/core/src/cache; then echo "the dynamic cache is back"; exit 1; fi
+if grep -nE "counter_add!|span\(" crates/core/src/cache/resident.rs; then echo "the cache records telemetry on helper threads"; exit 1; fi
 MANIFESTS="Cargo.toml Cargo.lock crates/*/Cargo.toml vendor/*/Cargo.toml"
 if grep -nE 'criterion|h2-sketch|h2-solvers|\[\[bench\]\]|serde([^_]|_derive|$)' $MANIFESTS; then
   echo "a manifest names criterion, a [[bench]], h2-sketch, h2-solvers, or a serde other than serde_json"; exit 1
 fi
-# The workspace keeps what the paper uses: 12 crates, two bases (data-driven
-# and interpolation) plus the sketched rule, and one solver, the facade's cg.
+# The workspace keeps what the paper uses: 9 crates that hold code, two bases
+# (data-driven and interpolation) plus the sketched rule, and one solver, the
+# facade's cg. h2-cache, h2-tenant and h2-net are shells that
+# benchmark/Cargo.toml names by path: `pub use` lines and doc comments only,
+# and no manifest of the workspace depends on them.
 CRATES=$(ls crates/*/Cargo.toml | wc -l)
 MEMBERS=$(grep -c '^    "crates/' Cargo.toml)
 [ "$CRATES" = 12 ] && [ "$MEMBERS" = 12 ] || { echo "expected 12 workspace crates: $CRATES dirs, $MEMBERS members"; exit 1; }
+SHELLS="crates/cache crates/tenant crates/net"
+for shell in $SHELLS; do
+  [ "$(ls "$shell" | tr '\n' ' ')" = "Cargo.toml src " ] && [ "$(ls "$shell/src")" = lib.rs ] \
+    || { echo "$shell must hold only Cargo.toml and src/lib.rs"; exit 1; }
+  REST=$(grep -v '^//!' "$shell/src/lib.rs" | tr '\n' ' ' | sed -E 's/pub use [^;]*;//g' | tr -d '[:space:]')
+  [ -z "$REST" ] || { echo "$shell/src/lib.rs holds more than pub use lines and doc comments: $REST"; exit 1; }
+done
+if grep -nE '^h2-(cache|tenant|net)([ .=]|$)' Cargo.toml crates/*/Cargo.toml; then
+  echo "a workspace manifest depends on a shell crate (only benchmark/ may)"; exit 1
+fi
+# The names only h2bench calls live in one #[doc(hidden)] `compat` module per
+# crate (crates/*/src/compat.rs); no other code line names them.
+COMPAT=$(grep -rnE 'QueueMode|get_or_generate|apply_coupling_with|apply_nearfield_with|apply_block_s|apply_block\(|with_tenants\(' \
+  --include='*.rs' crates src tests examples | grep -vE '^crates/[a-z]+/src/compat\.rs:' \
+  | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
+[ -z "$COMPAT" ] || { echo "a compat name outside the compat modules: $COMPAT"; exit 1; }
 if grep -rnE 'ProxySurface|proxy_surface|gmres|bicgstab|pcg\(|FnOperator|DenseOperator|LinearOperator' \
   crates src tests examples README.md DESIGN.md PAPER.md; then
   echo "the proxy-surface builder or a second solver is back"; exit 1
@@ -178,7 +198,7 @@ for result in results/*; do
 done
 RUNNERS=$(non_test $(find crates/bench/src -name '*.rs') | grep -cE "fn run_config\(|H2Matrix::build\(" || true)
 [ "$RUNNERS" = 2 ] || { echo "expected one run_config and one H2Matrix::build in it under crates/bench/src, found $RUNNERS"; exit 1; }
-non_test crates/bench/src/metrics.rs | grep -q "H2Matrix::build("
+non_test crates/bench/src/metrics.rs | grep "H2Matrix::build(" > /dev/null
 
 echo "== cargo build --release =="
 cargo build --release --workspace --offline

@@ -20,10 +20,10 @@ use h2_bench::args::usage;
 use h2_bench::table::{self, Table};
 use h2_bench::{json_record, paper_configs, run_config, write_json, Args, Case, RunMetrics, Value};
 use h2_core::{BasisMethod, BuilderStrategy, H2Config, H2Matrix, MemoryMode};
+use h2_dist::net::{run_worker, BoundCoordinator, NetConfig};
 use h2_dist::{wire::HELLO_FRAME_BYTES, ShardedH2};
 use h2_kernels::{Coulomb, Exponential, Gaussian, Kernel};
 use h2_linalg::scalar::bits;
-use h2_net::{run_worker, BoundCoordinator, NetConfig};
 use h2_points::gen::Distribution3d;
 use std::time::Instant;
 use std::{cell::Cell, sync::Arc};
@@ -730,7 +730,7 @@ json_record! {
 
 /// The sharded product of both memory modes at 1, 2, 4 and 8 shards. Each
 /// cell runs the channel mesh of `h2-dist` and a loopback-TCP deployment
-/// of `h2-net` (worker threads, each a real socket endpoint speaking
+/// of `h2_dist::net` (worker threads, each a real socket endpoint speaking
 /// `h2serve shard-worker`'s protocol) on one operator. Both products equal
 /// the serial one bit for bit, and the sockets' bytes and messages per
 /// sweep equal the mesh's model once the handshakes are subtracted; each

@@ -51,7 +51,7 @@ json_record! {
     #[derive(Clone, Debug)]
     struct KernelEvalRow {
         kernel: String,
-        /// `Kernel::apply_block`: the scalar `phi(dist2)` loop.
+        /// `Kernel::eval` entry by entry into a block: the scalar `phi(dist2)`.
         scalar_ns_per_entry: f64,
         /// `Kernel::eval_block_into`: the tiled, vectorised evaluation.
         block_ns_per_entry: f64,
@@ -414,8 +414,8 @@ pub fn run(args: &Args, n: usize, tol: f64, reps: usize) -> Result<Value, String
 }
 
 /// Every paper kernel's blocked evaluation against its scalar reference
-/// (`apply_block` with unit weights: `phi(dist2)` plus one multiply-add per
-/// entry) over `h2`'s nearfield pairs, one thread. Information only.
+/// (entrywise `Kernel::eval` into the same column-major block) over `h2`'s
+/// nearfield pairs, one thread. Information only.
 fn kernel_eval(h2: &H2Matrix, reps: usize) -> Vec<KernelEvalRow> {
     let (tree, pairs) = (h2.tree(), &h2.lists().nearfield_pairs);
     let blocks: Vec<_> = pairs
@@ -424,21 +424,23 @@ fn kernel_eval(h2: &H2Matrix, reps: usize) -> Vec<KernelEvalRow> {
         .collect();
     let entries: usize = blocks.iter().map(|(r, c)| r.len() * c.len()).sum();
     let ns_per_entry = |ms: f64| ms * 1e6 / entries as f64;
-    let (ones, mut y, mut block) = (vec![1.0; h2.n()], vec![0.0; h2.n()], Vec::new());
+    let (pts, mut block) = (tree.points(), Vec::new());
     let mut table = Table::new(&["kernel", "scalar ns/entry", "block ns/entry", "ratio"]);
     let mut rows = Vec::new();
     for (name, k) in paper_kernels() {
         let scalar = ns_per_entry(median_ms(reps, || {
             for (r, c) in &blocks {
-                k.apply_block(tree.points(), r, c, &ones[..c.len()], &mut y[..r.len()]);
+                let entries = c.iter().flat_map(|&cj| r.iter().map(move |&ri| (ri, cj)));
+                block.clear();
+                block.extend(entries.map(|(ri, cj)| k.eval(pts.point(ri), pts.point(cj))));
+                black_box(&mut block);
             }
-            black_box(&mut y);
         }));
         let blocked = ns_per_entry(median_ms(reps, || {
             for (r, c) in &blocks {
                 block.clear();
                 block.resize(r.len() * c.len(), 0.0);
-                k.eval_block_into(tree.points(), r, c, &mut block);
+                k.eval_block_into(pts, r, c, &mut block);
                 black_box(&mut block);
             }
         }));

@@ -13,10 +13,10 @@ pub mod data_driven;
 pub mod interpolation;
 pub mod sketched;
 
+use crate::cache::BlockStore;
 use crate::config::{BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, MemoryMode};
 use crate::h2matrix::{listed_blocks, H2MatrixS};
 use crate::proxy::ProxyPoints;
-use h2_cache::BlockStore;
 use h2_kernels::Kernel;
 use h2_linalg::id::{row_id_consume, RowId};
 use h2_linalg::qr::Truncation;

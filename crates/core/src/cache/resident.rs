@@ -1,7 +1,7 @@
 //! The budgeted resident set: the middle tier of the sweeps' block fetch.
 //!
 //! A product requests the same blocks in the same order every time
-//! (`h2_core::SweepPlan::block_schedule`), so nothing about residency is
+//! ([`crate::SweepPlan::block_schedule`]), so nothing about residency is
 //! learned at run time. The resident set is chosen once, from the schedule
 //! and the byte budget, by [`BlockCache::plan_pins`]; products then only
 //! read it.
@@ -15,9 +15,9 @@
 //! 2. **A product writes two counters.** [`BlockCache::get_at`] takes the
 //!    table's lock shared and clones the `Arc` on a hit; on a miss the
 //!    caller generates the block into its own scratch, outside the lock,
-//!    and nothing is kept. Only [`BlockCache::pin`] / [`BlockCache::pin_at`]
-//!    write, and they refuse what would exceed the budget, so resident bytes
-//!    never do.
+//!    and nothing is kept. Only [`BlockCache::replan`] and
+//!    [`BlockCache::pin`] write, and they refuse what would exceed the
+//!    budget, so resident bytes never do.
 //! 3. **An update installs a new value.** [`BlockCache::replan`] builds the
 //!    successor of a cache: same budget and counters, the entries the new
 //!    plan keeps carried over by `Arc`, the rest generated by the caller.
@@ -41,7 +41,7 @@ pub enum BlockKind {
 }
 
 /// Canonical pair address: kind plus the pair with `i <= j` (the transposed
-/// application reuses the same entry, exactly like [`crate::BlockIndex`]).
+/// application reuses the same entry, exactly like [`super::BlockIndex`]).
 type Pair = (BlockKind, NodeId, NodeId);
 
 /// A resident block and the **epoch** it was generated at: the max of its
@@ -121,19 +121,6 @@ impl<S: Scalar> BlockCache<S> {
         self.table.read().expect("a pin panicked inside the table")
     }
 
-    /// Returns the block for the canonical pair `(i, j)` (`i <= j`
-    /// required) at epoch 0; see [`Self::get_or_generate_at`]. Static
-    /// operators (never updated) only ever use epoch 0.
-    pub fn get_or_generate(
-        &self,
-        kind: BlockKind,
-        i: NodeId,
-        j: NodeId,
-        generate: impl FnOnce() -> MatrixS<S>,
-    ) -> Arc<MatrixS<S>> {
-        self.get_or_generate_at(kind, i, j, 0, generate)
-    }
-
     /// The resident block for the canonical pair `(i, j)` (`i <= j`
     /// required) at the given epoch, counted as a hit, or `None`, counted as
     /// a miss: the caller generates a missed block itself, and nothing is
@@ -159,38 +146,11 @@ impl<S: Scalar> BlockCache<S> {
         resident
     }
 
-    /// [`Self::get_at`], or on a miss the block `generate` makes, which is
-    /// not kept.
-    pub fn get_or_generate_at(
-        &self,
-        kind: BlockKind,
-        i: NodeId,
-        j: NodeId,
-        epoch: u64,
-        generate: impl FnOnce() -> MatrixS<S>,
-    ) -> Arc<MatrixS<S>> {
-        let resident = self.get_at(kind, i, j, epoch);
-        resident.unwrap_or_else(|| Arc::new(generate()))
-    }
-
     /// Makes a pre-generated block resident at epoch 0. Returns `false` when
     /// it does not fit the remaining budget, is empty, or the pair is
     /// already resident.
     pub fn pin(&self, kind: BlockKind, i: NodeId, j: NodeId, block: MatrixS<S>) -> bool {
-        self.pin_at(kind, i, j, 0, block)
-    }
-
-    /// Like [`Self::pin`], at an explicit epoch (an updated operator's
-    /// blocks are resident under their pair's current epoch).
-    pub fn pin_at(
-        &self,
-        kind: BlockKind,
-        i: NodeId,
-        j: NodeId,
-        epoch: u64,
-        block: MatrixS<S>,
-    ) -> bool {
-        self.insert((kind, i, j), epoch, Arc::new(block))
+        self.insert((kind, i, j), 0, Arc::new(block))
     }
 
     fn insert(&self, pair: Pair, epoch: u64, block: Arc<MatrixS<S>>) -> bool {
@@ -324,14 +284,13 @@ mod tests {
     fn hit_after_pin_miss_without_and_stats() {
         let cache = BlockCache::<f64>::new(10 * B44);
         assert!(cache.pin(Coupling, 0, 1, block(0, 1)));
-        let a = cache.get_or_generate(Coupling, 0, 1, || unreachable!());
-        let b = cache.get_or_generate(Coupling, 0, 1, || unreachable!());
+        let a = cache.get_at(Coupling, 0, 1, 0).unwrap();
+        let b = cache.get_at(Coupling, 0, 1, 0).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        // A miss hands out what it generated and keeps nothing.
-        let c = cache.get_or_generate(Coupling, 0, 2, || block(0, 2));
-        assert_eq!(c.as_slice(), block(0, 2).as_slice());
-        let d = cache.get_or_generate(Coupling, 0, 2, || block(0, 2));
-        assert!(!Arc::ptr_eq(&c, &d));
+        assert_eq!(a.as_slice(), block(0, 1).as_slice());
+        // A miss keeps nothing: it misses again.
+        assert!(cache.get_at(Coupling, 0, 2, 0).is_none());
+        assert!(cache.get_at(Coupling, 0, 2, 0).is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (2, 2, 1));
         assert_eq!((s.resident_bytes, s.evicted_bytes), (B44, 0));
@@ -348,8 +307,7 @@ mod tests {
         assert!(cache.pin(Coupling, 1, 2, block(1, 2)));
         // What remains of the budget is smaller than the next block.
         assert!(!cache.pin(Coupling, 1, 3, block(1, 3)));
-        let b = cache.get_or_generate(Coupling, 2, 3, || Matrix::zeros(0, 0));
-        assert!(b.is_empty());
+        assert!(cache.get_at(Coupling, 2, 3, 0).is_none());
         assert_eq!(cache.keys(), vec![(Coupling, 1, 2, 0)]);
         assert_eq!(cache.resident_bytes(), B44);
     }
@@ -392,8 +350,8 @@ mod tests {
         );
         assert_eq!(next.keys(), vec![(Coupling, 3, 7, 0)]);
         let (old, new) = (
-            cache.get_or_generate(Coupling, 3, 7, || unreachable!()),
-            next.get_or_generate(Coupling, 3, 7, || unreachable!()),
+            cache.get_at(Coupling, 3, 7, 0).unwrap(),
+            next.get_at(Coupling, 3, 7, 0).unwrap(),
         );
         assert!(Arc::ptr_eq(&old, &new), "carried over, not copied");
     }
@@ -401,15 +359,14 @@ mod tests {
     #[test]
     fn epochs_partition_one_pair() {
         let cache = BlockCache::<f64>::new(10 * B44);
-        assert!(cache.pin_at(Coupling, 0, 1, 0, block_at(0, 1, 0)));
+        assert!(cache.insert((Coupling, 0, 1), 0, Arc::new(block_at(0, 1, 0))));
         // A bumped epoch misses — a stale block can never be served — and
         // the resident entry stays as it is.
-        let new = cache.get_or_generate_at(Coupling, 0, 1, 1, || block_at(0, 1, 1));
-        assert_eq!(new.as_slice(), block_at(0, 1, 1).as_slice());
-        assert!(!cache.pin_at(Coupling, 0, 1, 1, block_at(0, 1, 1)));
+        assert!(cache.get_at(Coupling, 0, 1, 1).is_none());
+        assert!(!cache.insert((Coupling, 0, 1), 1, Arc::new(block_at(0, 1, 1))));
         assert_eq!(cache.keys(), vec![(Coupling, 0, 1, 0)]);
         // Its own epoch still hits.
-        let old = cache.get_or_generate_at(Coupling, 0, 1, 0, || unreachable!());
+        let old = cache.get_at(Coupling, 0, 1, 0).unwrap();
         assert_eq!(old.as_slice(), block_at(0, 1, 0).as_slice());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
@@ -421,8 +378,8 @@ mod tests {
         for j in 1..=3 {
             assert!(cache.pin(Coupling, 0, j, block(0, j)));
         }
-        cache.get_or_generate(Coupling, 0, 1, || unreachable!());
-        cache.get_or_generate(Coupling, 0, 9, || block(0, 9));
+        cache.get_at(Coupling, 0, 1, 0).unwrap();
+        assert!(cache.get_at(Coupling, 0, 9, 0).is_none());
         let before = cache.keys();
         // Node 2 was updated (epoch 1), pair (0, 3) left the schedule and
         // (0, 4) joined it.
@@ -443,7 +400,7 @@ mod tests {
                 (Coupling, 0, 4, 0)
             ]
         );
-        let got = next.get_or_generate_at(Coupling, 0, 2, 1, || unreachable!());
+        let got = next.get_at(Coupling, 0, 2, 1).unwrap();
         assert_eq!(got.as_slice(), block_at(0, 2, 1).as_slice());
         let s = next.stats();
         assert_eq!((s.hits, s.misses, s.stale_purged), (2, 1, 2));
@@ -451,7 +408,7 @@ mod tests {
         // Whoever holds the old cache sees what they saw.
         assert_eq!(cache.keys(), before);
         assert_eq!(cache.stats().stale_purged, 0);
-        cache.get_or_generate(Coupling, 0, 3, || unreachable!());
+        cache.get_at(Coupling, 0, 3, 0).unwrap();
     }
 
     /// Readers hammer whichever cache is current while one thread re-plans
@@ -496,9 +453,9 @@ mod tests {
                         let i = (state % nkeys as u64) as usize;
                         let (round, cache) = current.lock().unwrap().clone();
                         let at = epoch_in(round)(i, nkeys);
-                        let got = cache
-                            .get_or_generate_at(Nearfield, i, nkeys, at, || block_at(i, nkeys, at));
-                        assert_eq!(got.as_slice(), block_at(i, nkeys, at).as_slice());
+                        if let Some(got) = cache.get_at(Nearfield, i, nkeys, at) {
+                            assert_eq!(got.as_slice(), block_at(i, nkeys, at).as_slice());
+                        }
                         assert!(cache.resident_bytes() <= cache.budget_bytes());
                     }
                 });

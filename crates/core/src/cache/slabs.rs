@@ -7,7 +7,7 @@
 //! slab — into `Vec<MatrixS<S>>` *views*: matrices whose buffers borrow the
 //! mapped pages instead of owning heap copies (see
 //! [`MatrixS::from_slab`]). Those views slot into the existing
-//! [`crate::BlockStore`]s and the H² sweeps unchanged, which is what
+//! [`super::BlockStore`]s and the H² sweeps unchanged, which is what
 //! makes the mmap path bitwise-identical to the owned decode: it is
 //! literally the same apply code over the same bytes.
 //!

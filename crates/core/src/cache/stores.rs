@@ -10,9 +10,8 @@
 //! Only the `i <= j` half is stored for symmetric kernels
 //! (`B_{j,i} = B_{i,j}ᵀ`), exactly as the paper notes.
 //!
-//! (The stores live in `h2-cache` beside the budgeted [`crate::BlockCache`],
-//! which shares their `(i, j)`-canonical key convention; `h2-core`
-//! re-exports them.)
+//! (The stores live beside the budgeted [`super::BlockCache`], which shares
+//! their `(i, j)`-canonical key convention.)
 
 use h2_linalg::{MatrixS, Scalar};
 use h2_points::NodeId;
@@ -75,7 +74,7 @@ impl BlockIndex {
 }
 
 /// Dense blocks of one pair list — coupling (farfield) pairs or nearfield
-/// leaf pairs; [`crate::BlockKind`] tells the two apart wherever both are
+/// leaf pairs; [`super::BlockKind`] tells the two apart wherever both are
 /// in play. `None` blocks = on-the-fly.
 ///
 /// Generic over the storage scalar `S`; the sweeps apply the borrowed

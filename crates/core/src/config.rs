@@ -1,7 +1,7 @@
 //! Configuration for H² construction.
 
 use crate::builders::sketched::SketchParams;
-use h2_cache::CacheBudget;
+use crate::cache::CacheBudget;
 use h2_points::tree::TreeParams;
 use h2_sampling::SampleParams;
 

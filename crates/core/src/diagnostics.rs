@@ -14,8 +14,8 @@
 //! records after the join, so a scope around a product sees exactly that
 //! product's work at any thread count.
 
+use crate::cache::BlockKind;
 use crate::h2matrix::H2Matrix;
-use h2_cache::BlockKind;
 
 /// Block generations and cached-tier requests counted in plain integers, to
 /// be recorded into the telemetry counters (`coupling_blocks`,
@@ -68,14 +68,6 @@ impl BlockTally {
         h2_telemetry::counter_add!("cache.hit", self.cache_hits);
         h2_telemetry::counter_add!("cache.miss", self.cache_misses);
     }
-}
-
-/// Records one block generation of the given family and shape.
-#[inline]
-pub(crate) fn record_block(kind: BlockKind, rows: usize, cols: usize) {
-    let mut tally = BlockTally::default();
-    tally.add(kind, rows, cols);
-    tally.record();
 }
 
 /// Rank statistics for one tree level.

@@ -2,12 +2,12 @@
 //! Algorithm 2).
 
 use crate::builders::BuildStats;
+use crate::cache::{BlockCache, BlockKind, CacheBudget, CacheStats, CouplingStore, NearfieldStore};
 use crate::config::MemoryMode;
 use crate::diagnostics::BlockTally;
 use crate::memory::MemoryReport;
 use crate::proxy::ProxyPoints;
 use crate::sweep::SweepPlan;
-use h2_cache::{BlockCache, BlockKind, CacheBudget, CacheStats, CouplingStore, NearfieldStore};
 use h2_kernels::Kernel;
 use h2_linalg::{exec, Matrix, MatrixS, Scalar};
 use h2_points::admissibility::BlockLists;
@@ -256,9 +256,8 @@ impl<S: Scalar> H2MatrixS<S> {
     /// counters of [`crate::diagnostics`]. `(i, j)` must be a listed pair;
     /// coupling blocks want the canonical `i <= j` orientation.
     pub fn generate_block(&self, kind: BlockKind, i: NodeId, j: NodeId) -> MatrixS<S> {
-        let (rows, cols) = self.block_shape(kind, i, j);
-        crate::diagnostics::record_block(kind, rows, cols);
-        self.materialize_block(kind, i, j)
+        let mut one = self.generate_blocks(&[(kind, i, j)]);
+        one.pop().expect("one block per item")
     }
 
     /// [`Self::generate_block`] without the counting: the sweeps tally
@@ -316,38 +315,6 @@ impl<S: Scalar> H2MatrixS<S> {
         }
         tally.record();
         exec::map(items, |&(kind, i, j)| self.materialize_block(kind, i, j))
-    }
-
-    /// Applies one coupling block `y += B_{i,j} x` (any orientation of a
-    /// listed pair) through the sweeps' three-tier fetch: the materialized
-    /// store, then `cache` (callers pass the installed cache or their own),
-    /// then generation into a scratch block. `_scratch` is ignored: it
-    /// used to select between two on-the-fly variants and is kept so
-    /// existing callers compile.
-    pub fn apply_coupling_with<A: Scalar>(
-        &self,
-        cache: Option<&BlockCache<S>>,
-        _scratch: bool,
-        i: NodeId,
-        j: NodeId,
-        x: &[A],
-        y: &mut [A],
-    ) {
-        self.apply_block_with(cache, BlockKind::Coupling, i, j, x, y);
-    }
-
-    /// Applies one nearfield block `y += K(X_i, X_j) x`; see
-    /// [`Self::apply_coupling_with`].
-    pub fn apply_nearfield_with<A: Scalar>(
-        &self,
-        cache: Option<&BlockCache<S>>,
-        _scratch: bool,
-        i: NodeId,
-        j: NodeId,
-        x: &[A],
-        y: &mut [A],
-    ) {
-        self.apply_block_with(cache, BlockKind::Nearfield, i, j, x, y);
     }
 
     /// `y = Â b` — the five-sweep H² matvec of the paper's Algorithm 2: the

@@ -69,7 +69,10 @@
 //! ```
 
 pub mod builders;
+pub mod cache;
 pub mod cheb;
+#[doc(hidden)]
+pub mod compat;
 pub mod config;
 pub mod diagnostics;
 pub mod error_est;
@@ -82,8 +85,8 @@ pub mod sweep;
 pub mod update;
 
 pub use builders::BuildStats;
+pub use cache::{BlockCache, BlockKind, CacheBudget, CacheStats};
 pub use config::{BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, MemoryMode};
-pub use h2_cache::{BlockCache, BlockKind, CacheBudget, CacheStats};
 pub use h2matrix::{H2Matrix, H2MatrixS};
 pub use memory::MemoryReport;
 pub use operator::{ApplyError, H2Operator};

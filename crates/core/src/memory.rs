@@ -20,7 +20,7 @@ pub struct MemoryReport {
     /// Materialized nearfield blocks (0 in on-the-fly mode).
     pub nearfield_blocks: usize,
     /// Blocks resident in the budgeted tier between the stores and the
-    /// kernel (0 without a cache; see `h2-cache`).
+    /// kernel (0 without a cache; see [`crate::cache`]).
     pub cached_blocks: usize,
     /// Sparse pair→slot indices of both stores.
     pub block_indices: usize,

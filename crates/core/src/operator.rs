@@ -12,8 +12,8 @@
 //! `H2MatrixS<f32>` is also an `H2Operator<f64>`: the mixed-precision mode,
 //! `f32` storage with every sweep partial accumulated in `f64`.
 
+use crate::cache::CacheStats;
 use crate::h2matrix::H2MatrixS;
-use h2_cache::CacheStats;
 use h2_linalg::{MatrixS, Scalar};
 use std::fmt;
 
@@ -100,7 +100,7 @@ pub trait H2Operator<S: Scalar = f64>: Send + Sync {
     }
 
     /// Counter snapshot of the backend's budgeted block cache, if it runs
-    /// one (see `h2-cache`). `None` for backends without a cache tier —
+    /// one (see [`crate::cache`]). `None` for backends without a cache tier —
     /// the default.
     fn cache_stats(&self) -> Option<CacheStats> {
         None

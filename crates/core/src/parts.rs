@@ -12,10 +12,10 @@
 //!   sequences with their pairs.
 
 use crate::builders::BuildStats;
+use crate::cache::BlockStore;
 use crate::config::{BuilderProvenance, MemoryMode};
 use crate::h2matrix::H2MatrixS;
 use crate::proxy::ProxyPoints;
-use h2_cache::BlockStore;
 use h2_kernels::Kernel;
 use h2_linalg::{MatrixS, Scalar};
 use h2_points::admissibility::build_block_lists;

@@ -76,9 +76,9 @@
 //! product does not depend on where its blocks came from: on-the-fly ≡
 //! cached at any budget ≡ stored ≡ mapped, bit for bit.
 
+use crate::cache::{BlockCache, BlockKind};
 use crate::diagnostics::BlockTally;
 use crate::h2matrix::{sized, H2MatrixS};
-use h2_cache::{BlockCache, BlockKind};
 use h2_linalg::{exec, panel, MatrixS, Scalar};
 use h2_points::admissibility::BlockLists;
 use h2_points::{ClusterTree, NodeId};
@@ -538,7 +538,7 @@ impl Schedule {
 }
 
 /// A block as one of the three tiers serves it, column-major in `S`.
-enum Fetched<'a, S: Scalar> {
+pub(crate) enum Fetched<'a, S: Scalar> {
     /// Borrowed from a materialized (owned or mapped) store, or, not held
     /// by any tier, from [`Scratch::stored`].
     Borrowed(&'a [S]),
@@ -549,7 +549,7 @@ enum Fetched<'a, S: Scalar> {
 /// The buffers a thread materializes blocks into, sized once per product
 /// for the largest block it can generate.
 #[derive(Default)]
-struct Scratch<S> {
+pub(crate) struct Scratch<S> {
     /// A block's `f64` entries before they are rounded to a narrower `S`.
     block: Vec<f64>,
     /// A block not held, column-major in `S` as the builders store it
@@ -560,7 +560,7 @@ struct Scratch<S> {
 /// The single three-tier fetch: resident-or-mapped, then cached, then
 /// materialized into `scratch`. `(i, j)` is a listed canonical pair; a
 /// generation, and a hit or miss of the cached tier, is counted in `tally`.
-fn fetch<'a, S: Scalar>(
+pub(crate) fn fetch<'a, S: Scalar>(
     h2: &H2MatrixS<S>,
     cache: Option<&BlockCache<S>>,
     kind: BlockKind,
@@ -589,7 +589,7 @@ fn fetch<'a, S: Scalar>(
 
 impl<S: Scalar> Fetched<'_, S> {
     /// The block's entries, column-major.
-    fn as_slice(&self) -> &[S] {
+    pub(crate) fn as_slice(&self) -> &[S] {
         match self {
             Fetched::Borrowed(b) => b,
             Fetched::Cached(b) => b.as_slice(),
@@ -1079,44 +1079,6 @@ impl<S: Scalar> H2MatrixS<S> {
         match kind {
             BlockKind::Coupling => (self.ranks[i], self.ranks[j]),
             BlockKind::Nearfield => (self.tree.node(i).len(), self.tree.node(j).len()),
-        }
-    }
-
-    /// `y += B x` for the listed block of the *ordered* pair `(i, j)`
-    /// (`Bᵀ` of the canonical block when `i > j`), fetched through the
-    /// sweeps' three tiers with `cache` as the middle one.
-    pub(crate) fn apply_block_with<A: Scalar>(
-        &self,
-        cache: Option<&BlockCache<S>>,
-        kind: BlockKind,
-        i: NodeId,
-        j: NodeId,
-        x: &[A],
-        y: &mut [A],
-    ) {
-        let (lo, hi) = (i.min(j), i.max(j));
-        let resident = match kind {
-            BlockKind::Coupling => self.coupling.block(lo, hi),
-            BlockKind::Nearfield => self.nearfield.block(lo, hi),
-        };
-        let mut scratch = Scratch::default();
-        let mut tally = BlockTally::default();
-        let resident = resident.map(|(block, _)| block);
-        let block = fetch(
-            self,
-            cache,
-            kind,
-            (lo, hi),
-            resident,
-            &mut scratch,
-            &mut tally,
-        );
-        tally.record();
-        let (b, (rows, cols)) = (block.as_slice(), self.block_shape(kind, lo, hi));
-        if i > j {
-            panel::matmat_t_acc(b, rows, cols, 1, x, y);
-        } else {
-            panel::matmat_acc(b, rows, cols, 1, x, y);
         }
     }
 

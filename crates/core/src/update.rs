@@ -15,10 +15,13 @@
 //! generation — over that path and the pairs with an endpoint on it,
 //! instead of over every node and pair. (Refactoring *every* node of a
 //! fresh operator reproduces it bit for bit; a unit test below pins that.)
-//! Off-path nodes keep their bases; the drift this
-//! induces in *their* farfield surrogates is the staleness the
-//! [`UpdatePolicy`] bounds, escalating to a local leaf split (overflow) or
-//! a full from-scratch rebuild (underflow, accumulated churn).
+//! A node off the paths whose interaction list gains a partner (a grown
+//! box turned a pair admissible) joins them, with its ancestors: its `Y*`
+//! must cover the new partner's points. Other off-path nodes keep their
+//! bases; the drift this induces in *their* farfield surrogates is the
+//! staleness the [`UpdatePolicy`] bounds, escalating to a local leaf split
+//! (overflow) or a full from-scratch rebuild (underflow, accumulated
+//! churn).
 //!
 //! ## Epochs
 //!
@@ -33,10 +36,10 @@
 //! that shares the entries still current and regenerates the rest.
 
 use crate::builders::{build_with_x_star, data_driven, nested_skeleton_pass};
+use crate::cache::{BlockKind, BlockStore, CacheBudget};
 use crate::config::{BasisMethod, BuilderStrategy, H2Config};
 use crate::h2matrix::{listed_blocks, H2MatrixS};
 use crate::proxy::ProxyPoints;
-use h2_cache::{BlockKind, BlockStore, CacheBudget};
 use h2_linalg::{MatrixS, Scalar};
 use h2_points::admissibility::build_block_lists;
 use h2_points::{NodeId, PointSet};
@@ -205,11 +208,7 @@ impl<S: Scalar> H2MatrixS<S> {
                     touched.insert(b);
                 }
             }
-            let mut cur = Some(leaf);
-            while let Some(c) = cur {
-                touched.insert(c);
-                cur = self.tree.node(c).parent;
-            }
+            self.touch_path(&mut touched, leaf);
         }
         Ok(self.refactor_paths(touched, splits, pts.len(), 0))
     }
@@ -265,13 +264,18 @@ impl<S: Scalar> H2MatrixS<S> {
                 .remove_point(g)
                 .expect("underflow pre-checked above");
             self.renumber_after_remove(g);
-            let mut cur = Some(leaf);
-            while let Some(c) = cur {
-                touched.insert(c);
-                cur = self.tree.node(c).parent;
-            }
+            self.touch_path(&mut touched, leaf);
         }
         Ok(self.refactor_paths(touched, 0, 0, sorted.len()))
+    }
+
+    /// Adds `node` and its ancestors to `touched`.
+    fn touch_path(&self, touched: &mut HashSet<NodeId>, node: NodeId) {
+        let mut cur = Some(node);
+        while let Some(c) = cur {
+            touched.insert(c);
+            cur = self.tree.node(c).parent;
+        }
     }
 
     fn check_updatable(&self) -> Result<(), UpdateError> {
@@ -364,22 +368,31 @@ impl<S: Scalar> H2MatrixS<S> {
     /// tier re-planned.
     fn refactor_paths(
         &mut self,
-        touched: HashSet<NodeId>,
+        mut touched: HashSet<NodeId>,
         splits: usize,
         inserted: usize,
         removed: usize,
     ) -> UpdateReport {
         let mut state = self.update.take().expect("state initialized");
         state.churn += inserted + removed;
+        let sp = h2_telemetry::span("update.resample");
+        let new_lists = build_block_lists(&self.tree, self.lists.eta);
+        // A grown box can give a node off the paths a new interaction
+        // partner, whose points its `Y*` never sampled: that node is
+        // re-factored too, with its ancestors, whose candidates nest its
+        // skeleton.
+        for (i, list) in new_lists.interaction.iter().enumerate() {
+            let old = self.lists.interaction.get(i).map_or(&[][..], Vec::as_slice);
+            if list.iter().any(|j| !old.contains(j)) {
+                self.touch_path(&mut touched, i);
+            }
+        }
         // Within a level the order is the set's iteration order; the sweep
         // and the pass do not depend on it.
         let mut levels: Vec<Vec<NodeId>> = vec![Vec::new(); self.tree.depth() + 1];
         for &i in &touched {
             levels[self.tree.node(i).level].push(i);
         }
-
-        let sp = h2_telemetry::span("update.resample");
-        let new_lists = build_block_lists(&self.tree, self.lists.eta);
         let y_star = sample_levels(
             &self.tree,
             &new_lists,

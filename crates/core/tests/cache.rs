@@ -1,4 +1,4 @@
-//! Property tests of the budgeted block-cache tier (see `h2-cache`):
+//! Property tests of the budgeted block-cache tier (see `h2_core::cache`):
 //!
 //! - every budget — `Off`, 0 bytes, a ratio, `Unbounded` — is bitwise
 //!   identical to normal mode and to the pure on-the-fly path, across

@@ -206,3 +206,45 @@ fn rebuild_escalation_factors_a_sketched_operator_with_the_anchor_net_rule() {
         "rebuilt operator off the dense product ({err:.2e})"
     );
 }
+
+/// A grown box can give a node off every updated path a new interaction
+/// partner. Its `Y*` never sampled that partner's points, so the update
+/// must re-factor it: after every update of a seeded stream, each node
+/// whose interaction list gained a partner carries the update's epoch.
+#[test]
+fn a_node_that_gains_a_partner_is_refactored() {
+    let mut gained = 0;
+    for seed in 1..=4u64 {
+        let cfg = H2Config {
+            basis: BasisMethod::data_driven_for_tol(1e-6, 3),
+            mode: MemoryMode::OnTheFly,
+            leaf_size: 32,
+            ..H2Config::default()
+        };
+        let pts = gen::uniform_cube(1200, 3, seed);
+        let mut h2 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &cfg);
+        for op in 0..9u64 {
+            for insert in [true, false] {
+                let before = h2.lists().interaction.clone();
+                if insert {
+                    h2.insert_points(&gen::uniform_cube(2, 3, seed + 1 + op))
+                        .expect("insert");
+                } else {
+                    h2.remove_points(&[0, 1]).expect("remove");
+                }
+                for (i, list) in h2.lists().interaction.iter().enumerate() {
+                    let old = before.get(i).map_or(&[][..], Vec::as_slice);
+                    if list.iter().any(|j| !old.contains(j)) {
+                        gained += 1;
+                        assert_eq!(
+                            h2.node_epochs()[i],
+                            h2.epoch(),
+                            "seed {seed}, op {op}: node {i} gained a partner, kept its basis"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(gained > 0, "the stream changes no interaction list");
+}

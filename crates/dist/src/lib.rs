@@ -17,8 +17,8 @@
 //! - [`transport`]: a typed point-to-point [`Transport`] trait (tagged
 //!   coefficient-panel messages between ranks, fallible with
 //!   [`TransportError`]) with an in-process channel-mesh backend and
-//!   per-endpoint traffic accounting. The `h2-net` crate provides the
-//!   TCP socket backend behind the same trait; MPI could slot in too.
+//!   per-endpoint traffic accounting. [`net`] provides the TCP socket
+//!   backend behind the same trait; MPI could slot in too.
 //! - [`wire`]: the shared binary wire format — frame headers, handshake
 //!   and plan payloads, panel codecs, and the little-endian primitive
 //!   readers/writers the serving codec also builds on. Channel-mesh
@@ -62,6 +62,7 @@
 //! assert!(stats.total_bytes() > 0);
 //! ```
 
+pub mod net;
 pub mod partition;
 pub mod sharded;
 pub mod transport;

@@ -23,12 +23,12 @@
 //! — so every later call fails fast with the original error instead of
 //! feeding a corrupted mesh.
 
-use crate::config::NetConfig;
-use crate::endpoint::{accept_handshake, Expect, NetEndpoint};
-use crate::error::NetError;
+use super::config::NetConfig;
+use super::endpoint::{accept_handshake, Expect, NetEndpoint};
+use super::error::NetError;
+use crate::wire::{FrameKind, Hello, PlanSpec, TelemetryMsg, PROTOCOL_VERSION};
+use crate::{run_coordinator, TrafficStats, TransportError, TreePartition};
 use h2_core::{ApplyError, CacheStats, H2MatrixS, H2Operator};
-use h2_dist::wire::{FrameKind, Hello, PlanSpec, TelemetryMsg, PROTOCOL_VERSION};
-use h2_dist::{run_coordinator, TrafficStats, TransportError, TreePartition};
 use h2_linalg::{MatrixS, Scalar};
 use h2_telemetry::ProcessSpans;
 use std::marker::PhantomData;
@@ -233,7 +233,7 @@ impl<S: Scalar> BoundCoordinator<S> {
 }
 
 /// Where rank `peer`'s flight recorder dumps inside `dir`, for error
-/// annotations. Must match the path [`run_worker`](crate::run_worker)
+/// annotations. Must match the path [`run_worker`](super::run_worker)
 /// derives from the same config.
 fn worker_flight_ref(dir: &Path, peer: usize) -> String {
     dir.join(format!("h2-flight-rank{peer}.json"))

@@ -1,7 +1,7 @@
 //! [`NetEndpoint`]: the socket-backed [`Transport`] implementation.
 //!
 //! One endpoint per rank, one TCP connection per peer. Frames are the
-//! shared [`h2_dist::wire`] format: a fixed header plus a panel (or
+//! shared [`crate::wire`] format: a fixed header plus a panel (or
 //! control) payload. The event loop is readiness-driven over plain
 //! non-blocking sockets — no async runtime: every blocking operation
 //! (`recv` of a specific message, a full flush, waiting for an event)
@@ -24,12 +24,12 @@
 //! [`wire::HELLO_FRAME_BYTES`] frame — the same pre-charge the channel
 //! mesh applies, so [`TrafficStats`] reconcile across backends.
 
-use crate::config::NetConfig;
-use crate::error::NetError;
-use h2_dist::wire::{
+use super::config::NetConfig;
+use super::error::NetError;
+use crate::wire::{
     self, FrameHeader, FrameKind, Hello, PlanSpec, TelemetryMsg, FRAME_HEADER_BYTES,
 };
-use h2_dist::{Message, Rank, Tag, TrafficStats, Transport, TransportError};
+use crate::{Message, Rank, Tag, TrafficStats, Transport, TransportError};
 use h2_linalg::Scalar;
 use h2_telemetry::SpanRecord;
 use std::collections::{HashMap, VecDeque};

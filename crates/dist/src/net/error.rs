@@ -1,6 +1,6 @@
 //! Typed failures of the socket transport and the process topology.
 
-use h2_dist::TransportError;
+use crate::TransportError;
 use std::fmt;
 
 /// Why a networked operation failed. Establishment failures

@@ -21,12 +21,12 @@
 //! a typed [`NetError`] instead of a hang; the `h2serve shard-worker`
 //! wrapper turns that into a non-zero exit.
 
-use crate::config::NetConfig;
-use crate::endpoint::{accept_handshake, connect_handshake, Event, Expect, NetEndpoint};
-use crate::error::NetError;
+use super::config::NetConfig;
+use super::endpoint::{accept_handshake, connect_handshake, Event, Expect, NetEndpoint};
+use super::error::NetError;
+use crate::wire::{Hello, PlanSpec, TelemetryMsg, PROTOCOL_VERSION};
+use crate::{run_shard, TrafficStats, TreePartition};
 use h2_core::H2MatrixS;
-use h2_dist::wire::{Hello, PlanSpec, TelemetryMsg, PROTOCOL_VERSION};
-use h2_dist::{run_shard, TrafficStats, TreePartition};
 use h2_linalg::Scalar;
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -84,7 +84,7 @@ fn check_plan<S: Scalar>(
 /// this worker (clean exit) or a typed failure occurs.
 ///
 /// The worker applies blocks through the operator's own cache, if any —
-/// the same fallback the in-process [`ShardedH2`](h2_dist::ShardedH2)
+/// the same fallback the in-process [`ShardedH2`](crate::ShardedH2)
 /// uses, so results stay bit-identical across transports.
 pub fn run_worker<S: Scalar>(
     h2: &H2MatrixS<S>,

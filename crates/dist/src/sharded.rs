@@ -439,7 +439,7 @@ fn recv_panels<A: Scalar, T: Transport<A>>(
 
 /// One shard rank's side of the five-sweep protocol, runnable over any
 /// [`Transport`] — the channel mesh (threads) or a socket endpoint
-/// (`h2-net` worker processes): the engine's phases on the shard's plan,
+/// ([`crate::net`] worker processes): the engine's phases on the shard's plan,
 /// with the halo/top exchange between the upward and horizontal sweeps.
 /// Returns the phase breakdown; the result travels to the coordinator as a
 /// `Result` message. A transport failure (lost peer, timeout, a panel that

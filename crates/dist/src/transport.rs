@@ -166,7 +166,7 @@ pub struct TrafficStats {
 /// `(sender, tag)` stream; `recv` blocks until the requested message is
 /// available or the backend's failure detector fires. The trait is
 /// object-safe and `Send`, so backends can be threads + channels (here),
-/// sockets (`h2-net`), or MPI. Both operations are fallible: a backend
+/// sockets ([`crate::net`]), or MPI. Both operations are fallible: a backend
 /// with real failure modes returns a typed [`TransportError`] instead of
 /// hanging or panicking, and the sweep code propagates it out of
 /// the distributed matvec.

@@ -3,8 +3,8 @@
 //!
 //! Three layers previously each had their own ad-hoc byte conventions —
 //! the channel mesh's *modeled* message sizes, the serving codec's
-//! little-endian section encoders, and (new in this crate's `h2-net`
-//! consumer) real TCP frames. This module is the single source of truth
+//! little-endian section encoders, and the real TCP frames of
+//! [`crate::net`]. This module is the single source of truth
 //! they all delegate to:
 //!
 //! - [`WireWriter`] / [`WireReader`]: bounds-checked little-endian

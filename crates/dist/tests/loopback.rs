@@ -6,14 +6,14 @@
 //! traffic reconciliation against the in-process channel mesh.
 
 use h2_core::{BasisMethod, H2Config, H2Matrix, H2MatrixS, H2Operator, MemoryMode};
+use h2_dist::net::{
+    accept_handshake, connect_handshake, run_worker, BoundCoordinator, Expect, NetConfig,
+    NetEndpoint, NetError, WorkerReport,
+};
 use h2_dist::wire::{Hello, PROTOCOL_VERSION};
 use h2_dist::ShardedH2;
 use h2_kernels::Coulomb;
 use h2_linalg::Scalar;
-use h2_net::{
-    accept_handshake, connect_handshake, run_worker, BoundCoordinator, Expect, NetConfig,
-    NetEndpoint, NetError, WorkerReport,
-};
 use h2_points::gen;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;

@@ -19,8 +19,6 @@
 //! shared functions, [`radial::exp`] (within 1 ulp of `f64::exp`) and
 //! [`radial::rsqrt`] (within 2 ulp of `1.0 / r2.sqrt()`): plain `f64`
 //! arithmetic that vectorises with the tile, where a libm call did not.
-//! [`Kernel::apply_block`] is the trait's scalar loop, a timing reference
-//! only: no product runs it.
 //!
 //! Singular kernels (Coulomb, cubed Coulomb, thin-plate) define
 //! `K(x, x) = 0`, the skip-self-interaction convention of fast summation
@@ -35,14 +33,20 @@
 //! assert_eq!(k.eval(pts.point(0), pts.point(1)), 0.5);
 //! ```
 
+#[doc(hidden)]
+pub mod compat;
 pub mod radial;
+
+// h2bench names `h2_kernels::apply_block_s`.
+#[doc(hidden)]
+pub use compat::*;
 
 pub use radial::{
     Coulomb, CoulombCubed, Exponential, Gaussian, InverseMultiquadric, Matern32, RadialKernel,
     ThinPlateSpline,
 };
 
-use h2_linalg::{Matrix, Scalar};
+use h2_linalg::Matrix;
 use h2_points::PointSet;
 
 /// A (possibly unsymmetric) kernel function over point pairs.
@@ -93,31 +97,6 @@ pub trait Kernel: Send + Sync {
             }
         }
     }
-
-    /// Fused block application: `y[i] += Σ_j K(pts[rows[i]], pts[cols[j]]) x[j]`
-    /// without materializing the block, one accumulator per row, columns
-    /// ascending. No product runs it (the sweeps apply materialized blocks);
-    /// it is the scalar reference `benchmark/` and `paper profile`'s
-    /// `kernel_eval` row time the blocked paths against.
-    fn apply_block(
-        &self,
-        pts: &PointSet,
-        rows: &[usize],
-        cols: &[usize],
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        debug_assert_eq!(x.len(), cols.len());
-        debug_assert_eq!(y.len(), rows.len());
-        for (ii, &ri) in rows.iter().enumerate() {
-            let p = pts.point(ri);
-            let mut s = 0.0;
-            for (jj, &cj) in cols.iter().enumerate() {
-                s += self.eval(p, pts.point(cj)) * x[jj];
-            }
-            y[ii] += s;
-        }
-    }
 }
 
 /// Materializes the kernel submatrix `K(pts[rows], pts[cols])`.
@@ -137,35 +116,6 @@ pub fn kernel_cross_matrix(kernel: &dyn Kernel, xs: &PointSet, ys: &PointSet) ->
     let mut out = Matrix::zeros(xs.len(), ys.len());
     kernel.eval_cross_into(xs, ys, out.as_mut_slice());
     out
-}
-
-/// Generic fused block application `y[i] += Σ_j K(..) x[j]` for `A`-typed
-/// vectors. `A = f64` delegates to [`Kernel::apply_block`]; `f32` vectors
-/// are promoted and accumulated per row in f64, rounded once on store. Like
-/// [`Kernel::apply_block`], a scalar reference no product runs.
-pub fn apply_block_s<A: Scalar>(
-    kernel: &dyn Kernel,
-    pts: &PointSet,
-    rows: &[usize],
-    cols: &[usize],
-    x: &[A],
-    y: &mut [A],
-) {
-    if let Some(xf) = A::as_f64s(x) {
-        let yf = A::as_f64s_mut(y).expect("as_f64s and as_f64s_mut agree per type");
-        kernel.apply_block(pts, rows, cols, xf, yf);
-        return;
-    }
-    debug_assert_eq!(x.len(), cols.len());
-    debug_assert_eq!(y.len(), rows.len());
-    for (ii, &ri) in rows.iter().enumerate() {
-        let p = pts.point(ri);
-        let mut s = 0.0;
-        for (jj, &cj) in cols.iter().enumerate() {
-            s += kernel.eval(p, pts.point(cj)) * x[jj].to_f64();
-        }
-        y[ii] += A::from_f64(s);
-    }
 }
 
 /// Dense reference matvec `y = K(X, X) b` in O(n²) — ground truth for tests
@@ -231,9 +181,6 @@ pub fn paper_kernels() -> Vec<(&'static str, Box<dyn Kernel>)> {
     ]
 }
 
-// Re-export used by downstream crates' tests.
-pub use h2_points::pointset::dist2 as squared_distance;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,23 +197,6 @@ mod tests {
         assert_eq!(m[(0, 0)], 0.0); // singular diagonal convention
         assert_eq!(m[(0, 1)], 0.2);
         assert_eq!(m[(1, 0)], 0.2);
-    }
-
-    #[test]
-    fn apply_block_matches_materialized() {
-        let pts = h2_points::gen::uniform_cube(30, 3, 1);
-        let k = Exponential;
-        let rows: Vec<usize> = (0..10).collect();
-        let cols: Vec<usize> = (15..30).collect();
-        let x: Vec<f64> = (0..15).map(|i| (i as f64) * 0.1 - 0.5).collect();
-        let mut y1 = vec![1.0; 10];
-        k.apply_block(&pts, &rows, &cols, &x, &mut y1);
-        let b = kernel_matrix(&k, &pts, &rows, &cols);
-        let mut y2 = vec![1.0; 10];
-        b.matvec_acc(&x, &mut y2);
-        for (a, b) in y1.iter().zip(&y2) {
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -292,28 +222,6 @@ mod tests {
             for j in 0..4 {
                 assert_eq!(m[(i, j)], k.eval(xs.point(i), ys.point(j)));
             }
-        }
-    }
-
-    #[test]
-    fn apply_block_s_delegates_and_promotes() {
-        let pts = h2_points::gen::uniform_cube(30, 3, 1);
-        let k = Exponential;
-        let rows: Vec<usize> = (0..10).collect();
-        let cols: Vec<usize> = (15..30).collect();
-        let x: Vec<f64> = (0..15).map(|i| (i as f64) * 0.1 - 0.5).collect();
-        // f64: must be bitwise the virtual-dispatch path.
-        let mut y_trait = vec![1.0; 10];
-        k.apply_block(&pts, &rows, &cols, &x, &mut y_trait);
-        let mut y_gen = vec![1.0; 10];
-        apply_block_s(&k, &pts, &rows, &cols, &x, &mut y_gen);
-        assert_eq!(y_trait, y_gen);
-        // f32 vectors: accumulated in f64, close to the f64 result.
-        let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-        let mut y32 = vec![1.0_f32; 10];
-        apply_block_s(&k, &pts, &rows, &cols, &x32, &mut y32);
-        for (a, b) in y32.iter().zip(&y_trait) {
-            assert!((*a as f64 - b).abs() < 1e-5, "{a} vs {b}");
         }
     }
 

@@ -102,28 +102,6 @@ fn blocked_eval_matches_pointwise() {
 }
 
 #[test]
-fn apply_block_is_fused_matvec() {
-    cases(CASES, |r| {
-        let n = 6 + r.below(19);
-        let seed = r.below(500) as u64;
-        let pts = gen::uniform_cube(n, 3, seed);
-        let rows: Vec<usize> = (0..n / 2).collect();
-        let cols: Vec<usize> = (n / 2..n).collect();
-        let x: Vec<f64> = (0..cols.len()).map(|i| (i as f64 * 0.31).cos()).collect();
-        for k in kernels() {
-            let block = kernel_matrix(k.as_ref(), &pts, &rows, &cols);
-            let mut y1 = vec![0.25; rows.len()];
-            k.apply_block(&pts, &rows, &cols, &x, &mut y1);
-            let mut y2 = vec![0.25; rows.len()];
-            block.matvec_acc(&x, &mut y2);
-            for (a, b) in y1.iter().zip(&y2) {
-                assert!((a - b).abs() < 1e-11 * (1.0 + b.abs()));
-            }
-        }
-    });
-}
-
-#[test]
 fn gaussian_gram_is_positive_definite() {
     cases(CASES, |r| {
         let n = 3 + r.below(22);

@@ -39,16 +39,15 @@
 //! Exit status 2 is a usage error; 1 is a runtime error, printed as
 //! `h2serve <cmd>: <error>`.
 
-use h2_cache::split_budget;
+use h2_core::cache::split_budget;
 use h2_core::H2Operator;
 use h2_core::{BasisMethod, BuilderStrategy, CacheBudget, H2Config, H2MatrixS, MemoryMode};
+use h2_dist::net::{run_worker, BoundCoordinator, NetConfig, NetError, ShardCoordinator};
 use h2_kernels::{kernel_by_name, Kernel};
 use h2_linalg::Scalar;
-use h2_net::{run_worker, BoundCoordinator, NetConfig, NetError, ShardCoordinator};
 use h2_points::gen;
 use h2_serve::{
-    codec, DrainReport, LoadError, MatvecService, MetricsServer, OperatorRegistry, QueueMode,
-    TenantTable,
+    codec, DrainReport, LoadError, MatvecService, MetricsServer, OperatorRegistry, TenantTable,
 };
 use h2_telemetry::Exposition;
 use std::process::exit;
@@ -852,12 +851,7 @@ where
     // One WDRR service arbitrates all tenants; every tenant hosts the same
     // file here, so a single fused sweep serves each drained batch.
     let op = hosted.into_iter().next().ok_or("no tenant to host")?;
-    let svc = Arc::new(MatvecService::with_tenants(
-        op,
-        o.batch,
-        table.clone(),
-        QueueMode::Wdrr,
-    ));
+    let svc = Arc::new(MatvecService::for_tenants(op, o.batch, table.clone()));
     if cache_total > 0 {
         svc.set_tenant_cache_budgets(budgets);
     }

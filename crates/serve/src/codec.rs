@@ -43,7 +43,7 @@
 //!
 //! Because every matrix payload sits at a 64-byte-aligned file offset and
 //! `mmap` maps files page-aligned, a mapped file can be read *in place*:
-//! [`load_mmap`] wraps the mapping in [`h2_cache::BlockSlabs`] views and
+//! [`load_mmap`] wraps the mapping in [`h2_core::cache::BlockSlabs`] views and
 //! hands the same `MatrixS` values to the same sweeps, so the mmap path is
 //! bitwise-identical to the owned decode by construction. Slab checksums
 //! are verified on the owned path only — verifying them on the mmap path
@@ -81,7 +81,7 @@
 //! truncated, bit-flipped, or adversarially wrong file must never panic.
 
 use crate::error::LoadError;
-use h2_cache::{BlockSlabs, SlabBlock};
+use h2_core::cache::{BlockSlabs, SlabBlock};
 use h2_core::proxy::ProxyPoints;
 use h2_core::{BuilderProvenance, H2MatrixS, H2Parts, MemoryMode};
 use h2_dist::wire::{WireReader, WireWriter};
@@ -815,6 +815,15 @@ impl<R: Read> Reader<R> {
         Ok(())
     }
 
+    /// Passes over the alignment padding up to file offset `to`: no
+    /// checksum covers it, so every byte must be zero.
+    fn skip_padding(&mut self, to: usize) -> Result<(), LoadError> {
+        let mut zero = true;
+        self.stream_to(to, |pad| zero &= pad.iter().all(|&b| b == 0))?;
+        let dirty = || corrupt_directory(format!("nonzero padding before offset {to}"));
+        zero.then_some(()).ok_or_else(dirty)
+    }
+
     /// Magic, version, then every section up to and including the end
     /// marker, each checked against its checksum.
     fn header(&mut self) -> Result<Header, LoadError> {
@@ -1196,7 +1205,7 @@ fn owned_family<S: Scalar, R: Read>(
 ) -> Result<Vec<MatrixS<S>>, LoadError> {
     // `parse` placed the family and its matrices inside the file.
     let start = slab_base + f.slab_off;
-    r.stream_to(start, |_| {})?;
+    r.skip_padding(start)?;
     let mut sum = FNV_START;
     let mut mats = Vec::with_capacity(f.entries.len());
     for b in &f.entries {
@@ -1279,6 +1288,8 @@ pub fn decode_mapped<S: Scalar>(
     let mut r = Reader::of(bytes);
     let hdr = r.header()?;
     let body = parse::<S>(hdr, bytes.len(), kernel.as_ref())?;
+    // The header's padding only: it ends in the header's last page.
+    r.skip_padding(body.slab_base)?;
     let families = (body.families.iter())
         .map(|f| mapped_family(mem, body.slab_base, f))
         .collect::<Result<_, _>>()?;

@@ -30,7 +30,7 @@ pub enum SubmitError {
         /// The tenant name the submission targeted.
         tenant: String,
         /// The admission rule that fired.
-        reason: h2_tenant::AdmitError,
+        reason: crate::tenant::AdmitError,
     },
     /// The backend operator failed while serving the request — a remote
     /// shard died mid-sweep, the service was dropped with requests still

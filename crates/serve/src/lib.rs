@@ -59,11 +59,14 @@
 //! ```
 
 pub mod codec;
+#[doc(hidden)]
+pub mod compat;
 pub mod error;
 pub mod http;
 pub mod metrics;
 pub mod registry;
 pub mod service;
+pub mod tenant;
 
 pub use codec::{decode, decode_mapped, encode, load, load_mmap, save};
 pub use error::{LoadError, SubmitError};
@@ -72,5 +75,7 @@ pub use metrics::{MetricsSnapshot, ServiceMetrics};
 pub use registry::{OperatorRegistry, RegistryEntryBytes};
 pub use service::{DrainReport, MatvecService, Ticket};
 
-// Tenant QoS vocabulary, re-exported so serving callers need only h2-serve.
-pub use h2_tenant::{Admission, AdmitError, QueueMode, TenantId, TenantPolicy, TenantTable};
+pub use tenant::{Admission, AdmitError, TenantId, TenantPolicy, TenantTable};
+// h2bench names `h2_serve::QueueMode`.
+#[doc(hidden)]
+pub use compat::*;

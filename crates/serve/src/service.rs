@@ -15,9 +15,9 @@
 //!
 //! ## Multi-tenant QoS
 //!
-//! Requests are queued per tenant through an `h2-tenant`
-//! [`BatchScheduler`]: [`MatvecService::with_tenants`] takes a
-//! [`TenantTable`] and a [`QueueMode`], [`MatvecService::submit_for`]
+//! Requests are queued per tenant through a [`crate::tenant`]
+//! [`BatchScheduler`]: [`MatvecService::for_tenants`] takes a
+//! [`TenantTable`], [`MatvecService::submit_for`]
 //! routes a request to a named tenant (enforcing its admission state and
 //! queue cap with typed [`SubmitError::AdmissionRejected`] rejections), and
 //! drains pick requests by weighted deficit round robin so one flooding
@@ -29,11 +29,11 @@
 
 use crate::error::SubmitError;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
+use crate::tenant::{AdmitError, BatchScheduler, TenantTable};
 use h2_core::{H2Matrix, H2Operator};
 use h2_linalg::{MatrixS, Scalar};
 use h2_telemetry::hist::LogLinearHistogram;
 use h2_telemetry::Exposition;
-use h2_tenant::{AdmitError, BatchScheduler, QueueMode, TenantTable};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -103,7 +103,7 @@ pub struct MatvecService<O: H2Operator<S> = H2Matrix, S: Scalar = f64> {
     metrics: ServiceMetrics,
     tenant_stats: Mutex<Vec<TenantStats>>,
     /// Per-tenant byte slices of a partitioned cache budget, if the host
-    /// split one (`h2_cache::split_budget`); exported as a gauge only.
+    /// split one (`h2_core::cache::split_budget`); exported as a gauge only.
     cache_budgets: Mutex<Option<Vec<usize>>>,
 }
 
@@ -112,18 +112,12 @@ impl<S: Scalar, O: H2Operator<S>> MatvecService<O, S> {
     /// requests per sweep in arrival order: one implicit `default` tenant
     /// with open admission and an unbounded queue.
     pub fn new(op: Arc<O>, max_batch: usize) -> Self {
-        Self::with_tenants(
-            op,
-            max_batch,
-            TenantTable::single_default(),
-            QueueMode::Wdrr,
-        )
+        Self::for_tenants(op, max_batch, TenantTable::single_default())
     }
 
     /// A multi-tenant service: requests are queued per tenant under
-    /// `table`'s policies and drained by weighted deficit round robin
-    /// (`mode` has one value; see [`QueueMode`]).
-    pub fn with_tenants(op: Arc<O>, max_batch: usize, table: TenantTable, mode: QueueMode) -> Self {
+    /// `table`'s policies and drained by weighted deficit round robin.
+    pub fn for_tenants(op: Arc<O>, max_batch: usize, table: TenantTable) -> Self {
         assert!(max_batch >= 1, "batch size must be at least 1");
         assert!(!table.is_empty(), "tenant table must not be empty");
         assert_eq!(
@@ -136,7 +130,7 @@ impl<S: Scalar, O: H2Operator<S>> MatvecService<O, S> {
             op,
             max_batch,
             table: table.clone(),
-            sched: Mutex::new(BatchScheduler::new(table, mode)),
+            sched: Mutex::new(BatchScheduler::with_table(table)),
             metrics: ServiceMetrics::new(),
             tenant_stats: Mutex::new(stats),
             cache_budgets: Mutex::new(None),
@@ -154,7 +148,7 @@ impl<S: Scalar, O: H2Operator<S>> MatvecService<O, S> {
     }
 
     /// Records the per-tenant slices of a partitioned cache budget (from
-    /// [`h2_cache::split_budget`] over [`TenantTable::cache_shares`]) so
+    /// [`h2_core::cache::split_budget`] over [`TenantTable::cache_shares`]) so
     /// they appear in [`Self::expose_tenants`]. Index order must
     /// match the tenant table; extra entries are ignored.
     pub fn set_tenant_cache_budgets(&self, budgets: Vec<usize>) {
@@ -366,7 +360,7 @@ impl<S: Scalar, O: H2Operator<S>> MatvecService<O, S> {
     }
 
     /// Snapshot of the accumulated metrics. When the served operator runs a
-    /// budgeted block cache (see `h2-cache`), its counter snapshot rides
+    /// budgeted block cache (see `h2_core::cache`), its counter snapshot rides
     /// along so the cache series appear in the Prometheus exposition.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
@@ -444,10 +438,10 @@ impl<S: Scalar, O: H2Operator<S>> MatvecService<O, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenant::TenantPolicy;
     use h2_core::{BasisMethod, H2Config, H2MatrixS, MemoryMode};
     use h2_kernels::Coulomb;
     use h2_points::gen;
-    use h2_tenant::TenantPolicy;
 
     fn op(mode: MemoryMode) -> Arc<H2Matrix> {
         let pts = gen::uniform_cube(500, 3, 23);
@@ -753,7 +747,7 @@ mod tests {
     #[test]
     fn tenant_routing_admission_and_results_are_correct() {
         let op = op(MemoryMode::OnTheFly);
-        let svc = MatvecService::with_tenants(op.clone(), 4, two_tenant_table(3), QueueMode::Wdrr);
+        let svc = MatvecService::for_tenants(op.clone(), 4, two_tenant_table(3));
         let n = op.n();
         // Unknown tenants are rejected with a typed error.
         let err = svc.submit_for("nobody", rhs(n, 0)).unwrap_err();
@@ -761,7 +755,7 @@ mod tests {
             err,
             SubmitError::AdmissionRejected {
                 tenant: "nobody".into(),
-                reason: h2_tenant::AdmitError::UnknownTenant,
+                reason: crate::tenant::AdmitError::UnknownTenant,
             }
         );
         assert!(err.to_string().contains("unknown tenant"), "{err}");
@@ -779,7 +773,7 @@ mod tests {
             err,
             SubmitError::AdmissionRejected {
                 tenant: "hog".into(),
-                reason: h2_tenant::AdmitError::QueueFull { depth: 3, max: 3 },
+                reason: crate::tenant::AdmitError::QueueFull { depth: 3, max: 3 },
             }
         );
         let t_light = svc.submit_for("light", rhs(n, 5)).unwrap();
@@ -805,7 +799,7 @@ mod tests {
                 "[hog]\nweight = 1.0\n\n[light]\nweight = {light_weight:.1}\n"
             ))
             .unwrap();
-            let svc = MatvecService::with_tenants(op.clone(), batch, table, QueueMode::Wdrr);
+            let svc = MatvecService::for_tenants(op.clone(), batch, table);
             for s in 0..24 {
                 svc.submit_for("hog", rhs(n, s)).unwrap();
             }
@@ -831,7 +825,7 @@ mod tests {
         // real drain: served counts and latency quantiles reach the series.
         let op = op(MemoryMode::OnTheFly);
         let n = op.n();
-        let svc = MatvecService::with_tenants(op, 4, two_tenant_table(8), QueueMode::Wdrr);
+        let svc = MatvecService::for_tenants(op, 4, two_tenant_table(8));
         svc.submit_for("light", rhs(n, 0)).unwrap();
         svc.drain();
         let p99 = svc.tenant_latency_quantile_us("light", 0.99);
@@ -863,7 +857,7 @@ mod tests {
             },
         )])
         .unwrap();
-        let svc = MatvecService::with_tenants(op, 4, table, QueueMode::Wdrr);
+        let svc = MatvecService::for_tenants(op, 4, table);
         svc.submit(rhs(n, 0)).unwrap();
         // 1 queued + 3 more would exceed the cap of 3: all-or-nothing reject.
         let err = svc

@@ -79,7 +79,7 @@ pub struct TenantPolicy {
     /// default is effectively unlimited.
     pub max_queue: usize,
     /// Relative share of a partitioned cache budget (normalized across
-    /// tenants by [`h2_cache::split_budget`]). Must be finite and ≥ 0.
+    /// tenants by [`h2_core::cache::split_budget`]). Must be finite and ≥ 0.
     pub cache_share: f64,
     /// Admission state.
     pub admission: Admission,
@@ -334,7 +334,7 @@ impl TenantTable {
     }
 
     /// The tenants' cache shares in index order — the input to
-    /// [`h2_cache::split_budget`] when partitioning a shared byte budget.
+    /// [`h2_core::cache::split_budget`] when partitioning a shared byte budget.
     pub fn cache_shares(&self) -> Vec<f64> {
         self.policies.iter().map(|p| p.cache_share).collect()
     }

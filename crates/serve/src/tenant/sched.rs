@@ -26,23 +26,11 @@
 //! idle tenant's capacity is redistributed to the backlogged ones in
 //! proportion to *their* weights (work-conserving).
 
-use crate::policy::{Admission, TenantTable};
+use super::policy::{Admission, TenantTable};
 use std::collections::VecDeque;
 
 /// Cost of serving one request, in deficit units.
 const COST: f64 = 1.0;
-
-/// How the scheduler orders requests across tenants. There is one policy;
-/// the enum (and the `mode` parameter of [`BatchScheduler::new`]) survives
-/// only because `benchmark/`, which a PR may not edit alongside program
-/// code, names `QueueMode::Wdrr`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueMode {
-    /// Weighted deficit round robin: backlogged tenants are served in
-    /// proportion to their policy weights.
-    #[default]
-    Wdrr,
-}
 
 /// Why a submission was refused at the scheduler door. The queue state is
 /// untouched by a rejection.
@@ -91,7 +79,7 @@ pub struct BatchScheduler<T> {
 impl<T> BatchScheduler<T> {
     /// A scheduler over `table`. The WDRR quantum is fixed at
     /// `1 / min_weight` (see module docs).
-    pub fn new(table: TenantTable, _mode: QueueMode) -> BatchScheduler<T> {
+    pub fn with_table(table: TenantTable) -> BatchScheduler<T> {
         assert!(!table.is_empty(), "scheduler needs at least one tenant");
         let min_w = table
             .iter()
@@ -197,7 +185,7 @@ impl<T> BatchScheduler<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{TenantPolicy, TenantTable};
+    use crate::tenant::policy::{TenantPolicy, TenantTable};
 
     fn table(weights: &[f64]) -> TenantTable {
         TenantTable::new(weights.iter().enumerate().map(|(i, &w)| {
@@ -217,7 +205,7 @@ mod tests {
         // What every caller without tenants (`MatvecService::new`) relies
         // on: a single queue under WDRR is a plain FIFO, whatever the batch
         // size does to the credit bookkeeping.
-        let mut s = BatchScheduler::new(table(&[1.0]), QueueMode::Wdrr);
+        let mut s = BatchScheduler::with_table(table(&[1.0]));
         for k in 0..10 {
             s.push(0, k).unwrap();
         }
@@ -233,7 +221,7 @@ mod tests {
     #[test]
     fn wdrr_shares_track_weights_under_backlog() {
         // 3:1 weights, both saturated: served counts must track 3:1.
-        let mut s = BatchScheduler::new(table(&[3.0, 1.0]), QueueMode::Wdrr);
+        let mut s = BatchScheduler::with_table(table(&[3.0, 1.0]));
         for k in 0..600 {
             s.push(0, k).unwrap();
             s.push(1, k).unwrap();
@@ -257,7 +245,7 @@ mod tests {
     #[test]
     fn wdrr_is_work_conserving_when_a_tenant_idles() {
         // Only the light tenant is backlogged: it gets everything.
-        let mut s = BatchScheduler::new(table(&[100.0, 1.0]), QueueMode::Wdrr);
+        let mut s = BatchScheduler::with_table(table(&[100.0, 1.0]));
         for k in 0..32 {
             s.push(1, k).unwrap();
         }
@@ -270,7 +258,7 @@ mod tests {
     fn idle_tenants_forfeit_deficit() {
         // Tenant 0 goes idle, then returns: it must not burst past its
         // weight share on hoarded credit.
-        let mut s = BatchScheduler::new(table(&[1.0, 1.0]), QueueMode::Wdrr);
+        let mut s = BatchScheduler::with_table(table(&[1.0, 1.0]));
         for k in 0..100 {
             s.push(1, k).unwrap();
         }
@@ -297,7 +285,7 @@ mod tests {
         // Weight 4:1 with batch size 1: over 20 singleton batches the split
         // must still be 16:4, proving leftover credit is kept but a resumed
         // visit is not topped up twice.
-        let mut s = BatchScheduler::new(table(&[4.0, 1.0]), QueueMode::Wdrr);
+        let mut s = BatchScheduler::with_table(table(&[4.0, 1.0]));
         for k in 0..40 {
             s.push(0, k).unwrap();
             s.push(1, k).unwrap();
@@ -316,7 +304,7 @@ mod tests {
     fn extreme_weight_ratios_still_progress() {
         // The quantum normalization guarantees the tiny-weight tenant is
         // served on every visit, not starved for ~1e6 rounds.
-        let mut s = BatchScheduler::new(table(&[1e6, 1e-3]), QueueMode::Wdrr);
+        let mut s = BatchScheduler::with_table(table(&[1e6, 1e-3]));
         s.push(1, "tiny").unwrap();
         let batch = s.next_batch(4);
         assert_eq!(batch, vec![(1, "tiny")]);
@@ -341,7 +329,7 @@ mod tests {
             ),
         ])
         .unwrap();
-        let mut s = BatchScheduler::new(t, QueueMode::Wdrr);
+        let mut s = BatchScheduler::with_table(t);
         assert_eq!(s.push(5, 0), Err(AdmitError::UnknownTenant));
         assert_eq!(s.push(1, 0), Err(AdmitError::Closed));
         s.push(0, 1).unwrap();

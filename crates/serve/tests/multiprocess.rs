@@ -19,9 +19,9 @@
 //! cluster trace whose worker roundtrips nest under the per-batch spans.
 
 use h2_core::{BasisMethod, H2Config, H2Matrix, H2Operator, MemoryMode};
+use h2_dist::net::{BoundCoordinator, NetConfig, NetError, ShardCoordinator};
 use h2_dist::ShardedH2;
 use h2_kernels::Coulomb;
-use h2_net::{BoundCoordinator, NetConfig, NetError, ShardCoordinator};
 use h2_points::gen;
 use h2_serve::codec;
 use std::path::PathBuf;

@@ -10,8 +10,8 @@
 
 use h2_core::{BasisMethod, CacheStats, H2Config, H2Matrix, MemoryMode};
 use h2_serve::{
-    MatvecService, MetricsServer, MetricsSnapshot, OperatorRegistry, QueueMode, ServiceMetrics,
-    TenantId, TenantTable,
+    MatvecService, MetricsServer, MetricsSnapshot, OperatorRegistry, ServiceMetrics, TenantId,
+    TenantTable,
 };
 use h2_telemetry::{Exposition, SpanRecord, TelemetrySnapshot};
 use std::collections::HashMap;
@@ -191,13 +191,13 @@ fn whole_metrics_body_matches_the_golden_fixture() {
     .unwrap();
     let op = tiny();
     let rhs = || vec![1.0; op.n()];
-    let svc = MatvecService::with_tenants(op.clone(), 4, table.clone(), QueueMode::Wdrr);
+    let svc = MatvecService::for_tenants(op.clone(), 4, table.clone());
     svc.submit_for("alpha", rhs()).unwrap();
     svc.submit_for("alpha", rhs()).unwrap();
     svc.submit_for("beta", rhs()).unwrap();
     assert!(svc.submit_for("beta", rhs()).is_err(), "beta's cap is 1");
     assert!(svc.submit_for("gamma", rhs()).is_err(), "gamma is closed");
-    svc.set_tenant_cache_budgets(h2_cache::split_budget(1000, &table.cache_shares()));
+    svc.set_tenant_cache_budgets(h2_core::cache::split_budget(1000, &table.cache_shares()));
 
     let reg = OperatorRegistry::new();
     reg.insert("cube", op.clone());
@@ -252,7 +252,7 @@ fn hostile_names_cannot_forge_samples_in_any_source() {
     let hostile_tenant = "a\"b\\c}";
     let table = TenantTable::parse(&format!("[{hostile_tenant}]\n")).unwrap();
     let op = tiny();
-    let svc = MatvecService::with_tenants(op.clone(), 4, table, QueueMode::Wdrr);
+    let svc = MatvecService::for_tenants(op.clone(), 4, table);
     let reg = OperatorRegistry::new();
     reg.insert(hostile, op);
     let spans = [("evil\"span", Some(hostile), 1_000)];

@@ -64,9 +64,25 @@ fn decode_and_load(bytes: &[u8], tag: &str) -> Result<H2Matrix, LoadError> {
     loaded
 }
 
+/// The zero padding between the end marker and the 64-byte-aligned slab
+/// region: walks the sections (tag, u64 length, payload, u64 checksum)
+/// from behind the magic and version up to the end marker (tag 6).
+fn header_padding(bytes: &[u8]) -> std::ops::Range<usize> {
+    let mut at = 12;
+    loop {
+        let tag = bytes[at];
+        let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
+        at += 1 + 8 + len + 8;
+        if tag == 6 {
+            return at..at.next_multiple_of(codec::SLAB_ALIGN);
+        }
+    }
+}
+
 /// Any single flipped byte is detected: the loader returns `Err` (and
 /// in particular never panics) — magic, version, tags, lengths and
-/// payloads are all covered by structure checks or section checksums.
+/// payloads are all covered by structure checks or section checksums,
+/// and the padding before the slab region must be zero.
 #[test]
 fn corrupted_files_return_err() {
     let h2 = build(220, 2, 3, 1e-4, MemoryMode::OnTheFly);
@@ -82,6 +98,25 @@ fn corrupted_files_return_err() {
             pos
         );
     });
+    // Every padding byte, through decode, load and decode_mapped.
+    let clean = codec::encode(&h2);
+    let padding = header_padding(&clean);
+    assert!(!padding.is_empty(), "this file has no header padding");
+    assert!(clean[padding.clone()].iter().all(|&b| b == 0));
+    for pos in padding {
+        let mut bytes = clean.clone();
+        bytes[pos] ^= 1 << (pos % 8);
+        let corrupt = |e| matches!(e, LoadError::CorruptSection { .. });
+        assert!(
+            decode_and_load(&bytes, "padding").is_err_and(corrupt),
+            "owned paths accepted a flipped padding byte at {pos}"
+        );
+        let mem = h2_linalg::SlabMem::from_bytes(&bytes);
+        assert!(
+            codec::decode_mapped::<f64>(&mem, Arc::new(Coulomb)).is_err_and(corrupt),
+            "decode_mapped accepted a flipped padding byte at {pos}"
+        );
+    }
 }
 
 /// The header peeks (`stored_scalar`/`stored_builder`/`stored_epoch`)
