@@ -43,7 +43,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/core/src/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (is_x86_feature_detected! only in simd.rs, five unsafe dispatches: _avx2( in panel.rs, radial.rs, qr.rs and strategies.rs, _avx512( in radial.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc; panel.rs's apply_baseline calls transposed( before forward(), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), workspace (12 members of which 9 hold code, the h2bench-only names in compat modules, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic, no codec::encode/decode or fs::read of a whole file), bench binary and result (paper the one bench binary, each result named by run_harness.sh or check.sh), paper driver (one run_config runner and the one H2Matrix::build under crates/bench/src) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/core/src/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (is_x86_feature_detected! only in simd.rs, five unsafe dispatches: _avx2( in panel.rs, radial.rs, qr.rs and strategies.rs, _avx512( in radial.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc; panel.rs's apply_baseline calls transposed( before forward(), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), socket transport (no readiness pump, set_nonblocking only on the two listeners), workspace (12 members of which 9 hold code, shells that re-export only names h2bench uses, the h2bench-only names in compat modules, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic, no codec::encode/decode or fs::read of a whole file), bench binary and result (paper the one bench binary, each result named by run_harness.sh or check.sh), paper driver (one run_config runner and the one H2Matrix::build under crates/bench/src) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -75,9 +75,26 @@ for shell in $SHELLS; do
   REST=$(grep -v '^//!' "$shell/src/lib.rs" | tr '\n' ' ' | sed -E 's/pub use [^;]*;//g' | tr -d '[:space:]')
   [ -z "$REST" ] || { echo "$shell/src/lib.rs holds more than pub use lines and doc comments: $REST"; exit 1; }
 done
+# A shell re-exports only names h2bench uses: each is named under benchmark/src.
+for shell in $SHELLS; do
+  NAMES=$(grep -v '^//!' "$shell/src/lib.rs" | tr '\n' ' ' | tr ';' '\n' \
+    | sed -nE 's/^ *pub use [^{]*::\{?([^}]*)\}? *$/\1/p' | tr ',' '\n' | tr -d ' ' | grep -vx '\*' || true)
+  while read -r name; do
+    [ -z "$name" ] || grep -rqw -- "$name" benchmark/src \
+      || { echo "$shell re-exports $name, which nothing under benchmark/src names"; exit 1; }
+  done <<< "$NAMES"
+done
 if grep -nE '^h2-(cache|tenant|net)([ .=]|$)' Cargo.toml crates/*/Cargo.toml; then
   echo "a workspace manifest depends on a shell crate (only benchmark/ may)"; exit 1
 fi
+# The socket transport blocks: one reader thread per peer, blocking writes,
+# one wait. No readiness pump, and only the two listeners (the coordinator's
+# and the worker's peer listener) are non-blocking, for their accept polls.
+if grep -rnE 'fn pump|flush_all|IDLE_SLEEP' crates/dist/src; then echo "the socket readiness pump is back"; exit 1; fi
+NONBLOCK=$(awk '/set_nonblocking\(/ { l = prev $0; gsub(/[[:space:]]/, "", l); print FILENAME ":" l } { prev = $0 }' \
+  crates/dist/src/net/*.rs | sort | tr '\n' ' ')
+[ "$NONBLOCK" = "crates/dist/src/net/coordinator.rs:listener.set_nonblocking(true) crates/dist/src/net/worker.rs:listener.set_nonblocking(true) " ] \
+  || { echo "set_nonblocking( under crates/dist/src/net must be on the two listeners only: $NONBLOCK"; exit 1; }
 # The names only h2bench calls live in one #[doc(hidden)] `compat` module per
 # crate (crates/*/src/compat.rs); no other code line names them.
 COMPAT=$(grep -rnE 'QueueMode|get_or_generate|apply_coupling_with|apply_nearfield_with|apply_block_s|apply_block\(|with_tenants\(' \

@@ -16,7 +16,7 @@ pub struct NetConfig {
     /// Per-read/-write deadline during the blocking handshake exchange.
     pub handshake_timeout: Duration,
     /// Deadline of one blocking transport operation (a `recv` of a
-    /// specific message, a full flush). A peer silent for longer than
+    /// specific message, the write of one frame). A peer silent for longer than
     /// this mid-protocol is reported as timed out.
     pub io_timeout: Duration,
     /// Address listeners bind to; port 0 picks an ephemeral port.

@@ -195,7 +195,6 @@ impl<S: Scalar> BoundCoordinator<S> {
         for r in 0..shards {
             ep.send_control(r, FrameKind::Plan, &payload)?;
         }
-        ep.flush_all()?;
         if let Some(dir) = &self.cfg.flight_dir {
             h2_telemetry::install_flight_panic_hook(dir.join("h2-flight-coordinator.json"));
             h2_telemetry::flight_event("coordinator.admitted", format!("{shards} shards"));
@@ -450,11 +449,11 @@ impl<S: Scalar, A: Scalar> ShardCoordinator<S, A> {
         }
     }
 
-    /// Graceful teardown: asks every live worker to drain, flushes, and
-    /// waits for spawned children to exit within the `io_timeout`.
-    /// Workers that were already gone (e.g. killed for fault injection)
-    /// are skipped; a live worker that ignores the drain is killed and
-    /// reported as an unclean [`NetError::Shutdown`].
+    /// Graceful teardown: asks every live worker to drain and waits for
+    /// spawned children to exit within the `io_timeout`. Workers that were
+    /// already gone (e.g. killed for fault injection) are skipped; a live
+    /// worker that ignores the drain is killed and reported as an unclean
+    /// [`NetError::Shutdown`].
     pub fn shutdown(self) -> Result<(), NetError> {
         let mut issues = Vec::new();
         {
@@ -465,9 +464,6 @@ impl<S: Scalar, A: Scalar> ShardCoordinator<S, A> {
                     // between sweeps; the child-wait below still applies.
                     let _ = ep.send_drain(r);
                 }
-            }
-            if let Err(e) = ep.flush_all() {
-                issues.push(format!("drain flush incomplete: {e}"));
             }
         }
         let deadline = Instant::now() + self.cfg.io_timeout;

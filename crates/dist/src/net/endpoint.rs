@@ -2,20 +2,21 @@
 //!
 //! One endpoint per rank, one TCP connection per peer. Frames are the
 //! shared [`crate::wire`] format: a fixed header plus a panel (or
-//! control) payload. The event loop is readiness-driven over plain
-//! non-blocking sockets — no async runtime: every blocking operation
-//! (`recv` of a specific message, a full flush, waiting for an event)
-//! repeatedly [`pump`](NetEndpoint::pump)s all peers — flushing pending
-//! writes, draining readable bytes, parsing complete frames into per-
-//! `(rank, tag)` queues — and sleeps briefly between rounds until its
-//! deadline expires. Sends never block: frames are appended to a per-peer
-//! out-buffer and written opportunistically, which is what lets the
-//! all-sends-then-receives sweep phases run without send/recv deadlock.
+//! control) payload. Plain blocking sockets, no async runtime: one reader
+//! thread per peer reads whole frames into the endpoint's single inbox,
+//! and the thread that owns the endpoint is the only writer. Because every
+//! socket always has a reader draining it, a blocking write always makes
+//! progress, which is what lets the all-sends-then-receives sweep phases
+//! run without send/recv deadlock. Every wait (`recv` of a specific
+//! message, a plan, a span report, a pong, an event) is one loop,
+//! `wait_for`, that routes arrivals off the inbox until it has what it
+//! waits for.
 //!
-//! Failure detection is part of the loop: EOF, `ECONNRESET`/`EPIPE`, or a
-//! protocol-violating frame marks the peer dead with a reason, and every
-//! subsequent operation on it returns a typed [`TransportError`] — a lost
-//! worker surfaces within the configured `io_timeout`, never as a hang.
+//! Failure detection is part of the reader: EOF, `ECONNRESET`, or a
+//! protocol-violating frame ends it with a reason, as does a failed write
+//! on the owning thread, and every subsequent operation on that peer
+//! returns a typed [`TransportError`] — a lost worker surfaces within the
+//! configured `io_timeout`, never as a hang.
 //!
 //! Handshakes run *before* a stream joins the endpoint (blocking, with
 //! their own timeouts): `Hello` out, `HelloAck` back, verifying protocol
@@ -34,15 +35,14 @@ use h2_linalg::Scalar;
 use h2_telemetry::SpanRecord;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Largest payload a peer may announce (1 GiB); anything bigger is a
 /// protocol violation, not an allocation attempt.
 const MAX_PAYLOAD: u32 = 1 << 30;
-
-/// How long the pump sleeps when no peer had bytes ready.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
 /// Backoff after a failed connection attempt: starts at the base and
 /// doubles per attempt up to the cap.
@@ -57,37 +57,20 @@ struct RawData {
     payload: Vec<u8>,
 }
 
-struct Peer {
-    stream: TcpStream,
-    /// Bytes queued for writing, from `out_pos` on.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Bytes read but not yet parsed into frames, from `in_pos` on.
-    inb: Vec<u8>,
-    in_pos: usize,
-    alive: bool,
-    dead_reason: String,
+/// What a reader thread hands the owning thread: a whole frame, or why
+/// its link ended. A reader's frames precede its death in the inbox.
+enum Arrival {
+    Frame(FrameHeader, Vec<u8>),
+    Dead(String),
 }
 
-impl Peer {
-    fn new(stream: TcpStream) -> Self {
-        Peer {
-            stream,
-            out: Vec::new(),
-            out_pos: 0,
-            inb: Vec::new(),
-            in_pos: 0,
-            alive: true,
-            dead_reason: String::new(),
-        }
-    }
+type Inbox = (Rank, Arrival);
 
-    fn die(&mut self, reason: impl Into<String>) {
-        if self.alive {
-            self.alive = false;
-            self.dead_reason = reason.into();
-        }
-    }
+struct Peer {
+    stream: TcpStream,
+    reader: JoinHandle<()>,
+    /// Why the link ended; `None` while it is usable.
+    dead: Option<String>,
 }
 
 /// What [`NetEndpoint::wait_event`] woke up for.
@@ -111,6 +94,9 @@ pub struct NetEndpoint {
     ranks: usize,
     cfg: NetConfig,
     peers: Vec<Option<Peer>>,
+    inbox: Receiver<Inbox>,
+    /// Cloned into each reader; held here so the inbox never disconnects.
+    sender: Sender<Inbox>,
     pending: HashMap<(Rank, u8), VecDeque<RawData>>,
     plans: VecDeque<(Rank, PlanSpec)>,
     drain_from: Vec<bool>,
@@ -127,11 +113,14 @@ pub struct NetEndpoint {
 impl NetEndpoint {
     /// An endpoint for `rank` of `ranks`, with no peers connected yet.
     pub fn new(rank: Rank, ranks: usize, cfg: NetConfig) -> Self {
+        let (sender, inbox) = channel();
         NetEndpoint {
             rank,
             ranks,
             cfg,
             peers: (0..ranks).map(|_| None).collect(),
+            inbox,
+            sender,
             pending: HashMap::new(),
             plans: VecDeque::new(),
             drain_from: vec![false; ranks],
@@ -152,39 +141,48 @@ impl NetEndpoint {
         self.stats
     }
 
-    /// Adopts a freshly handshaken stream as the connection to `peer`,
-    /// switching it to non-blocking mode and charging both directions of
-    /// the completed handshake to the traffic stats.
+    /// Adopts a freshly handshaken stream as the connection to `peer`:
+    /// bounds its writes by the `io_timeout`, starts its reader thread, and
+    /// charges both directions of the completed handshake to the traffic
+    /// stats.
     pub fn add_peer(&mut self, peer: Rank, stream: TcpStream) -> Result<(), NetError> {
         let addr = stream
             .peer_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "<unknown>".into());
+        let fail = |detail: String| NetError::Handshake {
+            addr: addr.clone(),
+            detail,
+        };
         if self.peers[peer].is_some() {
-            return Err(NetError::Handshake {
-                addr,
-                detail: format!("rank {peer} connected twice"),
-            });
+            return Err(fail(format!("rank {peer} connected twice")));
         }
         // The sweep protocol is latency-bound on small panel frames.
         stream.set_nodelay(true).ok();
-        stream
-            .set_nonblocking(true)
-            .map_err(|e| NetError::Handshake {
-                addr,
-                detail: format!("could not switch to non-blocking mode: {e}"),
-            })?;
+        let read_half = stream
+            .set_write_timeout(Some(self.cfg.io_timeout))
+            .and_then(|_| stream.try_clone())
+            .map_err(|e| fail(format!("could not set up the stream: {e}")))?;
+        let (me, sender) = (self.rank, self.sender.clone());
+        let reader = std::thread::Builder::new()
+            .name(format!("h2-net-read-{peer}"))
+            .spawn(move || read_frames(read_half, peer, me, sender))
+            .map_err(|e| fail(format!("could not start the reader: {e}")))?;
         // One Hello-sized frame each way per completed handshake — the
         // identical accounting `ChannelEndpoint::mesh` pre-charges.
         self.record_sent(wire::HELLO_FRAME_BYTES);
         self.record_recv(wire::HELLO_FRAME_BYTES);
-        self.peers[peer] = Some(Peer::new(stream));
+        self.peers[peer] = Some(Peer {
+            stream,
+            reader,
+            dead: None,
+        });
         Ok(())
     }
 
     /// True while the connection to `peer` is usable.
     pub fn peer_alive(&self, peer: Rank) -> bool {
-        matches!(&self.peers[peer], Some(p) if p.alive)
+        matches!(&self.peers[peer], Some(p) if p.dead.is_none())
     }
 
     fn record_sent(&mut self, bytes: u64) {
@@ -201,33 +199,47 @@ impl NetEndpoint {
         h2_telemetry::counter_add!("net.bytes_recv", bytes);
     }
 
-    fn peer_mut(&mut self, peer: Rank) -> Result<&mut Peer, TransportError> {
-        match &self.peers[peer] {
-            Some(p) if p.alive => {}
-            Some(p) => {
-                return Err(TransportError::Disconnected {
-                    peer,
-                    detail: p.dead_reason.clone(),
-                })
-            }
-            None => {
-                return Err(TransportError::Disconnected {
-                    peer,
-                    detail: "never connected".into(),
-                })
-            }
+    fn dead_err(&self, peer: Rank) -> TransportError {
+        TransportError::Disconnected {
+            peer,
+            detail: match &self.peers[peer] {
+                Some(p) => p.dead.clone().unwrap_or_default(),
+                None => "never connected".into(),
+            },
         }
-        Ok(self.peers[peer].as_mut().expect("checked above"))
     }
 
-    /// Appends a pre-built frame to `peer`'s out-buffer and counts it.
-    fn enqueue_frame(&mut self, peer: Rank, frame: Vec<u8>) -> Result<(), TransportError> {
-        let len = frame.len() as u64;
-        self.peer_mut(peer)?.out.extend_from_slice(&frame);
-        self.record_sent(len);
-        // Opportunistic write so small control frames leave immediately.
-        self.pump_writes(peer);
-        Ok(())
+    fn deadline_err(&self, peer: Rank, what: impl Into<String>) -> TransportError {
+        TransportError::Timeout {
+            peer,
+            waiting_for: what.into(),
+            after_ms: self.cfg.io_timeout.as_millis() as u64,
+        }
+    }
+
+    /// Marks `peer` dead; the first reason sticks.
+    fn kill(&mut self, peer: Rank, reason: impl Into<String>) {
+        if let Some(p) = self.peers[peer].as_mut() {
+            p.dead.get_or_insert_with(|| reason.into());
+        }
+    }
+
+    /// Writes one whole frame to `peer`; when this returns, the frame is
+    /// in the socket. A failed write marks the peer dead, and so does one
+    /// that times out: a partial frame has desynchronised the stream.
+    fn write_frame(&mut self, peer: Rank, frame: &[u8]) -> Result<(), TransportError> {
+        let Some(p) = self.peers[peer].as_mut().filter(|p| p.dead.is_none()) else {
+            return Err(self.dead_err(peer));
+        };
+        let Err(e) = p.stream.write_all(frame) else {
+            return Ok(());
+        };
+        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+            self.kill(peer, "write timed out");
+            return Err(self.deadline_err(peer, "the peer to take a frame"));
+        }
+        self.kill(peer, format!("write failed: {e}"));
+        Err(self.dead_err(peer))
     }
 
     /// Sends a telemetry sideband message to `peer`. Never counted in the
@@ -238,15 +250,13 @@ impl NetEndpoint {
         let frame = wire::control_frame(FrameKind::Telemetry, self.rank, peer, &msg.encode());
         h2_telemetry::counter_add!("net.trace_frames", 1);
         h2_telemetry::counter_add!("net.trace_bytes", frame.len() as u64);
-        self.peer_mut(peer)?.out.extend_from_slice(&frame);
-        self.pump_writes(peer);
-        Ok(())
+        self.write_frame(peer, &frame)
     }
 
     /// Takes the most recently received trace context, if any. The
     /// coordinator sends the context before the sweep's `Scatter` on the
     /// same ordered stream, so when a sweep opens the matching context has
-    /// already been dispatched.
+    /// already been routed.
     pub fn take_trace_ctx(&mut self) -> Option<u64> {
         self.trace_ctx.take()
     }
@@ -257,7 +267,7 @@ impl NetEndpoint {
         &mut self,
         peer: Rank,
     ) -> Result<(u32, i64, Vec<SpanRecord>), TransportError> {
-        self.pump_until(peer, "span report", |ep| {
+        self.wait_for(peer, "span report", Some(self.cfg.io_timeout), |ep| {
             ep.reports.get_mut(&peer).and_then(|q| q.pop_front())
         })
     }
@@ -270,138 +280,21 @@ impl NetEndpoint {
         payload: &[u8],
     ) -> Result<(), TransportError> {
         let frame = wire::control_frame(kind, self.rank, peer, payload);
-        self.enqueue_frame(peer, frame)
+        self.write_frame(peer, &frame)?;
+        self.record_sent(frame.len() as u64);
+        Ok(())
     }
 
-    /// Flushes this peer's out-buffer as far as the socket accepts.
-    fn pump_writes(&mut self, peer: Rank) {
-        let Some(p) = self.peers[peer].as_mut() else {
-            return;
+    /// Routes one arrival: a frame to its queue, a death to its peer.
+    /// Frames from a peer already dead (of a protocol violation or a
+    /// failed write) are dropped.
+    fn arrive(&mut self, (peer, arrival): Inbox) {
+        let (header, payload) = match arrival {
+            Arrival::Dead(reason) => return self.kill(peer, reason),
+            Arrival::Frame(..) if !self.peer_alive(peer) => return,
+            Arrival::Frame(header, payload) => (header, payload),
         };
-        if !p.alive {
-            return;
-        }
-        while p.out_pos < p.out.len() {
-            match p.stream.write(&p.out[p.out_pos..]) {
-                Ok(0) => {
-                    p.die("write returned 0 (connection closed)");
-                    break;
-                }
-                Ok(n) => p.out_pos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    p.die(format!("write failed: {e}"));
-                    break;
-                }
-            }
-        }
-        if p.out_pos == p.out.len() && !p.out.is_empty() {
-            p.out.clear();
-            p.out_pos = 0;
-        } else if p.out_pos > 1 << 20 {
-            p.out.drain(..p.out_pos);
-            p.out_pos = 0;
-        }
-    }
-
-    /// Reads whatever `peer` has ready and parses complete frames.
-    fn pump_reads(&mut self, peer: Rank) {
-        let Some(p) = self.peers[peer].as_mut() else {
-            return;
-        };
-        if !p.alive {
-            return;
-        }
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            match p.stream.read(&mut buf) {
-                Ok(0) => {
-                    p.die("connection closed by peer");
-                    break;
-                }
-                Ok(n) => p.inb.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    p.die(format!("read failed: {e}"));
-                    break;
-                }
-            }
-        }
-        self.parse_frames(peer);
-    }
-
-    /// Parses every complete frame in `peer`'s in-buffer and dispatches it.
-    ///
-    /// Deliberately keeps parsing a peer that just died of EOF: the final
-    /// frames before the FIN (a `Drain`, the last sweep panels) arrived
-    /// intact and must be delivered. Only a death caused *by* parsing (a
-    /// malformed header, a protocol violation) stops the loop.
-    fn parse_frames(&mut self, peer: Rank) {
-        loop {
-            let (header, payload) = {
-                let Some(p) = self.peers[peer].as_mut() else {
-                    return;
-                };
-                let avail = p.inb.len() - p.in_pos;
-                if avail < FRAME_HEADER_BYTES {
-                    break;
-                }
-                let header =
-                    match FrameHeader::decode(&p.inb[p.in_pos..p.in_pos + FRAME_HEADER_BYTES]) {
-                        Ok(h) => h,
-                        Err(e) => {
-                            p.die(format!("malformed frame header: {e}"));
-                            return;
-                        }
-                    };
-                if header.payload_len > MAX_PAYLOAD {
-                    p.die(format!(
-                        "frame announces an absurd payload of {} bytes",
-                        header.payload_len
-                    ));
-                    return;
-                }
-                let total = FRAME_HEADER_BYTES + header.payload_len as usize;
-                if avail < total {
-                    break;
-                }
-                let payload = p.inb[p.in_pos + FRAME_HEADER_BYTES..p.in_pos + total].to_vec();
-                p.in_pos += total;
-                if p.in_pos > 1 << 20 {
-                    p.inb.drain(..p.in_pos);
-                    p.in_pos = 0;
-                }
-                (header, payload)
-            };
-            let alive_before = self.peers[peer].as_ref().is_some_and(|p| p.alive);
-            self.dispatch(peer, header, payload);
-            let alive_after = self.peers[peer].as_ref().is_some_and(|p| p.alive);
-            if alive_before && !alive_after {
-                return; // dispatch found a protocol violation
-            }
-        }
-        // Reclaim fully-consumed buffers eagerly.
-        if let Some(p) = self.peers[peer].as_mut() {
-            if p.in_pos == p.inb.len() && !p.inb.is_empty() {
-                p.inb.clear();
-                p.in_pos = 0;
-            }
-        }
-    }
-
-    fn dispatch(&mut self, peer: Rank, header: FrameHeader, payload: Vec<u8>) {
         let frame_bytes = (FRAME_HEADER_BYTES + payload.len()) as u64;
-        if header.src as usize != peer || header.dst as usize != self.rank {
-            if let Some(p) = self.peers[peer].as_mut() {
-                p.die(format!(
-                    "frame routed {} -> {} arrived on the link {} -> {}",
-                    header.src, header.dst, peer, self.rank
-                ));
-            }
-            return;
-        }
         if header.kind == FrameKind::Telemetry {
             // The observability sideband deliberately bypasses the sweep
             // traffic stats — modeled (channel) and physical (socket)
@@ -420,11 +313,7 @@ impl NetEndpoint {
                     .entry(peer)
                     .or_default()
                     .push_back((rank, offset_ns, spans)),
-                Err(e) => {
-                    if let Some(p) = self.peers[peer].as_mut() {
-                        p.die(format!("malformed telemetry payload: {e}"));
-                    }
-                }
+                Err(e) => self.kill(peer, format!("malformed telemetry payload: {e}")),
             }
             return;
         }
@@ -441,111 +330,56 @@ impl NetEndpoint {
                     });
             }
             FrameKind::Ping => {
-                // Liveness probes are answered inline by the pump itself,
-                // so a worker blocked in wait_event still looks alive.
+                // Answered inline by whichever wait routed it, so a worker
+                // blocked in wait_event still looks alive and the owning
+                // thread stays the only writer.
                 let _ = self.send_control(peer, FrameKind::Pong, &[]);
             }
             FrameKind::Pong => self.pongs[peer] += 1,
             FrameKind::Plan => match PlanSpec::decode(&payload) {
                 Ok(spec) => self.plans.push_back((peer, spec)),
-                Err(e) => {
-                    if let Some(p) = self.peers[peer].as_mut() {
-                        p.die(format!("malformed plan: {e}"));
-                    }
-                }
+                Err(e) => self.kill(peer, format!("malformed plan: {e}")),
             },
             FrameKind::Drain => self.drain_from[peer] = true,
             FrameKind::Hello | FrameKind::HelloAck => {
-                if let Some(p) = self.peers[peer].as_mut() {
-                    p.die("handshake frame after the handshake completed");
-                }
+                self.kill(peer, "handshake frame after the handshake completed")
             }
             FrameKind::Telemetry => unreachable!("handled before the sweep-traffic accounting"),
         }
     }
 
-    /// One readiness round over every connected peer: flush writes, drain
-    /// reads, parse frames.
-    pub fn pump(&mut self) {
-        for peer in 0..self.ranks {
-            if self.peers[peer].is_some() {
-                self.pump_writes(peer);
-                self.pump_reads(peer);
-            }
-        }
-    }
-
-    fn deadline_err(&self, peer: Rank, what: impl Into<String>) -> TransportError {
-        TransportError::Timeout {
-            peer,
-            waiting_for: what.into(),
-            after_ms: self.cfg.io_timeout.as_millis() as u64,
-        }
-    }
-
-    /// Pumps until `done` yields a value or `io_timeout` expires. Between
-    /// rounds the loop sleeps briefly, so waits are cheap but sub-
-    /// millisecond responsive.
-    fn pump_until<T>(
+    /// The one wait: routes arrivals until `pick` yields a value, `peer`
+    /// is dead, or `timeout` (none: wait for as long as the peer lives)
+    /// runs out. `pick` sees every frame that arrived before a death.
+    fn wait_for<T>(
         &mut self,
         peer: Rank,
         what: &str,
-        mut done: impl FnMut(&mut Self) -> Option<T>,
+        timeout: Option<Duration>,
+        mut pick: impl FnMut(&mut Self) -> Option<T>,
     ) -> Result<T, TransportError> {
-        let deadline = Instant::now() + self.cfg.io_timeout;
+        let deadline = timeout.map(|t| Instant::now() + t);
         loop {
-            self.pump();
-            if let Some(v) = done(self) {
+            if let Some(v) = pick(self) {
                 return Ok(v);
             }
-            // Check liveness after the pump so a final flush of parsed
-            // frames is consumed before the death verdict.
-            if let Some(p) = &self.peers[peer] {
-                if !p.alive {
-                    return Err(TransportError::Disconnected {
-                        peer,
-                        detail: p.dead_reason.clone(),
-                    });
-                }
-            } else {
-                return Err(TransportError::Disconnected {
-                    peer,
-                    detail: "never connected".into(),
-                });
+            if !self.peer_alive(peer) {
+                return Err(self.dead_err(peer));
             }
-            if Instant::now() >= deadline {
-                return Err(self.deadline_err(peer, what));
-            }
-            std::thread::sleep(IDLE_SLEEP);
-        }
-    }
-
-    /// Blocks until every out-buffer is on the wire (or `io_timeout`).
-    pub fn flush_all(&mut self) -> Result<(), TransportError> {
-        let deadline = Instant::now() + self.cfg.io_timeout;
-        loop {
-            self.pump();
-            let mut unflushed = None;
-            for (r, slot) in self.peers.iter().enumerate() {
-                if let Some(p) = slot {
-                    if p.alive && p.out_pos < p.out.len() {
-                        unflushed = Some(r);
-                    }
-                }
-            }
-            match unflushed {
-                None => return Ok(()),
-                Some(r) if Instant::now() >= deadline => {
-                    return Err(self.deadline_err(r, "flush of queued frames"))
-                }
-                Some(_) => std::thread::sleep(IDLE_SLEEP),
-            }
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            let arrival = self
+                .inbox
+                .recv_timeout(left)
+                .map_err(|_| self.deadline_err(peer, what))?;
+            self.arrive(arrival);
         }
     }
 
     /// Waits for the next plan frame from `peer`.
     pub fn recv_plan(&mut self, peer: Rank) -> Result<PlanSpec, TransportError> {
-        self.pump_until(peer, "partition plan", |ep| {
+        self.wait_for(peer, "partition plan", Some(self.cfg.io_timeout), |ep| {
             let front = ep.plans.front()?;
             if front.0 == peer {
                 ep.plans.pop_front().map(|(_, spec)| spec)
@@ -556,48 +390,19 @@ impl NetEndpoint {
     }
 
     /// Waits until `peer` either opens a sweep (a `Scatter` data frame is
-    /// queued) or asks this endpoint to drain. `deadline` of `None` waits
-    /// until the peer dies — the idle serve-loop posture, where only EOF
-    /// or a frame can end the wait.
-    pub fn wait_event(
-        &mut self,
-        peer: Rank,
-        deadline: Option<Duration>,
-    ) -> Result<Event, TransportError> {
+    /// queued) or asks this endpoint to drain. The idle serve-loop
+    /// posture: no deadline, only a frame or the peer's death ends it.
+    pub fn wait_event(&mut self, peer: Rank) -> Result<Event, TransportError> {
         let scatter = wire::tag_code(Tag::Scatter);
-        let expiry = deadline.map(|d| Instant::now() + d);
-        loop {
-            self.pump();
-            if self.drain_from[peer] {
-                self.drain_from[peer] = false;
-                return Ok(Event::Drained);
+        self.wait_for(peer, "sweep or drain", None, |ep| {
+            if std::mem::take(&mut ep.drain_from[peer]) {
+                return Some(Event::Drained);
             }
-            if self
-                .pending
+            ep.pending
                 .get(&(peer, scatter))
                 .is_some_and(|q| !q.is_empty())
-            {
-                return Ok(Event::SweepReady);
-            }
-            if let Some(p) = &self.peers[peer] {
-                if !p.alive {
-                    return Err(TransportError::Disconnected {
-                        peer,
-                        detail: p.dead_reason.clone(),
-                    });
-                }
-            }
-            if let Some(t) = expiry {
-                if Instant::now() >= t {
-                    return Err(TransportError::Timeout {
-                        peer,
-                        waiting_for: "sweep or drain".into(),
-                        after_ms: deadline.unwrap().as_millis() as u64,
-                    });
-                }
-            }
-            std::thread::sleep(IDLE_SLEEP);
-        }
+                .then_some(Event::SweepReady)
+        })
     }
 
     /// Round-trip liveness probe: sends a `Ping`, waits for the `Pong`.
@@ -606,7 +411,7 @@ impl NetEndpoint {
         let before = self.pongs[peer];
         let start = Instant::now();
         self.send_control(peer, FrameKind::Ping, &[])?;
-        self.pump_until(peer, "pong", |ep| {
+        self.wait_for(peer, "pong", Some(self.cfg.io_timeout), |ep| {
             (ep.pongs[peer] > before).then(|| start.elapsed())
         })
     }
@@ -614,6 +419,16 @@ impl NetEndpoint {
     /// Asks `peer` to finish outstanding work and exit, without waiting.
     pub fn send_drain(&mut self, peer: Rank) -> Result<(), TransportError> {
         self.send_control(peer, FrameKind::Drain, &[])
+    }
+}
+
+impl Drop for NetEndpoint {
+    /// Shuts every stream down, which ends its reader, and joins it.
+    fn drop(&mut self) {
+        for p in self.peers.drain(..).flatten() {
+            let _ = p.stream.shutdown(Shutdown::Both);
+            let _ = p.reader.join();
+        }
     }
 }
 
@@ -629,12 +444,15 @@ impl<A: Scalar> Transport<A> for NetEndpoint {
     fn send(&mut self, to: Rank, tag: Tag, msg: Message<A>) -> Result<(), TransportError> {
         let frame = wire::data_frame(self.rank, to, tag, &msg);
         debug_assert_eq!(frame.len() as u64, msg.bytes());
-        self.enqueue_frame(to, frame)
+        self.write_frame(to, &frame)?;
+        self.record_sent(frame.len() as u64);
+        Ok(())
     }
 
     fn recv(&mut self, from: Rank, tag: Tag) -> Result<Message<A>, TransportError> {
         let key = (from, wire::tag_code(tag));
-        let raw = self.pump_until(from, &format!("{tag:?} message"), |ep| {
+        let what = format!("{tag:?} message");
+        let raw = self.wait_for(from, &what, Some(self.cfg.io_timeout), |ep| {
             ep.pending.get_mut(&key).and_then(|q| q.pop_front())
         })?;
         wire::decode_message::<A>(raw.scalar, raw.panels, &raw.payload).map_err(|e| {
@@ -647,6 +465,62 @@ impl<A: Scalar> Transport<A> for NetEndpoint {
     fn stats(&self) -> TrafficStats {
         self.stats
     }
+}
+
+/// One peer's reader thread: whole frames from `peer` into the inbox, in
+/// arrival order, then the reason the link ended. Records no telemetry:
+/// the owning thread counts each frame as it routes it.
+fn read_frames(mut stream: TcpStream, peer: Rank, me: Rank, inbox: Sender<Inbox>) {
+    let reason = loop {
+        match read_frame(&mut stream, peer, me) {
+            Ok((header, payload)) => {
+                if inbox.send((peer, Arrival::Frame(header, payload))).is_err() {
+                    return; // the endpoint is gone
+                }
+            }
+            Err(reason) => break reason,
+        }
+    };
+    let _ = inbox.send((peer, Arrival::Dead(reason)));
+}
+
+/// Reads one frame, validating its header before any payload byte: the
+/// payload grows with the bytes that actually arrive, so a header that
+/// announces a gigabyte and then closes costs what it delivered.
+fn read_frame(
+    stream: &mut TcpStream,
+    peer: Rank,
+    me: Rank,
+) -> Result<(FrameHeader, Vec<u8>), String> {
+    let closed = |e: std::io::Error| match e.kind() {
+        ErrorKind::UnexpectedEof => "connection closed by peer".to_string(),
+        _ => format!("read failed: {e}"),
+    };
+    let mut head = [0u8; FRAME_HEADER_BYTES];
+    stream.read_exact(&mut head).map_err(closed)?;
+    let header = FrameHeader::decode(&head).map_err(|e| format!("malformed frame header: {e}"))?;
+    if header.payload_len > MAX_PAYLOAD {
+        return Err(format!(
+            "frame announces an absurd payload of {} bytes",
+            header.payload_len
+        ));
+    }
+    if header.src as usize != peer || header.dst as usize != me {
+        return Err(format!(
+            "frame routed {} -> {} arrived on the link {} -> {}",
+            header.src, header.dst, peer, me
+        ));
+    }
+    let len = header.payload_len as usize;
+    let mut payload = Vec::with_capacity(len.min(1 << 20));
+    stream
+        .take(len as u64)
+        .read_to_end(&mut payload)
+        .map_err(closed)?;
+    if payload.len() < len {
+        return Err("connection closed by peer".into());
+    }
+    Ok((header, payload))
 }
 
 // ---------------------------------------------------------------------

@@ -8,9 +8,10 @@
 //!
 //! - [`NetEndpoint`] — a [`Transport`](crate::Transport) over
 //!   length-prefixed binary frames (the shared [`crate::wire`] format)
-//!   on non-blocking sockets. A readiness-driven pump, not an async
-//!   runtime: sends enqueue into per-peer buffers, receives poll all
-//!   peers, and liveness pings are answered even while a rank idles.
+//!   on blocking sockets, without an async runtime: one reader thread per
+//!   peer feeds one inbox, the owning thread writes each frame whole, and
+//!   one wait routes arrivals, answering liveness pings even while a rank
+//!   idles.
 //!   Because [`Message::bytes`](crate::Message::bytes) *is* the frame
 //!   size, the channel mesh's modeled accounting and this backend's
 //!   physical accounting agree byte for byte.

@@ -13,8 +13,8 @@
 //!    is acyclic and the mesh forms without deadlock.
 //! 4. **Serve** — wait for sweeps (the coordinator's `Scatter` opens one)
 //!    and run [`run_shard`] for each; liveness `Ping`s are answered by the
-//!    endpoint's pump even while idle.
-//! 5. **Drain** — on the coordinator's `Drain` frame, flush and return a
+//!    endpoint's wait even while idle.
+//! 5. **Drain** — on the coordinator's `Drain` frame, return a
 //!    [`WorkerReport`] so callers can reconcile traffic accounting.
 //!
 //! Any failure — lost coordinator, dead peer, plan mismatch — surfaces as
@@ -218,7 +218,7 @@ pub fn run_worker<S: Scalar>(
         let _ = h2_telemetry::flight_dump_to(path);
     }
 
-    // Serve sweeps until drained. The pump answers pings while idle.
+    // Serve sweeps until drained. The idle wait answers pings.
     // When the plan enables tracing, each sweep adopts the coordinator's
     // trace context, runs under a labeled `net.roundtrip` span, and ships
     // the process's span buffer back as a report.
@@ -231,7 +231,7 @@ pub fn run_worker<S: Scalar>(
     }
     let cache = h2.cache().map(|c| &**c);
     let mut sweeps = 0u64;
-    while let Event::SweepReady = ep.wait_event(coord, None)? {
+    while let Event::SweepReady = ep.wait_event(coord)? {
         {
             let _trace = ep.take_trace_ctx().map(h2_telemetry::trace_scope);
             let _sp = tracing
@@ -258,7 +258,6 @@ pub fn run_worker<S: Scalar>(
             let _ = h2_telemetry::flight_dump_to(path);
         }
     }
-    ep.flush_all()?;
     if let Some(path) = &flight_path {
         h2_telemetry::flight_event("worker.drained", format!("after {sweeps} sweeps"));
         let _ = h2_telemetry::flight_dump_to(path);

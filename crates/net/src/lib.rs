@@ -1,4 +1,2 @@
 //! Shell for `benchmark/Cargo.toml`: the code is [`h2_dist::net`]; ROADMAP item 1a deletes it.
-pub use h2_dist::net::WorkerReport;
-pub use h2_dist::net::{accept_handshake, connect_handshake, Dialed, Event, Expect, NetEndpoint};
-pub use h2_dist::net::{run_worker, BoundCoordinator, NetConfig, NetError, ShardCoordinator};
+pub use h2_dist::net::{run_worker, BoundCoordinator, NetConfig, NetError};

@@ -1,4 +1,3 @@
 //! Shell for `benchmark/Cargo.toml`: the code is [`h2_serve::tenant`]; ROADMAP item 1a deletes it.
 pub use h2_serve::compat::*;
-pub use h2_serve::tenant::{policy, sched, Admission, AdmitError, BatchScheduler};
-pub use h2_serve::tenant::{PolicyError, TenantId, TenantPolicy, TenantTable};
+pub use h2_serve::tenant::{BatchScheduler, TenantTable};
