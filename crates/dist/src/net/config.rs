@@ -16,8 +16,8 @@ pub struct NetConfig {
     /// Per-read/-write deadline during the blocking handshake exchange.
     pub handshake_timeout: Duration,
     /// Deadline of one blocking transport operation (a `recv` of a
-    /// specific message, the write of one frame). A peer silent for longer than
-    /// this mid-protocol is reported as timed out.
+    /// specific message, the write of one frame). A peer silent for
+    /// longer than this mid-protocol is reported as timed out.
     pub io_timeout: Duration,
     /// Address listeners bind to; port 0 picks an ephemeral port.
     pub listen_addr: String,

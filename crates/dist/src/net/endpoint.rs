@@ -64,8 +64,6 @@ enum Arrival {
     Dead(String),
 }
 
-type Inbox = (Rank, Arrival);
-
 struct Peer {
     stream: TcpStream,
     reader: JoinHandle<()>,
@@ -94,9 +92,9 @@ pub struct NetEndpoint {
     ranks: usize,
     cfg: NetConfig,
     peers: Vec<Option<Peer>>,
-    inbox: Receiver<Inbox>,
+    inbox: Receiver<(Rank, Arrival)>,
     /// Cloned into each reader; held here so the inbox never disconnects.
-    sender: Sender<Inbox>,
+    sender: Sender<(Rank, Arrival)>,
     pending: HashMap<(Rank, u8), VecDeque<RawData>>,
     plans: VecDeque<(Rank, PlanSpec)>,
     drain_from: Vec<bool>,
@@ -288,7 +286,7 @@ impl NetEndpoint {
     /// Routes one arrival: a frame to its queue, a death to its peer.
     /// Frames from a peer already dead (of a protocol violation or a
     /// failed write) are dropped.
-    fn arrive(&mut self, (peer, arrival): Inbox) {
+    fn arrive(&mut self, (peer, arrival): (Rank, Arrival)) {
         let (header, payload) = match arrival {
             Arrival::Dead(reason) => return self.kill(peer, reason),
             Arrival::Frame(..) if !self.peer_alive(peer) => return,
@@ -470,7 +468,7 @@ impl<A: Scalar> Transport<A> for NetEndpoint {
 /// One peer's reader thread: whole frames from `peer` into the inbox, in
 /// arrival order, then the reason the link ended. Records no telemetry:
 /// the owning thread counts each frame as it routes it.
-fn read_frames(mut stream: TcpStream, peer: Rank, me: Rank, inbox: Sender<Inbox>) {
+fn read_frames(mut stream: TcpStream, peer: Rank, me: Rank, inbox: Sender<(Rank, Arrival)>) {
     let reason = loop {
         match read_frame(&mut stream, peer, me) {
             Ok((header, payload)) => {
@@ -492,12 +490,12 @@ fn read_frame(
     peer: Rank,
     me: Rank,
 ) -> Result<(FrameHeader, Vec<u8>), String> {
-    let closed = |e: std::io::Error| match e.kind() {
+    let read_err = |e: std::io::Error| match e.kind() {
         ErrorKind::UnexpectedEof => "connection closed by peer".to_string(),
         _ => format!("read failed: {e}"),
     };
     let mut head = [0u8; FRAME_HEADER_BYTES];
-    stream.read_exact(&mut head).map_err(closed)?;
+    stream.read_exact(&mut head).map_err(read_err)?;
     let header = FrameHeader::decode(&head).map_err(|e| format!("malformed frame header: {e}"))?;
     if header.payload_len > MAX_PAYLOAD {
         return Err(format!(
@@ -516,7 +514,7 @@ fn read_frame(
     stream
         .take(len as u64)
         .read_to_end(&mut payload)
-        .map_err(closed)?;
+        .map_err(read_err)?;
     if payload.len() < len {
         return Err("connection closed by peer".into());
     }
