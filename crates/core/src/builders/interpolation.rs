@@ -11,7 +11,7 @@
 use crate::cheb::ChebGrid;
 use crate::h2matrix::H2MatrixS;
 use crate::proxy::ProxyPoints;
-use h2_linalg::{exec, Matrix, Scalar};
+use h2_linalg::{exec, BasisMatrix, Matrix, Scalar};
 use h2_points::NodeId;
 
 /// Installs the uniform-rank Chebyshev generators at the given order in
@@ -39,7 +39,8 @@ pub(crate) fn factor_all<S: Scalar>(h2: &mut H2MatrixS<S>, order: usize) {
             Some(p) => grids[p].lagrange_eval_matrix(&grids[i].points()),
             None => Matrix::zeros(0, 0),
         };
-        (basis.convert::<S>(), transfer.convert::<S>())
+        let hold = |m: Matrix| BasisMatrix::from_dense(m.convert::<S>());
+        (hold(basis), hold(transfer))
     });
     (h2.bases, h2.transfers) = generators.into_iter().unzip();
     h2.ranks = grids.iter().map(|g| g.len()).collect();

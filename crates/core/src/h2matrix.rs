@@ -9,7 +9,7 @@ use crate::memory::MemoryReport;
 use crate::proxy::ProxyPoints;
 use crate::sweep::SweepPlan;
 use h2_kernels::Kernel;
-use h2_linalg::{exec, Matrix, MatrixS, Scalar};
+use h2_linalg::{exec, BasisMatrix, Matrix, MatrixS, Scalar};
 use h2_points::admissibility::BlockLists;
 use h2_points::{ClusterTree, NodeId, PointSet};
 use std::sync::Arc;
@@ -34,9 +34,9 @@ pub struct H2MatrixS<S: Scalar = f64> {
     pub(crate) kernel: Arc<dyn Kernel>,
     pub(crate) mode: MemoryMode,
     /// Leaf bases `U_i` (empty matrices for internal nodes).
-    pub(crate) bases: Vec<MatrixS<S>>,
+    pub(crate) bases: Vec<BasisMatrix<S>>,
     /// Transfer matrices `R_c` (`rank_c x rank_parent`; empty for the root).
-    pub(crate) transfers: Vec<MatrixS<S>>,
+    pub(crate) transfers: Vec<BasisMatrix<S>>,
     /// Per-node proxy points (skeletons or grids).
     pub(crate) proxies: Vec<ProxyPoints>,
     /// Per-node ranks.
@@ -166,14 +166,14 @@ impl<S: Scalar> H2MatrixS<S> {
         self.node_epochs[i].max(self.node_epochs[j])
     }
 
-    /// The leaf basis `U_i` of a node (empty for internal nodes).
-    pub fn leaf_basis(&self, i: NodeId) -> &MatrixS<S> {
-        &self.bases[i]
+    /// The leaf bases `U_i`, indexed by node (empty for internal nodes).
+    pub fn bases(&self) -> &[BasisMatrix<S>] {
+        &self.bases
     }
 
-    /// The transfer matrix `R_i` of a node (empty for the root).
-    pub fn transfer(&self, i: NodeId) -> &MatrixS<S> {
-        &self.transfers[i]
+    /// The transfer matrices `R_i`, indexed by node (empty for the root).
+    pub fn transfers(&self) -> &[BasisMatrix<S>] {
+        &self.transfers
     }
 
     /// The proxy points (skeleton indices or grid coordinates) of a node.
@@ -402,12 +402,12 @@ impl<S: Scalar> H2MatrixS<S> {
     pub fn expanded_basis(&self, i: NodeId) -> MatrixS<S> {
         let nd = self.tree.node(i);
         if nd.is_leaf() {
-            return self.bases[i].clone();
+            return self.bases[i].to_dense();
         }
         let parts: Vec<MatrixS<S>> = nd
             .children
             .iter()
-            .map(|&c| self.expanded_basis(c).matmul(&self.transfers[c]))
+            .map(|&c| self.expanded_basis(c).matmul(&self.transfers[c].to_dense()))
             .collect();
         let refs: Vec<&MatrixS<S>> = parts.iter().collect();
         MatrixS::vstack(&refs)
@@ -452,8 +452,8 @@ impl<S: Scalar> H2MatrixS<S> {
 
     /// Exact logical memory usage by component.
     pub fn memory_report(&self) -> MemoryReport {
-        let bases = self.bases.iter().map(|m| m.bytes()).sum();
-        let transfers = self.transfers.iter().map(|m| m.bytes()).sum();
+        let bases = self.bases.iter().map(BasisMatrix::bytes).sum();
+        let transfers = self.transfers.iter().map(BasisMatrix::bytes).sum();
         let proxies = self.proxies.iter().map(|p| p.bytes()).sum();
         // Largest block the OTF matvec would regenerate: coupling r_i x r_j
         // or nearfield |X_i| x |X_j|.
@@ -464,7 +464,7 @@ impl<S: Scalar> H2MatrixS<S> {
             .bases
             .iter()
             .chain(self.transfers.iter())
-            .map(|m| m.mapped_bytes())
+            .map(BasisMatrix::mapped_bytes)
             .sum();
         MemoryReport {
             bases,

@@ -9,9 +9,10 @@
 /// Byte counts per H² component.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoryReport {
-    /// Leaf basis matrices `U_i`.
+    /// Leaf basis matrices `U_i`, as held: row maps and coefficient
+    /// blocks (`h2_linalg::BasisMatrix::bytes`).
     pub bases: usize,
-    /// Transfer matrices `R_c`.
+    /// Transfer matrices `R_c`, as held.
     pub transfers: usize,
     /// Proxy data (skeleton index lists or stored grid coordinates).
     pub proxies: usize,

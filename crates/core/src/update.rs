@@ -40,7 +40,7 @@ use crate::cache::{BlockKind, BlockStore, CacheBudget};
 use crate::config::{BasisMethod, BuilderStrategy, H2Config};
 use crate::h2matrix::{listed_blocks, H2MatrixS};
 use crate::proxy::ProxyPoints;
-use h2_linalg::{MatrixS, Scalar};
+use h2_linalg::{BasisMatrix, Scalar};
 use h2_points::admissibility::build_block_lists;
 use h2_points::{NodeId, PointSet};
 use h2_sampling::{refresh_x_star, sample_levels, SampleParams};
@@ -324,8 +324,8 @@ impl<S: Scalar> H2MatrixS<S> {
     /// the re-factor path, which fills them in.
     fn grow_node_arrays(&mut self) {
         let n_nodes = self.tree.node_count();
-        self.bases.resize(n_nodes, MatrixS::zeros(0, 0));
-        self.transfers.resize(n_nodes, MatrixS::zeros(0, 0));
+        self.bases.resize(n_nodes, BasisMatrix::default());
+        self.transfers.resize(n_nodes, BasisMatrix::default());
         self.proxies
             .resize(n_nodes, ProxyPoints::Indices(Vec::new()));
         self.ranks.resize(n_nodes, 0);

@@ -195,8 +195,8 @@ fn sketched_builds_are_bit_reproducible_per_seed() {
         assert_eq!(a.ranks(), c.ranks());
         for i in 0..a.tree().node_count() {
             assert_eq!(skeleton(&a, i), skeleton(&c, i), "node {i}");
-            assert_eq!(a.leaf_basis(i).as_slice(), c.leaf_basis(i).as_slice());
-            assert_eq!(a.transfer(i).as_slice(), c.transfer(i).as_slice());
+            assert_eq!(a.bases()[i], c.bases()[i]);
+            assert_eq!(a.transfers()[i], c.transfers()[i]);
         }
         let d = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg(1e-6, mode, 43));
         assert_ne!(
@@ -245,10 +245,10 @@ fn sketched_skeletons_nest_and_root_is_rank_zero() {
         );
         // Shapes: leaf bases are m x rank; transfers rank_c x rank_parent.
         if nd.is_leaf() {
-            assert_eq!(h2.leaf_basis(id).shape(), (nd.len(), h2.rank(id)));
+            assert_eq!(h2.bases()[id].shape(), (nd.len(), h2.rank(id)));
         } else {
             for &c in &nd.children {
-                assert_eq!(h2.transfer(c).shape(), (h2.rank(c), h2.rank(id)));
+                assert_eq!(h2.transfers()[c].shape(), (h2.rank(c), h2.rank(id)));
             }
         }
     }

@@ -30,6 +30,7 @@
 //! assert_eq!(y, vec![4.0, 4.0, 4.0]);
 //! ```
 
+pub mod basis;
 pub mod blas;
 pub mod chol;
 pub mod exec;
@@ -44,6 +45,7 @@ pub mod sketch;
 pub mod slab;
 pub mod vec_ops;
 
+pub use basis::BasisMatrix;
 pub use id::{ColumnId, RowId};
 pub use matrix::{Matrix, MatrixS};
 pub use qr::PivotedQr;

@@ -22,6 +22,7 @@
 //!   the existing (virtual-dispatch) kernel entry points so that the `f64`
 //!   path stays bit-for-bit what it was before the stack went generic.
 
+use crate::basis::RowIndex;
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
@@ -80,6 +81,9 @@ pub trait Scalar:
     const CODE: u8;
     /// Size of one element in bytes (= `std::mem::size_of::<Self>()`).
     const BYTES: usize;
+    /// The row-map entry of a [`crate::BasisMatrix`] over this scalar: half
+    /// its width, so an `f32` basis holds half the bytes of an `f64` one.
+    type Index: RowIndex;
 
     /// Conversion from `f64` (rounds for `f32`).
     fn from_f64(v: f64) -> Self;
@@ -133,6 +137,7 @@ impl Scalar for f64 {
     const NAME: &'static str = "f64";
     const CODE: u8 = 8;
     const BYTES: usize = 8;
+    type Index = u32;
 
     #[inline]
     fn from_f64(v: f64) -> Self {
@@ -196,6 +201,7 @@ impl Scalar for f32 {
     const NAME: &'static str = "f32";
     const CODE: u8 = 4;
     const BYTES: usize = 4;
+    type Index = u16;
 
     #[inline]
     fn from_f64(v: f64) -> Self {

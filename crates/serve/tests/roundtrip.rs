@@ -2,8 +2,10 @@
 //! modes, robustness of the loader against truncated/corrupted bytes, and
 //! the on-the-fly vs normal file-size split.
 
-use h2_core::{BasisMethod, H2Config, H2Matrix, MemoryMode};
+use h2_core::{BasisMethod, BuilderStrategy, H2Config, H2Matrix, MemoryMode};
 use h2_kernels::Coulomb;
+use h2_linalg::scalar::bits;
+use h2_linalg::{BasisMatrix, Matrix, SlabMem};
 use h2_points::gen::{self, cases};
 use h2_serve::{codec, LoadError};
 use std::sync::Arc;
@@ -45,6 +47,88 @@ fn save_load_matvec_is_bit_identical() {
             assert_eq!(loaded.mode(), mode);
         }
     });
+}
+
+/// Bases and transfers hold their unit rows as column indices
+/// (`BasisMatrix`). For a data-driven, a sketched and an interpolation
+/// operator in both modes, the built operator, `from_parts(to_parts)`, the
+/// owned decode and the mapped decode apply with the same bits, and
+/// `memory_report` counts the bytes the matrices hold.
+#[test]
+fn split_bases_keep_their_products_on_every_path() {
+    let n = 900;
+    let pts = gen::uniform_cube(n, 3, 5);
+    let b = probe(n, 3);
+    let panel = Matrix::from_fn(n, 3, |i, j| ((i * 3 + j) as f64 * 0.29).cos());
+    for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
+        let base = H2Config {
+            mode,
+            leaf_size: 48,
+            eta: 0.7,
+            ..H2Config::default()
+        };
+        let cfgs = [
+            (
+                "data-driven",
+                H2Config {
+                    basis: BasisMethod::data_driven_for_tol(1e-6, 3),
+                    ..base.clone()
+                },
+            ),
+            (
+                "sketched",
+                H2Config {
+                    builder: BuilderStrategy::sketched_for_tol(1e-6, 3),
+                    ..base.clone()
+                },
+            ),
+            (
+                "interpolation",
+                H2Config {
+                    basis: BasisMethod::Interpolation { order: 4 },
+                    ..base.clone()
+                },
+            ),
+        ];
+        for (name, cfg) in cfgs {
+            let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
+            let generators = || h2.bases().iter().chain(h2.transfers());
+            let dense: usize = generators().map(|m| m.to_dense().bytes()).sum();
+            let held: usize = generators().map(BasisMatrix::bytes).sum();
+            assert!(held <= dense, "{name} {mode:?}: {held} > {dense}");
+            if name != "interpolation" {
+                assert!(
+                    generators().any(|m| m.unit_rows() > 0),
+                    "{name}: no unit row"
+                );
+                assert!(held < dense, "{name} {mode:?}: {held} of {dense}");
+            }
+            let bytes = codec::encode(&h2);
+            let ops = [
+                H2Matrix::from_parts(h2.to_parts(), Arc::new(Coulomb)).expect("from_parts"),
+                codec::decode::<f64>(&bytes, Arc::new(Coulomb)).expect("decode"),
+                codec::decode_mapped::<f64>(&SlabMem::from_bytes(&bytes), Arc::new(Coulomb))
+                    .expect("decode_mapped"),
+            ];
+            let (want, want_panel) = (bits(&h2.matvec(&b)), h2.matmat(&panel));
+            for (path, op) in ["from_parts", "decode", "decode_mapped"].iter().zip(&ops) {
+                let what = format!("{name} {mode:?} {path}");
+                assert_eq!(bits(&op.matvec(&b)), want, "{what}");
+                let got_panel = op.matmat(&panel);
+                assert_eq!(
+                    bits(got_panel.as_slice()),
+                    bits(want_panel.as_slice()),
+                    "{what}"
+                );
+                let r = op.memory_report();
+                let held: usize = (op.bases().iter().chain(op.transfers()))
+                    .map(BasisMatrix::bytes)
+                    .sum();
+                assert_eq!(r.bases + r.transfers, held, "{what}");
+                assert!(codec::encode(op) == bytes, "{what}: re-encoded bytes");
+            }
+        }
+    }
 }
 
 /// A file of this test binary in the temporary directory.
