@@ -22,9 +22,10 @@ echo "== cargo test =="
 #   `panicking_factor_rule`.
 # - precision (f32 / mixed vs f64): h2-core tests/precision.rs; the `f32` /
 #   `mixed` / `precision` tests of h2-dist and h2-serve.
-# - cache properties (budget endpoints, invariant, concurrency): h2-core's
-#   `cache` module and tests/cache.rs; the `cache` tests of h2-dist and
-#   h2-serve.
+# - block table (every budget x precision x width bitwise normal, an
+#   update carries clean blocks by Arc, invariant, concurrency): h2-core's
+#   `cache::table` module and tests/cache.rs; the `cache` tests of h2-dist
+#   and h2-serve.
 # - cache residency (resident set = f(operator, budget), equal to a
 #   re-budgeted clone after updates and at product widths 1/2/3/8; readers
 #   beside a re-plan): `residency_is_a_function_of_operator_and_budget` in
@@ -43,7 +44,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/core/src/cache, no telemetry off the caller), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (is_x86_feature_detected! only in simd.rs, five unsafe dispatches: _avx2( in panel.rs, radial.rs, qr.rs and strategies.rs, _avx512( in radial.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc; panel.rs's apply_baseline calls transposed( before forward(), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), socket transport (no readiness pump, set_nonblocking only on the two listeners), workspace (12 members of which 9 hold code, shells that re-export only names h2bench uses, the h2bench-only names in compat modules, leaf_basis( and .transfer( among them, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic, no codec::encode/decode or fs::read of a whole file), bench binary and result (paper the one bench binary, each result named by run_harness.sh or check.sh), paper driver (one run_config runner and the one H2Matrix::build under crates/bench/src) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/core/src/cache, no telemetry off the caller), block fetch (two tiers: no Fetched::Cached, no RwLock under crates/core/src, no cache argument to Sweep::new), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (is_x86_feature_detected! only in simd.rs, five unsafe dispatches: _avx2( in panel.rs, radial.rs, qr.rs and strategies.rs, _avx512( in radial.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc; panel.rs's apply_baseline calls transposed( before forward(), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), socket transport (no readiness pump, set_nonblocking only on the two listeners), workspace (12 members of which 9 hold code, shells that re-export only names h2bench uses, the h2bench-only names in compat modules, leaf_basis(, .transfer(, BlockCache and the block stores among them, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic, no codec::encode/decode or fs::read of a whole file), bench binary and result (paper the one bench binary, each result named by run_harness.sh or check.sh), paper driver (one run_config runner and the one H2Matrix::build under crates/bench/src) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -55,7 +56,16 @@ SCOPES=$(non_test $(find crates/linalg/src crates/sampling/src crates/core/src -
 # (grep without -q reads to the end: an early exit would SIGPIPE awk under pipefail)
 non_test crates/linalg/src/exec.rs | grep "std::thread::scope(" > /dev/null
 if grep -rnwE "last_use|make_room|try_reserve|with_shards|freq" crates/core/src/cache; then echo "the dynamic cache is back"; exit 1; fi
-if grep -nE "counter_add!|span\(" crates/core/src/cache/resident.rs; then echo "the cache records telemetry on helper threads"; exit 1; fi
+if grep -nE "counter_add!|span\(" crates/core/src/cache/table.rs; then echo "the block table records telemetry on helper threads"; exit 1; fi
+# The fetch has two tiers: the slot the plan filled, or the block
+# materialized into scratch. No third (cached) tier, no lock a product
+# takes to read a block, and the sweeps read the operator's own table.
+if grep -rnE "Fetched::Cached|RwLock" crates/core/src; then echo "a second block tier or a lock on the fetch is back"; exit 1; fi
+SWEEP_NEW=$(awk '/^#\[cfg\(test\)\]/ { exit } /pub fn new\(/ { f = 1 } f { print } f && /\{$/ { exit }' crates/core/src/sweep.rs)
+if [ -z "$SWEEP_NEW" ] || grep -n "cache" <<< "$SWEEP_NEW" \
+  || grep -rnE "Sweep(::<[^>]*>)?::new\([^)]*cache" crates src tests examples; then
+  echo "Sweep::new takes a cache (the sweeps read the operator's table)"; exit 1
+fi
 MANIFESTS="Cargo.toml Cargo.lock crates/*/Cargo.toml vendor/*/Cargo.toml"
 if grep -nE 'criterion|h2-sketch|h2-solvers|\[\[bench\]\]|serde([^_]|_derive|$)' $MANIFESTS; then
   echo "a manifest names criterion, a [[bench]], h2-sketch, h2-solvers, or a serde other than serde_json"; exit 1
@@ -98,8 +108,10 @@ NONBLOCK=$(awk '/set_nonblocking\(/ { l = prev $0; gsub(/[[:space:]]/, "", l); p
 # The names only h2bench calls live in one #[doc(hidden)] `compat` module per
 # crate (crates/*/src/compat.rs); no other code line names them. Program code
 # reads bases and transfers as `bases()` / `transfers()` (BasisMatrix), not
-# through h2bench's `leaf_basis(` / `.transfer(` coefficient blocks.
-COMPAT=$(grep -rnE 'QueueMode|get_or_generate|apply_coupling_with|apply_nearfield_with|apply_block_s|apply_block\(|with_tenants\(|leaf_basis\(|\.transfer\(' \
+# through h2bench's `leaf_basis(` / `.transfer(` coefficient blocks, and
+# blocks through `table()`, not the `BlockCache` alias or the
+# `coupling_store()` / `nearfield_store()` views.
+COMPAT=$(grep -rnE 'QueueMode|BlockCache|coupling_store|nearfield_store|get_or_generate|apply_coupling_with|apply_nearfield_with|apply_block_s|apply_block\(|with_tenants\(|leaf_basis\(|\.transfer\(' \
   --include='*.rs' crates src tests examples | grep -vE '^crates/[a-z]+/src/compat\.rs:' \
   | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
 [ -z "$COMPAT" ] || { echo "a compat name outside the compat modules: $COMPAT"; exit 1; }

@@ -17,7 +17,7 @@
 //! `--builder sketched`) render `—` when absent instead.
 
 use crate::{json_record, median_ms, run_config, Args, Case, Table, Value};
-use h2_core::{BasisMethod, BuilderStrategy, H2Config, H2Matrix, H2MatrixS, MemoryMode};
+use h2_core::{BasisMethod, BlockKind, BuilderStrategy, H2Config, H2Matrix, H2MatrixS, MemoryMode};
 use h2_dist::ShardedH2;
 use h2_kernels::{paper_kernels, Coulomb};
 use h2_linalg::{panel, vec_ops::rel_err, Matrix, MatrixS, Scalar};
@@ -279,7 +279,6 @@ pub fn run(args: &Args, n: usize, tol: f64, reps: usize) -> Result<Value, String
         "build.transfers",
         "build.basis",
         "build.blocks",
-        "build.cache",
     ] {
         let of_phase = || totals.iter().filter(|((name, _), _)| name == phase);
         let count: u64 = of_phase().map(|(_, t)| t.count).sum();
@@ -525,9 +524,12 @@ fn panel_ns<S: Scalar, A: Scalar>(
 
 /// The coupling and nearfield blocks of a stored operator.
 fn stored_blocks<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<&MatrixS<S>> {
-    let coupling = h2.coupling_store().blocks().unwrap_or_default();
-    let nearfield = h2.nearfield_store().blocks().unwrap_or_default();
-    coupling.iter().chain(nearfield).collect()
+    let table = h2.table();
+    let stored = |kind| table.stored_blocks(kind).unwrap_or_default();
+    [BlockKind::Coupling, BlockKind::Nearfield]
+        .into_iter()
+        .flat_map(stored)
+        .collect()
 }
 
 /// Share of the bytes of `blocks` in blocks with fewer than `rows` rows.

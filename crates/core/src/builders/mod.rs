@@ -1,5 +1,5 @@
-//! Construction: tree → block lists → per-node generators → (optionally)
-//! materialized blocks.
+//! Construction: tree → block lists → per-node generators → the block
+//! table.
 //!
 //! [`build`] is the single entry point used by [`crate::H2Matrix::build`].
 //! The two nested-skeleton methods (data-driven, sketched) share one
@@ -13,9 +13,9 @@ pub mod data_driven;
 pub mod interpolation;
 pub mod sketched;
 
-use crate::cache::BlockStore;
-use crate::config::{BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, MemoryMode};
-use crate::h2matrix::{listed_blocks, H2MatrixS};
+use crate::cache::BlockTable;
+use crate::config::{BasisMethod, BuilderProvenance, BuilderStrategy, H2Config};
+use crate::h2matrix::H2MatrixS;
 use crate::proxy::ProxyPoints;
 use h2_kernels::Kernel;
 use h2_linalg::id::{row_id_consume, RowId};
@@ -38,7 +38,8 @@ pub struct BuildStats {
     pub sampling_ms: f64,
     /// Basis generation: row IDs / grid evaluations, transfers, skeletons.
     pub basis_ms: f64,
-    /// Coupling/nearfield block materialization (zero in on-the-fly mode).
+    /// The block table's plan: every coupling/nearfield block in normal
+    /// mode, the budget's first fit on the fly (zero without a budget).
     pub blocks_ms: f64,
     /// End-to-end construction time.
     pub total_ms: f64,
@@ -174,8 +175,9 @@ pub(crate) fn nested_skeleton_pass<S: Scalar, N: Send>(
 }
 
 /// Builds an [`H2MatrixS`]: cluster tree, admissibility lists, per-node
-/// generators for the configured basis method, and (in normal mode) the
-/// materialized coupling/nearfield blocks.
+/// generators for the configured basis method, and the block table: every
+/// coupling/nearfield block in normal mode, the first fit of
+/// `cfg.cache_budget` on the fly.
 ///
 /// The whole factorization pipeline (sampling, kernel matrices, row IDs)
 /// runs in `f64` regardless of `S`; generators and blocks are rounded to the
@@ -227,14 +229,12 @@ pub(crate) fn build_with_x_star<S: Scalar>(
         tree,
         lists,
         kernel,
-        mode: cfg.mode,
         bases: vec![BasisMatrix::default(); n_nodes],
         transfers: vec![BasisMatrix::default(); n_nodes],
         proxies: vec![ProxyPoints::Indices(Vec::new()); n_nodes],
         ranks: vec![0; n_nodes],
-        coupling: BlockStore::on_the_fly(&[]),
-        nearfield: BlockStore::on_the_fly(&[]),
-        cache: None,
+        // Listed, with its blocks, by the plan below.
+        table: Arc::new(BlockTable::listed([&[], &[]], Some(0))),
         provenance: BuilderProvenance::default(),
         stats: BuildStats::default(),
         epoch: 0,
@@ -269,23 +269,12 @@ pub(crate) fn build_with_x_star<S: Scalar>(
     let basis_ms = ms_since(t) - sampling_ms;
     drop(sp);
 
+    // One plan installs the table, whatever the mode: every block in normal
+    // mode, the budget's first fit (none by default) on the fly.
     let sp = h2_telemetry::span("build.blocks");
     let t = Instant::now();
-    let (ip, np) = (&h2.lists.interaction_pairs, &h2.lists.nearfield_pairs);
-    let (coupling, nearfield) = match cfg.mode {
-        MemoryMode::OnTheFly => (BlockStore::on_the_fly(ip), BlockStore::on_the_fly(np)),
-        MemoryMode::Normal => {
-            let all: Vec<_> = listed_blocks(&h2.lists).collect();
-            let mut coupling_blocks = h2.generate_blocks(&all);
-            let nearfield_blocks = coupling_blocks.split_off(ip.len());
-            (
-                BlockStore::normal(ip, coupling_blocks),
-                BlockStore::normal(np, nearfield_blocks),
-            )
-        }
-    };
-    h2.coupling = coupling;
-    h2.nearfield = nearfield;
+    let holding = h2.holding(cfg.mode, cfg.cache_budget);
+    h2.table = Arc::new(h2.plan_table(&h2.table, holding));
     let blocks_ms = ms_since(t);
     drop(sp);
 
@@ -301,18 +290,6 @@ pub(crate) fn build_with_x_star<S: Scalar>(
         sketch_retries: sketch.retries,
         sketch_max_rounds: sketch.max_rounds,
     };
-    // The budgeted block-cache tier over on-the-fly operators: install and
-    // warm it up (pins in sweep-execution order) as part of construction,
-    // so the first matvec already runs against a hot cache.
-    if cfg.mode == MemoryMode::OnTheFly && !cfg.cache_budget.is_off() {
-        let sp = h2_telemetry::span("build.cache");
-        let t = Instant::now();
-        h2.set_cache_budget(cfg.cache_budget);
-        let warm_ms = ms_since(t);
-        drop(sp);
-        h2.stats.blocks_ms += warm_ms;
-        h2.stats.total_ms += warm_ms;
-    }
     (h2, x_star)
 }
 

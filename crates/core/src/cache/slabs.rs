@@ -6,9 +6,9 @@
 //! this type turns a family's directory — shapes plus offsets into the
 //! slab — into `Vec<MatrixS<S>>` *views*: matrices whose buffers borrow the
 //! mapped pages instead of owning heap copies (see
-//! [`MatrixS::from_slab`]). Those views slot into the existing
-//! [`super::BlockStore`]s and the H² sweeps unchanged, which is what
-//! makes the mmap path bitwise-identical to the owned decode: it is
+//! [`MatrixS::from_slab`]). Those views fill the slots of the operator's
+//! [`super::BlockTable`] and the H² sweeps read them unchanged, which is
+//! what makes the mmap path bitwise-identical to the owned decode: it is
 //! literally the same apply code over the same bytes.
 //!
 //! Construction is fully checked (bounds, element alignment, little-endian
@@ -80,7 +80,7 @@ impl<S: Scalar> BlockSlabs<S> {
     }
 
     /// All matrices, in entry order, as zero-copy views. This is what the
-    /// block stores and generator lists are built from on the mmap path.
+    /// block table and generator lists are built from on the mmap path.
     pub fn views(&self) -> Vec<MatrixS<S>> {
         (0..self.entries.len()).map(|k| self.view(k)).collect()
     }

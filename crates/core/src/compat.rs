@@ -1,27 +1,24 @@
 //! Names no program path calls, kept for h2bench (`benchmark/`): thin
-//! adapters over the sweeps' own fetch, so a probe still times program code.
+//! adapters over the block table and the sweeps' own fetch, so a probe
+//! still times program code.
 
-use crate::cache::{BlockCache, BlockKind};
+use crate::cache::{BlockKind, BlockTable};
 use crate::sweep::{fetch, Scratch};
 use crate::{diagnostics::BlockTally, h2matrix::H2MatrixS};
 use h2_linalg::{panel, MatrixS, Scalar};
 use h2_points::NodeId;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-impl<S: Scalar> BlockCache<S> {
-    /// [`Self::get_or_generate_at`] at epoch 0. Held by `benchmark/src/probes.rs`.
-    #[doc(hidden)]
-    pub fn get_or_generate(
-        &self,
-        kind: BlockKind,
-        i: NodeId,
-        j: NodeId,
-        generate: impl FnOnce() -> MatrixS<S>,
-    ) -> Arc<MatrixS<S>> {
-        self.get_or_generate_at(kind, i, j, 0, generate)
-    }
+/// The block table behind a lock, for a caller that pins blocks through
+/// `&self`. Held by `benchmark/src/probes.rs`.
+pub type BlockCache<S> = Locked<BlockTable<S>>;
 
-    /// [`Self::get_at`], or the block `generate` makes. Held by `benchmark/src/replay.rs`.
+/// A value behind a mutex.
+pub struct Locked<T>(Mutex<T>);
+
+impl<S: Scalar> BlockTable<S> {
+    /// [`Self::get_at`], or the block `generate` makes. Held by
+    /// `benchmark/src/replay.rs`.
     #[doc(hidden)]
     pub fn get_or_generate_at(
         &self,
@@ -31,12 +28,69 @@ impl<S: Scalar> BlockCache<S> {
         epoch: u64,
         generate: impl FnOnce() -> MatrixS<S>,
     ) -> Arc<MatrixS<S>> {
-        let resident = self.get_at(kind, i, j, epoch);
-        resident.unwrap_or_else(|| Arc::new(generate()))
+        let held = self.get_at(kind, i, j, epoch);
+        held.unwrap_or_else(|| Arc::new(generate()))
+    }
+}
+
+impl<S: Scalar> Locked<BlockTable<S>> {
+    /// An empty table of `budget_bytes` that [`Self::pin`] lists pairs on.
+    pub fn new(budget_bytes: usize) -> Self {
+        Locked(Mutex::new(BlockTable::listed(
+            [&[], &[]],
+            Some(budget_bytes),
+        )))
+    }
+
+    fn table(&self) -> MutexGuard<'_, BlockTable<S>> {
+        self.0.lock().expect("a pin panicked inside the table")
+    }
+
+    /// Lists the canonical pair `(i, j)` and holds `block` there at epoch
+    /// 0, if the slot is empty and the block fits what is left of the
+    /// budget.
+    pub fn pin(&self, kind: BlockKind, i: NodeId, j: NodeId, block: MatrixS<S>) -> bool {
+        self.table().hold(kind, (i, j), 0, Arc::new(block))
+    }
+
+    /// [`BlockTable::get_or_generate_at`] at epoch 0, the block generated
+    /// outside the lock.
+    pub fn get_or_generate(
+        &self,
+        kind: BlockKind,
+        i: NodeId,
+        j: NodeId,
+        generate: impl FnOnce() -> MatrixS<S>,
+    ) -> Arc<MatrixS<S>> {
+        let held = self.table().get_at(kind, i, j, 0);
+        held.unwrap_or_else(|| Arc::new(generate()))
+    }
+}
+
+/// One family of an operator's table, as h2bench reads it.
+pub struct Store<'a, S: Scalar>(&'a BlockTable<S>, BlockKind);
+
+impl<'a, S: Scalar> Store<'a, S> {
+    /// [`BlockTable::stored_blocks`]. Held by `benchmark/src/replay.rs`.
+    pub fn blocks(&self) -> Option<Vec<&'a MatrixS<S>>> {
+        self.0.stored_blocks(self.1)
     }
 }
 
 impl<S: Scalar> H2MatrixS<S> {
+    /// The coupling family of the block table. Held by
+    /// `benchmark/src/replay.rs`.
+    #[doc(hidden)]
+    pub fn coupling_store(&self) -> Store<'_, S> {
+        Store(&self.table, BlockKind::Coupling)
+    }
+
+    /// The nearfield family, likewise.
+    #[doc(hidden)]
+    pub fn nearfield_store(&self) -> Store<'_, S> {
+        Store(&self.table, BlockKind::Nearfield)
+    }
+
     /// The dense storage of the leaf basis `U_i`'s coefficient rows
     /// ([`h2_linalg::BasisMatrix::coefficients`]). Held by
     /// `benchmark/src/replay.rs`.
@@ -52,65 +106,66 @@ impl<S: Scalar> H2MatrixS<S> {
         self.transfers[i].coefficients()
     }
 
-    /// `y += B_{i,j} x`, either orientation, through the sweeps' fetch with
-    /// `cache` as its middle tier. Held by `benchmark/src/replay.rs`.
+    /// `y += B_{i,j} x`, either orientation, through the sweeps' fetch
+    /// (the table is the operator's own; `_cache` is ignored). Held by
+    /// `benchmark/src/replay.rs`.
     #[doc(hidden)]
     pub fn apply_coupling_with<A: Scalar>(
         &self,
-        cache: Option<&BlockCache<S>>,
+        _cache: Option<&BlockTable<S>>,
         _scratch: bool,
         i: NodeId,
         j: NodeId,
         x: &[A],
         y: &mut [A],
     ) {
-        self.apply_block_with(cache, BlockKind::Coupling, (i, j), x, y);
+        self.apply_block_with(BlockKind::Coupling, (i, j), x, y);
     }
 
     /// `y += K(X_i, X_j) x`, likewise. Held by `benchmark/src/replay.rs`.
     #[doc(hidden)]
     pub fn apply_nearfield_with<A: Scalar>(
         &self,
-        cache: Option<&BlockCache<S>>,
+        _cache: Option<&BlockTable<S>>,
         _scratch: bool,
         i: NodeId,
         j: NodeId,
         x: &[A],
         y: &mut [A],
     ) {
-        self.apply_block_with(cache, BlockKind::Nearfield, (i, j), x, y);
+        self.apply_block_with(BlockKind::Nearfield, (i, j), x, y);
     }
 
     /// `Bᵀ` of the canonical block when `i > j`.
     fn apply_block_with<A: Scalar>(
         &self,
-        cache: Option<&BlockCache<S>>,
         kind: BlockKind,
         (i, j): (NodeId, NodeId),
         x: &[A],
         y: &mut [A],
     ) {
         let (lo, hi) = (i.min(j), i.max(j));
-        let store = match kind {
-            BlockKind::Coupling => &self.coupling,
-            BlockKind::Nearfield => &self.nearfield,
-        };
-        let resident = store.block(lo, hi).map(|(block, _)| block);
+        let (slot, _) = self
+            .table
+            .pair_index(kind)
+            .slot(lo, hi)
+            .expect("a listed pair");
         let (mut s, mut tally) = (Scratch::default(), BlockTally::default());
-        let block = fetch(self, cache, kind, (lo, hi), resident, &mut s, &mut tally);
-        tally.record();
-        let (b, (rows, cols)) = (block.as_slice(), self.block_shape(kind, lo, hi));
+        let b = fetch(self, kind, (slot, lo, hi), &mut s, &mut tally);
+        let (rows, cols) = self.block_shape(kind, lo, hi);
         if i > j {
             panel::matmat_t_acc(b, rows, cols, 1, x, y);
         } else {
             panel::matmat_acc(b, rows, cols, 1, x, y);
         }
+        tally.record(self);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::cache::{BlockCache, BlockKind, CacheBudget};
+    use super::BlockCache;
+    use crate::cache::{BlockKind, CacheBudget};
     use crate::config::{BasisMethod, H2Config, MemoryMode};
     use crate::error_est::probe_vector;
     use crate::h2matrix::H2Matrix;
@@ -127,14 +182,15 @@ mod tests {
         }
         let requests = [(0, 1, 0), (0, 1, 0), (0, 2, 0), (0, 1, 1), (1, 3, 0)];
         for (i, j, epoch) in requests {
-            let got =
-                shim.get_or_generate_at(BlockKind::Coupling, i, j, epoch, || Matrix::zeros(2, 2));
-            let resident = direct.get_at(BlockKind::Coupling, i, j, epoch);
+            let got = shim
+                .table()
+                .get_or_generate_at(BlockKind::Coupling, i, j, epoch, || Matrix::zeros(2, 2));
+            let resident = direct.table().get_at(BlockKind::Coupling, i, j, epoch);
             assert_eq!(got.nrows(), resident.map_or(2, |b| b.nrows()));
         }
         shim.get_or_generate(BlockKind::Nearfield, 2, 2, || Matrix::zeros(1, 1));
-        direct.get_at(BlockKind::Nearfield, 2, 2, 0);
-        let (a, b) = (shim.stats(), direct.stats());
+        direct.table().get_at(BlockKind::Nearfield, 2, 2, 0);
+        let (a, b) = (shim.table().stats(), direct.table().stats());
         assert_eq!((a.hits, a.misses), (b.hits, b.misses));
         assert_eq!((a.hits, a.misses), (2, 4));
     }
@@ -172,14 +228,13 @@ mod tests {
                     };
                     let x = probe_vector(cols, (a * 31 + b) as u64);
                     let (mut got, mut want) = (vec![0.5; rows], vec![0.5; rows]);
-                    // Through the cached tier (a hit or a miss) and without it.
-                    let tier = if checked % 2 == 0 { cache } else { None };
+                    // A held block or a materialized one, whatever `cache` says.
                     match kind {
                         BlockKind::Coupling => {
-                            h2.apply_coupling_with(tier, true, a, b, &x, &mut got)
+                            h2.apply_coupling_with(cache, true, a, b, &x, &mut got)
                         }
                         BlockKind::Nearfield => {
-                            h2.apply_nearfield_with(tier, true, a, b, &x, &mut got)
+                            h2.apply_nearfield_with(cache, true, a, b, &x, &mut got)
                         }
                     }
                     let block = h2.generate_block(kind, i, j);

@@ -15,9 +15,10 @@
 //! product's work at any thread count.
 
 use crate::cache::BlockKind;
-use crate::h2matrix::H2Matrix;
+use crate::h2matrix::{H2Matrix, H2MatrixS};
+use h2_linalg::Scalar;
 
-/// Block generations and cached-tier requests counted in plain integers, to
+/// Block generations and block-table reads counted in plain integers, to
 /// be recorded into the telemetry counters (`coupling_blocks`,
 /// `nearfield_blocks`, `kernel_evals`, `cache.hit`, `cache.miss`) by
 /// whichever thread should own the counts.
@@ -40,15 +41,15 @@ impl BlockTally {
         self.kernel_evals += (rows * cols) as u64;
     }
 
-    /// Counts one request to the cached tier: a hit, or a miss that
-    /// generated the block.
-    pub(crate) fn add_cached(&mut self, hit: bool, kind: BlockKind, rows: usize, cols: usize) {
-        if hit {
-            self.cache_hits += 1;
-        } else {
-            self.cache_misses += 1;
-            self.add(kind, rows, cols);
-        }
+    /// Counts one read the table served.
+    pub(crate) fn hit(&mut self) {
+        self.cache_hits += 1;
+    }
+
+    /// Counts one read the table did not serve: the block was generated.
+    pub(crate) fn miss(&mut self, kind: BlockKind, rows: usize, cols: usize) {
+        self.cache_misses += 1;
+        self.add(kind, rows, cols);
     }
 
     /// Adds another tally's counts.
@@ -60,8 +61,14 @@ impl BlockTally {
         self.cache_misses += other.cache_misses;
     }
 
-    /// Records the counts on the calling thread.
-    pub(crate) fn record(self) {
+    /// Records the counts of work on `h2` on the calling thread. Hits and
+    /// misses are cached-tier traffic only where `h2` has a cache: they go
+    /// to the cache's counters and telemetry, else nowhere.
+    pub(crate) fn record<S: Scalar>(mut self, h2: &H2MatrixS<S>) {
+        match h2.cache() {
+            Some(cache) => cache.count(self.cache_hits, self.cache_misses),
+            None => (self.cache_hits, self.cache_misses) = (0, 0),
+        }
         h2_telemetry::counter_add!("coupling_blocks", self.coupling_blocks);
         h2_telemetry::counter_add!("nearfield_blocks", self.nearfield_blocks);
         h2_telemetry::counter_add!("kernel_evals", self.kernel_evals);

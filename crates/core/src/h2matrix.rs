@@ -2,7 +2,7 @@
 //! Algorithm 2).
 
 use crate::builders::BuildStats;
-use crate::cache::{BlockCache, BlockKind, CacheBudget, CacheStats, CouplingStore, NearfieldStore};
+use crate::cache::{BlockKind, BlockTable, CacheBudget, CacheStats, Pairs};
 use crate::config::MemoryMode;
 use crate::diagnostics::BlockTally;
 use crate::memory::MemoryReport;
@@ -32,7 +32,6 @@ pub struct H2MatrixS<S: Scalar = f64> {
     pub(crate) tree: ClusterTree,
     pub(crate) lists: BlockLists,
     pub(crate) kernel: Arc<dyn Kernel>,
-    pub(crate) mode: MemoryMode,
     /// Leaf bases `U_i` (empty matrices for internal nodes).
     pub(crate) bases: Vec<BasisMatrix<S>>,
     /// Transfer matrices `R_c` (`rank_c x rank_parent`; empty for the root).
@@ -41,21 +40,19 @@ pub struct H2MatrixS<S: Scalar = f64> {
     pub(crate) proxies: Vec<ProxyPoints>,
     /// Per-node ranks.
     pub(crate) ranks: Vec<usize>,
-    pub(crate) coupling: CouplingStore<S>,
-    pub(crate) nearfield: NearfieldStore<S>,
-    /// Budgeted block cache between the stores and the kernel (installed
-    /// over on-the-fly operators when a [`CacheBudget`] is active).
-    pub(crate) cache: Option<Arc<BlockCache<S>>>,
+    /// The listed pairs and the blocks held for them: every one in normal
+    /// mode, the first fit of a [`CacheBudget`] on the fly.
+    pub(crate) table: Arc<BlockTable<S>>,
     /// Which construction pipeline produced the generators.
     pub(crate) provenance: crate::config::BuilderProvenance,
     pub(crate) stats: BuildStats,
     /// Monotonic update epoch: 0 at construction, bumped once per applied
     /// incremental update batch (see [`crate::update`]). Part of every
-    /// cached block's key, so stale blocks can never satisfy a post-update
+    /// held block's key, so stale blocks can never satisfy a post-update
     /// fetch.
     pub(crate) epoch: u64,
     /// Per-node epochs: the operator epoch at which each node's blocks
-    /// last changed. A pair's cache epoch is the max over its endpoints.
+    /// last changed. A pair's epoch is the max over its endpoints.
     pub(crate) node_epochs: Vec<u64>,
     /// Incremental-update bookkeeping (maintained surrogate table, policy);
     /// initialized lazily by the first update.
@@ -74,6 +71,11 @@ pub(crate) fn listed_blocks(
     let nearfield = lists.nearfield_pairs.iter();
     (coupling.map(|&(i, j)| (BlockKind::Coupling, i, j)))
         .chain(nearfield.map(|&(i, j)| (BlockKind::Nearfield, i, j)))
+}
+
+/// The two pair lists the block table is listed on.
+pub(crate) fn pairs(lists: &BlockLists) -> Pairs<'_> {
+    [&lists.interaction_pairs, &lists.nearfield_pairs]
 }
 
 /// The first `len` entries of `buf`, which grows (with default values) only
@@ -123,9 +125,13 @@ impl<S: Scalar> H2MatrixS<S> {
         self.kernel.as_ref()
     }
 
-    /// The memory mode this matrix was built with.
+    /// The memory mode this matrix was built with: normal when its table
+    /// holds every listed block.
     pub fn mode(&self) -> MemoryMode {
-        self.mode
+        match self.table.budget() {
+            None => MemoryMode::Normal,
+            Some(_) => MemoryMode::OnTheFly,
+        }
     }
 
     /// Per-node approximation ranks.
@@ -160,7 +166,7 @@ impl<S: Scalar> H2MatrixS<S> {
         &self.node_epochs
     }
 
-    /// The epoch a cached block for the pair `(i, j)` is keyed under: the
+    /// The epoch a held block for the pair `(i, j)` is keyed under: the
     /// max of the two endpoints' node epochs.
     pub fn pair_epoch(&self, i: NodeId, j: NodeId) -> u64 {
         self.node_epochs[i].max(self.node_epochs[j])
@@ -181,25 +187,20 @@ impl<S: Scalar> H2MatrixS<S> {
         &self.proxies[i]
     }
 
-    /// The coupling-block store (materialized in normal mode, index-only in
-    /// on-the-fly mode).
-    pub fn coupling_store(&self) -> &CouplingStore<S> {
-        &self.coupling
+    /// The block table: the listed pairs and the blocks held for them.
+    pub fn table(&self) -> &Arc<BlockTable<S>> {
+        &self.table
     }
 
-    /// The nearfield-block store.
-    pub fn nearfield_store(&self) -> &NearfieldStore<S> {
-        &self.nearfield
+    /// The table when it is a budgeted cache: on the fly, under a budget of
+    /// more than 0 bytes.
+    pub fn cache(&self) -> Option<&Arc<BlockTable<S>>> {
+        matches!(self.table.budget(), Some(bytes) if bytes > 0).then_some(&self.table)
     }
 
-    /// The installed block cache, if any.
-    pub fn cache(&self) -> Option<&Arc<BlockCache<S>>> {
-        self.cache.as_ref()
-    }
-
-    /// Counter snapshot of the installed cache (`None` without one).
+    /// Counter snapshot of the cache (`None` without one).
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
+        self.cache().map(|c| c.stats())
     }
 
     /// Total bytes of all coupling + nearfield blocks were they all
@@ -211,11 +212,10 @@ impl<S: Scalar> H2MatrixS<S> {
         bytes.sum()
     }
 
-    /// Installs (or, for a budget resolving to 0 bytes, removes) the
-    /// budgeted block cache over an on-the-fly operator: the blocks that
-    /// fit the budget first-fit in sweep-execution order
-    /// (`plan_cache`), generated in parallel. No-op in normal mode,
-    /// where every block is already resident.
+    /// Installs a fresh table over an on-the-fly operator: the blocks that
+    /// fit the budget first-fit in sweep-execution order, generated in
+    /// parallel (none for a budget that resolves to 0 bytes). No-op in
+    /// normal mode, where every block is already held.
     ///
     /// Every block the sweeps apply is the `S`-scalar block the normal
     /// builder stores, held or materialized on demand, applied with the
@@ -224,27 +224,39 @@ impl<S: Scalar> H2MatrixS<S> {
     /// `MemoryMode::OnTheFly` — budgets trade time for memory, never
     /// accuracy.
     pub fn set_cache_budget(&mut self, budget: CacheBudget) {
-        self.cache = None;
-        if self.coupling.is_materialized() {
+        let Some(bytes) = self.holding(self.mode(), budget) else {
             return;
-        }
-        let bytes = budget.resolve(self.full_block_bytes());
-        if bytes > 0 {
-            let empty = BlockCache::new(bytes);
-            self.cache = Some(Arc::new(self.plan_cache(&empty)));
+        };
+        // From a table of no pairs: fresh counters, nothing to carry.
+        let fresh = BlockTable::listed([&[], &[]], Some(0));
+        self.table = Arc::new(self.plan_table(&fresh, Some(bytes)));
+    }
+
+    /// What a table of `mode` holds under `budget`: every listed block in
+    /// normal mode (`None`, resolved against the lists at every plan), the
+    /// first fit of the resolved budget on the fly.
+    pub(crate) fn holding(&self, mode: MemoryMode, budget: CacheBudget) -> Option<usize> {
+        match mode {
+            MemoryMode::Normal => None,
+            MemoryMode::OnTheFly if budget.is_off() => Some(0),
+            MemoryMode::OnTheFly => Some(budget.resolve(self.full_block_bytes())),
         }
     }
 
-    /// The cached tier under the budget of `prev`: the blocks of the whole
-    /// product's [`SweepPlan::block_schedule`] that fit it first-fit, each
-    /// under its pair's current epoch. Residency is a function of the
-    /// operator and the budget only; `prev` (an empty cache, or the one an
-    /// update replaces) contributes its counters and the blocks that are
-    /// still current, the rest are generated as one step of the executor,
-    /// counted on the calling thread.
-    pub(crate) fn plan_cache(&self, prev: &BlockCache<S>) -> BlockCache<S> {
-        prev.replan(
-            SweepPlan::whole(self).block_schedule(self),
+    /// The successor of `prev` that holds `budget` on this operator's lists:
+    /// the blocks of the whole product's [`SweepPlan::block_schedule`] the
+    /// budget takes, each under its pair's current epoch. Residency is a
+    /// function of the operator and the budget only; `prev` (a fresh table,
+    /// or the one an update replaces) contributes its counters and the
+    /// blocks that are still current, the rest are generated as one step of
+    /// the executor, counted on the calling thread.
+    pub(crate) fn plan_table(&self, prev: &BlockTable<S>, budget: Option<usize>) -> BlockTable<S> {
+        // A budget of 0 bytes holds nothing: no schedule to walk.
+        let plan = (budget != Some(0)).then(|| SweepPlan::whole(self));
+        prev.successor(
+            pairs(&self.lists),
+            budget,
+            plan.iter().flat_map(|plan| plan.block_schedule(self)),
             |i, j| self.pair_epoch(i, j),
             |fresh| self.generate_blocks(fresh),
         )
@@ -252,7 +264,7 @@ impl<S: Scalar> H2MatrixS<S> {
 
     /// Materializes one coupling or nearfield block exactly as the normal
     /// builder does (same kernel evaluations, same `S` rounding) — the
-    /// generation primitive of every cache tier, counted in the telemetry
+    /// generation primitive of the block table, counted in the telemetry
     /// counters of [`crate::diagnostics`]. `(i, j)` must be a listed pair;
     /// coupling blocks want the canonical `i <= j` orientation.
     pub fn generate_block(&self, kind: BlockKind, i: NodeId, j: NodeId) -> MatrixS<S> {
@@ -271,9 +283,8 @@ impl<S: Scalar> H2MatrixS<S> {
 
     /// The entries of the listed block `(i, j)` into the column-major `out`,
     /// each written once: the kernel evaluated in `f64` — into `wide` first
-    /// when `S` is narrower — and rounded once to `S`. What the builders
-    /// store, the cached tier holds and the sweeps apply when a block is not
-    /// held.
+    /// when `S` is narrower — and rounded once to `S`. What the table holds
+    /// and the sweeps apply when a block is not held.
     pub(crate) fn materialize_into(
         &self,
         kind: BlockKind,
@@ -304,8 +315,8 @@ impl<S: Scalar> H2MatrixS<S> {
 
     /// [`Self::generate_block`] for every listed `(kind, i, j)` as one step
     /// of the executor ([`h2_linalg::exec`]), results in list order — the
-    /// one block-generation loop behind construction, incremental updates
-    /// and the cached tier. The calling thread counts the blocks, from their
+    /// one block-generation loop behind every plan of the block table. The
+    /// calling thread counts the blocks, from their
     /// shapes, so the [`crate::diagnostics`] counters are exact at any width.
     pub(crate) fn generate_blocks(&self, items: &[(BlockKind, NodeId, NodeId)]) -> Vec<MatrixS<S>> {
         let mut tally = BlockTally::default();
@@ -313,7 +324,7 @@ impl<S: Scalar> H2MatrixS<S> {
             let (rows, cols) = self.block_shape(kind, i, j);
             tally.add(kind, rows, cols);
         }
-        tally.record();
+        tally.record(self);
         exec::map(items, |&(kind, i, j)| self.materialize_block(kind, i, j))
     }
 
@@ -466,20 +477,25 @@ impl<S: Scalar> H2MatrixS<S> {
             .chain(self.transfers.iter())
             .map(BasisMatrix::mapped_bytes)
             .sum();
+        // Normal mode stores its blocks; on the fly they are budgeted.
+        let table = &self.table;
+        let stored = [BlockKind::Coupling, BlockKind::Nearfield].map(|kind| {
+            let blocks = table.stored_blocks(kind).unwrap_or_default();
+            blocks.into_iter().map(MatrixS::bytes).sum()
+        });
+        let cached_blocks = table.budget().map_or(0, |_| table.resident_bytes());
         MemoryReport {
             bases,
             transfers,
             proxies,
-            coupling_blocks: self.coupling.blocks_bytes(),
-            nearfield_blocks: self.nearfield.blocks_bytes(),
-            cached_blocks: self.cache.as_ref().map_or(0, |c| c.resident_bytes()),
-            block_indices: self.coupling.index_bytes() + self.nearfield.index_bytes(),
+            coupling_blocks: stored[0],
+            nearfield_blocks: stored[1],
+            cached_blocks,
+            block_indices: table.index_bytes(),
             tree: self.tree.bytes(),
             lists: self.lists.bytes(),
             max_otf_block,
-            mapped_bytes: mapped_generators
-                + self.coupling.mapped_bytes()
-                + self.nearfield.mapped_bytes(),
+            mapped_bytes: mapped_generators + table.mapped_bytes(),
             epoch: self.epoch,
         }
     }

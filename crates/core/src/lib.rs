@@ -85,7 +85,7 @@ pub mod sweep;
 pub mod update;
 
 pub use builders::BuildStats;
-pub use cache::{BlockCache, BlockKind, CacheBudget, CacheStats};
+pub use cache::{BlockKind, BlockTable, CacheBudget, CacheStats};
 pub use config::{BasisMethod, BuilderProvenance, BuilderStrategy, H2Config, MemoryMode};
 pub use h2matrix::{H2Matrix, H2MatrixS};
 pub use memory::MemoryReport;

@@ -12,9 +12,9 @@
 //!   sequences with their pairs.
 
 use crate::builders::BuildStats;
-use crate::cache::BlockStore;
+use crate::cache::{BlockKind, BlockTable};
 use crate::config::{BuilderProvenance, MemoryMode};
-use crate::h2matrix::H2MatrixS;
+use crate::h2matrix::{pairs, H2MatrixS};
 use crate::proxy::ProxyPoints;
 use h2_kernels::Kernel;
 use h2_linalg::{BasisMatrix, MatrixS, Scalar};
@@ -56,16 +56,25 @@ pub struct H2Parts<S: Scalar = f64> {
 impl<S: Scalar> H2MatrixS<S> {
     /// Clones this operator's state into serializable [`H2Parts`].
     pub fn to_parts(&self) -> H2Parts<S> {
+        let stored = |kind| {
+            Some(
+                self.table
+                    .stored_blocks(kind)?
+                    .into_iter()
+                    .cloned()
+                    .collect(),
+            )
+        };
         H2Parts {
             tree: self.tree.clone(),
             eta: self.lists.eta,
-            mode: self.mode,
+            mode: self.mode(),
             bases: self.bases.iter().map(BasisMatrix::to_dense).collect(),
             transfers: self.transfers.iter().map(BasisMatrix::to_dense).collect(),
             proxies: self.proxies.clone(),
             ranks: self.ranks.clone(),
-            coupling_blocks: self.coupling.blocks().map(|b| b.to_vec()),
-            nearfield_blocks: self.nearfield.blocks().map(|b| b.to_vec()),
+            coupling_blocks: stored(BlockKind::Coupling),
+            nearfield_blocks: stored(BlockKind::Nearfield),
             provenance: self.provenance,
             epoch: self.epoch,
         }
@@ -143,15 +152,14 @@ impl<S: Scalar> H2MatrixS<S> {
             }
         }
         let lists = build_block_lists(&tree, eta);
-        let (coupling, nearfield) = match mode {
+        let table = match mode {
             MemoryMode::OnTheFly => {
                 if coupling_blocks.is_some() || nearfield_blocks.is_some() {
                     return Err("on-the-fly parts carry materialized blocks".into());
                 }
-                (
-                    BlockStore::on_the_fly(&lists.interaction_pairs),
-                    BlockStore::on_the_fly(&lists.nearfield_pairs),
-                )
+                // The budget is a runtime choice, not part of the persisted
+                // operator — set it with `set_cache_budget` after decode.
+                BlockTable::listed(pairs(&lists), Some(0))
             }
             MemoryMode::Normal => {
                 let (Some(cb), Some(nb)) = (coupling_blocks, nearfield_blocks) else {
@@ -181,27 +189,19 @@ impl<S: Scalar> H2MatrixS<S> {
                         return Err(format!("nearfield block ({i}, {j}) shape mismatch"));
                     }
                 }
-                (
-                    BlockStore::normal(&lists.interaction_pairs, cb),
-                    BlockStore::normal(&lists.nearfield_pairs, nb),
-                )
+                BlockTable::stored(pairs(&lists), [cb, nb], epoch)
             }
         };
         Ok(H2MatrixS {
             tree,
             lists,
             kernel,
-            mode,
             // A mapped matrix stays a view: split in place, or whole.
             bases: bases.into_iter().map(BasisMatrix::from_dense).collect(),
             transfers: transfers.into_iter().map(BasisMatrix::from_dense).collect(),
             proxies,
             ranks,
-            coupling,
-            nearfield,
-            // The cache is a runtime tier, not part of the persisted
-            // operator — reinstall with `set_cache_budget` after decode.
-            cache: None,
+            table: Arc::new(table),
             provenance,
             stats: BuildStats::default(),
             epoch,

@@ -48,8 +48,8 @@
 //! directions flagged. That is what makes the result bitwise identical at
 //! any width, a panel column bitwise equal to the vector product, and a
 //! sharded sweep bitwise equal to the serial one. A block is touched once
-//! per sweep: streamed from memory once, probed in the cache once, or
-//! generated once — by whichever thread took its cell.
+//! per sweep: read from its slot of the block table once, or generated
+//! once — by whichever thread took its cell.
 //!
 //! ## Who owns a thread
 //!
@@ -63,28 +63,31 @@
 //! only (helpers tally in plain integers), so telemetry scopes see exactly
 //! the product's work at any width.
 //!
-//! ## One arithmetic class
+//! ## Two tiers, one arithmetic class
 //!
-//! A block is either held — resident, mapped, or in the cached tier — or
-//! not. One that is not held (no cached tier, or a miss of it) is
-//! materialized into a per-thread scratch by
-//! `H2MatrixS::materialize_into`: evaluated in `f64` and rounded once to
-//! the storage scalar `S`, exactly as the builders store it. Every block is
-//! then applied with the panel kernels of [`h2_linalg::panel`], as are the
-//! bases and transfers: a `k`-column panel is one register-blocked pass per
-//! block, and its column `c` has the bits of the vector product. So a
-//! product does not depend on where its blocks came from: on-the-fly ≡
-//! cached at any budget ≡ stored ≡ mapped, bit for bit.
+//! A step names its pair's list position, and the fetch has two tiers: the
+//! slot of the operator's [`crate::cache::BlockTable`] at that position
+//! (owned or mapped, at the pair's current epoch), or, not held, the block
+//! materialized into a per-thread scratch by `H2MatrixS::materialize_into`:
+//! evaluated in `f64` and rounded once to the storage scalar `S`, exactly as
+//! the table's plan holds it. A thread counts its hits and misses in plain
+//! integers; the calling thread adds them to the table's counters after the
+//! join. Every block is then applied with the panel kernels of
+//! [`h2_linalg::panel`], as are the bases and transfers: a `k`-column panel
+//! is one register-blocked pass per block, and its column `c` has the bits
+//! of the vector product. So a product does not depend on where its blocks
+//! came from: on-the-fly ≡ cached at any budget ≡ stored ≡ mapped, bit for
+//! bit.
 
-use crate::cache::{BlockCache, BlockKind};
+use crate::cache::BlockKind;
 use crate::diagnostics::BlockTally;
 use crate::h2matrix::{sized, H2MatrixS};
-use h2_linalg::{exec, panel, MatrixS, Scalar};
+use h2_linalg::{exec, panel, Scalar};
 use h2_points::admissibility::BlockLists;
 use h2_points::{ClusterTree, NodeId};
 use std::cmp::Reverse;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// The sweeps group their work by the cut roots of the shallowest tree level
 /// with at least this many of them (a tree that never gets this wide is one
@@ -411,8 +414,8 @@ impl<'a> SweepPlan<'a> {
     }
 
     /// Every block this rank touches, in the order its sweeps first touch
-    /// it, with its size in bytes were it materialized in `S` — the cache
-    /// warm-up order.
+    /// it, with its size in bytes were it materialized in `S` — the order a
+    /// table's budget is filled in.
     pub fn block_schedule<'s, S: Scalar>(
         &'s self,
         h2: &'s H2MatrixS<S>,
@@ -537,15 +540,6 @@ impl Schedule {
     }
 }
 
-/// A block as one of the three tiers serves it, column-major in `S`.
-pub(crate) enum Fetched<'a, S: Scalar> {
-    /// Borrowed from a materialized (owned or mapped) store, or, not held
-    /// by any tier, from [`Scratch::stored`].
-    Borrowed(&'a [S]),
-    /// Shared out of the budgeted cache.
-    Cached(Arc<MatrixS<S>>),
-}
-
 /// The buffers a thread materializes blocks into, sized once per product
 /// for the largest block it can generate.
 #[derive(Default)]
@@ -557,44 +551,26 @@ pub(crate) struct Scratch<S> {
     stored: Vec<S>,
 }
 
-/// The single three-tier fetch: resident-or-mapped, then cached, then
-/// materialized into `scratch`. `(i, j)` is a listed canonical pair; a
-/// generation, and a hit or miss of the cached tier, is counted in `tally`.
+/// The single two-tier fetch of the listed canonical pair `(i, j)` at list
+/// position `slot`: the block its slot of the table holds, or, not held,
+/// the block materialized into `scratch`. Column-major in `S`; the hit, or
+/// the miss and its generation, is counted in `tally`.
 pub(crate) fn fetch<'a, S: Scalar>(
-    h2: &H2MatrixS<S>,
-    cache: Option<&BlockCache<S>>,
+    h2: &'a H2MatrixS<S>,
     kind: BlockKind,
-    (i, j): (NodeId, NodeId),
-    resident: Option<&'a MatrixS<S>>,
+    (slot, i, j): (usize, NodeId, NodeId),
     scratch: &'a mut Scratch<S>,
     tally: &mut BlockTally,
-) -> Fetched<'a, S> {
-    if let Some(block) = resident {
-        return Fetched::Borrowed(block.as_slice());
+) -> &'a [S] {
+    if let Some(block) = h2.table.block(kind, slot, h2.pair_epoch(i, j)) {
+        tally.hit();
+        return block.as_slice();
     }
     let (rows, cols) = h2.block_shape(kind, i, j);
-    if let Some(cache) = cache {
-        let block = cache.get_at(kind, i, j, h2.pair_epoch(i, j));
-        tally.add_cached(block.is_some(), kind, rows, cols);
-        if let Some(block) = block {
-            return Fetched::Cached(block);
-        }
-    } else {
-        tally.add(kind, rows, cols);
-    }
+    tally.miss(kind, rows, cols);
     let stored = sized(&mut scratch.stored, rows * cols);
     h2.materialize_into(kind, (i, j), stored, &mut scratch.block);
-    Fetched::Borrowed(stored)
-}
-
-impl<S: Scalar> Fetched<'_, S> {
-    /// The block's entries, column-major.
-    pub(crate) fn as_slice(&self) -> &[S] {
-        match self {
-            Fetched::Borrowed(b) => b,
-            Fetched::Cached(b) => b.as_slice(),
-        }
-    }
+    stored
 }
 
 /// The panels `buf[a]` and `buf[b]` of two different nodes, both mutable;
@@ -683,8 +659,8 @@ struct Local<S, A> {
     add: Vec<A>,
     /// The one materialized block alive at a time.
     scratch: Scratch<S>,
-    /// Blocks this thread generated and its cached-tier hits and misses,
-    /// for the caller to record.
+    /// This thread's hits and misses and the blocks it generated, for the
+    /// caller to record.
     tally: BlockTally,
 }
 
@@ -720,7 +696,6 @@ impl<S: Scalar, A: Scalar> Local<S, A> {
 pub struct Sweep<'a, S: Scalar, A: Scalar> {
     h2: &'a H2MatrixS<S>,
     plan: &'a SweepPlan<'a>,
-    cache: Option<&'a BlockCache<S>>,
     k: usize,
     width: usize,
     /// Right-hand sides, gathered into tree order.
@@ -739,27 +714,25 @@ pub struct Sweep<'a, S: Scalar, A: Scalar> {
 
 impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
     /// A zeroed workspace for `k` right-hand sides whose phases run on up
-    /// to `width` threads (the caller and `width − 1` helpers). `cache` is
-    /// the tier between the stores and the kernel this rank fetches through.
-    pub fn new(
-        h2: &'a H2MatrixS<S>,
-        plan: &'a SweepPlan<'a>,
-        cache: Option<&'a BlockCache<S>>,
-        k: usize,
-        width: usize,
-    ) -> Self {
+    /// to `width` threads (the caller and `width − 1` helpers). The rank
+    /// fetches its blocks from the operator's table.
+    pub fn new(h2: &'a H2MatrixS<S>, plan: &'a SweepPlan<'a>, k: usize, width: usize) -> Self {
         let n = h2.n();
         let coeffs = plan.q_base[plan.top + 1] * k;
-        // Scratch only where blocks are generated, sized once for the
-        // largest block of the schedule so the sweeps never reallocate: a
-        // block is stored as `S`, and evaluated in `f64` first only when it
-        // has to be rounded.
-        let stored = if h2.coupling.is_materialized() {
-            0
-        } else {
-            let bytes = plan.block_schedule(h2).map(|(_, _, _, bytes)| bytes);
-            bytes.max().unwrap_or(0) / S::BYTES
+        // Scratch sized once for the largest block of the schedule the
+        // table does not hold (none when it holds every listed block), so
+        // the sweeps never reallocate: a block is stored as `S`, and
+        // evaluated in `f64` first only when it has to be rounded.
+        let missing = |kind| {
+            plan.steps(kind).filter_map(move |st| {
+                let (i, j) = (st.i, st.j);
+                let held = h2.table.block(kind, st.slot, h2.pair_epoch(i, j));
+                let (rows, cols) = h2.block_shape(kind, i, j);
+                held.is_none().then_some(rows * cols)
+            })
         };
+        let both = missing(BlockKind::Coupling).chain(missing(BlockKind::Nearfield));
+        let stored = h2.table.budget().map_or(0, |_| both.max().unwrap_or(0));
         let rounds = S::as_f64s(&[]).is_none();
         let local_size = LocalSize {
             panel: h2.ranks.iter().copied().max().unwrap_or(0) * k,
@@ -769,7 +742,6 @@ impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
         Sweep {
             h2,
             plan,
-            cache,
             k,
             width,
             b: vec![A::ZERO; n * k],
@@ -844,7 +816,7 @@ impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
     /// Runs `phases` as one list of executor steps ([`h2_linalg::exec`]) on
     /// the sweep's threads. The calling thread works alongside its helpers
     /// and calls `on_phase` as it enters each phase (every thread is between
-    /// the same two barriers then); the blocks all threads generated are
+    /// the same two barriers then); what all threads read and generated is
     /// recorded by the calling thread at the end.
     fn run(&mut self, phases: &[Phase], mut on_phase: impl FnMut(Phase)) {
         let schedule = self.plan.schedule(phases);
@@ -854,7 +826,6 @@ impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
         let job = Job {
             h2: self.h2,
             plan,
-            cache: self.cache,
             k,
             b: &self.b,
             y: by_group(&mut self.y, &plan.y_base, k),
@@ -880,11 +851,11 @@ impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
             |s| enter(schedule.steps[s].phase + 1),
         );
         enter(phases.len());
-        let mut generated = BlockTally::default();
+        let mut tally = BlockTally::default();
         for local in &mut self.locals {
-            generated.merge(std::mem::take(&mut local.tally));
+            tally.merge(std::mem::take(&mut local.tally));
         }
-        generated.record();
+        tally.record(self.h2);
         h2_telemetry::counter_add!("sweep.helper_threads", width - 1);
     }
 }
@@ -894,7 +865,6 @@ impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
 struct Job<'s, S: Scalar, A: Scalar> {
     h2: &'s H2MatrixS<S>,
     plan: &'s SweepPlan<'s>,
-    cache: Option<&'s BlockCache<S>>,
     k: usize,
     /// Read-only in every phase.
     b: &'s [A],
@@ -1030,26 +1000,13 @@ impl<S: Scalar, A: Scalar> Job<'_, S, A> {
     {
         let (h2, plan, k) = (self.h2, self.plan, self.k);
         let (pairs, order) = plan.family(kind);
-        let resident = match kind {
-            BlockKind::Coupling => h2.coupling.blocks(),
-            BlockKind::Nearfield => h2.nearfield.blocks(),
-        };
         let Local { scratch, tally, .. } = local;
         // Node `i`'s output panel: in the cell's second group or its first.
         let second = |i: NodeId| plan.group[i] != cell.groups.0;
         let steps = order.slots(cell).iter();
         for st in steps.filter_map(|&slot| plan.step(pairs, slot)) {
-            let at = (st.i, st.j);
-            let block = fetch(
-                h2,
-                self.cache,
-                kind,
-                at,
-                resident.map(|b| &b[st.slot]),
-                scratch,
-                tally,
-            );
-            let (b, (rows, cols)) = (block.as_slice(), h2.block_shape(kind, st.i, st.j));
+            let b = fetch(h2, kind, (st.slot, st.i, st.j), scratch, tally);
+            let (rows, cols) = h2.block_shape(kind, st.i, st.j);
             let (oi, oj) = ((second(st.i), out_at(st.i)), (second(st.j), out_at(st.j)));
             // One call per step. With both directions owned, one walk over
             // `B` serves both: they write different nodes' panels, and
@@ -1092,7 +1049,7 @@ impl<S: Scalar> H2MatrixS<S> {
         }
         let plan = SweepPlan::whole(self);
         let width = exec::width();
-        let mut sweep = Sweep::new(self, &plan, self.cache.as_deref(), k, width);
+        let mut sweep = Sweep::new(self, &plan, k, width);
         let sp = h2_telemetry::span("matvec.gather");
         sweep.gather(b);
         drop(sp);

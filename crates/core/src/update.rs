@@ -1,5 +1,5 @@
 //! Incremental operator updates: point insert/delete with path-local
-//! re-sampling and re-factorization, a re-planned cached tier, and
+//! re-sampling and re-factorization, a re-planned block table, and
 //! escalation to leaf splits or full rebuilds.
 //!
 //! ## Why a root-to-leaf path suffices
@@ -27,17 +27,17 @@
 //!
 //! Every applied batch bumps the operator [`epoch`](crate::H2MatrixS::epoch)
 //! and stamps the re-factored nodes' entries in the per-node epoch table.
-//! The budgeted block cache holds every entry under the pair epoch
+//! The block table holds every block under the pair epoch
 //! `max(node_epochs[i], node_epochs[j])` it was generated at and serves it
-//! to a request at that epoch only, so a block cached before an update can
+//! to a read at that epoch only, so a block held before an update can
 //! never satisfy a post-update fetch. The epoch is the fault detector, not
-//! the invalidation mechanism: an update re-runs the residency plan on the
-//! updated operator (`H2MatrixS::plan_cache`) and installs a new cache
-//! that shares the entries still current and regenerates the rest.
+//! the invalidation mechanism: an update runs one successor plan over the
+//! new lists (`H2MatrixS::plan_table`) and installs a new table that shares
+//! the blocks still current and generates the rest, in either memory mode.
 
 use crate::builders::{build_with_x_star, data_driven, nested_skeleton_pass};
-use crate::cache::{BlockKind, BlockStore, CacheBudget};
-use crate::config::{BasisMethod, BuilderStrategy, H2Config};
+use crate::cache::{BlockKind, CacheBudget};
+use crate::config::{BasisMethod, BuilderStrategy, H2Config, MemoryMode};
 use crate::h2matrix::{listed_blocks, H2MatrixS};
 use crate::proxy::ProxyPoints;
 use h2_linalg::{BasisMatrix, Scalar};
@@ -86,8 +86,8 @@ pub struct UpdateReport {
     /// Distinct root-to-leaf path nodes re-factored (~`O(depth)` per
     /// point; 0 when the batch escalated to a rebuild).
     pub path_nodes: usize,
-    /// Coupling/nearfield blocks regenerated (normal mode) or pairs
-    /// invalidated (on-the-fly / cached tiers).
+    /// Listed pairs whose block changed: an endpoint was re-factored, or
+    /// the pair is newly listed. The table regenerates the ones it holds.
     pub refactored_blocks: usize,
     /// Leaves split because they overflowed the policy bound.
     pub splits: usize,
@@ -363,9 +363,9 @@ impl<S: Scalar> H2MatrixS<S> {
     /// The core path re-factorization — construction restricted to the
     /// (root-closed) touched set: one Algorithm-1 sweep refreshes `X*` in
     /// place and recomputes `Y*` along it, one nested-skeleton pass redoes
-    /// its row IDs with the data-driven rule, and the blocks with a dirty
-    /// endpoint are regenerated; then the epoch is bumped and the cached
-    /// tier re-planned.
+    /// its row IDs with the data-driven rule; then the epoch is bumped and
+    /// the block table re-planned, which regenerates the held blocks with a
+    /// dirty endpoint.
     fn refactor_paths(
         &mut self,
         mut touched: HashSet<NodeId>,
@@ -408,65 +408,34 @@ impl<S: Scalar> H2MatrixS<S> {
         nested_skeleton_pass(self, &levels, "build.id", rule, drop);
         drop(sp);
 
-        // Regenerate the blocks with a dirty endpoint, plus — when a split
-        // or an admissibility change from a grown box re-listed the pairs —
-        // the blocks of pairs the materialized stores never held. Every
-        // other block is kept as it is.
+        // The blocks that changed: a dirty endpoint, or a pair a split or
+        // an admissibility change from a grown box newly listed.
         let sp = h2_telemetry::span("update.blocks");
         let dirty = |i: NodeId, j: NodeId| touched.contains(&i) || touched.contains(&j);
-        let materialized = self.coupling.is_materialized();
-        let relisted = new_lists.interaction_pairs != self.lists.interaction_pairs
-            || new_lists.nearfield_pairs != self.lists.nearfield_pairs;
-        let new_pair = |kind, i, j| match kind {
-            BlockKind::Coupling => self.coupling.block(i, j).is_none(),
-            BlockKind::Nearfield => self.nearfield.block(i, j).is_none(),
-        };
-        let stale: Vec<(BlockKind, NodeId, NodeId)> = listed_blocks(&new_lists)
-            .filter(|&(kind, i, j)| {
-                dirty(i, j) || (materialized && relisted && new_pair(kind, i, j))
-            })
-            .collect();
-        if materialized {
-            let n_coupling = stale.partition_point(|t| t.0 == BlockKind::Coupling);
-            let mut blocks = self.generate_blocks(&stale);
-            let nearfield_blocks = blocks.split_off(n_coupling);
-            let pair = |&(_, i, j): &(BlockKind, NodeId, NodeId)| (i, j);
-            let (coupling, nearfield) = stale.split_at(n_coupling);
-            self.coupling.relist(
-                &new_lists.interaction_pairs,
-                coupling.iter().map(pair).zip(blocks),
-            );
-            self.nearfield.relist(
-                &new_lists.nearfield_pairs,
-                nearfield.iter().map(pair).zip(nearfield_blocks),
-            );
-        } else if relisted {
-            // Nothing to regenerate: only the pair index follows the lists.
-            self.coupling = BlockStore::on_the_fly(&new_lists.interaction_pairs);
-            self.nearfield = BlockStore::on_the_fly(&new_lists.nearfield_pairs);
-        }
+        let listed = |kind: BlockKind, i, j| self.table.pair_index(kind).slot(i, j).is_some();
+        let stale = listed_blocks(&new_lists)
+            .filter(|&(kind, i, j)| dirty(i, j) || !listed(kind, i, j))
+            .count();
         self.epoch += 1;
         for &i in &touched {
             self.node_epochs[i] = self.epoch;
         }
         self.lists = new_lists;
-        // Residency is a function of (operator, budget): re-run the plan on
-        // the updated operator and install the result as a new cache, so
-        // whoever shares the old one keeps the table they started with.
-        if let Some(old) = self.cache.take() {
-            self.cache = Some(Arc::new(self.plan_cache(&old)));
-        }
+        // Residency is a function of (operator, budget): one successor plan
+        // over the new lists carries the held blocks still current by `Arc`
+        // and generates the planned rest, so whoever shares the old table
+        // keeps the blocks they started with.
+        let next = self.plan_table(&self.table, self.table.budget());
+        self.table = Arc::new(next);
         drop(sp);
 
         h2_telemetry::counter_add!("update.path_nodes", touched.len() as u64);
-        h2_telemetry::counter_add!("update.refactored_blocks", stale.len() as u64);
+        h2_telemetry::counter_add!("update.refactored_blocks", stale as u64);
         let report = UpdateReport {
             inserted,
             removed,
             path_nodes: touched.len(),
-            // Blocks regenerated (normal mode) or pairs invalidated
-            // (on-the-fly; the cached tier regenerates the planned ones).
-            refactored_blocks: stale.len(),
+            refactored_blocks: stale,
             splits,
             rebuilds: 0,
             epoch: self.epoch,
@@ -477,7 +446,7 @@ impl<S: Scalar> H2MatrixS<S> {
 
     /// Full from-scratch escalation: rebuild over `points` with the update
     /// tolerance, carry the epoch forward (every node stamped with the new
-    /// epoch), and reinstall the cache tier under the old byte budget.
+    /// epoch), and plan the table under the old byte budget.
     ///
     /// The rebuild is a data-driven (anchor-net) construction — the one rule
     /// the update engine factors with — so an operator that was built
@@ -497,20 +466,22 @@ impl<S: Scalar> H2MatrixS<S> {
             },
             builder: BuilderStrategy::AnchorNet,
             seed: 0,
-            mode: self.mode,
+            // Generators only: the table is planned below, at the new epoch.
+            mode: MemoryMode::OnTheFly,
             leaf_size: state.leaf_size,
             eta: self.lists.eta,
             cache_budget: CacheBudget::Off,
         };
-        let budget = self.cache.as_ref().map(|c| c.stats().budget_bytes);
+        let budget = self.table.budget();
         let epoch = self.epoch + 1;
         let (rebuilt, x_star) = build_with_x_star::<S>(&points, self.kernel.clone(), &cfg);
-        *self = rebuilt;
-        self.epoch = epoch;
-        self.node_epochs = vec![epoch; self.tree.node_count()];
-        if let Some(bytes) = budget {
-            self.set_cache_budget(CacheBudget::Bytes(bytes as u64));
-        }
+        let node_epochs = vec![epoch; rebuilt.tree.node_count()];
+        *self = H2MatrixS {
+            epoch,
+            node_epochs,
+            ..rebuilt
+        };
+        self.table = Arc::new(self.plan_table(&self.table, budget));
         self.update = Some(UpdateState {
             x_star: x_star.expect("a data-driven build samples"),
             churn: 0,

@@ -2,15 +2,18 @@
 //!
 //! - every budget — `Off`, 0 bytes, a ratio, `Unbounded` — is bitwise
 //!   identical to normal mode and to the pure on-the-fly path, across
-//!   kernels and storage precisions, for both the vector and the panel
-//!   sweeps, and misses per product fall strictly as the budget grows,
+//!   kernels, storage precisions and product widths, for both the vector
+//!   and the panel sweeps, and misses per product fall strictly as the
+//!   budget grows; a normal-mode product generates nothing,
+//! - an update carries every clean held block of the table by `Arc`, in
+//!   normal mode and under a budget,
 //! - the byte-budget invariant holds while parallel matvecs hammer one
 //!   shared cache, and intermediate budgets keep full accuracy.
 
 use h2_core::{BasisMethod, CacheBudget, H2Config, H2Matrix, H2MatrixS, MemoryMode};
 use h2_kernels::{Coulomb, Exponential, Kernel};
-use h2_linalg::{Matrix, MatrixS, Scalar};
-use h2_points::gen;
+use h2_linalg::{exec, Matrix, MatrixS, Scalar};
+use h2_points::{gen, PointSet};
 use std::sync::Arc;
 
 const N: usize = 700;
@@ -181,6 +184,85 @@ fn endpoints_bitwise_mixed_precision() {
     let y_normal = normal.matvec_f64(&b);
     for (what, h2) in [("off", &otf), ("0", &zero), ("∞", &full)] {
         assert_eq!(h2.matvec_f64(&b), y_normal, "budget {what} != normal");
+    }
+}
+
+/// Budgets 0, 25 %, 50 % and full at product widths 1 and 2 against the
+/// normal-mode product, for storage scalar `S` and accumulator `A`; the
+/// normal-mode product reads every block and generates none.
+fn budgets_and_widths_bitwise<S: Scalar, A: Scalar>(what: &str) {
+    let pts = gen::uniform_cube(N, 3, 43);
+    let kernel: Arc<dyn Kernel> = Arc::new(Coulomb);
+    let build = |mode, budget| H2MatrixS::<S>::build(&pts, kernel.clone(), &cfg(mode, budget));
+    let normal = build(MemoryMode::Normal, CacheBudget::Off);
+    let b = MatrixS::<A>::from_fn(N, 2, |i, j| A::from_f64(((i * 3 + j) as f64 * 0.37).sin()));
+    let at_width = |h2: &H2MatrixS<S>, width| exec::Width::new(width).install(|| h2.matmat(&b));
+    let scope = h2_telemetry::local_scope();
+    let want = at_width(&normal, 1);
+    let generated = ["coupling_blocks", "nearfield_blocks", "kernel_evals"];
+    assert_eq!(generated.map(|c| scope.count(c)), [0; 3], "{what}: normal");
+    let budgets = [
+        CacheBudget::Bytes(0),
+        CacheBudget::Ratio(0.25),
+        CacheBudget::Ratio(0.5),
+        CacheBudget::Unbounded,
+    ];
+    for budget in budgets {
+        let h2 = build(MemoryMode::OnTheFly, budget);
+        for (tier, h2) in [("normal", &normal), ("budget", &h2)] {
+            for width in [1, 2] {
+                let y = at_width(h2, width);
+                let cell = format!("{what}: {tier} {budget}, width {width}");
+                assert_eq!(y.as_slice(), want.as_slice(), "{cell}");
+            }
+        }
+    }
+}
+
+#[test]
+fn every_budget_precision_and_width_is_the_normal_product() {
+    budgets_and_widths_bitwise::<f64, f64>("f64");
+    budgets_and_widths_bitwise::<f32, f32>("f32");
+    budgets_and_widths_bitwise::<f32, f64>("mixed");
+}
+
+#[test]
+fn an_update_carries_every_clean_held_block_by_arc() {
+    let pts = gen::uniform_cube(N, 3, 47);
+    let tiers = [
+        (MemoryMode::Normal, CacheBudget::Off),
+        (MemoryMode::OnTheFly, CacheBudget::Ratio(0.5)),
+    ];
+    for (mode, budget) in tiers {
+        let what = format!("{}/{budget}", mode.name());
+        let mut h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg(mode, budget));
+        let old = Arc::clone(h2.table());
+        let before = old.keys();
+        let mut extra = PointSet::new(3, vec![]);
+        extra.push(&[0.31, 0.52, 0.18]);
+        h2.insert_points(&extra).unwrap();
+        // A block held before at the epoch it is held at now is clean: the
+        // successor shares it.
+        let table = h2.table();
+        let mut carried = 0;
+        for key @ (kind, i, j, at) in table.keys() {
+            if before.binary_search(&key).is_ok() {
+                let (was, is) = (old.get_at(kind, i, j, at), table.get_at(kind, i, j, at));
+                assert!(Arc::ptr_eq(&was.unwrap(), &is.unwrap()), "{what}: {key:?}");
+                carried += 1;
+            }
+        }
+        assert!(carried > 0, "{what}: nothing carried");
+        if mode == MemoryMode::Normal {
+            // Every listed pair is held, so every clean one is carried.
+            let clean = before.iter().filter(|&&(kind, i, j, at)| {
+                table.pair_index(kind).slot(i, j).is_some() && h2.pair_epoch(i, j) == at
+            });
+            assert_eq!(carried, clean.count(), "{what}");
+            assert_eq!(table.keys().len(), table.stats().entries, "{what}");
+        }
+        // Whoever holds the old table keeps it.
+        assert_eq!(old.keys(), before, "{what}");
     }
 }
 

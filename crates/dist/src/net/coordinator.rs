@@ -318,7 +318,6 @@ impl<S: Scalar, A: Scalar> ShardCoordinator<S, A> {
             t => t,
         });
         let _scope = trace.map(h2_telemetry::trace_scope);
-        let cache = self.h2.cache().map(|c| &**c);
         let swept = (|| {
             if let Some(t) = trace {
                 for r in 0..self.plan.shards {
@@ -326,7 +325,7 @@ impl<S: Scalar, A: Scalar> ShardCoordinator<S, A> {
                 }
             }
             let _sp = h2_telemetry::span("net.roundtrip");
-            run_coordinator::<S, A, _>(&self.h2, &self.plan, cache, &mut *ep, b)
+            run_coordinator::<S, A, _>(&self.h2, &self.plan, &mut *ep, b)
         })();
         match swept {
             Ok((y, _times)) => {

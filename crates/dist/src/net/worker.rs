@@ -229,7 +229,6 @@ pub fn run_worker<S: Scalar>(
         // sweep's.
         let _ = h2_telemetry::take_spans();
     }
-    let cache = h2.cache().map(|c| &**c);
     let mut sweeps = 0u64;
     while let Event::SweepReady = ep.wait_event(coord)? {
         {
@@ -237,9 +236,9 @@ pub fn run_worker<S: Scalar>(
             let _sp = tracing
                 .then(|| h2_telemetry::span_labeled("net.roundtrip", format!("rank={rank}")));
             if spec.accum == f64::CODE {
-                run_shard::<S, f64, _>(h2, &plan, rank, cache, &mut ep)?;
+                run_shard::<S, f64, _>(h2, &plan, rank, &mut ep)?;
             } else {
-                run_shard::<S, f32, _>(h2, &plan, rank, cache, &mut ep)?;
+                run_shard::<S, f32, _>(h2, &plan, rank, &mut ep)?;
             }
         }
         sweeps += 1;

@@ -53,7 +53,7 @@ use crate::transport::{
     ChannelEndpoint, Message, Panel, Rank, Tag, TrafficStats, Transport, TransportError,
 };
 use h2_core::proxy::ProxyPoints;
-use h2_core::{BlockCache, CacheStats, H2MatrixS, H2Operator, Sweep, SweepPlan};
+use h2_core::{CacheStats, H2MatrixS, H2Operator, MemoryMode, Sweep, SweepPlan};
 use h2_linalg::Scalar;
 use h2_points::NodeId;
 use std::collections::BTreeSet;
@@ -166,7 +166,7 @@ impl DistStats {
 }
 
 /// A shard-partitioned H² operator executing over message passing. Every
-/// rank applies blocks through the wrapped operator's cache, if it has one.
+/// rank reads blocks from the wrapped operator's table.
 pub struct ShardedH2<S: Scalar = f64> {
     h2: Arc<H2MatrixS<S>>,
     plan: TreePartition,
@@ -249,14 +249,13 @@ impl<S: Scalar> ShardedH2<S> {
         let mut endpoints = ChannelEndpoint::<A>::mesh(plan.shards + 1);
         let mut coord_ep = endpoints.pop().expect("mesh has the coordinator endpoint");
         let sp = h2_telemetry::span("dist.matvec");
-        let cache = h2.cache().map(|c| &**c);
         let (y, coordinator, shards) = std::thread::scope(|scope| {
             let handles: Vec<_> = endpoints
                 .into_iter()
                 .enumerate()
                 .map(|(s, mut ep)| {
                     scope.spawn(move || {
-                        let phases = run_shard(h2, plan, s, cache, &mut ep)
+                        let phases = run_shard(h2, plan, s, &mut ep)
                             .expect("in-process shard protocol failed");
                         ShardStats {
                             rank: s,
@@ -266,7 +265,7 @@ impl<S: Scalar> ShardedH2<S> {
                     })
                 })
                 .collect();
-            let (y, coordinator) = run_coordinator(h2, plan, cache, &mut coord_ep, b)
+            let (y, coordinator) = run_coordinator(h2, plan, &mut coord_ep, b)
                 .expect("in-process coordinator protocol failed");
             let shards: Vec<ShardStats> = handles
                 .into_iter()
@@ -317,7 +316,7 @@ impl<S: Scalar> ShardedH2<S> {
                 Owner::Top => plan.coordinator(),
             }
         };
-        if h2.coupling_store().is_materialized() {
+        if h2.mode() == MemoryMode::Normal {
             let mut bytes = 0u64;
             for &(i, j) in &lists.interaction_pairs {
                 if plan.owner(i) != plan.owner(j) {
@@ -449,7 +448,6 @@ pub fn run_shard<S: Scalar, A: Scalar, T: Transport<A>>(
     h2: &H2MatrixS<S>,
     plan: &TreePartition,
     s: usize,
-    cache: Option<&BlockCache<S>>,
     ep: &mut T,
 ) -> Result<PhaseTimes, TransportError> {
     let tree = h2.tree();
@@ -457,7 +455,7 @@ pub fn run_shard<S: Scalar, A: Scalar, T: Transport<A>>(
     let (lo, hi) = plan.shard_ranges[s];
     let sweep_plan = SweepPlan::new(h2, &plan.shard_levels[s], &plan.shard_leaves[s]);
     // A rank is the unit of parallelism: its phases run at width 1.
-    let mut sweep = Sweep::<S, A>::new(h2, &sweep_plan, cache, 1, 1);
+    let mut sweep = Sweep::<S, A>::new(h2, &sweep_plan, 1, 1);
     let q_slot = |i: NodeId| sweep_plan.q_range(i, 1);
     let b_slot = |l: NodeId| tree.node(l).start..tree.node(l).end;
     let mut phases = PhaseTimes::default();
@@ -539,13 +537,12 @@ pub fn run_shard<S: Scalar, A: Scalar, T: Transport<A>>(
 pub fn run_coordinator<S: Scalar, A: Scalar, T: Transport<A>>(
     h2: &H2MatrixS<S>,
     plan: &TreePartition,
-    cache: Option<&BlockCache<S>>,
     ep: &mut T,
     b: &[A],
 ) -> Result<(Vec<A>, CoordTimes), TransportError> {
     // Every leaf is shard-owned: the top plan has no leaf sweep.
     let sweep_plan = SweepPlan::new(h2, &plan.top_levels, &[]);
-    let mut sweep = Sweep::<S, A>::new(h2, &sweep_plan, cache, 1, 1);
+    let mut sweep = Sweep::<S, A>::new(h2, &sweep_plan, 1, 1);
     let q_slot = |i: NodeId| sweep_plan.q_range(i, 1);
     let mut times = CoordTimes::default();
     let _coord = h2_telemetry::span("dist.coord");
@@ -949,9 +946,9 @@ mod tests {
             let shards: Vec<_> = eps
                 .iter_mut()
                 .enumerate()
-                .map(|(s, ep)| scope.spawn(move || run_shard::<f64, f64, _>(h2, part, s, None, ep)))
+                .map(|(s, ep)| scope.spawn(move || run_shard::<f64, f64, _>(h2, part, s, ep)))
                 .collect();
-            run_coordinator(h2, part, None, &mut coord_ep, &b).unwrap();
+            run_coordinator(h2, part, &mut coord_ep, &b).unwrap();
             for shard in shards {
                 shard.join().unwrap().unwrap();
             }
@@ -965,9 +962,9 @@ mod tests {
                 inbox,
             };
             if rank == coord {
-                run_coordinator(h2, part, None, &mut ep, &b).map(|(y, _)| Some(y))
+                run_coordinator(h2, part, &mut ep, &b).map(|(y, _)| Some(y))
             } else {
-                run_shard::<f64, f64, _>(h2, part, rank, None, &mut ep).map(|_| None)
+                run_shard::<f64, f64, _>(h2, part, rank, &mut ep).map(|_| None)
             }
         };
         let mut tags = BTreeSet::new();

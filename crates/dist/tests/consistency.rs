@@ -87,13 +87,13 @@ fn ranks_stay_at_width_one_under_a_wide_pool() {
                         let h2 = &*h2;
                         scope.spawn(move || {
                             let mine = helpers();
-                            run_shard::<f64, f64, _>(h2, part, s, None, ep).unwrap();
+                            run_shard::<f64, f64, _>(h2, part, s, ep).unwrap();
                             mine.count("sweep.helper_threads")
                         })
                     })
                     .collect();
                 let mine = helpers();
-                let (y, _) = run_coordinator(&h2, part, None, &mut coord_ep, &b).unwrap();
+                let (y, _) = run_coordinator(&h2, part, &mut coord_ep, &b).unwrap();
                 let ranks = ranks.into_iter().map(|r| r.join().unwrap());
                 (y, mine.count("sweep.helper_threads") + ranks.sum::<u64>())
             });

@@ -81,7 +81,7 @@
 //! truncated, bit-flipped, or adversarially wrong file must never panic.
 
 use crate::error::LoadError;
-use h2_core::cache::{BlockSlabs, SlabBlock};
+use h2_core::cache::{BlockKind, BlockSlabs, SlabBlock};
 use h2_core::proxy::ProxyPoints;
 use h2_core::{BuilderProvenance, H2MatrixS, H2Parts, MemoryMode};
 use h2_dist::wire::{WireReader, WireWriter};
@@ -365,12 +365,14 @@ impl<'a, S: Scalar> Plan<'a, S> {
             (FAMILY_BASES, held(h2.bases())),
             (FAMILY_TRANSFERS, held(h2.transfers())),
         ];
-        let blocks = |family: &'a [MatrixS<S>]| family.iter().map(Held::Block).collect();
-        if let Some(cb) = h2.coupling_store().blocks() {
-            family_mats.push((FAMILY_COUPLING, blocks(cb)));
-        }
-        if let Some(nb) = h2.nearfield_store().blocks() {
-            family_mats.push((FAMILY_NEARFIELD, blocks(nb)));
+        let table = h2.table();
+        for (tag, kind) in [
+            (FAMILY_COUPLING, BlockKind::Coupling),
+            (FAMILY_NEARFIELD, BlockKind::Nearfield),
+        ] {
+            if let Some(blocks) = table.stored_blocks(kind) {
+                family_mats.push((tag, blocks.into_iter().map(Held::Block).collect()));
+            }
         }
         let mut families = Vec::with_capacity(family_mats.len());
         let mut mats = Vec::with_capacity(family_mats.len());
