@@ -1,6 +1,6 @@
 //! [`BlockSlabs`]: borrowed (slab-backed) storage for dense block lists.
 //!
-//! The serving codec's v4 format lays each matrix family (bases, transfers,
+//! The serving codec's format lays each matrix family (bases, transfers,
 //! coupling blocks, nearfield blocks) out as one 64-byte-aligned
 //! little-endian slab inside the operator file. After `mmap`ing the file,
 //! this type turns a family's directory — shapes plus offsets into the

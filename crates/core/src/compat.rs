@@ -91,16 +91,17 @@ impl<S: Scalar> H2MatrixS<S> {
         Store(&self.table, BlockKind::Nearfield)
     }
 
-    /// The dense storage of the leaf basis `U_i`'s coefficient rows
-    /// ([`h2_linalg::BasisMatrix::coefficients`]). Held by
-    /// `benchmark/src/replay.rs`.
+    /// The coefficient block of the leaf basis `U_i`
+    /// ([`h2_linalg::BasisMatrix::coefficients`]): its rows that are not
+    /// unit rows, in row order, or all of `U_i` when it is not split. Held
+    /// by `benchmark/src/replay.rs`.
     #[doc(hidden)]
     pub fn leaf_basis(&self, i: NodeId) -> &MatrixS<S> {
         self.bases[i].coefficients()
     }
 
-    /// The dense storage of the transfer `R_i`'s coefficient rows,
-    /// likewise. Held by `benchmark/src/replay.rs`.
+    /// The coefficient block of the transfer `R_i`, likewise. Held by
+    /// `benchmark/src/replay.rs`.
     #[doc(hidden)]
     pub fn transfer(&self, i: NodeId) -> &MatrixS<S> {
         self.transfers[i].coefficients()

@@ -33,7 +33,7 @@ pub struct MemoryReport {
     /// regenerates; concurrent OTF usage is `threads x` this (paper Fig. 7c).
     pub max_otf_block: usize,
     /// Bytes of generators/blocks backed by an `mmap`ed operator file
-    /// (codec v4 zero-copy loading). These pages belong to the OS page
+    /// (the codec's zero-copy loading). These pages belong to the OS page
     /// cache, not this process's heap, so they are excluded from
     /// [`MemoryReport::total`] — the registry surfaces them as their own
     /// gauge instead.

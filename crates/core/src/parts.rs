@@ -34,9 +34,9 @@ pub struct H2Parts<S: Scalar = f64> {
     /// Memory mode: decides whether dense blocks are present.
     pub mode: MemoryMode,
     /// Leaf bases `U_i` (empty matrices for internal nodes).
-    pub bases: Vec<MatrixS<S>>,
+    pub bases: Vec<BasisMatrix<S>>,
     /// Transfer matrices `R_c` (empty for the root).
-    pub transfers: Vec<MatrixS<S>>,
+    pub transfers: Vec<BasisMatrix<S>>,
     /// Per-node proxy points (skeleton indices or grid coordinates).
     pub proxies: Vec<ProxyPoints>,
     /// Per-node ranks.
@@ -69,8 +69,8 @@ impl<S: Scalar> H2MatrixS<S> {
             tree: self.tree.clone(),
             eta: self.lists.eta,
             mode: self.mode(),
-            bases: self.bases.iter().map(BasisMatrix::to_dense).collect(),
-            transfers: self.transfers.iter().map(BasisMatrix::to_dense).collect(),
+            bases: self.bases.clone(),
+            transfers: self.transfers.clone(),
             proxies: self.proxies.clone(),
             ranks: self.ranks.clone(),
             coupling_blocks: stored(BlockKind::Coupling),
@@ -196,9 +196,8 @@ impl<S: Scalar> H2MatrixS<S> {
             tree,
             lists,
             kernel,
-            // A mapped matrix stays a view: split in place, or whole.
-            bases: bases.into_iter().map(BasisMatrix::from_dense).collect(),
-            transfers: transfers.into_iter().map(BasisMatrix::from_dense).collect(),
+            bases,
+            transfers,
             proxies,
             ranks,
             table: Arc::new(table),

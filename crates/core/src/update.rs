@@ -508,7 +508,6 @@ mod tests {
     use crate::error_est::probe_vector;
     use crate::h2matrix::H2Matrix;
     use h2_kernels::{dense_matvec, Coulomb};
-    use h2_linalg::Matrix;
     use h2_points::gen;
     use std::sync::Arc;
 
@@ -564,14 +563,8 @@ mod tests {
                     .collect()
             };
             assert_eq!(skeletons(&a.proxies), skeletons(&b.proxies), "{mode:?}");
-            let same = |x: &[Matrix], y: &[Matrix]| {
-                x.len() == y.len()
-                    && x.iter()
-                        .zip(y)
-                        .all(|(m, n)| m.shape() == n.shape() && m.as_slice() == n.as_slice())
-            };
-            assert!(same(&a.bases, &b.bases), "{mode:?}: bases");
-            assert!(same(&a.transfers, &b.transfers), "{mode:?}: transfers");
+            assert!(a.bases == b.bases, "{mode:?}: bases");
+            assert!(a.transfers == b.transfers, "{mode:?}: transfers");
             let x = probe_vector(900, 21);
             assert_eq!(fresh.matvec(&x), h2.matvec(&x), "{mode:?}: matvec");
         }

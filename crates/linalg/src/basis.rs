@@ -10,18 +10,14 @@
 //!   or [`RowIndex::DENSE`];
 //! - one dense **coefficient block** of the other rows, in row order.
 //!
-//! [`BasisMatrix::from_dense`] is the one rule that decides the split. It
-//! splits only when the two parts hold fewer bytes than the dense matrix,
-//! and holds the dense matrix as it is otherwise (a mapped view stays a
-//! view), with an empty row map. A row with a `−0.0` is not a unit row, so
-//! the expansion back ([`BasisMatrix::to_dense`], [`BasisMatrix::expand_col`])
-//! is the dense matrix bit for bit.
-//!
-//! A mapped view that splits is **split in place**: the row map goes on
-//! the heap and the coefficient rows stay in the mapping, where they are
-//! read. Its [`BasisMatrix::mapped_bytes`] are the coefficient rows' bytes,
-//! so a mapped matrix's heap and mapped bytes add up to what the owned
-//! split holds.
+//! [`BasisMatrix::from_dense`] is the one rule that decides the split; the
+//! builders call it. It splits only when the two parts hold fewer bytes than
+//! the dense matrix, and holds the dense matrix as it is otherwise, with an
+//! empty row map. A row with a `−0.0` is not a unit row, so the expansion
+//! back ([`BasisMatrix::to_dense`]) is the dense matrix bit for bit.
+//! [`BasisMatrix::from_split`] rebuilds a matrix from its two parts, as an
+//! operator file stores them: a coefficient block that is a mapped view
+//! stays one, and its bytes are [`BasisMatrix::mapped_bytes`].
 //!
 //! The row index is half as wide as the scalar (`u32` for `f64`, `u16` for
 //! `f32`): the split rule is then the same in both precisions, and an `f32`
@@ -30,14 +26,12 @@
 //! **Apply.** [`BasisMatrix::matmat_acc`] and [`BasisMatrix::matmat_t_acc`]
 //! take `k`-column panels. A unit row adds one panel row; the coefficient
 //! block goes through the [`crate::panel`] kernels on the gathered panel
-//! rows, in this thread's scratch. A split in place first gathers its
-//! coefficient rows there too, so it applies the owned split's block with
-//! the owned split's bits. Column `c` of a product has the bits of
-//! the one-column apply of column `c`, and the orders are fixed by the
-//! matrix alone. Against the dense matrix's apply the bits may differ in the
-//! last place: an identity term is added on its own instead of among the
-//! row's zero products, and a transposed dot's partial sums see only the
-//! coefficient rows.
+//! rows, in this thread's scratch, wherever the block's bytes live. Column
+//! `c` of a product has the bits of the one-column apply of column `c`, and
+//! the orders are fixed by the matrix alone. Against the dense matrix's
+//! apply the bits may differ in the last place: an identity term is added
+//! on its own instead of among the row's zero products, and a transposed
+//! dot's partial sums see only the coefficient rows.
 
 use crate::matrix::MatrixS;
 use crate::panel;
@@ -45,7 +39,6 @@ use crate::scalar::Scalar;
 use std::any::Any;
 use std::cell::RefCell;
 use std::fmt;
-use std::thread::LocalKey;
 
 /// One entry of a [`BasisMatrix`]'s row map: the column of a unit row, or
 /// [`RowIndex::DENSE`] for a row of the coefficient block.
@@ -81,13 +74,10 @@ row_index!(u32);
 /// (module docs).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BasisMatrix<S: Scalar = f64> {
-    nrows: usize,
-    ncols: usize,
     /// Per row: its unit column, or `DENSE`. Empty when every row is in
     /// `coef`.
     rows: Vec<S::Index>,
-    /// The rows that are not unit rows, in row order; for a split in place,
-    /// the whole dense matrix, a mapped view.
+    /// The rows that are not unit rows, in row order.
     coef: MatrixS<S>,
 }
 
@@ -128,16 +118,6 @@ fn row_map<S: Scalar>(m: &MatrixS<S>) -> Vec<S::Index> {
 }
 
 impl<S: Scalar> BasisMatrix<S> {
-    /// Holds `m` unsplit: as it is, unchanged and uncopied.
-    fn dense(m: MatrixS<S>) -> Self {
-        BasisMatrix {
-            nrows: m.nrows(),
-            ncols: m.ncols(),
-            rows: Vec::new(),
-            coef: m,
-        }
-    }
-
     /// Holds `m`, its unit rows as column indices, when that takes fewer
     /// bytes than `m`; otherwise holds `m` itself, unchanged and uncopied.
     pub fn from_dense(m: MatrixS<S>) -> Self {
@@ -146,16 +126,8 @@ impl<S: Scalar> BasisMatrix<S> {
         let dense: Vec<usize> = (0..nrows).filter(|&r| rows[r] == S::Index::DENSE).collect();
         let held = nrows * std::mem::size_of::<S::Index>() + dense.len() * ncols * S::BYTES;
         if held >= nrows * ncols * S::BYTES {
-            return Self::dense(m);
-        }
-        if m.is_mapped() {
-            // Split in place: the coefficient rows stay in the mapping.
-            return BasisMatrix {
-                nrows,
-                ncols,
-                rows,
-                coef: m,
-            };
+            let rows = Vec::new();
+            return BasisMatrix { rows, coef: m };
         }
         let mut coef = Vec::with_capacity(dense.len() * ncols);
         for j in 0..ncols {
@@ -163,60 +135,69 @@ impl<S: Scalar> BasisMatrix<S> {
             coef.extend(dense.iter().map(|&r| col[r]));
         }
         let coef = MatrixS::from_col_major(dense.len(), ncols, coef);
-        BasisMatrix {
-            nrows,
-            ncols,
-            rows,
-            coef,
-        }
+        BasisMatrix { rows, coef }
     }
 
-    /// Number of rows of the dense matrix.
+    /// The matrix of row map `rows` and coefficient block `coef`, both held
+    /// as they are: `coef` alone when `rows` is empty. Refuses a map with an
+    /// entry that names no column of `coef`, or whose number of
+    /// [`RowIndex::DENSE`] entries is not `coef`'s number of rows.
+    pub fn from_split(rows: Vec<S::Index>, coef: MatrixS<S>) -> Result<Self, String> {
+        if !rows.is_empty() {
+            let (d, ncols) = coef.shape();
+            let unit = rows.iter().filter(|&&ix| ix != S::Index::DENSE);
+            if let Some(ix) = unit.clone().find(|ix| ix.col() >= ncols) {
+                return Err(format!("row map names column {} of {ncols}", ix.col()));
+            }
+            let dense = rows.len() - unit.count();
+            if dense != d {
+                return Err(format!(
+                    "{dense} coefficient rows in the map, {d} in the block"
+                ));
+            }
+        }
+        Ok(BasisMatrix { rows, coef })
+    }
+
+    /// Number of rows of the dense matrix: one per row-map entry, or the
+    /// coefficient block's when the map is empty.
     pub fn nrows(&self) -> usize {
-        self.nrows
+        match self.rows.len() {
+            0 => self.coef.nrows(),
+            n => n,
+        }
     }
 
     /// Number of columns of the dense matrix.
     pub fn ncols(&self) -> usize {
-        self.ncols
+        self.coef.ncols()
     }
 
     /// `(nrows, ncols)` of the dense matrix.
     pub fn shape(&self) -> (usize, usize) {
-        (self.nrows, self.ncols)
+        (self.nrows(), self.ncols())
     }
 
     /// True if either dimension is zero.
     pub fn is_empty(&self) -> bool {
-        self.nrows == 0 || self.ncols == 0
+        self.nrows() == 0 || self.ncols() == 0
     }
 
-    /// The dense storage the coefficient rows are read from: the
-    /// coefficient block, in row order, or the whole matrix when it is not
-    /// split or is split in place.
+    /// The row map: per row its unit column or [`RowIndex::DENSE`], or
+    /// empty when every row is in the coefficient block.
+    pub fn row_map(&self) -> &[S::Index] {
+        &self.rows
+    }
+
+    /// The coefficient block: the rows that are not unit rows, in row order
+    /// (the whole matrix when the row map is empty).
     pub fn coefficients(&self) -> &MatrixS<S> {
         &self.coef
     }
 
-    /// True when the coefficient rows are read where they stand in the
-    /// whole (mapped) matrix. A split has a unit row, so a coefficient
-    /// block of a split never has every row.
-    fn in_place(&self) -> bool {
-        !self.rows.is_empty() && self.coef.nrows() == self.nrows
-    }
-
-    /// Number of rows that are not unit rows.
-    fn coef_rows(&self) -> usize {
-        if self.in_place() {
-            self.dense_rows().count()
-        } else {
-            self.coef.nrows()
-        }
-    }
-
     /// Number of rows held as column indices.
     pub fn unit_rows(&self) -> usize {
-        self.nrows - self.coef_rows()
+        self.nrows() - self.coef.nrows()
     }
 
     /// Heap bytes held: the row map and the coefficient block (0 for a
@@ -225,43 +206,24 @@ impl<S: Scalar> BasisMatrix<S> {
         self.rows.capacity() * std::mem::size_of::<S::Index>() + self.coef.bytes()
     }
 
-    /// Bytes of the coefficient block backed by a shared slab: for a split
-    /// in place, those of its coefficient rows.
+    /// Bytes of the coefficient block backed by a shared slab.
     pub fn mapped_bytes(&self) -> usize {
-        if self.in_place() {
-            self.coef_rows() * self.ncols * S::BYTES
-        } else {
-            self.coef.mapped_bytes()
-        }
-    }
-
-    /// Writes column `j` of the dense matrix into `col` (`nrows` entries):
-    /// each row's entry from the row map or the coefficient block.
-    pub fn expand_col(&self, j: usize, col: &mut [S]) {
-        assert_eq!(col.len(), self.nrows, "basis: column length");
-        if self.rows.is_empty() || self.in_place() {
-            return col.copy_from_slice(self.coef.col(j));
-        }
-        let mut coef = self.coef.col(j).iter();
-        for (v, &ix) in col.iter_mut().zip(&self.rows) {
-            *v = if ix == S::Index::DENSE {
-                *coef.next().expect("one coefficient per dense row")
-            } else if ix.col() == j {
-                S::ONE
-            } else {
-                S::ZERO
-            };
-        }
+        self.coef.mapped_bytes()
     }
 
     /// The dense matrix this one holds, bit for bit.
     pub fn to_dense(&self) -> MatrixS<S> {
-        if self.rows.is_empty() || self.in_place() {
+        if self.rows.is_empty() {
             return self.coef.clone();
         }
-        let mut out = MatrixS::zeros(self.nrows, self.ncols);
-        for j in 0..self.ncols {
-            self.expand_col(j, out.col_mut(j));
+        let mut out = MatrixS::zeros(self.nrows(), self.ncols());
+        for (r, j) in self.units() {
+            out[(r, j)] = S::ONE;
+        }
+        for (c, r) in self.dense_rows().enumerate() {
+            for j in 0..self.ncols() {
+                out[(r, j)] = self.coef[(c, j)];
+            }
         }
         out
     }
@@ -279,24 +241,6 @@ impl<S: Scalar> BasisMatrix<S> {
         units.map(|(r, &ix)| (r, ix.col()))
     }
 
-    /// Runs `f` on the `d`-row coefficient block as a column-major slice:
-    /// the block itself, or the coefficient rows of a split in place,
-    /// gathered into this thread's scratch.
-    fn with_coef(&self, d: usize, f: impl FnOnce(&[S])) {
-        if !self.in_place() {
-            return f(self.coef.as_slice());
-        }
-        with_scratch(&COEF, d * self.ncols, |coef: &mut [S]| {
-            let cols = self.coef.as_slice().chunks_exact(self.nrows);
-            for (cd, col) in coef.chunks_exact_mut(d).zip(cols) {
-                for (v, r) in cd.iter_mut().zip(self.dense_rows()) {
-                    *v = col[r];
-                }
-            }
-            f(coef)
-        })
-    }
-
     /// `Y += self · X` for column-major panels of `k` columns (`x` is
     /// `ncols × k`, `y` is `nrows × k`). A unit row `r` in column `j` adds
     /// `x[j, c]` to `y[r, c]`, skipped when it is zero as the panel kernels
@@ -306,7 +250,7 @@ impl<S: Scalar> BasisMatrix<S> {
         if self.rows.is_empty() {
             return self.coef.matmat_acc(k, x, y);
         }
-        let (m, n, d) = (self.nrows, self.ncols, self.coef_rows());
+        let (m, n, d) = (self.nrows(), self.ncols(), self.coef.nrows());
         assert_eq!((x.len(), y.len()), (n * k, m * k), "basis: B X lengths");
         for (xc, yc) in x.chunks_exact(n).zip(y.chunks_exact_mut(m)) {
             for (r, j) in self.units() {
@@ -318,20 +262,18 @@ impl<S: Scalar> BasisMatrix<S> {
         if d == 0 {
             return;
         }
-        self.with_coef(d, |coef| {
-            with_scratch(&PANEL, d * k, |yd: &mut [A]| {
-                for (yd, yc) in yd.chunks_exact_mut(d).zip(y.chunks_exact(m)) {
-                    for (v, r) in yd.iter_mut().zip(self.dense_rows()) {
-                        *v = yc[r];
-                    }
+        with_scratch(d * k, |yd: &mut [A]| {
+            for (yd, yc) in yd.chunks_exact_mut(d).zip(y.chunks_exact(m)) {
+                for (v, r) in yd.iter_mut().zip(self.dense_rows()) {
+                    *v = yc[r];
                 }
-                panel::matmat_acc(coef, d, n, k, x, yd);
-                for (yd, yc) in yd.chunks_exact(d).zip(y.chunks_exact_mut(m)) {
-                    for (&v, r) in yd.iter().zip(self.dense_rows()) {
-                        yc[r] = v;
-                    }
+            }
+            panel::matmat_acc(self.coef.as_slice(), d, n, k, x, yd);
+            for (yd, yc) in yd.chunks_exact(d).zip(y.chunks_exact_mut(m)) {
+                for (&v, r) in yd.iter().zip(self.dense_rows()) {
+                    yc[r] = v;
                 }
-            })
+            }
         });
     }
 
@@ -343,18 +285,16 @@ impl<S: Scalar> BasisMatrix<S> {
         if self.rows.is_empty() {
             return self.coef.matmat_t_acc(k, x, y);
         }
-        let (m, n, d) = (self.nrows, self.ncols, self.coef_rows());
+        let (m, n, d) = (self.nrows(), self.ncols(), self.coef.nrows());
         assert_eq!((x.len(), y.len()), (m * k, n * k), "basis: Bᵀ X lengths");
         if d > 0 {
-            self.with_coef(d, |coef| {
-                with_scratch(&PANEL, d * k, |xd: &mut [A]| {
-                    for (xd, xc) in xd.chunks_exact_mut(d).zip(x.chunks_exact(m)) {
-                        for (v, r) in xd.iter_mut().zip(self.dense_rows()) {
-                            *v = xc[r];
-                        }
+            with_scratch(d * k, |xd: &mut [A]| {
+                for (xd, xc) in xd.chunks_exact_mut(d).zip(x.chunks_exact(m)) {
+                    for (v, r) in xd.iter_mut().zip(self.dense_rows()) {
+                        *v = xc[r];
                     }
-                    panel::matmat_t_acc(coef, d, n, k, xd, y);
-                })
+                }
+                panel::matmat_t_acc(self.coef.as_slice(), d, n, k, xd, y);
             });
         }
         for (xc, yc) in x.chunks_exact(m).zip(y.chunks_exact_mut(n)) {
@@ -365,21 +305,15 @@ impl<S: Scalar> BasisMatrix<S> {
     }
 }
 
-/// A thread's scratch vectors, one per scalar.
-type Scratch = RefCell<(Vec<f32>, Vec<f64>)>;
-
 thread_local! {
     /// The gathered panel rows of one apply, per accumulator scalar.
-    static PANEL: Scratch = const { RefCell::new((Vec::new(), Vec::new())) };
-    /// The gathered coefficient rows of a split in place, per storage
-    /// scalar.
-    static COEF: Scratch = const { RefCell::new((Vec::new(), Vec::new())) };
+    static PANEL: RefCell<(Vec<f32>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Runs `f` on this thread's `len`-entry scratch of `A`s in `key`, which
-/// grows and never shrinks: the sweeps apply a basis without allocating.
-fn with_scratch<A: Scalar>(key: &'static LocalKey<Scratch>, len: usize, f: impl FnOnce(&mut [A])) {
-    key.with(|s| {
+/// Runs `f` on this thread's `len`-entry scratch of `A`s, which grows and
+/// never shrinks: the sweeps apply a basis without allocating.
+fn with_scratch<A: Scalar>(len: usize, f: impl FnOnce(&mut [A])) {
+    PANEL.with(|s| {
         let mut s = s.borrow_mut();
         let (narrow, wide) = &mut *s;
         let buf = match (narrow as &mut dyn Any).downcast_mut::<Vec<A>>() {
@@ -425,11 +359,6 @@ mod tests {
             let b = BasisMatrix::from_dense(m.clone());
             assert_eq!(b.shape(), m.shape());
             assert_eq!(bits(b.to_dense().as_slice()), bits(m.as_slice()));
-            let mut col = vec![S::ZERO; m.nrows()];
-            for j in 0..m.ncols() {
-                b.expand_col(j, &mut col);
-                assert_eq!(bits(&col), bits(m.col(j)), "column {j}");
-            }
             assert!(b.bytes() <= m.bytes(), "{} > {}", b.bytes(), m.bytes());
         }
         // The held bytes are the row map and the coefficient block, exactly.
@@ -466,7 +395,10 @@ mod tests {
         let tall = Matrix::from_fn(16, 1, |i, _| if i == 0 { 1.0 } else { 0.5 });
         let b = BasisMatrix::from_dense(tall.clone());
         assert_eq!(b.unit_rows(), 0);
-        assert_eq!(b, BasisMatrix::dense(tall.clone()));
+        assert_eq!(
+            b,
+            BasisMatrix::from_split(Vec::new(), tall.clone()).unwrap()
+        );
         assert_eq!(b.bytes(), tall.bytes());
     }
 
@@ -549,25 +481,22 @@ mod tests {
         MatrixS::from_slab(m.nrows(), m.ncols(), view)
     }
 
-    /// A mapped view splits in place: its row map is the heap, its
-    /// coefficient rows are mapped bytes, the two add up to the owned
-    /// split's bytes, and it expands and applies with the owned split's
-    /// bits.
-    fn in_place<S: Scalar, A: Scalar>(m: MatrixS<S>) {
+    /// The owned split of `m`, and the same split over a coefficient block
+    /// that is a view into a mapping of its bytes: the view holds only its
+    /// row map on the heap, the two add up to the owned split's bytes, and
+    /// it expands and applies with the owned split's bits.
+    fn mapped_split<S: Scalar, A: Scalar>(m: MatrixS<S>) {
         let owned = BasisMatrix::from_dense(m.clone());
-        let view = BasisMatrix::from_dense(mapped(&m));
-        assert!(view.in_place() && owned.unit_rows() > 0);
-        assert_eq!(view.unit_rows(), owned.unit_rows());
+        assert!(owned.unit_rows() > 0);
+        let coef = mapped(owned.coefficients());
+        let view = BasisMatrix::from_split(owned.row_map().to_vec(), coef).expect("valid split");
+        assert!(view.coefficients().is_mapped());
+        assert_eq!(view, owned);
         assert_eq!(view.bytes(), m.nrows() * std::mem::size_of::<S::Index>());
         assert_eq!(view.bytes() + view.mapped_bytes(), owned.bytes());
         assert_eq!(owned.mapped_bytes(), 0);
         assert_eq!(bits(view.to_dense().as_slice()), bits(m.as_slice()));
         let (rows, cols) = m.shape();
-        let mut col = vec![S::ZERO; rows];
-        for j in 0..cols {
-            view.expand_col(j, &mut col);
-            assert_eq!(bits(&col), bits(m.col(j)), "column {j}");
-        }
         for k in 1..=9 {
             let (x, xt) = (panel::<A>(cols, k, k), panel::<A>(rows, k, k + 1));
             let (mut y, mut yt) = (panel::<A>(rows, k, 2), panel::<A>(cols, k, 3));
@@ -583,18 +512,39 @@ mod tests {
     }
 
     #[test]
-    fn a_mapped_view_splits_in_place() {
-        in_place::<f64, f64>(mixed());
-        in_place::<f32, f32>(mixed());
-        in_place::<f32, f64>(mixed());
-        in_place::<f64, f64>(row_id());
-        // Every row a unit row: no coefficient rows to gather.
-        in_place::<f64, f64>(Matrix::identity(6));
-        // A mapped view that does not split stays the view.
+    fn a_mapped_coefficient_block_applies_like_the_owned_split() {
+        mapped_split::<f64, f64>(mixed());
+        mapped_split::<f32, f32>(mixed());
+        mapped_split::<f32, f64>(mixed());
+        mapped_split::<f64, f64>(row_id());
+        // Every row a unit row: an empty coefficient block.
+        mapped_split::<f64, f64>(Matrix::identity(6));
+        mapped_split::<f32, f64>(MatrixS::<f32>::identity(6));
+        // A mapped matrix with an empty row map stays the view.
         let tall = Matrix::from_fn(16, 1, |i, _| if i == 0 { 1.0 } else { 0.5 });
-        let b = BasisMatrix::from_dense(mapped(&tall));
-        assert!(!b.in_place() && b.coefficients().is_mapped());
+        let b = BasisMatrix::from_split(Vec::new(), mapped(&tall)).expect("any matrix");
+        assert!(b.coefficients().is_mapped());
         assert_eq!((b.bytes(), b.mapped_bytes()), (0, tall.bytes()));
+    }
+
+    #[test]
+    fn from_split_refuses_a_map_that_does_not_fit_its_block() {
+        let b = BasisMatrix::from_dense(mixed::<f64>());
+        let (rows, coef) = (b.row_map().to_vec(), b.coefficients().clone());
+        assert_eq!(BasisMatrix::from_split(rows.clone(), coef.clone()), Ok(b));
+        // A unit row on column 4 of 4.
+        let unit = rows.iter().position(|&ix| ix != u32::DENSE).unwrap();
+        let mut wide = rows.clone();
+        wide[unit] = 4;
+        assert!(BasisMatrix::from_split(wide, coef.clone()).is_err());
+        // One coefficient row more, and one fewer, than the block has.
+        let mut more = rows.clone();
+        more[unit] = u32::DENSE;
+        assert!(BasisMatrix::from_split(more, coef.clone()).is_err());
+        let dense = rows.iter().position(|&ix| ix == u32::DENSE).unwrap();
+        let mut fewer = rows;
+        fewer.remove(dense);
+        assert!(BasisMatrix::from_split(fewer, coef).is_err());
     }
 
     #[test]

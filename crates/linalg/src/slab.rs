@@ -1,6 +1,6 @@
 //! Read-only memory slabs and typed scalar views for zero-copy loading.
 //!
-//! The serving codec's v4 format lays matrix payloads out as 64-byte-aligned
+//! The serving codec's format lays matrix payloads out as 64-byte-aligned
 //! little-endian slabs so an operator file can be `mmap`ed and its blocks
 //! applied in place. This module supplies the two pieces that makes safe:
 //!

@@ -11,19 +11,29 @@
 //! Header sections, in order: **fingerprint** (memory mode, scalar-type
 //! code, builder-provenance code, eta, dimension, kernel name + probe
 //! values, update epoch), **tree** (points, permutation, node arena),
-//! **generators-meta** (ranks and proxies), **directory** and an empty
-//! **end** marker; matrix payloads live behind them in a **slab region**
-//! laid out for zero-copy `mmap` loading:
+//! **generators-meta** (ranks, proxies and the row maps of the bases and
+//! transfers), **directory** and an empty **end** marker; matrix payloads
+//! live behind them in a **slab region** laid out for zero-copy `mmap`
+//! loading:
 //!
 //! ```text
-//! magic | version=4
-//! fingerprint | tree | generators-meta (ranks + proxies, no matrices)
+//! magic | version=5
+//! fingerprint | tree
+//! generators-meta (ranks, proxies, then per node its basis row map, then
+//!                  per node its transfer row map: a length, then per row
+//!                  a u32 unit column or u32::MAX for a coefficient row)
 //! directory (per matrix family: slab offset/len/checksum + shapes)
 //! end | zero padding to a 64-byte boundary
 //! slab region: one little-endian column-major slab per family
 //!              (bases, transfers, then — normal mode — coupling, nearfield),
 //!              every family and every matrix start 64-byte aligned
 //! ```
+//!
+//! A basis or transfer is stored as the operator holds it
+//! ([`h2_linalg::BasisMatrix`]): its row map in the header, its coefficient
+//! block (the whole matrix when the map is empty) in its family's slab. A
+//! load rebuilds it with [`h2_linalg::BasisMatrix::from_split`], which
+//! refuses a map that does not fit its block.
 //!
 //! On-the-fly files simply omit the two dense-block families, which is what
 //! makes them ~10× smaller: they carry only the tree and the skeleton/grid
@@ -68,9 +78,9 @@
 //! away (`SIGBUS`); a save that fails removes its temporary and leaves the
 //! old file as it was.
 //!
-//! This is the only format: version 4. Blobs of the earlier
-//! payload-in-section versions 1–3 are refused with
-//! [`LoadError::UnsupportedVersion`].
+//! This is the only format: version 5. Blobs of the earlier versions are
+//! refused with [`LoadError::UnsupportedVersion`]: 1–3 kept matrices inside
+//! the sections, 4 stored every basis and transfer dense.
 //!
 //! Block lists are *not* stored: they are a deterministic function of the
 //! tree and `eta`, recomputed at load (`H2Matrix::from_parts`), which also
@@ -86,6 +96,7 @@ use h2_core::proxy::ProxyPoints;
 use h2_core::{BuilderProvenance, H2MatrixS, H2Parts, MemoryMode};
 use h2_dist::wire::{WireReader, WireWriter};
 use h2_kernels::Kernel;
+use h2_linalg::basis::RowIndex;
 use h2_linalg::{BasisMatrix, MatrixS, Scalar, SlabMem};
 use h2_points::tree::Node;
 use h2_points::{BoundingBox, ClusterTree, PointSet};
@@ -101,8 +112,8 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"H2SERVE\0";
 /// The one codec format version this build writes and reads: matrix
 /// payloads in an aligned, `mmap`able slab region behind a checksummed
-/// directory.
-pub const FORMAT_VERSION: u32 = 4;
+/// directory, each basis and transfer as its row map and coefficient block.
+pub const FORMAT_VERSION: u32 = 5;
 /// Alignment (bytes) of the slab region, each family slab, and each
 /// matrix payload within its slab. 64 covers every scalar width this crate
 /// serves plus cache-line alignment for the apply kernels.
@@ -256,8 +267,8 @@ fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
 }
 
-/// Ranks and proxies; the matrices live in the slab region, their shapes
-/// in the directory.
+/// Ranks, proxies and the row maps of the bases, then of the transfers; the
+/// matrices live in the slab region, their shapes in the directory.
 fn encode_generators_meta<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<u8> {
     let mut e = WireWriter::new();
     let n_nodes = h2.ranks().len();
@@ -280,7 +291,23 @@ fn encode_generators_meta<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<u8> {
             }
         }
     }
+    for m in h2.bases().iter().chain(h2.transfers()) {
+        e.usize(m.row_map().len());
+        for &ix in m.row_map() {
+            e.u32(wire_entry(ix));
+        }
+    }
     e.into_bytes()
+}
+
+/// A row-map entry as a file holds it: the unit column, or `u32::MAX` for a
+/// coefficient row.
+fn wire_entry<I: RowIndex>(ix: I) -> u32 {
+    if ix == I::DENSE {
+        u32::MAX
+    } else {
+        ix.col() as u32
+    }
 }
 
 /// One matrix family in the directory: where its slab sits (relative to
@@ -294,25 +321,9 @@ struct DirFamily {
     entries: Vec<SlabBlock>,
 }
 
-/// One matrix of a family: a stored block, or a basis or transfer, which
-/// the file holds in its dense form.
-enum Held<'a, S: Scalar> {
-    Block(&'a MatrixS<S>),
-    Basis(&'a BasisMatrix<S>),
-}
-
-impl<S: Scalar> Held<'_, S> {
-    fn shape(&self) -> (usize, usize) {
-        match self {
-            Held::Block(m) => m.shape(),
-            Held::Basis(m) => m.shape(),
-        }
-    }
-}
-
 /// Lays one family out: 64-aligned matrix offsets relative to the family
 /// slab base, returning the entries and the (aligned) slab length.
-fn layout_family<S: Scalar>(mats: &[Held<S>]) -> (Vec<SlabBlock>, usize) {
+fn layout_family<S: Scalar>(mats: &[&MatrixS<S>]) -> (Vec<SlabBlock>, usize) {
     let mut entries = Vec::with_capacity(mats.len());
     let mut cursor = 0usize;
     for m in mats {
@@ -353,17 +364,17 @@ struct Plan<'a, S: Scalar> {
     head: Vec<u8>,
     dir_at: usize,
     families: Vec<DirFamily>,
-    mats: Vec<Vec<Held<'a, S>>>,
+    mats: Vec<Vec<&'a MatrixS<S>>>,
     slab_region_len: usize,
 }
 
 impl<'a, S: Scalar> Plan<'a, S> {
     fn new(h2: &'a H2MatrixS<S>) -> Self {
         // Lay the families out and compute slab offsets.
-        let held = |family: &'a [BasisMatrix<S>]| family.iter().map(Held::Basis).collect();
-        let mut family_mats: Vec<(u8, Vec<Held<S>>)> = vec![
-            (FAMILY_BASES, held(h2.bases())),
-            (FAMILY_TRANSFERS, held(h2.transfers())),
+        let coefs = |family: &'a [BasisMatrix<S>]| family.iter().map(BasisMatrix::coefficients);
+        let mut family_mats: Vec<(u8, Vec<&MatrixS<S>>)> = vec![
+            (FAMILY_BASES, coefs(h2.bases()).collect()),
+            (FAMILY_TRANSFERS, coefs(h2.transfers()).collect()),
         ];
         let table = h2.table();
         for (tag, kind) in [
@@ -371,7 +382,7 @@ impl<'a, S: Scalar> Plan<'a, S> {
             (FAMILY_NEARFIELD, BlockKind::Nearfield),
         ] {
             if let Some(blocks) = table.stored_blocks(kind) {
-                family_mats.push((tag, blocks.into_iter().map(Held::Block).collect()));
+                family_mats.push((tag, blocks));
             }
         }
         let mut families = Vec::with_capacity(family_mats.len());
@@ -436,7 +447,7 @@ impl<'a, S: Scalar> Plan<'a, S> {
             out.sum = FNV_START;
             for (b, m) in f.entries.iter().zip(mats) {
                 out.pad_to(f.slab_off + b.offset)?;
-                out.matrix(m)?;
+                out.values(m.as_slice())?;
             }
             // Zeros between matrices and up to the slab's aligned end are
             // deterministic, so the family checksum covers them too.
@@ -481,22 +492,7 @@ impl<W: Write> SlabOut<'_, W> {
         Ok(())
     }
 
-    /// One matrix, little-endian column-major, a [`CHUNK`] at a time; a
-    /// basis or transfer expanded a column at a time.
-    fn matrix<S: Scalar>(&mut self, m: &Held<S>) -> io::Result<()> {
-        match m {
-            Held::Block(m) => self.values(m.as_slice()),
-            Held::Basis(m) => {
-                let mut col = vec![S::ZERO; m.nrows()];
-                for j in 0..m.ncols() {
-                    m.expand_col(j, &mut col);
-                    self.values(&col)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
+    /// One matrix's values, little-endian, a [`CHUNK`] at a time.
     fn values<S: Scalar>(&mut self, values: &[S]) -> io::Result<()> {
         let mut buf = std::mem::take(&mut self.buf);
         for part in values.chunks(CHUNK / S::BYTES) {
@@ -653,6 +649,21 @@ impl<'a> Dec<'a> {
         let n = self.count(dim * 8)?;
         let coords = self.f64s(n * dim)?;
         Ok(PointSet::new(dim, coords))
+    }
+
+    /// A row map: its length, checked against the bytes left, then per row
+    /// a unit column, which must fit `S`'s row index, or `u32::MAX`.
+    fn row_map<S: Scalar>(&mut self) -> Result<Vec<S::Index>, LoadError> {
+        let len = self.count(4)?;
+        let mut map = Vec::with_capacity(len);
+        for _ in 0..len {
+            map.push(match self.u32()? {
+                u32::MAX => S::Index::DENSE,
+                col => S::Index::unit(col as usize)
+                    .ok_or_else(|| self.corrupt(format!("row-map column {col} too wide")))?,
+            });
+        }
+        Ok(map)
     }
 
     fn finish(&self) -> Result<(), LoadError> {
@@ -1045,7 +1056,7 @@ fn check_fingerprint<S: Scalar>(fp: &Fingerprint, kernel: &dyn Kernel) -> Result
 /// nearfield, as `parse` checked) into [`H2Parts`] and revalidate through
 /// `from_parts`.
 fn assemble<S: Scalar>(
-    body: Body,
+    body: Body<S>,
     families: Vec<Vec<MatrixS<S>>>,
     kernel: Arc<dyn Kernel>,
 ) -> Result<H2MatrixS<S>, LoadError> {
@@ -1054,6 +1065,7 @@ fn assemble<S: Scalar>(
         tree,
         ranks,
         proxies,
+        maps: [basis_maps, transfer_maps],
         ..
     } = body;
     if tree.points().dim() != fp.dim {
@@ -1071,8 +1083,8 @@ fn assemble<S: Scalar>(
         tree,
         eta: fp.eta,
         mode: fp.mode,
-        bases,
-        transfers,
+        bases: split("bases", basis_maps, bases)?,
+        transfers: split("transfers", transfer_maps, transfers)?,
         proxies,
         ranks,
         coupling_blocks: families.next(),
@@ -1083,8 +1095,38 @@ fn assemble<S: Scalar>(
     H2MatrixS::from_parts(parts, kernel).map_err(LoadError::Inconsistent)
 }
 
-/// Ranks and proxies from the generators-meta section.
-fn decode_generators_meta(payload: &[u8]) -> Result<(Vec<usize>, Vec<ProxyPoints>), LoadError> {
+/// Rebuilds a family of bases or transfers from its row maps and its
+/// coefficient blocks, one of each per node.
+fn split<S: Scalar>(
+    family: &str,
+    maps: Vec<Vec<S::Index>>,
+    coefs: Vec<MatrixS<S>>,
+) -> Result<Vec<BasisMatrix<S>>, LoadError> {
+    if maps.len() != coefs.len() {
+        return Err(corrupt_directory(format!(
+            "{} {family} for {} row maps",
+            coefs.len(),
+            maps.len()
+        )));
+    }
+    let nodes = maps.into_iter().zip(coefs).enumerate();
+    nodes
+        .map(|(i, (map, coef))| {
+            BasisMatrix::from_split(map, coef)
+                .map_err(|e| LoadError::Inconsistent(format!("node {i}: {family}: {e}")))
+        })
+        .collect()
+}
+
+/// The generators-meta section: per node its rank and proxies, then per
+/// node the row map of its basis, then per node that of its transfer.
+type GeneratorsMeta<S> = (
+    Vec<usize>,
+    Vec<ProxyPoints>,
+    [Vec<Vec<<S as Scalar>::Index>>; 2],
+);
+
+fn decode_generators_meta<S: Scalar>(payload: &[u8]) -> Result<GeneratorsMeta<S>, LoadError> {
     let mut d = Dec::new(payload, "generators-meta");
     let n_nodes = d.count(8)?;
     let mut ranks = Vec::with_capacity(n_nodes);
@@ -1106,8 +1148,14 @@ fn decode_generators_meta(payload: &[u8]) -> Result<(Vec<usize>, Vec<ProxyPoints
             k => return Err(d.corrupt(format!("unknown proxy kind {k}"))),
         });
     }
+    let mut maps = || {
+        (0..n_nodes)
+            .map(|_| d.row_map::<S>())
+            .collect::<Result<_, _>>()
+    };
+    let maps = [maps()?, maps()?];
     d.finish()?;
-    Ok((ranks, proxies))
+    Ok((ranks, proxies, maps))
 }
 
 fn decode_directory(payload: &[u8]) -> Result<Vec<DirFamily>, LoadError> {
@@ -1154,11 +1202,12 @@ fn corrupt_directory(reason: impl Into<String>) -> LoadError {
 }
 
 /// The fully parsed, not yet materialized body of a file.
-struct Body {
+struct Body<S: Scalar> {
     fp: Fingerprint,
     tree: ClusterTree,
     ranks: Vec<usize>,
     proxies: Vec<ProxyPoints>,
+    maps: [Vec<Vec<S::Index>>; 2],
     families: Vec<DirFamily>,
     /// Absolute byte offset of the (aligned) slab region within the file.
     slab_base: usize,
@@ -1173,12 +1222,13 @@ fn parse<S: Scalar>(
     hdr: Header<'_>,
     file_len: usize,
     kernel: &dyn Kernel,
-) -> Result<Body, LoadError> {
+) -> Result<Body<S>, LoadError> {
     let sections = &hdr.sections;
     let fp = decode_fingerprint(require(sections, TAG_FINGERPRINT)?)?;
     check_fingerprint::<S>(&fp, kernel)?;
     let tree = decode_tree(require(sections, TAG_TREE)?)?;
-    let (ranks, proxies) = decode_generators_meta(require(sections, TAG_GENERATORS_META)?)?;
+    let (ranks, proxies, maps) =
+        decode_generators_meta::<S>(require(sections, TAG_GENERATORS_META)?)?;
     let families = decode_directory(require(sections, TAG_DIRECTORY)?)?;
 
     let kinds: Vec<u8> = families.iter().map(|f| f.kind).collect();
@@ -1249,6 +1299,7 @@ fn parse<S: Scalar>(
         tree,
         ranks,
         proxies,
+        maps,
         families,
         slab_base,
     })
@@ -1329,13 +1380,12 @@ pub fn decode<S: Scalar>(bytes: &[u8], kernel: Arc<dyn Kernel>) -> Result<H2Matr
 }
 
 /// Decodes an operator whose bytes live in a [`SlabMem`] — when the memory
-/// is an actual file mapping, block payloads become zero-copy views over
+/// is an actual file mapping, matrix payloads become zero-copy views over
 /// the mapped pages instead of heap copies, and the header sections are
-/// read in place. Bases and transfers go through
-/// [`h2_linalg::BasisMatrix::from_dense`] as every load's do: one that
-/// splits copies its coefficient rows to the heap, one that does not stays
-/// a view. The resident footprint is the tree, lists, directory and the
-/// split bases.
+/// read in place. A basis or transfer is its row map, on the heap, over its
+/// coefficient block, a view like any block's. The resident footprint is
+/// the tree, lists, directory, proxies and row maps: a load reads the
+/// header pages only.
 ///
 /// Falls back to the owned [`decode`] on big-endian hosts (which cannot
 /// reinterpret little-endian slabs in place). Either way the returned
@@ -1469,10 +1519,10 @@ mod tests {
         assert_eq!(
             got,
             [
-                0x5a18_2121_5de7_6ffc,
-                0x44dc_d335_a555_45a5,
-                0xc7e9_b82a_fc53_7aeb,
-                0xcd39_b2dc_c7a5_bc27,
+                0xb740_4587_29fe_c294,
+                0xb3fa_aef2_7ced_e890,
+                0xdeaf_e9ae_fce8_669d,
+                0x2cfd_4642_752a_93eb,
             ],
             "f64 normal, f64 on-the-fly, f32 normal, f32 on-the-fly: {hex:?}"
         );
@@ -1552,10 +1602,11 @@ mod tests {
     #[test]
     fn older_version_blobs_are_refused() {
         // v1 had no scalar byte, v2 no provenance byte, v3 kept matrices
-        // inside the sections: readers must stop at the version check
-        // rather than misparse any of them.
+        // inside the sections, v4 stored bases and transfers dense: readers
+        // must stop at the version check rather than misparse any of them.
+        assert_eq!(FORMAT_VERSION, 5);
         let h2 = build(MemoryMode::OnTheFly);
-        for old in [1u32, 2u32, 3u32] {
+        for old in [1u32, 2u32, 3u32, 4u32] {
             let mut bytes = encode(&h2);
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             let err = decode::<f64>(&bytes, Arc::new(Coulomb))
@@ -1571,22 +1622,17 @@ mod tests {
                 ),
                 "v{old}: {err}"
             );
-            assert!(matches!(
-                stored_scalar(&bytes),
-                Err(LoadError::UnsupportedVersion { .. })
-            ));
-            assert!(matches!(
-                stored_builder(&bytes),
-                Err(LoadError::UnsupportedVersion { .. })
-            ));
-            assert!(matches!(
-                stored_epoch(&bytes),
-                Err(LoadError::UnsupportedVersion { .. })
-            ));
-            assert!(matches!(
-                decode_mapped::<f64>(&SlabMem::from_bytes(&bytes), Arc::new(Coulomb)),
-                Err(LoadError::UnsupportedVersion { .. })
-            ));
+            let refused = |err: Option<LoadError>| {
+                matches!(err, Some(LoadError::UnsupportedVersion {
+                    found,
+                    supported: FORMAT_VERSION,
+                }) if found == old)
+            };
+            assert!(refused(stored_scalar(&bytes).err()), "v{old}");
+            assert!(refused(stored_builder(&bytes).err()), "v{old}");
+            assert!(refused(stored_epoch(&bytes).err()), "v{old}");
+            let mapped = decode_mapped::<f64>(&SlabMem::from_bytes(&bytes), Arc::new(Coulomb));
+            assert!(refused(mapped.err()), "v{old}");
         }
     }
 
@@ -1910,6 +1956,164 @@ mod tests {
             assert_mapped_k_invariant::<f32, f32>(&h32, &format!("mmap-k-{bname}-f32"));
             assert_mapped_k_invariant::<f32, f64>(&h32, &format!("mmap-k-{bname}-mixed"));
         }
+    }
+
+    /// Every load path rebuilds each basis and transfer as the operator held
+    /// it, and the products keep their bits.
+    fn loads_hold_the_built_bases<S: Scalar>(h2: &H2MatrixS<S>, tag: &str) {
+        let path = temp_path(tag);
+        save(h2, &path).expect("save");
+        let loads: [H2MatrixS<S>; 3] = [
+            decode(&encode(h2), Arc::new(Coulomb)).expect("decode"),
+            load(&path, Arc::new(Coulomb)).expect("load"),
+            load_mmap(&path, Arc::new(Coulomb)).expect("load_mmap"),
+        ];
+        let b: Vec<S> = (0..h2.n())
+            .map(|i| S::from_f64((0.41 * i as f64).sin()))
+            .collect();
+        for (how, op) in ["decode", "load", "load_mmap"].iter().zip(&loads) {
+            assert!(op.bases() == h2.bases(), "{tag} {how}: bases");
+            assert!(op.transfers() == h2.transfers(), "{tag} {how}: transfers");
+            assert_eq!(bits(&op.matvec(&b)), bits(&h2.matvec(&b)), "{tag} {how}");
+        }
+        assert!(loads[2]
+            .bases()
+            .iter()
+            .any(|m| m.coefficients().is_mapped()));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn loads_hold_the_bases_the_operator_held() {
+        for mode in [MemoryMode::Normal, MemoryMode::OnTheFly] {
+            loads_hold_the_built_bases(&build(mode), &format!("bases-f64-{mode:?}"));
+            loads_hold_the_built_bases(&build32(mode), &format!("bases-f32-{mode:?}"));
+        }
+    }
+
+    /// One row map as written: its declared length and its entries.
+    type WireMap = (u64, Vec<u32>);
+
+    /// The row maps of `h2` as its file holds them: every basis's, then
+    /// every transfer's.
+    fn wire_maps<S: Scalar>(h2: &H2MatrixS<S>) -> Vec<WireMap> {
+        let maps = h2.bases().iter().chain(h2.transfers());
+        let wire = |m: &BasisMatrix<S>| m.row_map().iter().map(|&ix| wire_entry(ix)).collect();
+        maps.map(|m| (m.row_map().len() as u64, wire(m))).collect()
+    }
+
+    /// The file of `h2` with its row maps edited by `edit`, the
+    /// generators-meta checksum recomputed and the slab region moved behind
+    /// the new header: only what `edit` did can refuse it.
+    fn with_row_maps<S: Scalar>(
+        h2: &H2MatrixS<S>,
+        edit: impl FnOnce(&mut Vec<WireMap>),
+    ) -> Vec<u8> {
+        let bytes = encode(h2);
+        let mut maps = wire_maps(h2);
+        let written: usize = maps.iter().map(|(_, m)| 8 + 4 * m.len()).sum();
+        edit(&mut maps);
+        let hdr = Reader::of(&bytes).header().expect("header");
+        let mut out = bytes[..12].to_vec();
+        for (tag, payload) in &hdr.sections {
+            let mut payload = payload.to_vec();
+            if *tag == TAG_GENERATORS_META {
+                // The row maps end the section.
+                payload.truncate(payload.len() - written);
+                for (len, map) in &maps {
+                    payload.extend_from_slice(&len.to_le_bytes());
+                    map.iter()
+                        .for_each(|v| payload.extend_from_slice(&v.to_le_bytes()));
+                }
+            }
+            push_section(&mut out, *tag, &payload);
+        }
+        out.resize(align_up(out.len(), SLAB_ALIGN), 0);
+        out.extend_from_slice(&bytes[align_up(hdr.header_end, SLAB_ALIGN)..]);
+        out
+    }
+
+    /// `bytes` fail `decode`, `load` and `decode_mapped` with a typed error.
+    fn refused<S: Scalar>(bytes: &[u8], what: &str) {
+        let path = temp_path(&format!("hostile-{}", S::NAME));
+        std::fs::write(&path, bytes).expect("write");
+        let errs = [
+            decode::<S>(bytes, Arc::new(Coulomb)).err(),
+            load::<S>(&path, Arc::new(Coulomb)).err(),
+            decode_mapped::<S>(&SlabMem::from_bytes(bytes), Arc::new(Coulomb)).err(),
+        ];
+        std::fs::remove_file(&path).ok();
+        for (how, err) in ["decode", "load", "decode_mapped"].iter().zip(errs) {
+            let err = err.unwrap_or_else(|| panic!("{} {what}: {how} accepted the file", S::NAME));
+            assert!(
+                !err.to_string().contains("checksum"),
+                "{what}: {how}: {err}"
+            );
+        }
+    }
+
+    /// Row maps that do not fit their operator: each is refused as a typed
+    /// error by every load path, and by the map check rather than the
+    /// section checksum, which the edit recomputes.
+    fn hostile_row_maps<S: Scalar>(h2: &H2MatrixS<S>) {
+        assert!(with_row_maps(h2, |_| {}) == encode(h2));
+        let nodes = h2.bases().len();
+        let maps = wire_maps(h2);
+        // A leaf basis and a transfer that hold unit and coefficient rows,
+        // and one unit row of each.
+        let split = |at: usize| {
+            let unit = |m: usize| maps[m].1.iter().position(|&v| v != u32::MAX);
+            let m = (at..at + nodes).find(|&m| unit(m).is_some() && maps[m].1.contains(&u32::MAX));
+            let m = m.expect("a split with coefficient rows");
+            (m, unit(m).unwrap())
+        };
+        for (family, (m, unit)) in [("basis", split(0)), ("transfer", split(nodes))] {
+            let ncols = h2
+                .bases()
+                .iter()
+                .chain(h2.transfers())
+                .nth(m)
+                .unwrap()
+                .ncols();
+            for col in [ncols as u32, 65_535, 70_000, u32::MAX - 1] {
+                let bytes = with_row_maps(h2, |maps| maps[m].1[unit] = col);
+                refused::<S>(&bytes, &format!("{family} column {col} of {ncols}"));
+            }
+            let bytes = with_row_maps(h2, |maps| maps[m].1[unit] = u32::MAX);
+            refused::<S>(&bytes, &format!("{family}: one coefficient row too many"));
+            let dense = maps[m].1.iter().position(|&v| v == u32::MAX).unwrap();
+            let bytes = with_row_maps(h2, |maps| maps[m].1[dense] = 0);
+            refused::<S>(&bytes, &format!("{family}: one coefficient row too few"));
+            let bytes = with_row_maps(h2, |maps| {
+                maps[m].1.remove(unit);
+                maps[m].0 -= 1;
+            });
+            refused::<S>(&bytes, &format!("{family}: one row short"));
+        }
+        for declared in [1, 1 << 40, u64::MAX / 4, u64::MAX] {
+            let bytes = with_row_maps(h2, |maps| {
+                let last = maps.last_mut().unwrap();
+                last.0 = last.0.saturating_add(declared);
+            });
+            refused::<S>(&bytes, &format!("{declared} entries past the section"));
+        }
+    }
+
+    #[test]
+    fn hostile_row_maps_are_typed_errors() {
+        // Enough levels for transfers that split.
+        let pts = gen::uniform_cube(1000, 3, 29);
+        let cfg = H2Config {
+            basis: BasisMethod::data_driven_for_tol(1e-5, 3),
+            leaf_size: 32,
+            ..H2Config::default()
+        };
+        hostile_row_maps(&H2Matrix::build(&pts, Arc::new(Coulomb), &cfg));
+        let cfg = H2Config {
+            mode: MemoryMode::OnTheFly,
+            ..cfg
+        };
+        hostile_row_maps(&H2MatrixS::<f32>::build(&pts, Arc::new(Coulomb), &cfg));
     }
 
     #[test]

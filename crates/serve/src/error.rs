@@ -79,7 +79,7 @@ pub enum LoadError {
     /// file at all.
     BadMagic,
     /// The file was written by an incompatible codec version. This build
-    /// reads exactly the version it writes (v4); older or future versions
+    /// reads exactly the version it writes (v5); older or future versions
     /// are refused here.
     UnsupportedVersion {
         /// Version found in the file header.

@@ -204,10 +204,10 @@ impl<S: Scalar> OperatorRegistry<S> {
     }
 
     /// Loads an operator file by `mmap` (see [`crate::codec::load_mmap`])
-    /// and registers it under `name`. For v4 files the operator's matrix
-    /// payloads stay on the mapped pages — near-zero resident bytes at
-    /// load, surfaced per entry as `h2_registry_operator_mapped_bytes` —
-    /// while behaving bitwise-identically to [`Self::load_file`].
+    /// and registers it under `name`. The operator's matrix payloads stay
+    /// on the mapped pages — near-zero resident bytes at load, surfaced
+    /// per entry as `h2_registry_operator_mapped_bytes` — while behaving
+    /// bitwise-identically to [`Self::load_file`].
     pub fn load_file_mmap(
         &self,
         name: impl Into<String>,
