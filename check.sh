@@ -19,7 +19,8 @@ echo "== cargo test =="
 # - builder width invariance (operator bytes and build counters equal at
 #   widths 1/2/3/8; panics cross barriers): `builder_width*` in h2-core
 #   tests/sweep.rs; h2-linalg `exec`; h2-sampling `root_closure`; h2-core
-#   `panicking_factor_rule`.
+#   `panicking_factor_rule`; an update sequence's operator files and
+#   products at widths 1/2/3: h2-core tests/widths.rs.
 # - precision (f32 / mixed vs f64): h2-core tests/precision.rs; the `f32` /
 #   `mixed` / `precision` tests of h2-dist and h2-serve.
 # - block table (every budget x precision x width bitwise normal, an
@@ -44,7 +45,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates), residency policy (no admission or eviction under crates/core/src/cache, no telemetry off the caller), block fetch (two tiers: no Fetched::Cached, no RwLock under crates/core/src, no cache argument to Sweep::new), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (is_x86_feature_detected! only in simd.rs, five unsafe dispatches: _avx2( in panel.rs, radial.rs, qr.rs and strategies.rs, _avx512( in radial.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc; panel.rs's apply_baseline calls transposed( before forward(), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), socket transport (no readiness pump, set_nonblocking only on the two listeners), workspace (12 members of which 9 hold code, shells that re-export only names h2bench uses, the h2bench-only names in compat modules, leaf_basis(, .transfer(, BlockCache and the block stores among them, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic, no codec::encode/decode or fs::read of a whole file), bench binary and result (paper the one bench binary, each result named by run_harness.sh or check.sh), paper driver (one run_config runner and the one H2Matrix::build under crates/bench/src), basis storage (basis.rs has no COEF, with_coef or in_place; codec.rs and parts.rs name no expand_col, from_dense or Held::Basis) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates, no per-level exec::map(level in hierarchical.rs or builders/mod.rs: a tree pass is one step of per-subtree tasks), residency policy (no admission or eviction under crates/core/src/cache, no telemetry off the caller), block fetch (two tiers: no Fetched::Cached, no RwLock under crates/core/src, no cache argument to Sweep::new), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (is_x86_feature_detected! only in simd.rs, five unsafe dispatches: _avx2( in panel.rs, radial.rs, qr.rs and strategies.rs, _avx512( in radial.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc; panel.rs's apply_baseline calls transposed( before forward(), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), socket transport (no readiness pump, set_nonblocking only on the two listeners), workspace (12 members of which 9 hold code, shells that re-export only names h2bench uses, the h2bench-only names in compat modules, leaf_basis(, .transfer(, BlockCache and the block stores among them, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic, no codec::encode/decode or fs::read of a whole file), bench binary and result (paper the one bench binary, each result named by run_harness.sh or check.sh), paper driver (one run_config runner and the one H2Matrix::build under crates/bench/src), basis storage (basis.rs has no COEF, with_coef or in_place; codec.rs and parts.rs name no expand_col, from_dense or Held::Basis) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -55,6 +56,9 @@ SCOPES=$(non_test $(find crates/linalg/src crates/sampling/src crates/core/src -
 [ "$SCOPES" = 1 ] || { echo "expected one std::thread::scope site, found $SCOPES"; exit 1; }
 # (grep without -q reads to the end: an early exit would SIGPIPE awk under pipefail)
 non_test crates/linalg/src/exec.rs | grep "std::thread::scope(" > /dev/null
+if grep -n "exec::map(level" crates/sampling/src/hierarchical.rs crates/core/src/builders/mod.rs; then
+  echo "a tree pass steps the executor once per level (cut the node set into subtrees instead)"; exit 1
+fi
 if grep -rnwE "last_use|make_room|try_reserve|with_shards|freq" crates/core/src/cache; then echo "the dynamic cache is back"; exit 1; fi
 if grep -nE "counter_add!|span\(" crates/core/src/cache/table.rs; then echo "the block table records telemetry on helper threads"; exit 1; fi
 # The fetch has two tiers: the slot the plan filled, or the block

@@ -63,6 +63,13 @@ impl BlockIndex {
         self.map.get(&pair).map(|&s| (s as usize, t))
     }
 
+    /// Whether this is the index of `pairs`: every pair at its position.
+    pub(crate) fn maps(&self, pairs: &[(NodeId, NodeId)]) -> bool {
+        let at =
+            |(slot, pair): (usize, &(NodeId, NodeId))| self.map.get(pair) == Some(&(slot as u32));
+        self.map.len() == pairs.len() && pairs.iter().enumerate().all(at)
+    }
+
     /// Heap bytes, from hashbrown's layout: a power-of-two bucket table at
     /// load factor ≤ 7/8 (`capacity()` is `buckets * 7/8`), one entry and
     /// one control byte per bucket.
@@ -83,9 +90,10 @@ impl BlockIndex {
 /// either node is never served.
 type Held<S> = (u64, Arc<MatrixS<S>>);
 
-/// One family: its index and its slots, empty while nothing is held.
+/// One family: its index, shared by the successors listed on the same
+/// pairs, and its slots, empty while nothing is held.
 struct Family<S: Scalar> {
-    index: BlockIndex,
+    index: Arc<BlockIndex>,
     slots: Vec<Option<Held<S>>>,
 }
 
@@ -152,13 +160,18 @@ pub struct BlockTable<S: Scalar> {
 impl<S: Scalar> BlockTable<S> {
     /// A table over `pairs` that holds nothing yet.
     pub(crate) fn listed(pairs: Pairs<'_>, budget: Option<usize>) -> Self {
-        let family = |pairs| Family {
-            index: BlockIndex::new(pairs),
+        BlockTable::indexed(pairs.map(|pairs| Arc::new(BlockIndex::new(pairs))), budget)
+    }
+
+    /// A table over the pairs `indexes` map that holds nothing yet.
+    fn indexed(indexes: [Arc<BlockIndex>; 2], budget: Option<usize>) -> Self {
+        let family = |index| Family {
+            index,
             slots: Vec::new(),
         };
         BlockTable {
             budget,
-            families: pairs.map(family),
+            families: indexes.map(family),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stale_purged: AtomicU64::new(0),
@@ -180,7 +193,9 @@ impl<S: Scalar> BlockTable<S> {
     }
 
     /// The table that holds `budget` on the lists `pairs`, this one's
-    /// counters carried on. `schedule` yields `(kind, i, j, bytes)` in
+    /// counters carried on. A family's pairs are `None` when they are the
+    /// ones `self` is listed on: its index is then shared, not rebuilt.
+    /// `schedule` yields `(kind, i, j, bytes)` in
     /// sweep order, either orientation of a listed pair; `Some(bytes)`
     /// takes the first fit, each pair once and empty blocks never, `None`
     /// every scheduled pair. A block of `self` taken at its current
@@ -189,14 +204,21 @@ impl<S: Scalar> BlockTable<S> {
     /// counts as `stale_purged`. `self` is not changed.
     pub(crate) fn successor(
         &self,
-        pairs: Pairs<'_>,
+        pairs: [Option<&[(NodeId, NodeId)]>; 2],
         budget: Option<usize>,
         schedule: impl IntoIterator<Item = (BlockKind, NodeId, NodeId, usize)>,
         epoch: impl Fn(NodeId, NodeId) -> u64,
         generate: impl FnOnce(&[(BlockKind, NodeId, NodeId)]) -> Vec<MatrixS<S>>,
     ) -> BlockTable<S> {
-        let mut next = BlockTable::listed(pairs, budget);
-        let mut taken = pairs.map(|p| vec![false; p.len()]);
+        let index = |k: usize| match pairs[k] {
+            Some(pairs) => Arc::new(BlockIndex::new(pairs)),
+            None => self.families[k].index.clone(),
+        };
+        let mut next = BlockTable::indexed([index(0), index(1)], budget);
+        let mut taken = next
+            .families
+            .each_ref()
+            .map(|f| vec![false; f.index.map.len()]);
         let (mut acc, mut kept, mut fresh) = (0, 0, Vec::new());
         for (kind, i, j, bytes) in schedule {
             let (i, j, k) = (i.min(j), i.max(j), kind as usize);
@@ -243,7 +265,8 @@ impl<S: Scalar> BlockTable<S> {
             .is_none_or(|b| bytes > 0 && resident + bytes <= b);
         let family = &mut self.families[kind as usize];
         let next = family.index.map.len() as u32;
-        let slot = *family.index.map.entry((i, j)).or_insert(next) as usize;
+        let map = &mut Arc::make_mut(&mut family.index).map;
+        let slot = *map.entry((i, j)).or_insert(next) as usize;
         let empty = family.slot(slot).is_none();
         if fits && empty {
             family.hold(slot, (epoch, block));
@@ -291,8 +314,9 @@ impl<S: Scalar> BlockTable<S> {
         self.budget.is_none().then(|| family.held().collect())
     }
 
-    /// The pair index of `kind`.
-    pub fn pair_index(&self, kind: BlockKind) -> &BlockIndex {
+    /// The pair index of `kind`, shared with the tables listed on the
+    /// same pairs.
+    pub fn pair_index(&self, kind: BlockKind) -> &Arc<BlockIndex> {
         &self.families[kind as usize].index
     }
 
@@ -389,7 +413,7 @@ mod tests {
         epoch: impl Fn(NodeId, NodeId) -> u64 + Copy,
     ) -> BlockTable<f64> {
         let budget = table.budget();
-        table.successor(pairs, budget, schedule, epoch, |fresh| {
+        table.successor(pairs.map(Some), budget, schedule, epoch, |fresh| {
             let at = |&(_, i, j): &(BlockKind, NodeId, NodeId)| block_at(i, j, epoch(i, j));
             fresh.iter().map(at).collect()
         })
@@ -499,7 +523,7 @@ mod tests {
         assert!(table.hold(Coupling, (3, 7), 0, block(3, 7)));
         // A schedule may name the pair in either orientation.
         let next = table.successor(
-            [&[(3, 7)], &[]],
+            [Some(&[(3, 7)]), Some(&[])],
             Some(10 * B44),
             [(Coupling, 7, 3, B44)],
             |_, _| 0,
@@ -548,7 +572,8 @@ mod tests {
         let epoch = |i: NodeId, j: NodeId| u64::from(i == 2 || j == 2);
         let pairs = [(0, 1), (0, 2), (0, 4), (0, 5)];
         let schedule = pairs.map(|(i, j)| (Coupling, i, j, B44));
-        let next = table.successor([&pairs, &[]], Some(3 * B44), schedule, epoch, |fresh| {
+        let pairs = [Some(&pairs[..]), Some(&[][..])];
+        let next = table.successor(pairs, Some(3 * B44), schedule, epoch, |fresh| {
             assert_eq!(fresh, [(Coupling, 0, 2), (Coupling, 0, 4)]);
             fresh
                 .iter()

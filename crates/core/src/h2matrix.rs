@@ -229,7 +229,7 @@ impl<S: Scalar> H2MatrixS<S> {
         };
         // From a table of no pairs: fresh counters, nothing to carry.
         let fresh = BlockTable::listed([&[], &[]], Some(0));
-        self.table = Arc::new(self.plan_table(&fresh, Some(bytes)));
+        self.table = Arc::new(self.plan_table(&fresh, Some(bytes), [false; 2]));
     }
 
     /// What a table of `mode` holds under `budget`: every listed block in
@@ -249,12 +249,25 @@ impl<S: Scalar> H2MatrixS<S> {
     /// function of the operator and the budget only; `prev` (a fresh table,
     /// or the one an update replaces) contributes its counters and the
     /// blocks that are still current, the rest are generated as one step of
-    /// the executor, counted on the calling thread.
-    pub(crate) fn plan_table(&self, prev: &BlockTable<S>, budget: Option<usize>) -> BlockTable<S> {
+    /// the executor, counted on the calling thread. `kept[k]` says that
+    /// `prev` is listed on family `k`'s current pairs, whose index the
+    /// successor then shares.
+    pub(crate) fn plan_table(
+        &self,
+        prev: &BlockTable<S>,
+        budget: Option<usize>,
+        kept: [bool; 2],
+    ) -> BlockTable<S> {
+        let lists = pairs(&self.lists);
+        let kinds = [BlockKind::Coupling, BlockKind::Nearfield];
+        let changed = |k: usize| {
+            debug_assert!(!kept[k] || prev.pair_index(kinds[k]).maps(lists[k]));
+            (!kept[k]).then_some(lists[k])
+        };
         // A budget of 0 bytes holds nothing: no schedule to walk.
         let plan = (budget != Some(0)).then(|| SweepPlan::whole(self));
         prev.successor(
-            pairs(&self.lists),
+            [changed(0), changed(1)],
             budget,
             plan.iter().flat_map(|plan| plan.block_schedule(self)),
             |i, j| self.pair_epoch(i, j),

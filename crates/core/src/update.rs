@@ -38,7 +38,7 @@
 use crate::builders::{build_with_x_star, data_driven, nested_skeleton_pass};
 use crate::cache::{BlockKind, CacheBudget};
 use crate::config::{BasisMethod, BuilderStrategy, H2Config, MemoryMode};
-use crate::h2matrix::{listed_blocks, H2MatrixS};
+use crate::h2matrix::{listed_blocks, pairs, H2MatrixS};
 use crate::proxy::ProxyPoints;
 use h2_linalg::{BasisMatrix, Scalar};
 use h2_points::admissibility::build_block_lists;
@@ -155,6 +155,9 @@ pub(crate) struct UpdateState {
     pub(crate) x_star: Vec<Vec<usize>>,
     /// Inserts + removes since construction or the last rebuild.
     pub(crate) churn: usize,
+    /// A box grew or a leaf split since the lists were built: the next
+    /// re-factorization rebuilds them.
+    pub(crate) relist: bool,
 }
 
 impl<S: Scalar> H2MatrixS<S> {
@@ -197,8 +200,14 @@ impl<S: Scalar> H2MatrixS<S> {
         }
         let max_leaf = state.max_leaf;
         let mut touched: HashSet<NodeId> = HashSet::new();
-        let mut splits = 0;
+        let (mut splits, mut grew) = (0, false);
         for p in pts.iter() {
+            // The leaf `insert_point` routes to; its path's boxes grow only
+            // for a point outside them.
+            let routed = self.tree.route_point(p);
+            grew |= !self
+                .path(routed)
+                .all(|c| self.tree.node(c).bbox.contains(p));
             let (leaf, _g) = self.tree.insert_point(p);
             if self.tree.node(leaf).len() > max_leaf {
                 if let Some([a, b]) = self.tree.split_leaf(leaf) {
@@ -210,6 +219,8 @@ impl<S: Scalar> H2MatrixS<S> {
             }
             self.touch_path(&mut touched, leaf);
         }
+        let state = self.update.as_mut().expect("state initialized");
+        state.relist |= grew || splits > 0;
         Ok(self.refactor_paths(touched, splits, pts.len(), 0))
     }
 
@@ -269,13 +280,33 @@ impl<S: Scalar> H2MatrixS<S> {
         Ok(self.refactor_paths(touched, 0, 0, sorted.len()))
     }
 
+    /// `node` and its ancestors, up to the root.
+    fn path(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(Some(node), |&c| self.tree.node(c).parent)
+    }
+
     /// Adds `node` and its ancestors to `touched`.
     fn touch_path(&self, touched: &mut HashSet<NodeId>, node: NodeId) {
-        let mut cur = Some(node);
-        while let Some(c) = cur {
-            touched.insert(c);
-            cur = self.tree.node(c).parent;
-        }
+        touched.extend(self.path(node));
+    }
+
+    /// Whether a touched internal node's diameter equals another internal
+    /// node's bit for bit. `build_block_lists` breaks such a tie by point
+    /// count, which every touched node's may have changed; nothing else it
+    /// reads changes unless a box grows or a leaf splits.
+    fn diameter_tie(&self, touched: &HashSet<NodeId>) -> bool {
+        let tree = &self.tree;
+        let internal = |i: &NodeId| !tree.node(*i).is_leaf();
+        let diameter = |i: NodeId| tree.node(i).bbox.diameter().to_bits();
+        let mine: Vec<(NodeId, u64)> = touched
+            .iter()
+            .filter(|i| internal(i))
+            .map(|&i| (i, diameter(i)))
+            .collect();
+        let other = (0..tree.node_count()).filter(internal);
+        other
+            .map(|j| (j, diameter(j)))
+            .any(|(j, d)| mine.iter().any(|&(i, e)| i != j && e == d))
     }
 
     fn check_updatable(&self) -> Result<(), UpdateError> {
@@ -316,6 +347,7 @@ impl<S: Scalar> H2MatrixS<S> {
             leaf_size,
             x_star,
             churn: 0,
+            relist: false,
         }
     }
 
@@ -366,6 +398,11 @@ impl<S: Scalar> H2MatrixS<S> {
     /// its row IDs with the data-driven rule; then the epoch is bumped and
     /// the block table re-planned, which regenerates the held blocks with a
     /// dirty endpoint.
+    ///
+    /// The lists are rebuilt only when a box grew, a leaf split or a
+    /// diameter tie makes a changed point count matter
+    /// ([`Self::diameter_tie`]); otherwise they stand as they are, and so
+    /// do the table's pair indexes.
     fn refactor_paths(
         &mut self,
         mut touched: HashSet<NodeId>,
@@ -376,12 +413,16 @@ impl<S: Scalar> H2MatrixS<S> {
         let mut state = self.update.take().expect("state initialized");
         state.churn += inserted + removed;
         let sp = h2_telemetry::span("update.resample");
-        let new_lists = build_block_lists(&self.tree, self.lists.eta);
+        let relist = std::mem::take(&mut state.relist) || self.diameter_tie(&touched);
+        let new_lists = relist.then(|| build_block_lists(&self.tree, self.lists.eta));
         // A grown box can give a node off the paths a new interaction
         // partner, whose points its `Y*` never sampled: that node is
         // re-factored too, with its ancestors, whose candidates nest its
         // skeleton.
-        for (i, list) in new_lists.interaction.iter().enumerate() {
+        for (i, list) in new_lists
+            .iter()
+            .flat_map(|l| l.interaction.iter().enumerate())
+        {
             let old = self.lists.interaction.get(i).map_or(&[][..], Vec::as_slice);
             if list.iter().any(|j| !old.contains(j)) {
                 self.touch_path(&mut touched, i);
@@ -393,13 +434,8 @@ impl<S: Scalar> H2MatrixS<S> {
         for &i in &touched {
             levels[self.tree.node(i).level].push(i);
         }
-        let y_star = sample_levels(
-            &self.tree,
-            &new_lists,
-            &state.params,
-            &levels,
-            &mut state.x_star,
-        );
+        let lists = new_lists.as_ref().unwrap_or(&self.lists);
+        let y_star = sample_levels(&self.tree, lists, &state.params, &levels, &mut state.x_star);
         drop(sp);
 
         let sp = h2_telemetry::span("update.refactor");
@@ -411,21 +447,31 @@ impl<S: Scalar> H2MatrixS<S> {
         // The blocks that changed: a dirty endpoint, or a pair a split or
         // an admissibility change from a grown box newly listed.
         let sp = h2_telemetry::span("update.blocks");
-        let dirty = |i: NodeId, j: NodeId| touched.contains(&i) || touched.contains(&j);
-        let listed = |kind: BlockKind, i, j| self.table.pair_index(kind).slot(i, j).is_some();
-        let stale = listed_blocks(&new_lists)
-            .filter(|&(kind, i, j)| dirty(i, j) || !listed(kind, i, j))
+        let mut dirty = vec![false; self.tree.node_count()];
+        for &i in &touched {
+            dirty[i] = true;
+        }
+        let old = pairs(&self.lists);
+        let lists = new_lists.as_ref().unwrap_or(&self.lists);
+        let kept = [0, 1].map(|k| old[k] == pairs(lists)[k]);
+        let listed = |kind: BlockKind, i, j| {
+            kept[kind as usize] || self.table.pair_index(kind).slot(i, j).is_some()
+        };
+        let stale = listed_blocks(lists)
+            .filter(|&(kind, i, j)| dirty[i] || dirty[j] || !listed(kind, i, j))
             .count();
         self.epoch += 1;
         for &i in &touched {
             self.node_epochs[i] = self.epoch;
         }
-        self.lists = new_lists;
+        if let Some(lists) = new_lists {
+            self.lists = lists;
+        }
         // Residency is a function of (operator, budget): one successor plan
-        // over the new lists carries the held blocks still current by `Arc`
+        // over the lists carries the held blocks still current by `Arc`
         // and generates the planned rest, so whoever shares the old table
         // keeps the blocks they started with.
-        let next = self.plan_table(&self.table, self.table.budget());
+        let next = self.plan_table(&self.table, self.table.budget(), kept);
         self.table = Arc::new(next);
         drop(sp);
 
@@ -481,10 +527,12 @@ impl<S: Scalar> H2MatrixS<S> {
             node_epochs,
             ..rebuilt
         };
-        self.table = Arc::new(self.plan_table(&self.table, budget));
+        // The rebuilt table is listed on the rebuilt lists: its indexes carry.
+        self.table = Arc::new(self.plan_table(&self.table, budget, [true; 2]));
         self.update = Some(UpdateState {
             x_star: x_star.expect("a data-driven build samples"),
             churn: 0,
+            relist: false,
             ..state
         });
         drop(sp);
@@ -747,6 +795,93 @@ mod tests {
         }
         assert!(cache.stats().stale_purged > 0 || cache.stats().entries == 0);
         check_accuracy(&h2, 1e-4);
+    }
+
+    /// The operator's lists equal a fresh traversal of its tree.
+    fn assert_lists_current(h2: &H2Matrix, step: &str) {
+        let fresh = build_block_lists(h2.tree(), h2.lists().eta);
+        let kept = h2.lists();
+        assert_eq!(kept.interaction, fresh.interaction, "{step}");
+        assert_eq!(kept.nearfield, fresh.nearfield, "{step}");
+        assert_eq!(kept.interaction_pairs, fresh.interaction_pairs, "{step}");
+        assert_eq!(kept.nearfield_pairs, fresh.nearfield_pairs, "{step}");
+    }
+
+    #[test]
+    fn lists_and_pair_indexes_stand_until_a_box_grows_or_a_leaf_splits() {
+        use crate::cache::BlockKind::{Coupling, Nearfield};
+        let mut h2 = build(900, MemoryMode::OnTheFly, 17);
+        let max_leaf = h2
+            .tree()
+            .leaves()
+            .iter()
+            .map(|&l| h2.tree().node(l).len())
+            .max();
+        h2.set_update_policy(UpdatePolicy {
+            max_leaf_points: max_leaf,
+            ..UpdatePolicy::default()
+        })
+        .unwrap();
+        // Whether each family's index is the one before the update, and
+        // how many leaves the update split.
+        let update = |h2: &mut H2Matrix, edit: &dyn Fn(&mut H2Matrix) -> UpdateReport| {
+            let before = h2.table.clone();
+            let splits = edit(h2).splits;
+            let kept = [Coupling, Nearfield]
+                .map(|kind| Arc::ptr_eq(before.pair_index(kind), h2.table.pair_index(kind)));
+            (kept, splits)
+        };
+        // The centre of a leaf's box lies in every box on its routed path.
+        let leaf = h2.tree().leaves()[3];
+        let inside = PointSet::new(3, h2.tree().node(leaf).bbox.center());
+        let (kept, _) = update(&mut h2, &|h2| h2.insert_points(&inside).unwrap());
+        assert_eq!(kept, [true, true], "an insert inside the boxes");
+        assert_lists_current(&h2, "inside");
+        let (kept, _) = update(&mut h2, &|h2| h2.remove_points(&[5, 400]).unwrap());
+        assert_eq!(kept, [true, true], "a removal");
+        assert_lists_current(&h2, "removal");
+        // Outside the unit cube every path box grows: the lists are rebuilt
+        // (an index is still shared where its pairs came out the same).
+        let outside = PointSet::new(3, vec![1.4, -0.3, 0.5]);
+        h2.insert_points(&outside).unwrap();
+        assert_lists_current(&h2, "outside");
+        // Hammer one spot until its leaf splits: new leaves, new pairs.
+        let mut splits = 0;
+        for k in 0..60 {
+            let e = 1e-4 * k as f64;
+            let p = PointSet::new(3, vec![0.3 + e, 0.6 - e, 0.4]);
+            let kept;
+            (kept, splits) = update(&mut h2, &|h2| h2.insert_points(&p).unwrap());
+            assert_lists_current(&h2, "hammer");
+            if splits > 0 {
+                assert!(!kept[1], "a split rebuilds the nearfield index");
+                break;
+            }
+        }
+        assert!(splits > 0, "no leaf ever split");
+        check_accuracy(&h2, 1e-4);
+    }
+
+    #[test]
+    fn a_diameter_tie_relists_when_a_point_count_changes() {
+        // On a grid, boxes of equal size tie on diameter and the traversal
+        // splits the one with more points: a removal, which moves no box,
+        // can still change which pairs are listed.
+        let grid = PointSet::from_fn(512, 3, |i, d| ((i >> (3 * d)) & 7) as f64);
+        let cfg = H2Config {
+            basis: BasisMethod::data_driven_for_tol(1e-6, 3),
+            leaf_size: 32,
+            ..H2Config::default()
+        };
+        let mut h2 = H2Matrix::build(&grid, Arc::new(Coulomb), &cfg);
+        for ids in [&[0][..], &[200, 201], &[500]] {
+            h2.remove_points(ids).unwrap();
+            assert_lists_current(&h2, &format!("removed {ids:?}"));
+        }
+        let mut one = PointSet::new(3, vec![]);
+        one.push(&[3.0, 4.0, 2.0]);
+        h2.insert_points(&one).unwrap();
+        assert_lists_current(&h2, "a grid point again");
     }
 
     #[test]

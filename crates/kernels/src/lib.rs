@@ -57,8 +57,13 @@ pub trait Kernel: Send + Sync {
     /// Evaluates `K(x, y)` for two coordinate slices of equal dimension.
     fn eval(&self, x: &[f64], y: &[f64]) -> f64;
 
-    /// Whether `K(x, y) = K(y, x)` for all pairs. Symmetric kernels let the
-    /// H² construction share row/column bases and halve coupling storage.
+    /// Whether `K(x, y) = K(y, x)` for all pairs, bit for bit: `eval(x, y)`
+    /// and `eval(y, x)` and the blocks of both orders agree in every bit.
+    /// Every radial kernel meets it, because `(−t)² = t²` makes the squared
+    /// distance the same sum of the same terms. Symmetric kernels let the
+    /// H² construction share row/column bases and halve coupling storage,
+    /// and its row IDs evaluate `K(Y*, rows)` in place of the transpose of
+    /// `K(rows, Y*)`; construction asserts this.
     fn is_symmetric(&self) -> bool {
         true
     }

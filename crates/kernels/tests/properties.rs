@@ -184,6 +184,40 @@ fn every_named_kernel_blocks_bitwise_as_eval() {
     }
 }
 
+#[test]
+fn swapped_blocks_are_the_transpose_bit_for_bit() {
+    // `Kernel::is_symmetric` promises `K(cols, rows) = K(rows, cols)ᵀ` in
+    // every bit: construction evaluates the swapped block in place of the
+    // transpose. Points repeat (coincident rows and columns) and carry
+    // ±0 coordinates.
+    for name in NAMES {
+        let k = h2_kernels::kernel_by_name(name).expect("a named kernel");
+        assert!(k.is_symmetric(), "{name}");
+        for dim in [1, 2, 3] {
+            for scale in [1.0, 40.0] {
+                let mut pts = spread_points(dim, scale);
+                for (i, zero) in [0.0, -0.0, 0.0, -0.0].into_iter().enumerate() {
+                    let mut p = vec![zero; dim];
+                    p[0] = if i < 2 { zero } else { -zero };
+                    pts.push(&p);
+                }
+                let n = pts.len();
+                let rows: Vec<usize> = (0..70).map(|i| (i * 37) % n).chain(n - 4..n).collect();
+                let cols: Vec<usize> = (0..45).map(|j| (j * 53) % n).chain(n - 4..n).collect();
+                let a = kernel_matrix(k.as_ref(), &pts, &rows, &cols);
+                let at = kernel_matrix(k.as_ref(), &pts, &cols, &rows);
+                for (i, j) in (0..rows.len()).flat_map(|i| (0..cols.len()).map(move |j| (i, j))) {
+                    assert_eq!(
+                        a[(i, j)].to_bits(),
+                        at[(j, i)].to_bits(),
+                        "{name} dim {dim} at ({i}, {j})"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Every name `kernel_by_name` knows, once.
 const NAMES: [&str; 7] = [
     "coulomb",

@@ -6,9 +6,10 @@
 //! takes tasks of the current step off a shared counter until none is left,
 //! meets the others at a barrier, and goes on to the next step. The five
 //! sweeps of a product are one such list ([`run`] directly, with a scratch
-//! state per thread); every level-parallel loop of construction is a
-//! single-step call through [`map`] or [`for_each_chunk`], each task writing
-//! the output slot of its own item.
+//! state per thread); every parallel loop of construction is a single-step
+//! call through [`map`] or [`for_each_chunk`] (a tree pass maps over its
+//! subtrees, one task each), each task writing the output slot of its own
+//! item.
 //!
 //! ## Who owns a thread
 //!

@@ -80,6 +80,14 @@ pub fn row_id<S: Scalar>(a: &MatrixS<S>, trunc: Truncation) -> RowId<S> {
 pub fn row_id_consume<S: Scalar>(a: MatrixS<S>, trunc: Truncation) -> RowId<S> {
     let at = a.transpose();
     drop(a);
+    row_id_transposed(at, trunc)
+}
+
+/// Row ID of `A` from `Aᵀ`, which is consumed: the column ID of `Aᵀ`, its
+/// coefficients laid out as `P`. A caller that can fill `Aᵀ` directly (a
+/// symmetric kernel's block evaluated with its two point lists swapped)
+/// skips the transposing copy of [`row_id_consume`], with the same bits.
+pub fn row_id_transposed<S: Scalar>(at: MatrixS<S>, trunc: Truncation) -> RowId<S> {
     let n = at.ncols();
     let pqr = PivotedQr::new(at, trunc);
     let k = pqr.rank();

@@ -24,4 +24,4 @@ pub mod tree;
 
 pub use bbox::BoundingBox;
 pub use pointset::PointSet;
-pub use tree::{ClusterTree, NodeId, TreeParams};
+pub use tree::{ClusterTree, NodeId, SubtreeCut, TreeParams};

@@ -70,6 +70,17 @@ impl Node {
     }
 }
 
+/// A node set cut into independent subtrees ([`ClusterTree::cut_subtrees`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SubtreeCut {
+    /// The set's nodes above the cut level, root level first.
+    pub above: Vec<NodeId>,
+    /// Per cut root, in the order of the cut level: the root, then its
+    /// descendants in the set level by level (parents before children, so
+    /// walked backwards, children before parents).
+    pub subtrees: Vec<Vec<NodeId>>,
+}
+
 /// A balanced cluster tree over an owned point set.
 #[derive(Clone, Debug)]
 pub struct ClusterTree {
@@ -340,6 +351,54 @@ impl ClusterTree {
         (0..=self.depth()).find(|&level| self.cut_at_level(level).len() >= width)
     }
 
+    /// Cuts a **root-closed** node set (with every node, its parent),
+    /// grouped by level (`levels[l]` at level `l`), into subtrees that a
+    /// tree pass can run as independent tasks at `threads` wide.
+    ///
+    /// The cut level is the shallowest one holding at least
+    /// `min(4 · threads, widest level)` nodes of the set: a whole tree gets
+    /// a few subtrees per thread, and two root-to-leaf paths get one
+    /// subtree each below the node where they meet. Every node of the set
+    /// at the cut level roots one subtree; the set's nodes below it go to
+    /// their ancestor's; the few above it are [`SubtreeCut::above`]. A
+    /// node's subtree holds its descendants in the set, so an upward pass
+    /// (a node reads its children) or a downward one (a node reads its
+    /// parent) runs a subtree start to finish on one thread. The cut only
+    /// says which thread computes a node, so a pass that computes every
+    /// node by the same rule gets the same results at any `threads`.
+    ///
+    /// # Panics
+    ///
+    /// When a node below the cut level lacks its parent.
+    pub fn cut_subtrees(&self, levels: &[Vec<NodeId>], threads: usize) -> SubtreeCut {
+        let widest = levels.iter().map(Vec::len).max().unwrap_or(0);
+        let wanted = (4 * threads).min(widest).max(1);
+        let Some(cut) = levels.iter().position(|level| level.len() >= wanted) else {
+            return SubtreeCut::default();
+        };
+        let mut owner = vec![usize::MAX; self.nodes.len()];
+        let mut subtrees: Vec<Vec<NodeId>> = (levels[cut].iter().enumerate())
+            .map(|(k, &root)| {
+                owner[root] = k;
+                vec![root]
+            })
+            .collect();
+        for &i in levels[cut + 1..].iter().flatten() {
+            let parent = self.nodes[i].parent.expect("only the root lacks a parent");
+            let k = owner[parent];
+            assert!(
+                k != usize::MAX,
+                "node set is not root-closed: {parent} missing"
+            );
+            owner[i] = k;
+            subtrees[k].push(i);
+        }
+        SubtreeCut {
+            above: levels[..cut].concat(),
+            subtrees,
+        }
+    }
+
     // ---- Incremental mutation (dynamic operators) ----------------------
     //
     // The update path of `h2-core` edits the tree in place: a new point is
@@ -571,6 +630,120 @@ mod tests {
         // Levels partition the nodes.
         let total: usize = tree.levels().iter().map(|l| l.len()).sum();
         assert_eq!(total, tree.node_count());
+    }
+
+    /// `nodes` with their ancestors, grouped by level: a root-closed set.
+    fn closed_levels(tree: &ClusterTree, nodes: &[NodeId]) -> Vec<Vec<NodeId>> {
+        let mut set = vec![false; tree.node_count()];
+        for &node in nodes {
+            let mut cur = Some(node);
+            while let Some(c) = cur {
+                set[c] = true;
+                cur = tree.node(c).parent;
+            }
+        }
+        let mut levels = vec![Vec::new(); tree.depth() + 1];
+        for i in (0..tree.node_count()).filter(|&i| set[i]) {
+            levels[tree.node(i).level].push(i);
+        }
+        levels
+    }
+
+    /// Cuts `levels` at `threads` and checks what every cut promises: each
+    /// node of the set once, the cut roots one level of the set, every
+    /// other subtree node after its parent in the same subtree, and
+    /// `above` the levels over the cut. Returns the cut level's index and
+    /// the cut.
+    fn checked_cut(
+        tree: &ClusterTree,
+        levels: &[Vec<NodeId>],
+        threads: usize,
+    ) -> (usize, SubtreeCut) {
+        let cut = tree.cut_subtrees(levels, threads);
+        let roots: Vec<NodeId> = cut.subtrees.iter().map(|s| s[0]).collect();
+        let at = levels
+            .iter()
+            .position(|l| *l == roots)
+            .expect("roots are a level");
+        assert_eq!(cut.above, levels[..at].concat());
+        for subtree in &cut.subtrees {
+            for (k, &i) in subtree.iter().enumerate().skip(1) {
+                let parent = tree.node(i).parent.unwrap();
+                assert!(subtree[..k].contains(&parent), "{i} before its parent");
+            }
+        }
+        let mut all: Vec<NodeId> = cut.subtrees.concat();
+        all.extend(&cut.above);
+        let mut set = levels.concat();
+        all.sort_unstable();
+        set.sort_unstable();
+        assert_eq!(all, set, "every node of the set once");
+        (at, cut)
+    }
+
+    #[test]
+    fn subtree_cuts_of_a_tree_of_paths_and_of_a_joined_node() {
+        let pts = gen::uniform_cube(3000, 3, 9);
+        let tree = ClusterTree::build(&pts, TreeParams::with_leaf_size(32));
+        assert!(tree.depth() >= 6, "setup: a deep tree");
+
+        // A whole tree: the first level with 4 subtrees per thread.
+        for (threads, level) in [(1, 2), (2, 3), (3, 4)] {
+            let (at, cut) = checked_cut(&tree, tree.levels(), threads);
+            assert_eq!((at, cut.subtrees.len()), (level, 1 << level), "{threads}");
+        }
+
+        // One path: one subtree from the root, at any width.
+        let leaves = tree.leaves();
+        let (first, last) = (leaves[0], leaves[leaves.len() - 1]);
+        for threads in [1, 2, 3] {
+            let (at, cut) = checked_cut(&tree, &closed_levels(&tree, &[first]), threads);
+            assert_eq!((at, cut.subtrees.len()), (0, 1));
+        }
+
+        // Two paths that part at the root: one subtree each below it.
+        let two = closed_levels(&tree, &[first, last]);
+        let (at, cut) = checked_cut(&tree, &two, 2);
+        assert_eq!((at, cut.above.clone()), (1, vec![tree.root()]));
+        assert_eq!(cut.subtrees.len(), 2);
+        assert_eq!(
+            (cut.subtrees[0].last(), cut.subtrees[1].last()),
+            (Some(&first), Some(&last))
+        );
+
+        // Two sibling leaves part only at their parent.
+        let parent = tree.node(first).parent.unwrap();
+        let sibling = tree.node(parent).children[1];
+        let siblings = closed_levels(&tree, &[first, sibling]);
+        let (at, cut) = checked_cut(&tree, &siblings, 2);
+        assert_eq!((at, cut.subtrees.len()), (tree.node(first).level, 2));
+
+        // The two paths joined by a node off them (an update re-factors one
+        // whose interaction list gained a partner): it is a subtree of its
+        // own at its level, the widest of the set.
+        let joined = tree.levels()[2]
+            .iter()
+            .copied()
+            .find(|&i| !two[2].contains(&i))
+            .unwrap();
+        let three = closed_levels(&tree, &[first, last, joined]);
+        let (at, cut) = checked_cut(&tree, &three, 2);
+        assert_eq!((at, cut.above.len()), (2, 3));
+        assert!(cut.subtrees.contains(&vec![joined]));
+        assert_eq!(cut.subtrees.len(), 3);
+
+        // Nothing to cut.
+        assert_eq!(tree.cut_subtrees(&[], 2), SubtreeCut::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "not root-closed")]
+    fn a_subtree_cut_needs_every_parent() {
+        let pts = gen::uniform_cube(500, 3, 1);
+        let tree = ClusterTree::build(&pts, TreeParams::with_leaf_size(32));
+        let mut levels = closed_levels(&tree, &[tree.leaves()[0]]);
+        levels[1].clear();
+        tree.cut_subtrees(&levels, 2);
     }
 
     #[test]

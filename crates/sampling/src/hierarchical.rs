@@ -1,6 +1,7 @@
 //! Hierarchical data-driven sampling — the paper's Algorithm 1.
 //!
-//! Two level-parallel sweeps over the cluster tree:
+//! Two sweeps over the cluster tree, each one executor step of one task per
+//! subtree ([`ClusterTree::cut_subtrees`]):
 //!
 //! 1. **Bottom-to-top** (`X_i*`): each leaf samples its own points; each
 //!    internal node samples the union of its children's samples. Every node
@@ -19,8 +20,9 @@
 use crate::strategies::anchor_net;
 use h2_linalg::exec;
 use h2_points::admissibility::BlockLists;
-use h2_points::tree::ClusterTree;
+use h2_points::tree::{ClusterTree, SubtreeCut};
 use h2_points::NodeId;
+use std::collections::HashMap;
 
 /// Sampling budgets for Algorithm 1.
 #[derive(Clone, Copy, Debug)]
@@ -93,12 +95,15 @@ pub fn hierarchical_sample(
 }
 
 /// The bottom-to-top half of the sweep: recomputes `X_i*` in place for
-/// every node of `levels` (node ids grouped by tree level, `levels[l]` at
-/// level `l`), deepest level first so a parent sees its refreshed children.
-/// Nodes within a level are independent — each pulls only from its
-/// children — so a level is one step of the executor ([`h2_linalg::exec`]),
-/// its results installed in level order by the calling thread, and the
-/// nodes' order inside `levels[l]` does not matter.
+/// every node of `levels` (a **root-closed** node set grouped by tree
+/// level, `levels[l]` at level `l`), children before parents. A node pulls
+/// only from its children, so the set is cut into subtrees
+/// ([`ClusterTree::cut_subtrees`]) and the pass is one step of the executor
+/// ([`h2_linalg::exec`]) of one task per subtree: each walks its subtree
+/// deepest node first, reading its own fresh results from task-local state
+/// and every other child from `x_star`. The calling thread installs the
+/// results in a fixed order after the step, then computes the few nodes
+/// above the cut. The order inside `levels[l]` does not matter.
 ///
 /// `x_star` is sized to `tree.node_count()`; entries outside `levels` are
 /// read (as children) but never written. Per-node budgets are pure
@@ -110,13 +115,30 @@ pub fn refresh_x_star(
     levels: &[Vec<NodeId>],
     x_star: &mut [Vec<usize>],
 ) {
+    let cut = tree.cut_subtrees(levels, exec::width());
+    upward(tree, params, &cut, x_star);
+}
+
+/// [`refresh_x_star`] over a cut node set.
+fn upward(tree: &ClusterTree, params: &SampleParams, cut: &SubtreeCut, x_star: &mut [Vec<usize>]) {
     assert_eq!(x_star.len(), tree.node_count());
     let _sp = h2_telemetry::span("sampling.upward");
-    for (lvl, level) in levels.iter().enumerate().rev() {
-        let fresh = exec::map(level, |&i| sample_x(tree, params, x_star, lvl, i));
-        for (&i, s) in level.iter().zip(fresh) {
-            x_star[i] = s;
+    let table: &[Vec<usize>] = x_star;
+    let fresh = exec::map(&cut.subtrees, |nodes| {
+        let mut mine: HashMap<NodeId, Vec<usize>> = HashMap::with_capacity(nodes.len());
+        for &i in nodes.iter().rev() {
+            let x = sample_x(tree, params, |c| mine.get(&c).unwrap_or(&table[c]), i);
+            mine.insert(i, x);
         }
+        mine
+    });
+    for (nodes, mut mine) in cut.subtrees.iter().zip(fresh) {
+        for &i in nodes.iter().rev() {
+            x_star[i] = mine.remove(&i).expect("the task sampled its nodes");
+        }
+    }
+    for &i in cut.above.iter().rev() {
+        x_star[i] = sample_x(tree, params, |c| &x_star[c], i);
     }
 }
 
@@ -127,6 +149,11 @@ pub fn refresh_x_star(
 /// the root-to-leaf paths it touched (`lists` then being the lists of the
 /// mutated tree).
 ///
+/// Both halves share one cut of the set. The downward half computes the
+/// nodes above the cut on the calling thread, root first, then runs one
+/// executor step of one task per subtree, each walking its subtree root
+/// first with its parents' fresh `Y*` in task-local state.
+///
 /// Returns `Y*` as a dense per-node table: entries outside `levels` stay
 /// empty. `Y*` is construction scratch — no operator stores it.
 pub fn sample_levels(
@@ -136,26 +163,47 @@ pub fn sample_levels(
     levels: &[Vec<NodeId>],
     x_star: &mut [Vec<usize>],
 ) -> Vec<Vec<usize>> {
-    refresh_x_star(tree, params, levels, x_star);
+    let cut = tree.cut_subtrees(levels, exec::width());
+    upward(tree, params, &cut, x_star);
 
     let _sp = h2_telemetry::span("sampling.downward");
+    let x_star: &[Vec<usize>] = x_star;
     let n_nodes = tree.node_count();
     let mut y_star: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
     let mut done = vec![false; n_nodes];
-    for (lvl, level) in levels.iter().enumerate() {
-        let fresh = exec::map(level, |&i| {
-            let parent_y = match tree.node(i).parent {
-                None => &[][..],
-                Some(p) => {
-                    assert!(done[p], "node set is not root-closed: {p} missing");
-                    &y_star[p][..]
-                }
+    // A parent's `Y*` from the table, where the calling thread put it.
+    fn parent_y<'a>(
+        tree: &ClusterTree,
+        i: NodeId,
+        y_star: &'a [Vec<usize>],
+        done: &[bool],
+    ) -> Option<&'a [usize]> {
+        let p = tree.node(i).parent?;
+        assert!(done[p], "node set is not root-closed: {p} missing");
+        Some(&y_star[p])
+    }
+    for &i in &cut.above {
+        let inherited = parent_y(tree, i, &y_star, &done);
+        let y = sample_y(tree, lists, params, x_star, inherited, i);
+        (y_star[i], done[i]) = (y, true);
+    }
+    let (table, set) = (&y_star, &done);
+    let fresh = exec::map(&cut.subtrees, |nodes| {
+        let mut mine: HashMap<NodeId, Vec<usize>> = HashMap::with_capacity(nodes.len());
+        for &i in nodes {
+            let parent = tree.node(i).parent;
+            let inherited = match parent.and_then(|p| mine.get(&p)) {
+                Some(y) => Some(&y[..]),
+                None => parent_y(tree, i, table, set),
             };
-            sample_y(tree, lists, params, x_star, parent_y, lvl, i)
-        });
-        for (&i, s) in level.iter().zip(fresh) {
-            y_star[i] = s;
-            done[i] = true;
+            let y = sample_y(tree, lists, params, x_star, inherited, i);
+            mine.insert(i, y);
+        }
+        mine
+    });
+    for (nodes, mut mine) in cut.subtrees.iter().zip(fresh) {
+        for &i in nodes {
+            y_star[i] = mine.remove(&i).expect("the task sampled its nodes");
         }
     }
     y_star
@@ -183,24 +231,22 @@ fn level_scale(depth: usize, lvl: usize, budget: usize) -> usize {
 }
 
 /// One node of the bottom-to-top sweep: sample `X_i*` from the node's own
-/// points (leaf) or its children's surrogates (internal). The budget is a
-/// pure function of `(params, depth, lvl)`, so recomputing one node
-/// reproduces what the full sweep would have produced.
-fn sample_x(
+/// points (leaf) or its children's surrogates `x_of(c)` (internal). The
+/// budget is a pure function of `(params, depth, level)`, so recomputing
+/// one node reproduces what the full sweep would have produced.
+fn sample_x<'a>(
     tree: &ClusterTree,
     params: &SampleParams,
-    x_star: &[Vec<usize>],
-    lvl: usize,
+    x_of: impl Fn(NodeId) -> &'a Vec<usize>,
     i: usize,
 ) -> Vec<usize> {
-    let budget = level_scale(tree.depth(), lvl, params.node_samples);
     let nd = tree.node(i);
+    let budget = level_scale(tree.depth(), nd.level, params.node_samples);
     let cand: Vec<usize> = if nd.is_leaf() {
         tree.node_indices(i).to_vec()
     } else {
-        nd.children
-            .iter()
-            .flat_map(|&c| x_star[c].iter().copied())
+        (nd.children.iter())
+            .flat_map(|&c| x_of(c).iter().copied())
             .collect()
     };
     anchor_net(tree.points(), &cand, budget)
@@ -208,22 +254,21 @@ fn sample_x(
 
 /// One node of the top-to-bottom sweep: sample `Y_i*` from the node's
 /// interaction-list surrogates plus its parent's farfield surrogate (the
-/// parent's `Y*` covers everything farther away).
+/// parent's `Y*` covers everything farther away; `None` at the root).
 fn sample_y(
     tree: &ClusterTree,
     lists: &BlockLists,
     params: &SampleParams,
     x_star: &[Vec<usize>],
-    parent_y: &[usize],
-    lvl: usize,
+    parent_y: Option<&[usize]>,
     i: usize,
 ) -> Vec<usize> {
-    let budget = level_scale(tree.depth(), lvl, params.far_samples);
+    let budget = level_scale(tree.depth(), tree.node(i).level, params.far_samples);
     let mut cand: Vec<usize> = lists.interaction[i]
         .iter()
         .flat_map(|&j| x_star[j].iter().copied())
         .collect();
-    cand.extend_from_slice(parent_y);
+    cand.extend_from_slice(parent_y.unwrap_or_default());
     // Anchor matching scans the pool per anchor; decimate oversized pools
     // first (stride-subsampling keeps the per-interaction-node spatial
     // diversity since candidates arrive grouped by source node). Keeps the

@@ -11,8 +11,8 @@
 //! - [`halton`]: low-discrepancy sequences used to place anchors.
 //! - [`strategies`]: [`anchor_net`], the one sampling rule.
 //! - [`hierarchical`]: Algorithm 1 — the bottom-to-top `X_i*` sweep and the
-//!   top-to-bottom `Y_i*` sweep over a cluster tree, level-parallel, over
-//!   every node (construction) or a root-closed subset (incremental
+//!   top-to-bottom `Y_i*` sweep over a cluster tree, one task per subtree,
+//!   over every node (construction) or a root-closed subset (incremental
 //!   updates).
 //!
 //! ```

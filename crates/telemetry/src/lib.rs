@@ -463,6 +463,26 @@ impl Drop for Span {
     }
 }
 
+/// Records a span measured elsewhere on the calling thread, inside its
+/// open spans: work that helper threads timed in plain integers (they
+/// record no spans of their own), recorded by the thread that joined them.
+pub fn record_span(name: &'static str, label: impl Into<String>, start_ns: u64, dur_ns: u64) {
+    THREAD.with(|t| {
+        t.buf.borrow_mut().push(SpanRecord {
+            name: Cow::Borrowed(name),
+            label: Some(label.into()),
+            tid: t.tid,
+            start_ns,
+            dur_ns,
+            depth: t.depth.get() + 1,
+            trace: t.trace.get(),
+        });
+        if t.depth.get() == 0 || t.buf.borrow().len() >= FLUSH_AT {
+            t.flush();
+        }
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Snapshots
 // ---------------------------------------------------------------------------
