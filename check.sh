@@ -45,7 +45,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates, no per-level exec::map(level in hierarchical.rs or builders/mod.rs: a tree pass is one step of per-subtree tasks), residency policy (no admission or eviction under crates/core/src/cache, no telemetry off the caller), block fetch (two tiers: no Fetched::Cached, no RwLock under crates/core/src, no cache argument to Sweep::new), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (is_x86_feature_detected! only in simd.rs, five unsafe dispatches: _avx2( in panel.rs, radial.rs, qr.rs and strategies.rs, _avx512( in radial.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc; panel.rs's apply_baseline calls transposed( before forward(), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), socket transport (no readiness pump, set_nonblocking only on the two listeners), workspace (12 members of which 9 hold code, shells that re-export only names h2bench uses, the h2bench-only names in compat modules, leaf_basis(, .transfer(, BlockCache and the block stores among them, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic, no codec::encode/decode or fs::read of a whole file), bench binary and result (paper the one bench binary, each result named by run_harness.sh or check.sh), paper driver (one run_config runner and the one H2Matrix::build under crates/bench/src), basis storage (basis.rs has no COEF, with_coef or in_place; codec.rs and parts.rs name no expand_col, from_dense or Held::Basis) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates, no per-level exec::map(level in hierarchical.rs or builders/mod.rs: a tree pass is one step of per-subtree tasks), residency policy (no admission or eviction under crates/core/src/cache, no telemetry off the caller), block index (the sorted pair lists: no HashMap in non-test crates/core/src/cache, no BlockIndex, pair_index, index_bytes or block_indices under crates or src), block fetch (two tiers: no Fetched::Cached, no RwLock under crates/core/src, no cache argument to Sweep::new), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (is_x86_feature_detected! only in simd.rs, five unsafe dispatches: _avx2( in panel.rs, radial.rs, qr.rs and strategies.rs, _avx512( in radial.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc; panel.rs's apply_baseline calls transposed( before forward(), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), socket transport (no readiness pump, set_nonblocking only on the two listeners), workspace (12 members of which 9 hold code, shells that re-export only names h2bench uses, the h2bench-only names in compat modules, leaf_basis(, .transfer(, BlockCache and the block stores among them, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic, no codec::encode/decode or fs::read of a whole file), bench binary and result (paper the one bench binary, each result named by run_harness.sh or check.sh), paper driver (one run_config runner and the one H2Matrix::build under crates/bench/src), basis storage (basis.rs has no COEF, with_coef or in_place; codec.rs and parts.rs name no expand_col, from_dense or Held::Basis) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -61,6 +61,14 @@ if grep -n "exec::map(level" crates/sampling/src/hierarchical.rs crates/core/src
 fi
 if grep -rnwE "last_use|make_room|try_reserve|with_shards|freq" crates/core/src/cache; then echo "the dynamic cache is back"; exit 1; fi
 if grep -nE "counter_add!|span\(" crates/core/src/cache/table.rs; then echo "the block table records telemetry on helper threads"; exit 1; fi
+# The sorted pair lists are the block index: a slot is its pair's list
+# position, found by binary search, so the table keeps no map of its own.
+if non_test $(find crates/core/src/cache -name '*.rs') | grep -w "HashMap"; then
+  echo "a hash index is back in the block table (a slot is the pair's list position)"; exit 1
+fi
+if grep -rnwE "BlockIndex|pair_index|index_bytes|block_indices" crates src; then
+  echo "a second pair index is back (the sorted pair lists are the index)"; exit 1
+fi
 # The fetch has two tiers: the slot the plan filled, or the block
 # materialized into scratch. No third (cached) tier, no lock a product
 # takes to read a block, and the sweeps read the operator's own table.

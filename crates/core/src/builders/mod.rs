@@ -327,7 +327,7 @@ pub(crate) fn build_with_x_star<S: Scalar>(
 
     let sp = h2_telemetry::span("build.lists");
     let t = Instant::now();
-    let lists = build_block_lists(&tree, cfg.eta);
+    let lists = Arc::new(build_block_lists(&tree, cfg.eta));
     let lists_ms = ms_since(t);
     drop(sp);
 
@@ -337,14 +337,14 @@ pub(crate) fn build_with_x_star<S: Scalar>(
     let n_nodes = tree.node_count();
     let mut h2 = H2MatrixS {
         tree,
-        lists,
+        lists: lists.clone(),
         kernel,
         bases: vec![BasisMatrix::default(); n_nodes],
         transfers: vec![BasisMatrix::default(); n_nodes],
         proxies: vec![ProxyPoints::Indices(Vec::new()); n_nodes],
         ranks: vec![0; n_nodes],
         // Listed, with its blocks, by the plan below.
-        table: Arc::new(BlockTable::listed([&[], &[]], Some(0))),
+        table: Arc::new(BlockTable::listed(lists, Some(0))),
         provenance: BuilderProvenance::default(),
         stats: BuildStats::default(),
         epoch: 0,
@@ -384,7 +384,7 @@ pub(crate) fn build_with_x_star<S: Scalar>(
     let sp = h2_telemetry::span("build.blocks");
     let t = Instant::now();
     let holding = h2.holding(cfg.mode, cfg.cache_budget);
-    h2.table = Arc::new(h2.plan_table(&h2.table, holding, [false; 2]));
+    h2.table = Arc::new(h2.plan_table(&h2.table, holding));
     let blocks_ms = ms_since(t);
     drop(sp);
 

@@ -1,8 +1,9 @@
 //! The block table (paper §III-A: "a sparse matrix of integers and a
-//! sequence of dense matrices"). Per family, a [`BlockIndex`] maps a listed
-//! pair (`i <= j`; `B_{j,i} = B_{i,j}ᵀ`) to its slot, and one slot per
-//! listed pair, aligned with the pair list, is empty or holds a block and
-//! the epoch it was generated at.
+//! sequence of dense matrices"). The sparse matrix is the operator's
+//! [`BlockLists`]: per family, the listed pairs (`i <= j`;
+//! `B_{j,i} = B_{i,j}ᵀ`) in strictly ascending order, so a pair's slot is
+//! its position in the list, found by binary search. One slot per listed
+//! pair is empty or holds a block and the epoch it was generated at.
 //!
 //! How many slots are filled is the one axis between the memory modes
 //! (§II-B): normal mode holds every listed pair, on-the-fly mode the first
@@ -17,8 +18,8 @@
 //! blocks it started with.
 
 use h2_linalg::{MatrixS, Scalar};
+use h2_points::admissibility::BlockLists;
 use h2_points::NodeId;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -32,88 +33,24 @@ pub enum BlockKind {
     Nearfield,
 }
 
-/// The two families' pair lists (`i <= j` each), coupling first.
-pub type Pairs<'a> = [&'a [(NodeId, NodeId)]; 2];
-
-/// Sparse pair → slot index ("sparse matrix of integers").
-#[derive(Clone, Debug, Default)]
-pub struct BlockIndex {
-    map: HashMap<(NodeId, NodeId), u32>,
+impl BlockKind {
+    /// The family's pair list in `lists`: strictly ascending, `i <= j` each.
+    pub fn pairs(self, lists: &BlockLists) -> &[(NodeId, NodeId)] {
+        match self {
+            BlockKind::Coupling => &lists.interaction_pairs,
+            BlockKind::Nearfield => &lists.nearfield_pairs,
+        }
+    }
 }
 
-impl BlockIndex {
-    /// Builds the index from an ordered pair list (`i <= j` each).
-    pub fn new(pairs: &[(NodeId, NodeId)]) -> Self {
-        let mut map = HashMap::with_capacity(pairs.len());
-        for (slot, &(i, j)) in pairs.iter().enumerate() {
-            debug_assert!(i <= j);
-            map.insert((i, j), slot as u32);
-        }
-        BlockIndex { map }
-    }
-
-    /// The slot of the *ordered* pair `(i, j)`, and whether the listed
-    /// block applies transposed (`i > j`).
-    pub fn slot(&self, i: NodeId, j: NodeId) -> Option<(usize, bool)> {
-        let (pair, t) = if i <= j {
-            ((i, j), false)
-        } else {
-            ((j, i), true)
-        };
-        self.map.get(&pair).map(|&s| (s as usize, t))
-    }
-
-    /// Whether this is the index of `pairs`: every pair at its position.
-    pub(crate) fn maps(&self, pairs: &[(NodeId, NodeId)]) -> bool {
-        let at =
-            |(slot, pair): (usize, &(NodeId, NodeId))| self.map.get(pair) == Some(&(slot as u32));
-        self.map.len() == pairs.len() && pairs.iter().enumerate().all(at)
-    }
-
-    /// Heap bytes, from hashbrown's layout: a power-of-two bucket table at
-    /// load factor ≤ 7/8 (`capacity()` is `buckets * 7/8`), one entry and
-    /// one control byte per bucket.
-    pub fn bytes(&self) -> usize {
-        let cap = self.map.capacity();
-        if cap == 0 {
-            return 0;
-        }
-        let entry = std::mem::size_of::<((NodeId, NodeId), u32)>();
-        let buckets = (cap * 8 / 7).max(1).next_power_of_two();
-        buckets * (entry + 1)
-    }
-}
+/// Both families, in slot-array order.
+const KINDS: [BlockKind; 2] = [BlockKind::Coupling, BlockKind::Nearfield];
 
 /// A held block and the **epoch** it was generated at: the max of its two
 /// nodes' update epochs then. A read names the pair's current epoch and a
 /// block at another one is a miss, so a block that outlived an update of
 /// either node is never served.
 type Held<S> = (u64, Arc<MatrixS<S>>);
-
-/// One family: its index, shared by the successors listed on the same
-/// pairs, and its slots, empty while nothing is held.
-struct Family<S: Scalar> {
-    index: Arc<BlockIndex>,
-    slots: Vec<Option<Held<S>>>,
-}
-
-impl<S: Scalar> Family<S> {
-    fn slot(&self, slot: usize) -> Option<&Held<S>> {
-        self.slots.get(slot)?.as_ref()
-    }
-
-    fn hold(&mut self, slot: usize, held: Held<S>) {
-        let listed = self.index.map.len();
-        if self.slots.len() < listed {
-            self.slots.resize_with(listed, || None);
-        }
-        self.slots[slot] = Some(held);
-    }
-
-    fn held(&self) -> impl Iterator<Item = &MatrixS<S>> {
-        self.slots.iter().flatten().map(|(_, block)| &**block)
-    }
-}
 
 /// Counter/occupancy snapshot of one [`BlockTable`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -151,27 +88,30 @@ pub struct BlockTable<S: Scalar> {
     /// `None`: every listed block, empty ones included (normal mode).
     /// `Some(bytes)`: the first fit of a byte budget (on the fly).
     budget: Option<usize>,
-    families: [Family<S>; 2],
+    /// The operator's lists, shared with it.
+    lists: Arc<BlockLists>,
+    /// Per family, one slot per listed pair, or none while the family holds
+    /// nothing.
+    slots: [Vec<Option<Held<S>>>; 2],
     hits: AtomicU64,
     misses: AtomicU64,
     stale_purged: AtomicU64,
 }
 
 impl<S: Scalar> BlockTable<S> {
-    /// A table over `pairs` that holds nothing yet.
-    pub(crate) fn listed(pairs: Pairs<'_>, budget: Option<usize>) -> Self {
-        BlockTable::indexed(pairs.map(|pairs| Arc::new(BlockIndex::new(pairs))), budget)
-    }
-
-    /// A table over the pairs `indexes` map that holds nothing yet.
-    fn indexed(indexes: [Arc<BlockIndex>; 2], budget: Option<usize>) -> Self {
-        let family = |index| Family {
-            index,
-            slots: Vec::new(),
-        };
+    /// A table over `lists` that holds nothing yet. Binary search needs
+    /// each pair list strictly ascending and canonical, as
+    /// [`h2_points::admissibility::build_block_lists`] returns it.
+    pub(crate) fn listed(lists: Arc<BlockLists>, budget: Option<usize>) -> Self {
+        for kind in KINDS {
+            let pairs = kind.pairs(&lists);
+            debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "{kind:?} unsorted");
+            debug_assert!(pairs.iter().all(|&(i, j)| i <= j), "{kind:?} not i <= j");
+        }
         BlockTable {
             budget,
-            families: indexes.map(family),
+            lists,
+            slots: [Vec::new(), Vec::new()],
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stale_purged: AtomicU64::new(0),
@@ -179,12 +119,13 @@ impl<S: Scalar> BlockTable<S> {
     }
 
     /// The table that holds every listed block: `blocks[kind]` aligned with
-    /// `pairs[kind]`, generated at `epoch`.
-    pub(crate) fn stored(pairs: Pairs<'_>, blocks: [Vec<MatrixS<S>>; 2], epoch: u64) -> Self {
-        let mut table = BlockTable::listed(pairs, None);
-        for (family, blocks) in table.families.iter_mut().zip(blocks) {
-            assert_eq!(family.index.map.len(), blocks.len(), "one block per pair");
-            family.slots = blocks
+    /// `kind`'s pairs, generated at `epoch`.
+    pub(crate) fn stored(lists: Arc<BlockLists>, blocks: [Vec<MatrixS<S>>; 2], epoch: u64) -> Self {
+        let mut table = BlockTable::listed(lists, None);
+        for ((kind, slots), blocks) in KINDS.iter().zip(&mut table.slots).zip(blocks) {
+            let listed = kind.pairs(&table.lists).len();
+            assert_eq!(listed, blocks.len(), "one block per pair");
+            *slots = blocks
                 .into_iter()
                 .map(|b| Some((epoch, Arc::new(b))))
                 .collect();
@@ -192,97 +133,95 @@ impl<S: Scalar> BlockTable<S> {
         table
     }
 
-    /// The table that holds `budget` on the lists `pairs`, this one's
-    /// counters carried on. A family's pairs are `None` when they are the
-    /// ones `self` is listed on: its index is then shared, not rebuilt.
-    /// `schedule` yields `(kind, i, j, bytes)` in
-    /// sweep order, either orientation of a listed pair; `Some(bytes)`
-    /// takes the first fit, each pair once and empty blocks never, `None`
-    /// every scheduled pair. A block of `self` taken at its current
-    /// `epoch(i, j)` is shared, the other taken blocks are made by one call
-    /// of `generate`, in the order given; every block of `self` left behind
-    /// counts as `stale_purged`. `self` is not changed.
+    /// The table that holds `budget` on `lists`, this one's counters
+    /// carried on. `schedule` yields `(kind, slot, bytes)` in sweep order;
+    /// `Some(bytes)` takes the first fit, each slot once and empty blocks
+    /// never, `None` every scheduled slot. A block of `self` taken at its
+    /// current `epoch(i, j)` is shared: at the same slot when `lists` are
+    /// the ones `self` is listed on, else found by binary search. The other
+    /// taken blocks are made by one call of `generate`, in the order given;
+    /// every block of `self` left behind counts as `stale_purged`. `self`
+    /// is not changed.
     pub(crate) fn successor(
         &self,
-        pairs: [Option<&[(NodeId, NodeId)]>; 2],
+        lists: &Arc<BlockLists>,
         budget: Option<usize>,
-        schedule: impl IntoIterator<Item = (BlockKind, NodeId, NodeId, usize)>,
+        schedule: impl IntoIterator<Item = (BlockKind, usize, usize)>,
         epoch: impl Fn(NodeId, NodeId) -> u64,
         generate: impl FnOnce(&[(BlockKind, NodeId, NodeId)]) -> Vec<MatrixS<S>>,
     ) -> BlockTable<S> {
-        let index = |k: usize| match pairs[k] {
-            Some(pairs) => Arc::new(BlockIndex::new(pairs)),
-            None => self.families[k].index.clone(),
-        };
-        let mut next = BlockTable::indexed([index(0), index(1)], budget);
-        let mut taken = next
-            .families
-            .each_ref()
-            .map(|f| vec![false; f.index.map.len()]);
-        let (mut acc, mut kept, mut fresh) = (0, 0, Vec::new());
-        for (kind, i, j, bytes) in schedule {
-            let (i, j, k) = (i.min(j), i.max(j), kind as usize);
-            let family = &mut next.families[k];
-            let (slot, _) = family.index.slot(i, j).expect("a scheduled pair is listed");
-            if taken[k][slot] || !budget.is_none_or(|b| bytes > 0 && acc + bytes <= b) {
+        let mut next = BlockTable::listed(lists.clone(), budget);
+        let stood = Arc::ptr_eq(&self.lists, lists);
+        let mut taken = KINDS.map(|kind| vec![false; kind.pairs(lists).len()]);
+        let (mut acc, mut kept, mut fresh, mut at) = (0, 0, Vec::new(), Vec::new());
+        for (kind, slot, bytes) in schedule {
+            let taken = &mut taken[kind as usize][slot];
+            if *taken || !budget.is_none_or(|b| bytes > 0 && acc + bytes <= b) {
                 continue;
             }
-            (taken[k][slot], acc) = (true, acc + bytes);
-            match self.get(kind, i, j) {
-                Some((at, block)) if *at == epoch(i, j) => {
+            (*taken, acc) = (true, acc + bytes);
+            let (i, j) = kind.pairs(lists)[slot];
+            let old = stood
+                .then_some(slot)
+                .or_else(|| Some(self.slot(kind, i, j)?.0));
+            match old.and_then(|old| self.held(kind, old)) {
+                Some((e, block)) if *e == epoch(i, j) => {
                     kept += 1;
-                    family.hold(slot, (*at, block.clone()));
+                    next.hold(kind, slot, (*e, block.clone()));
                 }
-                _ => fresh.push((kind, i, j)),
+                _ => {
+                    fresh.push((kind, i, j));
+                    at.push(slot);
+                }
             }
         }
-        for (&(kind, i, j), block) in fresh.iter().zip(generate(&fresh)) {
-            let family = &mut next.families[kind as usize];
-            let (slot, _) = family.index.slot(i, j).expect("listed above");
-            family.hold(slot, (epoch(i, j), Arc::new(block)));
+        for ((&(kind, i, j), slot), block) in fresh.iter().zip(at).zip(generate(&fresh)) {
+            next.hold(kind, slot, (epoch(i, j), Arc::new(block)));
         }
-        let left_behind = (self.held().count() - kept) as u64;
+        let left_behind = (self.held_blocks().count() - kept) as u64;
         next.hits = AtomicU64::new(self.hits.load(Ordering::Relaxed));
         next.misses = AtomicU64::new(self.misses.load(Ordering::Relaxed));
         next.stale_purged = AtomicU64::new(self.stale_purged.load(Ordering::Relaxed) + left_behind);
         next
     }
 
-    /// Lists the canonical pair `(i, j)` if it is not, and holds `block`
-    /// there at `epoch` if the slot is empty and the block fits what is
-    /// left of the budget.
-    pub(crate) fn hold(
-        &mut self,
-        kind: BlockKind,
-        (i, j): (NodeId, NodeId),
-        epoch: u64,
-        block: Arc<MatrixS<S>>,
-    ) -> bool {
-        assert!(i <= j, "listed pairs are canonical (i <= j)");
-        let (bytes, resident) = (block.bytes(), self.resident_bytes());
-        let fits = self
-            .budget
-            .is_none_or(|b| bytes > 0 && resident + bytes <= b);
-        let family = &mut self.families[kind as usize];
-        let next = family.index.map.len() as u32;
-        let map = &mut Arc::make_mut(&mut family.index).map;
-        let slot = *map.entry((i, j)).or_insert(next) as usize;
-        let empty = family.slot(slot).is_none();
-        if fits && empty {
-            family.hold(slot, (epoch, block));
+    /// Holds `held` at `slot` of `kind`, listing the family's slots first
+    /// if it held nothing.
+    fn hold(&mut self, kind: BlockKind, slot: usize, held: Held<S>) {
+        let listed = kind.pairs(&self.lists).len();
+        let slots = &mut self.slots[kind as usize];
+        if slots.len() < listed {
+            slots.resize_with(listed, || None);
         }
-        fits && empty
+        slots[slot] = Some(held);
     }
 
-    fn get(&self, kind: BlockKind, i: NodeId, j: NodeId) -> Option<&Held<S>> {
-        let family = &self.families[kind as usize];
-        family.slot(family.index.slot(i, j)?.0)
+    fn held(&self, kind: BlockKind, slot: usize) -> Option<&Held<S>> {
+        self.slots[kind as usize].get(slot)?.as_ref()
+    }
+
+    /// The lists the table is listed on, shared with its operator.
+    pub fn lists(&self) -> &Arc<BlockLists> {
+        &self.lists
+    }
+
+    /// The slot of the *ordered* pair `(i, j)` of `kind`, its position in
+    /// the family's list, and whether the listed block applies transposed
+    /// (`i > j`); `None` for a pair that is not listed.
+    pub fn slot(&self, kind: BlockKind, i: NodeId, j: NodeId) -> Option<(usize, bool)> {
+        let (pair, t) = if i <= j {
+            ((i, j), false)
+        } else {
+            ((j, i), true)
+        };
+        let slot = kind.pairs(&self.lists).binary_search(&pair).ok()?;
+        Some((slot, t))
     }
 
     /// The block at list position `slot` of `kind` if it was generated at
     /// `epoch`: the sweeps' read, counted by the reader.
     pub(crate) fn block(&self, kind: BlockKind, slot: usize, epoch: u64) -> Option<&MatrixS<S>> {
-        let (at, block) = self.families[kind as usize].slot(slot)?;
+        let (at, block) = self.held(kind, slot)?;
         (*at == epoch).then_some(block)
     }
 
@@ -296,7 +235,10 @@ impl<S: Scalar> BlockTable<S> {
         epoch: u64,
     ) -> Option<Arc<MatrixS<S>>> {
         assert!(i <= j, "listed pairs are canonical (i <= j)");
-        let held = self.get(kind, i, j).filter(|(at, _)| *at == epoch);
+        let held = self
+            .slot(kind, i, j)
+            .and_then(|(slot, _)| self.held(kind, slot));
+        let held = held.filter(|(at, _)| *at == epoch);
         self.count(held.is_some() as u64, held.is_none() as u64);
         held.map(|(_, block)| block.clone())
     }
@@ -310,18 +252,15 @@ impl<S: Scalar> BlockTable<S> {
     /// Every block of `kind` in list order when the table holds every
     /// listed block (normal mode): what an operator file stores.
     pub fn stored_blocks(&self, kind: BlockKind) -> Option<Vec<&MatrixS<S>>> {
-        let family = &self.families[kind as usize];
-        self.budget.is_none().then(|| family.held().collect())
+        let held = self.slots[kind as usize].iter().flatten();
+        self.budget
+            .is_none()
+            .then(|| held.map(|(_, block)| &**block).collect())
     }
 
-    /// The pair index of `kind`, shared with the tables listed on the
-    /// same pairs.
-    pub fn pair_index(&self, kind: BlockKind) -> &Arc<BlockIndex> {
-        &self.families[kind as usize].index
-    }
-
-    fn held(&self) -> impl Iterator<Item = &MatrixS<S>> {
-        self.families.iter().flat_map(Family::held)
+    fn held_blocks(&self) -> impl Iterator<Item = &MatrixS<S>> {
+        let held = self.slots.iter().flatten().flatten();
+        held.map(|(_, block)| &**block)
     }
 
     /// `None` when every listed block is held, else the byte budget.
@@ -336,32 +275,25 @@ impl<S: Scalar> BlockTable<S> {
 
     /// Heap bytes held (≤ [`Self::budget_bytes`]; mapped blocks count 0).
     pub fn resident_bytes(&self) -> usize {
-        self.held().map(MatrixS::bytes).sum()
+        self.held_blocks().map(MatrixS::bytes).sum()
     }
 
     /// Bytes of held blocks backed by a mapped operator file.
     pub fn mapped_bytes(&self) -> usize {
-        self.held().map(MatrixS::mapped_bytes).sum()
+        self.held_blocks().map(MatrixS::mapped_bytes).sum()
     }
 
-    /// Bytes of both pair indices.
-    pub fn index_bytes(&self) -> usize {
-        self.families.iter().map(|f| f.index.bytes()).sum()
-    }
-
-    /// Every held key `(kind, i, j, epoch)`, ascending: two tables hold the
-    /// same blocks when their keys are equal.
+    /// Every held key `(kind, i, j, epoch)`, ascending (the lists are): two
+    /// tables hold the same blocks when their keys are equal.
     pub fn keys(&self) -> Vec<(BlockKind, NodeId, NodeId, u64)> {
-        let kinds = [BlockKind::Coupling, BlockKind::Nearfield];
-        let mut keys: Vec<_> = (kinds.iter().zip(&self.families))
-            .flat_map(|(&kind, family)| {
-                let key = move |(&(i, j), &slot): (&(NodeId, NodeId), &u32)| {
-                    family.slot(slot as usize).map(|&(at, _)| (kind, i, j, at))
-                };
-                family.index.map.iter().filter_map(key)
-            })
-            .collect();
-        keys.sort_unstable();
+        let mut keys = Vec::new();
+        for (&kind, slots) in KINDS.iter().zip(&self.slots) {
+            for (held, &(i, j)) in slots.iter().zip(kind.pairs(&self.lists)) {
+                if let Some((at, _)) = held {
+                    keys.push((kind, i, j, *at));
+                }
+            }
+        }
         keys
     }
 
@@ -372,7 +304,7 @@ impl<S: Scalar> BlockTable<S> {
             misses: self.misses.load(Ordering::Relaxed),
             evicted_bytes: 0,
             stale_purged: self.stale_purged.load(Ordering::Relaxed),
-            entries: self.held().count(),
+            entries: self.held_blocks().count(),
             resident_bytes: self.resident_bytes(),
             budget_bytes: self.budget_bytes(),
         }
@@ -394,98 +326,103 @@ mod tests {
         })
     }
 
-    fn block(i: NodeId, j: NodeId) -> Arc<Matrix> {
-        Arc::new(block_at(i, j, 0))
-    }
-
     const B44: usize = 4 * 4 * 8; // bytes of a 4x4 f64 block
 
-    fn budgeted(bytes: usize) -> BlockTable<f64> {
-        BlockTable::listed([&[], &[]], Some(bytes))
+    /// Lists of the given coupling and nearfield pairs (ascending, i <= j).
+    fn lists(coupling: &[(NodeId, NodeId)], nearfield: &[(NodeId, NodeId)]) -> Arc<BlockLists> {
+        Arc::new(BlockLists {
+            interaction: Vec::new(),
+            nearfield: Vec::new(),
+            interaction_pairs: coupling.to_vec(),
+            nearfield_pairs: nearfield.to_vec(),
+            eta: 0.7,
+        })
     }
 
-    /// The successor of `table` over `pairs` and `schedule`, every pair at
-    /// epoch `epoch(i, j)`, generating what it does not carry.
+    /// The successor of `table` on `lists` and `schedule` (pairs in either
+    /// orientation, looked up on `lists`), every pair at epoch
+    /// `epoch(i, j)`, generating what it does not carry.
     fn plan(
         table: &BlockTable<f64>,
-        pairs: Pairs<'_>,
+        lists: &Arc<BlockLists>,
         schedule: impl IntoIterator<Item = (BlockKind, NodeId, NodeId, usize)>,
         epoch: impl Fn(NodeId, NodeId) -> u64 + Copy,
     ) -> BlockTable<f64> {
-        let budget = table.budget();
-        table.successor(pairs.map(Some), budget, schedule, epoch, |fresh| {
+        let listed = BlockTable::<f64>::listed(lists.clone(), None);
+        let slot = |kind, i, j| listed.slot(kind, i, j).expect("a scheduled pair is listed");
+        let schedule = schedule
+            .into_iter()
+            .map(|(kind, i, j, bytes)| (kind, slot(kind, i, j).0, bytes));
+        table.successor(lists, table.budget(), schedule, epoch, |fresh| {
             let at = |&(_, i, j): &(BlockKind, NodeId, NodeId)| block_at(i, j, epoch(i, j));
             fresh.iter().map(at).collect()
         })
     }
 
-    #[test]
-    fn index_lookup_and_transpose_flag() {
-        let idx = BlockIndex::new(&[(1, 5), (2, 2), (3, 7)]);
-        assert_eq!(idx.slot(1, 5), Some((0, false)));
-        assert_eq!(idx.slot(5, 1), Some((0, true)));
-        assert_eq!(idx.slot(2, 2), Some((1, false)));
-        assert_eq!(idx.slot(4, 4), None);
-        assert_eq!(idx.map.len(), 3);
+    /// A table of `bytes` on `lists` holding `held` (coupling pairs, each
+    /// `B44` bytes, at epoch 0).
+    fn holding(
+        lists: &Arc<BlockLists>,
+        bytes: usize,
+        held: &[(NodeId, NodeId)],
+    ) -> BlockTable<f64> {
+        let empty = BlockTable::listed(lists.clone(), Some(bytes));
+        let schedule = held.iter().map(|&(i, j)| (Coupling, i, j, B44));
+        let table = plan(&empty, lists, schedule, |_, _| 0);
+        assert_eq!(table.keys().len(), held.len(), "every held pair fits");
+        table
     }
 
     #[test]
-    fn index_bytes_tracks_hashmap_layout() {
-        assert_eq!(BlockIndex::new(&[]).bytes(), 0);
-        let entry = std::mem::size_of::<((NodeId, NodeId), u32)>();
-        for npairs in [1usize, 7, 100, 513, 4000] {
-            let pairs: Vec<(NodeId, NodeId)> = (0..npairs).map(|k| (k, k + 1)).collect();
-            let idx = BlockIndex::new(&pairs);
-            let cap = idx.map.capacity();
-            assert!(cap >= npairs);
-            let b = idx.bytes();
-            // The estimate must cover the entries actually storable and stay
-            // within 2x of capacity x entry_size (no wild over/undercount).
-            assert!(b >= cap * entry, "{npairs} pairs: {b} < {}", cap * entry);
-            assert!(
-                b <= 2 * cap * entry,
-                "{npairs} pairs: {b} > {}",
-                2 * cap * entry
-            );
-        }
+    fn slot_is_the_list_position_and_flags_the_transpose() {
+        let table = BlockTable::<f64>::listed(lists(&[(1, 5), (2, 2), (3, 7)], &[]), None);
+        assert_eq!(table.slot(Coupling, 1, 5), Some((0, false)));
+        assert_eq!(table.slot(Coupling, 5, 1), Some((0, true)));
+        assert_eq!(table.slot(Coupling, 2, 2), Some((1, false)));
+        assert_eq!(table.slot(Coupling, 7, 3), Some((2, true)));
+        assert_eq!(table.slot(Coupling, 4, 4), None);
+        assert_eq!(table.slot(Nearfield, 1, 5), None, "the other family");
+        // Nothing held: no family lists a slot.
+        assert!(table.slots.iter().all(Vec::is_empty));
     }
 
     #[test]
-    fn hit_after_hold_miss_without_and_stats() {
-        let mut table = budgeted(10 * B44);
-        assert!(table.hold(Coupling, (0, 1), 0, block(0, 1)));
+    fn hit_after_plan_miss_without_and_stats() {
+        let table = holding(&lists(&[(0, 1), (0, 2)], &[]), 10 * B44, &[(0, 1)]);
         let a = table.get_at(Coupling, 0, 1, 0).unwrap();
         let b = table.get_at(Coupling, 0, 1, 0).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.as_slice(), block(0, 1).as_slice());
-        // A miss keeps nothing: it misses again.
+        assert_eq!(a.as_slice(), block_at(0, 1, 0).as_slice());
+        // A miss keeps nothing: it misses again, listed or not.
         assert!(table.get_at(Coupling, 0, 2, 0).is_none());
-        assert!(table.get_at(Coupling, 0, 2, 0).is_none());
+        assert!(table.get_at(Coupling, 0, 9, 0).is_none());
         let s = table.stats();
         assert_eq!((s.hits, s.misses, s.entries), (2, 2, 1));
         assert_eq!((s.resident_bytes, s.evicted_bytes), (B44, 0));
         assert!(s.hit_rate() > 0.49 && s.hit_rate() < 0.51);
-        // A second hold of a held pair fails.
-        assert!(!table.hold(Coupling, (0, 1), 0, block(0, 1)));
+        // The nearfield family held nothing and keeps no slots.
+        assert!(table.slots[Nearfield as usize].is_empty());
     }
 
     #[test]
     fn oversized_and_empty_blocks_are_never_held_under_a_budget() {
-        let mut table = budgeted(B44 + B44 / 2);
-        assert!(!table.hold(Nearfield, (2, 3), 0, Arc::new(Matrix::zeros(0, 5))));
-        assert!(!table.hold(Coupling, (1, 2), 0, Arc::new(Matrix::zeros(8, 4))));
-        assert!(table.hold(Coupling, (1, 2), 0, block(1, 2)));
-        // What remains of the budget is smaller than the next block.
-        assert!(!table.hold(Coupling, (1, 3), 0, block(1, 3)));
-        assert!(table.get_at(Coupling, 2, 3, 0).is_none());
-        assert_eq!(table.keys(), vec![(Coupling, 1, 2, 0)]);
+        let lists = lists(&[(1, 2), (1, 3), (1, 4)], &[(2, 3)]);
+        let schedule = [
+            (Nearfield, 2, 3, 0),      // empty
+            (Coupling, 1, 2, 2 * B44), // larger than the budget
+            (Coupling, 1, 3, B44),     // fits
+            (Coupling, 1, 4, B44),     // larger than what remains
+        ];
+        let empty = BlockTable::listed(lists.clone(), Some(B44 + B44 / 2));
+        let table = plan(&empty, &lists, schedule, |_, _| 0);
+        assert!(table.get_at(Nearfield, 2, 3, 0).is_none());
+        assert_eq!(table.keys(), vec![(Coupling, 1, 3, 0)]);
         assert_eq!(table.resident_bytes(), B44);
     }
 
     #[test]
     fn first_fit_in_schedule_order_with_dedup() {
-        let coupling = [(0, 1), (0, 2), (0, 3), (0, 4)];
-        let nearfield = [(0, 0), (0, 1)];
+        let lists = lists(&[(0, 1), (0, 2), (0, 3), (0, 4)], &[(0, 0), (0, 1)]);
         let schedule = [
             (Coupling, 0, 1, B44),
             (Coupling, 1, 0, B44),     // duplicate of (0, 1)
@@ -496,8 +433,8 @@ mod tests {
             (Coupling, 0, 4, B44),     // budget exhausted
         ];
         let table = plan(
-            &budgeted(3 * B44),
-            [&coupling, &nearfield],
+            &BlockTable::listed(lists.clone(), Some(3 * B44)),
+            &lists,
             schedule,
             |_, _| 0,
         );
@@ -510,60 +447,71 @@ mod tests {
             ]
         );
         // Without a budget every scheduled pair is held, the empty one too.
-        let every = BlockTable::listed([&[], &[]], None);
-        let all = plan(&every, [&coupling, &nearfield], schedule, |_, _| 0);
-        assert_eq!(all.keys().len(), coupling.len() + nearfield.len());
+        let every = BlockTable::listed(lists.clone(), None);
+        let all = plan(&every, &lists, schedule, |_, _| 0);
+        assert_eq!(all.keys().len(), 4 + 2);
         assert_eq!(all.stored_blocks(Coupling).map(|b| b.len()), Some(4));
         assert!(table.stored_blocks(Coupling).is_none());
     }
 
     #[test]
     fn transposed_requests_share_one_entry() {
-        let mut table = budgeted(10 * B44);
-        assert!(table.hold(Coupling, (3, 7), 0, block(3, 7)));
-        // A schedule may name the pair in either orientation.
-        let next = table.successor(
-            [Some(&[(3, 7)]), Some(&[])],
-            Some(10 * B44),
-            [(Coupling, 7, 3, B44)],
-            |_, _| 0,
-            |fresh| {
-                assert!(fresh.is_empty(), "(7, 3) is the held (3, 7)");
-                Vec::new()
-            },
-        );
-        assert_eq!(next.keys(), vec![(Coupling, 3, 7, 0)]);
-        let (old, new) = (
-            table.get_at(Coupling, 3, 7, 0).unwrap(),
-            next.get_at(Coupling, 3, 7, 0).unwrap(),
-        );
-        assert!(Arc::ptr_eq(&old, &new), "carried over, not copied");
+        let first = lists(&[(3, 7)], &[]);
+        let table = holding(&first, 10 * B44, &[(3, 7)]);
+        // A schedule may name the pair in either orientation, on the lists
+        // that stood and on relisted ones where its slot moved.
+        let relisted = lists(&[(1, 2), (3, 7)], &[]);
+        for lists in [&first, &relisted] {
+            let listed = BlockTable::<f64>::listed(lists.clone(), None);
+            let (slot, t) = listed.slot(Coupling, 7, 3).unwrap();
+            assert!(t, "(7, 3) applies (3, 7) transposed");
+            let next = table.successor(
+                lists,
+                Some(10 * B44),
+                [(Coupling, slot, B44)],
+                |_, _| 0,
+                |fresh| {
+                    assert!(fresh.is_empty(), "(7, 3) is the held (3, 7)");
+                    Vec::new()
+                },
+            );
+            assert_eq!(next.keys(), vec![(Coupling, 3, 7, 0)]);
+            let (old, new) = (
+                table.get_at(Coupling, 3, 7, 0).unwrap(),
+                next.get_at(Coupling, 3, 7, 0).unwrap(),
+            );
+            assert!(Arc::ptr_eq(&old, &new), "carried over, not copied");
+            assert_eq!(next.block(Coupling, slot, 0).map(|b| b.nrows()), Some(4));
+        }
     }
 
     #[test]
     fn epochs_partition_one_pair() {
-        let mut table = budgeted(10 * B44);
-        assert!(table.hold(Coupling, (0, 1), 0, block(0, 1)));
+        let lists = lists(&[(0, 1)], &[]);
+        let table = holding(&lists, 10 * B44, &[(0, 1)]);
         // A bumped epoch misses — a stale block can never be served — and
         // the held block stays as it is.
         assert!(table.get_at(Coupling, 0, 1, 1).is_none());
         assert!(table.block(Coupling, 0, 1).is_none());
-        let newer = Arc::new(block_at(0, 1, 1));
-        assert!(!table.hold(Coupling, (0, 1), 1, newer));
         assert_eq!(table.keys(), vec![(Coupling, 0, 1, 0)]);
         // Its own epoch still hits.
         let old = table.get_at(Coupling, 0, 1, 0).unwrap();
         assert_eq!(old.as_slice(), block_at(0, 1, 0).as_slice());
         let s = table.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        // A plan at the new epoch regenerates the pair in the successor.
+        let next = plan(&table, &lists, [(Coupling, 0, 1, B44)], |_, _| 1);
+        assert_eq!(next.keys(), vec![(Coupling, 0, 1, 1)]);
+        assert_eq!(table.keys(), vec![(Coupling, 0, 1, 0)]);
     }
 
     #[test]
     fn successor_carries_the_kept_generates_the_rest_and_leaves_the_old_alone() {
-        let mut table = budgeted(3 * B44);
-        for j in 1..=3 {
-            assert!(table.hold(Coupling, (0, j), 0, block(0, j)));
-        }
+        let table = holding(
+            &lists(&[(0, 1), (0, 2), (0, 3)], &[]),
+            3 * B44,
+            &[(0, 1), (0, 2), (0, 3)],
+        );
         table.get_at(Coupling, 0, 1, 0).unwrap();
         assert!(table.get_at(Coupling, 0, 9, 0).is_none());
         let before = table.keys();
@@ -571,9 +519,12 @@ mod tests {
         // (0, 4) joined them.
         let epoch = |i: NodeId, j: NodeId| u64::from(i == 2 || j == 2);
         let pairs = [(0, 1), (0, 2), (0, 4), (0, 5)];
+        let relisted = lists(&pairs, &[]);
         let schedule = pairs.map(|(i, j)| (Coupling, i, j, B44));
-        let pairs = [Some(&pairs[..]), Some(&[][..])];
-        let next = table.successor(pairs, Some(3 * B44), schedule, epoch, |fresh| {
+        let listed = BlockTable::<f64>::listed(relisted.clone(), None);
+        let slots =
+            schedule.map(|(kind, i, j, bytes)| (kind, listed.slot(kind, i, j).unwrap().0, bytes));
+        let next = table.successor(&relisted, Some(3 * B44), slots, epoch, |fresh| {
             assert_eq!(fresh, [(Coupling, 0, 2), (Coupling, 0, 4)]);
             fresh
                 .iter()
@@ -612,6 +563,7 @@ mod tests {
     fn concurrent_readers_and_a_replanner_hold_invariant_and_content() {
         let nkeys = 40usize;
         let pairs: Vec<(NodeId, NodeId)> = (0..nkeys).map(|k| (k, nkeys)).collect();
+        let lists = lists(&[], &pairs);
         // Round `r` bumps every even node to epoch `r` and starts its
         // schedule at pair `r`, so each re-plan carries some blocks,
         // regenerates some and drops some.
@@ -620,9 +572,9 @@ mod tests {
         let replan = |table: &BlockTable<f64>, round: u64| {
             let schedule =
                 (0..nkeys).map(|k| (Nearfield, (k + round as usize) % nkeys, nkeys, B44));
-            plan(table, [&[], &pairs], schedule, epoch_in(round))
+            plan(table, &lists, schedule, epoch_in(round))
         };
-        let first = replan(&budgeted(5 * B44), 0);
+        let first = replan(&BlockTable::listed(lists.clone(), Some(5 * B44)), 0);
         assert_eq!(first.resident_bytes(), 5 * B44);
         let current = Mutex::new((0u64, Arc::new(first)));
         let (readers, rounds) = (7usize, 60u64);

@@ -7,14 +7,20 @@ use crate::sweep::{fetch, Scratch};
 use crate::{diagnostics::BlockTally, h2matrix::H2MatrixS};
 use h2_linalg::{panel, MatrixS, Scalar};
 use h2_points::NodeId;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// The block table behind a lock, for a caller that pins blocks through
-/// `&self`. Held by `benchmark/src/probes.rs`.
-pub type BlockCache<S> = Locked<BlockTable<S>>;
+/// Blocks pinned under a byte budget through `&self`, each under its
+/// canonical pair: the cache probe of `benchmark/src/probes.rs`, and
+/// nothing else. No operator reads it (an operator holds its blocks in its
+/// [`BlockTable`]); ROADMAP item 1a deletes it.
+pub struct BlockCache<S: Scalar> {
+    budget: usize,
+    pinned: Mutex<Pinned<S>>,
+}
 
-/// A value behind a mutex.
-pub struct Locked<T>(Mutex<T>);
+/// The pinned blocks by `(kind, i, j)`.
+type Pinned<S> = BTreeMap<(BlockKind, NodeId, NodeId), Arc<MatrixS<S>>>;
 
 impl<S: Scalar> BlockTable<S> {
     /// [`Self::get_at`], or the block `generate` makes. Held by
@@ -33,27 +39,35 @@ impl<S: Scalar> BlockTable<S> {
     }
 }
 
-impl<S: Scalar> Locked<BlockTable<S>> {
-    /// An empty table of `budget_bytes` that [`Self::pin`] lists pairs on.
+impl<S: Scalar> BlockCache<S> {
+    /// Nothing pinned, under `budget_bytes`.
     pub fn new(budget_bytes: usize) -> Self {
-        Locked(Mutex::new(BlockTable::listed(
-            [&[], &[]],
-            Some(budget_bytes),
-        )))
+        BlockCache {
+            budget: budget_bytes,
+            pinned: Mutex::new(BTreeMap::new()),
+        }
     }
 
-    fn table(&self) -> MutexGuard<'_, BlockTable<S>> {
-        self.0.lock().expect("a pin panicked inside the table")
+    fn pinned(&self) -> MutexGuard<'_, Pinned<S>> {
+        self.pinned.lock().expect("a pin panicked inside the cache")
     }
 
-    /// Lists the canonical pair `(i, j)` and holds `block` there at epoch
-    /// 0, if the slot is empty and the block fits what is left of the
-    /// budget.
+    /// Pins `block` under the canonical pair `(i, j)` if none is pinned
+    /// there and it is not empty and fits what is left of the budget.
     pub fn pin(&self, kind: BlockKind, i: NodeId, j: NodeId, block: MatrixS<S>) -> bool {
-        self.table().hold(kind, (i, j), 0, Arc::new(block))
+        assert!(i <= j, "pinned pairs are canonical (i <= j)");
+        let mut pinned = self.pinned();
+        let resident: usize = pinned.values().map(|b| b.bytes()).sum();
+        let bytes = block.bytes();
+        let fits = bytes > 0 && resident + bytes <= self.budget;
+        let free = !pinned.contains_key(&(kind, i, j));
+        if fits && free {
+            pinned.insert((kind, i, j), Arc::new(block));
+        }
+        fits && free
     }
 
-    /// [`BlockTable::get_or_generate_at`] at epoch 0, the block generated
+    /// The block pinned under `(i, j)`, or the block `generate` makes,
     /// outside the lock.
     pub fn get_or_generate(
         &self,
@@ -62,7 +76,7 @@ impl<S: Scalar> Locked<BlockTable<S>> {
         j: NodeId,
         generate: impl FnOnce() -> MatrixS<S>,
     ) -> Arc<MatrixS<S>> {
-        let held = self.table().get_at(kind, i, j, 0);
+        let held = self.pinned().get(&(kind, i, j)).cloned();
         held.unwrap_or_else(|| Arc::new(generate()))
     }
 }
@@ -145,16 +159,12 @@ impl<S: Scalar> H2MatrixS<S> {
         x: &[A],
         y: &mut [A],
     ) {
+        let (slot, transposed) = self.table.slot(kind, i, j).expect("a listed pair");
         let (lo, hi) = (i.min(j), i.max(j));
-        let (slot, _) = self
-            .table
-            .pair_index(kind)
-            .slot(lo, hi)
-            .expect("a listed pair");
         let (mut s, mut tally) = (Scratch::default(), BlockTally::default());
         let b = fetch(self, kind, (slot, lo, hi), &mut s, &mut tally);
         let (rows, cols) = self.block_shape(kind, lo, hi);
-        if i > j {
+        if transposed {
             panel::matmat_t_acc(b, rows, cols, 1, x, y);
         } else {
             panel::matmat_acc(b, rows, cols, 1, x, y);
@@ -176,24 +186,74 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn get_or_generate_counts_as_get_at() {
-        let (shim, direct) = (BlockCache::<f64>::new(1 << 20), BlockCache::new(1 << 20));
-        for cache in [&shim, &direct] {
-            assert!(cache.pin(BlockKind::Coupling, 0, 1, Matrix::zeros(4, 4)));
+    fn pins_hold_what_fits_once() {
+        const B44: usize = 4 * 4 * 8;
+        let cache = BlockCache::<f64>::new(2 * B44);
+        assert!(cache.pin(BlockKind::Coupling, 0, 1, Matrix::zeros(4, 4)));
+        assert!(
+            !cache.pin(BlockKind::Coupling, 0, 1, Matrix::zeros(4, 4)),
+            "held"
+        );
+        assert!(
+            !cache.pin(BlockKind::Coupling, 0, 2, Matrix::zeros(8, 4)),
+            "too big"
+        );
+        assert!(
+            !cache.pin(BlockKind::Nearfield, 2, 2, Matrix::zeros(0, 3)),
+            "empty"
+        );
+        assert!(cache.pin(BlockKind::Nearfield, 0, 1, Matrix::zeros(4, 4)));
+        let a = cache.get_or_generate(BlockKind::Coupling, 0, 1, || unreachable!());
+        let b = cache.get_or_generate(BlockKind::Coupling, 0, 1, || unreachable!());
+        assert!(Arc::ptr_eq(&a, &b), "a pinned block is shared");
+        let made = cache.get_or_generate(BlockKind::Coupling, 0, 2, || Matrix::zeros(2, 2));
+        assert_eq!(made.shape(), (2, 2));
+    }
+
+    #[test]
+    fn get_or_generate_at_counts_as_get_at() {
+        let pts = h2_points::gen::uniform_cube(800, 3, 4);
+        let cfg = H2Config {
+            basis: BasisMethod::data_driven_for_tol(1e-6, 3),
+            mode: MemoryMode::OnTheFly,
+            leaf_size: 64,
+            cache_budget: CacheBudget::Ratio(0.5),
+            ..H2Config::default()
+        };
+        let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &cfg);
+        let table = h2.table();
+        let held = table.keys();
+        let before = table.stats();
+        let mut hits = 0;
+        let lists = h2.lists();
+        let pairs = (lists
+            .interaction_pairs
+            .iter()
+            .map(|&p| (BlockKind::Coupling, p)))
+        .chain(
+            lists
+                .nearfield_pairs
+                .iter()
+                .map(|&p| (BlockKind::Nearfield, p)),
+        );
+        for (kind, (i, j)) in pairs {
+            let at = h2.pair_epoch(i, j);
+            // A held block is never empty: the empty stand-in marks a miss.
+            let got = table.get_or_generate_at(kind, i, j, at, || Matrix::zeros(0, 0));
+            let hit = got.nrows() * got.ncols() > 0;
+            assert_eq!(hit, held.binary_search(&(kind, i, j, at)).is_ok());
+            hits += hit as u64;
         }
-        let requests = [(0, 1, 0), (0, 1, 0), (0, 2, 0), (0, 1, 1), (1, 3, 0)];
-        for (i, j, epoch) in requests {
-            let got = shim
-                .table()
-                .get_or_generate_at(BlockKind::Coupling, i, j, epoch, || Matrix::zeros(2, 2));
-            let resident = direct.table().get_at(BlockKind::Coupling, i, j, epoch);
-            assert_eq!(got.nrows(), resident.map_or(2, |b| b.nrows()));
-        }
-        shim.get_or_generate(BlockKind::Nearfield, 2, 2, || Matrix::zeros(1, 1));
-        direct.table().get_at(BlockKind::Nearfield, 2, 2, 0);
-        let (a, b) = (shim.table().stats(), direct.table().stats());
-        assert_eq!((a.hits, a.misses), (b.hits, b.misses));
-        assert_eq!((a.hits, a.misses), (2, 4));
+        let (s, listed) = (
+            table.stats(),
+            lists.interaction_pairs.len() + lists.nearfield_pairs.len(),
+        );
+        assert_eq!(s.hits - before.hits, hits);
+        assert_eq!(s.misses - before.misses, listed as u64 - hits);
+        assert!(
+            hits > 0 && hits < listed as u64,
+            "half a budget hits and misses"
+        );
     }
 
     #[test]

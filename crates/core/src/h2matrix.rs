@@ -2,7 +2,7 @@
 //! Algorithm 2).
 
 use crate::builders::BuildStats;
-use crate::cache::{BlockKind, BlockTable, CacheBudget, CacheStats, Pairs};
+use crate::cache::{BlockKind, BlockTable, CacheBudget, CacheStats};
 use crate::config::MemoryMode;
 use crate::diagnostics::BlockTally;
 use crate::memory::MemoryReport;
@@ -30,7 +30,9 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct H2MatrixS<S: Scalar = f64> {
     pub(crate) tree: ClusterTree,
-    pub(crate) lists: BlockLists,
+    /// The interaction/nearfield lists, shared with the table, whose slots
+    /// are their positions.
+    pub(crate) lists: Arc<BlockLists>,
     pub(crate) kernel: Arc<dyn Kernel>,
     /// Leaf bases `U_i` (empty matrices for internal nodes).
     pub(crate) bases: Vec<BasisMatrix<S>>,
@@ -71,11 +73,6 @@ pub(crate) fn listed_blocks(
     let nearfield = lists.nearfield_pairs.iter();
     (coupling.map(|&(i, j)| (BlockKind::Coupling, i, j)))
         .chain(nearfield.map(|&(i, j)| (BlockKind::Nearfield, i, j)))
-}
-
-/// The two pair lists the block table is listed on.
-pub(crate) fn pairs(lists: &BlockLists) -> Pairs<'_> {
-    [&lists.interaction_pairs, &lists.nearfield_pairs]
 }
 
 /// The first `len` entries of `buf`, which grows (with default values) only
@@ -208,13 +205,14 @@ impl<S: Scalar> H2MatrixS<S> {
     /// denominator a [`CacheBudget::Ratio`] resolves against.
     pub fn full_block_bytes(&self) -> usize {
         let plan = SweepPlan::whole(self);
-        let bytes = plan.block_schedule(self).map(|(_, _, _, bytes)| bytes);
+        let bytes = plan.block_schedule(self).map(|(_, _, bytes)| bytes);
         bytes.sum()
     }
 
-    /// Installs a fresh table over an on-the-fly operator: the blocks that
-    /// fit the budget first-fit in sweep-execution order, generated in
-    /// parallel (none for a budget that resolves to 0 bytes). No-op in
+    /// Re-plans an on-the-fly operator's table under `budget`: the blocks
+    /// that fit it first-fit in sweep-execution order, those the current
+    /// table holds carried by `Arc` with its counters, the rest generated
+    /// in parallel (none for a budget that resolves to 0 bytes). No-op in
     /// normal mode, where every block is already held.
     ///
     /// Every block the sweeps apply is the `S`-scalar block the normal
@@ -227,9 +225,7 @@ impl<S: Scalar> H2MatrixS<S> {
         let Some(bytes) = self.holding(self.mode(), budget) else {
             return;
         };
-        // From a table of no pairs: fresh counters, nothing to carry.
-        let fresh = BlockTable::listed([&[], &[]], Some(0));
-        self.table = Arc::new(self.plan_table(&fresh, Some(bytes), [false; 2]));
+        self.table = Arc::new(self.plan_table(&self.table, Some(bytes)));
     }
 
     /// What a table of `mode` holds under `budget`: every listed block in
@@ -246,30 +242,18 @@ impl<S: Scalar> H2MatrixS<S> {
     /// The successor of `prev` that holds `budget` on this operator's lists:
     /// the blocks of the whole product's [`SweepPlan::block_schedule`] the
     /// budget takes, each under its pair's current epoch. Residency is a
-    /// function of the operator and the budget only; `prev` (a fresh table,
-    /// or the one an update replaces) contributes its counters and the
-    /// blocks that are still current, the rest are generated as one step of
-    /// the executor, counted on the calling thread. `kept[k]` says that
-    /// `prev` is listed on family `k`'s current pairs, whose index the
-    /// successor then shares.
-    pub(crate) fn plan_table(
-        &self,
-        prev: &BlockTable<S>,
-        budget: Option<usize>,
-        kept: [bool; 2],
-    ) -> BlockTable<S> {
-        let lists = pairs(&self.lists);
-        let kinds = [BlockKind::Coupling, BlockKind::Nearfield];
-        let changed = |k: usize| {
-            debug_assert!(!kept[k] || prev.pair_index(kinds[k]).maps(lists[k]));
-            (!kept[k]).then_some(lists[k])
-        };
+    /// function of the operator and the budget only; `prev` (the table
+    /// this one replaces) contributes its counters and the blocks that are
+    /// still current, the rest are generated as one step of the executor,
+    /// counted on the calling thread.
+    pub(crate) fn plan_table(&self, prev: &BlockTable<S>, budget: Option<usize>) -> BlockTable<S> {
         // A budget of 0 bytes holds nothing: no schedule to walk.
         let plan = (budget != Some(0)).then(|| SweepPlan::whole(self));
+        let schedule = plan.iter().flat_map(|plan| plan.block_schedule(self));
         prev.successor(
-            [changed(0), changed(1)],
+            &self.lists,
             budget,
-            plan.iter().flat_map(|plan| plan.block_schedule(self)),
+            schedule.map(|(kind, st, bytes)| (kind, st.slot, bytes)),
             |i, j| self.pair_epoch(i, j),
             |fresh| self.generate_blocks(fresh),
         )
@@ -482,7 +466,7 @@ impl<S: Scalar> H2MatrixS<S> {
         // Largest block the OTF matvec would regenerate: coupling r_i x r_j
         // or nearfield |X_i| x |X_j|.
         let plan = SweepPlan::whole(self);
-        let blocks = plan.block_schedule(self).map(|(_, _, _, bytes)| bytes);
+        let blocks = plan.block_schedule(self).map(|(_, _, bytes)| bytes);
         let max_otf_block = blocks.max().unwrap_or(0);
         let mapped_generators: usize = self
             .bases
@@ -504,7 +488,6 @@ impl<S: Scalar> H2MatrixS<S> {
             coupling_blocks: stored[0],
             nearfield_blocks: stored[1],
             cached_blocks,
-            block_indices: table.index_bytes(),
             tree: self.tree.bytes(),
             lists: self.lists.bytes(),
             max_otf_block,

@@ -4,7 +4,9 @@
 //! Figs. 4–9). We account bytes per component rather than sampling resident
 //! set size: deterministic, allocator-independent, and it decomposes the
 //! way the paper's analysis does (coupling blocks dominate normal mode; the
-//! on-the-fly mode keeps only bases, transfers and index lists).
+//! on-the-fly mode keeps only bases, transfers and index lists). The block
+//! table adds no index of its own: a block's slot is its pair's position in
+//! the sorted lists (`lists`), so the pair → block map is counted once.
 
 /// Byte counts per H² component.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -23,8 +25,6 @@ pub struct MemoryReport {
     /// Blocks resident in the budgeted tier between the stores and the
     /// kernel (0 without a cache; see [`crate::cache`]).
     pub cached_blocks: usize,
-    /// Sparse pair→slot indices of both stores.
-    pub block_indices: usize,
     /// Cluster tree (permutation, nodes, boxes, owned point copy).
     pub tree: usize,
     /// Interaction/nearfield lists.
@@ -52,7 +52,6 @@ impl MemoryReport {
             + self.coupling_blocks
             + self.nearfield_blocks
             + self.cached_blocks
-            + self.block_indices
             + self.tree
             + self.lists
     }
@@ -63,7 +62,7 @@ impl MemoryReport {
     }
 
     /// Generator-only bytes: what the paper's "memory consumption" counts
-    /// (bases + transfers + proxies + blocks + indices), excluding the tree
+    /// (bases + transfers + proxies + blocks), excluding the tree
     /// and the admissibility lists that any method shares.
     pub fn generators(&self) -> usize {
         self.bases
@@ -72,7 +71,6 @@ impl MemoryReport {
             + self.coupling_blocks
             + self.nearfield_blocks
             + self.cached_blocks
-            + self.block_indices
     }
 }
 
@@ -88,7 +86,6 @@ impl std::fmt::Display for MemoryReport {
         writeln!(f, "  coupling blocks  {:>10.3}", mib(self.coupling_blocks))?;
         writeln!(f, "  nearfield blocks {:>10.3}", mib(self.nearfield_blocks))?;
         writeln!(f, "  cached blocks    {:>10.3}", mib(self.cached_blocks))?;
-        writeln!(f, "  block indices    {:>10.3}", mib(self.block_indices))?;
         writeln!(f, "  tree             {:>10.3}", mib(self.tree))?;
         writeln!(f, "  lists            {:>10.3}", mib(self.lists))?;
         writeln!(f, "  total            {:>10.3}", mib(self.total()))?;
@@ -111,15 +108,14 @@ mod tests {
             coupling_blocks: 4,
             nearfield_blocks: 5,
             cached_blocks: 9,
-            block_indices: 6,
             tree: 7,
             lists: 8,
             max_otf_block: 100,
             mapped_bytes: 1000,
             epoch: 3,
         };
-        assert_eq!(r.total(), 45, "mapped/transient bytes are not resident");
-        assert_eq!(r.generators(), 30);
+        assert_eq!(r.total(), 39, "mapped/transient bytes are not resident");
+        assert_eq!(r.generators(), 24);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 
 use crate::builders::BuildStats;
 use crate::cache::{BlockKind, BlockTable};
-use crate::config::{BuilderProvenance, MemoryMode};
-use crate::h2matrix::{pairs, H2MatrixS};
+use crate::config::BuilderProvenance;
+use crate::h2matrix::H2MatrixS;
 use crate::proxy::ProxyPoints;
 use h2_kernels::Kernel;
 use h2_linalg::{BasisMatrix, MatrixS, Scalar};
@@ -31,8 +31,6 @@ pub struct H2Parts<S: Scalar = f64> {
     pub tree: ClusterTree,
     /// Well-separation parameter the block lists were built with.
     pub eta: f64,
-    /// Memory mode: decides whether dense blocks are present.
-    pub mode: MemoryMode,
     /// Leaf bases `U_i` (empty matrices for internal nodes).
     pub bases: Vec<BasisMatrix<S>>,
     /// Transfer matrices `R_c` (empty for the root).
@@ -41,10 +39,10 @@ pub struct H2Parts<S: Scalar = f64> {
     pub proxies: Vec<ProxyPoints>,
     /// Per-node ranks.
     pub ranks: Vec<usize>,
-    /// Coupling blocks aligned with `interaction_pairs` (`None` = on-the-fly).
-    pub coupling_blocks: Option<Vec<MatrixS<S>>>,
-    /// Nearfield blocks aligned with `nearfield_pairs` (`None` = on-the-fly).
-    pub nearfield_blocks: Option<Vec<MatrixS<S>>>,
+    /// The stored blocks of a normal-mode operator, coupling blocks aligned
+    /// with `interaction_pairs` and nearfield blocks with `nearfield_pairs`;
+    /// `None` on the fly.
+    pub blocks: Option<[Vec<MatrixS<S>>; 2]>,
     /// Which construction pipeline produced the generators. Pure metadata:
     /// unknown values are surfaced, never rejected.
     pub provenance: BuilderProvenance,
@@ -57,24 +55,18 @@ impl<S: Scalar> H2MatrixS<S> {
     /// Clones this operator's state into serializable [`H2Parts`].
     pub fn to_parts(&self) -> H2Parts<S> {
         let stored = |kind| {
-            Some(
-                self.table
-                    .stored_blocks(kind)?
-                    .into_iter()
-                    .cloned()
-                    .collect(),
-            )
+            let blocks = self.table.stored_blocks(kind)?;
+            Some(blocks.into_iter().cloned().collect())
         };
+        let blocks = stored(BlockKind::Coupling).zip(stored(BlockKind::Nearfield));
         H2Parts {
             tree: self.tree.clone(),
             eta: self.lists.eta,
-            mode: self.mode(),
             bases: self.bases.clone(),
             transfers: self.transfers.clone(),
             proxies: self.proxies.clone(),
             ranks: self.ranks.clone(),
-            coupling_blocks: stored(BlockKind::Coupling),
-            nearfield_blocks: stored(BlockKind::Nearfield),
+            blocks: blocks.map(|(coupling, nearfield)| [coupling, nearfield]),
             provenance: self.provenance,
             epoch: self.epoch,
         }
@@ -93,13 +85,11 @@ impl<S: Scalar> H2MatrixS<S> {
         let H2Parts {
             tree,
             eta,
-            mode,
             bases,
             transfers,
             proxies,
             ranks,
-            coupling_blocks,
-            nearfield_blocks,
+            blocks,
             provenance,
             epoch,
         } = parts;
@@ -151,20 +141,12 @@ impl<S: Scalar> H2MatrixS<S> {
                 return Err(format!("node {i}: root carries a transfer"));
             }
         }
-        let lists = build_block_lists(&tree, eta);
-        let table = match mode {
-            MemoryMode::OnTheFly => {
-                if coupling_blocks.is_some() || nearfield_blocks.is_some() {
-                    return Err("on-the-fly parts carry materialized blocks".into());
-                }
-                // The budget is a runtime choice, not part of the persisted
-                // operator — set it with `set_cache_budget` after decode.
-                BlockTable::listed(pairs(&lists), Some(0))
-            }
-            MemoryMode::Normal => {
-                let (Some(cb), Some(nb)) = (coupling_blocks, nearfield_blocks) else {
-                    return Err("normal-mode parts missing materialized blocks".into());
-                };
+        let lists = Arc::new(build_block_lists(&tree, eta));
+        let table = match blocks {
+            // On the fly. The budget is a runtime choice, not part of the
+            // persisted operator — set it with `set_cache_budget` after decode.
+            None => BlockTable::listed(lists.clone(), Some(0)),
+            Some([cb, nb]) => {
                 if cb.len() != lists.interaction_pairs.len() {
                     return Err(format!(
                         "{} coupling blocks for {} interaction pairs",
@@ -189,7 +171,7 @@ impl<S: Scalar> H2MatrixS<S> {
                         return Err(format!("nearfield block ({i}, {j}) shape mismatch"));
                     }
                 }
-                BlockTable::stored(pairs(&lists), [cb, nb], epoch)
+                BlockTable::stored(lists.clone(), [cb, nb], epoch)
             }
         };
         Ok(H2MatrixS {
@@ -215,7 +197,7 @@ impl<S: Scalar> H2MatrixS<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{BasisMethod, H2Config};
+    use crate::config::{BasisMethod, H2Config, MemoryMode};
     use crate::h2matrix::H2Matrix;
     use h2_kernels::Coulomb;
     use h2_points::gen;
@@ -251,11 +233,7 @@ mod tests {
         assert!(H2Matrix::from_parts(p, Arc::new(Coulomb)).is_err());
 
         let mut p = h2.to_parts();
-        p.coupling_blocks.as_mut().unwrap().pop();
-        assert!(H2Matrix::from_parts(p, Arc::new(Coulomb)).is_err());
-
-        let mut p = h2.to_parts();
-        p.mode = MemoryMode::OnTheFly; // blocks present but mode says none
+        p.blocks.as_mut().unwrap()[0].pop();
         assert!(H2Matrix::from_parts(p, Arc::new(Coulomb)).is_err());
 
         let mut p = h2.to_parts();

@@ -87,7 +87,7 @@ use h2_points::admissibility::BlockLists;
 use h2_points::{ClusterTree, NodeId};
 use std::cmp::Reverse;
 use std::ops::Range;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The sweeps group their work by the cut roots of the shallowest tree level
 /// with at least this many of them (a tree that never gets this wide is one
@@ -414,21 +414,21 @@ impl<'a> SweepPlan<'a> {
     }
 
     /// Every block this rank touches, in the order its sweeps first touch
-    /// it, with its size in bytes were it materialized in `S` — the order a
-    /// table's budget is filled in.
+    /// it, as its step (slot and pair) with its size in bytes were it
+    /// materialized in `S` — the order a table's budget is filled in.
     pub fn block_schedule<'s, S: Scalar>(
         &'s self,
         h2: &'s H2MatrixS<S>,
-    ) -> impl Iterator<Item = (BlockKind, NodeId, NodeId, usize)> + 's {
-        let bytes = move |kind, i, j| {
-            let (rows, cols) = h2.block_shape(kind, i, j);
-            (kind, i, j, rows * cols * S::BYTES)
+    ) -> impl Iterator<Item = (BlockKind, PairStep, usize)> + 's {
+        let bytes = move |kind, st: PairStep| {
+            let (rows, cols) = h2.block_shape(kind, st.i, st.j);
+            (kind, st, rows * cols * S::BYTES)
         };
         self.coupling()
-            .map(move |st| bytes(BlockKind::Coupling, st.i, st.j))
+            .map(move |st| bytes(BlockKind::Coupling, st))
             .chain(
                 self.nearfield()
-                    .map(move |st| bytes(BlockKind::Nearfield, st.i, st.j)),
+                    .map(move |st| bytes(BlockKind::Nearfield, st)),
             )
     }
 
@@ -717,6 +717,10 @@ impl<'a, S: Scalar, A: Scalar> Sweep<'a, S, A> {
     /// to `width` threads (the caller and `width − 1` helpers). The rank
     /// fetches its blocks from the operator's table.
     pub fn new(h2: &'a H2MatrixS<S>, plan: &'a SweepPlan<'a>, k: usize, width: usize) -> Self {
+        debug_assert!(
+            Arc::ptr_eq(&h2.lists, h2.table.lists()),
+            "slots off the lists"
+        );
         let n = h2.n();
         let coeffs = plan.q_base[plan.top + 1] * k;
         // Scratch sized once for the largest block of the schedule the

@@ -34,11 +34,13 @@
 //! the invalidation mechanism: an update runs one successor plan over the
 //! new lists (`H2MatrixS::plan_table`) and installs a new table that shares
 //! the blocks still current and generates the rest, in either memory mode.
+//! Lists that stand keep every block at its slot; relisted pairs find their
+//! old slot by binary search of the old list.
 
 use crate::builders::{build_with_x_star, data_driven, nested_skeleton_pass};
-use crate::cache::{BlockKind, CacheBudget};
+use crate::cache::CacheBudget;
 use crate::config::{BasisMethod, BuilderStrategy, H2Config, MemoryMode};
-use crate::h2matrix::{listed_blocks, pairs, H2MatrixS};
+use crate::h2matrix::{listed_blocks, H2MatrixS};
 use crate::proxy::ProxyPoints;
 use h2_linalg::{BasisMatrix, Scalar};
 use h2_points::admissibility::build_block_lists;
@@ -401,8 +403,8 @@ impl<S: Scalar> H2MatrixS<S> {
     ///
     /// The lists are rebuilt only when a box grew, a leaf split or a
     /// diameter tie makes a changed point count matter
-    /// ([`Self::diameter_tie`]); otherwise they stand as they are, and so
-    /// do the table's pair indexes.
+    /// ([`Self::diameter_tie`]); otherwise they stand as they are, shared
+    /// by the operator and its tables.
     fn refactor_paths(
         &mut self,
         mut touched: HashSet<NodeId>,
@@ -434,7 +436,7 @@ impl<S: Scalar> H2MatrixS<S> {
         for &i in &touched {
             levels[self.tree.node(i).level].push(i);
         }
-        let lists = new_lists.as_ref().unwrap_or(&self.lists);
+        let lists = new_lists.as_ref().unwrap_or(&*self.lists);
         let y_star = sample_levels(&self.tree, lists, &state.params, &levels, &mut state.x_star);
         drop(sp);
 
@@ -451,12 +453,9 @@ impl<S: Scalar> H2MatrixS<S> {
         for &i in &touched {
             dirty[i] = true;
         }
-        let old = pairs(&self.lists);
-        let lists = new_lists.as_ref().unwrap_or(&self.lists);
-        let kept = [0, 1].map(|k| old[k] == pairs(lists)[k]);
-        let listed = |kind: BlockKind, i, j| {
-            kept[kind as usize] || self.table.pair_index(kind).slot(i, j).is_some()
-        };
+        let lists = new_lists.as_ref().unwrap_or(&*self.lists);
+        // Whether the pair was listed before: the table is on the old lists.
+        let listed = |kind, i, j| new_lists.is_none() || self.table.slot(kind, i, j).is_some();
         let stale = listed_blocks(lists)
             .filter(|&(kind, i, j)| dirty[i] || dirty[j] || !listed(kind, i, j))
             .count();
@@ -465,13 +464,13 @@ impl<S: Scalar> H2MatrixS<S> {
             self.node_epochs[i] = self.epoch;
         }
         if let Some(lists) = new_lists {
-            self.lists = lists;
+            self.lists = Arc::new(lists);
         }
         // Residency is a function of (operator, budget): one successor plan
         // over the lists carries the held blocks still current by `Arc`
         // and generates the planned rest, so whoever shares the old table
         // keeps the blocks they started with.
-        let next = self.plan_table(&self.table, self.table.budget(), kept);
+        let next = self.plan_table(&self.table, self.table.budget());
         self.table = Arc::new(next);
         drop(sp);
 
@@ -527,8 +526,7 @@ impl<S: Scalar> H2MatrixS<S> {
             node_epochs,
             ..rebuilt
         };
-        // The rebuilt table is listed on the rebuilt lists: its indexes carry.
-        self.table = Arc::new(self.plan_table(&self.table, budget, [true; 2]));
+        self.table = Arc::new(self.plan_table(&self.table, budget));
         self.update = Some(UpdateState {
             x_star: x_star.expect("a data-driven build samples"),
             churn: 0,
@@ -808,8 +806,7 @@ mod tests {
     }
 
     #[test]
-    fn lists_and_pair_indexes_stand_until_a_box_grows_or_a_leaf_splits() {
-        use crate::cache::BlockKind::{Coupling, Nearfield};
+    fn lists_stand_until_a_box_grows_or_a_leaf_splits() {
         let mut h2 = build(900, MemoryMode::OnTheFly, 17);
         let max_leaf = h2
             .tree()
@@ -822,39 +819,38 @@ mod tests {
             ..UpdatePolicy::default()
         })
         .unwrap();
-        // Whether each family's index is the one before the update, and
-        // how many leaves the update split.
+        // Whether the lists are the ones before the update, shared by the
+        // operator and its table, and how many leaves the update split.
         let update = |h2: &mut H2Matrix, edit: &dyn Fn(&mut H2Matrix) -> UpdateReport| {
-            let before = h2.table.clone();
+            let before = h2.lists.clone();
             let splits = edit(h2).splits;
-            let kept = [Coupling, Nearfield]
-                .map(|kind| Arc::ptr_eq(before.pair_index(kind), h2.table.pair_index(kind)));
-            (kept, splits)
+            assert!(Arc::ptr_eq(&h2.lists, h2.table.lists()), "one copy");
+            (Arc::ptr_eq(&before, &h2.lists), splits)
         };
         // The centre of a leaf's box lies in every box on its routed path.
         let leaf = h2.tree().leaves()[3];
         let inside = PointSet::new(3, h2.tree().node(leaf).bbox.center());
-        let (kept, _) = update(&mut h2, &|h2| h2.insert_points(&inside).unwrap());
-        assert_eq!(kept, [true, true], "an insert inside the boxes");
+        let (stood, _) = update(&mut h2, &|h2| h2.insert_points(&inside).unwrap());
+        assert!(stood, "an insert inside the boxes");
         assert_lists_current(&h2, "inside");
-        let (kept, _) = update(&mut h2, &|h2| h2.remove_points(&[5, 400]).unwrap());
-        assert_eq!(kept, [true, true], "a removal");
+        let (stood, _) = update(&mut h2, &|h2| h2.remove_points(&[5, 400]).unwrap());
+        assert!(stood, "a removal");
         assert_lists_current(&h2, "removal");
-        // Outside the unit cube every path box grows: the lists are rebuilt
-        // (an index is still shared where its pairs came out the same).
+        // Outside the unit cube every path box grows: the lists are rebuilt.
         let outside = PointSet::new(3, vec![1.4, -0.3, 0.5]);
-        h2.insert_points(&outside).unwrap();
+        let (stood, _) = update(&mut h2, &|h2| h2.insert_points(&outside).unwrap());
+        assert!(!stood, "an insert outside the boxes");
         assert_lists_current(&h2, "outside");
         // Hammer one spot until its leaf splits: new leaves, new pairs.
         let mut splits = 0;
         for k in 0..60 {
             let e = 1e-4 * k as f64;
             let p = PointSet::new(3, vec![0.3 + e, 0.6 - e, 0.4]);
-            let kept;
-            (kept, splits) = update(&mut h2, &|h2| h2.insert_points(&p).unwrap());
+            let stood;
+            (stood, splits) = update(&mut h2, &|h2| h2.insert_points(&p).unwrap());
             assert_lists_current(&h2, "hammer");
             if splits > 0 {
-                assert!(!kept[1], "a split rebuilds the nearfield index");
+                assert!(!stood, "a split rebuilds the lists");
                 break;
             }
         }

@@ -6,14 +6,19 @@
 //!   and the panel sweeps, and misses per product fall strictly as the
 //!   budget grows; a normal-mode product generates nothing,
 //! - an update carries every clean held block of the table by `Arc`, in
-//!   normal mode and under a budget,
+//!   normal mode and under a budget, and so does a new budget,
+//! - a table slot is its pair's position in the operator's sorted pair
+//!   lists, on random cubes, on a grid and through updates that relist,
 //! - the byte-budget invariant holds while parallel matvecs hammer one
 //!   shared cache, and intermediate budgets keep full accuracy.
 
-use h2_core::{BasisMethod, CacheBudget, H2Config, H2Matrix, H2MatrixS, MemoryMode};
+use h2_core::{
+    BasisMethod, BlockKind, CacheBudget, H2Config, H2Matrix, H2MatrixS, MemoryMode, UpdatePolicy,
+};
 use h2_kernels::{Coulomb, Exponential, Kernel};
 use h2_linalg::{exec, Matrix, MatrixS, Scalar};
 use h2_points::{gen, PointSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 const N: usize = 700;
@@ -256,7 +261,7 @@ fn an_update_carries_every_clean_held_block_by_arc() {
         if mode == MemoryMode::Normal {
             // Every listed pair is held, so every clean one is carried.
             let clean = before.iter().filter(|&&(kind, i, j, at)| {
-                table.pair_index(kind).slot(i, j).is_some() && h2.pair_epoch(i, j) == at
+                table.slot(kind, i, j).is_some() && h2.pair_epoch(i, j) == at
             });
             assert_eq!(carried, clean.count(), "{what}");
             assert_eq!(table.keys().len(), table.stats().entries, "{what}");
@@ -264,6 +269,147 @@ fn an_update_carries_every_clean_held_block_by_arc() {
         // Whoever holds the old table keeps it.
         assert_eq!(old.keys(), before, "{what}");
     }
+}
+
+#[test]
+fn re_budgeting_carries_what_the_table_holds() {
+    let pts = gen::uniform_cube(N, 3, 53);
+    let c = cfg(MemoryMode::OnTheFly, CacheBudget::Ratio(0.3));
+    let mut h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &c);
+    let _ = h2.matvec(&rhs::<f64>(N));
+    // The table before, and the blocks the new budget generated.
+    let rebudget = |h2: &mut H2Matrix, budget| {
+        let old = Arc::clone(h2.table());
+        let scope = h2_telemetry::local_scope();
+        h2.set_cache_budget(budget);
+        let made = scope.count("coupling_blocks") + scope.count("nearfield_blocks");
+        (old, made)
+    };
+    let (old, made) = rebudget(&mut h2, CacheBudget::Ratio(0.3));
+    assert_eq!(made, 0, "the same budget generates nothing");
+    assert_eq!(h2.table().keys(), old.keys());
+    assert!(old.stats().hits > 0);
+    assert_eq!(h2.table().stats(), old.stats(), "the counters carry");
+
+    let (old, made) = rebudget(&mut h2, CacheBudget::Ratio(0.6));
+    let (before, after) = (old.keys(), h2.table().keys());
+    let planned = |key: &_| before.binary_search(key).is_err();
+    let new = after.iter().filter(|key| planned(key)).count();
+    assert!(new > 0, "a larger budget holds more");
+    assert_eq!(
+        made, new as u64,
+        "only the newly planned pairs are generated"
+    );
+    let (was, is) = (old.stats(), h2.table().stats());
+    let carried = after.len() - new;
+    assert_eq!(
+        is.stale_purged,
+        was.stale_purged + (before.len() - carried) as u64
+    );
+    assert_eq!((is.hits, is.misses), (was.hits, was.misses));
+    for &(kind, i, j, at) in after.iter().filter(|key| !planned(key)) {
+        let (a, b) = (
+            old.get_at(kind, i, j, at),
+            h2.table().get_at(kind, i, j, at),
+        );
+        assert!(
+            Arc::ptr_eq(&a.unwrap(), &b.unwrap()),
+            "({i}, {j}) carried by Arc"
+        );
+    }
+}
+
+/// The operator's pair lists are its table's index: one copy, strictly
+/// ascending and canonical, every listed pair found at its list position
+/// (transposed when named `(j, i)`), every other pair of nodes not found.
+fn assert_lists_index_the_table(h2: &H2Matrix, what: &str) {
+    let (lists, table) = (h2.lists(), h2.table());
+    assert!(std::ptr::eq(lists, &**table.lists()), "{what}: one copy");
+    for kind in [BlockKind::Coupling, BlockKind::Nearfield] {
+        let pairs = kind.pairs(lists);
+        assert!(!pairs.is_empty(), "{what}: {kind:?} lists pairs");
+        assert!(
+            pairs.windows(2).all(|w| w[0] < w[1]),
+            "{what}: {kind:?} order"
+        );
+        assert!(
+            pairs.iter().all(|&(i, j)| i <= j),
+            "{what}: {kind:?} i <= j"
+        );
+        for (slot, &(i, j)) in pairs.iter().enumerate() {
+            assert_eq!(table.slot(kind, i, j), Some((slot, false)), "{what}");
+            if i != j {
+                assert_eq!(table.slot(kind, j, i), Some((slot, true)), "{what}");
+            }
+        }
+        let listed: HashSet<_> = pairs.iter().copied().collect();
+        let nodes = h2.tree().node_count();
+        for i in 0..nodes {
+            for j in i..nodes {
+                if !listed.contains(&(i, j)) {
+                    assert_eq!(table.slot(kind, i, j), None, "{what}: {kind:?} ({i}, {j})");
+                    assert_eq!(table.slot(kind, j, i), None, "{what}: {kind:?} ({j}, {i})");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_sorted_pair_lists_are_the_block_index() {
+    gen::cases(4, |r| {
+        // Deep enough trees that both families list pairs.
+        let pts = gen::uniform_cube(600 + r.below(600), 3, r.next_u64());
+        let c = H2Config {
+            leaf_size: 16 + r.below(32),
+            eta: 0.7 + 0.1 * r.below(4) as f64,
+            ..cfg(MemoryMode::OnTheFly, CacheBudget::Off)
+        };
+        let h2 = H2Matrix::build(&pts, Arc::new(Coulomb), &c);
+        assert_lists_index_the_table(&h2, "a random cube");
+    });
+    // A grid: boxes of equal size tie on diameter, and a removal that
+    // changes a point count relists.
+    let grid = PointSet::from_fn(512, 3, |i, d| ((i >> (3 * d)) & 7) as f64);
+    let c = H2Config {
+        leaf_size: 32,
+        ..cfg(MemoryMode::Normal, CacheBudget::Off)
+    };
+    let mut h2 = H2Matrix::build(&grid, Arc::new(Coulomb), &c);
+    assert_lists_index_the_table(&h2, "the grid");
+    h2.remove_points(&[200, 201]).unwrap();
+    assert_lists_index_the_table(&h2, "a grid removal");
+    // Updates that relist: a box grows, then a leaf splits.
+    let mut h2 = H2Matrix::build(
+        &gen::uniform_cube(N, 3, 59),
+        Arc::new(Coulomb),
+        &cfg(MemoryMode::OnTheFly, CacheBudget::Ratio(0.5)),
+    );
+    let max_leaf = h2.tree().leaves().iter().map(|&l| h2.tree().node(l).len());
+    h2.set_update_policy(UpdatePolicy {
+        max_leaf_points: max_leaf.max(),
+        ..UpdatePolicy::default()
+    })
+    .unwrap();
+    let before = Arc::clone(h2.table().lists());
+    h2.insert_points(&PointSet::new(3, vec![1.4, -0.3, 0.5]))
+        .unwrap();
+    assert!(
+        !Arc::ptr_eq(&before, h2.table().lists()),
+        "a grown box relists"
+    );
+    assert_lists_index_the_table(&h2, "a grown box");
+    let mut splits = 0;
+    for k in 0..60 {
+        let e = 1e-4 * k as f64;
+        let p = PointSet::new(3, vec![0.3 + e, 0.6 - e, 0.4]);
+        splits += h2.insert_points(&p).unwrap().splits;
+        assert_lists_index_the_table(&h2, &format!("insert {k}"));
+        if splits > 0 {
+            break;
+        }
+    }
+    assert!(splits > 0, "no leaf ever split");
 }
 
 #[test]

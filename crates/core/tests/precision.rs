@@ -148,13 +148,12 @@ fn f32_storage_halves_scalar_payload() {
     let c = cfg(MemoryMode::Normal);
     let m64 = H2MatrixS::<f64>::build(&pts, Arc::new(Coulomb), &c).memory_report();
     let m32 = H2MatrixS::<f32>::build(&pts, Arc::new(Coulomb), &c).memory_report();
-    // Scalar payloads (generators + blocks) halve exactly; index/tree/list
-    // bytes are precision-independent.
+    // Scalar payloads (generators + blocks) halve exactly; tree/list bytes
+    // are precision-independent.
     assert_eq!(2 * m32.bases, m64.bases);
     assert_eq!(2 * m32.transfers, m64.transfers);
     assert_eq!(2 * m32.coupling_blocks, m64.coupling_blocks);
     assert_eq!(2 * m32.nearfield_blocks, m64.nearfield_blocks);
-    assert_eq!(m32.block_indices, m64.block_indices);
     assert_eq!(m32.tree, m64.tree);
 }
 

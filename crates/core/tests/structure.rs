@@ -59,7 +59,6 @@ fn memory_report_components_sum() {
             + m.proxies
             + m.coupling_blocks
             + m.nearfield_blocks
-            + m.block_indices
             + m.tree
             + m.lists
     );

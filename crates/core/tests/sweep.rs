@@ -263,7 +263,7 @@ fn schedule_is_every_listed_pair_once_in_conflict_free_rounds() {
     // The warm-up order is the schedule: coupling, then nearfield.
     let blocks: Vec<_> = plan
         .block_schedule(&h2)
-        .map(|(kind, i, j, _)| (kind, i, j))
+        .map(|(kind, st, _)| (kind, st.i, st.j))
         .collect();
     let scheduled: Vec<_> = plan
         .coupling()

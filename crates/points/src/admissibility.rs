@@ -18,9 +18,10 @@ pub struct BlockLists {
     pub interaction: Vec<Vec<NodeId>>,
     /// Per-leaf nearfield list, including the leaf itself (both directions).
     pub nearfield: Vec<Vec<NodeId>>,
-    /// Unique admissible pairs `(i, j)` with `i <= j`.
+    /// Unique admissible pairs `(i, j)` with `i <= j`, strictly ascending.
     pub interaction_pairs: Vec<(NodeId, NodeId)>,
-    /// Unique nearfield leaf pairs `(i, j)` with `i <= j` (includes `(i,i)`).
+    /// Unique nearfield leaf pairs `(i, j)` with `i <= j` (includes `(i,i)`),
+    /// strictly ascending.
     pub nearfield_pairs: Vec<(NodeId, NodeId)>,
     /// The separation parameter used.
     pub eta: f64,
@@ -51,6 +52,10 @@ impl BlockLists {
 }
 
 /// Builds interaction and nearfield lists for `tree` with separation `eta`.
+///
+/// Each pair list comes out strictly ascending (sorted, every unordered
+/// pair once) and canonical (`i <= j`). A block table relies on it: a
+/// block's slot is its pair's position in the list, found by binary search.
 pub fn build_block_lists(tree: &ClusterTree, eta: f64) -> BlockLists {
     assert!(eta > 0.0, "eta must be positive");
     let n = tree.node_count();

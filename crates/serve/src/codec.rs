@@ -1082,13 +1082,13 @@ fn assemble<S: Scalar>(
     let parts = H2Parts {
         tree,
         eta: fp.eta,
-        mode: fp.mode,
         bases: split("bases", basis_maps, bases)?,
         transfers: split("transfers", transfer_maps, transfers)?,
         proxies,
         ranks,
-        coupling_blocks: families.next(),
-        nearfield_blocks: families.next(),
+        // Both block families or neither, as `parse` checked against the
+        // fingerprint's mode.
+        blocks: families.next().zip(families.next()).map(|(c, n)| [c, n]),
         provenance: fp.provenance,
         epoch: fp.epoch,
     };

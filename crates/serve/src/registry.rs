@@ -195,9 +195,7 @@ impl<S: Scalar> OperatorRegistry<S> {
         budget: CacheBudget,
     ) -> Result<Arc<H2MatrixS<S>>, LoadError> {
         let mut op = crate::codec::load::<S>(path, kernel)?;
-        if !budget.is_off() {
-            op.set_cache_budget(budget);
-        }
+        op.set_cache_budget(budget);
         let op = Arc::new(op);
         self.insert(name, op.clone());
         Ok(op)
@@ -228,9 +226,7 @@ impl<S: Scalar> OperatorRegistry<S> {
         budget: CacheBudget,
     ) -> Result<Arc<H2MatrixS<S>>, LoadError> {
         let mut op = crate::codec::load_mmap::<S>(path, kernel)?;
-        if !budget.is_off() {
-            op.set_cache_budget(budget);
-        }
+        op.set_cache_budget(budget);
         let op = Arc::new(op);
         self.insert(name, op.clone());
         Ok(op)
