@@ -146,32 +146,25 @@ impl<S: Scalar> H2MatrixS<S> {
             // On the fly. The budget is a runtime choice, not part of the
             // persisted operator — set it with `set_cache_budget` after decode.
             None => BlockTable::listed(lists.clone(), Some(0)),
-            Some([cb, nb]) => {
-                if cb.len() != lists.interaction_pairs.len() {
-                    return Err(format!(
-                        "{} coupling blocks for {} interaction pairs",
-                        cb.len(),
-                        lists.interaction_pairs.len()
-                    ));
-                }
-                if nb.len() != lists.nearfield_pairs.len() {
-                    return Err(format!(
-                        "{} nearfield blocks for {} nearfield pairs",
-                        nb.len(),
-                        lists.nearfield_pairs.len()
-                    ));
-                }
-                for (b, &(i, j)) in cb.iter().zip(&lists.interaction_pairs) {
-                    if b.shape() != (proxies[i].len(), proxies[j].len()) {
-                        return Err(format!("coupling block ({i}, {j}) shape mismatch"));
+            Some(blocks) => {
+                let shape = |kind, i: usize, j: usize| match kind {
+                    BlockKind::Coupling => (proxies[i].len(), proxies[j].len()),
+                    BlockKind::Nearfield => (tree.node(i).len(), tree.node(j).len()),
+                };
+                let kinds = [BlockKind::Coupling, BlockKind::Nearfield];
+                for (&kind, family) in kinds.iter().zip(&blocks) {
+                    let pairs = kind.pairs(&lists);
+                    if family.len() != pairs.len() {
+                        let (got, listed) = (family.len(), pairs.len());
+                        return Err(format!("{got} {kind:?} blocks for {listed} pairs"));
+                    }
+                    for (b, &(i, j)) in family.iter().zip(pairs) {
+                        if b.shape() != shape(kind, i, j) {
+                            return Err(format!("{kind:?} block ({i}, {j}) shape mismatch"));
+                        }
                     }
                 }
-                for (b, &(i, j)) in nb.iter().zip(&lists.nearfield_pairs) {
-                    if b.shape() != (tree.node(i).len(), tree.node(j).len()) {
-                        return Err(format!("nearfield block ({i}, {j}) shape mismatch"));
-                    }
-                }
-                BlockTable::stored(lists.clone(), [cb, nb], epoch)
+                BlockTable::stored(lists.clone(), blocks, epoch)
             }
         };
         Ok(H2MatrixS {

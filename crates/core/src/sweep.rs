@@ -369,10 +369,11 @@ impl<'a> SweepPlan<'a> {
 
     /// The sorted pair list and the execution order of one family.
     fn family(&self, kind: BlockKind) -> (&'a [(NodeId, NodeId)], &PairOrder) {
-        match kind {
-            BlockKind::Coupling => (&self.lists.interaction_pairs, &self.coupling),
-            BlockKind::Nearfield => (&self.lists.nearfield_pairs, &self.nearfield),
-        }
+        let order = match kind {
+            BlockKind::Coupling => &self.coupling,
+            BlockKind::Nearfield => &self.nearfield,
+        };
+        (kind.pairs(self.lists), order)
     }
 
     /// The execution order of one pair family (all listed pairs, whatever
