@@ -44,7 +44,7 @@ impl BlockKind {
 }
 
 /// Both families, in slot-array order.
-const KINDS: [BlockKind; 2] = [BlockKind::Coupling, BlockKind::Nearfield];
+pub(crate) const KINDS: [BlockKind; 2] = [BlockKind::Coupling, BlockKind::Nearfield];
 
 /// A held block and the **epoch** it was generated at: the max of its two
 /// nodes' update epochs then. A read names the pair's current epoch and a

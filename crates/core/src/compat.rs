@@ -1,6 +1,6 @@
 //! Names no program path calls, kept for h2bench (`benchmark/`): thin
 //! adapters over the block table and the sweeps' own fetch, so a probe
-//! still times program code.
+//! still times program code, and the pin map of its cache probe.
 
 use crate::cache::{BlockKind, BlockTable};
 use crate::sweep::{fetch, Scratch};
@@ -21,23 +21,6 @@ pub struct BlockCache<S: Scalar> {
 
 /// The pinned blocks by `(kind, i, j)`.
 type Pinned<S> = BTreeMap<(BlockKind, NodeId, NodeId), Arc<MatrixS<S>>>;
-
-impl<S: Scalar> BlockTable<S> {
-    /// [`Self::get_at`], or the block `generate` makes. Held by
-    /// `benchmark/src/replay.rs`.
-    #[doc(hidden)]
-    pub fn get_or_generate_at(
-        &self,
-        kind: BlockKind,
-        i: NodeId,
-        j: NodeId,
-        epoch: u64,
-        generate: impl FnOnce() -> MatrixS<S>,
-    ) -> Arc<MatrixS<S>> {
-        let held = self.get_at(kind, i, j, epoch);
-        held.unwrap_or_else(|| Arc::new(generate()))
-    }
-}
 
 impl<S: Scalar> BlockCache<S> {
     /// Nothing pinned, under `budget_bytes`.
@@ -77,6 +60,23 @@ impl<S: Scalar> BlockCache<S> {
         generate: impl FnOnce() -> MatrixS<S>,
     ) -> Arc<MatrixS<S>> {
         let held = self.pinned().get(&(kind, i, j)).cloned();
+        held.unwrap_or_else(|| Arc::new(generate()))
+    }
+}
+
+impl<S: Scalar> BlockTable<S> {
+    /// [`Self::get_at`], or the block `generate` makes. Held by
+    /// `benchmark/src/replay.rs`.
+    #[doc(hidden)]
+    pub fn get_or_generate_at(
+        &self,
+        kind: BlockKind,
+        i: NodeId,
+        j: NodeId,
+        epoch: u64,
+        generate: impl FnOnce() -> MatrixS<S>,
+    ) -> Arc<MatrixS<S>> {
+        let held = self.get_at(kind, i, j, epoch);
         held.unwrap_or_else(|| Arc::new(generate()))
     }
 }

@@ -2,7 +2,7 @@
 //! Algorithm 2).
 
 use crate::builders::BuildStats;
-use crate::cache::{BlockKind, BlockTable, CacheBudget, CacheStats};
+use crate::cache::{table::KINDS, BlockKind, BlockTable, CacheBudget, CacheStats};
 use crate::config::MemoryMode;
 use crate::diagnostics::BlockTally;
 use crate::memory::MemoryReport;
@@ -476,7 +476,7 @@ impl<S: Scalar> H2MatrixS<S> {
             .sum();
         // Normal mode stores its blocks; on the fly they are budgeted.
         let table = &self.table;
-        let stored = [BlockKind::Coupling, BlockKind::Nearfield].map(|kind| {
+        let stored = KINDS.map(|kind| {
             let blocks = table.stored_blocks(kind).unwrap_or_default();
             blocks.into_iter().map(MatrixS::bytes).sum()
         });

@@ -12,7 +12,7 @@
 //!   sequences with their pairs.
 
 use crate::builders::BuildStats;
-use crate::cache::{BlockKind, BlockTable};
+use crate::cache::{table::KINDS, BlockKind, BlockTable};
 use crate::config::BuilderProvenance;
 use crate::h2matrix::H2MatrixS;
 use crate::proxy::ProxyPoints;
@@ -151,8 +151,7 @@ impl<S: Scalar> H2MatrixS<S> {
                     BlockKind::Coupling => (proxies[i].len(), proxies[j].len()),
                     BlockKind::Nearfield => (tree.node(i).len(), tree.node(j).len()),
                 };
-                let kinds = [BlockKind::Coupling, BlockKind::Nearfield];
-                for (&kind, family) in kinds.iter().zip(&blocks) {
+                for (kind, family) in KINDS.into_iter().zip(&blocks) {
                     let pairs = kind.pairs(&lists);
                     if family.len() != pairs.len() {
                         let (got, listed) = (family.len(), pairs.len());
