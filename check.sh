@@ -45,7 +45,7 @@ echo "== multi-process serving gate (real worker processes, hard timeout) =="
 # timeout turns any distributed hang into a loud failure.
 timeout 420 cargo test -q --offline -p h2-serve --test multiprocess -- --ignored --test-threads=1
 
-echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates, no per-level exec::map(level in hierarchical.rs or builders/mod.rs: a tree pass is one step of per-subtree tasks), residency policy (no admission or eviction under crates/core/src/cache, no telemetry off the caller), block index (the sorted pair lists: no HashMap in non-test crates/core/src/cache, no BlockIndex, pair_index, index_bytes or block_indices under crates or src), block fetch (two tiers: no Fetched::Cached, no RwLock under crates/core/src, no cache argument to Sweep::new), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (is_x86_feature_detected! only in simd.rs, five unsafe dispatches: _avx2( in panel.rs, radial.rs, qr.rs and strategies.rs, _avx512( in radial.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2(, qr.rs applies reflectors only in its trailing update), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc; panel.rs's apply_baseline calls transposed( before forward(), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), socket transport (no readiness pump, set_nonblocking only on the two listeners), workspace (12 members of which 9 hold code, shells that re-export only names h2bench uses, the h2bench-only names in compat modules, leaf_basis(, .transfer(, BlockCache and the block stores among them, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic, no codec::encode/decode or fs::read of a whole file), bench binary and result (paper the one bench binary, each result named by run_harness.sh or check.sh), paper driver (one run_config runner and the one H2Matrix::build under crates/bench/src), basis storage (basis.rs has no COEF, with_coef or in_place; codec.rs and parts.rs name no expand_col, from_dense or Held::Basis) =="
+echo "== one of each: threading mechanism (no rayon, no par_iter, one std::thread::scope under the construction crates, no per-level exec::map(level in hierarchical.rs or builders/mod.rs: a tree pass is one step of per-subtree tasks), residency policy (no admission or eviction under crates/core/src/cache, no telemetry off the caller), block index (the sorted pair lists: no HashMap in non-test crates/core/src/cache, no BlockIndex, pair_index, index_bytes or block_indices under crates or src), block fetch (two tiers: no Fetched::Cached, no RwLock under crates/core/src, no cache argument to Sweep::new), instrument and JSON path (no criterion, no [[bench]], no serde but serde_json, no h2-sketch), SIMD dispatch (is_x86_feature_detected! only in simd.rs, six unsafe dispatches: _avx2( in panel.rs, radial.rs, qr.rs and strategies.rs, _avx512( in radial.rs and strategies.rs, none in sweep.rs, no arch intrinsics), construction kernels (the anchor-net scan calls no dist2( and has no first_min, qr.rs applies reflectors only in its trailing update; block plans write one slab: no materialize_block under crates/core/src), kernel math (radial.rs calls .exp() and divides by .sqrt() only inside the shared exp and rsqrt), block apply per direction (sweep.rs reaches h2_linalg::panel only through matmat_acc, matmat_t_acc and matmat_bi_acc; panel.rs's apply_baseline calls transposed( before forward(), sampling rule and sketch ensemble (no Sampler trait, no SketchKind, no SRHT), arithmetic class (no dot_apply, no Fetched::Generated, no kernel_matrix_s or coupling_block_s), build configuration (no [features] table), RNG and case loop (vendor/ is exactly serde_json, no manifest names rand or proptest, no proptest macros, ChaCha only in h2-points' gen.rs), dependency edge (every [dependencies] and [dev-dependencies] entry named by its crate's src/ or tests/), socket transport (no readiness pump, set_nonblocking only on the two listeners), workspace (12 members of which 9 hold code, shells that re-export only names h2bench uses, the h2bench-only names in compat modules, leaf_basis(, .transfer(, BlockCache and the block stores among them, no h2-solvers, no proxy-surface builder, CG the one solver), precision dispatch (no precision.rs, AnyH2, MixedH2 or h2_core::Precision), span record (no RemoteSpan, FlightEntry, struct SpanReport, diagnostics::counters or counters::scope), h2serve shape (one stored_scalar read, exit only in usage and main, no expect/unwrap/assert/panic, no codec::encode/decode or fs::read of a whole file), bench binary and result (paper the one bench binary, each result named by run_harness.sh or check.sh), paper driver (one run_config runner and the one H2Matrix::build under crates/bench/src), basis storage (basis.rs has no COEF, with_coef or in_place; codec.rs and parts.rs name no expand_col, from_dense or Held::Basis) =="
 # Non-test code only: a file's unit tests start at its `#[cfg(test)]` line.
 non_test() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" $0 }' "$@"; }
 if grep -rn "par_iter" crates/*/src src; then echo "par_iter is back"; exit 1; fi
@@ -147,21 +147,22 @@ if grep -rnE 'RemoteSpan|FlightEntry|diagnostics::counters|counters::scope|struc
   echo "a second span record or the counters wrapper is back"; exit 1
 fi
 # CPU features are checked only in h2_linalg::simd (`avx2`, `avx512`), and
-# five unsafe calls sit behind them: the AVX2 compiles of the panel kernels,
+# six unsafe calls sit behind them: the AVX2 compiles of the panel kernels,
 # the radial kernels, the QR trailing update and the anchor-net scan, one
-# per file, and the AVX-512 compile of the radial kernels. The mmap slab
-# (crates/linalg/src/slab.rs) is the only other unsafe code; comment lines
-# do not count.
+# per file, and the AVX-512 compiles of the radial kernels and the
+# anchor-net scan. The slab (crates/linalg/src/slab.rs: file mappings and
+# the written slabs of block plans) is the only other unsafe code; comment
+# lines do not count.
 FEATURE=$(grep -rnw -- "is_x86_feature_detected!" crates/*/src crates/*/tests src tests examples || true)
 [ -n "$FEATURE" ] && ! grep -v "^crates/linalg/src/simd.rs:" <<< "$FEATURE" \
   || { echo "expected is_x86_feature_detected! in crates/linalg/src/simd.rs only: $FEATURE"; exit 1; }
 SRC=$(find crates/*/src src -name '*.rs' ! -path crates/linalg/src/slab.rs)
 UNSAFE=$(non_test $SRC | grep -vE "^[^:]*:[[:space:]]*//" | grep -w "unsafe" || true)
 dispatch_files() { grep -E "unsafe \{ [a-z_]+_$1\(" <<< "$UNSAFE" | cut -d: -f1 | sort | tr '\n' ' '; }
-[ "$(grep -c . <<< "$UNSAFE")" = 5 ] && [ "$(dispatch_files avx2)" = \
+[ "$(grep -c . <<< "$UNSAFE")" = 6 ] && [ "$(dispatch_files avx2)" = \
   "crates/kernels/src/radial.rs crates/linalg/src/panel.rs crates/linalg/src/qr.rs crates/sampling/src/strategies.rs " ] \
-  && [ "$(dispatch_files avx512)" = "crates/kernels/src/radial.rs " ] \
-  || { echo "expected five unsafe dispatches outside the slab: _avx2( in radial, panel, qr and strategies, _avx512( in radial: $UNSAFE"; exit 1; }
+  && [ "$(dispatch_files avx512)" = "crates/kernels/src/radial.rs crates/sampling/src/strategies.rs " ] \
+  || { echo "expected six unsafe dispatches outside the slab: _avx2( in radial, panel, qr and strategies, _avx512( in radial and strategies: $UNSAFE"; exit 1; }
 if non_test crates/core/src/sweep.rs | grep -nwE "unsafe|is_x86_feature_detected!"; then echo "SIMD dispatch in sweep.rs"; exit 1; fi
 PANEL_DISPATCH=$(non_test crates/linalg/src/panel.rs | grep -c "_avx2(" || true)
 [ "$PANEL_DISPATCH" -le 1 ] || { echo "expected at most one _avx2( dispatch in panel.rs, found $PANEL_DISPATCH"; exit 1; }
@@ -182,6 +183,10 @@ if grep -rnE "(std|core)::arch::" crates/*/src; then echo "an arch intrinsic pat
 # its dimension-major pool, not point by point through dist2, and a
 # Householder reflector reaches columns only through the trailing update.
 if non_test crates/sampling/src/strategies.rs | grep -n "dist2("; then echo "the anchor-net scan calls dist2"; exit 1; fi
+# One pass per anchor (no second pass for the first minimum), and one
+# block-generation path: a plan's blocks are views of the slab it wrote.
+if non_test crates/sampling/src/strategies.rs | grep -nw "first_min"; then echo "the anchor-net scan is two passes again"; exit 1; fi
+if grep -rnw "materialize_block" crates/core/src; then echo "a per-block generation path is back beside the slab"; exit 1; fi
 REFLECT=$(awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
   /^[[:space:]]*(pub )?fn / { f = $0; sub(/^[[:space:]]*(pub )?fn /, "", f); sub(/[(<].*/, "", f) }
   /apply_reflector\(/ && !/fn apply_reflector/ && f != "reflect_baseline" { print FNR ": " $0 }' crates/linalg/src/qr.rs)
@@ -253,18 +258,18 @@ fi
 echo "== cargo build --release =="
 cargo build --release --workspace --offline
 
-echo "== disassembly (no AVX2 or AVX-512 compile fuses a multiply-add; the AVX-512 radial tile runs on zmm) =="
+echo "== disassembly (no AVX2 or AVX-512 compile fuses a multiply-add; both AVX-512 compiles run on zmm) =="
 # avx512f implies fma: what keeps every compile at the baseline's bits is
 # that rustc emits no contractable multiply-add, and this is the proof.
-# h2serve links all five compiles.
+# h2serve links all six compiles.
 DIS=$(objdump -d --no-show-raw-insn -C target/release/h2serve | awk '
   /^[0-9a-f]+ </ { f = $0; if (f ~ /_avx(2|512)>:$/) { sub(/^[^<]*<(.*::)?/, "", f); seen[f] = 1 } else f = ""; next }
   f != "" && /[[:space:]]vfn?m(add|sub)/ { print f ": " $0 }
-  f == "eval_tiled_avx512>:" && /zmm/ { zmm = 1 }
+  f ~ /_avx512>:$/ && /zmm/ { zmm[f] = 1 }
   END {
-    n = split("apply_avx2 reflect_avx2 eval_tiled_avx2 eval_tiled_avx512 nearest_untaken_avx2", want)
+    n = split("apply_avx2 reflect_avx2 eval_tiled_avx2 eval_tiled_avx512 nearest_untaken_avx2 nearest_untaken_avx512", want)
     for (i = 1; i <= n; i++) if (!((want[i] ">:") in seen)) print "no function " want[i] " in the binary"
-    if (!zmm) print "eval_tiled_avx512 uses no zmm register"
+    for (i = 1; i <= n; i++) if (want[i] ~ /_avx512$/ && !((want[i] ">:") in zmm)) print want[i] " uses no zmm register"
   }')
 [ -z "$DIS" ] || { head -20 <<< "$DIS"; exit 1; }
 

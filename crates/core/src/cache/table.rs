@@ -17,7 +17,7 @@
 //! the old table (an in-flight sweep, a clone of the operator) keeps the
 //! blocks it started with.
 
-use h2_linalg::{MatrixS, Scalar};
+use h2_linalg::{MatrixS, Scalar, SlabMem};
 use h2_points::admissibility::BlockLists;
 use h2_points::NodeId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,6 +51,33 @@ pub(crate) const KINDS: [BlockKind; 2] = [BlockKind::Coupling, BlockKind::Nearfi
 /// block at another one is a miss, so a block that outlived an update of
 /// either node is never served.
 type Held<S> = (u64, Arc<MatrixS<S>>);
+
+/// What one block of a plan's slab is made from.
+pub(crate) enum Source<'a, S: Scalar> {
+    /// The listed pair's kernel evaluations.
+    Generate(BlockKind, NodeId, NodeId),
+    /// A copy of a current block held in a slab too sparse to keep.
+    Copy(&'a MatrixS<S>),
+}
+
+/// A slab that plans of a table's line wrote, and the bytes of each
+/// family's blocks in it: it lives while any of them is held, so a table
+/// that holds one of them counts it whole.
+#[derive(Clone)]
+struct Written {
+    mem: Arc<SlabMem>,
+    payload: [usize; 2],
+}
+
+/// The address a slab is ordered and found by.
+fn addr(mem: &Arc<SlabMem>) -> usize {
+    Arc::as_ptr(mem) as usize
+}
+
+/// Bytes of a block's scalars, whatever backs them.
+fn scalar_bytes<S: Scalar>(block: &MatrixS<S>) -> usize {
+    block.as_slice().len() * S::BYTES
+}
 
 /// Counter/occupancy snapshot of one [`BlockTable`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -93,6 +120,8 @@ pub struct BlockTable<S: Scalar> {
     /// Per family, one slot per listed pair, or none while the family holds
     /// nothing.
     slots: [Vec<Option<Held<S>>>; 2],
+    /// The written slabs that held blocks live in, by address.
+    written: Vec<Written>,
     hits: AtomicU64,
     misses: AtomicU64,
     stale_purged: AtomicU64,
@@ -112,6 +141,7 @@ impl<S: Scalar> BlockTable<S> {
             budget,
             lists,
             slots: [Vec::new(), Vec::new()],
+            written: Vec::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stale_purged: AtomicU64::new(0),
@@ -139,21 +169,28 @@ impl<S: Scalar> BlockTable<S> {
     /// never, `None` every scheduled slot. A block of `self` taken at its
     /// current `epoch(i, j)` is shared: at the same slot when `lists` are
     /// the ones `self` is listed on, else found by binary search. The other
-    /// taken blocks are made by one call of `generate`, in the order given;
-    /// every block of `self` left behind counts as `stale_purged`. `self`
-    /// is not changed.
+    /// taken blocks are made by one call of `generate`, in the order given,
+    /// which writes them into one slab; every block of `self` left behind
+    /// counts as `stale_purged`. `self` is not changed.
+    ///
+    /// A written slab stays whole while any of its blocks is held, so the
+    /// successor does not carry the blocks of one it would keep less than
+    /// half of (by payload): `generate` copies them into the new slab, and
+    /// the old one goes once no other table holds it. The slabs a table
+    /// holds then sum to at most twice the bytes of its blocks.
     pub(crate) fn successor(
         &self,
         lists: &Arc<BlockLists>,
         budget: Option<usize>,
         schedule: impl IntoIterator<Item = (BlockKind, usize, usize)>,
         epoch: impl Fn(NodeId, NodeId) -> u64,
-        generate: impl FnOnce(&[(BlockKind, NodeId, NodeId)]) -> Vec<MatrixS<S>>,
+        generate: impl FnOnce(&[Source<'_, S>]) -> Vec<MatrixS<S>>,
     ) -> BlockTable<S> {
         let mut next = BlockTable::listed(lists.clone(), budget);
         let stood = Arc::ptr_eq(&self.lists, lists);
         let mut taken = KINDS.map(|kind| vec![false; kind.pairs(lists).len()]);
-        let (mut acc, mut kept, mut fresh, mut at) = (0, 0, Vec::new(), Vec::new());
+        let (mut acc, mut carried, mut fresh, mut sources) =
+            (0, Vec::new(), Vec::new(), Vec::new());
         for (kind, slot, bytes) in schedule {
             let taken = &mut taken[kind as usize][slot];
             if *taken || !budget.is_none_or(|b| bytes > 0 && acc + bytes <= b) {
@@ -165,24 +202,68 @@ impl<S: Scalar> BlockTable<S> {
                 .then_some(slot)
                 .or_else(|| Some(self.slot(kind, i, j)?.0));
             match old.and_then(|old| self.held(kind, old)) {
-                Some((e, block)) if *e == epoch(i, j) => {
-                    kept += 1;
-                    next.hold(kind, slot, (*e, block.clone()));
-                }
+                Some(held) if held.0 == epoch(i, j) => carried.push((kind, slot, held)),
                 _ => {
-                    fresh.push((kind, i, j));
-                    at.push(slot);
+                    fresh.push((kind, slot));
+                    sources.push(Source::Generate(kind, i, j));
                 }
             }
         }
-        for ((&(kind, i, j), slot), block) in fresh.iter().zip(at).zip(generate(&fresh)) {
+        // What each written slab of `self` would keep, and which stay.
+        let mut kept = vec![0; self.written.len()];
+        for (_, _, (_, block)) in &carried {
+            if let Some(w) = self.written_at(block) {
+                kept[w] += scalar_bytes(block);
+            }
+        }
+        let sparse = |w: usize| 2 * kept[w] < self.written[w].payload.iter().sum();
+        let mut stays = vec![false; self.written.len()];
+        for &(kind, slot, held) in &carried {
+            match self.written_at(&held.1) {
+                Some(w) if sparse(w) => {
+                    fresh.push((kind, slot));
+                    sources.push(Source::Copy(&held.1));
+                }
+                w => {
+                    if let Some(w) = w {
+                        stays[w] = true;
+                    }
+                    next.hold(kind, slot, held.clone());
+                }
+            }
+        }
+        let stayed = self.written.iter().zip(stays).filter(|(_, stays)| *stays);
+        next.written = stayed.map(|(w, _)| w.clone()).collect();
+        let blocks = generate(&sources);
+        // Record the one slab `generate` wrote (none for owned blocks).
+        if let Some(mem) = blocks.first().and_then(MatrixS::slab) {
+            let mut payload = [0; 2];
+            for (&(kind, _), block) in fresh.iter().zip(&blocks) {
+                debug_assert!(block.slab().is_some_and(|m| Arc::ptr_eq(m, mem)));
+                payload[kind as usize] += scalar_bytes(block);
+            }
+            let mem = mem.clone();
+            next.written.push(Written { mem, payload });
+            next.written.sort_unstable_by_key(|w| addr(&w.mem));
+        }
+        for ((kind, slot), block) in fresh.into_iter().zip(blocks) {
+            let (i, j) = kind.pairs(lists)[slot];
             next.hold(kind, slot, (epoch(i, j), Arc::new(block)));
         }
-        let left_behind = (self.held_blocks().count() - kept) as u64;
+        let left_behind = (self.held_blocks().count() - carried.len()) as u64;
         next.hits = AtomicU64::new(self.hits.load(Ordering::Relaxed));
         next.misses = AtomicU64::new(self.misses.load(Ordering::Relaxed));
         next.stale_purged = AtomicU64::new(self.stale_purged.load(Ordering::Relaxed) + left_behind);
         next
+    }
+
+    /// The written slab `block` is a view of, by position.
+    fn written_at(&self, block: &MatrixS<S>) -> Option<usize> {
+        let mem = block.slab()?;
+        let at = self
+            .written
+            .binary_search_by_key(&addr(mem), |w| addr(&w.mem));
+        at.ok()
     }
 
     /// Holds `held` at `slot` of `kind`, listing the family's slots first
@@ -263,6 +344,24 @@ impl<S: Scalar> BlockTable<S> {
         held.map(|(_, block)| &**block)
     }
 
+    /// This process's bytes behind the held blocks, per family: each
+    /// written slab's payload once, whatever of it is held, and any other
+    /// block's [`MatrixS::bytes`] (a view of a file counts 0). What the
+    /// memory report counts as stored or cached blocks.
+    pub(crate) fn footprint(&self) -> [usize; 2] {
+        let mut bytes = [0; 2];
+        for w in &self.written {
+            bytes[0] += w.payload[0];
+            bytes[1] += w.payload[1];
+        }
+        for (&kind, slots) in KINDS.iter().zip(&self.slots) {
+            let held = slots.iter().flatten().map(|(_, block)| &**block);
+            let unwritten = held.filter(|block| self.written_at(block).is_none());
+            bytes[kind as usize] += unwritten.map(MatrixS::bytes).sum::<usize>();
+        }
+        bytes
+    }
+
     /// `None` when every listed block is held, else the byte budget.
     pub(crate) fn budget(&self) -> Option<usize> {
         self.budget
@@ -273,7 +372,9 @@ impl<S: Scalar> BlockTable<S> {
         self.budget.unwrap_or_else(|| self.resident_bytes())
     }
 
-    /// Heap bytes held (≤ [`Self::budget_bytes`]; mapped blocks count 0).
+    /// Bytes of the held blocks, each its [`MatrixS::bytes`] (≤
+    /// [`Self::budget_bytes`]; a view of a file counts 0). The slabs they
+    /// live in may hold more, up to twice this (see the successor plan).
     pub fn resident_bytes(&self) -> usize {
         self.held_blocks().map(MatrixS::bytes).sum()
     }
@@ -339,6 +440,23 @@ mod tests {
         })
     }
 
+    /// The block `source` makes: `block_at` its pair's epoch, or the copy.
+    fn made(source: &Source<'_, f64>, epoch: impl Fn(NodeId, NodeId) -> u64) -> Matrix {
+        match *source {
+            Source::Generate(_, i, j) => block_at(i, j, epoch(i, j)),
+            Source::Copy(block) => block.clone(),
+        }
+    }
+
+    /// The pairs `sources` generate, in order.
+    fn generated(sources: &[Source<'_, f64>]) -> Vec<(BlockKind, NodeId, NodeId)> {
+        let pair = |source: &Source<'_, f64>| match *source {
+            Source::Generate(kind, i, j) => Some((kind, i, j)),
+            Source::Copy(_) => None,
+        };
+        sources.iter().filter_map(pair).collect()
+    }
+
     /// The successor of `table` on `lists` and `schedule` (pairs in either
     /// orientation, looked up on `lists`), every pair at epoch
     /// `epoch(i, j)`, generating what it does not carry.
@@ -353,9 +471,8 @@ mod tests {
         let schedule = schedule
             .into_iter()
             .map(|(kind, i, j, bytes)| (kind, slot(kind, i, j).0, bytes));
-        table.successor(lists, table.budget(), schedule, epoch, |fresh| {
-            let at = |&(_, i, j): &(BlockKind, NodeId, NodeId)| block_at(i, j, epoch(i, j));
-            fresh.iter().map(at).collect()
+        table.successor(lists, table.budget(), schedule, epoch, |sources| {
+            sources.iter().map(|source| made(source, epoch)).collect()
         })
     }
 
@@ -470,8 +587,8 @@ mod tests {
                 Some(10 * B44),
                 [(Coupling, slot, B44)],
                 |_, _| 0,
-                |fresh| {
-                    assert!(fresh.is_empty(), "(7, 3) is the held (3, 7)");
+                |sources| {
+                    assert!(sources.is_empty(), "(7, 3) is the held (3, 7)");
                     Vec::new()
                 },
             );
@@ -524,12 +641,9 @@ mod tests {
         let listed = BlockTable::<f64>::listed(relisted.clone(), None);
         let slots =
             schedule.map(|(kind, i, j, bytes)| (kind, listed.slot(kind, i, j).unwrap().0, bytes));
-        let next = table.successor(&relisted, Some(3 * B44), slots, epoch, |fresh| {
-            assert_eq!(fresh, [(Coupling, 0, 2), (Coupling, 0, 4)]);
-            fresh
-                .iter()
-                .map(|&(_, i, j)| block_at(i, j, epoch(i, j)))
-                .collect()
+        let next = table.successor(&relisted, Some(3 * B44), slots, epoch, |sources| {
+            assert_eq!(generated(sources), [(Coupling, 0, 2), (Coupling, 0, 4)]);
+            sources.iter().map(|source| made(source, epoch)).collect()
         });
         assert_eq!(
             next.keys(),
@@ -553,6 +667,56 @@ mod tests {
         assert_eq!(table.keys(), before);
         assert_eq!(table.stats().stale_purged, 0);
         table.get_at(Coupling, 0, 3, 0).unwrap();
+    }
+
+    #[test]
+    fn a_successor_copies_the_blocks_of_a_slab_it_would_keep_less_than_half_of() {
+        let lists = lists(&[(0, 1), (0, 2), (0, 3), (0, 4)], &[]);
+        let every = BlockTable::<f64>::listed(lists.clone(), None);
+        let slot = |j| every.slot(Coupling, 0, j).unwrap().0;
+        let schedule = [1, 2, 3, 4].map(|j| (Coupling, slot(j), B44));
+        // Writes what `sources` make into one slab, as an operator's plan.
+        let write = |epoch: fn(NodeId, NodeId) -> u64| {
+            move |sources: &[Source<'_, f64>]| {
+                let made: Vec<Matrix> = sources.iter().map(|s| made(s, epoch)).collect();
+                let lens: Vec<usize> = made.iter().map(|m| m.as_slice().len()).collect();
+                let views = SlabMem::write_parts(&lens, |parts| {
+                    for (part, m) in parts.into_iter().zip(&made) {
+                        part.copy_from_slice(m.as_slice());
+                    }
+                });
+                let views = views.into_iter().zip(&made);
+                let view = |(v, m): (_, &Matrix)| Matrix::from_slab(m.nrows(), m.ncols(), v);
+                views.map(view).collect()
+            }
+        };
+        let slab = |t: &BlockTable<f64>, j| t.get_at(Coupling, 0, j, t.keys()[j - 1].3).unwrap();
+        let at_0 = |_: NodeId, _: NodeId| 0;
+        let first = every.successor(&lists, None, schedule, at_0, write(at_0));
+        assert_eq!((first.footprint(), first.written.len()), ([4 * B44, 0], 1));
+        // Nodes 1 and 2 move: half the slab stays, carried by `Arc`, and the
+        // table counts the old slab whole beside the new one.
+        let at_1 = |_: NodeId, j: NodeId| u64::from(j <= 2);
+        let second = first.successor(&lists, None, schedule, at_1, write(at_1));
+        assert!(Arc::ptr_eq(&slab(&first, 4), &slab(&second, 4)));
+        assert_eq!(
+            (second.footprint(), second.written.len()),
+            ([6 * B44, 0], 2)
+        );
+        assert_eq!(second.resident_bytes(), 4 * B44);
+        // Node 3 moves: the first slab would keep one block of four, so the
+        // block is copied into the new slab and the first slab is dropped.
+        let at_2 = |_: NodeId, j: NodeId| [0, 1, 1, 2, 0][j];
+        let third = second.successor(&lists, None, schedule, at_2, |sources| {
+            assert_eq!(generated(sources), [(Coupling, 0, 3)]);
+            assert_eq!(sources.len(), 2, "one generated, one copied");
+            write(at_2)(sources)
+        });
+        let (kept, copied) = (slab(&second, 4), slab(&third, 4));
+        assert!(!Arc::ptr_eq(&kept, &copied) && *kept == *copied);
+        assert!(Arc::ptr_eq(&slab(&second, 1), &slab(&third, 1)));
+        assert_eq!((third.footprint(), third.written.len()), ([4 * B44, 0], 2));
+        assert_eq!(third.stats().stale_purged, 3, "(0, 1), (0, 2), then (0, 3)");
     }
 
     /// Readers hammer whichever table is current while one thread re-plans

@@ -2,14 +2,15 @@
 //! Algorithm 2).
 
 use crate::builders::BuildStats;
-use crate::cache::{table::KINDS, BlockKind, BlockTable, CacheBudget, CacheStats};
+use crate::cache::table::Source;
+use crate::cache::{BlockKind, BlockTable, CacheBudget, CacheStats};
 use crate::config::MemoryMode;
 use crate::diagnostics::BlockTally;
 use crate::memory::MemoryReport;
 use crate::proxy::ProxyPoints;
 use crate::sweep::SweepPlan;
 use h2_kernels::Kernel;
-use h2_linalg::{exec, BasisMatrix, Matrix, MatrixS, Scalar};
+use h2_linalg::{exec, BasisMatrix, Matrix, MatrixS, Scalar, SlabMem};
 use h2_points::admissibility::BlockLists;
 use h2_points::{ClusterTree, NodeId, PointSet};
 use std::sync::Arc;
@@ -255,7 +256,7 @@ impl<S: Scalar> H2MatrixS<S> {
             budget,
             schedule.map(|(kind, st, bytes)| (kind, st.slot, bytes)),
             |i, j| self.pair_epoch(i, j),
-            |fresh| self.generate_blocks(fresh),
+            |sources| self.generate_blocks(sources),
         )
     }
 
@@ -265,17 +266,8 @@ impl<S: Scalar> H2MatrixS<S> {
     /// counters of [`crate::diagnostics`]. `(i, j)` must be a listed pair;
     /// coupling blocks want the canonical `i <= j` orientation.
     pub fn generate_block(&self, kind: BlockKind, i: NodeId, j: NodeId) -> MatrixS<S> {
-        let mut one = self.generate_blocks(&[(kind, i, j)]);
+        let mut one = self.generate_blocks(&[Source::Generate(kind, i, j)]);
         one.pop().expect("one block per item")
-    }
-
-    /// [`Self::generate_block`] without the counting: the sweeps tally
-    /// their generations per thread and record them after the join.
-    pub(crate) fn materialize_block(&self, kind: BlockKind, i: NodeId, j: NodeId) -> MatrixS<S> {
-        let (rows, cols) = self.block_shape(kind, i, j);
-        let mut block = MatrixS::zeros(rows, cols);
-        self.materialize_into(kind, (i, j), block.as_mut_slice(), &mut Vec::new());
-        block
     }
 
     /// The entries of the listed block `(i, j)` into the column-major `out`,
@@ -310,19 +302,42 @@ impl<S: Scalar> H2MatrixS<S> {
         }
     }
 
-    /// [`Self::generate_block`] for every listed `(kind, i, j)` as one step
-    /// of the executor ([`h2_linalg::exec`]), results in list order — the
-    /// one block-generation loop behind every plan of the block table. The
-    /// calling thread counts the blocks, from their
-    /// shapes, so the [`crate::diagnostics`] counters are exact at any width.
-    pub(crate) fn generate_blocks(&self, items: &[(BlockKind, NodeId, NodeId)]) -> Vec<MatrixS<S>> {
+    /// The blocks of one plan, in the order of `items`, as views of one
+    /// fresh slab ([`SlabMem::write_parts`]): each generated as
+    /// [`Self::generate_block`] does or copied from the block named. One
+    /// step of the executor ([`h2_linalg::exec`]) fills the slab, a block
+    /// per task, each thread reusing one `f64` scratch for a narrower `S`;
+    /// the one block-generation loop behind every plan of the block table.
+    /// The calling thread counts the generated blocks, from their shapes,
+    /// so the [`crate::diagnostics`] counters are exact at any width.
+    pub(crate) fn generate_blocks(&self, items: &[Source<'_, S>]) -> Vec<MatrixS<S>> {
         let mut tally = BlockTally::default();
-        for &(kind, i, j) in items {
-            let (rows, cols) = self.block_shape(kind, i, j);
-            tally.add(kind, rows, cols);
-        }
+        let shapes: Vec<(usize, usize)> = items
+            .iter()
+            .map(|item| match *item {
+                Source::Generate(kind, i, j) => {
+                    let (rows, cols) = self.block_shape(kind, i, j);
+                    tally.add(kind, rows, cols);
+                    (rows, cols)
+                }
+                Source::Copy(block) => block.shape(),
+            })
+            .collect();
         tally.record(self);
-        exec::map(items, |&(kind, i, j)| self.materialize_block(kind, i, j))
+        let lens: Vec<usize> = shapes.iter().map(|&(rows, cols)| rows * cols).collect();
+        let views = SlabMem::write_parts(&lens, |parts| {
+            let mut work: Vec<_> = parts.into_iter().zip(items).collect();
+            let threads = exec::threads_for(exec::width(), &[work.len()]);
+            let mut wide = vec![Vec::new(); threads];
+            exec::for_each_with(&mut wide, &mut work, |wide, _, (out, item)| match **item {
+                Source::Generate(kind, i, j) => self.materialize_into(kind, (i, j), out, wide),
+                Source::Copy(block) => out.copy_from_slice(block.as_slice()),
+            });
+        });
+        let views = views.into_iter().zip(shapes);
+        views
+            .map(|(view, (rows, cols))| MatrixS::from_slab(rows, cols, view))
+            .collect()
     }
 
     /// `y = Â b` — the five-sweep H² matvec of the paper's Algorithm 2: the
@@ -432,7 +447,7 @@ impl<S: Scalar> H2MatrixS<S> {
         // Nearfield blocks: exact kernel entries.
         for &(i, j) in &self.lists.nearfield_pairs {
             let (ni, nj) = (tree.node(i), tree.node(j));
-            let block = self.materialize_block(BlockKind::Nearfield, i, j);
+            let block = self.generate_block(BlockKind::Nearfield, i, j);
             at.set_block(ni.start, nj.start, &block);
             if i != j {
                 at.set_block(nj.start, ni.start, &block.transpose());
@@ -443,7 +458,7 @@ impl<S: Scalar> H2MatrixS<S> {
             let (ni, nj) = (tree.node(i), tree.node(j));
             let ui = self.expanded_basis(i);
             let uj = self.expanded_basis(j);
-            let b = self.materialize_block(BlockKind::Coupling, i, j);
+            let b = self.generate_block(BlockKind::Coupling, i, j);
             let block = ui.matmul(&b).matmul_t(&uj);
             at.set_block(ni.start, nj.start, &block);
             at.set_block(nj.start, ni.start, &block.transpose());
@@ -476,11 +491,11 @@ impl<S: Scalar> H2MatrixS<S> {
             .sum();
         // Normal mode stores its blocks; on the fly they are budgeted.
         let table = &self.table;
-        let stored = KINDS.map(|kind| {
-            let blocks = table.stored_blocks(kind).unwrap_or_default();
-            blocks.into_iter().map(MatrixS::bytes).sum()
-        });
-        let cached_blocks = table.budget().map_or(0, |_| table.resident_bytes());
+        let held = table.footprint();
+        let (stored, cached_blocks) = match table.budget() {
+            None => (held, 0),
+            Some(_) => ([0; 2], held[0] + held[1]),
+        };
         MemoryReport {
             bases,
             transfers,
@@ -623,8 +638,8 @@ mod tests {
             assert!(!h64.lists().interaction_pairs.is_empty());
             for (kind, i, j) in listed_blocks(h64.lists()) {
                 let (b64, b32) = (
-                    h64.materialize_block(kind, i, j),
-                    h32.materialize_block(kind, i, j),
+                    h64.generate_block(kind, i, j),
+                    h32.generate_block(kind, i, j),
                 );
                 assert_eq!(b32.shape(), b64.shape(), "{kind:?} ({i}, {j})");
                 let rounded: Vec<f32> = b64.as_slice().iter().map(|&v| v as f32).collect();

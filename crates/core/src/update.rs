@@ -491,7 +491,8 @@ impl<S: Scalar> H2MatrixS<S> {
 
     /// Full from-scratch escalation: rebuild over `points` with the update
     /// tolerance, carry the epoch forward (every node stamped with the new
-    /// epoch), and plan the table under the old byte budget.
+    /// epoch), and plan the table as the successor of the one it replaces:
+    /// under its byte budget, with its counters.
     ///
     /// The rebuild is a data-driven (anchor-net) construction — the one rule
     /// the update engine factors with — so an operator that was built
@@ -517,7 +518,9 @@ impl<S: Scalar> H2MatrixS<S> {
             eta: self.lists.eta,
             cache_budget: CacheBudget::Off,
         };
-        let budget = self.table.budget();
+        // The table the rebuild replaces: its counters carry on, and every
+        // block it holds is left behind (every node's epoch moves).
+        let replaced = self.table.clone();
         let epoch = self.epoch + 1;
         let (rebuilt, x_star) = build_with_x_star::<S>(&points, self.kernel.clone(), &cfg);
         let node_epochs = vec![epoch; rebuilt.tree.node_count()];
@@ -526,7 +529,7 @@ impl<S: Scalar> H2MatrixS<S> {
             node_epochs,
             ..rebuilt
         };
-        self.table = Arc::new(self.plan_table(&self.table, budget));
+        self.table = Arc::new(self.plan_table(&replaced, replaced.budget()));
         self.update = Some(UpdateState {
             x_star: x_star.expect("a data-driven build samples"),
             churn: 0,

@@ -207,6 +207,45 @@ fn rebuild_escalation_factors_a_sketched_operator_with_the_anchor_net_rule() {
     );
 }
 
+#[test]
+fn a_rebuild_carries_the_table_counters() {
+    // An on-the-fly operator at half its block bytes, used and updated,
+    // then forced into a rebuild: the rebuilt operator's table succeeds the
+    // one it replaces, so hits and misses carry on and every block that
+    // table held is counted as purged (every node's epoch moved).
+    let cfg = cfg(
+        &BuilderStrategy::AnchorNet,
+        MemoryMode::OnTheFly,
+        CacheBudget::Ratio(0.5),
+    );
+    let mut h2 = H2MatrixS::<f64>::build(&gen::uniform_cube(N, 3, 23), Arc::new(Coulomb), &cfg);
+    let b = |n| h2_core::error_est::probe_vector(n, 7);
+    h2.matvec(&b(h2.n()));
+    h2.insert_points(&gen::uniform_cube(2, 3, 100))
+        .expect("insert");
+    h2.matvec(&b(h2.n()));
+    let before = h2.cache_stats().expect("a budgeted cache");
+    assert!(before.hits > 0 && before.misses > 0 && before.stale_purged > 0);
+    assert!(before.entries > 0);
+    h2.set_update_policy(UpdatePolicy {
+        tol: TOL,
+        rebuild_churn: 0.001,
+        ..UpdatePolicy::default()
+    })
+    .expect("anchor-net skeletons are data points");
+    let report = h2
+        .insert_points(&gen::uniform_cube(2, 3, 101))
+        .expect("insert");
+    assert_eq!(report.rebuilds, 1);
+    let after = h2.cache_stats().expect("a budgeted cache");
+    assert_eq!((after.hits, after.misses), (before.hits, before.misses));
+    let purged = before.stale_purged + before.entries as u64;
+    assert_eq!(after.stale_purged, purged, "the blocks left behind");
+    h2.matvec(&b(h2.n()));
+    let used = h2.cache_stats().expect("a budgeted cache");
+    assert!(used.hits > after.hits && used.misses > after.misses);
+}
+
 /// A grown box can give a node off every updated path a new interaction
 /// partner. Its `Y*` never sampled that partner's points, so the update
 /// must re-factor it: after every update of a seeded stream, each node

@@ -470,13 +470,19 @@ mod tests {
         }
     }
 
-    /// `m` as a view into a mapping of its bytes.
+    /// `m` as a view into a file mapping of its bytes.
     fn mapped<S: Scalar>(m: &MatrixS<S>) -> MatrixS<S> {
+        static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let mut bytes = Vec::new();
         for &v in m.as_slice() {
             v.write_le(&mut bytes);
         }
-        let mem = crate::slab::SlabMem::from_bytes(&bytes);
+        let k = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let name = format!("h2-basis-test-{}-{k}.bin", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, &bytes).expect("write");
+        let mem = crate::slab::SlabMem::map_file(&path).expect("map");
+        std::fs::remove_file(&path).ok();
         let view = mem.slice(0, m.as_slice().len()).expect("in bounds");
         MatrixS::from_slab(m.nrows(), m.ncols(), view)
     }

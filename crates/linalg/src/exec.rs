@@ -7,9 +7,10 @@
 //! meets the others at a barrier, and goes on to the next step. The five
 //! sweeps of a product are one such list ([`run`] directly, with a scratch
 //! state per thread); every parallel loop of construction is a single-step
-//! call through [`map`] or [`for_each_chunk`] (a tree pass maps over its
-//! subtrees, one task each), each task writing the output slot of its own
-//! item.
+//! call through [`map`], [`for_each_chunk`] or [`for_each_with`] (a tree
+//! pass maps over its subtrees, one task each; a block plan fills its slab
+//! one block per task, with one scratch per thread), each task writing the
+//! output slot of its own item.
 //!
 //! ## Who owns a thread
 //!
@@ -185,21 +186,39 @@ pub fn for_each_chunk<T: Send>(
     chunk: usize,
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
-    let pieces = data.chunks_mut(chunk.max(1)).enumerate();
-    let tasks = pieces.len();
-    let threads = threads_for(width, &[tasks]);
-    if threads == 1 {
-        return pieces.for_each(|(c, piece)| f(c, piece));
+    let mut pieces: Vec<&mut [T]> = data.chunks_mut(chunk.max(1)).collect();
+    let threads = threads_for(width, &[pieces.len()]);
+    for_each_with(&mut vec![(); threads], &mut pieces, |_, c, piece| {
+        f(c, piece)
+    });
+}
+
+/// Runs `f(local, k, &mut items[k])` for every item as one step on
+/// `locals.len()` threads, each with its own local (scratch a task reuses
+/// for the items its thread takes). Every item goes to exactly one task;
+/// with one item or one local it is a plain loop on the caller.
+pub fn for_each_with<T: Send, L: Send>(
+    locals: &mut [L],
+    items: &mut [T],
+    f: impl Fn(&mut L, usize, &mut T) + Sync,
+) {
+    let tasks = items.len();
+    if locals.len() == 1 || tasks <= 1 {
+        let local = &mut locals[0];
+        return items
+            .iter_mut()
+            .enumerate()
+            .for_each(|(k, item)| f(local, k, item));
     }
-    // Every task takes the next piece: `tasks` takes in all. The lock is
+    // Every task takes the next item: `tasks` takes in all. The lock is
     // held for the take only, never while `f` runs.
-    let pieces = Mutex::new(pieces);
-    let task = |_: &mut (), _, _| {
-        let next = pieces.lock().expect("taking a piece cannot panic").next();
-        let (c, piece) = next.expect("one piece per task");
-        f(c, piece);
+    let items = Mutex::new(items.iter_mut().enumerate());
+    let task = |local: &mut L, _, _| {
+        let next = items.lock().expect("taking an item cannot panic").next();
+        let (k, item) = next.expect("one item per task");
+        f(local, k, item);
     };
-    run(&mut vec![(); threads], &[tasks], task, |_| ());
+    run(locals, &[tasks], task, |_| ());
 }
 
 /// `items.iter().map(f).collect()` as one step at the caller's [`width`]:

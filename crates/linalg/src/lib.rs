@@ -51,7 +51,7 @@ pub use matrix::{Matrix, MatrixS};
 pub use qr::PivotedQr;
 pub use scalar::Scalar;
 pub use sketch::CounterRng;
-pub use slab::{SlabError, SlabMem, SlabSlice};
+pub use slab::{SlabError, SlabMem, SlabSlice, SLAB_ALIGN};
 
 /// Errors produced by factorizations and solves in this crate.
 #[derive(Debug, Clone, PartialEq)]

@@ -15,17 +15,17 @@
 use crate::blas;
 use crate::panel;
 use crate::scalar::Scalar;
-use crate::slab::SlabSlice;
+use crate::slab::{SlabMem, SlabSlice};
 
 /// A dense column-major matrix over a [`Scalar`] element type.
 ///
 /// Entry `(i, j)` lives at `data[i + j * nrows]`. The type is deliberately
-/// small: a buffer plus two dimensions. The buffer is normally an owned
-/// `Vec<S>`, but [`MatrixS::from_slab`] wraps a read-only [`SlabSlice`]
-/// view (an `mmap`ed operator file) instead — every read path works
-/// identically on both backings, and the first mutation promotes a mapped
-/// buffer to an owned copy (copy-on-write), so mutating call sites never
-/// observe the difference.
+/// small: a buffer plus two dimensions. The buffer is an owned `Vec<S>`,
+/// or [`MatrixS::from_slab`] wraps a read-only [`SlabSlice`] view instead
+/// (a stored block: in the slab a block plan wrote, or in an `mmap`ed
+/// operator file) — every read path works identically on both backings,
+/// and the first mutation promotes a view to an owned copy
+/// (copy-on-write), so mutating call sites never observe the difference.
 #[derive(Clone, Debug, Default)]
 pub struct MatrixS<S: Scalar = f64> {
     nrows: usize,
@@ -167,14 +167,23 @@ impl<S: Scalar> MatrixS<S> {
         matches!(self.data, Buf::Mapped(_))
     }
 
-    /// Bytes of this matrix backed by a shared slab (0 for owned storage).
-    /// The complement of [`MatrixS::bytes`] for memory accounting: mapped
-    /// pages belong to the file mapping / page cache, not this process's
-    /// heap.
+    /// Bytes of this matrix backed by a file mapping (0 for owned storage
+    /// and for a view of a written or heap slab). The complement of
+    /// [`MatrixS::bytes`] for memory accounting: mapped pages belong to
+    /// the page cache, not this process.
     pub fn mapped_bytes(&self) -> usize {
         match &self.data {
-            Buf::Owned(_) => 0,
-            Buf::Mapped(m) => m.len() * S::BYTES,
+            Buf::Mapped(m) if m.is_file_mapping() => m.len() * S::BYTES,
+            _ => 0,
+        }
+    }
+
+    /// The slab a view reads (`None` for owned storage): views that share
+    /// one are one allocation, which a holder of several can count once.
+    pub fn slab(&self) -> Option<&std::sync::Arc<SlabMem>> {
+        match &self.data {
+            Buf::Owned(_) => None,
+            Buf::Mapped(m) => Some(m.mem()),
         }
     }
 
@@ -505,13 +514,16 @@ impl<S: Scalar> MatrixS<S> {
         }
     }
 
-    /// Heap bytes held by this matrix (for memory accounting). A mapped
-    /// (slab-backed) matrix reports 0 here — its pages are the file
-    /// mapping's, counted separately by [`MatrixS::mapped_bytes`].
+    /// Bytes of this process's memory the matrix holds (for memory
+    /// accounting): an owned buffer's capacity, or a view's scalars when its
+    /// slab is written or a heap copy. A view of a file mapping reports 0
+    /// here — its pages are the page cache's, counted by
+    /// [`MatrixS::mapped_bytes`].
     pub fn bytes(&self) -> usize {
         match &self.data {
             Buf::Owned(v) => v.capacity() * std::mem::size_of::<S>(),
-            Buf::Mapped(_) => 0,
+            Buf::Mapped(m) if m.is_file_mapping() => 0,
+            Buf::Mapped(m) => m.len() * S::BYTES,
         }
     }
 }
@@ -712,7 +724,6 @@ mod tests {
 
     #[test]
     fn slab_backed_matrix_applies_bitwise_and_promotes_on_write() {
-        use crate::slab::SlabMem;
         let owned = Matrix::from_fn(5, 4, |i, j| ((i * 7 + j) as f64).sin());
         let mut bytes = Vec::new();
         for &v in owned.as_slice() {
@@ -721,8 +732,9 @@ mod tests {
         let mem = SlabMem::from_bytes(&bytes);
         let mapped = Matrix::from_slab(5, 4, mem.slice(0, 20).unwrap());
         assert!(mapped.is_mapped());
-        assert_eq!(mapped.bytes(), 0);
-        assert_eq!(mapped.mapped_bytes(), 160);
+        assert!(std::sync::Arc::ptr_eq(mapped.slab().unwrap(), &mem));
+        // A heap slab is this process's memory, not a file mapping's.
+        assert_eq!((mapped.bytes(), mapped.mapped_bytes()), (160, 0));
         assert_eq!(mapped, owned);
         let x = [0.3, -1.1, 0.0, 2.5];
         // Same arithmetic, same code path: outputs are bit-identical.

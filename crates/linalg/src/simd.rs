@@ -6,13 +6,13 @@
 //! the anchor-net scan in `h2-sampling`. Each calls its
 //! `#[target_feature(enable = "avx2")]` compile only after [`avx2`] returned
 //! `true`. The radial tile, which computes each entry in its own lane and
-//! is the whole of an on-the-fly product, also has a 512-bit compile,
-//! called only after [`avx512`] returned `true`: the tile runs the widest
-//! compile the host has. The other three keep AVX2 only: the QR's four
-//! partial sums fix its vector at four lanes, a 512-bit panel compile with
-//! a 16-row forward tile was slower (the in-cache forward tile went from
-//! 0.34 to 0.45 ns per entry), and a 512-bit anchor-net scan moved
-//! h2bench's `build_s` by no more than its noise.
+//! is the whole of an on-the-fly product, and the anchor-net scan, whose
+//! chunk of eight candidates is one 512-bit vector, also have a 512-bit
+//! compile, called only after [`avx512`] returned `true`: they run the
+//! widest compile the host has. The other two keep AVX2 only: the QR's
+//! four partial sums fix its vector at four lanes, and a 512-bit panel
+//! compile with a 16-row forward tile was slower (the in-cache forward
+//! tile went from 0.34 to 0.45 ns per entry).
 //!
 //! Every compile has the baseline's bits because rustc emits no
 //! contractable multiply-add: `avx512f` implies `fma`, yet `a * b + c`
@@ -42,8 +42,8 @@ pub fn avx512() -> bool {
     false
 }
 
-/// The compile the radial tile runs on this host: `"avx512"`, `"avx2"` or
-/// `"baseline"`.
+/// The compile the radial tile and the anchor-net scan run on this host:
+/// `"avx512"`, `"avx2"` or `"baseline"`.
 pub fn widest() -> &'static str {
     let wider = [(avx512(), "avx512"), (avx2(), "avx2")];
     wider.iter().find(|c| c.0).map_or("baseline", |c| c.1)

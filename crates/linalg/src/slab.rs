@@ -1,22 +1,37 @@
-//! Read-only memory slabs and typed scalar views for zero-copy loading.
+//! Read-only memory slabs and typed scalar views: where stored blocks live.
 //!
 //! The serving codec's format lays matrix payloads out as 64-byte-aligned
 //! little-endian slabs so an operator file can be `mmap`ed and its blocks
-//! applied in place. This module supplies the two pieces that makes safe:
+//! applied in place, and every block plan of an operator writes its fresh
+//! blocks into one slab of the same layout ([`SlabMem::write_parts`]). This
+//! module supplies the pieces that make both safe:
 //!
-//! - [`SlabMem`]: an immutable byte region, either a private read-only file
-//!   mapping (the zero-copy path) or a heap copy (fallback for platforms
-//!   without `mmap`). The region never moves or shrinks while any handle is
-//!   alive, which is what lets views borrow from it across threads.
-//! - [`SlabSlice`]: a checked `&[S]` view into a [`SlabMem`]. Construction
-//!   verifies bounds, element alignment, and that the host is little-endian
-//!   (the on-disk byte order), so reinterpreting the bytes as scalars is
-//!   exactly the inverse of [`Scalar::write_le`]. On a big-endian host
-//!   construction fails with a typed error and callers fall back to the
-//!   owned (byte-by-byte) decode path.
+//! - [`SlabMem`]: an immutable byte region, one of three backings: a
+//!   private read-only file mapping (the zero-copy load), a private
+//!   anonymous mapping a writer filled and then froze read-only (a plan's
+//!   blocks, advised `MADV_HUGEPAGE`), or a heap buffer (a copy of bytes,
+//!   or a written slab below one huge page or off Linux). The region never
+//!   moves or shrinks while any handle is alive, which is what lets views
+//!   borrow from it across threads. Only the first backing is a *file
+//!   mapping* ([`SlabMem::is_file_mapping`]): its pages belong to the page
+//!   cache, while the other two are this process's memory.
+//! - [`SlabSlice`]: a checked `&[S]` view into a [`SlabMem`]. Views of file
+//!   bytes verify bounds, element alignment, and that the host is
+//!   little-endian (the on-disk byte order), so reinterpreting the bytes as
+//!   scalars is exactly the inverse of [`Scalar::write_le`]. On a
+//!   big-endian host construction fails with a typed error and callers fall
+//!   back to the owned (byte-by-byte) decode path. Views of a written slab
+//!   hold scalars the writer stored in the host's order.
 //!
-//! The `mmap` binding is a minimal `extern "C"` declaration against the libc
-//! the Rust standard library already links on Unix — no external crate.
+//! A written slab is filled once, through disjoint `&mut [S]` regions cut
+//! with `split_at_mut` (so several threads can fill it at once), and then
+//! frozen: the mapping becomes `PROT_READ` before the first view exists.
+//! Huge pages are only advice on the program's own mapping; where the host
+//! does not grant them the slab faults 4 KiB pages like any heap buffer.
+//!
+//! The `mmap` bindings are minimal `extern "C"` declarations against the
+//! libc the Rust standard library already links on Unix — no external
+//! crate.
 
 use crate::scalar::Scalar;
 use std::fmt;
@@ -65,10 +80,26 @@ impl fmt::Display for SlabError {
 
 impl std::error::Error for SlabError {}
 
+/// Byte alignment of every matrix payload within a slab, in an operator
+/// file and in a written slab alike: every scalar width this workspace
+/// stores, and a cache line for the apply kernels.
+pub const SLAB_ALIGN: usize = 64;
+
+/// One transparent huge page: a written slab below it stays on the heap,
+/// so a one-block plan costs no syscall.
+#[cfg(target_os = "linux")]
+const HUGE_PAGE: usize = 2 << 20;
+
 enum Backing {
-    /// A private read-only `mmap` region (unmapped on drop).
+    /// A private `mmap` region, read-only by the time any view exists
+    /// (unmapped on drop): a file's pages (`file`), or an anonymous region
+    /// [`SlabMem::write_parts`] filled.
     #[cfg(unix)]
-    Mapped { ptr: *mut u8, len: usize },
+    Mapped {
+        ptr: *mut u8,
+        len: usize,
+        file: bool,
+    },
     /// A heap copy, stored as `u64` words so the base address is 8-byte
     /// aligned (enough for `f64`, the widest [`Scalar`]).
     Heap(Vec<u64>, usize),
@@ -83,9 +114,10 @@ pub struct SlabMem {
     backing: Backing,
 }
 
-// SAFETY: the region is read-only for the lifetime of the value — the file
-// mapping is PROT_READ/MAP_PRIVATE and the heap variant is never exposed
-// mutably — so shared access from any thread is sound.
+// SAFETY: the region is read-only once shared — a file mapping is
+// PROT_READ/MAP_PRIVATE, and a written slab is filled through
+// `scalars_mut` only inside `write_parts`, before `freeze` puts it behind
+// the first `Arc` — so shared access from any thread is sound.
 unsafe impl Send for SlabMem {}
 unsafe impl Sync for SlabMem {}
 
@@ -138,6 +170,7 @@ impl SlabMem {
                 backing: Backing::Mapped {
                     ptr: ptr as *mut u8,
                     len,
+                    file: true,
                 },
             }))
         }
@@ -147,12 +180,120 @@ impl SlabMem {
         }
     }
 
+    /// A zeroed writable slab of `len` bytes, for [`SlabMem::write_parts`]
+    /// to fill and [`SlabMem::freeze`]. From one huge page up on Linux it
+    /// is a private anonymous mapping advised `MADV_HUGEPAGE` (the kernel
+    /// rounds its length to whole 4 KiB pages only, so the resident set
+    /// grows by no rounding to 2 MiB). Below one huge page, elsewhere, or
+    /// when `mmap` fails it is a zeroed heap buffer.
+    fn writable(len: usize) -> SlabMem {
+        #[cfg(target_os = "linux")]
+        if len >= HUGE_PAGE {
+            // SAFETY: a fresh anonymous private mapping of `len` bytes at an
+            // address of the kernel's choosing; failure is MAP_FAILED, after
+            // which nothing is touched.
+            let ptr = unsafe {
+                sys::mmap(
+                    std::ptr::null_mut(),
+                    len,
+                    sys::PROT_READ | sys::PROT_WRITE,
+                    sys::MAP_PRIVATE | sys::MAP_ANONYMOUS,
+                    -1,
+                    0,
+                )
+            };
+            if ptr != sys::MAP_FAILED {
+                // SAFETY: advice on the mapping just made; a refusal (no
+                // transparent huge pages on this kernel) changes nothing.
+                unsafe { sys::madvise(ptr, len, sys::MADV_HUGEPAGE) };
+                let ptr = ptr as *mut u8;
+                return SlabMem {
+                    backing: Backing::Mapped {
+                        ptr,
+                        len,
+                        file: false,
+                    },
+                };
+            }
+        }
+        SlabMem {
+            backing: Backing::Heap(vec![0u64; len.div_ceil(8)], len),
+        }
+    }
+
+    /// A writable slab as `len / S::BYTES` scalars to fill: only
+    /// [`SlabMem::write_parts`] calls it, before [`SlabMem::freeze`].
+    fn scalars_mut<S: Scalar>(&mut self) -> &mut [S] {
+        let (ptr, len) = match &mut self.backing {
+            #[cfg(unix)]
+            Backing::Mapped { ptr, len, .. } => (*ptr, *len),
+            Backing::Heap(buf, len) => (buf.as_mut_ptr() as *mut u8, *len),
+        };
+        assert!(std::mem::align_of::<S>() <= 8 && std::mem::size_of::<S>() == S::BYTES);
+        // SAFETY: `ptr` is page- or 8-byte aligned (enough for every
+        // `Scalar`), valid and zeroed for `len` bytes, and `&mut self`
+        // makes this the only access; every bit pattern is a valid `S`.
+        unsafe { std::slice::from_raw_parts_mut(ptr as *mut S, len / S::BYTES) }
+    }
+
+    /// A filled slab, read-only from here on: a mapping is protected
+    /// `PROT_READ` before any view of it exists.
+    fn freeze(self) -> Arc<SlabMem> {
+        #[cfg(unix)]
+        if let Backing::Mapped { ptr, len, .. } = self.backing {
+            // SAFETY: `ptr`/`len` are this slab's own live mapping. Should
+            // the call fail the pages stay writable, and still nothing
+            // writes them: the only `&mut` access ended with the fill.
+            unsafe { sys::mprotect(ptr as *mut std::ffi::c_void, len, sys::PROT_READ) };
+        }
+        Arc::new(self)
+    }
+
+    /// One fresh slab holding `lens[k]` scalars per part, each at a
+    /// [`SLAB_ALIGN`]-aligned offset and in order: `fill` gets the parts as
+    /// disjoint zeroed `&mut [S]` regions, then the slab is frozen and the
+    /// parts come back as views of it, in the same order. The padding
+    /// between parts stays zero.
+    pub fn write_parts<S: Scalar>(
+        lens: &[usize],
+        fill: impl FnOnce(Vec<&mut [S]>),
+    ) -> Vec<SlabSlice<S>> {
+        let stride = SLAB_ALIGN / S::BYTES;
+        let mut end = 0usize;
+        let offsets: Vec<usize> = lens
+            .iter()
+            .map(|&len| {
+                let at = end.next_multiple_of(stride);
+                end = at + len;
+                at
+            })
+            .collect();
+        let mut slab = SlabMem::writable(end * S::BYTES);
+        let mut rest = slab.scalars_mut::<S>();
+        let mut parts = Vec::with_capacity(lens.len());
+        let mut cut = 0;
+        for (&at, &len) in offsets.iter().zip(lens) {
+            let (part, tail) = std::mem::take(&mut rest)[at - cut..].split_at_mut(len);
+            (rest, cut) = (tail, at + len);
+            parts.push(part);
+        }
+        fill(parts);
+        let mem = slab.freeze();
+        let view = |(&at, &len): (&usize, &usize)| SlabSlice {
+            mem: mem.clone(),
+            offset: at * S::BYTES,
+            len,
+            _marker: std::marker::PhantomData,
+        };
+        offsets.iter().zip(lens).map(view).collect()
+    }
+
     /// The whole slab as bytes.
     pub fn as_bytes(&self) -> &[u8] {
         match &self.backing {
             // SAFETY: the mapping is valid for `len` bytes until drop.
             #[cfg(unix)]
-            Backing::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
+            Backing::Mapped { ptr, len, .. } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
             Backing::Heap(buf, len) => {
                 // SAFETY: `buf` holds at least `len` initialized bytes.
                 unsafe { std::slice::from_raw_parts(buf.as_ptr() as *const u8, *len) }
@@ -175,11 +316,11 @@ impl SlabMem {
     }
 
     /// True when the slab is a file mapping (pages owned by the page cache)
-    /// rather than a heap copy.
+    /// rather than this process's memory (a written slab or a heap copy).
     pub fn is_file_mapping(&self) -> bool {
         match &self.backing {
             #[cfg(unix)]
-            Backing::Mapped { .. } => true,
+            Backing::Mapped { file, .. } => *file,
             Backing::Heap(..) => false,
         }
     }
@@ -232,7 +373,7 @@ impl SlabMem {
 impl Drop for SlabMem {
     fn drop(&mut self) {
         #[cfg(unix)]
-        if let Backing::Mapped { ptr, len } = self.backing {
+        if let Backing::Mapped { ptr, len, .. } = self.backing {
             // SAFETY: `ptr`/`len` came from a successful mmap and are
             // unmapped exactly once, here.
             unsafe {
@@ -292,6 +433,11 @@ impl<S: Scalar> SlabSlice<S> {
     pub fn is_file_mapping(&self) -> bool {
         self.mem.is_file_mapping()
     }
+
+    /// The slab the view reads.
+    pub fn mem(&self) -> &Arc<SlabMem> {
+        &self.mem
+    }
 }
 
 impl<S: Scalar> Clone for SlabSlice<S> {
@@ -321,7 +467,13 @@ mod sys {
     use std::os::raw::c_int;
 
     pub const PROT_READ: c_int = 1;
+    #[cfg(target_os = "linux")]
+    pub const PROT_WRITE: c_int = 2;
     pub const MAP_PRIVATE: c_int = 2;
+    #[cfg(target_os = "linux")]
+    pub const MAP_ANONYMOUS: c_int = 0x20;
+    #[cfg(target_os = "linux")]
+    pub const MADV_HUGEPAGE: c_int = 14;
     pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
 
     extern "C" {
@@ -334,6 +486,9 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+        #[cfg(target_os = "linux")]
+        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
 }
 
@@ -394,6 +549,53 @@ mod tests {
         let kept = view.clone();
         drop(mem);
         assert_eq!(kept.as_slice().len(), 64);
+    }
+
+    /// The parts `write_parts` filled with `k + e / 8` (part `k`, entry
+    /// `e`), checked through the views it returns: values, order,
+    /// alignment, zero padding, and a backing that is no file mapping.
+    fn written<S: Scalar>(lens: &[usize]) -> Vec<SlabSlice<S>> {
+        let value = |k: usize, e: usize| S::from_f64(k as f64 + e as f64 / 8.0);
+        let views = SlabMem::write_parts::<S>(lens, |parts| {
+            assert_eq!(parts.len(), lens.len());
+            for (k, part) in parts.into_iter().enumerate() {
+                assert!(part.iter().all(|&v| v == S::ZERO), "zeroed");
+                part.iter_mut()
+                    .enumerate()
+                    .for_each(|(e, v)| *v = value(k, e));
+            }
+        });
+        let mem = views[0].mem().clone();
+        assert!(!mem.is_file_mapping());
+        let mut payload = vec![false; mem.len()];
+        for (k, view) in views.iter().enumerate() {
+            assert!(Arc::ptr_eq(view.mem(), &mem), "one slab");
+            assert_eq!(view.offset % SLAB_ALIGN, 0);
+            assert_eq!(view.len(), lens[k]);
+            assert!(view
+                .as_slice()
+                .iter()
+                .enumerate()
+                .all(|(e, &v)| v == value(k, e)));
+            payload[view.offset..view.offset + view.len() * S::BYTES].fill(true);
+        }
+        let padding = mem.as_bytes().iter().zip(&payload).filter(|(_, &p)| !p);
+        assert!(padding.into_iter().all(|(&b, _)| b == 0), "zero padding");
+        views
+    }
+
+    #[test]
+    fn written_parts_are_aligned_views_of_one_read_only_slab() {
+        written::<f64>(&[3, 0, 17, 1, 8]);
+        written::<f32>(&[1, 15, 16, 17, 0]);
+        written::<f64>(&[0]);
+        // Past one huge page: an anonymous mapping on Linux, whose views
+        // outlive every other handle.
+        let big = written::<f64>(&[300_000, 5, 40_000]);
+        let last = big[2].clone();
+        drop(big);
+        assert_eq!(last.as_slice()[39_999], 2.0 + 39_999.0 / 8.0);
+        assert!(SlabMem::write_parts::<f32>(&[], |parts| assert!(parts.is_empty())).is_empty());
     }
 
     #[test]

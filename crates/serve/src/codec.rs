@@ -115,9 +115,8 @@ pub const MAGIC: [u8; 8] = *b"H2SERVE\0";
 /// directory, each basis and transfer as its row map and coefficient block.
 pub const FORMAT_VERSION: u32 = 5;
 /// Alignment (bytes) of the slab region, each family slab, and each
-/// matrix payload within its slab. 64 covers every scalar width this crate
-/// serves plus cache-line alignment for the apply kernels.
-pub const SLAB_ALIGN: usize = 64;
+/// matrix payload within its slab: the alignment of a generated slab too.
+pub use h2_linalg::SLAB_ALIGN;
 
 const TAG_FINGERPRINT: u8 = 1;
 const TAG_TREE: u8 = 2;

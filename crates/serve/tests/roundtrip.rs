@@ -353,6 +353,33 @@ fn a_directory_claiming_bytes_past_the_file_is_refused() {
     }
 }
 
+/// `mapped_bytes` counts file mappings only: 0 for a built operator, whose
+/// blocks are views of the slab its plan wrote, and every payload the file
+/// holds (blocks and coefficient blocks) for an mmap-loaded one, whose
+/// resident report then leaves the blocks out.
+#[test]
+fn mapped_bytes_count_file_pages_only() {
+    let h2 = build(1500, 3, 9, 1e-5, MemoryMode::Normal);
+    let built = h2.memory_report();
+    assert_eq!(built.mapped_bytes, 0);
+    let kinds = [h2_core::BlockKind::Coupling, h2_core::BlockKind::Nearfield];
+    let blocks = kinds
+        .iter()
+        .flat_map(|&kind| h2.table().stored_blocks(kind).unwrap());
+    let payload = |m: &Matrix| m.nrows() * m.ncols() * 8;
+    let block_bytes: usize = blocks.map(payload).sum();
+    assert_eq!(built.coupling_blocks + built.nearfield_blocks, block_bytes);
+    let generators = h2.bases().iter().chain(h2.transfers());
+    let coefficients: usize = generators.map(|g| payload(g.coefficients())).sum();
+    let path = temp_file("mapped-bytes");
+    codec::save(&h2, &path).expect("save");
+    let mapped: H2Matrix = codec::load_mmap(&path, Arc::new(Coulomb)).expect("mmap load");
+    std::fs::remove_file(&path).ok();
+    let report = mapped.memory_report();
+    assert_eq!(report.mapped_bytes, block_bytes + coefficients);
+    assert_eq!(report.coupling_blocks + report.nearfield_blocks, 0);
+}
+
 /// Acceptance criterion: at n = 5000 the on-the-fly file (tree + skeleton
 /// generators only) is at least 5x smaller than the normal-mode file
 /// (which adds the dense coupling/nearfield blocks) for the same operator.
